@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: test race bench bench-parallel bench-store bench-authz bench-obs bench-scale bench-txn bench-http bench-fleet
+.PHONY: test race perf perf-check bench bench-parallel bench-store bench-authz bench-obs bench-scale bench-txn bench-http bench-fleet
 
 test:
 	$(GO) build ./...
@@ -33,8 +33,20 @@ race:
 		./internal/client/... \
 		./internal/server/... \
 		./internal/events/... \
+		./internal/search/... \
 		./internal/fleet/... \
 		./internal/chaos/...
+
+# The repository's benchmark (BENCHMARK.json, perf/README.md): all four
+# workloads, traced, with the per-layer table; about 4 minutes. Every
+# performance claim is a parent-against-change comparison of this command.
+perf:
+	$(GO) run ./perf
+
+# The same twice over, every end-to-end gap against its bound; exits 1 on a
+# miss. About 5 minutes.
+perf-check:
+	$(GO) run ./perf -check-repeat
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

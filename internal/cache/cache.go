@@ -49,9 +49,17 @@
 //   - A View's pin state is one atomic word (pin bit | version), so a view
 //     shared by many goroutines stays on a single consistent snapshot: the
 //     version changes only by the CAS that also sets the pin bit.
-//   - Cold misses are coalesced by a per-metastore singleflight keyed by
-//     (version, record key): a thundering herd on one cold key issues one
-//     database read; latecomers wait for the leader's result.
+//   - Cold single-key misses (Get, Scan) are coalesced by a per-metastore
+//     singleflight keyed by (version, record key): a thundering herd on one
+//     cold key issues one database read; latecomers wait for the leader's
+//     result.
+//   - GetBatch serves its hits key by key, then fills every miss from one
+//     store snapshot and one multi-get — one database round trip per batch,
+//     outside the singleflight: the batches of concurrent list pages rarely
+//     name the same cold keys, and a flight per key would put the whole
+//     batch behind flightMu once per key. Each fetched record is inserted
+//     under its shard lock with the same "view still at the known version"
+//     guard as a single-key miss, and the batch runs the evictor once.
 //   - Eviction is per-shard with approximate global accounting: inserts
 //     bump an atomic entry count, and when it exceeds the cap a victim is
 //     chosen by policy within one shard (rotating across shards), so
@@ -77,7 +85,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -155,7 +162,7 @@ type Metrics struct {
 	// EventApplies counts coherence notifications that advanced the known
 	// version without a database round trip; EventInvalidations counts the
 	// cache entries those notifications dropped.
-	EventApplies      int64
+	EventApplies       int64
 	EventInvalidations int64
 	Evictions          int64
 	WriteConflicts     int64
@@ -242,12 +249,16 @@ func (s *cachedScan) touch() {
 // shard is one lock stripe of a metastore's cached state.
 type shard struct {
 	mu sync.RWMutex
-	// records keyed by table+"\x00"+key; these include the secondary-key
-	// index records (name→id, path→id), so the cache serves lookups by ID,
-	// name, or path, as the paper describes.
-	records map[string]*cachedRecord
-	scans   map[string]*cachedScan
+	// records keyed by (table, key); these include the secondary-key index
+	// records (name→id, path→id), so the cache serves lookups by ID, name,
+	// or path, as the paper describes. scans are keyed by (table, prefix).
+	records map[cacheKey]*cachedRecord
+	scans   map[cacheKey]*cachedScan
 }
+
+// cacheKey names a cached record (table, key) or scan (table, prefix). A
+// struct key hashes both parts in place, so a lookup allocates nothing.
+type cacheKey struct{ table, key string }
 
 // flight is one in-progress database read shared by coalesced misses.
 type flight struct {
@@ -274,25 +285,39 @@ type msCache struct {
 	lastSync atomic.Int64
 
 	flightMu sync.Mutex
-	flight   map[string]*flight
+	flight   map[flightKey]*flight
+}
+
+// flightKey identifies one coalesced read: a point get ('g') or a prefix
+// scan ('s') of ck at a version.
+type flightKey struct {
+	kind    byte
+	version uint64
+	ck      cacheKey
 }
 
 func newMsCache(v uint64, now time.Time) *msCache {
-	m := &msCache{flight: map[string]*flight{}}
+	m := &msCache{flight: map[flightKey]*flight{}}
 	m.knownVersion.Store(v)
 	m.lastSync.Store(now.UnixNano())
 	for i := range m.shards {
-		m.shards[i].records = map[string]*cachedRecord{}
-		m.shards[i].scans = map[string]*cachedScan{}
+		m.shards[i].records = map[cacheKey]*cachedRecord{}
+		m.shards[i].scans = map[cacheKey]*cachedScan{}
 	}
 	return m
 }
 
-func (m *msCache) shardFor(key string) *shard {
-	// Inline FNV-1a; the stdlib hash/fnv allocates.
+func (m *msCache) shardFor(ck cacheKey) *shard {
+	// Inline FNV-1a over table, a zero separator byte, and key; the stdlib
+	// hash/fnv allocates.
 	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
+	for i := 0; i < len(ck.table); i++ {
+		h ^= uint32(ck.table[i])
+		h *= 16777619
+	}
+	h *= 16777619 // the separator: h ^ 0 == h
+	for i := 0; i < len(ck.key); i++ {
+		h ^= uint32(ck.key[i])
 		h *= 16777619
 	}
 	return &m.shards[h&(numShards-1)]
@@ -315,7 +340,7 @@ func (m *msCache) unlockAll() {
 // doFlight runs fn once per key among concurrent callers. The leader (the
 // caller that runs fn) gets leader=true; the rest block until the leader
 // finishes and share its flight result.
-func (m *msCache) doFlight(key string, fn func(*flight)) (f *flight, leader bool) {
+func (m *msCache) doFlight(key flightKey, fn func(*flight)) (f *flight, leader bool) {
 	m.flightMu.Lock()
 	if f, ok := m.flight[key]; ok {
 		m.flightMu.Unlock()
@@ -331,10 +356,6 @@ func (m *msCache) doFlight(key string, fn func(*flight)) (f *flight, leader bool
 	m.flightMu.Unlock()
 	close(f.done)
 	return f, true
-}
-
-func flightKey(kind byte, version uint64, key string) string {
-	return string(kind) + strconv.FormatUint(version, 10) + "\x00" + key
 }
 
 // Cache is a cache node, owning and caching a set of metastores over one DB.
@@ -519,11 +540,6 @@ func (c *Cache) owner(msID string) (*msCache, error) {
 	return m, nil
 }
 
-func recordKey(table, key string) string { return table + "\x00" + key }
-func scanKey(table, prefix string) string {
-	return table + "\x00" + prefix
-}
-
 // reconcileAllLocked brings the metastore cache up to the database's current
 // version. Caller must hold every shard lock (lockAll).
 func (c *Cache) reconcileAllLocked(msID string, m *msCache) error {
@@ -563,24 +579,14 @@ func (c *Cache) reconcileAllLocked(msID string, m *msCache) error {
 func invalidateChangesLocked(m *msCache, changes []store.Change, newV uint64) int {
 	dropped := 0
 	for _, ch := range changes {
-		rk := recordKey(ch.Table, ch.Key)
+		rk := cacheKey{ch.Table, ch.Key}
 		sh := m.shardFor(rk)
 		if _, ok := sh.records[rk]; ok {
 			delete(sh.records, rk)
 			m.entries.Add(-1)
 			dropped++
 		}
-		// Invalidate scans over the changed table whose prefix covers the
-		// changed key.
-		for i := range m.shards {
-			for sk := range m.shards[i].scans {
-				tbl, prefix, _ := strings.Cut(sk, "\x00")
-				if tbl == ch.Table && strings.HasPrefix(ch.Key, prefix) {
-					delete(m.shards[i].scans, sk)
-					dropped++
-				}
-			}
-		}
+		dropped += dropScansLocked(m, ch.Table, ch.Key)
 	}
 	for i := range m.shards {
 		for _, s := range m.shards[i].scans {
@@ -590,12 +596,27 @@ func invalidateChangesLocked(m *msCache, changes []store.Change, newV uint64) in
 	return dropped
 }
 
+// dropScansLocked drops every cached scan over table whose prefix covers key
+// and returns how many it dropped. Caller must hold every shard lock.
+func dropScansLocked(m *msCache, table, key string) int {
+	dropped := 0
+	for i := range m.shards {
+		for sk := range m.shards[i].scans {
+			if sk.table == table && strings.HasPrefix(key, sk.key) {
+				delete(m.shards[i].scans, sk)
+				dropped++
+			}
+		}
+	}
+	return dropped
+}
+
 // evictAllLocked drops every cached record and scan and sets the known
 // version to newV. Caller must hold every shard lock (lockAll).
 func evictAllLocked(m *msCache, newV uint64) {
 	for i := range m.shards {
-		m.shards[i].records = map[string]*cachedRecord{}
-		m.shards[i].scans = map[string]*cachedScan{}
+		m.shards[i].records = map[cacheKey]*cachedRecord{}
+		m.shards[i].scans = map[cacheKey]*cachedScan{}
 	}
 	m.entries.Store(0)
 	m.knownVersion.Store(newV)
@@ -797,7 +818,7 @@ func (v *View) pinOnMiss() {
 // tryHit serves (and pins) a cache hit for rk, if present at the view's
 // version. The retry loop handles the race between finding a value at an
 // unpinned version and another goroutine pinning the view elsewhere.
-func (v *View) tryHit(sh *shard, rk string) (val []byte, deleted, ok bool) {
+func (v *View) tryHit(sh *shard, rk cacheKey) (val []byte, deleted, ok bool) {
 	for {
 		st := v.state.Load()
 		ver := st &^ pinnedBit
@@ -827,7 +848,7 @@ func (v *View) Get(table, key string) ([]byte, bool) {
 	if v.snap != nil { // cache disabled
 		return v.snap.Get(table, key)
 	}
-	rk := recordKey(table, key)
+	rk := cacheKey{table, key}
 	sh := v.m.shardFor(rk)
 	if val, deleted, ok := v.tryHit(sh, rk); ok {
 		v.c.metrics.hits.Add(1)
@@ -860,7 +881,7 @@ func (v *View) Get(table, key string) ([]byte, bool) {
 	ver := v.Version()
 	_, missSpan := v.sc.StartDetail("cache.getmiss", table)
 	defer missSpan.End()
-	f, leader := v.m.doFlight(flightKey('g', ver, rk), func(f *flight) {
+	f, leader := v.m.doFlight(flightKey{'g', ver, rk}, func(f *flight) {
 		snap, err := v.c.db.SnapshotAt(v.msID, ver)
 		if err != nil {
 			f.err = err
@@ -906,7 +927,7 @@ func (v *View) Get(table, key string) ([]byte, bool) {
 // rk regardless of the view's pinned version, provided the staleness bound
 // allows it. Returns served=false when the bound is exceeded (fail closed)
 // or nothing is cached.
-func (v *View) degradedGet(sh *shard, rk string) (val []byte, deleted, served bool) {
+func (v *View) degradedGet(sh *shard, rk cacheKey) (val []byte, deleted, served bool) {
 	if !v.c.staleAllowed(v.m) {
 		v.c.metrics.degradedDenied.Add(1)
 		return nil, false, false
@@ -936,7 +957,7 @@ func (v *View) Scan(table, prefix string) []store.KV {
 	if v.snap != nil { // cache disabled
 		return v.snap.Scan(table, prefix)
 	}
-	sk := scanKey(table, prefix)
+	sk := cacheKey{table, prefix}
 	sh := v.m.shardFor(sk)
 	if kvs, ok := v.tryScanHit(sh, sk); ok {
 		v.c.metrics.scanHits.Add(1)
@@ -954,7 +975,7 @@ func (v *View) Scan(table, prefix string) []store.KV {
 	ver := v.Version()
 	_, missSpan := v.sc.StartDetail("cache.scanmiss", table)
 	defer missSpan.End()
-	f, leader := v.m.doFlight(flightKey('s', ver, sk), func(f *flight) {
+	f, leader := v.m.doFlight(flightKey{'s', ver, sk}, func(f *flight) {
 		snap, err := v.c.db.SnapshotAt(v.msID, ver)
 		if err != nil {
 			f.err = err
@@ -1013,24 +1034,105 @@ func (v *View) ScanRange(table, start, end string, limit int) []store.KV {
 	return kvs
 }
 
-// GetBatch resolves keys through the view's Get path (cache hits included),
-// returning a slice aligned with keys; missing keys yield nil.
+// GetBatch returns the values of keys as of the view's version, aligned with
+// keys (nil where absent). Hits are served from the cache key by key; all
+// misses are then filled from one database snapshot and one multi-get — one
+// round trip per batch — and cached under the same rule as a single-key
+// miss. The first miss of an unpinned view reconciles and pins it, exactly
+// as in Get. The returned bytes are shared and must not be mutated.
 func (v *View) GetBatch(table string, keys []string) [][]byte {
 	if v.snap != nil { // cache disabled
 		return v.snap.GetBatch(table, keys)
 	}
 	out := make([][]byte, len(keys))
-	for i, k := range keys {
-		if b, ok := v.Get(table, k); ok {
-			out[i] = b
+	// serve reports whether keys[i] was a cache hit, filling out[i].
+	serve := func(i int) bool {
+		rk := cacheKey{table, keys[i]}
+		val, deleted, ok := v.tryHit(v.m.shardFor(rk), rk)
+		if ok {
+			v.c.metrics.hits.Add(1)
+			if !deleted {
+				out[i] = val
+			}
+		}
+		return ok
+	}
+	var missed []int // indexes into keys
+	for i := range keys {
+		if !serve(i) {
+			missed = append(missed, i)
 		}
 	}
+	if len(missed) == 0 {
+		return out
+	}
+	v.c.metrics.misses.Add(int64(len(missed)))
+	if !v.pinned() {
+		v.pinOnMiss()
+		// The reconciled cache may hold some of the records after all.
+		still := missed[:0]
+		for _, i := range missed {
+			if !serve(i) {
+				still = append(still, i)
+			}
+		}
+		if missed = still; len(missed) == 0 {
+			return out
+		}
+	}
+
+	ver := v.Version()
+	_, missSpan := v.sc.StartDetail("cache.getmiss", table)
+	defer missSpan.End()
+	snap, err := v.c.db.SnapshotAt(v.msID, ver)
+	if err != nil {
+		v.c.noteDBError(v.m, err)
+		for _, i := range missed {
+			if faults.Is(err, faults.Unavailable) {
+				rk := cacheKey{table, keys[i]}
+				if val, deleted, served := v.degradedGet(v.m.shardFor(rk), rk); served {
+					if !deleted {
+						out[i] = val
+					}
+					continue
+				}
+			}
+			v.setErr(err)
+		}
+		return out
+	}
+	missKeys := make([]string, len(missed))
+	for j, i := range missed {
+		missKeys[j] = keys[i]
+	}
+	vals := snap.GetBatch(table, missKeys)
+	snap.Close()
+	v.c.noteDBSuccess(v.m)
+	now := time.Now()
+	for j, i := range missed {
+		if vals[j] == nil {
+			// Absent, or live with a nil value: the multi-get cannot tell, so
+			// nothing is cached rather than a possibly wrong tombstone.
+			continue
+		}
+		out[i] = vals[j]
+		rk := cacheKey{table, keys[i]}
+		sh := v.m.shardFor(rk)
+		// Same guard as Get: cache only what is current as of the known
+		// version, which cannot move while a shard lock is held.
+		sh.mu.Lock()
+		if v.m.knownVersion.Load() == ver {
+			v.c.insertShardLocked(v.m, sh, rk, cachedVersion{version: ver, value: vals[j], cachedAt: now})
+		}
+		sh.mu.Unlock()
+	}
+	v.c.maybeEvict(v.m)
 	return out
 }
 
 // degradedScan is the outage fallback for Scan: serve the cached scan
 // result whatever its version, within the staleness bound.
-func (v *View) degradedScan(sh *shard, sk string) ([]store.KV, bool) {
+func (v *View) degradedScan(sh *shard, sk cacheKey) ([]store.KV, bool) {
 	if !v.c.staleAllowed(v.m) {
 		v.c.metrics.degradedDenied.Add(1)
 		return nil, false
@@ -1053,7 +1155,7 @@ func (v *View) degradedScan(sh *shard, sk string) ([]store.KV, bool) {
 }
 
 // tryScanHit serves (and pins) a cached scan valid at the view's version.
-func (v *View) tryScanHit(sh *shard, sk string) ([]store.KV, bool) {
+func (v *View) tryScanHit(sh *shard, sk cacheKey) ([]store.KV, bool) {
 	for {
 		st := v.state.Load()
 		ver := st &^ pinnedBit
@@ -1104,7 +1206,7 @@ func (v *View) Close() {
 
 // insertShardLocked adds a version to a record, pruning stale versions
 // lazily. Caller holds the shard's write lock (alone or via lockAll).
-func (c *Cache) insertShardLocked(m *msCache, sh *shard, rk string, cv cachedVersion) {
+func (c *Cache) insertShardLocked(m *msCache, sh *shard, rk cacheKey, cv cachedVersion) {
 	rec, ok := sh.records[rk]
 	if !ok {
 		rec = &cachedRecord{}
@@ -1149,7 +1251,7 @@ func (c *Cache) evictOne(m *msCache) bool {
 	for i := 0; i < numShards; i++ {
 		sh := &m.shards[(start+i)&(numShards-1)]
 		sh.mu.Lock()
-		if victim := c.victimLocked(sh); victim != "" {
+		if victim, ok := c.victimLocked(sh); ok {
 			delete(sh.records, victim)
 			m.entries.Add(-1)
 			c.metrics.evictions.Add(1)
@@ -1167,7 +1269,7 @@ func (c *Cache) evictAllLocked(m *msCache) {
 		evicted := false
 		for i := range m.shards {
 			sh := &m.shards[i]
-			if victim := c.victimLocked(sh); victim != "" {
+			if victim, ok := c.victimLocked(sh); ok {
 				delete(sh.records, victim)
 				m.entries.Add(-1)
 				c.metrics.evictions.Add(1)
@@ -1183,26 +1285,19 @@ func (c *Cache) evictAllLocked(m *msCache) {
 
 // victimLocked picks the policy victim within one shard. Caller holds the
 // shard's write lock.
-func (c *Cache) victimLocked(sh *shard) string {
-	var victim string
-	switch c.opts.Policy {
-	case EvictLFU:
-		var min int64 = 1<<63 - 1
-		for k, r := range sh.records {
-			if u := r.uses.Load(); u < min {
-				min, victim = u, k
-			}
+func (c *Cache) victimLocked(sh *shard) (victim cacheKey, ok bool) {
+	// Fewest uses (LFU) or least recent use (LRU): the smallest score loses.
+	var least int64
+	for k, r := range sh.records {
+		score := r.lastUsed.Load()
+		if c.opts.Policy == EvictLFU {
+			score = r.uses.Load()
 		}
-	default: // LRU
-		var oldest int64
-		first := true
-		for k, r := range sh.records {
-			if lu := r.lastUsed.Load(); first || lu < oldest {
-				oldest, victim, first = lu, k, false
-			}
+		if !ok || score < least {
+			least, victim, ok = score, k, true
 		}
 	}
-	return victim
+	return victim, ok
 }
 
 // maxWriteRetries bounds optimistic write retries after version conflicts.
@@ -1258,16 +1353,9 @@ func (c *Cache) UpdateT(sc obs.SpanContext, msID string, fn func(tx *store.Tx) e
 		if m.knownVersion.Load() == known {
 			now := time.Now()
 			for _, w := range captured {
-				rk := recordKey(w.Table, w.Key)
+				rk := cacheKey{w.Table, w.Key}
 				c.insertShardLocked(m, m.shardFor(rk), rk, cachedVersion{version: newV, value: w.Value, deleted: w.Deleted, cachedAt: now})
-				for i := range m.shards {
-					for sk := range m.shards[i].scans {
-						tbl, prefix, _ := strings.Cut(sk, "\x00")
-						if tbl == w.Table && strings.HasPrefix(w.Key, prefix) {
-							delete(m.shards[i].scans, sk)
-						}
-					}
-				}
+				dropScansLocked(m, w.Table, w.Key)
 			}
 			for i := range m.shards {
 				for _, s := range m.shards[i].scans {

@@ -300,7 +300,7 @@ func TestVersionRetentionPruning(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	m, _ := c.owner("m")
-	rk := recordKey("t", "k")
+	rk := cacheKey{"t", "k"}
 	sh := m.shardFor(rk)
 	sh.mu.RLock()
 	rec := sh.records[rk]

@@ -153,7 +153,7 @@ func (s *Service) RunGC(msID string) (GCResult, error) {
 	}
 	var victims []victim
 	for _, kv := range v.Scan(erm.TableEntity, "") {
-		e, err := erm.DecodeEntity(kv.Value)
+		e, err := erm.DecodeEntityAt(ids.ID(kv.Key), kv.Value)
 		if err != nil {
 			continue
 		}
@@ -275,7 +275,7 @@ func (s *Service) Undelete(ctx Ctx, id ids.ID) (e *erm.Entity, err error) {
 		return nil, err
 	}
 	if restored.StoragePath != "" && restored.Type != erm.TypeExternalLocation {
-		_ = ms.trie.Insert(restored.StoragePath, restored.ID)
+		_ = ms.trie.Insert(strings.Clone(restored.StoragePath), restored.ID) // the trie outlives cur
 	}
 	return restored, nil
 }

@@ -114,7 +114,7 @@ func decodeAligned(r pagedReader, keys []string) []*erm.Entity {
 		if b == nil {
 			continue
 		}
-		if e, err := erm.DecodeEntity(b); err == nil {
+		if e, err := erm.DecodeEntityAt(ids.ID(keys[i]), b); err == nil {
 			out[i] = e
 		}
 	}
@@ -238,21 +238,45 @@ func (s *Service) ListAssetsPageFunc(ctx Ctx, parentFull string, t erm.Securable
 	return next, nil
 }
 
+// nameIndexed reports whether f's candidates inside a schema can come from
+// the schema's name-index range instead of its whole child range. The name
+// index is keyed by name-uniqueness group, so it needs a type, and schemas
+// are not children of schemas; soft deletion frees an entity's name key
+// (softDeleteTree), so a query that includes soft-deleted assets must walk
+// the child index, which keeps them.
+func nameIndexed(f Filter) bool {
+	return f.NamePrefix != "" && f.Type != "" && f.Type != erm.TypeSchema && !f.IncludeSoft
+}
+
 // queryPlan selects the index a paged query runs over. Deterministic in the
 // filter, so continuations recompute the same plan.
 func queryPlan(f Filter) string {
 	switch {
-	case f.CatalogName != "" && f.SchemaName != "" && f.NamePrefix != "" && f.Type != "":
-		return "name" // name-index range within the schema
 	case f.CatalogName != "" && f.SchemaName != "":
+		if nameIndexed(f) {
+			return "name" // schema scope: one name-index range
+		}
 		return "child" // schema scope: one child range
 	case f.CatalogName != "":
+		if nameIndexed(f) {
+			return "catname" // catalog scope: schema-by-schema name-index ranges
+		}
 		return "cat" // catalog scope: schema-by-schema child ranges
 	case f.TagKey != "":
 		return "tag" // inverted tag index
 	default:
 		return "scan" // entity-table range
 	}
+}
+
+// schemaRange returns the index range holding a schema's candidates for f:
+// the names starting with f.NamePrefix in the type's name group when byName,
+// else the schema's children of f.Type. Values are entity IDs either way.
+func (s *Service) schemaRange(f Filter, schema ids.ID, byName bool) (table, prefix string) {
+	if byName {
+		return erm.TableName, erm.NameKey(groupFor(s.reg, f.Type), schema, f.NamePrefix)
+	}
+	return erm.TableChild, erm.ChildPrefix(schema, f.Type)
 }
 
 // QueryAssetsPage evaluates the filter with keyset pagination, returning at
@@ -307,13 +331,12 @@ func (s *Service) QueryAssetsPageFunc(ctx Ctx, f Filter, emit func(*erm.Entity))
 		}
 		return pc.full()
 	}
-	// walkIDRange pages an index whose values are entity IDs.
+	// walkIDRange pages an index whose values are entity IDs until the page
+	// is full or the range is exhausted; more reports keys left in the range.
 	walkIDRange := func(table, start, end string) (more bool) {
 		for !pc.full() {
-			batch := r.ScanRange(table, start, end, pc.room())
-			if len(batch) == 0 {
-				return false
-			}
+			asked := pc.room()
+			batch := r.ScanRange(table, start, end, asked)
 			keys := make([]string, len(batch))
 			for i, kv := range batch {
 				keys[i] = string(kv.Value)
@@ -323,6 +346,9 @@ func (s *Service) QueryAssetsPageFunc(ctx Ctx, f Filter, emit func(*erm.Entity))
 				if admit(kv.Key, ents[i]) {
 					break
 				}
+			}
+			if len(batch) < asked {
+				return false // a short batch is the end of the range
 			}
 			start = pc.lastKey + "\x00"
 		}
@@ -341,14 +367,7 @@ func (s *Service) QueryAssetsPageFunc(ctx Ctx, f Filter, emit func(*erm.Entity))
 			return "", rerr
 		}
 		scope = schema
-		var prefix, table string
-		if plan == "name" {
-			table = erm.TableName
-			prefix = erm.NameKey(groupFor(s.reg, f.Type), schema.ID, f.NamePrefix)
-		} else {
-			table = erm.TableChild
-			prefix = erm.ChildPrefix(schema.ID, f.Type)
-		}
+		table, prefix := s.schemaRange(f, schema.ID, plan == "name")
 		start := prefix
 		if cur != nil {
 			start = cur.K + "\x00"
@@ -392,7 +411,7 @@ func (s *Service) QueryAssetsPageFunc(ctx Ctx, f Filter, emit func(*erm.Entity))
 		}
 		more = len(r.ScanRange(erm.TableTagIdx, pc.lastKey+"\x00", end, 1)) > 0
 
-	case "cat":
+	case "cat", "catname":
 		ms, merr := s.meta(ctx.Metastore)
 		if merr != nil {
 			return "", merr
@@ -402,7 +421,7 @@ func (s *Service) QueryAssetsPageFunc(ctx Ctx, f Filter, emit func(*erm.Entity))
 			return "", rerr
 		}
 		scope = cat
-		more = s.walkCatalogPage(r, f, cur, pc, admit, cat)
+		more = s.walkCatalogPage(r, f, cur, pc, walkIDRange, cat, plan == "catname")
 
 	default: // "scan": entity-table range
 		start := ""
@@ -415,7 +434,7 @@ func (s *Service) QueryAssetsPageFunc(ctx Ctx, f Filter, emit func(*erm.Entity))
 				break
 			}
 			for _, kv := range batch {
-				e, derr := erm.DecodeEntity(kv.Value)
+				e, derr := erm.DecodeEntityAt(ids.ID(kv.Key), kv.Value)
 				if derr != nil {
 					pc.lastKey = kv.Key
 					continue
@@ -435,13 +454,18 @@ func (s *Service) QueryAssetsPageFunc(ctx Ctx, f Filter, emit func(*erm.Entity))
 	return next, nil
 }
 
-// walkCatalogPage pages a catalog-scoped query: each schema's children in
-// child-index order (stage 0), then the schemas themselves when the type
+// walkCatalogPage pages a catalog-scoped query: each schema's candidates in
+// index order (stage 0) — its name-index range when byName, else its child
+// range — then, for the child walk, the schemas themselves when the type
 // filter admits them (stage 1). The cursor records the outer schema child
-// key in K2 and the inner key in K.
-func (s *Service) walkCatalogPage(r pagedReader, f Filter, cur *pageCursor, pc *pageCollector, admit func(string, *erm.Entity) bool, cat *erm.Entity) (more bool) {
+// key in K2 and the inner (name or child) key in K. Every candidate passes
+// through walk's per-entity filter and visibility check: visibility is per
+// entity (a direct grant shows a table inside a schema the principal cannot
+// use), so no schema is skipped on the principal's account.
+func (s *Service) walkCatalogPage(r pagedReader, f Filter, cur *pageCursor, pc *pageCollector, walk func(table, start, end string) bool, cat *erm.Entity, byName bool) (more bool) {
 	schemaPrefix := erm.ChildPrefix(cat.ID, erm.TypeSchema)
 	schemaEnd := store.PrefixEnd(schemaPrefix)
+	withSchemas := !byName && (f.Type == "" || f.Type == erm.TypeSchema)
 
 	stage, outer, inner := 0, "", ""
 	if cur != nil {
@@ -454,74 +478,33 @@ func (s *Service) walkCatalogPage(r pagedReader, f Filter, cur *pageCursor, pc *
 		if outer != "" {
 			outerStart = outer // resume at the same schema
 		}
-		schemas := r.ScanRange(erm.TableChild, outerStart, schemaEnd, 0)
-		for _, skv := range schemas {
+		for _, skv := range r.ScanRange(erm.TableChild, outerStart, schemaEnd, 0) {
 			pc.outer = skv.Key
-			schemaID := ids.ID(skv.Value)
-			prefix := erm.ChildPrefix(schemaID, f.Type)
-			end := store.PrefixEnd(prefix)
+			table, prefix := s.schemaRange(f, ids.ID(skv.Value), byName)
 			start := prefix
 			if inner != "" {
 				start, inner = inner+"\x00", ""
 			}
-			for !pc.full() {
-				batch := r.ScanRange(erm.TableChild, start, end, pc.room())
-				if len(batch) == 0 {
-					break
-				}
-				keys := make([]string, len(batch))
-				for i, kv := range batch {
-					keys[i] = string(kv.Value)
-				}
-				ents := decodeAligned(r, keys)
-				for i, kv := range batch {
-					if admit(kv.Key, ents[i]) {
-						break
-					}
-				}
-				start = pc.lastKey + "\x00"
+			if walk(table, start, store.PrefixEnd(prefix)) {
+				return true
 			}
 			if pc.full() {
-				// More work remains if this schema has further children or
-				// another schema (or the schema stage) follows.
-				if len(r.ScanRange(erm.TableChild, pc.lastKey+"\x00", end, 1)) > 0 ||
-					len(r.ScanRange(erm.TableChild, skv.Key+"\x00", schemaEnd, 1)) > 0 ||
-					f.Type == "" || f.Type == erm.TypeSchema {
-					return true
-				}
-				return false
+				// This schema is exhausted; more work remains if another
+				// schema (or the schema stage) follows.
+				return withSchemas || len(r.ScanRange(erm.TableChild, skv.Key+"\x00", schemaEnd, 1)) > 0
 			}
 		}
-		if f.Type != "" && f.Type != erm.TypeSchema {
+		if !withSchemas {
 			return false
 		}
 		// Fall through to the schema stage with a fresh inner cursor.
-		pc.stage, pc.lastKey = 1, ""
-		inner = ""
+		pc.stage, pc.lastKey, inner = 1, "", ""
 	}
 
 	// Stage 1: the schemas themselves, in child-index order.
-	pc.stage = 1
 	start := schemaPrefix
-	if inner != "" && stage == 1 {
+	if inner != "" {
 		start = inner + "\x00"
 	}
-	for !pc.full() {
-		batch := r.ScanRange(erm.TableChild, start, schemaEnd, pc.room())
-		if len(batch) == 0 {
-			return false
-		}
-		keys := make([]string, len(batch))
-		for i, kv := range batch {
-			keys[i] = string(kv.Value)
-		}
-		ents := decodeAligned(r, keys)
-		for i, kv := range batch {
-			if admit(kv.Key, ents[i]) {
-				break
-			}
-		}
-		start = pc.lastKey + "\x00"
-	}
-	return len(r.ScanRange(erm.TableChild, pc.lastKey+"\x00", schemaEnd, 1)) > 0
+	return walk(erm.TableChild, start, schemaEnd)
 }

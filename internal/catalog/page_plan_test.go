@@ -1,0 +1,323 @@
+package catalog
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"unitycatalog/internal/erm"
+	"unitycatalog/internal/privilege"
+)
+
+// Differential tests for the name-index plans ("name", "catname"): whatever
+// index a paged query walks, its pages must add up to exactly what the
+// child-index walk returns for the same filter, for every principal.
+
+// planWorld is a seeded catalog "lake" built to stress the name-index walk:
+// mixed-case names that collide on short prefixes, tables and views sharing
+// the RELATION name group, soft-deleted assets (one with its name reused),
+// empty schemas, a soft-deleted schema, and two restricted principals.
+type planWorld struct {
+	svc   *Service
+	admin Ctx
+	half  Ctx // USE CATALOG, and USE SCHEMA + SELECT on every second schema
+	one   Ctx // USE CATALOG, and SELECT on one table of a schema it cannot use
+	// oneTable is the full name of the table granted directly to "one".
+	oneTable string
+}
+
+func buildPlanWorld(t *testing.T, seed int64) *planWorld {
+	t.Helper()
+	svc, admin := testService(t)
+	rng := rand.New(rand.NewSource(seed))
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := svc.CreateCatalog(admin, "lake", "")
+	must(err)
+	must(svc.Grant(admin, "lake", "half", privilege.UseCatalog))
+	must(svc.Grant(admin, "lake", "one", privilege.UseCatalog))
+
+	w := &planWorld{
+		svc: svc, admin: admin,
+		half: Ctx{Principal: "half", Metastore: admin.Metastore},
+		one:  Ctx{Principal: "one", Metastore: admin.Metastore},
+	}
+	stems := []string{"Ta", "tA", "TAB", "tb", "T_0", "t_1", "Va", "v_0"}
+	for si := 0; si < 7; si++ {
+		schema := fmt.Sprintf("s%d", si)
+		_, err := svc.CreateSchema(admin, "lake", schema, "")
+		must(err)
+		full := "lake." + schema
+		if si%2 == 0 {
+			must(svc.Grant(admin, full, "half", privilege.UseSchema))
+			must(svc.Grant(admin, full, "half", privilege.Select))
+		}
+		if si == 3 || si == 4 {
+			continue // empty schemas, one on each side of "half"'s grants
+		}
+		used := map[string]bool{}
+		var tables []string
+		for n := 5 + rng.Intn(12); n > 0; n-- {
+			name := fmt.Sprintf("%s%d", stems[rng.Intn(len(stems))], rng.Intn(40))
+			if used[strings.ToLower(name)] {
+				continue
+			}
+			used[strings.ToLower(name)] = true
+			if rng.Intn(3) == 0 {
+				_, err = svc.CreateView(admin, full, name, ViewSpec{Definition: "SELECT 1"})
+			} else {
+				_, err = svc.CreateTable(admin, full, name, TableSpec{Columns: cols("a")}, "")
+				tables = append(tables, name)
+			}
+			must(err)
+		}
+		// Soft-delete two tables; re-create the first under the same name,
+		// so the name key points at the live one and the child index holds
+		// both.
+		for i := 0; i < 2 && i < len(tables); i++ {
+			must(svc.DeleteAsset(admin, full+"."+tables[i], false))
+		}
+		if len(tables) > 0 {
+			_, err = svc.CreateTable(admin, full, tables[0], TableSpec{Columns: cols("a")}, "")
+			must(err)
+		}
+		if si == 1 && len(tables) > 2 {
+			w.oneTable = full + "." + tables[2]
+			must(svc.Grant(admin, w.oneTable, "one", privilege.Select))
+		}
+		if si == 6 {
+			must(svc.DeleteAsset(admin, full, true)) // a whole schema soft-deleted
+		}
+	}
+	if w.oneTable == "" {
+		t.Fatal("world has no table for the direct grant; change the seed")
+	}
+	return w
+}
+
+// oracle answers f without any name-index pushdown: the child-index query
+// (no NamePrefix, so no plan can use the name index) filtered here.
+func (w *planWorld) oracle(t *testing.T, ctx Ctx, f Filter) []string {
+	t.Helper()
+	prefix := strings.ToLower(f.NamePrefix)
+	f.NamePrefix = ""
+	if p := queryPlan(f); p != "cat" && p != "child" {
+		t.Fatalf("oracle filter selected plan %q", p)
+	}
+	all, err := w.svc.QueryAssets(ctx, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, e := range all {
+		if strings.HasPrefix(strings.ToLower(e.Name), prefix) {
+			out = append(out, string(e.ID))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func idsOf(t *testing.T, ents []*erm.Entity) []string {
+	t.Helper()
+	out := make([]string, len(ents))
+	seen := map[string]bool{}
+	for i, e := range ents {
+		out[i] = string(e.ID)
+		if seen[out[i]] {
+			t.Fatalf("%s (%s) returned twice", e.FullName, e.ID)
+		}
+		seen[out[i]] = true
+	}
+	sort.Strings(out)
+	return out
+}
+
+func TestNameIndexPlansMatchChildWalk(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		w := buildPlanWorld(t, seed)
+		principals := []Ctx{w.admin, w.half, w.one}
+		for _, ctx := range principals {
+			for _, schema := range []string{"", "s0", "s1", "s3"} {
+				for _, typ := range []erm.SecurableType{erm.TypeTable, erm.TypeView} {
+					for _, prefix := range []string{"t", "TA", "ta1", "T_", "v", "zz"} {
+						for _, soft := range []bool{false, true} {
+							f := Filter{CatalogName: "lake", SchemaName: schema, Type: typ, NamePrefix: prefix, IncludeSoft: soft}
+							name := fmt.Sprintf("seed%d/%s/%s/%s/%s/soft=%v", seed, ctx.Principal, schema, typ, prefix, soft)
+							wantPlan := "catname"
+							switch {
+							case schema != "" && soft:
+								wantPlan = "child"
+							case schema != "":
+								wantPlan = "name"
+							case soft:
+								wantPlan = "cat"
+							}
+							if got := queryPlan(f); got != wantPlan {
+								t.Fatalf("%s: plan %q, want %q", name, got, wantPlan)
+							}
+							want := w.oracle(t, ctx, f)
+							unpaged, err := w.svc.QueryAssets(ctx, f)
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							if got := idsOf(t, unpaged); !slices.Equal(got, want) {
+								t.Fatalf("%s: unpaged returned %d assets, child walk %d", name, len(got), len(want))
+							}
+							for _, size := range []int{1, 2, 7, 100} {
+								pf := f
+								pf.MaxResults = size
+								paged, _ := pagedQuery(t, w.svc, ctx, pf)
+								if got := idsOf(t, paged); !slices.Equal(got, want) {
+									t.Fatalf("%s: pages of %d returned %d assets, child walk %d", name, size, len(got), len(want))
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		// The direct grant must surface through the catalog-wide name walk
+		// although "one" cannot use the schema: visibility is per entity.
+		tbl := w.oneTable[strings.LastIndex(w.oneTable, ".")+1:]
+		got, _ := pagedQuery(t, w.svc, w.one, Filter{CatalogName: "lake", Type: erm.TypeTable, NamePrefix: tbl[:2], MaxResults: 2})
+		if !namesOf(got)[w.oneTable] {
+			t.Fatalf("seed %d: %s, granted directly, missing from the catalog-wide name walk", seed, w.oneTable)
+		}
+		for _, e := range got {
+			if e.FullName != w.oneTable {
+				t.Fatalf("seed %d: principal with one direct grant sees %s", seed, e.FullName)
+			}
+		}
+	}
+}
+
+// TestNamePlanIncludesSoftDeleted is the regression test for the planner
+// bug: soft deletion frees the name key, so the name index cannot answer a
+// query that asks for soft-deleted assets.
+func TestNamePlanIncludesSoftDeleted(t *testing.T) {
+	svc, admin := testService(t)
+	seedNamespace(t, svc, admin)
+	for _, n := range []string{"fact_a", "fact_b", "fact_c"} {
+		if _, err := svc.CreateTable(admin, "sales.raw", n, TableSpec{Columns: cols("a")}, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.DeleteAsset(admin, "sales.raw.fact_b", false); err != nil {
+		t.Fatal(err)
+	}
+	for _, schema := range []string{"raw", ""} {
+		f := Filter{CatalogName: "sales", SchemaName: schema, Type: erm.TypeTable, NamePrefix: "fact_", IncludeSoft: true}
+		want, err := svc.QueryAssets(admin, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) != 3 {
+			t.Fatalf("schema %q: unpaged query returned %d assets, want 3 (one soft-deleted)", schema, len(want))
+		}
+		f.MaxResults = 2
+		got, _ := pagedQuery(t, svc, admin, f)
+		if !slices.Equal(idsOf(t, got), idsOf(t, want)) {
+			t.Fatalf("schema %q: paged query returned %v, unpaged %v", schema, namesOf(got), namesOf(want))
+		}
+	}
+}
+
+// TestCatalogPlanTokensDoNotCross: a continuation must select the plan that
+// minted its token — the cursor's inner key is a child key under one plan
+// and a name key under the other.
+func TestCatalogPlanTokensDoNotCross(t *testing.T) {
+	w := buildPlanWorld(t, 1)
+	child := Filter{CatalogName: "lake", Type: erm.TypeTable, MaxResults: 1}
+	byName := Filter{CatalogName: "lake", Type: erm.TypeTable, NamePrefix: "t", MaxResults: 1}
+	tokens := map[string]string{}
+	for plan, f := range map[string]Filter{"cat": child, "catname": byName} {
+		if got := queryPlan(f); got != plan {
+			t.Fatalf("plan %q, want %q", got, plan)
+		}
+		p, err := w.svc.QueryAssetsPage(w.admin, f)
+		if err != nil || p.NextPageToken == "" {
+			t.Fatalf("%s: first page: token %q, err %v", plan, p.NextPageToken, err)
+		}
+		tokens[plan] = p.NextPageToken
+	}
+	child.PageToken, byName.PageToken = tokens["catname"], tokens["cat"]
+	for _, f := range []Filter{child, byName} {
+		if _, err := w.svc.QueryAssetsPage(w.admin, f); !errors.Is(err, ErrInvalidArgument) {
+			t.Fatalf("plan %s accepted the other plan's token: %v", queryPlan(f), err)
+		}
+	}
+}
+
+// TestCatalogNameWalkStableUnderWriters walks the catalog-wide name plan
+// while writers create, rename-by-recreate and drop matching tables: the
+// cursor pins the first page's snapshot, so the walk returns exactly the
+// population of that moment. Run under -race by `make race`.
+func TestCatalogNameWalkStableUnderWriters(t *testing.T) {
+	w := buildPlanWorld(t, 2)
+	f := Filter{CatalogName: "lake", Type: erm.TypeTable, NamePrefix: "t", MaxResults: 3}
+	before, err := w.svc.QueryAssets(w.admin, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := w.svc.QueryAssetsPage(w.admin, f) // pins the snapshot
+	if err != nil || p.NextPageToken == "" {
+		t.Fatalf("first page: token %q, err %v", p.NextPageToken, err)
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for wi, schema := range []string{"lake.s0", "lake.s2"} {
+		wg.Add(1)
+		go func(wi int, schema string) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				name := fmt.Sprintf("t_new_%d_%d", wi, i)
+				if _, err := w.svc.CreateTable(w.admin, schema, name, TableSpec{Columns: cols("a")}, ""); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%2 == 0 {
+					if err := w.svc.DeleteAsset(w.admin, schema+"."+name, false); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(wi, schema)
+	}
+	// Drop a table of the pinned population mid-walk, too.
+	victim := before[len(before)-1].FullName
+	got := append([]*erm.Entity{}, p.Assets...)
+	for f.PageToken = p.NextPageToken; f.PageToken != ""; f.PageToken = p.NextPageToken {
+		if victim != "" {
+			if err := w.svc.DeleteAsset(w.admin, victim, false); err != nil {
+				t.Fatal(err)
+			}
+			victim = ""
+		}
+		if p, err = w.svc.QueryAssetsPage(w.admin, f); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, p.Assets...)
+	}
+	close(stop)
+	wg.Wait()
+	if !slices.Equal(idsOf(t, got), idsOf(t, before)) {
+		t.Fatalf("walk under writers returned %d assets, the pinned snapshot had %d", len(got), len(before))
+	}
+}

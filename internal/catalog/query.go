@@ -4,8 +4,10 @@ import (
 	"sort"
 	"strings"
 
+	"unitycatalog/internal/cache"
 	"unitycatalog/internal/erm"
 	"unitycatalog/internal/ids"
+	"unitycatalog/internal/store"
 )
 
 // This file implements the metadata query API with filter pushdown that
@@ -57,7 +59,7 @@ func (s *Service) QueryAssets(ctx Ctx, f Filter) (out []*erm.Entity, err error) 
 			return nil, rerr
 		}
 		scope = schema
-		candidates = erm.ListChildren(v, schema.ID, f.Type)
+		candidates = s.schemaCandidates(v, f, schema.ID)
 	case f.CatalogName != "":
 		ms, merr := s.meta(ctx.Metastore)
 		if merr != nil {
@@ -69,7 +71,7 @@ func (s *Service) QueryAssets(ctx Ctx, f Filter) (out []*erm.Entity, err error) 
 		}
 		scope = cat
 		for _, schema := range erm.ListChildren(v, cat.ID, erm.TypeSchema) {
-			candidates = append(candidates, erm.ListChildren(v, schema.ID, f.Type)...)
+			candidates = append(candidates, s.schemaCandidates(v, f, schema.ID)...)
 		}
 		if f.Type == "" || f.Type == erm.TypeSchema {
 			candidates = append(candidates, erm.ListChildren(v, cat.ID, erm.TypeSchema)...)
@@ -91,7 +93,7 @@ func (s *Service) QueryAssets(ctx Ctx, f Filter) (out []*erm.Entity, err error) 
 		candidates = erm.GetEntities(v, list)
 	default:
 		for _, kv := range v.Scan(erm.TableEntity, "") {
-			e, derr := erm.DecodeEntity(kv.Value)
+			e, derr := erm.DecodeEntityAt(ids.ID(kv.Key), kv.Value)
 			if derr != nil {
 				continue
 			}
@@ -121,6 +123,24 @@ func (s *Service) QueryAssets(ctx Ctx, f Filter) (out []*erm.Entity, err error) 
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].FullName < out[j].FullName })
 	return out, nil
+}
+
+// schemaCandidates returns the entities of one schema that f can match: the
+// schema's name-index range when the filter allows it (the paged plans'
+// rule, nameIndexed), else all its children of f.Type. The range scan is
+// not cached — its prefix is the caller's, and the scan cache is keyed by
+// prefix.
+func (s *Service) schemaCandidates(v *cache.View, f Filter, schema ids.ID) []*erm.Entity {
+	if !nameIndexed(f) {
+		return erm.ListChildren(v, schema, f.Type)
+	}
+	table, prefix := s.schemaRange(f, schema, true)
+	kvs := v.ScanRange(table, prefix, store.PrefixEnd(prefix), 0)
+	list := make([]ids.ID, len(kvs))
+	for i, kv := range kvs {
+		list[i] = ids.ID(kv.Value)
+	}
+	return erm.GetEntities(v, list)
 }
 
 // matchesFilter applies the residual (non-pushdown) predicates to one
@@ -170,7 +190,7 @@ func (s *Service) AllEntities(msID string) []*erm.Entity {
 	defer v.Close()
 	var out []*erm.Entity
 	for _, kv := range v.Scan(erm.TableEntity, "") {
-		e, derr := erm.DecodeEntity(kv.Value)
+		e, derr := erm.DecodeEntityAt(ids.ID(kv.Key), kv.Value)
 		if derr != nil {
 			continue
 		}
@@ -203,7 +223,7 @@ func (s *Service) TypeCounts(msID string) (map[erm.SecurableType]int, error) {
 	defer v.Close()
 	out := map[erm.SecurableType]int{}
 	for _, kv := range v.Scan(erm.TableEntity, "") {
-		e, derr := erm.DecodeEntity(kv.Value)
+		e, derr := erm.DecodeEntityAt(ids.ID(kv.Key), kv.Value)
 		if derr != nil {
 			continue
 		}

@@ -358,7 +358,10 @@ func (v viewResolver) Securable(id ids.ID) (privilege.Securable, bool) {
 	if !ok {
 		return privilege.Securable{}, false
 	}
-	return privilege.Securable{ID: e.ID, Type: string(e.Type), Parent: e.ParentID, Owner: e.Owner}, true
+	// Compiled snapshots memoize the result across requests: copy the one
+	// field that would pin e's backing string.
+	parent := ids.ID(strings.Clone(string(e.ParentID)))
+	return privilege.Securable{ID: e.ID, Type: string(e.Type), Parent: parent, Owner: e.Owner}, true
 }
 
 // viewGrants adapts stored grants to privilege.Store.
@@ -537,7 +540,7 @@ func stageEvent(tx *store.Tx, ctx Ctx, op events.Op, e *erm.Entity, detail strin
 	if e != nil {
 		se.entityID = e.ID
 		se.typ = string(e.Type)
-		se.fullName = e.FullName
+		se.fullName = strings.Clone(e.FullName) // the event history outlives e
 	}
 	tx.Annotate(se)
 }

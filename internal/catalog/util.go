@@ -3,6 +3,7 @@ package catalog
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -61,6 +62,7 @@ func (tc *tokenCache) get(k tokenKey, minRemaining time.Duration) (cloudsim.Cred
 }
 
 func (tc *tokenCache) put(k tokenKey, c cloudsim.Credential) {
+	c.Scope = strings.Clone(c.Scope) // may be a decoded entity's StoragePath; the cache outlives it
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	if len(tc.m) > 1<<16 {

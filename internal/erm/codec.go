@@ -19,6 +19,30 @@ package erm
 // On decode, the type, state, and owner strings are interned through a
 // bounded table: ten million tables should share one "TABLE" string, not
 // hold ten million copies.
+//
+// # Backing-string ownership
+//
+// A decoded property-less entity costs three allocations: the Entity, the
+// spec copy, and ONE string holding the record's string region, of which
+// Name, ParentID, FullName, Comment and StoragePath are substrings. Type,
+// Owner and State come from the intern table, and ID is the caller's lookup
+// key when the record is read by key (DecodeEntityAt — every read path in
+// the repository), so those four pin nothing. A substring keeps its whole
+// backing alive, so the rule is:
+//
+//   - request-scoped code uses the fields freely — the entity, and with it
+//     the backing, dies with the request;
+//   - e.ID may be kept by anyone;
+//   - anything that keeps another string field of a decoded entity past the
+//     request — a map key or struct field of an index, a history, a memo, a
+//     follower's document — must strings.Clone it first, or it pins ~5x the
+//     bytes it uses. Today's holders: search (doc FullName), the event
+//     history (stageEvent's FullName), lineage (node FullName), the
+//     compiled authorization snapshots (Securable.Parent) and pathtrie
+//     (path segments, which it copies while splitting).
+//
+// Entities built in memory by the write path (CreateAsset and friends) own
+// ordinary strings.
 
 import (
 	"encoding/binary"
@@ -26,6 +50,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"unitycatalog/internal/ids"
@@ -35,6 +60,7 @@ import (
 const (
 	codecMagic   = 0xE1 // first byte of compact records; JSON starts with '{'
 	codecVersion = 1
+	numStrFields = 9 // id, type, name, parent, full name, owner, comment, path, state
 )
 
 // Entity flag bits.
@@ -93,7 +119,16 @@ func EncodeEntity(e *Entity) ([]byte, error) {
 }
 
 // DecodeEntity parses either a compact binary record or a legacy JSON one.
-func DecodeEntity(b []byte) (*Entity, error) {
+func DecodeEntity(b []byte) (*Entity, error) { return decodeEntity(b, "") }
+
+// DecodeEntityAt parses the entity record stored under id in TableEntity.
+// The entity's ID is id itself — the caller's lookup key, an exactly-sized
+// string — not a slice of the record's backing string, so the field every
+// index, memo and log keeps pins nothing but itself. Readers that know the
+// key (GetEntity, GetEntities, entity-table scans) decode through here.
+func DecodeEntityAt(id ids.ID, b []byte) (*Entity, error) { return decodeEntity(b, id) }
+
+func decodeEntity(b []byte, id ids.ID) (*Entity, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("erm: empty entity record")
 	}
@@ -101,6 +136,9 @@ func DecodeEntity(b []byte) (*Entity, error) {
 		var e Entity
 		if err := json.Unmarshal(b, &e); err != nil {
 			return nil, fmt.Errorf("erm: decode entity json: %w", err)
+		}
+		if id != "" {
+			e.ID = id
 		}
 		return &e, nil
 	}
@@ -112,16 +150,37 @@ func DecodeEntity(b []byte) (*Entity, error) {
 	}
 	d := decoder{b: b, off: 3}
 	flags := b[2]
+	// Locate the nine strings, then copy their region once (without the ID
+	// when the caller supplied it); see the ownership rule in the file
+	// comment.
+	var span [numStrFields][2]int
+	for i := range span {
+		n := len(d.bytes())
+		span[i] = [2]int{d.off - n, d.off}
+	}
+	if d.err != nil {
+		return nil, fmt.Errorf("erm: decode entity: %w", d.err)
+	}
+	first := 0
+	if id != "" {
+		first = 1
+	}
+	base := span[first][0]
+	back := string(b[base:d.off])
+	str := func(i int) string { return back[span[i][0]-base : span[i][1]-base] }
+	if id == "" {
+		id = ids.ID(str(0))
+	}
 	var e Entity
-	e.ID = ids.ID(d.str())
-	e.Type = SecurableType(intern(d.str()))
-	e.Name = d.str()
-	e.ParentID = ids.ID(d.str())
-	e.FullName = d.str()
-	e.Owner = privilege.Principal(intern(d.str()))
-	e.Comment = d.str()
-	e.StoragePath = d.str()
-	e.State = State(intern(d.str()))
+	e.ID = id
+	e.Type = SecurableType(intern(b[span[1][0]:span[1][1]], str(1)))
+	e.Name = str(2)
+	e.ParentID = ids.ID(str(3))
+	e.FullName = str(4)
+	e.Owner = privilege.Principal(intern(b[span[5][0]:span[5][1]], str(5)))
+	e.Comment = str(6)
+	e.StoragePath = str(7)
+	e.State = State(intern(b[span[8][0]:span[8][1]], str(8)))
 	e.Managed = flags&flagManaged != 0
 	e.CreatedAt = d.time()
 	e.UpdatedAt = d.time()
@@ -213,33 +272,46 @@ func (d *decoder) time() time.Time {
 	return t
 }
 
-// intern returns a canonical shared copy of s. The table is bounded: past
-// the cap, lookups still hit but new strings pass through uncopied, so a
+// intern returns the canonical shared copy of the string b spells, without
+// allocating on a hit. The table is bounded: past the cap, lookups still hit
+// but new values pass through as fallback (the caller's own copy of b), so a
 // flood of distinct values cannot grow it without bound.
-func intern(s string) string {
-	if s == "" {
+//
+// Reads are lock-free: the table is an immutable map behind an atomic
+// pointer, replaced copy-on-write by the rare insert (a new type, state or
+// owner). Filling it to the cap copies at most internCap²/2 entries over the
+// life of the process.
+func intern(b []byte, fallback string) string {
+	if len(b) == 0 {
 		return ""
 	}
-	internMu.RLock()
-	v, ok := internTab[s]
-	internMu.RUnlock()
-	if ok {
+	if v, ok := (*internTab.Load())[string(b)]; ok {
 		return v
 	}
 	internMu.Lock()
-	if v, ok = internTab[s]; !ok {
-		v = s
-		if len(internTab) < internCap {
-			internTab[s] = s
-		}
+	defer internMu.Unlock()
+	old := *internTab.Load()
+	if v, ok := old[string(b)]; ok {
+		return v
 	}
-	internMu.Unlock()
-	return v
+	if len(old) >= internCap {
+		return fallback
+	}
+	next := make(map[string]string, len(old)+1)
+	for k, v := range old {
+		next[k] = v
+	}
+	s := string(b)
+	next[s] = s
+	internTab.Store(&next)
+	return s
 }
 
 const internCap = 4096
 
 var (
-	internMu  sync.RWMutex
-	internTab = make(map[string]string, 64)
+	internMu  sync.Mutex // serializes inserts
+	internTab atomic.Pointer[map[string]string]
 )
+
+func init() { internTab.Store(&map[string]string{}) }

@@ -133,3 +133,69 @@ func TestCompactSmallerThanJSON(t *testing.T) {
 	}
 	t.Logf("compact %dB vs json %dB (%.0f%%)", len(cb), len(jb), 100*float64(len(cb))/float64(len(jb)))
 }
+
+// TestDecodeEntityAllocs gates the decode cost the read path pays per
+// entity: the Entity, one backing string for the nine string fields, and the
+// spec copy.
+func TestDecodeEntityAllocs(t *testing.T) {
+	now := time.Unix(1700000000, 0).UTC()
+	b, err := EncodeEntity(&Entity{
+		ID: ids.New(), Type: TypeTable, Name: "orders", ParentID: ids.New(),
+		FullName: "main.sales.orders", Owner: "alice@example.com", Comment: "fact table",
+		StoragePath: "s3://bucket/main/sales/orders", Managed: true, State: StateActive,
+		CreatedAt: now, UpdatedAt: now,
+		Spec: json.RawMessage(`{"columns":[{"name":"id","type":"BIGINT"}]}`),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeEntity(b); err != nil { // warm the intern table
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := DecodeEntity(b); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 3 {
+		t.Fatalf("DecodeEntity of a property-less table: %.0f allocations, want <= 3", n)
+	}
+}
+
+// TestDecodeEntityOwnsItsBytes: values handed out by the cache and the store
+// are shared, so a decoded entity must not alias the record it came from.
+func TestDecodeEntityOwnsItsBytes(t *testing.T) {
+	want := sampleEntity(rand.New(rand.NewSource(1))) // case 1: path and spec
+	want.Comment = "kept"
+	b, err := EncodeEntity(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeEntity(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range b {
+		b[i] = 0xAA
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded entity changed with its input:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestInternBoundedAndShared: hits return the table's copy, and past the
+// cap new values pass through without growing the table.
+func TestInternBoundedAndShared(t *testing.T) {
+	a := intern([]byte("TABLE"), "x")
+	if b := intern([]byte("TABLE"), "y"); a != "TABLE" || b != "TABLE" {
+		t.Fatalf("intern hit returned %q, %q", a, b)
+	}
+	for i := 0; len(*internTab.Load()) < internCap; i++ {
+		intern([]byte(fmt.Sprintf("owner-%d", i)), "")
+	}
+	if got := intern([]byte("one-too-many"), "fallback"); got != "fallback" {
+		t.Fatalf("past the cap intern returned %q, want the caller's fallback", got)
+	}
+	if n := len(*internTab.Load()); n != internCap {
+		t.Fatalf("intern table grew to %d entries, cap %d", n, internCap)
+	}
+}

@@ -598,7 +598,7 @@ func GetEntity(r Reader, id ids.ID) (*Entity, bool) {
 	if !ok {
 		return nil, false
 	}
-	e, err := DecodeEntity(b)
+	e, err := DecodeEntityAt(id, b)
 	if err != nil {
 		return nil, false
 	}
@@ -615,11 +615,11 @@ func GetEntities(r Reader, list []ids.ID) []*Entity {
 		for i, id := range list {
 			keys[i] = string(id)
 		}
-		for _, b := range br.GetBatch(TableEntity, keys) {
+		for i, b := range br.GetBatch(TableEntity, keys) {
 			if b == nil {
 				continue
 			}
-			if e, err := DecodeEntity(b); err == nil {
+			if e, err := DecodeEntityAt(list[i], b); err == nil {
 				out = append(out, e)
 			}
 		}

@@ -32,8 +32,9 @@ type Service struct {
 	docs  map[ids.ID]*doc
 	index map[string]map[ids.ID]bool // token -> posting set
 
-	sub     *events.Subscription
-	stopped chan struct{}
+	sub         *events.Subscription
+	lastDropped int64 // sub.Dropped() at the last rebuild; consume goroutine only
+	stopped     chan struct{}
 
 	// Reindexed counts full rebuilds (after event loss).
 	Reindexed int
@@ -42,16 +43,22 @@ type Service struct {
 // New starts a search service subscribed to the core's change events and
 // primes the index from the current catalog state.
 func New(core *catalog.Service) *Service {
-	s := &Service{
+	s := newService(core)
+	s.Reindex()
+	go s.consume()
+	return s
+}
+
+// newService subscribes to the core's events without indexing or consuming
+// anything yet.
+func newService(core *catalog.Service) *Service {
+	return &Service{
 		core:    core,
 		docs:    map[ids.ID]*doc{},
 		index:   map[string]map[ids.ID]bool{},
 		sub:     core.Bus().Subscribe(),
 		stopped: make(chan struct{}),
 	}
-	s.Reindex()
-	go s.consume()
-	return s
 }
 
 // Close stops event consumption.
@@ -63,17 +70,25 @@ func (s *Service) Close() {
 func (s *Service) consume() {
 	defer close(s.stopped)
 	for e := range s.sub.C {
-		if s.sub.Dropped() > 0 {
-			// Event loss: rebuild everything, as the paper's design allows.
-			s.Reindex()
-			continue
-		}
-		switch e.Op {
-		case events.OpCreate, events.OpUpdate, events.OpTag:
-			s.indexAsset(e.Metastore, e.EntityID)
-		case events.OpDelete:
-			s.remove(e.EntityID)
-		}
+		s.handle(e)
+	}
+}
+
+// handle applies one event. Dropped() is cumulative, so loss is a rise since
+// the last rebuild, not a non-zero count: one rebuild per drop episode, as
+// in cache.Coherer. The rebuild reads current state, which covers the event
+// in hand.
+func (s *Service) handle(e events.Event) {
+	if d := s.sub.Dropped(); d > s.lastDropped {
+		s.lastDropped = d
+		s.Reindex()
+		return
+	}
+	switch e.Op {
+	case events.OpCreate, events.OpUpdate, events.OpTag:
+		s.indexAsset(e.Metastore, e.EntityID)
+	case events.OpDelete:
+		s.remove(e.EntityID)
 	}
 }
 
@@ -124,7 +139,9 @@ func (s *Service) indexEntity(msID string, e *erm.Entity) {
 			tokens[strings.ToLower(k+":"+v)] = true
 		}
 	}
-	d := &doc{ID: e.ID, FullName: e.FullName, Type: string(e.Type), Tokens: tokens}
+	// The document outlives the decoded entity: copy what it keeps of it (see
+	// the ownership rule in erm/codec.go; e.ID and e.Type pin nothing).
+	d := &doc{ID: e.ID, FullName: strings.Clone(e.FullName), Type: string(e.Type), Tokens: tokens}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,13 +1,23 @@
 package search
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"unitycatalog/internal/catalog"
+	"unitycatalog/internal/events"
 	"unitycatalog/internal/privilege"
 	"unitycatalog/internal/store"
 )
+
+// maxIndexBytesPerEntity bounds TestIndexRetainsOnlyWhatItKeeps: 1,125-1,129 B
+// at the commit before the shared backing string (three runs), 1,122-1,125 B
+// with it and the clone in indexEntity, 1,247 B with it and without the clone.
+// Most of the figure is the metadata cache the rebuild reads through, the
+// same on both sides.
+const maxIndexBytesPerEntity = 1140
 
 func setup(t *testing.T) (*catalog.Service, *Service, catalog.Ctx) {
 	t.Helper()
@@ -131,5 +141,123 @@ func TestTokenize(t *testing.T) {
 		if !want[tok] {
 			t.Fatalf("unexpected token %q", tok)
 		}
+	}
+}
+
+// TestOneReindexPerDropEpisode drives the follower by hand against a
+// subscriber that is deliberately slow — nobody consumes while the publisher
+// overflows its buffer. Dropped() is cumulative: the follower must rebuild
+// once per rise, not on every event after the first loss.
+func TestOneReindexPerDropEpisode(t *testing.T) {
+	const buf = 8
+	db, err := store.Open(store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	bus := events.NewBus(buf, 0)
+	svc, err := catalog.New(catalog.Config{DB: db, Bus: bus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.CreateMetastore("ms1", "main", "r", "admin", "s3://root/ms1")
+	admin := catalog.Ctx{Principal: "admin", Metastore: "ms1"}
+	svc.CreateCatalog(admin, "sales", "")
+	svc.CreateSchema(admin, "sales", "raw", "")
+
+	s := newService(svc) // subscribed, but no consume goroutine: the test is the follower
+	defer s.sub.Cancel()
+	s.Reindex()
+	create := func(n int, prefix string) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := svc.CreateTable(admin, "sales.raw", fmt.Sprintf("%s%d", prefix, i),
+				catalog.TableSpec{Columns: []catalog.ColumnInfo{{Name: "id", Type: "BIGINT"}}}, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	drain := func() {
+		for len(s.sub.C) > 0 {
+			s.handle(<-s.sub.C)
+		}
+	}
+	found := func(q string) int {
+		t.Helper()
+		res, err := s.Search(admin, q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(res)
+	}
+
+	for episode := 1; episode <= 2; episode++ {
+		// Fall behind: 3x the buffer published, nothing consumed.
+		create(3*buf, fmt.Sprintf("lost%d_", episode))
+		if s.sub.Dropped() == 0 {
+			t.Fatal("publisher did not overflow the subscription")
+		}
+		drain()
+		if want := 1 + episode; s.Reindexed != want {
+			t.Fatalf("episode %d: %d rebuilds after draining %d buffered events, want %d", episode, s.Reindexed, buf, want)
+		}
+		if got := found(fmt.Sprintf("lost%d", episode)); got != 3*buf {
+			t.Fatalf("episode %d: rebuild indexed %d of the %d tables created while behind", episode, got, 3*buf)
+		}
+		// Keeping up again: events apply one by one, no rebuild.
+		create(buf, fmt.Sprintf("kept%d_", episode))
+		drain()
+		if want := 1 + episode; s.Reindexed != want {
+			t.Fatalf("episode %d: %d rebuilds while keeping up, want %d", episode, s.Reindexed, want)
+		}
+		if got := found(fmt.Sprintf("kept%d", episode)); got != buf {
+			t.Fatalf("episode %d: %d of %d tables indexed from events", episode, got, buf)
+		}
+	}
+}
+
+// TestIndexRetainsOnlyWhatItKeeps is the retention gate of the entity
+// codec's backing string (erm/codec.go): a document keeps an entity's ID and
+// full name for the life of the process, and must not keep the rest of the
+// decoded record alive through them. Heap growth per indexed entity is held
+// to the figure measured before entities shared a backing string.
+func TestIndexRetainsOnlyWhatItKeeps(t *testing.T) {
+	const n = 2000
+	db, err := store.Open(store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	svc, err := catalog.New(catalog.Config{DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.CreateMetastore("ms1", "main", "r", "admin", "s3://root/ms1")
+	admin := catalog.Ctx{Principal: "admin", Metastore: "ms1"}
+	svc.CreateCatalog(admin, "sales", "")
+	svc.CreateSchema(admin, "sales", "raw", "")
+	for i := 0; i < n; i++ {
+		if _, err := svc.CreateTable(admin, "sales.raw", fmt.Sprintf("t_%04d", i),
+			catalog.TableSpec{Columns: []catalog.ColumnInfo{{Name: "id", Type: "BIGINT"}}}, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := newService(svc)
+	defer s.sub.Cancel()
+
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	s.Reindex() // decodes every entity and indexes it
+	perEntity := float64(heap()-before) / float64(s.DocCount())
+	runtime.KeepAlive(s)
+	t.Logf("heap growth per indexed entity: %.1f B", perEntity)
+	if perEntity > maxIndexBytesPerEntity {
+		t.Fatalf("index retains %.1f B per entity, want <= %d: a document is pinning more of the decoded record than it keeps", perEntity, maxIndexBytesPerEntity)
 	}
 }

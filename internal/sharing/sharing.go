@@ -153,7 +153,7 @@ func (s *Server) recipient(msID, token string) (string, RecipientSpec, error) {
 		for _, r := range recipients {
 			var spec RecipientSpec
 			if r.DecodeSpec(&spec) == nil && spec.BearerToken != "" {
-				s.tokenIndex[msID][spec.BearerToken] = r.Name
+				s.tokenIndex[msID][spec.BearerToken] = strings.Clone(r.Name) // the index outlives r
 			}
 		}
 		name = s.tokenIndex[msID][token]

@@ -264,8 +264,8 @@ func Generate(svc *catalog.Service, admin catalog.Ctx, spec PopulationSpec) (*Po
 						return nil, err
 					}
 				}
-				if _, err := svc.CreateFunction(admin, full, fmt.Sprintf("fn%02d", r.Intn(100)), catalog.FunctionSpec{Language: "SQL", Body: "1"}); err == nil {
-					pop.Assets = append(pop.Assets, Asset{FullName: full + fmt.Sprintf(".fn%02d", r.Intn(100)), Type: erm.TypeFunction})
+				if fn, err := svc.CreateFunction(admin, full, fmt.Sprintf("fn%02d", r.Intn(100)), catalog.FunctionSpec{Language: "SQL", Body: "1"}); err == nil {
+					pop.Assets = append(pop.Assets, Asset{FullName: fn.FullName, Type: erm.TypeFunction})
 				}
 			}
 		}

@@ -37,10 +37,19 @@ func TestGeneratePopulationShape(t *testing.T) {
 	if counts[erm.TypeTable] == 0 {
 		t.Fatal("no tables generated")
 	}
-	// Everything the manifest lists resolves through the real catalog API.
-	for _, a := range pop.Assets[:min(50, len(pop.Assets))] {
-		if _, err := svc.GetAsset(admin, a.FullName); err != nil {
+	// Everything the manifest lists resolves through the real catalog API —
+	// every entry: a single phantom, drawn hot by a Zipf trace, is a steady
+	// stream of 404s.
+	if counts[erm.TypeFunction] == 0 {
+		t.Fatal("no functions generated")
+	}
+	for _, a := range pop.Assets {
+		e, err := svc.GetAsset(admin, a.FullName)
+		if err != nil {
 			t.Fatalf("asset %s missing from catalog: %v", a.FullName, err)
+		}
+		if e.Type != a.Type {
+			t.Fatalf("asset %s is a %s, the manifest says %s", a.FullName, e.Type, a.Type)
 		}
 	}
 	// Schema composition should be dominated by tables-only schemas.
