@@ -15,7 +15,10 @@ test:
 # Race gate: runs the stress, coalescing, and chaos tests (and everything
 # else in these packages) under the race detector. Must pass before touching
 # the cache, store, catalog, or audit concurrency machinery, the fault
-# injector, or the retry paths.
+# injector, or the retry paths. The last line repeats the cache's concurrent
+# differential test (local and foreign writers racing the version CAS) and
+# its sequenced-vs-applied regression test twenty times: that pair was a
+# 4-in-10 tier-1 flake until PR 14 and must not come back unnoticed.
 race:
 	$(GO) test -race -count=1 \
 		./internal/cache/... \
@@ -36,6 +39,7 @@ race:
 		./internal/search/... \
 		./internal/fleet/... \
 		./internal/chaos/...
+	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit' ./internal/cache/
 
 # The repository's benchmark (BENCHMARK.json, perf/README.md): all four
 # workloads, traced, with the per-layer table; about 4 minutes. Every
@@ -59,11 +63,11 @@ bench-parallel:
 # Commit write-path grid (writers × CommitLatency × WAL); emits
 # BENCH_store_commit.json with ops/s, p50/p99, and WAL batch sizes.
 bench-store:
-	$(GO) run ./cmd/storebench -out BENCH_store_commit.json
+	$(GO) run ./cmd/ucbench -exp groupcommit -out BENCH_store_commit.json
 
-# Authorization decision grid (deep check, schema listing, batch authorize;
-# naive reference engine vs compiled snapshots); emits BENCH_authz.json with
-# ns/op and allocs/op per cell.
+# Authorization decision grid (deep check against the reference and the
+# compiled engine; schema listing and batch authorize through the service);
+# emits BENCH_authz.json with ns/op and allocs/op per cell.
 bench-authz:
 	$(GO) run ./cmd/ucbench -exp authz -out BENCH_authz.json
 
@@ -73,9 +77,9 @@ bench-authz:
 bench-obs:
 	$(GO) run ./cmd/ucbench -exp obs -out BENCH_obs.json
 
-# Catalog-cardinality grid (100k/1M/10M assets, ordered-index vs full-scan
-# ablation; populate throughput, heap per asset, list/page/tag p50/p99);
-# emits BENCH_scale.json. Full scale populates 10M assets — expect minutes.
+# Catalog-cardinality grid (100k/1M/10M assets; populate throughput, heap
+# per asset, list/page/tag p50/p99); emits BENCH_scale.json. Full scale
+# populates 10M assets — expect minutes.
 bench-scale:
 	$(GO) run ./cmd/ucbench -exp scale -out BENCH_scale.json
 
@@ -84,10 +88,10 @@ bench-scale:
 bench-txn:
 	$(GO) run ./cmd/ucbench -exp txn -out BENCH_txn.json
 
-# HTTP hot-path grid (exact allocs/request per route for reflection vs
-# pooled-encoder vs conditional-304 response paths, then 1k/10k concurrent
-# keep-alive clients over real TCP with p50/p99 and QPS per arm); emits
-# BENCH_http.json.
+# HTTP hot-path grid (exact allocs/request per route for the fresh
+# pooled-encoder and the conditional-304 response paths, then 1k/10k
+# concurrent keep-alive clients over real TCP with p50/p99 and QPS per arm);
+# emits BENCH_http.json.
 bench-http:
 	$(GO) run ./cmd/ucbench -exp http -out BENCH_http.json
 

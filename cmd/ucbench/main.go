@@ -9,7 +9,7 @@
 //	ucbench -quick           # smaller workloads
 //	ucbench -exp fig10b      # one experiment
 //	ucbench -list            # list experiment IDs
-//	ucbench -exp authz -out BENCH_authz.json   # authz grid + JSON report
+//	ucbench -exp authz -out BENCH_authz.json   # a grid experiment's JSON report
 package main
 
 import (
@@ -24,9 +24,8 @@ import (
 	"unitycatalog/internal/bench"
 )
 
-// report is the BENCH_<exp>.json layout, matching the
-// BENCH_store_commit.json report shape from cmd/storebench. Cells is the
-// experiment's grid ([]bench.AuthzCell or []bench.ObsCell).
+// report is the BENCH_<exp>.json layout. Cells is the experiment's grid
+// (e.g. []bench.AuthzCell, []bench.CommitCell).
 type report struct {
 	Generated  string `json:"generated"`
 	GoVersion  string `json:"go_version"`
@@ -42,7 +41,7 @@ func main() {
 		dbLat = flag.Duration("db-latency", 300*time.Microsecond, "injected metastore-DB latency")
 		rtt   = flag.Duration("net-rtt", 500*time.Microsecond, "simulated engine-to-catalog network RTT")
 		list  = flag.Bool("list", false, "list experiments and exit")
-		out   = flag.String("out", "", "write the authz grid as JSON to this file (requires -exp authz)")
+		out   = flag.String("out", "", "write the experiment's grid as JSON to this file (requires -exp naming a grid experiment)")
 	)
 	flag.Parse()
 
@@ -55,57 +54,13 @@ func main() {
 	opts := bench.Options{Seed: *seed, Quick: *quick, DBReadLatency: *dbLat, NetworkRTT: *rtt}
 
 	if *out != "" {
-		var (
-			cells  any
-			header []string
-			rows   [][]string
-			n      int
-		)
-		switch *exp {
-		case "authz":
-			grid, err := bench.RunAuthzGrid(*quick)
-			if err != nil {
-				log.Fatalf("authz: %v", err)
-			}
-			header, rows = bench.AuthzCellRows(grid)
-			cells, n = grid, len(grid)
-		case "obs":
-			grid, err := bench.RunObsGrid(*quick)
-			if err != nil {
-				log.Fatalf("obs: %v", err)
-			}
-			header, rows = bench.ObsCellRows(grid)
-			cells, n = grid, len(grid)
-		case "scale":
-			grid, err := bench.RunScaleGrid(*quick)
-			if err != nil {
-				log.Fatalf("scale: %v", err)
-			}
-			header, rows = bench.ScaleCellRows(grid)
-			cells, n = grid, len(grid)
-		case "txn":
-			grid, err := bench.RunTxnGrid(*quick)
-			if err != nil {
-				log.Fatalf("txn: %v", err)
-			}
-			header, rows = bench.TxnCellRows(grid)
-			cells, n = grid, len(grid)
-		case "http":
-			grid, err := bench.RunHTTPGrid(*quick)
-			if err != nil {
-				log.Fatalf("http: %v", err)
-			}
-			header, rows = bench.HTTPCellRows(grid)
-			cells, n = grid, len(grid)
-		case "fleet":
-			grid, err := bench.RunFleetGrid(*quick)
-			if err != nil {
-				log.Fatalf("fleet: %v", err)
-			}
-			header, rows = bench.FleetCellRows(grid)
-			cells, n = grid, len(grid)
-		default:
-			log.Fatalf("-out is only supported with -exp authz, obs, scale, txn, http, or fleet")
+		e, ok := bench.Find(*exp)
+		if !ok || e.Grid == nil {
+			log.Fatalf("-out needs -exp naming a grid experiment (the Makefile's bench-* targets list them), not %q", *exp)
+		}
+		cells, header, rows, err := e.Grid(*quick)
+		if err != nil {
+			log.Fatalf("%s: %v", e.ID, err)
 		}
 		rep := report{
 			Generated:  time.Now().UTC().Format(time.RFC3339),
@@ -121,7 +76,7 @@ func main() {
 			log.Fatal(err)
 		}
 		bench.WriteAligned(os.Stdout, header, rows)
-		fmt.Printf("wrote %s (%d cells)\n", *out, n)
+		fmt.Printf("wrote %s (%d cells)\n", *out, len(rows))
 		return
 	}
 

@@ -36,7 +36,6 @@ func main() {
 		pprofFlag = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 		sampleN   = flag.Int("trace-sample", 0, "retain every Nth trace for /debug/traces (0 = default 64, negative disables)")
 		slowMs    = flag.Int("trace-slow-ms", 0, "always retain traces at least this slow (0 = default 100ms, negative disables)")
-		naiveEnc  = flag.Bool("naive-encoding", false, "use the reflection-based JSON response path instead of the pooled encoders (ablation)")
 		etagAge   = flag.Duration("etag-max-age", 0, "conditional-GET validator lifetime (0 = default 30s, negative disables)")
 		node      = flag.String("node", "", "node name attributing this process's spans in stitched cross-node traces")
 		tenantK   = flag.Int("tenant-topk", 0, "track the top K tenants in /debug/tenants and uc_tenant_* metrics (0 = default 32, negative disables)")
@@ -60,7 +59,6 @@ func main() {
 		TenantTopK:         *tenantK,
 		SLORouteP99:        *sloP99,
 		FlightInterval:     *flightInt,
-		NaiveEncoding:      *naiveEnc,
 		ETagMaxAge:         *etagAge,
 	})
 	if err != nil {

@@ -111,7 +111,10 @@ func AblationBatching(o Options) (*Table, error) {
 // AblationReconcile compares the two cache reconciliation strategies of
 // §4.5 — evict-everything vs change-log-driven selective invalidation —
 // under a workload where another node writes a small fraction of keys
-// between reads.
+// between reads. Both rows drive the one production cache: the full-evict
+// row catches up with (*Cache).ReconcileFull, the recovery a follower runs
+// after losing events, the selective row with Refresh, the rule every
+// conflict and first-miss validation follows.
 func AblationReconcile(o Options) (*Table, error) {
 	o.Defaults()
 	keys := 2000
@@ -119,7 +122,7 @@ func AblationReconcile(o Options) (*Table, error) {
 	if o.Quick {
 		keys, rounds = 500, 8
 	}
-	run := func(strategy cache.ReconcileStrategy) (time.Duration, cache.Metrics, error) {
+	run := func(reconcile func(node *cache.Cache, msID string) error) (time.Duration, cache.Metrics, error) {
 		db, err := store.Open(store.Options{ReadLatency: o.DBReadLatency})
 		if err != nil {
 			return 0, cache.Metrics{}, err
@@ -132,7 +135,7 @@ func AblationReconcile(o Options) (*Table, error) {
 			}
 			return nil
 		})
-		node := cache.New(db, cache.Options{Strategy: strategy})
+		node := cache.New(db, cache.Options{})
 		node.Own("m")
 		// Warm.
 		v, _ := node.NewView("m")
@@ -150,7 +153,7 @@ func AblationReconcile(o Options) (*Table, error) {
 				}
 				return nil
 			})
-			if err := node.Refresh("m"); err != nil {
+			if err := reconcile(node, "m"); err != nil {
 				return 0, cache.Metrics{}, err
 			}
 			// Read back a sample of keys.
@@ -163,11 +166,11 @@ func AblationReconcile(o Options) (*Table, error) {
 		return time.Since(start), node.Metrics(), nil
 	}
 
-	fullDur, fullM, err := run(cache.ReconcileFull)
+	fullDur, fullM, err := run((*cache.Cache).ReconcileFull)
 	if err != nil {
 		return nil, err
 	}
-	selDur, selM, err := run(cache.ReconcileSelective)
+	selDur, selM, err := run((*cache.Cache).Refresh)
 	if err != nil {
 		return nil, err
 	}

@@ -1,14 +1,16 @@
 package bench
 
-// Authorization fast-path grid: the compiled snapshot engine versus the
-// naive reference engine across the three hot decision shapes (deep-chain
-// Check, schema listing, AuthorizeBatch). Shared by the `authz` experiment
-// (human-readable table) and `make bench-authz`, which emits
-// BENCH_authz.json for CI tracking alongside BENCH_store_commit.json.
+// Authorization fast-path grid over the three hot decision shapes: the
+// deep-chain Check straight against both privilege engines (the compiled
+// snapshot and the reference Engine it is tested against), and schema
+// listing and AuthorizeBatch through the catalog service, which has one
+// authorization path. Shared by the `authz` experiment (human-readable
+// table) and `make bench-authz`, which emits BENCH_authz.json.
 
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"unitycatalog/internal/catalog"
@@ -24,7 +26,8 @@ type AuthzCell struct {
 	// depth-8 chain), list_schema (ListAssets over an N-table schema), or
 	// authorize_batch (AuthorizeBatch of 512 tables).
 	Shape string `json:"shape"`
-	// Engine is "naive" (reference) or "compiled" (snapshot fast path).
+	// Engine is "naive" (the reference engine, check_deep8 only) or
+	// "compiled" (the snapshot path the service serves from).
 	Engine      string  `json:"engine"`
 	Ops         int     `json:"ops"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -60,8 +63,8 @@ func measureAuthz(ops int, fn func()) (nsPerOp, allocsPerOp float64) {
 		float64(after.Mallocs-before.Mallocs) / float64(ops)
 }
 
-// RunAuthzGrid measures every cell of shape × engine. Quick shrinks the
-// iteration counts and the listed schema.
+// RunAuthzGrid measures every cell. Quick shrinks the iteration counts and
+// the listed schema.
 func RunAuthzGrid(quick bool) ([]AuthzCell, error) {
 	checkOps, listTables, listOps, batchOps := 200_000, 10_000, 5, 200
 	if quick {
@@ -89,33 +92,31 @@ func RunAuthzGrid(quick bool) ([]AuthzCell, error) {
 	}
 
 	// Shapes 2+3: full catalog service, N-table schema, non-owner reader.
-	for _, engine := range []string{"naive", "compiled"} {
-		svc, reader, tblIDs, err := authzService(engine == "naive", listTables)
-		if err != nil {
-			return nil, fmt.Errorf("authz %s service: %w", engine, err)
-		}
-		list := func() error {
-			out, err := svc.ListAssets(reader, "cat.big", erm.TypeTable)
-			if err == nil && len(out) != listTables {
-				err = fmt.Errorf("listed %d of %d", len(out), listTables)
-			}
-			return err
-		}
-		if err := list(); err != nil {
-			return nil, fmt.Errorf("list_schema %s: %w", engine, err)
-		}
-		ns, allocs := measureAuthz(listOps, func() { list() })
-		cells = append(cells, AuthzCell{Shape: "list_schema", Engine: engine, Ops: listOps, NsPerOp: ns, AllocsPerOp: allocs})
-
-		batch := tblIDs
-		if len(batch) > 512 {
-			batch = batch[:512]
-		}
-		ns, allocs = measureAuthz(batchOps, func() {
-			svc.AuthorizeBatch(reader, batch, privilege.Select)
-		})
-		cells = append(cells, AuthzCell{Shape: "authorize_batch", Engine: engine, Ops: batchOps, NsPerOp: ns, AllocsPerOp: allocs})
+	svc, reader, tblIDs, err := authzService(listTables)
+	if err != nil {
+		return nil, fmt.Errorf("authz service: %w", err)
 	}
+	list := func() error {
+		out, err := svc.ListAssets(reader, "cat.big", erm.TypeTable)
+		if err == nil && len(out) != listTables {
+			err = fmt.Errorf("listed %d of %d", len(out), listTables)
+		}
+		return err
+	}
+	if err := list(); err != nil {
+		return nil, fmt.Errorf("list_schema: %w", err)
+	}
+	ns, allocs := measureAuthz(listOps, func() { list() })
+	cells = append(cells, AuthzCell{Shape: "list_schema", Engine: "compiled", Ops: listOps, NsPerOp: ns, AllocsPerOp: allocs})
+
+	batch := tblIDs
+	if len(batch) > 512 {
+		batch = batch[:512]
+	}
+	ns, allocs = measureAuthz(batchOps, func() {
+		svc.AuthorizeBatch(reader, batch, privilege.Select)
+	})
+	cells = append(cells, AuthzCell{Shape: "authorize_batch", Engine: "compiled", Ops: batchOps, NsPerOp: ns, AllocsPerOp: allocs})
 	return cells, nil
 }
 
@@ -151,12 +152,12 @@ func deepAuthzChain(depth int) (benchHierarchy, *privilege.MemStore, benchGroups
 
 // authzService builds a catalog with one schema of n tables and a reader
 // granted usage + SELECT at the container level (visible but not owner).
-func authzService(naive bool, n int) (*catalog.Service, catalog.Ctx, []ids.ID, error) {
+func authzService(n int) (*catalog.Service, catalog.Ctx, []ids.ID, error) {
 	db, err := store.Open(store.Options{})
 	if err != nil {
 		return nil, catalog.Ctx{}, nil, err
 	}
-	svc, err := catalog.New(catalog.Config{DB: db, NaiveAuthz: naive})
+	svc, err := catalog.New(catalog.Config{DB: db})
 	if err != nil {
 		return nil, catalog.Ctx{}, nil, err
 	}
@@ -194,47 +195,32 @@ func authzService(naive bool, n int) (*catalog.Service, catalog.Ctx, []ids.ID, e
 	return svc, catalog.Ctx{Principal: "reader", Metastore: "authz"}, tblIDs, nil
 }
 
-// AuthzExperiment renders the grid with a speedup column per shape.
+// AuthzExperiment renders the grid, with the compiled engine's speedup over
+// the reference engine where both are measured.
 func AuthzExperiment(o Options) (*Table, error) {
 	cells, err := RunAuthzGrid(o.Quick)
 	if err != nil {
 		return nil, err
 	}
-	naive := map[string]AuthzCell{}
-	for _, c := range cells {
-		if c.Engine == "naive" {
-			naive[c.Shape] = c
-		}
-	}
+	header, rows := AuthzCellRows(cells)
 	t := &Table{
 		ID:     "authz",
 		Title:  "Authorization fast path: compiled snapshots vs reference engine",
 		Paper:  "§4.4–4.5: authorization on the interactive hot path must stay sub-millisecond; batch APIs amortize checks across assets",
-		Header: []string{"shape", "engine", "ops", "ns/op", "allocs/op", "speedup"},
+		Header: append(header, "speedup"),
 	}
+	naiveNs := map[string]float64{} // a shape's naive cell precedes its compiled one
 	var findings []string
-	for _, c := range cells {
-		speed := "1.0x"
-		if c.Engine == "compiled" {
-			if n, ok := naive[c.Shape]; ok && c.NsPerOp > 0 {
-				s := n.NsPerOp / c.NsPerOp
-				speed = fmt.Sprintf("%.1fx", s)
-				findings = append(findings, fmt.Sprintf("%s %.1fx", c.Shape, s))
-			}
+	for i, c := range cells {
+		speed := "-"
+		if c.Engine == "naive" {
+			naiveNs[c.Shape] = c.NsPerOp
+		} else if n, ok := naiveNs[c.Shape]; ok && c.NsPerOp > 0 {
+			speed = fmt.Sprintf("%.1fx", n/c.NsPerOp)
+			findings = append(findings, c.Shape+" "+speed)
 		}
-		t.Rows = append(t.Rows, []string{c.Shape, c.Engine, fi(c.Ops), f(c.NsPerOp), f(c.AllocsPerOp), speed})
+		t.Rows = append(t.Rows, append(rows[i], speed))
 	}
-	t.Finding = "compiled vs naive: " + joinStrings(findings, ", ")
+	t.Finding = "compiled vs naive: " + strings.Join(findings, ", ")
 	return t, nil
-}
-
-func joinStrings(ss []string, sep string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += sep
-		}
-		out += s
-	}
-	return out
 }

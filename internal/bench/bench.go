@@ -76,36 +76,52 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func(Options) (*Table, error)
+	// Grid is set on grid experiments: it measures the experiment's cells —
+	// the "cells" payload of its BENCH_<id>.json report — and shapes them
+	// as rows for WriteAligned. `ucbench -exp <id> -out <file>` runs it.
+	Grid func(quick bool) (cells any, header []string, rows [][]string, err error)
+}
+
+// gridOf adapts a typed grid runner and its row shaper to Experiment.Grid.
+func gridOf[C any](run func(quick bool) ([]C, error), shape func([]C) ([]string, [][]string)) func(bool) (any, []string, [][]string, error) {
+	return func(quick bool) (any, []string, [][]string, error) {
+		cells, err := run(quick)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		header, rows := shape(cells)
+		return cells, header, rows, nil
+	}
 }
 
 // All lists every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"fig4", "Per-metastore working-set size CDF", Fig4WorkingSet},
-		{"fig5", "Inter-arrival CDF of same-asset re-accesses", Fig5InterArrival},
-		{"fig6a", "Schema composition by asset types", Fig6aSchemaComposition},
-		{"fig6b", "Table type distribution", Fig6bTableTypes},
-		{"fig7", "Volume creation growth", Fig7VolumeGrowth},
-		{"fig8a", "Table storage format distribution", Fig8aFormats},
-		{"fig8b", "Table type growth over time", Fig8bTableGrowth},
-		{"fig8c", "Top-5 foreign table type growth", Fig8cForeignGrowth},
-		{"fig9", "External client × operation diversity, UC vs HMS", Fig9ClientDiversity},
-		{"fig10a", "TPC-H/TPC-DS latency: UC vs HMS local", Fig10aUCvsHMS},
-		{"fig10b", "Latency vs throughput, cache on/off", Fig10bCacheThroughput},
-		{"fig10c", "Predictive optimization speedup", Fig10cPredictiveOpt},
-		{"fig11", "Table access method: name vs path", Fig11AccessMethods},
-		{"stats", "Aggregate usage statistics (§6.1)", StatsAggregate},
-		{"ablate-batch", "Ablation: batched vs per-object resolution", AblationBatching},
-		{"ablate-reconcile", "Ablation: full vs selective cache reconciliation", AblationReconcile},
-		{"ablate-trie", "Ablation: trie vs index-walk path resolution", AblationPathIndex},
-		{"ablate-tokens", "Ablation: credential token cache on/off", AblationTokenCache},
-		{"groupcommit", "Commit throughput: group-commit WAL + pipelined commits", GroupCommitExperiment},
-		{"authz", "Authorization fast path: compiled snapshots vs reference engine", AuthzExperiment},
-		{"obs", "Instrumentation overhead: request tracing on vs off", ObsExperiment},
-		{"scale", "Catalog cardinality: ordered indexes + keyset pagination at scale", ScaleExperiment},
-		{"txn", "Multi-table transactions: contended commit + recovery sweep", TxnExperiment},
-		{"http", "HTTP hot path: pooled encoders + conditional GET at connection scale", HTTPExperiment},
-		{"fleet", "Serving fleet: event-driven selective cache coherence at 1-16 nodes", FleetExperiment},
+		{ID: "fig4", Title: "Per-metastore working-set size CDF", Run: Fig4WorkingSet},
+		{ID: "fig5", Title: "Inter-arrival CDF of same-asset re-accesses", Run: Fig5InterArrival},
+		{ID: "fig6a", Title: "Schema composition by asset types", Run: Fig6aSchemaComposition},
+		{ID: "fig6b", Title: "Table type distribution", Run: Fig6bTableTypes},
+		{ID: "fig7", Title: "Volume creation growth", Run: Fig7VolumeGrowth},
+		{ID: "fig8a", Title: "Table storage format distribution", Run: Fig8aFormats},
+		{ID: "fig8b", Title: "Table type growth over time", Run: Fig8bTableGrowth},
+		{ID: "fig8c", Title: "Top-5 foreign table type growth", Run: Fig8cForeignGrowth},
+		{ID: "fig9", Title: "External client × operation diversity, UC vs HMS", Run: Fig9ClientDiversity},
+		{ID: "fig10a", Title: "TPC-H/TPC-DS latency: UC vs HMS local", Run: Fig10aUCvsHMS},
+		{ID: "fig10b", Title: "Latency vs throughput, cache on/off", Run: Fig10bCacheThroughput},
+		{ID: "fig10c", Title: "Predictive optimization speedup", Run: Fig10cPredictiveOpt},
+		{ID: "fig11", Title: "Table access method: name vs path", Run: Fig11AccessMethods},
+		{ID: "stats", Title: "Aggregate usage statistics (§6.1)", Run: StatsAggregate},
+		{ID: "ablate-batch", Title: "Ablation: batched vs per-object resolution", Run: AblationBatching},
+		{ID: "ablate-reconcile", Title: "Ablation: full vs selective cache reconciliation", Run: AblationReconcile},
+		{ID: "ablate-trie", Title: "Ablation: trie vs index-walk path resolution", Run: AblationPathIndex},
+		{ID: "ablate-tokens", Title: "Ablation: credential token cache on/off", Run: AblationTokenCache},
+		{ID: "groupcommit", Title: "Commit throughput: group-commit WAL + pipelined commits", Run: GroupCommitExperiment, Grid: gridOf(RunCommitGrid, CommitCellRows)},
+		{ID: "authz", Title: "Authorization fast path: compiled snapshots vs reference engine", Run: AuthzExperiment, Grid: gridOf(RunAuthzGrid, AuthzCellRows)},
+		{ID: "obs", Title: "Instrumentation overhead: request tracing on vs off", Run: ObsExperiment, Grid: gridOf(RunObsGrid, ObsCellRows)},
+		{ID: "scale", Title: "Catalog cardinality: ordered indexes + keyset pagination at scale", Run: ScaleExperiment, Grid: gridOf(RunScaleGrid, ScaleCellRows)},
+		{ID: "txn", Title: "Multi-table transactions: contended commit + recovery sweep", Run: TxnExperiment, Grid: gridOf(RunTxnGrid, TxnCellRows)},
+		{ID: "http", Title: "HTTP hot path: pooled encoders + conditional GET at connection scale", Run: HTTPExperiment, Grid: gridOf(RunHTTPGrid, HTTPCellRows)},
+		{ID: "fleet", Title: "Serving fleet: event-driven selective cache coherence at 1-16 nodes", Run: FleetExperiment, Grid: gridOf(RunFleetGrid, FleetCellRows)},
 	}
 }
 

@@ -1,8 +1,8 @@
 package bench
 
 // Commit-throughput grid for the group-commit write path. Shared by the
-// `groupcommit` experiment (human-readable table) and cmd/storebench (which
-// emits BENCH_store_commit.json for CI tracking).
+// `groupcommit` experiment (human-readable table) and `make bench-store`,
+// which emits BENCH_store_commit.json for CI tracking.
 
 import (
 	"fmt"
@@ -126,22 +126,16 @@ func GroupCommitExperiment(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	header, rows := CommitCellRows(cells)
 	t := &Table{
 		ID:     "groupcommit",
 		Title:  "Commit throughput: group-commit WAL + pipelined commits",
 		Paper:  "catalog commits scale with concurrent writers; batching amortizes log flush and backend round trip",
-		Header: []string{"writers", "commit_lat", "wal", "ops/s", "p50(ms)", "p99(ms)", "avg_batch", "max_batch"},
+		Header: header,
+		Rows:   rows,
 	}
 	var best, single float64
 	for _, c := range cells {
-		batch, maxb := "-", "-"
-		if c.WAL {
-			batch, maxb = f(c.AvgBatch), f64(c.MaxBatch)
-		}
-		t.Rows = append(t.Rows, []string{
-			fi(c.Writers), fmt.Sprintf("%.0fms", c.CommitLatMS), fmt.Sprintf("%v", c.WAL),
-			f(c.OpsPerSec), f(c.P50MS), f(c.P99MS), batch, maxb,
-		})
 		if c.CommitLatMS > 0 && c.WAL {
 			if c.Writers == 1 {
 				single = c.OpsPerSec

@@ -3,9 +3,9 @@ package bench
 // HTTP hot-path grid: the full server stack measured two ways. A sequential
 // direct-dispatch phase drives ServeHTTP on one goroutine and reads the
 // runtime allocation counter around it, producing exact allocs/request per
-// route for the reflection (NaiveEncoding) baseline, the pooled jsonenc
-// encoders, and the conditional-GET revalidation path (304, zero encode
-// work). A connection-scale phase then runs 1k and 10k concurrent clients
+// route for a fresh response (the pooled jsonenc encoders) and for the
+// conditional-GET revalidation path (304, zero encode work). A
+// connection-scale phase then runs 1k and 10k concurrent clients
 // over real TCP — each client a goroutine holding one keep-alive connection,
 // replaying a read-heavy request mix — and reports p50/p99 latency and QPS
 // per arm. Shared by the `http` experiment and `make bench-http`, which
@@ -36,8 +36,8 @@ type HTTPCell struct {
 	// Shape is "allocs_<route>" for the direct-dispatch phase or
 	// "tcp_<mix>_<clients>c" for the connection-scale phase.
 	Shape string `json:"shape"`
-	// Encoding is "naive" (reflection baseline), "pooled" (jsonenc), or
-	// "pooled_304" (conditional revalidation against the pooled server).
+	// Encoding is "pooled" (a fresh jsonenc-encoded response) or
+	// "pooled_304" (conditional revalidation).
 	Encoding string  `json:"encoding"`
 	Clients  int     `json:"clients,omitempty"`
 	Requests int     `json:"requests"`
@@ -65,33 +65,31 @@ func HTTPCellRows(cells []HTTPCell) ([]string, [][]string) {
 
 const httpBenchPrefix = "/api/2.1/unity-catalog"
 
-// httpBenchWorld builds one populated catalog and two servers over it: the
-// reflection baseline (NaiveEncoding, conditional GET disabled) and the
-// pooled fast path (jsonenc + ETag; a long max-age keeps validators stable
-// for the whole run). Returns the two servers, the asset IDs of the created
-// tables, and a cleanup func.
-func httpBenchWorld(tables int) (naive, pooled *server.Server, assetIDs []string, cleanup func(), err error) {
+// httpBenchWorld builds one populated catalog and a server over it (a long
+// ETag max-age keeps validators stable for the whole run). Returns the
+// server, the asset IDs of the created tables, and a cleanup func.
+func httpBenchWorld(tables int) (srv *server.Server, assetIDs []string, cleanup func(), err error) {
 	db, err := store.Open(store.Options{})
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	svc, err := catalog.New(catalog.Config{DB: db})
 	if err != nil {
 		db.Close()
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	if _, err := svc.CreateMetastore("ms1", "m", "r", "admin", "s3://root/ms1"); err != nil {
 		db.Close()
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	admin := catalog.Ctx{Principal: "admin", Metastore: "ms1", TrustedEngine: true}
 	if _, err := svc.CreateCatalog(admin, "sales", ""); err != nil {
 		db.Close()
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	if _, err := svc.CreateSchema(admin, "sales", "raw", ""); err != nil {
 		db.Close()
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	spec := catalog.TableSpec{Columns: []catalog.ColumnInfo{
 		{Name: "id", Type: "BIGINT"}, {Name: "region", Type: "STRING"},
@@ -101,26 +99,17 @@ func httpBenchWorld(tables int) (naive, pooled *server.Server, assetIDs []string
 		e, terr := svc.CreateTable(admin, "sales.raw", fmt.Sprintf("t%d", i), spec, "")
 		if terr != nil {
 			db.Close()
-			return nil, nil, nil, nil, terr
+			return nil, nil, nil, terr
 		}
 		assetIDs = append(assetIDs, string(e.ID))
 	}
-	quiet := server.Config{SampleEvery: -1, SlowThreshold: -1}
-	naiveCfg := quiet
-	naiveCfg.NaiveEncoding = true
-	naiveCfg.ETagMaxAge = -1
-	pooledCfg := quiet
-	pooledCfg.ETagMaxAge = time.Hour
-	naive = server.NewWithConfig(svc, naiveCfg)
-	pooled = server.NewWithConfig(svc, pooledCfg)
+	srv = server.NewWithConfig(svc, server.Config{SampleEvery: -1, SlowThreshold: -1, ETagMaxAge: time.Hour})
 	cleanup = func() {
-		naive.Lineage.Close()
-		naive.Search.Close()
-		pooled.Lineage.Close()
-		pooled.Search.Close()
+		srv.Lineage.Close()
+		srv.Search.Close()
 		db.Close()
 	}
-	return naive, pooled, assetIDs, cleanup, nil
+	return srv, assetIDs, cleanup, nil
 }
 
 // --- direct-dispatch alloc phase ---
@@ -183,8 +172,8 @@ func measureAllocs(h http.Handler, r *http.Request, rewind func(), n, wantStatus
 	return float64(m1.Mallocs-m0.Mallocs) / float64(n), nil
 }
 
-// etagOf performs one request against the pooled server and returns the
-// validator it stamped.
+// etagOf performs one request against the server and returns the validator
+// it stamped.
 func etagOf(h http.Handler, method, path string, body []byte) (string, error) {
 	r, _ := benchRequest(method, path, body, nil)
 	rec := httptest.NewRecorder()
@@ -224,34 +213,26 @@ func httpAllocRoutes(assetIDs []string) []allocRoute {
 	}
 }
 
-func runAllocPhase(naive, pooled *server.Server, assetIDs []string, n int) ([]HTTPCell, error) {
+func runAllocPhase(srv *server.Server, assetIDs []string, n int) ([]HTTPCell, error) {
+	type arm struct {
+		encoding string
+		extra    map[string]string
+		status   int
+	}
 	var cells []HTTPCell
 	for _, rt := range httpAllocRoutes(assetIDs) {
-		arms := []struct {
-			encoding string
-			h        http.Handler
-			extra    map[string]string
-			status   int
-		}{
-			{"naive", naive, nil, http.StatusOK},
-			{"pooled", pooled, nil, http.StatusOK},
-		}
+		arms := []arm{{"pooled", nil, http.StatusOK}}
 		if rt.conditional {
-			tag, err := etagOf(pooled, rt.method, rt.path, rt.body)
+			tag, err := etagOf(srv, rt.method, rt.path, rt.body)
 			if err != nil {
 				return nil, err
 			}
-			arms = append(arms, struct {
-				encoding string
-				h        http.Handler
-				extra    map[string]string
-				status   int
-			}{"pooled_304", pooled, map[string]string{"If-None-Match": tag}, http.StatusNotModified})
+			arms = append(arms, arm{"pooled_304", map[string]string{"If-None-Match": tag}, http.StatusNotModified})
 		}
 		for _, arm := range arms {
 			r, rewind := benchRequest(rt.method, rt.path, rt.body, arm.extra)
 			t0 := time.Now()
-			allocs, err := measureAllocs(arm.h, r, rewind, n, arm.status)
+			allocs, err := measureAllocs(srv, r, rewind, n, arm.status)
 			if err != nil {
 				return nil, fmt.Errorf("allocs %s/%s: %w", rt.name, arm.encoding, err)
 			}
@@ -433,9 +414,9 @@ func runTCPArm(h http.Handler, clients, perClient int, mix [][]byte) (float64, [
 
 // tcpMix renders the read-heavy request mix: 6 resolve, 3 get-asset over a
 // popularity-skewed table choice, 1 list page. With conditional=true every
-// template carries the pooled server's validator, so the server answers the
-// whole mix with 304s.
-func tcpMix(pooled *server.Server, conditional bool) ([][]byte, error) {
+// template carries the server's validator, so the server answers the whole
+// mix with 304s.
+func tcpMix(srv *server.Server, conditional bool) ([][]byte, error) {
 	resolveBody := []byte(`{"Names":["sales.raw.t0","sales.raw.t1","sales.raw.t2"]}`)
 	listPath := httpBenchPrefix + "/assets?parent=sales.raw&type=TABLE&maxResults=20"
 	// Popularity-skewed table choice for get-asset: t0 dominates, with a
@@ -457,7 +438,7 @@ func tcpMix(pooled *server.Server, conditional bool) ([][]byte, error) {
 	for _, t := range templates {
 		var extra map[string]string
 		if conditional {
-			tag, err := etagOf(pooled, t.method, t.path, t.body)
+			tag, err := etagOf(srv, t.method, t.path, t.body)
 			if err != nil {
 				return nil, err
 			}
@@ -483,22 +464,22 @@ func RunHTTPGrid(quick bool) ([]HTTPCell, error) {
 		perClient = map[int]int{128: 16, 1024: 4}
 	}
 
-	naive, pooled, assetIDs, cleanup, err := httpBenchWorld(48)
+	srv, assetIDs, cleanup, err := httpBenchWorld(48)
 	if err != nil {
 		return nil, err
 	}
 	defer cleanup()
 
-	cells, err := runAllocPhase(naive, pooled, assetIDs, allocN)
+	cells, err := runAllocPhase(srv, assetIDs, allocN)
 	if err != nil {
 		return nil, err
 	}
 
-	freshMix, err := tcpMix(pooled, false)
+	freshMix, err := tcpMix(srv, false)
 	if err != nil {
 		return nil, err
 	}
-	condMix, err := tcpMix(pooled, true)
+	condMix, err := tcpMix(srv, true)
 	if err != nil {
 		return nil, err
 	}
@@ -515,15 +496,13 @@ func RunHTTPGrid(quick bool) ([]HTTPCell, error) {
 		arms := []struct {
 			shape    string
 			encoding string
-			h        http.Handler
 			mix      [][]byte
 		}{
-			{"tcp_fresh", "naive", naive, freshMix},
-			{"tcp_fresh", "pooled", pooled, freshMix},
-			{"tcp_cond", "pooled_304", pooled, condMix},
+			{"tcp_fresh", "pooled", freshMix},
+			{"tcp_cond", "pooled_304", condMix},
 		}
 		for _, arm := range arms {
-			secs, lats, err := runTCPArm(arm.h, clients, n, arm.mix)
+			secs, lats, err := runTCPArm(srv, clients, n, arm.mix)
 			if err != nil {
 				return nil, fmt.Errorf("tcp %s/%s %dc: %w", arm.shape, arm.encoding, clients, err)
 			}
@@ -553,22 +532,20 @@ func HTTPExperiment(o Options) (*Table, error) {
 		Header: header,
 		Rows:   rows,
 	}
-	var naiveResolve, pooledResolve, condResolve float64
+	var freshResolve, condResolve float64
 	for _, c := range cells {
 		if c.Shape == "allocs_resolve" {
 			switch c.Encoding {
-			case "naive":
-				naiveResolve = c.AllocsPerReq
 			case "pooled":
-				pooledResolve = c.AllocsPerReq
+				freshResolve = c.AllocsPerReq
 			case "pooled_304":
 				condResolve = c.AllocsPerReq
 			}
 		}
 	}
 	if condResolve > 0 {
-		t.Finding = fmt.Sprintf("resolve allocs/req: naive %.0f → pooled %.0f (%.1fx) → revalidated 304 %.0f (%.1fx)",
-			naiveResolve, pooledResolve, naiveResolve/pooledResolve, condResolve, naiveResolve/condResolve)
+		t.Finding = fmt.Sprintf("resolve allocs/req: fresh %.0f → revalidated 304 %.0f (%.1fx)",
+			freshResolve, condResolve, freshResolve/condResolve)
 	}
 	return t, nil
 }

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"unitycatalog/internal/catalog"
@@ -125,7 +126,7 @@ func RunObsGrid(quick bool) ([]ObsCell, error) {
 	tracer := obs.NewTracer(0, 0)
 
 	// Path 1: authorized read through the service (authz snapshot + cache).
-	svc, reader, _, err := authzService(false, 64)
+	svc, reader, _, err := authzService(64)
 	if err != nil {
 		return nil, fmt.Errorf("obs deep_check service: %w", err)
 	}
@@ -297,14 +298,15 @@ func ObsExperiment(o Options) (*Table, error) {
 			off[c.Path] = c
 		}
 	}
+	header, rows := ObsCellRows(cells)
 	t := &Table{
 		ID:     "obs",
 		Title:  "Instrumentation overhead: request tracing on vs off",
 		Paper:  "telemetry must not tax the hot paths: enabled-but-unsampled tracing budgeted at <=5% on deep-Check and group-commit",
-		Header: []string{"path", "mode", "ops", "ns/op", "allocs/op", "overhead"},
+		Header: append(header, "overhead"),
 	}
 	var findings []string
-	for _, c := range cells {
+	for i, c := range cells {
 		over := "-"
 		if c.Mode != "off" {
 			pct := c.OverheadPct
@@ -316,8 +318,8 @@ func ObsExperiment(o Options) (*Table, error) {
 			over = fmt.Sprintf("%+.1f%%", pct)
 			findings = append(findings, fmt.Sprintf("%s/%s %+.1f%%", c.Path, c.Mode, pct))
 		}
-		t.Rows = append(t.Rows, []string{c.Path, c.Mode, fi(c.Ops), f(c.NsPerOp), f(c.AllocsPerOp), over})
+		t.Rows = append(t.Rows, append(rows[i], over))
 	}
-	t.Finding = "traced vs off: " + joinStrings(findings, ", ")
+	t.Finding = "traced vs off: " + strings.Join(findings, ", ")
 	return t, nil
 }

@@ -11,7 +11,7 @@ import (
 // overhead can be profiled with -cpuprofile when it drifts.
 
 func benchDeepCheck(b *testing.B, traced bool) {
-	svc, reader, _, err := authzService(false, 64)
+	svc, reader, _, err := authzService(64)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,13 +4,10 @@ package bench
 // 10M full scale) through batched direct store commits, then measure the
 // read paths the ordered secondary indexes are supposed to keep O(result
 // size): listing a small (100-child) schema, fetching one keyset page out
-// of a large schema, and querying by tag through the inverted index. Each
-// scale runs twice — "indexed" (the default B+tree-backed store) and
-// "fullscan" (store.Options.NoOrderedIndex, the pre-index ablation whose
-// every range scan walks the whole table map). The fullscan arm is skipped
-// at 10M where a single full-scan listing would take longer than the whole
-// indexed grid. Shared by the `scale` experiment (human-readable table)
-// and `make bench-scale`, which emits BENCH_scale.json.
+// of a large schema, and querying by tag through the inverted index. The
+// evidence is flatness: read latencies at 100× the assets stay where they
+// were. Shared by the `scale` experiment (human-readable table) and
+// `make bench-scale`, which emits BENCH_scale.json.
 
 import (
 	"fmt"
@@ -28,9 +25,6 @@ import (
 type ScaleCell struct {
 	// Assets is the total asset count populated into the metastore.
 	Assets int `json:"assets"`
-	// Mode is "indexed" (ordered B+tree indexes) or "fullscan"
-	// (NoOrderedIndex ablation: range scans walk the full table map).
-	Mode string `json:"mode"`
 	// Populate throughput via batched direct store commits.
 	PopulateSecs float64 `json:"populate_secs"`
 	AssetsPerSec float64 `json:"assets_per_sec"`
@@ -162,15 +156,11 @@ func measureScaleOp(ops int, fn func() error) (p50, p99 float64, err error) {
 	return percentile(lat, 50), percentile(lat, 99), nil
 }
 
-// runScaleCell populates one (assets, mode) cell and measures its read ops.
-func runScaleCell(total int, fullScan, quick bool) (ScaleCell, error) {
-	mode := "indexed"
-	if fullScan {
-		mode = "fullscan"
-	}
-	cell := ScaleCell{Assets: total, Mode: mode}
+// runScaleCell populates one cell and measures its read ops.
+func runScaleCell(total int, quick bool) (ScaleCell, error) {
+	cell := ScaleCell{Assets: total}
 
-	db, err := store.Open(store.Options{NoOrderedIndex: fullScan})
+	db, err := store.Open(store.Options{})
 	if err != nil {
 		return cell, err
 	}
@@ -187,7 +177,7 @@ func runScaleCell(total int, fullScan, quick bool) (ScaleCell, error) {
 	l := newScaleLayout(total, quick)
 	start := time.Now()
 	if err := populateScale(db, svc, ctx, l); err != nil {
-		return cell, fmt.Errorf("populate %d/%s: %w", total, mode, err)
+		return cell, fmt.Errorf("populate %d: %w", total, err)
 	}
 	cell.PopulateSecs = time.Since(start).Seconds()
 	cell.AssetsPerSec = float64(total) / cell.PopulateSecs
@@ -198,12 +188,7 @@ func runScaleCell(total int, fullScan, quick bool) (ScaleCell, error) {
 	cell.HeapMB = float64(ms.HeapAlloc) / (1 << 20)
 	cell.BytesPerAsset = float64(ms.HeapAlloc) / float64(total)
 
-	// Full scans at large N are slow by design; fewer reps still give a
-	// stable p50 (the op is deterministic, dominated by the map walk).
 	listOps, pageOps, tagOps := 300, 300, 200
-	if fullScan {
-		listOps, pageOps, tagOps = 30, 30, 50
-	}
 	if quick {
 		listOps, pageOps, tagOps = 50, 50, 30
 	}
@@ -262,24 +247,16 @@ func runScaleCell(total int, fullScan, quick bool) (ScaleCell, error) {
 	return cell, err
 }
 
-// RunScaleGrid measures every (assets, mode) cell. Quick shrinks the asset
-// counts for CI; full scale runs 100k/1M/10M indexed and 100k/1M fullscan.
+// RunScaleGrid measures every cell. Quick shrinks the asset counts for CI;
+// full scale runs 100k/1M/10M.
 func RunScaleGrid(quick bool) ([]ScaleCell, error) {
-	type arm struct {
-		assets   int
-		fullScan bool
-	}
-	arms := []arm{
-		{100_000, false}, {100_000, true},
-		{1_000_000, false}, {1_000_000, true},
-		{10_000_000, false}, // fullscan skipped: one scan op walks 10M keys
-	}
+	scales := []int{100_000, 1_000_000, 10_000_000}
 	if quick {
-		arms = []arm{{20_000, false}, {20_000, true}, {60_000, false}}
+		scales = []int{20_000, 60_000}
 	}
 	var cells []ScaleCell
-	for _, a := range arms {
-		c, err := runScaleCell(a.assets, a.fullScan, quick)
+	for _, assets := range scales {
+		c, err := runScaleCell(assets, quick)
 		if err != nil {
 			return nil, err
 		}
@@ -288,40 +265,24 @@ func RunScaleGrid(quick bool) ([]ScaleCell, error) {
 	return cells, nil
 }
 
-// ScaleExperiment renders the grid with the indexed-vs-fullscan speedup.
+// ScaleExperiment renders the grid; the finding is how little the read
+// latencies move from the smallest catalog to the largest.
 func ScaleExperiment(o Options) (*Table, error) {
 	cells, err := RunScaleGrid(o.Quick)
 	if err != nil {
 		return nil, err
 	}
-	base := map[int]ScaleCell{}
-	for _, c := range cells {
-		if c.Mode == "fullscan" {
-			base[c.Assets] = c
-		}
-	}
+	header, rows := ScaleCellRows(cells)
 	t := &Table{
 		ID:     "scale",
 		Title:  "Catalog cardinality: ordered indexes + keyset pagination at scale",
 		Paper:  "metastores reach millions of assets (§6.1); listings and queries must cost O(result size), not O(catalog size)",
-		Header: []string{"assets", "mode", "pop/s", "heap MB", "B/asset", "list p50us", "list p99us", "page p99us", "tag p99us", "list speedup"},
+		Header: header,
+		Rows:   rows,
 	}
-	var findings []string
-	for _, c := range cells {
-		speed := "-"
-		if c.Mode == "indexed" {
-			if b, ok := base[c.Assets]; ok && c.ListP99us > 0 {
-				x := b.ListP99us / c.ListP99us
-				speed = fmt.Sprintf("%.0fx", x)
-				findings = append(findings, fmt.Sprintf("%dk: %.0fx", c.Assets/1000, x))
-			}
-		}
-		t.Rows = append(t.Rows, []string{
-			fi(c.Assets), c.Mode, fmt.Sprintf("%.0f", c.AssetsPerSec),
-			f(c.HeapMB), f(c.BytesPerAsset),
-			f(c.ListP50us), f(c.ListP99us), f(c.PageP99us), f(c.TagP99us), speed,
-		})
-	}
-	t.Finding = "indexed vs fullscan list p99: " + joinStrings(findings, ", ")
+	lo, hi := cells[0], cells[len(cells)-1]
+	t.Finding = fmt.Sprintf("%dk → %dk assets (%.0fx): list p50 %.0f → %.0f us, page p50 %.0f → %.0f us, tag p50 %.0f → %.0f us",
+		lo.Assets/1000, hi.Assets/1000, float64(hi.Assets)/float64(lo.Assets),
+		lo.ListP50us, hi.ListP50us, lo.PageP50us, hi.PageP50us, lo.TagP50us, hi.TagP50us)
 	return t, nil
 }

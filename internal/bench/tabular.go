@@ -1,9 +1,8 @@
 package bench
 
 // The one tabular writer for experiment output. Table.Print and the grid
-// summaries of cmd/ucbench and cmd/storebench all render through
-// WriteAligned, so every tool prints the same shape: space-aligned columns
-// with a header row.
+// summaries of cmd/ucbench both render through WriteAligned, so everything
+// prints the same shape: space-aligned columns with a header row.
 
 import (
 	"fmt"
@@ -92,12 +91,12 @@ func TxnCellRows(cells []TxnCell) ([]string, [][]string) {
 
 // ScaleCellRows shapes the catalog-cardinality grid for WriteAligned.
 func ScaleCellRows(cells []ScaleCell) ([]string, [][]string) {
-	header := []string{"assets", "mode", "pop_s", "assets/s", "heap_mb", "b/asset",
+	header := []string{"assets", "pop_s", "assets/s", "heap_mb", "b/asset",
 		"list_p50us", "list_p99us", "page_p50us", "page_p99us", "tag_p50us", "tag_p99us"}
 	rows := make([][]string, 0, len(cells))
 	for _, c := range cells {
 		rows = append(rows, []string{
-			fi(c.Assets), c.Mode, f(c.PopulateSecs), fmt.Sprintf("%.0f", c.AssetsPerSec),
+			fi(c.Assets), f(c.PopulateSecs), fmt.Sprintf("%.0f", c.AssetsPerSec),
 			f(c.HeapMB), f(c.BytesPerAsset),
 			f(c.ListP50us), f(c.ListP99us), f(c.PageP50us), f(c.PageP99us), f(c.TagP50us), f(c.TagP99us),
 		})

@@ -227,21 +227,18 @@ func TxnExperiment(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	header, rows := TxnCellRows(cells)
 	t := &Table{
 		ID:     "txn",
 		Title:  "Multi-table transactions: contended commit + recovery sweep",
 		Paper:  "the catalog as commit coordinator (§6.3): two-phase intent records, idempotent publish, crash recovery",
-		Header: []string{"shape", "txns", "conflicts", "secs", "per_sec", "p50_us", "p95_us", "p99_us"},
+		Header: header,
+		Rows:   rows,
 	}
-	var finding string
 	for _, c := range cells {
-		t.Rows = append(t.Rows, []string{
-			c.Shape, fi(c.Txns), fi(c.Conflicts), f(c.Secs), f(c.PerSec), f(c.P50us), f(c.P95us), f(c.P99us),
-		})
 		if c.Shape == "commit_8w" {
-			finding = fmt.Sprintf("8 writers: %.0f txn/s, p99 %.0fµs, %d conflicts", c.PerSec, c.P99us, c.Conflicts)
+			t.Finding = fmt.Sprintf("8 writers: %.0f txn/s, p99 %.0fµs, %d conflicts", c.PerSec, c.P99us, c.Conflicts)
 		}
 	}
-	t.Finding = finding
 	return t, nil
 }

@@ -20,10 +20,15 @@
 //     On success the written records are inserted into the cache at the new
 //     version (write-through); on a version mismatch — another node wrote —
 //     the node reconciles and retries.
-//   - Reconciliation is either Full (evict everything for the metastore) or
-//     Selective (consult the store's change log and invalidate only the
-//     records that changed) — both strategies from the paper, compared in
-//     the ablation benchmarks.
+//   - A node hears of another node's commit from its Coherer (the change-
+//     event stream) or when a write of its own loses the version CAS. With
+//     neither at work it asks: NewView compares the known version with the
+//     database's, so a warm node does not go on serving hits at a version
+//     another node has replaced.
+//   - Reconciliation is selective: the node consults the store's change log
+//     and invalidates only the records that changed. It evicts everything
+//     for the metastore only when the log no longer covers its known version
+//     (or, via ReconcileFull, when a coherence follower lost events).
 //   - Two eviction mechanisms bound memory: an LRU or LFU policy evicts
 //     unpopular records with all their versions, and old versions of
 //     popular records are pruned lazily once past the API-timeout horizon,
@@ -84,8 +89,8 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,19 +99,6 @@ import (
 	"unitycatalog/internal/faults"
 	"unitycatalog/internal/obs"
 	"unitycatalog/internal/store"
-)
-
-// ReconcileStrategy selects how the cache catches up after discovering the
-// database moved past its known version.
-type ReconcileStrategy int
-
-// Reconciliation strategies.
-const (
-	// ReconcileFull evicts all cached state for the metastore.
-	ReconcileFull ReconcileStrategy = iota
-	// ReconcileSelective invalidates only records the change log names,
-	// falling back to full eviction when the log has been trimmed.
-	ReconcileSelective
 )
 
 // EvictionPolicy selects the whole-record eviction algorithm.
@@ -129,8 +121,6 @@ type Options struct {
 	// MaxEntriesPerMetastore bounds cached records per metastore
 	// (0 means 1<<20).
 	MaxEntriesPerMetastore int
-	// Strategy selects the reconciliation strategy (default selective).
-	Strategy ReconcileStrategy
 	// Policy selects the eviction policy (default LRU).
 	Policy EvictionPolicy
 	// VersionRetention is how long superseded record versions are kept for
@@ -229,21 +219,13 @@ func (r *cachedRecord) at(v uint64) (value []byte, deleted, ok bool) {
 }
 
 type cachedScan struct {
-	version uint64 // guarded by the shard lock (bumped under all-shard locks)
-	// validFrom is the version the scan was read at; never bumped. The
-	// entry is proven unchanged only on [validFrom, version] — a view
-	// pinned before validFrom must not be served it (the keys may not have
-	// existed yet at that version).
+	// validFrom is the version the scan was read at. The entry is proven
+	// unchanged on [validFrom, known version]: every advance of the known
+	// version drops the scans a change touches (or all of them), so one that
+	// is still cached is current. A view pinned before validFrom must not be
+	// served it (the keys may not have existed yet at that version).
 	validFrom uint64
 	kvs       []store.KV
-	// Eviction bookkeeping, updated lock-free on the hit path.
-	lastUsed atomic.Int64
-	uses     atomic.Int64
-}
-
-func (s *cachedScan) touch() {
-	s.lastUsed.Store(time.Now().UnixNano())
-	s.uses.Add(1)
 }
 
 // shard is one lock stripe of a metastore's cached state.
@@ -284,8 +266,19 @@ type msCache struct {
 	degraded atomic.Bool
 	lastSync atomic.Int64
 
+	// writers counts this node's Updates in flight; see NewViewT.
+	writers atomic.Int32
+
 	flightMu sync.Mutex
 	flight   map[flightKey]*flight
+
+	// scanLens lists, per table, the prefix lengths scans have been cached
+	// under, so invalidating a key probes only those prefixes of it. A miss
+	// fill adds to it under scanLensMu while holding its shard lock;
+	// invalidation reads it holding every shard lock, which excludes fills.
+	// Only an evict-all removes lengths (a stale one costs a wasted probe).
+	scanLensMu sync.Mutex
+	scanLens   map[string][]int
 }
 
 // flightKey identifies one coalesced read: a point get ('g') or a prefix
@@ -297,7 +290,7 @@ type flightKey struct {
 }
 
 func newMsCache(v uint64, now time.Time) *msCache {
-	m := &msCache{flight: map[flightKey]*flight{}}
+	m := &msCache{flight: map[flightKey]*flight{}, scanLens: map[string][]int{}}
 	m.knownVersion.Store(v)
 	m.lastSync.Store(now.UnixNano())
 	for i := range m.shards {
@@ -363,9 +356,12 @@ type Cache struct {
 	db   *store.DB
 	opts Options
 
-	mu     sync.RWMutex
-	owned  map[string]*msCache
-	closed bool
+	mu    sync.RWMutex
+	owned map[string]*msCache
+
+	// feeds counts the running Coherers applying the change-event stream to
+	// this node. With none, NewViewT checks the database's version itself.
+	feeds atomic.Int32
 
 	metrics counters
 }
@@ -541,7 +537,9 @@ func (c *Cache) owner(msID string) (*msCache, error) {
 }
 
 // reconcileAllLocked brings the metastore cache up to the database's current
-// version. Caller must hold every shard lock (lockAll).
+// version: it invalidates exactly what the change log names, and evicts
+// everything only when the log has been trimmed past the known version.
+// Caller must hold every shard lock (lockAll).
 func (c *Cache) reconcileAllLocked(msID string, m *msCache) error {
 	dbV, err := c.db.Version(msID)
 	if err != nil {
@@ -553,18 +551,15 @@ func (c *Cache) reconcileAllLocked(msID string, m *msCache) error {
 	if dbV == known {
 		return nil
 	}
-	if c.opts.Strategy == ReconcileSelective {
-		changes, err := c.db.ChangesSince(msID, known)
-		if err == nil {
-			invalidateChangesLocked(m, changes, dbV)
-			m.knownVersion.Store(dbV)
-			c.metrics.selectiveReconciles.Add(1)
-			return nil
-		}
-		if !errors.Is(err, store.ErrChangeLogTrimmed) {
-			return err
-		}
-		// fall through to full eviction
+	changes, err := c.db.ChangesSince(msID, known)
+	if err == nil {
+		invalidateChangesLocked(m, changes)
+		m.knownVersion.Store(dbV)
+		c.metrics.selectiveReconciles.Add(1)
+		return nil
+	}
+	if !errors.Is(err, store.ErrChangeLogTrimmed) {
+		return err
 	}
 	evictAllLocked(m, dbV)
 	c.metrics.fullReconciles.Add(1)
@@ -572,11 +567,11 @@ func (c *Cache) reconcileAllLocked(msID string, m *msCache) error {
 }
 
 // invalidateChangesLocked drops exactly the cached records named by changes
-// plus any cached scan whose (table, prefix) covers a changed key, then
-// bumps surviving scans to newV (they remain the latest as of newV). It
+// plus any cached scan whose (table, prefix) covers a changed key; surviving
+// scans remain the latest as of the version the caller advances to. It
 // returns the number of records and scans dropped. Caller must hold every
 // shard lock (lockAll).
-func invalidateChangesLocked(m *msCache, changes []store.Change, newV uint64) int {
+func invalidateChangesLocked(m *msCache, changes []store.Change) int {
 	dropped := 0
 	for _, ch := range changes {
 		rk := cacheKey{ch.Table, ch.Key}
@@ -588,24 +583,25 @@ func invalidateChangesLocked(m *msCache, changes []store.Change, newV uint64) in
 		}
 		dropped += dropScansLocked(m, ch.Table, ch.Key)
 	}
-	for i := range m.shards {
-		for _, s := range m.shards[i].scans {
-			s.version = newV
-		}
-	}
 	return dropped
 }
 
 // dropScansLocked drops every cached scan over table whose prefix covers key
-// and returns how many it dropped. Caller must hold every shard lock.
+// and returns how many it dropped. It probes the prefixes of key that scans
+// of the table have been cached under rather than walking the scan maps: a
+// commit's cost must not grow with the number of cached scans (one per
+// securable for grants and tags alone). Caller must hold every shard lock.
 func dropScansLocked(m *msCache, table, key string) int {
 	dropped := 0
-	for i := range m.shards {
-		for sk := range m.shards[i].scans {
-			if sk.table == table && strings.HasPrefix(key, sk.key) {
-				delete(m.shards[i].scans, sk)
-				dropped++
-			}
+	for _, n := range m.scanLens[table] {
+		if n > len(key) {
+			continue
+		}
+		sk := cacheKey{table, key[:n]}
+		sh := m.shardFor(sk)
+		if _, ok := sh.scans[sk]; ok {
+			delete(sh.scans, sk)
+			dropped++
 		}
 	}
 	return dropped
@@ -618,6 +614,7 @@ func evictAllLocked(m *msCache, newV uint64) {
 		m.shards[i].records = map[cacheKey]*cachedRecord{}
 		m.shards[i].scans = map[cacheKey]*cachedScan{}
 	}
+	m.scanLens = map[string][]int{}
 	m.entries.Store(0)
 	m.knownVersion.Store(newV)
 }
@@ -667,7 +664,7 @@ func (c *Cache) ApplyChanges(msID string, version uint64, changes []store.Change
 		return 0, m.entries.Load(), ApplyGap
 	}
 	resident = m.entries.Load()
-	invalidated = invalidateChangesLocked(m, changes, version)
+	invalidated = invalidateChangesLocked(m, changes)
 	m.knownVersion.Store(version)
 	c.metrics.eventApplies.Add(1)
 	c.metrics.eventInvalidations.Add(int64(invalidated))
@@ -716,8 +713,9 @@ func (c *Cache) OwnedMetastores() []string {
 const pinnedBit = uint64(1) << 63
 
 // View is a snapshot-isolated read view of one metastore served from the
-// cache with database fallback. The view's version is pinned lazily: a view
-// whose *first* access misses the cache validates the node's known version
+// cache with database fallback. It opens at the node's known version (see
+// NewViewT for when that is checked first) and pins lazily: a view whose
+// *first* access misses the cache validates the node's known version
 // against the database and reconciles before pinning — the paper's "on
 // every DB read, the node checks that its in-memory version is the latest"
 // — so fresh requests observe other nodes' committed writes, while accesses
@@ -734,7 +732,6 @@ type View struct {
 	// only via the CAS that also sets the pin bit, so once any access pins
 	// the view its version is immutable.
 	state atomic.Uint64
-	pinMu sync.Mutex      // serializes pinOnMiss reconciliation
 	snap  *store.Snapshot // cache-disabled mode reads straight from this
 	// sc scopes this view's database-fallback work (misses, reconciles) to
 	// the request's trace. Hits record no spans.
@@ -782,6 +779,14 @@ func (c *Cache) NewViewT(sc obs.SpanContext, msID string) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
+	if c.feeds.Load() == 0 && m.writers.Load() == 0 {
+		// No Coherer and no write of this node's own is at work to tell it of
+		// another node's commit, and a first access that hits would never
+		// ask. (Mid-write the database is ahead only by that write, and a
+		// reconcile would drop what it is about to install.) A failure is
+		// left to the read path, which serves degraded at the known version.
+		_ = c.catchUp(sc, msID, m)
+	}
 	v := &View{c: c, msID: msID, m: m, sc: sc}
 	v.state.Store(m.knownVersion.Load())
 	return v, nil
@@ -792,27 +797,40 @@ func (v *View) Version() uint64 { return v.state.Load() &^ pinnedBit }
 
 func (v *View) pinned() bool { return v.state.Load()&pinnedBit != 0 }
 
+// catchUp reconciles the metastore cache if the database is ahead of the
+// known version; when it is not, no shard lock is taken.
+func (c *Cache) catchUp(sc obs.SpanContext, msID string, m *msCache) error {
+	dbV, err := c.db.Version(msID)
+	if err != nil {
+		c.noteDBError(m, err)
+		return err
+	}
+	if dbV == m.knownVersion.Load() {
+		c.noteDBSuccess(m)
+		return nil
+	}
+	_, span := sc.StartDetail("cache.reconcile", msID)
+	defer span.End()
+	m.lockAll()
+	defer m.unlockAll()
+	return c.reconcileAllLocked(msID, m)
+}
+
 // pinOnMiss validates the known version against the database (reconciling
 // if another node advanced it) and pins the view. No-op if the view pinned
-// concurrently.
+// concurrently: the CAS below lets exactly one caller set the version.
 func (v *View) pinOnMiss() {
-	v.pinMu.Lock()
-	defer v.pinMu.Unlock()
 	st := v.state.Load()
 	if st&pinnedBit != 0 {
 		return
 	}
-	_, span := v.sc.StartDetail("cache.reconcile", v.msID)
-	defer span.End()
-	v.m.lockAll()
-	target := st &^ pinnedBit
-	if err := v.c.reconcileAllLocked(v.msID, v.m); err == nil {
+	target := st // unpinned, so the word is the version
+	if err := v.c.catchUp(v.sc, v.msID, v.m); err == nil {
 		target = v.m.knownVersion.Load()
 	}
 	// A concurrent hit may have pinned the view at its original version in
-	// the meantime; that pin wins and this CAS is a no-op.
+	// the meantime (or a concurrent miss at a newer one); that pin wins.
 	v.state.CompareAndSwap(st, target|pinnedBit)
-	v.m.unlockAll()
 }
 
 // tryHit serves (and pins) a cache hit for rk, if present at the view's
@@ -985,9 +1003,12 @@ func (v *View) Scan(table, prefix string) []store.KV {
 		snap.Close()
 		sh.mu.Lock()
 		if v.m.knownVersion.Load() == ver {
-			s := &cachedScan{version: ver, validFrom: ver, kvs: f.kvs}
-			s.touch()
-			sh.scans[sk] = s
+			sh.scans[sk] = &cachedScan{validFrom: ver, kvs: f.kvs}
+			v.m.scanLensMu.Lock()
+			if !slices.Contains(v.m.scanLens[table], len(prefix)) {
+				v.m.scanLens[table] = append(v.m.scanLens[table], len(prefix))
+			}
+			v.m.scanLensMu.Unlock()
 		}
 		sh.mu.Unlock()
 	})
@@ -1149,7 +1170,6 @@ func (v *View) degradedScan(sh *shard, sk cacheKey) ([]store.KV, bool) {
 		v.c.metrics.degradedMisses.Add(1)
 		return nil, false
 	}
-	s.touch()
 	v.c.metrics.degradedReads.Add(1)
 	return copyKVs(kvs), true
 }
@@ -1163,13 +1183,11 @@ func (v *View) tryScanHit(sh *shard, sk cacheKey) ([]store.KV, bool) {
 		s := sh.scans[sk]
 		var kvs []store.KV
 		found := false
-		if s != nil && s.validFrom <= ver && ver <= s.version {
-			// The entry was read at validFrom and every bump to s.version
-			// proved it unchanged on (validFrom, s.version], so it is valid
-			// at any view version inside that window. Outside it — a view
-			// pinned before the scan was ever read, or past the last proven
-			// version — nothing is known and the miss path must re-read at
-			// the view's own version.
+		if s != nil && s.validFrom <= ver {
+			// The entry was read at validFrom and is unchanged up to the
+			// known version, which no view is ahead of. A view pinned before
+			// the scan was ever read knows nothing about it and must re-read
+			// at its own version on the miss path.
 			kvs, found = s.kvs, true
 		}
 		sh.mu.RUnlock()
@@ -1179,7 +1197,6 @@ func (v *View) tryScanHit(sh *shard, sk cacheKey) ([]store.KV, bool) {
 		if st&pinnedBit == 0 && !v.state.CompareAndSwap(st, ver|pinnedBit) {
 			continue
 		}
-		s.touch()
 		return copyKVs(kvs), true
 	}
 }
@@ -1263,26 +1280,6 @@ func (c *Cache) evictOne(m *msCache) bool {
 	return false
 }
 
-// evictAllLocked is maybeEvict for callers already holding every shard lock.
-func (c *Cache) evictAllLocked(m *msCache) {
-	for m.entries.Load() > int64(c.opts.MaxEntriesPerMetastore) {
-		evicted := false
-		for i := range m.shards {
-			sh := &m.shards[i]
-			if victim, ok := c.victimLocked(sh); ok {
-				delete(sh.records, victim)
-				m.entries.Add(-1)
-				c.metrics.evictions.Add(1)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			return
-		}
-	}
-}
-
 // victimLocked picks the policy victim within one shard. Caller holds the
 // shard's write lock.
 func (c *Cache) victimLocked(sh *shard) (victim cacheKey, ok bool) {
@@ -1300,8 +1297,16 @@ func (c *Cache) victimLocked(sh *shard) (victim cacheKey, ok bool) {
 	return victim, ok
 }
 
-// maxWriteRetries bounds optimistic write retries after version conflicts.
-const maxWriteRetries = 16
+// maxWriteRetries bounds how many times one Update may lose its version CAS
+// to a commit that was already visible, that is, how often the node's known
+// version may prove stale. Losing to a commit that is sequenced but not yet
+// applied is not counted: the retry blocks until it applies, so such rounds
+// neither spin nor repeat. maxWriteRounds caps those too, so a writer facing
+// an endless stream of foreign commits fails rather than waiting forever.
+const (
+	maxWriteRetries = 16
+	maxWriteRounds  = 64 * maxWriteRetries
+)
 
 // Update runs fn in a serializable write transaction with write-through
 // caching. It retries on version conflicts caused by other cache nodes.
@@ -1319,7 +1324,9 @@ func (c *Cache) UpdateT(sc obs.SpanContext, msID string, fn func(tx *store.Tx) e
 	if err != nil {
 		return 0, err
 	}
-	for attempt := 0; attempt < maxWriteRetries; attempt++ {
+	m.writers.Add(1)
+	defer m.writers.Add(-1)
+	for stale, rounds := 0, 0; stale < maxWriteRetries && rounds < maxWriteRounds; rounds++ {
 		known := m.knownVersion.Load()
 
 		var captured []store.Write
@@ -1332,10 +1339,18 @@ func (c *Cache) UpdateT(sc obs.SpanContext, msID string, fn func(tx *store.Tx) e
 		})
 		if errors.Is(err, store.ErrVersionMismatch) {
 			c.metrics.writeConflicts.Add(1)
-			m.lockAll()
-			rerr := c.reconcileAllLocked(msID, m)
-			m.unlockAll()
-			if rerr != nil {
+			// The CAS is checked against the sequenced version newV, the
+			// reconcile below reads the applied one. Until newV is applied
+			// the reconcile would be a no-op and the retry would lose to the
+			// same commit again, so wait for it to become visible first.
+			waited, werr := c.db.AwaitApplied(msID, newV)
+			if werr != nil {
+				return 0, werr
+			}
+			if !waited {
+				stale++
+			}
+			if rerr := c.catchUp(sc, msID, m); rerr != nil {
 				return 0, rerr
 			}
 			continue
@@ -1357,18 +1372,13 @@ func (c *Cache) UpdateT(sc obs.SpanContext, msID string, fn func(tx *store.Tx) e
 				c.insertShardLocked(m, m.shardFor(rk), rk, cachedVersion{version: newV, value: w.Value, deleted: w.Deleted, cachedAt: now})
 				dropScansLocked(m, w.Table, w.Key)
 			}
-			for i := range m.shards {
-				for _, s := range m.shards[i].scans {
-					s.version = newV
-				}
-			}
 			m.knownVersion.Store(newV)
-			c.evictAllLocked(m)
 		}
 		m.unlockAll()
+		c.maybeEvict(m)
 		return newV, nil
 	}
-	return 0, fmt.Errorf("cache: update on %s exceeded %d retries", msID, maxWriteRetries)
+	return 0, fmt.Errorf("cache: update on %s kept losing its version check (bounds: %d visible commits, %d rounds)", msID, maxWriteRetries, maxWriteRounds)
 }
 
 // Refresh forces the metastore cache to reconcile with the database. Used
@@ -1381,9 +1391,7 @@ func (c *Cache) Refresh(msID string) error {
 	if err != nil {
 		return err
 	}
-	m.lockAll()
-	defer m.unlockAll()
-	return c.reconcileAllLocked(msID, m)
+	return c.catchUp(obs.SpanContext{}, msID, m)
 }
 
 // KnownVersion returns the node's in-memory version for the metastore.

@@ -104,48 +104,122 @@ func TestSnapshotReadsAcrossWrite(t *testing.T) {
 	v2.Close()
 }
 
-func TestTwoNodesConflictAndReconcile(t *testing.T) {
-	for _, strat := range []ReconcileStrategy{ReconcileFull, ReconcileSelective} {
-		db, _ := store.Open(store.Options{})
-		db.CreateMetastore("m")
-		a := New(db, Options{Strategy: strat})
-		b := New(db, Options{Strategy: strat})
-		a.Own("m")
-		b.Own("m")
-
-		a.Update("m", func(tx *store.Tx) error { tx.Put("t", "k", []byte("a1")); return nil })
-		// b's known version (0) is stale; its write must still succeed after
-		// reconciliation and must not lose a's write.
-		if _, err := b.Update("m", func(tx *store.Tx) error {
-			got, _ := tx.Get("t", "k")
-			tx.Put("t", "k2", append([]byte("saw:"), got...))
-			return nil
-		}); err != nil {
-			t.Fatalf("strategy %v: %v", strat, err)
-		}
-		if m := b.Metrics(); m.WriteConflicts == 0 {
-			t.Fatalf("strategy %v: expected a conflict, got %+v", strat, m)
-		}
-		v, _ := b.NewView("m")
-		if got, _ := v.Get("t", "k2"); string(got) != "saw:a1" {
-			t.Fatalf("strategy %v: k2 = %q", strat, got)
-		}
-		v.Close()
-
-		// Node a is now stale; reads after refresh see b's write.
-		a.Refresh("m")
-		va, _ := a.NewView("m")
-		if got, ok := va.Get("t", "k2"); !ok || string(got) != "saw:a1" {
-			t.Fatalf("strategy %v: node a read = %q %v", strat, got, ok)
-		}
-		va.Close()
-		db.Close()
+// expectAtViewVersion checks a view's read of (table, key) against the
+// database's own snapshot at the view's pinned version — the ground truth
+// for every cache read.
+func expectAtViewVersion(t *testing.T, db *store.DB, v *View, table, key string) {
+	t.Helper()
+	got, ok := v.Get(table, key)
+	snap, err := db.SnapshotAt("m", v.Version())
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer snap.Close()
+	want, wantOK := snap.Get(table, key)
+	if ok != wantOK || string(got) != string(want) {
+		t.Fatalf("%s/%s at v%d: cache=(%q,%v) db=(%q,%v)", table, key, v.Version(), got, ok, want, wantOK)
+	}
+}
+
+func TestTwoNodesConflictAndReconcile(t *testing.T) {
+	db := newDB(t)
+	a := New(db, Options{})
+	b := New(db, Options{})
+	a.Own("m")
+	b.Own("m")
+
+	a.Update("m", func(tx *store.Tx) error { tx.Put("t", "k", []byte("a1")); return nil })
+	// b's known version (0) is stale; its write must still succeed after
+	// reconciliation and must not lose a's write.
+	if _, err := b.Update("m", func(tx *store.Tx) error {
+		got, _ := tx.Get("t", "k")
+		tx.Put("t", "k2", append([]byte("saw:"), got...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if m := b.Metrics(); m.WriteConflicts == 0 {
+		t.Fatalf("expected a conflict, got %+v", m)
+	}
+	v, _ := b.NewView("m")
+	if got, _ := v.Get("t", "k2"); string(got) != "saw:a1" {
+		t.Fatalf("k2 = %q", got)
+	}
+	expectAtViewVersion(t, db, v, "t", "k")
+	expectAtViewVersion(t, db, v, "t", "k2")
+	v.Close()
+
+	// Node a is now stale; reads after refresh see b's write.
+	a.Refresh("m")
+	va, _ := a.NewView("m")
+	if va.Version() != 2 {
+		t.Fatalf("node a refreshed to v%d, want 2", va.Version())
+	}
+	expectAtViewVersion(t, db, va, "t", "k")
+	expectAtViewVersion(t, db, va, "t", "k2")
+	va.Close()
+}
+
+// TestUpdateAwaitsSequencedForeignCommit is the regression test for the
+// sequenced-vs-applied gap: the store checks a CAS against the sequenced
+// version, the cache reconciles against the applied one. A foreign commit
+// held between the two (here by CommitLatency, in production by the WAL
+// fsync) used to make every reconcile a no-op, so the sixteen retries burned
+// in microseconds and Update failed. It must instead wait for that commit to
+// become visible, reconcile once and win.
+func TestUpdateAwaitsSequencedForeignCommit(t *testing.T) {
+	db, err := store.Open(store.Options{CommitLatency: 30 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.CreateMetastore("m")
+	c := New(db, Options{})
+	c.Own("m")
+
+	sequenced := make(chan struct{})
+	foreign := make(chan error, 1)
+	go func() {
+		_, err := db.Update("m", func(tx *store.Tx) error {
+			tx.Put("t", "foreign", []byte("f"))
+			// Still under the sequencing lock: the cache's CAS below cannot
+			// be checked before this commit holds version 1.
+			close(sequenced)
+			return nil
+		})
+		foreign <- err
+	}()
+	<-sequenced
+
+	v, err := c.Update("m", func(tx *store.Tx) error {
+		got, _ := tx.Get("t", "foreign")
+		tx.Put("t", "local", append([]byte("saw:"), got...))
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("update behind an in-flight foreign commit: %v", err)
+	}
+	if v != 2 {
+		t.Fatalf("update committed at v%d, want 2", v)
+	}
+	if m := c.Metrics(); m.WriteConflicts != 1 {
+		t.Fatalf("lost the CAS %d times to one foreign commit, want 1", m.WriteConflicts)
+	}
+	if err := <-foreign; err != nil {
+		t.Fatal(err)
+	}
+	view, _ := c.NewView("m")
+	defer view.Close()
+	if got, _ := view.Get("t", "local"); string(got) != "saw:f" {
+		t.Fatalf("local = %q, want saw:f", got)
+	}
+	expectAtViewVersion(t, db, view, "t", "foreign")
+	expectAtViewVersion(t, db, view, "t", "local")
 }
 
 func TestSelectiveReconcileKeepsUnchangedEntries(t *testing.T) {
 	db := newDB(t)
-	a := New(db, Options{Strategy: ReconcileSelective})
+	a := New(db, Options{})
 	a.Own("m")
 	a.Update("m", func(tx *store.Tx) error {
 		tx.Put("t", "hot", []byte("h"))
@@ -185,7 +259,7 @@ func TestFullReconcileFallbackOnTrimmedLog(t *testing.T) {
 	db, _ := store.Open(store.Options{ChangeLogSize: 2})
 	defer db.Close()
 	db.CreateMetastore("m")
-	a := New(db, Options{Strategy: ReconcileSelective})
+	a := New(db, Options{})
 	a.Own("m")
 	a.Update("m", func(tx *store.Tx) error { tx.Put("t", "k", []byte("v")); return nil })
 	for i := 0; i < 10; i++ {
@@ -239,6 +313,29 @@ func TestScanCaching(t *testing.T) {
 	v4.Close()
 	if c.Metrics().ScanHits != before+1 {
 		t.Fatal("unrelated write should not invalidate cached scan")
+	}
+
+	// Invalidation probes the prefix lengths scans were cached under: one
+	// write must drop every cached prefix of its key, whatever its length,
+	// and nothing else — also after an evict-all has reset the lengths.
+	counts := func() (whole, a, b, other int) {
+		v, _ := c.NewView("m")
+		defer v.Close()
+		return len(v.Scan("t", "")), len(v.Scan("t", "a/")), len(v.Scan("t", "b/")), len(v.Scan("u", ""))
+	}
+	for round, key := range []string{"a/4", "a/5"} {
+		counts() // cache all four
+		c.Update("m", func(tx *store.Tx) error { tx.Put("t", key, []byte("x")); return nil })
+		hits, misses := c.Metrics().ScanHits, c.Metrics().ScanMisses
+		if whole, a, b, other := counts(); whole != 6+round || a != 4+round || b != 2 || other != 0 {
+			t.Fatalf("after writing %s: scans = %d %d %d %d", key, whole, a, b, other)
+		}
+		if m := c.Metrics(); m.ScanMisses != misses+2 || m.ScanHits != hits+2 {
+			t.Fatalf("writing %s should drop exactly the two covering scans: %+v", key, m)
+		}
+		if err := c.ReconcileFull("m"); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -386,6 +483,52 @@ func TestFreshViewSeesOtherNodesWrites(t *testing.T) {
 		t.Fatalf("pinned view should not move: %q", got)
 	}
 	vb2.Close()
+
+	// Node b is warm, has no event feed and is not writing: nothing but the
+	// version check at view open can tell it that a committed again. A view
+	// whose first access would have hit must not be served the old value, and
+	// the catch-up is selective.
+	vb3, _ := b.NewView("m")
+	if got, _ := vb3.Get("t", "k"); string(got) != "newer" {
+		t.Fatalf("warm node served %q after a foreign commit, want newer", got)
+	}
+	vb3.Close()
+	if m := b.Metrics(); m.FullReconciles != 0 {
+		t.Fatalf("catch-up evicted in full: %+v", m)
+	}
+}
+
+// TestViewOpenedDuringLocalWriteDoesNotReconcile: between a local commit's
+// apply and its write-through the database is ahead of the known version, and
+// a foreign commit in that time would fail the next write's CAS anyway. A
+// view opened then (here from a commit hook, which runs exactly in that
+// window) must not reconcile: it would invalidate the records the write is
+// about to install and make the write-through skip them.
+func TestViewOpenedDuringLocalWriteDoesNotReconcile(t *testing.T) {
+	db := newDB(t)
+	c := New(db, Options{})
+	c.Own("m")
+	db.AddCommitHook(func(string, uint64, []store.Change, []any) {
+		v, _ := c.NewView("m")
+		defer v.Close()
+		if dbV, _ := db.Version("m"); dbV != 1 {
+			t.Errorf("hook ran with the database at v%d, want 1 (applied)", dbV)
+		}
+		if m := c.Metrics(); v.Version() != 0 || m.SelectiveReconciles != 0 {
+			t.Errorf("view opened mid-write at v%d after %d reconciles, want v0 and none", v.Version(), m.SelectiveReconciles)
+		}
+	})
+	if _, err := c.Update("m", func(tx *store.Tx) error { tx.Put("t", "k", []byte("v")); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	v, _ := c.NewView("m")
+	defer v.Close()
+	if got, _ := v.Get("t", "k"); v.Version() != 1 || string(got) != "v" {
+		t.Fatalf("after the write: v%d, k = %q", v.Version(), got)
+	}
+	if m := c.Metrics(); m.Hits != 1 || m.Misses != 0 {
+		t.Fatalf("the write-through was lost: %+v", m)
+	}
 }
 
 func TestUnownedMetastoreRejected(t *testing.T) {

@@ -63,12 +63,14 @@ type Coherer struct {
 // both and waits.
 func StartCoherer(c *Cache, sub *events.Subscription, opts CohererOptions) *Coherer {
 	co := &Coherer{c: c, sub: sub, opts: opts, done: make(chan struct{})}
+	c.feeds.Add(1)
 	go co.run()
 	return co
 }
 
 func (co *Coherer) run() {
 	defer close(co.done)
+	defer co.c.feeds.Add(-1)
 	for e := range co.sub.C {
 		co.handle(e)
 	}

@@ -52,7 +52,7 @@ func TestCohererDropStormFullReconcileOnce(t *testing.T) {
 	bus := events.NewBus(4, 16) // tiny buffer: the storm overflows it
 	hookBus(db, bus)
 
-	c := New(db, Options{Strategy: ReconcileSelective})
+	c := New(db, Options{})
 	if err := c.Own("ms1"); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestCohererAppliesWithoutDBReads(t *testing.T) {
 	}
 	bus := events.NewBus(0, 0)
 	hookBus(db, bus)
-	c := New(db, Options{Strategy: ReconcileSelective})
+	c := New(db, Options{})
 	if err := c.Own("ms1"); err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +195,25 @@ func TestCohererAppliesWithoutDBReads(t *testing.T) {
 	}
 }
 
-// TestSelectiveVsFullDifferential is the satellite regression: under a
-// randomized seeded write workload with concurrent writers, reads through a
-// selectively-invalidated cache, a full-evict cache, and the database
-// itself must agree, both mid-flight (at the view's pinned version) and at
-// quiescence. Run under -race by `make race`.
+func sameKVs(a, b []store.KV) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Key != b[i].Key || string(a[i].Value) != string(b[i].Value) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSelectiveVsFullDifferential checks the cache against its oracle, the
+// database's own snapshot at the view's pinned version: under a randomized
+// seeded write workload with concurrent local and foreign writers, while the
+// cache reconciles selectively (every conflict and first-miss validation) and
+// in full (a reader forces ReconcileFull, as a follower does after dropped
+// events), every read must equal db.SnapshotAt(view.Version()), mid-flight
+// and at quiescence. Run under -race and -count=20 by `make race`.
 func TestSelectiveVsFullDifferential(t *testing.T) {
 	db, err := store.Open(store.Options{
 		// Retain deep history so a view pinned a few versions back can
@@ -213,12 +227,9 @@ func TestSelectiveVsFullDifferential(t *testing.T) {
 	if err := db.CreateMetastore("ms1"); err != nil {
 		t.Fatal(err)
 	}
-	sel := New(db, Options{Strategy: ReconcileSelective})
-	ful := New(db, Options{Strategy: ReconcileFull})
-	for _, c := range []*Cache{sel, ful} {
-		if err := c.Own("ms1"); err != nil {
-			t.Fatal(err)
-		}
+	c := New(db, Options{})
+	if err := c.Own("ms1"); err != nil {
+		t.Fatal(err)
 	}
 
 	tables := []string{"entity", "name", "grant"}
@@ -234,8 +245,9 @@ func TestSelectiveVsFullDifferential(t *testing.T) {
 		go func(w int) {
 			defer wwg.Done()
 			r := rand.New(rand.NewSource(int64(1000 + w)))
-			// Writers alternate between the two caches' write-through paths
-			// and the raw store, so both caches see foreign writes.
+			// Writers alternate between the cache's write-through path and
+			// the raw store, so the cache both loses CAS races to and must
+			// reconcile past foreign writes.
 			for i := 0; i < writesEach; i++ {
 				tbl, k := key(r)
 				val := []byte(fmt.Sprintf("w%d-i%d", w, i))
@@ -248,13 +260,10 @@ func TestSelectiveVsFullDifferential(t *testing.T) {
 					return nil
 				}
 				var err error
-				switch i % 3 {
-				case 0:
-					_, err = sel.Update("ms1", write)
-				case 1:
-					_, err = ful.Update("ms1", write)
-				default:
+				if i%3 == 2 {
 					_, err = db.Update("ms1", write)
+				} else {
+					_, err = c.Update("ms1", write)
 				}
 				if err != nil {
 					t.Errorf("writer %d: %v", w, err)
@@ -264,7 +273,7 @@ func TestSelectiveVsFullDifferential(t *testing.T) {
 		}(w)
 	}
 
-	// Readers: compare each cache's view against the database snapshot at
+	// Readers: compare the cache's view against the database snapshot at
 	// the view's pinned version — the cache contract is "reads are a
 	// consistent snapshot at Version()".
 	for g := 0; g < 3; g++ {
@@ -272,42 +281,43 @@ func TestSelectiveVsFullDifferential(t *testing.T) {
 		go func(g int) {
 			defer rwg.Done()
 			r := rand.New(rand.NewSource(int64(2000 + g)))
-			for {
+			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				for _, c := range []*Cache{sel, ful} {
-					view, err := c.NewView("ms1")
-					if err != nil {
-						t.Errorf("reader: %v", err)
+				if g == 0 && i%64 == 63 {
+					if err := c.ReconcileFull("ms1"); err != nil {
+						t.Errorf("reconcile full: %v", err)
 						return
 					}
-					tbl, k := key(r)
-					got, ok := view.Get(tbl, k)
-					ver := view.Version()
-					snap, err := db.SnapshotAt("ms1", ver)
-					if err != nil {
-						view.Close()
-						t.Errorf("snapshot at %d: %v", ver, err)
-						return
-					}
-					want, wantOK := snap.Get(tbl, k)
-					if ok != wantOK || string(got) != string(want) {
-						t.Errorf("divergence at v%d %s/%s: cache=(%q,%v) db=(%q,%v)",
-							ver, tbl, k, got, ok, want, wantOK)
-					}
-					// Prefix scans must agree too (scan cache invalidation).
-					gotKVs := view.Scan(tbl, "k0")
-					wantKVs := snap.Scan(tbl, "k0")
-					if len(gotKVs) != len(wantKVs) {
-						t.Errorf("scan divergence at v%d %s: cache=%d keys db=%d keys",
-							ver, tbl, len(gotKVs), len(wantKVs))
-					}
-					snap.Close()
-					view.Close()
 				}
+				view, err := c.NewView("ms1")
+				if err != nil {
+					t.Errorf("reader: %v", err)
+					return
+				}
+				tbl, k := key(r)
+				got, ok := view.Get(tbl, k)
+				ver := view.Version()
+				snap, err := db.SnapshotAt("ms1", ver)
+				if err != nil {
+					view.Close()
+					t.Errorf("snapshot at %d: %v", ver, err)
+					return
+				}
+				want, wantOK := snap.Get(tbl, k)
+				if ok != wantOK || string(got) != string(want) {
+					t.Errorf("divergence at v%d %s/%s: cache=(%q,%v) db=(%q,%v)",
+						ver, tbl, k, got, ok, want, wantOK)
+				}
+				// Prefix scans must agree too (scan cache invalidation).
+				if gotKVs, wantKVs := view.Scan(tbl, "k0"), snap.Scan(tbl, "k0"); !sameKVs(gotKVs, wantKVs) {
+					t.Errorf("scan divergence at v%d %s: cache=%v db=%v", ver, tbl, gotKVs, wantKVs)
+				}
+				snap.Close()
+				view.Close()
 			}
 		}(g)
 	}
@@ -315,36 +325,29 @@ func TestSelectiveVsFullDifferential(t *testing.T) {
 	close(stop)
 	rwg.Wait()
 
-	// Quiescent sweep: both caches reconcile to head and must agree with
-	// the database on every key of every table.
-	for _, c := range []*Cache{sel, ful} {
-		if err := c.Refresh("ms1"); err != nil {
-			t.Fatal(err)
-		}
+	// Quiescent sweep: the cache reconciles to head and must agree with the
+	// database on every key of every table.
+	if err := c.Refresh("ms1"); err != nil {
+		t.Fatal(err)
 	}
 	snap, err := db.Snapshot("ms1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer snap.Close()
-	selView, _ := sel.NewView("ms1")
-	fulView, _ := ful.NewView("ms1")
-	defer selView.Close()
-	defer fulView.Close()
+	view, _ := c.NewView("ms1")
+	defer view.Close()
 	for _, tbl := range tables {
 		for i := 0; i < 48; i++ {
 			k := fmt.Sprintf("k%02d", i)
 			want, wantOK := snap.Get(tbl, k)
-			for name, view := range map[string]*View{"selective": selView, "full": fulView} {
-				got, ok := view.Get(tbl, k)
-				if ok != wantOK || string(got) != string(want) {
-					t.Errorf("%s cache final %s/%s = (%q,%v), db (%q,%v)",
-						name, tbl, k, got, ok, want, wantOK)
-				}
+			got, ok := view.Get(tbl, k)
+			if ok != wantOK || string(got) != string(want) {
+				t.Errorf("final %s/%s = (%q,%v), db (%q,%v)", tbl, k, got, ok, want, wantOK)
 			}
 		}
 	}
-	if sel.Metrics().SelectiveReconciles == 0 {
-		t.Error("selective cache never took the selective path")
+	if c.Metrics().SelectiveReconciles == 0 {
+		t.Error("the cache never reconciled selectively")
 	}
 }

@@ -230,7 +230,7 @@ func TestConcurrentStress(t *testing.T) {
 	}
 	defer db.Close()
 	db.CreateMetastore("m")
-	c := New(db, Options{MaxEntriesPerMetastore: 64, Strategy: ReconcileSelective})
+	c := New(db, Options{MaxEntriesPerMetastore: 64})
 	c.Own("m")
 	c.Update("m", func(tx *store.Tx) error {
 		for i := 0; i < 128; i++ {

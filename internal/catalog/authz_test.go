@@ -55,15 +55,21 @@ func TestAuthzSnapshotInvalidation(t *testing.T) {
 	}
 }
 
-// TestNaiveAuthzAblation exercises the service with the compiled path
-// disabled, so the reference engine also runs the full catalog test shapes.
-func TestNaiveAuthzAblation(t *testing.T) {
+// TestAuthorizerMatchesReferenceEngine holds the service's one authorization
+// path to its oracle: for a namespace with group grants, ownership, USE
+// gates (one principal holds SELECT without them), a grant and a revoke,
+// every decision the compiled authorizer makes over a request view equals
+// the reference privilege.Engine's over the same view — Check, CheckNoGate,
+// CheckMany, IsOwner, EffectivePrivileges and EffectiveSet, for every
+// (principal, privilege, securable), before and after the revoke.
+func TestAuthorizerMatchesReferenceEngine(t *testing.T) {
 	db, err := store.Open(store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	svc, err := New(Config{DB: db, NaiveAuthz: true})
+	dir := NewDirectory(0)
+	svc, err := New(Config{DB: db, Groups: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,25 +78,123 @@ func TestNaiveAuthzAblation(t *testing.T) {
 	}
 	admin := Ctx{Principal: "admin", Metastore: "ms1", TrustedEngine: true}
 	seedNamespace(t, svc, admin)
-	reader := Ctx{Principal: "reader", Metastore: "ms1"}
+	if _, err := svc.CreateTable(admin, "sales.raw", "refunds", TableSpec{Columns: cols("id")}, ""); err != nil {
+		t.Fatal(err)
+	}
+	steward := privilege.Principal("steward")
+	if _, err := svc.UpdateAsset(admin, "sales.raw.refunds", UpdateRequest{Owner: &steward}); err != nil {
+		t.Fatal(err)
+	}
+	dir.AddMember("analysts", "dana")
+	for _, g := range []struct {
+		full string
+		who  privilege.Principal
+		priv privilege.Privilege
+	}{
+		{"sales", "reader", privilege.UseCatalog},
+		{"sales.raw", "reader", privilege.UseSchema},
+		{"sales.raw", "reader", privilege.Select},
+		{"sales.raw.orders", "reader", privilege.Modify}, // revoked below
+		{"sales", "analysts", privilege.UseCatalog},
+		{"sales.raw", "analysts", privilege.UseSchema},
+		{"sales.raw.orders", "analysts", privilege.Select},
+		{"sales.raw.orders", "gateless", privilege.Select}, // no USE grants
+		{"sales", "builder", privilege.AllPrivileges},
+	} {
+		if err := svc.Grant(admin, g.full, g.who, g.priv); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	if _, err := svc.GetAsset(reader, "sales.raw.orders"); err == nil {
-		t.Fatal("ungranted reader allowed")
-	}
-	if err := svc.Grant(admin, "sales", "reader", privilege.UseCatalog); err != nil {
+	ms, err := svc.meta("ms1")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Grant(admin, "sales.raw", "reader", privilege.UseSchema); err != nil {
+	secs := []ids.ID{ms.info.EntityID, ids.ID("no-such-securable")}
+	for _, full := range []string{"sales", "sales.raw", "sales.raw.orders", "sales.raw.refunds"} {
+		e, err := svc.GetAsset(admin, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		secs = append(secs, e.ID)
+	}
+	principals := []privilege.Principal{"admin", "steward", "reader", "dana", "gateless", "builder", "stranger"}
+	privs := []privilege.Privilege{
+		privilege.Select, privilege.Modify, privilege.UseCatalog, privilege.UseSchema,
+		privilege.CreateTable, privilege.CreateSchema, privilege.Manage, privilege.AllPrivileges,
+	}
+
+	compare := func(stage string) {
+		t.Helper()
+		view, err := svc.view(admin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer view.Close()
+		oracle := privilege.NewEngine(viewResolver{view}, viewGrants{view}, dir)
+		for _, p := range principals {
+			got, want := svc.authorizer(Ctx{Principal: p, Metastore: "ms1"}, view), oracle.For(p)
+			for _, sec := range secs {
+				for _, priv := range privs {
+					if g, w := got.Check(priv, sec), want.Check(priv, sec); g != w {
+						t.Fatalf("%s: Check(%s, %s, %s): service %+v, reference %+v", stage, p, priv, sec.Short(), g, w)
+					}
+					if g, w := got.CheckNoGate(priv, sec), want.CheckNoGate(priv, sec); g != w {
+						t.Fatalf("%s: CheckNoGate(%s, %s, %s): service %+v, reference %+v", stage, p, priv, sec.Short(), g, w)
+					}
+				}
+				if g, w := got.IsOwner(sec), want.IsOwner(sec); g != w {
+					t.Fatalf("%s: IsOwner(%s, %s): service %v, reference %v", stage, p, sec.Short(), g, w)
+				}
+				if g, w := fmt.Sprint(got.EffectivePrivileges(sec)), fmt.Sprint(want.EffectivePrivileges(sec)); g != w {
+					t.Fatalf("%s: EffectivePrivileges(%s, %s): service %s, reference %s", stage, p, sec.Short(), g, w)
+				}
+				gs, gok := got.EffectiveSet(sec)
+				if ws, wok := want.EffectiveSet(sec); gs != ws || gok != wok {
+					t.Fatalf("%s: EffectiveSet(%s, %s): service %b/%v, reference %b/%v", stage, p, sec.Short(), gs, gok, ws, wok)
+				}
+			}
+			for _, priv := range privs {
+				g, w := got.CheckMany(priv, secs), want.CheckMany(priv, secs)
+				for i := range w {
+					if g[i] != w[i] {
+						t.Fatalf("%s: CheckMany(%s, %s)[%d]: service %+v, reference %+v", stage, p, priv, i, g[i], w[i])
+					}
+				}
+			}
+		}
+	}
+	compare("granted")
+	if err := svc.Revoke(admin, "sales.raw.orders", "reader", privilege.Modify); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Grant(admin, "sales.raw", "reader", privilege.Select); err != nil {
+	compare("revoked")
+
+	// The scenario is not vacuous: the gates, the group and the revoke each
+	// decide something.
+	view, err := svc.view(admin)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.GetAsset(reader, "sales.raw.orders"); err != nil {
-		t.Fatalf("granted reader denied: %v", err)
+	defer view.Close()
+	orders := secs[4]
+	for _, c := range []struct {
+		who   privilege.Principal
+		priv  privilege.Privilege
+		allow bool
+	}{
+		{"reader", privilege.Select, true},
+		{"reader", privilege.Modify, false}, // revoked
+		{"dana", privilege.Select, true},    // through the group
+		{"gateless", privilege.Select, false},
+		{"stranger", privilege.Select, false},
+	} {
+		if d := svc.authorizer(Ctx{Principal: c.who, Metastore: "ms1"}, view).Check(c.priv, orders); d.Allowed != c.allow {
+			t.Fatalf("%s %s on orders: allowed=%v, want %v (%s)", c.who, c.priv, d.Allowed, c.allow, d.Reason)
+		}
 	}
-	if m := svc.AuthzMetrics(); m.Hits+m.Misses != 0 {
-		t.Fatalf("ablation still touched the snapshot cache: %+v", m)
+	if !svc.authorizer(Ctx{Principal: "gateless", Metastore: "ms1"}, view).CheckNoGate(privilege.Select, orders).Allowed {
+		t.Fatal("gateless holds SELECT on orders when gates are not applied")
 	}
 }
 

@@ -88,7 +88,7 @@ func (s *Service) assetForPath(r erm.Reader, ms *metaState, path string) (*erm.E
 }
 
 // vend authorizes and mints (or reuses) a credential for the entity.
-func (s *Service) vend(ctx Ctx, r erm.Reader, e *erm.Entity, level cloudsim.AccessLevel) (TempCredential, error) {
+func (s *Service) vend(ctx Ctx, r versionedReader, e *erm.Entity, level cloudsim.AccessLevel) (TempCredential, error) {
 	var tc TempCredential
 	man, ok := s.reg.Manifest(e.Type)
 	if !ok || e.StoragePath == "" || man.DataReadPrivilege == "" {

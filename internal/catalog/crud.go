@@ -238,14 +238,14 @@ func (s *Service) GetAsset(ctx Ctx, full string) (e *erm.Entity, err error) {
 
 // authorizeRead checks the manifest read privilege for e, treating container
 // types without gating (their own privilege is the gate).
-func (s *Service) authorizeRead(ctx Ctx, r erm.Reader, e *erm.Entity) error {
+func (s *Service) authorizeRead(ctx Ctx, r versionedReader, e *erm.Entity) error {
 	return s.authorizeReadWith(ctx, s.authorizer(ctx, r), r, e)
 }
 
 // authorizeReadWith is authorizeRead against an already-built authorizer, so
 // batched callers (Resolve's dependency closure) reuse one compiled snapshot
 // across the whole request.
-func (s *Service) authorizeReadWith(ctx Ctx, auth privilege.Authorizer, r erm.Reader, e *erm.Entity) error {
+func (s *Service) authorizeReadWith(ctx Ctx, auth privilege.Authorizer, r versionedReader, e *erm.Entity) error {
 	man, ok := s.reg.Manifest(e.Type)
 	if !ok || man.ReadPrivilege == "" {
 		return nil

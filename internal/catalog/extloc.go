@@ -58,7 +58,7 @@ func coveringExternalLocation(r erm.Reader, path string) (*erm.Entity, bool) {
 // authorizeExternalPath enforces who may register an external asset at
 // path: a covering external location's CREATE TABLE (or ownership), or —
 // for ungoverned prefixes — metastore ownership.
-func (s *Service) authorizeExternalPath(ctx Ctx, r erm.Reader, msEntity ids.ID, path string) error {
+func (s *Service) authorizeExternalPath(ctx Ctx, r versionedReader, msEntity ids.ID, path string) error {
 	auth := s.authorizer(ctx, r)
 	if loc, ok := coveringExternalLocation(r, path); ok {
 		if auth.IsOwner(loc.ID) {
@@ -97,7 +97,7 @@ func checkExtLocFree(tx *store.Tx, path string) error {
 // extLocPathCredential vends a credential for an assetless path under an
 // external location the principal holds file privileges on — the fallback
 // behind TempCredentialForPath.
-func (s *Service) extLocPathCredential(ctx Ctx, r erm.Reader, path string, level cloudsim.AccessLevel) (TempCredential, error) {
+func (s *Service) extLocPathCredential(ctx Ctx, r versionedReader, path string, level cloudsim.AccessLevel) (TempCredential, error) {
 	var tc TempCredential
 	loc, ok := coveringExternalLocation(r, path)
 	if !ok {

@@ -83,7 +83,7 @@ func (s *Service) Resolve(ctx Ctx, req ResolveRequest) (resp *ResolveResponse, e
 // maxViewDepth bounds nested-view recursion.
 const maxViewDepth = 32
 
-func (s *Service) resolveOne(ctx Ctx, auth privilege.Authorizer, v erm.Reader, ms *metaState, req ResolveRequest, resp *ResolveResponse, full string, viaView bool, depth int) error {
+func (s *Service) resolveOne(ctx Ctx, auth privilege.Authorizer, v versionedReader, ms *metaState, req ResolveRequest, resp *ResolveResponse, full string, viaView bool, depth int) error {
 	if depth > maxViewDepth {
 		return fmt.Errorf("%w: view nesting deeper than %d", ErrInvalidArgument, maxViewDepth)
 	}

@@ -42,9 +42,6 @@ type Config struct {
 	STSRetry retry.Policy
 	// DisableTokenCache turns off credential reuse (ablation).
 	DisableTokenCache bool
-	// NaiveAuthz disables the compiled authorization fast path, routing
-	// every decision through the reference privilege engine (ablation).
-	NaiveAuthz bool
 	// AuthzCacheSize caps cached per-principal authorization snapshots
 	// across all metastores (default 4096).
 	AuthzCacheSize int
@@ -72,7 +69,7 @@ type Service struct {
 	bus    *events.Bus
 	reg    *erm.Registry
 	groups privilege.GroupResolver
-	authz  *privilege.SnapshotCache // nil under the NaiveAuthz ablation
+	authz  *privilege.SnapshotCache
 
 	credTTL     time.Duration
 	stsRetry    retry.Policy
@@ -141,18 +138,16 @@ func New(cfg Config) (*Service, error) {
 		stsRetry:    cfg.STSRetry,
 		gcRetention: cfg.SoftDeleteRetention,
 		metas:       map[string]*metaState{},
+		authz: privilege.NewSnapshotCache(privilege.SnapshotCacheOptions{
+			MaxEntries: cfg.AuthzCacheSize,
+			MaxAge:     cfg.AuthzSnapshotTTL,
+		}),
 	}
 	if cfg.Usage != nil {
 		s.usage.Store(cfg.Usage)
 	}
 	if !cfg.DisableTokenCache {
 		s.tokenCache = newTokenCache(cfg.Clock)
-	}
-	if !cfg.NaiveAuthz {
-		s.authz = privilege.NewSnapshotCache(privilege.SnapshotCacheOptions{
-			MaxEntries: cfg.AuthzCacheSize,
-			MaxAge:     cfg.AuthzSnapshotTTL,
-		})
 	}
 	// Publish change events from the store's commit hook: events go out
 	// strictly after the commit is durable and visible, in per-metastore
@@ -207,9 +202,7 @@ func (s *Service) mint(sc obs.SpanContext, scope string, level cloudsim.AccessLe
 func (s *Service) RegisterMetrics(r *obs.Registry) {
 	s.db.RegisterMetrics(r)
 	s.cache.RegisterMetrics(r)
-	if s.authz != nil {
-		s.authz.RegisterMetrics(r)
-	}
+	s.authz.RegisterMetrics(r)
 	s.audit.RegisterMetrics(r)
 	s.cloud.RegisterMetrics(r)
 	// Per-table ordered-index sizes, summed across metastores. One gauge per
@@ -380,39 +373,27 @@ func (v viewGrants) GrantsOn(id ids.ID) []privilege.Grant {
 	return out
 }
 
-// engine builds a reference privilege engine over a read view.
-func (s *Service) engine(r erm.Reader) *privilege.Engine {
-	return privilege.NewEngine(viewResolver{r}, viewGrants{r}, s.groups)
+// versionedReader is what authorization decisions are made against: a read
+// view pinned at one metastore version (a cache view, or a store snapshot
+// behind snapReader). The snapshot cache keys compiled authorization state
+// by that version.
+type versionedReader interface {
+	erm.Reader
+	Version() uint64
 }
-
-// versionedReader is implemented by cache views; the snapshot cache keys
-// compiled authorization state by this version.
-type versionedReader interface{ Version() uint64 }
 
 // authorizer returns the per-principal decision engine for a request: a
-// compiled snapshot from the cross-request cache bound to the request's
-// view when possible, else the reference engine (NaiveAuthz ablation, or
-// readers that carry no version to key the cache by). Grant and hierarchy
-// writes bump the metastore version, so stale snapshots miss and rebuild —
-// version-keyed invalidation with no invalidation traffic.
-func (s *Service) authorizer(ctx Ctx, r erm.Reader) privilege.Authorizer {
-	if s.authz != nil {
-		if vr, ok := r.(versionedReader); ok {
-			snap := s.authz.SnapshotT(ctx.Trace, ctx.Metastore, ctx.Principal, vr.Version(), s.groups)
-			return snap.Bind(viewResolver{r}, viewGrants{r})
-		}
-	}
-	return s.engine(r).For(ctx.Principal)
+// compiled snapshot from the cross-request cache, bound to the request's
+// view. Grant and hierarchy writes bump the metastore version, so stale
+// snapshots miss and rebuild — version-keyed invalidation with no
+// invalidation traffic.
+func (s *Service) authorizer(ctx Ctx, r versionedReader) privilege.Authorizer {
+	snap := s.authz.SnapshotT(ctx.Trace, ctx.Metastore, ctx.Principal, r.Version(), s.groups)
+	return snap.Bind(viewResolver{r}, viewGrants{r})
 }
 
-// AuthzMetrics returns the authorization snapshot-cache counters (zeros
-// under the NaiveAuthz ablation).
-func (s *Service) AuthzMetrics() privilege.SnapshotCacheMetrics {
-	if s.authz == nil {
-		return privilege.SnapshotCacheMetrics{}
-	}
-	return s.authz.Metrics()
-}
+// AuthzMetrics returns the authorization snapshot-cache counters.
+func (s *Service) AuthzMetrics() privilege.SnapshotCacheMetrics { return s.authz.Metrics() }
 
 // view opens a cached read view for the request's metastore, scoped to its
 // trace: the view's cache misses and reconciliations appear as spans.
@@ -455,7 +436,7 @@ func (s *Service) checkWorkspaceBinding(ctx Ctx, r erm.Reader, id ids.ID) error 
 
 // check authorizes priv on id (with container gating) including dynamic
 // ABAC grants, and records the decision in the audit log.
-func (s *Service) check(ctx Ctx, r erm.Reader, priv privilege.Privilege, id ids.ID, op string) error {
+func (s *Service) check(ctx Ctx, r versionedReader, priv privilege.Privilege, id ids.ID, op string) error {
 	if err := s.checkWorkspaceBinding(ctx, r, id); err != nil {
 		s.audit.Append(audit.Record{
 			Kind: audit.KindAuthz, Metastore: ctx.Metastore, Principal: string(ctx.Principal),
@@ -483,7 +464,7 @@ func (s *Service) check(ctx Ctx, r erm.Reader, priv privilege.Privilege, id ids.
 }
 
 // checkOwner requires administrative rights over id.
-func (s *Service) checkOwner(ctx Ctx, r erm.Reader, id ids.ID, op string) error {
+func (s *Service) checkOwner(ctx Ctx, r versionedReader, id ids.ID, op string) error {
 	ok := s.authorizer(ctx, r).IsOwner(id)
 	s.audit.Append(audit.Record{
 		Kind: audit.KindAuthz, Metastore: ctx.Metastore, Principal: string(ctx.Principal),

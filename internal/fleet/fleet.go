@@ -36,9 +36,7 @@ type Options struct {
 	// VNodesPerNode is the virtual-point count per node on the hash ring
 	// (default 64).
 	VNodesPerNode int
-	// CacheOpts configures each node's metadata cache. The reconcile
-	// strategy is forced to selective: event-driven coherence is the point
-	// of the fleet, and a drop falls back to ReconcileFull explicitly.
+	// CacheOpts configures each node's metadata cache.
 	CacheOpts cache.Options
 	// Capacity bounds concurrent requests per node (0 = unlimited). With
 	// ServiceTime it models a node's request-handling capacity, so the
@@ -206,7 +204,6 @@ func New(db *store.DB, opts Options) (*Fleet, error) {
 	if opts.Clock == nil {
 		opts.Clock = clock.Real{}
 	}
-	opts.CacheOpts.Strategy = cache.ReconcileSelective
 	f := &Fleet{
 		opts:      opts,
 		db:        db,

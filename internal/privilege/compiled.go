@@ -297,8 +297,8 @@ func (c *Compiled) EffectiveSet(id ids.ID) (PrivSet, bool) {
 // --- reference-engine bridge ---
 
 // For adapts the reference engine to the Authorizer interface for one
-// principal. It is the oracle the compiled path is verified against and the
-// implementation behind the catalog's naive-authorization ablation.
+// principal. It is the oracle the compiled path is verified against, here
+// (property_test.go) and at the service level (catalog's authz_test.go).
 func (e *Engine) For(p Principal) Authorizer { return naiveAuthorizer{e: e, p: p} }
 
 type naiveAuthorizer struct {

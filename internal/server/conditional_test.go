@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,9 @@ import (
 
 	"unitycatalog/internal/catalog"
 	"unitycatalog/internal/client"
+	"unitycatalog/internal/erm"
+	"unitycatalog/internal/ids"
+	"unitycatalog/internal/privilege"
 	"unitycatalog/internal/server"
 	"unitycatalog/internal/store"
 )
@@ -145,9 +149,11 @@ func TestClientConditionalAgainstServer(t *testing.T) {
 	}
 }
 
-// TestPooledMatchesNaiveBodies replays the same requests against two servers
-// over one service — reflection encoding vs pooled encoders — and requires
-// byte-identical bodies, including the empty/null edge cases.
+// TestPooledMatchesNaiveBodies holds the pooled encoders to their oracle on
+// the wire: for each hot route the expected body is built here, with
+// encoding/json, from what the catalog service returns for the same request,
+// and the server's body must match it byte for byte, including the
+// empty/null edge cases.
 func TestPooledMatchesNaiveBodies(t *testing.T) {
 	db, err := store.Open(store.Options{})
 	if err != nil {
@@ -179,54 +185,94 @@ func TestPooledMatchesNaiveBodies(t *testing.T) {
 		assetID = string(e.ID)
 	}
 
-	naive := server.NewWithConfig(svc, server.Config{NaiveEncoding: true, ETagMaxAge: -1})
-	t.Cleanup(func() { naive.Lineage.Close(); naive.Search.Close() })
 	pooled := server.NewWithConfig(svc, server.Config{ETagMaxAge: -1})
 	t.Cleanup(func() { pooled.Lineage.Close(); pooled.Search.Close() })
+
+	// The reference shapes: what the reflection encoder made of each result.
+	assets := func(out []*erm.Entity, err error) (any, error) {
+		return map[string]any{"assets": out}, err
+	}
+	paged := func(page *catalog.Page, err error) (any, error) {
+		if err != nil {
+			return nil, err
+		}
+		resp := map[string]any{"assets": page.Assets}
+		if page.NextPageToken != "" {
+			resp["nextPageToken"] = page.NextPageToken
+		}
+		return resp, nil
+	}
+	allowed := func(out []bool, err error) (any, error) {
+		return map[string]any{"allowed": out}, err
+	}
 
 	const p = "/api/2.1/unity-catalog"
 	cases := []struct {
 		name, method, path, body string
+		// want is nil for healthz, whose body carries wall-clock fields.
+		want func() (any, error)
 	}{
-		{"get_asset", "GET", p + "/assets/sales.raw.t0", ""},
-		{"list_unpaged", "GET", p + "/assets?parent=sales.raw&type=TABLE", ""},
-		{"list_paged", "GET", p + "/assets?parent=sales.raw&type=TABLE&maxResults=3", ""},
-		{"list_last_page", "GET", p + "/assets?parent=sales.raw&type=TABLE&maxResults=50", ""},
-		{"list_empty", "GET", p + "/assets?parent=sales.raw&type=VOLUME&maxResults=5", ""},
-		{"resolve", "POST", p + "/resolve", `{"Names":["sales.raw.t0","sales.raw.t1"]}`},
-		{"query_unpaged", "POST", p + "/query-assets", `{"type":"TABLE","catalog_name":"sales"}`},
-		{"query_paged", "POST", p + "/query-assets", `{"type":"TABLE","catalog_name":"sales","max_results":2}`},
-		{"query_empty", "POST", p + "/query-assets", `{"type":"VOLUME","max_results":5}`},
-		{"authorize_batch", "POST", p + "/authorize-batch", `{"asset_ids":["` + assetID + `","nope"],"privilege":"SELECT"}`},
-		{"authorize_empty", "POST", p + "/authorize-batch", `{"privilege":"SELECT"}`},
-		{"healthz_status", "GET", "/healthz", ""},
+		{"get_asset", "GET", p + "/assets/sales.raw.t0", "",
+			func() (any, error) { return svc.GetAsset(admin, "sales.raw.t0") }},
+		{"list_unpaged", "GET", p + "/assets?parent=sales.raw&type=TABLE", "",
+			func() (any, error) { return assets(svc.ListAssets(admin, "sales.raw", erm.TypeTable)) }},
+		{"list_paged", "GET", p + "/assets?parent=sales.raw&type=TABLE&maxResults=3", "",
+			func() (any, error) { return paged(svc.ListAssetsPage(admin, "sales.raw", erm.TypeTable, 3, "")) }},
+		{"list_last_page", "GET", p + "/assets?parent=sales.raw&type=TABLE&maxResults=50", "",
+			func() (any, error) { return paged(svc.ListAssetsPage(admin, "sales.raw", erm.TypeTable, 50, "")) }},
+		{"list_empty", "GET", p + "/assets?parent=sales.raw&type=VOLUME&maxResults=5", "",
+			func() (any, error) { return paged(svc.ListAssetsPage(admin, "sales.raw", erm.TypeVolume, 5, "")) }},
+		{"resolve", "POST", p + "/resolve", `{"Names":["sales.raw.t0","sales.raw.t1"]}`,
+			func() (any, error) {
+				return svc.Resolve(admin, catalog.ResolveRequest{Names: []string{"sales.raw.t0", "sales.raw.t1"}})
+			}},
+		{"query_unpaged", "POST", p + "/query-assets", `{"type":"TABLE","catalog_name":"sales"}`,
+			func() (any, error) {
+				return assets(svc.QueryAssets(admin, catalog.Filter{Type: erm.TypeTable, CatalogName: "sales"}))
+			}},
+		{"query_paged", "POST", p + "/query-assets", `{"type":"TABLE","catalog_name":"sales","max_results":2}`,
+			func() (any, error) {
+				return paged(svc.QueryAssetsPage(admin, catalog.Filter{Type: erm.TypeTable, CatalogName: "sales", MaxResults: 2}))
+			}},
+		{"query_empty", "POST", p + "/query-assets", `{"type":"VOLUME","max_results":5}`,
+			func() (any, error) {
+				return paged(svc.QueryAssetsPage(admin, catalog.Filter{Type: erm.TypeVolume, MaxResults: 5}))
+			}},
+		{"authorize_batch", "POST", p + "/authorize-batch", `{"asset_ids":["` + assetID + `","nope"],"privilege":"SELECT"}`,
+			func() (any, error) {
+				return allowed(svc.AuthorizeBatch(admin, []ids.ID{ids.ID(assetID), "nope"}, privilege.Select))
+			}},
+		{"authorize_empty", "POST", p + "/authorize-batch", `{"privilege":"SELECT"}`,
+			func() (any, error) { return allowed(svc.AuthorizeBatch(admin, []ids.ID{}, privilege.Select)) }},
+		{"healthz_status", "GET", "/healthz", "", nil},
 	}
 	for _, tc := range cases {
-		var bodies [2][]byte
-		var codes [2]int
-		for i, h := range []http.Handler{naive, pooled} {
-			var rdr io.Reader
-			if tc.body != "" {
-				rdr = strings.NewReader(tc.body)
-			}
-			req := httptest.NewRequest(tc.method, tc.path, rdr)
-			req.Header.Set("Authorization", "Bearer admin")
-			req.Header.Set("X-UC-Metastore", "ms1")
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			bodies[i] = rec.Body.Bytes()
-			codes[i] = rec.Code
+		var rdr io.Reader
+		if tc.body != "" {
+			rdr = strings.NewReader(tc.body)
 		}
-		if codes[0] != http.StatusOK || codes[1] != http.StatusOK {
-			t.Fatalf("%s: codes %v, body %s", tc.name, codes, bodies[1])
+		req := httptest.NewRequest(tc.method, tc.path, rdr)
+		req.Header.Set("Authorization", "Bearer admin")
+		req.Header.Set("X-UC-Metastore", "ms1")
+		rec := httptest.NewRecorder()
+		pooled.ServeHTTP(rec, req)
+		got := rec.Body.Bytes()
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: code %d, body %s", tc.name, rec.Code, got)
 		}
-		if tc.name == "healthz_status" {
-			// healthz carries wall-clock fields; require only matching key
-			// order up to the first time-dependent section.
+		if tc.want == nil {
 			continue
 		}
-		if !bytes.Equal(bodies[0], bodies[1]) {
-			t.Errorf("%s: naive and pooled bodies differ\nnaive:  %s\npooled: %s", tc.name, bodies[0], bodies[1])
+		v, err := tc.want()
+		if err != nil {
+			t.Fatalf("%s: service: %v", tc.name, err)
+		}
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want, got) {
+			t.Errorf("%s: naive and pooled bodies differ\nnaive:  %s\npooled: %s", tc.name, want, got)
 		}
 	}
 }

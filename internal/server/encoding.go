@@ -4,8 +4,9 @@ package server
 // authorize-batch, temp-credentials, get-asset, list/query pages, healthz)
 // encode through internal/jsonenc's pooled append-style encoders — zero
 // allocations in steady state, byte-identical to encoding/json — while the
-// long tail keeps the generic reflection path. Config.NaiveEncoding forces
-// the generic path everywhere, as the ablation baseline for bench-http.
+// long tail keeps the generic reflection path. encoding/json is also the
+// byte-identity oracle the pooled encoders are tested against
+// (encoding_internal_test.go, conditional_test.go).
 //
 // All paths marshal the full body before touching the response header, so an
 // encoding failure becomes a clean 500 (counted by uc_http_encode_errors and

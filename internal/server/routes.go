@@ -1,11 +1,8 @@
 package server
 
-// The route table. Every endpoint declares its pattern, handler, and
-// response-path properties in one place instead of ad-hoc HandleFunc calls:
-// hot marks routes that encode through the pooled jsonenc fast path (and
-// whose allocs/request the telemetry layer samples), conditional marks
-// routes that participate in version-keyed conditional GET (etag.go).
-// buildMux is a mechanical walk over the table.
+// The route table. Every endpoint declares its pattern and handler in one
+// place instead of ad-hoc HandleFunc calls; buildMux is a mechanical walk
+// over the table.
 
 import (
 	"net/http"
@@ -15,20 +12,18 @@ import (
 
 // route is one entry of the server's route table.
 type route struct {
-	pattern     string
-	h           http.HandlerFunc
-	hot         bool // pooled zero-alloc encoder on the response path
-	conditional bool // version-keyed ETag / If-None-Match handling
+	pattern string
+	h       http.HandlerFunc
 }
 
 func (s *Server) routes() []route {
 	return []route{
 		// --- generic asset CRUD ---
 		{pattern: "POST " + apiPrefix + "/assets", h: s.handleCreateAsset},
-		{pattern: "GET " + apiPrefix + "/assets/{full}", h: s.handleGetAsset, hot: true, conditional: true},
+		{pattern: "GET " + apiPrefix + "/assets/{full}", h: s.handleGetAsset},
 		{pattern: "PATCH " + apiPrefix + "/assets/{full}", h: s.handleUpdateAsset},
 		{pattern: "DELETE " + apiPrefix + "/assets/{full}", h: s.handleDeleteAsset},
-		{pattern: "GET " + apiPrefix + "/assets", h: s.handleListAssets, hot: true, conditional: true},
+		{pattern: "GET " + apiPrefix + "/assets", h: s.handleListAssets},
 
 		// --- typed conveniences matching the public UC API shape ---
 		{pattern: "POST " + apiPrefix + "/catalogs", h: s.handleCreateCatalog},
@@ -48,12 +43,12 @@ func (s *Server) routes() []route {
 		{pattern: "DELETE " + apiPrefix + "/abac-rules/{id}", h: s.handleDeleteABAC},
 
 		// --- query path ---
-		{pattern: "POST " + apiPrefix + "/resolve", h: s.handleResolve, hot: true, conditional: true},
-		{pattern: "POST " + apiPrefix + "/authorize-batch", h: s.handleAuthorizeBatch, hot: true, conditional: true},
-		{pattern: "POST " + apiPrefix + "/temporary-credentials", h: s.handleTempCredentials, hot: true},
+		{pattern: "POST " + apiPrefix + "/resolve", h: s.handleResolve},
+		{pattern: "POST " + apiPrefix + "/authorize-batch", h: s.handleAuthorizeBatch},
+		{pattern: "POST " + apiPrefix + "/temporary-credentials", h: s.handleTempCredentials},
 
 		// --- metadata query / discovery ---
-		{pattern: "POST " + apiPrefix + "/query-assets", h: s.handleQueryAssets, hot: true, conditional: true},
+		{pattern: "POST " + apiPrefix + "/query-assets", h: s.handleQueryAssets},
 		{pattern: "GET " + apiPrefix + "/search", h: s.handleSearch},
 		{pattern: "POST " + apiPrefix + "/lineage", h: s.handleSubmitLineage},
 		{pattern: "GET " + apiPrefix + "/lineage/{id}", h: s.handleQueryLineage},
@@ -91,7 +86,7 @@ func (s *Server) routes() []route {
 
 		// --- operational ---
 		{pattern: "GET " + apiPrefix + "/stats", h: s.handleStats},
-		{pattern: "GET /healthz", h: s.handleHealthz, hot: true},
+		{pattern: "GET /healthz", h: s.handleHealthz},
 	}
 }
 

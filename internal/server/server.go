@@ -169,10 +169,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if cacheDegraded || walErr != nil {
 		resp.Status = "degraded"
 	}
-	if s.cfg.NaiveEncoding {
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
 	buf := jsonenc.Get()
 	buf.B = appendHealthz(buf.B, &resp)
 	sendPooled(w, http.StatusOK, buf)
@@ -275,10 +271,6 @@ func (s *Server) handleGetAsset(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	if s.cfg.NaiveEncoding {
-		writeJSON(w, http.StatusOK, e)
-		return
-	}
 	buf := jsonenc.Get()
 	buf.B = jsonenc.AppendEntity(buf.B, e)
 	sendPooled(w, http.StatusOK, buf)
@@ -339,28 +331,11 @@ func (s *Server) handleListAssets(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, err)
 			return
 		}
-		if s.cfg.NaiveEncoding {
-			writeJSON(w, http.StatusOK, map[string]any{"assets": out})
-			return
-		}
 		buf := jsonenc.Get()
 		buf.B = append(buf.B, `{"assets":`...)
 		buf.B = appendEntities(buf.B, out)
 		buf.B = append(buf.B, '}')
 		sendPooled(w, http.StatusOK, buf)
-		return
-	}
-	if s.cfg.NaiveEncoding {
-		page, err := s.Service.ListAssetsPage(s.ctx(r), parent, typ, maxResults, pageToken)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		resp := map[string]any{"assets": page.Assets}
-		if page.NextPageToken != "" {
-			resp["nextPageToken"] = page.NextPageToken
-		}
-		writeJSON(w, http.StatusOK, resp)
 		return
 	}
 	// Streaming path: entities are encoded into the response buffer as the
@@ -586,10 +561,6 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	if s.cfg.NaiveEncoding {
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
 	buf := jsonenc.Get()
 	buf.B = jsonenc.AppendResolveResponse(buf.B, resp)
 	sendPooled(w, http.StatusOK, buf)
@@ -620,10 +591,6 @@ func (s *Server) handleAuthorizeBatch(w http.ResponseWriter, r *http.Request) {
 	allowed, err := s.Service.AuthorizeBatch(s.ctx(r), assetIDs, privilege.Privilege(strings.ToUpper(req.Privilege)))
 	if err != nil {
 		writeErr(w, err)
-		return
-	}
-	if s.cfg.NaiveEncoding {
-		writeJSON(w, http.StatusOK, map[string]any{"allowed": allowed})
 		return
 	}
 	buf := jsonenc.Get()
@@ -679,10 +646,6 @@ func (s *Server) handleTempCredentials(w http.ResponseWriter, r *http.Request) {
 	}
 	// Vended tokens must never be cached: they expire on their own clock.
 	w.Header().Set("Cache-Control", "no-store")
-	if s.cfg.NaiveEncoding {
-		writeJSON(w, http.StatusOK, tc)
-		return
-	}
 	buf := jsonenc.Get()
 	buf.B = jsonenc.AppendTempCredential(buf.B, &tc)
 	sendPooled(w, http.StatusOK, buf)
@@ -725,19 +688,6 @@ func (s *Server) handleQueryAssets(w http.ResponseWriter, r *http.Request) {
 		MaxResults: req.MaxResults, PageToken: req.PageToken,
 	}
 	if f.MaxResults > 0 || f.PageToken != "" {
-		if s.cfg.NaiveEncoding {
-			page, qerr := s.Service.QueryAssetsPage(s.ctx(r), f)
-			if qerr != nil {
-				writeErr(w, qerr)
-				return
-			}
-			resp := map[string]any{"assets": page.Assets}
-			if page.NextPageToken != "" {
-				resp["nextPageToken"] = page.NextPageToken
-			}
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
 		st := newAssetStream()
 		next, qerr := s.Service.QueryAssetsPageFunc(s.ctx(r), f, st.emit)
 		if qerr != nil {
@@ -752,10 +702,6 @@ func (s *Server) handleQueryAssets(w http.ResponseWriter, r *http.Request) {
 	out, err := s.Service.QueryAssets(s.ctx(r), f)
 	if err != nil {
 		writeErr(w, err)
-		return
-	}
-	if s.cfg.NaiveEncoding {
-		writeJSON(w, http.StatusOK, map[string]any{"assets": out})
 		return
 	}
 	buf := jsonenc.Get()

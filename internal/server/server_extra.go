@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/base64"
 	"fmt"
 	"io"
 	"net/http"
@@ -142,6 +141,3 @@ func (s *Server) handleGC(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, res)
 }
-
-// base64Decode is kept for request formats that carry binary inline.
-func base64Decode(s string) ([]byte, error) { return base64.StdEncoding.DecodeString(s) }

@@ -43,10 +43,6 @@ type Config struct {
 	AccessLogWriter io.Writer
 	// Pprof mounts net/http/pprof under /debug/pprof/.
 	Pprof bool
-	// NaiveEncoding forces the reflection-based encoding/json path on the
-	// hot routes — the ablation baseline the bench-http experiment measures
-	// the pooled encoders against.
-	NaiveEncoding bool
 	// ETagMaxAge bounds the lifetime of a conditional-GET validator
 	// (default 30s; negative disables conditional handling). See etag.go.
 	ETagMaxAge time.Duration

@@ -151,29 +151,48 @@ func applyRandomWorkload(t *testing.T, seed int64, dbs ...*DB) []uint64 {
 	return versions
 }
 
+// naiveScan is the scan oracle: it ignores the ordered index, filtering the
+// table's record map to [start, end), sorting the keys and reading each
+// record at version v — the seed's full-scan implementation, kept here so
+// the index-backed path always has something independent to agree with.
+func naiveScan(ms *metastore, table, start, end string, v uint64, limit int) []KV {
+	ms.stateMu.RLock()
+	defer ms.stateMu.RUnlock()
+	t := ms.tables[table]
+	var keys []string
+	for k := range t {
+		if k >= start && (end == "" || k < end) {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	var out []KV
+	for _, k := range keys {
+		if val, live := t[k].at(v); live {
+			out = append(out, KV{Key: k, Value: val})
+			if limit > 0 && len(out) == limit {
+				break
+			}
+		}
+	}
+	return out
+}
+
 // TestScanDifferential proves the acceptance criterion: index-backed Scan,
 // ScanRange, and Count results are byte-identical to the naive full-scan
-// path (NoOrderedIndex) across randomized workloads and snapshot versions.
+// oracle across randomized workloads and snapshot versions.
 func TestScanDifferential(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			indexed, err := Open(Options{})
+			db, err := Open(Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			naive, err := Open(Options{NoOrderedIndex: true})
-			if err != nil {
+			defer db.Close()
+			if err := db.CreateMetastore("ms"); err != nil {
 				t.Fatal(err)
 			}
-			defer indexed.Close()
-			defer naive.Close()
-			for _, db := range []*DB{indexed, naive} {
-				if err := db.CreateMetastore("ms"); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			versions := applyRandomWorkload(t, seed, indexed, naive)
+			versions := applyRandomWorkload(t, seed, db)
 
 			probe := []struct{ start, end string }{
 				{"", ""},
@@ -184,33 +203,28 @@ func TestScanDifferential(t *testing.T) {
 			}
 			checkAt := func(v uint64) {
 				t.Helper()
-				si, err := indexed.SnapshotAt("ms", v)
+				snap, err := db.SnapshotAt("ms", v)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sn, err := naive.SnapshotAt("ms", v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer si.Close()
-				defer sn.Close()
+				defer snap.Close()
 				for _, table := range []string{"entity", "name", "child", "missing"} {
 					for _, pfx := range []string{"", "p0\x00", "p3\x00k0"} {
-						gi, gn := si.Scan(table, pfx), sn.Scan(table, pfx)
-						if !reflect.DeepEqual(gi, gn) {
-							t.Fatalf("v%d Scan(%s,%q): indexed %d rows, naive %d rows", v, table, pfx, len(gi), len(gn))
+						want := naiveScan(snap.ms, table, pfx, PrefixEnd(pfx), v, 0)
+						if got := snap.Scan(table, pfx); !reflect.DeepEqual(got, want) {
+							t.Fatalf("v%d Scan(%s,%q): indexed %d rows, naive %d rows", v, table, pfx, len(got), len(want))
 						}
-						if ci, cn := si.Count(table, pfx), sn.Count(table, pfx); ci != cn {
-							t.Fatalf("v%d Count(%s,%q): %d vs %d", v, table, pfx, ci, cn)
+						if got := snap.Count(table, pfx); got != len(want) {
+							t.Fatalf("v%d Count(%s,%q): %d vs %d", v, table, pfx, got, len(want))
 						}
 					}
 					for _, p := range probe {
 						for _, limit := range []int{0, 1, 3, 1000} {
-							gi := si.ScanRange(table, p.start, p.end, limit)
-							gn := sn.ScanRange(table, p.start, p.end, limit)
-							if !reflect.DeepEqual(gi, gn) {
+							got := snap.ScanRange(table, p.start, p.end, limit)
+							want := naiveScan(snap.ms, table, p.start, p.end, v, limit)
+							if !reflect.DeepEqual(got, want) {
 								t.Fatalf("v%d ScanRange(%s,%q,%q,%d): indexed %d rows, naive %d rows",
-									v, table, p.start, p.end, limit, len(gi), len(gn))
+									v, table, p.start, p.end, limit, len(got), len(want))
 							}
 						}
 					}
@@ -228,18 +242,16 @@ func TestScanDifferential(t *testing.T) {
 }
 
 // TestTxScanRangeDifferential checks the transaction-level merge (applied
-// state + buffered writes) against the naive path, including limits.
+// state + buffered writes) against the naive oracle with the same writes
+// laid over it, including limits.
 func TestTxScanRangeDifferential(t *testing.T) {
-	indexed, _ := Open(Options{})
-	naive, _ := Open(Options{NoOrderedIndex: true})
-	defer indexed.Close()
-	defer naive.Close()
-	for _, db := range []*DB{indexed, naive} {
-		if err := db.CreateMetastore("ms"); err != nil {
-			t.Fatal(err)
-		}
+	db, _ := Open(Options{})
+	defer db.Close()
+	if err := db.CreateMetastore("ms"); err != nil {
+		t.Fatal(err)
 	}
-	applyRandomWorkload(t, 42, indexed, naive)
+	versions := applyRandomWorkload(t, 42, db)
+	base := versions[len(versions)-1]
 
 	rng := rand.New(rand.NewSource(99))
 	type bufOp struct {
@@ -253,38 +265,66 @@ func TestTxScanRangeDifferential(t *testing.T) {
 			del: rng.Intn(3) == 0,
 		})
 	}
-	var want map[string][]KV
-	for _, db := range []*DB{indexed, naive} {
-		db := db
-		var scans map[string][]KV
-		_, err := db.Update("ms", func(tx *Tx) error {
-			// Buffer overlapping writes and deletes, then scan within the tx.
-			for _, o := range bufOps {
-				if o.del {
-					tx.Delete("entity", o.key)
-				} else {
-					tx.Put("entity", o.key, []byte("txval"))
-				}
-			}
-			scans = map[string][]KV{
-				"full":    tx.Scan("entity", ""),
-				"prefix":  tx.Scan("entity", "p1\x00"),
-				"range":   tx.ScanRange("entity", "p0\x00k010", "p2\x00k050", 0),
-				"limited": tx.ScanRange("entity", "", "", 9),
-			}
-			return fmt.Errorf("abort") // read-only probe; do not commit
-		})
-		if err == nil {
-			t.Fatal("expected abort error")
+	// naiveTxScan lays the buffered writes over the oracle's view of the
+	// applied state, then cuts the range and the limit.
+	naiveTxScan := func(ms *metastore, start, end string, limit int) []KV {
+		merged := map[string][]byte{}
+		for _, kv := range naiveScan(ms, "entity", "", "", base, 0) {
+			merged[kv.Key] = kv.Value
 		}
-		if db == indexed {
-			want = scans
-		} else {
-			for name, got := range scans {
-				if !reflect.DeepEqual(got, want[name]) {
-					t.Fatalf("tx scan %q: indexed and naive differ (%d vs %d rows)", name, len(want[name]), len(got))
-				}
+		for _, o := range bufOps {
+			if o.del {
+				delete(merged, o.key)
+			} else {
+				merged[o.key] = []byte("txval")
 			}
+		}
+		var out []KV
+		for k, v := range merged {
+			if k >= start && (end == "" || k < end) {
+				out = append(out, KV{Key: k, Value: v})
+			}
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+		if limit > 0 && len(out) > limit {
+			out = out[:limit]
+		}
+		return out
+	}
+
+	var got, want map[string][]KV
+	_, err := db.Update("ms", func(tx *Tx) error {
+		// Buffer overlapping writes and deletes, then scan within the tx.
+		for _, o := range bufOps {
+			if o.del {
+				tx.Delete("entity", o.key)
+			} else {
+				tx.Put("entity", o.key, []byte("txval"))
+			}
+		}
+		got = map[string][]KV{
+			"full":    tx.Scan("entity", ""),
+			"prefix":  tx.Scan("entity", "p1\x00"),
+			"range":   tx.ScanRange("entity", "p0\x00k010", "p2\x00k050", 0),
+			"limited": tx.ScanRange("entity", "", "", 9),
+		}
+		want = map[string][]KV{
+			"full":    naiveTxScan(tx.ms, "", "", 0),
+			"prefix":  naiveTxScan(tx.ms, "p1\x00", PrefixEnd("p1\x00"), 0),
+			"range":   naiveTxScan(tx.ms, "p0\x00k010", "p2\x00k050", 0),
+			"limited": naiveTxScan(tx.ms, "", "", 9),
+		}
+		return fmt.Errorf("abort") // read-only probe; do not commit
+	})
+	if err == nil {
+		t.Fatal("expected abort error")
+	}
+	if len(want["limited"]) != 9 || len(want["full"]) <= len(want["range"]) {
+		t.Fatalf("oracle scans are degenerate: %d full, %d range, %d limited", len(want["full"]), len(want["range"]), len(want["limited"]))
+	}
+	for name := range want {
+		if !reflect.DeepEqual(got[name], want[name]) {
+			t.Fatalf("tx scan %q: indexed and naive differ (%d vs %d rows)", name, len(got[name]), len(want[name]))
 		}
 	}
 }

@@ -72,10 +72,6 @@ type Options struct {
 	// that times out, throttles, or goes down. It can also be installed
 	// after Open with SetFaults.
 	Faults *faults.Injector
-	// NoOrderedIndex disables the per-table ordered key index, forcing
-	// every scan through the full-map fallback path (ablation/baseline:
-	// the seed's behavior). Range scans still work, just in O(table size).
-	NoOrderedIndex bool
 }
 
 const (
@@ -142,15 +138,14 @@ type metastore struct {
 	nextV uint64
 
 	// stateMu guards the applied state below plus the pending overlay.
-	// Lock order: mu before stateMu; applyMu is taken with neither held.
+	// Lock order: mu before stateMu; applyMu is taken with stateMu released.
 	stateMu sync.RWMutex
 	version uint64 // applied (visible) version
 	tables  map[string]map[string]*record
 	// indexes mirrors each table's key set in an ordered B+ tree so scans
-	// are a descent plus bounded walk instead of full-map iteration. nil
-	// under the NoOrderedIndex ablation. Membership tracks the table map
-	// exactly (records, not liveness): every mutation goes through
-	// getOrCreateRecordLocked/removeRecordLocked.
+	// are a descent plus bounded walk instead of full-map iteration.
+	// Membership tracks the table map exactly (records, not liveness): every
+	// mutation goes through getOrCreateRecordLocked/removeRecordLocked.
 	indexes  map[string]*btree
 	changes  changeRing
 	snaps    map[uint64]int
@@ -163,6 +158,9 @@ type metastore struct {
 	applyMu   sync.Mutex
 	applyCond *sync.Cond
 	applied   uint64 // mirrors version; guarded by applyMu
+	// applyErr is set when a sequenced commit was dropped (WAL failure or
+	// close): applied will never reach nextV again. Guarded by applyMu.
+	applyErr error
 }
 
 // DB is the metadata database.
@@ -188,11 +186,10 @@ type DB struct {
 	conflicts obs.Counter
 	commitNs  *obs.Histogram
 
-	// indexScans/fallbackScans split scans by path — ordered index versus
-	// full-map iteration (NoOrderedIndex); scanNs distributes scan latency.
-	indexScans    obs.Counter
-	fallbackScans obs.Counter
-	scanNs        *obs.Histogram
+	// indexScans counts scans (all served by the ordered index); scanNs
+	// distributes scan latency.
+	indexScans obs.Counter
+	scanNs     *obs.Histogram
 
 	// injector is the active fault injector; swapped atomically so tests
 	// can install or clear schedules while operations are in flight.
@@ -332,7 +329,6 @@ func (db *DB) RegisterMetrics(r *obs.Registry) {
 	r.RegisterHistogram("uc_store_commit_seconds", "End-to-end commit latency (sequence through apply).", db.commitNs)
 	r.RegisterCounterFunc("uc_store_reads_total", "Snapshot point reads and scans served.", db.ReadCount)
 	r.RegisterCounter("uc_store_index_scans_total", "Scans served by the ordered key index.", &db.indexScans)
-	r.RegisterCounter("uc_store_index_fallback_scans_total", "Scans served by full-map iteration (no ordered index).", &db.fallbackScans)
 	r.RegisterHistogram("uc_store_scan_seconds", "Latency of snapshot range scans.", db.scanNs)
 	r.RegisterGaugeFunc("uc_store_index_keys", "Keys held across all ordered indexes.", func() float64 {
 		return float64(db.IndexKeyCount())
@@ -386,7 +382,7 @@ func (db *DB) CreateMetastore(id string) error {
 		db.mu.Unlock()
 		return err
 	}
-	db.stores[id] = newMetastore(db.opts.ChangeLogSize, db.opts.NoOrderedIndex)
+	db.stores[id] = newMetastore(db.opts.ChangeLogSize)
 	db.mu.Unlock()
 	if req != nil {
 		<-req.done
@@ -395,14 +391,12 @@ func (db *DB) CreateMetastore(id string) error {
 	return nil
 }
 
-func newMetastore(changeLogSize int, noIndex bool) *metastore {
+func newMetastore(changeLogSize int) *metastore {
 	m := &metastore{
 		tables:  map[string]map[string]*record{},
+		indexes: map[string]*btree{},
 		snaps:   map[uint64]int{},
 		changes: newChangeRing(changeLogSize),
-	}
-	if !noIndex {
-		m.indexes = map[string]*btree{}
 	}
 	m.applyCond = sync.NewCond(&m.applyMu)
 	return m
@@ -423,14 +417,12 @@ func (m *metastore) getOrCreateRecordLocked(table, key string) *record {
 	if !ok {
 		r = &record{}
 		t[key] = r
-		if m.indexes != nil {
-			idx, ok := m.indexes[table]
-			if !ok {
-				idx = newBtree()
-				m.indexes[table] = idx
-			}
-			idx.insert(key, r)
+		idx, ok := m.indexes[table]
+		if !ok {
+			idx = newBtree()
+			m.indexes[table] = idx
 		}
+		idx.insert(key, r)
 	}
 	return r
 }
@@ -439,10 +431,8 @@ func (m *metastore) getOrCreateRecordLocked(table, key string) *record {
 // ordered index together. Caller holds stateMu.
 func (m *metastore) removeRecordLocked(table, key string) {
 	delete(m.tables[table], key)
-	if m.indexes != nil {
-		if idx := m.indexes[table]; idx != nil {
-			idx.delete(key)
-		}
+	if idx := m.indexes[table]; idx != nil {
+		idx.delete(key)
 	}
 }
 
@@ -647,50 +637,27 @@ func PrefixEnd(prefix string) string {
 // scanLiveLocked is the one scan implementation behind Snapshot.Scan/Count/
 // ScanRange and Tx.Scan/ScanRange: it walks live (key, value) pairs of
 // table at version v with keys in [start, end) in ascending order, calling
-// fn until it returns false. The ordered index serves it as a descent plus
-// bounded walk; without one (NoOrderedIndex) it falls back to the seed's
-// full-map iteration and sort. Caller holds ms.stateMu.
+// fn until it returns false. The table's ordered index serves it as a
+// descent plus bounded walk. Caller holds ms.stateMu.
 func (db *DB) scanLiveLocked(ms *metastore, table, start, end string, v uint64, fn func(k string, val []byte) bool) {
-	t, ok := ms.tables[table]
-	if !ok {
+	idx := ms.indexes[table]
+	if idx == nil {
 		return
 	}
-	if ms.indexes != nil {
-		db.indexScans.Inc()
-		idx := ms.indexes[table]
-		if idx == nil {
-			return
+	db.indexScans.Inc()
+	idx.ascend(start, func(k string, r *record) bool {
+		if end != "" && k >= end {
+			return false
 		}
-		idx.ascend(start, func(k string, r *record) bool {
-			if end != "" && k >= end {
-				return false
-			}
-			if val, live := r.at(v); live {
-				return fn(k, val)
-			}
-			return true
-		})
-		return
-	}
-	db.fallbackScans.Inc()
-	var keys []string
-	for k := range t {
-		if k >= start && (end == "" || k < end) {
-			keys = append(keys, k)
+		if val, live := r.at(v); live {
+			return fn(k, val)
 		}
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if val, live := t[k].at(v); live {
-			if !fn(k, val) {
-				return
-			}
-		}
-	}
+		return true
+	})
 }
 
 // IndexKeyCount returns the total number of keys across all ordered
-// indexes; zero under NoOrderedIndex.
+// indexes.
 func (db *DB) IndexKeyCount() int {
 	return db.indexSize(func(string) bool { return true })
 }
@@ -1027,7 +994,7 @@ func (db *DB) update(sc obs.SpanContext, msID string, expected *uint64, fn func(
 	if db.wal != nil {
 		req = newWALReq()
 		if err := db.wal.submit(req); err != nil {
-			ms.dropPending(newV)
+			ms.dropPending(newV, err)
 			ms.mu.Unlock()
 			seqSpan.End()
 			return base, err
@@ -1052,7 +1019,7 @@ func (db *DB) update(sc obs.SpanContext, msID string, expected *uint64, fn func(
 		<-req.done
 		walSpan.End()
 		if req.err != nil {
-			ms.dropPending(newV)
+			ms.dropPending(newV, req.err)
 			return base, req.err
 		}
 	} else {
@@ -1121,8 +1088,9 @@ func (db *DB) update(sc obs.SpanContext, msID string, expected *uint64, fn func(
 // dropPending removes the sequenced-but-unapplied commit v after its WAL
 // write failed or the database closed under it. Later sequenced commits are
 // guaranteed to fail too (the failure is sticky), so the applied version
-// simply never reaches v and no applier waits on it.
-func (ms *metastore) dropPending(v uint64) {
+// simply never reaches v and no applier waits on it; AwaitApplied callers
+// are released with err.
+func (ms *metastore) dropPending(v uint64, err error) {
 	ms.stateMu.Lock()
 	for i, pc := range ms.pending {
 		if pc.version == v {
@@ -1131,6 +1099,37 @@ func (ms *metastore) dropPending(v uint64) {
 		}
 	}
 	ms.stateMu.Unlock()
+	ms.applyMu.Lock()
+	if ms.applyErr == nil {
+		ms.applyErr = err
+	}
+	ms.applyCond.Broadcast()
+	ms.applyMu.Unlock()
+}
+
+// AwaitApplied blocks until the metastore's applied (visible) version has
+// reached v, and reports whether it had to wait. UpdateCAS checks its
+// expected version against the *sequenced* version, which runs ahead of the
+// applied one while a commit awaits its WAL ack or its turn to apply; a
+// caller that lost the CAS passes the version the failed call returned, so
+// that its next Version/ChangesSince read includes the commit it lost to.
+// It returns the commit pipeline's error if a sequenced commit was dropped
+// and v can no longer be reached.
+func (db *DB) AwaitApplied(msID string, v uint64) (waited bool, err error) {
+	ms, err := db.metastore(msID)
+	if err != nil {
+		return false, err
+	}
+	ms.applyMu.Lock()
+	defer ms.applyMu.Unlock()
+	for ms.applied < v && ms.applyErr == nil {
+		waited = true
+		ms.applyCond.Wait()
+	}
+	if ms.applied < v {
+		return waited, ms.applyErr
+	}
+	return waited, nil
 }
 
 func allDeleted(r *record) bool {

@@ -387,7 +387,7 @@ func (db *DB) replayWAL(path string) error {
 		switch e.Op {
 		case "create_metastore":
 			if _, ok := db.stores[e.Metastore]; !ok {
-				db.stores[e.Metastore] = newMetastore(db.opts.ChangeLogSize, db.opts.NoOrderedIndex)
+				db.stores[e.Metastore] = newMetastore(db.opts.ChangeLogSize)
 			}
 		case "drop_metastore":
 			delete(db.stores, e.Metastore)

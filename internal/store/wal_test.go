@@ -46,6 +46,15 @@ func TestWALErrorFailsCommit(t *testing.T) {
 	}
 	snap.Close()
 
+	// The dropped commit was sequenced as version 2, which will never apply:
+	// a CAS loser waiting for it is released with the failure, not parked.
+	if _, err := db.AwaitApplied("m", 2); !errors.Is(err, boom) {
+		t.Fatalf("AwaitApplied(dropped version) = %v, want %v", err, boom)
+	}
+	if waited, err := db.AwaitApplied("m", 1); waited || err != nil {
+		t.Fatalf("AwaitApplied(applied version) = %v, %v", waited, err)
+	}
+
 	// The failure is sticky: the write path is poisoned...
 	if _, err := db.Update("m", func(tx *Tx) error { tx.Put("t", "later", []byte("v")); return nil }); !errors.Is(err, boom) {
 		t.Fatalf("commit after sticky failure = %v, want %v", err, boom)

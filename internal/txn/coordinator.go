@@ -11,7 +11,6 @@ import (
 	"unitycatalog/internal/catalog"
 	"unitycatalog/internal/cloudsim"
 	"unitycatalog/internal/delta"
-	"unitycatalog/internal/faults"
 	"unitycatalog/internal/ids"
 	"unitycatalog/internal/retry"
 	"unitycatalog/internal/store"
@@ -350,6 +349,3 @@ func (c *Coordinator) deleteStaged(blobs delta.Blobs, paths []string) error {
 func (c *Coordinator) snapshotRetrying(t *delta.Table) (*delta.Snapshot, error) {
 	return retry.DoValue(c.opts.PublishRetry, retry.Retryable, t.Snapshot)
 }
-
-// retryable mirrors retry.Retryable for fault classification in callers.
-func retryableFault(err error) bool { return faults.IsFault(err) }

@@ -161,9 +161,6 @@ type Config struct {
 	// FlightInterval polls the flight-recorder watchdog in the background
 	// (default 0: checks run lazily on /debug/flightrecorder reads only).
 	FlightInterval time.Duration
-	// NaiveEncoding forces the reflection-based encoding/json response path
-	// on the hot routes instead of the pooled encoders (ablation baseline).
-	NaiveEncoding bool
 	// ETagMaxAge bounds the lifetime of a conditional-GET validator
 	// (default 30s; negative disables conditional handling).
 	ETagMaxAge time.Duration
@@ -231,7 +228,6 @@ func Open(cfg Config) (*Catalog, error) {
 		AccessLog:       cfg.AccessLog,
 		AccessLogWriter: cfg.AccessLogWriter,
 		Pprof:           cfg.Pprof,
-		NaiveEncoding:   cfg.NaiveEncoding,
 		ETagMaxAge:      cfg.ETagMaxAge,
 	})
 	c.Search = c.srv.Search
