@@ -18,7 +18,10 @@ test:
 # injector, or the retry paths. The last line repeats the cache's concurrent
 # differential test (local and foreign writers racing the version CAS) and
 # its sequenced-vs-applied regression test twenty times: that pair was a
-# 4-in-10 tier-1 flake until PR 14 and must not come back unnoticed.
+# 4-in-10 tier-1 flake until PR 14 and must not come back unnoticed. With
+# them go the tag-search test (a 1-in-2 flake until PR 15: the event outran
+# the state it described) and the event log's Subscribe/Cancel-vs-Publish
+# stress (2 s a run; the fan-out before PR 15 panicked within milliseconds).
 race:
 	$(GO) test -race -count=1 \
 		./internal/cache/... \
@@ -37,9 +40,11 @@ race:
 		./internal/server/... \
 		./internal/events/... \
 		./internal/search/... \
+		./internal/lineage/... \
 		./internal/fleet/... \
 		./internal/chaos/...
-	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit' ./internal/cache/
+	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestTagSearch|TestSubscribeCancelRacesPublish' \
+		./internal/cache/ ./internal/search/ ./internal/events/
 
 # The repository's benchmark (BENCHMARK.json, perf/README.md): all four
 # workloads, traced, with the per-layer table; about 4 minutes. Every

@@ -6,7 +6,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"unitycatalog/uc"
 )
@@ -54,7 +53,7 @@ func main() {
 	// example: locate all assets tagged 'PII').
 	admin.SetTag("analytics.pipeline.raw_events", "email", "classification", "PII")
 	admin.SetTag("analytics.pipeline.clean_events", "email", "classification", "PII")
-	waitForIndex(cat)
+	cat.Search.Sync() // the indexer follows the event stream asynchronously
 	hits, err := cat.Search.Search(adminCtx, "PII", 0)
 	if err != nil {
 		log.Fatal(err)
@@ -84,15 +83,5 @@ func main() {
 	fmt.Printf("intern sees %d PII hits and %d upstream nodes (authorization-filtered discovery)\n", len(hits), len(upIntern))
 
 	// Change events stream to external discovery platforms.
-	evs, _ := cat.Events().Since("ms1", 0)
-	fmt.Printf("change-event stream carried %d events for external indexers\n", len(evs))
-}
-
-// waitForIndex gives the async indexer a moment to consume events.
-func waitForIndex(cat *uc.Catalog) {
-	deadline := time.Now().Add(2 * time.Second)
-	for cat.Search.DocCount() == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	time.Sleep(50 * time.Millisecond)
+	fmt.Printf("change-event stream carried %d events for external indexers\n", cat.Events().Published())
 }

@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"log"
 
-	"time"
-
 	"unitycatalog/internal/mlregistry"
 	"unitycatalog/uc"
 )
@@ -83,14 +81,7 @@ func main() {
 	// Models are ordinary securables: listable, searchable, auditable.
 	versions, _ := reg.ListModelVersions(adminCtx, "ml.prod.churn")
 	fmt.Printf("versions: %d (all %s)\n", len(versions), versions[0].Status)
-	// The search index consumes change events asynchronously.
-	var hits int
-	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
-		if res, err := cat.Search.Search(adminCtx, "churn", 0); err == nil && len(res) > 0 {
-			hits = len(res)
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	fmt.Printf("discovery search for 'churn': %d hit(s)\n", hits)
+	cat.Search.Sync() // the search index follows change events asynchronously
+	hits, _ := cat.Search.Search(adminCtx, "churn", 0)
+	fmt.Printf("discovery search for 'churn': %d hit(s)\n", len(hits))
 }

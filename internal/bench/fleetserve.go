@@ -183,17 +183,11 @@ func runFleetCell(seed int64, nodes, msCount, opsPerMS int, popSpec workload.Pop
 		return cell, err
 	}
 	defer db.Close()
-	// Buses sized for the live stream only: deep history rings would retain
-	// every setup commit's event on every node (~megabytes × nodes of live
-	// heap), and on one CPU the resulting GC mark phases stall all requests
-	// for long enough to dominate the tail.
 	f, err := fleet.New(db, fleet.Options{
 		Nodes:           nodes,
 		Capacity:        capacity,
 		ServiceTime:     serviceTime,
 		LocalServeEvery: 8,
-		BusBuffer:       2048,
-		BusHistory:      256,
 	})
 	if err != nil {
 		return cell, err

@@ -207,7 +207,7 @@ func RunObsGrid(quick bool) ([]ObsCell, error) {
 	}
 	var fwdModes []obsMode
 	for _, mode := range []string{"off", "propagated"} {
-		opts := fleet.Options{Nodes: 2, BusBuffer: 2048, BusHistory: 256}
+		opts := fleet.Options{Nodes: 2}
 		if mode == "propagated" {
 			// Tracers on every node, sampling disabled: steady state
 			// between retained samples, same as the other paths.

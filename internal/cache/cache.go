@@ -27,8 +27,7 @@
 //     another node has replaced.
 //   - Reconciliation is selective: the node consults the store's change log
 //     and invalidates only the records that changed. It evicts everything
-//     for the metastore only when the log no longer covers its known version
-//     (or, via ReconcileFull, when a coherence follower lost events).
+//     for the metastore only when the log no longer covers its known version.
 //   - Two eviction mechanisms bound memory: an LRU or LFU policy evicts
 //     unpopular records with all their versions, and old versions of
 //     popular records are pruned lazily once past the API-timeout horizon,
@@ -631,8 +630,7 @@ const (
 	// write-through or an earlier reconcile covered it); nothing to do.
 	ApplyStale
 	// ApplyGap means the notification skipped past knownVersion+1 — the
-	// subscriber missed intermediate versions and must Refresh (or
-	// ReconcileFull) to catch up.
+	// subscriber missed intermediate versions and must Refresh to catch up.
 	ApplyGap
 	// ApplyNotOwned means this node does not cache the metastore.
 	ApplyNotOwned
@@ -672,9 +670,9 @@ func (c *Cache) ApplyChanges(msID string, version uint64, changes []store.Change
 }
 
 // ReconcileFull forcibly evicts everything cached for msID and re-pins the
-// known version from the database. The coherence layer calls this when its
-// event subscription reports dropped events — the invalidation sets are
-// gone, so only a full evict guarantees no stale entry survives.
+// known version from the database. The serving path evicts everything only
+// when the change log is trimmed; this is the benchmark's cold-cache reset
+// and the full-evict arm of the reconcile ablation and differential test.
 func (c *Cache) ReconcileFull(msID string) error {
 	if c.opts.Disabled {
 		return nil

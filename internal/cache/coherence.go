@@ -1,19 +1,19 @@
 // Event-driven cache coherence (paper §4.5): instead of validating the
 // node's known version against the database on every read miss, a Coherer
-// consumes the change-event stream and invalidates exactly the entries each
-// commit touched — no database round trip on the common path. The
-// subscription's Dropped() counter is the safety valve: lost events mean
-// lost invalidation sets, so a drop triggers one full reconcile per episode
-// and selective application resumes from the fresh version.
+// follows the change-event stream and invalidates exactly the entries each
+// commit touched — no database round trip on the common path. A gap, in the
+// follower's cursor or in the versions it is handed, is recovered the one way
+// the cache recovers from anything: Refresh, which replays the store's
+// change log and evicts everything only if that log has been trimmed too.
 package cache
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"unitycatalog/internal/events"
 	"unitycatalog/internal/obs"
-	"unitycatalog/internal/store"
 )
 
 // CohererOptions tunes a coherence loop.
@@ -38,70 +38,49 @@ type CohererMetrics struct {
 	// moments — what a full-evict reconcile would have dropped instead.
 	Invalidated         int64
 	FullEvictEquivalent int64
-	// GapReconciles recovered from a version gap via Refresh;
-	// DropReconciles recovered from subscription loss via ReconcileFull.
-	GapReconciles  int64
-	DropReconciles int64
+	// GapReconciles recovered via Refresh from a gap: the follower's cursor
+	// fell off the event ring, or an event skipped a version.
+	GapReconciles int64
 }
 
-// Coherer drives one cache from one event subscription.
+// Coherer drives one cache from one event follower.
 type Coherer struct {
-	c    *Cache
-	sub  *events.Subscription
-	opts CohererOptions
-	done chan struct{}
+	c        *Cache
+	follower *events.Follower
+	opts     CohererOptions
+	closed   sync.Once
 
-	lastDropped int64 // only touched by the run goroutine
-
-	applied, stale, skipped       atomic.Int64
-	invalidated, fullEquiv        atomic.Int64
-	gapReconciles, dropReconciles atomic.Int64
+	applied, stale, skipped atomic.Int64
+	invalidated, fullEquiv  atomic.Int64
+	versionGaps             atomic.Int64
 }
 
-// StartCoherer begins consuming sub and applying its events to c. The loop
-// exits when sub is cancelled (or its bus closes the channel); Close does
-// both and waits.
-func StartCoherer(c *Cache, sub *events.Subscription, opts CohererOptions) *Coherer {
-	co := &Coherer{c: c, sub: sub, opts: opts, done: make(chan struct{})}
+// StartCoherer begins following bus and applying its events to c, after
+// bringing every owned metastore up to date. Close stops it.
+func StartCoherer(c *Cache, bus *events.Bus, opts CohererOptions) *Coherer {
+	co := &Coherer{c: c, opts: opts}
 	c.feeds.Add(1)
-	go co.run()
+	co.follower = bus.Follow("cache", co.handle, co.resync)
 	return co
 }
 
-func (co *Coherer) run() {
-	defer close(co.done)
-	defer co.c.feeds.Add(-1)
-	for e := range co.sub.C {
-		co.handle(e)
+// resync stands in for the invalidation sets of events that are gone. A
+// failed Refresh leaves the cache behind; the next event then reports
+// ApplyGap and handle retries.
+func (co *Coherer) resync() {
+	for _, ms := range co.c.OwnedMetastores() {
+		_ = co.c.Refresh(ms)
 	}
 }
 
 func (co *Coherer) handle(e events.Event) {
-	// Loss first: if the bus dropped events for this subscriber, some
-	// invalidation sets are gone for good. Evict everything once per drop
-	// episode; the event in hand is covered by the reconcile (it reads the
-	// database's current version, which is ≥ e.Version).
-	if d := co.sub.Dropped(); d > co.lastDropped {
-		co.lastDropped = d
-		co.dropReconciles.Add(1)
-		for _, ms := range co.c.OwnedMetastores() {
-			// A failed reconcile leaves the gap in place; the next event
-			// reports ApplyGap and recovery retries via Refresh.
-			_ = co.c.ReconcileFull(ms)
-		}
-		return
-	}
 	if e.Version == 0 {
 		// Out-of-band announcement (e.g. table data commits published by the
 		// transaction coordinator) — not a metastore version transition.
 		co.skipped.Add(1)
 		return
 	}
-	changes := make([]store.Change, len(e.Changes))
-	for i, ch := range e.Changes {
-		changes[i] = store.Change{Version: e.Version, Table: ch.Table, Key: ch.Key, Deleted: ch.Deleted}
-	}
-	inv, resident, res := co.c.ApplyChanges(e.Metastore, e.Version, changes)
+	inv, resident, res := co.c.ApplyChanges(e.Metastore, e.Version, e.Changes)
 	switch res {
 	case ApplyAdvanced:
 		co.applied.Add(1)
@@ -115,18 +94,23 @@ func (co *Coherer) handle(e events.Event) {
 	case ApplyStale:
 		co.stale.Add(1)
 	case ApplyGap:
-		co.gapReconciles.Add(1)
+		co.versionGaps.Add(1)
 		_ = co.c.Refresh(e.Metastore)
 	default: // ApplyNotOwned
 		co.skipped.Add(1)
 	}
 }
 
-// Close cancels the subscription and waits for the loop to exit.
+// Close stops the follower and waits for it.
 func (co *Coherer) Close() {
-	co.sub.Cancel()
-	<-co.done
+	co.closed.Do(func() {
+		co.follower.Close()
+		co.c.feeds.Add(-1)
+	})
 }
+
+// Sync blocks until every event published so far has been applied.
+func (co *Coherer) Sync() { co.follower.Sync() }
 
 // Metrics returns a snapshot of the loop's counters.
 func (co *Coherer) Metrics() CohererMetrics {
@@ -136,7 +120,6 @@ func (co *Coherer) Metrics() CohererMetrics {
 		EventsSkipped:       co.skipped.Load(),
 		Invalidated:         co.invalidated.Load(),
 		FullEvictEquivalent: co.fullEquiv.Load(),
-		GapReconciles:       co.gapReconciles.Load(),
-		DropReconciles:      co.dropReconciles.Load(),
+		GapReconciles:       co.versionGaps.Load() + co.follower.Resyncs(),
 	}
 }

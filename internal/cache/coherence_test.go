@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"unitycatalog/internal/events"
 	"unitycatalog/internal/store"
@@ -16,32 +16,30 @@ import (
 // change set, published from the commit hook (durable, version-ordered).
 func hookBus(db *store.DB, bus *events.Bus) {
 	db.AddCommitHook(func(msID string, v uint64, changes []store.Change, notes []any) {
-		evs := make([]events.Change, len(changes))
-		for i, c := range changes {
-			evs[i] = events.Change{Table: c.Table, Key: c.Key, Deleted: c.Deleted}
-		}
-		bus.Publish(events.Event{Metastore: msID, Version: v, Op: events.OpChange, Changes: evs})
+		bus.Publish(events.Event{Metastore: msID, Version: v, Op: events.OpChange, Changes: changes})
 	})
 }
 
-func waitKnown(t *testing.T, c *Cache, msID string, want uint64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if v, err := c.KnownVersion(msID); err == nil && v >= want {
-			return
-		}
-		time.Sleep(time.Millisecond)
+// TestCohererDropStormFullReconcileOnce: a coherer whose cursor fell off the
+// event ring recovers with one Refresh per episode — selective while the
+// store's change log still covers the node's known version, a full evict
+// exactly once when the storm trimmed that log too — and no stale read
+// survives either way.
+func TestCohererDropStormFullReconcileOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		changeLogSize int
+		wantFull      int64
+	}{
+		{"change log covers the gap", 0, 0},
+		{"change log trimmed too", 16, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testCohererStorm(t, tc.changeLogSize, tc.wantFull) })
 	}
-	v, _ := c.KnownVersion(msID)
-	t.Fatalf("known version stuck at %d, want %d", v, want)
 }
 
-// TestCohererDropStormFullReconcileOnce: a subscriber that lost events must
-// trigger ReconcileFull exactly once per drop episode, and no stale read
-// survives the storm.
-func TestCohererDropStormFullReconcileOnce(t *testing.T) {
-	db, err := store.Open(store.Options{})
+func testCohererStorm(t *testing.T, changeLogSize int, wantFull int64) {
+	db, err := store.Open(store.Options{ChangeLogSize: changeLogSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +47,7 @@ func TestCohererDropStormFullReconcileOnce(t *testing.T) {
 	if err := db.CreateMetastore("ms1"); err != nil {
 		t.Fatal(err)
 	}
-	bus := events.NewBus(4, 16) // tiny buffer: the storm overflows it
+	bus := events.NewBus(4, 16) // tiny ring: the storm overruns it
 	hookBus(db, bus)
 
 	c := New(db, Options{})
@@ -66,9 +64,20 @@ func TestCohererDropStormFullReconcileOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Refresh("ms1"); err != nil {
-		t.Fatal(err)
-	}
+	// A coherer wired the way StartCoherer wires it, except that the test can
+	// hold it inside handle. Its first resync catches the node up.
+	var holding atomic.Bool
+	entered, gate := make(chan struct{}), make(chan struct{})
+	co := &Coherer{c: c}
+	c.feeds.Add(1)
+	co.follower = bus.Follow("cache", func(e events.Event) {
+		if holding.Load() {
+			entered <- struct{}{}
+			<-gate
+		}
+		co.handle(e)
+	}, co.resync)
+	defer co.Close()
 	view, err := c.NewView("ms1")
 	if err != nil {
 		t.Fatal(err)
@@ -82,9 +91,9 @@ func TestCohererDropStormFullReconcileOnce(t *testing.T) {
 	}
 	base := c.Metrics().FullReconciles
 
-	// Subscribe, then storm: 200 commits through a 4-slot buffer with no
-	// consumer running guarantees drops before the coherer starts.
-	sub := bus.Subscribe()
+	// Hold the coherer on the storm's first event: the other 199 commits go
+	// through a 16-slot ring and overrun its cursor.
+	holding.Store(true)
 	var lastV uint64
 	for i := 0; i < 200; i++ {
 		v, err := db.Update("ms1", func(tx *store.Tx) error {
@@ -92,23 +101,28 @@ func TestCohererDropStormFullReconcileOnce(t *testing.T) {
 			return nil
 		})
 		if err != nil {
+			close(gate) // let the deferred Close return
 			t.Fatal(err)
 		}
-		lastV = v
+		if lastV = v; i == 0 {
+			<-entered
+			holding.Store(false)
+		}
 	}
-	if sub.Dropped() == 0 {
-		t.Fatal("storm did not overflow the subscription")
+	if lag := co.follower.Lag(); lag != 200 {
+		t.Fatalf("held coherer is %d events behind, want all 200", lag)
 	}
+	close(gate)
+	co.Sync()
 
-	co := StartCoherer(c, sub, CohererOptions{})
-	defer co.Close()
-	waitKnown(t, c, "ms1", lastV)
-
-	if got := c.Metrics().FullReconciles - base; got != 1 {
-		t.Fatalf("full reconciles during drop storm = %d, want exactly 1", got)
+	if v, _ := c.KnownVersion("ms1"); v != lastV {
+		t.Fatalf("known version %d after the storm, want %d", v, lastV)
 	}
-	if co.Metrics().DropReconciles != 1 {
-		t.Fatalf("drop reconciles = %d, want 1", co.Metrics().DropReconciles)
+	if got := co.follower.Resyncs(); got != 1 {
+		t.Fatalf("resyncs during the storm = %d, want exactly 1", got)
+	}
+	if got := c.Metrics().FullReconciles - base; got != wantFull {
+		t.Fatalf("full reconciles during the storm = %d, want %d", got, wantFull)
 	}
 
 	// No stale reads: every key must read back its final database value.
@@ -132,7 +146,8 @@ func TestCohererDropStormFullReconcileOnce(t *testing.T) {
 	}
 
 	// After the storm, selective application resumes: one more commit is
-	// applied from its event with no further full reconcile.
+	// applied from its event with no further recovery of any kind.
+	applied := co.Metrics().EventsApplied
 	v, err := db.Update("ms1", func(tx *store.Tx) error {
 		tx.Put("tbl", "k0", []byte("after"))
 		return nil
@@ -140,12 +155,15 @@ func TestCohererDropStormFullReconcileOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitKnown(t, c, "ms1", v)
-	if got := c.Metrics().FullReconciles - base; got != 1 {
-		t.Fatalf("full reconciles after recovery = %d, want still 1", got)
+	co.Sync()
+	if known, _ := c.KnownVersion("ms1"); known != v {
+		t.Fatalf("known version %d after one more commit, want %d", known, v)
 	}
-	if co.Metrics().EventsApplied == 0 {
-		t.Fatal("selective application did not resume after the drop episode")
+	if got := c.Metrics().FullReconciles - base; got != wantFull {
+		t.Fatalf("full reconciles after recovery = %d, want still %d", got, wantFull)
+	}
+	if m := co.Metrics(); m.EventsApplied != applied+1 || m.GapReconciles != 1 {
+		t.Fatalf("after the episode: %d events applied (want %d), %d gap reconciles (want 1)", m.EventsApplied, applied+1, m.GapReconciles)
 	}
 }
 
@@ -166,7 +184,7 @@ func TestCohererAppliesWithoutDBReads(t *testing.T) {
 	if err := c.Own("ms1"); err != nil {
 		t.Fatal(err)
 	}
-	co := StartCoherer(c, bus.Subscribe(), CohererOptions{})
+	co := StartCoherer(c, bus, CohererOptions{})
 	defer co.Close()
 
 	var lastV uint64
@@ -180,7 +198,7 @@ func TestCohererAppliesWithoutDBReads(t *testing.T) {
 		}
 		lastV = v
 	}
-	waitKnown(t, c, "ms1", lastV)
+	co.Sync()
 	reads0 := db.ReadCount()
 	// The known version is current, so a fresh view pins without touching
 	// the database until a miss needs data.
@@ -211,8 +229,8 @@ func sameKVs(a, b []store.KV) bool {
 // database's own snapshot at the view's pinned version: under a randomized
 // seeded write workload with concurrent local and foreign writers, while the
 // cache reconciles selectively (every conflict and first-miss validation) and
-// in full (a reader forces ReconcileFull, as a follower does after dropped
-// events), every read must equal db.SnapshotAt(view.Version()), mid-flight
+// in full (a reader forces ReconcileFull, the evict-all a trimmed change log
+// causes), every read must equal db.SnapshotAt(view.Version()), mid-flight
 // and at quiescence. Run under -race and -count=20 by `make race`.
 func TestSelectiveVsFullDifferential(t *testing.T) {
 	db, err := store.Open(store.Options{

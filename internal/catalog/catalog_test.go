@@ -551,11 +551,16 @@ func TestChangeEventsPublished(t *testing.T) {
 	svc.DeleteAsset(admin, "sales.raw.orders", false)
 
 	var ops []events.Op
+	var lastV uint64
 	timeout := time.After(2 * time.Second)
 	for len(ops) < 5 {
 		select {
 		case e := <-sub.C:
 			ops = append(ops, e.Op)
+			if e.Version < lastV {
+				t.Fatal("event versions not monotonic")
+			}
+			lastV = e.Version
 		case <-timeout:
 			t.Fatalf("timed out; got %v", ops)
 		}
@@ -564,16 +569,6 @@ func TestChangeEventsPublished(t *testing.T) {
 	for i := range want {
 		if ops[i] != want[i] {
 			t.Fatalf("ops = %v, want %v", ops, want)
-		}
-	}
-	// Versions are monotonic.
-	evs, ok := svc.Bus().Since("ms1", 0)
-	if !ok || len(evs) < 5 {
-		t.Fatalf("since = %d events, ok=%v", len(evs), ok)
-	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Version < evs[i-1].Version {
-			t.Fatal("event versions not monotonic")
 		}
 	}
 }

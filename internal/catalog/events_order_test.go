@@ -68,11 +68,7 @@ func TestEventOrderUnderConcurrentWriters(t *testing.T) {
 		}
 	}()
 	db.AddCommitHook(func(msID string, v uint64, changes []store.Change, notes []any) {
-		evs := make([]events.Change, len(changes))
-		for i, c := range changes {
-			evs[i] = events.Change{Table: c.Table, Key: c.Key, Deleted: c.Deleted}
-		}
-		bus.Publish(events.Event{Metastore: msID, Version: v, Changes: evs, Op: events.OpChange})
+		bus.Publish(events.Event{Metastore: msID, Version: v, Changes: changes, Op: events.OpChange})
 	})
 
 	startV, err := db.Version("ms1")

@@ -245,12 +245,13 @@ func (s *Service) Tags(ctx Ctx, full string) (map[string]string, error) {
 	if err := s.authorizeRead(ctx, v, e); err != nil {
 		return nil, err
 	}
-	tags, _ := entityTags(v, e.ID)
+	tags, _ := EntityTags(v, e.ID)
 	return tags, nil
 }
 
-// entityTags reads tags for an entity: entity-level and column-level maps.
-func entityTags(r erm.Reader, id ids.ID) (entity map[string]string, columns map[string]map[string]string) {
+// EntityTags reads tags for an entity through r, without authorization (see
+// LiveEntities): entity-level and column-level maps.
+func EntityTags(r erm.Reader, id ids.ID) (entity map[string]string, columns map[string]map[string]string) {
 	entity = map[string]string{}
 	columns = map[string]map[string]string{}
 	for _, kv := range r.Scan(erm.TableTag, erm.TagPrefix(id)) {
@@ -411,7 +412,7 @@ func (s *Service) abacGrants(ctx Ctx, r erm.Reader, priv privilege.Privilege, id
 	if len(rules) == 0 {
 		return false
 	}
-	tags, colTags := entityTags(r, id)
+	tags, colTags := EntityTags(r, id)
 	// Merge column tags into the match set (a rule matching any tagged
 	// column of the asset applies at the asset level for grants).
 	merged := map[string]string{}
@@ -456,7 +457,7 @@ func (s *Service) abacFGAC(ctx Ctx, r erm.Reader, e *erm.Entity) privilege.FGACP
 	if len(rules) == 0 {
 		return privilege.FGACPolicy{}
 	}
-	tags, colTags := entityTags(r, e.ID)
+	tags, colTags := EntityTags(r, e.ID)
 	chain := map[ids.ID]bool{}
 	for _, a := range scopeChain(r, e.ID) {
 		chain[a] = true

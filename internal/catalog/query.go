@@ -162,7 +162,7 @@ func matchesFilter(r erm.Reader, f Filter, e *erm.Entity) bool {
 		return false
 	}
 	if f.TagKey != "" {
-		tags, colTags := entityTags(r, e.ID)
+		tags, colTags := EntityTags(r, e.ID)
 		val, ok := tags[f.TagKey]
 		if !ok {
 			for _, ct := range colTags {
@@ -179,17 +179,16 @@ func matchesFilter(r erm.Reader, f Filter, e *erm.Entity) bool {
 	return true
 }
 
-// AllEntities returns every live entity in a metastore without authorization
-// filtering. It exists for trusted second-tier services (search indexing,
-// discovery exports) that enforce access at query time via AuthorizeBatch.
-func (s *Service) AllEntities(msID string) []*erm.Entity {
-	v, err := s.viewMS(msID)
-	if err != nil {
-		return nil
-	}
-	defer v.Close()
+// LiveEntities returns every live entity r can see, without authorization:
+// it and EntityTags serve trusted second-tier services that filter at query
+// time via AuthorizeBatch. Event followers pass the store's current snapshot
+// (DB().Snapshot), not a cache view: commit hooks fire after the store's
+// version has advanced, so the snapshot is never older than the event in
+// hand, while this node's cache advances only when the publishing write
+// returns.
+func LiveEntities(r erm.Reader) []*erm.Entity {
 	var out []*erm.Entity
-	for _, kv := range v.Scan(erm.TableEntity, "") {
+	for _, kv := range r.Scan(erm.TableEntity, "") {
 		e, derr := erm.DecodeEntityAt(ids.ID(kv.Key), kv.Value)
 		if derr != nil {
 			continue
@@ -202,17 +201,6 @@ func (s *Service) AllEntities(msID string) []*erm.Entity {
 	return out
 }
 
-// TagsByID returns entity- and column-level tags for an asset without
-// authorization (trusted second-tier use; callers filter results).
-func (s *Service) TagsByID(msID string, id ids.ID) (map[string]string, map[string]map[string]string) {
-	v, err := s.viewMS(msID)
-	if err != nil {
-		return nil, nil
-	}
-	defer v.Close()
-	return entityTags(v, id)
-}
-
 // TypeCounts tallies live entities per securable type across a metastore.
 // Used by the usage-statistics experiments.
 func (s *Service) TypeCounts(msID string) (map[erm.SecurableType]int, error) {
@@ -222,14 +210,7 @@ func (s *Service) TypeCounts(msID string) (map[erm.SecurableType]int, error) {
 	}
 	defer v.Close()
 	out := map[erm.SecurableType]int{}
-	for _, kv := range v.Scan(erm.TableEntity, "") {
-		e, derr := erm.DecodeEntityAt(ids.ID(kv.Key), kv.Value)
-		if derr != nil {
-			continue
-		}
-		if e.State == erm.StateSoftDeleted {
-			continue
-		}
+	for _, e := range LiveEntities(v) {
 		out[e.Type]++
 	}
 	return out, nil

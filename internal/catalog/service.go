@@ -197,11 +197,13 @@ func (s *Service) mint(sc obs.SpanContext, scope string, level cloudsim.AccessLe
 }
 
 // RegisterMetrics registers every layer's metric families on r: store
-// commits and WAL, metadata cache, compiled-authz snapshots, audit
-// aggregates, and cloud-storage operations. Call once per registry.
+// commits and WAL, metadata cache, the event log and its followers,
+// compiled-authz snapshots, audit aggregates, and cloud-storage operations.
+// Call once per registry.
 func (s *Service) RegisterMetrics(r *obs.Registry) {
 	s.db.RegisterMetrics(r)
 	s.cache.RegisterMetrics(r)
+	s.bus.RegisterMetrics(r)
 	s.authz.RegisterMetrics(r)
 	s.audit.RegisterMetrics(r)
 	s.cloud.RegisterMetrics(r)
@@ -535,10 +537,6 @@ func stageEvent(tx *store.Tx, ctx Ctx, op events.Op, e *erm.Entity, detail strin
 // are safe. It runs inside the store's apply turnstile: publishes are
 // per-metastore version-ordered and strictly after durability.
 func (s *Service) onCommit(msID string, version uint64, changes []store.Change, notes []any) {
-	evChanges := make([]events.Change, len(changes))
-	for i, c := range changes {
-		evChanges[i] = events.Change{Table: c.Table, Key: c.Key, Deleted: c.Deleted}
-	}
 	now := s.clk.Now()
 	published := false
 	for _, n := range notes {
@@ -550,14 +548,14 @@ func (s *Service) onCommit(msID string, version uint64, changes []store.Change, 
 			Metastore: msID, Version: version, Op: se.op,
 			EntityID: se.entityID, Type: se.typ, FullName: se.fullName,
 			Principal: se.principal, Detail: se.detail, Time: now,
-			Changes: evChanges,
+			Changes: changes,
 		})
 		published = true
 	}
 	if !published {
 		s.bus.Publish(events.Event{
 			Metastore: msID, Version: version, Op: events.OpChange,
-			Time: now, Changes: evChanges,
+			Time: now, Changes: changes,
 		})
 	}
 }
@@ -626,19 +624,4 @@ func (s *Service) resolveEntity(r erm.Reader, ms *metaState, full string) (*erm.
 		return nil, err
 	}
 	return chain[len(chain)-1], nil
-}
-
-// GetEntityByID returns an entity by ID (no authorization; internal use and
-// trusted second-tier services).
-func (s *Service) GetEntityByID(msID string, id ids.ID) (*erm.Entity, error) {
-	v, err := s.viewMS(msID)
-	if err != nil {
-		return nil, err
-	}
-	defer v.Close()
-	e, ok := erm.GetEntity(v, id)
-	if !ok {
-		return nil, fmt.Errorf("%w: entity %s", ErrNotFound, id.Short())
-	}
-	return e, nil
 }

@@ -51,8 +51,6 @@ type Options struct {
 	// spreads a hot metastore across several caches, exercising
 	// invalidation fan-out.
 	LocalServeEvery int
-	// BusBuffer/BusHistory size each node's event bus (0 = defaults).
-	BusBuffer, BusHistory int
 	// Clock supplies time to the services (nil = real time).
 	Clock clock.Clock
 	// TraceSampleEvery/TraceSlowThreshold give every node a tracer with the
@@ -225,7 +223,7 @@ func New(db *store.DB, opts Options) (*Fleet, error) {
 // AddNode brings up one more node and rebalances ownership onto it. The
 // node starts cold; it warms its cache as the router sends it traffic.
 func (f *Fleet) AddNode() (*Node, error) {
-	bus := events.NewBus(f.opts.BusBuffer, f.opts.BusHistory)
+	bus := events.NewBus(0, 0)
 	svc, err := catalog.New(catalog.Config{
 		DB:        f.db,
 		Cloud:     f.cloud,
@@ -250,7 +248,7 @@ func (f *Fleet) AddNode() (*Node, error) {
 	if f.opts.Capacity > 0 {
 		n.sem = make(chan struct{}, f.opts.Capacity)
 	}
-	n.coherer = cache.StartCoherer(svc.Cache(), bus.Subscribe(), cache.CohererOptions{
+	n.coherer = cache.StartCoherer(svc.Cache(), bus, cache.CohererOptions{
 		Staleness: f.staleness,
 	})
 	f.nodes = append(f.nodes, n)
@@ -425,7 +423,6 @@ func (f *Fleet) Coherence() cache.CohererMetrics {
 		out.Invalidated += m.Invalidated
 		out.FullEvictEquivalent += m.FullEvictEquivalent
 		out.GapReconciles += m.GapReconciles
-		out.DropReconciles += m.DropReconciles
 	}
 	return out
 }
@@ -493,9 +490,8 @@ func (f *Fleet) RegisterMetrics(r *obs.Registry) {
 	r.RegisterCounterFunc("uc_fleet_invalidations_total", "Cache entries invalidated by coherence events across all nodes.", func() int64 {
 		return f.Coherence().Invalidated
 	})
-	r.RegisterCounterFunc("uc_fleet_full_reconciles_total", "Drop- and gap-triggered full reconciles across all nodes.", func() int64 {
-		m := f.Coherence()
-		return m.DropReconciles + m.GapReconciles
+	r.RegisterCounterFunc("uc_fleet_full_reconciles_total", "Gap-triggered reconciles (event-ring overruns and skipped versions) across all nodes.", func() int64 {
+		return f.Coherence().GapReconciles
 	})
 	r.RegisterGaugeFunc("uc_fleet_staleness_versions", "Largest store-vs-cache version lag over nodes × metastores.", func() float64 {
 		return float64(f.MaxVersionLag())

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"unitycatalog/internal/audit"
 	"unitycatalog/internal/catalog"
@@ -40,16 +39,16 @@ func newFleet(t *testing.T, opts Options) (*Fleet, *store.DB) {
 	return f, db
 }
 
-func waitLagZero(t *testing.T, f *Fleet) {
+// syncCoherence waits for every node's coherer to apply what has been
+// published; every cache must then be current.
+func syncCoherence(t *testing.T, f *Fleet) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if f.MaxVersionLag() == 0 {
-			return
-		}
-		time.Sleep(time.Millisecond)
+	for _, n := range f.Nodes() {
+		n.coherer.Sync()
 	}
-	t.Fatalf("fleet staleness never drained: lag=%d versions", f.MaxVersionLag())
+	if lag := f.MaxVersionLag(); lag != 0 {
+		t.Fatalf("fleet is %d versions stale with every coherer caught up", lag)
+	}
 }
 
 // TestFleetCrossNodeCoherence: a write through the owner must invalidate
@@ -95,7 +94,7 @@ func TestFleetCrossNodeCoherence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitLagZero(t, f)
+	syncCoherence(t, f)
 	entriesBefore := others[0].Service.Cache().EntryCount("ms1")
 	if entriesBefore == 0 {
 		t.Fatal("non-owner cache did not warm")
@@ -109,7 +108,7 @@ func TestFleetCrossNodeCoherence(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	waitLagZero(t, f)
+	syncCoherence(t, f)
 
 	for i, n := range others {
 		// The event must have been applied, not fully evicted: most warmed
@@ -118,8 +117,8 @@ func TestFleetCrossNodeCoherence(t *testing.T) {
 		if m.EventsApplied == 0 {
 			t.Fatalf("node %d applied no coherence events", i)
 		}
-		if m.DropReconciles != 0 {
-			t.Fatalf("node %d fell back to full reconcile", i)
+		if m.GapReconciles != 0 {
+			t.Fatalf("node %d fell back to a reconcile", i)
 		}
 		if after := n.Service.Cache().EntryCount("ms1"); after == 0 {
 			t.Fatalf("node %d cache emptied by selective invalidation", i)

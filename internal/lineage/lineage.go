@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"unitycatalog/internal/catalog"
+	"unitycatalog/internal/erm"
 	"unitycatalog/internal/events"
 	"unitycatalog/internal/ids"
 )
@@ -36,35 +37,56 @@ type Service struct {
 	down map[ids.ID][]Edge // edges where asset is upstream
 	up   map[ids.ID][]Edge // edges where asset is downstream
 
-	sub     *events.Subscription
-	stopped chan struct{}
+	follower *events.Follower
 }
 
 // New starts a lineage service consuming the core service's change events.
 func New(core *catalog.Service) *Service {
-	s := &Service{
-		core:    core,
-		down:    map[ids.ID][]Edge{},
-		up:      map[ids.ID][]Edge{},
-		sub:     core.Bus().Subscribe(),
-		stopped: make(chan struct{}),
-	}
-	go s.consume()
+	s := &Service{core: core, down: map[ids.ID][]Edge{}, up: map[ids.ID][]Edge{}}
+	s.follower = core.Bus().Follow("lineage", s.handle, s.prune)
 	return s
 }
 
 // Close stops event consumption.
-func (s *Service) Close() {
-	s.sub.Cancel()
-	<-s.stopped
+func (s *Service) Close() { s.follower.Close() }
+
+// Sync blocks until every event published so far is reflected in the graph.
+func (s *Service) Sync() { s.follower.Sync() }
+
+func (s *Service) handle(e events.Event) {
+	if e.Op == events.OpDelete && e.EntityID != ids.Nil {
+		s.removeAsset(e.EntityID)
+	}
 }
 
-func (s *Service) consume() {
-	defer close(s.stopped)
-	for e := range s.sub.C {
-		if e.Op == events.OpDelete && e.EntityID != ids.Nil {
-			s.removeAsset(e.EntityID)
+// prune is the follower's resync: the deletes it missed are the nodes that
+// are no longer live entities of any attached metastore (store's current
+// snapshot, see catalog.LiveEntities). If a metastore cannot be read nothing
+// is pruned: a dangling edge is filtered at query time, a dropped one is gone.
+func (s *Service) prune() {
+	dead := map[ids.ID]bool{}
+	s.mu.RLock()
+	for id := range s.down {
+		dead[id] = true
+	}
+	for id := range s.up {
+		dead[id] = true
+	}
+	s.mu.RUnlock()
+	for _, msID := range s.core.Metastores() {
+		snap, err := s.core.DB().Snapshot(msID)
+		if err != nil {
+			return
 		}
+		for id := range dead {
+			if e, ok := erm.GetEntity(snap, id); ok && e.State != erm.StateSoftDeleted {
+				delete(dead, id)
+			}
+		}
+		snap.Close()
+	}
+	for id := range dead {
+		s.removeAsset(id)
 	}
 }
 

@@ -32,58 +32,24 @@ type Service struct {
 	docs  map[ids.ID]*doc
 	index map[string]map[ids.ID]bool // token -> posting set
 
-	sub         *events.Subscription
-	lastDropped int64 // sub.Dropped() at the last rebuild; consume goroutine only
-	stopped     chan struct{}
-
-	// Reindexed counts full rebuilds (after event loss).
-	Reindexed int
+	follower *events.Follower
 }
 
-// New starts a search service subscribed to the core's change events and
-// primes the index from the current catalog state.
+// New starts a search service following the core's change events; the
+// follower's first resync primes the index from the current catalog state.
 func New(core *catalog.Service) *Service {
-	s := newService(core)
-	s.Reindex()
-	go s.consume()
+	s := &Service{core: core, docs: map[ids.ID]*doc{}, index: map[string]map[ids.ID]bool{}}
+	s.follower = core.Bus().Follow("search", s.handle, s.Reindex)
 	return s
 }
 
-// newService subscribes to the core's events without indexing or consuming
-// anything yet.
-func newService(core *catalog.Service) *Service {
-	return &Service{
-		core:    core,
-		docs:    map[ids.ID]*doc{},
-		index:   map[string]map[ids.ID]bool{},
-		sub:     core.Bus().Subscribe(),
-		stopped: make(chan struct{}),
-	}
-}
-
 // Close stops event consumption.
-func (s *Service) Close() {
-	s.sub.Cancel()
-	<-s.stopped
-}
+func (s *Service) Close() { s.follower.Close() }
 
-func (s *Service) consume() {
-	defer close(s.stopped)
-	for e := range s.sub.C {
-		s.handle(e)
-	}
-}
+// Sync blocks until every event published so far is reflected in the index.
+func (s *Service) Sync() { s.follower.Sync() }
 
-// handle applies one event. Dropped() is cumulative, so loss is a rise since
-// the last rebuild, not a non-zero count: one rebuild per drop episode, as
-// in cache.Coherer. The rebuild reads current state, which covers the event
-// in hand.
 func (s *Service) handle(e events.Event) {
-	if d := s.sub.Dropped(); d > s.lastDropped {
-		s.lastDropped = d
-		s.Reindex()
-		return
-	}
 	switch e.Op {
 	case events.OpCreate, events.OpUpdate, events.OpTag:
 		s.indexAsset(e.Metastore, e.EntityID)
@@ -97,27 +63,37 @@ func (s *Service) Reindex() {
 	s.mu.Lock()
 	s.docs = map[ids.ID]*doc{}
 	s.index = map[string]map[ids.ID]bool{}
-	s.Reindexed++
 	s.mu.Unlock()
 	for _, msID := range s.core.Metastores() {
-		for _, e := range s.core.AllEntities(msID) {
-			s.indexEntity(msID, e)
+		snap, err := s.core.DB().Snapshot(msID)
+		if err != nil {
+			continue
 		}
+		for _, e := range catalog.LiveEntities(snap) {
+			s.indexEntity(snap, e)
+		}
+		snap.Close()
 	}
 }
 
+// indexAsset indexes the asset as it is now, which is never older than the
+// event that named it (see catalog.LiveEntities): one snapshot serves the
+// entity and its tags.
 func (s *Service) indexAsset(msID string, id ids.ID) {
 	if id == ids.Nil {
 		return
 	}
-	e, err := s.core.GetEntityByID(msID, id)
+	snap, err := s.core.DB().Snapshot(msID)
 	if err != nil {
 		return
 	}
-	s.indexEntity(msID, e)
+	defer snap.Close()
+	if e, ok := erm.GetEntity(snap, id); ok {
+		s.indexEntity(snap, e)
+	}
 }
 
-func (s *Service) indexEntity(msID string, e *erm.Entity) {
+func (s *Service) indexEntity(r erm.Reader, e *erm.Entity) {
 	if e.State == erm.StateSoftDeleted {
 		s.remove(e.ID)
 		return
@@ -126,7 +102,7 @@ func (s *Service) indexEntity(msID string, e *erm.Entity) {
 	for _, tok := range Tokenize(e.Name + " " + e.FullName + " " + e.Comment) {
 		tokens[tok] = true
 	}
-	tags, colTags := s.core.TagsByID(msID, e.ID)
+	tags, colTags := catalog.EntityTags(r, e.ID)
 	for k, v := range tags {
 		tokens[strings.ToLower(k)] = true
 		tokens[strings.ToLower(v)] = true

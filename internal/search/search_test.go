@@ -2,12 +2,17 @@ package search
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"unitycatalog/internal/catalog"
+	"unitycatalog/internal/erm"
 	"unitycatalog/internal/events"
+	"unitycatalog/internal/ids"
 	"unitycatalog/internal/privilege"
 	"unitycatalog/internal/store"
 )
@@ -41,17 +46,6 @@ func setup(t *testing.T) (*catalog.Service, *Service, catalog.Ctx) {
 	return svc, s, admin
 }
 
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for !cond() && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !cond() {
-		t.Fatal("condition not reached")
-	}
-}
-
 func TestInitialIndexAndSearch(t *testing.T) {
 	_, s, admin := setup(t)
 	if s.DocCount() < 4 {
@@ -79,30 +73,35 @@ func TestInitialIndexAndSearch(t *testing.T) {
 func TestEventDrivenIndexUpdates(t *testing.T) {
 	svc, s, admin := setup(t)
 	svc.CreateTable(admin, "sales.raw", "refunds", catalog.TableSpec{Columns: []catalog.ColumnInfo{{Name: "id", Type: "BIGINT"}}}, "")
-	waitFor(t, func() bool {
-		res, _ := s.Search(admin, "refunds", 0)
-		return len(res) == 1
-	})
+	s.Sync()
+	if res, _ := s.Search(admin, "refunds", 0); len(res) != 1 {
+		t.Fatalf("created table not indexed: %v", res)
+	}
 	// Deletion removes from the index.
 	svc.DeleteAsset(admin, "sales.raw.refunds", false)
-	waitFor(t, func() bool {
-		res, _ := s.Search(admin, "refunds", 0)
-		return len(res) == 0
-	})
+	s.Sync()
+	if res, _ := s.Search(admin, "refunds", 0); len(res) != 0 {
+		t.Fatalf("deleted table still indexed: %v", res)
+	}
 }
 
+// TestTagSearch was a one-in-two flake under -race until followers stopped
+// reading through the cache: the TAG event reaches the follower from inside
+// SetTag's commit, before this node's cache has advanced to the commit's
+// version, and a view opened then shows the asset without its tag.
 func TestTagSearch(t *testing.T) {
 	svc, s, admin := setup(t)
 	if err := svc.SetTag(admin, "sales.raw.orders", "ssn", "classification", "pii"); err != nil {
 		t.Fatal(err)
 	}
+	s.Sync()
 	// The paper's canonical discovery query: find all assets tagged PII.
-	waitFor(t, func() bool {
-		res, _ := s.Search(admin, "pii", 0)
-		return len(res) == 1 && res[0].FullName == "sales.raw.orders"
-	})
+	res, _ := s.Search(admin, "pii", 0)
+	if len(res) != 1 || res[0].FullName != "sales.raw.orders" {
+		t.Fatalf("tag search = %v", res)
+	}
 	// key:value search.
-	res, _ := s.Search(admin, "classification:pii", 0)
+	res, _ = s.Search(admin, "classification:pii", 0)
 	if len(res) != 1 {
 		t.Fatalf("kv search = %v", res)
 	}
@@ -144,19 +143,50 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
-// TestOneReindexPerDropEpisode drives the follower by hand against a
-// subscriber that is deliberately slow — nobody consumes while the publisher
-// overflows its buffer. Dropped() is cumulative: the follower must rebuild
-// once per rise, not on every event after the first loss.
+// gate lets a test hold a follower inside handle.
+type gate struct {
+	armed         atomic.Bool
+	entered, open chan struct{}
+}
+
+// hold returns once the follower is inside handle with the one event that
+// publishOne publishes, where it stays until release. The follower must be
+// idle (Sync) when hold is called.
+func (g *gate) hold(publishOne func()) {
+	g.armed.Store(true)
+	publishOne()
+	<-g.entered
+}
+
+func (g *gate) release() { g.open <- struct{}{} }
+
+// newGated starts a search service wired the way New wires it, except that
+// its follower passes through the returned gate on every event.
+func newGated(core *catalog.Service) (*Service, *gate) {
+	g := &gate{entered: make(chan struct{}), open: make(chan struct{})}
+	s := &Service{core: core, docs: map[ids.ID]*doc{}, index: map[string]map[ids.ID]bool{}}
+	s.follower = core.Bus().Follow("search", func(e events.Event) {
+		if g.armed.CompareAndSwap(true, false) {
+			g.entered <- struct{}{}
+			<-g.open
+		}
+		s.handle(e)
+	}, s.Reindex)
+	return s, g
+}
+
+// TestOneReindexPerDropEpisode: a follower that fell off the event ring
+// rebuilds once per episode — not once per event after the first loss, the
+// cumulative-counter bug the channel fan-out invited — and indexes from
+// events again as soon as it keeps up.
 func TestOneReindexPerDropEpisode(t *testing.T) {
-	const buf = 8
+	const ring = 8
 	db, err := store.Open(store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	bus := events.NewBus(buf, 0)
-	svc, err := catalog.New(catalog.Config{DB: db, Bus: bus})
+	svc, err := catalog.New(catalog.Config{DB: db, Bus: events.NewBus(0, ring)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,9 +195,8 @@ func TestOneReindexPerDropEpisode(t *testing.T) {
 	svc.CreateCatalog(admin, "sales", "")
 	svc.CreateSchema(admin, "sales", "raw", "")
 
-	s := newService(svc) // subscribed, but no consume goroutine: the test is the follower
-	defer s.sub.Cancel()
-	s.Reindex()
+	s, g := newGated(svc)
+	defer s.Close()
 	create := func(n int, prefix string) {
 		t.Helper()
 		for i := 0; i < n; i++ {
@@ -175,11 +204,6 @@ func TestOneReindexPerDropEpisode(t *testing.T) {
 				catalog.TableSpec{Columns: []catalog.ColumnInfo{{Name: "id", Type: "BIGINT"}}}, ""); err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	drain := func() {
-		for len(s.sub.C) > 0 {
-			s.handle(<-s.sub.C)
 		}
 	}
 	found := func(q string) int {
@@ -192,27 +216,173 @@ func TestOneReindexPerDropEpisode(t *testing.T) {
 	}
 
 	for episode := 1; episode <= 2; episode++ {
-		// Fall behind: 3x the buffer published, nothing consumed.
-		create(3*buf, fmt.Sprintf("lost%d_", episode))
-		if s.sub.Dropped() == 0 {
-			t.Fatal("publisher did not overflow the subscription")
+		// Fall behind: 3x the ring published with the follower held on the
+		// first of them.
+		g.hold(func() { create(1, fmt.Sprintf("lost%d_first", episode)) })
+		create(3*ring-1, fmt.Sprintf("lost%d_", episode))
+		if lag := s.follower.Lag(); lag != 3*ring {
+			t.Fatalf("episode %d: held follower lags %d, want %d", episode, lag, 3*ring)
 		}
-		drain()
-		if want := 1 + episode; s.Reindexed != want {
-			t.Fatalf("episode %d: %d rebuilds after draining %d buffered events, want %d", episode, s.Reindexed, buf, want)
+		g.release()
+		s.Sync()
+		if got := s.follower.Resyncs(); got != int64(episode) {
+			t.Fatalf("episode %d: %d rebuilds, want %d", episode, got, episode)
 		}
-		if got := found(fmt.Sprintf("lost%d", episode)); got != 3*buf {
-			t.Fatalf("episode %d: rebuild indexed %d of the %d tables created while behind", episode, got, 3*buf)
+		if got := found(fmt.Sprintf("lost%d", episode)); got != 3*ring {
+			t.Fatalf("episode %d: rebuild indexed %d of the %d tables created while behind", episode, got, 3*ring)
 		}
 		// Keeping up again: events apply one by one, no rebuild.
-		create(buf, fmt.Sprintf("kept%d_", episode))
-		drain()
-		if want := 1 + episode; s.Reindexed != want {
-			t.Fatalf("episode %d: %d rebuilds while keeping up, want %d", episode, s.Reindexed, want)
+		for i := 0; i < ring; i++ {
+			create(1, fmt.Sprintf("kept%d_%d_", episode, i))
+			s.Sync()
 		}
-		if got := found(fmt.Sprintf("kept%d", episode)); got != buf {
-			t.Fatalf("episode %d: %d of %d tables indexed from events", episode, got, buf)
+		if got := s.follower.Resyncs(); got != int64(episode) {
+			t.Fatalf("episode %d: %d rebuilds while keeping up, want %d", episode, got, episode)
 		}
+		if got := found(fmt.Sprintf("kept%d", episode)); got != ring {
+			t.Fatalf("episode %d: %d of %d tables indexed from events", episode, got, ring)
+		}
+	}
+}
+
+// snapshotIndex copies the index for comparison.
+func snapshotIndex(s *Service) map[ids.ID]doc {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make(map[ids.ID]doc, len(s.docs))
+	for id, d := range s.docs {
+		out[id] = *d
+	}
+	return out
+}
+
+// TestEventToVisibleDifferential: after a seeded mix of create, update, tag,
+// untag, delete and undelete from two concurrent writers, once Sync returns
+// the index built from events must equal an index built from scratch — both
+// when the follower kept up and when it was overrun mid-stream and had to
+// rebuild while the writers went on.
+func TestEventToVisibleDifferential(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ring int
+	}{{"keeps up", 0}, {"forced gap", 16}} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, err := store.Open(store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			svc, err := catalog.New(catalog.Config{DB: db, Bus: events.NewBus(0, tc.ring)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc.CreateMetastore("ms1", "main", "r", "admin", "s3://root/ms1")
+			admin := catalog.Ctx{Principal: "admin", Metastore: "ms1"}
+			svc.CreateCatalog(admin, "sales", "")
+			svc.CreateSchema(admin, "sales", "raw", "")
+			s, g := newGated(svc)
+			defer s.Close()
+
+			// Each writer owns the tables it created; it deletes, restores
+			// and retags only those, so every operation is valid.
+			type table struct {
+				id              ids.ID
+				full            string
+				deleted, tiered bool
+			}
+			var owned [2][]*table
+			writer := func(w, ops int) {
+				r := rand.New(rand.NewSource(int64(42 + w + len(owned[w]))))
+				for i := 0; i < ops; i++ {
+					var err error
+					var tb *table
+					if len(owned[w]) > 0 {
+						tb = owned[w][r.Intn(len(owned[w]))]
+					}
+					switch op := r.Intn(6); {
+					case tb == nil || op == 0:
+						name := fmt.Sprintf("w%d_t%d", w, len(owned[w]))
+						var e *erm.Entity
+						if e, err = svc.CreateTable(admin, "sales.raw", name, catalog.TableSpec{Columns: []catalog.ColumnInfo{{Name: "id", Type: "BIGINT"}}}, ""); err == nil {
+							owned[w] = append(owned[w], &table{id: e.ID, full: "sales.raw." + name})
+						}
+					case tb.deleted:
+						if _, err = svc.Undelete(admin, tb.id); err == nil {
+							tb.deleted = false
+						}
+					case op == 1:
+						comment := fmt.Sprintf("note%d by writer%d", i, w)
+						_, err = svc.UpdateAsset(admin, tb.full, catalog.UpdateRequest{Comment: &comment})
+					case op == 2 && tb.tiered:
+						if err = svc.UnsetTag(admin, tb.full, "", "tier"); err == nil {
+							tb.tiered = false
+						}
+					case op == 2 || op == 3:
+						if err = svc.SetTag(admin, tb.full, "", "tier", fmt.Sprintf("t%d", r.Intn(3))); err == nil {
+							tb.tiered = true
+						}
+					case op == 4:
+						err = svc.SetTag(admin, tb.full, "id", "classification", "pii")
+					default:
+						if err = svc.DeleteAsset(admin, tb.full, false); err == nil {
+							tb.deleted = true
+						}
+					}
+					if err != nil {
+						t.Errorf("writer %d op %d: %v", w, i, err)
+						return
+					}
+				}
+			}
+			run := func(ops int) {
+				var wg sync.WaitGroup
+				for w := range owned {
+					wg.Add(1)
+					go func(w int) { defer wg.Done(); writer(w, ops) }(w)
+				}
+				wg.Wait()
+			}
+
+			if tc.ring > 0 {
+				g.hold(func() { svc.CreateSchema(admin, "sales", "staging", "") })
+				run(40) // far more events than the ring holds
+				g.release()
+			}
+			run(40) // with a gap, the rebuild races these
+			s.Sync()
+			if got := s.follower.Resyncs(); (got > 0) != (tc.ring > 0) {
+				t.Fatalf("%d rebuilds with a ring of %d", got, tc.ring)
+			}
+
+			oracle := &Service{core: svc, docs: map[ids.ID]*doc{}, index: map[string]map[ids.ID]bool{}}
+			oracle.Reindex()
+			got, want := snapshotIndex(s), snapshotIndex(oracle)
+			if len(want) < 10 {
+				t.Fatalf("oracle indexed only %d assets: the mix did not run", len(want))
+			}
+			if !reflect.DeepEqual(got, want) {
+				for id, w := range want {
+					if g, ok := got[id]; !ok || !reflect.DeepEqual(g, w) {
+						t.Errorf("%s: followed index has %+v (present %v), rebuilt index has %+v", w.FullName, g, ok, w)
+					}
+				}
+				for id, g := range got {
+					if _, ok := want[id]; !ok {
+						t.Errorf("%s: in the followed index only", g.FullName)
+					}
+				}
+			}
+			for tok, want := range oracle.index {
+				if len(want) > 0 && !reflect.DeepEqual(s.index[tok], want) {
+					t.Errorf("postings of %q: %d ids followed, %d rebuilt", tok, len(s.index[tok]), len(want))
+				}
+			}
+			for tok, got := range s.index {
+				if len(got) > 0 && len(oracle.index[tok]) == 0 {
+					t.Errorf("postings of %q exist in the followed index only (%d ids)", tok, len(got))
+				}
+			}
+		})
 	}
 }
 
@@ -242,8 +412,7 @@ func TestIndexRetainsOnlyWhatItKeeps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := newService(svc)
-	defer s.sub.Cancel()
+	s := &Service{core: svc, docs: map[ids.ID]*doc{}, index: map[string]map[ids.ID]bool{}}
 
 	heap := func() uint64 {
 		runtime.GC()

@@ -172,7 +172,7 @@ func TestTempCredentialsOverHTTP(t *testing.T) {
 }
 
 func TestSearchLineageModelsOverHTTP(t *testing.T) {
-	_, hs, admin := testStack(t)
+	srv, hs, admin := testStack(t)
 	admin.CreateCatalog("ml", "")
 	admin.CreateSchema("ml", "prod", "")
 	model, err := admin.CreateModel("ml.prod", "churn", "predicts churn")
@@ -188,21 +188,10 @@ func TestSearchLineageModelsOverHTTP(t *testing.T) {
 		t.Fatalf("versions = %v, %v", vs, err)
 	}
 
-	// Search finds the model (event-driven index).
-	deadline := 200
-	var hits int
-	for i := 0; i < deadline; i++ {
-		res, err := admin.Search("churn", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hits = len(res)
-		if hits > 0 {
-			break
-		}
-	}
-	if hits == 0 {
-		t.Fatal("search found nothing")
+	// Search finds the model once the index has caught up with the events.
+	srv.Search.Sync()
+	if res, err := admin.Search("churn", 0); err != nil || len(res) == 0 {
+		t.Fatalf("search found %v, %v", res, err)
 	}
 
 	// Lineage round trip.

@@ -76,8 +76,8 @@ func seedAssets(t *testing.T, c *client.Client) {
 }
 
 // TestMetricsEndpoint asserts /metrics exposes every layer's families:
-// store commits and WAL batching, cache traffic, authz snapshots, audit
-// aggregates, and per-route HTTP latency.
+// store commits and WAL batching, cache traffic, the event log and its
+// followers, authz snapshots, audit aggregates, and per-route HTTP latency.
 func TestMetricsEndpoint(t *testing.T) {
 	_, hs, c := telemetryStack(t, nil)
 	seedAssets(t, c)
@@ -98,6 +98,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"uc_cache_hits_total",
 		"uc_cache_misses_total",
 		"uc_cache_degraded",
+		"uc_events_published_total",
+		`uc_events_follower_lag{follower="search"}`,
+		`uc_events_follower_lag{follower="lineage"}`,
+		`uc_events_follower_resyncs_total{follower="search"} 0`,
 		"uc_authz_snapshot_hits_total",
 		"uc_authz_snapshot_builds_total",
 		"uc_audit_records_total",
@@ -113,6 +117,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	// HTTP families must carry route labels.
 	if strings.Contains(body, "uc_store_commits_total 0\n") {
 		t.Error("uc_store_commits_total still zero after writes")
+	}
+	if strings.Contains(body, "uc_events_published_total 0\n") {
+		t.Error("uc_events_published_total still zero after writes")
 	}
 	if !strings.Contains(body, `route="POST /api/2.1/unity-catalog/tables"`) {
 		t.Error("uc_http_requests_total lacks per-route labels")

@@ -87,10 +87,10 @@ type KV struct {
 
 // Change describes one mutation applied by a committed transaction.
 type Change struct {
-	Version uint64 // metastore version that applied this change
-	Table   string
-	Key     string
-	Deleted bool
+	Version uint64 `json:"version"` // metastore version that applied this change
+	Table   string `json:"table"`
+	Key     string `json:"key"`
+	Deleted bool   `json:"deleted,omitempty"`
 }
 
 type version struct {
