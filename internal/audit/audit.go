@@ -82,12 +82,12 @@ type clockBox struct{ c clock.Clock }
 
 // Log is the audit trail. The zero value is not usable; call NewLog.
 type Log struct {
-	max     int // total retention bound across shards
-	perMax  int // per-shard retention bound
-	shards  []logShard
-	seq     atomic.Uint64
-	clk     atomic.Pointer[clockBox]
-	sink    atomic.Pointer[sinkBox]
+	max    int // total retention bound across shards
+	perMax int // per-shard retention bound
+	shards []logShard
+	seq    atomic.Uint64
+	clk    atomic.Pointer[clockBox]
+	sink   atomic.Pointer[sinkBox]
 
 	// aggregate counters survive retention trimming
 	total, reads, writes, denied atomic.Int64

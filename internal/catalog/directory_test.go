@@ -130,3 +130,27 @@ func TestWorkspaceBindings(t *testing.T) {
 		t.Fatalf("non-admin binding change: %v", err)
 	}
 }
+
+// TestWorkspaceBindingCheckAllocs pins the cost of the binding check every
+// authorized request starts with: one decode per ancestor and one of the
+// catalog's spec. It decoded every ancestor twice until PR 16.
+func TestWorkspaceBindingCheckAllocs(t *testing.T) {
+	svc, admin := testService(t)
+	tbl := seedNamespace(t, svc, admin)
+	if err := svc.SetWorkspaceBindings(admin, "sales", []string{"ws-us", "ws-eu"}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := Ctx{Principal: "alice", Metastore: "ms1", Workspace: "ws-eu"}
+	v, err := svc.view(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	if err := svc.checkWorkspaceBinding(ctx, v, tbl.ID); err != nil {
+		t.Fatal(err)
+	}
+	// 21 for table, schema, catalog and metastore; 34 with the second decode.
+	if allocs := testing.AllocsPerRun(100, func() { _ = svc.checkWorkspaceBinding(ctx, v, tbl.ID) }); allocs > 24 {
+		t.Fatalf("checkWorkspaceBinding allocates %v times for a table, want at most 24", allocs)
+	}
+}

@@ -46,9 +46,9 @@ type Config struct {
 	// across all metastores (default 4096).
 	AuthzCacheSize int
 	// AuthzSnapshotTTL bounds how long a cached snapshot's compiled group
-	// closure may be reused; grant and hierarchy changes invalidate
-	// snapshots immediately via the metastore version, but group changes
-	// do not bump it (default 30s, matching the directory's group cache).
+	// closure may be reused; grant and hierarchy changes reach snapshots
+	// at once through the change log, but group changes are not commits
+	// (default 30s, matching the directory's group cache).
 	AuthzSnapshotTTL time.Duration
 	// SoftDeleteRetention is how long soft-deleted entities are kept before
 	// garbage collection (default 7 days).
@@ -138,11 +138,11 @@ func New(cfg Config) (*Service, error) {
 		stsRetry:    cfg.STSRetry,
 		gcRetention: cfg.SoftDeleteRetention,
 		metas:       map[string]*metaState{},
-		authz: privilege.NewSnapshotCache(privilege.SnapshotCacheOptions{
-			MaxEntries: cfg.AuthzCacheSize,
-			MaxAge:     cfg.AuthzSnapshotTTL,
-		}),
 	}
+	s.authz = privilege.NewSnapshotCache(privilege.SnapshotCacheOptions{
+		MaxEntries: cfg.AuthzCacheSize,
+		MaxAge:     cfg.AuthzSnapshotTTL,
+	}, s.touchedSecurables)
 	if cfg.Usage != nil {
 		s.usage.Store(cfg.Usage)
 	}
@@ -377,21 +377,48 @@ func (v viewGrants) GrantsOn(id ids.ID) []privilege.Grant {
 
 // versionedReader is what authorization decisions are made against: a read
 // view pinned at one metastore version (a cache view, or a store snapshot
-// behind snapReader). The snapshot cache keys compiled authorization state
-// by that version.
+// behind snapReader). A compiled snapshot's memo is shared only between
+// requests whose views are at the version it describes.
 type versionedReader interface {
 	erm.Reader
 	Version() uint64
 }
 
-// authorizer returns the per-principal decision engine for a request: a
-// compiled snapshot from the cross-request cache, bound to the request's
-// view. Grant and hierarchy writes bump the metastore version, so stale
-// snapshots miss and rebuild — version-keyed invalidation with no
-// invalidation traffic.
+// authorizer returns the per-principal decision engine for a request: the
+// principal's compiled snapshot from the cross-request cache, moved to the
+// version of the request's view and bound to that view. The snapshot gets
+// there along the store's change log (touchedSecurables), the source the
+// metadata cache reconciles from, so a commit costs it the memo entries of
+// the securables it wrote and a commit that wrote none costs it nothing.
 func (s *Service) authorizer(ctx Ctx, r versionedReader) privilege.Authorizer {
-	snap := s.authz.SnapshotT(ctx.Trace, ctx.Metastore, ctx.Principal, r.Version(), s.groups)
-	return snap.Bind(viewResolver{r}, viewGrants{r})
+	v := r.Version()
+	snap := s.authz.SnapshotT(ctx.Trace, ctx.Metastore, ctx.Principal, v, s.groups)
+	return snap.Bind(v, viewResolver{r}, viewGrants{r})
+}
+
+// touchedSecurables implements privilege.Touched over the store's change
+// log. A snapshot memoizes what viewResolver and viewGrants read and no
+// more: a securable's entity row (key = id) and its direct grants (key
+// prefix = id). Names, children, paths, tags and ABAC rules (evaluated
+// outside the snapshot, see check) feed nothing it holds.
+func (s *Service) touchedSecurables(msID string, from, to uint64) ([]ids.ID, bool) {
+	changes, err := s.db.ChangesSince(msID, from)
+	if err != nil {
+		return nil, false // trimmed, or the store is failing: start over
+	}
+	var touched []ids.ID
+	for _, ch := range changes {
+		if ch.Version > to {
+			break
+		}
+		switch ch.Table {
+		case erm.TableEntity:
+			touched = append(touched, ids.ID(ch.Key))
+		case erm.TableGrant:
+			touched = append(touched, erm.GrantSecurable(ch.Key))
+		}
+	}
+	return touched, true
 }
 
 // AuthzMetrics returns the authorization snapshot-cache counters.
@@ -413,9 +440,13 @@ func (s *Service) viewMS(msID string) (*cache.View, error) {
 // for the securable and its ancestors: a catalog bound to specific
 // workspaces is unreachable from any other workspace, regardless of grants.
 func (s *Service) checkWorkspaceBinding(ctx Ctx, r erm.Reader, id ids.ID) error {
-	for _, anc := range scopeChain(r, id) {
-		e, ok := erm.GetEntity(r, anc)
-		if !ok || e.Type != erm.TypeCatalog {
+	for cur := id; cur != ids.Nil; {
+		e, ok := erm.GetEntity(r, cur)
+		if !ok {
+			break
+		}
+		cur = e.ParentID
+		if e.Type != erm.TypeCatalog {
 			continue
 		}
 		var spec CatalogSpec

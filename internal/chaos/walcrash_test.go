@@ -105,7 +105,7 @@ func TestChaosWALGroupCommitCrashRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(20250805))
 	points := map[int]bool{0: true, len(data): true}
 	for i := 0; i < 40; i++ {
-		points[rng.Intn(len(data) + 1)] = true
+		points[rng.Intn(len(data)+1)] = true
 	}
 	for i, b := range data {
 		if b == '\n' && rng.Intn(4) == 0 {

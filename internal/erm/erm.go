@@ -482,6 +482,12 @@ func GrantKey(sec ids.ID, p privilege.Principal, priv privilege.Privilege) strin
 // GrantPrefix is the scan prefix for all grants on a securable.
 func GrantPrefix(sec ids.ID) string { return string(sec) + "\x00" }
 
+// GrantSecurable returns the securable a grant record key belongs to.
+func GrantSecurable(grantKey string) ids.ID {
+	sec, _, _ := strings.Cut(grantKey, "\x00")
+	return ids.ID(sec)
+}
+
 // TagKey builds the tag record key for an entity-level tag.
 func TagKey(sec ids.ID, key string) string { return string(sec) + "\x00" + key }
 

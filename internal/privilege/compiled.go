@@ -11,11 +11,14 @@ import (
 // Engine re-walks the ancestor chain once for the checked privilege and once
 // per container gate — O(depth²) hierarchy lookups per decision, each with a
 // linear grant scan and a fresh group expansion. A Snapshot compiles the
-// same rules once per (metadata version, principal): the group closure is
-// expanded once, and per-securable effective privilege sets and
-// container-gate verdicts are memoized, so every sibling under one schema
-// shares a single ancestor evaluation and a decision becomes one map lookup
-// plus one bitset AND.
+// same rules once per principal: the group closure is expanded once, and
+// per-securable effective privilege sets and container-gate verdicts are
+// memoized, so every sibling under one schema shares a single ancestor
+// evaluation and a decision becomes one map lookup plus one bitset AND.
+//
+// The memo describes one version of the hierarchy and grant set at a time.
+// It follows the change log from version to version (advance): a commit
+// costs it the entries of the securables the commit wrote, not the memo.
 //
 // Semantics are exactly the reference engine's (ownership, MANAGE
 // implication, usage gating, broken-hierarchy denials) — the differential
@@ -45,18 +48,57 @@ type Authorizer interface {
 	EffectiveSet(id ids.ID) (PrivSet, bool)
 }
 
-// Snapshot is the compiled per-principal authorization state, valid for one
-// version of the securable hierarchy and grant set. It is safe for
-// concurrent use and is designed to be cached across requests (see
-// SnapshotCache); bind it to the current request's readers with Bind.
+// Snapshot is the compiled per-principal authorization state: the group
+// closure, fixed at compilation, and a memo of evaluated securables that
+// describes the hierarchy and grant set at one version. It is safe for
+// concurrent use and is designed to be cached across requests and versions
+// (see SnapshotCache); bind it to a request's readers with Bind.
 type Snapshot struct {
 	principal Principal
 	who       map[Principal]struct{} // principal + transitive group closure
 
-	mu    sync.Mutex
+	mu      sync.Mutex
+	version uint64 // the version memo describes; only ever grows
+	memo    memo
+}
+
+// memo is what a snapshot has evaluated so far. Every entry was computed
+// from readers pinned at the owning snapshot's version.
+type memo struct {
 	secs  map[ids.ID]secMemo
 	effs  map[ids.ID]effMemo
 	gates map[ids.ID]gateMemo
+	// parents holds every id a memoized securable names as its parent.
+	// The effs and gates of a securable fold in those of its ancestors, so
+	// a change to an id in this set reaches entries filed under other ids.
+	parents map[ids.ID]struct{}
+}
+
+func newMemo() memo {
+	return memo{
+		secs:    map[ids.ID]secMemo{},
+		effs:    map[ids.ID]effMemo{},
+		gates:   map[ids.ID]gateMemo{},
+		parents: map[ids.ID]struct{}{},
+	}
+}
+
+func (m *memo) size() int { return len(m.secs) + len(m.effs) + len(m.gates) }
+
+// drop forgets what the memo holds about each id in changed, securables
+// whose row or direct grants were written. It reports false when a memoized
+// securable inherits from one of them: no set of keys short of the whole
+// memo covers that change, and the caller must discard it.
+func (m *memo) drop(changed []ids.ID) bool {
+	for _, id := range changed {
+		if _, inherited := m.parents[id]; inherited {
+			return false
+		}
+		delete(m.secs, id)
+		delete(m.effs, id)
+		delete(m.gates, id)
+	}
+	return true
 }
 
 type secMemo struct {
@@ -77,8 +119,9 @@ type gateMemo struct {
 	reason  string
 }
 
-// NewSnapshot compiles the principal's group closure once. The groups
-// resolver is consulted only here; decisions later never re-expand groups.
+// NewSnapshot compiles the principal's group closure once, with an empty
+// memo at version 0. The groups resolver is consulted only here; decisions
+// later never re-expand groups.
 func NewSnapshot(p Principal, groups GroupResolver) *Snapshot {
 	if groups == nil {
 		groups = NoGroups{}
@@ -89,52 +132,117 @@ func NewSnapshot(p Principal, groups GroupResolver) *Snapshot {
 	for _, g := range gs {
 		who[g] = struct{}{}
 	}
-	return &Snapshot{
-		principal: p,
-		who:       who,
-		secs:      map[ids.ID]secMemo{},
-		effs:      map[ids.ID]effMemo{},
-		gates:     map[ids.ID]gateMemo{},
-	}
+	return &Snapshot{principal: p, who: who, memo: newMemo()}
 }
 
 // Principal returns the principal the snapshot was compiled for.
 func (s *Snapshot) Principal() Principal { return s.principal }
 
+// Touched reports the securables whose own row or direct grants were
+// written by scope's commits in (from, to]; repeats are allowed. ok is false
+// when the change log no longer covers the range.
+type Touched func(scope string, from, to uint64) (touched []ids.ID, ok bool)
+
+// advanced says what advance did to the snapshot's memo.
+type advanced int
+
+const (
+	advancedCurrent   advanced = iota // already described the version
+	advancedPatched                   // followed the change log to it
+	advancedDiscarded                 // moved to it with the memo dropped whole
+	advancedAhead                     // describes a later version; untouched
+)
+
+// advance moves the snapshot forward to version to, keeping every memo
+// entry the commits in between did not write, and returns what it did and
+// how many entries it dropped. The memo is dropped whole when there is no
+// log to follow (touched nil, or the log trimmed), when a container some
+// entry inherits from was written, and when more commits separate the two
+// versions than the memo has entries: patching costs O(commits), starting
+// over at most O(entries).
+func (s *Snapshot) advance(scope string, to uint64, touched Touched) (advanced, int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.version == to:
+		return advancedCurrent, 0
+	case s.version > to:
+		return advancedAhead, 0
+	}
+	from, size := s.version, s.memo.size()
+	s.version = to
+	if size == 0 {
+		return advancedPatched, 0
+	}
+	if touched != nil && to-from <= uint64(size) {
+		// The log is read under s.mu, as the hierarchy and grant readers
+		// are: the lock is this principal's alone.
+		if changed, ok := touched(scope, from, to); ok && s.memo.drop(changed) {
+			return advancedPatched, size - s.memo.size()
+		}
+	}
+	s.memo = newMemo()
+	return advancedDiscarded, size
+}
+
 // Bind attaches the snapshot to a request's hierarchy and grant readers,
-// returning the compiled engine. Memoized state persists across binds; the
-// readers are only consulted for securables not yet compiled, so they must
-// present the same metadata version the snapshot was keyed by.
-func (s *Snapshot) Bind(h HierarchyResolver, g Store) *Compiled {
-	return &Compiled{h: h, g: g, snap: s}
+// which present the hierarchy and grants at version, and returns the
+// compiled engine. The engine reads and extends the snapshot's memo for as
+// long as the snapshot describes that same version; from the moment it
+// describes another, the engine evaluates on a memo of its own, so no entry
+// computed at one version is ever read at another.
+func (s *Snapshot) Bind(version uint64, h HierarchyResolver, g Store) *Compiled {
+	return &Compiled{h: h, g: g, snap: s, version: version}
 }
 
 // NewCompiled builds a compiled engine with a fresh single-use snapshot.
 func NewCompiled(h HierarchyResolver, g Store, groups GroupResolver, p Principal) *Compiled {
-	return NewSnapshot(p, groups).Bind(h, g)
+	return NewSnapshot(p, groups).Bind(0, h, g)
 }
 
 // Compiled is a Snapshot bound to concrete readers for one request.
 type Compiled struct {
-	h    HierarchyResolver
-	g    Store
-	snap *Snapshot
+	h       HierarchyResolver
+	g       Store
+	snap    *Snapshot
+	version uint64 // what h and g are pinned at
+	own     *memo  // used once snap has left version; guarded by snap.mu
 }
 
 var _ Authorizer = (*Compiled)(nil)
 
+// lock takes the snapshot's lock and returns the memo the engine may read
+// and write: the snapshot's while it describes the readers' version, the
+// engine's own otherwise (a request pinned to an old view, or one that
+// raced an advance). Snapshot versions only grow, so an engine that has
+// left the shared memo never returns to it.
+func (c *Compiled) lock() *memo {
+	c.snap.mu.Lock()
+	if c.snap.version == c.version {
+		return &c.snap.memo
+	}
+	if c.own == nil {
+		m := newMemo()
+		c.own = &m
+	}
+	return c.own
+}
+
 // securable resolves and memoizes one securable. Caller holds snap.mu.
-func (c *Compiled) securable(id ids.ID) (Securable, bool) {
-	if m, ok := c.snap.secs[id]; ok {
-		return m.sec, m.ok
+func (c *Compiled) securable(m *memo, id ids.ID) (Securable, bool) {
+	if sm, ok := m.secs[id]; ok {
+		return sm.sec, sm.ok
 	}
 	sec, ok := c.h.Securable(id)
-	c.snap.secs[id] = secMemo{sec: sec, ok: ok}
+	m.secs[id] = secMemo{sec: sec, ok: ok}
+	if ok && sec.Parent != ids.Nil {
+		m.parents[sec.Parent] = struct{}{}
+	}
 	return sec, ok
 }
 
 // direct compiles the securable's own grants and ownership into privilege
-// sets. Caller holds snap.mu.
+// sets.
 func (c *Compiled) direct(sec Securable) effMemo {
 	var m effMemo
 	if _, mine := c.snap.who[sec.Owner]; mine {
@@ -158,76 +266,76 @@ func (c *Compiled) direct(sec Securable) effMemo {
 // O(depth) walk shared by every descendant. A missing ancestor truncates
 // inheritance exactly like the reference engine's holdsInherited. Caller
 // holds snap.mu.
-func (c *Compiled) effective(id ids.ID) (effMemo, bool) {
-	sec, ok := c.securable(id)
+func (c *Compiled) effective(m *memo, id ids.ID) (effMemo, bool) {
+	sec, ok := c.securable(m, id)
 	if !ok {
 		return effMemo{}, false
 	}
-	if m, done := c.snap.effs[id]; done {
-		return m, true
+	if em, done := m.effs[id]; done {
+		return em, true
 	}
-	m := c.direct(sec)
+	em := c.direct(sec)
 	if sec.Parent != ids.Nil {
-		if pm, pok := c.effective(sec.Parent); pok {
-			m.check |= pm.check
-			m.report |= pm.report
+		if pm, pok := c.effective(m, sec.Parent); pok {
+			em.check |= pm.check
+			em.report |= pm.report
 		}
 	}
-	c.snap.effs[id] = m
-	return m, true
+	m.effs[id] = em
+	return em, true
 }
 
 // gate returns the memoized container-gate verdict for the securable's
 // ancestor chain: every enclosing CATALOG/SCHEMA must yield its usage
 // privilege. Verdicts are shared by all securables under the same parent.
 // Caller holds snap.mu.
-func (c *Compiled) gate(sec Securable) gateMemo {
-	if m, ok := c.snap.gates[sec.ID]; ok {
-		return m
+func (c *Compiled) gate(m *memo, sec Securable) gateMemo {
+	if gm, ok := m.gates[sec.ID]; ok {
+		return gm
 	}
-	var m gateMemo
+	var gm gateMemo
 	switch {
 	case sec.Parent == ids.Nil:
-		m = gateMemo{allowed: true}
+		gm = gateMemo{allowed: true}
 	default:
-		parent, ok := c.securable(sec.Parent)
+		parent, ok := c.securable(m, sec.Parent)
 		if !ok {
-			m = gateMemo{allowed: false, reason: "broken hierarchy"}
+			gm = gateMemo{allowed: false, reason: "broken hierarchy"}
 			break
 		}
 		if usage, gated := usageFor[parent.Type]; gated {
-			pm, _ := c.effective(parent.ID)
+			pm, _ := c.effective(m, parent.ID)
 			if !pm.check.Has(usage) {
-				m = gateMemo{allowed: false, reason: fmt.Sprintf("missing %s on %s", usage, parent.ID.Short())}
+				gm = gateMemo{allowed: false, reason: fmt.Sprintf("missing %s on %s", usage, parent.ID.Short())}
 				break
 			}
 		}
-		m = c.gate(parent)
+		gm = c.gate(m, parent)
 	}
-	c.snap.gates[sec.ID] = m
-	return m
+	m.gates[sec.ID] = gm
+	return gm
 }
 
 // Check implements Authorizer with one memoized ancestor walk.
 func (c *Compiled) Check(priv Privilege, id ids.ID) Decision {
-	c.snap.mu.Lock()
+	m := c.lock()
 	defer c.snap.mu.Unlock()
-	return c.checkLocked(priv, id)
+	return c.check(m, priv, id)
 }
 
-func (c *Compiled) checkLocked(priv Privilege, id ids.ID) Decision {
+func (c *Compiled) check(m *memo, priv Privilege, id ids.ID) Decision {
 	d := Decision{Principal: c.snap.principal, Privilege: priv, Securable: id}
-	sec, ok := c.securable(id)
+	sec, ok := c.securable(m, id)
 	if !ok {
 		d.Reason = "securable not found"
 		return d
 	}
-	m, _ := c.effective(id)
-	if !m.check.Has(priv) {
+	em, _ := c.effective(m, id)
+	if !em.check.Has(priv) {
 		d.Reason = fmt.Sprintf("missing %s", priv)
 		return d
 	}
-	if g := c.gate(sec); !g.allowed {
+	if g := c.gate(m, sec); !g.allowed {
 		d.Reason = g.reason
 		return d
 	}
@@ -238,15 +346,15 @@ func (c *Compiled) checkLocked(priv Privilege, id ids.ID) Decision {
 
 // CheckNoGate implements Authorizer.
 func (c *Compiled) CheckNoGate(priv Privilege, id ids.ID) Decision {
-	c.snap.mu.Lock()
+	m := c.lock()
 	defer c.snap.mu.Unlock()
 	d := Decision{Principal: c.snap.principal, Privilege: priv, Securable: id}
-	if _, ok := c.securable(id); !ok {
+	if _, ok := c.securable(m, id); !ok {
 		d.Reason = "securable not found"
 		return d
 	}
-	m, _ := c.effective(id)
-	if m.check.Has(priv) {
+	em, _ := c.effective(m, id)
+	if em.check.Has(priv) {
 		d.Allowed = true
 		d.Reason = "ok"
 	} else {
@@ -258,40 +366,40 @@ func (c *Compiled) CheckNoGate(priv Privilege, id ids.ID) Decision {
 // CheckMany implements Authorizer: the whole batch shares one lock
 // acquisition and every memoized ancestor evaluation.
 func (c *Compiled) CheckMany(priv Privilege, secIDs []ids.ID) []Decision {
-	c.snap.mu.Lock()
+	m := c.lock()
 	defer c.snap.mu.Unlock()
 	out := make([]Decision, len(secIDs))
 	for i, id := range secIDs {
-		out[i] = c.checkLocked(priv, id)
+		out[i] = c.check(m, priv, id)
 	}
 	return out
 }
 
 // IsOwner implements Authorizer.
 func (c *Compiled) IsOwner(id ids.ID) bool {
-	c.snap.mu.Lock()
+	m := c.lock()
 	defer c.snap.mu.Unlock()
-	m, ok := c.effective(id)
-	return ok && m.check.HasAdmin()
+	em, ok := c.effective(m, id)
+	return ok && em.check.HasAdmin()
 }
 
 // EffectivePrivileges implements Authorizer.
 func (c *Compiled) EffectivePrivileges(id ids.ID) []Privilege {
-	c.snap.mu.Lock()
+	m := c.lock()
 	defer c.snap.mu.Unlock()
-	m, ok := c.effective(id)
+	em, ok := c.effective(m, id)
 	if !ok {
 		return nil
 	}
-	return m.report.Privileges()
+	return em.report.Privileges()
 }
 
 // EffectiveSet implements Authorizer.
 func (c *Compiled) EffectiveSet(id ids.ID) (PrivSet, bool) {
-	c.snap.mu.Lock()
+	m := c.lock()
 	defer c.snap.mu.Unlock()
-	m, ok := c.effective(id)
-	return m.check, ok
+	em, ok := c.effective(m, id)
+	return em.check, ok
 }
 
 // --- reference-engine bridge ---

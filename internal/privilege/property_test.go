@@ -147,7 +147,7 @@ func TestDifferentialCompiledVsNaive(t *testing.T) {
 			// Two binds of one snapshot: the second pass answers purely from
 			// memos compiled during the first.
 			for pass := 0; pass < 2; pass++ {
-				comp := snap.Bind(h, g)
+				comp := snap.Bind(0, h, g)
 				for _, sec := range secs {
 					for _, priv := range privs {
 						if nd, cd := naive.Check(priv, sec), comp.Check(priv, sec); nd != cd {

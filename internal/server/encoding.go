@@ -230,5 +230,9 @@ func appendHealthz(dst []byte, h *healthzResponse) []byte {
 	dst = jsonenc.AppendInt(dst, h.Authz.Evictions)
 	dst = append(dst, `,"Entries":`...)
 	dst = jsonenc.AppendInt(dst, h.Authz.Entries)
+	dst = append(dst, `,"Patches":`...)
+	dst = jsonenc.AppendInt(dst, h.Authz.Patches)
+	dst = append(dst, `,"MemoDropped":`...)
+	dst = jsonenc.AppendInt(dst, h.Authz.MemoDropped)
 	return append(dst, "}}"...)
 }

@@ -139,7 +139,7 @@ func parsePromSample(t *testing.T, line string) promSample {
 		if end < b {
 			t.Fatalf("unterminated label set: %q", line)
 		}
-		s := promSample{name: name, labels: parsePromLabels(t, line[b+1 : end])}
+		s := promSample{name: name, labels: parsePromLabels(t, line[b+1:end])}
 		rest = strings.TrimSpace(line[end+1:])
 		v, err := strconv.ParseFloat(rest, 64)
 		if err != nil {
@@ -503,9 +503,9 @@ func TestTenantMeteringEndToEnd(t *testing.T) {
 
 	_, body := mustGet(t, hs.URL+"/debug/tenants")
 	var dims map[string]struct {
-		Total    int64            `json:"total"`
-		Residual int64            `json:"residual"`
-		Top      []obs.TopKEntry  `json:"top"`
+		Total    int64           `json:"total"`
+		Residual int64           `json:"residual"`
+		Top      []obs.TopKEntry `json:"top"`
 	}
 	if err := json.Unmarshal([]byte(body), &dims); err != nil {
 		t.Fatalf("/debug/tenants not JSON: %v\n%s", err, body)

@@ -104,6 +104,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		`uc_events_follower_resyncs_total{follower="search"} 0`,
 		"uc_authz_snapshot_hits_total",
 		"uc_authz_snapshot_builds_total",
+		"uc_authz_snapshot_invalidations_total",
+		"uc_authz_snapshot_patches_total",
+		"uc_authz_snapshot_memo_dropped_total",
+		"uc_authz_snapshot_memo_entries",
 		"uc_audit_records_total",
 		"uc_cloud_puts_total",
 		"uc_http_requests_total",
@@ -120,6 +124,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if strings.Contains(body, "uc_events_published_total 0\n") {
 		t.Error("uc_events_published_total still zero after writes")
+	}
+	if strings.Contains(body, "uc_authz_snapshot_memo_entries 0\n") || strings.Contains(body, "uc_authz_snapshot_patches_total 0\n") {
+		t.Error("the admin's snapshot memoized nothing, or did not follow the seed's commits")
 	}
 	if !strings.Contains(body, `route="POST /api/2.1/unity-catalog/tables"`) {
 		t.Error("uc_http_requests_total lacks per-route labels")

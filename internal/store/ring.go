@@ -35,6 +35,9 @@ func (r *changeRing) push(c Change) {
 // len returns the number of retained changes.
 func (r *changeRing) len() int { return len(r.buf) }
 
+// full reports whether the next push evicts, or an earlier one already did.
+func (r *changeRing) full() bool { return len(r.buf) == r.capacity }
+
 // at returns the i-th oldest retained change; i must be in [0, len).
 func (r *changeRing) at(i int) Change {
 	return r.buf[(r.start+i)%len(r.buf)]

@@ -1184,13 +1184,15 @@ func (db *DB) ChangesSince(msID string, v uint64) ([]Change, error) {
 		return nil, nil
 	}
 	n := ms.changes.len()
-	// The log must contain every change in (v, current]; the oldest
-	// retained change being newer than v+1 means some were trimmed.
+	// The log must contain every change in (v, current]. The ring evicts
+	// change by change, not commit by commit, so once it has wrapped the
+	// oldest retained version may be missing its first changes: only a
+	// retained change at or below v shows that all of v+1 is still there.
 	first := ^uint64(0)
 	if n > 0 {
 		first = ms.changes.at(0).Version
 	}
-	if v+1 < first {
+	if v+1 < first || (v < first && ms.changes.full()) {
 		return nil, ErrChangeLogTrimmed
 	}
 	// Versions ascend through the ring, so binary-search the cut point.

@@ -217,6 +217,29 @@ func TestChangesSinceTrimmed(t *testing.T) {
 	}
 }
 
+// TestChangesSincePartlyEvictedCommit: the ring evicts change by change, so
+// its oldest commit can have lost its first changes. A reader one version
+// behind that commit must be told the log is trimmed, not handed the rest.
+func TestChangesSincePartlyEvictedCommit(t *testing.T) {
+	db := mustOpen(t, Options{ChangeLogSize: 4})
+	db.CreateMetastore("m")
+	for i := 0; i < 3; i++ { // versions 1..3, three changes each
+		db.Update("m", func(tx *Tx) error {
+			for j := 0; j < 3; j++ {
+				tx.Put("t", fmt.Sprintf("k%d-%d", i, j), nil)
+			}
+			return nil
+		})
+	}
+	// The ring holds the last change of version 2 and all of version 3.
+	if cs, err := db.ChangesSince("m", 1); !errors.Is(err, ErrChangeLogTrimmed) {
+		t.Fatalf("ChangesSince(1) = %+v, %v; version 2 is partly evicted", cs, err)
+	}
+	if cs, err := db.ChangesSince("m", 2); err != nil || len(cs) != 3 {
+		t.Fatalf("ChangesSince(2) = %+v, %v; want version 3's three changes", cs, err)
+	}
+}
+
 func TestSerializableWritesConcurrent(t *testing.T) {
 	db := mustOpen(t, Options{})
 	db.CreateMetastore("m")

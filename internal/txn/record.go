@@ -85,8 +85,8 @@ type intentRecord struct {
 	// staged-file deletion) has not verifiably finished; the recovery sweep
 	// retries cleanup until it clears. CleanupErr records the last failure
 	// so a half-compensated abort is visible, not silent.
-	Dirty      bool   `json:"dirty,omitempty"`
-	CleanupErr string `json:"cleanup_err,omitempty"`
+	Dirty      bool      `json:"dirty,omitempty"`
+	CleanupErr string    `json:"cleanup_err,omitempty"`
 	UpdatedAt  time.Time `json:"updated_at,omitempty"`
 }
 

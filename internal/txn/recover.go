@@ -396,4 +396,3 @@ func (c *Coordinator) Close() {
 	c.sweepStop = nil
 	c.sweepDone = nil
 }
-
