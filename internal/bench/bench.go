@@ -121,7 +121,6 @@ func All() []Experiment {
 		{ID: "scale", Title: "Catalog cardinality: ordered indexes + keyset pagination at scale", Run: ScaleExperiment, Grid: gridOf(RunScaleGrid, ScaleCellRows)},
 		{ID: "txn", Title: "Multi-table transactions: contended commit + recovery sweep", Run: TxnExperiment, Grid: gridOf(RunTxnGrid, TxnCellRows)},
 		{ID: "http", Title: "HTTP hot path: pooled encoders + conditional GET at connection scale", Run: HTTPExperiment, Grid: gridOf(RunHTTPGrid, HTTPCellRows)},
-		{ID: "fleet", Title: "Serving fleet: event-driven selective cache coherence at 1-16 nodes", Run: FleetExperiment, Grid: gridOf(RunFleetGrid, FleetCellRows)},
 	}
 }
 

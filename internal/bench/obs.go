@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"unitycatalog/internal/catalog"
-	"unitycatalog/internal/fleet"
 	"unitycatalog/internal/obs"
 	"unitycatalog/internal/store"
 )
@@ -25,14 +24,11 @@ import (
 // ObsCell is one measured cell of the instrumentation-overhead grid.
 type ObsCell struct {
 	// Path is the hot path: deep_check (authorized GetAsset on a
-	// catalog.schema.table chain, cache hit), commit_wal (single-key
-	// store commit through the group-commit WAL), or fleet_forward
-	// (round-robin routed reads on a two-node fleet, ~half crossing the
-	// node boundary).
+	// catalog.schema.table chain, cache hit) or commit_wal (single-key
+	// store commit through the group-commit WAL).
 	Path string `json:"path"`
-	// Mode is "off" (zero SpanContext), "traced" (enabled, unsampled),
-	// "traced+metered" (tracing plus per-tenant usage metering), or
-	// "propagated" (cross-node trace propagation on forwarded requests).
+	// Mode is "off" (zero SpanContext), "traced" (enabled, unsampled), or
+	// "traced+metered" (tracing plus per-tenant usage metering).
 	Mode        string  `json:"mode"`
 	Ops         int     `json:"ops"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -196,94 +192,7 @@ func RunObsGrid(quick bool) ([]ObsCell, error) {
 			tracer.Finish(t, "bench.commit_wal")
 		}},
 	})...)
-
-	// Path 3: routed reads on a two-node fleet. Round-robin entry against a
-	// single owner means ~half the requests cross the node boundary; the
-	// "propagated" mode pays span-context wire encoding, the forward span,
-	// and a remote trace segment on the executing node for each of those.
-	fwdOps := 40_000
-	if quick {
-		fwdOps = 8_000
-	}
-	var fwdModes []obsMode
-	for _, mode := range []string{"off", "propagated"} {
-		opts := fleet.Options{Nodes: 2}
-		if mode == "propagated" {
-			// Tracers on every node, sampling disabled: steady state
-			// between retained samples, same as the other paths.
-			opts.TraceSampleEvery = -1
-		}
-		fn, cleanup, err := setupFleetForward(mode, opts)
-		if err != nil {
-			return nil, fmt.Errorf("obs fleet_forward %s: %w", mode, err)
-		}
-		defer cleanup()
-		fwdModes = append(fwdModes, obsMode{mode, fn})
-	}
-	cells = append(cells, measureObsPath("fleet_forward", fwdOps, fwdModes)...)
 	return cells, nil
-}
-
-// setupFleetForward builds a warmed two-node fleet and returns the per-op
-// closure for one fleet_forward mode.
-func setupFleetForward(mode string, opts fleet.Options) (fn func(), cleanup func(), err error) {
-	db, err := store.Open(store.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	f, err := fleet.New(db, opts)
-	if err != nil {
-		db.Close()
-		return nil, nil, err
-	}
-	cleanup = func() { f.Close(); db.Close() }
-	fail := func(e error) (func(), func(), error) {
-		cleanup()
-		return nil, nil, e
-	}
-
-	admin := catalog.Ctx{Principal: "admin", Metastore: "fwd-ms", TrustedEngine: true}
-	if _, _, err := f.CreateMetastore("fwd-ms", "fwd", "region-1", "admin", "s3://root/fwd"); err != nil {
-		return fail(err)
-	}
-	if err := f.Do("fwd-ms", func(svc *catalog.Service) error {
-		if _, err := svc.CreateCatalog(admin, "cat", ""); err != nil {
-			return err
-		}
-		if _, err := svc.CreateSchema(admin, "cat", "s", ""); err != nil {
-			return err
-		}
-		_, err := svc.CreateTable(admin, "cat.s", "t", catalog.TableSpec{
-			Columns: []catalog.ColumnInfo{{Name: "id", Type: "BIGINT"}},
-		}, "")
-		return err
-	}); err != nil {
-		return fail(err)
-	}
-	read := func(svc *catalog.Service, sc obs.SpanContext) error {
-		ctx := admin
-		ctx.Trace = sc
-		_, err := svc.GetAsset(ctx, "cat.s.t")
-		return err
-	}
-	// Warm both nodes' caches so the measured loop is the routing + hop
-	// cost, not cold misses.
-	for i := 0; i < 8; i++ {
-		if err := f.DoTraced(obs.SpanContext{}, "fwd-ms", read); err != nil {
-			return fail(err)
-		}
-	}
-
-	tracer := obs.NewTracer(-1, 0)
-	fn = func() { f.DoTraced(obs.SpanContext{}, "fwd-ms", read) }
-	if mode == "propagated" {
-		fn = func() {
-			t := tracer.StartTrace()
-			f.DoTraced(tracer.Root(t), "fwd-ms", read)
-			tracer.Finish(t, "bench.fleet_forward")
-		}
-	}
-	return fn, cleanup, nil
 }
 
 // ObsExperiment renders the grid with per-path overhead percentages.

@@ -20,15 +20,16 @@
 //     On success the written records are inserted into the cache at the new
 //     version (write-through); on a version mismatch — another node wrote —
 //     the node reconciles and retries.
-//   - A node hears of another node's commit from its Coherer (the change-
-//     event stream) or when a write of its own loses the version CAS. With
-//     neither at work it asks: NewView compares the known version with the
-//     database's, so a warm node does not go on serving hits at a version
-//     another node has replaced.
+//   - A node hears of another node's commit in two ways, both synchronous:
+//     it asks — NewView compares the known version with the database's, and
+//     a view's first miss does so again — or a write of its own loses the
+//     version CAS. So a view opens at the database's current version, and a
+//     warm node does not go on serving hits at a version another node has
+//     replaced. Nothing is pushed to a node.
 //   - Reconciliation is selective: the node consults the store's change log
 //     and invalidates only the records that changed. It evicts everything
 //     for the metastore only when the log no longer covers its known version.
-//   - Two eviction mechanisms bound memory: an LRU or LFU policy evicts
+//   - Two eviction mechanisms bound memory: an LRU policy evicts
 //     unpopular records with all their versions, and old versions of
 //     popular records are pruned lazily once past the API-timeout horizon,
 //     because no in-flight request can still need them.
@@ -42,7 +43,7 @@
 //     lock-striped shards keyed by a hash of the record key. A cache hit
 //     takes only its shard's RLock; hits on different assets touch
 //     different locks.
-//   - Hit bookkeeping (lastUsed, uses) and all effectiveness counters are
+//   - Hit bookkeeping (lastUsed) and all effectiveness counters are
 //     sync/atomic values, so a hit mutates nothing under a lock.
 //   - The metastore's known version is an atomic. Operations that must
 //     change it together with cached state (reconciliation, write-through
@@ -65,9 +66,9 @@
 //     under its shard lock with the same "view still at the known version"
 //     guard as a single-key miss, and the batch runs the evictor once.
 //   - Eviction is per-shard with approximate global accounting: inserts
-//     bump an atomic entry count, and when it exceeds the cap a victim is
-//     chosen by policy within one shard (rotating across shards), so
-//     eviction never stops the world.
+//     bump an atomic entry count, and when it exceeds the cap the least
+//     recently used record of one shard (rotating across shards) is the
+//     victim, so eviction never stops the world.
 //
 // # Graceful degradation
 //
@@ -100,15 +101,6 @@ import (
 	"unitycatalog/internal/store"
 )
 
-// EvictionPolicy selects the whole-record eviction algorithm.
-type EvictionPolicy int
-
-// Eviction policies.
-const (
-	EvictLRU EvictionPolicy = iota
-	EvictLFU
-)
-
 // numShards is the lock-striping factor for each metastore's record and
 // scan maps. Power of two; sized so that at typical server core counts two
 // concurrent hits rarely share a lock, while keeping the cost of
@@ -120,8 +112,6 @@ type Options struct {
 	// MaxEntriesPerMetastore bounds cached records per metastore
 	// (0 means 1<<20).
 	MaxEntriesPerMetastore int
-	// Policy selects the eviction policy (default LRU).
-	Policy EvictionPolicy
 	// VersionRetention is how long superseded record versions are kept for
 	// in-flight readers — the paper ties this to the API timeout enforced
 	// by the upstream proxy. Zero means 30 seconds.
@@ -148,13 +138,8 @@ type Metrics struct {
 	CoalescedMisses     int64
 	FullReconciles      int64
 	SelectiveReconciles int64
-	// EventApplies counts coherence notifications that advanced the known
-	// version without a database round trip; EventInvalidations counts the
-	// cache entries those notifications dropped.
-	EventApplies       int64
-	EventInvalidations int64
-	Evictions          int64
-	WriteConflicts     int64
+	Evictions           int64
+	WriteConflicts      int64
 	// DegradedReads counts reads served from stale cached data while the
 	// database was unavailable; DegradedMisses counts degraded reads that
 	// found nothing cached; DegradedDenied counts reads refused because the
@@ -177,8 +162,6 @@ type counters struct {
 	coalescedMisses      obs.Counter
 	fullReconciles       obs.Counter
 	selectiveReconciles  obs.Counter
-	eventApplies         obs.Counter
-	eventInvalidations   obs.Counter
 	evictions            obs.Counter
 	writeConflicts       obs.Counter
 	degradedReads        obs.Counter
@@ -199,13 +182,9 @@ type cachedRecord struct {
 	versions []cachedVersion // ascending by version; guarded by the shard lock
 	// Eviction bookkeeping, updated lock-free on the hit path.
 	lastUsed atomic.Int64 // unix nanoseconds
-	uses     atomic.Int64
 }
 
-func (r *cachedRecord) touch() {
-	r.lastUsed.Store(time.Now().UnixNano())
-	r.uses.Add(1)
-}
+func (r *cachedRecord) touch() { r.lastUsed.Store(time.Now().UnixNano()) }
 
 func (r *cachedRecord) at(v uint64) (value []byte, deleted, ok bool) {
 	for i := len(r.versions) - 1; i >= 0; i-- {
@@ -358,10 +337,6 @@ type Cache struct {
 	mu    sync.RWMutex
 	owned map[string]*msCache
 
-	// feeds counts the running Coherers applying the change-event stream to
-	// this node. With none, NewViewT checks the database's version itself.
-	feeds atomic.Int32
-
 	metrics counters
 }
 
@@ -423,8 +398,6 @@ func (c *Cache) Metrics() Metrics {
 		CoalescedMisses:     c.metrics.coalescedMisses.Load(),
 		FullReconciles:      c.metrics.fullReconciles.Load(),
 		SelectiveReconciles: c.metrics.selectiveReconciles.Load(),
-		EventApplies:        c.metrics.eventApplies.Load(),
-		EventInvalidations:  c.metrics.eventInvalidations.Load(),
 		Evictions:           c.metrics.evictions.Load(),
 		WriteConflicts:      c.metrics.writeConflicts.Load(),
 		DegradedReads:       c.metrics.degradedReads.Load(),
@@ -445,8 +418,6 @@ func (c *Cache) RegisterMetrics(r *obs.Registry) {
 	r.RegisterCounter("uc_cache_coalesced_misses_total", "Misses that piggybacked on an in-flight database read.", &c.metrics.coalescedMisses)
 	r.RegisterCounter("uc_cache_full_reconciles_total", "Full (evict-everything) reconciliations.", &c.metrics.fullReconciles)
 	r.RegisterCounter("uc_cache_selective_reconciles_total", "Change-log-driven selective reconciliations.", &c.metrics.selectiveReconciles)
-	r.RegisterCounter("uc_cache_event_applies_total", "Coherence events applied without a database round trip.", &c.metrics.eventApplies)
-	r.RegisterCounter("uc_cache_event_invalidations_total", "Cache entries invalidated by coherence events.", &c.metrics.eventInvalidations)
 	r.RegisterCounter("uc_cache_evictions_total", "Records evicted by the cache policy.", &c.metrics.evictions)
 	r.RegisterCounter("uc_cache_write_conflicts_total", "Optimistic writes retried after a version conflict.", &c.metrics.writeConflicts)
 	r.RegisterCounter("uc_cache_degraded_reads_total", "Reads served from stale cache during a database outage.", &c.metrics.degradedReads)
@@ -567,43 +538,33 @@ func (c *Cache) reconcileAllLocked(msID string, m *msCache) error {
 
 // invalidateChangesLocked drops exactly the cached records named by changes
 // plus any cached scan whose (table, prefix) covers a changed key; surviving
-// scans remain the latest as of the version the caller advances to. It
-// returns the number of records and scans dropped. Caller must hold every
-// shard lock (lockAll).
-func invalidateChangesLocked(m *msCache, changes []store.Change) int {
-	dropped := 0
+// scans remain the latest as of the version the caller advances to. Caller
+// must hold every shard lock (lockAll).
+func invalidateChangesLocked(m *msCache, changes []store.Change) {
 	for _, ch := range changes {
 		rk := cacheKey{ch.Table, ch.Key}
 		sh := m.shardFor(rk)
 		if _, ok := sh.records[rk]; ok {
 			delete(sh.records, rk)
 			m.entries.Add(-1)
-			dropped++
 		}
-		dropped += dropScansLocked(m, ch.Table, ch.Key)
+		dropScansLocked(m, ch.Table, ch.Key)
 	}
-	return dropped
 }
 
-// dropScansLocked drops every cached scan over table whose prefix covers key
-// and returns how many it dropped. It probes the prefixes of key that scans
-// of the table have been cached under rather than walking the scan maps: a
-// commit's cost must not grow with the number of cached scans (one per
-// securable for grants and tags alone). Caller must hold every shard lock.
-func dropScansLocked(m *msCache, table, key string) int {
-	dropped := 0
+// dropScansLocked drops every cached scan over table whose prefix covers
+// key. It probes the prefixes of key that scans of the table have been cached
+// under rather than walking the scan maps: a commit's cost must not grow with
+// the number of cached scans (one per securable for grants and tags alone).
+// Caller must hold every shard lock.
+func dropScansLocked(m *msCache, table, key string) {
 	for _, n := range m.scanLens[table] {
 		if n > len(key) {
 			continue
 		}
 		sk := cacheKey{table, key[:n]}
-		sh := m.shardFor(sk)
-		if _, ok := sh.scans[sk]; ok {
-			delete(sh.scans, sk)
-			dropped++
-		}
+		delete(m.shardFor(sk).scans, sk)
 	}
-	return dropped
 }
 
 // evictAllLocked drops every cached record and scan and sets the known
@@ -616,57 +577,6 @@ func evictAllLocked(m *msCache, newV uint64) {
 	m.scanLens = map[string][]int{}
 	m.entries.Store(0)
 	m.knownVersion.Store(newV)
-}
-
-// ApplyResult classifies an ApplyChanges outcome.
-type ApplyResult int
-
-const (
-	// ApplyAdvanced means the notification was the next version and its
-	// changes were invalidated; the cache is now current as of that version
-	// with no database round trip.
-	ApplyAdvanced ApplyResult = iota
-	// ApplyStale means the cache already knew this version (its own
-	// write-through or an earlier reconcile covered it); nothing to do.
-	ApplyStale
-	// ApplyGap means the notification skipped past knownVersion+1 — the
-	// subscriber missed intermediate versions and must Refresh to catch up.
-	ApplyGap
-	// ApplyNotOwned means this node does not cache the metastore.
-	ApplyNotOwned
-)
-
-// ApplyChanges applies one coherence notification — "version v changed
-// exactly these records" — from the change-event stream. Unlike Refresh it
-// never touches the database: the event carries the invalidation set. It
-// returns how many cached entries were dropped, how many records were
-// resident before applying (what a full evict would have dropped), and the
-// outcome.
-func (c *Cache) ApplyChanges(msID string, version uint64, changes []store.Change) (invalidated int, resident int64, res ApplyResult) {
-	if c.opts.Disabled {
-		return 0, 0, ApplyNotOwned
-	}
-	c.mu.RLock()
-	m, ok := c.owned[msID]
-	c.mu.RUnlock()
-	if !ok {
-		return 0, 0, ApplyNotOwned
-	}
-	m.lockAll()
-	defer m.unlockAll()
-	known := m.knownVersion.Load()
-	if version <= known {
-		return 0, m.entries.Load(), ApplyStale
-	}
-	if version != known+1 {
-		return 0, m.entries.Load(), ApplyGap
-	}
-	resident = m.entries.Load()
-	invalidated = invalidateChangesLocked(m, changes)
-	m.knownVersion.Store(version)
-	c.metrics.eventApplies.Add(1)
-	c.metrics.eventInvalidations.Add(int64(invalidated))
-	return invalidated, resident, ApplyAdvanced
 }
 
 // ReconcileFull forcibly evicts everything cached for msID and re-pins the
@@ -694,26 +604,14 @@ func (c *Cache) ReconcileFull(msID string) error {
 	return nil
 }
 
-// OwnedMetastores lists the metastores this node caches, sorted.
-func (c *Cache) OwnedMetastores() []string {
-	c.mu.RLock()
-	out := make([]string, 0, len(c.owned))
-	for id := range c.owned {
-		out = append(out, id)
-	}
-	c.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
 // pinnedBit marks a View's state word as pinned; the remaining bits are the
 // view's snapshot version.
 const pinnedBit = uint64(1) << 63
 
 // View is a snapshot-isolated read view of one metastore served from the
-// cache with database fallback. It opens at the node's known version (see
-// NewViewT for when that is checked first) and pins lazily: a view whose
-// *first* access misses the cache validates the node's known version
+// cache with database fallback. It opens at the database's current version
+// (NewViewT checks the node's known version against it) and pins lazily: a
+// view whose *first* access misses the cache validates the known version
 // against the database and reconciles before pinning — the paper's "on
 // every DB read, the node checks that its in-memory version is the latest"
 // — so fresh requests observe other nodes' committed writes, while accesses
@@ -762,7 +660,9 @@ func (c *Cache) NewView(msID string) (*View, error) {
 }
 
 // NewViewT is NewView with a trace context: the view's cache misses and
-// reconciliations record spans under sc.
+// reconciliations record spans under sc. It first brings the node up to the
+// database's current version, which is the one consistency statement every
+// node makes: a view opens at the version the database had when it was asked.
 func (c *Cache) NewViewT(sc obs.SpanContext, msID string) (*View, error) {
 	if c.opts.Disabled {
 		snap, err := c.db.Snapshot(msID)
@@ -777,12 +677,13 @@ func (c *Cache) NewViewT(sc obs.SpanContext, msID string) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.feeds.Load() == 0 && m.writers.Load() == 0 {
-		// No Coherer and no write of this node's own is at work to tell it of
-		// another node's commit, and a first access that hits would never
-		// ask. (Mid-write the database is ahead only by that write, and a
-		// reconcile would drop what it is about to install.) A failure is
-		// left to the read path, which serves degraded at the known version.
+	if m.writers.Load() == 0 {
+		// Nothing tells this node of another writer's commit — another node's,
+		// or txn.Coordinator's on this one — and a first access that hits
+		// would never ask. (Mid-write the database is ahead only by that
+		// write, and a reconcile would drop what it is about to install.) A
+		// failure is left to the read path, which serves degraded at the known
+		// version.
 		_ = c.catchUp(sc, msID, m)
 	}
 	v := &View{c: c, msID: msID, m: m, sc: sc}
@@ -1259,14 +1160,14 @@ func (c *Cache) maybeEvict(m *msCache) {
 	}
 }
 
-// evictOne removes one record according to the eviction policy from the
-// next non-empty shard in rotation. Returns false if nothing was evicted.
+// evictOne removes the least recently used record of the next non-empty
+// shard in rotation. Returns false if nothing was evicted.
 func (c *Cache) evictOne(m *msCache) bool {
 	start := int(m.evictCursor.Add(1))
 	for i := 0; i < numShards; i++ {
 		sh := &m.shards[(start+i)&(numShards-1)]
 		sh.mu.Lock()
-		if victim, ok := c.victimLocked(sh); ok {
+		if victim, ok := victimLocked(sh); ok {
 			delete(sh.records, victim)
 			m.entries.Add(-1)
 			c.metrics.evictions.Add(1)
@@ -1278,18 +1179,13 @@ func (c *Cache) evictOne(m *msCache) bool {
 	return false
 }
 
-// victimLocked picks the policy victim within one shard. Caller holds the
-// shard's write lock.
-func (c *Cache) victimLocked(sh *shard) (victim cacheKey, ok bool) {
-	// Fewest uses (LFU) or least recent use (LRU): the smallest score loses.
+// victimLocked picks the least recently used record of one shard. Caller
+// holds the shard's write lock.
+func victimLocked(sh *shard) (victim cacheKey, ok bool) {
 	var least int64
 	for k, r := range sh.records {
-		score := r.lastUsed.Load()
-		if c.opts.Policy == EvictLFU {
-			score = r.uses.Load()
-		}
-		if !ok || score < least {
-			least, victim, ok = score, k, true
+		if used := r.lastUsed.Load(); !ok || used < least {
+			least, victim, ok = used, k, true
 		}
 	}
 	return victim, ok

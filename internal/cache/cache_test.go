@@ -339,30 +339,26 @@ func TestScanCaching(t *testing.T) {
 	}
 }
 
-func TestEvictionLRUAndLFU(t *testing.T) {
-	for _, pol := range []EvictionPolicy{EvictLRU, EvictLFU} {
-		db, _ := store.Open(store.Options{})
-		db.CreateMetastore("m")
-		db.Update("m", func(tx *store.Tx) error {
-			for i := 0; i < 10; i++ {
-				tx.Put("t", fmt.Sprintf("k%d", i), []byte{byte(i)})
-			}
-			return nil
-		})
-		c := New(db, Options{MaxEntriesPerMetastore: 4, Policy: pol})
-		c.Own("m")
+func TestEvictionLRU(t *testing.T) {
+	db := newDB(t)
+	db.Update("m", func(tx *store.Tx) error {
 		for i := 0; i < 10; i++ {
-			v, _ := c.NewView("m")
-			v.Get("t", fmt.Sprintf("k%d", i))
-			v.Close()
+			tx.Put("t", fmt.Sprintf("k%d", i), []byte{byte(i)})
 		}
-		if n := c.EntryCount("m"); n > 4 {
-			t.Fatalf("policy %v: %d entries cached, cap 4", pol, n)
-		}
-		if m := c.Metrics(); m.Evictions == 0 {
-			t.Fatalf("policy %v: no evictions recorded", pol)
-		}
-		db.Close()
+		return nil
+	})
+	c := New(db, Options{MaxEntriesPerMetastore: 4})
+	c.Own("m")
+	for i := 0; i < 10; i++ {
+		v, _ := c.NewView("m")
+		v.Get("t", fmt.Sprintf("k%d", i))
+		v.Close()
+	}
+	if n := c.EntryCount("m"); n > 4 {
+		t.Fatalf("%d entries cached, cap 4", n)
+	}
+	if m := c.Metrics(); m.Evictions == 0 {
+		t.Fatal("no evictions recorded")
 	}
 }
 
@@ -484,8 +480,8 @@ func TestFreshViewSeesOtherNodesWrites(t *testing.T) {
 	}
 	vb2.Close()
 
-	// Node b is warm, has no event feed and is not writing: nothing but the
-	// version check at view open can tell it that a committed again. A view
+	// Node b is warm and is not writing: nothing but the version check at
+	// view open can tell it that a committed again. A view
 	// whose first access would have hit must not be served the old value, and
 	// the catch-up is selective.
 	vb3, _ := b.NewView("m")

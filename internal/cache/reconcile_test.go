@@ -4,41 +4,36 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 
-	"unitycatalog/internal/events"
 	"unitycatalog/internal/store"
 )
 
-// hookBus wires a store's commit stream onto an event bus the way the
-// catalog service does: one event per applied commit, carrying the ordered
-// change set, published from the commit hook (durable, version-ordered).
-func hookBus(db *store.DB, bus *events.Bus) {
-	db.AddCommitHook(func(msID string, v uint64, changes []store.Change, notes []any) {
-		bus.Publish(events.Event{Metastore: msID, Version: v, Op: events.OpChange, Changes: changes})
-	})
-}
-
-// TestCohererDropStormFullReconcileOnce: a coherer whose cursor fell off the
-// event ring recovers with one Refresh per episode — selective while the
-// store's change log still covers the node's known version, a full evict
-// exactly once when the storm trimmed that log too — and no stale read
+// TestForeignBurstReconcilesOnce: a warm node that another writer ran far
+// ahead of recovers with one reconcile at its next view open — selective while
+// the store's change log still covers the node's known version, a full evict
+// exactly once when the burst trimmed that log too — and no stale read
 // survives either way.
-func TestCohererDropStormFullReconcileOnce(t *testing.T) {
+func TestForeignBurstReconcilesOnce(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
-		changeLogSize int
-		wantFull      int64
+		changeLogSize int // 0 is the store's default, far larger than the burst
+		trimmed       bool
 	}{
-		{"change log covers the gap", 0, 0},
-		{"change log trimmed too", 16, 1},
+		{"change log covers the gap", 0, false},
+		{"change log trimmed too", 16, true},
 	} {
-		t.Run(tc.name, func(t *testing.T) { testCohererStorm(t, tc.changeLogSize, tc.wantFull) })
+		t.Run(tc.name, func(t *testing.T) { testForeignBurst(t, tc.changeLogSize, tc.trimmed) })
 	}
 }
 
-func testCohererStorm(t *testing.T, changeLogSize int, wantFull int64) {
+func testForeignBurst(t *testing.T, changeLogSize int, trimmed bool) {
+	// What the one reconcile at view open must be, and what it must leave.
+	const burstKeys = 32 // rewritten by the burst; as many other keys are not
+	wantSelective, wantFull, wantEntries := int64(1), int64(0), burstKeys
+	if trimmed {
+		wantSelective, wantFull, wantEntries = 0, 1, 0
+	}
 	db, err := store.Open(store.Options{ChangeLogSize: changeLogSize})
 	if err != nil {
 		t.Fatal(err)
@@ -47,82 +42,65 @@ func testCohererStorm(t *testing.T, changeLogSize int, wantFull int64) {
 	if err := db.CreateMetastore("ms1"); err != nil {
 		t.Fatal(err)
 	}
-	bus := events.NewBus(4, 16) // tiny ring: the storm overruns it
-	hookBus(db, bus)
-
+	put := func(key, val string) uint64 {
+		t.Helper()
+		v, err := db.Update("ms1", func(tx *store.Tx) error {
+			tx.Put("tbl", key, []byte(val))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for i := 0; i < 2*burstKeys; i++ {
+		put(fmt.Sprintf("k%d", i), "v0")
+	}
 	c := New(db, Options{})
 	if err := c.Own("ms1"); err != nil {
 		t.Fatal(err)
 	}
 	// Warm the cache so stale entries exist to survive (or not).
-	const keys = 32
-	for i := 0; i < keys; i++ {
-		if _, err := db.Update("ms1", func(tx *store.Tx) error {
-			tx.Put("tbl", fmt.Sprintf("k%d", i), []byte("v0"))
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A coherer wired the way StartCoherer wires it, except that the test can
-	// hold it inside handle. Its first resync catches the node up.
-	var holding atomic.Bool
-	entered, gate := make(chan struct{}), make(chan struct{})
-	co := &Coherer{c: c}
-	c.feeds.Add(1)
-	co.follower = bus.Follow("cache", func(e events.Event) {
-		if holding.Load() {
-			entered <- struct{}{}
-			<-gate
-		}
-		co.handle(e)
-	}, co.resync)
-	defer co.Close()
 	view, err := c.NewView("ms1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < keys; i++ {
+	for i := 0; i < 2*burstKeys; i++ {
 		view.Get("tbl", fmt.Sprintf("k%d", i))
 	}
 	view.Close()
-	if n := c.EntryCount("ms1"); n < keys {
-		t.Fatalf("warmed entries = %d, want >= %d", n, keys)
+	if n := c.EntryCount("ms1"); n != 2*burstKeys {
+		t.Fatalf("warmed entries = %d, want %d", n, 2*burstKeys)
 	}
-	base := c.Metrics().FullReconciles
+	base := c.Metrics()
+	reconciles := func() (selective, full int64) {
+		m := c.Metrics()
+		return m.SelectiveReconciles - base.SelectiveReconciles, m.FullReconciles - base.FullReconciles
+	}
 
-	// Hold the coherer on the storm's first event: the other 199 commits go
-	// through a 16-slot ring and overrun its cursor.
-	holding.Store(true)
+	// The burst goes straight to the store: the node is told nothing.
 	var lastV uint64
 	for i := 0; i < 200; i++ {
-		v, err := db.Update("ms1", func(tx *store.Tx) error {
-			tx.Put("tbl", fmt.Sprintf("k%d", i%keys), []byte(fmt.Sprintf("storm%d", i)))
-			return nil
-		})
-		if err != nil {
-			close(gate) // let the deferred Close return
-			t.Fatal(err)
-		}
-		if lastV = v; i == 0 {
-			<-entered
-			holding.Store(false)
-		}
+		lastV = put(fmt.Sprintf("k%d", i%burstKeys), fmt.Sprintf("burst%d", i))
 	}
-	if lag := co.follower.Lag(); lag != 200 {
-		t.Fatalf("held coherer is %d events behind, want all 200", lag)
+	if sel, full := reconciles(); sel != 0 || full != 0 {
+		t.Fatalf("the node reconciled (%d selective, %d full) before anyone asked it anything", sel, full)
 	}
-	close(gate)
-	co.Sync()
 
-	if v, _ := c.KnownVersion("ms1"); v != lastV {
-		t.Fatalf("known version %d after the storm, want %d", v, lastV)
+	// The next view open is the whole recovery.
+	view, err = c.NewView("ms1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := co.follower.Resyncs(); got != 1 {
-		t.Fatalf("resyncs during the storm = %d, want exactly 1", got)
+	defer view.Close()
+	if view.Version() != lastV {
+		t.Fatalf("view opened at v%d after the burst, want v%d", view.Version(), lastV)
 	}
-	if got := c.Metrics().FullReconciles - base; got != wantFull {
-		t.Fatalf("full reconciles during the storm = %d, want %d", got, wantFull)
+	if sel, full := reconciles(); sel != wantSelective || full != wantFull {
+		t.Fatalf("reconciles at view open = %d selective, %d full; want %d, %d", sel, full, wantSelective, wantFull)
+	}
+	if n := c.EntryCount("ms1"); n != wantEntries {
+		t.Fatalf("entries after the reconcile = %d, want %d", n, wantEntries)
 	}
 
 	// No stale reads: every key must read back its final database value.
@@ -131,85 +109,28 @@ func testCohererStorm(t *testing.T, changeLogSize int, wantFull int64) {
 		t.Fatal(err)
 	}
 	defer snap.Close()
-	view, err = c.NewView("ms1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer view.Close()
-	for i := 0; i < keys; i++ {
+	for i := 0; i < 2*burstKeys; i++ {
 		key := fmt.Sprintf("k%d", i)
 		want, _ := snap.Get("tbl", key)
 		got, ok := view.Get("tbl", key)
 		if !ok || string(got) != string(want) {
-			t.Fatalf("stale read survived storm: %s = %q, want %q", key, got, want)
+			t.Fatalf("stale read survived the burst: %s = %q, want %q", key, got, want)
 		}
 	}
 
-	// After the storm, selective application resumes: one more commit is
-	// applied from its event with no further recovery of any kind.
-	applied := co.Metrics().EventsApplied
-	v, err := db.Update("ms1", func(tx *store.Tx) error {
-		tx.Put("tbl", "k0", []byte("after"))
-		return nil
-	})
+	// One more foreign commit costs one more selective reconcile and nothing
+	// else: the episode left no state behind.
+	v := put("k0", "after")
+	view2, err := c.NewView("ms1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	co.Sync()
-	if known, _ := c.KnownVersion("ms1"); known != v {
-		t.Fatalf("known version %d after one more commit, want %d", known, v)
+	defer view2.Close()
+	if got, _ := view2.Get("tbl", "k0"); view2.Version() != v || string(got) != "after" {
+		t.Fatalf("after one more commit: view at v%d (want v%d), k0 = %q", view2.Version(), v, got)
 	}
-	if got := c.Metrics().FullReconciles - base; got != wantFull {
-		t.Fatalf("full reconciles after recovery = %d, want still %d", got, wantFull)
-	}
-	if m := co.Metrics(); m.EventsApplied != applied+1 || m.GapReconciles != 1 {
-		t.Fatalf("after the episode: %d events applied (want %d), %d gap reconciles (want 1)", m.EventsApplied, applied+1, m.GapReconciles)
-	}
-}
-
-// TestCohererAppliesWithoutDBReads: applied events advance the cache with
-// zero database round trips, and subsequent hits stay in memory.
-func TestCohererAppliesWithoutDBReads(t *testing.T) {
-	db, err := store.Open(store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.CreateMetastore("ms1"); err != nil {
-		t.Fatal(err)
-	}
-	bus := events.NewBus(0, 0)
-	hookBus(db, bus)
-	c := New(db, Options{})
-	if err := c.Own("ms1"); err != nil {
-		t.Fatal(err)
-	}
-	co := StartCoherer(c, bus, CohererOptions{})
-	defer co.Close()
-
-	var lastV uint64
-	for i := 0; i < 50; i++ {
-		v, err := db.Update("ms1", func(tx *store.Tx) error {
-			tx.Put("tbl", fmt.Sprintf("k%d", i), []byte("v"))
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lastV = v
-	}
-	co.Sync()
-	reads0 := db.ReadCount()
-	// The known version is current, so a fresh view pins without touching
-	// the database until a miss needs data.
-	if v, _ := c.KnownVersion("ms1"); v != lastV {
-		t.Fatalf("known = %d, want %d", v, lastV)
-	}
-	if co.Metrics().EventsApplied < 50 {
-		t.Fatalf("events applied = %d, want >= 50", co.Metrics().EventsApplied)
-	}
-	if db.ReadCount() != reads0 {
-		t.Fatalf("coherence issued %d database reads, want 0", db.ReadCount()-reads0)
+	if sel, full := reconciles(); sel != wantSelective+1 || full != wantFull {
+		t.Fatalf("reconciles after one more commit = %d selective, %d full; want %d, %d", sel, full, wantSelective+1, wantFull)
 	}
 }
 

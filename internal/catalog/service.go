@@ -53,10 +53,6 @@ type Config struct {
 	// SoftDeleteRetention is how long soft-deleted entities are kept before
 	// garbage collection (default 7 days).
 	SoftDeleteRetention time.Duration
-	// Usage, when set, attributes authorized catalog operations to
-	// principals (per-tenant metering). A fleet passes the shared meter
-	// here so forwarded work is attributed on the node that executes it.
-	Usage *obs.UsageMeter
 }
 
 // Service is the Unity Catalog core service.
@@ -77,8 +73,8 @@ type Service struct {
 	gcRetention time.Duration
 
 	// usage is the per-tenant meter (nil disables). Atomic because the
-	// server attaches its meter after construction (SetUsage) while fleet
-	// nodes may already be serving.
+	// server attaches its meter after construction (SetUsage), when requests
+	// may already be in flight.
 	usage atomic.Pointer[obs.UsageMeter]
 
 	mu    sync.RWMutex
@@ -143,9 +139,6 @@ func New(cfg Config) (*Service, error) {
 		MaxEntries: cfg.AuthzCacheSize,
 		MaxAge:     cfg.AuthzSnapshotTTL,
 	}, s.touchedSecurables)
-	if cfg.Usage != nil {
-		s.usage.Store(cfg.Usage)
-	}
 	if !cfg.DisableTokenCache {
 		s.tokenCache = newTokenCache(cfg.Clock)
 	}
@@ -171,8 +164,7 @@ func (s *Service) Cloud() *cloudsim.Store { return s.cloud }
 // Registry returns the asset-type registry.
 func (s *Service) Registry() *erm.Registry { return s.reg }
 
-// Cache returns the node's metadata cache (fleet coherence wires its event
-// subscription to it).
+// Cache returns the node's metadata cache.
 func (s *Service) Cache() *cache.Cache { return s.cache }
 
 // CacheMetrics returns the metadata cache counters.

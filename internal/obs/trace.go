@@ -16,11 +16,11 @@ import (
 // store → cloudsim) with a wide margin for fan-out.
 const maxSpans = 64
 
-// Propagation header names. A node forwarding a request (the fleet router,
-// the HTTP client) carries its SpanContext in these headers; the receiving
-// node adopts the trace ID, parents its spans under the forwarder's span,
-// and honors the origin's sampling decision so both segments are retained
-// (or both recycled) together.
+// Propagation header names. A caller on another node (internal/client)
+// carries its SpanContext in these headers; the receiving node adopts the
+// trace ID, parents its spans under the caller's span, and honors the
+// origin's sampling decision so both segments are retained (or both
+// recycled) together.
 const (
 	// TraceIDHeader carries the 16-hex trace ID. The server also stamps it
 	// on every response, so the same header name serves both directions.
@@ -226,11 +226,11 @@ type Tracer struct {
 	// Keep bounds the retained-trace ring buffer (default 32). Ignored
 	// when Store is set explicitly.
 	Keep int
-	// Node attributes this tracer's retained traces to a fleet node
-	// ("node-3") or host. Empty means single-node deployment.
+	// Node attributes this tracer's retained traces to a node ("node-3")
+	// or host. Empty means single-node deployment.
 	Node string
-	// Store receives retained summaries. Fleet nodes share one store so
-	// /debug/traces can stitch cross-node traces; nil means a private
+	// Store receives retained summaries. Tracers that share one store let
+	// /debug/traces stitch cross-node traces; nil means a private
 	// store created on first retention.
 	Store *TraceStore
 	// Flight, when set, receives a TraceLite for every finished trace
@@ -413,8 +413,8 @@ func (tr *Tracer) WriteRecentJSON(w interface{ Write([]byte) (int, error) }) err
 // --- shared retention store and cross-node stitching ---
 
 // TraceStore is a ring of retained trace summaries. A single-node stack has
-// one per tracer; a fleet shares one store across all node tracers so
-// /debug/traces shows each logical request as one stitched tree.
+// one per tracer; several tracers sharing one store make /debug/traces show
+// each logical request as one stitched tree.
 type TraceStore struct {
 	mu     sync.Mutex
 	keep   int

@@ -28,8 +28,7 @@ type UsageMeter struct {
 	// server capacity a tenant consumed.
 	CostNs *TopK
 	// Ops counts authorized catalog operations per tenant (fed by the
-	// catalog layer, so fleet-forwarded work is attributed on the node
-	// that executed it).
+	// catalog layer, so work is attributed on the node that executed it).
 	Ops *TopK
 }
 

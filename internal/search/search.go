@@ -58,22 +58,29 @@ func (s *Service) handle(e events.Event) {
 	}
 }
 
-// Reindex rebuilds the index from every attached metastore.
+// Reindex rebuilds the index from every attached metastore. The new index
+// is built aside and swapped in whole, so queries are answered from the old
+// one — stale by what the follower missed, never partial — for as long as the
+// rebuild takes. An event handled during a rebuild would be lost with the old
+// index: handle and Reindex both belong to the follower's one goroutine.
 func (s *Service) Reindex() {
-	s.mu.Lock()
-	s.docs = map[ids.ID]*doc{}
-	s.index = map[string]map[ids.ID]bool{}
-	s.mu.Unlock()
+	docs := map[ids.ID]*doc{}
+	index := map[string]map[ids.ID]bool{}
 	for _, msID := range s.core.Metastores() {
 		snap, err := s.core.DB().Snapshot(msID)
 		if err != nil {
 			continue
 		}
 		for _, e := range catalog.LiveEntities(snap) {
-			s.indexEntity(snap, e)
+			d := buildDoc(snap, e)
+			docs[d.ID] = d
+			post(index, d)
 		}
 		snap.Close()
 	}
+	s.mu.Lock()
+	s.docs, s.index = docs, index
+	s.mu.Unlock()
 }
 
 // indexAsset indexes the asset as it is now, which is never older than the
@@ -98,6 +105,20 @@ func (s *Service) indexEntity(r erm.Reader, e *erm.Entity) {
 		s.remove(e.ID)
 		return
 	}
+	d := buildDoc(r, e)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old, ok := s.docs[d.ID]; ok {
+		for tok := range old.Tokens {
+			delete(s.index[tok], d.ID)
+		}
+	}
+	s.docs[d.ID] = d
+	post(s.index, d)
+}
+
+// buildDoc tokenizes e and its tags, read through r, and touches no index.
+func buildDoc(r erm.Reader, e *erm.Entity) *doc {
 	tokens := map[string]bool{}
 	for _, tok := range Tokenize(e.Name + " " + e.FullName + " " + e.Comment) {
 		tokens[tok] = true
@@ -117,23 +138,18 @@ func (s *Service) indexEntity(r erm.Reader, e *erm.Entity) {
 	}
 	// The document outlives the decoded entity: copy what it keeps of it (see
 	// the ownership rule in erm/codec.go; e.ID and e.Type pin nothing).
-	d := &doc{ID: e.ID, FullName: strings.Clone(e.FullName), Type: string(e.Type), Tokens: tokens}
+	return &doc{ID: e.ID, FullName: strings.Clone(e.FullName), Type: string(e.Type), Tokens: tokens}
+}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.docs[e.ID]; ok {
-		for tok := range old.Tokens {
-			delete(s.index[tok], e.ID)
-		}
-	}
-	s.docs[e.ID] = d
-	for tok := range tokens {
-		set, ok := s.index[tok]
+// post adds d to the posting set of each of its tokens.
+func post(index map[string]map[ids.ID]bool, d *doc) {
+	for tok := range d.Tokens {
+		set, ok := index[tok]
 		if !ok {
 			set = map[ids.ID]bool{}
-			s.index[tok] = set
+			index[tok] = set
 		}
-		set[e.ID] = true
+		set[d.ID] = true
 	}
 }
 

@@ -430,3 +430,52 @@ func TestIndexRetainsOnlyWhatItKeeps(t *testing.T) {
 		t.Fatalf("index retains %.1f B per entity, want <= %d: a document is pinning more of the decoded record than it keeps", perEntity, maxIndexBytesPerEntity)
 	}
 }
+
+// TestSearchDuringReindexIsNeverPartial: a gap resync rebuilds the index
+// while queries keep arriving, and a query for an asset nobody has touched
+// must find it throughout: the old index answers until the new one is whole.
+func TestSearchDuringReindexIsNeverPartial(t *testing.T) {
+	svc, s, admin := setup(t)
+	for i := 0; i < 3000; i++ {
+		if _, err := svc.CreateTable(admin, "sales.raw", fmt.Sprintf("t_%04d", i),
+			catalog.TableSpec{Columns: []catalog.ColumnInfo{{Name: "id", Type: "BIGINT"}}}, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Sync() // the follower is idle from here on: Reindex below has its goroutine's role
+
+	var searches, empty atomic.Int64
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			res, err := s.Search(admin, "orders", 0)
+			if err != nil {
+				t.Errorf("search: %v", err)
+				return
+			}
+			searches.Add(1)
+			if len(res) != 1 {
+				empty.Add(1)
+			}
+		}
+	}()
+	// Rebuild until the searcher has looked a few hundred times, so that on
+	// one CPU some of its looks fall inside a rebuild.
+	for rebuilds := 0; rebuilds < 200 && (rebuilds < 10 || searches.Load() < 500); rebuilds++ {
+		s.Reindex()
+	}
+	close(stop)
+	<-done
+	if n := searches.Load(); n == 0 {
+		t.Fatal("the searcher never ran")
+	}
+	if n := empty.Load(); n != 0 {
+		t.Fatalf("%d of %d searches for an unchanged asset did not find it while the index was being rebuilt", n, searches.Load())
+	}
+}

@@ -46,7 +46,7 @@ type Config struct {
 	// ETagMaxAge bounds the lifetime of a conditional-GET validator
 	// (default 30s; negative disables conditional handling). See etag.go.
 	ETagMaxAge time.Duration
-	// Node attributes this server's trace spans to a fleet node or host in
+	// Node attributes this server's trace spans to a node or host in
 	// stitched cross-node traces (empty = single-node deployment).
 	Node string
 	// TenantTopK sizes the per-tenant usage sketches (default 32; negative
@@ -146,8 +146,8 @@ func (s *Server) initFlightRecorder(cfg Config) {
 	}
 }
 
-// Flight exposes the anomaly flight recorder (for embedding hosts, the
-// fleet, and tests).
+// Flight exposes the anomaly flight recorder (for embedding hosts and
+// tests).
 func (s *Server) Flight() *obs.FlightRecorder { return s.flight }
 
 // Close releases background resources (the flight-recorder ticker, when
