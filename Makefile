@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: test race perf perf-check bench bench-parallel bench-store bench-authz bench-obs bench-scale bench-txn bench-http
+.PHONY: test race heap perf perf-check bench bench-parallel bench-store bench-authz bench-obs bench-scale bench-txn bench-http
 
 test:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l . lists:"; echo "$$unformatted"; exit 1; fi
@@ -68,6 +68,14 @@ race:
 		./uc/...
 	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce' \
 		./internal/cache/ ./internal/search/ ./internal/events/ ./internal/catalog/ ./internal/privilege/
+
+# Who holds the resident bytes: builds 2,000 tables through uc.Open with
+# every allocation profiled and prints in-use bytes per internal package,
+# failing when search, pathtrie, events or the store's commit-built structure
+# is 10 % over its recorded figure (uc/heap_test.go; DESIGN.md "Resident
+# layout"). `make race` runs the same test with ./uc/...
+heap:
+	$(GO) test -count=1 -run TestResidentBudget -v ./uc/
 
 # The repository's benchmark (BENCHMARK.json, perf/README.md): all four
 # workloads, traced, with the per-layer table; about 4 minutes. Every

@@ -67,8 +67,8 @@ func TestEventOrderUnderConcurrentWriters(t *testing.T) {
 			received = append(received, rcv{version: e.Version, dbAtRcv: dbV})
 		}
 	}()
-	db.AddCommitHook(func(msID string, v uint64, changes []store.Change, notes []any) {
-		bus.Publish(events.Event{Metastore: msID, Version: v, Changes: changes, Op: events.OpChange})
+	db.AddCommitHook(func(msID string, v uint64, _ []store.Change, notes []any) {
+		bus.Publish(events.Event{Metastore: msID, Version: v, Op: events.OpChange})
 	})
 
 	startV, err := db.Version("ms1")

@@ -553,13 +553,13 @@ func stageEvent(tx *store.Tx, ctx Ctx, op events.Op, e *erm.Entity, detail strin
 
 // onCommit is the store commit hook: it publishes one event per staged
 // annotation (or a bare OpChange event for unannotated commits, e.g. raw
-// store writes or another subsystem's commits) onto this node's bus. Every
-// event carries the commit's full change set so cache nodes can invalidate
-// exactly the touched entries; applying the set is idempotent at a version,
-// so multi-event commits (a cascading delete stages one event per entity)
-// are safe. It runs inside the store's apply turnstile: publishes are
-// per-metastore version-ordered and strictly after durability.
-func (s *Service) onCommit(msID string, version uint64, changes []store.Change, notes []any) {
+// store writes or another subsystem's commits) onto this node's bus. An event
+// names the entity and the version; it does not carry the commit's change
+// set, which is the transaction's own slice (see store.CommitHook) and which
+// no follower reads — a node that wants the records a commit touched asks
+// the store's change log. It runs inside the store's apply turnstile:
+// publishes are per-metastore version-ordered and strictly after durability.
+func (s *Service) onCommit(msID string, version uint64, _ []store.Change, notes []any) {
 	now := s.clk.Now()
 	published := false
 	for _, n := range notes {
@@ -571,15 +571,11 @@ func (s *Service) onCommit(msID string, version uint64, changes []store.Change, 
 			Metastore: msID, Version: version, Op: se.op,
 			EntityID: se.entityID, Type: se.typ, FullName: se.fullName,
 			Principal: se.principal, Detail: se.detail, Time: now,
-			Changes: changes,
 		})
 		published = true
 	}
 	if !published {
-		s.bus.Publish(events.Event{
-			Metastore: msID, Version: version, Op: events.OpChange,
-			Time: now, Changes: changes,
-		})
+		s.bus.Publish(events.Event{Metastore: msID, Version: version, Op: events.OpChange, Time: now})
 	}
 }
 

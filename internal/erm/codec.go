@@ -36,7 +36,9 @@ package erm
 //   - anything that keeps another string field of a decoded entity past the
 //     request — a map key or struct field of an index, a history, a memo, a
 //     follower's document — must strings.Clone it first, or it pins ~5x the
-//     bytes it uses. Today's holders: search (doc FullName), the event
+//     bytes it uses. Today's holders: search (a document's FullName; and
+//     each distinct token, cloned once when the index first sees it, never
+//     kept as a substring of the lowered text it was cut from), the event
 //     history (stageEvent's FullName), lineage (node FullName), the
 //     compiled authorization snapshots (Securable.Parent) and pathtrie
 //     (path segments, which it copies while splitting).

@@ -40,9 +40,7 @@ const (
 	OpChange Op = "CHANGE" // store commit with no higher-level annotation
 )
 
-// Change names one store record touched by the commit that produced an
-// event: cache nodes invalidate exactly these instead of re-reading the
-// store's change log.
+// Change names one store record touched by a commit (see Event.Changes).
 type Change = store.Change
 
 // Event is one metadata change.
@@ -56,9 +54,8 @@ type Event struct {
 	Principal string    `json:"principal,omitempty"`
 	Detail    string    `json:"detail,omitempty"`
 	Time      time.Time `json:"time"`
-	// Changes lists the store records the commit wrote or deleted. Events of
-	// one commit (on every node's bus) share the slice: read-only. Applying
-	// it is idempotent at a given version.
+	// Changes is not filled by the catalog service and has no reader; it
+	// stays declared because the benchmark's trace probe constructs it.
 	Changes []Change `json:"changes,omitempty"`
 }
 

@@ -30,6 +30,8 @@ type Trie struct {
 }
 
 type node struct {
+	// children is nil until the node gets its first child: a leaf — every
+	// registered path ends in one — never has any.
 	children map[string]*node
 	// value is non-nil when a path terminates at this node.
 	value any
@@ -38,7 +40,7 @@ type node struct {
 
 // New returns an empty Trie.
 func New() *Trie {
-	return &Trie{root: &node{children: map[string]*node{}}}
+	return &Trie{root: &node{}}
 }
 
 // ErrOverlap is returned by Insert when the candidate path overlaps a
@@ -82,7 +84,10 @@ func (t *Trie) Insert(path string, value any) error {
 		}
 		child, ok := n.children[s]
 		if !ok {
-			child = &node{children: map[string]*node{}}
+			child = &node{}
+			if n.children == nil {
+				n.children = map[string]*node{}
+			}
 			n.children[s] = child
 		}
 		n = child

@@ -6,6 +6,7 @@
 package search
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -16,21 +17,134 @@ import (
 	"unitycatalog/internal/ids"
 )
 
-// doc is one indexed asset.
+// doc is one indexed asset. Its tokens are numbers (see index).
 type doc struct {
-	ID       ids.ID
-	FullName string
-	Type     string
-	Tokens   map[string]bool
+	id       ids.ID
+	fullName string
+	typ      string
+	toks     []uint32 // ascending
+}
+
+// parsed is a document before it is numbered, built from a snapshot with no
+// index lock held. Its tokens may be substrings of a longer lowered text: the
+// index clones the ones it has not seen before.
+type parsed struct {
+	id       ids.ID
+	fullName string
+	typ      string
+	tokens   []string // sorted, distinct
+}
+
+// token is one distinct index term and the documents that contain it.
+type token struct {
+	text string              // the tokID key
+	docs map[uint32]struct{} // document numbers; nil when the token number is free
+}
+
+// index is the inverted index in numbered form: documents and tokens are
+// known by small integers, so a posting holds 4-byte document numbers rather
+// than 32-byte IDs, and a document lists its tokens as numbers rather than in
+// a map of strings. Numbers are recycled — a removed document's slot, and a
+// token whose last document left, go on a free list — so create/delete churn
+// does not grow the index.
+type index struct {
+	docs     []doc // by document number; a free slot has id == ids.Nil
+	freeDocs []uint32
+	byID     map[ids.ID]uint32
+
+	toks     []token // by token number
+	freeToks []uint32
+	tokID    map[string]uint32 // keys are cloned once, on first sight
+}
+
+func newIndex() *index {
+	return &index{byID: map[ids.ID]uint32{}, tokID: map[string]uint32{}}
+}
+
+// number returns a slot of *slots for a new entry: one recycled off free, or
+// a new one appended.
+func number[T any](free *[]uint32, slots *[]T) uint32 {
+	if k := len(*free); k > 0 {
+		n := (*free)[k-1]
+		*free = (*free)[:k-1]
+		return n
+	}
+	var zero T
+	*slots = append(*slots, zero)
+	return uint32(len(*slots) - 1)
+}
+
+// add indexes p. A document already indexed under the same ID keeps its
+// number and the postings of the tokens it still has, so re-indexing after
+// an edit touches only the tokens that came or went.
+func (ix *index) add(p parsed) {
+	n, ok := ix.byID[p.id]
+	if !ok {
+		n = number(&ix.freeDocs, &ix.docs)
+		ix.byID[p.id] = n
+	}
+	toks := make([]uint32, len(p.tokens))
+	for i, text := range p.tokens {
+		t, ok := ix.tokID[text]
+		if !ok {
+			t = number(&ix.freeToks, &ix.toks)
+			text = strings.Clone(text)
+			ix.tokID[text] = t
+			ix.toks[t] = token{text: text, docs: map[uint32]struct{}{}}
+		}
+		ix.toks[t].docs[n] = struct{}{}
+		toks[i] = t
+	}
+	slices.Sort(toks)
+	for _, t := range ix.docs[n].toks {
+		if _, kept := slices.BinarySearch(toks, t); !kept {
+			ix.unpost(t, n)
+		}
+	}
+	ix.docs[n] = doc{id: p.id, fullName: p.fullName, typ: p.typ, toks: toks}
+}
+
+// remove drops the document with the given ID.
+func (ix *index) remove(id ids.ID) {
+	n, ok := ix.byID[id]
+	if !ok {
+		return
+	}
+	for _, t := range ix.docs[n].toks {
+		ix.unpost(t, n)
+	}
+	delete(ix.byID, id)
+	ix.docs[n] = doc{}
+	ix.freeDocs = append(ix.freeDocs, n)
+}
+
+// unpost takes document n out of token t's posting. A token whose last
+// document left is forgotten and its number recycled: an empty posting kept
+// under its key is how table churn used to grow the index without bound.
+func (ix *index) unpost(t, n uint32) {
+	tok := &ix.toks[t]
+	delete(tok.docs, n)
+	if len(tok.docs) == 0 {
+		delete(ix.tokID, tok.text)
+		*tok = token{}
+		ix.freeToks = append(ix.freeToks, t)
+	}
+}
+
+// posting returns the documents containing text; nil if none do.
+func (ix *index) posting(text string) map[uint32]struct{} {
+	if t, ok := ix.tokID[text]; ok {
+		return ix.toks[t].docs
+	}
+	return nil
 }
 
 // Service is the search index.
 type Service struct {
 	core *catalog.Service
 
-	mu    sync.RWMutex
-	docs  map[ids.ID]*doc
-	index map[string]map[ids.ID]bool // token -> posting set
+	mu sync.RWMutex
+	ix *index
 
 	follower *events.Follower
 }
@@ -38,7 +152,7 @@ type Service struct {
 // New starts a search service following the core's change events; the
 // follower's first resync primes the index from the current catalog state.
 func New(core *catalog.Service) *Service {
-	s := &Service{core: core, docs: map[ids.ID]*doc{}, index: map[string]map[ids.ID]bool{}}
+	s := &Service{core: core, ix: newIndex()}
 	s.follower = core.Bus().Follow("search", s.handle, s.Reindex)
 	return s
 }
@@ -64,22 +178,19 @@ func (s *Service) handle(e events.Event) {
 // rebuild takes. An event handled during a rebuild would be lost with the old
 // index: handle and Reindex both belong to the follower's one goroutine.
 func (s *Service) Reindex() {
-	docs := map[ids.ID]*doc{}
-	index := map[string]map[ids.ID]bool{}
+	ix := newIndex()
 	for _, msID := range s.core.Metastores() {
 		snap, err := s.core.DB().Snapshot(msID)
 		if err != nil {
 			continue
 		}
 		for _, e := range catalog.LiveEntities(snap) {
-			d := buildDoc(snap, e)
-			docs[d.ID] = d
-			post(index, d)
+			ix.add(parse(snap, e))
 		}
 		snap.Close()
 	}
 	s.mu.Lock()
-	s.docs, s.index = docs, index
+	s.ix = ix
 	s.mu.Unlock()
 }
 
@@ -105,88 +216,57 @@ func (s *Service) indexEntity(r erm.Reader, e *erm.Entity) {
 		s.remove(e.ID)
 		return
 	}
-	d := buildDoc(r, e)
+	p := parse(r, e)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.docs[d.ID]; ok {
-		for tok := range old.Tokens {
-			delete(s.index[tok], d.ID)
-		}
-	}
-	s.docs[d.ID] = d
-	post(s.index, d)
+	s.ix.add(p)
 }
 
-// buildDoc tokenizes e and its tags, read through r, and touches no index.
-func buildDoc(r erm.Reader, e *erm.Entity) *doc {
-	tokens := map[string]bool{}
-	for _, tok := range Tokenize(e.Name + " " + e.FullName + " " + e.Comment) {
-		tokens[tok] = true
+// parse tokenizes e and its tags, read through r, and touches no index.
+func parse(r erm.Reader, e *erm.Entity) parsed {
+	tokens := split(e.Name + " " + e.FullName + " " + e.Comment)
+	tagTokens := func(tags map[string]string) {
+		for k, v := range tags {
+			tokens = append(tokens, strings.ToLower(k), strings.ToLower(v), strings.ToLower(k+":"+v))
+		}
 	}
 	tags, colTags := catalog.EntityTags(r, e.ID)
-	for k, v := range tags {
-		tokens[strings.ToLower(k)] = true
-		tokens[strings.ToLower(v)] = true
-		tokens[strings.ToLower(k+":"+v)] = true
-	}
+	tagTokens(tags)
 	for _, ct := range colTags {
-		for k, v := range ct {
-			tokens[strings.ToLower(k)] = true
-			tokens[strings.ToLower(v)] = true
-			tokens[strings.ToLower(k+":"+v)] = true
-		}
+		tagTokens(ct)
 	}
 	// The document outlives the decoded entity: copy what it keeps of it (see
 	// the ownership rule in erm/codec.go; e.ID and e.Type pin nothing).
-	return &doc{ID: e.ID, FullName: strings.Clone(e.FullName), Type: string(e.Type), Tokens: tokens}
-}
-
-// post adds d to the posting set of each of its tokens.
-func post(index map[string]map[ids.ID]bool, d *doc) {
-	for tok := range d.Tokens {
-		set, ok := index[tok]
-		if !ok {
-			set = map[ids.ID]bool{}
-			index[tok] = set
-		}
-		set[d.ID] = true
-	}
+	return parsed{id: e.ID, fullName: strings.Clone(e.FullName), typ: string(e.Type), tokens: distinct(tokens)}
 }
 
 func (s *Service) remove(id ids.ID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old, ok := s.docs[id]
-	if !ok {
-		return
-	}
-	for tok := range old.Tokens {
-		delete(s.index[tok], id)
-	}
-	delete(s.docs, id)
+	s.ix.remove(id)
 }
 
-// Tokenize lowercases and splits text into index tokens, including dotted
-// name components.
-func Tokenize(text string) []string {
-	fields := strings.FieldsFunc(strings.ToLower(text), func(r rune) bool {
+// split lowercases text and cuts it into index tokens, including dotted name
+// components; a token may repeat.
+func split(text string) []string {
+	return strings.FieldsFunc(strings.ToLower(text), func(r rune) bool {
 		switch r {
 		case ' ', '\t', '\n', '.', '/', '-', '_', ',', '(', ')':
 			return true
 		}
 		return false
 	})
-	seen := map[string]bool{}
-	var out []string
-	for _, f := range fields {
-		if f == "" || seen[f] {
-			continue
-		}
-		seen[f] = true
-		out = append(out, f)
-	}
-	return out
 }
+
+// distinct sorts tokens and drops repeats, in place.
+func distinct(tokens []string) []string {
+	slices.Sort(tokens)
+	return slices.Compact(tokens)
+}
+
+// Tokenize lowercases and splits text into its distinct index tokens,
+// including dotted name components.
+func Tokenize(text string) []string { return distinct(split(text)) }
 
 // Result is one search hit.
 type Result struct {
@@ -208,25 +288,25 @@ func (s *Service) Search(ctx catalog.Ctx, query string, limit int) ([]Result, er
 		return nil, nil
 	}
 	s.mu.RLock()
+	ix := s.ix
 	// Intersect postings, starting from the rarest term.
-	sort.Slice(terms, func(i, j int) bool { return len(s.index[terms[i]]) < len(s.index[terms[j]]) })
-	var candidates []ids.ID
-	for id := range s.index[terms[0]] {
+	postings := make([]map[uint32]struct{}, len(terms))
+	for i, t := range terms {
+		postings[i] = ix.posting(t)
+	}
+	sort.Slice(postings, func(i, j int) bool { return len(postings[i]) < len(postings[j]) })
+	results := make([]Result, 0, len(postings[0]))
+	for n := range postings[0] {
 		match := true
-		for _, t := range terms[1:] {
-			if !s.index[t][id] {
-				match = false
+		for _, p := range postings[1:] {
+			if _, match = p[n]; !match {
 				break
 			}
 		}
 		if match {
-			candidates = append(candidates, id)
+			d := &ix.docs[n]
+			results = append(results, Result{ID: d.id, FullName: d.fullName, Type: d.typ, Score: len(terms)})
 		}
-	}
-	results := make([]Result, 0, len(candidates))
-	for _, id := range candidates {
-		d := s.docs[id]
-		results = append(results, Result{ID: id, FullName: d.FullName, Type: d.Type, Score: len(terms)})
 	}
 	s.mu.RUnlock()
 
@@ -256,5 +336,5 @@ func (s *Service) Search(ctx catalog.Ctx, query string, limit int) ([]Result, er
 func (s *Service) DocCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.docs)
+	return len(s.ix.byID)
 }

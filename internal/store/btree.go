@@ -16,8 +16,9 @@ package store
 //     readable version, and scans filter each record through record.at(v)
 //     exactly as the map walk did.
 //   - Values are *record pointers, shared with the table map, so an index
-//     hit needs no second map lookup. Records are mutated in place (versions
-//     append) and their pointers are stable for the life of the key.
+//     hit needs no second map lookup. Records are mutated in place (a new
+//     version moves in, the old one moves behind it) and their pointers are
+//     stable for the life of the key.
 //   - No internal locking: the tree is written only at commit-apply time and
 //     WAL replay under the metastore's stateMu write lock, and read under
 //     its read lock, inheriting the store's existing synchronization.

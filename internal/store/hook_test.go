@@ -37,6 +37,9 @@ func TestCommitHookOrderAndContent(t *testing.T) {
 		if len(changes) != 1 {
 			t.Errorf("v%d: want 1 change, got %d", v, len(changes))
 		}
+		if changes[0].Version != v || changes[0].Table != "tbl" || changes[0].Deleted {
+			t.Errorf("v%d: change %+v is not the commit's write stamped with its version", v, changes[0])
+		}
 		// The commit must already be visible: a snapshot at v sees the write.
 		visible := false
 		if snap, err := db.SnapshotAt(msID, v); err == nil {

@@ -93,23 +93,24 @@ type Change struct {
 	Deleted bool   `json:"deleted,omitempty"`
 }
 
-type version struct {
+// record is a key's newest version, and through prev its older ones in
+// descending commit order. The newest version lives in the record itself —
+// the object the table map and the ordered index point at — so a key written
+// once, which is nearly every key, costs one 48-byte object and no slice.
+type record struct {
 	commit  uint64
 	value   []byte
 	deleted bool
-}
-
-type record struct {
-	versions []version // ascending by commit
+	prev    *record
 }
 
 func (r *record) at(v uint64) ([]byte, bool) {
-	for i := len(r.versions) - 1; i >= 0; i-- {
-		if r.versions[i].commit <= v {
-			if r.versions[i].deleted {
+	for ; r != nil; r = r.prev {
+		if r.commit <= v {
+			if r.deleted {
 				return nil, false
 			}
-			return r.versions[i].value, true
+			return r.value, true
 		}
 	}
 	return nil, false
@@ -123,7 +124,6 @@ func (r *record) at(v uint64) ([]byte, bool) {
 type pendingCommit struct {
 	version uint64
 	writes  map[string]map[string]*txWrite
-	ordered []Change
 }
 
 type metastore struct {
@@ -145,7 +145,7 @@ type metastore struct {
 	// indexes mirrors each table's key set in an ordered B+ tree so scans
 	// are a descent plus bounded walk instead of full-map iteration.
 	// Membership tracks the table map exactly (records, not liveness): every
-	// mutation goes through getOrCreateRecordLocked/removeRecordLocked.
+	// mutation goes through putLocked/removeRecordLocked.
 	indexes  map[string]*btree
 	changes  changeRing
 	snaps    map[uint64]int
@@ -207,8 +207,10 @@ type DB struct {
 // fire strictly in version order and exactly once per applied commit.
 // Failed commits and WAL-replayed commits fire no hooks.
 //
-// changes is a fresh slice (Version filled in) the hook may retain; notes
-// carries whatever the transaction attached via Tx.Annotate, in order.
+// changes is the transaction's own change list with Version filled in, valid
+// only for the duration of the call: a hook that keeps any of it copies what
+// it keeps. notes carries whatever the transaction attached via Tx.Annotate,
+// in order.
 // Hooks must not block: the metastore's commit pipeline stalls until every
 // hook returns. Calling back into the DB for reads is safe; committing to
 // the same metastore from a hook deadlocks.
@@ -402,19 +404,24 @@ func newMetastore(changeLogSize int) *metastore {
 	return m
 }
 
-// getOrCreateRecordLocked returns the record for (table, key), creating the
-// table map, the record, and the record's ordered-index entry as needed.
-// Every record creation funnels through here so the index cannot drift from
-// the table map. Caller holds stateMu (or has exclusive access, as in WAL
-// replay before the DB is shared).
-func (m *metastore) getOrCreateRecordLocked(table, key string) *record {
+// putLocked makes (commit, value, deleted) the newest version of (table, key)
+// and returns the record, creating the table map, the record and its
+// ordered-index entry as needed. Every record creation funnels through here
+// so the index cannot drift from the table map. Caller holds stateMu (or has
+// exclusive access, as in WAL replay before the DB is shared).
+func (m *metastore) putLocked(table, key string, commit uint64, value []byte, deleted bool) *record {
 	t, ok := m.tables[table]
 	if !ok {
 		t = map[string]*record{}
 		m.tables[table] = t
 	}
 	r, ok := t[key]
-	if !ok {
+	if ok {
+		// The record's address is what the map and the index hold: the
+		// version it carried moves out, the new one moves in.
+		older := *r
+		r.prev = &older
+	} else {
 		r = &record{}
 		t[key] = r
 		idx, ok := m.indexes[table]
@@ -424,6 +431,7 @@ func (m *metastore) getOrCreateRecordLocked(table, key string) *record {
 		}
 		idx.insert(key, r)
 	}
+	r.commit, r.value, r.deleted = commit, value, deleted
 	return r
 }
 
@@ -787,16 +795,18 @@ func (tx *Tx) write(table, key string, w *txWrite) {
 		t = map[string]*txWrite{}
 		tx.writes[table] = t
 	}
-	if _, seen := t[key]; !seen {
-		tx.ordered = append(tx.ordered, Change{Table: table, Key: key})
-	}
-	t[key] = w
-	// Keep ordered entry's Deleted flag in sync with the final write.
-	for i := range tx.ordered {
-		if tx.ordered[i].Table == table && tx.ordered[i].Key == key {
-			tx.ordered[i].Deleted = w.deleted
+	if _, staged := t[key]; !staged {
+		tx.ordered = append(tx.ordered, Change{Table: table, Key: key, Deleted: w.deleted})
+	} else {
+		// Keep the ordered entry's Deleted flag in sync with the final write.
+		for i := range tx.ordered {
+			if tx.ordered[i].Table == table && tx.ordered[i].Key == key {
+				tx.ordered[i].Deleted = w.deleted
+				break
+			}
 		}
 	}
+	t[key] = w
 }
 
 // Write is a buffered mutation exposed by Writes.
@@ -986,7 +996,7 @@ func (db *DB) update(sc obs.SpanContext, msID string, expected *uint64, fn func(
 	}
 	newV := base + 1
 	ms.nextV = newV
-	pc := &pendingCommit{version: newV, writes: tx.writes, ordered: tx.ordered}
+	pc := &pendingCommit{version: newV, writes: tx.writes}
 	ms.stateMu.Lock()
 	ms.pending = append(ms.pending, pc)
 	ms.stateMu.Unlock()
@@ -1045,20 +1055,18 @@ func (db *DB) update(sc obs.SpanContext, msID string, expected *uint64, fn func(
 		ms.stateMu.Unlock()
 		panic("store: commit pipeline applied out of sequence")
 	}
-	for _, c := range tx.ordered {
+	for i := range tx.ordered {
+		c := &tx.ordered[i]
+		c.Version = newV
 		w := tx.writes[c.Table][c.Key]
-		r := ms.getOrCreateRecordLocked(c.Table, c.Key)
-		r.versions = append(r.versions, version{commit: newV, value: w.value, deleted: w.deleted})
+		r := ms.putLocked(c.Table, c.Key, newV, w.value, w.deleted)
 		db.pruneLocked(ms, r)
-		if w.deleted && allDeleted(r) {
-			// A fully dead record whose history is no longer pinned can go.
-			if r.versions[0].commit > ms.minSnapV {
-				// keep: pinned history may still need the tombstone
-			} else if len(r.versions) == 1 && ms.minSnapV >= newV {
-				ms.removeRecordLocked(c.Table, c.Key)
-			}
+		// A record that is only a tombstone, with every snapshot at or
+		// above it, can go.
+		if w.deleted && r.prev == nil && ms.minSnapV >= newV {
+			ms.removeRecordLocked(c.Table, c.Key)
 		}
-		ms.changes.push(Change{Version: newV, Table: c.Table, Key: c.Key, Deleted: w.deleted})
+		ms.changes.push(*c)
 	}
 	ms.pending = ms.pending[1:]
 	ms.version = newV
@@ -1066,13 +1074,9 @@ func (db *DB) update(sc obs.SpanContext, msID string, expected *uint64, fn func(
 
 	// Commit hooks: after durability and visibility, before the turnstile
 	// admits newV+1 — per-metastore hooks see strictly increasing versions.
-	if hp := db.hooks.Load(); hp != nil && len(*hp) > 0 {
-		applied := make([]Change, len(tx.ordered))
-		for i, c := range tx.ordered {
-			applied[i] = Change{Version: newV, Table: c.Table, Key: c.Key, Deleted: c.Deleted}
-		}
+	if hp := db.hooks.Load(); hp != nil {
 		for _, h := range *hp {
-			h(msID, newV, applied, tx.notes)
+			h(msID, newV, tx.ordered, tx.notes)
 		}
 	}
 
@@ -1132,39 +1136,29 @@ func (db *DB) AwaitApplied(msID string, v uint64) (waited bool, err error) {
 	return waited, nil
 }
 
-func allDeleted(r *record) bool {
-	return len(r.versions) > 0 && r.versions[len(r.versions)-1].deleted
-}
-
 // pruneLocked drops versions that are neither among the most recent
 // MaxVersionsPerRecord nor visible to any active snapshot.
 func (db *DB) pruneLocked(ms *metastore, r *record) {
-	max := db.opts.MaxVersionsPerRecord
-	if len(r.versions) <= max {
-		return
-	}
 	// pin is the oldest version any active snapshot may still read;
 	// with no snapshots every historical version is unreachable.
 	pin := ^uint64(0)
 	if len(ms.snaps) > 0 {
 		pin = ms.minSnapV
 	}
-	// snapCut is the index of the newest version at or below pin: all
-	// snapshots at or above pin are satisfied by it, so everything older
-	// can go.
-	snapCut := 0
-	for i, v := range r.versions {
-		if v.commit <= pin {
-			snapCut = i
-		}
+	// The newest version at or below pin serves every snapshot at or above
+	// pin, so everything older can go; if there is none, every version is
+	// still some snapshot's.
+	kept := 1
+	for ; r != nil && r.commit > pin; r = r.prev {
+		kept++
 	}
-	cut := len(r.versions) - max
-	if cut > snapCut {
-		cut = snapCut
+	if r == nil {
+		return
 	}
-	if cut > 0 {
-		r.versions = append([]version(nil), r.versions[cut:]...)
+	for ; kept < db.opts.MaxVersionsPerRecord && r.prev != nil; r = r.prev {
+		kept++
 	}
+	r.prev = nil
 }
 
 // ChangesSince returns the changes applied after version v, in commit order.

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -321,7 +323,10 @@ func TestVersionPruning(t *testing.T) {
 	}
 	ms, _ := db.metastore("m")
 	ms.stateMu.RLock()
-	n := len(ms.tables["t"]["k"].versions)
+	n := 0
+	for r := ms.tables["t"]["k"]; r != nil; r = r.prev {
+		n++
+	}
 	ms.stateMu.RUnlock()
 	if n > 2 {
 		t.Fatalf("retained %d versions, want <= 2", n)
@@ -330,6 +335,129 @@ func TestVersionPruning(t *testing.T) {
 	defer snap.Close()
 	if b, _ := snap.Get("t", "k"); b[0] != 9 {
 		t.Fatalf("latest = %d", b[0])
+	}
+}
+
+// sliceChain is the version chain as the store kept it before a record became
+// its own newest version: an ascending slice, pruned by index arithmetic. It
+// is the reference TestPrunedChainMatchesSliceChain holds the linked chain to.
+type sliceChain []sliceVersion
+
+type sliceVersion struct {
+	commit  uint64
+	value   []byte
+	deleted bool
+}
+
+func (c sliceChain) at(v uint64) ([]byte, bool) {
+	for i := len(c) - 1; i >= 0; i-- {
+		if c[i].commit <= v {
+			return c[i].value, !c[i].deleted
+		}
+	}
+	return nil, false
+}
+
+func (c sliceChain) pruned(max int, pin uint64) sliceChain {
+	if len(c) <= max {
+		return c
+	}
+	snapCut := 0
+	for i, v := range c {
+		if v.commit <= pin {
+			snapCut = i
+		}
+	}
+	cut := len(c) - max
+	if cut > snapCut {
+		cut = snapCut
+	}
+	return c[cut:]
+}
+
+// TestPrunedChainMatchesSliceChain: one key written and deleted hundreds of
+// times while snapshots open and close at random. After every commit the
+// linked chain must retain exactly the versions the slice-based chain
+// retained — the same answer at every version from 0 to current, pruned or
+// not — and every open snapshot must still read what was committed at its
+// version, whatever was pruned around it.
+func TestPrunedChainMatchesSliceChain(t *testing.T) {
+	for _, max := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("max%d", max), func(t *testing.T) {
+			db := mustOpen(t, Options{MaxVersionsPerRecord: max})
+			db.CreateMetastore("m")
+			ms, _ := db.metastore("m")
+			rng := rand.New(rand.NewSource(int64(max)))
+			var ref sliceChain
+			history := []sliceVersion{{}} // history[v] = what a reader at v must see
+			history[0].deleted = true
+			var open []*Snapshot
+			for i := 0; i < 400; i++ {
+				switch rng.Intn(6) {
+				case 0:
+					snap, err := db.Snapshot("m")
+					if err != nil {
+						t.Fatal(err)
+					}
+					open = append(open, snap)
+				case 1:
+					if len(open) > 0 {
+						j := rng.Intn(len(open))
+						open[j].Close()
+						open = append(open[:j], open[j+1:]...)
+					}
+				}
+				w := sliceVersion{deleted: rng.Intn(5) == 0}
+				if !w.deleted {
+					w.value = []byte(fmt.Sprintf("v%d", i))
+				}
+				v, err := db.Update("m", func(tx *Tx) error {
+					if w.deleted {
+						tx.Delete("t", "k")
+					} else {
+						tx.Put("t", "k", w.value)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				w.commit = v
+				history = append(history, w)
+
+				ms.stateMu.RLock()
+				pin := ^uint64(0)
+				if len(ms.snaps) > 0 {
+					pin = ms.minSnapV
+				}
+				ref = append(ref, w).pruned(max, pin)
+				r, n := ms.tables["t"]["k"], 0
+				for p := r; p != nil; p = p.prev {
+					n++
+				}
+				if n != len(ref) {
+					t.Fatalf("after commit %d: %d versions retained, the slice chain kept %d", v, n, len(ref))
+				}
+				for at := uint64(0); at <= v; at++ {
+					got, gotLive := r.at(at)
+					want, wantLive := ref.at(at)
+					if gotLive != wantLive || !bytes.Equal(got, want) {
+						t.Fatalf("after commit %d: at(%d) = %q, %v; the slice chain says %q, %v", v, at, got, gotLive, want, wantLive)
+					}
+				}
+				ms.stateMu.RUnlock()
+				for _, snap := range open {
+					got, live := snap.Get("t", "k")
+					want := history[snap.Version]
+					if live == want.deleted || !bytes.Equal(got, want.value) {
+						t.Fatalf("after commit %d: snapshot at %d reads %q, %v; committed there: %q, deleted %v", v, snap.Version, got, live, want.value, want.deleted)
+					}
+				}
+			}
+			for _, snap := range open {
+				snap.Close()
+			}
+		})
 	}
 }
 

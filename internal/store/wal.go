@@ -406,10 +406,9 @@ func (db *DB) replayWAL(path string) error {
 					e.Metastore, e.Version, ms.version)
 			}
 			for _, w := range e.Writes {
-				// getOrCreateRecordLocked also rebuilds the ordered index
-				// as replay repopulates the table maps.
-				r := ms.getOrCreateRecordLocked(w.Table, w.Key)
-				r.versions = append(r.versions, version{commit: e.Version, value: w.Value, deleted: w.Deleted})
+				// putLocked also rebuilds the ordered index as replay
+				// repopulates the table maps.
+				ms.putLocked(w.Table, w.Key, e.Version, w.Value, w.Deleted)
 			}
 			ms.version = e.Version
 			for _, w := range e.Writes {
