@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: test race heap perf perf-check bench bench-parallel bench-store bench-authz bench-obs bench-scale bench-txn bench-http
+.PHONY: test race heap allocs perf perf-check bench bench-parallel bench-store bench-authz bench-obs bench-scale bench-txn bench-http
 
 test:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l . lists:"; echo "$$unformatted"; exit 1; fi
@@ -73,9 +73,19 @@ race:
 # every allocation profiled and prints in-use bytes per internal package,
 # failing when search, pathtrie, events or the store's commit-built structure
 # is 10 % over its recorded figure (uc/heap_test.go; DESIGN.md "Resident
-# layout"). `make race` runs the same test with ./uc/...
+# layout"). Then what listing leaves behind: every table paged through by
+# four principals, the pages dropped, and the bytes still in use under the
+# cache, the authorization memos and the decode sites held to their recorded
+# figures (TestPageRetention). `make race` runs both with ./uc/...
 heap:
-	$(GO) test -count=1 -run TestResidentBudget -v ./uc/
+	$(GO) test -count=1 -run 'TestResidentBudget|TestPageRetention' -v ./uc/
+
+# What the read path allocates: a 100-record batch decode (internal/erm, at
+# most 5 whatever the size) and a whole 100-table list page on a cache-less
+# service (internal/catalog, recorded figure + 10 %), printed. `make test`
+# runs the same gates with the rest of ./...
+allocs:
+	$(GO) test -count=1 -run 'Allocs' -v ./internal/erm/ ./internal/catalog/
 
 # The repository's benchmark (BENCHMARK.json, perf/README.md): all four
 # workloads, traced, with the per-layer table; about 4 minutes. Every

@@ -87,11 +87,20 @@ func TestAuthzSnapshotInvalidation(t *testing.T) {
 }
 
 // requireSameDecisions holds got to want on everything an Authorizer
-// answers — Check, CheckNoGate, CheckMany, IsOwner, EffectivePrivileges and
-// EffectiveSet — for every (privilege, securable).
-func requireSameDecisions(t *testing.T, stage string, p privilege.Principal, got, want privilege.Authorizer, secs []ids.ID, privs []privilege.Privilege) {
+// answers — Check, CheckNoGate, CheckMany, IsOwner, EffectivePrivileges,
+// EffectiveSet and EffectiveSetOf — for every (privilege, securable). rows
+// reads the securables as got's view has them; each is handed to got before
+// anything else asks about it, the way a listing meets an entity got has lost
+// to a commit or never seen.
+func requireSameDecisions(t *testing.T, stage string, p privilege.Principal, got, want privilege.Authorizer, rows privilege.HierarchyResolver, secs []ids.ID, privs []privilege.Privilege) {
 	t.Helper()
 	for _, sec := range secs {
+		if row, ok := rows.Securable(sec); ok {
+			gs, gok := got.EffectiveSetOf(row)
+			if ws, wok := want.EffectiveSet(sec); gs != ws || gok != wok {
+				t.Fatalf("%s: EffectiveSetOf(%s, %s): got %b/%v, reference %b/%v", stage, p, sec.Short(), gs, gok, ws, wok)
+			}
+		}
 		for _, priv := range privs {
 			if g, w := got.Check(priv, sec), want.Check(priv, sec); g != w {
 				t.Fatalf("%s: Check(%s, %s, %s): got %+v, reference %+v", stage, p, priv, sec.Short(), g, w)
@@ -293,9 +302,9 @@ func runAuthorizerOracle(t *testing.T, seed int64, opts store.Options, commits i
 				over = []ids.ID{orders} // a memo smaller than the gap it looks across
 			}
 			got := svc.authorizer(Ctx{Principal: pr.p, Metastore: "ms1"}, view)
-			requireSameDecisions(t, stage, pr.p, got, oracle.For(pr.p), over, privs)
+			requireSameDecisions(t, stage, pr.p, got, oracle.For(pr.p), once, over, privs)
 			fresh := privilege.NewSnapshot(pr.p, dir).Bind(view.Version(), viewResolver{view}, viewGrants{view})
-			requireSameDecisions(t, stage+", against a fresh snapshot", pr.p, got, fresh, over, privs)
+			requireSameDecisions(t, stage+", against a fresh snapshot", pr.p, got, fresh, once, over, privs)
 		}
 	}
 	compare("granted")

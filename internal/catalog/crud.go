@@ -331,9 +331,11 @@ func visMask(man *erm.TypeManifest) privilege.PrivSet {
 // admins, and holders of any grantable privilege on it (direct or
 // inherited). One effective-set lookup and one bitset intersection replace
 // the per-privilege ancestor walks; siblings in a listing share the
-// authorizer's memoized ancestor state.
+// authorizer's memoized ancestor state. e must have been read through r, the
+// reader auth is bound to: the authorizer is handed e's row and does not read
+// it again.
 func (s *Service) visible(ctx Ctx, auth privilege.Authorizer, r erm.Reader, e *erm.Entity) bool {
-	set, ok := auth.EffectiveSet(e.ID)
+	set, ok := auth.EffectiveSetOf(securableOf(e))
 	if ok && set.HasAdmin() {
 		return true
 	}

@@ -152,9 +152,8 @@ func (s *Service) RunGC(msID string) (GCResult, error) {
 		e *erm.Entity
 	}
 	var victims []victim
-	for _, kv := range v.Scan(erm.TableEntity, "") {
-		e, err := erm.DecodeEntityAt(ids.ID(kv.Key), kv.Value)
-		if err != nil {
+	for _, e := range erm.DecodeEntityRows(v.Scan(erm.TableEntity, "")) {
+		if e == nil {
 			continue
 		}
 		if e.State == erm.StateSoftDeleted && e.DeletedAt != nil && e.DeletedAt.Before(cutoff) {

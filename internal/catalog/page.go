@@ -16,9 +16,11 @@ package catalog
 // the other indexes — not the name order of the unpaged APIs; stable cursors
 // require iterating exactly the way the index does. Tokens are opaque
 // base64url(JSON). Continuations read history the store retains
-// (MaxVersionsPerRecord beyond live snapshots); a cursor held across heavy
-// rewrites of the same keys may observe pruned history and should be
-// restarted, like any long-lived database cursor.
+// (MaxVersionsPerRecord beyond live snapshots, and a deleted key's for as long
+// as its delete is in the change log); a cursor held across heavy rewrites of
+// the same keys, or past a change log's worth of commits after a purge, may
+// observe pruned history and should be restarted, like any long-lived
+// database cursor.
 
 import (
 	"encoding/base64"
@@ -106,19 +108,22 @@ func clampPageSize(n int) int {
 	return n
 }
 
-// decodeAligned batch-reads entity records for ids, aligned with the input
-// (nil where missing or undecodable).
+// decodeAligned batch-reads the entity records stored under keys and decodes
+// them into one slab, aligned with the input (nil where missing or
+// undecodable).
 func decodeAligned(r pagedReader, keys []string) []*erm.Entity {
-	out := make([]*erm.Entity, len(keys))
-	for i, b := range r.GetBatch(erm.TableEntity, keys) {
-		if b == nil {
-			continue
-		}
-		if e, err := erm.DecodeEntityAt(ids.ID(keys[i]), b); err == nil {
-			out[i] = e
-		}
+	recs := r.GetBatch(erm.TableEntity, keys)
+	return erm.DecodeEntities(len(keys), func(i int) (ids.ID, []byte) { return ids.ID(keys[i]), recs[i] })
+}
+
+// indexedEntities reads the entities a batch of index pairs points at
+// (erm.IndexedID), aligned with the batch.
+func indexedEntities(r pagedReader, batch []store.KV) []*erm.Entity {
+	keys := make([]string, len(batch))
+	for i, kv := range batch {
+		keys[i] = string(erm.IndexedID(kv))
 	}
-	return out
+	return decodeAligned(r, keys)
 }
 
 // pageCollector drives one page while tracking the last index key consumed,
@@ -213,11 +218,7 @@ func (s *Service) ListAssetsPageFunc(ctx Ctx, parentFull string, t erm.Securable
 		if len(batch) == 0 {
 			break
 		}
-		keys := make([]string, len(batch))
-		for i, kv := range batch {
-			keys[i] = string(kv.Value)
-		}
-		ents := decodeAligned(r, keys)
+		ents := indexedEntities(r, batch)
 		for i, kv := range batch {
 			pc.lastKey = kv.Key
 			e := ents[i]
@@ -337,11 +338,7 @@ func (s *Service) QueryAssetsPageFunc(ctx Ctx, f Filter, emit func(*erm.Entity))
 		for !pc.full() {
 			asked := pc.room()
 			batch := r.ScanRange(table, start, end, asked)
-			keys := make([]string, len(batch))
-			for i, kv := range batch {
-				keys[i] = string(kv.Value)
-			}
-			ents := decodeAligned(r, keys)
+			ents := indexedEntities(r, batch)
 			for i, kv := range batch {
 				if admit(kv.Key, ents[i]) {
 					break
@@ -395,15 +392,22 @@ func (s *Service) QueryAssetsPageFunc(ctx Ctx, f Filter, emit func(*erm.Entity))
 			if len(batch) == 0 {
 				break
 			}
-			for _, kv := range batch {
-				id, ok := erm.TagIdxSecurable(kv.Key)
-				if !ok || id == prevID {
-					pc.lastKey = kv.Key
-					continue
+			// cand[j] indexes keys for the rows that name a new securable.
+			cand := make([]int, len(batch))
+			keys := make([]string, 0, len(batch))
+			for j, kv := range batch {
+				cand[j] = -1
+				if id, ok := erm.TagIdxSecurable(kv.Key); ok && id != prevID {
+					prevID = id
+					cand[j] = len(keys)
+					keys = append(keys, string(id))
 				}
-				prevID = id
-				e, _ := erm.GetEntity(r, id)
-				if admit(kv.Key, e) {
+			}
+			ents := decodeAligned(r, keys)
+			for j, kv := range batch {
+				if cand[j] < 0 {
+					pc.lastKey = kv.Key
+				} else if admit(kv.Key, ents[cand[j]]) {
 					break
 				}
 			}
@@ -433,13 +437,9 @@ func (s *Service) QueryAssetsPageFunc(ctx Ctx, f Filter, emit func(*erm.Entity))
 			if len(batch) == 0 {
 				break
 			}
-			for _, kv := range batch {
-				e, derr := erm.DecodeEntityAt(ids.ID(kv.Key), kv.Value)
-				if derr != nil {
-					pc.lastKey = kv.Key
-					continue
-				}
-				if admit(kv.Key, e) {
+			ents := erm.DecodeEntityRows(batch)
+			for i, kv := range batch {
+				if admit(kv.Key, ents[i]) {
 					break
 				}
 			}

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"testing"
 
+	"unitycatalog/internal/cache"
 	"unitycatalog/internal/erm"
+	"unitycatalog/internal/ids"
 	"unitycatalog/internal/privilege"
+	"unitycatalog/internal/store"
 )
 
 // pagedList walks ListAssetsPage to exhaustion and returns all assets plus
@@ -297,5 +300,110 @@ func TestQueryAssetsTagIndexConsistency(t *testing.T) {
 	// Column tag remains.
 	if got, err = svc.QueryAssets(admin, Filter{TagKey: "mask"}); err != nil || len(got) != 1 {
 		t.Fatalf("column tag survived unset of other key: %v, %v", got, err)
+	}
+}
+
+// TestHasTagMatchesEntityTags holds the tag residual, which reads one key
+// and builds nothing, to EntityTags: entity-level and column-level tags, with
+// and without a value to match. An entity-level tag decides alone; where
+// several columns carry the key, any of them may match.
+func TestHasTagMatchesEntityTags(t *testing.T) {
+	svc, admin := testService(t)
+	seedNamespace(t, svc, admin)
+	table := func(name string, tags ...[3]string) ids.ID { // {column, key, value}
+		t.Helper()
+		e, err := svc.CreateTable(admin, "sales.raw", name, TableSpec{Columns: cols("a", "b", "col")}, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tag := range tags {
+			if err := svc.SetTag(admin, e.FullName, tag[0], tag[1], tag[2]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e.ID
+	}
+	tables := []ids.ID{
+		table("untagged"),
+		table("entity_only", [3]string{"", "tier", "gold"}, [3]string{"", "pii", "no"}),
+		table("column_only", [3]string{"a", "tier", "gold"}),
+		table("two_columns", [3]string{"a", "tier", "gold"}, [3]string{"b", "tier", "silver"}),
+		table("entity_over_column", [3]string{"", "tier", "silver"}, [3]string{"a", "tier", "gold"}),
+		table("other_keys", [3]string{"", "tiers", "gold"}, [3]string{"a", "tie", "gold"}, [3]string{"", "col", "gold"}),
+		table("column_named_col", [3]string{"col", "tier", "gold"}),
+	}
+	v, err := svc.view(admin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	for _, id := range tables {
+		entity, columns := EntityTags(v, id)
+		for _, key := range []string{"tier", "pii", "tiers", "tie", "col", "absent"} {
+			for _, value := range []string{"", "gold", "silver", "no"} {
+				val, want := entity[key]
+				if want {
+					want = value == "" || val == value
+				} else {
+					for _, ct := range columns {
+						if cv, ok := ct[key]; ok && (value == "" || cv == value) {
+							want = true
+						}
+					}
+				}
+				if got := hasTag(v, id, key, value); got != want {
+					t.Errorf("hasTag(%s, %q, %q) = %v; EntityTags has %v and %v", id.Short(), key, value, got, entity, columns)
+				}
+			}
+		}
+	}
+}
+
+// listPageAllocs is what one 100-table ListAssetsPageFunc page allocated on
+// a cache-less service when the read path last changed on purpose (ISSUE 19:
+// the page decoded into one slab, IDs cut from the child keys; 456 before).
+// TestListPageAllocs fails at 10 % over; `make allocs` prints the figure.
+const listPageAllocs = 60
+
+// TestListPageAllocs gates what a list page allocates end to end — token,
+// reader, parent resolution, authorization, range scan, batch read, decode,
+// visibility, audit — so a per-entity allocation that creeps back into any
+// of them shows as a hundred.
+func TestListPageAllocs(t *testing.T) {
+	db, err := store.Open(store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	svc, err := New(Config{DB: db, CacheOpts: cache.Options{Disabled: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.CreateMetastore("ms1", "main", "us-east-1", "admin", "s3://metastore-root/ms1"); err != nil {
+		t.Fatal(err)
+	}
+	admin := Ctx{Principal: "admin", Metastore: "ms1"}
+	seedNamespace(t, svc, admin)
+	for i := 0; i < 150; i++ {
+		if _, err := svc.CreateTable(admin, "sales.raw", fmt.Sprintf("t%03d", i), TableSpec{Columns: cols("id", "amount")}, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	listed := 0
+	page := func() {
+		listed = 0
+		next, err := svc.ListAssetsPageFunc(admin, "sales.raw", erm.TypeTable, 100, "", func(*erm.Entity) { listed++ })
+		if err != nil || next == "" {
+			t.Fatalf("page: token %q, %v", next, err)
+		}
+	}
+	page() // compile the principal's snapshot, fill its memo
+	got := testing.AllocsPerRun(50, page)
+	if listed != 100 {
+		t.Fatalf("page listed %d tables, want 100", listed)
+	}
+	t.Logf("100-table list page: %.0f allocations (recorded %d)", got, listPageAllocs)
+	if got > 1.10*listPageAllocs {
+		t.Fatalf("100-table list page: %.0f allocations, more than 10 %% over the recorded %d", got, listPageAllocs)
 	}
 }

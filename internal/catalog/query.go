@@ -92,21 +92,12 @@ func (s *Service) QueryAssets(ctx Ctx, f Filter) (out []*erm.Entity, err error) 
 		}
 		candidates = erm.GetEntities(v, list)
 	default:
-		for _, kv := range v.Scan(erm.TableEntity, "") {
-			e, derr := erm.DecodeEntityAt(ids.ID(kv.Key), kv.Value)
-			if derr != nil {
-				continue
-			}
-			if f.Type != "" && e.Type != f.Type {
-				continue
-			}
-			candidates = append(candidates, e)
-		}
+		candidates = erm.DecodeEntityRows(v.Scan(erm.TableEntity, ""))
 	}
 
 	seen := map[ids.ID]bool{}
 	for _, e := range candidates {
-		if seen[e.ID] {
+		if e == nil || seen[e.ID] {
 			continue
 		}
 		seen[e.ID] = true
@@ -138,7 +129,7 @@ func (s *Service) schemaCandidates(v *cache.View, f Filter, schema ids.ID) []*er
 	kvs := v.ScanRange(table, prefix, store.PrefixEnd(prefix), 0)
 	list := make([]ids.ID, len(kvs))
 	for i, kv := range kvs {
-		list[i] = ids.ID(kv.Value)
+		list[i] = erm.IndexedID(kv)
 	}
 	return erm.GetEntities(v, list)
 }
@@ -161,22 +152,30 @@ func matchesFilter(r erm.Reader, f Filter, e *erm.Entity) bool {
 	if f.Owner != "" && string(e.Owner) != f.Owner {
 		return false
 	}
-	if f.TagKey != "" {
-		tags, colTags := EntityTags(r, e.ID)
-		val, ok := tags[f.TagKey]
-		if !ok {
-			for _, ct := range colTags {
-				if cv, cok := ct[f.TagKey]; cok {
-					val, ok = cv, true
-					break
-				}
-			}
-		}
-		if !ok || (f.TagValue != "" && val != f.TagValue) {
-			return false
-		}
+	if f.TagKey != "" && !hasTag(r, e.ID, f.TagKey, f.TagValue) {
+		return false
 	}
 	return true
+}
+
+// hasTag reports whether the securable carries tag key — with that value,
+// unless value is "" — reading the forward table as EntityTags does but
+// building none of its maps. An entity-level tag decides alone; without one,
+// any column's does.
+func hasTag(r erm.Reader, id ids.ID, key, value string) bool {
+	onColumn := false
+	for _, kv := range r.Scan(erm.TableTag, erm.TagPrefix(id)) {
+		rest := kv.Key[len(id)+1:]
+		match := value == "" || string(kv.Value) == value
+		if col, ok := strings.CutPrefix(rest, "col\x00"); !ok {
+			if rest == key {
+				return match
+			}
+		} else if _, k, found := strings.Cut(col, "\x00"); found && k == key && match {
+			onColumn = true
+		}
+	}
+	return onColumn
 }
 
 // LiveEntities returns every live entity r can see, without authorization:
@@ -187,16 +186,12 @@ func matchesFilter(r erm.Reader, f Filter, e *erm.Entity) bool {
 // hand, while this node's cache advances only when the publishing write
 // returns.
 func LiveEntities(r erm.Reader) []*erm.Entity {
-	var out []*erm.Entity
-	for _, kv := range r.Scan(erm.TableEntity, "") {
-		e, derr := erm.DecodeEntityAt(ids.ID(kv.Key), kv.Value)
-		if derr != nil {
-			continue
+	ents := erm.DecodeEntityRows(r.Scan(erm.TableEntity, ""))
+	out := ents[:0]
+	for _, e := range ents {
+		if e != nil && e.State != erm.StateSoftDeleted {
+			out = append(out, e)
 		}
-		if e.State == erm.StateSoftDeleted {
-			continue
-		}
-		out = append(out, e)
 	}
 	return out
 }

@@ -345,10 +345,14 @@ func (v viewResolver) Securable(id ids.ID) (privilege.Securable, bool) {
 	if !ok {
 		return privilege.Securable{}, false
 	}
-	// Compiled snapshots memoize the result across requests: copy the one
-	// field that would pin e's backing string.
-	parent := ids.ID(strings.Clone(string(e.ParentID)))
-	return privilege.Securable{ID: e.ID, Type: string(e.Type), Parent: parent, Owner: e.Owner}, true
+	return securableOf(e), true
+}
+
+// securableOf is the privilege engine's view of e. Parent is a substring of
+// e's backing string; the compiled snapshots, which memoize securables across
+// requests, copy it when they file one (privilege's memo.remember).
+func securableOf(e *erm.Entity) privilege.Securable {
+	return privilege.Securable{ID: e.ID, Type: string(e.Type), Parent: e.ParentID, Owner: e.Owner}
 }
 
 // viewGrants adapts stored grants to privilege.Store.

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"unitycatalog/internal/ids"
 )
@@ -183,19 +184,146 @@ func TestDecodeEntityOwnsItsBytes(t *testing.T) {
 }
 
 // TestInternBoundedAndShared: hits return the table's copy, and past the
-// cap new values pass through without growing the table.
+// cap a new value gets a copy of its own without growing the table.
 func TestInternBoundedAndShared(t *testing.T) {
-	a := intern([]byte("TABLE"), "x")
-	if b := intern([]byte("TABLE"), "y"); a != "TABLE" || b != "TABLE" {
-		t.Fatalf("intern hit returned %q, %q", a, b)
+	defer internTab.Store(internTab.Load()) // leave later tests a table with room
+	a := intern([]byte("TABLE"))
+	if b := intern([]byte("TABLE")); a != "TABLE" || unsafe.StringData(a) != unsafe.StringData(b) {
+		t.Fatalf("intern hit returned %q, %q: not one shared string", a, b)
 	}
 	for i := 0; len(*internTab.Load()) < internCap; i++ {
-		intern([]byte(fmt.Sprintf("owner-%d", i)), "")
+		intern([]byte(fmt.Sprintf("owner-%d", i)))
 	}
-	if got := intern([]byte("one-too-many"), "fallback"); got != "fallback" {
-		t.Fatalf("past the cap intern returned %q, want the caller's fallback", got)
+	rec := []byte("one-too-many")
+	if got := intern(rec); got != "one-too-many" || unsafe.StringData(got) == &rec[0] {
+		t.Fatalf("past the cap intern returned %q, want a copy of the value", got)
 	}
 	if n := len(*internTab.Load()); n != internCap {
 		t.Fatalf("intern table grew to %d entries, cap %d", n, internCap)
+	}
+}
+
+// batchRecords draws a batch the slab decoder must handle record by record:
+// compact records with and without properties, specs and deletion times,
+// legacy JSON, truncated and unknown encodings, and nil.
+func batchRecords(rng *rand.Rand, n int) (keys []ids.ID, recs [][]byte) {
+	for i := 0; i < n; i++ {
+		e := sampleEntity(rng)
+		b, err := EncodeEntity(e)
+		if err != nil {
+			panic(err)
+		}
+		switch rng.Intn(8) {
+		case 0:
+			b, _ = json.Marshal(e)
+		case 1:
+			b = b[:rng.Intn(len(b))]
+		case 2:
+			b = nil
+		case 3:
+			b = []byte{0x7f, 0x01, 0x02}
+		}
+		keys = append(keys, ids.ID(fmt.Sprintf("key-%d", i)))
+		recs = append(recs, b)
+	}
+	return keys, recs
+}
+
+// TestDecodeEntitiesMatchesSingle: the slab decoder's output is, entity for
+// entity, what DecodeEntityAt returns for the same key and record, and nil
+// exactly where DecodeEntityAt fails.
+func TestDecodeEntitiesMatchesSingle(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		keys, recs := batchRecords(rng, rng.Intn(40)) // includes the empty batch
+		got := DecodeEntities(len(keys), func(i int) (ids.ID, []byte) { return keys[i], recs[i] })
+		if len(got) != len(keys) {
+			t.Fatalf("seed %d: %d entities for %d records", seed, len(got), len(keys))
+		}
+		for i := range keys {
+			var want *Entity
+			if recs[i] != nil {
+				want, _ = DecodeEntityAt(keys[i], recs[i])
+			}
+			if !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("seed %d record %d (%q...):\n got %+v\nwant %+v", seed, i, recs[i][:min(len(recs[i]), 4)], got[i], want)
+			}
+			// The ownership rule: the ID is the caller's key, not a slice
+			// of the slab.
+			if got[i] != nil && unsafe.StringData(string(got[i].ID)) != unsafe.StringData(string(keys[i])) {
+				t.Fatalf("seed %d record %d: the entity's ID is not the key it was read by", seed, i)
+			}
+		}
+	}
+}
+
+// TestDecodeEntitiesIsolation: entities of one slab share buffers, not
+// bytes. An append to one entity's Spec, or a write to any of its fields,
+// leaves its neighbours and the records they were decoded from as they were.
+func TestDecodeEntitiesIsolation(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var keys []ids.ID
+	var recs [][]byte
+	for i := 0; i < 8; i++ {
+		e := sampleEntity(rng)
+		e.Properties, e.DeletedAt = nil, nil
+		e.Spec = json.RawMessage(fmt.Sprintf(`{"columns":[{"name":"c%d"}]}`, i))
+		b, err := EncodeEntity(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, recs = append(keys, ids.ID(fmt.Sprintf("key-%d", i))), append(recs, b)
+	}
+	decode := func() []*Entity {
+		return DecodeEntities(len(keys), func(i int) (ids.ID, []byte) { return keys[i], recs[i] })
+	}
+	want, got := decode(), decode()
+	pristine := make([][]byte, len(recs))
+	for i, b := range recs {
+		pristine[i] = append([]byte(nil), b...)
+	}
+	for i, e := range got {
+		if cap(e.Spec) != len(e.Spec) {
+			t.Fatalf("entity %d: spec has %d bytes of capacity past its end", i, cap(e.Spec)-len(e.Spec))
+		}
+		e.Spec = append(e.Spec, "overflow into the next spec"...)
+		for j := range e.Spec {
+			e.Spec[j] = 'X'
+		}
+		e.Name, e.Comment, e.Managed = "renamed", "rewritten", !e.Managed
+		for j, other := range got {
+			if j > i && !reflect.DeepEqual(other, want[j]) { // those before i are already mutated
+				t.Fatalf("mutating entity %d changed entity %d:\n got %+v\nwant %+v", i, j, other, want[j])
+			}
+		}
+	}
+	for i := range recs {
+		if !reflect.DeepEqual(recs[i], pristine[i]) {
+			t.Fatalf("mutating decoded entities changed record %d", i)
+		}
+	}
+}
+
+// TestDecodeEntitiesAllocs: a batch of property-less compact records costs
+// the result, the slab, the walk's scratch, the backing string and the spec
+// buffer, whatever its size.
+func TestDecodeEntitiesAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	var keys []ids.ID
+	var recs [][]byte
+	for i := 0; i < 100; i++ {
+		e := sampleEntity(rng)
+		e.Properties, e.DeletedAt = nil, nil
+		e.Spec = json.RawMessage(`{"columns":[{"name":"id","type":"INT"}]}`)
+		b, err := EncodeEntity(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, recs = append(keys, ids.ID(fmt.Sprintf("key-%d", i))), append(recs, b)
+	}
+	decode := func() { DecodeEntities(len(keys), func(i int) (ids.ID, []byte) { return keys[i], recs[i] }) }
+	decode() // warm the intern table
+	if n := testing.AllocsPerRun(100, decode); n > 5 {
+		t.Fatalf("DecodeEntities of 100 records: %.0f allocations, want <= 5", n)
 	}
 }

@@ -613,30 +613,42 @@ func GetEntity(r Reader, id ids.ID) (*Entity, bool) {
 
 // GetEntities resolves a batch of IDs to entities, preserving order and
 // skipping missing or undecodable records. When the reader supports batch
-// point reads, the whole page costs one store round trip.
+// point reads, the whole batch costs one store round trip; either way it is
+// decoded into one slab (DecodeEntities).
 func GetEntities(r Reader, list []ids.ID) []*Entity {
-	out := make([]*Entity, 0, len(list))
+	var recs [][]byte
 	if br, ok := r.(BatchReader); ok {
 		keys := make([]string, len(list))
 		for i, id := range list {
 			keys[i] = string(id)
 		}
-		for i, b := range br.GetBatch(TableEntity, keys) {
-			if b == nil {
-				continue
-			}
-			if e, err := DecodeEntityAt(list[i], b); err == nil {
-				out = append(out, e)
-			}
+		recs = br.GetBatch(TableEntity, keys)
+	} else {
+		recs = make([][]byte, len(list))
+		for i, id := range list {
+			recs[i], _ = r.Get(TableEntity, string(id))
 		}
-		return out
 	}
-	for _, id := range list {
-		if e, ok := GetEntity(r, id); ok {
+	ents := DecodeEntities(len(list), func(i int) (ids.ID, []byte) { return list[i], recs[i] })
+	out := ents[:0]
+	for _, e := range ents {
+		if e != nil {
 			out = append(out, e)
 		}
 	}
 	return out
+}
+
+// IndexedID returns the entity ID an index pair points at (the child, name
+// and path tables all map a key to an ID). A child key ends in the ID, so
+// there the ID is a substring of the key — a string the store itself keeps
+// for as long as the entity exists — and costs no allocation; for any other
+// key it is a copy of the value, exactly sized.
+func IndexedID(kv store.KV) ids.ID {
+	if k, n := kv.Key, len(kv.Value); n > 0 && len(k) >= n && k[len(k)-n:] == string(kv.Value) {
+		return ids.ID(k[len(k)-n:])
+	}
+	return ids.ID(kv.Value)
 }
 
 // GetByName resolves (group, parent, name) to an entity.
@@ -660,13 +672,11 @@ func GetByPath(r Reader, path string) (*Entity, bool) {
 // ListChildren lists entities under parent, optionally filtered by type.
 func ListChildren(r Reader, parent ids.ID, t SecurableType) []*Entity {
 	kvs := r.Scan(TableChild, ChildPrefix(parent, t))
-	out := make([]*Entity, 0, len(kvs))
-	for _, kv := range kvs {
-		if e, ok := GetEntity(r, ids.ID(kv.Value)); ok {
-			out = append(out, e)
-		}
+	list := make([]ids.ID, len(kvs))
+	for i, kv := range kvs {
+		list[i] = IndexedID(kv)
 	}
-	return out
+	return GetEntities(r, list)
 }
 
 // CountChildren counts entities under parent with type t.

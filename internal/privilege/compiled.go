@@ -2,6 +2,7 @@ package privilege
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"unitycatalog/internal/ids"
@@ -46,6 +47,12 @@ type Authorizer interface {
 	// id including the admin pseudo-bit, and whether the securable exists.
 	// List filtering intersects this with a per-type visibility mask.
 	EffectiveSet(id ids.ID) (PrivSet, bool)
+	// EffectiveSetOf is EffectiveSet(sec.ID) for a caller that has sec in
+	// hand, read at the version the engine's hierarchy presents — a listing
+	// filtering the page it has just decoded. The engine takes the caller's
+	// word for it, so evaluating a securable it has not seen costs no second
+	// read of its row.
+	EffectiveSetOf(sec Securable) (PrivSet, bool)
 }
 
 // Snapshot is the compiled per-principal authorization state: the group
@@ -84,6 +91,26 @@ func newMemo() memo {
 }
 
 func (m *memo) size() int { return len(m.secs) + len(m.effs) + len(m.gates) }
+
+// remember files sec, found by a hierarchy read or handed in by a caller, and
+// returns it as filed. The memo outlives the request that read sec, whose
+// Parent may be a substring of a whole page's backing string (erm's ownership
+// rule), so the memo keeps a string of its own: the ID the parent itself is
+// filed under where there is one — every sibling after the first — and a copy
+// otherwise. ID is the caller's lookup key and Type and Owner are interned;
+// they pin nothing.
+func (m *memo) remember(sec Securable) Securable {
+	if sec.Parent != ids.Nil {
+		if p, ok := m.secs[sec.Parent]; ok && p.ok {
+			sec.Parent = p.sec.ID
+		} else {
+			sec.Parent = ids.ID(strings.Clone(string(sec.Parent)))
+		}
+		m.parents[sec.Parent] = struct{}{}
+	}
+	m.secs[sec.ID] = secMemo{sec: sec, ok: true}
+	return sec
+}
 
 // drop forgets what the memo holds about each id in changed, securables
 // whose row or direct grants were written. It reports false when a memoized
@@ -234,11 +261,11 @@ func (c *Compiled) securable(m *memo, id ids.ID) (Securable, bool) {
 		return sm.sec, sm.ok
 	}
 	sec, ok := c.h.Securable(id)
-	m.secs[id] = secMemo{sec: sec, ok: ok}
-	if ok && sec.Parent != ids.Nil {
-		m.parents[sec.Parent] = struct{}{}
+	if !ok {
+		m.secs[id] = secMemo{}
+		return sec, false
 	}
-	return sec, ok
+	return m.remember(sec), true
 }
 
 // direct compiles the securable's own grants and ownership into privilege
@@ -402,6 +429,17 @@ func (c *Compiled) EffectiveSet(id ids.ID) (PrivSet, bool) {
 	return em.check, ok
 }
 
+// EffectiveSetOf implements Authorizer.
+func (c *Compiled) EffectiveSetOf(sec Securable) (PrivSet, bool) {
+	m := c.lock()
+	defer c.snap.mu.Unlock()
+	if _, seen := m.secs[sec.ID]; !seen {
+		m.remember(sec)
+	}
+	em, ok := c.effective(m, sec.ID)
+	return em.check, ok
+}
+
 // --- reference-engine bridge ---
 
 // For adapts the reference engine to the Authorizer interface for one
@@ -434,6 +472,10 @@ func (n naiveAuthorizer) IsOwner(id ids.ID) bool { return n.e.IsOwner(n.p, id) }
 
 func (n naiveAuthorizer) EffectivePrivileges(id ids.ID) []Privilege {
 	return n.e.EffectivePrivileges(n.p, id)
+}
+
+func (n naiveAuthorizer) EffectiveSetOf(sec Securable) (PrivSet, bool) {
+	return n.EffectiveSet(sec.ID)
 }
 
 func (n naiveAuthorizer) EffectiveSet(id ids.ID) (PrivSet, bool) {

@@ -2,8 +2,10 @@ package privilege
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"unitycatalog/internal/ids"
 )
@@ -185,7 +187,81 @@ func TestDifferentialCompiledVsNaive(t *testing.T) {
 					}
 				}
 			}
+
+			// A listing's way in: a snapshot that meets every securable
+			// through EffectiveSetOf, handed the row, never reads that row —
+			// only the dangling parents no one could hand it, once each —
+			// and answers everything after as the reference does.
+			reads := countingHierarchy{h: h, n: map[ids.ID]int{}}
+			hand := NewSnapshot(p, groups).Bind(0, reads, g)
+			for _, sec := range all { // parents before children, as created
+				row, _ := h.Securable(sec)
+				ns, nok := naive.EffectiveSet(sec)
+				if cs, cok := hand.EffectiveSetOf(row); ns != cs || nok != cok {
+					t.Fatalf("seed %d: EffectiveSetOf(%s, %s): naive %b/%v, compiled %b/%v", seed, p, sec.Short(), ns, nok, cs, cok)
+				}
+			}
+			for id, n := range reads.n {
+				if _, handed := h[id]; handed || n > 1 {
+					t.Fatalf("seed %d: %d hierarchy reads of %s (handed to EffectiveSetOf: %v)", seed, n, id.Short(), handed)
+				}
+			}
+			for _, sec := range secs {
+				for _, priv := range privs {
+					if nd, cd := naive.Check(priv, sec), hand.Check(priv, sec); nd != cd {
+						t.Fatalf("seed %d after EffectiveSetOf: Check(%s, %s, %s): naive %+v, compiled %+v", seed, p, priv, sec.Short(), nd, cd)
+					}
+				}
+			}
 		}
+	}
+}
+
+// countingHierarchy counts the reads of each securable's row.
+type countingHierarchy struct {
+	h HierarchyResolver
+	n map[ids.ID]int
+}
+
+func (c countingHierarchy) Securable(id ids.ID) (Securable, bool) {
+	c.n[id]++
+	return c.h.Securable(id)
+}
+
+// TestMemoKeepsItsOwnParent: a securable handed in from a decoded page has a
+// Parent that is a substring of the page's backing string. The memo outlives
+// the page, so what it files must not alias it, and siblings share the one
+// string their parent is filed under.
+func TestMemoKeepsItsOwnParent(t *testing.T) {
+	page := strings.Repeat("x", 1<<10) + "schema-1" + strings.Repeat("y", 1<<10)
+	parent := ids.ID(page[1<<10 : 1<<10+8])
+	h := memHierarchy{parent: {ID: "schema-1", Type: "SCHEMA", Owner: "root"}}
+	c := NewSnapshot("u1", nil).Bind(0, h, NewMemStore())
+	for _, id := range []ids.ID{"t1", "t2", "t3"} {
+		c.EffectiveSetOf(Securable{ID: id, Type: "TABLE", Parent: parent, Owner: "root"})
+	}
+	m := &c.snap.memo
+	lo, hi := uintptr(unsafe.Pointer(unsafe.StringData(page))), uintptr(unsafe.Pointer(unsafe.StringData(page)))+uintptr(len(page))
+	inPage := func(s ids.ID) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(string(s))))
+		return p >= lo && p < hi
+	}
+	for id, sm := range m.secs {
+		if inPage(sm.sec.Parent) {
+			t.Fatalf("memo entry %s keeps a parent that is a substring of the page", id)
+		}
+	}
+	for id := range m.parents {
+		if inPage(id) {
+			t.Fatal("the memo's parent set keeps a substring of the page")
+		}
+	}
+	filed := unsafe.StringData(string(m.secs["schema-1"].sec.ID))
+	if got := unsafe.StringData(string(m.secs["t2"].sec.Parent)); got != filed {
+		t.Fatal("a sibling's parent is a copy of its own, not the ID its parent is filed under")
+	}
+	if got := unsafe.StringData(string(m.secs["t3"].sec.Parent)); got != filed {
+		t.Fatal("a sibling's parent is a copy of its own, not the ID its parent is filed under")
 	}
 }
 

@@ -22,14 +22,17 @@ func newChangeRing(capacity int) changeRing {
 	return changeRing{capacity: capacity}
 }
 
-// push appends c, evicting the oldest entry if the ring is full.
-func (r *changeRing) push(c Change) {
+// push appends c, evicting the oldest entry if the ring is full, and returns
+// the entry it evicted.
+func (r *changeRing) push(c Change) (old Change, evicted bool) {
 	if len(r.buf) < r.capacity {
 		r.buf = append(r.buf, c)
-		return
+		return Change{}, false
 	}
+	old = r.buf[r.start]
 	r.buf[r.start] = c
 	r.start = (r.start + 1) % r.capacity
+	return old, true
 }
 
 // len returns the number of retained changes.

@@ -150,7 +150,10 @@ type metastore struct {
 	changes  changeRing
 	snaps    map[uint64]int
 	minSnapV uint64
-	pending  []*pendingCommit // sequenced but unapplied, ascending version
+	// tombs holds deletes that left the change log while a snapshot older
+	// than them was open (reclaimLocked); each later commit retries them.
+	tombs   []Change
+	pending []*pendingCommit // sequenced but unapplied, ascending version
 
 	// applyMu/applyCond sequence state application: a committer applies
 	// only after version newV-1 has been applied, so the state always
@@ -442,6 +445,36 @@ func (m *metastore) removeRecordLocked(table, key string) {
 	if idx := m.indexes[table]; idx != nil {
 		idx.delete(key)
 	}
+}
+
+// logLocked appends c to the change log and reclaims the record of the
+// delete that push evicts, if it evicts one. Caller holds stateMu.
+func (m *metastore) logLocked(c Change) {
+	if old, evicted := m.changes.push(c); evicted && old.Deleted {
+		m.reclaimLocked(old)
+	}
+}
+
+// reclaimLocked is given a delete that has left the change log. If the
+// record is still that tombstone — nothing has written the key since — it is
+// removed, with the history it kept behind the tombstone: a deleted key would
+// otherwise hold its record, map entry and tree slot for ever. The change
+// log is the horizon because it is the store's own: a reader at a version
+// the log no longer covers cannot follow it forward either
+// (ErrChangeLogTrimmed), and inside it readers at unpinned versions (cache
+// views, page cursors) keep finding what MaxVersionsPerRecord promises them.
+// A snapshot opened before the delete still reads that history, so the
+// delete waits in m.tombs until it has closed. Caller holds stateMu.
+func (m *metastore) reclaimLocked(del Change) {
+	r := m.tables[del.Table][del.Key]
+	if r == nil || !r.deleted || r.commit != del.Version {
+		return
+	}
+	if len(m.snaps) > 0 && m.minSnapV < del.Version {
+		m.tombs = append(m.tombs, del)
+		return
+	}
+	m.removeRecordLocked(del.Table, del.Key)
 }
 
 // DropMetastore removes a metastore and all its data.
@@ -1059,14 +1092,14 @@ func (db *DB) update(sc obs.SpanContext, msID string, expected *uint64, fn func(
 		c := &tx.ordered[i]
 		c.Version = newV
 		w := tx.writes[c.Table][c.Key]
-		r := ms.putLocked(c.Table, c.Key, newV, w.value, w.deleted)
-		db.pruneLocked(ms, r)
-		// A record that is only a tombstone, with every snapshot at or
-		// above it, can go.
-		if w.deleted && r.prev == nil && ms.minSnapV >= newV {
-			ms.removeRecordLocked(c.Table, c.Key)
+		db.pruneLocked(ms, ms.putLocked(c.Table, c.Key, newV, w.value, w.deleted))
+		ms.logLocked(*c)
+	}
+	if waiting := ms.tombs; len(waiting) > 0 {
+		ms.tombs = waiting[:0] // refilled behind the read position
+		for _, del := range waiting {
+			ms.reclaimLocked(del)
 		}
-		ms.changes.push(*c)
 	}
 	ms.pending = ms.pending[1:]
 	ms.version = newV

@@ -338,6 +338,96 @@ func TestVersionPruning(t *testing.T) {
 	}
 }
 
+// TestDeletedRecordsReclaimed: a key created and deleted gives its record,
+// map entry and tree slot back once the delete has left the change log, so
+// churn leaves the table the size it started at; a snapshot opened before a
+// delete keeps reading what it pinned, and holds the record until it closes.
+func TestDeletedRecordsReclaimed(t *testing.T) {
+	const ring = 8
+	db := mustOpen(t, Options{ChangeLogSize: ring})
+	db.CreateMetastore("m")
+	put := func(k, v string) {
+		t.Helper()
+		if _, err := db.Update("m", func(tx *Tx) error { tx.Put("t", k, []byte(v)); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	del := func(k string) {
+		t.Helper()
+		if _, err := db.Update("m", func(tx *Tx) error { tx.Delete("t", k); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// flush pushes every earlier change out of the log without adding a key.
+	flush := func() {
+		for i := 0; i < ring; i++ {
+			put("seed00", fmt.Sprintf("flush%d", i))
+		}
+	}
+	for i := 0; i < 50; i++ {
+		put(fmt.Sprintf("seed%02d", i), "seed")
+	}
+	ms, _ := db.metastore("m")
+	sizes := func() (records, slots int) {
+		ms.stateMu.RLock()
+		defer ms.stateMu.RUnlock()
+		return len(ms.tables["t"]), ms.indexes["t"].size
+	}
+	wantRecords, wantSlots := sizes()
+
+	for i := 0; i < 1000; i++ {
+		k := fmt.Sprintf("churn%04d", i)
+		put(k, "v")
+		if i%3 == 0 {
+			put(k, "v2") // history behind the tombstone goes with it
+		}
+		del(k)
+		if i%7 == 0 {
+			del(k) // a tombstone over a tombstone
+		}
+	}
+	del("never-existed")
+	flush()
+	if records, slots := sizes(); records != wantRecords || slots != wantSlots {
+		t.Fatalf("after 1,000 create/delete rounds: %d records, %d tree slots; started with %d, %d", records, slots, wantRecords, wantSlots)
+	}
+
+	// A key written again after its delete is not the tombstone any more.
+	put("back", "v1")
+	del("back")
+	put("back", "v2")
+	// A snapshot older than a delete blocks it.
+	put("pinned", "old")
+	snap, err := db.Snapshot("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	del("pinned")
+	flush()
+	if b, ok := snap.Get("t", "pinned"); !ok || string(b) != "old" {
+		t.Fatalf("snapshot opened before the delete reads %q, %v", b, ok)
+	}
+	if records, _ := sizes(); records != wantRecords+2 {
+		t.Fatalf("%d records with a snapshot holding one deleted key and one key rewritten, want %d", records, wantRecords+2)
+	}
+	snap.Close()
+	put("seed00", "retry") // the next commit retries what the snapshot held
+	now, err := db.Snapshot("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer now.Close()
+	if b, ok := now.Get("t", "back"); !ok || string(b) != "v2" {
+		t.Fatalf("key rewritten after its delete reads %q, %v", b, ok)
+	}
+	if _, ok := now.Get("t", "pinned"); ok {
+		t.Fatal("deleted key is live")
+	}
+	if records, slots := sizes(); records != wantRecords+1 || slots != wantSlots+1 {
+		t.Fatalf("after the snapshot closed: %d records, %d slots, want %d, %d", records, slots, wantRecords+1, wantSlots+1)
+	}
+}
+
 // sliceChain is the version chain as the store kept it before a record became
 // its own newest version: an ascending slice, pruned by index arithmetic. It
 // is the reference TestPrunedChainMatchesSliceChain holds the linked chain to.

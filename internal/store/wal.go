@@ -412,7 +412,7 @@ func (db *DB) replayWAL(path string) error {
 			}
 			ms.version = e.Version
 			for _, w := range e.Writes {
-				ms.changes.push(Change{Version: e.Version, Table: w.Table, Key: w.Key, Deleted: w.Deleted})
+				ms.logLocked(Change{Version: e.Version, Table: w.Table, Key: w.Key, Deleted: w.Deleted})
 			}
 		}
 	}

@@ -6,6 +6,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"unitycatalog/internal/catalog"
+	"unitycatalog/internal/erm"
 )
 
 // residentBudget is what each holder measured, in bytes per table of
@@ -55,6 +58,29 @@ func holderOf(stack []uintptr) string {
 		return "store structure"
 	}
 	return holder
+}
+
+// inUseByHolder collects twice, so that what the profile reports as in use
+// is what is reachable, and attributes every in-use byte to its holder.
+func inUseByHolder() (inUse map[string]int64, total int64) {
+	runtime.GC()
+	runtime.GC()
+	records := make([]runtime.MemProfileRecord, 4096)
+	for {
+		n, ok := runtime.MemProfile(records, false)
+		if ok {
+			records = records[:n]
+			break
+		}
+		records = make([]runtime.MemProfileRecord, 2*n)
+	}
+	inUse = map[string]int64{}
+	for i := range records {
+		r := &records[i]
+		inUse[holderOf(r.Stack())] += r.InUseBytes()
+		total += r.InUseBytes()
+	}
+	return inUse, total
 }
 
 // TestResidentBudget builds a small metastore through the assembled stack and
@@ -111,24 +137,7 @@ func TestResidentBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	runtime.GC()
-	runtime.GC()
-	records := make([]runtime.MemProfileRecord, 4096)
-	for {
-		n, ok := runtime.MemProfile(records, false)
-		if ok {
-			records = records[:n]
-			break
-		}
-		records = make([]runtime.MemProfileRecord, 2*n)
-	}
-	inUse := map[string]int64{}
-	var total int64
-	for i := range records {
-		r := &records[i]
-		inUse[holderOf(r.Stack())] += r.InUseBytes()
-		total += r.InUseBytes()
-	}
+	inUse, total := inUseByHolder()
 	runtime.KeepAlive(c)
 
 	holders := make([]string, 0, len(inUse))
@@ -153,5 +162,141 @@ func TestResidentBudget(t *testing.T) {
 		if inUse[h] == 0 {
 			t.Errorf("nothing attributed to %s: the attribution no longer sees it", h)
 		}
+	}
+}
+
+// pageRetention is what paging through every table, first by an unscoped
+// query and then schema by schema, as each of four principals leaves in use once the pages themselves are dropped, in bytes per table
+// listed. privilege and cache are what the walk cost at the commit before
+// pages were decoded into slabs (ISSUE 19), when the most a holder could pin
+// through an entity was that entity's own record. "decoded" is what the
+// decode and page code (erm, catalog) allocated; nothing a page decodes may
+// outlive it, so what is left there is the key strings of the name lookups
+// and grant scans the walk put in the cache (the parent left 18.7: one ID
+// string per entity listed by schema, kept by the cache as a key, which is
+// now a substring of the store's own child key). TestPageRetention fails at 10 %
+// over; a holder that keeps a substring of a page keeps the page's slab,
+// ~500 B per table listed.
+var pageRetention = map[string]float64{
+	"privilege": 131.2,
+	"cache":     10.6,
+	"decoded":   2, // measures 1.2: under a kilobyte in all, so the slack is absolute; one pinned page per memo reads 21.7
+}
+
+// TestPageRetention is the ownership rule of erm/codec.go, tested from the
+// outside: the two holders a listed page can reach — the metadata cache's
+// miss-fill keys and the authorization memos' keys and parents — keep strings
+// of their own (or the store's), never a substring of the page's slab, whose
+// every byte would stay in use for as long as they did.
+func TestPageRetention(t *testing.T) {
+	const schemas, tablesPerSchema = 8, 120
+	principals := []Principal{"admin", "ana", "ben", "cy"}
+
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+
+	c, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.CreateMetastore("ms1", "main", "r", "admin", "s3://root/ms1"); err != nil {
+		t.Fatal(err)
+	}
+	admin := c.Session("admin", "ms1")
+	if _, err := admin.CreateCatalog("sales", ""); err != nil {
+		t.Fatal(err)
+	}
+	spec := TableSpec{Columns: []ColumnInfo{{Name: "id", Type: "BIGINT"}, {Name: "amount", Type: "DOUBLE"}}}
+	grant := func(full string, privs ...Privilege) {
+		t.Helper()
+		for _, p := range principals[1:] {
+			for _, priv := range privs {
+				if err := admin.Grant(full, p, priv); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	grant("sales", "USE CATALOG", "SELECT")
+	for s := 0; s < schemas; s++ {
+		schema := fmt.Sprintf("s%02d", s)
+		if _, err := admin.CreateSchema("sales", schema, ""); err != nil {
+			t.Fatal(err)
+		}
+		grant("sales."+schema, "USE SCHEMA")
+		for i := 0; i < tablesPerSchema; i++ {
+			if _, err := admin.CreateTable("sales."+schema, fmt.Sprintf("t_%04d", i), spec, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	c.Search.Sync()
+	c.Lineage.Sync()
+	if err := c.Service.Cache().ReconcileFull("ms1"); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := inUseByHolder()
+
+	// Each principal pages through an unscoped query first, so that its memo
+	// meets the first table of every schema before the schema itself: that
+	// entry's parent has no filed ID to share and must be a copy.
+	listed := 0
+	for _, p := range principals {
+		ctx := c.Session(p, "ms1").Ctx()
+		for f := (catalog.Filter{Type: erm.TypeTable, MaxResults: 50}); ; {
+			page, err := c.Service.QueryAssetsPage(ctx, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			listed += len(page.Assets)
+			if f.PageToken = page.NextPageToken; f.PageToken == "" {
+				break
+			}
+		}
+		for s := 0; s < schemas; s++ {
+			for token := ""; ; {
+				page, err := c.Service.ListAssetsPage(ctx, fmt.Sprintf("sales.s%02d", s), erm.TypeTable, 50, token)
+				if err != nil {
+					t.Fatal(err)
+				}
+				listed += len(page.Assets)
+				if token = page.NextPageToken; token == "" {
+					break
+				}
+			}
+		}
+	}
+	if want := 2 * len(principals) * schemas * tablesPerSchema; listed != want {
+		t.Fatalf("walks listed %d tables, want %d", listed, want)
+	}
+	after, _ := inUseByHolder()
+	runtime.KeepAlive(c)
+
+	left := map[string]float64{}
+	for h, b := range after {
+		if d := float64(b-before[h]) / float64(listed); d != 0 {
+			if h == "erm" || h == "catalog" {
+				h = "decoded"
+			}
+			left[h] += d
+		}
+	}
+	holders := make([]string, 0, len(left))
+	for h := range left {
+		holders = append(holders, h)
+	}
+	sort.Slice(holders, func(i, j int) bool { return left[holders[i]] > left[holders[j]] })
+	t.Logf("%d tables listed; left in use once the pages were dropped:", listed)
+	t.Logf("%-22s %12s %8s", "holder", "B/listed", "budget")
+	for _, h := range holders {
+		budget := ""
+		if b, ok := pageRetention[h]; ok {
+			budget = fmt.Sprintf("%.1f", b)
+			if left[h] > 1.10*b {
+				t.Errorf("%s keeps %.1f B per table listed, more than 10 %% over its budget of %.1f", h, left[h], b)
+			}
+		}
+		t.Logf("%-22s %12.1f %8s", h, left[h], budget)
 	}
 }
