@@ -32,7 +32,10 @@ test:
 # two that hold the one way a node hears of another's commit (PR 17): three
 # services on one database against the store's current snapshot, a different
 # sequence each repetition, and the foreign burst that must cost a warm node
-# exactly one reconcile.
+# exactly one reconcile. And the one that holds entities read through a cache
+# view to being shared and immutable (PR 20): seeded writers against readers
+# holding views across their commits, every read compared with a private
+# decode of the store's bytes at the view's version.
 race:
 	$(GO) test -race -count=1 \
 		./internal/cache/... \
@@ -66,7 +69,7 @@ race:
 		./internal/clock/... \
 		./internal/ids/... \
 		./uc/...
-	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce' \
+	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential' \
 		./internal/cache/ ./internal/search/ ./internal/events/ ./internal/catalog/ ./internal/privilege/
 
 # Who holds the resident bytes: builds 2,000 tables through uc.Open with
@@ -76,14 +79,19 @@ race:
 # layout"). Then what listing leaves behind: every table paged through by
 # four principals, the pages dropped, and the bytes still in use under the
 # cache, the authorization memos and the decode sites held to their recorded
-# figures (TestPageRetention). `make race` runs both with ./uc/...
+# figures (TestPageRetention). TestResidentBudget ends with the warm-cache
+# row: every table read once by name, and what that leaves in use under the
+# cache and the decoder per table read — the resident cost of the decoded
+# forms the cache keeps, which the benchmark's heap_bytes_per_asset (read on
+# an emptied cache) cannot see. `make race` runs both with ./uc/...
 heap:
 	$(GO) test -count=1 -run 'TestResidentBudget|TestPageRetention' -v ./uc/
 
 # What the read path allocates: a 100-record batch decode (internal/erm, at
-# most 5 whatever the size) and a whole 100-table list page on a cache-less
-# service (internal/catalog, recorded figure + 10 %), printed. `make test`
-# runs the same gates with the rest of ./...
+# most 5 whatever the size), a whole 100-table list page on a cache-less
+# service, and a GetAsset by name and a one-table Resolve on a warm cache,
+# which must also decode nothing (internal/catalog, recorded figures + 10 %),
+# printed. `make test` runs the same gates with the rest of ./...
 allocs:
 	$(GO) test -count=1 -run 'Allocs' -v ./internal/erm/ ./internal/catalog/
 

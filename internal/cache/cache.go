@@ -81,9 +81,23 @@
 // the first successful database interaction clears the flag, and the next
 // reconciliation converges the cache to the database's current version.
 //
-// Values returned by Get and Scan are shared with the cache and the store;
-// callers must treat them as immutable. Scan returns a fresh []store.KV
-// slice, so appending to or reordering the result is safe.
+// # Decoded forms
+//
+// The cache serves assets, not bytes: each cached record version carries the
+// decoded form of its value beside the bytes, filled by the first
+// View.GetDecoded that reads it and handed to every later one, so a point read
+// on a warm cache decodes nothing. The decoded form is a field of the
+// (record, version) pair and has no life of its own: a view at V finds V's
+// bytes and V's decoded form together, a commit installs the new version with
+// nothing decoded, and eviction, reconciliation and version pruning drop the
+// form with the version it belongs to. GetBatch neither reads nor fills it —
+// a batch is decoded into one slab by its caller, and a slab element kept
+// here would pin its page.
+//
+// Values returned by Get, GetBatch, GetDecoded and Scan are shared with the
+// cache and the store — the bytes and the decoded forms alike; callers must
+// treat them as immutable. Scan returns a fresh []store.KV slice, so
+// appending to or reordering the result is safe.
 package cache
 
 import (
@@ -151,6 +165,12 @@ type Metrics struct {
 	// transitions back to healthy.
 	Outages    int64
 	Recoveries int64
+	// DecodedHits counts GetDecoded reads handed a decoded form a cached
+	// version already held; Decodes counts calls of a decode function — one
+	// per (record, version) a view reads first, one per read that finds
+	// nothing cached to keep the form in.
+	DecodedHits int64
+	Decodes     int64
 }
 
 // counters holds the live counters behind Metrics. obs.Counter is an atomic
@@ -169,6 +189,8 @@ type counters struct {
 	degradedDenied       obs.Counter
 	outages              obs.Counter
 	recoveries           obs.Counter
+	decodedHits          obs.Counter
+	decodes              obs.Counter
 }
 
 type cachedVersion struct {
@@ -176,9 +198,16 @@ type cachedVersion struct {
 	value    []byte
 	deleted  bool
 	cachedAt time.Time
+	// decoded is value's decoded form, nil until a GetDecoded fills it (under
+	// the shard's write lock) and immutable afterwards.
+	decoded any
 }
 
 type cachedRecord struct {
+	// key is the record's key as the shard's map holds it: the string a
+	// decoded form may alias, since the map keeps it for as long as the record
+	// is cached whatever the caller of a later read passed.
+	key      string
 	versions []cachedVersion // ascending by version; guarded by the shard lock
 	// Eviction bookkeeping, updated lock-free on the hit path.
 	lastUsed atomic.Int64 // unix nanoseconds
@@ -186,14 +215,22 @@ type cachedRecord struct {
 
 func (r *cachedRecord) touch() { r.lastUsed.Store(time.Now().UnixNano()) }
 
-func (r *cachedRecord) at(v uint64) (value []byte, deleted, ok bool) {
+// live is cv unless it records a deletion.
+func (cv cachedVersion) live() (cachedVersion, bool) {
+	if cv.deleted {
+		return cachedVersion{}, false
+	}
+	return cv, true
+}
+
+// at returns a copy of the newest version of the record no newer than v.
+func (r *cachedRecord) at(v uint64) (cv cachedVersion, ok bool) {
 	for i := len(r.versions) - 1; i >= 0; i-- {
 		if r.versions[i].version <= v {
-			cv := r.versions[i]
-			return cv.value, cv.deleted, true
+			return r.versions[i], true
 		}
 	}
-	return nil, false, false
+	return cachedVersion{}, false
 }
 
 type cachedScan struct {
@@ -246,6 +283,10 @@ type msCache struct {
 
 	// writers counts this node's Updates in flight; see NewViewT.
 	writers atomic.Int32
+
+	// decodedHits and decodes are this metastore's share of the node's
+	// counters of the same names, for Health.
+	decodedHits, decodes atomic.Int64
 
 	flightMu sync.Mutex
 	flight   map[flightKey]*flight
@@ -405,6 +446,8 @@ func (c *Cache) Metrics() Metrics {
 		DegradedDenied:      c.metrics.degradedDenied.Load(),
 		Outages:             c.metrics.outages.Load(),
 		Recoveries:          c.metrics.recoveries.Load(),
+		DecodedHits:         c.metrics.decodedHits.Load(),
+		Decodes:             c.metrics.decodes.Load(),
 	}
 }
 
@@ -425,6 +468,8 @@ func (c *Cache) RegisterMetrics(r *obs.Registry) {
 	r.RegisterCounter("uc_cache_degraded_denied_total", "Degraded reads refused past the staleness bound.", &c.metrics.degradedDenied)
 	r.RegisterCounter("uc_cache_outages_total", "Transitions into degraded mode.", &c.metrics.outages)
 	r.RegisterCounter("uc_cache_recoveries_total", "Transitions back to healthy.", &c.metrics.recoveries)
+	r.RegisterCounter("uc_cache_decoded_hits_total", "Point reads served a cached version's decoded form.", &c.metrics.decodedHits)
+	r.RegisterCounter("uc_cache_decodes_total", "Records decoded for a point read.", &c.metrics.decodes)
 	r.RegisterGaugeFunc("uc_cache_degraded", "1 when any owned metastore is serving degraded.", func() float64 {
 		if c.Degraded() {
 			return 1
@@ -441,6 +486,10 @@ type MetastoreHealth struct {
 	KnownVersion  uint64        `json:"known_version"`
 	SinceLastSync time.Duration `json:"since_last_sync"`
 	Entries       int64         `json:"entries"`
+	// DecodedHits and Decodes are Metrics' counters of those names for this
+	// metastore: point reads handed a cached decoded form, and records decoded.
+	DecodedHits int64 `json:"decoded_hits"`
+	Decodes     int64 `json:"decodes"`
 }
 
 // Health reports per-metastore degradation state, sorted by metastore ID.
@@ -455,6 +504,8 @@ func (c *Cache) Health() []MetastoreHealth {
 			KnownVersion:  m.knownVersion.Load(),
 			SinceLastSync: now.Sub(time.Unix(0, m.lastSync.Load())),
 			Entries:       m.entries.Load(),
+			DecodedHits:   m.decodedHits.Load(),
+			Decodes:       m.decodes.Load(),
 		})
 	}
 	c.mu.RUnlock()
@@ -735,7 +786,7 @@ func (v *View) pinOnMiss() {
 // tryHit serves (and pins) a cache hit for rk, if present at the view's
 // version. The retry loop handles the race between finding a value at an
 // unpinned version and another goroutine pinning the view elsewhere.
-func (v *View) tryHit(sh *shard, rk cacheKey) (val []byte, deleted, ok bool) {
+func (v *View) tryHit(sh *shard, rk cacheKey) (cv cachedVersion, ok bool) {
 	for {
 		st := v.state.Load()
 		ver := st &^ pinnedBit
@@ -743,11 +794,11 @@ func (v *View) tryHit(sh *shard, rk cacheKey) (val []byte, deleted, ok bool) {
 		rec := sh.records[rk]
 		var found bool
 		if rec != nil {
-			val, deleted, found = rec.at(ver)
+			cv, found = rec.at(ver)
 		}
 		sh.mu.RUnlock()
 		if !found {
-			return nil, false, false
+			return cachedVersion{}, false
 		}
 		if st&pinnedBit == 0 && !v.state.CompareAndSwap(st, ver|pinnedBit) {
 			// The view pinned under us, possibly at a different version;
@@ -755,7 +806,7 @@ func (v *View) tryHit(sh *shard, rk cacheKey) (val []byte, deleted, ok bool) {
 			continue
 		}
 		rec.touch()
-		return val, deleted, true
+		return cv, true
 	}
 }
 
@@ -766,13 +817,91 @@ func (v *View) Get(table, key string) ([]byte, bool) {
 		return v.snap.Get(table, key)
 	}
 	rk := cacheKey{table, key}
-	sh := v.m.shardFor(rk)
-	if val, deleted, ok := v.tryHit(sh, rk); ok {
-		v.c.metrics.hits.Add(1)
-		if deleted {
+	cv, ok := v.read(v.m.shardFor(rk), rk)
+	return cv.value, ok
+}
+
+// GetDecoded returns the decoded form of the value of (table, key) as of the
+// view's version: what decode makes of the record, kept beside the cached
+// version it was made from and handed to every later read of that version, so
+// decode runs once per (record, version) and a read on a warm cache decodes
+// nothing. ok is false when the record is absent or decode fails.
+//
+// The decoded form is shared exactly as the bytes Get returns are: callers
+// must treat it as immutable. decode is given the record's key — the cache's
+// own copy, which the form may keep — and the cached bytes, which it may
+// alias (the cached version that holds the form holds them too). It may run
+// under a shard lock and must not call into the cache. Every caller reading a
+// table through GetDecoded must pass the same function for it. When nothing
+// is cached to keep the form in (cache disabled, a view behind the known
+// version, a record evicted in between) the read decodes privately.
+func (v *View) GetDecoded(table, key string, decode func(key string, rec []byte) (any, error)) (any, bool) {
+	if v.snap != nil { // cache disabled
+		rec, ok := v.snap.Get(table, key)
+		if !ok {
 			return nil, false
 		}
-		return val, true
+		d, err := decode(key, rec)
+		return d, err == nil && d != nil
+	}
+	rk := cacheKey{table, key}
+	sh := v.m.shardFor(rk)
+	cv, ok := v.read(sh, rk)
+	if !ok {
+		return nil, false
+	}
+	if cv.decoded != nil {
+		v.noteDecodedHit()
+		return cv.decoded, true
+	}
+	// The first decoding read of this version — a miss just filled, a version
+	// written through, one a Get or GetBatch cached: decode into the cached
+	// version, under the lock that guards it, so that concurrent first reads
+	// share one form.
+	sh.mu.Lock()
+	if rec := sh.records[rk]; rec != nil {
+		for i := range rec.versions {
+			slot := &rec.versions[i]
+			if slot.version != cv.version {
+				continue
+			}
+			if slot.decoded == nil {
+				v.noteDecode()
+				if d, err := decode(rec.key, slot.value); err == nil {
+					slot.decoded = d
+				}
+			} else {
+				v.noteDecodedHit()
+			}
+			d := slot.decoded
+			sh.mu.Unlock()
+			return d, d != nil
+		}
+	}
+	sh.mu.Unlock()
+	v.noteDecode()
+	d, err := decode(key, cv.value)
+	return d, err == nil && d != nil
+}
+
+func (v *View) noteDecodedHit() {
+	v.c.metrics.decodedHits.Add(1)
+	v.m.decodedHits.Add(1)
+}
+
+func (v *View) noteDecode() {
+	v.c.metrics.decodes.Add(1)
+	v.m.decodes.Add(1)
+}
+
+// read is the point read behind Get and GetDecoded: the live version of rk the
+// view is served — a cache hit, a miss filled from the database, or during an
+// outage the newest cached one. ok is false, and cv zero, when the record is
+// absent or deleted at the view's version or could not be read (see Err).
+func (v *View) read(sh *shard, rk cacheKey) (cv cachedVersion, ok bool) {
+	if cv, ok := v.tryHit(sh, rk); ok {
+		v.c.metrics.hits.Add(1)
+		return cv.live()
 	}
 	v.c.metrics.misses.Add(1)
 
@@ -782,12 +911,9 @@ func (v *View) Get(table, key string) ([]byte, bool) {
 		v.pinOnMiss()
 		// The reconciled cache may now hold the record (selective
 		// reconciliation keeps unchanged entries).
-		if val, deleted, ok := v.tryHit(sh, rk); ok {
+		if cv, ok := v.tryHit(sh, rk); ok {
 			v.c.metrics.hits.Add(1)
-			if deleted {
-				return nil, false
-			}
-			return val, true
+			return cv.live()
 		}
 	}
 
@@ -796,7 +922,7 @@ func (v *View) Get(table, key string) ([]byte, bool) {
 	// leader installs the result before the flight closes, so latecomers
 	// either join the flight or hit the cache — never re-read the DB.
 	ver := v.Version()
-	_, missSpan := v.sc.StartDetail("cache.getmiss", table)
+	_, missSpan := v.sc.StartDetail("cache.getmiss", rk.table)
 	defer missSpan.End()
 	f, leader := v.m.doFlight(flightKey{'g', ver, rk}, func(f *flight) {
 		snap, err := v.c.db.SnapshotAt(v.msID, ver)
@@ -804,7 +930,7 @@ func (v *View) Get(table, key string) ([]byte, bool) {
 			f.err = err
 			return
 		}
-		f.val, f.found = snap.Get(table, key)
+		f.val, f.found = snap.Get(rk.table, rk.key)
 		snap.Close()
 		// Cache the result only when the view is at the cache's current
 		// known version; otherwise a change in (view, known] could make the
@@ -820,50 +946,46 @@ func (v *View) Get(table, key string) ([]byte, bool) {
 	if f.err != nil {
 		v.c.noteDBError(v.m, f.err)
 		if faults.Is(f.err, faults.Unavailable) {
-			if val, deleted, served := v.degradedGet(sh, rk); served {
-				if deleted {
-					return nil, false
-				}
-				return val, true
+			if cv, served := v.degradedGet(sh, rk); served {
+				return cv.live()
 			}
 		}
 		v.setErr(f.err)
-		return nil, false
+		return cachedVersion{}, false
 	}
 	v.c.noteDBSuccess(v.m)
 	if !leader {
 		v.c.metrics.coalescedMisses.Add(1)
 	}
 	if !f.found {
-		return nil, false
+		return cachedVersion{}, false
 	}
-	return f.val, true
+	return cachedVersion{version: ver, value: f.val}, true
 }
 
 // degradedGet is the outage fallback: serve the newest cached version of
 // rk regardless of the view's pinned version, provided the staleness bound
 // allows it. Returns served=false when the bound is exceeded (fail closed)
 // or nothing is cached.
-func (v *View) degradedGet(sh *shard, rk cacheKey) (val []byte, deleted, served bool) {
+func (v *View) degradedGet(sh *shard, rk cacheKey) (cv cachedVersion, served bool) {
 	if !v.c.staleAllowed(v.m) {
 		v.c.metrics.degradedDenied.Add(1)
-		return nil, false, false
+		return cachedVersion{}, false
 	}
 	sh.mu.RLock()
 	rec := sh.records[rk]
 	ok := rec != nil && len(rec.versions) > 0
 	if ok {
-		cv := rec.versions[len(rec.versions)-1]
-		val, deleted = cv.value, cv.deleted
+		cv = rec.versions[len(rec.versions)-1]
 	}
 	sh.mu.RUnlock()
 	if !ok {
 		v.c.metrics.degradedMisses.Add(1)
-		return nil, false, false
+		return cachedVersion{}, false
 	}
 	rec.touch()
 	v.c.metrics.degradedReads.Add(1)
-	return val, deleted, true
+	return cv, true
 }
 
 // Scan returns live pairs with the key prefix as of the view's version,
@@ -968,11 +1090,11 @@ func (v *View) GetBatch(table string, keys []string) [][]byte {
 	// serve reports whether keys[i] was a cache hit, filling out[i].
 	serve := func(i int) bool {
 		rk := cacheKey{table, keys[i]}
-		val, deleted, ok := v.tryHit(v.m.shardFor(rk), rk)
+		cv, ok := v.tryHit(v.m.shardFor(rk), rk)
 		if ok {
 			v.c.metrics.hits.Add(1)
-			if !deleted {
-				out[i] = val
+			if !cv.deleted {
+				out[i] = cv.value
 			}
 		}
 		return ok
@@ -1010,9 +1132,9 @@ func (v *View) GetBatch(table string, keys []string) [][]byte {
 		for _, i := range missed {
 			if faults.Is(err, faults.Unavailable) {
 				rk := cacheKey{table, keys[i]}
-				if val, deleted, served := v.degradedGet(v.m.shardFor(rk), rk); served {
-					if !deleted {
-						out[i] = val
+				if cv, served := v.degradedGet(v.m.shardFor(rk), rk); served {
+					if !cv.deleted {
+						out[i] = cv.value
 					}
 					continue
 				}
@@ -1125,7 +1247,7 @@ func (v *View) Close() {
 func (c *Cache) insertShardLocked(m *msCache, sh *shard, rk cacheKey, cv cachedVersion) {
 	rec, ok := sh.records[rk]
 	if !ok {
-		rec = &cachedRecord{}
+		rec = &cachedRecord{key: rk.key}
 		sh.records[rk] = rec
 		m.entries.Add(1)
 	}
@@ -1314,6 +1436,29 @@ func (c *Cache) EntryCount(msID string) int {
 		sh.mu.RUnlock()
 	}
 	return n
+}
+
+// EachDecoded calls fn for every decoded form the metastore's cache holds,
+// with the record it was decoded from: what a test compares against a fresh
+// decode to show no reader wrote to a shared form. fn runs under a shard's
+// read lock and must not call into the cache.
+func (c *Cache) EachDecoded(msID string, fn func(table, key string, rec []byte, decoded any)) {
+	m, err := c.owner(msID)
+	if err != nil {
+		return
+	}
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.RLock()
+		for rk, rec := range sh.records {
+			for _, cv := range rec.versions {
+				if cv.decoded != nil {
+					fn(rk.table, rk.key, cv.value, cv.decoded)
+				}
+			}
+		}
+		sh.mu.RUnlock()
+	}
 }
 
 // DB exposes the underlying database for components that need direct access

@@ -37,11 +37,11 @@ func (s *Service) TempCredentialForAsset(ctx Ctx, full string, level cloudsim.Ac
 		return tc, err
 	}
 	defer v.Close()
-	e, err := s.resolveEntity(v, ms, full)
+	chain, err := s.resolveChain(v, ms, full)
 	if err != nil {
 		return tc, err
 	}
-	return s.vend(ctx, v, e, level)
+	return s.vend(ctx, v, chain, level)
 }
 
 // TempCredentialForPath resolves a raw storage path to its unique governing
@@ -64,7 +64,11 @@ func (s *Service) TempCredentialForPath(ctx Ctx, path string, level cloudsim.Acc
 		// privileges (READ FILES / WRITE FILES) for governed prefixes.
 		return s.extLocPathCredential(ctx, v, path, level)
 	}
-	return s.vend(ctx, v, e, level)
+	chain, err := s.chainOf(ctx, v, e, "TempCredential")
+	if err != nil {
+		return tc, err
+	}
+	return s.vend(ctx, v, chain, level)
 }
 
 // assetForPath maps an object path to the asset whose registered storage
@@ -78,18 +82,18 @@ func (s *Service) assetForPath(r erm.Reader, ms *metaState, path string) (*erm.E
 	}
 	// Authoritative fallback: walk segment prefixes in the path index.
 	for _, prefix := range pathPrefixes(path) {
-		if idb, ok := r.Get(erm.TablePath, prefix); ok {
-			if e, found := erm.GetEntity(r, ids.ID(idb)); found && e.State != erm.StateSoftDeleted {
-				return e, nil
-			}
+		if e, found := erm.GetByPath(r, prefix); found && e.State != erm.StateSoftDeleted {
+			return e, nil
 		}
 	}
 	return nil, fmt.Errorf("%w: no asset governs path %s", ErrNotFound, path)
 }
 
-// vend authorizes and mints (or reuses) a credential for the entity.
-func (s *Service) vend(ctx Ctx, r versionedReader, e *erm.Entity, level cloudsim.AccessLevel) (TempCredential, error) {
+// vend authorizes and mints (or reuses) a credential for the entity chain
+// ends in.
+func (s *Service) vend(ctx Ctx, r versionedReader, chain []*erm.Entity, level cloudsim.AccessLevel) (TempCredential, error) {
 	var tc TempCredential
+	e := leaf(chain)
 	man, ok := s.reg.Manifest(e.Type)
 	if !ok || e.StoragePath == "" || man.DataReadPrivilege == "" {
 		return tc, fmt.Errorf("%w: %s has no vendable storage", ErrInvalidArgument, e.FullName)
@@ -98,7 +102,7 @@ func (s *Service) vend(ctx Ctx, r versionedReader, e *erm.Entity, level cloudsim
 	if level == cloudsim.AccessReadWrite {
 		need = man.DataWritePrivilege
 	}
-	if err := s.check(ctx, r, need, e.ID, "TempCredential"); err != nil {
+	if err := s.check(ctx, r, need, chain, "TempCredential"); err != nil {
 		return tc, err
 	}
 	// FGAC-protected tables must not leak raw storage to untrusted engines.

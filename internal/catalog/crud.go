@@ -59,23 +59,16 @@ func (s *Service) CreateAsset(ctx Ctx, req CreateRequest) (e *erm.Entity, err er
 	}
 	defer v.Close()
 
-	// Resolve and validate the parent.
-	var parent *erm.Entity
-	if req.ParentFull == "" {
-		parent, ok = erm.GetEntity(v, ms.info.EntityID)
-		if !ok {
-			return nil, fmt.Errorf("%w: metastore entity", ErrNotFound)
-		}
-	} else {
-		parent, err = s.resolveEntity(v, ms, req.ParentFull)
-		if err != nil {
-			return nil, err
-		}
+	// Resolve and validate the parent (the metastore entity when unnamed).
+	parentChain, err := s.resolveParentChain(v, ms, req.ParentFull)
+	if err != nil {
+		return nil, err
 	}
+	parent := leaf(parentChain)
 	if !s.reg.ValidParent(req.Type, parent.Type) {
 		return nil, fmt.Errorf("%w: %s cannot contain %s", ErrInvalidArgument, parent.Type, req.Type)
 	}
-	if err := s.check(ctx, v, man.CreatePrivilege, parent.ID, "Create"+string(req.Type)); err != nil {
+	if err := s.check(ctx, v, man.CreatePrivilege, parentChain, "Create"+string(req.Type)); err != nil {
 		return nil, err
 	}
 
@@ -226,32 +219,34 @@ func (s *Service) GetAsset(ctx Ctx, full string) (e *erm.Entity, err error) {
 		return nil, err
 	}
 	defer v.Close()
-	e, err = s.resolveEntity(v, ms, full)
+	chain, err := s.resolveChain(v, ms, full)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.authorizeRead(ctx, v, e); err != nil {
+	if err := s.authorizeRead(ctx, v, chain); err != nil {
 		return nil, err
 	}
-	return e, nil
+	return leaf(chain), nil
 }
 
-// authorizeRead checks the manifest read privilege for e, treating container
-// types without gating (their own privilege is the gate).
-func (s *Service) authorizeRead(ctx Ctx, r versionedReader, e *erm.Entity) error {
-	return s.authorizeReadWith(ctx, s.authorizer(ctx, r), r, e)
+// authorizeRead checks the manifest read privilege for the entity chain ends
+// in, treating container types without gating (their own privilege is the
+// gate).
+func (s *Service) authorizeRead(ctx Ctx, r versionedReader, chain []*erm.Entity) error {
+	return s.authorizeReadWith(ctx, s.authorizer(ctx, r), r, chain)
 }
 
 // authorizeReadWith is authorizeRead against an already-built authorizer, so
 // batched callers (Resolve's dependency closure) reuse one compiled snapshot
 // across the whole request.
-func (s *Service) authorizeReadWith(ctx Ctx, auth privilege.Authorizer, r versionedReader, e *erm.Entity) error {
+func (s *Service) authorizeReadWith(ctx Ctx, auth privilege.Authorizer, r versionedReader, chain []*erm.Entity) error {
+	e := leaf(chain)
 	man, ok := s.reg.Manifest(e.Type)
 	if !ok || man.ReadPrivilege == "" {
 		return nil
 	}
 	if e.Type == erm.TypeCatalog || e.Type == erm.TypeSchema {
-		if err := s.checkWorkspaceBinding(ctx, r, e.ID); err != nil {
+		if err := checkWorkspaceBinding(ctx, chain); err != nil {
 			return err
 		}
 		if d := auth.CheckNoGate(man.ReadPrivilege, e.ID); !d.Allowed {
@@ -259,7 +254,7 @@ func (s *Service) authorizeReadWith(ctx Ctx, auth privilege.Authorizer, r versio
 		}
 		return nil
 	}
-	return s.check(ctx, r, man.ReadPrivilege, e.ID, "Get"+string(e.Type))
+	return s.check(ctx, r, man.ReadPrivilege, chain, "Get"+string(e.Type))
 }
 
 // ListAssets lists the children of parentFull having the given type that the
@@ -277,19 +272,13 @@ func (s *Service) ListAssets(ctx Ctx, parentFull string, t erm.SecurableType) (o
 		return nil, err
 	}
 	defer v.Close()
-	if parentFull == "" {
-		var ok bool
-		parent, ok = erm.GetEntity(v, ms.info.EntityID)
-		if !ok {
-			return nil, fmt.Errorf("%w: metastore entity", ErrNotFound)
-		}
-	} else {
-		parent, err = s.resolveEntity(v, ms, parentFull)
-		if err != nil {
-			return nil, err
-		}
+	chain, err := s.resolveParentChain(v, ms, parentFull)
+	if err != nil {
+		return nil, err
+	}
+	if parent = leaf(chain); parentFull != "" {
 		// Listing inside a container requires its usage privilege.
-		if err := s.authorizeRead(ctx, v, parent); err != nil {
+		if err := s.authorizeRead(ctx, v, chain); err != nil {
 			return nil, err
 		}
 	}
@@ -375,10 +364,11 @@ func (s *Service) UpdateAsset(ctx Ctx, full string, req UpdateRequest) (e *erm.E
 		return nil, err
 	}
 	defer v.Close()
-	e, err = s.resolveEntity(v, ms, full)
+	chain, err := s.resolveChain(v, ms, full)
 	if err != nil {
 		return nil, err
 	}
+	e = leaf(chain)
 	man, _ := s.reg.Manifest(e.Type)
 
 	if req.Owner != nil {
@@ -395,7 +385,7 @@ func (s *Service) UpdateAsset(ctx Ctx, full string, req UpdateRequest) (e *erm.E
 			if err := s.checkOwner(ctx, v, e.ID, "UpdateAsset"); err != nil {
 				return nil, err
 			}
-		} else if err := s.check(ctx, v, wp, e.ID, "UpdateAsset"); err != nil {
+		} else if err := s.check(ctx, v, wp, chain, "UpdateAsset"); err != nil {
 			return nil, err
 		}
 	}
@@ -609,7 +599,10 @@ func (s *Service) CloneTable(ctx Ctx, srcFull, dstSchemaFull, dstName string) (e
 	if err != nil {
 		return nil, err
 	}
-	err = s.check(ctx, v, privilege.Select, src.ID, "CloneTable")
+	chain, err := s.chainOf(ctx, v, src, "CloneTable")
+	if err == nil {
+		err = s.check(ctx, v, privilege.Select, chain, "CloneTable")
+	}
 	v.Close()
 	if err != nil {
 		return nil, err

@@ -46,8 +46,8 @@ func (s *Service) CreateExternalLocation(ctx Ctx, name, url, credentialName, com
 // path, if any.
 func coveringExternalLocation(r erm.Reader, path string) (*erm.Entity, bool) {
 	for _, prefix := range pathPrefixes(path) {
-		if idb, ok := r.Get(erm.TableExtLoc, prefix); ok {
-			if e, found := erm.GetEntity(r, ids.ID(idb)); found && e.State != erm.StateSoftDeleted {
+		if id, ok := erm.LookupID(r, erm.TableExtLoc, prefix); ok {
+			if e, found := erm.GetEntity(r, id); found && e.State != erm.StateSoftDeleted {
 				return e, true
 			}
 		}
@@ -107,7 +107,11 @@ func (s *Service) extLocPathCredential(ctx Ctx, r versionedReader, path string, 
 	if level == cloudsim.AccessReadWrite {
 		need = privilege.WriteFiles
 	}
-	if err := s.check(ctx, r, need, loc.ID, "TempCredentialForPath"); err != nil {
+	chain, err := s.chainOf(ctx, r, loc, "TempCredentialForPath")
+	if err != nil {
+		return tc, err
+	}
+	if err := s.check(ctx, r, need, chain, "TempCredentialForPath"); err != nil {
 		return tc, err
 	}
 	// Down-scope to the requested path, not the whole location.

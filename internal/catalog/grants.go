@@ -238,14 +238,14 @@ func (s *Service) Tags(ctx Ctx, full string) (map[string]string, error) {
 		return nil, err
 	}
 	defer v.Close()
-	e, err := s.resolveEntity(v, ms, full)
+	chain, err := s.resolveChain(v, ms, full)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.authorizeRead(ctx, v, e); err != nil {
+	if err := s.authorizeRead(ctx, v, chain); err != nil {
 		return nil, err
 	}
-	tags, _ := EntityTags(v, e.ID)
+	tags, _ := EntityTags(v, leaf(chain).ID)
 	return tags, nil
 }
 

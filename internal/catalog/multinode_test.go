@@ -284,6 +284,9 @@ func TestMultiNodeDifferential(t *testing.T) {
 		if m := n.AuthzMetrics(); m.Patches == 0 {
 			t.Fatalf("seed %d: node %d never moved a snapshot along the change log: %+v", seed, i+1, m)
 		}
+		// Every request above was answered from entities the node's cache
+		// shares between requests; none of them may have written to one.
+		assertSharedPristine(t, n, "ms1", fmt.Sprintf("seed %d, node %d after the sequence", seed, i+1))
 	}
 }
 

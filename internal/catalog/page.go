@@ -187,20 +187,14 @@ func (s *Service) ListAssetsPageFunc(ctx Ctx, parentFull string, t erm.Securable
 	}
 	defer release()
 
-	if parentFull == "" {
-		var ok bool
-		parent, ok = erm.GetEntity(r, ms.info.EntityID)
-		if !ok {
-			return "", fmt.Errorf("%w: metastore entity", ErrNotFound)
-		}
-	} else {
-		parent, err = s.resolveEntity(r, ms, parentFull)
-		if err != nil {
-			return "", err
-		}
+	chain, err := s.resolveParentChain(r, ms, parentFull)
+	if err != nil {
+		return "", err
+	}
+	if parent = leaf(chain); parentFull != "" {
 		// Listing inside a container requires its usage privilege — checked
 		// on every page, against the page's pinned version.
-		if err := s.authorizeRead(ctx, r, parent); err != nil {
+		if err := s.authorizeRead(ctx, r, chain); err != nil {
 			return "", err
 		}
 	}

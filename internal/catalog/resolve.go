@@ -90,16 +90,17 @@ func (s *Service) resolveOne(ctx Ctx, auth privilege.Authorizer, v versionedRead
 	if _, done := resp.Assets[full]; done {
 		return nil
 	}
-	e, err := s.resolveEntity(v, ms, full)
+	chain, err := s.resolveChain(v, ms, full)
 	if err != nil {
 		return err
 	}
+	e := leaf(chain)
 	ra := &ResolvedAsset{Entity: e, ViaView: viaView}
 
 	man, _ := s.reg.Manifest(e.Type)
 	if !viaView {
 		// Directly referenced: the principal needs the read privilege.
-		if err := s.authorizeReadWith(ctx, auth, v, e); err != nil {
+		if err := s.authorizeReadWith(ctx, auth, v, chain); err != nil {
 			return err
 		}
 	}
@@ -127,7 +128,7 @@ func (s *Service) resolveOne(ctx Ctx, auth privilege.Authorizer, v versionedRead
 			if viaView {
 				tc, err = s.vendUnchecked(ctx, e, req.Access)
 			} else {
-				tc, err = s.vend(ctx, v, e, req.Access)
+				tc, err = s.vend(ctx, v, chain, req.Access)
 			}
 			if err != nil {
 				return err
@@ -141,7 +142,11 @@ func (s *Service) resolveOne(ctx Ctx, auth privilege.Authorizer, v versionedRead
 				if !ctx.TrustedEngine {
 					// Reading a clone without base privileges requires a
 					// trusted engine unless the user can read the base.
-					if err := s.authorizeReadWith(ctx, auth, v, base); err != nil {
+					baseChain, err := s.chainOf(ctx, v, base, "Get"+string(base.Type))
+					if err != nil {
+						return err
+					}
+					if err := s.authorizeReadWith(ctx, auth, v, baseChain); err != nil {
 						return fmt.Errorf("%w: shallow clone %s", ErrTrustedEngineRequired, full)
 					}
 				}
@@ -160,11 +165,11 @@ func (s *Service) resolveOne(ctx Ctx, auth privilege.Authorizer, v versionedRead
 		// dependencies the user cannot read directly, access flows through
 		// the view's grant and requires a trusted engine.
 		for _, dep := range spec.Dependencies {
-			depEntity, derr := s.resolveEntity(v, ms, dep)
+			depChain, derr := s.resolveChain(v, ms, dep)
 			if derr != nil {
 				return fmt.Errorf("view %s: %w", full, derr)
 			}
-			userCanRead := s.authorizeReadWith(ctx, auth, v, depEntity) == nil
+			userCanRead := s.authorizeReadWith(ctx, auth, v, depChain) == nil
 			if !userCanRead && !ctx.TrustedEngine {
 				return fmt.Errorf("%w: view %s over %s", ErrTrustedEngineRequired, full, dep)
 			}
@@ -181,11 +186,11 @@ func (s *Service) resolveOne(ctx Ctx, auth privilege.Authorizer, v versionedRead
 			return err
 		}
 		for _, dep := range spec.Dependencies {
-			depEntity, derr := s.resolveEntity(v, ms, dep)
+			depChain, derr := s.resolveChain(v, ms, dep)
 			if derr != nil {
 				return fmt.Errorf("function %s: %w", full, derr)
 			}
-			userCanRead := s.authorizeReadWith(ctx, auth, v, depEntity) == nil
+			userCanRead := s.authorizeReadWith(ctx, auth, v, depChain) == nil
 			if !userCanRead && !ctx.TrustedEngine {
 				return fmt.Errorf("%w: function %s over %s", ErrTrustedEngineRequired, full, dep)
 			}
@@ -195,7 +200,7 @@ func (s *Service) resolveOne(ctx Ctx, auth privilege.Authorizer, v versionedRead
 		}
 	case erm.TypeVolume, erm.TypeRegisteredModel, erm.TypeModelVersion:
 		if req.WithCredentials && e.StoragePath != "" && man != nil && man.DataReadPrivilege != "" {
-			tc, err := s.vend(ctx, v, e, req.Access)
+			tc, err := s.vend(ctx, v, chain, req.Access)
 			if err != nil {
 				return err
 			}

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -432,16 +433,13 @@ func (s *Service) viewMS(msID string) (*cache.View, error) {
 	return s.cache.NewView(msID)
 }
 
-// checkWorkspaceBinding enforces catalog workspace bindings (paper §3.2)
-// for the securable and its ancestors: a catalog bound to specific
-// workspaces is unreachable from any other workspace, regardless of grants.
-func (s *Service) checkWorkspaceBinding(ctx Ctx, r erm.Reader, id ids.ID) error {
-	for cur := id; cur != ids.Nil; {
-		e, ok := erm.GetEntity(r, cur)
-		if !ok {
-			break
-		}
-		cur = e.ParentID
+// checkWorkspaceBinding enforces catalog workspace bindings (paper §3.2) on
+// a securable's chain — the securable and its ancestors, as resolvePathParts
+// or chainOf returns them: a catalog bound to specific workspaces is
+// unreachable from any other workspace, regardless of grants. It reads
+// nothing: the chain is what the caller resolved, at the caller's version.
+func checkWorkspaceBinding(ctx Ctx, chain []*erm.Entity) error {
+	for _, e := range chain {
 		if e.Type != erm.TypeCatalog {
 			continue
 		}
@@ -449,24 +447,61 @@ func (s *Service) checkWorkspaceBinding(ctx Ctx, r erm.Reader, id ids.ID) error 
 		if err := e.DecodeSpec(&spec); err != nil || len(spec.WorkspaceBindings) == 0 {
 			continue
 		}
-		bound := false
-		for _, w := range spec.WorkspaceBindings {
-			if w == ctx.Workspace {
-				bound = true
-				break
-			}
-		}
-		if !bound {
+		if !slices.Contains(spec.WorkspaceBindings, ctx.Workspace) {
 			return fmt.Errorf("%w: %s", ErrWorkspaceBinding, e.FullName)
 		}
 	}
 	return nil
 }
 
-// check authorizes priv on id (with container gating) including dynamic
-// ABAC grants, and records the decision in the audit log.
-func (s *Service) check(ctx Ctx, r versionedReader, priv privilege.Privilege, id ids.ID, op string) error {
-	if err := s.checkWorkspaceBinding(ctx, r, id); err != nil {
+// backendErr is the backend failure r absorbed on a read that came back "not
+// found" (cache.View.Err: the store unreachable and the staleness bound
+// passed), or nil when r absorbed none and the record is really absent.
+func backendErr(r erm.Reader) error {
+	if er, ok := r.(interface{ Err() error }); ok {
+		if err := er.Err(); err != nil {
+			return fmt.Errorf("catalog: metadata unreadable: %w", err)
+		}
+	}
+	return nil
+}
+
+// chainOf returns e's chain — its ancestors from the metastore entity down,
+// e last, the shape resolvePathParts returns — for a securable reached by ID
+// or by path rather than by name. An ancestor that cannot be read because the
+// backend is failing is refused, and audited as the denial it is: going on
+// without it would skip the binding of a catalog the request never saw, and
+// leave the decision to whatever the authorization memo still holds. An
+// ancestor that is really absent (an orphan awaiting GC) ends the chain.
+func (s *Service) chainOf(ctx Ctx, r erm.Reader, e *erm.Entity, op string) ([]*erm.Entity, error) {
+	chain := make([]*erm.Entity, 1, 4)
+	chain[0] = e
+	for cur := e.ParentID; cur != ids.Nil; {
+		p, ok := erm.GetEntity(r, cur)
+		if !ok {
+			if err := backendErr(r); err != nil {
+				s.audit.Append(audit.Record{
+					Kind: audit.KindAuthz, Metastore: ctx.Metastore, Principal: string(ctx.Principal),
+					Operation: op, Securable: e.ID, Allowed: false, ReadOnly: true, Detail: "ancestor unreadable",
+					TraceID: ctx.Trace.TraceID(),
+				})
+				return nil, err
+			}
+			break
+		}
+		chain = append(chain, p)
+		cur = p.ParentID
+	}
+	slices.Reverse(chain)
+	return chain, nil
+}
+
+// check authorizes priv on the last securable of chain (with container
+// gating) including dynamic ABAC grants, and records the decision in the
+// audit log. The chain is what the workspace bindings are checked on.
+func (s *Service) check(ctx Ctx, r versionedReader, priv privilege.Privilege, chain []*erm.Entity, op string) error {
+	id := leaf(chain).ID
+	if err := checkWorkspaceBinding(ctx, chain); err != nil {
 		s.audit.Append(audit.Record{
 			Kind: audit.KindAuthz, Metastore: ctx.Metastore, Principal: string(ctx.Principal),
 			Operation: op, Securable: id, Allowed: false, ReadOnly: true, Detail: "workspace binding",
@@ -586,11 +621,18 @@ func (s *Service) onCommit(msID string, version uint64, _ []store.Change, notes 
 // --- name resolution helpers ---
 
 // resolvePathParts walks catalog[.schema[.asset[.sub]]] name parts to an
-// entity, returning it and its ancestors (metastore entity first).
+// entity, returning its chain: its ancestors (metastore entity first) and the
+// entity itself last. Read through a cache view the entities are the cache's
+// own, shared with every request at that version: callers must not write to
+// them (Clone first). A name that cannot be read because the backend is
+// failing is that failure, not a "not found".
 func (s *Service) resolvePathParts(r erm.Reader, ms *metaState, parts []string) ([]*erm.Entity, error) {
 	chain := make([]*erm.Entity, 0, len(parts)+1)
 	root, ok := erm.GetEntity(r, ms.info.EntityID)
 	if !ok {
+		if err := backendErr(r); err != nil {
+			return nil, err
+		}
 		return nil, fmt.Errorf("%w: metastore entity", ErrNotFound)
 	}
 	chain = append(chain, root)
@@ -626,6 +668,11 @@ func (s *Service) resolvePathParts(r erm.Reader, ms *metaState, parts []string) 
 			// Sub-assets (e.g. model versions) under the leaf.
 			e, found = erm.GetByName(r, string(erm.TypeModelVersion), parent.ID, part)
 		}
+		if !found {
+			if err := backendErr(r); err != nil {
+				return nil, err
+			}
+		}
 		if !found || e.State == erm.StateSoftDeleted {
 			return nil, fmt.Errorf("%w: %s", ErrNotFound, FullName(parts[:i+1]...))
 		}
@@ -635,16 +682,36 @@ func (s *Service) resolvePathParts(r erm.Reader, ms *metaState, parts []string) 
 	return chain, nil
 }
 
-// resolveEntity resolves a full name to its entity using a fresh view.
-// The caller is responsible for authorization.
-func (s *Service) resolveEntity(r erm.Reader, ms *metaState, full string) (*erm.Entity, error) {
+// resolveChain resolves a full name to its entity's chain (resolvePathParts).
+// The caller is responsible for authorization, and hands the chain to check,
+// authorizeRead or vend so that the bindings are checked on what was resolved.
+func (s *Service) resolveChain(r erm.Reader, ms *metaState, full string) ([]*erm.Entity, error) {
 	parts, err := SplitFullName(full, 1, 4)
 	if err != nil {
 		return nil, err
 	}
-	chain, err := s.resolvePathParts(r, ms, parts)
+	return s.resolvePathParts(r, ms, parts)
+}
+
+// resolveParentChain is resolveChain for the container a request names as a
+// parent, where "" names the metastore itself: its chain is the metastore
+// entity alone.
+func (s *Service) resolveParentChain(r erm.Reader, ms *metaState, parentFull string) ([]*erm.Entity, error) {
+	if parentFull == "" {
+		return s.resolvePathParts(r, ms, nil)
+	}
+	return s.resolveChain(r, ms, parentFull)
+}
+
+// resolveEntity resolves a full name to its entity, for callers that need no
+// more of the chain. The caller is responsible for authorization.
+func (s *Service) resolveEntity(r erm.Reader, ms *metaState, full string) (*erm.Entity, error) {
+	chain, err := s.resolveChain(r, ms, full)
 	if err != nil {
 		return nil, err
 	}
-	return chain[len(chain)-1], nil
+	return leaf(chain), nil
 }
+
+// leaf is the securable a chain ends in.
+func leaf(chain []*erm.Entity) *erm.Entity { return chain[len(chain)-1] }

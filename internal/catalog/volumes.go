@@ -32,14 +32,15 @@ func (s *Service) volumeCred(ctx Ctx, volumeFull string, level cloudsim.AccessLe
 		return TempCredential{}, nil, err
 	}
 	defer v.Close()
-	e, err := s.resolveEntity(v, ms, volumeFull)
+	chain, err := s.resolveChain(v, ms, volumeFull)
 	if err != nil {
 		return TempCredential{}, nil, err
 	}
+	e := leaf(chain)
 	if e.Type != erm.TypeVolume {
 		return TempCredential{}, nil, fmt.Errorf("%w: %s is not a volume", ErrInvalidArgument, volumeFull)
 	}
-	tc, err := s.vend(ctx, v, e, level)
+	tc, err := s.vend(ctx, v, chain, level)
 	return tc, e, err
 }
 

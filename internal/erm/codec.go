@@ -22,7 +22,7 @@ package erm
 //
 // # Backing-string ownership
 //
-// A decoded property-less entity costs three allocations when it is read on
+// A decoded property-less entity costs three allocations when it is decoded on
 // its own (DecodeEntityAt): the Entity, the spec copy, and ONE string holding
 // the record's string region, of which Name, ParentID, FullName, Comment and
 // StoragePath are substrings. A multi-entity read (DecodeEntities — every
@@ -64,6 +64,38 @@ package erm
 //
 // Entities built in memory by the write path (CreateAsset and friends) own
 // ordinary strings.
+//
+// # Shared entities
+//
+// A fourth provenance besides the single decode, the page slab and the write
+// path: an entity from a point read through a reader that keeps decoded forms
+// (GetEntity, GetByName, GetByPath through a DecodedReader — a cache.View) is
+// decoded once per cached record version and is the cache's own. It is
+//
+//   - shared: every request that reads that record at that version, on any
+//     goroutine, holds the same *Entity;
+//   - immutable: no field, no Properties entry and no byte of Spec may be
+//     written, exactly as the bytes View.Get returns may not. Clone is how a
+//     writer gets an entity of its own (UpdateAsset, RenameAsset,
+//     SetWorkspaceBindings, Undelete), and a transaction reads through its
+//     store.Tx, which keeps decoding privately (softDeleteTree);
+//   - as long-lived as its cached version: eviction, reconciliation and
+//     version pruning drop the entity with the record, a commit installs the
+//     next version with nothing decoded, and a request still holding the
+//     entity keeps it (and the record's bytes) alive until it returns.
+//
+// What its fields alias: ID is the cache's own key for the record (never the
+// string a later reader passed); Name, ParentID, FullName, Comment and
+// StoragePath are substrings of one backing string, as in any single decode;
+// Spec is a capacity-limited slice of the cached record itself — the cached
+// version that holds the entity holds those bytes anyway — so the decode is
+// two allocations, not three. The retention rule above is unchanged: a holder
+// that outlives the request still clones the strings it keeps.
+// catalog.TestSharedEntityDifferential holds every such read to a private
+// decode of the store's bytes under concurrent writers; the poison checks
+// (cache.EachDecoded against DecodeEntityAt, after TestMultiNodeDifferential
+// and after every mutating route of the server) fail a writer by the
+// entity's ID. Batch reads never see a shared entity and never make one.
 
 import (
 	"encoding/binary"
@@ -142,14 +174,14 @@ func EncodeEntity(e *Entity) ([]byte, error) {
 }
 
 // DecodeEntity parses either a compact binary record or a legacy JSON one.
-func DecodeEntity(b []byte) (*Entity, error) { return decodeEntity(b, "") }
+func DecodeEntity(b []byte) (*Entity, error) { return decodeEntity(b, "", false) }
 
 // DecodeEntityAt parses the entity record stored under id in TableEntity.
 // The entity's ID is id itself — the caller's lookup key — not a slice of
 // the record's backing string, so the field every index, memo and log keeps
 // pins nothing the caller's key did not. Point reads that know the key
 // (GetEntity) decode through here; multi-entity reads use DecodeEntities.
-func DecodeEntityAt(id ids.ID, b []byte) (*Entity, error) { return decodeEntity(b, id) }
+func DecodeEntityAt(id ids.ID, b []byte) (*Entity, error) { return decodeEntity(b, id, false) }
 
 // layout is where a compact record's variable-length parts lie, as offsets
 // into rec: what one walk of the record finds and what placing its strings
@@ -246,7 +278,11 @@ func (l *layout) place(e *Entity, back string, spec []byte) {
 	}
 }
 
-func decodeEntity(b []byte, id ids.ID) (*Entity, error) {
+// decodeEntity decodes one record on its own. With aliasSpec the entity's
+// Spec is a capacity-limited slice of b instead of a copy: for the reader that
+// keeps the entity beside b and for exactly as long (GetEntity through a
+// DecodedReader).
+func decodeEntity(b []byte, id ids.ID, aliasSpec bool) (*Entity, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("erm: empty entity record")
 	}
@@ -269,8 +305,15 @@ func decodeEntity(b []byte, id ids.ID) (*Entity, error) {
 		return nil, err
 	}
 	// One copy of the string region (without the ID when the caller supplied
-	// it), one of the spec; see the ownership rule in the file comment.
-	l.place(&e, string(l.strRegion(id != "")), append(json.RawMessage(nil), l.specBytes()...))
+	// it), one of the spec unless it aliases the record; see the ownership
+	// rule in the file comment.
+	spec := l.specBytes()
+	if aliasSpec {
+		spec = spec[:len(spec):len(spec)]
+	} else {
+		spec = append(json.RawMessage(nil), spec...)
+	}
+	l.place(&e, string(l.strRegion(id != "")), spec)
 	return &e, nil
 }
 
@@ -308,7 +351,7 @@ func DecodeEntities(n int, rec func(i int) (ids.ID, []byte)) []*Entity {
 			compact = !hasProps
 		}
 		if !compact {
-			if e, err := decodeEntity(b, id); err == nil {
+			if e, err := decodeEntity(b, id, false); err == nil {
 				out[i] = e
 			}
 			continue

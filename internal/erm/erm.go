@@ -598,8 +598,27 @@ func ScanRange(r Reader, table, start, end string, limit int) []store.KV {
 	return out
 }
 
-// GetEntity reads an entity by ID.
+// DecodedReader is implemented by readers that keep a decoded form beside
+// each record they cache and hand it to every later read of that record
+// version (cache.View). A point read through one decodes nothing once the
+// record is warm; what it returns is shared and immutable (see the ownership
+// section in codec.go). Transactions, store snapshots and views of a disabled
+// cache do not implement it or keep nothing, and decode privately.
+type DecodedReader interface {
+	GetDecoded(table, key string, decode func(key string, rec []byte) (any, error)) (any, bool)
+}
+
+// GetEntity reads an entity by ID. Through a DecodedReader the entity is the
+// reader's own, shared with every other reader of that record version: the
+// caller must not write to it, and Clone is how a writer gets one to change.
 func GetEntity(r Reader, id ids.ID) (*Entity, bool) {
+	if dr, ok := r.(DecodedReader); ok {
+		d, ok := dr.GetDecoded(TableEntity, string(id), sharedEntity)
+		if !ok {
+			return nil, false
+		}
+		return d.(*Entity), true
+	}
 	b, ok := r.Get(TableEntity, string(id))
 	if !ok {
 		return nil, false
@@ -651,22 +670,54 @@ func IndexedID(kv store.KV) ids.ID {
 	return ids.ID(kv.Value)
 }
 
+// LookupID reads the entity ID that index record (table, key) holds — the
+// name, path and external-location tables map a key to an ID. Through a
+// DecodedReader the ID is copied out of the record once per cached version,
+// not once per lookup.
+func LookupID(r Reader, table, key string) (ids.ID, bool) {
+	if dr, ok := r.(DecodedReader); ok {
+		d, ok := dr.GetDecoded(table, key, sharedID)
+		if !ok {
+			return ids.Nil, false
+		}
+		return d.(ids.ID), true
+	}
+	idb, ok := r.Get(table, key)
+	if !ok {
+		return ids.Nil, false
+	}
+	return ids.ID(idb), true
+}
+
+// sharedEntity and sharedID are the decode functions of the entity table and
+// of the index tables for a DecodedReader: package-level, so passing one
+// allocates nothing.
+func sharedEntity(key string, rec []byte) (any, error) {
+	e, err := decodeEntity(rec, ids.ID(key), true)
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+func sharedID(_ string, rec []byte) (any, error) { return ids.ID(rec), nil }
+
 // GetByName resolves (group, parent, name) to an entity.
 func GetByName(r Reader, group string, parent ids.ID, name string) (*Entity, bool) {
-	idb, ok := r.Get(TableName, NameKey(group, parent, name))
+	id, ok := LookupID(r, TableName, NameKey(group, parent, name))
 	if !ok {
 		return nil, false
 	}
-	return GetEntity(r, ids.ID(idb))
+	return GetEntity(r, id)
 }
 
 // GetByPath resolves an exact storage path to an entity.
 func GetByPath(r Reader, path string) (*Entity, bool) {
-	idb, ok := r.Get(TablePath, path)
+	id, ok := LookupID(r, TablePath, path)
 	if !ok {
 		return nil, false
 	}
-	return GetEntity(r, ids.ID(idb))
+	return GetEntity(r, id)
 }
 
 // ListChildren lists entities under parent, optionally filtered by type.

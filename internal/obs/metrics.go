@@ -259,6 +259,22 @@ func overflowKey(labels []string) string {
 	return strings.Join(vals, "\x00")
 }
 
+// appendChildKey appends the children-map key of a label-value combination —
+// the values joined by NUL — to buf. CounterVec.With, called with two labels
+// on every request, looks its child up by a key built in a buffer on its
+// stack (a map index by string(bytes) copies nothing), so the hit path builds
+// no string; only a child's first use does. (A one-label With joins nothing:
+// strings.Join of one value is that value.)
+func appendChildKey(buf []byte, values []string) []byte {
+	for i, v := range values {
+		if i > 0 {
+			buf = append(buf, 0)
+		}
+		buf = append(buf, v...)
+	}
+	return buf
+}
+
 // CounterVec is a family of counters distinguished by label values.
 type CounterVec struct {
 	labels   []string
@@ -284,13 +300,15 @@ func (v *CounterVec) Folds() int64 { return v.limit.folds.Load() }
 // use. values must match the family's label names positionally. Past the
 // cardinality bound, new combinations share the "other" overflow child.
 func (v *CounterVec) With(values ...string) *Counter {
-	k := strings.Join(values, "\x00")
+	var buf [64]byte
+	kb := appendChildKey(buf[:0], values)
 	v.mu.RLock()
-	c, ok := v.children[k]
+	c, ok := v.children[string(kb)]
 	v.mu.RUnlock()
 	if ok {
 		return c
 	}
+	k := string(kb)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if c, ok = v.children[k]; ok {

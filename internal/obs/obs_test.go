@@ -283,3 +283,22 @@ func TestTraceConcurrentSpans(t *testing.T) {
 		t.Fatal("parallel trace lost")
 	}
 }
+
+// TestCounterVecWithAllocs: the per-request lookup of an existing child
+// builds no key string, whatever the number of labels.
+func TestCounterVecWithAllocs(t *testing.T) {
+	v := NewCounterVec("route", "code")
+	v.With("GET /assets/{name...}", "200").Inc()
+	if v.With("GET /assets/{name...}", "200").Load() != 1 {
+		t.Fatal("With did not return the same child")
+	}
+	if a := testing.AllocsPerRun(100, func() { v.With("GET /assets/{name...}", "200").Inc() }); a != 0 {
+		t.Fatalf("CounterVec.With allocates %v times on a hit, want 0", a)
+	}
+	// A key longer than the stack buffer is still the same key.
+	long := strings.Repeat("r", 100)
+	v.With(long, "404").Add(2)
+	if got := v.With(long, "404").Load(); got != 2 {
+		t.Fatalf("long key: child holds %d, want 2", got)
+	}
+}

@@ -20,16 +20,18 @@ const maxSpans = 64
 // carries its SpanContext in these headers; the receiving node adopts the
 // trace ID, parents its spans under the caller's span, and honors the
 // origin's sampling decision so both segments are retained (or both
-// recycled) together.
+// recycled) together. They are spelled in MIME-canonical form ("X-Uc-", not
+// "X-UC-"), the form http.Header stores and sends whatever it is given, so
+// that Get and Set do not build the canonical name anew on every request.
 const (
 	// TraceIDHeader carries the 16-hex trace ID. The server also stamps it
 	// on every response, so the same header name serves both directions.
-	TraceIDHeader = "X-UC-Trace-Id"
+	TraceIDHeader = "X-Uc-Trace-Id"
 	// ParentSpanHeader carries the forwarder's span index within the trace;
 	// the remote segment grafts under it when /debug/traces stitches.
-	ParentSpanHeader = "X-UC-Parent-Span"
+	ParentSpanHeader = "X-Uc-Parent-Span"
 	// SampledHeader is "1" when the origin decided to retain this trace.
-	SampledHeader = "X-UC-Trace-Sampled"
+	SampledHeader = "X-Uc-Trace-Sampled"
 )
 
 // PropagationContext is the wire form of a SpanContext: everything a remote

@@ -29,8 +29,8 @@ import (
 // sendJSON writes a fully encoded JSON body with Content-Length.
 func sendJSON(w http.ResponseWriter, status int, body []byte) {
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
+	h.Set(hdrContentType, "application/json")
+	h.Set(hdrContentLength, strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	w.Write(body)
 }
@@ -212,6 +212,10 @@ func appendHealthz(dst []byte, h *healthzResponse) []byte {
 			dst = jsonenc.AppendInt(dst, int64(mh.SinceLastSync))
 			dst = append(dst, `,"entries":`...)
 			dst = jsonenc.AppendInt(dst, mh.Entries)
+			dst = append(dst, `,"decoded_hits":`...)
+			dst = jsonenc.AppendInt(dst, mh.DecodedHits)
+			dst = append(dst, `,"decodes":`...)
+			dst = jsonenc.AppendInt(dst, mh.Decodes)
 			dst = append(dst, '}')
 		}
 		dst = append(dst, ']')

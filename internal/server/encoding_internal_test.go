@@ -42,7 +42,7 @@ func TestAppendHealthzMatchesJSON(t *testing.T) {
 			Degraded: healthzDegraded{Cache: true, WAL: true},
 			WAL:      store.WALStats{Batches: 12, Entries: 340, Syncs: 11, MaxBatch: 64},
 			Cache: []cache.MetastoreHealth{
-				{MetastoreID: "ms1", Degraded: true, KnownVersion: 42, SinceLastSync: 1500 * time.Millisecond, Entries: 7},
+				{MetastoreID: "ms1", Degraded: true, KnownVersion: 42, SinceLastSync: 1500 * time.Millisecond, Entries: 7, DecodedHits: 31, Decodes: 5},
 				{MetastoreID: "ms2", KnownVersion: 1, Entries: 0},
 			},
 			Authz: privilege.SnapshotCacheMetrics{Hits: 9, Misses: 2, Builds: 3, Invalidations: 1, Expirations: 4, Evictions: 5, Entries: 6, Patches: 7, MemoDropped: 8},

@@ -40,9 +40,9 @@ func (s *Server) etagFor(version uint64, r *http.Request, bodyHash uint64) strin
 		h ^= 0xff
 		h *= 1099511628211
 	}
-	mix(r.Header.Get("Authorization"))
-	mix(r.Header.Get("X-UC-Metastore"))
-	mix(r.Header.Get("X-UC-Workspace"))
+	mix(r.Header.Get(hdrAuthorization))
+	mix(r.Header.Get(hdrMetastore))
+	mix(r.Header.Get(hdrWorkspace))
 	mix(r.Method)
 	mix(r.URL.Path)
 	mix(r.URL.RawQuery)
@@ -63,15 +63,15 @@ func (s *Server) conditional(w http.ResponseWriter, r *http.Request, bodyHash ui
 	if s.cfg.ETagMaxAge <= 0 {
 		return false
 	}
-	v, err := s.Service.MetastoreVersion(r.Header.Get("X-UC-Metastore"))
+	v, err := s.Service.MetastoreVersion(r.Header.Get(hdrMetastore))
 	if err != nil {
 		return false
 	}
 	tag := s.etagFor(v, r, bodyHash)
 	h := w.Header()
-	h.Set("ETag", tag)
-	h.Set("Cache-Control", "private, must-revalidate")
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, tag) {
+	h.Set(hdrETag, tag)
+	h.Set(hdrCacheControl, "private, must-revalidate")
+	if inm := r.Header.Get(hdrIfNoneMatch); inm != "" && etagMatch(inm, tag) {
 		w.WriteHeader(http.StatusNotModified)
 		return true
 	}

@@ -256,9 +256,14 @@ func TestPrometheusExpositionConformance(t *testing.T) {
 	if len(order) < 10 {
 		t.Fatalf("only %d families parsed — registry not fully covered", len(order))
 	}
-	for _, name := range []string{"uc_http_requests_total", "uc_http_request_seconds", "uc_tenant_requests_total", "uc_store_commits_total"} {
+	for _, name := range []string{"uc_http_requests_total", "uc_http_request_seconds", "uc_tenant_requests_total", "uc_store_commits_total", "uc_cache_decoded_hits_total", "uc_cache_decodes_total"} {
 		if fams[name] == nil {
 			t.Fatalf("family %s missing from exposition", name)
+		}
+	}
+	for _, name := range []string{"uc_cache_decoded_hits_total", "uc_cache_decodes_total"} {
+		if f := fams[name]; f.kind != "counter" || len(f.samples) != 1 || f.samples[0].value <= 0 {
+			t.Fatalf("%s: want one positive counter sample after the seed's reads, have %s %+v", name, f.kind, f.samples)
 		}
 	}
 

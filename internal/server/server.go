@@ -111,11 +111,11 @@ func (s *Server) isTrusted(p privilege.Principal) bool {
 
 // ctx extracts the request identity and the request's trace context.
 func (s *Server) ctx(r *http.Request) catalog.Ctx {
-	p := privilege.Principal(strings.TrimPrefix(r.Header.Get("Authorization"), "Bearer "))
+	p := privilege.Principal(strings.TrimPrefix(r.Header.Get(hdrAuthorization), "Bearer "))
 	return catalog.Ctx{
 		Principal:     p,
-		Metastore:     r.Header.Get("X-UC-Metastore"),
-		Workspace:     r.Header.Get("X-UC-Workspace"),
+		Metastore:     r.Header.Get(hdrMetastore),
+		Workspace:     r.Header.Get(hdrWorkspace),
 		TrustedEngine: s.isTrusted(p),
 		Trace:         obs.SpanFromContext(r.Context()),
 	}
@@ -200,9 +200,9 @@ func writeErr(w http.ResponseWriter, err error) {
 		}
 		after, _ := retry.RetryAfter(err)
 		if after > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(int((after+time.Second-1)/time.Second)))
+			w.Header().Set(hdrRetryAfter, strconv.Itoa(int((after+time.Second-1)/time.Second)))
 		} else if status != http.StatusGatewayTimeout {
-			w.Header().Set("Retry-After", "1")
+			w.Header().Set(hdrRetryAfter, "1")
 		}
 		writeJSON(w, status, errorBody{Error: err.Error(), Code: status})
 		return
@@ -645,7 +645,7 @@ func (s *Server) handleTempCredentials(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Vended tokens must never be cached: they expire on their own clock.
-	w.Header().Set("Cache-Control", "no-store")
+	w.Header().Set(hdrCacheControl, "no-store")
 	buf := jsonenc.Get()
 	buf.B = jsonenc.AppendTempCredential(buf.B, &tc)
 	sendPooled(w, http.StatusOK, buf)
@@ -821,10 +821,10 @@ func (s *Server) handleFinalizeModelVersion(w http.ResponseWriter, r *http.Reque
 // --- Delta Sharing ---
 
 func shareToken(r *http.Request) string {
-	return strings.TrimPrefix(r.Header.Get("Authorization"), "Bearer ")
+	return strings.TrimPrefix(r.Header.Get(hdrAuthorization), "Bearer ")
 }
 
-func (s *Server) shareMS(r *http.Request) string { return r.Header.Get("X-UC-Metastore") }
+func (s *Server) shareMS(r *http.Request) string { return r.Header.Get(hdrMetastore) }
 
 func (s *Server) handleListShares(w http.ResponseWriter, r *http.Request) {
 	shares, err := s.Sharing.ListShares(s.shareMS(r), shareToken(r))

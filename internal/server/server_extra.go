@@ -34,7 +34,7 @@ func (s *Server) handleGetVolumeFile(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set(hdrContentType, "application/octet-stream")
 	w.Write(data)
 }
 

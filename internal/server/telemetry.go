@@ -280,7 +280,7 @@ func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request) {
 	}
 	s.httpSeconds.With(route).ObserveT(int64(took), exemplar)
 	if s.tenants != nil {
-		tenant := strings.TrimPrefix(r.Header.Get("Authorization"), "Bearer ")
+		tenant := strings.TrimPrefix(r.Header.Get(hdrAuthorization), "Bearer ")
 		s.tenants.ObserveRequest(tenant, sw.bytes, took)
 	}
 	if s.cfg.AccessLog {
@@ -291,7 +291,7 @@ func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request) {
 
 // writeAccessLog emits one structured logfmt line for the request.
 func (s *Server) writeAccessLog(r *http.Request, sw *statusWriter, took time.Duration, traceID string) {
-	principal := strings.TrimPrefix(r.Header.Get("Authorization"), "Bearer ")
+	principal := strings.TrimPrefix(r.Header.Get(hdrAuthorization), "Bearer ")
 	var b strings.Builder
 	fmt.Fprintf(&b, "time=%s method=%s path=%s status=%d duration=%s principal=%q trace=%s",
 		time.Now().UTC().Format(time.RFC3339Nano), r.Method, r.URL.Path,
@@ -307,20 +307,20 @@ func (s *Server) writeAccessLog(r *http.Request, sw *statusWriter, took time.Dur
 
 // handleMetrics serves the registry in Prometheus text exposition format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.Header().Set(hdrContentType, "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.WritePrometheus(w)
 }
 
 // handleDebugTraces serves recently retained traces (sampled or slow) as a
 // JSON array, newest first, each with its span tree.
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set(hdrContentType, "application/json")
 	s.tracer.WriteRecentJSON(w)
 }
 
 // handleDebugTenants serves the per-tenant usage meter as JSON.
 func (s *Server) handleDebugTenants(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set(hdrContentType, "application/json")
 	if s.tenants == nil {
 		w.Write([]byte("{}\n"))
 		return
@@ -333,7 +333,7 @@ func (s *Server) handleDebugTenants(w http.ResponseWriter, r *http.Request) {
 // every scrape), then the rings and any frozen incident.
 func (s *Server) handleDebugFlight(w http.ResponseWriter, r *http.Request) {
 	s.flight.Poll()
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set(hdrContentType, "application/json")
 	s.flight.WriteJSON(w)
 }
 

@@ -97,6 +97,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"uc_store_wal_fsync_seconds_bucket",
 		"uc_cache_hits_total",
 		"uc_cache_misses_total",
+		"uc_cache_decoded_hits_total",
+		"uc_cache_decodes_total",
 		"uc_cache_degraded",
 		"uc_events_published_total",
 		`uc_events_follower_lag{follower="search"}`,
@@ -130,6 +132,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(body, `route="POST /api/2.1/unity-catalog/tables"`) {
 		t.Error("uc_http_requests_total lacks per-route labels")
+	}
+	// The seed resolved its parents by name over and over: records were
+	// decoded, and then served decoded.
+	if strings.Contains(body, "uc_cache_decodes_total 0\n") || strings.Contains(body, "uc_cache_decoded_hits_total 0\n") {
+		t.Error("the seed's point reads decoded nothing, or were never served a decoded form")
 	}
 }
 
@@ -248,6 +255,16 @@ func TestHealthzShape(t *testing.T) {
 	}
 	if !strings.Contains(string(h.WAL), "Batches") {
 		t.Errorf("wal section lacks batch stats: %s", h.WAL)
+	}
+	var caches []struct {
+		DecodedHits *int64 `json:"decoded_hits"`
+		Decodes     *int64 `json:"decodes"`
+	}
+	if err := json.Unmarshal(h.Cache, &caches); err != nil || len(caches) != 1 {
+		t.Fatalf("cache section: %v: %s", err, h.Cache)
+	}
+	if c := caches[0]; c.DecodedHits == nil || c.Decodes == nil || *c.Decodes == 0 || *c.DecodedHits == 0 {
+		t.Errorf("cache section lacks the decoded-form counters, or the seed moved neither: %s", h.Cache)
 	}
 }
 
