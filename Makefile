@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: test race heap allocs perf perf-check bench bench-parallel bench-store bench-authz bench-obs bench-scale bench-txn bench-http
+.PHONY: test race heap allocs perf perf-check bench bench-parallel
 
 test:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l . lists:"; echo "$$unformatted"; exit 1; fi
@@ -113,38 +113,3 @@ bench:
 bench-parallel:
 	$(GO) test -run xxx -bench 'Parallel' -benchmem .
 	$(GO) test -run xxx -bench 'Parallel' -benchmem ./internal/cache/
-
-# Commit write-path grid (writers × CommitLatency × WAL); emits
-# BENCH_store_commit.json with ops/s, p50/p99, and WAL batch sizes.
-bench-store:
-	$(GO) run ./cmd/ucbench -exp groupcommit -out BENCH_store_commit.json
-
-# Authorization decision grid (deep check against the reference and the
-# compiled engine; schema listing and batch authorize through the service);
-# emits BENCH_authz.json with ns/op and allocs/op per cell.
-bench-authz:
-	$(GO) run ./cmd/ucbench -exp authz -out BENCH_authz.json
-
-# Instrumentation-overhead grid (deep-Check and WAL-commit paths, tracing
-# off vs enabled-but-unsampled); emits BENCH_obs.json with ns/op and
-# allocs/op per cell.
-bench-obs:
-	$(GO) run ./cmd/ucbench -exp obs -out BENCH_obs.json
-
-# Catalog-cardinality grid (100k/1M/10M assets; populate throughput, heap
-# per asset, list/page/tag p50/p99); emits BENCH_scale.json. Full scale
-# populates 10M assets — expect minutes.
-bench-scale:
-	$(GO) run ./cmd/ucbench -exp scale -out BENCH_scale.json
-
-# Multi-table transaction grid (contended multi-writer commits over shared
-# Delta tables + crash-recovery sweep over an interrupted backlog).
-bench-txn:
-	$(GO) run ./cmd/ucbench -exp txn -out BENCH_txn.json
-
-# HTTP hot-path grid (exact allocs/request per route for the fresh
-# pooled-encoder and the conditional-304 response paths, then 1k/10k
-# concurrent keep-alive clients over real TCP with p50/p99 and QPS per arm);
-# emits BENCH_http.json.
-bench-http:
-	$(GO) run ./cmd/ucbench -exp http -out BENCH_http.json

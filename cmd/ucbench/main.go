@@ -9,39 +9,24 @@
 //	ucbench -quick           # smaller workloads
 //	ucbench -exp fig10b      # one experiment
 //	ucbench -list            # list experiment IDs
-//	ucbench -exp authz -out BENCH_authz.json   # a grid experiment's JSON report
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"time"
 
 	"unitycatalog/internal/bench"
 )
-
-// report is the BENCH_<exp>.json layout. Cells is the experiment's grid
-// (e.g. []bench.AuthzCell, []bench.CommitCell).
-type report struct {
-	Generated  string `json:"generated"`
-	GoVersion  string `json:"go_version"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Cells      any    `json:"cells"`
-}
 
 func main() {
 	var (
 		exp   = flag.String("exp", "all", "experiment id or 'all'")
 		quick = flag.Bool("quick", false, "run smaller workloads")
 		seed  = flag.Int64("seed", 1, "deterministic seed")
-		dbLat = flag.Duration("db-latency", 300*time.Microsecond, "injected metastore-DB latency")
-		rtt   = flag.Duration("net-rtt", 500*time.Microsecond, "simulated engine-to-catalog network RTT")
 		list  = flag.Bool("list", false, "list experiments and exit")
-		out   = flag.String("out", "", "write the experiment's grid as JSON to this file (requires -exp naming a grid experiment)")
 	)
 	flag.Parse()
 
@@ -51,34 +36,7 @@ func main() {
 		}
 		return
 	}
-	opts := bench.Options{Seed: *seed, Quick: *quick, DBReadLatency: *dbLat, NetworkRTT: *rtt}
-
-	if *out != "" {
-		e, ok := bench.Find(*exp)
-		if !ok || e.Grid == nil {
-			log.Fatalf("-out needs -exp naming a grid experiment (the Makefile's bench-* targets list them), not %q", *exp)
-		}
-		cells, header, rows, err := e.Grid(*quick)
-		if err != nil {
-			log.Fatalf("%s: %v", e.ID, err)
-		}
-		rep := report{
-			Generated:  time.Now().UTC().Format(time.RFC3339),
-			GoVersion:  runtime.Version(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Cells:      cells,
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		bench.WriteAligned(os.Stdout, header, rows)
-		fmt.Printf("wrote %s (%d cells)\n", *out, len(rows))
-		return
-	}
+	opts := bench.Options{Seed: *seed, Quick: *quick}
 
 	run := func(e bench.Experiment) {
 		start := time.Now()

@@ -24,7 +24,7 @@ func AblationBatching(o Options) (*Table, error) {
 		baseTables = 12
 	}
 	build := func() (*catalog.Service, catalog.Ctx, []string, string, error) {
-		db, err := store.Open(store.Options{ReadLatency: o.DBReadLatency})
+		db, err := store.Open(store.Options{ReadLatency: dbReadLatency})
 		if err != nil {
 			return nil, catalog.Ctx{}, nil, "", err
 		}
@@ -61,7 +61,7 @@ func AblationBatching(o Options) (*Table, error) {
 		return nil, err
 	}
 	start := time.Now()
-	o.apiHop()
+	apiHop()
 	resp, err := svc1.Resolve(admin1, catalog.ResolveRequest{Names: []string{view1}, WithCredentials: true})
 	if err != nil {
 		return nil, err
@@ -78,16 +78,16 @@ func AblationBatching(o Options) (*Table, error) {
 		return nil, err
 	}
 	start = time.Now()
-	o.apiHop()
+	apiHop()
 	if _, err := svc2.GetAsset(admin2, view2); err != nil {
 		return nil, err
 	}
 	for _, d := range deps2 {
-		o.apiHop()
+		apiHop()
 		if _, err := svc2.GetAsset(admin2, d); err != nil {
 			return nil, err
 		}
-		o.apiHop()
+		apiHop()
 		if _, err := svc2.TempCredentialForAsset(admin2, d, cloudsim.AccessRead); err != nil {
 			return nil, err
 		}
@@ -123,7 +123,7 @@ func AblationReconcile(o Options) (*Table, error) {
 		keys, rounds = 500, 8
 	}
 	run := func(reconcile func(node *cache.Cache, msID string) error) (time.Duration, cache.Metrics, error) {
-		db, err := store.Open(store.Options{ReadLatency: o.DBReadLatency})
+		db, err := store.Open(store.Options{ReadLatency: dbReadLatency})
 		if err != nil {
 			return 0, cache.Metrics{}, err
 		}
@@ -199,7 +199,7 @@ func AblationPathIndex(o Options) (*Table, error) {
 	if o.Quick {
 		paths = 100
 	}
-	db, err := store.Open(store.Options{ReadLatency: o.DBReadLatency})
+	db, err := store.Open(store.Options{ReadLatency: dbReadLatency})
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +305,7 @@ func AblationTokenCache(o Options) (*Table, error) {
 		ops = 1000
 	}
 	run := func(disable bool) (time.Duration, error) {
-		db, err := store.Open(store.Options{ReadLatency: o.DBReadLatency})
+		db, err := store.Open(store.Options{ReadLatency: dbReadLatency})
 		if err != nil {
 			return 0, err
 		}

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
+	"text/tabwriter"
 	"time"
 
 	"unitycatalog/internal/catalog"
@@ -28,25 +30,22 @@ type Table struct {
 	Finding string
 }
 
-// Print renders the table through the shared aligned writer (tabular.go).
+// Print renders the table: claim, finding, then the rows in aligned columns.
 func (t *Table) Print(w io.Writer) {
 	fmt.Fprintf(w, "\n== %s — %s\n", t.ID, t.Title)
 	fmt.Fprintf(w, "   paper:    %s\n", t.Paper)
 	fmt.Fprintf(w, "   measured: %s\n", t.Finding)
-	WriteAligned(w, t.Header, t.Rows)
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	for _, row := range append([][]string{t.Header}, t.Rows...) {
+		fmt.Fprintln(tw, "  "+strings.Join(row, "\t"))
+	}
+	tw.Flush()
 }
 
 // Options tunes all experiments for runtime vs fidelity.
 type Options struct {
 	// Seed makes every experiment deterministic.
 	Seed int64
-	// DBReadLatency models the remote metastore database round trip.
-	DBReadLatency time.Duration
-	// NetworkRTT models the engine↔catalog-service network hop that exists
-	// because UC is a separate service (paper §4.5: "additional network
-	// hops between engines and the catalog service"). Applied once per
-	// simulated API call in the experiments that model remote engines.
-	NetworkRTT time.Duration
 	// Quick shrinks workloads for CI/benchmark runs.
 	Quick bool
 }
@@ -56,42 +55,22 @@ func (o *Options) Defaults() {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.DBReadLatency == 0 {
-		o.DBReadLatency = 300 * time.Microsecond
-	}
-	if o.NetworkRTT == 0 {
-		o.NetworkRTT = 500 * time.Microsecond
-	}
 }
 
+// Simulated: the metastore database's round trip, and the hop to UC as a separate service (§4.5).
+const (
+	dbReadLatency = 300 * time.Microsecond
+	networkRTT    = 500 * time.Microsecond
+)
+
 // apiHop simulates one engine→catalog network round trip.
-func (o Options) apiHop() {
-	if o.NetworkRTT > 0 {
-		time.Sleep(o.NetworkRTT)
-	}
-}
+func apiHop() { time.Sleep(networkRTT) }
 
 // Experiment is a runnable evaluation experiment.
 type Experiment struct {
 	ID    string
 	Title string
 	Run   func(Options) (*Table, error)
-	// Grid is set on grid experiments: it measures the experiment's cells —
-	// the "cells" payload of its BENCH_<id>.json report — and shapes them
-	// as rows for WriteAligned. `ucbench -exp <id> -out <file>` runs it.
-	Grid func(quick bool) (cells any, header []string, rows [][]string, err error)
-}
-
-// gridOf adapts a typed grid runner and its row shaper to Experiment.Grid.
-func gridOf[C any](run func(quick bool) ([]C, error), shape func([]C) ([]string, [][]string)) func(bool) (any, []string, [][]string, error) {
-	return func(quick bool) (any, []string, [][]string, error) {
-		cells, err := run(quick)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		header, rows := shape(cells)
-		return cells, header, rows, nil
-	}
 }
 
 // All lists every experiment in paper order.
@@ -115,12 +94,6 @@ func All() []Experiment {
 		{ID: "ablate-reconcile", Title: "Ablation: full vs selective cache reconciliation", Run: AblationReconcile},
 		{ID: "ablate-trie", Title: "Ablation: trie vs index-walk path resolution", Run: AblationPathIndex},
 		{ID: "ablate-tokens", Title: "Ablation: credential token cache on/off", Run: AblationTokenCache},
-		{ID: "groupcommit", Title: "Commit throughput: group-commit WAL + pipelined commits", Run: GroupCommitExperiment, Grid: gridOf(RunCommitGrid, CommitCellRows)},
-		{ID: "authz", Title: "Authorization fast path: compiled snapshots vs reference engine", Run: AuthzExperiment, Grid: gridOf(RunAuthzGrid, AuthzCellRows)},
-		{ID: "obs", Title: "Instrumentation overhead: request tracing on vs off", Run: ObsExperiment, Grid: gridOf(RunObsGrid, ObsCellRows)},
-		{ID: "scale", Title: "Catalog cardinality: ordered indexes + keyset pagination at scale", Run: ScaleExperiment, Grid: gridOf(RunScaleGrid, ScaleCellRows)},
-		{ID: "txn", Title: "Multi-table transactions: contended commit + recovery sweep", Run: TxnExperiment, Grid: gridOf(RunTxnGrid, TxnCellRows)},
-		{ID: "http", Title: "HTTP hot path: pooled encoders + conditional GET at connection scale", Run: HTTPExperiment, Grid: gridOf(RunHTTPGrid, HTTPCellRows)},
 	}
 }
 

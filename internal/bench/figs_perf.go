@@ -36,7 +36,7 @@ func Fig10aUCvsHMS(o Options) (*Table, error) {
 	}
 
 	// --- UC side ---
-	svc, admin, err := newService(o, "ms-tpc", o.DBReadLatency)
+	svc, admin, err := newService(o, "ms-tpc", dbReadLatency)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +51,7 @@ func Fig10aUCvsHMS(o Options) (*Table, error) {
 	// --- HMS side: same cloud data, registered in a local HMS whose DB has
 	// the same latency. The engine calls GetTable per footprint table, then
 	// scans the same files directly (HMS has no credential vending).
-	hmsDB, err := store.Open(store.Options{ReadLatency: o.DBReadLatency, CommitLatency: o.DBReadLatency})
+	hmsDB, err := store.Open(store.Options{ReadLatency: dbReadLatency, CommitLatency: dbReadLatency})
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +90,7 @@ func Fig10aUCvsHMS(o Options) (*Table, error) {
 		// UC is a remote service: one network hop for the (single, batched)
 		// metadata+credential call. HMS-local pays no hop but reads the DB
 		// per table.
-		o.apiHop()
+		apiHop()
 		resp, err := svc.Resolve(admin, catalog.ResolveRequest{Names: names, WithCredentials: true})
 		if err != nil {
 			return 0, err
@@ -230,10 +230,6 @@ func mean(xs []float64) float64 {
 // rate; with it, hot reads are served from memory.
 func Fig10bCacheThroughput(o Options) (*Table, error) {
 	o.Defaults()
-	dbLat := o.DBReadLatency
-	if dbLat < 200*time.Microsecond {
-		dbLat = 200 * time.Microsecond
-	}
 	clientCounts := []int{1, 2, 4, 8, 16, 32}
 	window := 400 * time.Millisecond
 	if o.Quick {
@@ -242,7 +238,7 @@ func Fig10bCacheThroughput(o Options) (*Table, error) {
 	}
 
 	runArm := func(disabled bool) ([][]string, []float64, error) {
-		db, err := store.Open(store.Options{ReadLatency: dbLat, CommitLatency: dbLat})
+		db, err := store.Open(store.Options{ReadLatency: dbReadLatency, CommitLatency: dbReadLatency})
 		if err != nil {
 			return nil, nil, err
 		}

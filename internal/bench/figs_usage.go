@@ -234,7 +234,7 @@ func Fig6bTableTypes(o Options) (*Table, error) {
 // Fig7VolumeGrowth regenerates Figure 7: accelerating volume creation.
 func Fig7VolumeGrowth(o Options) (*Table, error) {
 	o.Defaults()
-	curves := workload.GenerateGrowth(workload.GrowthSpec{Seed: o.Seed, Periods: 24, Series: workload.DefaultGrowthSeries()})
+	curves := workload.GenerateGrowth(o.Seed)
 	vols := curves["volumes"]
 	t := &Table{
 		ID: "fig7", Title: "Cumulative volumes created per period",
@@ -307,7 +307,7 @@ func Fig8aFormats(o Options) (*Table, error) {
 // Fig8bTableGrowth regenerates Figure 8(b): all table types growing.
 func Fig8bTableGrowth(o Options) (*Table, error) {
 	o.Defaults()
-	curves := workload.GenerateGrowth(workload.GrowthSpec{Seed: o.Seed, Periods: 24, Series: workload.DefaultGrowthSeries()})
+	curves := workload.GenerateGrowth(o.Seed)
 	series := []string{"tables_managed", "tables_external", "views", "tables_foreign", "tables_shallow_clone"}
 	t := &Table{
 		ID: "fig8b", Title: "Cumulative tables by type over time",
@@ -334,7 +334,7 @@ func Fig8bTableGrowth(o Options) (*Table, error) {
 // Fig8cForeignGrowth regenerates Figure 8(c): top-5 foreign types growing.
 func Fig8cForeignGrowth(o Options) (*Table, error) {
 	o.Defaults()
-	curves := workload.GenerateGrowth(workload.GrowthSpec{Seed: o.Seed, Periods: 24, Series: workload.DefaultGrowthSeries()})
+	curves := workload.GenerateGrowth(o.Seed)
 	series := []string{"foreign_snowstore", "foreign_bigwarehouse", "foreign_redshelf", "foreign_hivemetastore", "foreign_postgres"}
 	t := &Table{
 		ID: "fig8c", Title: "Cumulative foreign tables for the top-5 source types",
@@ -397,7 +397,7 @@ func Fig11AccessMethods(o Options) (*Table, error) {
 	if o.Quick {
 		ops = 6000
 	}
-	trace := workload.GenerateTrace(pop, workload.TraceSpec{Seed: o.Seed, Ops: ops, PathAccessFraction: 0.07})
+	trace := workload.GenerateTrace(pop, workload.TraceSpec{Seed: o.Seed, Ops: ops})
 	stats := workload.Replay(svc, admin, trace)
 	nameOnly, pathOnly, both := stats.AccessMethodCounts()
 	total := nameOnly + pathOnly + both

@@ -44,7 +44,12 @@ func condStack(t *testing.T, cfg server.Config) (*server.Server, *httptest.Serve
 
 func condGet(t *testing.T, base, path, etag string) (*http.Response, []byte) {
 	t.Helper()
-	req, err := http.NewRequest("GET", base+path, nil)
+	return condDo(t, base, "GET", path, "", etag)
+}
+
+func condDo(t *testing.T, base, method, path, reqBody, etag string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, base+path, strings.NewReader(reqBody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +124,34 @@ func TestConditionalGetInterleavedWrites(t *testing.T) {
 	resp, _ = condGet(t, hs.URL, path, tag2)
 	if resp.StatusCode != http.StatusNotModified {
 		t.Fatalf("second revalidate: %d", resp.StatusCode)
+	}
+
+	// Each of the other conditional routes makes its own call to stamp and
+	// compare the validator, so each is driven: a fresh 200 carries an ETag,
+	// and that ETag revalidates to an empty 304.
+	if _, err := srv.Service.CreateSchema(admin, "sales", "raw", ""); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := srv.Service.CreateTable(admin, "sales.raw", "t0", catalog.TableSpec{Columns: []catalog.ColumnInfo{{Name: "id", Type: "BIGINT"}}}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const api = "/api/2.1/unity-catalog"
+	for _, rt := range []struct{ method, path, body string }{
+		{"GET", api + "/assets?parent=sales.raw&type=TABLE&maxResults=20", ""},
+		{"POST", api + "/resolve", `{"Names":["sales.raw.t0"]}`},
+		{"POST", api + "/query-assets", `{"type":"TABLE","catalog_name":"sales","max_results":20}`},
+		{"POST", api + "/authorize-batch", `{"asset_ids":["` + string(tbl.ID) + `"],"privilege":"SELECT"}`},
+	} {
+		resp, body := condDo(t, hs.URL, rt.method, rt.path, rt.body, "")
+		tag := resp.Header.Get("ETag")
+		if resp.StatusCode != http.StatusOK || tag == "" {
+			t.Fatalf("%s %s: %d, ETag %q, body %s", rt.method, rt.path, resp.StatusCode, tag, body)
+		}
+		resp, body = condDo(t, hs.URL, rt.method, rt.path, rt.body, tag)
+		if resp.StatusCode != http.StatusNotModified || len(body) != 0 {
+			t.Fatalf("%s %s revalidate: %d, body %q", rt.method, rt.path, resp.StatusCode, body)
+		}
 	}
 }
 

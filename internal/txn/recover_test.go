@@ -103,30 +103,43 @@ func assertAllOrNothing(t *testing.T, tables map[string]*delta.Table, names []st
 func TestRecoverRollsBackWhenNothingPublished(t *testing.T) {
 	c, admin, tables, fake := setupClock(t)
 	before := c.Service.Cloud().ObjectCount("")
-	tx := crashingTx(t, c, admin, "after_intent")
+	// A backlog, not one transaction: nothing of any was published, so each
+	// pins the same base versions and they pile up without interfering. One
+	// sweep must decide them all.
+	const backlog = 16
+	var txs []*Txn
+	for i := 0; i < backlog; i++ {
+		txs = append(txs, crashingTx(t, c, admin, "after_intent"))
+	}
 
-	// Within the lease the record is untouchable.
+	// Within the lease the records are untouchable.
 	fresh := NewCoordinator(c.Service)
 	st, err := fresh.Recover("ms1")
-	if err != nil || st.Skipped != 1 || st.Back+st.Forward != 0 {
+	if err != nil || st.Skipped != backlog || st.Back+st.Forward != 0 {
 		t.Fatalf("within-lease sweep = %+v, %v", st, err)
 	}
 
 	fake.Advance(time.Minute)
 	st, err = fresh.Recover("ms1")
-	if err != nil || st.Back != 1 {
+	if err != nil || st.Back != backlog {
 		t.Fatalf("post-lease sweep = %+v, %v", st, err)
 	}
 	if n := assertAllOrNothing(t, tables, []string{"bank.ledger.checking", "bank.ledger.savings"}); n != 0 {
-		t.Fatalf("rolled-back txn left %d visible rows", n)
+		t.Fatalf("rolled-back txns left %d visible rows", n)
 	}
-	state, _, err := fresh.Record("ms1", tx.ID)
-	if err != nil || state != "ABORTED" {
-		t.Fatalf("record = %s, %v", state, err)
+	for _, tx := range txs {
+		state, _, err := fresh.Record("ms1", tx.ID)
+		if err != nil || state != "ABORTED" {
+			t.Fatalf("record = %s, %v", state, err)
+		}
 	}
 	// Staged data files were cleaned up: storage is back to its pre-txn shape.
 	if after := c.Service.Cloud().ObjectCount(""); after != before {
 		t.Fatalf("object count %d -> %d: orphaned blobs", before, after)
+	}
+	// With the backlog terminal, a sweep finds nothing to do.
+	if st, err := fresh.Recover("ms1"); err != nil || st.Forward+st.Back+st.Cleaned != 0 {
+		t.Fatalf("idle sweep = %+v, %v", st, err)
 	}
 }
 

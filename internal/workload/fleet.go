@@ -129,17 +129,6 @@ func GenerateFleet(system string, spec ClientFleetSpec) *FleetMatrix {
 	return m
 }
 
-// GrowthSpec parameterizes cumulative-creation curves (Figures 7, 8(b),
-// 8(c)): series that compound over time, with volumes accelerating fastest.
-type GrowthSpec struct {
-	Seed int64
-	// Periods is the number of time steps (e.g. months).
-	Periods int
-	// Series maps a series name to (initial creations per period, growth
-	// rate per period).
-	Series map[string]GrowthParams
-}
-
 // GrowthParams shapes one series.
 type GrowthParams struct {
 	Initial float64
@@ -154,14 +143,15 @@ type GrowthPoint struct {
 }
 
 // GenerateGrowth produces cumulative-creation curves with noise.
-func GenerateGrowth(spec GrowthSpec) map[string][]GrowthPoint {
-	r := rand.New(rand.NewSource(spec.Seed))
+func GenerateGrowth(seed int64) map[string][]GrowthPoint {
+	const periods = 24 // time steps (months)
+	r := rand.New(rand.NewSource(seed))
 	out := map[string][]GrowthPoint{}
-	for name, p := range spec.Series {
+	for name, p := range DefaultGrowthSeries() {
 		rate := p.Initial
 		cum := 0
 		var pts []GrowthPoint
-		for t := 0; t < spec.Periods; t++ {
+		for t := 0; t < periods; t++ {
 			noise := 0.85 + r.Float64()*0.3
 			created := int(rate * noise)
 			cum += created

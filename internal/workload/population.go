@@ -22,23 +22,15 @@ type PopulationSpec struct {
 	Seed int64
 	// Catalogs is the number of catalogs to create (default 12).
 	Catalogs int
-	// MeanSchemasPerCatalog controls schema counts (default 4).
-	MeanSchemasPerCatalog int
 	// TableScale scales the heavy-tailed tables-per-catalog distribution
 	// (default 1.0). The paper's mode is ~30 tables per catalog with a tail
 	// to 500K; we keep the mode and a (scaled) tail.
 	TableScale float64
-	// WithData creates Delta logs for managed tables (slower; only needed
-	// by experiments that scan data).
-	WithData bool
 }
 
 func (s *PopulationSpec) defaults() {
 	if s.Catalogs == 0 {
 		s.Catalogs = 12
-	}
-	if s.MeanSchemasPerCatalog == 0 {
-		s.MeanSchemasPerCatalog = 4
 	}
 	if s.TableScale == 0 {
 		s.TableScale = 1.0
@@ -197,6 +189,7 @@ func logNormalCount(r *rand.Rand, mode float64, sigma float64) int {
 // catalog APIs as the given admin principal.
 func Generate(svc *catalog.Service, admin catalog.Ctx, spec PopulationSpec) (*Population, error) {
 	spec.defaults()
+	const meanSchemasPerCatalog = 4
 	r := rand.New(rand.NewSource(spec.Seed))
 	pop := &Population{SchemaKinds: map[string]SchemaKind{}}
 
@@ -216,7 +209,7 @@ func Generate(svc *catalog.Service, admin catalog.Ctx, spec PopulationSpec) (*Po
 
 		// Heavy-tailed table budget for the catalog, split over schemas.
 		tableBudget := int(float64(logNormalCount(r, 30, 1.1)) * spec.TableScale)
-		nSchemas := 1 + r.Intn(spec.MeanSchemasPerCatalog*2-1)
+		nSchemas := 1 + r.Intn(meanSchemasPerCatalog*2-1)
 		for si := 0; si < nSchemas; si++ {
 			schemaName := fmt.Sprintf("sch%02d", si)
 			full := catName + "." + schemaName

@@ -18,11 +18,9 @@ const (
 	OpGetAsset   OpKind = "GetAsset"         // metadata read by name
 	OpResolve    OpKind = "Resolve"          // batched query-path resolution
 	OpList       OpKind = "ListAssets"       // container listing
-	OpCredByName OpKind = "CredentialByName" // temp credential by asset name
 	OpCredByPath OpKind = "CredentialByPath" // temp credential by raw path
 	OpUpdateMeta OpKind = "UpdateAsset"      // metadata write
 	OpGrantOp    OpKind = "Grant"            // permission write
-	OpSearchOp   OpKind = "Search"           // discovery read (not replayed here)
 )
 
 // TraceOp is one operation against one asset at a virtual time.
@@ -36,52 +34,23 @@ type TraceOp struct {
 // TraceSpec parameterizes trace generation.
 type TraceSpec struct {
 	Seed int64
-	// Ops is the trace length (default 20000).
+	// Ops is the trace length.
 	Ops int
-	// ReadFraction is the share of read operations (default 0.982).
-	ReadFraction float64
-	// PathAccessFraction is the share of *table accesses* that go through a
-	// raw storage path rather than the catalog name; the paper reports ~7%
-	// of tables see path access (default 0.07).
-	PathAccessFraction float64
-	// ZipfS shapes asset popularity (default 1.2; higher = more skew).
-	ZipfS float64
-	// MeanGap is the mean virtual time between consecutive ops
-	// (default 5ms), driving the Figure 5 inter-arrival distribution.
-	MeanGap time.Duration
-	// ContainerBias is how much more often containers are touched than leaf
-	// assets, reflecting that every query touches its catalog and schema
-	// (default: containers are accessed alongside each leaf access).
-	ContainerBias float64
 }
 
-func (s *TraceSpec) defaults() {
-	if s.Ops == 0 {
-		s.Ops = 20000
-	}
-	if s.ReadFraction == 0 {
-		s.ReadFraction = 0.982
-	}
-	if s.PathAccessFraction == 0 {
-		s.PathAccessFraction = 0.07
-	}
-	if s.ZipfS == 0 {
-		s.ZipfS = 1.2
-	}
-	if s.MeanGap == 0 {
-		s.MeanGap = 5 * time.Millisecond
-	}
-	if s.ContainerBias == 0 {
-		s.ContainerBias = 1.0
-	}
-}
+// The mix is fixed at the paper's figures.
+const (
+	readFraction       = 0.982                // share of read operations (§6.1)
+	pathAccessFraction = 0.07                 // share of tables that ever see access by raw path (Figure 11)
+	zipfS              = 1.2                  // asset popularity skew
+	meanGap            = 5 * time.Millisecond // mean virtual time between ops: drives Figure 5
+)
 
 // GenerateTrace builds an access trace over the population's assets with
 // Zipf popularity and exponential op gaps, yielding the temporal locality
 // the paper measures (containers re-accessed much sooner than leaf assets,
 // because every leaf access implies its container chain).
 func GenerateTrace(pop *Population, spec TraceSpec) []TraceOp {
-	spec.defaults()
 	r := rand.New(rand.NewSource(spec.Seed))
 
 	var leaves []Asset
@@ -93,12 +62,12 @@ func GenerateTrace(pop *Population, spec TraceSpec) []TraceOp {
 	if len(leaves) == 0 {
 		return nil
 	}
-	zipf := rand.NewZipf(r, spec.ZipfS, 1, uint64(len(leaves)-1))
+	zipf := rand.NewZipf(r, zipfS, 1, uint64(len(leaves)-1))
 
 	// pathEligible marks the ~7% of tables that ever see path access.
 	pathEligible := map[string]bool{}
 	for _, a := range leaves {
-		if a.Type == erm.TypeTable && a.StoragePath != "" && r.Float64() < spec.PathAccessFraction {
+		if a.Type == erm.TypeTable && a.StoragePath != "" && r.Float64() < pathAccessFraction {
 			pathEligible[a.FullName] = true
 		}
 	}
@@ -123,21 +92,19 @@ func GenerateTrace(pop *Population, spec TraceSpec) []TraceOp {
 	var ops []TraceOp
 	now := time.Duration(0)
 	for len(ops) < spec.Ops {
-		now += time.Duration(r.ExpFloat64() * float64(spec.MeanGap))
+		now += time.Duration(r.ExpFloat64() * float64(meanGap))
 		leaf := leaves[zipf.Uint64()]
 
 		// Every leaf access touches its container chain (metadata
 		// resolution authorizes USE CATALOG / USE SCHEMA), producing the
 		// container re-access pattern of Figure 5.
-		if spec.ContainerBias > 0 {
-			cat, sch := containerOf(leaf.FullName)
-			ops = append(ops, TraceOp{Kind: OpGetAsset, Asset: Asset{FullName: cat, Type: erm.TypeCatalog, Container: true}, At: now})
-			if sch != "" && sch != cat {
-				ops = append(ops, TraceOp{Kind: OpGetAsset, Asset: Asset{FullName: sch, Type: erm.TypeSchema, Container: true}, At: now})
-			}
+		cat, sch := containerOf(leaf.FullName)
+		ops = append(ops, TraceOp{Kind: OpGetAsset, Asset: Asset{FullName: cat, Type: erm.TypeCatalog, Container: true}, At: now})
+		if sch != "" && sch != cat {
+			ops = append(ops, TraceOp{Kind: OpGetAsset, Asset: Asset{FullName: sch, Type: erm.TypeSchema, Container: true}, At: now})
 		}
 
-		if r.Float64() >= spec.ReadFraction {
+		if r.Float64() >= readFraction {
 			// Metadata write.
 			if r.Float64() < 0.5 {
 				ops = append(ops, TraceOp{Kind: OpUpdateMeta, Asset: leaf, At: now})
@@ -183,7 +150,7 @@ func Replay(svc *catalog.Service, admin catalog.Ctx, ops []TraceOp) *ReplayStats
 		PathAccessed:  map[string]bool{},
 	}
 	lastAccess := map[string]time.Duration{}
-	grantToggle := false
+	granted := map[string]bool{} // by asset; ALL PRIVILEGES because every asset type accepts it
 
 	for _, op := range ops {
 		stats.Ops++
@@ -208,9 +175,6 @@ func Replay(svc *catalog.Service, admin catalog.Ctx, ops []TraceOp) *ReplayStats
 				parent = parent[:i]
 			}
 			_, err = svc.ListAssets(admin, parent, "")
-		case OpCredByName:
-			_, err = svc.TempCredentialForAsset(admin, op.Asset.FullName, cloudsim.AccessRead)
-			stats.NameAccessed[op.Asset.FullName] = true
 		case OpCredByPath:
 			_, err = svc.TempCredentialForPath(admin, op.Asset.StoragePath+"/part-0", cloudsim.AccessRead)
 			stats.PathAccessed[op.Asset.FullName] = true
@@ -218,12 +182,12 @@ func Replay(svc *catalog.Service, admin catalog.Ctx, ops []TraceOp) *ReplayStats
 			comment := "updated by trace"
 			_, err = svc.UpdateAsset(admin, op.Asset.FullName, catalog.UpdateRequest{Comment: &comment})
 		case OpGrantOp:
-			if grantToggle {
-				err = svc.Revoke(admin, op.Asset.FullName, "trace_user", "SELECT")
+			if granted[op.Asset.FullName] {
+				err = svc.Revoke(admin, op.Asset.FullName, "trace_user", "ALL PRIVILEGES")
 			} else {
-				err = svc.Grant(admin, op.Asset.FullName, "trace_user", "SELECT")
+				err = svc.Grant(admin, op.Asset.FullName, "trace_user", "ALL PRIVILEGES")
 			}
-			grantToggle = !grantToggle
+			granted[op.Asset.FullName] = !granted[op.Asset.FullName]
 		}
 		if err != nil {
 			stats.Errors++
