@@ -35,7 +35,9 @@ test:
 # exactly one reconcile. And the one that holds entities read through a cache
 # view to being shared and immutable (PR 20): seeded writers against readers
 # holding views across their commits, every read compared with a private
-# decode of the store's bytes at the view's version.
+# decode of the store's bytes at the view's version. And the one that holds an
+# unpaged listing to the one view it opened (PR 22): catalog-wide queries
+# against a writer whose commits no single version shows half of.
 race:
 	$(GO) test -race -count=1 \
 		./internal/cache/... \
@@ -69,7 +71,7 @@ race:
 		./internal/clock/... \
 		./internal/ids/... \
 		./uc/...
-	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential' \
+	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion' \
 		./internal/cache/ ./internal/search/ ./internal/events/ ./internal/catalog/ ./internal/privilege/
 
 # Who holds the resident bytes: builds 2,000 tables through uc.Open with
@@ -88,8 +90,9 @@ heap:
 	$(GO) test -count=1 -run 'TestResidentBudget|TestPageRetention' -v ./uc/
 
 # What the read path allocates: a 100-record batch decode (internal/erm, at
-# most 5 whatever the size), a whole 100-table list page on a cache-less
-# service, and a GetAsset by name and a one-table Resolve on a warm cache,
+# most 5 whatever the size), a whole 100-table list page and a 100-table
+# unpaged listing on a cache-less service (the two shells of the listing
+# engine), and a GetAsset by name and a one-table Resolve on a warm cache,
 # which must also decode nothing (internal/catalog, recorded figures + 10 %),
 # printed. `make test` runs the same gates with the rest of ./...
 allocs:

@@ -589,6 +589,39 @@ func TestAuditTrail(t *testing.T) {
 	}
 }
 
+// TestReadAPIsAudited: the read APIs of grants.go write exactly one audit
+// record per call, allowed or not, as every other API does.
+func TestReadAPIsAudited(t *testing.T) {
+	svc, admin := testService(t)
+	seedNamespace(t, svc, admin)
+	eve := Ctx{Principal: "eve", Metastore: "ms1"}
+	for _, tc := range []struct {
+		op      string
+		ctx     Ctx
+		call    func(Ctx) error
+		allowed bool
+	}{
+		{"EffectivePrivileges", admin, func(c Ctx) error { _, err := svc.EffectivePrivileges(c, "sales.raw.orders"); return err }, true},
+		{"EffectivePrivileges", admin, func(c Ctx) error { _, err := svc.EffectivePrivileges(c, "sales.raw.nope"); return err }, false},
+		{"Tags", admin, func(c Ctx) error { _, err := svc.Tags(c, "sales.raw.orders"); return err }, true},
+		{"Tags", eve, func(c Ctx) error { _, err := svc.Tags(c, "sales.raw.orders"); return err }, false},
+		{"ABACRules", admin, func(c Ctx) error { _, err := svc.ABACRules(c); return err }, true},
+		{"ABACRules", Ctx{Principal: "admin", Metastore: "nope"}, func(c Ctx) error { _, err := svc.ABACRules(c); return err }, false},
+	} {
+		before := svc.Audit().Stats().ByOperation[tc.op]
+		if err := tc.call(tc.ctx); (err == nil) != tc.allowed {
+			t.Fatalf("%s as %s: %v, want allowed=%v", tc.op, tc.ctx.Principal, err, tc.allowed)
+		}
+		if n := svc.Audit().Stats().ByOperation[tc.op] - before; n != 1 {
+			t.Fatalf("%s as %s: %d audit records for one call", tc.op, tc.ctx.Principal, n)
+		}
+		last := svc.Audit().Filter(func(r audit.Record) bool { return r.Kind == audit.KindAPIRequest && r.Operation == tc.op })
+		if r := last[len(last)-1]; r.Allowed != tc.allowed || !r.ReadOnly || r.Principal != string(tc.ctx.Principal) {
+			t.Fatalf("%s as %s: audit record %+v", tc.op, tc.ctx.Principal, r)
+		}
+	}
+}
+
 func TestMetastoreReopen(t *testing.T) {
 	db, _ := store.Open(store.Options{})
 	defer db.Close()

@@ -2,7 +2,6 @@ package catalog
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -255,46 +254,6 @@ func (s *Service) authorizeReadWith(ctx Ctx, auth privilege.Authorizer, r versio
 		return nil
 	}
 	return s.check(ctx, r, man.ReadPrivilege, chain, "Get"+string(e.Type))
-}
-
-// ListAssets lists the children of parentFull having the given type that the
-// principal is allowed to see (owners always see their assets). An empty
-// type lists all children.
-func (s *Service) ListAssets(ctx Ctx, parentFull string, t erm.SecurableType) (out []*erm.Entity, err error) {
-	var parent *erm.Entity
-	defer func() { s.apiAudit(ctx, "ListAssets", entityID(parent), true, err) }()
-	ms, err := s.meta(ctx.Metastore)
-	if err != nil {
-		return nil, err
-	}
-	v, err := s.view(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer v.Close()
-	chain, err := s.resolveParentChain(v, ms, parentFull)
-	if err != nil {
-		return nil, err
-	}
-	if parent = leaf(chain); parentFull != "" {
-		// Listing inside a container requires its usage privilege.
-		if err := s.authorizeRead(ctx, v, chain); err != nil {
-			return nil, err
-		}
-	}
-	auth := s.authorizer(ctx, v)
-	children := erm.ListChildren(v, parent.ID, t)
-	out = make([]*erm.Entity, 0, len(children))
-	for _, c := range children {
-		if c.State == erm.StateSoftDeleted {
-			continue
-		}
-		if s.visible(ctx, auth, v, c) {
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
 }
 
 // visMasks caches each type's visibility mask — the read privilege plus

@@ -130,7 +130,9 @@ func (s *Service) GrantsOn(ctx Ctx, full string) (gs []privilege.Grant, err erro
 
 // EffectivePrivileges lists the privileges ctx.Principal holds on full,
 // including inherited ones.
-func (s *Service) EffectivePrivileges(ctx Ctx, full string) ([]privilege.Privilege, error) {
+func (s *Service) EffectivePrivileges(ctx Ctx, full string) (ps []privilege.Privilege, err error) {
+	var e *erm.Entity
+	defer func() { s.apiAudit(ctx, "EffectivePrivileges", entityID(e), true, err) }()
 	ms, err := s.meta(ctx.Metastore)
 	if err != nil {
 		return nil, err
@@ -140,8 +142,7 @@ func (s *Service) EffectivePrivileges(ctx Ctx, full string) ([]privilege.Privile
 		return nil, err
 	}
 	defer v.Close()
-	e, err := s.resolveEntity(v, ms, full)
-	if err != nil {
+	if e, err = s.resolveEntity(v, ms, full); err != nil {
 		return nil, err
 	}
 	return s.authorizer(ctx, v).EffectivePrivileges(e.ID), nil
@@ -228,7 +229,9 @@ func (s *Service) UnsetTag(ctx Ctx, full, column, key string) (err error) {
 }
 
 // Tags returns entity-level tags of full (requires read access).
-func (s *Service) Tags(ctx Ctx, full string) (map[string]string, error) {
+func (s *Service) Tags(ctx Ctx, full string) (tags map[string]string, err error) {
+	var e *erm.Entity
+	defer func() { s.apiAudit(ctx, "Tags", entityID(e), true, err) }()
 	ms, err := s.meta(ctx.Metastore)
 	if err != nil {
 		return nil, err
@@ -242,10 +245,11 @@ func (s *Service) Tags(ctx Ctx, full string) (map[string]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	e = leaf(chain)
 	if err := s.authorizeRead(ctx, v, chain); err != nil {
 		return nil, err
 	}
-	tags, _ := EntityTags(v, leaf(chain).ID)
+	tags, _ = EntityTags(v, e.ID)
 	return tags, nil
 }
 
@@ -369,7 +373,8 @@ func (s *Service) DeleteABACRule(ctx Ctx, ruleID ids.ID) (err error) {
 }
 
 // ABACRules lists all rules in the metastore.
-func (s *Service) ABACRules(ctx Ctx) ([]privilege.ABACRule, error) {
+func (s *Service) ABACRules(ctx Ctx) (rules []privilege.ABACRule, err error) {
+	defer func() { s.apiAudit(ctx, "ABACRules", ids.Nil, true, err) }()
 	v, err := s.view(ctx)
 	if err != nil {
 		return nil, err

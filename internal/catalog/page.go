@@ -1,9 +1,20 @@
 package catalog
 
-// Keyset pagination for listings and metadata queries (the tentpole of the
-// catalog-cardinality work). A page token pins the snapshot version and the
-// last index key consumed; a continuation reopens a store snapshot at that
-// version and resumes the range scan after the key, so every page is
+// The listing engine: every "what is in this container" and "what matches
+// this filter" — ListAssets, ListAssetsPage(Func), QueryAssets,
+// QueryAssetsPage(Func) — is a plan walked by one loop.
+//
+// A plan is one or more ordered index ranges (a table and a key prefix) whose
+// rows name entities: the child and name indexes hold entity IDs, the entity
+// table holds the entities, the inverted tag index holds a securable's ID in
+// its key once per tagged column. listing.walk is the loop: read rows, turn
+// them into entities, admit those that pass the filter and the principal's
+// visibility, remember the last key consumed, stop when the page is full or a
+// short batch says the range has ended.
+//
+// A paged call bounds the walk and returns a token that pins the snapshot
+// version and the last key consumed; a continuation reopens a store snapshot
+// at that version and resumes after the key, so every page is
 //
 //   - O(log n + page) against the store's ordered indexes, never O(catalog);
 //   - consistent: all pages of one cursor observe the same snapshot version,
@@ -12,23 +23,28 @@ package catalog
 //     keyed by the pinned version, so visibility filtering streams with the
 //     scan instead of materializing the full result first.
 //
+// An unpaged call is the same walk with no bound, on the one view it opened:
+// it reads each range whole, through the view's scan cache, and sorts what
+// the walk emitted (ListAssets by Name, QueryAssets by FullName).
+//
 // Page order is index order — (type, id) for child listings, key order for
-// the other indexes — not the name order of the unpaged APIs; stable cursors
-// require iterating exactly the way the index does. Tokens are opaque
-// base64url(JSON). Continuations read history the store retains
-// (MaxVersionsPerRecord beyond live snapshots, and a deleted key's for as long
-// as its delete is in the change log); a cursor held across heavy rewrites of
-// the same keys, or past a change log's worth of commits after a purge, may
-// observe pruned history and should be restarted, like any long-lived
-// database cursor.
+// the other indexes; stable cursors require iterating exactly the way the
+// index does. Tokens are opaque base64url(JSON). Continuations read history
+// the store retains (MaxVersionsPerRecord beyond live snapshots, and a deleted
+// key's for as long as its delete is in the change log); a cursor held across
+// heavy rewrites of the same keys, or past a change log's worth of commits
+// after a purge, may observe pruned history and should be restarted, like any
+// long-lived database cursor.
 
 import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"sort"
 
 	"unitycatalog/internal/erm"
 	"unitycatalog/internal/ids"
+	"unitycatalog/internal/privilege"
 	"unitycatalog/internal/store"
 )
 
@@ -52,12 +68,25 @@ type pageCursor struct {
 	G  int    `json:"g,omitempty"`  // stage for multi-stage walks
 }
 
+// after is the key a walk resumes after: "" without a cursor.
+func (c *pageCursor) after() string {
+	if c == nil {
+		return ""
+	}
+	return c.K
+}
+
 func encodeCursor(c pageCursor) string {
 	b, _ := json.Marshal(c)
 	return base64.RawURLEncoding.EncodeToString(b)
 }
 
-func decodeCursor(tok string) (*pageCursor, error) {
+// decodeCursor decodes the token of a request that selected plan; "" (a
+// first page, or an unpaged call) is no cursor.
+func decodeCursor(tok, plan string) (*pageCursor, error) {
+	if tok == "" {
+		return nil, nil
+	}
 	b, err := base64.RawURLEncoding.DecodeString(tok)
 	if err != nil {
 		return nil, fmt.Errorf("%w: malformed page token", ErrInvalidArgument)
@@ -66,15 +95,17 @@ func decodeCursor(tok string) (*pageCursor, error) {
 	if err := json.Unmarshal(b, &c); err != nil {
 		return nil, fmt.Errorf("%w: malformed page token", ErrInvalidArgument)
 	}
+	if c.S != plan {
+		return nil, fmt.Errorf("%w: page token from a different request", ErrInvalidArgument)
+	}
 	return &c, nil
 }
 
-// pagedReader is what a page executes against: versioned (to key the
-// compiled-authz cache and the cursor), range-capable, batch-capable.
+// pagedReader is what a listing executes against: versioned (to key the
+// compiled-authz cache and the cursor) and batch-capable.
 type pagedReader interface {
-	erm.RangeReader
+	versionedReader
 	erm.BatchReader
-	Version() uint64
 }
 
 // snapReader adapts a pinned store snapshot to pagedReader. Snapshot carries
@@ -83,9 +114,10 @@ type snapReader struct{ *store.Snapshot }
 
 func (r snapReader) Version() uint64 { return r.Snapshot.Version }
 
-// pageReader opens the reader for one page: a fresh cache view for the first
-// page (pinning at the latest version), or a store snapshot at the cursor's
-// version for continuations — cache views cannot rewind, but the store can.
+// pageReader opens the reader of one call: a fresh cache view when there is
+// no cursor (pinning at the latest version), or a store snapshot at the
+// cursor's version for continuations — cache views cannot rewind, but the
+// store can.
 func (s *Service) pageReader(ctx Ctx, cur *pageCursor) (pagedReader, func(), error) {
 	if cur == nil {
 		v, err := s.view(ctx)
@@ -116,38 +148,192 @@ func decodeAligned(r pagedReader, keys []string) []*erm.Entity {
 	return erm.DecodeEntities(len(keys), func(i int) (ids.ID, []byte) { return ids.ID(keys[i]), recs[i] })
 }
 
-// indexedEntities reads the entities a batch of index pairs points at
-// (erm.IndexedID), aligned with the batch.
-func indexedEntities(r pagedReader, batch []store.KV) []*erm.Entity {
-	keys := make([]string, len(batch))
-	for i, kv := range batch {
-		keys[i] = string(erm.IndexedID(kv))
+// rowEntities turns the rows of one index batch into the entities they name,
+// aligned with the batch; nil where there is nothing to admit. after is the
+// key the batch follows ("" at the start of a range).
+func rowEntities(r pagedReader, table string, rows []store.KV, after string) []*erm.Entity {
+	switch table {
+	case erm.TableEntity:
+		return erm.DecodeEntityRows(rows)
+	case erm.TableTagIdx:
+		// The inverted index repeats a securable once per tagged column;
+		// adjacent rows share the ID, so dedup needs only the previous one.
+		// Residual value checks run against the forward table (hasTag).
+		prev, _ := erm.TagIdxSecurable(after)
+		first := make([]int, len(rows)) // index into keys, -1 for a repeat
+		keys := make([]string, 0, len(rows))
+		for i, kv := range rows {
+			first[i] = -1
+			if id, ok := erm.TagIdxSecurable(kv.Key); ok && id != prev {
+				prev = id
+				first[i] = len(keys)
+				keys = append(keys, string(id))
+			}
+		}
+		named := decodeAligned(r, keys)
+		ents := make([]*erm.Entity, len(rows))
+		for i, k := range first {
+			if k >= 0 {
+				ents[i] = named[k]
+			}
+		}
+		return ents
+	default: // child and name indexes: the row points at an entity ID
+		keys := make([]string, len(rows))
+		for i, kv := range rows {
+			keys[i] = string(erm.IndexedID(kv))
+		}
+		return decodeAligned(r, keys)
 	}
-	return decodeAligned(r, keys)
 }
 
-// pageCollector drives one page while tracking the last index key consumed,
-// which becomes the continuation point. Admitted entities are handed to emit
-// as the scan produces them — the caller decides whether to buffer them into
-// a Page or stream them straight into a response body. stage/outer carry the
-// extra cursor state of nested (catalog-scope) walks.
-type pageCollector struct {
-	emit    func(*erm.Entity)
+// listing is one run of the engine: the reader and authorizer of the call,
+// the residual filter every candidate passes, where admitted entities go,
+// and the cursor state the token is cut from. limit 0 walks to the end.
+type listing struct {
+	s     *Service
+	ctx   Ctx
+	r     pagedReader
+	auth  privilege.Authorizer
+	f     Filter
+	emit  func(*erm.Entity)
+	limit int
+
 	n       int
-	lastKey string
-	limit   int
-	stage   int
-	outer   string
+	lastKey string // last index key consumed
+	stage   int    // catalog scope: 0 inside the schemas, 1 the schemas themselves
+	outer   string // catalog scope: child key of the schema being walked
 }
 
-func (p *pageCollector) add(e *erm.Entity) { p.n++; p.emit(e) }
-func (p *pageCollector) full() bool        { return p.n >= p.limit }
-func (p *pageCollector) room() int         { return p.limit - p.n }
+// full reports a bounded page with no room left.
+func (l *listing) full() bool { return l.limit > 0 && l.n >= l.limit }
 
-// ListAssetsPage lists the children of parentFull having the given type in
-// child-index order — (type, id) — returning at most maxResults visible
-// assets and a token to continue from. It is the paginated sibling of
-// ListAssets: same authorization, different order, bounded cost per call.
+func (s *Service) newListing(ctx Ctx, r pagedReader, f Filter, limit int, emit func(*erm.Entity)) *listing {
+	return &listing{s: s, ctx: ctx, r: r, auth: s.authorizer(ctx, r), f: f, limit: limit, emit: emit}
+}
+
+// read returns up to n rows (0: all) of the keys of table under prefix, from
+// start on. An unbounded listing reading a range from its beginning reads the
+// whole prefix through Scan, which a cache view answers from its scan cache —
+// a warm unpaged listing costs the store nothing; every other read is a
+// ScanRange against the store's ordered index. The choice follows from the
+// request. Name ranges are never read through Scan: their prefix ends in the
+// caller's free text, and the scan cache keeps one entry, and checks one more
+// prefix length on every write, per distinct prefix.
+func (l *listing) read(table, prefix, start string, n int) []store.KV {
+	if l.limit == 0 && start == prefix && table != erm.TableName {
+		return l.r.Scan(table, prefix)
+	}
+	return l.r.ScanRange(table, start, store.PrefixEnd(prefix), n)
+}
+
+// walk is the engine's page loop, the only one: it runs the keys of table
+// under prefix that follow after ("" for all of them) through the filter and
+// the principal's visibility, emitting what passes, until the page is full or
+// the range ends. more reports keys left in the range. A bounded batch asks
+// for one row past the page's room, so a short batch is the end of the range
+// and no second read is needed to know whether a token is due. The caller
+// guarantees room on the page.
+func (l *listing) walk(table, prefix, after string) (more bool) {
+	start := prefix
+	for {
+		if after != "" {
+			start = after + "\x00"
+		}
+		ask := 0
+		if l.limit > 0 {
+			ask = l.limit - l.n + 1
+		}
+		rows := l.read(table, prefix, start, ask)
+		goesOn := ask > 0 && len(rows) == ask
+		if goesOn {
+			rows = rows[:ask-1]
+		}
+		ents := rowEntities(l.r, table, rows, after)
+		for i, kv := range rows {
+			l.lastKey = kv.Key
+			if e := ents[i]; e != nil && matchesFilter(l.r, &l.f, e) && l.s.visible(l.ctx, l.auth, l.r, e) {
+				l.n++
+				l.emit(e)
+				if l.full() {
+					return goesOn || i < len(rows)-1
+				}
+			}
+		}
+		if !goesOn {
+			return false
+		}
+		after = l.lastKey
+	}
+}
+
+// walkCatalog walks a catalog-scoped query: each schema's candidates in
+// index order (stage 0) — its name-index range when byName, else its child
+// range — then, for the child walk, the schemas themselves when the type
+// filter admits them (stage 1). The cursor records the outer schema child
+// key in K2 and the inner (name or child) key in K. Every candidate passes
+// through walk's filter and visibility check: visibility is per entity (a
+// direct grant shows a table inside a schema the principal cannot use), so
+// no schema is skipped on the principal's account.
+func (l *listing) walkCatalog(cat ids.ID, cur *pageCursor, byName bool) (more bool) {
+	schemaPrefix := erm.ChildPrefix(cat, erm.TypeSchema)
+	withSchemas := !byName && (l.f.Type == "" || l.f.Type == erm.TypeSchema)
+
+	inner := ""
+	if cur != nil {
+		l.stage, l.outer, inner = cur.G, cur.K2, cur.K
+	}
+	if l.stage == 0 {
+		outerStart := schemaPrefix
+		if l.outer != "" {
+			outerStart = l.outer // resume at the same schema
+		}
+		schemas := l.read(erm.TableChild, schemaPrefix, outerStart, 0)
+		for i, skv := range schemas {
+			l.outer = skv.Key
+			table, prefix := l.s.schemaRange(l.f, ids.ID(skv.Value), byName)
+			if l.walk(table, prefix, inner) {
+				return true
+			}
+			inner = ""
+			if l.full() {
+				// This schema is exhausted; more work remains if another
+				// schema (or the schema stage) follows.
+				return withSchemas || i < len(schemas)-1
+			}
+		}
+		if !withSchemas {
+			return false
+		}
+		// Fall through to the schema stage with a fresh inner cursor.
+		l.stage, l.lastKey = 1, ""
+	}
+	return l.walk(erm.TableChild, schemaPrefix, inner)
+}
+
+// token is the continuation of a walk that left more behind.
+func (l *listing) token(plan string, more bool) string {
+	if !more || l.lastKey == "" {
+		return ""
+	}
+	return encodeCursor(pageCursor{V: l.r.Version(), S: plan, K: l.lastKey, K2: l.outer, G: l.stage})
+}
+
+// ListAssets lists the children of parentFull having the given type that the
+// principal is allowed to see (owners always see their assets), sorted by
+// name. An empty type lists all children.
+func (s *Service) ListAssets(ctx Ctx, parentFull string, t erm.SecurableType) ([]*erm.Entity, error) {
+	out := make([]*erm.Entity, 0, 64) // most containers fit; never nil, an empty listing encodes as []
+	if _, err := s.listAssets(ctx, parentFull, t, 0, "", func(e *erm.Entity) { out = append(out, e) }); err != nil {
+		return nil, err
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out, nil
+}
+
+// ListAssetsPage is ListAssets a page at a time: at most maxResults visible
+// assets in child-index order — (type, id) — and a token to continue from.
+// Same authorization, bounded cost per call.
 func (s *Service) ListAssetsPage(ctx Ctx, parentFull string, t erm.SecurableType, maxResults int, pageToken string) (*Page, error) {
 	page := &Page{}
 	next, err := s.ListAssetsPageFunc(ctx, parentFull, t, maxResults, pageToken, func(e *erm.Entity) {
@@ -160,26 +346,27 @@ func (s *Service) ListAssetsPage(ctx Ctx, parentFull string, t erm.SecurableType
 	return page, nil
 }
 
-// ListAssetsPageFunc is the streaming core of ListAssetsPage: each visible
+// ListAssetsPageFunc is the streaming form of ListAssetsPage: each visible
 // asset is passed to emit in index order as the scan produces it, and the
 // continuation token (empty when exhausted) is returned. Every error path
 // fires before the first emit, so callers may stream emissions directly into
 // an HTTP response without a partial-write hazard.
 func (s *Service) ListAssetsPageFunc(ctx Ctx, parentFull string, t erm.SecurableType, maxResults int, pageToken string, emit func(*erm.Entity)) (next string, err error) {
+	return s.listAssets(ctx, parentFull, t, clampPageSize(maxResults), pageToken, emit)
+}
+
+// listAssets is the list plan — one child-index range of the parent — behind
+// ListAssets (limit 0) and ListAssetsPageFunc.
+func (s *Service) listAssets(ctx Ctx, parentFull string, t erm.SecurableType, limit int, pageToken string, emit func(*erm.Entity)) (next string, err error) {
 	var parent *erm.Entity
 	defer func() { s.apiAudit(ctx, "ListAssets", entityID(parent), true, err) }()
 	ms, err := s.meta(ctx.Metastore)
 	if err != nil {
 		return "", err
 	}
-	var cur *pageCursor
-	if pageToken != "" {
-		if cur, err = decodeCursor(pageToken); err != nil {
-			return "", err
-		}
-		if cur.S != "list" {
-			return "", fmt.Errorf("%w: page token from a different request", ErrInvalidArgument)
-		}
+	cur, err := decodeCursor(pageToken, "list")
+	if err != nil {
+		return "", err
 	}
 	r, release, err := s.pageReader(ctx, cur)
 	if err != nil {
@@ -198,39 +385,8 @@ func (s *Service) ListAssetsPageFunc(ctx Ctx, parentFull string, t erm.Securable
 			return "", err
 		}
 	}
-	auth := s.authorizer(ctx, r)
-
-	prefix := erm.ChildPrefix(parent.ID, t)
-	end := store.PrefixEnd(prefix)
-	start := prefix
-	if cur != nil {
-		start = cur.K + "\x00"
-	}
-	pc := &pageCollector{limit: clampPageSize(maxResults), emit: emit}
-	for !pc.full() {
-		batch := r.ScanRange(erm.TableChild, start, end, pc.room())
-		if len(batch) == 0 {
-			break
-		}
-		ents := indexedEntities(r, batch)
-		for i, kv := range batch {
-			pc.lastKey = kv.Key
-			e := ents[i]
-			if e == nil || e.State == erm.StateSoftDeleted || !s.visible(ctx, auth, r, e) {
-				continue
-			}
-			pc.add(e)
-			if pc.full() {
-				break
-			}
-		}
-		start = pc.lastKey + "\x00"
-	}
-
-	if pc.lastKey != "" && len(r.ScanRange(erm.TableChild, pc.lastKey+"\x00", end, 1)) > 0 {
-		next = encodeCursor(pageCursor{V: r.Version(), S: "list", K: pc.lastKey})
-	}
-	return next, nil
+	l := s.newListing(ctx, r, Filter{Type: t}, limit, emit)
+	return l.token("list", l.walk(erm.TableChild, erm.ChildPrefix(parent.ID, t), cur.after())), nil
 }
 
 // nameIndexed reports whether f's candidates inside a schema can come from
@@ -243,7 +399,7 @@ func nameIndexed(f Filter) bool {
 	return f.NamePrefix != "" && f.Type != "" && f.Type != erm.TypeSchema && !f.IncludeSoft
 }
 
-// queryPlan selects the index a paged query runs over. Deterministic in the
+// queryPlan selects the index a query runs over. Deterministic in the
 // filter, so continuations recompute the same plan.
 func queryPlan(f Filter) string {
 	switch {
@@ -274,11 +430,27 @@ func (s *Service) schemaRange(f Filter, schema ids.ID, byName bool) (table, pref
 	return erm.TableChild, erm.ChildPrefix(schema, f.Type)
 }
 
-// QueryAssetsPage evaluates the filter with keyset pagination, returning at
-// most f.MaxResults entities per call in index order plus a continuation
-// token in f.PageToken's format. The plan pushes the most selective filter
-// into an ordered index range; residual predicates and per-entity visibility
-// stream over the scan.
+// QueryAssets evaluates the filter over one consistent snapshot — the paper's
+// metadata query API with filter pushdown (§4.2.2): the plan pushes the most
+// selective filter into an ordered index range; residual predicates and
+// per-entity visibility stream over the scan. It returns every match the
+// principal may see sorted by full name, the first f.Limit of them when
+// f.Limit is set.
+func (s *Service) QueryAssets(ctx Ctx, f Filter) (out []*erm.Entity, err error) {
+	f.PageToken = ""
+	if _, err := s.queryAssets(ctx, f, 0, func(e *erm.Entity) { out = append(out, e) }); err != nil {
+		return nil, err
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].FullName < out[j].FullName })
+	if f.Limit > 0 && len(out) > f.Limit {
+		out = out[:f.Limit]
+	}
+	return out, nil
+}
+
+// QueryAssetsPage is QueryAssets a page at a time: at most f.MaxResults
+// entities per call in index order plus a continuation token in
+// f.PageToken's format.
 func (s *Service) QueryAssetsPage(ctx Ctx, f Filter) (*Page, error) {
 	page := &Page{}
 	next, err := s.QueryAssetsPageFunc(ctx, f, func(e *erm.Entity) {
@@ -291,214 +463,56 @@ func (s *Service) QueryAssetsPage(ctx Ctx, f Filter) (*Page, error) {
 	return page, nil
 }
 
-// QueryAssetsPageFunc is the streaming core of QueryAssetsPage: each matching
+// QueryAssetsPageFunc is the streaming form of QueryAssetsPage: each matching
 // entity is passed to emit in index order as the plan's scan produces it, and
 // the continuation token (empty when exhausted) is returned. Every error path
 // fires before the first emit, so callers may stream emissions directly into
 // an HTTP response without a partial-write hazard.
 func (s *Service) QueryAssetsPageFunc(ctx Ctx, f Filter, emit func(*erm.Entity)) (next string, err error) {
-	var scope *erm.Entity
+	return s.queryAssets(ctx, f, clampPageSize(f.MaxResults), emit)
+}
+
+// queryAssets runs f's plan behind QueryAssets (limit 0) and
+// QueryAssetsPageFunc.
+func (s *Service) queryAssets(ctx Ctx, f Filter, limit int, emit func(*erm.Entity)) (next string, err error) {
+	var scope *erm.Entity // resolved catalog/schema scope, for the audit entry
 	defer func() { s.apiAudit(ctx, "QueryAssets", entityID(scope), true, err) }()
 	plan := queryPlan(f)
-	var cur *pageCursor
-	if f.PageToken != "" {
-		if cur, err = decodeCursor(f.PageToken); err != nil {
-			return "", err
-		}
-		if cur.S != plan {
-			return "", fmt.Errorf("%w: page token from a different query", ErrInvalidArgument)
-		}
+	cur, err := decodeCursor(f.PageToken, plan)
+	if err != nil {
+		return "", err
 	}
 	r, release, err := s.pageReader(ctx, cur)
 	if err != nil {
 		return "", err
 	}
 	defer release()
-	auth := s.authorizer(ctx, r)
-	pc := &pageCollector{limit: clampPageSize(f.MaxResults), emit: emit}
-
-	// admit applies residual filters and visibility; returns true when the
-	// page is full.
-	admit := func(key string, e *erm.Entity) bool {
-		pc.lastKey = key
-		if e != nil && matchesFilter(r, f, e) && s.visible(ctx, auth, r, e) {
-			pc.add(e)
+	l := s.newListing(ctx, r, f, limit, emit)
+	if f.CatalogName != "" {
+		ms, err := s.meta(ctx.Metastore)
+		if err != nil {
+			return "", err
 		}
-		return pc.full()
-	}
-	// walkIDRange pages an index whose values are entity IDs until the page
-	// is full or the range is exhausted; more reports keys left in the range.
-	walkIDRange := func(table, start, end string) (more bool) {
-		for !pc.full() {
-			asked := pc.room()
-			batch := r.ScanRange(table, start, end, asked)
-			ents := indexedEntities(r, batch)
-			for i, kv := range batch {
-				if admit(kv.Key, ents[i]) {
-					break
-				}
-			}
-			if len(batch) < asked {
-				return false // a short batch is the end of the range
-			}
-			start = pc.lastKey + "\x00"
+		full := f.CatalogName
+		if f.SchemaName != "" {
+			full += "." + f.SchemaName
 		}
-		return len(r.ScanRange(table, pc.lastKey+"\x00", end, 1)) > 0
+		if scope, err = s.resolveEntity(r, ms, full); err != nil {
+			return "", err
+		}
 	}
 
 	more := false
 	switch plan {
 	case "child", "name":
-		ms, merr := s.meta(ctx.Metastore)
-		if merr != nil {
-			return "", merr
-		}
-		schema, rerr := s.resolveEntity(r, ms, f.CatalogName+"."+f.SchemaName)
-		if rerr != nil {
-			return "", rerr
-		}
-		scope = schema
-		table, prefix := s.schemaRange(f, schema.ID, plan == "name")
-		start := prefix
-		if cur != nil {
-			start = cur.K + "\x00"
-		}
-		more = walkIDRange(table, start, store.PrefixEnd(prefix))
-
-	case "tag":
-		prefix := erm.TagIdxPrefix(f.TagKey)
-		start := prefix
-		if cur != nil {
-			start = cur.K + "\x00"
-		}
-		end := store.PrefixEnd(prefix)
-		// The inverted index repeats a securable once per tagged column;
-		// adjacent rows share the ID, so dedup needs only the previous one.
-		// Residual value/visibility checks run against the forward table.
-		var prevID ids.ID
-		if cur != nil {
-			if id, ok := erm.TagIdxSecurable(cur.K); ok {
-				prevID = id
-			}
-		}
-		for !pc.full() {
-			batch := r.ScanRange(erm.TableTagIdx, start, end, pc.room()+1)
-			if len(batch) == 0 {
-				break
-			}
-			// cand[j] indexes keys for the rows that name a new securable.
-			cand := make([]int, len(batch))
-			keys := make([]string, 0, len(batch))
-			for j, kv := range batch {
-				cand[j] = -1
-				if id, ok := erm.TagIdxSecurable(kv.Key); ok && id != prevID {
-					prevID = id
-					cand[j] = len(keys)
-					keys = append(keys, string(id))
-				}
-			}
-			ents := decodeAligned(r, keys)
-			for j, kv := range batch {
-				if cand[j] < 0 {
-					pc.lastKey = kv.Key
-				} else if admit(kv.Key, ents[cand[j]]) {
-					break
-				}
-			}
-			start = pc.lastKey + "\x00"
-		}
-		more = len(r.ScanRange(erm.TableTagIdx, pc.lastKey+"\x00", end, 1)) > 0
-
+		table, prefix := s.schemaRange(f, scope.ID, plan == "name")
+		more = l.walk(table, prefix, cur.after())
 	case "cat", "catname":
-		ms, merr := s.meta(ctx.Metastore)
-		if merr != nil {
-			return "", merr
-		}
-		cat, rerr := s.resolveEntity(r, ms, f.CatalogName)
-		if rerr != nil {
-			return "", rerr
-		}
-		scope = cat
-		more = s.walkCatalogPage(r, f, cur, pc, walkIDRange, cat, plan == "catname")
-
-	default: // "scan": entity-table range
-		start := ""
-		if cur != nil {
-			start = cur.K + "\x00"
-		}
-		for !pc.full() {
-			batch := r.ScanRange(erm.TableEntity, start, "", pc.room())
-			if len(batch) == 0 {
-				break
-			}
-			ents := erm.DecodeEntityRows(batch)
-			for i, kv := range batch {
-				if admit(kv.Key, ents[i]) {
-					break
-				}
-			}
-			start = pc.lastKey + "\x00"
-		}
-		more = len(r.ScanRange(erm.TableEntity, pc.lastKey+"\x00", "", 1)) > 0
+		more = l.walkCatalog(scope.ID, cur, plan == "catname")
+	case "tag":
+		more = l.walk(erm.TableTagIdx, erm.TagIdxPrefix(f.TagKey), cur.after())
+	default: // "scan"
+		more = l.walk(erm.TableEntity, "", cur.after())
 	}
-
-	if more && pc.lastKey != "" {
-		next = encodeCursor(pageCursor{V: r.Version(), S: plan, K: pc.lastKey, K2: pc.outer, G: pc.stage})
-	}
-	return next, nil
-}
-
-// walkCatalogPage pages a catalog-scoped query: each schema's candidates in
-// index order (stage 0) — its name-index range when byName, else its child
-// range — then, for the child walk, the schemas themselves when the type
-// filter admits them (stage 1). The cursor records the outer schema child
-// key in K2 and the inner (name or child) key in K. Every candidate passes
-// through walk's per-entity filter and visibility check: visibility is per
-// entity (a direct grant shows a table inside a schema the principal cannot
-// use), so no schema is skipped on the principal's account.
-func (s *Service) walkCatalogPage(r pagedReader, f Filter, cur *pageCursor, pc *pageCollector, walk func(table, start, end string) bool, cat *erm.Entity, byName bool) (more bool) {
-	schemaPrefix := erm.ChildPrefix(cat.ID, erm.TypeSchema)
-	schemaEnd := store.PrefixEnd(schemaPrefix)
-	withSchemas := !byName && (f.Type == "" || f.Type == erm.TypeSchema)
-
-	stage, outer, inner := 0, "", ""
-	if cur != nil {
-		stage, outer, inner = cur.G, cur.K2, cur.K
-	}
-	pc.stage, pc.outer = stage, outer
-
-	if stage == 0 {
-		outerStart := schemaPrefix
-		if outer != "" {
-			outerStart = outer // resume at the same schema
-		}
-		for _, skv := range r.ScanRange(erm.TableChild, outerStart, schemaEnd, 0) {
-			pc.outer = skv.Key
-			table, prefix := s.schemaRange(f, ids.ID(skv.Value), byName)
-			start := prefix
-			if inner != "" {
-				start, inner = inner+"\x00", ""
-			}
-			if walk(table, start, store.PrefixEnd(prefix)) {
-				return true
-			}
-			if pc.full() {
-				// This schema is exhausted; more work remains if another
-				// schema (or the schema stage) follows.
-				return withSchemas || len(r.ScanRange(erm.TableChild, skv.Key+"\x00", schemaEnd, 1)) > 0
-			}
-		}
-		if !withSchemas {
-			return false
-		}
-		// Fall through to the schema stage with a fresh inner cursor.
-		pc.stage, pc.lastKey, inner = 1, "", ""
-	}
-
-	// Stage 1: the schemas themselves, in child-index order.
-	start := schemaPrefix
-	if inner != "" {
-		start = inner + "\x00"
-	}
-	return walk(erm.TableChild, start, schemaEnd)
+	return l.token(plan, more), nil
 }

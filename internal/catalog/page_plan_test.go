@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"unitycatalog/internal/erm"
+	"unitycatalog/internal/ids"
 	"unitycatalog/internal/privilege"
 )
 
@@ -21,7 +22,9 @@ import (
 // planWorld is a seeded catalog "lake" built to stress the name-index walk:
 // mixed-case names that collide on short prefixes, tables and views sharing
 // the RELATION name group, soft-deleted assets (one with its name reused),
-// empty schemas, a soft-deleted schema, and two restricted principals.
+// empty schemas, a soft-deleted schema, "pii" tags on entities and on columns
+// (some on both, so the inverted index repeats the securable), and two
+// restricted principals.
 type planWorld struct {
 	svc   *Service
 	admin Ctx
@@ -75,7 +78,16 @@ func buildPlanWorld(t *testing.T, seed int64) *planWorld {
 			if rng.Intn(3) == 0 {
 				_, err = svc.CreateView(admin, full, name, ViewSpec{Definition: "SELECT 1"})
 			} else {
-				_, err = svc.CreateTable(admin, full, name, TableSpec{Columns: cols("a")}, "")
+				_, err = svc.CreateTable(admin, full, name, TableSpec{Columns: cols("a", "b")}, "")
+				must(err)
+				// Tags by position, not by rng: the draws above stay as they were.
+				if i := len(tables); i%3 == 0 {
+					must(svc.SetTag(admin, full+"."+name, "", "pii", []string{"high", "low"}[i%2]))
+				}
+				if i := len(tables); i%4 == 0 {
+					must(svc.SetTag(admin, full+"."+name, "a", "pii", "high"))
+					must(svc.SetTag(admin, full+"."+name, "b", "pii", "low"))
+				}
 				tables = append(tables, name)
 			}
 			must(err)
@@ -104,27 +116,89 @@ func buildPlanWorld(t *testing.T, seed int64) *planWorld {
 	return w
 }
 
-// oracle answers f without any name-index pushdown: the child-index query
-// (no NamePrefix, so no plan can use the name index) filtered here.
-func (w *planWorld) oracle(t *testing.T, ctx Ctx, f Filter) []string {
+// childWalk is the listing engine's oracle, and shares nothing with it:
+// candidates come from a recursive erm.ListChildren descent over the store's
+// current snapshot — no plan, no cursor, no batch — the predicates are
+// written out here (tags through EntityTags), and visibility is decided by
+// the reference privilege.Engine, not the compiled snapshot. scope "" is the
+// metastore; depth 1 takes scope's children, 2 its grandchildren too, 0 every
+// descendant and scope itself (what the entity table holds).
+func childWalk(t *testing.T, svc *Service, ctx Ctx, scope string, depth int, f Filter) []*erm.Entity {
 	t.Helper()
-	prefix := strings.ToLower(f.NamePrefix)
-	f.NamePrefix = ""
-	if p := queryPlan(f); p != "cat" && p != "child" {
-		t.Fatalf("oracle filter selected plan %q", p)
-	}
-	all, err := w.svc.QueryAssets(ctx, f)
+	ms, err := svc.meta(ctx.Metastore)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []string
-	for _, e := range all {
-		if strings.HasPrefix(strings.ToLower(e.Name), prefix) {
-			out = append(out, string(e.ID))
+	snap, err := svc.db.Snapshot(ctx.Metastore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	chain, err := svc.resolveParentChain(snap, ms, scope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []*erm.Entity
+	if depth == 0 {
+		all = append(all, leaf(chain))
+	}
+	var descend func(id ids.ID, level int)
+	descend = func(id ids.ID, level int) {
+		for _, c := range erm.ListChildren(snap, id, "") {
+			all = append(all, c)
+			if depth == 0 || level < depth {
+				descend(c.ID, level+1)
+			}
 		}
 	}
-	sort.Strings(out)
+	descend(leaf(chain).ID, 1)
+
+	auth := privilege.NewEngine(viewResolver{snap}, viewGrants{snap}, svc.groups).For(ctx.Principal)
+	lower := strings.ToLower
+	var out []*erm.Entity
+	for _, e := range all {
+		tags, columns := EntityTags(snap, e.ID)
+		tagged := f.TagKey == ""
+		if v, ok := tags[f.TagKey]; ok {
+			tagged = f.TagValue == "" || v == f.TagValue
+		} else {
+			for _, ct := range columns {
+				if v, ok := ct[f.TagKey]; ok && (f.TagValue == "" || v == f.TagValue) {
+					tagged = true
+				}
+			}
+		}
+		switch {
+		case f.Type != "" && e.Type != f.Type,
+			!f.IncludeSoft && e.State == erm.StateSoftDeleted,
+			!strings.Contains(lower(e.Name), lower(f.NameContains)),
+			!strings.HasPrefix(lower(e.Name), lower(f.NamePrefix)),
+			f.Owner != "" && string(e.Owner) != f.Owner,
+			!tagged,
+			!svc.visible(ctx, auth, snap, e):
+			continue
+		}
+		out = append(out, e)
+	}
 	return out
+}
+
+// queryOracle answers QueryAssets(f) by childWalk: the scope and depth the
+// filter names, nothing pushed into any index.
+func queryOracle(t *testing.T, svc *Service, ctx Ctx, f Filter) []*erm.Entity {
+	t.Helper()
+	switch {
+	case f.CatalogName != "" && f.SchemaName != "":
+		return childWalk(t, svc, ctx, f.CatalogName+"."+f.SchemaName, 1, f)
+	case f.CatalogName != "":
+		return childWalk(t, svc, ctx, f.CatalogName, 2, f)
+	}
+	return childWalk(t, svc, ctx, "", 0, f)
+}
+
+func (w *planWorld) oracle(t *testing.T, ctx Ctx, f Filter) []string {
+	t.Helper()
+	return idsOf(t, queryOracle(t, w.svc, ctx, f))
 }
 
 func idsOf(t *testing.T, ents []*erm.Entity) []string {
@@ -196,6 +270,132 @@ func TestNameIndexPlansMatchChildWalk(t *testing.T) {
 		for _, e := range got {
 			if e.FullName != w.oneTable {
 				t.Fatalf("seed %d: principal with one direct grant sees %s", seed, e.FullName)
+			}
+		}
+	}
+}
+
+// TestListingMatchesChildWalk holds all four shells of the listing engine to
+// the child walk over the seeded worlds, for every principal: ListAssets at
+// the metastore root, the catalog and its schemas for every type and "";
+// QueryAssets over every scope, type, prefix, tag and soft-delete setting.
+// Unpaged and paged results are the walk's set; unpaged order is Name
+// (FullName for queries); Filter.Limit keeps the head of that order; an
+// unpaged call writes exactly one audit record; and repeated on the unchanged
+// metastore it reads nothing from the store (a name-index plan aside: its
+// range is read past the scan cache, see listing.read).
+func TestListingMatchesChildWalk(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		w := buildPlanWorld(t, seed)
+		db, log := w.svc.db, w.svc.Audit()
+		// once runs an unpaged call and checks its audit record; twice runs
+		// it again and checks the second run cost the store nothing.
+		once := func(name, op string, call func() error) error {
+			t.Helper()
+			before := log.Stats().ByOperation[op]
+			err := call()
+			if n := log.Stats().ByOperation[op] - before; n != 1 {
+				t.Fatalf("%s: %d %s audit records for one call", name, n, op)
+			}
+			return err
+		}
+		twice := func(name, op string, cached bool, call func() error) error {
+			t.Helper()
+			if err := once(name, op, call); err != nil {
+				return err
+			}
+			reads := db.ReadCount()
+			if err := once(name, op, call); err != nil {
+				t.Fatalf("%s: repeated call: %v", name, err)
+			}
+			if n := db.ReadCount() - reads; cached && n != 0 {
+				t.Fatalf("%s: repeated call on an unchanged metastore made %d store reads", name, n)
+			}
+			return nil
+		}
+		types := append([]erm.SecurableType{""}, w.svc.reg.Types()...)
+		for _, ctx := range []Ctx{w.admin, w.half, w.one} {
+			for _, parent := range []string{"", "lake", "lake.s0", "lake.s1", "lake.s3", "lake.s6", "lake.nope"} {
+				for _, typ := range types {
+					name := fmt.Sprintf("seed%d/%s/list %q/%s", seed, ctx.Principal, parent, typ)
+					var got []*erm.Entity
+					err := twice(name, "ListAssets", true, func() (err error) {
+						got, err = w.svc.ListAssets(ctx, parent, typ)
+						return err
+					})
+					if err != nil {
+						// A container that is gone, or that the principal may
+						// not use: the paged shell must refuse alike.
+						if _, perr := w.svc.ListAssetsPage(ctx, parent, typ, 3, ""); perr == nil || perr.Error() != err.Error() {
+							t.Fatalf("%s: unpaged failed with %v, paged with %v", name, err, perr)
+						}
+						continue
+					}
+					want := idsOf(t, childWalk(t, w.svc, ctx, parent, 1, Filter{Type: typ}))
+					if !slices.Equal(idsOf(t, got), want) {
+						t.Fatalf("%s: unpaged returned %d assets, child walk %d", name, len(got), len(want))
+					}
+					if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i].Name < got[j].Name }) {
+						t.Fatalf("%s: unpaged listing not in name order", name)
+					}
+					for _, size := range []int{1, 3, 100} {
+						paged, _ := pagedList(t, w.svc, ctx, parent, typ, size)
+						if !slices.Equal(idsOf(t, paged), want) {
+							t.Fatalf("%s: pages of %d returned %d assets, child walk %d", name, size, len(paged), len(want))
+						}
+					}
+				}
+			}
+			for _, schema := range []string{"-", "", "s0", "s1", "s3"} {
+				for _, typ := range []erm.SecurableType{"", erm.TypeTable, erm.TypeView, erm.TypeSchema} {
+					for _, prefix := range []string{"", "t", "TA"} {
+						for _, tag := range [][2]string{{}, {"pii"}, {"pii", "high"}, {"pii", "low"}} {
+							for _, soft := range []bool{false, true} {
+								f := Filter{CatalogName: "lake", SchemaName: schema, Type: typ, NamePrefix: prefix, TagKey: tag[0], TagValue: tag[1], IncludeSoft: soft}
+								if schema == "-" { // no scope: the tag plan, or the entity scan
+									f.CatalogName, f.SchemaName = "", ""
+								}
+								name := fmt.Sprintf("seed%d/%s/query %+v", seed, ctx.Principal, f)
+								var got []*erm.Entity
+								err := twice(name, "QueryAssets", !nameIndexed(f), func() (err error) {
+									got, err = w.svc.QueryAssets(ctx, f)
+									return err
+								})
+								if err != nil {
+									t.Fatalf("%s: %v", name, err)
+								}
+								want := idsOf(t, queryOracle(t, w.svc, ctx, f))
+								if !slices.Equal(idsOf(t, got), want) {
+									t.Fatalf("%s: unpaged returned %d assets, child walk %d", name, len(got), len(want))
+								}
+								if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i].FullName < got[j].FullName }) {
+									t.Fatalf("%s: unpaged query not in full-name order", name)
+								}
+								if len(got) > 1 {
+									lf := f
+									lf.Limit = len(got) - 1
+									head, err := w.svc.QueryAssets(ctx, lf)
+									if err != nil || len(head) != lf.Limit {
+										t.Fatalf("%s: limit %d returned %d assets, %v", name, lf.Limit, len(head), err)
+									}
+									for i, e := range head {
+										if e.FullName != got[i].FullName {
+											t.Fatalf("%s: limit %d kept %s at %d, the full result has %s there", name, lf.Limit, e.FullName, i, got[i].FullName)
+										}
+									}
+								}
+								for _, size := range []int{2, 100} {
+									pf := f
+									pf.MaxResults = size
+									paged, _ := pagedQuery(t, w.svc, ctx, pf)
+									if !slices.Equal(idsOf(t, paged), want) {
+										t.Fatalf("%s: pages of %d returned %d assets, child walk %d", name, size, len(paged), len(want))
+									}
+								}
+							}
+						}
+					}
+				}
 			}
 		}
 	}
@@ -319,5 +519,62 @@ func TestCatalogNameWalkStableUnderWriters(t *testing.T) {
 	wg.Wait()
 	if !slices.Equal(idsOf(t, got), idsOf(t, before)) {
 		t.Fatalf("walk under writers returned %d assets, the pinned snapshot had %d", len(got), len(before))
+	}
+}
+
+// TestUnpagedReadsOneVersion: an unpaged call walks every range of its plan
+// on the one view it opened. A writer creates a table in schema a, then its
+// twin in schema b, over and over; at any single version a holds as many
+// tables as b or one more, and a catalog-wide query that read its schemas at
+// different versions would say otherwise. Run under -race by `make race`.
+func TestUnpagedReadsOneVersion(t *testing.T) {
+	svc, admin := testService(t)
+	if _, err := svc.CreateCatalog(admin, "lake", ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, schema := range []string{"a", "b"} {
+		if _, err := svc.CreateSchema(admin, "lake", schema, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	defer func() { close(stop); <-done }() // the writer does not outlive a failed test
+	go func() {
+		defer close(done)
+		for i := 0; i < 300; i++ {
+			for _, schema := range []string{"lake.a", "lake.b"} {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := svc.CreateTable(admin, schema, fmt.Sprintf("t%d", i), TableSpec{Columns: cols("a")}, ""); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	for n, writing := 0, true; writing; n++ {
+		select {
+		case <-done:
+			writing = false // one last query, of the finished population
+		default:
+		}
+		out, err := svc.QueryAssets(admin, Filter{CatalogName: "lake", Type: erm.TypeTable})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := 0, 0
+		for _, e := range out {
+			if strings.HasPrefix(e.FullName, "lake.a.") {
+				a++
+			} else {
+				b++
+			}
+		}
+		if a != b && a != b+1 {
+			t.Fatalf("query %d saw %d tables in a and %d in b: no version of the metastore holds that", n, a, b)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"unitycatalog/internal/cache"
@@ -74,21 +75,22 @@ func TestListAssetsPageMatchesUnpaged(t *testing.T) {
 		}
 	}
 
-	want, err := svc.ListAssets(admin, "sales.raw", erm.TypeTable)
+	want := childWalk(t, svc, admin, "sales.raw", 1, Filter{Type: erm.TypeTable})
+	unpaged, err := svc.ListAssets(admin, "sales.raw", erm.TypeTable)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, pages := pagedList(t, svc, admin, "sales.raw", erm.TypeTable, 10)
-	if len(got) != len(want) {
-		t.Fatalf("paged %d assets, unpaged %d", len(got), len(want))
+	if len(got) != len(want) || len(unpaged) != len(want) {
+		t.Fatalf("paged %d assets, unpaged %d, child walk %d", len(got), len(unpaged), len(want))
 	}
 	if pages < 6 {
 		t.Fatalf("expected >= 6 pages of 10 over %d assets, got %d", len(want), pages)
 	}
-	wantNames, gotNames := namesOf(want), namesOf(got)
+	wantNames, gotNames, unpagedNames := namesOf(want), namesOf(got), namesOf(unpaged)
 	for n := range wantNames {
-		if !gotNames[n] {
-			t.Fatalf("paged listing missing %s", n)
+		if !gotNames[n] || !unpagedNames[n] {
+			t.Fatalf("listing missing %s (paged has it: %v, unpaged: %v)", n, gotNames[n], unpagedNames[n])
 		}
 	}
 	// No duplicates: map size equals slice length.
@@ -227,15 +229,22 @@ func TestQueryAssetsPagePlans(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := svc.QueryAssets(admin, tc.f)
+			want := queryOracle(t, svc, admin, tc.f)
+			if len(want) == 0 {
+				t.Fatal("the child walk found nothing: the case tests nothing")
+			}
+			unpaged, err := svc.QueryAssets(admin, tc.f)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !slices.Equal(idsOf(t, unpaged), idsOf(t, want)) {
+				t.Fatalf("unpaged %d, child walk %d", len(unpaged), len(want))
 			}
 			pf := tc.f
 			pf.MaxResults = 4
 			got, pages := pagedQuery(t, svc, admin, pf)
 			if len(got) != len(want) {
-				t.Fatalf("paged %d, unpaged %d", len(got), len(want))
+				t.Fatalf("paged %d, child walk %d", len(got), len(want))
 			}
 			if len(want) > 4 && pages < 2 {
 				t.Fatalf("expected multiple pages over %d rows, got %d", len(want), pages)
@@ -359,23 +368,29 @@ func TestHasTagMatchesEntityTags(t *testing.T) {
 	}
 }
 
-// listPageAllocs is what one 100-table ListAssetsPageFunc page allocated on
-// a cache-less service when the read path last changed on purpose (ISSUE 19:
-// the page decoded into one slab, IDs cut from the child keys; 456 before).
-// TestListPageAllocs fails at 10 % over; `make allocs` prints the figure.
-const listPageAllocs = 60
+// listPageAllocs and listAllAllocs are what a 100-table ListAssetsPageFunc
+// page and a 100-table unpaged ListAssets allocated on a cache-less service
+// when the read path last changed on purpose (ISSUE 22: one engine behind
+// both, and a page's batch answers "is there more" itself; the page was 60
+// with its probe read, and 456 before it decoded into one slab, ISSUE 19).
+// TestListPageAllocs fails at 10 % over; `make allocs` prints the figures.
+const (
+	listPageAllocs = 51
+	listAllAllocs  = 52
+)
 
-// TestListPageAllocs gates what a list page allocates end to end — token,
-// reader, parent resolution, authorization, range scan, batch read, decode,
-// visibility, audit — so a per-entity allocation that creeps back into any
-// of them shows as a hundred.
-func TestListPageAllocs(t *testing.T) {
+// pageWorld is sales.raw with 150 tables beside seedNamespace's one (a page
+// of 100 and a tail), sales.small with 76 (a first page of 100 is also the
+// last) and sales.even with exactly 100, every raw table tagged "pii" and
+// every small one "tier", on a service with or without a metadata cache.
+func pageWorld(t *testing.T, cacheless bool) (*Service, Ctx, *store.DB) {
+	t.Helper()
 	db, err := store.Open(store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-	svc, err := New(Config{DB: db, CacheOpts: cache.Options{Disabled: true}})
+	t.Cleanup(func() { db.Close() })
+	svc, err := New(Config{DB: db, CacheOpts: cache.Options{Disabled: cacheless}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,11 +399,37 @@ func TestListPageAllocs(t *testing.T) {
 	}
 	admin := Ctx{Principal: "admin", Metastore: "ms1"}
 	seedNamespace(t, svc, admin)
-	for i := 0; i < 150; i++ {
-		if _, err := svc.CreateTable(admin, "sales.raw", fmt.Sprintf("t%03d", i), TableSpec{Columns: cols("id", "amount")}, ""); err != nil {
-			t.Fatal(err)
+	for schema, spec := range map[string]struct {
+		tables int
+		tag    string
+	}{"raw": {150, "pii"}, "small": {76, "tier"}, "even": {100, ""}} {
+		if schema != "raw" {
+			if _, err := svc.CreateSchema(admin, "sales", schema, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < spec.tables; i++ {
+			name := fmt.Sprintf("t%03d", i)
+			if _, err := svc.CreateTable(admin, "sales."+schema, name, TableSpec{Columns: cols("id", "amount")}, ""); err != nil {
+				t.Fatal(err)
+			}
+			if spec.tag != "" {
+				if err := svc.SetTag(admin, "sales."+schema+"."+name, "", spec.tag, "x"); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
+	return svc, admin, db
+}
+
+// TestListPageAllocs gates what a list page allocates end to end — token,
+// reader, parent resolution, authorization, range scan, batch read, decode,
+// visibility, audit — so a per-entity allocation that creeps back into any
+// of them shows as a hundred; and the same for the engine's other shell, the
+// unpaged listing with its sort.
+func TestListPageAllocs(t *testing.T) {
+	svc, admin, _ := pageWorld(t, true)
 	listed := 0
 	page := func() {
 		listed = 0
@@ -397,13 +438,105 @@ func TestListPageAllocs(t *testing.T) {
 			t.Fatalf("page: token %q, %v", next, err)
 		}
 	}
-	page() // compile the principal's snapshot, fill its memo
-	got := testing.AllocsPerRun(50, page)
-	if listed != 100 {
-		t.Fatalf("page listed %d tables, want 100", listed)
+	all := func() {
+		out, err := svc.ListAssets(admin, "sales.even", erm.TypeTable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		listed = len(out)
 	}
-	t.Logf("100-table list page: %.0f allocations (recorded %d)", got, listPageAllocs)
-	if got > 1.10*listPageAllocs {
-		t.Fatalf("100-table list page: %.0f allocations, more than 10 %% over the recorded %d", got, listPageAllocs)
+	for _, row := range []struct {
+		name     string
+		call     func()
+		recorded float64
+	}{{"100-table list page", page, listPageAllocs}, {"100-table unpaged listing", all, listAllAllocs}} {
+		row.call() // compile the principal's snapshot, fill its memo
+		got := testing.AllocsPerRun(50, row.call)
+		if listed != 100 {
+			t.Fatalf("%s listed %d tables, want 100", row.name, listed)
+		}
+		t.Logf("%s: %.0f allocations (recorded %.0f)", row.name, got, row.recorded)
+		if got > 1.10*row.recorded {
+			t.Fatalf("%s: %.0f allocations, more than 10 %% over the recorded %.0f", row.name, got, row.recorded)
+		}
+	}
+}
+
+// TestFinalPageReadsOneRange: a page that ends its range — the tail of a
+// walk, or a first page with room to spare — makes one index range read, as
+// a full page does: the batch that came back short is the answer to "is there
+// more". (Each of the three page loops the engine replaced read the range
+// again after a short batch, and once more for the token: 3 reads.) On a warm
+// cache the range read is the page's only store read; on a cache-less service
+// every read counts, so a final page must cost what the full page before it
+// cost, less what its missing rows would have.
+func TestFinalPageReadsOneRange(t *testing.T) {
+	rows := int64(0)
+	emit := func(*erm.Entity) { rows++ }
+	plans := []struct {
+		name string
+		// page fetches one page of 100 of a walk that takes several (whole:
+		// of one that a single page holds).
+		page func(svc *Service, ctx Ctx, whole bool, tok string) (string, error)
+		// perRow is what a candidate costs a cache-less service by itself:
+		// the tag plan's residual reads its forward-table rows.
+		perRow int64
+	}{
+		{"list", func(svc *Service, ctx Ctx, whole bool, tok string) (string, error) {
+			parent := "sales.raw"
+			if whole {
+				parent = "sales.small"
+			}
+			return svc.ListAssetsPageFunc(ctx, parent, erm.TypeTable, 100, tok, emit)
+		}, 0},
+		{"tag", func(svc *Service, ctx Ctx, whole bool, tok string) (string, error) {
+			key := "pii"
+			if whole {
+				key = "tier"
+			}
+			return svc.QueryAssetsPageFunc(ctx, Filter{TagKey: key, MaxResults: 100, PageToken: tok}, emit)
+		}, 1},
+		{"scan", func(svc *Service, ctx Ctx, whole bool, tok string) (string, error) {
+			f := Filter{MaxResults: 100, PageToken: tok}
+			if whole {
+				f.MaxResults = 1000
+			}
+			return svc.QueryAssetsPageFunc(ctx, f, emit)
+		}, 0},
+	}
+	for _, cacheless := range []bool{false, true} {
+		svc, admin, db := pageWorld(t, cacheless)
+		for _, p := range plans {
+			reads := func(whole bool, tok string) (next string, n int64) {
+				t.Helper()
+				var err error
+				for i := 0; i < 2; i++ { // the first call warms the cache and the authorization memo
+					rows, n = 0, db.ReadCount()
+					if next, err = p.page(svc, admin, whole, tok); err != nil {
+						t.Fatalf("%s: %v", p.name, err)
+					}
+					n = db.ReadCount() - n
+				}
+				return next, n
+			}
+			if next, n := reads(true, ""); next != "" {
+				t.Fatalf("%s: a page with room to spare returned a token", p.name)
+			} else if !cacheless && n != 1 {
+				t.Fatalf("%s: a first and final page on a warm cache made %d store reads, want 1", p.name, n)
+			}
+			if !cacheless {
+				continue
+			}
+			tok, full := reads(false, "")
+			if tok == "" {
+				t.Fatalf("%s: no second page", p.name)
+			}
+			for tok != "" {
+				var n int64
+				if tok, n = reads(false, tok); n != full-p.perRow*(100-rows) {
+					t.Fatalf("%s: a page of %d rows made %d store reads (final: %v); the full first page made %d", p.name, rows, n, tok == "", full)
+				}
+			}
+		}
 	}
 }

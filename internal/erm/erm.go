@@ -559,43 +559,19 @@ func DeleteEntity(tx *store.Tx, e *Entity, group string) {
 	}
 }
 
-// Reader is the read interface shared by snapshots and transactions.
+// Reader is the read interface shared by store snapshots, transactions and
+// cache views: point reads, whole-prefix scans, and bounded, ordered
+// [start, end) range scans (end "" unbounded, limit 0 unlimited) — the
+// primitive listings are built on.
 type Reader interface {
 	Get(table, key string) ([]byte, bool)
 	Scan(table, prefix string) []store.KV
-}
-
-// RangeReader extends Reader with bounded, ordered [start, end) range scans —
-// the primitive keyset pagination is built on. Store snapshots, transactions,
-// and cache views all implement it.
-type RangeReader interface {
-	Reader
 	ScanRange(table, start, end string, limit int) []store.KV
 }
 
 // BatchReader is implemented by readers with aligned multi-get support.
 type BatchReader interface {
 	GetBatch(table string, keys []string) [][]byte
-}
-
-// ScanRange issues a [start, end) range scan with a row limit through r,
-// using native range support when available and falling back to a filtered
-// full scan otherwise.
-func ScanRange(r Reader, table, start, end string, limit int) []store.KV {
-	if rr, ok := r.(RangeReader); ok {
-		return rr.ScanRange(table, start, end, limit)
-	}
-	var out []store.KV
-	for _, kv := range r.Scan(table, "") {
-		if kv.Key < start || (end != "" && kv.Key >= end) {
-			continue
-		}
-		out = append(out, kv)
-		if limit > 0 && len(out) == limit {
-			break
-		}
-	}
-	return out
 }
 
 // DecodedReader is implemented by readers that keep a decoded form beside
@@ -728,9 +704,4 @@ func ListChildren(r Reader, parent ids.ID, t SecurableType) []*Entity {
 		list[i] = IndexedID(kv)
 	}
 	return GetEntities(r, list)
-}
-
-// CountChildren counts entities under parent with type t.
-func CountChildren(r Reader, parent ids.ID, t SecurableType) int {
-	return len(r.Scan(TableChild, ChildPrefix(parent, t)))
 }

@@ -154,9 +154,6 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if len(children) != 1 || children[0].ID != e.ID {
 		t.Fatalf("children = %v", children)
 	}
-	if n := CountChildren(snap, parent, TypeTable); n != 1 {
-		t.Fatalf("count = %d", n)
-	}
 }
 
 func TestDeleteEntityRemovesIndexes(t *testing.T) {

@@ -325,7 +325,7 @@ func (s *Server) handleListAssets(w http.ResponseWriter, r *http.Request) {
 	maxResults, _ := strconv.Atoi(q.Get("maxResults"))
 	pageToken := q.Get("pageToken")
 	if maxResults <= 0 && pageToken == "" {
-		// Unpaged legacy behavior: the full, name-sorted listing.
+		// Unpaged: the full, name-sorted listing.
 		out, err := s.Service.ListAssets(s.ctx(r), parent, typ)
 		if err != nil {
 			writeErr(w, err)
@@ -338,8 +338,8 @@ func (s *Server) handleListAssets(w http.ResponseWriter, r *http.Request) {
 		sendPooled(w, http.StatusOK, buf)
 		return
 	}
-	// Streaming path: entities are encoded into the response buffer as the
-	// keyset scan emits them; no page slice is ever materialized.
+	// Paged: entities are encoded into the response buffer as the keyset
+	// scan emits them; no page slice is ever materialized.
 	st := newAssetStream()
 	next, err := s.Service.ListAssetsPageFunc(s.ctx(r), parent, typ, maxResults, pageToken, st.emit)
 	if err != nil {

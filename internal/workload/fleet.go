@@ -20,9 +20,11 @@ type ClientFleetSpec struct {
 	OpTypes int
 	// Events is the number of (client, op) invocations to sample.
 	Events int
-	// ZipfS skews both dimensions (real fleets are heavy-tailed).
-	ZipfS float64
 }
+
+// fleetZipfS skews both dimensions of the fleet matrix (real fleets are
+// heavy-tailed).
+const fleetZipfS = 1.3
 
 // FleetCell is one bubble of Figure 9: a (client type, op type) pair with
 // its invocation count.
@@ -99,17 +101,11 @@ func clientNames(n int, r *rand.Rand) []string {
 
 // GenerateFleet samples the (client, op) activity matrix.
 func GenerateFleet(system string, spec ClientFleetSpec) *FleetMatrix {
-	if spec.Events == 0 {
-		spec.Events = 50000
-	}
-	if spec.ZipfS == 0 {
-		spec.ZipfS = 1.3
-	}
 	r := rand.New(rand.NewSource(spec.Seed))
 	clients := clientNames(spec.ClientTypes, r)
 	ops := opNames(spec.OpTypes)
-	zc := rand.NewZipf(r, spec.ZipfS, 1, uint64(len(clients)-1))
-	zo := rand.NewZipf(r, spec.ZipfS, 1, uint64(len(ops)-1))
+	zc := rand.NewZipf(r, fleetZipfS, 1, uint64(len(clients)-1))
+	zo := rand.NewZipf(r, fleetZipfS, 1, uint64(len(ops)-1))
 
 	counts := map[[2]int]int{}
 	for i := 0; i < spec.Events; i++ {
@@ -146,8 +142,15 @@ type GrowthPoint struct {
 func GenerateGrowth(seed int64) map[string][]GrowthPoint {
 	const periods = 24 // time steps (months)
 	r := rand.New(rand.NewSource(seed))
+	series := DefaultGrowthSeries()
+	names := make([]string, 0, len(series))
+	for name := range series {
+		names = append(names, name)
+	}
+	sort.Strings(names) // one generator feeds every series: draw in a fixed order
 	out := map[string][]GrowthPoint{}
-	for name, p := range DefaultGrowthSeries() {
+	for _, name := range names {
+		p := series[name]
 		rate := p.Initial
 		cum := 0
 		var pts []GrowthPoint

@@ -20,7 +20,7 @@ import (
 // PopulationSpec parameterizes a synthetic metastore population.
 type PopulationSpec struct {
 	Seed int64
-	// Catalogs is the number of catalogs to create (default 12).
+	// Catalogs is the number of catalogs to create.
 	Catalogs int
 	// TableScale scales the heavy-tailed tables-per-catalog distribution
 	// (default 1.0). The paper's mode is ~30 tables per catalog with a tail
@@ -29,9 +29,6 @@ type PopulationSpec struct {
 }
 
 func (s *PopulationSpec) defaults() {
-	if s.Catalogs == 0 {
-		s.Catalogs = 12
-	}
 	if s.TableScale == 0 {
 		s.TableScale = 1.0
 	}

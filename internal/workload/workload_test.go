@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"unitycatalog/internal/catalog"
@@ -200,6 +201,9 @@ func TestFleetMatrix(t *testing.T) {
 
 func TestGrowthCurves(t *testing.T) {
 	curves := GenerateGrowth(1)
+	if again := GenerateGrowth(1); !reflect.DeepEqual(curves, again) {
+		t.Fatal("two runs at one seed drew different curves")
+	}
 	vols := curves["volumes"]
 	if len(vols) != 24 {
 		t.Fatalf("periods = %d", len(vols))

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"unitycatalog/internal/audit"
-	"unitycatalog/internal/cache"
 	"unitycatalog/internal/catalog"
 	"unitycatalog/internal/cloudsim"
 	"unitycatalog/internal/delta"
@@ -119,12 +118,6 @@ type Config struct {
 	// WALSync selects when the WAL fsyncs (default SyncBatch: one fsync
 	// amortized over each group-commit batch).
 	WALSync SyncPolicy
-	// DBReadLatency/DBCommitLatency inject artificial backend-database
-	// latency (benchmarking).
-	DBReadLatency   time.Duration
-	DBCommitLatency time.Duration
-	// DisableCache turns off the mutable-metadata cache.
-	DisableCache bool
 	// CredentialTTL bounds vended temporary credentials (default 15m).
 	CredentialTTL time.Duration
 
@@ -194,17 +187,14 @@ type Catalog struct {
 // Open assembles a Catalog from the config.
 func Open(cfg Config) (*Catalog, error) {
 	db, err := store.Open(store.Options{
-		WALPath:       cfg.WALPath,
-		Sync:          cfg.WALSync,
-		ReadLatency:   cfg.DBReadLatency,
-		CommitLatency: cfg.DBCommitLatency,
+		WALPath: cfg.WALPath,
+		Sync:    cfg.WALSync,
 	})
 	if err != nil {
 		return nil, err
 	}
 	svc, err := catalog.New(catalog.Config{
 		DB:            db,
-		CacheOpts:     cache.Options{Disabled: cfg.DisableCache},
 		CredentialTTL: cfg.CredentialTTL,
 	})
 	if err != nil {
