@@ -77,8 +77,10 @@ race:
 # Who holds the resident bytes: builds 2,000 tables through uc.Open with
 # every allocation profiled and prints in-use bytes per internal package,
 # failing when search, pathtrie, events or the store's commit-built structure
-# is 10 % over its recorded figure (uc/heap_test.go; DESIGN.md "Resident
-# layout"). Then what listing leaves behind: every table paged through by
+# is 10 % over its recorded figure, or the audit log over its figure per
+# retained record (uc/heap_test.go; DESIGN.md "Resident layout"). A
+# WAL-backed stack's writer is held to its largest batch
+# (TestWALBufferIsItsLargestBatch). Then what listing leaves behind: every table paged through by
 # four principals, the pages dropped, and the bytes still in use under the
 # cache, the authorization memos and the decode sites held to their recorded
 # figures (TestPageRetention). TestResidentBudget ends with the warm-cache
@@ -87,7 +89,7 @@ race:
 # forms the cache keeps, which the benchmark's heap_bytes_per_asset (read on
 # an emptied cache) cannot see. `make race` runs both with ./uc/...
 heap:
-	$(GO) test -count=1 -run 'TestResidentBudget|TestPageRetention' -v ./uc/
+	$(GO) test -count=1 -run 'TestResidentBudget|TestWALBufferIsItsLargestBatch|TestPageRetention' -v ./uc/
 
 # What the read path allocates: a 100-record batch decode (internal/erm, at
 # most 5 whatever the size), a whole 100-table list page and a 100-table

@@ -111,6 +111,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"uc_authz_snapshot_memo_dropped_total",
 		"uc_authz_snapshot_memo_entries",
 		"uc_audit_records_total",
+		"uc_audit_retained_records",
+		"uc_audit_retained_bytes",
+		"uc_store_index_leaf_fill",
 		"uc_cloud_puts_total",
 		"uc_http_requests_total",
 		"uc_http_request_seconds_bucket",
@@ -129,6 +132,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if strings.Contains(body, "uc_authz_snapshot_memo_entries 0\n") || strings.Contains(body, "uc_authz_snapshot_patches_total 0\n") {
 		t.Error("the admin's snapshot memoized nothing, or did not follow the seed's commits")
+	}
+	// Each re-laid structure says what it holds.
+	for _, gauge := range []string{"uc_audit_retained_records", "uc_audit_retained_bytes", "uc_store_index_leaf_fill"} {
+		if strings.Contains(body, gauge+" 0\n") {
+			t.Errorf("%s is zero after the seed's writes", gauge)
+		}
 	}
 	if !strings.Contains(body, `route="POST /api/2.1/unity-catalog/tables"`) {
 		t.Error("uc_http_requests_total lacks per-route labels")

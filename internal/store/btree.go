@@ -23,19 +23,43 @@ package store
 //     WAL replay under the metastore's stateMu write lock, and read under
 //     its read lock, inheriting the store's existing synchronization.
 //   - Deletes are lazy: the key is removed from its leaf but nodes are never
-//     merged. Record removal from the map is rare (a record must be fully
-//     dead with no snapshot pinning its history), so sparse decay is bounded
-//     and the simplicity keeps the write path O(log n) with no rebalancing.
+//     merged and a leaf's arrays never shrink. Record removal from the map is
+//     rare (a record must be fully dead with no snapshot pinning its history),
+//     so sparse decay is bounded and the simplicity keeps the write path
+//     O(log n) with no rebalancing.
+//   - A leaf costs what it holds. Its two arrays grow leafStep slots at a
+//     time, a split copies each half into arrays of its own size, and a leaf
+//     that overflows on the second of two inserts at its end keeps everything
+//     but that key: an ascending run of inserts — the children of one parent,
+//     which is how name, child and path rows arrive — leaves full leaves
+//     behind it instead of half-empty ones. Any other overflow splits the
+//     leaf in half, so no load leaves leaves under half full. btree.slots
+//     counts the allocated leaf slots, so size/slots is the fill
+//     (uc_store_index_leaf_fill).
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
-// btreeMaxKeys is the split threshold per node. 127 keys per leaf keeps
-// nodes around two cache pages of string headers while holding tree height
-// at 4 for ten million keys.
-const btreeMaxKeys = 127
+const (
+	// btreeMaxKeys is the split threshold per node: a leaf holds at most 127
+	// keys (2 KiB of string headers and 1 KiB of record pointers when full),
+	// which keeps tree height at 4 for ten million keys.
+	btreeMaxKeys = 127
+	// leafStep is the number of slots a leaf's arrays grow by. Sixteen keeps
+	// a leaf's empty slots under 16 and makes every array size a malloc size
+	// class: 256 B of key headers and 128 B of pointers per step, up to
+	// btreeMaxKeys+1 = 8 steps.
+	leafStep = 16
+)
 
 type bnode struct {
 	leaf bool
+	// tail says the last insert into this leaf went to its end and did not
+	// split it: the leaf is, as far as it can tell, the head of an ascending
+	// run.
+	tail bool
 	keys []string
 	// vals holds the leaf's records, aligned with keys.
 	vals []*record
@@ -49,6 +73,8 @@ type bnode struct {
 type btree struct {
 	root *bnode
 	size int
+	// slots is the capacity of every leaf's key array, summed.
+	slots int
 }
 
 func newBtree() *btree {
@@ -89,16 +115,17 @@ func (t *btree) insertInto(n *bnode, k string, v *record) (string, *bnode) {
 			n.vals[i] = v
 			return "", nil
 		}
-		n.keys = append(n.keys, "")
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = k
-		n.vals = append(n.vals, nil)
-		copy(n.vals[i+1:], n.vals[i:])
-		n.vals[i] = v
-		t.size++
-		if len(n.keys) > btreeMaxKeys {
-			return n.splitLeaf()
+		if len(n.keys) == cap(n.keys) {
+			t.resizeLeaf(n, cap(n.keys)+leafStep)
 		}
+		n.keys = slices.Insert(n.keys, i, k)
+		n.vals = slices.Insert(n.vals, i, v)
+		t.size++
+		atEnd := i == len(n.keys)-1
+		if len(n.keys) > btreeMaxKeys {
+			return t.splitLeaf(n, atEnd && n.tail)
+		}
+		n.tail = atEnd
 		return "", nil
 	}
 	ci := n.childIdx(k)
@@ -118,21 +145,44 @@ func (t *btree) insertInto(n *bnode, k string, v *record) (string, *bnode) {
 	return "", nil
 }
 
-// splitLeaf moves the upper half of a leaf into a new right sibling and
-// promotes the sibling's first key (keys >= separator go right).
-func (n *bnode) splitLeaf() (string, *bnode) {
+// resizeLeaf moves a leaf's keys and records into arrays of c slots.
+func (t *btree) resizeLeaf(n *bnode, c int) {
+	t.slots += c - cap(n.keys)
+	n.keys = append(make([]string, 0, c), n.keys...)
+	n.vals = append(make([]*record, 0, c), n.vals...)
+}
+
+// splitLeaf moves the upper part of an overflowing leaf into a new right
+// sibling and promotes the sibling's first key (keys >= separator go right).
+// With run set, the key that overflowed it continues an ascending run: the
+// sibling starts with that key alone and the leaf stays full. The leaf's tail
+// is cleared, so a key that later lands at its end — below the sibling's,
+// hence not of that run — splits it in half rather than shedding one more
+// one-key leaf. Otherwise the leaf splits in half now. Either way each part
+// gets arrays of its own size: a left part sliced out of the old arrays would
+// keep all their slots alive.
+func (t *btree) splitLeaf(n *bnode, run bool) (string, *bnode) {
 	mid := len(n.keys) / 2
-	right := &bnode{
-		leaf: true,
-		keys: append([]string(nil), n.keys[mid:]...),
-		vals: append([]*record(nil), n.vals[mid:]...),
-		next: n.next,
+	if run {
+		mid = len(n.keys) - 1
 	}
-	n.keys = n.keys[:mid:mid]
-	n.vals = n.vals[:mid:mid]
+	right := &bnode{leaf: true, tail: run, next: n.next}
+	t.resizeLeaf(right, leafSlots(len(n.keys)-mid))
+	right.keys = append(right.keys, n.keys[mid:]...)
+	right.vals = append(right.vals, n.vals[mid:]...)
+	clear(n.keys[mid:])
+	clear(n.vals[mid:])
+	n.keys, n.vals = n.keys[:mid], n.vals[:mid]
+	if c := leafSlots(mid); c < cap(n.keys) {
+		t.resizeLeaf(n, c)
+	}
+	n.tail = false
 	n.next = right
 	return right.keys[0], right
 }
+
+// leafSlots rounds n keys up to whole steps.
+func leafSlots(n int) int { return (n + leafStep - 1) / leafStep * leafStep }
 
 // splitInterior moves the upper half of an interior node right, promoting
 // the middle separator (which belongs to neither half).
@@ -156,8 +206,10 @@ func (t *btree) delete(k string) {
 	}
 	i := sort.SearchStrings(n.keys, k)
 	if i < len(n.keys) && n.keys[i] == k {
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.vals = append(n.vals[:i], n.vals[i+1:]...)
+		// slices.Delete zeroes the vacated slot: a leaf must not keep a
+		// deleted key's bytes or its record alive past its length.
+		n.keys = slices.Delete(n.keys, i, i+1)
+		n.vals = slices.Delete(n.vals, i, i+1)
 		t.size--
 	}
 }

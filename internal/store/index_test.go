@@ -4,75 +4,195 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
 
-// TestBtreeAgainstReference drives the B+ tree with a randomized
-// insert/delete/lookup workload and checks every ascend against a sorted
-// reference map.
+// checkBtree holds a tree to its reference: ascend and get agree with the
+// sorted map, the leaf chain is complete (every leaf the descent reaches, in
+// order, and nothing else), separators bound their subtrees, size and slots
+// are what the leaves hold, and no leaf keeps a key or a record in a slot
+// past its length. It returns the number of leaves.
+func checkBtree(t *testing.T, tree *btree, ref map[string]*record) int {
+	t.Helper()
+	want := make([]string, 0, len(ref))
+	for k := range ref {
+		want = append(want, k)
+	}
+	sort.Strings(want)
+	var got []string
+	tree.ascend("", func(k string, r *record) bool {
+		if r != ref[k] {
+			t.Fatalf("ascend: key %q has the wrong record", k)
+		}
+		got = append(got, k)
+		return true
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("ascend: %s", firstDiff(got, want))
+	}
+	if tree.size != len(ref) {
+		t.Fatalf("size %d, want %d", tree.size, len(ref))
+	}
+	for _, k := range want {
+		if r, ok := tree.get(k); !ok || r != ref[k] {
+			t.Fatalf("get(%q) = %v, %v", k, r, ok)
+		}
+	}
+
+	var leaves []*bnode
+	var walk func(n *bnode, lo, hi string)
+	walk = func(n *bnode, lo, hi string) {
+		for i, k := range n.keys {
+			if k < lo || (hi != "" && k >= hi) || (i > 0 && k <= n.keys[i-1]) {
+				t.Fatalf("key %q out of place in a node bounded by [%q, %q)", k, lo, hi)
+			}
+		}
+		if n.leaf {
+			leaves = append(leaves, n)
+			return
+		}
+		if len(n.children) != len(n.keys)+1 {
+			t.Fatalf("interior node with %d keys and %d children", len(n.keys), len(n.children))
+		}
+		for i, c := range n.children {
+			clo, chi := lo, hi
+			if i > 0 {
+				clo = n.keys[i-1]
+			}
+			if i < len(n.keys) {
+				chi = n.keys[i]
+			}
+			walk(c, clo, chi)
+		}
+	}
+	walk(tree.root, "", "")
+	slots, keys := 0, 0
+	for i, n := range leaves {
+		if next := n.next; (i+1 < len(leaves) && next != leaves[i+1]) || (i+1 == len(leaves) && next != nil) {
+			t.Fatalf("leaf %d of %d does not chain to the next leaf of the tree", i, len(leaves))
+		}
+		if cap(n.keys) != cap(n.vals) || cap(n.keys)%leafStep != 0 || cap(n.keys) > btreeMaxKeys+1 || len(n.keys) > btreeMaxKeys {
+			t.Fatalf("leaf %d: %d keys in arrays of %d and %d slots", i, len(n.keys), cap(n.keys), cap(n.vals))
+		}
+		for j := len(n.keys); j < cap(n.keys); j++ {
+			if n.keys[:cap(n.keys)][j] != "" || n.vals[:cap(n.vals)][j] != nil {
+				t.Fatalf("leaf %d keeps a key or a record in slot %d, past its %d keys", i, j, len(n.keys))
+			}
+		}
+		slots += cap(n.keys)
+		keys += len(n.keys)
+	}
+	if keys != len(ref) || slots != tree.slots {
+		t.Fatalf("the leaves hold %d keys in %d slots; the tree says %d in %d, the reference %d", keys, slots, tree.size, tree.slots, len(ref))
+	}
+	return len(leaves)
+}
+
+// TestBtreeAgainstReference drives the B+ tree with ascending, descending,
+// per-parent-ascending, per-group-descending and random loads, and with a
+// descending run into the gap after a full leaf, then with insert/delete
+// mixes over each, checking the whole structure against a sorted reference
+// map after every phase. It holds the leaves to their fill (keys over
+// allocated slots) and to their mean length: an ascending load must leave at
+// least 90 % of the slots used and 120 keys a leaf, and no load under 85 % or
+// 60 keys a leaf, which is what splitting every leaf in half gives.
 func TestBtreeAgainstReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	tree := newBtree()
-	ref := map[string]*record{}
-	key := func() string { return fmt.Sprintf("k%05d", rng.Intn(4000)) }
+	const n = 20000
+	loads := []struct {
+		name       string
+		minFill    float64
+		minPerLeaf int
+		key        func(rng *rand.Rand, i int) string
+	}{
+		{"ascending", 0.90, 120, func(_ *rand.Rand, i int) string { return fmt.Sprintf("k%06d", i) }},
+		{"descending", 0.85, 60, func(_ *rand.Rand, i int) string { return fmt.Sprintf("k%06d", n-i) }},
+		// The order name, child and path rows arrive in: parents in random
+		// order, the 80 children of each in name order.
+		{"per-parent-ascending", 0.85, 60, func(_ *rand.Rand, i int) string {
+			return fmt.Sprintf("%016x/t%04d", rand.New(rand.NewSource(int64(i/80))).Uint64(), i%80)
+		}},
+		// Groups in order, the 80 members of each in reverse: all but a
+		// group's first key land below the key before them.
+		{"groups-ascending-members-descending", 0.85, 60, func(_ *rand.Rand, i int) string {
+			return fmt.Sprintf("g%04d/m%03d", i/80, 79-i%80)
+		}},
+		// An ascending load leaves k000000..k000126 in a full first leaf; the
+		// second half of the keys then arrives in descending order between
+		// k000126 and k000127.
+		{"descending-into-a-gap", 0.85, 60, func(_ *rand.Rand, i int) string {
+			if i < n/2 {
+				return fmt.Sprintf("k%06d", i)
+			}
+			return fmt.Sprintf("k000126/%06d", n-i)
+		}},
+		{"random", 0.85, 60, func(rng *rand.Rand, _ int) string { return fmt.Sprintf("k%06d", rng.Intn(10*n)) }},
+	}
+	for _, load := range loads {
+		t.Run(load.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			tree := newBtree()
+			ref := map[string]*record{}
+			var keys []string
+			for i := 0; i < n; i++ {
+				k := load.key(rng, i)
+				r := &record{}
+				tree.insert(k, r)
+				ref[k] = r
+				keys = append(keys, k)
+				if i%(n/4) == 0 {
+					checkBtree(t, tree, ref)
+				}
+			}
+			leaves := checkBtree(t, tree, ref)
+			fill := float64(tree.size) / float64(tree.slots)
+			t.Logf("%d keys in %d slots of %d leaves: fill %.3f, %d keys a leaf", tree.size, tree.slots, leaves, fill, tree.size/leaves)
+			if fill < load.minFill || tree.size/leaves < load.minPerLeaf {
+				t.Fatalf("leaf fill %.3f and %d keys a leaf after a %s load, want >= %.2f and >= %d",
+					fill, tree.size/leaves, load.name, load.minFill, load.minPerLeaf)
+			}
 
-	check := func(start string) {
-		t.Helper()
-		want := make([]string, 0, len(ref))
-		for k := range ref {
-			if k >= start {
-				want = append(want, k)
+			// A mix over the same keys: deletes, re-inserts, replacements.
+			for i := 0; i < 2*n; i++ {
+				k := keys[rng.Intn(len(keys))]
+				if rng.Intn(10) < 4 {
+					tree.delete(k)
+					delete(ref, k)
+				} else {
+					r := &record{}
+					tree.insert(k, r)
+					ref[k] = r
+				}
+				if tree.size != len(ref) {
+					t.Fatalf("step %d: size %d, want %d", i, tree.size, len(ref))
+				}
+				if i%(n/2) == 0 {
+					checkBtree(t, tree, ref)
+				}
 			}
-		}
-		sort.Strings(want)
-		var got []string
-		tree.ascend(start, func(k string, r *record) bool {
-			if r != ref[k] {
-				t.Fatalf("ascend(%q): key %q has wrong record pointer", start, k)
+			checkBtree(t, tree, ref)
+
+			// Ranges and early termination.
+			for _, start := range []string{"", keys[0], keys[len(keys)/2] + "x", "zzz"} {
+				var want, got []string
+				for k := range ref {
+					if k >= start {
+						want = append(want, k)
+					}
+				}
+				sort.Strings(want)
+				tree.ascend(start, func(k string, _ *record) bool { got = append(got, k); return true })
+				if !slices.Equal(got, want) {
+					t.Fatalf("ascend(%q): %s", start, firstDiff(got, want))
+				}
 			}
-			got = append(got, k)
-			return true
+			visited := 0
+			tree.ascend("", func(string, *record) bool { visited++; return visited < 7 })
+			if visited != 7 {
+				t.Fatalf("ascend stop: visited %d keys", visited)
+			}
 		})
-		if len(got) != len(want) {
-			t.Fatalf("ascend(%q): got %d keys, want %d (%s)", start, len(got), len(want), firstDiff(got, want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("ascend(%q): %s", start, firstDiff(got, want))
-			}
-		}
-	}
-
-	for i := 0; i < 30000; i++ {
-		k := key()
-		switch rng.Intn(10) {
-		case 0, 1, 2: // delete
-			tree.delete(k)
-			delete(ref, k)
-		default:
-			r := &record{}
-			tree.insert(k, r)
-			ref[k] = r
-		}
-		if tree.size != len(ref) {
-			t.Fatalf("step %d: size %d, want %d", i, tree.size, len(ref))
-		}
-		if i%5000 == 0 {
-			check("")
-			check(key())
-		}
-	}
-	check("")
-	check("k01")
-	check("k03999")
-	check("zzz")
-
-	// Early termination.
-	n := 0
-	tree.ascend("", func(string, *record) bool { n++; return n < 7 })
-	if n != 7 && tree.size >= 7 {
-		t.Fatalf("ascend stop: visited %d keys", n)
 	}
 }
 

@@ -24,7 +24,6 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -338,6 +337,7 @@ func (db *DB) RegisterMetrics(r *obs.Registry) {
 	r.RegisterGaugeFunc("uc_store_index_keys", "Keys held across all ordered indexes.", func() float64 {
 		return float64(db.IndexKeyCount())
 	})
+	r.RegisterGaugeFunc("uc_store_index_leaf_fill", "Fraction of the ordered indexes' allocated leaf slots that hold a key.", db.IndexLeafFill)
 	if db.wal == nil {
 		return
 	}
@@ -700,33 +700,45 @@ func (db *DB) scanLiveLocked(ms *metastore, table, start, end string, v uint64, 
 // IndexKeyCount returns the total number of keys across all ordered
 // indexes.
 func (db *DB) IndexKeyCount() int {
-	return db.indexSize(func(string) bool { return true })
+	keys, _ := db.indexSize(func(string) bool { return true })
+	return keys
 }
 
 // IndexSize returns the number of keys the ordered index holds for one
 // table, summed across metastores.
 func (db *DB) IndexSize(table string) int {
-	return db.indexSize(func(t string) bool { return t == table })
+	keys, _ := db.indexSize(func(t string) bool { return t == table })
+	return keys
 }
 
-func (db *DB) indexSize(want func(table string) bool) int {
+// IndexLeafFill returns the fraction of the ordered indexes' allocated leaf
+// slots that hold a key (1 when there are none).
+func (db *DB) IndexLeafFill() float64 {
+	keys, slots := db.indexSize(func(string) bool { return true })
+	if slots == 0 {
+		return 1
+	}
+	return float64(keys) / float64(slots)
+}
+
+func (db *DB) indexSize(want func(table string) bool) (keys, slots int) {
 	db.mu.RLock()
 	stores := make([]*metastore, 0, len(db.stores))
 	for _, ms := range db.stores {
 		stores = append(stores, ms)
 	}
 	db.mu.RUnlock()
-	n := 0
 	for _, ms := range stores {
 		ms.stateMu.RLock()
 		for t, idx := range ms.indexes {
 			if want(t) {
-				n += idx.size
+				keys += idx.size
+				slots += idx.slots
 			}
 		}
 		ms.stateMu.RUnlock()
 	}
-	return n
+	return keys, slots
 }
 
 // Close releases the snapshot's version pin. Safe to call multiple times.
@@ -1057,8 +1069,7 @@ func (db *DB) update(sc obs.SpanContext, msID string, expected *uint64, fn func(
 			w := tx.writes[c.Table][c.Key]
 			entry.Writes = append(entry.Writes, walWrite{Table: c.Table, Key: c.Key, Value: w.value, Deleted: w.deleted})
 		}
-		req.enc, req.encErr = json.Marshal(entry)
-		close(req.ready)
+		req.encode(&entry)
 		<-req.done
 		walSpan.End()
 		if req.err != nil {

@@ -12,10 +12,13 @@ package store
 //   - Committers sequence themselves under their metastore's mu, enqueue a
 //     walReq (FIFO — enqueue order is durability order), release the lock,
 //     and JSON-encode their entry outside every lock.
-//   - A single writer goroutine drains the queue, writes all queued entries
-//     as one batch, flushes once, fsyncs per SyncPolicy, pays the simulated
-//     CommitLatency round trip once for the whole batch, and wakes every
-//     waiting committer together.
+//   - A single writer goroutine drains the queue, gathers all queued entries
+//     into one buffer, hands it to the file in one Write, fsyncs per
+//     SyncPolicy, pays the simulated CommitLatency round trip once for the
+//     whole batch, and wakes every waiting committer together. The buffer is
+//     reused from batch to batch and is as large as the largest batch written
+//     so far; past walBufMax a batch takes more than one Write, and an entry
+//     longer than that is written from its committer's bytes.
 //
 // A WAL I/O error fails every commit in the batch and is sticky: the write
 // path is poisoned (all later commits fail with the same error) because a
@@ -28,7 +31,9 @@ package store
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -83,6 +88,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 // of committers cannot starve the ack of the entries already gathered.
 const maxWALBatch = 1024
 
+// walBufMax bounds the bytes the writer gathers before it hands them to the
+// file. An entry longer than this is never copied.
+const walBufMax = 1 << 20
+
 type walWrite struct {
 	Table   string `json:"t"`
 	Key     string `json:"k"`
@@ -102,7 +111,7 @@ type walEntry struct {
 // order), then fills enc outside all locks and closes ready; the writer
 // goroutine awaits ready, writes the batch, and closes done with err set.
 type walReq struct {
-	enc    []byte
+	enc    []byte // the entry's line on the log, newline included
 	encErr error
 	ready  chan struct{}
 	err    error
@@ -111,6 +120,13 @@ type walReq struct {
 
 func newWALReq() *walReq {
 	return &walReq{ready: make(chan struct{}), done: make(chan struct{})}
+}
+
+// encode fills enc with e's line and closes ready.
+func (r *walReq) encode(e *walEntry) {
+	b, err := json.Marshal(e)
+	r.enc, r.encErr = append(b, '\n'), err
+	close(r.ready)
 }
 
 // WALStats reports group-commit batching behavior since Open.
@@ -132,12 +148,15 @@ type walFailure struct{ err error }
 
 type walWriter struct {
 	f       *os.File
-	bw      *bufio.Writer
 	policy  SyncPolicy
 	latency time.Duration // simulated DB round trip, paid once per batch
 
 	ch   chan *walReq
 	quit chan struct{} // closed when the writer goroutine has exited
+
+	// buf is the writer goroutine's own, reused from one batch to the next:
+	// the lines gathered for the next Write.
+	buf []byte
 
 	mu      sync.RWMutex // guards closing against sends on ch
 	closing bool
@@ -161,7 +180,6 @@ type walWriter struct {
 func newWALWriter(f *os.File, policy SyncPolicy, latency time.Duration) *walWriter {
 	w := &walWriter{
 		f:          f,
-		bw:         bufio.NewWriterSize(f, 1<<20),
 		policy:     policy,
 		latency:    latency,
 		ch:         make(chan *walReq, 4096),
@@ -251,19 +269,34 @@ func (w *walWriter) commitBatch(batch []*walReq) {
 }
 
 func (w *walWriter) writeBatch(batch []*walReq) error {
+	buf := w.buf[:0]
+	flush := func() error {
+		if len(buf) == 0 {
+			return nil
+		}
+		_, err := w.f.Write(buf)
+		buf = buf[:0]
+		return err
+	}
 	for _, r := range batch {
 		<-r.ready // committer encodes outside all locks
 		if r.encErr != nil {
 			return r.encErr
 		}
-		if _, err := w.bw.Write(r.enc); err != nil {
-			return err
+		if len(buf)+len(r.enc) > walBufMax {
+			if err := flush(); err != nil {
+				return err
+			}
 		}
-		if err := w.bw.WriteByte('\n'); err != nil {
-			return err
+		if len(r.enc) > walBufMax {
+			if _, err := w.f.Write(r.enc); err != nil {
+				return err
+			}
+		} else {
+			buf = append(buf, r.enc...)
 		}
 		if w.policy == SyncAlways {
-			if err := w.bw.Flush(); err != nil {
+			if err := flush(); err != nil {
 				return err
 			}
 			if err := w.sync(); err != nil {
@@ -271,13 +304,12 @@ func (w *walWriter) writeBatch(batch []*walReq) error {
 			}
 		}
 	}
-	if err := w.bw.Flush(); err != nil {
+	w.buf = buf
+	if err := flush(); err != nil {
 		return err
 	}
 	if w.policy == SyncBatch {
-		if err := w.sync(); err != nil {
-			return err
-		}
+		return w.sync()
 	}
 	return nil
 }
@@ -295,15 +327,11 @@ func (w *walWriter) sync() error {
 }
 
 // finalize runs on the writer goroutine after the queue is closed and
-// drained: final flush+sync, then close the file.
+// drained: final sync, then close the file.
 func (w *walWriter) finalize() {
-	if w.err() == nil {
-		if err := w.bw.Flush(); err != nil {
+	if w.err() == nil && w.policy != SyncNever {
+		if err := w.f.Sync(); err != nil {
 			w.fail(err)
-		} else if w.policy != SyncNever {
-			if err := w.f.Sync(); err != nil {
-				w.fail(err)
-			}
 		}
 	}
 	if err := w.f.Close(); err != nil && w.err() == nil {
@@ -347,8 +375,7 @@ func (db *DB) logMeta(e walEntry) (*walReq, error) {
 		return nil, err
 	}
 	r := newWALReq()
-	r.enc, r.encErr = json.Marshal(e)
-	close(r.ready)
+	r.encode(&e)
 	if err := db.wal.submit(r); err != nil {
 		return nil, err
 	}
@@ -364,24 +391,40 @@ func (db *DB) replayWAL(path string) error {
 		return fmt.Errorf("store: replay wal: %w", err)
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	// Lines are read whole, whatever their length: the writer accepts an
+	// entry of any size, so the reader must too.
+	br := bufio.NewReaderSize(f, 1<<16)
+	var long []byte // a line longer than br's buffer is gathered here
 	var pending []walEntry
-	for sc.Scan() {
-		var e walEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			// A torn final line is the expected crash artifact: the commit
-			// never became durable, so stop replay here. Corruption
-			// followed by more valid entries is real damage and fatal.
-			if !sc.Scan() {
-				break
+	var bad error // the entry that did not parse, until the next line decides
+	for {
+		line, err := br.ReadSlice('\n')
+		if errors.Is(err, bufio.ErrBufferFull) {
+			long = append(long[:0], line...)
+			for errors.Is(err, bufio.ErrBufferFull) {
+				line, err = br.ReadSlice('\n')
+				long = append(long, line...)
 			}
-			return fmt.Errorf("store: corrupt wal entry mid-log: %w", err)
+			line = long
 		}
-		pending = append(pending, e)
-	}
-	if err := sc.Err(); err != nil {
-		return err
+		if err != nil && !errors.Is(err, io.EOF) {
+			return fmt.Errorf("store: replay wal: %w", err)
+		}
+		if len(line) > 0 {
+			// A torn final line is the expected crash artifact: the commit
+			// never became durable, so replay stops there. Corruption
+			// followed by another line is real damage and fatal.
+			if bad != nil {
+				return fmt.Errorf("store: corrupt wal entry mid-log: %w", bad)
+			}
+			var e walEntry
+			if bad = json.Unmarshal(line, &e); bad == nil {
+				pending = append(pending, e)
+			}
+		}
+		if err != nil {
+			break
+		}
 	}
 	for _, e := range pending {
 		switch e.Op {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -9,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"unitycatalog/internal/obs"
 )
 
 // TestWALErrorFailsCommit: a WAL write error must fail the committing
@@ -355,5 +358,166 @@ func TestWALReplayRejectsReorderedCommits(t *testing.T) {
 	}
 	if _, err := Open(Options{WALPath: path}); err == nil {
 		t.Fatal("reordered commit versions should fail replay")
+	}
+}
+
+// TestWALEntryOfAnySizeReplays: the writer accepts an entry of any size, so
+// replay must read one of any size. A commit of a 20-MiB value (27 MiB on
+// the log) is acknowledged, and the store must open again and return it. The
+// writer hands such an entry to the file as it is, without a copy of its own.
+func TestWALEntryOfAnySizeReplays(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.jsonl")
+	db, err := Open(Options{WALPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.CreateMetastore("m")
+	big := make([]byte, 20<<20)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	put := func(key string, v []byte) {
+		t.Helper()
+		if _, err := db.Update("m", func(tx *Tx) error { tx.Put("t", key, v); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("before", []byte("a"))
+	put("big", big)
+	// The writer published its buffer before it acknowledged the commit.
+	if c := cap(db.wal.buf); c > walBufMax {
+		t.Fatalf("the writer holds a %d-byte buffer after one large commit: it copied the entry", c)
+	}
+	put("after", []byte("z"))
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := Open(Options{WALPath: path})
+	if err != nil {
+		t.Fatalf("re-open after an acknowledged 20-MiB commit: %v", err)
+	}
+	defer db2.Close()
+	snap, _ := db2.Snapshot("m")
+	defer snap.Close()
+	if got, ok := snap.Get("t", "big"); !ok || !bytes.Equal(got, big) {
+		t.Fatalf("the 20-MiB value came back as %d bytes (found: %v)", len(got), ok)
+	}
+	for k, want := range map[string]string{"before": "a", "after": "z"} {
+		if got, _ := snap.Get("t", k); string(got) != want {
+			t.Fatalf("%s = %q, want %q", k, got, want)
+		}
+	}
+}
+
+// TestWALBatchOutgrowsBuffer: the writer's buffer starts empty and grows to
+// the largest batch it has written. Every batch larger than the buffer it
+// finds — single commits of growing size, then concurrent commits that share
+// batches — is written whole and replays, under each sync policy.
+func TestWALBatchOutgrowsBuffer(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncBatch, SyncAlways, SyncNever} {
+		t.Run(policy.String(), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "wal.jsonl")
+			db, err := Open(Options{WALPath: path, Sync: policy, CommitLatency: 200 * time.Microsecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.CreateMetastore("m")
+			want := map[string][]byte{}
+			var mu sync.Mutex
+			put := func(key string, size int) {
+				v := bytes.Repeat([]byte{byte(size)}, size)
+				if _, err := db.Update("m", func(tx *Tx) error { tx.Put("t", key, v); return nil }); err != nil {
+					t.Error(err)
+				}
+				mu.Lock()
+				want[key] = v
+				mu.Unlock()
+			}
+			for i, size := range []int{1, 100, 10, 5_000, 50, 70_000, 3} {
+				before := cap(db.wal.buf)
+				put(fmt.Sprint("single-", i), size)
+				if after := cap(db.wal.buf); after < size || after < before {
+					t.Fatalf("buffer of %d bytes after a %d-byte commit (was %d)", after, size, before)
+				}
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < 6; i++ {
+						put(fmt.Sprintf("w%d-%d", w, i), 20_000+1_000*w+i)
+					}
+				}(w)
+			}
+			wg.Wait()
+			st := db.WALStats()
+			if st.MaxBatch <= 1 {
+				t.Logf("no two commits shared a batch (MaxBatch %d)", st.MaxBatch)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c := int64(cap(db.wal.buf)); c > fi.Size() || c > 2*walBufMax {
+				t.Fatalf("a %d-byte buffer for a %d-byte log", c, fi.Size())
+			}
+
+			db2, err := Open(Options{WALPath: path})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db2.Close()
+			snap, _ := db2.Snapshot("m")
+			defer snap.Close()
+			if n := snap.Count("t", ""); n != len(want) {
+				t.Fatalf("replayed %d keys, want %d", n, len(want))
+			}
+			for k, v := range want {
+				if got, _ := snap.Get("t", k); !bytes.Equal(got, v) {
+					t.Fatalf("%s replayed as %d bytes, want %d", k, len(got), len(v))
+				}
+			}
+		})
+	}
+}
+
+// TestWALBatchPastBufMax: a batch of more bytes than walBufMax takes several
+// Writes, and an entry longer than walBufMax goes to the file uncopied; the
+// log is the batch's lines in order all the same.
+func TestWALBatchPastBufMax(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncNever, SyncAlways} {
+		f, err := os.Create(filepath.Join(t.TempDir(), "wal.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		w := &walWriter{f: f, policy: policy, fsyncNs: obs.NewLatencyHistogram()}
+		var batch []*walReq
+		var want []byte
+		for i, size := range []int{10, walBufMax * 2 / 3, walBufMax * 2 / 3, 20, 2 * walBufMax, 30, walBufMax, walBufMax + 1, 40} {
+			r := newWALReq()
+			r.enc = append(bytes.Repeat([]byte{'a' + byte(i)}, size-1), '\n')
+			close(r.ready)
+			batch = append(batch, r)
+			want = append(want, r.enc...)
+		}
+		if err := w.writeBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: the log is %d bytes, want the batch's %d in order", policy, len(got), len(want))
+		}
+		if c := cap(w.buf); c > 2*walBufMax {
+			t.Fatalf("%s: a %d-byte buffer, want at most twice walBufMax", policy, c)
+		}
 	}
 }

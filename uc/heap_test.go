@@ -1,7 +1,10 @@
 package uc
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -11,17 +14,23 @@ import (
 	"unitycatalog/internal/erm"
 )
 
-// residentBudget is what each holder measured, in bytes per table of
-// TestResidentBudget's population, when its layout was last changed on
-// purpose (ISSUE 18: numbered search index, map-less trie leaves, one-object
-// store records, no retained change sets). The test fails at 10 % over.
-// Regenerate the table with `make heap`.
+// residentBudget is what each holder measures, in bytes per table of
+// TestResidentBudget's population. The test fails at 10 % over; a deliberate
+// layout change regenerates the table with `make heap`.
 var residentBudget = map[string]float64{
 	"search":          264,
 	"pathtrie":        103,
 	"events":          689,
-	"store structure": 938,
+	"store structure": 820,
 }
+
+// auditRecordBudget is what the audit log holds per retained record, in
+// bytes allocated under internal/audit: the 88-byte packed record, the open
+// chunk's empty slots, and the spill object of the few records that carry
+// Extra. It is per record, not per table: the log grows with calls. The
+// strings a record points at (principal, securable, detail) belong to whoever
+// made them. Fails at 10 % over.
+const auditRecordBudget = 91.0
 
 // warmCacheBudget is what reading every table of that population once by name
 // leaves in use under the metadata cache and the decoder (cache + erm), in
@@ -74,7 +83,10 @@ func holderOf(stack []uintptr) string {
 
 // inUseByHolder collects twice, so that what the profile reports as in use
 // is what is reachable, and attributes every in-use byte to its holder.
-func inUseByHolder() (inUse map[string]int64, total int64) {
+func inUseByHolder() (inUse map[string]int64, total int64) { return inUseBy(holderOf) }
+
+// inUseBy is inUseByHolder under any naming of allocation stacks.
+func inUseBy(holderOf func(stack []uintptr) string) (inUse map[string]int64, total int64) {
 	runtime.GC()
 	runtime.GC()
 	records := make([]runtime.MemProfileRecord, 4096)
@@ -175,6 +187,13 @@ func TestResidentBudget(t *testing.T) {
 			t.Errorf("nothing attributed to %s: the attribution no longer sees it", h)
 		}
 	}
+	retained, chunkBytes := c.Audit().Retained()
+	perRecord := float64(inUse["audit"]) / float64(retained)
+	t.Logf("audit: %d records retained in %d B of chunks; %d B in use under audit: %.1f B per record (budget %.1f)",
+		retained, chunkBytes, inUse["audit"], perRecord, auditRecordBudget)
+	if retained == 0 || perRecord > 1.10*auditRecordBudget {
+		t.Errorf("the audit log holds %.1f B per retained record, more than 10 %% over its budget of %.1f", perRecord, auditRecordBudget)
+	}
 
 	// The warm-cache row: the same population, every table read once by name.
 	cold := c.Service.CacheMetrics()
@@ -196,6 +215,63 @@ func TestResidentBudget(t *testing.T) {
 	}
 	if decodes < 2*tables {
 		t.Errorf("%d records decoded for %d tables read by name: the reads did not go through the decoded forms", decodes, tables)
+	}
+}
+
+// TestWALBufferIsItsLargestBatch: the WAL writer's only resident allocation
+// is the buffer it gathers a batch into, and that is as large as the largest
+// batch it has written — here one commit, since nothing commits concurrently
+// — give or take append's rounding.
+func TestWALBufferIsItsLargestBatch(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+
+	path := filepath.Join(t.TempDir(), "wal.jsonl")
+	c, err := Open(Config{WALPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.CreateMetastore("ms1", "main", "r", "admin", "s3://root/ms1"); err != nil {
+		t.Fatal(err)
+	}
+	admin := c.Session("admin", "ms1")
+	admin.CreateCatalog("sales", "")
+	admin.CreateSchema("sales", "raw", "")
+	spec := TableSpec{Columns: []ColumnInfo{{Name: "id", Type: "BIGINT"}, {Name: "amount", Type: "DOUBLE"}}}
+	for i := 0; i < 200; i++ {
+		if _, err := admin.CreateTable("sales.raw", fmt.Sprintf("t_%04d", i), spec, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.db.WALStats(); st.MaxBatch != 1 {
+		t.Fatalf("MaxBatch = %d: this test reads the largest batch off the log as its longest line", st.MaxBatch)
+	}
+	log, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	longest := 0
+	for _, line := range bytes.SplitAfter(log, []byte("\n")) {
+		longest = max(longest, len(line))
+	}
+
+	inUse, _ := inUseBy(func(stack []uintptr) string {
+		frames := runtime.CallersFrames(stack)
+		for {
+			f, more := frames.Next()
+			if strings.Contains(f.Function, "store.(*walWriter).") {
+				return "writer"
+			}
+			if !more {
+				return ""
+			}
+		}
+	})
+	runtime.KeepAlive(c)
+	t.Logf("%d commits, longest entry %d B, %d B in use under the WAL writer", 200, longest, inUse["writer"])
+	if got := inUse["writer"]; got < int64(longest) || got > 2*int64(longest)+512 {
+		t.Fatalf("the WAL writer holds %d B; its largest batch was %d B", got, longest)
 	}
 }
 
