@@ -76,9 +76,10 @@ race:
 
 # Who holds the resident bytes: builds 2,000 tables through uc.Open with
 # every allocation profiled and prints in-use bytes per internal package,
-# failing when search, pathtrie, events or the store's commit-built structure
-# is 10 % over its recorded figure, or the audit log over its figure per
-# retained record (uc/heap_test.go; DESIGN.md "Resident layout"). A
+# failing when search, pathtrie, events, the store's commit-built structure
+# or the durable values (erm: entity records and index rows) is 10 % over its
+# recorded figure, or the audit log over its figure per retained record
+# (uc/heap_test.go; DESIGN.md "Resident layout"). A
 # WAL-backed stack's writer is held to its largest batch
 # (TestWALBufferIsItsLargestBatch). Then what listing leaves behind: every table paged through by
 # four principals, the pages dropped, and the bytes still in use under the

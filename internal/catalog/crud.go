@@ -176,7 +176,7 @@ func checkPathFree(tx *store.Tx, path string) error {
 	// Any registered ancestor prefix (including exact match)?
 	for _, prefix := range pathPrefixes(path) {
 		if idb, ok := tx.Get(erm.TablePath, prefix); ok {
-			return fmt.Errorf("%w: %s conflicts with asset %s at %s", ErrPathOverlap, path, ids.ID(idb).Short(), prefix)
+			return fmt.Errorf("%w: %s conflicts with asset %s at %s", ErrPathOverlap, path, erm.IndexedID(store.KV{Key: prefix, Value: idb}).Short(), prefix)
 		}
 	}
 	// Any registered descendant?
@@ -521,7 +521,7 @@ func (s *Service) RenameAsset(ctx Ctx, full, newName string) (e *erm.Entity, err
 			return fmt.Errorf("%w: %s %q", ErrAlreadyExists, cur.Type, newName)
 		}
 		tx.Delete(erm.TableName, erm.NameKey(group, cur.ParentID, cur.Name))
-		tx.Put(erm.TableName, erm.NameKey(group, cur.ParentID, newName), []byte(cur.ID))
+		tx.Put(erm.TableName, erm.NameKey(group, cur.ParentID, newName), erm.IDValue(cur.ID))
 		if err := erm.UpdateEntity(tx, renamed); err != nil {
 			return err
 		}

@@ -82,7 +82,7 @@ func (s *Service) authorizeExternalPath(ctx Ctx, r versionedReader, msEntity ids
 func checkExtLocFree(tx *store.Tx, path string) error {
 	for _, prefix := range pathPrefixes(path) {
 		if idb, ok := tx.Get(erm.TableExtLoc, prefix); ok {
-			return fmt.Errorf("%w: %s is inside external location %s", ErrPathOverlap, path, ids.ID(idb).Short())
+			return fmt.Errorf("%w: %s is inside external location %s", ErrPathOverlap, path, erm.IndexedID(store.KV{Key: prefix, Value: idb}).Short())
 		}
 	}
 	if kvs := tx.Scan(erm.TableExtLoc, path+"/"); len(kvs) > 0 {

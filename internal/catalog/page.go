@@ -291,7 +291,7 @@ func (l *listing) walkCatalog(cat ids.ID, cur *pageCursor, byName bool) (more bo
 		schemas := l.read(erm.TableChild, schemaPrefix, outerStart, 0)
 		for i, skv := range schemas {
 			l.outer = skv.Key
-			table, prefix := l.s.schemaRange(l.f, ids.ID(skv.Value), byName)
+			table, prefix := l.s.schemaRange(l.f, erm.IndexedID(skv), byName)
 			if l.walk(table, prefix, inner) {
 				return true
 			}

@@ -292,7 +292,7 @@ func (s *Service) OpenMetastore(id string) (MetastoreInfo, error) {
 	}
 	trie := pathtrie.New()
 	for _, kv := range snap.Scan(erm.TablePath, "") {
-		_ = trie.Insert(kv.Key, ids.ID(kv.Value))
+		_ = trie.Insert(kv.Key, erm.IndexedID(kv))
 	}
 	s.mu.Lock()
 	s.metas[id] = &metaState{info: info, trie: trie}

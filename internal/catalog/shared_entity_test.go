@@ -3,6 +3,8 @@ package catalog
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -24,7 +26,7 @@ func assertSharedPristine(t *testing.T, svc *Service, msID, stage string) {
 	svc.Cache().EachDecoded(msID, func(table, key string, rec []byte, decoded any) {
 		n++
 		if table != erm.TableEntity {
-			if id, ok := decoded.(ids.ID); !ok || string(id) != string(rec) {
+			if id, ok := decoded.(ids.ID); !ok || id != erm.IndexedID(store.KV{Key: key, Value: rec}) {
 				t.Errorf("%s: the cached ID of %s record %q is %v, its record says %q", stage, table, key, decoded, rec)
 			}
 			return
@@ -54,44 +56,98 @@ var sharedEntityRuns atomic.Int64
 // their views across those writes, which is where a form filed under the
 // wrong version, or a writer that changed a shared entity instead of a clone,
 // shows. `make race` repeats it twenty times under the race detector.
+//
+// It runs twice: over a store it fills itself, every record and index row in
+// today's form, and over a store replayed from the log the commit before
+// record format 2 wrote (internal/store/testdata: version 1 records, index
+// values that are the ID's 32 hex digits), where the writers' rewrites turn
+// records over to the new form one by one while the readers watch.
 func TestSharedEntityDifferential(t *testing.T) {
 	seed := sharedEntityRuns.Add(1)
-	// Every version of every record stays readable, so the oracle can read
-	// at any view's version however far the writers have moved on.
-	db, err := store.Open(store.Options{MaxVersionsPerRecord: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	svc, err := New(Config{DB: db})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.CreateMetastore("ms1", "m", "r", "admin", "s3://root/ms1"); err != nil {
-		t.Fatal(err)
-	}
-	admin := Ctx{Principal: "admin", Metastore: "ms1", TrustedEngine: true}
-	cat, err := svc.CreateCatalog(admin, "c", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sch, err := svc.CreateSchema(admin, "c", "s", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const tables = 6
-	entities := []ids.ID{cat.ID, sch.ID}
-	nameKeys := []string{erm.NameKey(string(erm.TypeCatalog), cat.ParentID, "c"), erm.NameKey(string(erm.TypeSchema), cat.ID, "s")}
-	names := make([]string, tables) // the writer's: table i's current name
-	for i := range names {
-		names[i] = fmt.Sprintf("t%d", i)
-		e, err := svc.CreateTable(admin, "c.s", names[i], TableSpec{Columns: cols("x")}, "")
+	t.Run("fresh", func(t *testing.T) {
+		// Every version of every record stays readable, so the oracle can read
+		// at any view's version however far the writers have moved on.
+		db, err := store.Open(store.Options{MaxVersionsPerRecord: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { db.Close() })
+		svc, err := New(Config{DB: db})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.CreateMetastore("ms1", "m", "r", "admin", "s3://root/ms1"); err != nil {
+			t.Fatal(err)
+		}
+		admin := Ctx{Principal: "admin", Metastore: "ms1", TrustedEngine: true}
+		if _, err := svc.CreateCatalog(admin, "c", ""); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.CreateSchema(admin, "c", "s", ""); err != nil {
+			t.Fatal(err)
+		}
+		sharedEntityDifferential(t, seed, db, svc, "c", "s", nil)
+	})
+	t.Run("parent log", func(t *testing.T) {
+		log, err := os.ReadFile("../store/testdata/parent.wal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "wal")
+		if err := os.WriteFile(path, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := store.Open(store.Options{WALPath: path, Sync: store.SyncNever, MaxVersionsPerRecord: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		svc, err := New(Config{DB: db})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.OpenMetastore("ms1"); err != nil {
+			t.Fatal(err)
+		}
+		sharedEntityDifferential(t, seed, db, svc, "sales", "raw", []string{"orders", "events", "renamed"})
+	})
+}
+
+// sharedEntityDifferential is the test over metastore ms1 of svc: schema
+// cat.sch exists and holds the tables named in have; the rest of the six are
+// created here.
+func sharedEntityDifferential(t *testing.T, seed int64, db *store.DB, svc *Service, cat, sch string, have []string) {
+	admin := Ctx{Principal: "admin", Metastore: "ms1", TrustedEngine: true}
+	catE, err := svc.GetAsset(admin, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schE, err := svc.GetAsset(admin, cat+"."+sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := cat + "." + sch
+	const tables = 6
+	entities := []ids.ID{catE.ID, schE.ID}
+	nameKeys := []string{erm.NameKey(string(erm.TypeCatalog), catE.ParentID, cat), erm.NameKey(string(erm.TypeSchema), catE.ID, sch)}
+	base := make([]string, tables)  // table i's name when it is not renamed
+	names := make([]string, tables) // the writer's: table i's current name
+	for i := range names {
+		var e *erm.Entity
+		if i < len(have) {
+			base[i] = have[i]
+			e, err = svc.GetAsset(admin, schema+"."+base[i])
+		} else {
+			base[i] = fmt.Sprintf("t%d", i)
+			e, err = svc.CreateTable(admin, schema, base[i], TableSpec{Columns: cols("x")}, "")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		names[i] = base[i]
 		entities = append(entities, e.ID)
 		// Both names a table goes by: a reader looks each up at its version.
-		nameKeys = append(nameKeys, erm.NameKey(relationGroup, sch.ID, names[i]), erm.NameKey(relationGroup, sch.ID, names[i]+"r"))
+		nameKeys = append(nameKeys, erm.NameKey(relationGroup, schE.ID, names[i]), erm.NameKey(relationGroup, schE.ID, names[i]+"r"))
 	}
 
 	// check compares one view with the store at the view's version.
@@ -114,7 +170,7 @@ func TestSharedEntityDifferential(t *testing.T) {
 		key := nameKeys[rng.Intn(len(nameKeys))]
 		gotID, ok := erm.LookupID(v, erm.TableName, key)
 		rec, found = snap.Get(erm.TableName, key)
-		if ok != found || string(gotID) != string(rec) {
+		if ok != found || (ok && gotID != erm.IndexedID(store.KV{Key: key, Value: rec})) {
 			t.Errorf("seed %d, %s: name %q at version %d: view says %q (%v), store says %q (%v)", seed, who, key, snap.Version, gotID, ok, rec, found)
 		}
 	}
@@ -132,14 +188,14 @@ func TestSharedEntityDifferential(t *testing.T) {
 			t.Fatal("table 0 not found")
 		}
 		comment := "written through at V+1"
-		if _, err := svc.UpdateAsset(admin, "c.s.t0", UpdateRequest{Comment: &comment}); err != nil {
+		if _, err := svc.UpdateAsset(admin, schema+"."+names[0], UpdateRequest{Comment: &comment}); err != nil {
 			t.Fatal(err)
 		}
 		after, _ := erm.GetEntity(v, entities[2])
-		if after != before || after.Comment != "" {
+		if after != before || after.Comment == comment {
 			t.Fatalf("a view pinned at %d read %+v after the next version was written through", v.Version(), after)
 		}
-		fresh, err := svc.GetAsset(admin, "c.s.t0")
+		fresh, err := svc.GetAsset(admin, schema+"."+names[0])
 		if err != nil || fresh.Comment != comment || fresh == before {
 			t.Fatalf("a fresh view read %+v, %v after the write", fresh, err)
 		}
@@ -187,7 +243,7 @@ func TestSharedEntityDifferential(t *testing.T) {
 	owners := []privilege.Principal{"admin", "reader", "steward"}
 	for step := 0; step < 150; step++ {
 		i := rng.Intn(tables)
-		full := "c.s." + names[i]
+		full := schema + "." + names[i]
 		switch rng.Intn(8) {
 		case 0:
 			comment := fmt.Sprintf("c%d", step)
@@ -198,7 +254,7 @@ func TestSharedEntityDifferential(t *testing.T) {
 			owner := owners[rng.Intn(len(owners))]
 			_, _ = svc.UpdateAsset(admin, full, UpdateRequest{Owner: &owner})
 		case 3:
-			to := fmt.Sprintf("t%d", i)
+			to := base[i]
 			if !renamed[i] {
 				to += "r"
 			}
@@ -219,7 +275,7 @@ func TestSharedEntityDifferential(t *testing.T) {
 			_ = svc.Grant(admin, full, "reader", privilege.Select)
 		case 7:
 			comment := fmt.Sprintf("schema %d", step)
-			_, _ = svc.UpdateAsset(admin, "c.s", UpdateRequest{Comment: &comment})
+			_, _ = svc.UpdateAsset(admin, schema, UpdateRequest{Comment: &comment})
 		}
 	}
 	close(done)

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -23,7 +24,10 @@ import (
 //   - the recovered database holds a clean per-metastore prefix of the
 //     commit history: version V recovered means every key written by
 //     commits 1..V is present with its final value, and no key written
-//     only by commits >V exists — nothing lost, duplicated, or reordered.
+//     only by commits >V exists — nothing lost, duplicated, or reordered;
+//   - the restart goes on: two more commits, close, reopen, and the state is
+//     that prefix and the two (Open cuts the torn tail off the log before the
+//     writer appends; it used to append behind it, and the next Open failed).
 func TestChaosWALGroupCommitCrashRecovery(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -100,17 +104,19 @@ func TestChaosWALGroupCommitCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Seeded truncation points plus the endpoints and a few just-off-newline
-	// offsets (the most interesting crash positions).
+	// Seeded truncation points plus the endpoints and a few offsets just
+	// around a frame's end (the most interesting crash positions).
 	rng := rand.New(rand.NewSource(20250805))
 	points := map[int]bool{0: true, len(data): true}
 	for i := 0; i < 40; i++ {
 		points[rng.Intn(len(data)+1)] = true
 	}
-	for i, b := range data {
-		if b == '\n' && rng.Intn(4) == 0 {
-			points[i] = true   // newline not yet written
-			points[i+1] = true // line fully durable
+	for end := 0; end < len(data); {
+		// An entry is a frame: a magic byte, its payload's length, a checksum.
+		end += 9 + int(binary.LittleEndian.Uint32(data[end+1:end+5]))
+		if rng.Intn(4) == 0 {
+			points[end-1] = true // the frame's last byte not yet written
+			points[end] = true   // frame fully durable
 		}
 	}
 	var sorted []int
@@ -118,6 +124,54 @@ func TestChaosWALGroupCommitCrashRecovery(t *testing.T) {
 		sorted = append(sorted, p)
 	}
 	sort.Ints(sorted)
+
+	// checkPrefix holds db to a clean prefix of the history, plus the keys
+	// of extra, and returns each surviving metastore's version.
+	checkPrefix := func(rdb *store.DB, where string, extra map[string][]string) map[string]uint64 {
+		versions := map[string]uint64{}
+		for _, ms := range msIDs {
+			v, err := rdb.Version(ms)
+			if err != nil {
+				// The create_metastore entry itself may be beyond the
+				// truncation point.
+				continue
+			}
+			versions[ms] = v
+			v -= uint64(len(extra[ms]))
+			snap, err := rdb.Snapshot(ms)
+			if err != nil {
+				t.Fatalf("%s: snapshot %s: %v", where, ms, err)
+			}
+			recovered := make(map[string]bool)
+			for _, kv := range snap.Scan("t", "") {
+				if string(kv.Value) != kv.Key {
+					t.Fatalf("%s: ms %s key %q holds %q (torn write)", where, ms, kv.Key, kv.Value)
+				}
+				recovered[kv.Key] = true
+			}
+			snap.Close()
+			// Clean prefix: exactly the keys of commits 1..v, nothing else.
+			for cv, key := range history[ms] {
+				if cv <= v && !recovered[key] {
+					t.Fatalf("%s: ms %s lost commit %d (key %q) despite version %d", where, ms, cv, key, v)
+				}
+				if cv > v && recovered[key] {
+					t.Fatalf("%s: ms %s has commit %d's key %q but version is only %d", where, ms, cv, key, v)
+				}
+				delete(recovered, key)
+			}
+			for _, key := range extra[ms] {
+				if !recovered[key] {
+					t.Fatalf("%s: ms %s lost %q, committed after the restart", where, ms, key)
+				}
+				delete(recovered, key)
+			}
+			if len(recovered) != 0 {
+				t.Fatalf("%s: ms %s has %d keys no acked commit wrote: %v", where, ms, len(recovered), recovered)
+			}
+		}
+		return versions
+	}
 
 	truncPath := filepath.Join(dir, "trunc.wal")
 	for _, p := range sorted {
@@ -128,37 +182,31 @@ func TestChaosWALGroupCommitCrashRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("truncate at %d/%d: replay failed: %v", p, len(data), err)
 		}
+		recovered := checkPrefix(rdb, fmt.Sprintf("truncate at %d", p), nil)
+		// The restart goes on: two commits to every metastore that survived.
+		extra := map[string][]string{}
 		for _, ms := range msIDs {
-			v, err := rdb.Version(ms)
-			if err != nil {
-				// The create_metastore entry itself may be beyond the
-				// truncation point.
+			if _, ok := recovered[ms]; !ok {
 				continue
 			}
-			snap, err := rdb.Snapshot(ms)
-			if err != nil {
-				t.Fatalf("truncate at %d: snapshot %s: %v", p, ms, err)
-			}
-			recovered := make(map[string]bool)
-			for _, kv := range snap.Scan("t", "") {
-				if string(kv.Value) != kv.Key {
-					t.Fatalf("truncate at %d: ms %s key %q holds %q (torn write)", p, ms, kv.Key, kv.Value)
+			for i := 0; i < 2; i++ {
+				key := fmt.Sprintf("after-%d-%d", p, i)
+				if _, err := rdb.Update(ms, func(tx *store.Tx) error { tx.Put("t", key, []byte(key)); return nil }); err != nil {
+					t.Fatalf("truncate at %d: commit after restart: %v", p, err)
 				}
-				recovered[kv.Key] = true
+				extra[ms] = append(extra[ms], key)
 			}
-			snap.Close()
-			// Clean prefix: exactly the keys of commits 1..v, nothing else.
-			for cv, key := range history[ms] {
-				if cv <= v && !recovered[key] {
-					t.Fatalf("truncate at %d: ms %s lost commit %d (key %q) despite version %d", p, ms, cv, key, v)
-				}
-				if cv > v && recovered[key] {
-					t.Fatalf("truncate at %d: ms %s has commit %d's key %q but version is only %d", p, ms, cv, key, v)
-				}
-				delete(recovered, key)
-			}
-			if len(recovered) != 0 {
-				t.Fatalf("truncate at %d: ms %s has %d keys no acked commit wrote: %v", p, ms, len(recovered), recovered)
+		}
+		if err := rdb.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rdb, err = store.Open(store.Options{WALPath: truncPath})
+		if err != nil {
+			t.Fatalf("truncate at %d/%d: reopen after two more commits: %v", p, len(data), err)
+		}
+		for ms, v := range checkPrefix(rdb, fmt.Sprintf("truncate at %d, restarted", p), extra) {
+			if want := recovered[ms] + uint64(len(extra[ms])); v != want {
+				t.Fatalf("truncate at %d: ms %s is at version %d after the restart's commits, want %d", p, ms, v, want)
 			}
 		}
 		rdb.Close()

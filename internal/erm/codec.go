@@ -6,34 +6,71 @@ package erm
 // dominant memory cost: field names are repeated in every value, times are
 // RFC 3339 strings, and decoding allocates a fresh copy of highly repetitive
 // strings ("TABLE", "ACTIVE", the owner principal) for every entity touched
-// by a scan. The compact format is a flat, versioned byte layout:
+// by a scan. The compact format is a flat, versioned byte layout. A stored
+// value is an exact-size allocation (Tx.Put copies), so what a record costs
+// resident is the malloc size class its length falls in; TestRecordSizes holds
+// a typical table to its class.
 //
-//	magic version flags | length-prefixed strings | times | properties | spec
+// # The two formats
 //
-// Strings are uvarint-length-prefixed; times use time.MarshalBinary;
-// properties are sorted by key so encoding is deterministic. The first byte
-// (0xE1) is disjoint from '{', so DecodeEntity transparently accepts JSON
-// values written by older versions — no store migration is needed, records
-// converge to the compact form as they are rewritten.
+// Version 2 is the only one written. The record is the value under its ID in
+// TableEntity and does not repeat what that key says:
 //
-// On decode, the type, state, and owner strings are interned through a
-// bounded table: ten million tables should share one "TABLE" string, not
-// hold ten million copies.
+//	0xE1 2 flags | type state | owner | parent | name full-name comment path |
+//	times | properties | spec
+//
+//   - type and state are one byte each, a position in typeCodes / stateCodes;
+//     0 is followed by the value as a string (a type added by Register);
+//   - the parent is its 16 bytes (flagParentRaw) when it is an ID as ids.New
+//     makes them, else a string;
+//   - strings and the spec are uvarint-length-prefixed; properties are a count
+//     and key/value strings sorted by key, so encoding is deterministic;
+//   - a storage path that ends in the record's own ID — every managed path —
+//     is stored without it (flagPathID);
+//   - times are Unix nanoseconds, eight bytes each, read back in time.Local
+//     or, with flagTimesUTC, in UTC; a record with a time in another zone, or
+//     outside what int64 nanoseconds hold, or with times in different zones,
+//     keeps them all in time.MarshalBinary's form (flagTimesBinary). A zone is
+//     kept as "local" or "UTC", not by name: a log read in another time zone
+//     shows the same instants in that zone.
+//
+// Version 1, written until ISSUE 24 and read for ever, has the ID and spells
+// everything out:
+//
+//	0xE1 1 flags | id type name parent full-name owner comment path state |
+//	times (time.MarshalBinary, length-prefixed) | properties | spec
+//
+// The first byte (0xE1) is disjoint from '{', so a decode also accepts the
+// JSON values the seed wrote. No store migration is needed: records converge
+// to version 2 as they are rewritten. The index rows beside a record changed
+// with it (IDValue, IndexedID in erm.go): a child row stores nothing, a name
+// or path row the ID's 16 bytes; both used to store the ID's 32 hex digits.
+//
+// Because a version 2 record leaves out its key, it is decoded with it:
+// DecodeEntityAt and DecodeEntities take the key and every reader of the
+// entity table has it. DecodeEntity, without one, returns an entity with no
+// ID and a flagPathID path that stops short of it.
+//
+// On decode, the owner string — and a type or state that has no code — is
+// interned through a bounded table: ten million tables should share one
+// owner string, not hold ten million copies.
 //
 // # Backing-string ownership
 //
 // A decoded property-less entity costs three allocations when it is decoded on
-// its own (DecodeEntityAt): the Entity, the spec copy, and ONE string holding
-// the record's string region, of which Name, ParentID, FullName, Comment and
-// StoragePath are substrings. A multi-entity read (DecodeEntities — every
+// its own (DecodeEntityAt): the Entity, the spec copy, and ONE backing string
+// (layout.writeBack: the parent's hex digits, the record's string region, the
+// key a flagPathID path ends in), of which Name, ParentID, FullName, Comment
+// and StoragePath are substrings. A multi-entity read (DecodeEntities — every
 // list page, query plan and unpaged listing) costs the same three for the
 // whole batch: the entities are elements of one []Entity, their strings are
-// substrings of one string holding every record's string region, and their
+// substrings of one string holding every record's backing string, and their
 // specs are capacity-limited slices of one buffer, so any one entity of a
 // page keeps the whole page's slab alive. What the fields alias:
 //
-//   - Type, Owner and State come from the intern table, or past its cap are
-//     copies of their own; they never alias a record or a slab.
+//   - Type, Owner and State are constants of this package or come from the
+//     intern table, or past its cap are copies of their own; they never alias
+//     a record or a slab.
 //   - ID is the key the record was read by, handed in by the caller: an
 //     exactly-sized string (a point read by name or path, an ID the API was
 //     given), or a substring of a key the store itself keeps for as long as
@@ -99,6 +136,7 @@ package erm
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -113,47 +151,80 @@ import (
 )
 
 const (
-	codecMagic   = 0xE1 // first byte of compact records; JSON starts with '{'
-	codecVersion = 1
-	numStrFields = 9 // id, type, name, parent, full name, owner, comment, path, state
+	codecMagic = 0xE1 // first byte of compact records; JSON starts with '{'
+	codecV1    = 1    // read, never written
+	codecV2    = 2
 )
 
-// Entity flag bits.
+// Flag bits, the record's third byte. Version 1 has the first two.
 const (
 	flagManaged = 1 << iota
 	flagDeleted
+	flagParentRaw   // the parent is its 16 bytes, not a string
+	flagPathID      // the storage path is the stored prefix followed by the record's key
+	flagTimesUTC    // times are read back in UTC, not in time.Local
+	flagTimesBinary // times are length-prefixed time.MarshalBinary forms, not nanoseconds
 )
 
-// EncodeEntity renders e in the compact binary format.
+// typeCodes and stateCodes are the one-byte forms of a version 2 record's type
+// and state. A value's position is durable: append, never reorder. Code 0 says
+// the value follows as a string (a type some Registry.Register added).
+var (
+	typeCodes = [...]SecurableType{1: TypeMetastore, TypeCatalog, TypeSchema, TypeTable, TypeView,
+		TypeVolume, TypeFunction, TypeRegisteredModel, TypeModelVersion, TypeExternalLocation,
+		TypeStorageCredential, TypeConnection, TypeShare, TypeRecipient}
+	stateCodes = [...]State{1: StateProvisioning, StateActive, StateSoftDeleted}
+)
+
+// appendCoded appends v as its position in table, or as 0 and the string.
+func appendCoded[T ~string](b []byte, table []T, v T) []byte {
+	for i := 1; i < len(table); i++ {
+		if table[i] == v {
+			return append(b, byte(i))
+		}
+	}
+	return appendStr(append(b, 0), string(v))
+}
+
+// EncodeEntity renders e as a version 2 record: the value stored under e.ID in
+// TableEntity. The record does not repeat that key (see DecodeEntityAt).
 func EncodeEntity(e *Entity) ([]byte, error) {
-	b := make([]byte, 0, 96+len(e.Spec))
-	b = append(b, codecMagic, codecVersion)
-	var flags byte
+	path := e.StoragePath
+	flags := timesForm(e)
 	if e.Managed {
 		flags |= flagManaged
 	}
 	if e.DeletedAt != nil {
 		flags |= flagDeleted
 	}
-	b = append(b, flags)
-	b = appendStr(b, string(e.ID))
-	b = appendStr(b, string(e.Type))
-	b = appendStr(b, e.Name)
-	b = appendStr(b, string(e.ParentID))
-	b = appendStr(b, e.FullName)
+	if e.ID != "" && strings.HasSuffix(path, string(e.ID)) {
+		flags |= flagPathID
+		path = path[:len(path)-len(e.ID)]
+	}
+	b := make([]byte, 0, 96+len(e.Name)+len(e.FullName)+len(e.Owner)+len(e.Comment)+len(path)+len(e.Spec))
+	b = append(b, codecMagic, codecV2, 0)
+	b = appendCoded(b, typeCodes[:], e.Type)
+	b = appendCoded(b, stateCodes[:], e.State)
 	b = appendStr(b, string(e.Owner))
+	if raw, ok := e.ParentID.AppendRaw(b); ok {
+		b, flags = raw, flags|flagParentRaw
+	} else {
+		b = appendStr(b, string(e.ParentID))
+	}
+	b = appendStr(b, e.Name)
+	b = appendStr(b, e.FullName)
 	b = appendStr(b, e.Comment)
-	b = appendStr(b, e.StoragePath)
-	b = appendStr(b, string(e.State))
+	b = appendStr(b, path)
+	b[2] = flags
 	var err error
-	if b, err = appendTime(b, e.CreatedAt); err != nil {
+	if b, err = appendTime(b, flags, e.CreatedAt); err != nil {
 		return nil, fmt.Errorf("erm: encode created_at: %w", err)
 	}
-	if b, err = appendTime(b, e.UpdatedAt); err != nil {
+	if b, err = appendTime(b, flags, e.UpdatedAt); err != nil {
 		return nil, fmt.Errorf("erm: encode updated_at: %w", err)
 	}
 	if e.DeletedAt != nil {
-		if b, err = appendTime(b, *e.DeletedAt); err != nil {
+		if b, err = appendTime(b, flags, *e.DeletedAt); err != nil {
 			return nil, fmt.Errorf("erm: encode deleted_at: %w", err)
 		}
 	}
@@ -173,7 +244,37 @@ func EncodeEntity(e *Entity) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeEntity parses either a compact binary record or a legacy JSON one.
+// timesForm returns the flags of the form e's times are written in: Unix
+// nanoseconds when every one of them is an instant int64 nanoseconds can hold
+// and they are all in time.Local or all in time.UTC (what a clock hands out),
+// otherwise time.MarshalBinary's form, which keeps any zone and any year — the
+// same fallback the audit log's packed records use.
+func timesForm(e *Entity) byte {
+	ts := [3]time.Time{e.CreatedAt, e.UpdatedAt}
+	n := 2
+	if e.DeletedAt != nil {
+		ts[2], n = *e.DeletedAt, 3
+	}
+	zone := ts[0].Location()
+	for _, t := range ts[:n] {
+		if t.Location() != zone || !time.Unix(0, t.UnixNano()).Equal(t) {
+			return flagTimesBinary
+		}
+	}
+	switch zone {
+	case time.Local:
+		return 0
+	case time.UTC:
+		return flagTimesUTC
+	}
+	return flagTimesBinary
+}
+
+// DecodeEntity parses a record on its own, without the key it was stored
+// under. A version 2 record does not repeat its key, so the entity has no ID
+// and a storage path that ended in it (flagPathID) stops short of it; every
+// reader of the entity table knows the key and decodes through DecodeEntityAt
+// or DecodeEntities.
 func DecodeEntity(b []byte) (*Entity, error) { return decodeEntity(b, "", false) }
 
 // DecodeEntityAt parses the entity record stored under id in TableEntity.
@@ -183,27 +284,74 @@ func DecodeEntity(b []byte) (*Entity, error) { return decodeEntity(b, "", false)
 // (GetEntity) decode through here; multi-entity reads use DecodeEntities.
 func DecodeEntityAt(id ids.ID, b []byte) (*Entity, error) { return decodeEntity(b, id, false) }
 
+// The parts of a record that decode to strings, as indexes into layout.str.
+const (
+	fID   = iota // version 1 only
+	fType        // version 1, or an unregistered type
+	fName
+	fParent // version 1, or a parent that is not 16 bytes
+	fFullName
+	fOwner
+	fComment
+	fPath
+	fState // version 1, or an unregistered state
+	numStrFields
+)
+
 // layout is where a compact record's variable-length parts lie, as offsets
 // into rec: what one walk of the record finds and what placing its strings
 // and spec needs.
 type layout struct {
-	rec  []byte
-	str  [numStrFields][2]int
-	spec [2]int
+	rec         []byte
+	version     byte
+	flags       byte
+	typ, state  byte // version 2 codes; 0 when the string is in str
+	parent      int  // where a version 2 record's 16-byte parent starts
+	str         [numStrFields][2]int
+	strFrom, to int // the string region: every field a decoded entity's strings are cut from
+	spec        [2]int
 }
 
-// strFrom is where the string region a decode copies starts: at the ID, or
-// past it when the caller supplies the ID.
-func (l *layout) strFrom(haveID bool) int {
-	if haveID {
-		return l.str[1][0]
+// from is where the part of the string region a decode copies starts: a
+// version 1 record's region opens with the ID, which is skipped when the caller
+// supplies it.
+func (l *layout) from(id ids.ID) int {
+	if l.version == codecV1 && id != "" {
+		return l.str[fType][0]
 	}
-	return l.str[0][0]
+	return l.strFrom
 }
 
-// strRegion is that region: every string field, length prefixes between.
-func (l *layout) strRegion(haveID bool) []byte {
-	return l.rec[l.strFrom(haveID):l.str[numStrFields-1][1]]
+// lead is how many bytes of a backing string precede the copied region: the
+// hex form of a 16-byte parent.
+func (l *layout) lead() int {
+	if l.flags&flagParentRaw != 0 {
+		return 2 * ids.RawLen
+	}
+	return 0
+}
+
+// backLen is the length of the backing string of the entity stored under id.
+func (l *layout) backLen(id ids.ID) int {
+	n := l.lead() + l.to - l.from(id)
+	if l.flags&flagPathID != 0 {
+		n += len(id)
+	}
+	return n
+}
+
+// writeBack appends that backing string to sb: the parent's hex form if the
+// record has its bytes, the string region, and the key if the path ends in it.
+func (l *layout) writeBack(sb *strings.Builder, id ids.ID) {
+	if l.flags&flagParentRaw != 0 {
+		var h [2 * ids.RawLen]byte
+		hex.Encode(h[:], l.rec[l.parent:l.parent+ids.RawLen])
+		sb.Write(h[:])
+	}
+	sb.Write(l.rec[l.from(id):l.to])
+	if l.flags&flagPathID != 0 {
+		sb.WriteString(string(id))
+	}
 }
 
 func (l *layout) specBytes() []byte { return l.rec[l.spec[0]:l.spec[1]] }
@@ -212,24 +360,55 @@ func (l *layout) specBytes() []byte { return l.rec[l.spec[0]:l.spec[1]] }
 // every fixed-size field of e (flags, times) is set, l says where the strings
 // and the spec lie, and properties are decoded only if withProps — otherwise
 // a record that has any is reported through hasProps and left to the caller.
-// It is the one field walk; decodeEntity and DecodeEntities differ only in
-// where they put the bytes it locates.
+// It is the one field walk, of both versions; decodeEntity and DecodeEntities
+// differ only in where they put the bytes it locates.
 func walk(b []byte, e *Entity, l *layout, withProps bool) (hasProps bool, err error) {
-	if len(b) < 3 || b[1] != codecVersion {
+	if len(b) < 3 || (b[1] != codecV1 && b[1] != codecV2) {
 		return false, fmt.Errorf("erm: unsupported entity codec version")
 	}
 	d := decoder{b: b, off: 3}
-	flags := b[2]
-	l.rec = b
-	for i := range l.str {
+	l.rec, l.version, l.flags = b, b[1], b[2]
+	field := func(i int) {
 		n := len(d.bytes())
 		l.str[i] = [2]int{d.off - n, d.off}
 	}
-	e.Managed = flags&flagManaged != 0
-	e.CreatedAt = d.time()
-	e.UpdatedAt = d.time()
-	if flags&flagDeleted != 0 {
-		t := d.time()
+	if l.version == codecV1 {
+		l.flags &= flagManaged | flagDeleted
+		l.flags |= flagTimesBinary
+		for i := range l.str {
+			field(i)
+		}
+		l.strFrom, l.to = l.str[fID][0], l.str[fState][1]
+	} else {
+		if l.typ = d.byte(); l.typ == 0 {
+			field(fType)
+		}
+		if l.state = d.byte(); l.state == 0 {
+			field(fState)
+		}
+		field(fOwner)
+		if l.flags&flagParentRaw != 0 {
+			l.parent = d.off
+			d.skip(ids.RawLen)
+			l.strFrom = d.off
+		} else {
+			field(fParent)
+			l.strFrom = l.str[fParent][0]
+		}
+		field(fName)
+		field(fFullName)
+		field(fComment)
+		field(fPath)
+		l.to = d.off
+		if int(l.typ) >= len(typeCodes) || int(l.state) >= len(stateCodes) {
+			return false, fmt.Errorf("erm: decode entity: unknown type code %d or state code %d", l.typ, l.state)
+		}
+	}
+	e.Managed = l.flags&flagManaged != 0
+	e.CreatedAt = d.time(l.flags)
+	e.UpdatedAt = d.time(l.flags)
+	if l.flags&flagDeleted != 0 {
+		t := d.time(l.flags)
 		e.DeletedAt = &t
 	}
 	if n := d.uvarint(); n > 0 && d.err == nil {
@@ -253,26 +432,41 @@ func walk(b []byte, e *Entity, l *layout, withProps bool) (hasProps bool, err er
 	return false, nil
 }
 
-// place sets e's string fields and spec from the copies the caller made:
-// back is a copy of strRegion — with the ID when e.ID is still empty, without
-// it when the caller has set e.ID to the record's key — and spec a copy of
-// the spec bytes. Type, Owner and State come from the intern table and alias
-// neither.
-func (l *layout) place(e *Entity, back string, spec []byte) {
-	from := l.strFrom(e.ID != "")
-	str := func(i int) string { return back[l.str[i][0]-from : l.str[i][1]-from] }
+// place sets e's ID, string fields and spec: id is the key the record was read
+// by ("" for none), back the string writeBack made for it and spec a copy of
+// the spec bytes. Type, Owner and State are constants or come from the intern
+// table and alias neither.
+func (l *layout) place(e *Entity, id ids.ID, back string, spec []byte) {
+	off := l.from(id) - l.lead() // rec[x] is back[x-off]
+	str := func(i int) string { return back[l.str[i][0]-off : l.str[i][1]-off] }
 	raw := func(i int) []byte { return l.rec[l.str[i][0]:l.str[i][1]] }
-	if e.ID == "" {
-		e.ID = ids.ID(str(0))
+	if e.ID = id; id == "" && l.version == codecV1 {
+		e.ID = ids.ID(str(fID))
 	}
-	e.Type = SecurableType(intern(raw(1)))
-	e.Name = str(2)
-	e.ParentID = ids.ID(str(3))
-	e.FullName = str(4)
-	e.Owner = privilege.Principal(intern(raw(5)))
-	e.Comment = str(6)
-	e.StoragePath = str(7)
-	e.State = State(intern(raw(8)))
+	if l.typ != 0 {
+		e.Type = typeCodes[l.typ]
+	} else {
+		e.Type = SecurableType(intern(raw(fType)))
+	}
+	if l.state != 0 {
+		e.State = stateCodes[l.state]
+	} else {
+		e.State = State(intern(raw(fState)))
+	}
+	e.Owner = privilege.Principal(intern(raw(fOwner)))
+	if l.flags&flagParentRaw != 0 {
+		e.ParentID = ids.ID(back[:2*ids.RawLen])
+	} else {
+		e.ParentID = ids.ID(str(fParent))
+	}
+	e.Name = str(fName)
+	e.FullName = str(fFullName)
+	e.Comment = str(fComment)
+	if l.flags&flagPathID != 0 {
+		e.StoragePath = back[l.str[fPath][0]-off:] // the prefix, then the key: the path ends the string
+	} else {
+		e.StoragePath = str(fPath)
+	}
 	if len(spec) > 0 {
 		e.Spec = spec
 	}
@@ -299,21 +493,25 @@ func decodeEntity(b []byte, id ids.ID, aliasSpec bool) (*Entity, error) {
 	if b[0] != codecMagic {
 		return nil, fmt.Errorf("erm: unknown entity encoding (leading byte %#x)", b[0])
 	}
-	e := Entity{ID: id}
-	var l layout
+	var (
+		e Entity
+		l layout
+	)
 	if _, err := walk(b, &e, &l, true); err != nil {
 		return nil, err
 	}
-	// One copy of the string region (without the ID when the caller supplied
-	// it), one of the spec unless it aliases the record; see the ownership
-	// rule in the file comment.
+	// One backing string, one copy of the spec unless it aliases the record;
+	// see the ownership rule in the file comment.
 	spec := l.specBytes()
 	if aliasSpec {
 		spec = spec[:len(spec):len(spec)]
 	} else {
 		spec = append(json.RawMessage(nil), spec...)
 	}
-	l.place(&e, string(l.strRegion(id != "")), spec)
+	var sb strings.Builder
+	sb.Grow(l.backLen(id))
+	l.writeBack(&sb, id)
+	l.place(&e, id, sb.String(), spec)
 	return &e, nil
 }
 
@@ -322,7 +520,7 @@ func decodeEntity(b []byte, id ids.ID, aliasSpec bool) (*Entity, error) {
 // TableEntity, which becomes the entity's ID exactly as in DecodeEntityAt.
 // The result is aligned with the batch, nil where the record is nil or
 // undecodable. Whatever the batch size it allocates the result, one []Entity,
-// one string holding every record's string region and one buffer holding
+// one string holding every record's backing string and one buffer holding
 // every spec, each entity's Spec a capacity-limited slice of it, so an append
 // to one never reaches its neighbour; see the ownership rule in the file
 // comment for what that lets a holder pin. Legacy JSON records and records
@@ -358,14 +556,14 @@ func DecodeEntities(n int, rec func(i int) (ids.ID, []byte)) []*Entity {
 		}
 		slab[i].ID = id
 		out[i] = &slab[i]
-		strBytes += len(lays[i].strRegion(true))
+		strBytes += lays[i].backLen(id)
 		specLen += len(lays[i].specBytes())
 	}
 	var sb strings.Builder
 	sb.Grow(strBytes)
 	for i := range lays {
-		if l := &lays[i]; out[i] == &slab[i] {
-			sb.Write(l.strRegion(true))
+		if out[i] == &slab[i] {
+			lays[i].writeBack(&sb, slab[i].ID)
 		}
 	}
 	back, specs := sb.String(), make([]byte, 0, specLen)
@@ -375,9 +573,9 @@ func DecodeEntities(n int, rec func(i int) (ids.ID, []byte)) []*Entity {
 		if out[i] != &slab[i] {
 			continue
 		}
-		from, n := len(specs), len(l.strRegion(true))
+		from, n := len(specs), l.backLen(slab[i].ID)
 		specs = append(specs, l.specBytes()...)
-		l.place(&slab[i], back[base:base+n], specs[from:len(specs):len(specs)])
+		l.place(&slab[i], slab[i].ID, back[base:base+n], specs[from:len(specs):len(specs)])
 		base += n
 	}
 	return out
@@ -399,7 +597,11 @@ func appendBytes(b, p []byte) []byte {
 	return append(b, p...)
 }
 
-func appendTime(b []byte, t time.Time) ([]byte, error) {
+// appendTime appends t in the form flags name (timesForm).
+func appendTime(b []byte, flags byte, t time.Time) ([]byte, error) {
+	if flags&flagTimesBinary == 0 {
+		return binary.LittleEndian.AppendUint64(b, uint64(t.UnixNano())), nil
+	}
 	tb, err := t.MarshalBinary()
 	if err != nil {
 		return nil, err
@@ -444,7 +646,38 @@ func (d *decoder) bytes() []byte {
 
 func (d *decoder) str() string { return string(d.bytes()) }
 
-func (d *decoder) time() time.Time {
+// skip passes over n bytes and returns them.
+func (d *decoder) skip(n int) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if len(d.b)-d.off < n {
+		d.err = fmt.Errorf("truncated field at offset %d (want %d bytes)", d.off, n)
+		return nil
+	}
+	d.off += n
+	return d.b[d.off-n : d.off]
+}
+
+func (d *decoder) byte() byte {
+	if b := d.skip(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+// time reads a time in the form flags name (timesForm).
+func (d *decoder) time(flags byte) time.Time {
+	if flags&flagTimesBinary == 0 {
+		var t time.Time
+		if b := d.skip(8); b != nil {
+			t = time.Unix(0, int64(binary.LittleEndian.Uint64(b)))
+			if flags&flagTimesUTC != 0 {
+				t = t.UTC()
+			}
+		}
+		return t
+	}
 	var t time.Time
 	if b := d.bytes(); d.err == nil {
 		if err := t.UnmarshalBinary(b); err != nil {

@@ -432,11 +432,11 @@ func builtinManifests() []TypeManifest {
 
 // Store table names used by the model.
 const (
-	TableEntity = "entity" // id -> Entity (compact binary; legacy JSON accepted on read)
-	TableName   = "name"   // nameKey -> id
+	TableEntity = "entity" // id -> Entity (codec.go; older forms accepted on read)
+	TableName   = "name"   // nameKey -> id (IDValue)
 	TablePath   = "path"   // storage path -> id (data assets; one-asset-per-path)
 	TableExtLoc = "extloc" // storage path -> id (external locations: containers of asset paths)
-	TableChild  = "child"  // childKey -> id
+	TableChild  = "child"  // childKey -> nothing: the key ends in the id
 	TableGrant  = "grant"  // grantKey -> Grant JSON
 	TableTag    = "tag"    // tagKey -> value
 	TableTagIdx = "tagidx" // tagIdxKey -> value (inverted: tag key -> tagged securables)
@@ -530,11 +530,12 @@ func PutEntity(tx *store.Tx, e *Entity, group string) error {
 	if err != nil {
 		return fmt.Errorf("erm: encode entity: %w", err)
 	}
+	idv := IDValue(e.ID)
 	tx.Put(TableEntity, string(e.ID), b)
-	tx.Put(TableName, NameKey(group, e.ParentID, e.Name), []byte(e.ID))
-	tx.Put(TableChild, ChildKey(e.ParentID, e.Type, e.ID), []byte(e.ID))
+	tx.Put(TableName, NameKey(group, e.ParentID, e.Name), idv)
+	tx.Put(TableChild, ChildKey(e.ParentID, e.Type, e.ID), nil)
 	if e.StoragePath != "" {
-		tx.Put(pathTableFor(e.Type), e.StoragePath, []byte(e.ID))
+		tx.Put(pathTableFor(e.Type), e.StoragePath, idv)
 	}
 	return nil
 }
@@ -634,16 +635,45 @@ func GetEntities(r Reader, list []ids.ID) []*Entity {
 	return out
 }
 
-// IndexedID returns the entity ID an index pair points at (the child, name
-// and path tables all map a key to an ID). A child key ends in the ID, so
-// there the ID is a substring of the key — a string the store itself keeps
-// for as long as the entity exists — and costs no allocation; for any other
-// key it is a copy of the value, exactly sized.
+// idLiteral opens an index value that holds an ID as its string because the
+// string alone could be taken for another form: it is 16 bytes long, or empty,
+// or starts with this byte itself.
+const idLiteral = 0xff
+
+// IDValue is the value an index row that maps a key to an entity stores (the
+// name, path and external-location tables): the ID's 16 bytes, or for an ID
+// that is not 32 hex digits its string. A child row stores nothing — its key
+// ends in the ID. IndexedID reads all of them back.
+func IDValue(id ids.ID) []byte {
+	if raw, ok := id.AppendRaw(make([]byte, 0, ids.RawLen)); ok {
+		return raw
+	}
+	if len(id) == ids.RawLen || id == "" || id[0] == idLiteral {
+		return append([]byte{idLiteral}, id...)
+	}
+	return []byte(id)
+}
+
+// IndexedID returns the entity ID an index pair points at (the child, name,
+// path and external-location tables all map a key to an ID), whichever form
+// the row was written in: an empty value (a child row: the ID is the key's
+// last part), the ID's 16 bytes, or its string — the only form before record
+// format 2, 32 hex digits then. For a child row the ID is a substring of the
+// key — a string the store itself keeps for as long as the entity exists — and
+// costs no allocation; for any other it is a string of its own, exactly sized.
 func IndexedID(kv store.KV) ids.ID {
-	if k, n := kv.Key, len(kv.Value); n > 0 && len(k) >= n && k[len(k)-n:] == string(kv.Value) {
+	k, v := kv.Key, kv.Value
+	switch n := len(v); {
+	case n == 0:
+		return ids.ID(k[strings.LastIndexByte(k, 0)+1:])
+	case n == ids.RawLen:
+		return ids.FromRaw(v)
+	case v[0] == idLiteral:
+		return ids.ID(v[1:])
+	case len(k) >= n && k[len(k)-n:] == string(v):
 		return ids.ID(k[len(k)-n:])
 	}
-	return ids.ID(kv.Value)
+	return ids.ID(v)
 }
 
 // LookupID reads the entity ID that index record (table, key) holds — the
@@ -662,7 +692,7 @@ func LookupID(r Reader, table, key string) (ids.ID, bool) {
 	if !ok {
 		return ids.Nil, false
 	}
-	return ids.ID(idb), true
+	return IndexedID(store.KV{Key: key, Value: idb}), true
 }
 
 // sharedEntity and sharedID are the decode functions of the entity table and
@@ -676,7 +706,9 @@ func sharedEntity(key string, rec []byte) (any, error) {
 	return e, nil
 }
 
-func sharedID(_ string, rec []byte) (any, error) { return ids.ID(rec), nil }
+func sharedID(key string, rec []byte) (any, error) {
+	return IndexedID(store.KV{Key: key, Value: rec}), nil
+}
 
 // GetByName resolves (group, parent, name) to an entity.
 func GetByName(r Reader, group string, parent ids.ID, name string) (*Entity, bool) {

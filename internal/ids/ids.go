@@ -65,3 +65,43 @@ func Parse(s string) (ID, error) {
 	}
 	return id, nil
 }
+
+// RawLen is the length of an ID's binary form.
+const RawLen = 16
+
+// AppendRaw appends id's 16-byte binary form to b. ok is false, and b comes
+// back as it was, when id is not the 32 lower-case hex digits New produces:
+// only those IDs come back from FromRaw exactly as they went in, so any other
+// is stored as its string by whoever stores it.
+func (id ID) AppendRaw(b []byte) (out []byte, ok bool) {
+	if len(id) != 2*RawLen {
+		return b, false
+	}
+	n := len(b)
+	for i := 0; i < len(id); i += 2 {
+		hi, lo := unhex(id[i]), unhex(id[i+1])
+		if hi > 0xf || lo > 0xf {
+			return b[:n], false
+		}
+		b = append(b, hi<<4|lo)
+	}
+	return b, true
+}
+
+// unhex returns the value of lower-case hex digit c, or 0xff.
+func unhex(c byte) byte {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0'
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10
+	}
+	return 0xff
+}
+
+// FromRaw returns the ID whose binary form is raw's first RawLen bytes.
+func FromRaw(raw []byte) ID {
+	var h [2 * RawLen]byte
+	hex.Encode(h[:], raw[:RawLen])
+	return ID(h[:])
+}

@@ -87,3 +87,22 @@ func TestRoughTimeOrdering(t *testing.T) {
 		t.Fatalf("too many orderings inversions: %d", inversions)
 	}
 }
+
+func TestRawRoundTrip(t *testing.T) {
+	for i := 0; i < 1000; i++ {
+		id := New()
+		raw, ok := id.AppendRaw([]byte("x"))
+		if !ok || len(raw) != 1+RawLen || raw[0] != 'x' {
+			t.Fatalf("AppendRaw(%q) = %x, %v", id, raw, ok)
+		}
+		if back := FromRaw(raw[1:]); back != id {
+			t.Fatalf("FromRaw(AppendRaw(%q)) = %q", id, back)
+		}
+	}
+	// Anything FromRaw would not spell the same way has no binary form.
+	for _, id := range []ID{"", "abc", "0123456789ABCDEF0123456789abcdef", "0123456789abcdef0123456789abcdeg", "0123456789abcdef0123456789abcdef0"} {
+		if raw, ok := id.AppendRaw([]byte("x")); ok || string(raw) != "x" {
+			t.Errorf("AppendRaw(%q) = %x, %v; want the input back and false", id, raw, ok)
+		}
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"unitycatalog/internal/delta"
 	"unitycatalog/internal/erm"
 	"unitycatalog/internal/ids"
+	"unitycatalog/internal/store"
 )
 
 // TestSharedEntitiesSurviveEveryMutatingRoute drives every route of the table
@@ -130,7 +131,7 @@ func TestSharedEntitiesSurviveEveryMutatingRoute(t *testing.T) {
 	checked := 0
 	srv.Service.Cache().EachDecoded("ms1", func(table, key string, rec []byte, decoded any) {
 		if table != erm.TableEntity {
-			if id, ok := decoded.(ids.ID); !ok || string(id) != string(rec) {
+			if id, ok := decoded.(ids.ID); !ok || id != erm.IndexedID(store.KV{Key: key, Value: rec}) {
 				t.Errorf("the cached ID of %s record %q is %v, its record says %q", table, key, decoded, rec)
 			}
 			return

@@ -3,9 +3,11 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"unitycatalog/internal/catalog"
 	"unitycatalog/internal/client"
 	"unitycatalog/internal/faults"
+	"unitycatalog/internal/obs"
 	"unitycatalog/internal/server"
 	"unitycatalog/internal/store"
 )
@@ -95,6 +98,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"uc_store_wal_batches_total",
 		"uc_store_wal_batch_size_bucket",
 		"uc_store_wal_fsync_seconds_bucket",
+		"uc_store_wal_replay_entries_total 0\n", // a log this stack started
+		"uc_store_wal_replay_seconds",
+		"uc_store_wal_tail_dropped_bytes 0\n",
 		"uc_cache_hits_total",
 		"uc_cache_misses_total",
 		"uc_cache_decoded_hits_total",
@@ -146,6 +152,44 @@ func TestMetricsEndpoint(t *testing.T) {
 	// decoded, and then served decoded.
 	if strings.Contains(body, "uc_cache_decodes_total 0\n") || strings.Contains(body, "uc_cache_decoded_hits_total 0\n") {
 		t.Error("the seed's point reads decoded nothing, or were never served a decoded form")
+	}
+
+	// Restart says what it did: a store reopened on a log of four entries
+	// whose last write a crash cut short exports the entries it replayed, how
+	// long that took and the bytes of torn tail it cut off.
+	wal := t.TempDir() + "/restart.wal"
+	db, err := store.Open(store.Options{WALPath: wal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.CreateMetastore("m")
+	for i := 0; i < 3; i++ {
+		if _, err := db.Update("m", func(tx *store.Tx) error { tx.Put("t", fmt.Sprint(i), []byte("v")); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.Close()
+	f, err := os.OpenFile(wal, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte{0xF7, 40, 0, 0, 0}) // a frame's magic and length, and no more
+	f.Close()
+	if db, err = store.Open(store.Options{WALPath: wal}); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	reg := obs.NewRegistry()
+	db.RegisterMetrics(reg)
+	var restarted strings.Builder
+	reg.WritePrometheus(&restarted)
+	for _, line := range []string{"uc_store_wal_replay_entries_total 4\n", "uc_store_wal_tail_dropped_bytes 5\n", "uc_store_wal_replay_seconds "} {
+		if !strings.Contains(restarted.String(), line) {
+			t.Errorf("after a restart /metrics lacks %q", line)
+		}
+	}
+	if strings.Contains(restarted.String(), "uc_store_wal_replay_seconds 0\n") {
+		t.Error("uc_store_wal_replay_seconds is zero after a replay")
 	}
 }
 

@@ -19,8 +19,8 @@
 // per-operation latency; the Unity Catalog cache layer exists precisely to
 // avoid paying that latency on hot reads.
 //
-// Durability is provided by an optional JSON-lines write-ahead log replayed
-// on Open.
+// Durability is provided by an optional write-ahead log of checksummed frames,
+// replayed on Open (wal.go).
 package store
 
 import (
@@ -177,6 +177,12 @@ type DB struct {
 	// case commits never touch a queue or a shared lock on the way out.
 	wal *walWriter
 
+	// What Open's replay did: entries applied, how long the whole of it
+	// took, and the bytes of torn tail it cut off the log.
+	replayed    obs.Counter
+	replayTook  time.Duration
+	tailDropped obs.Gauge
+
 	// reads counts snapshot point reads and scans served by the database;
 	// the cache layer's tests use it to verify miss coalescing.
 	reads atomic.Int64
@@ -262,12 +268,9 @@ func Open(opts Options) (*DB, error) {
 		db.injector.Store(opts.Faults)
 	}
 	if opts.WALPath != "" {
-		if err := db.replayWAL(opts.WALPath); err != nil {
-			return nil, err
-		}
-		f, err := os.OpenFile(opts.WALPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := db.openWAL(opts.WALPath)
 		if err != nil {
-			return nil, fmt.Errorf("store: open wal: %w", err)
+			return nil, err
 		}
 		db.wal = newWALWriter(f, opts.Sync, opts.CommitLatency)
 	}
@@ -276,6 +279,35 @@ func Open(opts Options) (*DB, error) {
 		ms.applied = ms.version
 	}
 	return db, nil
+}
+
+// openWAL replays the log at path, creating it if there is none, and returns
+// it ready for the writer: a tail that a crash tore is cut off, so the file
+// ends at the last good entry and the next commit is appended behind that.
+func (db *DB) openWAL(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("store: open wal: %w", err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("store: open wal: %w", err)
+	}
+	t0 := time.Now()
+	end, err := db.replayWAL(f, fi.Size())
+	if err == nil && end < fi.Size() {
+		if err = f.Truncate(end); err != nil {
+			err = fmt.Errorf("store: drop the wal's torn tail: %w", err)
+		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	db.replayTook = time.Since(t0)
+	db.tailDropped.Set(fi.Size() - end)
+	return f, nil
 }
 
 // Close marks the database closed, then drains and stops the WAL writer;
@@ -341,6 +373,9 @@ func (db *DB) RegisterMetrics(r *obs.Registry) {
 	if db.wal == nil {
 		return
 	}
+	r.RegisterCounter("uc_store_wal_replay_entries_total", "WAL entries applied by the replay at Open.", &db.replayed)
+	r.RegisterGaugeFunc("uc_store_wal_replay_seconds", "Duration of the WAL replay at Open.", db.replayTook.Seconds)
+	r.RegisterGauge("uc_store_wal_tail_dropped_bytes", "Bytes of torn tail Open cut off the WAL.", &db.tailDropped)
 	r.RegisterCounter("uc_store_wal_batches_total", "Group-commit batches written.", &db.wal.batches)
 	r.RegisterCounter("uc_store_wal_entries_total", "WAL entries across all batches.", &db.wal.entries)
 	r.RegisterCounter("uc_store_wal_syncs_total", "fsync calls issued by the WAL writer.", &db.wal.syncs)
@@ -382,7 +417,7 @@ func (db *DB) CreateMetastore(id string) error {
 	// Enqueue the WAL entry before releasing db.mu: no commit can observe
 	// the new metastore until db.mu is released, so the lifecycle entry is
 	// guaranteed to precede every commit to it in the log.
-	req, err := db.logMeta(walEntry{Op: "create_metastore", Metastore: id})
+	req, err := db.logMeta(walEntry{Op: opCreateMetastore, Metastore: id})
 	if err != nil {
 		db.mu.Unlock()
 		return err
@@ -488,7 +523,7 @@ func (db *DB) DropMetastore(id string) error {
 		db.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNoMetastore, id)
 	}
-	req, err := db.logMeta(walEntry{Op: "drop_metastore", Metastore: id})
+	req, err := db.logMeta(walEntry{Op: opDropMetastore, Metastore: id})
 	if err != nil {
 		db.mu.Unlock()
 		return err
@@ -988,7 +1023,7 @@ func (db *DB) UpdateCAST(sc obs.SpanContext, msID string, expected uint64, fn fu
 //     nextV, run fn, assign newV = nextV+1, install the write set in the
 //     pending overlay, and enqueue the WAL request — O(write set) work with
 //     no I/O, no fsync, and no simulated latency under the lock.
-//  2. Encode + await ack (no locks): JSON-encode the WAL entry, then wait
+//  2. Encode + await ack (no locks): encode the WAL entry's frame, then wait
 //     for the writer goroutine's batch ack. N concurrent commits share one
 //     flush, one fsync, and one simulated CommitLatency round trip. With no
 //     WAL, each commit pays its own round trip, concurrently.

@@ -2,6 +2,44 @@ package store
 
 // Group-commit write-ahead log.
 //
+// # The file
+//
+// The log is a sequence of entries, each one metastore-lifecycle event or one
+// commit, in the order they were sequenced. An entry is a frame:
+//
+//	0xF7 | length, 4 bytes LE | CRC-32C of the length bytes and the payload, 4 bytes LE | payload
+//	payload: op | metastore | version | number of writes | writes
+//	write:   deleted (0 or 1) | table | key | value, unless deleted
+//
+// with op one byte (walOps), integers uvarints, and strings and values their
+// uvarint length and their bytes, as they are. That is the only form written.
+// Replay also reads the form written before it: one JSON object per line
+// ('{' ... '\n', values in base64, no checksum). It tells the two apart by an
+// entry's first byte, so a log that was upgraded in place is lines followed by
+// frames. A line counts only with its newline: the writer acknowledged nothing
+// before the whole line was down.
+//
+// # Replay
+//
+// Open streams the file through replayWAL, applying each entry as it is read,
+// and stops at the first entry that does not verify (a frame cut short or
+// whose checksum does not match, a line that does not parse, a byte that
+// starts neither). What follows that point decides what it is:
+//
+//   - if an entry that does verify starts anywhere after it, the log is
+//     damaged in its middle — a flipped bit, a damaged length — and Open
+//     fails: acknowledged commits lie past the damage and nothing may be
+//     built on a state that skips it;
+//   - otherwise it is the tail a crash tore: a batch that was never
+//     acknowledged. Open drops it, truncating the file to the end of the last
+//     good entry before the writer appends, so that the next commit follows a
+//     good entry and not the torn bytes.
+//
+// Versions must be contiguous per metastore; a gap or a reordering is damage
+// and fails Open whatever the checksums say.
+//
+// # The writer
+//
 // The seed serialized every commit through a global walMu, marshaling JSON
 // and flushing the file per entry while the committer also held its
 // metastore's write lock — so N concurrent commits paid N flushes, N fsyncs
@@ -11,7 +49,7 @@ package store
 //
 //   - Committers sequence themselves under their metastore's mu, enqueue a
 //     walReq (FIFO — enqueue order is durability order), release the lock,
-//     and JSON-encode their entry outside every lock.
+//     and encode their entry's frame outside every lock.
 //   - A single writer goroutine drains the queue, gathers all queued entries
 //     into one buffer, hands it to the file in one Write, fsyncs per
 //     SyncPolicy, pays the simulated CommitLatency round trip once for the
@@ -30,10 +68,13 @@ package store
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -92,6 +133,8 @@ const maxWALBatch = 1024
 // file. An entry longer than this is never copied.
 const walBufMax = 1 << 20
 
+// walWrite and walEntry are an entry in memory. The JSON tags are the line
+// form's field names, for reading it.
 type walWrite struct {
 	Table   string `json:"t"`
 	Key     string `json:"k"`
@@ -106,12 +149,169 @@ type walEntry struct {
 	Writes    []walWrite `json:"w,omitempty"`
 }
 
+const (
+	opCreateMetastore = "create_metastore"
+	opDropMetastore   = "drop_metastore"
+	opCommit          = "commit"
+)
+
+// walOps numbers the operations for a frame's op byte. Positions are durable.
+var walOps = [...]string{1: opCreateMetastore, opDropMetastore, opCommit}
+
+const (
+	walMagic     = 0xF7 // a frame's first byte: not '{', and no byte of UTF-8 text
+	walHeaderLen = 9    // magic, length, checksum
+)
+
+var walCRC = crc32.MakeTable(crc32.Castagnoli)
+
+// frameSum is a frame's checksum: CRC-32C over its four length bytes and its
+// payload.
+func frameSum(length, payload []byte) uint32 {
+	return crc32.Update(crc32.Checksum(length, walCRC), walCRC, payload)
+}
+
+func appendWALBytes[T string | []byte](b []byte, v T) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(v))), v...)
+}
+
+// frame renders e as one frame, in one allocation.
+func (e *walEntry) frame() ([]byte, error) {
+	var op byte
+	for i := 1; i < len(walOps); i++ {
+		if walOps[i] == e.Op {
+			op = byte(i)
+		}
+	}
+	if op == 0 {
+		return nil, fmt.Errorf("store: wal entry with unknown op %q", e.Op)
+	}
+	// An upper bound: a uvarint of a length or a count is at most ten bytes.
+	size := walHeaderLen + 1 + 3*binary.MaxVarintLen64 + len(e.Metastore)
+	for i := range e.Writes {
+		w := &e.Writes[i]
+		size += 1 + 3*binary.MaxVarintLen64 + len(w.Table) + len(w.Key) + len(w.Value)
+	}
+	b := make([]byte, walHeaderLen, size)
+	b = append(b, op)
+	b = appendWALBytes(b, e.Metastore)
+	b = binary.AppendUvarint(b, e.Version)
+	b = binary.AppendUvarint(b, uint64(len(e.Writes)))
+	for i := range e.Writes {
+		w := &e.Writes[i]
+		if w.Deleted {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+		b = appendWALBytes(b, w.Table)
+		b = appendWALBytes(b, w.Key)
+		if !w.Deleted {
+			b = appendWALBytes(b, w.Value)
+		}
+	}
+	payload := b[walHeaderLen:]
+	if len(payload) > math.MaxUint32 {
+		return nil, fmt.Errorf("store: wal entry of %d bytes is longer than a frame can say", len(payload))
+	}
+	b[0] = walMagic
+	binary.LittleEndian.PutUint32(b[1:5], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[5:9], frameSum(b[1:5], payload))
+	return b, nil
+}
+
+// walDecoder reads entries off a log. It is the replay's own: the buffer it
+// reads a frame's payload into and the entry it fills are reused from frame to
+// frame (only keys and values are allocated, each its exact size), and table
+// names, which repeat in every write, are one string each.
+type walDecoder struct {
+	buf    []byte // a frame's payload, or a line longer than the reader's buffer
+	entry  walEntry
+	tables map[string]string
+}
+
+func newWALDecoder() *walDecoder { return &walDecoder{tables: map[string]string{}} }
+
+// decode parses payload p into d.entry. Every length is checked against the
+// bytes that are there before anything is sized by it.
+func (d *walDecoder) decode(p []byte) error {
+	e := &d.entry
+	*e = walEntry{Writes: e.Writes[:0]}
+	bad := func(what string) error { return fmt.Errorf("bad %s", what) }
+	uvarint := func() (uint64, bool) {
+		v, n := binary.Uvarint(p)
+		if n <= 0 {
+			return 0, false
+		}
+		p = p[n:]
+		return v, true
+	}
+	field := func() ([]byte, bool) {
+		n, ok := uvarint()
+		if !ok || n > uint64(len(p)) {
+			return nil, false
+		}
+		f := p[:n]
+		p = p[n:]
+		return f, true
+	}
+	if len(p) == 0 || p[0] == 0 || int(p[0]) >= len(walOps) {
+		return bad("op")
+	}
+	e.Op, p = walOps[p[0]], p[1:]
+	ms, ok := field()
+	if !ok {
+		return bad("metastore")
+	}
+	e.Metastore = string(ms)
+	if e.Version, ok = uvarint(); !ok {
+		return bad("version")
+	}
+	n, ok := uvarint()
+	if !ok || n > uint64(len(p)) { // a write is at least three bytes
+		return bad("write count")
+	}
+	for ; n > 0; n-- {
+		if len(p) == 0 || p[0] > 1 {
+			return bad("write")
+		}
+		w := walWrite{Deleted: p[0] == 1}
+		p = p[1:]
+		table, ok := field()
+		if !ok {
+			return bad("table")
+		}
+		if w.Table, ok = d.tables[string(table)]; !ok {
+			w.Table = string(table)
+			d.tables[w.Table] = w.Table
+		}
+		key, ok := field()
+		if !ok {
+			return bad("key")
+		}
+		w.Key = string(key)
+		if !w.Deleted {
+			v, ok := field()
+			if !ok {
+				return bad("value")
+			}
+			w.Value = make([]byte, len(v)) // never nil, however short: nil says absent
+			copy(w.Value, v)
+		}
+		e.Writes = append(e.Writes, w)
+	}
+	if len(p) != 0 {
+		return bad("length: bytes after the last write")
+	}
+	return nil
+}
+
 // walReq is one commit's slot in the group-commit queue. The committer
 // enqueues it while still holding the sequencing lock (FIFO order = version
 // order), then fills enc outside all locks and closes ready; the writer
 // goroutine awaits ready, writes the batch, and closes done with err set.
 type walReq struct {
-	enc    []byte // the entry's line on the log, newline included
+	enc    []byte // the entry's frame
 	encErr error
 	ready  chan struct{}
 	err    error
@@ -122,10 +322,9 @@ func newWALReq() *walReq {
 	return &walReq{ready: make(chan struct{}), done: make(chan struct{})}
 }
 
-// encode fills enc with e's line and closes ready.
+// encode fills enc with e's frame and closes ready.
 func (r *walReq) encode(e *walEntry) {
-	b, err := json.Marshal(e)
-	r.enc, r.encErr = append(b, '\n'), err
+	r.enc, r.encErr = e.frame()
 	close(r.ready)
 }
 
@@ -382,81 +581,179 @@ func (db *DB) logMeta(e walEntry) (*walReq, error) {
 	return r, nil
 }
 
-func (db *DB) replayWAL(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
+// replayWAL applies the entries of log f, size bytes long, in order, and
+// returns where the last good entry ends: size, or less when the log ends in
+// a torn tail (see the file comment for what tells a torn tail from damage).
+func (db *DB) replayWAL(f io.ReaderAt, size int64) (end int64, err error) {
+	br := bufio.NewReaderSize(io.NewSectionReader(f, 0, size), 1<<16)
+	dec := newWALDecoder()
+	for end < size {
+		n, e, err := dec.read(br, size-end)
+		if err != nil {
+			return end, fmt.Errorf("store: replay wal at offset %d: %w", end, err)
 		}
-		return fmt.Errorf("store: replay wal: %w", err)
+		if e == nil {
+			good, err := walEntryAfter(f, end, size)
+			if err != nil {
+				return end, fmt.Errorf("store: replay wal: %w", err)
+			}
+			if good >= 0 {
+				return end, fmt.Errorf("store: corrupt wal entry mid-log: the entry at offset %d does not verify and the one at %d does", end, good)
+			}
+			return end, nil
+		}
+		if err := db.applyWALEntry(e); err != nil {
+			return end, err
+		}
+		db.replayed.Inc()
+		end += n
 	}
-	defer f.Close()
-	// Lines are read whole, whatever their length: the writer accepts an
-	// entry of any size, so the reader must too.
-	br := bufio.NewReaderSize(f, 1<<16)
-	var long []byte // a line longer than br's buffer is gathered here
-	var pending []walEntry
-	var bad error // the entry that did not parse, until the next line decides
-	for {
+	return end, nil
+}
+
+var errWALPayload = errors.New("store: wal frame verifies but does not parse")
+
+// read reads the entry that starts at br's position, with left bytes of log
+// ahead of it. It returns the entry and its length on the log, or a nil entry
+// when what is there does not verify; err is an I/O error, or errWALPayload.
+func (d *walDecoder) read(br *bufio.Reader, left int64) (n int64, e *walEntry, err error) {
+	first, err := br.Peek(1)
+	if err != nil {
+		return 0, nil, err
+	}
+	switch first[0] {
+	case '{':
+		// Lines are read whole, whatever their length: the writer accepted
+		// an entry of any size.
 		line, err := br.ReadSlice('\n')
 		if errors.Is(err, bufio.ErrBufferFull) {
-			long = append(long[:0], line...)
+			d.buf = append(d.buf[:0], line...)
 			for errors.Is(err, bufio.ErrBufferFull) {
 				line, err = br.ReadSlice('\n')
-				long = append(long, line...)
+				d.buf = append(d.buf, line...)
 			}
-			line = long
+			line = d.buf
 		}
-		if err != nil && !errors.Is(err, io.EOF) {
-			return fmt.Errorf("store: replay wal: %w", err)
-		}
-		if len(line) > 0 {
-			// A torn final line is the expected crash artifact: the commit
-			// never became durable, so replay stops there. Corruption
-			// followed by another line is real damage and fatal.
-			if bad != nil {
-				return fmt.Errorf("store: corrupt wal entry mid-log: %w", bad)
-			}
-			var e walEntry
-			if bad = json.Unmarshal(line, &e); bad == nil {
-				pending = append(pending, e)
-			}
+		if errors.Is(err, io.EOF) {
+			return 0, nil, nil // no newline: the write was cut short
 		}
 		if err != nil {
-			break
+			return 0, nil, err
+		}
+		if e = parseWALLine(line); e == nil {
+			return 0, nil, nil
+		}
+		return int64(len(line)), e, nil
+	case walMagic:
+		var hdr [walHeaderLen]byte
+		if left < walHeaderLen {
+			return 0, nil, nil
+		}
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			return 0, nil, err
+		}
+		length := int64(binary.LittleEndian.Uint32(hdr[1:5]))
+		if length > left-walHeaderLen {
+			return 0, nil, nil // cut short, or not a length at all
+		}
+		if int64(cap(d.buf)) < length {
+			d.buf = make([]byte, length)
+		}
+		payload := d.buf[:length]
+		if _, err := io.ReadFull(br, payload); err != nil {
+			return 0, nil, err
+		}
+		if frameSum(hdr[1:5], payload) != binary.LittleEndian.Uint32(hdr[5:9]) {
+			return 0, nil, nil
+		}
+		// A payload that verifies was written as it is read: one that does
+		// not parse is a bug or another program's bytes, never a torn tail.
+		if err := d.decode(payload); err != nil {
+			return 0, nil, fmt.Errorf("%w: %v", errWALPayload, err)
+		}
+		return walHeaderLen + length, &d.entry, nil
+	}
+	return 0, nil, nil
+}
+
+// parseWALLine parses one line of the JSON form, nil if it is not one.
+func parseWALLine(line []byte) *walEntry {
+	var e walEntry
+	if json.Unmarshal(line, &e) != nil {
+		return nil
+	}
+	for _, op := range walOps[1:] {
+		if e.Op == op {
+			return &e
 		}
 	}
-	for _, e := range pending {
-		switch e.Op {
-		case "create_metastore":
-			if _, ok := db.stores[e.Metastore]; !ok {
-				db.stores[e.Metastore] = newMetastore(db.opts.ChangeLogSize)
+	return nil
+}
+
+// walEntryAfter looks for an entry that verifies starting anywhere after
+// offset bad, where one did not: a frame at any byte, a line at the start of
+// any line. It returns where it found one, or -1. Only a log that does not
+// end cleanly pays for it, and then for the bytes after the last good entry.
+func walEntryAfter(f io.ReaderAt, bad, size int64) (int64, error) {
+	br := bufio.NewReaderSize(io.NewSectionReader(f, bad, size-bad), 1<<16)
+	dec := newWALDecoder()
+	at := bufio.NewReader(nil)
+	var prev byte
+	for off := bad; off < size; off++ {
+		c, err := br.ReadByte()
+		if err != nil {
+			return -1, err
+		}
+		if off > bad && (c == walMagic || (c == '{' && prev == '\n')) {
+			at.Reset(io.NewSectionReader(f, off, size-off))
+			_, e, err := dec.read(at, size-off)
+			if e != nil || errors.Is(err, errWALPayload) {
+				return off, nil
 			}
-		case "drop_metastore":
-			delete(db.stores, e.Metastore)
-		case "commit":
-			ms, ok := db.stores[e.Metastore]
-			if !ok {
-				continue
+			if err != nil {
+				return -1, err
 			}
-			// Group commit preserves sequence order in the log (enqueue
-			// happens under the sequencing lock), and a failed batch
-			// poisons all later writes, so versions in a healthy log are
-			// strictly contiguous per metastore. A gap or reordering means
-			// the log was damaged in place.
-			if e.Version != ms.version+1 {
-				return fmt.Errorf("store: wal replay: metastore %s commit version %d after %d (reordered or damaged log)",
-					e.Metastore, e.Version, ms.version)
+		}
+		prev = c
+	}
+	return -1, nil
+}
+
+// applyWALEntry applies one replayed entry to the database, which nothing
+// else can reach yet.
+func (db *DB) applyWALEntry(e *walEntry) error {
+	switch e.Op {
+	case opCreateMetastore:
+		if _, ok := db.stores[e.Metastore]; !ok {
+			db.stores[e.Metastore] = newMetastore(db.opts.ChangeLogSize)
+		}
+	case opDropMetastore:
+		delete(db.stores, e.Metastore)
+	case opCommit:
+		ms, ok := db.stores[e.Metastore]
+		if !ok {
+			return nil
+		}
+		// Group commit preserves sequence order in the log (enqueue
+		// happens under the sequencing lock), and a failed batch
+		// poisons all later writes, so versions in a healthy log are
+		// strictly contiguous per metastore. A gap or reordering means
+		// the log was damaged in place.
+		if e.Version != ms.version+1 {
+			return fmt.Errorf("store: wal replay: metastore %s commit version %d after %d (reordered or damaged log)",
+				e.Metastore, e.Version, ms.version)
+		}
+		for _, w := range e.Writes {
+			if !w.Deleted && w.Value == nil {
+				w.Value = []byte{} // the line form drops an empty value; nil says absent
 			}
-			for _, w := range e.Writes {
-				// putLocked also rebuilds the ordered index as replay
-				// repopulates the table maps.
-				ms.putLocked(w.Table, w.Key, e.Version, w.Value, w.Deleted)
-			}
-			ms.version = e.Version
-			for _, w := range e.Writes {
-				ms.logLocked(Change{Version: e.Version, Table: w.Table, Key: w.Key, Deleted: w.Deleted})
-			}
+			// putLocked also rebuilds the ordered index as replay
+			// repopulates the table maps.
+			ms.putLocked(w.Table, w.Key, e.Version, w.Value, w.Deleted)
+		}
+		ms.version = e.Version
+		for _, w := range e.Writes {
+			ms.logLocked(Change{Version: e.Version, Table: w.Table, Key: w.Key, Deleted: w.Deleted})
 		}
 	}
 	return nil
