@@ -37,7 +37,9 @@ test:
 # holding views across their commits, every read compared with a private
 # decode of the store's bytes at the view's version. And the one that holds an
 # unpaged listing to the one view it opened (PR 22): catalog-wide queries
-# against a writer whose commits no single version shows half of.
+# against a writer whose commits no single version shows half of. And the
+# flight recorder's incident freezing the tracer's ring while requests
+# finish into it (PR 25: the ring it froze used to be its own).
 race:
 	$(GO) test -race -count=1 \
 		./internal/cache/... \
@@ -71,8 +73,8 @@ race:
 		./internal/clock/... \
 		./internal/ids/... \
 		./uc/...
-	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion' \
-		./internal/cache/ ./internal/search/ ./internal/events/ ./internal/catalog/ ./internal/privilege/
+	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll' \
+		./internal/cache/ ./internal/search/ ./internal/events/ ./internal/catalog/ ./internal/privilege/ ./internal/obs/
 
 # Who holds the resident bytes: builds 2,000 tables through uc.Open with
 # every allocation profiled and prints in-use bytes per internal package,
@@ -97,9 +99,11 @@ heap:
 # unpaged listing on a cache-less service (the two shells of the listing
 # engine), and a GetAsset by name and a one-table Resolve on a warm cache,
 # which must also decode nothing (internal/catalog, recorded figures + 10 %),
-# printed. `make test` runs the same gates with the rest of ./...
+# printed; then a 304 revalidation through the whole HTTP request path
+# (internal/server, recorded figure + 10 %) and a metric-family child lookup
+# (internal/obs, none). `make test` runs the same gates with the rest of ./...
 allocs:
-	$(GO) test -count=1 -run 'Allocs' -v ./internal/erm/ ./internal/catalog/
+	$(GO) test -count=1 -run 'Allocs' -v ./internal/erm/ ./internal/catalog/ ./internal/server/ ./internal/obs/
 
 # The repository's benchmark (BENCHMARK.json, perf/README.md): all four
 # workloads, traced, with the per-layer table; about 4 minutes. Every

@@ -7,7 +7,12 @@
 //	ucserver -addr :8080 -wal uc.wal -metastore ms1 -owner admin
 //
 // Identity is carried via "Authorization: Bearer <principal>" and
-// "X-UC-Metastore: <id>" headers (see internal/server).
+// "X-UC-Metastore: <id>" headers (see internal/server). Every response
+// carries "X-UC-Trace-Id"; a request may send its own (1 to 32 hex digits,
+// with "X-UC-Trace-Sampled: 1" to have it retained) and its audit records
+// carry it. -trace-sample and -trace-slow-ms choose what /debug/traces
+// retains; -slo-p99 and -flight-interval arm /debug/flightrecorder, whose
+// incident freezes those traces with the metric frames before the trip.
 package main
 
 import (
@@ -37,7 +42,6 @@ func main() {
 		sampleN   = flag.Int("trace-sample", 0, "retain every Nth trace for /debug/traces (0 = default 64, negative disables)")
 		slowMs    = flag.Int("trace-slow-ms", 0, "always retain traces at least this slow (0 = default 100ms, negative disables)")
 		etagAge   = flag.Duration("etag-max-age", 0, "conditional-GET validator lifetime (0 = default 30s, negative disables)")
-		node      = flag.String("node", "", "node name attributing this process's spans in stitched cross-node traces")
 		tenantK   = flag.Int("tenant-topk", 0, "track the top K tenants in /debug/tenants and uc_tenant_* metrics (0 = default 32, negative disables)")
 		sloP99    = flag.Duration("slo-p99", 0, "per-route p99 latency budget arming the flight-recorder watchdog (0 = no SLO check)")
 		flightInt = flag.Duration("flight-interval", 0, "background flight-recorder poll interval (0 = poll lazily on /debug/flightrecorder reads)")
@@ -55,7 +59,6 @@ func main() {
 		Pprof:              *pprofFlag,
 		TraceSampleEvery:   *sampleN,
 		TraceSlowThreshold: time.Duration(*slowMs) * time.Millisecond,
-		Node:               *node,
 		TenantTopK:         *tenantK,
 		SLORouteP99:        *sloP99,
 		FlightInterval:     *flightInt,

@@ -54,10 +54,10 @@ type Client struct {
 	// so one slow attempt fails fast and the retry budget is spent on fresh
 	// attempts (0 = rely on the http.Client's overall timeout alone).
 	RequestTimeout time.Duration
-	// Trace, when active, is propagated on every request (trace ID, parent
-	// span, sampling decision) so a service calling another UC node — or a
-	// traced test harness — stitches the downstream work into its own
-	// trace. The zero value sends no propagation headers.
+	// Trace, when active, is propagated on every request (trace ID and
+	// sampling decision), so the server's response, retained trace and audit
+	// records carry the caller's trace ID. The zero value sends no
+	// propagation headers.
 	Trace obs.SpanContext
 
 	// vcache remembers ETag validators and bodies for conditional GET. A
@@ -177,7 +177,6 @@ func (c *Client) roundTrip(method, path string, body []byte, jsonBody bool) ([]b
 		req.Header.Set("X-UC-Metastore", c.Metastore)
 		if pc, ok := c.Trace.Propagation(); ok {
 			req.Header.Set(obs.TraceIDHeader, pc.TraceID)
-			req.Header.Set(obs.ParentSpanHeader, strconv.Itoa(int(pc.Parent)))
 			if pc.Sampled {
 				req.Header.Set(obs.SampledHeader, "1")
 			}

@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// --- propagation + stitching ---
+// --- propagation ---
 
 func TestPropagationRoundTrip(t *testing.T) {
 	tr := NewTracer(1, 0) // sample everything
@@ -21,11 +21,11 @@ func TestPropagationRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("Propagation() not ok on active span")
 	}
-	if pc.TraceID != trace.ID() || !pc.Sampled || pc.Parent != 0 {
-		t.Fatalf("propagation = %+v, want id=%s sampled parent=0", pc, trace.ID())
+	if pc.TraceID != trace.ID() || !pc.Sampled {
+		t.Fatalf("propagation = %+v, want id=%s sampled", pc, trace.ID())
 	}
 	// Wire round-trip through the header parser.
-	got, ok := ParsePropagation(pc.TraceID, fmt.Sprint(pc.Parent), "1")
+	got, ok := ParsePropagation(pc.TraceID, "1")
 	if !ok || got != pc {
 		t.Fatalf("ParsePropagation = %+v ok=%v, want %+v", got, ok, pc)
 	}
@@ -35,19 +35,22 @@ func TestPropagationRoundTrip(t *testing.T) {
 	if _, ok := (SpanContext{}).Propagation(); ok {
 		t.Fatal("zero SpanContext must not propagate")
 	}
-	if _, ok := ParsePropagation("", "0", "1"); ok {
-		t.Fatal("empty trace ID must not parse")
+	// Only 1 to 32 hex digits are a trace ID: ours are 16, W3C's 32.
+	for _, id := range []string{"a", "DEADBEEF00000001", strings.Repeat("f", 32)} {
+		if _, ok := ParsePropagation(id, ""); !ok {
+			t.Errorf("trace ID %q must parse", id)
+		}
 	}
-	if _, ok := ParsePropagation(strings.Repeat("x", 65), "0", "1"); ok {
-		t.Fatal("oversized trace ID must not parse")
+	for _, id := range []string{"", strings.Repeat("f", 33), "x", `x status=200 principal="admin"`, "deadbeef 0000001", "deadbeef\n"} {
+		if _, ok := ParsePropagation(id, "1"); ok {
+			t.Errorf("trace ID %q must not parse", id)
+		}
 	}
 }
 
 func TestRemoteTraceAdoptsIdentity(t *testing.T) {
-	origin := NewTracer(0, 0) // never samples on its own
-	remote := NewTracer(0, 0)
-	remote.Node = "node-1"
-	pc := PropagationContext{TraceID: "cafe0000cafe0000", Parent: 3, Sampled: true}
+	remote := NewTracer(0, 0) // never samples on its own
+	pc := PropagationContext{TraceID: "cafe0000cafe0000", Sampled: true}
 	rt := remote.StartRemote(pc)
 	if rt.ID() != pc.TraceID {
 		t.Fatalf("remote trace ID = %s, want adopted %s", rt.ID(), pc.TraceID)
@@ -62,96 +65,8 @@ func TestRemoteTraceAdoptsIdentity(t *testing.T) {
 	if len(recent) != 1 {
 		t.Fatalf("retained %d remote traces, want 1", len(recent))
 	}
-	if !recent[0].Remote || recent[0].ParentSpan != 3 || recent[0].Node != "node-1" {
-		t.Fatalf("summary = %+v, want remote parent=3 node-1", recent[0])
-	}
-	_ = origin
-}
-
-func TestSharedStoreStitchesRemoteSegments(t *testing.T) {
-	store := NewTraceStore(16)
-	a := NewTracer(1, 0)
-	a.Node = "node-0"
-	a.Store = store
-	b := NewTracer(0, 0)
-	b.Node = "node-1"
-	b.Store = store
-
-	// Origin: root span "http", child "fleet.forward" which crosses nodes.
-	ot := a.StartTrace()
-	sc, httpSp := a.Root(ot).Start("http")
-	fsc, fwdSp := sc.Start("fleet.forward")
-	pc, _ := fsc.Propagation()
-
-	// Remote segment on node-1 continuing the trace.
-	rt := b.StartRemote(pc)
-	_, w := b.Root(rt).Start("catalog.get")
-	w.End()
-	b.Finish(rt, "GET table")
-
-	fwdSp.End()
-	httpSp.End()
-	a.Finish(ot, "GET /api")
-
-	stitched := store.Stitched()
-	if len(stitched) != 1 {
-		t.Fatalf("stitched count = %d, want 1 (remote merged into origin)", len(stitched))
-	}
-	tree := stitched[0]
-	if tree.ID != ot.ID() || tree.Remote {
-		t.Fatalf("stitched root = %+v, want origin trace", tree)
-	}
-	// Find the grafted remote span under fleet.forward.
-	var remoteSpan *SpanView
-	var walk func(spans []SpanView, under string)
-	var foundUnder string
-	walk = func(spans []SpanView, under string) {
-		for i := range spans {
-			if spans[i].Name == "remote" {
-				remoteSpan = &spans[i]
-				foundUnder = under
-			}
-			walk(spans[i].Children, spans[i].Name)
-		}
-	}
-	walk(tree.Spans, "")
-	if remoteSpan == nil {
-		t.Fatalf("no remote span grafted; tree: %+v", tree.Spans)
-	}
-	if foundUnder != "fleet.forward" {
-		t.Fatalf("remote span grafted under %q, want fleet.forward", foundUnder)
-	}
-	if remoteSpan.Node != "node-1" {
-		t.Fatalf("remote span node = %q, want node-1", remoteSpan.Node)
-	}
-	if len(remoteSpan.Children) != 1 || remoteSpan.Children[0].Name != "catalog.get" {
-		t.Fatalf("remote children = %+v, want [catalog.get]", remoteSpan.Children)
-	}
-
-	// Stitched output must be what WriteJSON renders.
-	var buf bytes.Buffer
-	if err := store.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var arr []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &arr); err != nil {
-		t.Fatalf("WriteJSON output not a JSON array: %v", err)
-	}
-	if len(arr) != 1 {
-		t.Fatalf("JSON traces = %d, want 1", len(arr))
-	}
-}
-
-func TestOrphanRemoteSegmentSurfaces(t *testing.T) {
-	store := NewTraceStore(8)
-	b := NewTracer(0, 0)
-	b.Node = "node-1"
-	b.Store = store
-	rt := b.StartRemote(PropagationContext{TraceID: "feed0000feed0000", Parent: 0, Sampled: true})
-	b.Finish(rt, "orphan")
-	st := store.Stitched()
-	if len(st) != 1 || !st[0].Remote {
-		t.Fatalf("orphan remote segment must surface standalone, got %+v", st)
+	if recent[0].ID != pc.TraceID || recent[0].Op != "forwarded-op" || len(recent[0].Spans) != 1 {
+		t.Fatalf("summary = %+v, want the adopted ID with its one span", recent[0])
 	}
 }
 
@@ -269,8 +184,8 @@ func TestUsageMeterExposition(t *testing.T) {
 // --- vec cardinality bounds ---
 
 func TestVecCardinalityBound(t *testing.T) {
-	v := NewCounterVec("tenant").Bound(4)
-	for i := 0; i < 10; i++ {
+	v := NewCounterVec("tenant")
+	for i := 0; i < DefaultMaxChildren+6; i++ {
 		v.With(fmt.Sprintf("t%d", i)).Inc()
 	}
 	if folds := v.Folds(); folds != 6 {
@@ -290,14 +205,13 @@ func TestVecCardinalityBound(t *testing.T) {
 	var buf bytes.Buffer
 	reg.WritePrometheus(&buf)
 	if !strings.Contains(buf.String(), `uc_test_bound_total{tenant="other"} 6`) {
-		t.Fatalf("overflow child not exported:\n%s", buf.String())
+		t.Fatalf("overflow child not exported")
 	}
 
-	h := NewHistogramVec(SizeBuckets(), 1, "route").Bound(2)
-	h.With("a").Observe(1)
-	h.With("b").Observe(1)
-	h.With("c").Observe(1)
-	h.With("d").Observe(1)
+	h := NewHistogramVec(SizeBuckets(), 1, "route")
+	for i := 0; i < DefaultMaxChildren+2; i++ {
+		h.With(fmt.Sprintf("r%d", i)).Observe(1)
+	}
 	if h.Folds() != 2 {
 		t.Fatalf("hist folds = %d, want 2", h.Folds())
 	}
@@ -305,36 +219,42 @@ func TestVecCardinalityBound(t *testing.T) {
 		t.Fatalf("hist overflow count = %d, want 2", h.With(VecOverflowValue).Count())
 	}
 
-	g := NewGaugeVec("node").Bound(1)
-	g.With("n0").Set(1)
-	g.With("n1").Set(9)
+	g := NewGaugeVec("node")
+	for i := 0; i < DefaultMaxChildren; i++ {
+		g.With(fmt.Sprintf("n%d", i)).Set(1)
+	}
+	g.With("past-the-cap").Set(9)
 	if g.Folds() != 1 || g.With(VecOverflowValue).Load() != 9 {
 		t.Fatalf("gauge fold broken: folds=%d other=%d", g.Folds(), g.With(VecOverflowValue).Load())
 	}
 }
 
 func TestVecBoundConcurrent(t *testing.T) {
-	v := NewCounterVec("k").Bound(8)
+	v := NewCounterVec("k")
+	const keys = DefaultMaxChildren + 200
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				v.With(fmt.Sprintf("key-%d", i)).Inc()
+			for i := 0; i < keys; i++ {
+				v.With(fmt.Sprintf("key-%d", (i+g*97)%keys)).Inc()
 			}
 		}(g)
 	}
 	wg.Wait()
-	// Every increment landed somewhere: tracked children + overflow == 1600.
+	// Every increment landed somewhere: tracked children + overflow == all.
 	var sum int64
 	for _, k := range v.sortedKeys() {
 		v.mu.RLock()
 		sum += v.children[k].Load()
 		v.mu.RUnlock()
 	}
-	if sum != 8*200 {
-		t.Fatalf("sum over children = %d, want %d", sum, 8*200)
+	if sum != 8*keys {
+		t.Fatalf("sum over children = %d, want %d", sum, 8*keys)
+	}
+	if n := len(v.sortedKeys()); n != DefaultMaxChildren+1 || v.Folds() == 0 {
+		t.Fatalf("%d children and %d folds, want the cap plus the overflow child, and folds", n, v.Folds())
 	}
 }
 
@@ -362,7 +282,8 @@ func TestHistogramExemplars(t *testing.T) {
 // --- flight recorder ---
 
 func TestFlightRecorderTripFreezesWindow(t *testing.T) {
-	fr := NewFlightRecorder(4, 8)
+	tr := NewTracer(1, 0) // retains every trace
+	fr := NewFlightRecorder(tr)
 	var lag int64
 	fr.AddSnapshot("lag", func() any { return lag })
 	fr.AddCheck("staleness", func() (bool, string) {
@@ -372,10 +293,10 @@ func TestFlightRecorderTripFreezesWindow(t *testing.T) {
 		return false, ""
 	})
 
-	tr := NewTracer(0, 0)
-	tr.Flight = fr
 	for i := 0; i < 3; i++ {
 		tt := tr.StartTrace()
+		_, sp := tr.Root(tt).Start("work")
+		sp.End()
 		tr.Finish(tt, fmt.Sprintf("op-%d", i))
 	}
 
@@ -393,71 +314,93 @@ func TestFlightRecorderTripFreezesWindow(t *testing.T) {
 		t.Fatalf("incident = %+v", inc)
 	}
 	// Pre-incident window: both the healthy and the tripping frame, and the
-	// traces finished before the trip.
+	// traces the tracer retained before the trip, each with its span tree.
 	if len(inc.Frames) != 2 {
 		t.Fatalf("incident frames = %d, want 2", len(inc.Frames))
 	}
 	if inc.Frames[0].Snapshots["lag"] != int64(0) {
 		t.Fatalf("first frame lag = %v, want healthy 0", inc.Frames[0].Snapshots["lag"])
 	}
-	if len(inc.Traces) != 3 || inc.Traces[0].Op != "op-0" {
-		t.Fatalf("incident traces = %+v, want 3 ops oldest-first", inc.Traces)
+	if len(inc.Traces) != 3 || inc.Traces[0].Op != "op-2" || inc.Traces[2].Op != "op-0" {
+		t.Fatalf("incident traces = %+v, want 3 ops newest-first", inc.Traces)
 	}
-	for _, tl := range inc.Traces {
-		if len(tl.ID) != 16 {
-			t.Fatalf("trace ID %q not resolved to 16 hex chars", tl.ID)
+	for _, ts := range inc.Traces {
+		if len(ts.ID) != 16 || len(ts.Spans) != 1 || ts.Spans[0].Name != "work" {
+			t.Fatalf("frozen trace %+v: want a 16-hex ID and its span tree", ts)
 		}
 	}
 
-	// Frozen: later churn must not mutate the incident.
+	// Frozen: later frames and traces must not mutate the incident.
 	lag = 100
+	tr.Finish(tr.StartTrace(), "after")
 	fr.Poll()
-	if got := fr.Incident(); len(got.Frames) != 2 {
-		t.Fatalf("incident mutated after freeze: %d frames", len(got.Frames))
+	if got := fr.Incident(); len(got.Frames) != 2 || len(got.Traces) != 3 {
+		t.Fatalf("incident mutated after freeze: %d frames, %d traces", len(got.Frames), len(got.Traces))
 	}
 	fr.Rearm()
-	if fr.Incident() == nil {
-		// rearmed and still breaching: next poll trips fresh
-		fr.Poll()
-		if fr.Incident() == nil {
-			t.Fatal("did not re-trip after rearm")
-		}
+	if fr.Incident() != nil {
+		t.Fatal("Rearm left the incident")
+	}
+	// Rearmed and still breaching: the next poll trips fresh, with the
+	// trace retained since.
+	fr.Poll()
+	if got := fr.Incident(); got == nil || len(got.Traces) != 4 || got.Traces[0].Op != "after" {
+		t.Fatalf("re-trip after rearm = %+v", got)
 	}
 
 	var buf bytes.Buffer
 	if err := fr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var state map[string]any
+	var state struct {
+		Armed    bool `json:"armed"`
+		Incident *struct {
+			Traces []struct {
+				ID    string     `json:"trace_id"`
+				Spans []SpanView `json:"spans"`
+			} `json:"traces"`
+		} `json:"incident"`
+	}
 	if err := json.Unmarshal(buf.Bytes(), &state); err != nil {
 		t.Fatal(err)
 	}
-	if state["incident"] == nil {
-		t.Fatal("WriteJSON missing incident")
+	if state.Armed || state.Incident == nil || len(state.Incident.Traces) != 4 || len(state.Incident.Traces[1].Spans) != 1 {
+		t.Fatalf("WriteJSON lacks the incident's traces and their spans:\n%s", buf.String())
 	}
 }
 
 func TestFlightRecorderRings(t *testing.T) {
-	fr := NewFlightRecorder(2, 3)
-	tr := NewTracer(0, 0)
-	tr.Flight = fr
-	for i := 0; i < 5; i++ {
-		tt := tr.StartTrace()
-		tr.Finish(tt, fmt.Sprintf("op-%d", i))
+	tr := NewTracer(1, 0)
+	fr := NewFlightRecorder(tr)
+	var n int
+	fr.AddSnapshot("n", func() any { n++; return n })
+	for i := 0; i < flightFrames+5; i++ {
+		fr.Poll()
+	}
+	for i := 0; i < keepTraces+5; i++ {
+		tr.Finish(tr.StartTrace(), fmt.Sprintf("op-%d", i))
 	}
 	fr.AddCheck("always", func() (bool, string) { return true, "boom" })
 	fr.Poll()
 	inc := fr.Incident()
-	if len(inc.Traces) != 3 {
-		t.Fatalf("trace ring kept %d, want 3", len(inc.Traces))
+	// The frame ring keeps the last flightFrames polls, oldest first.
+	if len(inc.Frames) != flightFrames {
+		t.Fatalf("frame ring kept %d, want %d", len(inc.Frames), flightFrames)
 	}
-	if inc.Traces[0].Op != "op-2" || inc.Traces[2].Op != "op-4" {
-		t.Fatalf("ring order wrong: %+v", inc.Traces)
+	if first, last := inc.Frames[0].Snapshots["n"], inc.Frames[flightFrames-1].Snapshots["n"]; first != 7 || last != flightFrames+6 {
+		t.Fatalf("frame ring order wrong: first %v, last %v", first, last)
+	}
+	// The traces are the tracer's ring: its last keepTraces, newest first.
+	if len(inc.Traces) != keepTraces {
+		t.Fatalf("incident froze %d traces, want %d", len(inc.Traces), keepTraces)
+	}
+	if inc.Traces[0].Op != fmt.Sprintf("op-%d", keepTraces+4) || inc.Traces[keepTraces-1].Op != "op-5" {
+		t.Fatalf("trace ring order wrong: %s .. %s", inc.Traces[0].Op, inc.Traces[keepTraces-1].Op)
 	}
 }
 
 func TestFlightRecorderStartStop(t *testing.T) {
-	fr := NewFlightRecorder(4, 4)
+	fr := NewFlightRecorder(NewTracer(0, 0))
 	fr.AddSnapshot("x", func() any { return 1 })
 	fr.Start(time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)
@@ -473,10 +416,13 @@ func TestFlightRecorderStartStop(t *testing.T) {
 	fr.Stop() // idempotent
 }
 
-func TestFlightRecorderConcurrentNotes(t *testing.T) {
-	fr := NewFlightRecorder(8, 64)
+// TestFlightRecorderConcurrentFinishPoll: requests finishing (and being
+// retained into the tracer's ring) race polls that trip, freeze and rearm.
+// Run under -race on make race's -count=20 line.
+func TestFlightRecorderConcurrentFinishPoll(t *testing.T) {
 	tr := NewTracer(4, 0)
-	tr.Flight = fr
+	fr := NewFlightRecorder(tr)
+	fr.AddCheck("always", func() (bool, string) { return true, "boom" })
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -491,18 +437,33 @@ func TestFlightRecorderConcurrentNotes(t *testing.T) {
 		}()
 	}
 	done := make(chan struct{})
+	polled := make(chan struct{})
 	go func() {
+		defer close(polled)
 		for {
 			select {
 			case <-done:
 				return
 			default:
 				fr.Poll()
+				if inc := fr.Incident(); inc != nil {
+					for _, ts := range inc.Traces {
+						if ts.Op != "concurrent" || len(ts.Spans) != 1 {
+							t.Errorf("frozen trace %+v", ts)
+						}
+					}
+				}
+				fr.Rearm()
 			}
 		}
 	}()
 	wg.Wait()
 	close(done)
+	<-polled
+	fr.Poll()
+	if inc := fr.Incident(); inc == nil || len(inc.Traces) != keepTraces {
+		t.Fatalf("after 1,600 requests sampled 1 in 4, the incident froze %+v, want a full ring", inc)
+	}
 	var buf bytes.Buffer
 	if err := fr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -516,15 +477,15 @@ func TestHistogramWindowDelta(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Observe(1e6) // 1ms burst in the past
 	}
-	w := NewHistogramWindow(h)
-	q, n := w.Advance(0.99)
+	w := &histogramWindow{h: h, prev: h.Counts()}
+	q, n := w.advance(0.99)
 	if n != 0 || q != 0 {
 		t.Fatalf("fresh window saw history: q=%v n=%d", q, n)
 	}
 	for i := 0; i < 10; i++ {
 		h.Observe(4e8) // 400ms in this window
 	}
-	q, n = w.Advance(0.99)
+	q, n = w.advance(0.99)
 	if n != 10 {
 		t.Fatalf("window count = %d, want 10", n)
 	}
@@ -532,7 +493,7 @@ func TestHistogramWindowDelta(t *testing.T) {
 		t.Fatalf("windowed p99 = %v ns, want ~4e8", q)
 	}
 	// Window advanced: the burst is history now.
-	if _, n = w.Advance(0.99); n != 0 {
+	if _, n = w.advance(0.99); n != 0 {
 		t.Fatalf("window did not advance, n=%d", n)
 	}
 }

@@ -9,26 +9,26 @@ import (
 	"time"
 )
 
-// FlightRecorder is the anomaly flight recorder: an always-on bounded ring
-// of recent trace summaries plus periodic metric snapshots, and a watchdog
-// of named checks. The moment a check trips, both rings are frozen into an
-// Incident — the pre-incident window — so the first SLO breach, staleness
-// spike, or WAL error preserves the context that led up to it instead of
-// being paged about after the rings have churned past it.
+// flightFrames is the size of the flight recorder's ring of metric frames.
+const flightFrames = 32
+
+// FlightRecorder is the anomaly flight recorder: a bounded ring of periodic
+// metric snapshots and a watchdog of named checks. The moment a check trips,
+// the frame ring and the tracer's retained traces (every slow trace and one
+// in SampleEvery, each with its span tree) are frozen into an Incident — the
+// pre-incident window — so the first SLO breach, staleness spike, or WAL
+// error preserves the context that led up to it instead of being paged about
+// after both rings have churned past it.
 //
 // The recorder is passive by default: Poll must be driven, either by the
-// Start ticker or lazily by the /debug/flightrecorder handler. Trace notes
-// arrive on every Tracer.Finish (see Tracer.Flight) and cost one mutexed
-// ring-slot write.
+// Start ticker or lazily by the /debug/flightrecorder handler. It costs the
+// request path nothing: the traces it freezes are the tracer's own ring.
 type FlightRecorder struct {
-	mu sync.Mutex
+	tracer *Tracer
 
-	frames      []Frame // metric-snapshot ring
+	mu          sync.Mutex
+	frames      [flightFrames]Frame // metric-snapshot ring
 	frameTotal  uint64
-	frameKeep   int
-	traces      []TraceLite // trace-summary ring (every finished trace)
-	traceTotal  uint64
-	traceKeep   int
 	checks      []flightCheck
 	snapSources []snapSource
 	incident    *Incident
@@ -48,51 +48,26 @@ type snapSource struct {
 	fn   func() any
 }
 
-// TraceLite is one entry in the always-on trace ring: just the identity and
-// timing of a finished trace, no span tree. The ID for local traces stays a
-// raw uint64 until dump time so noting a trace never formats a string.
-type TraceLite struct {
-	ID         string    `json:"trace_id"`
-	Op         string    `json:"op,omitempty"`
-	Node       string    `json:"node,omitempty"`
-	Began      time.Time `json:"began"`
-	DurationUs float64   `json:"duration_us"`
-	Slow       bool      `json:"slow,omitempty"`
-
-	idNum uint64 // formatted into ID lazily at dump time
-}
-
-func (t *TraceLite) resolveID() {
-	if t.ID == "" && t.idNum != 0 {
-		t.ID = fmt.Sprintf("%016x", t.idNum)
-	}
-}
-
 // Frame is one periodic metric snapshot.
 type Frame struct {
 	At        time.Time      `json:"at"`
 	Snapshots map[string]any `json:"snapshots"`
 }
 
-// Incident is the frozen pre-incident window.
+// Incident is the frozen pre-incident window: the frames oldest first, and
+// the tracer's retained traces at the trip, newest first.
 type Incident struct {
-	At     time.Time   `json:"at"`
-	Check  string      `json:"check"`
-	Reason string      `json:"reason"`
-	Frames []Frame     `json:"frames"`
-	Traces []TraceLite `json:"traces"`
+	At     time.Time       `json:"at"`
+	Check  string          `json:"check"`
+	Reason string          `json:"reason"`
+	Frames []Frame         `json:"frames"`
+	Traces []*TraceSummary `json:"traces"`
 }
 
-// NewFlightRecorder builds a recorder keeping the last frames metric
-// snapshots (default 32) and the last traces trace summaries (default 256).
-func NewFlightRecorder(frames, traces int) *FlightRecorder {
-	if frames <= 0 {
-		frames = 32
-	}
-	if traces <= 0 {
-		traces = 256
-	}
-	return &FlightRecorder{frameKeep: frames, traceKeep: traces, stopCh: make(chan struct{})}
+// NewFlightRecorder builds a recorder whose incidents freeze tr's retained
+// traces.
+func NewFlightRecorder(tr *Tracer) *FlightRecorder {
+	return &FlightRecorder{tracer: tr, stopCh: make(chan struct{})}
 }
 
 // AddCheck registers a watchdog condition. fn returns (tripped, reason);
@@ -111,24 +86,11 @@ func (fr *FlightRecorder) AddSnapshot(name string, fn func() any) {
 	fr.mu.Unlock()
 }
 
-// noteTrace records a finished trace into the ring (called by Tracer.Finish
-// for every trace, retained or not).
-func (fr *FlightRecorder) noteTrace(t TraceLite) {
-	fr.mu.Lock()
-	if len(fr.traces) < fr.traceKeep {
-		fr.traces = append(fr.traces, t)
-	} else {
-		fr.traces[fr.traceTotal%uint64(fr.traceKeep)] = t
-	}
-	fr.traceTotal++
-	fr.mu.Unlock()
-}
-
 // Poll captures one metric frame and evaluates the watchdog. On the first
-// tripped check (while armed) the current rings are frozen into the
-// incident; later trips are ignored until Rearm. Check and snapshot
-// callbacks run outside the recorder lock so they may touch subsystems
-// that themselves note traces.
+// tripped check (while armed) the frame ring and the tracer's retained
+// traces are frozen into the incident; later trips are ignored until Rearm.
+// Check and snapshot callbacks run outside the recorder lock so they may
+// touch subsystems that themselves trace.
 func (fr *FlightRecorder) Poll() {
 	fr.mu.Lock()
 	sources := append([]snapSource(nil), fr.snapSources...)
@@ -149,11 +111,7 @@ func (fr *FlightRecorder) Poll() {
 	}
 
 	fr.mu.Lock()
-	if len(fr.frames) < fr.frameKeep {
-		fr.frames = append(fr.frames, frame)
-	} else {
-		fr.frames[fr.frameTotal%uint64(fr.frameKeep)] = frame
-	}
+	fr.frames[fr.frameTotal%flightFrames] = frame
 	fr.frameTotal++
 	if tripped != nil && fr.incident == nil {
 		fr.incident = &Incident{
@@ -161,7 +119,7 @@ func (fr *FlightRecorder) Poll() {
 			Check:  tripped.name,
 			Reason: tripped.reason,
 			Frames: fr.framesLocked(),
-			Traces: fr.tracesLocked(),
+			Traces: fr.tracer.Recent(),
 		}
 	}
 	fr.mu.Unlock()
@@ -169,31 +127,10 @@ func (fr *FlightRecorder) Poll() {
 
 // framesLocked copies the frame ring oldest-first. Caller holds fr.mu.
 func (fr *FlightRecorder) framesLocked() []Frame {
-	if len(fr.frames) < fr.frameKeep { // not yet wrapped: slots are in order
-		return append([]Frame(nil), fr.frames...)
-	}
-	n := uint64(fr.frameKeep)
-	out := make([]Frame, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, fr.frames[(fr.frameTotal+i)%n])
-	}
-	return out
-}
-
-// tracesLocked copies the trace ring oldest-first with IDs resolved.
-// Caller holds fr.mu.
-func (fr *FlightRecorder) tracesLocked() []TraceLite {
-	out := make([]TraceLite, 0, len(fr.traces))
-	if len(fr.traces) < fr.traceKeep {
-		out = append(out, fr.traces...)
-	} else {
-		n := uint64(fr.traceKeep)
-		for i := uint64(0); i < n; i++ {
-			out = append(out, fr.traces[(fr.traceTotal+i)%n])
-		}
-	}
+	out := make([]Frame, min(fr.frameTotal, flightFrames))
+	first := fr.frameTotal - uint64(len(out))
 	for i := range out {
-		out[i].resolveID()
+		out[i] = fr.frames[(first+uint64(i))%flightFrames]
 	}
 	return out
 }
@@ -244,19 +181,18 @@ func (fr *FlightRecorder) Start(interval time.Duration) {
 func (fr *FlightRecorder) Stop() { fr.stopOnce.Do(func() { close(fr.stopCh) }) }
 
 // WriteJSON renders the recorder state for /debug/flightrecorder: the live
-// rings plus the frozen incident (null while armed).
+// frame ring plus the frozen incident (null while armed). The live traces
+// are /debug/traces.
 func (fr *FlightRecorder) WriteJSON(w io.Writer) error {
 	fr.mu.Lock()
 	out := struct {
-		Armed    bool        `json:"armed"`
-		Incident *Incident   `json:"incident"`
-		Frames   []Frame     `json:"frames"`
-		Traces   []TraceLite `json:"traces"`
+		Armed    bool      `json:"armed"`
+		Incident *Incident `json:"incident"`
+		Frames   []Frame   `json:"frames"`
 	}{
 		Armed:    fr.incident == nil,
 		Incident: fr.incident,
 		Frames:   fr.framesLocked(),
-		Traces:   fr.tracesLocked(),
 	}
 	fr.mu.Unlock()
 	enc := json.NewEncoder(w)
@@ -300,22 +236,17 @@ func quantileOf(bounds []int64, counts []int64, p float64) float64 {
 	return float64(bounds[len(bounds)-1])
 }
 
-// HistogramWindow computes quantiles over the observations that arrived
-// since the previous Advance — histograms are lifetime-cumulative, so SLO
+// histogramWindow computes quantiles over the observations that arrived
+// since the previous advance — histograms are lifetime-cumulative, so SLO
 // checks need the delta or a single slow burst would page forever.
-type HistogramWindow struct {
+type histogramWindow struct {
 	h    *Histogram
-	prev []int64
+	prev []int64 // bucket counts at the previous advance
 }
 
-// NewHistogramWindow starts a window at h's current state.
-func NewHistogramWindow(h *Histogram) *HistogramWindow {
-	return &HistogramWindow{h: h, prev: h.Counts()}
-}
-
-// Advance returns (quantile, windowCount) for the observations since the
-// last Advance (native units), then moves the window forward.
-func (w *HistogramWindow) Advance(p float64) (float64, int64) {
+// advance returns (quantile, windowCount) for the observations since the
+// last advance (native units), then moves the window forward.
+func (w *histogramWindow) advance(p float64) (float64, int64) {
 	cur := w.h.Counts()
 	delta := make([]int64, len(cur))
 	var total int64
@@ -335,7 +266,7 @@ func (w *HistogramWindow) Advance(p float64) (float64, int64) {
 // nanoseconds for latency histograms). Windows are tracked per child across
 // calls; children appearing later are picked up on their first poll.
 func SLOCheck(vec *HistogramVec, p float64, budget int64) func() (bool, string) {
-	windows := map[string]*HistogramWindow{}
+	windows := map[string]*histogramWindow{}
 	var mu sync.Mutex
 	return func() (bool, string) {
 		mu.Lock()
@@ -348,10 +279,10 @@ func SLOCheck(vec *HistogramVec, p float64, budget int64) func() (bool, string) 
 			if !ok {
 				// First sighting: the whole history is the window, so a
 				// child born slow still trips on its first poll.
-				w = &HistogramWindow{h: h, prev: make([]int64, len(h.Counts()))}
+				w = &histogramWindow{h: h, prev: make([]int64, len(h.Counts()))}
 				windows[key] = w
 			}
-			q, n := w.Advance(p)
+			q, n := w.advance(p)
 			if !bad && n > 0 && q > float64(budget) {
 				bad = true
 				reason = fmt.Sprintf("p%d %.3fms over budget %.3fms for %s (n=%d)",

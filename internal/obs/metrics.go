@@ -237,19 +237,6 @@ const DefaultMaxChildren = 1024
 // VecOverflowValue is the label value children folded past the cap share.
 const VecOverflowValue = "other"
 
-// vecLimit is the shared cardinality-bounding state embedded in each vec.
-type vecLimit struct {
-	max   int
-	folds atomic.Int64
-}
-
-func (l *vecLimit) bound() int {
-	if l.max <= 0 {
-		return DefaultMaxChildren
-	}
-	return l.max
-}
-
 // overflowKey builds the joined key with every label folded to "other".
 func overflowKey(labels []string) string {
 	vals := make([]string, len(labels))
@@ -280,7 +267,7 @@ type CounterVec struct {
 	labels   []string
 	mu       sync.RWMutex
 	children map[string]*Counter
-	limit    vecLimit
+	folds    atomic.Int64 // With calls folded into the overflow child
 }
 
 // NewCounterVec builds an unregistered counter family.
@@ -288,13 +275,8 @@ func NewCounterVec(labels ...string) *CounterVec {
 	return &CounterVec{labels: labels, children: map[string]*Counter{}}
 }
 
-// Bound caps the family at max distinct children (default
-// DefaultMaxChildren); further label combinations fold into the "other"
-// child. Returns v for chaining.
-func (v *CounterVec) Bound(max int) *CounterVec { v.limit.max = max; return v }
-
 // Folds reports how many With calls were folded into the overflow child.
-func (v *CounterVec) Folds() int64 { return v.limit.folds.Load() }
+func (v *CounterVec) Folds() int64 { return v.folds.Load() }
 
 // With returns the child counter for the label values, creating it on first
 // use. values must match the family's label names positionally. Past the
@@ -314,8 +296,8 @@ func (v *CounterVec) With(values ...string) *Counter {
 	if c, ok = v.children[k]; ok {
 		return c
 	}
-	if len(v.children) >= v.limit.bound() {
-		v.limit.folds.Add(1)
+	if len(v.children) >= DefaultMaxChildren {
+		v.folds.Add(1)
 		k = overflowKey(v.labels)
 		if c, ok = v.children[k]; ok {
 			return c
@@ -333,7 +315,7 @@ type HistogramVec struct {
 	scale    float64
 	mu       sync.RWMutex
 	children map[string]*Histogram
-	limit    vecLimit
+	folds    atomic.Int64 // With calls folded into the overflow child
 }
 
 // NewHistogramVec builds an unregistered histogram family.
@@ -341,11 +323,8 @@ func NewHistogramVec(bounds []int64, scale float64, labels ...string) *Histogram
 	return &HistogramVec{labels: labels, bounds: bounds, scale: scale, children: map[string]*Histogram{}}
 }
 
-// Bound caps the family at max distinct children (see CounterVec.Bound).
-func (v *HistogramVec) Bound(max int) *HistogramVec { v.limit.max = max; return v }
-
 // Folds reports how many With calls were folded into the overflow child.
-func (v *HistogramVec) Folds() int64 { return v.limit.folds.Load() }
+func (v *HistogramVec) Folds() int64 { return v.folds.Load() }
 
 // With returns the child histogram for the label values. Past the
 // cardinality bound, new combinations share the "other" overflow child.
@@ -362,8 +341,8 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	if h, ok = v.children[k]; ok {
 		return h
 	}
-	if len(v.children) >= v.limit.bound() {
-		v.limit.folds.Add(1)
+	if len(v.children) >= DefaultMaxChildren {
+		v.folds.Add(1)
 		k = overflowKey(v.labels)
 		if h, ok = v.children[k]; ok {
 			return h
@@ -392,7 +371,7 @@ type GaugeVec struct {
 	labels   []string
 	mu       sync.RWMutex
 	children map[string]*Gauge
-	limit    vecLimit
+	folds    atomic.Int64 // With calls folded into the overflow child
 }
 
 // NewGaugeVec builds an unregistered gauge family.
@@ -400,11 +379,8 @@ func NewGaugeVec(labels ...string) *GaugeVec {
 	return &GaugeVec{labels: labels, children: map[string]*Gauge{}}
 }
 
-// Bound caps the family at max distinct children (see CounterVec.Bound).
-func (v *GaugeVec) Bound(max int) *GaugeVec { v.limit.max = max; return v }
-
 // Folds reports how many With calls were folded into the overflow child.
-func (v *GaugeVec) Folds() int64 { return v.limit.folds.Load() }
+func (v *GaugeVec) Folds() int64 { return v.folds.Load() }
 
 // With returns the child gauge for the label values, creating it on first
 // use. values must match the family's label names positionally. Past the
@@ -422,8 +398,8 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	if g, ok = v.children[k]; ok {
 		return g
 	}
-	if len(v.children) >= v.limit.bound() {
-		v.limit.folds.Add(1)
+	if len(v.children) >= DefaultMaxChildren {
+		v.folds.Add(1)
 		k = overflowKey(v.labels)
 		if g, ok = v.children[k]; ok {
 			return g

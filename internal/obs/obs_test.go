@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -200,13 +201,20 @@ func TestTraceSamplingAndSlowRetention(t *testing.T) {
 
 func TestTracerRingBuffer(t *testing.T) {
 	tr := NewTracer(1, 0)
-	tr.Keep = 4
-	for i := 0; i < 10; i++ {
-		tr.Finish(tr.StartTrace(), "op")
+	if got := tr.Recent(); got == nil || len(got) != 0 {
+		t.Fatalf("empty ring = %#v, want an empty non-nil slice (/debug/traces writes [])", got)
+	}
+	for i := 0; i < keepTraces+10; i++ {
+		tr.Finish(tr.StartTrace(), "op", strconv.Itoa(i))
 	}
 	recent := tr.Recent()
-	if len(recent) != 4 {
-		t.Fatalf("ring kept %d, want 4", len(recent))
+	if len(recent) != keepTraces {
+		t.Fatalf("ring kept %d, want %d", len(recent), keepTraces)
+	}
+	for i, ts := range recent {
+		if want := "op " + strconv.Itoa(keepTraces+9-i); ts.Op != want {
+			t.Fatalf("recent[%d].Op = %q, want %q (newest first)", i, ts.Op, want)
+		}
 	}
 }
 

@@ -3,8 +3,9 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"math/rand"
-	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,35 +17,33 @@ import (
 // store → cloudsim) with a wide margin for fan-out.
 const maxSpans = 64
 
-// Propagation header names. A caller on another node (internal/client)
-// carries its SpanContext in these headers; the receiving node adopts the
-// trace ID, parents its spans under the caller's span, and honors the
-// origin's sampling decision so both segments are retained (or both
-// recycled) together. They are spelled in MIME-canonical form ("X-Uc-", not
+// Propagation header names. A caller (internal/client) carries its trace's
+// identity in these headers; the receiving server adopts the trace ID, so its
+// response and audit records name the caller's trace, and honors the origin's
+// sampling decision. They are spelled in MIME-canonical form ("X-Uc-", not
 // "X-UC-"), the form http.Header stores and sends whatever it is given, so
 // that Get and Set do not build the canonical name anew on every request.
 const (
-	// TraceIDHeader carries the 16-hex trace ID. The server also stamps it
-	// on every response, so the same header name serves both directions.
+	// TraceIDHeader carries the trace ID. The server also stamps it on
+	// every response, so the same header name serves both directions.
 	TraceIDHeader = "X-Uc-Trace-Id"
-	// ParentSpanHeader carries the forwarder's span index within the trace;
-	// the remote segment grafts under it when /debug/traces stitches.
-	ParentSpanHeader = "X-Uc-Parent-Span"
 	// SampledHeader is "1" when the origin decided to retain this trace.
 	SampledHeader = "X-Uc-Trace-Sampled"
 )
 
-// PropagationContext is the wire form of a SpanContext: everything a remote
-// node needs to continue the trace.
+// PropagationContext is the wire form of a SpanContext: everything a server
+// needs to continue the trace.
 type PropagationContext struct {
 	TraceID string
-	Parent  int32
 	Sampled bool
 }
 
-// maxWireTraceID bounds accepted remote trace IDs so a hostile client
-// cannot bloat retained summaries through the propagation headers.
-const maxWireTraceID = 64
+// maxWireTraceID is the longest trace ID accepted from the wire: W3C trace
+// IDs are 32 hex digits, ours 16.
+const maxWireTraceID = 32
+
+// keepTraces is the size of a tracer's ring of retained traces.
+const keepTraces = 32
 
 // hex16 formats v as 16 lowercase hex chars. Hand-rolled because trace-ID
 // materialization sits on the audited hot path: one string allocation, no
@@ -60,16 +59,21 @@ func hex16(v uint64) string {
 }
 
 // ParsePropagation assembles a PropagationContext from header values; ok is
-// false when no trace is being propagated (empty or oversized ID).
-func ParsePropagation(traceID, parent, sampled string) (PropagationContext, bool) {
+// false unless traceID is 1 to maxWireTraceID hex digits, and the request
+// then starts a trace of its own. The adopted ID is echoed on the response,
+// written to the access log and stamped on every audit record of the
+// request, so anything but hex digits would let a client forge fields in
+// all three.
+func ParsePropagation(traceID, sampled string) (PropagationContext, bool) {
 	if traceID == "" || len(traceID) > maxWireTraceID {
 		return PropagationContext{}, false
 	}
-	pc := PropagationContext{TraceID: traceID, Parent: -1, Sampled: sampled == "1"}
-	if n, err := strconv.Atoi(parent); err == nil && n >= 0 && n < maxSpans {
-		pc.Parent = int32(n)
+	for i := 0; i < len(traceID); i++ {
+		if c := traceID[i]; !('0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F') {
+			return PropagationContext{}, false
+		}
 	}
-	return pc, true
+	return PropagationContext{TraceID: traceID, Sampled: sampled == "1"}, true
 }
 
 // spanRec is one recorded span. Offsets are monotonic nanoseconds since the
@@ -92,8 +96,8 @@ type Trace struct {
 
 	// Lazy ID: a random 64-bit prefix fixed at Tracer construction plus a
 	// per-trace sequence number, formatted only when something actually
-	// needs the string (response header, audit record, retention). Remote
-	// traces adopt the origin's ID verbatim instead.
+	// needs the string (response header, audit record, retention).
+	// Propagated traces adopt the origin's ID verbatim instead.
 	seq    uint64
 	id     atomic.Pointer[string]
 	n      atomic.Int32 // spans used (may exceed maxSpans; clamp on read)
@@ -101,16 +105,12 @@ type Trace struct {
 	capped atomic.Int64 // spans dropped past maxSpans
 
 	// sampled is the retention decision, fixed at StartTrace (or adopted
-	// from the wire) so it can propagate to downstream nodes before Finish.
+	// from the wire) so it can propagate downstream before Finish.
 	sampled bool
-	// remote marks a trace segment continuing another node's trace;
-	// remoteParent is the forwarder's span index (-1 = root).
-	remote       bool
-	remoteParent int32
 }
 
 // ID formats and caches the trace ID (16 hex chars, stable per trace;
-// remote traces return the adopted origin ID).
+// propagated traces return the adopted origin ID).
 func (t *Trace) ID() string {
 	if t == nil {
 		return ""
@@ -162,13 +162,13 @@ func (sc SpanContext) TraceID() string { return sc.tr.ID() }
 // Sampled reports whether the attached trace will be retained.
 func (sc SpanContext) Sampled() bool { return sc.tr.Sampled() }
 
-// Propagation returns the wire form of sc for forwarding to another node;
-// ok is false when no trace is attached (nothing to propagate).
+// Propagation returns the wire form of sc for a request to a server; ok is
+// false when no trace is attached (nothing to propagate).
 func (sc SpanContext) Propagation() (PropagationContext, bool) {
 	if sc.tr == nil {
 		return PropagationContext{}, false
 	}
-	return PropagationContext{TraceID: sc.tr.ID(), Parent: sc.parent, Sampled: sc.tr.sampled}, true
+	return PropagationContext{TraceID: sc.tr.ID(), Sampled: sc.tr.sampled}, true
 }
 
 // Span is an open span handle; call End when the operation completes.
@@ -214,55 +214,33 @@ func (s Span) SetDetail(detail string) {
 
 // Tracer creates, samples, and retains traces. Retention policy: a trace is
 // kept if it was probabilistically selected (1 in SampleEvery, decided at
-// StartTrace so the decision can propagate across nodes) OR its total
-// duration reached SlowThreshold. Spans are recorded for every started
-// trace — retention is decided at Finish — so a slow outlier always has its
-// full span tree. The cost of that choice ("enabled but unsampled") is the
-// overhead number bench/obs.go measures.
+// StartTrace so the decision can propagate) OR its total duration reached
+// SlowThreshold. Spans are recorded for every started trace — retention is
+// decided at Finish — so a slow outlier always has its full span tree.
+// Retained summaries go to one ring of the last keepTraces: /debug/traces
+// serves it, and a flight-recorder incident freezes it.
 type Tracer struct {
 	// SampleEvery retains roughly 1 in N finished traces. 0 disables
 	// probabilistic retention.
 	SampleEvery int
 	// SlowThreshold retains any trace at least this slow. 0 disables.
 	SlowThreshold time.Duration
-	// Keep bounds the retained-trace ring buffer (default 32). Ignored
-	// when Store is set explicitly.
-	Keep int
-	// Node attributes this tracer's retained traces to a node ("node-3")
-	// or host. Empty means single-node deployment.
-	Node string
-	// Store receives retained summaries. Tracers that share one store let
-	// /debug/traces stitch cross-node traces; nil means a private
-	// store created on first retention.
-	Store *TraceStore
-	// Flight, when set, receives a TraceLite for every finished trace
-	// (retained or not) — the flight recorder's always-on trace ring.
-	Flight *FlightRecorder
 
 	idPrefix uint64
 	seq      atomic.Uint64
 	pool     sync.Pool
 
-	mu sync.Mutex // guards lazy Store creation
+	mu     sync.Mutex
+	recent [keepTraces]*TraceSummary // ring; the newest at (total-1) % keepTraces
+	total  uint64                    // summaries retained
 }
 
 // NewTracer builds a tracer with the given retention policy.
 func NewTracer(sampleEvery int, slowThreshold time.Duration) *Tracer {
-	t := &Tracer{SampleEvery: sampleEvery, SlowThreshold: slowThreshold, Keep: 32}
+	t := &Tracer{SampleEvery: sampleEvery, SlowThreshold: slowThreshold}
 	t.idPrefix = rand.Uint64() | 1 // non-zero so IDs are never all zeros
 	t.pool.New = func() any { return &Trace{} }
 	return t
-}
-
-// store returns the retention store, creating a private one sized by Keep
-// on first use (so post-construction Keep tweaks are honored).
-func (tr *Tracer) store() *TraceStore {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if tr.Store == nil {
-		tr.Store = NewTraceStore(tr.Keep)
-	}
-	return tr.Store
 }
 
 // StartTrace begins a new trace rooted at now. The sampling decision is
@@ -276,15 +254,11 @@ func (tr *Tracer) StartTrace() *Trace {
 	t.n.Store(0)
 	t.capped.Store(0)
 	t.sampled = tr.SampleEvery > 0 && t.seq%uint64(tr.SampleEvery) == 0
-	t.remote = false
-	t.remoteParent = -1
 	return t
 }
 
-// StartRemote begins a trace segment continuing a trace propagated from
-// another node: it adopts the origin's trace ID and sampling decision and
-// remembers the forwarder's span index so stitching can graft this
-// segment's spans under it.
+// StartRemote begins a trace continuing one propagated by a caller: it
+// adopts the origin's trace ID and sampling decision.
 func (tr *Tracer) StartRemote(pc PropagationContext) *Trace {
 	t := tr.StartTrace()
 	if pc.TraceID == "" {
@@ -292,8 +266,6 @@ func (tr *Tracer) StartRemote(pc PropagationContext) *Trace {
 	}
 	id := pc.TraceID
 	t.id.Store(&id)
-	t.remote = true
-	t.remoteParent = pc.Parent
 	t.sampled = pc.Sampled
 	return t
 }
@@ -305,64 +277,47 @@ func (tr *Tracer) Root(t *Trace) SpanContext { return SpanContext{tr: t, parent:
 type SpanView struct {
 	Name     string     `json:"name"`
 	Detail   string     `json:"detail,omitempty"`
-	Node     string     `json:"node,omitempty"` // set on grafted remote roots
 	StartUs  float64    `json:"start_us"`
 	Duration float64    `json:"duration_us"`
 	Children []SpanView `json:"children,omitempty"`
-
-	idx int32 // flat span index, for stitching remote segments under it
 }
 
-// TraceSummary is one retained trace (or trace segment), ready for
-// /debug/traces.
+// TraceSummary is one retained trace, ready for /debug/traces. It is
+// immutable once retained: the ring and any incident share it.
 type TraceSummary struct {
 	ID       string     `json:"trace_id"`
-	Node     string     `json:"node,omitempty"`
 	Began    time.Time  `json:"began"`
 	Duration float64    `json:"duration_ms"`
 	Slow     bool       `json:"slow"`
 	Dropped  int64      `json:"dropped_spans,omitempty"`
 	Op       string     `json:"op,omitempty"`
-	Remote   bool       `json:"remote,omitempty"`
 	Spans    []SpanView `json:"spans"`
-
-	// ParentSpan is the forwarder's span index for remote segments (-1 when
-	// unknown); stitching grafts the segment under that span.
-	ParentSpan int32 `json:"-"`
 }
 
 // Finish closes the trace, decides retention, and recycles the Trace when it
-// is not retained. The *Trace must not be used after Finish. op labels the
-// retained summary (e.g. "GET /api/.../tables").
-func (tr *Tracer) Finish(t *Trace, op string) {
+// is not retained. The *Trace must not be used after Finish. The op parts,
+// joined by spaces, label the retained summary (e.g. "GET", "/api/.../tables");
+// the label is built only for a trace that is retained.
+func (tr *Tracer) Finish(t *Trace, op ...string) {
 	took := time.Since(t.begun)
 	slow := tr.SlowThreshold > 0 && took >= tr.SlowThreshold
-	if fr := tr.Flight; fr != nil {
-		lite := TraceLite{Op: op, Node: tr.Node, Began: t.begun, DurationUs: float64(took) / 1e3, Slow: slow}
-		if p := t.id.Load(); p != nil {
-			lite.ID = *p
-		} else {
-			lite.idNum = tr.idPrefix ^ t.seq
-		}
-		fr.noteTrace(lite)
-	}
 	if !slow && !t.sampled {
 		tr.pool.Put(t)
 		return
 	}
 	sum := &TraceSummary{
-		ID:         t.ID(),
-		Node:       tr.Node,
-		Began:      t.begun,
-		Duration:   float64(took) / 1e6,
-		Slow:       slow,
-		Dropped:    t.capped.Load(),
-		Op:         op,
-		Remote:     t.remote,
-		ParentSpan: t.remoteParent,
-		Spans:      t.tree(),
+		ID:       t.ID(),
+		Began:    t.begun,
+		Duration: float64(took) / 1e6,
+		Slow:     slow,
+		Dropped:  t.capped.Load(),
+		Op:       strings.Join(op, " "),
+		Spans:    t.tree(),
 	}
-	tr.store().add(sum)
+	tr.mu.Lock()
+	tr.recent[tr.total%keepTraces] = sum
+	tr.total++
+	tr.mu.Unlock()
 	// Retained traces are not pooled: their span strings are referenced by
 	// the summary-building loop above only by copy, but recycling here would
 	// save little and risks racing a late Span.End from a leaked goroutine.
@@ -386,7 +341,6 @@ func (t *Trace) tree() []SpanView {
 			Detail:   s.detail,
 			StartUs:  float64(s.startNs) / 1e3,
 			Duration: float64(end-s.startNs) / 1e3,
-			idx:      int32(i),
 		}
 	}
 	var roots []SpanView
@@ -403,165 +357,22 @@ func (t *Trace) tree() []SpanView {
 	return roots
 }
 
-// Recent returns retained traces (raw segments, unstitched), newest first.
-func (tr *Tracer) Recent() []*TraceSummary { return tr.store().Recent() }
-
-// WriteRecentJSON writes the retained traces as a JSON array, with remote
-// segments stitched into their origin trees (see TraceStore.Stitched).
-func (tr *Tracer) WriteRecentJSON(w interface{ Write([]byte) (int, error) }) error {
-	return tr.store().WriteJSON(w)
-}
-
-// --- shared retention store and cross-node stitching ---
-
-// TraceStore is a ring of retained trace summaries. A single-node stack has
-// one per tracer; several tracers sharing one store make /debug/traces show
-// each logical request as one stitched tree.
-type TraceStore struct {
-	mu     sync.Mutex
-	keep   int
-	recent []*TraceSummary // ring, newest at highest index mod keep
-	total  uint64          // summaries added (for ring ordering)
-}
-
-// NewTraceStore returns a store retaining up to keep summaries (0 = 32).
-func NewTraceStore(keep int) *TraceStore {
-	if keep <= 0 {
-		keep = 32
-	}
-	return &TraceStore{keep: keep}
-}
-
-func (s *TraceStore) add(sum *TraceSummary) {
-	s.mu.Lock()
-	if len(s.recent) < s.keep {
-		s.recent = append(s.recent, sum)
-	} else {
-		s.recent[s.total%uint64(s.keep)] = sum
-	}
-	s.total++
-	s.mu.Unlock()
-}
-
-// Recent returns retained summaries, newest first.
-func (s *TraceStore) Recent() []*TraceSummary {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*TraceSummary, 0, len(s.recent))
-	for i := 0; i < len(s.recent); i++ {
-		idx := (s.total - 1 - uint64(i)) % uint64(s.keep)
-		if int(idx) < len(s.recent) && s.recent[idx] != nil {
-			out = append(out, s.recent[idx])
-		}
+// Recent returns the retained traces, newest first.
+func (tr *Tracer) Recent() []*TraceSummary {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	out := make([]*TraceSummary, min(tr.total, keepTraces))
+	for i := range out {
+		out[i] = tr.recent[(tr.total-1-uint64(i))%keepTraces]
 	}
 	return out
 }
 
-// Stitched returns retained traces with remote segments merged into their
-// origin trees: a remote segment whose trace ID matches a retained origin
-// trace is grafted under the origin span that forwarded it (a synthetic
-// "remote" span carrying the segment's node), with its span offsets shifted
-// onto the origin's clock. Remote segments whose origin was not retained
-// (or was evicted) appear as standalone entries.
-func (s *TraceStore) Stitched() []*TraceSummary {
-	all := s.Recent()
-	remotes := map[string][]*TraceSummary{}
-	origins := map[string]bool{}
-	for _, t := range all {
-		if t.Remote {
-			remotes[t.ID] = append(remotes[t.ID], t)
-		} else {
-			origins[t.ID] = true
-		}
-	}
-	out := make([]*TraceSummary, 0, len(all))
-	for _, t := range all {
-		if t.Remote {
-			if !origins[t.ID] {
-				out = append(out, t) // orphan segment: origin not retained
-			}
-			continue
-		}
-		segs := remotes[t.ID]
-		if len(segs) == 0 {
-			out = append(out, t)
-			continue
-		}
-		cp := *t
-		cp.Spans = cloneSpans(t.Spans)
-		for i := len(segs) - 1; i >= 0; i-- { // oldest segment first
-			r := segs[i]
-			shift := float64(r.Began.Sub(t.Began)) / 1e3 // µs on origin clock
-			graft := SpanView{
-				Name:     "remote",
-				Detail:   r.Op,
-				Node:     r.Node,
-				StartUs:  shift,
-				Duration: r.Duration * 1e3,
-				Children: shiftSpans(r.Spans, shift),
-				idx:      -1,
-			}
-			if !attachAt(cp.Spans, r.ParentSpan, graft) {
-				cp.Spans = append(cp.Spans, graft)
-			}
-		}
-		out = append(out, &cp)
-	}
-	return out
-}
-
-// cloneSpans deep-copies a span tree so grafting never mutates the retained
-// summary.
-func cloneSpans(in []SpanView) []SpanView {
-	if in == nil {
-		return nil
-	}
-	out := make([]SpanView, len(in))
-	for i, s := range in {
-		out[i] = s
-		out[i].Children = cloneSpans(s.Children)
-	}
-	return out
-}
-
-// shiftSpans deep-copies a remote segment's spans with start offsets moved
-// onto the origin trace's clock.
-func shiftSpans(in []SpanView, byUs float64) []SpanView {
-	if in == nil {
-		return nil
-	}
-	out := make([]SpanView, len(in))
-	for i, s := range in {
-		out[i] = s
-		out[i].StartUs = s.StartUs + byUs
-		out[i].Children = shiftSpans(s.Children, byUs)
-	}
-	return out
-}
-
-// attachAt appends child under the span with flat index idx, returning
-// false when no such span exists in the tree.
-func attachAt(spans []SpanView, idx int32, child SpanView) bool {
-	if idx < 0 {
-		return false
-	}
-	for i := range spans {
-		if spans[i].idx == idx {
-			spans[i].Children = append(spans[i].Children, child)
-			return true
-		}
-		if attachAt(spans[i].Children, idx, child) {
-			return true
-		}
-	}
-	return false
-}
-
-// WriteJSON writes the stitched retained traces as a JSON array.
-func (s *TraceStore) WriteJSON(w interface{ Write([]byte) (int, error) }) error {
+// WriteRecentJSON writes Recent as a JSON array.
+func (tr *Tracer) WriteRecentJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(s.Stitched())
+	return enc.Encode(tr.Recent())
 }
 
 // --- context.Context plumbing for the HTTP layer ---

@@ -344,10 +344,15 @@ func TestAuthorizeBatchRoute(t *testing.T) {
 	}
 }
 
-// TestRevalidationAllocsGate pins the 304 fast path: revalidating an
-// unchanged resource must stay cheap. The bound is deliberately loose (the
-// trace/ctx machinery allocates a little); the reflection-encoded fresh path
+// revalidationAllocs is what a 304 revalidation allocated when the request
+// path last changed on purpose (ISSUE 25: the fault injector's op string is
+// built only when an injector is installed, and the trace's op label only
+// when the trace is retained; it was 19). The reflection-encoded fresh path
 // costs several times more, so a regression that re-encodes on 304 trips it.
+const revalidationAllocs = 17
+
+// TestRevalidationAllocsGate pins the 304 fast path: it fails at 10 % over
+// revalidationAllocs; `make allocs` prints the figure.
 func TestRevalidationAllocsGate(t *testing.T) {
 	srv, _ := condStack(t, server.Config{ETagMaxAge: time.Hour, SampleEvery: -1})
 	admin := catalog.Ctx{Principal: "admin", Metastore: "ms1"}
@@ -375,8 +380,9 @@ func TestRevalidationAllocsGate(t *testing.T) {
 		clear(hdr)
 		srv.ServeHTTP(&discardRW{hdr: hdr}, req)
 	})
-	if allocs > 64 {
-		t.Fatalf("304 revalidation allocates %.0f/request, want <= 64", allocs)
+	t.Logf("304 revalidation: %.0f allocations (recorded %d)", allocs, revalidationAllocs)
+	if allocs > 1.10*revalidationAllocs {
+		t.Fatalf("304 revalidation: %.0f allocations, more than 10 %% over the recorded %d", allocs, revalidationAllocs)
 	}
 }
 

@@ -362,17 +362,17 @@ func TestPrometheusExpositionConformance(t *testing.T) {
 	}
 }
 
-// --- cross-node propagation over the HTTP hop ---
+// --- trace propagation over the HTTP hop ---
 
 // TestServerAdoptsPropagatedTrace: a request carrying propagation headers
-// must continue that trace — same ID on the response header, retained as a
-// remote segment honoring the origin's sampling decision even though this
-// server's own sampler would never retain it, and audit records carrying
-// the ORIGIN trace ID.
+// must continue that trace — same ID on the response header, retained
+// honoring the origin's sampling decision even though this server's own
+// sampler would never retain it, and audit records carrying the ORIGIN
+// trace ID.
 func TestServerAdoptsPropagatedTrace(t *testing.T) {
-	// SampleEvery/SlowThreshold negative: this node retains nothing on its
+	// SampleEvery/SlowThreshold negative: this server retains nothing on its
 	// own; only the adopted sampling decision can retain the trace.
-	srv, hs, c := stackWithConfig(t, server.Config{SampleEvery: -1, SlowThreshold: -1, Node: "node-b"})
+	srv, hs, c := stackWithConfig(t, server.Config{SampleEvery: -1, SlowThreshold: -1})
 	seedAssets(t, c)
 
 	req, _ := http.NewRequest("GET", hs.URL+"/api/2.1/unity-catalog/assets/sales.raw.orders", nil)
@@ -380,7 +380,6 @@ func TestServerAdoptsPropagatedTrace(t *testing.T) {
 	req.Header.Set("X-UC-Metastore", "ms1")
 	const originID = "deadbeef00000001"
 	req.Header.Set(obs.TraceIDHeader, originID)
-	req.Header.Set(obs.ParentSpanHeader, "2")
 	req.Header.Set(obs.SampledHeader, "1")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -401,9 +400,6 @@ func TestServerAdoptsPropagatedTrace(t *testing.T) {
 	}
 	if sum == nil {
 		t.Fatalf("adopted trace %s not retained", originID)
-	}
-	if !sum.Remote || sum.ParentSpan != 2 || sum.Node != "node-b" {
-		t.Fatalf("summary = %+v, want remote parent=2 node-b", sum)
 	}
 	recs := srv.Service.Audit().Filter(func(r audit.Record) bool { return r.TraceID == originID })
 	if len(recs) == 0 {
@@ -431,68 +427,101 @@ func TestServerAdoptsPropagatedTrace(t *testing.T) {
 	}
 }
 
-// TestClientPropagatesTraceAndStitches drives the whole hop through the
-// client: an origin tracer shares a store with the server's tracer; the
-// client carries the origin's span context; the stitched store shows ONE
-// tree with the server's spans grafted under the client's call span.
-func TestClientPropagatesTraceAndStitches(t *testing.T) {
-	srv, hs, c := stackWithConfig(t, server.Config{SampleEvery: -1, SlowThreshold: -1, Node: "node-remote"})
+// TestClientPropagatesTrace drives the hop through the client: the client
+// carries its caller's span context, and the server's response, its retained
+// trace (with the spans of the write underneath) and its audit records all
+// carry the caller's trace ID.
+func TestClientPropagatesTrace(t *testing.T) {
+	srv, hs, c := stackWithConfig(t, server.Config{SampleEvery: -1, SlowThreshold: -1})
 	seedAssets(t, c)
 
-	shared := obs.NewTraceStore(16)
-	srv.Tracer().Store = shared
 	origin := obs.NewTracer(1, 0)
-	origin.Node = "origin"
-	origin.Store = shared
-
 	ot := origin.StartTrace()
 	sc, call := origin.Root(ot).Start("engine.resolve")
 	c2 := client.New(hs.URL, "admin", "ms1")
 	c2.Trace = sc
 	// A write reaches the store layer, which records spans (store.commit,
-	// store.wal, ...) under the adopted remote trace.
-	if _, err := c2.CreateSchema("sales", "stitched", ""); err != nil {
+	// store.wal, ...) under the adopted trace.
+	if _, err := c2.CreateSchema("sales", "propagated", ""); err != nil {
 		t.Fatal(err)
 	}
 	call.End()
 	origin.Finish(ot, "engine job")
 
-	var tree *obs.TraceSummary
-	for _, s := range shared.Stitched() {
+	var sum *obs.TraceSummary
+	for _, s := range srv.Tracer().Recent() {
 		if s.ID == ot.ID() {
-			tree = s
+			sum = s
 		}
 	}
-	if tree == nil {
-		t.Fatalf("stitched store has no tree for %s", ot.ID())
+	if sum == nil {
+		t.Fatalf("server retained no trace under the client's ID %s", ot.ID())
 	}
-	if tree.Remote {
-		t.Fatal("origin tree marked remote")
+	if !strings.Contains(sum.Op, "POST /api/2.1/unity-catalog/schemas") {
+		t.Fatalf("retained trace op = %q", sum.Op)
 	}
-	var remote *obs.SpanView
-	var under string
-	var walk func(spans []obs.SpanView, parent string)
-	walk = func(spans []obs.SpanView, parent string) {
-		for i := range spans {
-			if spans[i].Name == "remote" {
-				remote = &spans[i]
-				under = parent
-			}
-			walk(spans[i].Children, spans[i].Name)
+	if !spanNamed(sum.Spans, "store.commit") {
+		t.Fatalf("retained trace has no store.commit span: %+v", sum.Spans)
+	}
+	recs := srv.Service.Audit().Filter(func(r audit.Record) bool { return r.TraceID == ot.ID() })
+	if len(recs) == 0 {
+		t.Fatalf("no audit records carry the client's trace ID %s", ot.ID())
+	}
+}
+
+func spanNamed(spans []obs.SpanView, name string) bool {
+	for _, s := range spans {
+		if s.Name == name || spanNamed(s.Children, name) {
+			return true
 		}
 	}
-	walk(tree.Spans, "")
-	if remote == nil {
-		t.Fatalf("no remote segment grafted: %+v", tree.Spans)
+	return false
+}
+
+// TestForgedTraceIDIsNotAdopted: a trace header that is not 1–32 hex digits
+// is ignored and the request gets a trace of its own. Before, analyst's 403
+// with a header of log fields logged them after its own, echoed them on the
+// response and stamped them on every audit record of the request.
+func TestForgedTraceIDIsNotAdopted(t *testing.T) {
+	var logs strings.Builder
+	srv, hs, c := stackWithConfig(t, server.Config{AccessLog: true, AccessLogWriter: &logs})
+	seedAssets(t, c)
+
+	const forged = `x status=200 principal="admin"`
+	req, _ := http.NewRequest("GET", hs.URL+"/api/2.1/unity-catalog/assets/sales", nil)
+	req.Header.Set("Authorization", "Bearer analyst")
+	req.Header.Set("X-UC-Metastore", "ms1")
+	req.Header.Set(obs.TraceIDHeader, forged)
+	req.Header.Set(obs.SampledHeader, "1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if under != "engine.resolve" {
-		t.Fatalf("remote grafted under %q, want engine.resolve", under)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusForbidden {
+		t.Fatalf("analyst read = %d, want 403", resp.StatusCode)
 	}
-	if remote.Node != "node-remote" {
-		t.Fatalf("remote node = %q", remote.Node)
+	minted := resp.Header.Get(obs.TraceIDHeader)
+	if len(minted) != 16 || strings.Trim(minted, "0123456789abcdef") != "" {
+		t.Fatalf("response trace ID %q, want a minted 16-hex ID", minted)
 	}
-	if len(remote.Children) == 0 {
-		t.Fatal("remote segment has no server spans")
+	var line string
+	for _, l := range strings.Split(logs.String(), "\n") {
+		if strings.Contains(l, "trace="+minted) {
+			line = l
+		}
+	}
+	if line == "" {
+		t.Fatalf("no access-log line for trace %s:\n%s", minted, logs.String())
+	}
+	if strings.Count(line, "status=") != 1 || strings.Count(line, "principal=") != 1 || !strings.Contains(line, `status=403`) || !strings.Contains(line, `principal="analyst"`) {
+		t.Fatalf("access-log line carries forged fields: %s", line)
+	}
+	if recs := srv.Service.Audit().Filter(func(r audit.Record) bool { return strings.Contains(r.TraceID, "status=") }); len(recs) != 0 {
+		t.Fatalf("%d audit records carry the forged trace ID: %+v", len(recs), recs)
+	}
+	if recs := srv.Service.Audit().Filter(func(r audit.Record) bool { return r.TraceID == minted }); len(recs) == 0 {
+		t.Fatalf("no audit record carries the minted trace ID %s", minted)
 	}
 }
 
@@ -556,8 +585,6 @@ func TestFlightRecorderSLOBreach(t *testing.T) {
 		SampleEvery:   1,
 		SlowThreshold: time.Nanosecond,
 		SLORouteP99:   time.Nanosecond, // any served request breaches
-		FlightFrames:  8,
-		FlightTraces:  32,
 	})
 	seedAssets(t, c)
 	// Drain the SLO windows so the seeding traffic doesn't trip the check:
@@ -608,7 +635,8 @@ func TestFlightRecorderSLOBreach(t *testing.T) {
 		t.Fatalf("reason %q", state.Incident.Reason)
 	}
 	// Pre-incident window: the healthy frame precedes the trip frame, and
-	// the trace ring holds the requests that led up to the breach.
+	// the tracer's retained traces hold the requests that led up to the
+	// breach.
 	if len(state.Incident.Frames) < 2 {
 		t.Fatalf("incident kept %d frames, want the healthy pre-incident frame too", len(state.Incident.Frames))
 	}

@@ -15,7 +15,7 @@ func TestHeaderNamesCanonical(t *testing.T) {
 	for _, k := range []string{
 		hdrAuthorization, hdrMetastore, hdrWorkspace, hdrIfNoneMatch, hdrETag,
 		hdrCacheControl, hdrContentType, hdrContentLength, hdrRetryAfter,
-		obs.TraceIDHeader, obs.ParentSpanHeader, obs.SampledHeader,
+		obs.TraceIDHeader, obs.SampledHeader,
 	} {
 		if c := textproto.CanonicalMIMEHeaderKey(k); c != k {
 			t.Errorf("header name %q is not canonical (want %q)", k, c)

@@ -46,19 +46,12 @@ type Config struct {
 	// ETagMaxAge bounds the lifetime of a conditional-GET validator
 	// (default 30s; negative disables conditional handling). See etag.go.
 	ETagMaxAge time.Duration
-	// Node attributes this server's trace spans to a node or host in
-	// stitched cross-node traces (empty = single-node deployment).
-	Node string
 	// TenantTopK sizes the per-tenant usage sketches (default 32; negative
 	// disables tenant metering entirely).
 	TenantTopK int
 	// SLORouteP99 is the per-route p99 latency budget the flight-recorder
 	// watchdog enforces over poll windows (0 disables the SLO check).
 	SLORouteP99 time.Duration
-	// FlightFrames / FlightTraces size the flight-recorder rings (defaults
-	// 32 frames / 256 traces).
-	FlightFrames int
-	FlightTraces int
 	// FlightInterval starts a background watchdog ticker (0 = no goroutine;
 	// /debug/flightrecorder polls lazily on scrape instead).
 	FlightInterval time.Duration
@@ -90,7 +83,6 @@ func (s *Server) initTelemetry(cfg Config) {
 	}
 	s.cfg = cfg
 	s.tracer = obs.NewTracer(cfg.SampleEvery, cfg.SlowThreshold)
-	s.tracer.Node = cfg.Node
 	s.metrics = obs.NewRegistry()
 	s.Service.RegisterMetrics(s.metrics)
 	s.httpReqs = obs.NewCounterVec("route", "code")
@@ -110,13 +102,12 @@ func (s *Server) initTelemetry(cfg Config) {
 	s.initFlightRecorder(cfg)
 }
 
-// initFlightRecorder wires the anomaly flight recorder: the tracer feeds
-// its always-on trace ring, the watchdog checks cover the SLO budget, WAL
+// initFlightRecorder wires the anomaly flight recorder: an incident freezes
+// the tracer's retained traces, the watchdog checks cover the SLO budget, WAL
 // health, and cache degradation, and frames snapshot the signals an
 // incident post-mortem needs first.
 func (s *Server) initFlightRecorder(cfg Config) {
-	s.flight = obs.NewFlightRecorder(cfg.FlightFrames, cfg.FlightTraces)
-	s.tracer.Flight = s.flight
+	s.flight = obs.NewFlightRecorder(s.tracer)
 	if cfg.SLORouteP99 > 0 {
 		s.flight.AddCheck("slo_route_p99", obs.SLOCheck(s.httpSeconds, 0.99, int64(cfg.SLORouteP99)))
 	}
@@ -235,15 +226,11 @@ func (a *allocSampler) end(before uint64) uint64 {
 // trace, expose its ID, dispatch (or fail with an injected fault), then
 // record metrics, tenant usage, the access log line, and trace retention.
 func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request) {
-	// A request carrying propagation headers is a forwarded hop of a trace
-	// begun elsewhere: adopt its identity, parent, and sampling decision so
-	// the segments stitch into one tree and retention is all-or-nothing.
+	// A request carrying a valid trace ID continues a trace its caller
+	// began: adopt the ID, so the response and the audit records name the
+	// caller's trace, and its sampling decision.
 	var t *obs.Trace
-	if pc, ok := obs.ParsePropagation(
-		r.Header.Get(obs.TraceIDHeader),
-		r.Header.Get(obs.ParentSpanHeader),
-		r.Header.Get(obs.SampledHeader),
-	); ok {
+	if pc, ok := obs.ParsePropagation(r.Header.Get(obs.TraceIDHeader), r.Header.Get(obs.SampledHeader)); ok {
 		t = s.tracer.StartRemote(pc)
 	} else {
 		t = s.tracer.StartTrace()
@@ -260,8 +247,12 @@ func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request) {
 
 	allocsBefore, measure := s.allocs.begin()
 	start := time.Now()
-	if err := s.injector.Load().Check("http."+r.Method, r.URL.Path); err != nil {
-		writeErr(sw, err)
+	var injected error
+	if inj := s.injector.Load(); inj != nil { // the op string escapes: build it only here
+		injected = inj.Check("http."+r.Method, r.URL.Path)
+	}
+	if injected != nil {
+		writeErr(sw, injected)
 	} else {
 		s.mux.ServeHTTP(sw, r)
 	}
@@ -286,15 +277,18 @@ func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.AccessLog {
 		s.writeAccessLog(r, sw, took, t.ID())
 	}
-	s.tracer.Finish(t, r.Method+" "+r.URL.Path)
+	s.tracer.Finish(t, r.Method, r.URL.Path)
 }
 
-// writeAccessLog emits one structured logfmt line for the request.
+// writeAccessLog emits one structured logfmt line for the request. Every
+// field a client chooses is quoted or escaped, so none can add a field: the
+// principal is quoted, the path is written escaped (a decoded "%20" would end
+// the field), and the trace ID is hex (obs.ParsePropagation).
 func (s *Server) writeAccessLog(r *http.Request, sw *statusWriter, took time.Duration, traceID string) {
 	principal := strings.TrimPrefix(r.Header.Get(hdrAuthorization), "Bearer ")
 	var b strings.Builder
 	fmt.Fprintf(&b, "time=%s method=%s path=%s status=%d duration=%s principal=%q trace=%s",
-		time.Now().UTC().Format(time.RFC3339Nano), r.Method, r.URL.Path,
+		time.Now().UTC().Format(time.RFC3339Nano), r.Method, r.URL.EscapedPath(),
 		sw.status, took, principal, traceID)
 	if sw.status >= 500 && sw.err != nil {
 		fmt.Fprintf(&b, " error=%q", sw.err.Error())

@@ -345,6 +345,16 @@ func TestAccessLog(t *testing.T) {
 	}
 	srv.SetFaults(nil)
 
+	// A path that decodes to log fields stays one escaped field.
+	forged, _ := http.NewRequest("GET", hs.URL+"/api/2.1/unity-catalog/assets/x%20status=200%20principal=%22admin%22", nil)
+	forged.Header.Set("Authorization", "Bearer analyst")
+	forged.Header.Set("X-UC-Metastore", "ms1")
+	if resp, err := http.DefaultClient.Do(forged); err != nil {
+		t.Fatal(err)
+	} else {
+		resp.Body.Close()
+	}
+
 	logs := buf.String()
 	if !strings.Contains(logs, `method=POST path=/api/2.1/unity-catalog/tables status=201`) {
 		t.Errorf("access log missing create-table line:\n%s", logs)
@@ -360,6 +370,18 @@ func TestAccessLog(t *testing.T) {
 	}
 	if errLine == "" {
 		t.Fatalf("no 503 line in access log:\n%s", logs)
+	}
+	for _, line := range strings.Split(logs, "\n") {
+		if !strings.Contains(line, `principal="analyst"`) {
+			continue
+		}
+		fields := map[string]int{}
+		for _, f := range strings.Fields(line) {
+			fields[strings.SplitN(f, "=", 2)[0]]++
+		}
+		if fields["status"] != 1 || fields["principal"] != 1 {
+			t.Errorf("a request path added log fields: %s", line)
+		}
 	}
 	if !strings.Contains(errLine, "error=") || !strings.Contains(errLine, "unavailable") {
 		t.Errorf("5xx line lacks underlying error: %s", errLine)

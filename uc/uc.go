@@ -136,9 +136,6 @@ type Config struct {
 	// TraceSlowThreshold always retains traces at least this slow
 	// (default 100ms; negative disables).
 	TraceSlowThreshold time.Duration
-	// Node attributes this process's trace segments in stitched
-	// cross-node trace trees (empty = no node attribution).
-	Node string
 	// TenantTopK sizes the per-tenant usage sketches behind /debug/tenants
 	// and the uc_tenant_* metric families (default 32; negative disables
 	// metering).
@@ -147,10 +144,6 @@ type Config struct {
 	// windowed p99 exceeds this budget between polls trips an incident
 	// (0 = no SLO check).
 	SLORouteP99 time.Duration
-	// FlightFrames/FlightTraces size the flight-recorder rings (defaults
-	// 32 frames / 256 trace summaries).
-	FlightFrames int
-	FlightTraces int
 	// FlightInterval polls the flight-recorder watchdog in the background
 	// (default 0: checks run lazily on /debug/flightrecorder reads only).
 	FlightInterval time.Duration
@@ -209,11 +202,8 @@ func Open(cfg Config) (*Catalog, error) {
 	c.srv = server.NewWithConfig(svc, server.Config{
 		SampleEvery:     cfg.TraceSampleEvery,
 		SlowThreshold:   cfg.TraceSlowThreshold,
-		Node:            cfg.Node,
 		TenantTopK:      cfg.TenantTopK,
 		SLORouteP99:     cfg.SLORouteP99,
-		FlightFrames:    cfg.FlightFrames,
-		FlightTraces:    cfg.FlightTraces,
 		FlightInterval:  cfg.FlightInterval,
 		AccessLog:       cfg.AccessLog,
 		AccessLogWriter: cfg.AccessLogWriter,
