@@ -78,7 +78,7 @@ race:
 
 # Who holds the resident bytes: builds 2,000 tables through uc.Open with
 # every allocation profiled and prints in-use bytes per internal package,
-# failing when search, pathtrie, events, the store's commit-built structure
+# failing when search, catalog, events, the store's commit-built structure
 # or the durable values (erm: entity records and index rows) is 10 % over its
 # recorded figure, or the audit log over its figure per retained record
 # (uc/heap_test.go; DESIGN.md "Resident layout"). A
@@ -97,8 +97,9 @@ heap:
 # What the read path allocates: a 100-record batch decode (internal/erm, at
 # most 5 whatever the size), a whole 100-table list page and a 100-table
 # unpaged listing on a cache-less service (the two shells of the listing
-# engine), and a GetAsset by name and a one-table Resolve on a warm cache,
-# which must also decode nothing (internal/catalog, recorded figures + 10 %),
+# engine), and a GetAsset by name, a one-table Resolve and a credential by
+# object path on a warm cache, which must also decode nothing
+# (internal/catalog, recorded figures + 10 %),
 # printed; then a 304 revalidation through the whole HTTP request path
 # (internal/server, recorded figure + 10 %) and a metric-family child lookup
 # (internal/obs, none). `make test` runs the same gates with the rest of ./...

@@ -138,6 +138,167 @@ func TestGetBatchDegradedPerKey(t *testing.T) {
 	}
 }
 
+// TestGetOneOfCachesOnlyTheLiveKey is GetOneOf's I/O gate: a cold list costs
+// one database read and caches the live key alone, a warm one costs none, and
+// a list with no live key costs one read and caches nothing.
+func TestGetOneOfCachesOnlyTheLiveKey(t *testing.T) {
+	db := newDB(t)
+	if _, err := db.Update("m", func(tx *store.Tx) error {
+		tx.Put("t", "a/b", []byte("ab"))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c := New(db, Options{})
+	c.Own("m")
+	prefixes := []string{"a", "a/b", "a/b/c", "a/b/c/d"}
+	for round, wantReads := range []int64{1, 0} {
+		v, _ := c.NewView("m")
+		reads := db.ReadCount()
+		if i, val := v.GetOneOf("t", prefixes); i != 1 || string(val) != "ab" {
+			t.Fatalf("round %d: GetOneOf = %d, %q; want 1, \"ab\"", round, i, val)
+		}
+		v.Close()
+		if n := db.ReadCount() - reads; n != wantReads {
+			t.Fatalf("round %d cost %d database reads, want %d", round, n, wantReads)
+		}
+		if n := c.EntryCount("m"); n != 1 {
+			t.Fatalf("round %d: the cache holds %d records, want the live key alone", round, n)
+		}
+	}
+	v, _ := c.NewView("m")
+	defer v.Close()
+	reads := db.ReadCount()
+	if i, val := v.GetOneOf("t", []string{"x", "x/y", "x/y/z"}); i != -1 || val != nil {
+		t.Fatalf("GetOneOf of absent keys = %d, %q", i, val)
+	}
+	if n := db.ReadCount() - reads; n != 1 {
+		t.Fatalf("a list of absent keys cost %d database reads, want 1", n)
+	}
+	if n := c.EntryCount("m"); n != 1 {
+		t.Fatalf("absent keys left %d records in the cache", n-1)
+	}
+}
+
+// TestGetOneOfAtTheViewsVersion: the live key is the one at the view's
+// version. A commit that moves it leaves a view pinned before it answering
+// with the old key (from the cache, or, during an outage, from what is
+// cached), and a fresh view with the new one.
+func TestGetOneOfAtTheViewsVersion(t *testing.T) {
+	db := newDB(t)
+	c := New(db, Options{Clock: clock.NewFake(time.Unix(1000, 0)), MaxStaleness: time.Minute})
+	c.Own("m")
+	prefixes := []string{"a", "a/b", "a/b/c"}
+	if _, err := c.Update("m", func(tx *store.Tx) error {
+		tx.Put("t", "a/b", []byte("ab"))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	old, _ := c.NewView("m")
+	defer old.Close()
+	old.Get("t", "pin") // pins the view at this version
+	if _, err := c.Update("m", func(tx *store.Tx) error {
+		tx.Delete("t", "a/b")
+		tx.Put("t", "a/b/c", []byte("abc"))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := c.NewView("m")
+	if i, val := fresh.GetOneOf("t", prefixes); i != 2 || string(val) != "abc" {
+		t.Fatalf("fresh view: GetOneOf = %d, %q; want 2, \"abc\"", i, val)
+	}
+	fresh.Close()
+	if i, val := old.GetOneOf("t", prefixes); i != 1 || string(val) != "ab" {
+		t.Fatalf("view pinned before the move: GetOneOf = %d, %q; want 1, \"ab\"", i, val)
+	}
+
+	// During an outage a key not cached at the view's version is served from
+	// its newest cached version, and a list with none cached fails closed.
+	behind, _ := c.NewView("m")
+	defer behind.Close()
+	behind.Get("t", "pin")
+	if _, err := c.Update("m", func(tx *store.Tx) error {
+		tx.Put("t", "x/y", []byte("xy"))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	outage(db)
+	if i, val := behind.GetOneOf("t", []string{"x", "x/y"}); i != 1 || string(val) != "xy" {
+		t.Fatalf("during the outage: GetOneOf = %d, %q; want the cached key", i, val)
+	}
+	if i, _ := behind.GetOneOf("t", []string{"q", "q/r"}); i != -1 {
+		t.Fatalf("during the outage: GetOneOf of uncached keys = %d", i)
+	}
+	if err := behind.Err(); !faults.Is(err, faults.Unavailable) {
+		t.Fatalf("view error = %v, want the unavailable fault", err)
+	}
+}
+
+// TestGetOneOfConcurrentWithWriters: a writer moves the one live key of a
+// list to another key at every commit, with the cache evicting constantly,
+// while readers ask for it. Every answer must be the one key live at some
+// version, with that version's value: generation g is key g mod 4, "g<g>".
+func TestGetOneOfConcurrentWithWriters(t *testing.T) {
+	const gens = 60
+	db, err := store.Open(store.Options{MaxVersionsPerRecord: gens + 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.CreateMetastore("m")
+	c := New(db, Options{MaxEntriesPerMetastore: 2})
+	c.Own("m")
+	keys := []string{"p", "p/a", "p/a/b", "p/a/b/c"}
+	write := func(gen int) {
+		if _, err := c.Update("m", func(tx *store.Tx) error {
+			if gen > 0 {
+				tx.Delete("t", keys[(gen-1)%len(keys)])
+			}
+			tx.Put("t", keys[gen%len(keys)], []byte(fmt.Sprintf("g%d", gen)))
+			return nil
+		}); err != nil {
+			t.Error(err)
+		}
+	}
+	write(0)
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v, err := c.NewView("m")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				i, val := v.GetOneOf("t", keys)
+				v.Close()
+				var gen int
+				if _, err := fmt.Sscanf(string(val), "g%d", &gen); err != nil || i != gen%len(keys) {
+					t.Errorf("GetOneOf = %d, %q: not the live key of any version", i, val)
+					return
+				}
+			}
+		}()
+	}
+	for gen := 1; gen <= gens; gen++ {
+		write(gen)
+	}
+	close(stop)
+	wg.Wait()
+}
+
 // TestGetBatchConcurrentWithWriters runs batches against a writer under the
 // race detector: every batch must observe one snapshot (all values from the
 // same generation), whatever the cache holds. The store keeps more versions

@@ -1089,13 +1089,9 @@ func (v *View) GetBatch(table string, keys []string) [][]byte {
 	out := make([][]byte, len(keys))
 	// serve reports whether keys[i] was a cache hit, filling out[i].
 	serve := func(i int) bool {
-		rk := cacheKey{table, keys[i]}
-		cv, ok := v.tryHit(v.m.shardFor(rk), rk)
-		if ok {
-			v.c.metrics.hits.Add(1)
-			if !cv.deleted {
-				out[i] = cv.value
-			}
+		cv, ok := v.held(table, keys[i])
+		if ok && !cv.deleted {
+			out[i] = cv.value
 		}
 		return ok
 	}
@@ -1122,43 +1118,112 @@ func (v *View) GetBatch(table string, keys []string) [][]byte {
 			return out
 		}
 	}
+	for j, val := range v.fill(table, keys, missed) {
+		out[missed[j]] = val
+	}
+	return out
+}
 
+// GetOneOf returns the index and value of the key of keys that is live at the
+// view's version, or -1 when none is, for lists of which at most one key can
+// be live at any version (erm.RegisteredPrefix: the segment prefixes of a
+// storage path). That promise is what makes it cheap: a live cached key is the
+// answer and nothing else is read; otherwise the keys the cache does not hold
+// are filled as GetBatch fills its misses, in one multi-get that caches the
+// live one. An absent key is never cached: the lists name prefixes of whatever
+// paths callers ask about, and their absences would crowd the records out of
+// the cache's bound. The returned bytes are shared and must not be mutated.
+func (v *View) GetOneOf(table string, keys []string) (int, []byte) {
+	if v.snap != nil { // cache disabled
+		for i, val := range v.snap.GetBatch(table, keys) {
+			if val != nil {
+				return i, val
+			}
+		}
+		return -1, nil
+	}
+	// Indexes into keys of the records the cache does not hold, on the stack:
+	// a warm lookup passes the shorter prefixes, which miss, on its way.
+	var buf [16]int
+	missed := buf[:0]
+	for i, key := range keys {
+		if cv, ok := v.held(table, key); !ok {
+			missed = append(missed, i)
+		} else if !cv.deleted {
+			return i, cv.value
+		}
+	}
+	if len(missed) == 0 {
+		return -1, nil
+	}
+	v.c.metrics.misses.Add(int64(len(missed)))
+	if !v.pinned() {
+		v.pinOnMiss()
+		// Nothing hit, so nothing pinned the view: the reconciled cache may
+		// hold some of the records after all.
+		still := missed[:0]
+		for _, i := range missed {
+			if cv, ok := v.held(table, keys[i]); !ok {
+				still = append(still, i)
+			} else if !cv.deleted {
+				return i, cv.value
+			}
+		}
+		if missed = still; len(missed) == 0 {
+			return -1, nil
+		}
+	}
+	for j, val := range v.fill(table, keys, missed) {
+		if val != nil {
+			return missed[j], val
+		}
+	}
+	return -1, nil
+}
+
+// fill reads keys[i] for every i in missed from one database snapshot at the
+// view's version, in one multi-get, and returns their values aligned with
+// missed (nil where absent). What it finds is cached under the same guard as a
+// single-key miss. What it does not find is not cached at all: the multi-get
+// cannot tell "absent" from "live with a nil value", and a wrong tombstone
+// would outlive the request. Under an Unavailable fault each key takes the
+// degraded path on its own: served stale if cached, else nil with the error
+// recorded on the view.
+func (v *View) fill(table string, keys []string, missed []int) [][]byte {
 	ver := v.Version()
 	_, missSpan := v.sc.StartDetail("cache.getmiss", table)
 	defer missSpan.End()
+	missKeys := make([]string, len(missed))
+	for j, i := range missed {
+		missKeys[j] = keys[i]
+	}
 	snap, err := v.c.db.SnapshotAt(v.msID, ver)
 	if err != nil {
 		v.c.noteDBError(v.m, err)
-		for _, i := range missed {
+		vals := make([][]byte, len(missKeys))
+		for j, key := range missKeys {
 			if faults.Is(err, faults.Unavailable) {
-				rk := cacheKey{table, keys[i]}
+				rk := cacheKey{table, key}
 				if cv, served := v.degradedGet(v.m.shardFor(rk), rk); served {
 					if !cv.deleted {
-						out[i] = cv.value
+						vals[j] = cv.value
 					}
 					continue
 				}
 			}
 			v.setErr(err)
 		}
-		return out
-	}
-	missKeys := make([]string, len(missed))
-	for j, i := range missed {
-		missKeys[j] = keys[i]
+		return vals
 	}
 	vals := snap.GetBatch(table, missKeys)
 	snap.Close()
 	v.c.noteDBSuccess(v.m)
 	now := time.Now()
-	for j, i := range missed {
+	for j, key := range missKeys {
 		if vals[j] == nil {
-			// Absent, or live with a nil value: the multi-get cannot tell, so
-			// nothing is cached rather than a possibly wrong tombstone.
 			continue
 		}
-		out[i] = vals[j]
-		rk := cacheKey{table, keys[i]}
+		rk := cacheKey{table, key}
 		sh := v.m.shardFor(rk)
 		// Same guard as Get: cache only what is current as of the known
 		// version, which cannot move while a shard lock is held.
@@ -1169,7 +1234,18 @@ func (v *View) GetBatch(table string, keys []string) [][]byte {
 		sh.mu.Unlock()
 	}
 	v.c.maybeEvict(v.m)
-	return out
+	return vals
+}
+
+// held serves (table, key) from the cache at the view's version, pinning the
+// view as any hit does: ok reports that the cache holds a version there, which
+// may be a deletion.
+func (v *View) held(table, key string) (cv cachedVersion, ok bool) {
+	rk := cacheKey{table, key}
+	if cv, ok = v.tryHit(v.m.shardFor(rk), rk); ok {
+		v.c.metrics.hits.Add(1)
+	}
+	return cv, ok
 }
 
 // degradedScan is the outage fallback for Scan: serve the cached scan

@@ -12,14 +12,13 @@ import (
 	"unitycatalog/internal/cloudsim"
 	"unitycatalog/internal/erm"
 	"unitycatalog/internal/faults"
-	"unitycatalog/internal/ids"
 	"unitycatalog/internal/privilege"
 	"unitycatalog/internal/store"
 )
 
 // TestWorkspaceBindingFailsClosedInOutage: a workspace-bound catalog stays
-// enforced when the store is unreachable. The table and its schema are in the
-// cache, alice's authorization memo and her vended token are warm, the
+// enforced when the store is unreachable. The table, its schema and its path
+// row are in the cache, alice's authorization memo and her vended token are warm, the
 // catalog's record has been evicted, and the outage has outlasted
 // MaxStaleness — so the one record that says "not from this workspace" cannot
 // be read. Until PR 20 the binding walk stopped at the unreadable ancestor and
@@ -72,19 +71,20 @@ func TestWorkspaceBindingFailsClosedInOutage(t *testing.T) {
 	}
 
 	// Push the catalog's record out of the 48-record cache with reads of
-	// absent keys, re-reading the table and the schema as we go, until the
-	// cache holds those two decoded and the catalog not at all.
-	decoded := func() map[ids.ID]bool {
-		held := map[ids.ID]bool{}
+	// absent keys, re-reading the table, the schema and the table's path row
+	// (which maps the path to the table) as we go, until the cache holds those
+	// three decoded and the catalog not at all.
+	decoded := func() map[string]bool {
+		held := map[string]bool{}
 		svc.cache.EachDecoded("ms1", func(table, key string, _ []byte, _ any) {
-			if table == erm.TableEntity {
-				held[ids.ID(key)] = true
+			if table == erm.TableEntity || table == erm.TablePath {
+				held[key] = true
 			}
 		})
 		return held
 	}
 	for i := 0; ; i++ {
-		if held := decoded(); held[tbl.ID] && held[schema.ID] && !held[catalogID] {
+		if held := decoded(); held[string(tbl.ID)] && held[string(schema.ID)] && held[tbl.StoragePath] && !held[string(catalogID)] {
 			break
 		}
 		if i == 10000 {
@@ -97,6 +97,7 @@ func TestWorkspaceBindingFailsClosedInOutage(t *testing.T) {
 		v.Get("junk", fmt.Sprintf("k%05d", i))
 		erm.GetEntity(v, tbl.ID)
 		erm.GetEntity(v, schema.ID)
+		erm.LookupID(v, erm.TablePath, tbl.StoragePath)
 		v.Close()
 	}
 	memo := svc.AuthzMetrics()

@@ -631,7 +631,7 @@ func TestMetastoreReopen(t *testing.T) {
 	tbl := seedNamespace(t, svc1, admin)
 
 	// A second service node over the same DB opens the metastore and sees
-	// everything, including the rebuilt path trie.
+	// everything, paths included.
 	svc2, _ := New(Config{DB: db})
 	info, err := svc2.OpenMetastore("ms1")
 	if err != nil || info.Name != "main" {

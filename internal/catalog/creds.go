@@ -1,13 +1,16 @@
 package catalog
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 
 	"unitycatalog/internal/audit"
 	"unitycatalog/internal/cloudsim"
 	"unitycatalog/internal/erm"
 	"unitycatalog/internal/ids"
 	"unitycatalog/internal/privilege"
+	"unitycatalog/internal/store"
 )
 
 // This file implements temporary credential vending (paper §4.3.1).
@@ -49,8 +52,7 @@ func (s *Service) TempCredentialForAsset(ctx Ctx, full string, level cloudsim.Ac
 // down-scoped to the asset's registered path, not the requested one.
 func (s *Service) TempCredentialForPath(ctx Ctx, path string, level cloudsim.AccessLevel) (tc TempCredential, err error) {
 	defer func() { s.apiAudit(ctx, "TempCredentialForPath", tc.Asset, true, err) }()
-	ms, err := s.meta(ctx.Metastore)
-	if err != nil {
+	if _, err := s.meta(ctx.Metastore); err != nil {
 		return tc, err
 	}
 	v, err := s.view(ctx)
@@ -58,11 +60,14 @@ func (s *Service) TempCredentialForPath(ctx Ctx, path string, level cloudsim.Acc
 		return tc, err
 	}
 	defer v.Close()
-	e, err := s.assetForPath(v, ms, path)
-	if err != nil {
+	e, err := assetForPath(v, path)
+	if errors.Is(err, ErrNotFound) {
 		// No asset governs the path; fall back to external-location file
 		// privileges (READ FILES / WRITE FILES) for governed prefixes.
 		return s.extLocPathCredential(ctx, v, path, level)
+	}
+	if err != nil {
+		return tc, err
 	}
 	chain, err := s.chainOf(ctx, v, e, "TempCredential")
 	if err != nil {
@@ -72,19 +77,17 @@ func (s *Service) TempCredentialForPath(ctx Ctx, path string, level cloudsim.Acc
 }
 
 // assetForPath maps an object path to the asset whose registered storage
-// path is a prefix of it, via the cached path index.
-func (s *Service) assetForPath(r erm.Reader, ms *metaState, path string) (*erm.Entity, error) {
-	// Fast path: in-memory trie.
-	if val, _, ok := ms.trie.Resolve(path); ok {
-		if e, found := erm.GetEntity(r, val.(ids.ID)); found && e.State != erm.StateSoftDeleted {
+// path is a prefix of it, through the store's path table at r's version. A
+// path that cannot be resolved because the backend is failing is that
+// failure, not a "not found".
+func assetForPath(r erm.Reader, path string) (*erm.Entity, error) {
+	if _, id, ok := erm.RegisteredPrefix(r, erm.TablePath, path); ok {
+		if e, found := erm.GetEntity(r, id); found && e.State != erm.StateSoftDeleted {
 			return e, nil
 		}
 	}
-	// Authoritative fallback: walk segment prefixes in the path index.
-	for _, prefix := range pathPrefixes(path) {
-		if e, found := erm.GetByPath(r, prefix); found && e.State != erm.StateSoftDeleted {
-			return e, nil
-		}
+	if err := backendErr(r); err != nil {
+		return nil, err
 	}
 	return nil, fmt.Errorf("%w: no asset governs path %s", ErrNotFound, path)
 }
@@ -156,14 +159,28 @@ func (s *Service) vendUnchecked(ctx Ctx, e *erm.Entity, level cloudsim.AccessLev
 	return TempCredential{Asset: e.ID, AssetName: e.FullName, Credential: cred, Level: level}, nil
 }
 
-// OverlappingPaths lists registered asset paths overlapping the candidate
-// (a "complex read" served by the URL trie, paper §5).
-func (s *Service) OverlappingPaths(ctx Ctx, path string) ([]string, error) {
-	ms, err := s.meta(ctx.Metastore)
+// OverlappingPaths lists the registered asset paths that overlap the
+// candidate (a "complex read", paper §5): the one registered prefix of it, if
+// there is one, or else every registered path under it, in key order. Both are
+// reads of the store's ordered path table at the request view's version.
+func (s *Service) OverlappingPaths(ctx Ctx, path string) (paths []string, err error) {
+	defer func() { s.apiAudit(ctx, "OverlappingPaths", ids.Nil, true, err) }()
+	if _, err := s.meta(ctx.Metastore); err != nil {
+		return nil, err
+	}
+	v, err := s.view(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return ms.trie.Overlapping(path), nil
+	defer v.Close()
+	if prefix, _, ok := erm.RegisteredPrefix(v, erm.TablePath, path); ok {
+		return []string{prefix}, nil
+	}
+	under := strings.TrimSuffix(path, "/") + "/"
+	for _, kv := range v.ScanRange(erm.TablePath, under, store.PrefixEnd(under), 0) {
+		paths = append(paths, kv.Key)
+	}
+	return paths, backendErr(v)
 }
 
 // AuthorizeBatch is the efficient authorization API used by second-tier

@@ -147,11 +147,6 @@ func (s *Service) CreateAsset(ctx Ctx, req CreateRequest) (e *erm.Entity, err er
 	if err != nil {
 		return nil, err
 	}
-	if e.StoragePath != "" && req.Type != erm.TypeExternalLocation {
-		// External locations are containers of asset paths, not assets;
-		// the trie only resolves paths to their unique governing asset.
-		_ = ms.trie.Insert(e.StoragePath, e.ID)
-	}
 	return e, nil
 }
 
@@ -174,35 +169,14 @@ func entityID(e *erm.Entity) ids.ID {
 // extend it.
 func checkPathFree(tx *store.Tx, path string) error {
 	// Any registered ancestor prefix (including exact match)?
-	for _, prefix := range pathPrefixes(path) {
-		if idb, ok := tx.Get(erm.TablePath, prefix); ok {
-			return fmt.Errorf("%w: %s conflicts with asset %s at %s", ErrPathOverlap, path, erm.IndexedID(store.KV{Key: prefix, Value: idb}).Short(), prefix)
-		}
+	if prefix, id, ok := erm.RegisteredPrefix(tx, erm.TablePath, path); ok {
+		return fmt.Errorf("%w: %s conflicts with asset %s at %s", ErrPathOverlap, path, id.Short(), prefix)
 	}
 	// Any registered descendant?
 	if kvs := tx.Scan(erm.TablePath, path+"/"); len(kvs) > 0 {
 		return fmt.Errorf("%w: %s contains asset path %s", ErrPathOverlap, path, kvs[0].Key)
 	}
 	return nil
-}
-
-// pathPrefixes lists every segment-boundary prefix of a storage URL,
-// including the URL itself, from shortest to longest.
-// "s3://b/a/c" -> ["s3://b", "s3://b/a", "s3://b/a/c"].
-func pathPrefixes(path string) []string {
-	path = strings.TrimSuffix(path, "/")
-	start := 0
-	if i := strings.Index(path, "://"); i >= 0 {
-		start = i + 3
-	}
-	var out []string
-	for i := start; i < len(path); i++ {
-		if path[i] == '/' {
-			out = append(out, path[:i])
-		}
-	}
-	out = append(out, path)
-	return out
 }
 
 // GetAsset resolves a full name and returns the entity after authorizing the

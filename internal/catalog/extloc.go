@@ -45,11 +45,9 @@ func (s *Service) CreateExternalLocation(ctx Ctx, name, url, credentialName, com
 // coveringExternalLocation finds the external location whose prefix covers
 // path, if any.
 func coveringExternalLocation(r erm.Reader, path string) (*erm.Entity, bool) {
-	for _, prefix := range pathPrefixes(path) {
-		if id, ok := erm.LookupID(r, erm.TableExtLoc, prefix); ok {
-			if e, found := erm.GetEntity(r, id); found && e.State != erm.StateSoftDeleted {
-				return e, true
-			}
+	if _, id, ok := erm.RegisteredPrefix(r, erm.TableExtLoc, path); ok {
+		if e, found := erm.GetEntity(r, id); found && e.State != erm.StateSoftDeleted {
+			return e, true
 		}
 	}
 	return nil, false
@@ -80,16 +78,11 @@ func (s *Service) authorizeExternalPath(ctx Ctx, r versionedReader, msEntity ids
 // checkExtLocFree rejects a new external location overlapping an existing
 // one (locations may contain asset paths, but never each other).
 func checkExtLocFree(tx *store.Tx, path string) error {
-	for _, prefix := range pathPrefixes(path) {
-		if idb, ok := tx.Get(erm.TableExtLoc, prefix); ok {
-			return fmt.Errorf("%w: %s is inside external location %s", ErrPathOverlap, path, erm.IndexedID(store.KV{Key: prefix, Value: idb}).Short())
-		}
+	if _, id, ok := erm.RegisteredPrefix(tx, erm.TableExtLoc, path); ok {
+		return fmt.Errorf("%w: %s is inside external location %s", ErrPathOverlap, path, id.Short())
 	}
 	if kvs := tx.Scan(erm.TableExtLoc, path+"/"); len(kvs) > 0 {
 		return fmt.Errorf("%w: %s contains external location at %s", ErrPathOverlap, path, kvs[0].Key)
-	}
-	if _, ok := tx.Get(erm.TableExtLoc, path); ok {
-		return fmt.Errorf("%w: external location exists at %s", ErrPathOverlap, path)
 	}
 	return nil
 }

@@ -58,11 +58,8 @@ func (s *Service) DeleteAsset(ctx Ctx, full string, force bool) (err error) {
 	if err != nil {
 		return err
 	}
-	for _, d := range deleted {
-		if d.StoragePath != "" {
-			ms.trie.Remove(d.StoragePath)
-		}
-		if s.tokenCache != nil {
+	if s.tokenCache != nil {
+		for _, d := range deleted {
 			s.tokenCache.invalidateAsset(d.ID)
 		}
 	}
@@ -272,9 +269,6 @@ func (s *Service) Undelete(ctx Ctx, id ids.ID) (e *erm.Entity, err error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	if restored.StoragePath != "" && restored.Type != erm.TypeExternalLocation {
-		_ = ms.trie.Insert(strings.Clone(restored.StoragePath), restored.ID) // the trie outlives cur
 	}
 	return restored, nil
 }

@@ -16,7 +16,6 @@ import (
 	"unitycatalog/internal/events"
 	"unitycatalog/internal/ids"
 	"unitycatalog/internal/obs"
-	"unitycatalog/internal/pathtrie"
 	"unitycatalog/internal/privilege"
 	"unitycatalog/internal/retry"
 	"unitycatalog/internal/store"
@@ -85,11 +84,11 @@ type Service struct {
 // metaState is per-metastore in-memory state owned by this service node.
 type metaState struct {
 	info MetastoreInfo
-	// trie indexes storage paths for complex reads (overlap listings);
-	// authoritative overlap checks go through the store's path table.
-	trie *pathtrie.Trie
-	// writeMu serializes this node's writes per metastore so the trie stays
-	// in step with committed state.
+	// writeMu serializes this node's writes to the metastore, each held from
+	// the view it validates against through its commit, WAL wait included, so
+	// one node's writes to one metastore never share a WAL batch. Writes on
+	// other nodes do not take it: what a write must not race is checked again
+	// inside its transaction.
 	writeMu sync.Mutex
 }
 
@@ -265,14 +264,15 @@ func (s *Service) CreateMetastore(id, name, region string, owner privilege.Princ
 		return MetastoreInfo{}, err
 	}
 	s.mu.Lock()
-	s.metas[id] = &metaState{info: info, trie: pathtrie.New()}
+	s.metas[id] = &metaState{info: info}
 	s.mu.Unlock()
 	s.audit.Append(audit.Record{Kind: audit.KindLifecycle, Metastore: id, Principal: string(owner), Operation: "CreateMetastore", Securable: entity.ID, Allowed: true})
 	return info, nil
 }
 
 // OpenMetastore attaches this node to an existing metastore (e.g. after
-// restart), rebuilding in-memory state from the store.
+// restart). It reads the metastore's info record and nothing else: every
+// other read goes to the store, through the cache, when a request needs it.
 func (s *Service) OpenMetastore(id string) (MetastoreInfo, error) {
 	if err := s.cache.Own(id); err != nil {
 		return MetastoreInfo{}, err
@@ -290,12 +290,8 @@ func (s *Service) OpenMetastore(id string) (MetastoreInfo, error) {
 	if err := decodeJSON(b, &info); err != nil {
 		return MetastoreInfo{}, err
 	}
-	trie := pathtrie.New()
-	for _, kv := range snap.Scan(erm.TablePath, "") {
-		_ = trie.Insert(kv.Key, erm.IndexedID(kv))
-	}
 	s.mu.Lock()
-	s.metas[id] = &metaState{info: info, trie: trie}
+	s.metas[id] = &metaState{info: info}
 	s.mu.Unlock()
 	return info, nil
 }

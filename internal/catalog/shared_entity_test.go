@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"unitycatalog/internal/cloudsim"
 	"unitycatalog/internal/erm"
 	"unitycatalog/internal/ids"
 	"unitycatalog/internal/privilege"
@@ -291,20 +292,23 @@ func sharedEntityDifferential(t *testing.T, seed int64, db *store.DB, svc *Servi
 // one-table Resolve allocated through the service on a warm cache when the
 // point-read path last changed on purpose (ISSUE 20: entities and index IDs
 // served decoded from the cache; 42 and 67 before, with a decode per ancestor
-// per walk). TestPointReadAllocs fails at 10 % over; `make allocs` prints the
-// figures.
+// per walk). pathCredAllocs is a credential request by object path from an
+// untrusted engine, resolved through the store's path table (35 when a
+// per-node URL trie resolved it). TestPointReadAllocs fails at 10 % over;
+// `make allocs` prints the figures.
 const (
 	getAssetAllocs = 19
 	resolveAllocs  = 44
+	pathCredAllocs = 33
 )
 
-// TestPointReadAllocs gates the point-read path end to end — view, name
-// resolution, binding check, authorization, audit — on a warm cache, where it
+// TestPointReadAllocs gates the point-read path end to end — view, name or
+// path resolution, binding check, authorization, audit — on a warm cache, where it
 // must decode no entity at all: the second read of anything moves the cache's
 // decode counter by nothing.
 func TestPointReadAllocs(t *testing.T) {
 	svc, admin := testService(t)
-	seedNamespace(t, svc, admin)
+	tbl := seedNamespace(t, svc, admin)
 	reader := Ctx{Principal: "reader", Metastore: "ms1"}
 	for on, priv := range map[string]privilege.Privilege{"sales": privilege.UseCatalog, "sales.raw": privilege.UseSchema, "sales.raw.orders": privilege.Select} {
 		if err := svc.Grant(admin, on, "reader", priv); err != nil {
@@ -322,11 +326,18 @@ func TestPointReadAllocs(t *testing.T) {
 			t.Fatalf("resolve: %+v, %v", resp, err)
 		}
 	}
+	byPath := func() {
+		if _, err := svc.TempCredentialForPath(reader, tbl.StoragePath+"/part-0.parquet", cloudsim.AccessRead); err != nil {
+			t.Fatal(err)
+		}
+	}
 	get() // fills the cache, decodes each record once, compiles the snapshot
 	resolve()
+	byPath()
 	warm := svc.CacheMetrics()
 	gotGet := testing.AllocsPerRun(100, get)
 	gotResolve := testing.AllocsPerRun(100, resolve)
+	gotPath := testing.AllocsPerRun(100, byPath)
 	after := svc.CacheMetrics()
 	if after.Decodes != warm.Decodes || after.Misses != warm.Misses {
 		t.Fatalf("reads on a warm cache decoded %d records over %d misses, want none", after.Decodes-warm.Decodes, after.Misses-warm.Misses)
@@ -334,11 +345,15 @@ func TestPointReadAllocs(t *testing.T) {
 	if after.DecodedHits == warm.DecodedHits {
 		t.Fatal("no read was served a decoded form: the path under test did not run")
 	}
-	t.Logf("GetAsset by name: %.0f allocations (recorded %d); one-table Resolve: %.0f (recorded %d)", gotGet, getAssetAllocs, gotResolve, resolveAllocs)
+	t.Logf("GetAsset by name: %.0f allocations (recorded %d); one-table Resolve: %.0f (recorded %d); credential by path: %.0f (recorded %d)",
+		gotGet, getAssetAllocs, gotResolve, resolveAllocs, gotPath, pathCredAllocs)
 	if gotGet > 1.10*getAssetAllocs {
 		t.Errorf("GetAsset by name: %.0f allocations, more than 10 %% over the recorded %d", gotGet, getAssetAllocs)
 	}
 	if gotResolve > 1.10*resolveAllocs {
 		t.Errorf("one-table Resolve: %.0f allocations, more than 10 %% over the recorded %d", gotResolve, resolveAllocs)
+	}
+	if gotPath > 1.10*pathCredAllocs {
+		t.Errorf("credential by path: %.0f allocations, more than 10 %% over the recorded %d", gotPath, pathCredAllocs)
 	}
 }

@@ -93,8 +93,7 @@ package erm
 //     the lowered text it was cut from), the event history (stageEvent's
 //     FullName), lineage (node FullName), the compiled authorization
 //     snapshots (Securable.Parent, copied where the memo files it:
-//     privilege's memo.remember) and pathtrie (path segments, which it
-//     copies while splitting). The two holders a listed page reaches — the
+//     privilege's memo.remember). The two holders a listed page reaches — the
 //     metadata cache's miss-fill key and the authorization memo's keys — keep
 //     IDs only. uc.TestPageRetention pages through every table, drops the
 //     pages and measures what is still in use.
@@ -106,7 +105,7 @@ package erm
 //
 // A fourth provenance besides the single decode, the page slab and the write
 // path: an entity from a point read through a reader that keeps decoded forms
-// (GetEntity, GetByName, GetByPath through a DecodedReader — a cache.View) is
+// (GetEntity, GetByName through a DecodedReader — a cache.View) is
 // decoded once per cached record version and is the cache's own. It is
 //
 //   - shared: every request that reads that record at that version, on any

@@ -719,13 +719,54 @@ func GetByName(r Reader, group string, parent ids.ID, name string) (*Entity, boo
 	return GetEntity(r, id)
 }
 
-// GetByPath resolves an exact storage path to an entity.
-func GetByPath(r Reader, path string) (*Entity, bool) {
-	id, ok := LookupID(r, TablePath, path)
-	if !ok {
-		return nil, false
+// pathPrefixes lists every segment-boundary prefix of a storage URL, the URL
+// itself included, shortest first: "s3://b/a/c" -> ["s3://b", "s3://b/a",
+// "s3://b/a/c"]. These are the keys of the path and external-location tables
+// that can govern the URL.
+func pathPrefixes(path string) []string {
+	path = strings.TrimSuffix(path, "/")
+	start := 0
+	if i := strings.Index(path, "://"); i >= 0 {
+		start = i + 3
 	}
-	return GetEntity(r, id)
+	out := make([]string, 0, strings.Count(path[start:], "/")+1)
+	for i := start; i < len(path); i++ {
+		if path[i] == '/' {
+			out = append(out, path[:i])
+		}
+	}
+	return append(out, path)
+}
+
+// OneOfReader is implemented by readers that can be asked for the live key of
+// a list of which at most one is live, and that need not read the others once
+// they know it (cache.View.GetOneOf). i is -1 when none is live.
+type OneOfReader interface {
+	GetOneOf(table string, keys []string) (i int, val []byte)
+}
+
+// RegisteredPrefix answers which segment prefix of path (pathPrefixes, path
+// itself included) table registers at r's version, and the ID of the entity
+// it maps to. table is TablePath or TableExtLoc. Every write to either checks
+// in its transaction that no path registered there is a prefix of another, so
+// at most one prefix of any path is registered at any version: through a
+// OneOfReader a cached registration is the answer, and otherwise all the
+// prefixes are read in one round trip.
+func RegisteredPrefix(r Reader, table, path string) (prefix string, id ids.ID, ok bool) {
+	keys := pathPrefixes(path)
+	if or, isOneOf := r.(OneOfReader); isOneOf {
+		i, val := or.GetOneOf(table, keys)
+		if i < 0 {
+			return "", ids.Nil, false
+		}
+		return keys[i], IndexedID(store.KV{Key: keys[i], Value: val}), true
+	}
+	for _, k := range keys {
+		if val, found := r.Get(table, k); found {
+			return k, IndexedID(store.KV{Key: k, Value: val}), true
+		}
+	}
+	return "", ids.Nil, false
 }
 
 // ListChildren lists entities under parent, optionally filtered by type.

@@ -147,8 +147,17 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if got, ok := GetByName(snap, "RELATION", parent, "orders"); !ok || got.ID != e.ID {
 		t.Fatalf("GetByName = %+v, %v", got, ok)
 	}
-	if got, ok := GetByPath(snap, "s3://b/wh/orders"); !ok || got.ID != e.ID {
-		t.Fatalf("GetByPath = %+v, %v", got, ok)
+	// The registered path governs itself and every path under it, and nothing
+	// above it or beside it.
+	for _, p := range []string{"s3://b/wh/orders", "s3://b/wh/orders/", "s3://b/wh/orders/part-0/x"} {
+		if prefix, id, ok := RegisteredPrefix(snap, TablePath, p); !ok || id != e.ID || prefix != "s3://b/wh/orders" {
+			t.Fatalf("RegisteredPrefix(%q) = %q, %v, %v", p, prefix, id, ok)
+		}
+	}
+	for _, p := range []string{"s3://b/wh", "s3://b/wh/orders2", "s3://b/wh/order"} {
+		if prefix, _, ok := RegisteredPrefix(snap, TablePath, p); ok {
+			t.Fatalf("RegisteredPrefix(%q) = %q", p, prefix)
+		}
 	}
 	children := ListChildren(snap, parent, TypeTable)
 	if len(children) != 1 || children[0].ID != e.ID {
@@ -173,7 +182,7 @@ func TestDeleteEntityRemovesIndexes(t *testing.T) {
 	if _, ok := GetByName(snap, string(TypeVolume), parent, "v1"); ok {
 		t.Fatal("name index still present")
 	}
-	if _, ok := GetByPath(snap, "s3://b/v1"); ok {
+	if _, _, ok := RegisteredPrefix(snap, TablePath, "s3://b/v1"); ok {
 		t.Fatal("path index still present")
 	}
 	if len(ListChildren(snap, parent, TypeVolume)) != 0 {

@@ -1,15 +1,15 @@
-// Package pathtrie implements a trie over cloud-storage URLs used to enforce
-// the one-asset-per-path principle: no two assets in a metastore may have
-// overlapping storage paths, where paths overlap when one is a prefix of the
-// other at a path-segment boundary (the same path counts as overlapping).
+// Package pathtrie implements a trie over cloud-storage URLs: the paper's §5
+// "URL-tries" arm of path→asset resolution. The core does not use it — the
+// catalog resolves paths through the store's ordered path table
+// (erm.RegisteredPrefix) — and it is kept as the other arm of
+// bench.AblationPathIndex and of the benchmark's path-resolution probe.
 //
-// The trie supports three operations the Unity Catalog core needs:
+// Two paths overlap when one is a prefix of the other at a path-segment
+// boundary (the same path counts as overlapping). The trie supports:
 //
 //   - Insert, which fails if the new path would overlap an existing one;
-//   - Resolve, which maps an arbitrary object path to the unique asset whose
-//     registered path is a prefix of it (used by credential vending); and
-//   - Overlapping, which lists registered paths conflicting with a candidate
-//     (used to produce actionable error messages at asset-creation time).
+//   - Resolve, which maps an arbitrary object path to the unique value whose
+//     registered path is a prefix of it.
 //
 // Keys are URLs such as "s3://bucket/warehouse/db/table". The scheme and
 // bucket form the first two segments; the object key is split on '/'.
@@ -26,7 +26,6 @@ import (
 type Trie struct {
 	mu   sync.RWMutex
 	root *node
-	size int
 }
 
 type node struct {
@@ -101,7 +100,6 @@ func (t *Trie) Insert(path string, value any) error {
 	}
 	n.value = value
 	n.path = path
-	t.size++
 	return nil
 }
 
@@ -115,40 +113,6 @@ func firstDescendantPath(n *node) string {
 		}
 	}
 	return ""
-}
-
-// Remove unregisters path. It reports whether the path was present.
-func (t *Trie) Remove(path string) bool {
-	segs := segments(path)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	// Walk down, remembering the chain so empty nodes can be pruned.
-	chain := make([]*node, 0, len(segs)+1)
-	chain = append(chain, t.root)
-	n := t.root
-	for _, s := range segs {
-		child, ok := n.children[s]
-		if !ok {
-			return false
-		}
-		chain = append(chain, child)
-		n = child
-	}
-	if n.value == nil {
-		return false
-	}
-	n.value = nil
-	n.path = ""
-	t.size--
-	// Prune now-empty nodes bottom-up.
-	for i := len(chain) - 1; i > 0; i-- {
-		cur := chain[i]
-		if cur.value != nil || len(cur.children) > 0 {
-			break
-		}
-		delete(chain[i-1].children, segs[i-1])
-	}
-	return true
 }
 
 // Resolve returns the value registered for the path that is a prefix of p
@@ -173,82 +137,4 @@ func (t *Trie) Resolve(p string) (value any, registered string, ok bool) {
 		return n.value, n.path, true
 	}
 	return nil, "", false
-}
-
-// Lookup returns the value registered exactly at path.
-func (t *Trie) Lookup(path string) (any, bool) {
-	segs := segments(path)
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n := t.root
-	for _, s := range segs {
-		child, ok := n.children[s]
-		if !ok {
-			return nil, false
-		}
-		n = child
-	}
-	if n.value == nil {
-		return nil, false
-	}
-	return n.value, true
-}
-
-// Overlapping returns the registered paths that overlap the candidate path:
-// any registered prefix of it plus all registered paths underneath it.
-func (t *Trie) Overlapping(path string) []string {
-	segs := segments(path)
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var out []string
-	n := t.root
-	for _, s := range segs {
-		if n.value != nil {
-			out = append(out, n.path)
-		}
-		child, ok := n.children[s]
-		if !ok {
-			return out
-		}
-		n = child
-	}
-	collect(n, &out)
-	return out
-}
-
-func collect(n *node, out *[]string) {
-	if n.value != nil {
-		*out = append(*out, n.path)
-	}
-	for _, c := range n.children {
-		collect(c, out)
-	}
-}
-
-// Len returns the number of registered paths.
-func (t *Trie) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.size
-}
-
-// Walk calls fn for every registered path until fn returns false.
-func (t *Trie) Walk(fn func(path string, value any) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	walk(t.root, fn)
-}
-
-func walk(n *node, fn func(string, any) bool) bool {
-	if n.value != nil {
-		if !fn(n.path, n.value) {
-			return false
-		}
-	}
-	for _, c := range n.children {
-		if !walk(c, fn) {
-			return false
-		}
-	}
-	return true
 }

@@ -1,9 +1,7 @@
 package pathtrie
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -17,14 +15,14 @@ func TestInsertAndLookup(t *testing.T) {
 	if err := tr.Insert("s3://bucket/wh/db1/t2", "b"); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
-	if v, ok := tr.Lookup("s3://bucket/wh/db1/t1"); !ok || v != "a" {
+	if v, reg, ok := tr.Resolve("s3://bucket/wh/db1/t1"); !ok || v != "a" || reg != "s3://bucket/wh/db1/t1" {
+		t.Fatalf("lookup = %v, %q, %v", v, reg, ok)
+	}
+	if v, _, ok := tr.Resolve("s3://bucket/wh/db1/t2"); !ok || v != "b" {
 		t.Fatalf("lookup = %v, %v", v, ok)
 	}
-	if _, ok := tr.Lookup("s3://bucket/wh/db1"); ok {
+	if _, _, ok := tr.Resolve("s3://bucket/wh/db1"); ok {
 		t.Fatal("lookup of non-registered prefix should fail")
-	}
-	if tr.Len() != 2 {
-		t.Fatalf("len = %d, want 2", tr.Len())
 	}
 }
 
@@ -75,8 +73,10 @@ func TestSiblingsAndDifferentBucketsDoNotOverlap(t *testing.T) {
 			t.Fatalf("insert %q: %v", p, err)
 		}
 	}
-	if tr.Len() != len(paths) {
-		t.Fatalf("len = %d, want %d", tr.Len(), len(paths))
+	for _, p := range paths {
+		if v, _, ok := tr.Resolve(p + "/file"); !ok || v != p {
+			t.Fatalf("resolve under %q = %v, %v", p, v, ok)
+		}
 	}
 }
 
@@ -96,60 +96,6 @@ func TestResolve(t *testing.T) {
 	// Exact path resolves to itself.
 	if v, _, ok := tr.Resolve("s3://b/wh/db/t1"); !ok || v != "t1" {
 		t.Fatalf("exact resolve = %v, %v", v, ok)
-	}
-}
-
-func TestRemove(t *testing.T) {
-	tr := New()
-	tr.Insert("s3://b/x/y", 1)
-	if !tr.Remove("s3://b/x/y") {
-		t.Fatal("remove should succeed")
-	}
-	if tr.Remove("s3://b/x/y") {
-		t.Fatal("second remove should fail")
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("len = %d after remove", tr.Len())
-	}
-	// After removal, previously conflicting paths become insertable.
-	if err := tr.Insert("s3://b/x", 2); err != nil {
-		t.Fatalf("insert ancestor after remove: %v", err)
-	}
-}
-
-func TestOverlapping(t *testing.T) {
-	tr := New()
-	tr.Insert("s3://b/wh/db/t1", 1)
-	tr.Insert("s3://b/wh/db/t2", 2)
-	got := tr.Overlapping("s3://b/wh/db")
-	sort.Strings(got)
-	want := []string{"s3://b/wh/db/t1", "s3://b/wh/db/t2"}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("overlapping = %v, want %v", got, want)
-	}
-	got = tr.Overlapping("s3://b/wh/db/t1/file")
-	if len(got) != 1 || got[0] != "s3://b/wh/db/t1" {
-		t.Fatalf("overlapping ancestor = %v", got)
-	}
-	if got := tr.Overlapping("s3://b/other"); len(got) != 0 {
-		t.Fatalf("overlapping unrelated = %v", got)
-	}
-}
-
-func TestWalk(t *testing.T) {
-	tr := New()
-	for i := 0; i < 5; i++ {
-		tr.Insert(fmt.Sprintf("s3://b/p/t%d", i), i)
-	}
-	n := 0
-	tr.Walk(func(string, any) bool { n++; return true })
-	if n != 5 {
-		t.Fatalf("walked %d, want 5", n)
-	}
-	n = 0
-	tr.Walk(func(string, any) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("early-stop walked %d, want 1", n)
 	}
 }
 
@@ -192,29 +138,6 @@ func TestQuickNoOverlapInvariant(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickInsertRemoveRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := New()
-		var paths []string
-		for i := 0; i < 20; i++ {
-			p := fmt.Sprintf("s3://b/%d/%d", rng.Intn(5), i)
-			if tr.Insert(p, i) == nil {
-				paths = append(paths, p)
-			}
-		}
-		for _, p := range paths {
-			if !tr.Remove(p) {
-				return false
-			}
-		}
-		return tr.Len() == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -19,10 +19,15 @@ import (
 // layout change regenerates the table with `make heap`. The erm row is the
 // durable format as the store holds it — an entity record and its name and
 // path rows (the child row's value is empty), each an exact-size copy made by
-// Tx.Put — and was 680 before record format 2 (ISSUE 24).
+// Tx.Put — and was 680 before record format 2. The catalog row is
+// strings a create makes and others keep — a managed table's storage path,
+// which the store keeps as the path row's key (68), and the full name an
+// event keeps (20) — and no per-node state: the URL trie the catalog kept
+// beside the store's path table (103) is gone, and per-path state that came
+// back would show here.
 var residentBudget = map[string]float64{
 	"search":          264,
-	"pathtrie":        103,
+	"catalog":         97,
 	"events":          689,
 	"store structure": 820,
 	"erm":             487,
