@@ -1,6 +1,8 @@
 package catalog
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -91,6 +93,9 @@ func (s *Service) CreateAsset(ctx Ctx, req CreateRequest) (e *erm.Entity, err er
 	}
 	if req.Spec != nil {
 		if err := e.EncodeSpec(req.Spec); err != nil {
+			return nil, err
+		}
+		if err := checkSpec(e, req.Spec); err != nil {
 			return nil, err
 		}
 	}
@@ -355,6 +360,16 @@ func (s *Service) UpdateAsset(ctx Ctx, full string, req UpdateRequest) (e *erm.E
 		if err := updated.EncodeSpec(req.Spec); err != nil {
 			return nil, err
 		}
+		if err := checkSpec(updated, req.Spec); err != nil {
+			return nil, err
+		}
+		// A table's row filters and column masks are policy, not metadata:
+		// the write privilege may change its columns, not what it hides.
+		if e.Type == erm.TypeTable && !sameFGAC(e, updated) {
+			if err := s.checkOwner(ctx, v, e.ID, "UpdateFGAC"); err != nil {
+				return nil, err
+			}
+		}
 	}
 	updated.UpdatedAt = s.clk.Now()
 
@@ -605,6 +620,51 @@ func (s *Service) SetWorkspaceBindings(ctx Ctx, catalogName string, workspaces [
 		return nil
 	})
 	return err
+}
+
+// checkSpec rejects, before it is committed, a spec that Resolve or credential
+// vending could not decode: a table's, view's or function's must decode into
+// its type. req is the spec as the request gave it, e the entity holding its
+// stored form; a request that gave the type itself needs no decode.
+func checkSpec(e *erm.Entity, req any) error {
+	var into any
+	switch e.Type {
+	case erm.TypeTable:
+		if _, typed := req.(*TableSpec); typed {
+			return nil
+		}
+		into = new(TableSpec)
+	case erm.TypeView:
+		if _, typed := req.(*ViewSpec); typed {
+			return nil
+		}
+		into = new(ViewSpec)
+	case erm.TypeFunction:
+		if _, typed := req.(*FunctionSpec); typed {
+			return nil
+		}
+		into = new(FunctionSpec)
+	default:
+		return nil
+	}
+	if err := e.DecodeSpec(into); err != nil {
+		return fmt.Errorf("%w: not a %s spec: %v", ErrInvalidArgument, e.Type, err)
+	}
+	return nil
+}
+
+// sameFGAC reports whether two versions of a table carry the same row filters
+// and column masks. A spec that does not decode says nothing it can be held
+// to, so it compares as different.
+func sameFGAC(before, after *erm.Entity) bool {
+	a, errA := TableSpecOf(before)
+	b, errB := TableSpecOf(after)
+	if errA != nil || errB != nil {
+		return false
+	}
+	ja, errA := json.Marshal(a.FGAC)
+	jb, errB := json.Marshal(b.FGAC)
+	return errA == nil && errB == nil && bytes.Equal(ja, jb)
 }
 
 // TableSpecOf decodes a table entity's spec.

@@ -11,13 +11,13 @@ package erm
 // resident is the malloc size class its length falls in; TestRecordSizes holds
 // a typical table to its class.
 //
-// # The two formats
+// # The three formats
 //
-// Version 2 is the only one written. The record is the value under its ID in
+// Version 3 is the only one written. The record is the value under its ID in
 // TableEntity and does not repeat what that key says:
 //
-//	0xE1 2 flags | type state | owner | parent | name full-name comment path |
-//	times | properties | spec
+//	0xE1 3 flags | type state | owner | parent | name full-name comment path |
+//	times | properties | spec (stored form)
 //
 //   - type and state are one byte each, a position in typeCodes / stateCodes;
 //     0 is followed by the value as a string (a type added by Register);
@@ -32,21 +32,29 @@ package erm
 //     outside what int64 nanoseconds hold, or with times in different zones,
 //     keeps them all in time.MarshalBinary's form (flagTimesBinary). A zone is
 //     kept as "local" or "UTC", not by name: a log read in another time zone
-//     shows the same instants in that zone.
+//     shows the same instants in that zone;
+//   - the spec is in its stored form (spec.go): packed if it packs, which
+//     every spec the catalog writes does, else JSON. EncodeEntity packs a JSON
+//     spec it is handed, so a record read in an older version and rewritten
+//     comes back packed.
 //
-// Version 1, written until ISSUE 24 and read for ever, has the ID and spells
-// everything out:
+// Version 2, written before specs were packed, is version 3's layout with the
+// spec always JSON. Version 3 has a number of its own so that a decoder that
+// knows only version 2 refuses its records instead of serving a packed spec as
+// JSON. Version 1, written before version 2, has the ID and spells everything
+// out:
 //
 //	0xE1 1 flags | id type name parent full-name owner comment path state |
-//	times (time.MarshalBinary, length-prefixed) | properties | spec
+//	times (time.MarshalBinary, length-prefixed) | properties | spec (JSON)
 //
-// The first byte (0xE1) is disjoint from '{', so a decode also accepts the
-// JSON values the seed wrote. No store migration is needed: records converge
-// to version 2 as they are rewritten. The index rows beside a record changed
-// with it (IDValue, IndexedID in erm.go): a child row stores nothing, a name
-// or path row the ID's 16 bytes; both used to store the ID's 32 hex digits.
+// Both are read for ever. The first byte (0xE1) is disjoint from '{', so a
+// decode also accepts the JSON values the seed wrote. No store migration is
+// needed: records converge to version 3 as they are rewritten. The index rows
+// beside a record changed with version 2 (IDValue, IndexedID in erm.go): a
+// child row stores nothing, a name or path row the ID's 16 bytes; both used
+// to store the ID's 32 hex digits.
 //
-// Because a version 2 record leaves out its key, it is decoded with it:
+// Because a record of version 2 or 3 leaves out its key, it is decoded with it:
 // DecodeEntityAt and DecodeEntities take the key and every reader of the
 // entity table has it. DecodeEntity, without one, returns an entity with no
 // ID and a flagPathID path that stops short of it.
@@ -78,6 +86,9 @@ package erm
 //     entity-table key of a scan). Never a substring of the slab.
 //   - Name, ParentID, FullName, Comment and StoragePath are substrings of the
 //     record's or the page's backing string; Spec of the page's spec buffer.
+//   - Spec is in the form the record stores it, in every provenance, the
+//     write path's included: nothing renders it to JSON but a reader of JSON
+//     (spec.go).
 //
 // A substring keeps its whole backing alive, so the rule is:
 //
@@ -152,7 +163,8 @@ import (
 const (
 	codecMagic = 0xE1 // first byte of compact records; JSON starts with '{'
 	codecV1    = 1    // read, never written
-	codecV2    = 2
+	codecV2    = 2    // read, never written
+	codecV3    = 3
 )
 
 // Flag bits, the record's third byte. Version 1 has the first two.
@@ -185,8 +197,9 @@ func appendCoded[T ~string](b []byte, table []T, v T) []byte {
 	return appendStr(append(b, 0), string(v))
 }
 
-// EncodeEntity renders e as a version 2 record: the value stored under e.ID in
-// TableEntity. The record does not repeat that key (see DecodeEntityAt).
+// EncodeEntity renders e as a version 3 record: the value stored under e.ID in
+// TableEntity. The record does not repeat that key (see DecodeEntityAt). A
+// JSON spec is packed on the way if it packs (storedSpec).
 func EncodeEntity(e *Entity) ([]byte, error) {
 	path := e.StoragePath
 	flags := timesForm(e)
@@ -201,7 +214,7 @@ func EncodeEntity(e *Entity) ([]byte, error) {
 		path = path[:len(path)-len(e.ID)]
 	}
 	b := make([]byte, 0, 96+len(e.Name)+len(e.FullName)+len(e.Owner)+len(e.Comment)+len(path)+len(e.Spec))
-	b = append(b, codecMagic, codecV2, 0)
+	b = append(b, codecMagic, codecV3, 0)
 	b = appendCoded(b, typeCodes[:], e.Type)
 	b = appendCoded(b, stateCodes[:], e.State)
 	b = appendStr(b, string(e.Owner))
@@ -239,8 +252,7 @@ func EncodeEntity(e *Entity) ([]byte, error) {
 			b = appendStr(b, e.Properties[k])
 		}
 	}
-	b = appendBytes(b, e.Spec)
-	return b, nil
+	return storedSpec(b, e.Spec), nil
 }
 
 // timesForm returns the flags of the form e's times are written in: Unix
@@ -359,10 +371,10 @@ func (l *layout) specBytes() []byte { return l.rec[l.spec[0]:l.spec[1]] }
 // every fixed-size field of e (flags, times) is set, l says where the strings
 // and the spec lie, and properties are decoded only if withProps — otherwise
 // a record that has any is reported through hasProps and left to the caller.
-// It is the one field walk, of both versions; decodeEntity and DecodeEntities
+// It is the one field walk, of every version; decodeEntity and DecodeEntities
 // differ only in where they put the bytes it locates.
 func walk(b []byte, e *Entity, l *layout, withProps bool) (hasProps bool, err error) {
-	if len(b) < 3 || (b[1] != codecV1 && b[1] != codecV2) {
+	if len(b) < 3 || b[1] < codecV1 || b[1] > codecV3 {
 		return false, fmt.Errorf("erm: unsupported entity codec version")
 	}
 	d := decoder{b: b, off: 3}
@@ -505,7 +517,7 @@ func decodeEntity(b []byte, id ids.ID, aliasSpec bool) (*Entity, error) {
 	if aliasSpec {
 		spec = spec[:len(spec):len(spec)]
 	} else {
-		spec = append(json.RawMessage(nil), spec...)
+		spec = append(Spec(nil), spec...)
 	}
 	var sb strings.Builder
 	sb.Grow(l.backLen(id))

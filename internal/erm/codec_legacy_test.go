@@ -10,7 +10,7 @@ import (
 // kept so that every decode test runs over the records an older store holds:
 //
 //	magic 1 flags | id type name parent full-name owner comment path state |
-//	times (time.MarshalBinary) | properties | spec
+//	times (time.MarshalBinary) | properties | spec (JSON)
 func encodeEntityV1(e *Entity) ([]byte, error) {
 	b := make([]byte, 0, 96+len(e.Spec))
 	b = append(b, codecMagic, codecV1)
@@ -47,5 +47,27 @@ func encodeEntityV1(e *Entity) ([]byte, error) {
 		b = appendStr(b, k)
 		b = appendStr(b, e.Properties[k])
 	}
-	return appendBytes(b, e.Spec), nil
+	return appendBytes(b, specJSON(e.Spec)), nil
+}
+
+// encodeEntityV2 is the record encoder as it was before format version 3:
+// version 3's layout, whose last field is the spec, with the spec always
+// JSON.
+func encodeEntityV2(e *Entity) ([]byte, error) {
+	cp := *e
+	cp.Spec = nil
+	b, err := EncodeEntity(&cp)
+	if err != nil {
+		return nil, err
+	}
+	b[1] = codecV2
+	return appendBytes(b[:len(b)-1], specJSON(e.Spec)), nil // the empty spec's one-byte length goes
+}
+
+// specJSON is s as JSON: rendered if it is packed.
+func specJSON(s Spec) Spec {
+	if !s.Packed() {
+		return s
+	}
+	return Spec(s.AppendJSON(nil))
 }

@@ -26,7 +26,7 @@ func hexID(rng *rand.Rand) ids.ID {
 // and parents that are 32 hex digits and ones that are not (a parent may be
 // empty), registered and unregistered types and states, times in UTC, in
 // time.Local, in another zone and at the zero time, a path that ends in the ID
-// and one that does not, properties, a spec, a deletion time.
+// and one that does not, properties, a spec in either form, a deletion time.
 func sampleEntity(rng *rand.Rand) *Entity {
 	now := time.Unix(1700000000+rng.Int63n(1e6), rng.Int63n(1e9))
 	switch rng.Intn(8) {
@@ -70,7 +70,10 @@ func sampleEntity(rng *rand.Rand) *Entity {
 			e.StoragePath = "s3://root/ms1/table/" + string(e.ID)
 		}
 		e.Managed = true
-		e.Spec = json.RawMessage(`{"columns":[{"name":"id","type":"INT"}]}`)
+		e.Spec = Spec(`{"columns":[{"name":"id","type":"INT"}]}`)
+		if rng.Intn(2) == 0 {
+			e.Spec = PackSpec(e.Spec)
+		}
 	case 2:
 		d := now.Add(time.Hour)
 		e.DeletedAt = &d
@@ -79,12 +82,32 @@ func sampleEntity(rng *rand.Rand) *Entity {
 	return e
 }
 
-// encoders are the two record versions a store may hold: every decode test
-// runs over both.
+// encoders are the three record versions a store may hold: every decode test
+// runs over all of them. stored is the form a record of that version keeps a
+// spec in, and so the form it decodes to: JSON in versions 1 and 2, packed if
+// it packs in version 3.
 var encoders = []struct {
 	name   string
 	encode func(*Entity) ([]byte, error)
-}{{"v1", encodeEntityV1}, {"v2", EncodeEntity}}
+	stored func(Spec) Spec
+}{
+	{"v1", encodeEntityV1, specJSON},
+	{"v2", encodeEntityV2, specJSON},
+	{"v3", EncodeEntity, func(s Spec) Spec {
+		if len(s) == 0 || s.Packed() {
+			return s
+		}
+		return PackSpec(s)
+	}},
+}
+
+// asStored is e as a record of a version whose stored form is stored decodes
+// it, the key aside.
+func asStored(e *Entity, stored func(Spec) Spec) *Entity {
+	cp := *e
+	cp.Spec = stored(e.Spec)
+	return &cp
+}
 
 func TestEntityCodecRoundTrip(t *testing.T) {
 	for _, enc := range encoders {
@@ -99,15 +122,16 @@ func TestEntityCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: decode: %v", enc.name, err)
 			}
+			want = asStored(want, enc.stored)
 			// Times survive bit-exactly (no monotonic part), so deep equality
 			// holds for the whole struct.
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: round trip mismatch:\n got %+v\nwant %+v", enc.name, got, want)
 			}
 			// Without its key a version 1 record still says everything; a
-			// version 2 record lacks what the key says, the ID and a path's
-			// end that repeats it, and nothing else.
-			if enc.name == "v2" {
+			// later record lacks what the key says, the ID and a path's end
+			// that repeats it, and nothing else.
+			if enc.name != "v1" {
 				want.StoragePath = strings.TrimSuffix(want.StoragePath, string(want.ID))
 				want.ID = ""
 			}
@@ -136,10 +160,12 @@ func TestEntityCodecZeroValues(t *testing.T) {
 // TestRecordSizes holds the record format to the malloc size classes its
 // savings come from: a stored value is an exact-size allocation (Tx.Put
 // copies), so what a record costs is the class its length falls in. A typical
-// managed table of the benchmark's population was 506 bytes in version 1, the
-// 512 class; in version 2 it must stay at or under 448, its child row must
-// store nothing and its name and path rows the ID's 16 bytes. One more byte in
-// a field is one byte here and 64 resident.
+// managed table of the benchmark's population was 506 bytes in version 1 (the
+// 512 class) and 403 in version 2 (416); in version 3, its spec packed, it
+// must stay at or under 176, and a table with a row filter (the benchmark's
+// fine-grained tables) at or under 208. Its child row must store nothing and
+// its name and path rows the ID's 16 bytes. One more byte in a field is one
+// byte here and 64 resident.
 func TestRecordSizes(t *testing.T) {
 	now := time.Now()
 	id, parent := ids.New(), ids.New()
@@ -150,13 +176,17 @@ func TestRecordSizes(t *testing.T) {
 	e := &Entity{
 		ID: id, Type: TypeTable, Name: "t_0042", ParentID: parent, FullName: "cat03.s07.t_0042",
 		Owner: "admin", StoragePath: "s3://perf/ms1/table/" + string(id), Managed: true, State: StateActive,
-		CreatedAt: now, UpdatedAt: now, Spec: json.RawMessage(spec),
+		CreatedAt: now, UpdatedAt: now, Spec: Spec(spec),
 	}
 	v1, err := encodeEntityV1(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := EncodeEntity(e)
+	v2, err := encodeEntityV2(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3, err := EncodeEntity(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,13 +196,27 @@ func TestRecordSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("a benchmark table: version 1 %d B, version 2 %d B (%d B with a path that does not end in the ID)", len(v1), len(v2), len(ext))
-	// ID 33, type 5, state 6, parent 17, two times 16, the path's end 32.
-	if want := len(v1) - 109; len(v1) > 512 || len(v2) > want {
-		t.Errorf("version 2 record is %d B, want at most %d (version 1, %d B and at most 512, less 109)", len(v2), want, len(v1))
+	fgac := *e
+	fgac.Spec = Spec(strings.Replace(spec, `"fgac":{}`,
+		`"fgac":{"row_filters":[{"columns":["region"],"predicate":"region = 'EU'","exempt_principals":["org0","org1"]}]}`, 1))
+	withFilter, err := EncodeEntity(&fgac)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(v2) > 416 || len(ext) > 448 {
-		t.Errorf("version 2 record is %d B (want <= 416) and %d B with a path of its own (want <= 448)", len(v2), len(ext))
+	t.Logf("a benchmark table: version 1 %d B, version 2 %d B, version 3 %d B (%d B with a path that does not end in the ID, %d B with a row filter)",
+		len(v1), len(v2), len(v3), len(ext), len(withFilter))
+	// ID 33, type 5, state 6, parent 17, two times 16, the path's end 32.
+	if want := len(v1) - 109; len(v1) > 512 || len(v2) > want || len(v2) > 416 {
+		t.Errorf("version 2 record is %d B, want at most %d (version 1, %d B and at most 512, less 109) and 416", len(v2), want, len(v1))
+	}
+	if len(v3) > 176 || len(ext) > 192 || len(withFilter) > 208 {
+		t.Errorf("version 3 record is %d B (want <= 176), %d B with a path of its own (want <= 192) and %d B with a row filter (want <= 208)",
+			len(v3), len(ext), len(withFilter))
+	}
+	for _, rec := range [][]byte{v3, ext, withFilter} {
+		if got, err := DecodeEntity(rec); err != nil || !got.Spec.Packed() {
+			t.Fatalf("a version 3 record's spec is not packed: %v", err)
+		}
 	}
 	db, err := store.Open(store.Options{})
 	if err != nil {
@@ -254,7 +298,7 @@ func TestDecodeEntityCorrupt(t *testing.T) {
 			}
 		}
 	}
-	for _, b := range [][]byte{{0x7f, 0x01}, {codecMagic, 3, 0}, {codecMagic, codecV2, 0, 200}, {codecMagic, codecV2, 0, 1, 200}} {
+	for _, b := range [][]byte{{0x7f, 0x01}, {codecMagic, codecV3 + 1, 0}, {codecMagic, codecV2, 0, 200}, {codecMagic, codecV2, 0, 1, 200}} {
 		if _, err := DecodeEntityAt("k", b); err == nil {
 			t.Errorf("%x accepted: unknown magic, version, type code or state code", b)
 		}
@@ -333,7 +377,7 @@ func TestDecodeEntityAllocs(t *testing.T) {
 			FullName: "main.sales.orders", Owner: "alice@example.com", Comment: "fact table",
 			StoragePath: "s3://bucket/main/table/" + string(id), Managed: true, State: StateActive,
 			CreatedAt: now, UpdatedAt: now,
-			Spec: json.RawMessage(`{"columns":[{"name":"id","type":"BIGINT"}]}`),
+			Spec: Spec(`{"columns":[{"name":"id","type":"BIGINT"}]}`),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -356,7 +400,7 @@ func TestDecodeEntityAllocs(t *testing.T) {
 func TestDecodeEntityOwnsItsBytes(t *testing.T) {
 	for _, enc := range encoders {
 		want := sampleEntity(rand.New(rand.NewSource(1)))
-		want.Comment, want.StoragePath, want.Spec = "kept", "s3://root/ms1/table/"+string(want.ID), json.RawMessage(`{"columns":[]}`)
+		want.Comment, want.StoragePath, want.Spec = "kept", "s3://root/ms1/table/"+string(want.ID), Spec(`{"columns":[]}`)
 		b, err := enc.encode(want)
 		if err != nil {
 			t.Fatal(err)
@@ -368,7 +412,7 @@ func TestDecodeEntityOwnsItsBytes(t *testing.T) {
 		for i := range b {
 			b[i] = 0xAA
 		}
-		if !reflect.DeepEqual(got, want) {
+		if want = asStored(want, enc.stored); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: decoded entity changed with its input:\n got %+v\nwant %+v", enc.name, got, want)
 		}
 	}
@@ -458,7 +502,7 @@ func TestDecodeEntitiesIsolation(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		e := sampleEntity(rng)
 		e.Properties, e.DeletedAt = nil, nil
-		e.Spec = json.RawMessage(fmt.Sprintf(`{"columns":[{"name":"c%d"}]}`, i))
+		e.Spec = Spec(fmt.Sprintf(`{"columns":[{"name":"c%d"}]}`, i))
 		b, err := EncodeEntity(e)
 		if err != nil {
 			t.Fatal(err)
@@ -506,7 +550,7 @@ func TestDecodeEntitiesAllocs(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			e := sampleEntity(rng)
 			e.Properties, e.DeletedAt = nil, nil
-			e.Spec = json.RawMessage(`{"columns":[{"name":"id","type":"INT"}]}`)
+			e.Spec = Spec(`{"columns":[{"name":"id","type":"INT"}]}`)
 			b, err := enc.encode(e)
 			if err != nil {
 				t.Fatal(err)

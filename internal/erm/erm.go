@@ -17,7 +17,6 @@
 package erm
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"regexp"
@@ -80,8 +79,9 @@ type Entity struct {
 	UpdatedAt   time.Time           `json:"updated_at"`
 	DeletedAt   *time.Time          `json:"deleted_at,omitempty"`
 	// Spec holds type-specific metadata (table columns, view definition,
-	// model versions, ...) encoded by the adapter layer.
-	Spec json.RawMessage `json:"spec,omitempty"`
+	// model versions, ...) encoded by the adapter layer, in its stored form
+	// (spec.go): it marshals as the JSON it stands for.
+	Spec Spec `json:"spec,omitempty"`
 }
 
 // Clone returns a deep copy of the entity.
@@ -94,31 +94,13 @@ func (e *Entity) Clone() *Entity {
 		}
 	}
 	if e.Spec != nil {
-		cp.Spec = append(json.RawMessage(nil), e.Spec...)
+		cp.Spec = append(Spec(nil), e.Spec...)
 	}
 	if e.DeletedAt != nil {
 		t := *e.DeletedAt
 		cp.DeletedAt = &t
 	}
 	return &cp
-}
-
-// DecodeSpec unmarshals the entity's type-specific spec into v.
-func (e *Entity) DecodeSpec(v any) error {
-	if len(e.Spec) == 0 {
-		return nil
-	}
-	return json.Unmarshal(e.Spec, v)
-}
-
-// EncodeSpec marshals v into the entity's spec.
-func (e *Entity) EncodeSpec(v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("erm: encode spec: %w", err)
-	}
-	e.Spec = b
-	return nil
 }
 
 // FieldRule annotates an updatable field of an asset type (paper §4.2.2's

@@ -60,7 +60,11 @@ func AppendEntity(dst []byte, e *erm.Entity) []byte {
 	}
 	if len(e.Spec) > 0 {
 		dst = append(dst, `,"spec":`...)
-		dst = AppendRaw(dst, e.Spec)
+		if e.Spec.Packed() {
+			dst = e.Spec.AppendJSON(dst) // renders only what AppendRaw leaves as it is
+		} else {
+			dst = AppendRaw(dst, e.Spec)
+		}
 	}
 	return append(dst, '}')
 }

@@ -60,19 +60,44 @@ func randomEntity(rng *rand.Rand) *erm.Entity {
 		t := randomTime(rng)
 		e.DeletedAt = &t
 	}
-	switch rng.Intn(3) {
+	switch rng.Intn(5) {
 	case 0:
 		// no spec
 	case 1:
-		e.Spec = json.RawMessage(`{"volume_type":"MANAGED"}`)
-	default:
+		e.Spec = erm.Spec(`{"volume_type":"MANAGED"}`)
+	case 2:
 		spec, err := json.MarshalIndent(randomTableSpec(rng), "", "  ")
 		if err != nil {
 			panic(err)
 		}
 		e.Spec = spec
+	case 3:
+		e.Spec = packedSpec(randomTableSpec(rng))
+	default:
+		e.Spec = escapedSpecs[rng.Intn(len(escapedSpecs))]
 	}
 	return e
+}
+
+// packedSpec is v's spec as the write path stores it: packed.
+func packedSpec(v any) erm.Spec {
+	var e erm.Entity
+	if err := e.EncodeSpec(v); err != nil {
+		panic(err)
+	}
+	if !e.Spec.Packed() {
+		panic(fmt.Sprintf("the spec of %+v did not pack", v))
+	}
+	return e.Spec
+}
+
+// escapedSpecs are specs a response escapes: they stay JSON, and AppendRaw
+// escapes them as encoding/json does.
+var escapedSpecs = []erm.Spec{
+	erm.PackSpec([]byte(`{"definition":"SELECT * FROM t WHERE a < b"}`)),
+	erm.PackSpec([]byte(`{"predicate":"x = 'a&b'","kind":"PARTIAL"}`)),
+	erm.PackSpec([]byte("{\"comment\":\"line\u2028next\u2029\"}")),
+	erm.PackSpec([]byte(`{"columns": [ {"name":"id"} ]}`)),
 }
 
 func randomColumns(rng *rand.Rand) []catalog.ColumnInfo {
@@ -259,13 +284,32 @@ func TestAppendEntityAllocs(t *testing.T) {
 		FullName: "sales.fact.orders", Owner: "alice", State: erm.StateActive,
 		CreatedAt: time.Unix(1700000000, 123456789).UTC(),
 		UpdatedAt: time.Unix(1700000500, 987654321).UTC(),
-		Spec:      json.RawMessage(`{"table_type":"MANAGED","format":"DELTA","columns":[{"name":"id","type":"BIGINT","nullable":false,"position":0}],"fgac":{}}`),
 	}
+	const spec = `{"table_type":"MANAGED","format":"DELTA","columns":[{"name":"id","type":"BIGINT","nullable":false,"position":0}],"fgac":{}}`
 	buf := make([]byte, 0, 4096)
-	n := testing.AllocsPerRun(200, func() {
-		buf = AppendEntity(buf[:0], e)
-	})
-	if n != 0 {
-		t.Fatalf("AppendEntity allocated %v times per run, want 0", n)
+	for _, e.Spec = range []erm.Spec{erm.Spec(spec), erm.PackSpec([]byte(spec))} {
+		n := testing.AllocsPerRun(200, func() {
+			buf = AppendEntity(buf[:0], e)
+		})
+		if n != 0 {
+			t.Fatalf("AppendEntity of a spec packed=%v allocated %v times per run, want 0", e.Spec.Packed(), n)
+		}
+	}
+}
+
+// TestAppendEntitySpecForms: whichever form an entity's spec is stored in —
+// packed, JSON, JSON a response escapes or compacts — AppendEntity writes what
+// encoding/json writes for it, and a packed spec renders to the JSON it was
+// packed from.
+func TestAppendEntitySpecForms(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	e := randomEntity(rng)
+	forms := append([]erm.Spec{packedSpec(randomTableSpec(rng)), packedSpec(randomViewSpec(rng))}, escapedSpecs...)
+	for i, spec := range forms {
+		if packed := spec.Packed(); packed != (i < 2) {
+			t.Fatalf("spec %d (%q): packed=%v", i, spec, packed)
+		}
+		e.Spec = spec
+		diffCheck(t, AppendEntity(nil, e), marshal(t, e), fmt.Sprintf("AppendEntity(spec %d)", i))
 	}
 }

@@ -15,9 +15,10 @@
 // \n, \r, \t or \u00XX, invalid UTF-8 bytes are replaced by the escaped
 // replacement character U+FFFD, U+2028/U+2029 are escaped for
 // JS embedding, map keys are emitted in sorted order, and time.Time uses the
-// quoted RFC 3339 format with nanoseconds. Raw JSON (entity specs) is
+// quoted RFC 3339 format with nanoseconds. An entity spec stored as JSON is
 // compacted and HTML-escaped exactly as encoding/json re-emits a
-// json.RawMessage.
+// json.RawMessage; a packed one (erm.Spec) renders to bytes neither step
+// would change.
 package jsonenc
 
 import (

@@ -19,7 +19,8 @@ import (
 // layout change regenerates the table with `make heap`. The erm row is the
 // durable format as the store holds it — an entity record and its name and
 // path rows (the child row's value is empty), each an exact-size copy made by
-// Tx.Put — and was 680 before record format 2. The catalog row is
+// Tx.Put — and was 680 before record format 2 and 487 before the spec was
+// packed (record format 3). The catalog row is
 // strings a create makes and others keep — a managed table's storage path,
 // which the store keeps as the path row's key (68), and the full name an
 // event keeps (20) — and no per-node state: the URL trie the catalog kept
@@ -30,7 +31,7 @@ var residentBudget = map[string]float64{
 	"catalog":         97,
 	"events":          689,
 	"store structure": 820,
-	"erm":             487,
+	"erm":             343,
 }
 
 // auditRecordBudget is what the audit log holds per retained record, in

@@ -235,10 +235,15 @@ func TestParentLogStillOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snap.Close()
-	for full, version := range map[string]byte{"hr.people.staff": 2, "hr.people.joiners": 2, "sales.raw.orders": 1} {
+	// A record rewritten now is in format 3 with its spec packed, the old JSON
+	// spec included; one nothing rewrote keeps its format and its JSON.
+	for full, version := range map[string]byte{"hr.people.staff": 3, "hr.people.joiners": 3, "sales.raw.orders": 1} {
 		e, _ := admin.Get(full)
 		if rec, ok := snap.Get(erm.TableEntity, string(e.ID)); !ok || len(rec) < 2 || rec[1] != version {
 			t.Errorf("the record of %s is in format %d, want %d", full, rec[1], version)
+		}
+		if e.Spec.Packed() != (version == 3) {
+			t.Errorf("the spec of %s (record format %d) is packed=%v", full, version, e.Spec.Packed())
 		}
 	}
 }
