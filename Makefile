@@ -40,6 +40,8 @@ test:
 # against a writer whose commits no single version shows half of. And the
 # flight recorder's incident freezing the tracer's ring while requests
 # finish into it (PR 25: the ring it froze used to be its own).
+# And the event ring's packed slots against a plain []Event, delivered to a
+# follower that the log laps.
 race:
 	$(GO) test -race -count=1 \
 		./internal/cache/... \
@@ -73,7 +75,7 @@ race:
 		./internal/clock/... \
 		./internal/ids/... \
 		./uc/...
-	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll' \
+	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll|TestPackedRingMatchesReference' \
 		./internal/cache/ ./internal/search/ ./internal/events/ ./internal/catalog/ ./internal/privilege/ ./internal/obs/
 
 # Who holds the resident bytes: builds 2,000 tables through uc.Open with
@@ -101,10 +103,12 @@ heap:
 # object path on a warm cache, which must also decode nothing
 # (internal/catalog, recorded figures + 10 %),
 # printed; then a 304 revalidation through the whole HTTP request path
-# (internal/server, recorded figure + 10 %) and a metric-family child lookup
-# (internal/obs, none). `make test` runs the same gates with the rest of ./...
+# (internal/server, recorded figure + 10 %), a metric-family child lookup
+# (internal/obs, none) and a catalog and a txn event published and delivered
+# to a follower (internal/events, none). `make test` runs the same gates with
+# the rest of ./...
 allocs:
-	$(GO) test -count=1 -run 'Allocs' -v ./internal/erm/ ./internal/catalog/ ./internal/server/ ./internal/obs/
+	$(GO) test -count=1 -run 'Allocs' -v ./internal/erm/ ./internal/catalog/ ./internal/server/ ./internal/obs/ ./internal/events/
 
 # The repository's benchmark (BENCHMARK.json, perf/README.md): all four
 # workloads, traced, with the per-layer table; about 4 minutes. Every

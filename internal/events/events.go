@@ -55,7 +55,8 @@ type Event struct {
 	Detail    string    `json:"detail,omitempty"`
 	Time      time.Time `json:"time"`
 	// Changes is not filled by the catalog service and has no reader; it
-	// stays declared because the benchmark's trace probe constructs it.
+	// stays declared because the benchmark's trace probe constructs it. An
+	// event that sets it has no packed form and spills (see slot).
 	Changes []Change `json:"changes,omitempty"`
 }
 
@@ -64,9 +65,12 @@ type Bus struct {
 	mu        sync.Mutex
 	published *sync.Cond // followers wait here for the next event
 	handled   *sync.Cond // Sync waits here for a follower's progress
-	ring      []Event    // event n is in ring[n%len(ring)]
-	next      uint64     // events published so far = the next sequence number
-	buf       int        // channel depth of a Subscription
+	ring      []slot     // event n is packed in ring[n%len(ring)] (pack.go)
+	names     []string   // metastore, op and type names, by slot number
+	nameNo    map[string]uint16
+	next      uint64 // events published so far = the next sequence number
+	spilled   int64  // events published whole behind slot.rest
+	buf       int    // channel depth of a Subscription
 	followers []*Follower
 }
 
@@ -79,19 +83,20 @@ func NewBus(buf, historyMax int) *Bus {
 	if historyMax <= 0 {
 		historyMax = 8192
 	}
-	b := &Bus{ring: make([]Event, historyMax), buf: buf}
+	b := &Bus{ring: make([]slot, historyMax), nameNo: map[string]uint16{}, buf: buf}
 	b.published, b.handled = sync.NewCond(&b.mu), sync.NewCond(&b.mu)
 	return b
 }
 
-// Publish appends e to the log. It never blocks on a reader and allocates
-// nothing: it runs inside the store's commit turnstile.
+// Publish appends e to the log. It never blocks on a reader and, unless e
+// spills (see slot), allocates nothing: it runs inside the store's commit
+// turnstile.
 func (b *Bus) Publish(e Event) {
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}
 	b.mu.Lock()
-	b.ring[b.next%uint64(len(b.ring))] = e
+	b.ring[b.next%uint64(len(b.ring))] = b.pack(&e)
 	b.next++
 	b.mu.Unlock()
 	b.published.Broadcast()
@@ -102,6 +107,13 @@ func (b *Bus) Published() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return int64(b.next)
+}
+
+// Spilled returns how many published events had no packed form.
+func (b *Bus) Spilled() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.spilled
 }
 
 // Follower reads the log by cursor on a goroutine of its own.
@@ -165,7 +177,7 @@ func (f *Follower) run() {
 			b.mu.Lock()
 			f.cursor = resume
 		default:
-			e := b.ring[f.cursor%uint64(len(b.ring))]
+			e := b.unpack(&b.ring[f.cursor%uint64(len(b.ring))])
 			b.mu.Unlock()
 			f.handle(e)
 			b.mu.Lock()
@@ -212,10 +224,11 @@ func (f *Follower) Lag() int64 {
 // Resyncs reports how many gaps the follower has recovered from.
 func (f *Follower) Resyncs() int64 { return f.resyncs.Load() }
 
-// RegisterMetrics exposes the log's publish count and, for every named
+// RegisterMetrics exposes the log's publish and spill counts and, for every named
 // follower alive at scrape time, its lag and resync count.
 func (b *Bus) RegisterMetrics(r *obs.Registry) {
 	r.RegisterCounterFunc("uc_events_published_total", "Change events published.", b.Published)
+	r.RegisterCounterFunc("uc_events_spilled_total", "Change events the ring kept whole, having no packed form.", b.Spilled)
 	perFollower := func(name, help, kind string, value func(*Follower) int64) {
 		r.RegisterCustom(name, help, kind, func(w io.Writer, name string) {
 			b.mu.Lock()

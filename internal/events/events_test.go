@@ -172,7 +172,7 @@ func TestSubscribeCancelRacesPublish(t *testing.T) {
 // allocations, 3.1 MB and ~14,000x the time).
 func TestPublishCostFlat(t *testing.T) {
 	b := NewBus(0, 0)
-	ev := Event{Metastore: "m", Op: OpUpdate, FullName: "c.s.t", Time: time.Now(), Changes: []Change{{Table: "entity", Key: "k"}}}
+	ev := catalogEvent()
 	// Best of ten batches of 100: the floor, not the scheduler's noise.
 	perPublish := func() time.Duration {
 		best := time.Duration(1 << 62)

@@ -25,12 +25,15 @@ import (
 // which the store keeps as the path row's key (68), and the full name an
 // event keeps (20) — and no per-node state: the URL trie the catalog kept
 // beside the store's path table (103) is gone, and per-path state that came
-// back would show here.
+// back would show here. The events row is the event ring, 8,192 slots of 96
+// bytes, and the store structure row holds the change ring, 8,192 slots of 32
+// bytes: 689 and 820 when the rings held whole 168-byte Events and 48-byte
+// Changes, the latter with append's slack past the ring's capacity.
 var residentBudget = map[string]float64{
 	"search":          264,
 	"catalog":         97,
-	"events":          689,
-	"store structure": 820,
+	"events":          394,
+	"store structure": 726,
 	"erm":             343,
 }
 

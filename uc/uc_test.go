@@ -2,11 +2,15 @@ package uc_test
 
 import (
 	"errors"
+	"io"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"unitycatalog/internal/delta"
 	"unitycatalog/internal/erm"
+	"unitycatalog/internal/events"
 	"unitycatalog/uc"
 )
 
@@ -134,6 +138,69 @@ func TestFacadeWALSyncPolicies(t *testing.T) {
 	}
 	if _, err := uc.ParseSyncPolicy("fsync-maybe"); err == nil {
 		t.Fatal("ParseSyncPolicy should reject unknown policies")
+	}
+}
+
+// TestCatalogAndTxnEventsDoNotSpill: every event that catalog operations and a
+// multi-table transaction publish has the event ring's packed form, so
+// uc_events_spilled_total stays 0 on /metrics.
+func TestCatalogAndTxnEventsDoNotSpill(t *testing.T) {
+	cat := open(t, uc.Config{})
+	bus := cat.Events()
+	sub := bus.Subscribe()
+	admin := cat.Session("admin", "ms1")
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := admin.CreateCatalog("c", "")
+	must(err)
+	_, err = admin.CreateSchema("c", "s", "")
+	must(err)
+	cols := []uc.ColumnInfo{{Name: "id", Type: "BIGINT"}}
+	for _, name := range []string{"a", "b"} {
+		tbl, err := admin.CreateTable("c.s", name, uc.TableSpec{Columns: cols}, "")
+		must(err)
+		must(cat.BootstrapDeltaTable(tbl.StoragePath, cols))
+	}
+	must(admin.Grant("c.s.a", "alice", uc.Select))
+	must(admin.Revoke("c.s.a", "alice", uc.Select))
+	must(admin.SetTag("c.s.a", "", "pii", "true"))
+	_, err = admin.Rename("c.s.b", "b2")
+	must(err)
+
+	tx, err := cat.NewTransactionCoordinator().Begin(admin.Ctx(), []string{"c.s.a", "c.s.b2"})
+	must(err)
+	for _, name := range []string{"c.s.a", "c.s.b2"} {
+		batch := delta.NewBatch(delta.Schema{Fields: []delta.SchemaField{{Name: "id", Type: delta.TypeInt64}}})
+		must(batch.AppendRow(int64(1)))
+		must(tx.StageAppend(name, batch))
+	}
+	must(tx.Commit())
+	must(admin.Delete("c.s.b2", true))
+
+	sub.Cancel()
+	ops := map[events.Op]int{}
+	for e := range sub.C {
+		ops[e.Op]++
+	}
+	if ops[events.OpCommit] != 2 || ops[events.OpGrant] != 1 || ops[events.OpDelete] == 0 {
+		t.Fatalf("published ops %v, want the workload's", ops)
+	}
+	if bus.Spilled() != 0 {
+		t.Fatalf("%d of %d events spilled, want 0", bus.Spilled(), bus.Published())
+	}
+	hs := httptest.NewServer(cat.Handler())
+	defer hs.Close()
+	resp, err := hs.Client().Get(hs.URL + "/metrics")
+	must(err)
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	must(err)
+	if !strings.Contains(string(body), "\nuc_events_spilled_total 0\n") {
+		t.Fatal("/metrics lacks uc_events_spilled_total 0")
 	}
 }
 
