@@ -41,7 +41,8 @@ test:
 # flight recorder's incident freezing the tracer's ring while requests
 # finish into it (PR 25: the ring it froze used to be its own).
 # And the event ring's packed slots against a plain []Event, delivered to a
-# follower that the log laps.
+# follower that the log laps. And the store's lineage invariant at every
+# version, with submits racing deletes and restores on one node and on two.
 race:
 	$(GO) test -race -count=1 \
 		./internal/cache/... \
@@ -75,8 +76,8 @@ race:
 		./internal/clock/... \
 		./internal/ids/... \
 		./uc/...
-	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll|TestPackedRingMatchesReference' \
-		./internal/cache/ ./internal/search/ ./internal/events/ ./internal/catalog/ ./internal/privilege/ ./internal/obs/
+	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll|TestPackedRingMatchesReference|TestNoEdgeOutlivesItsAssets' \
+		./internal/cache/ ./internal/search/ ./internal/events/ ./internal/catalog/ ./internal/privilege/ ./internal/obs/ ./internal/lineage/
 
 # Who holds the resident bytes: builds 2,000 tables through uc.Open with
 # every allocation profiled and prints in-use bytes per internal package,
@@ -85,7 +86,8 @@ race:
 # recorded figure, or the audit log over its figure per retained record
 # (uc/heap_test.go; DESIGN.md "Resident layout"). A
 # WAL-backed stack's writer is held to its largest batch
-# (TestWALBufferIsItsLargestBatch). Then what listing leaves behind: every table paged through by
+# (TestWALBufferIsItsLargestBatch), and one lineage edge per table of 2,000
+# to its recorded bytes per edge (TestLineageEdgeBytes). Then what listing leaves behind: every table paged through by
 # four principals, the pages dropped, and the bytes still in use under the
 # cache, the authorization memos and the decode sites held to their recorded
 # figures (TestPageRetention). TestResidentBudget ends with the warm-cache
@@ -94,7 +96,7 @@ race:
 # forms the cache keeps, which the benchmark's heap_bytes_per_asset (read on
 # an emptied cache) cannot see. `make race` runs both with ./uc/...
 heap:
-	$(GO) test -count=1 -run 'TestResidentBudget|TestWALBufferIsItsLargestBatch|TestPageRetention' -v ./uc/
+	$(GO) test -count=1 -run 'TestResidentBudget|TestLineageEdgeBytes|TestWALBufferIsItsLargestBatch|TestPageRetention' -v ./uc/
 
 # What the read path allocates: a 100-record batch decode (internal/erm, at
 # most 5 whatever the size), a whole 100-table list page and a 100-table

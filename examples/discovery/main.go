@@ -68,7 +68,7 @@ func main() {
 	up, _ := cat.Lineage.Upstream(adminCtx, report.ID, 0)
 	fmt.Printf("daily_report has %d upstream dependencies\n", len(up))
 	raw, _ := admin.Get("analytics.pipeline.raw_events")
-	if has, _ := cat.Lineage.HasDownstream(adminCtx, raw.ID); has {
+	if next, _ := cat.Lineage.Downstream(adminCtx, raw.ID, 1); len(next) > 0 {
 		fmt.Println("raw_events has downstream consumers — deletion would break the pipeline ✓")
 	}
 

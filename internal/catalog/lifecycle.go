@@ -49,7 +49,7 @@ func (s *Service) DeleteAsset(ctx Ctx, full string, force bool) (err error) {
 			return err
 		}
 		// One event per deleted entity, all at this commit's version, so
-		// second-tier consumers (search, lineage) de-index each securable.
+		// the search index drops each securable.
 		for _, d := range deleted {
 			stageEvent(tx, ctx, events.OpDelete, d, "")
 		}
@@ -114,10 +114,11 @@ func (s *Service) softDeleteTree(tx *store.Tx, id ids.ID, force bool, now time.T
 			tx.Delete(erm.TablePath, e.StoragePath)
 		}
 	}
-	// Grants on a deleted securable are purged immediately.
+	// Grants on a deleted securable and its lineage edges go immediately.
 	for _, kv := range tx.Scan(erm.TableGrant, erm.GrantPrefix(e.ID)) {
 		tx.Delete(erm.TableGrant, kv.Key)
 	}
+	erm.DeleteEdges(tx, e.ID)
 	*out = append(*out, upd)
 	return nil
 }
@@ -128,9 +129,9 @@ type GCResult struct {
 	DeletedObjects int
 }
 
-// RunGC purges soft-deleted entities older than the retention period,
-// removing their records, tags, and — for managed assets — their cloud
-// storage. It also removes orphaned records whose parents vanished.
+// RunGC purges soft-deleted entities older than the retention period with
+// their tags, grants, lineage edges and — for managed assets — cloud storage,
+// and orphaned records whose parents vanished, with theirs.
 func (s *Service) RunGC(msID string) (GCResult, error) {
 	var res GCResult
 	ms, err := s.meta(msID)
@@ -145,22 +146,19 @@ func (s *Service) RunGC(msID string) (GCResult, error) {
 		return res, err
 	}
 	cutoff := s.clk.Now().Add(-s.gcRetention)
-	type victim struct {
-		e *erm.Entity
-	}
-	var victims []victim
+	var victims []*erm.Entity
 	for _, e := range erm.DecodeEntityRows(v.Scan(erm.TableEntity, "")) {
 		if e == nil {
 			continue
 		}
 		if e.State == erm.StateSoftDeleted && e.DeletedAt != nil && e.DeletedAt.Before(cutoff) {
-			victims = append(victims, victim{e: e})
+			victims = append(victims, e)
 			continue
 		}
 		// Orphan check: a live entity whose parent record is gone.
 		if e.ParentID != ids.Nil {
 			if _, ok := erm.GetEntity(v, e.ParentID); !ok {
-				victims = append(victims, victim{e: e})
+				victims = append(victims, e)
 			}
 		}
 	}
@@ -170,8 +168,7 @@ func (s *Service) RunGC(msID string) (GCResult, error) {
 	}
 
 	_, err = s.cache.Update(msID, func(tx *store.Tx) error {
-		for _, vic := range victims {
-			e := vic.e
+		for _, e := range victims {
 			group := groupFor(s.reg, e.Type)
 			erm.DeleteEntity(tx, e, group)
 			for _, kv := range tx.Scan(erm.TableTag, erm.TagPrefix(e.ID)) {
@@ -192,16 +189,17 @@ func (s *Service) RunGC(msID string) (GCResult, error) {
 			for _, kv := range tx.Scan(erm.TableGrant, erm.GrantPrefix(e.ID)) {
 				tx.Delete(erm.TableGrant, kv.Key)
 			}
+			erm.DeleteEdges(tx, e.ID)
 		}
 		return nil
 	})
 	if err != nil {
 		return res, err
 	}
-	for _, vic := range victims {
+	for _, e := range victims {
 		res.PurgedEntities++
-		if vic.e.Managed && vic.e.StoragePath != "" {
-			res.DeletedObjects += s.cloud.ServiceDeletePrefix(vic.e.StoragePath)
+		if e.Managed && e.StoragePath != "" {
+			res.DeletedObjects += s.cloud.ServiceDeletePrefix(e.StoragePath)
 		}
 	}
 	return res, nil

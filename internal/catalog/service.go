@@ -216,11 +216,6 @@ func (s *Service) DB() *store.DB { return s.db }
 // Clock returns the service clock.
 func (s *Service) Clock() clock.Clock { return s.clk }
 
-// GroupsOf exposes group resolution (used by second-tier services).
-func (s *Service) GroupsOf(p privilege.Principal) []privilege.Principal {
-	return s.groups.GroupsOf(p)
-}
-
 // --- metastore management ---
 
 const metaInfoKey = "metastore_info"

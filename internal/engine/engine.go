@@ -417,13 +417,14 @@ func (e *Engine) executeInsert(ctx catalog.Ctx, st *Statement) (*Result, error) 
 			if lerr != nil || srcResp.Assets[st.Source.Table] == nil {
 				return nil, fmt.Errorf("engine: resolve lineage source %s: %w", st.Source.Table, lerr)
 			}
-			e.Lineage.Submit([]lineage.Edge{{
+			if err := e.Lineage.Submit(ctx, []lineage.Edge{{
 				Upstream:   srcResp.Assets[st.Source.Table].Entity.ID,
 				Downstream: ra.Entity.ID,
 				JobName:    e.Name,
 				QueryText:  "INSERT INTO " + st.Table + " SELECT ... FROM " + st.Source.Table,
-				Principal:  string(ctx.Principal),
-			}})
+			}}); err != nil {
+				return nil, fmt.Errorf("engine: report lineage of %s: %w", st.Table, err)
+			}
 		}
 	default:
 		for _, row := range st.Rows {

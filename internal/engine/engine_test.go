@@ -8,6 +8,7 @@ import (
 
 	"unitycatalog/internal/catalog"
 	"unitycatalog/internal/delta"
+	"unitycatalog/internal/faults"
 	"unitycatalog/internal/lineage"
 	"unitycatalog/internal/privilege"
 	"unitycatalog/internal/store"
@@ -323,18 +324,24 @@ func TestInsertSelectReportsLineage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := e.trusted.Execute(e.admin, "INSERT INTO sales.raw.orders_eu SELECT id, amount, region, owner_user FROM sales.raw.orders WHERE region = 'EU'")
+	const insert = "INSERT INTO sales.raw.orders_eu SELECT id, amount, region, owner_user FROM sales.raw.orders WHERE region = 'EU'"
+	// A lineage report the catalog cannot commit fails the statement: the
+	// engine passes the error on rather than drop the edge.
+	e.svc.DB().SetFaults(faults.New(1).AddRule(faults.Rule{Op: "db.commit", Class: faults.Unavailable, P: 1}))
+	if _, err := e.trusted.Execute(e.admin, insert); !faults.Is(err, faults.Unavailable) {
+		t.Fatalf("insert with the store refusing commits: %v", err)
+	}
+	e.svc.DB().SetFaults(nil)
+
+	res, err := e.trusted.Execute(e.admin, insert)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.RowsReturned == 0 {
 		t.Fatal("no rows copied")
 	}
-	if lin.EdgeCount() != 1 {
-		t.Fatalf("lineage edges = %d", lin.EdgeCount())
-	}
 	up, err := lin.Upstream(e.admin, dst.ID, 0)
-	if err != nil || len(up) != 1 {
+	if err != nil || len(up) != 1 || up[0].Via.JobName != "dbr-test" {
 		t.Fatalf("upstream = %v, %v", up, err)
 	}
 }

@@ -102,9 +102,8 @@ package erm
 //     holders: search (a document's FullName; and each distinct token,
 //     cloned once when the index first sees it, never kept as a substring of
 //     the lowered text it was cut from), the event history (stageEvent's
-//     FullName), lineage (node FullName), the compiled authorization
-//     snapshots (Securable.Parent, copied where the memo files it:
-//     privilege's memo.remember). The two holders a listed page reaches — the
+//     FullName), the compiled authorization snapshots (Securable.Parent,
+//     copied where the memo files it: privilege's memo.remember). The two holders a listed page reaches — the
 //     metadata cache's miss-fill key and the authorization memo's keys — keep
 //     IDs only. uc.TestPageRetention pages through every table, drops the
 //     pages and measures what is still in use.

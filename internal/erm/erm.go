@@ -423,6 +423,9 @@ const (
 	TableTag    = "tag"    // tagKey -> value
 	TableTagIdx = "tagidx" // tagIdxKey -> value (inverted: tag key -> tagged securables)
 	TableABAC   = "abac"   // rule id -> ABACRule JSON
+
+	TableLineage   = "lineage"   // upstream\0downstream\0job -> job, query text, principal, time
+	TableLineageUp = "lineageup" // downstream\0upstream\0job -> nothing (lineage.go)
 )
 
 // pathTableFor returns the path index an entity type belongs to: external

@@ -729,22 +729,20 @@ func (s *Server) handleSubmitLineage(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	s.Lineage.Submit(req.Edges)
+	if err := s.Lineage.Submit(s.ctx(r), req.Edges); err != nil {
+		writeErr(w, err)
+		return
+	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleQueryLineage(w http.ResponseWriter, r *http.Request) {
-	id := ids.ID(r.PathValue("id"))
 	depth, _ := strconv.Atoi(r.URL.Query().Get("depth"))
-	var (
-		nodes []lineage.Node
-		err   error
-	)
+	walk := s.Lineage.Downstream
 	if r.URL.Query().Get("direction") == "upstream" {
-		nodes, err = s.Lineage.Upstream(s.ctx(r), id, depth)
-	} else {
-		nodes, err = s.Lineage.Downstream(s.ctx(r), id, depth)
+		walk = s.Lineage.Upstream
 	}
+	nodes, err := walk(s.ctx(r), ids.ID(r.PathValue("id")), depth)
 	if err != nil {
 		writeErr(w, err)
 		return

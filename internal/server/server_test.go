@@ -2,8 +2,11 @@ package server_test
 
 import (
 	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"unitycatalog/internal/catalog"
 	"unitycatalog/internal/client"
@@ -207,4 +210,69 @@ func TestSearchLineageModelsOverHTTP(t *testing.T) {
 		t.Fatalf("lineage = %v, %v", nodes, err)
 	}
 	_ = hs
+}
+
+// TestLineageAPIAuthorizedAndAudited: POST /lineage and GET /lineage/{id}
+// accept only assets the caller can see — an unseen one is a 404, as anywhere
+// in the catalog — and an edge across metastores is a 400. The edge's
+// principal and time are the caller's and the catalog clock's, whatever the
+// body says, and every call writes one audit record. A resubmitted edge
+// commits nothing, so a read's ETag stays valid.
+func TestLineageAPIAuthorizedAndAudited(t *testing.T) {
+	srv, hs := condStack(t, server.Config{ETagMaxAge: time.Hour})
+	admin := client.New(hs.URL, "admin", "ms1")
+	spec := catalog.TableSpec{Columns: []catalog.ColumnInfo{{Name: "x", Type: "BIGINT"}}}
+	admin.CreateCatalog("c", "")
+	admin.CreateSchema("c", "s", "")
+	a, _ := admin.CreateTable("c.s", "a", spec, "")
+	b, _ := admin.CreateTable("c.s", "b", spec, "")
+	srv.Service.CreateMetastore("ms2", "other", "r", "admin", "s3://lake/ms2")
+	elsewhere := catalog.Ctx{Principal: "admin", Metastore: "ms2"}
+	srv.Service.CreateCatalog(elsewhere, "c", "")
+	srv.Service.CreateSchema(elsewhere, "c", "s", "")
+	far, _ := srv.Service.CreateTable(elsewhere, "c.s", "far", spec, "")
+	for full, priv := range map[string]privilege.Privilege{"c": privilege.UseCatalog, "c.s": privilege.UseSchema, "c.s.a": privilege.Select} {
+		admin.Grant(full, "alice", priv)
+	}
+	alice := client.New(hs.URL, "alice", "ms1")
+	forged := lineage.Edge{Upstream: a.ID, Downstream: b.ID, JobName: "etl", Principal: "mallory", Time: time.Unix(1, 0)}
+
+	for _, tc := range []struct {
+		what, op string
+		call     func() error
+		want     error
+	}{
+		{"alice links a to b, which she cannot see", "SubmitLineage", func() error { return alice.SubmitLineage([]lineage.Edge{{Upstream: a.ID, Downstream: b.ID}}) }, catalog.ErrNotFound},
+		{"alice walks from b", "GetLineage", func() error { _, err := alice.Lineage(b.ID, "upstream", 0); return err }, catalog.ErrNotFound},
+		{"admin links a to another metastore", "SubmitLineage", func() error { return admin.SubmitLineage([]lineage.Edge{{Upstream: a.ID, Downstream: far.ID}}) }, catalog.ErrInvalidArgument},
+		{"admin links a to b in mallory's name", "SubmitLineage", func() error { return admin.SubmitLineage([]lineage.Edge{forged}) }, nil},
+		{"alice walks from a", "GetLineage", func() error {
+			nodes, err := alice.Lineage(a.ID, "downstream", 0)
+			if err == nil && len(nodes) != 0 {
+				return fmt.Errorf("alice sees %+v", nodes)
+			}
+			return err
+		}, nil},
+	} {
+		before := srv.Service.Audit().Stats().ByOperation[tc.op]
+		if err := tc.call(); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: %v, want %v", tc.what, err, tc.want)
+		}
+		if n := srv.Service.Audit().Stats().ByOperation[tc.op] - before; n != 1 {
+			t.Fatalf("%s: %d %s audit records", tc.what, n, tc.op)
+		}
+	}
+	nodes, err := admin.Lineage(b.ID, "upstream", 0)
+	if err != nil || len(nodes) != 1 || nodes[0].Via.Principal != "admin" || nodes[0].Via.Time.Equal(forged.Time) {
+		t.Fatalf("upstream of b = %+v, %v", nodes, err)
+	}
+
+	resp, _ := condGet(t, hs.URL, "/api/2.1/unity-catalog/assets/c.s.a", "")
+	etag := resp.Header.Get("ETag")
+	if err := admin.SubmitLineage([]lineage.Edge{forged}); err != nil {
+		t.Fatal(err)
+	}
+	if resp, _ := condGet(t, hs.URL, "/api/2.1/unity-catalog/assets/c.s.a", etag); etag == "" || resp.StatusCode != http.StatusNotModified {
+		t.Fatalf("after resubmitting an edge, revalidating %s is a %d", etag, resp.StatusCode)
+	}
 }

@@ -108,7 +108,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"uc_cache_degraded",
 		"uc_events_published_total",
 		`uc_events_follower_lag{follower="search"}`,
-		`uc_events_follower_lag{follower="lineage"}`,
 		`uc_events_follower_resyncs_total{follower="search"} 0`,
 		"uc_authz_snapshot_hits_total",
 		"uc_authz_snapshot_builds_total",

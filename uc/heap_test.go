@@ -12,6 +12,8 @@ import (
 
 	"unitycatalog/internal/catalog"
 	"unitycatalog/internal/erm"
+	"unitycatalog/internal/ids"
+	"unitycatalog/internal/lineage"
 )
 
 // residentBudget is what each holder measures, in bytes per table of
@@ -171,7 +173,6 @@ func TestResidentBudget(t *testing.T) {
 		}
 	}
 	c.Search.Sync()
-	c.Lineage.Sync()
 	// The benchmark's measurement point: set-up done, metadata cache empty.
 	if err := c.Service.Cache().ReconcileFull("ms1"); err != nil {
 		t.Fatal(err)
@@ -231,6 +232,67 @@ func TestResidentBudget(t *testing.T) {
 	}
 	if decodes < 2*tables {
 		t.Errorf("%d records decoded for %d tables read by name: the reads did not go through the decoded forms", decodes, tables)
+	}
+}
+
+// lineageEdgeBudget is what one lineage edge leaves in use once committed,
+// in bytes under the holders of durable rows (store structure, store values,
+// erm, catalog): 240 under erm — its two keys and its value, 80 bytes each
+// for this test's edge — and 262 under the store's structure — two 48-byte
+// records and their share of two maps and two trees. TestLineageEdgeBytes
+// fails at 10 % over.
+const lineageEdgeBudget = 502
+
+// TestLineageEdgeBytes submits one edge per table of a 2,000-table
+// population, each its own commit, and holds what the edges leave in use to
+// lineageEdgeBudget per edge.
+func TestLineageEdgeBytes(t *testing.T) {
+	const tables = 2000
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+
+	c, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.CreateMetastore("ms1", "main", "r", "admin", "s3://lake/ms1"); err != nil {
+		t.Fatal(err)
+	}
+	admin := c.Session("admin", "ms1")
+	admin.CreateCatalog("sales", "")
+	admin.CreateSchema("sales", "raw", "")
+	spec := TableSpec{Columns: []ColumnInfo{{Name: "id", Type: "BIGINT"}}}
+	tbl := make([]ids.ID, tables)
+	for i := range tbl {
+		e, err := admin.CreateTable("sales.raw", fmt.Sprintf("t_%04d", i), spec, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl[i] = e.ID
+	}
+	held := func() int64 {
+		if err := c.Service.Cache().ReconcileFull("ms1"); err != nil {
+			t.Fatal(err)
+		}
+		inUse, _ := inUseByHolder()
+		runtime.KeepAlive(c)
+		return inUse["store structure"] + inUse["store values"] + inUse["erm"] + inUse["catalog"]
+	}
+	before := held()
+	for i, id := range tbl {
+		if err := c.Lineage.Submit(admin.Ctx(), []lineage.Edge{{
+			Upstream: id, Downstream: tbl[(i+1)%tables], JobName: "nightly-etl",
+			QueryText: "INSERT INTO sales.raw.t SELECT ... FROM sales.raw.s",
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perEdge := float64(held()-before) / tables
+	runtime.KeepAlive(tbl)
+	t.Logf("%d edges: %.0f B per edge under store, erm and catalog (budget %d)", tables, perEdge, lineageEdgeBudget)
+	if perEdge > 1.10*lineageEdgeBudget {
+		t.Errorf("a lineage edge holds %.0f B, more than 10 %% over its budget of %d", perEdge, lineageEdgeBudget)
 	}
 }
 
@@ -362,7 +424,6 @@ func TestPageRetention(t *testing.T) {
 		}
 	}
 	c.Search.Sync()
-	c.Lineage.Sync()
 	if err := c.Service.Cache().ReconcileFull("ms1"); err != nil {
 		t.Fatal(err)
 	}

@@ -234,7 +234,6 @@ func Open(cfg Config) (*Catalog, error) {
 func (c *Catalog) Close() error {
 	c.coord.Close()
 	c.srv.Close()
-	c.Lineage.Close()
 	c.Search.Close()
 	return c.db.Close()
 }

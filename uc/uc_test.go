@@ -2,15 +2,18 @@ package uc_test
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"unitycatalog/internal/delta"
 	"unitycatalog/internal/erm"
 	"unitycatalog/internal/events"
+	"unitycatalog/internal/lineage"
 	"unitycatalog/uc"
 )
 
@@ -109,6 +112,52 @@ func TestFacadeDurability(t *testing.T) {
 	}
 	if _, err := cat2.Session("admin", "ms1").Get("persisted"); err != nil {
 		t.Fatalf("metadata lost across restart: %v", err)
+	}
+}
+
+// TestLineageSurvivesRestart: lineage edges are rows of the store, so a
+// stack reopened on the same WAL walks the same graph.
+func TestLineageSurvivesRestart(t *testing.T) {
+	wal := filepath.Join(t.TempDir(), "uc.wal")
+	cat, err := uc.Open(uc.Config{WALPath: wal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat.CreateMetastore("ms1", "main", "r", "admin", "s3://lake/ms1")
+	admin := cat.Session("admin", "ms1")
+	admin.CreateCatalog("c", "")
+	admin.CreateSchema("c", "s", "")
+	var tbl [3]*uc.Entity
+	for i := range tbl {
+		if tbl[i], err = admin.CreateTable("c.s", fmt.Sprintf("t%d", i), uc.TableSpec{Columns: []uc.ColumnInfo{{Name: "x", Type: "BIGINT"}}}, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cat.Lineage.Submit(admin.Ctx(), []lineage.Edge{
+		{Upstream: tbl[0].ID, Downstream: tbl[1].ID, JobName: "clean"},
+		{Upstream: tbl[1].ID, Downstream: tbl[2].ID, JobName: "report", QueryText: "INSERT INTO c.s.t2 SELECT ..."},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := cat.Lineage.Downstream(admin.Ctx(), tbl[0].ID, 0)
+	if err != nil || len(want) != 2 {
+		t.Fatalf("before the restart: %+v, %v", want, err)
+	}
+	if err := cat.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cat2, err := uc.Open(uc.Config{WALPath: wal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat2.Close()
+	if _, err := cat2.Service.OpenMetastore("ms1"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := cat2.Lineage.Downstream(cat2.Session("admin", "ms1").Ctx(), tbl[0].ID, 0)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the restart:\n  got  %+v, %v\n  want %+v", got, err, want)
 	}
 }
 
