@@ -99,13 +99,18 @@ heap:
 	$(GO) test -count=1 -run 'TestResidentBudget|TestLineageEdgeBytes|TestWALBufferIsItsLargestBatch|TestPageRetention' -v ./uc/
 
 # What the read path allocates: a 100-record batch decode (internal/erm, at
-# most 5 whatever the size), a whole 100-table list page and a 100-table
+# most 5 whatever the size) and an in-place read of a catalog's bindings
+# (none), a whole 100-table list page and a 100-table
 # unpaged listing on a cache-less service (the two shells of the listing
 # engine), and a GetAsset by name, a one-table Resolve and a credential by
 # object path on a warm cache, which must also decode nothing
-# (internal/catalog, recorded figures + 10 %),
-# printed; then a 304 revalidation through the whole HTTP request path
-# (internal/server, recorded figure + 10 %), a metric-family child lookup
+# (internal/catalog, recorded figures + 10 %), and the workspace-binding
+# check under an unbound and a bound catalog (the chain slice only),
+# printed; then a 304 revalidation and a resolve, a temporary-credentials and
+# an authorize-batch POST through the whole HTTP request path
+# (internal/server, recorded figures + 10 %) and a flat request body's decode
+# (one allocation per string value kept, one per array), a trace's ID (one)
+# and a metric-family child lookup
 # (internal/obs, none) and a catalog and a txn event published and delivered
 # to a follower (internal/events, none). `make test` runs the same gates with
 # the rest of ./...

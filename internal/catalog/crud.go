@@ -622,13 +622,19 @@ func (s *Service) SetWorkspaceBindings(ctx Ctx, catalogName string, workspaces [
 	return err
 }
 
-// checkSpec rejects, before it is committed, a spec that Resolve or credential
-// vending could not decode: a table's, view's or function's must decode into
-// its type. req is the spec as the request gave it, e the entity holding its
-// stored form; a request that gave the type itself needs no decode.
+// checkSpec rejects, before it is committed, a spec that Resolve, credential
+// vending or the workspace-binding check could not decode: a catalog's,
+// table's, view's or function's must decode into its type. req is the spec as
+// the request gave it, e the entity holding its stored form; a request that
+// gave the type itself needs no decode.
 func checkSpec(e *erm.Entity, req any) error {
 	var into any
 	switch e.Type {
+	case erm.TypeCatalog:
+		if _, typed := req.(*CatalogSpec); typed {
+			return nil
+		}
+		into = new(CatalogSpec)
 	case erm.TypeTable:
 		if _, typed := req.(*TableSpec); typed {
 			return nil

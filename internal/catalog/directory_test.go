@@ -1,11 +1,13 @@
 package catalog
 
 import (
+	"encoding/json"
 	"errors"
 	"testing"
 	"time"
 
 	"unitycatalog/internal/clock"
+	"unitycatalog/internal/erm"
 	"unitycatalog/internal/privilege"
 	"unitycatalog/internal/store"
 )
@@ -131,36 +133,95 @@ func TestWorkspaceBindings(t *testing.T) {
 	}
 }
 
-// TestWorkspaceBindingCheckAllocs pins the cost of the binding check every
-// authorized request starts with, for a securable reached by ID: the chain
-// (one slice; its entities are the cache's own, decoded once per version) and
-// one decode of the catalog's spec. It decoded every ancestor per check until
-// PR 20 (21 allocations), and twice until PR 16 (34).
-func TestWorkspaceBindingCheckAllocs(t *testing.T) {
+// TestCatalogSpecThatDoesNotDecodeFailsClosed: a catalog spec that does not
+// decode into CatalogSpec is refused on create and update, and a catalog
+// whose stored bindings cannot be read — a record written before that check,
+// or a damaged one — admits no workspace, while one whose bindings member is
+// absent stays unbound. A spec that did not decode used to unbind its catalog.
+func TestCatalogSpecThatDoesNotDecodeFailsClosed(t *testing.T) {
 	svc, admin := testService(t)
-	tbl := seedNamespace(t, svc, admin)
-	if err := svc.SetWorkspaceBindings(admin, "sales", []string{"ws-us", "ws-eu"}); err != nil {
-		t.Fatal(err)
+	seedNamespace(t, svc, admin)
+	bad := json.RawMessage(`{"kind":1,"workspace_bindings":["ws-us"]}`)
+	if _, err := svc.CreateAsset(admin, CreateRequest{Type: erm.TypeCatalog, Name: "hr", Spec: bad}); !errors.Is(err, ErrInvalidArgument) {
+		t.Fatalf("create a catalog with spec %s: %v, want invalid argument", bad, err)
 	}
-	ctx := Ctx{Principal: "alice", Metastore: "ms1", Workspace: "ws-eu"}
-	v, err := svc.view(ctx)
+	if _, err := svc.GetAsset(admin, "hr"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("after the refused create: %v", err)
+	}
+	if _, err := svc.UpdateAsset(admin, "sales", UpdateRequest{Spec: bad}); !errors.Is(err, ErrInvalidArgument) {
+		t.Fatalf("update a catalog with spec %s: %v, want invalid argument", bad, err)
+	}
+
+	cat, err := svc.GetAsset(admin, "sales")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v.Close()
-	bindingCheck := func() error {
-		chain, err := svc.chainOf(ctx, v, tbl, "test")
-		if err != nil {
-			return err
+	bound := erm.PackSpec([]byte(`{"kind":"REGULAR","workspace_bindings":["ws-us"]}`))
+	for _, c := range []struct {
+		what   string
+		spec   erm.Spec
+		us, eu bool // admitted from ws-us, from ws-eu
+	}{
+		{"bound to ws-us", bound, true, false},
+		{"a kind that does not decode, packed", erm.PackSpec(bad), true, false},
+		{"a kind that does not decode, as JSON", erm.Spec(`{"kind": 1, "workspace_bindings": ["ws-us"]}`), true, false},
+		{"bindings that are not an array", erm.PackSpec([]byte(`{"kind":"REGULAR","workspace_bindings":"ws-us"}`)), false, false},
+		{"bindings that do not decode, then an array", erm.PackSpec([]byte(`{"workspace_bindings":[1],"workspace_bindings":["ws-us"]}`)), false, false},
+		{"a damaged packed spec", bound[:len(bound)-1], false, false},
+		{"a JSON spec that is not JSON", erm.Spec(`{"kind":"REGULAR","workspace_bindings":["ws-us"]`), false, false},
+		{"no bindings member, and a kind that does not decode", erm.PackSpec([]byte(`{"kind":1}`)), true, true},
+		{"no spec", nil, true, true},
+	} {
+		upd := cat.Clone()
+		upd.Spec = c.spec
+		if _, err := svc.cache.Update("ms1", func(tx *store.Tx) error { return erm.UpdateEntity(tx, upd) }); err != nil {
+			t.Fatal(err)
 		}
-		return checkWorkspaceBinding(ctx, chain)
+		for ws, want := range map[string]bool{"ws-us": c.us, "ws-eu": c.eu} {
+			from := admin
+			from.Workspace = ws
+			_, err := svc.GetAsset(from, "sales.raw.orders")
+			if want && err != nil || !want && !errors.Is(err, ErrWorkspaceBinding) {
+				t.Errorf("%s: a read from %s: %v, want admitted %v", c.what, ws, err, want)
+			}
+		}
 	}
-	if err := bindingCheck(); err != nil {
+}
+
+// TestWorkspaceBindingCheckAllocs pins the cost of the binding check every
+// authorized request starts with, for a securable reached by ID: the chain
+// (one slice; its entities are the cache's own, decoded once per version) and
+// nothing else, bound or not, for the catalog's bindings are read in place.
+// A decode of the whole catalog spec made it 12.
+func TestWorkspaceBindingCheckAllocs(t *testing.T) {
+	svc, admin := testService(t)
+	tbl := seedNamespace(t, svc, admin)
+	ctx := Ctx{Principal: "alice", Metastore: "ms1", Workspace: "ws-eu"}
+	measure := func() float64 {
+		v, err := svc.view(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v.Close()
+		bindingCheck := func() error {
+			chain, err := svc.chainOf(ctx, v, tbl, "test")
+			if err != nil {
+				return err
+			}
+			return checkWorkspaceBinding(ctx, chain)
+		}
+		if err := bindingCheck(); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(100, func() { _ = bindingCheck() })
+	}
+	unbound := measure()
+	if err := svc.SetWorkspaceBindings(admin, "sales", []string{"ws-us", "ws-eu"}); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(100, func() { _ = bindingCheck() })
-	t.Logf("chainOf + checkWorkspaceBinding: %v allocations for a table", allocs)
-	if allocs > 13 { // measures 12: the slice and eleven under json.Unmarshal of the spec
-		t.Fatalf("the binding check allocates %v times for a table, want at most 13", allocs)
+	bound := measure()
+	t.Logf("chainOf + checkWorkspaceBinding: %v allocations for a table under an unbound catalog, %v under a bound one", unbound, bound)
+	if unbound > 1 || bound > 1 { // the chain slice
+		t.Fatalf("the binding check allocates %v times for a table under an unbound catalog, %v under a bound one, want at most 1", unbound, bound)
 	}
 }

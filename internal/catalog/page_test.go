@@ -370,13 +370,14 @@ func TestHasTagMatchesEntityTags(t *testing.T) {
 
 // listPageAllocs and listAllAllocs are what a 100-table ListAssetsPageFunc
 // page and a 100-table unpaged ListAssets allocated on a cache-less service
-// when the read path last changed on purpose (ISSUE 22: one engine behind
-// both, and a page's batch answers "is there more" itself; the page was 60
-// with its probe read, and 456 before it decoded into one slab, ISSUE 19).
+// when the read path last changed on purpose: one engine behind both, a
+// page's batch answering "is there more" itself, and the catalog's workspace
+// bindings read in place (51 and 52 with a decode of its whole spec; the page
+// was 60 with its probe read, and 456 before it decoded into one slab).
 // TestListPageAllocs fails at 10 % over; `make allocs` prints the figures.
 const (
-	listPageAllocs = 51
-	listAllAllocs  = 52
+	listPageAllocs = 45
+	listAllAllocs  = 46
 )
 
 // pageWorld is sales.raw with 150 tables beside seedNamespace's one (a page

@@ -431,18 +431,31 @@ func (s *Service) viewMS(msID string) (*cache.View, error) {
 // nothing: the chain is what the caller resolved, at the caller's version.
 func checkWorkspaceBinding(ctx Ctx, chain []*erm.Entity) error {
 	for _, e := range chain {
-		if e.Type != erm.TypeCatalog {
-			continue
-		}
-		var spec CatalogSpec
-		if err := e.DecodeSpec(&spec); err != nil || len(spec.WorkspaceBindings) == 0 {
-			continue
-		}
-		if !slices.Contains(spec.WorkspaceBindings, ctx.Workspace) {
+		if e.Type == erm.TypeCatalog && !bindingAdmits(e, ctx.Workspace) {
 			return fmt.Errorf("%w: %s", ErrWorkspaceBinding, e.FullName)
 		}
 	}
 	return nil
+}
+
+// bindingAdmits reports whether catalog e admits workspace ws: its spec binds
+// it to no workspace, or to ws among others. Only the spec's
+// workspace_bindings member is read — in place when the spec is packed
+// (erm.Spec.StringsMember), else through a decode of that member alone — so
+// a spec whose other members do not decode binds as its bindings say. A spec
+// whose bindings cannot be read admits no workspace.
+func bindingAdmits(e *erm.Entity, ws string) bool {
+	n, has, ok := e.Spec.StringsMember("workspace_bindings", ws)
+	if !ok {
+		var spec struct {
+			WorkspaceBindings []string `json:"workspace_bindings"` // CatalogSpec's
+		}
+		if err := e.DecodeSpec(&spec); err != nil {
+			return false
+		}
+		n, has = len(spec.WorkspaceBindings), slices.Contains(spec.WorkspaceBindings, ws)
+	}
+	return n == 0 || has
 }
 
 // backendErr is the backend failure r absorbed on a read that came back "not

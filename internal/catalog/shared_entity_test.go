@@ -289,17 +289,16 @@ func sharedEntityDifferential(t *testing.T, seed int64, db *store.DB, svc *Servi
 }
 
 // getAssetAllocs and resolveAllocs are what a GetAsset by name and a
-// one-table Resolve allocated through the service on a warm cache when the
-// point-read path last changed on purpose (ISSUE 20: entities and index IDs
-// served decoded from the cache; 42 and 67 before, with a decode per ancestor
-// per walk). pathCredAllocs is a credential request by object path from an
-// untrusted engine, resolved through the store's path table (35 when a
-// per-node URL trie resolved it). TestPointReadAllocs fails at 10 % over;
-// `make allocs` prints the figures.
+// one-table Resolve allocated through the service on a warm cache, and
+// pathCredAllocs a credential request by object path from an untrusted engine,
+// resolved through the store's path table, when the point-read path last
+// changed on purpose: the catalog's workspace bindings read in place, where a
+// decode of its whole spec cost each 6 more (19, 44 and 33).
+// TestPointReadAllocs fails at 10 % over; `make allocs` prints the figures.
 const (
-	getAssetAllocs = 19
-	resolveAllocs  = 44
-	pathCredAllocs = 33
+	getAssetAllocs = 13
+	resolveAllocs  = 38
+	pathCredAllocs = 27
 )
 
 // TestPointReadAllocs gates the point-read path end to end — view, name or

@@ -41,6 +41,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"unicode/utf8"
 )
 
 // Spec is an entity's type-specific metadata (table columns, a view's
@@ -418,6 +419,162 @@ var (
 		return q
 	}()
 )
+
+// StringsMember reads the top-level member name of a packed spec in place, as
+// json.Unmarshal of the rendered spec into a struct whose one field is a
+// []string of that JSON name would: names match as encoding/json matches
+// field names (bytes.EqualFold), the last of repeated members wins, and null
+// or no member at all is no strings. It returns how many strings the member
+// holds and whether want is one of them, and allocates nothing. An empty spec
+// holds no strings. ok is false when the walk
+// cannot decide exactly, and the caller then decodes the spec: the spec is
+// JSON, is not an object, or does not render (the walk makes renderSpec's
+// checks), or it holds an escape, invalid UTF-8 or a number that is not an
+// unsigned integer, or the member is not an array of strings or null.
+func (s Spec) StringsMember(name, want string) (n int, has, ok bool) {
+	if len(s) == 0 {
+		return 0, false, true
+	}
+	if !s.Packed() {
+		return 0, false, false
+	}
+	size, k := binary.Uvarint(s[1:])
+	if k <= 0 || size > uint64(maxSpecExpansion*len(s)) || 1+k >= len(s) || s[1+k] != opObject && s[1+k] != opEmptyObject {
+		return 0, false, false
+	}
+	nameBytes := []byte(name)
+	var stack [maxSpecDepth]byte
+	depth, done := 0, false
+	var rendered uint64             // the length renderSpec would render
+	member, inArray := false, false // the next token is the member's value; one of its strings
+	for i := 1 + k; i < len(s); {
+		op := s[i]
+		i++
+		if op == opClose {
+			if depth == 0 || stack[depth-1]&lvlValue != 0 {
+				return 0, false, false
+			}
+			depth--
+			rendered++
+			done, inArray = depth == 0, false
+			continue
+		}
+		key := false
+		if depth == 0 {
+			if done {
+				return 0, false, false
+			}
+			done = op != opObject && op != opArray
+		} else if st := stack[depth-1]; st&lvlValue != 0 {
+			rendered++ // ':'
+			stack[depth-1] = st &^ lvlValue
+		} else {
+			if st&lvlObject != 0 {
+				if op < opShortString && op != opString {
+					return 0, false, false
+				}
+				st |= lvlValue
+				key = true
+			}
+			if st&lvlFirst == 0 {
+				rendered++ // ','
+			}
+			stack[depth-1] = st &^ lvlFirst
+		}
+		var str []byte // a string token's bytes
+		switch {
+		case op >= opWord:
+			if int(op-opWord) >= len(specWords) {
+				return 0, false, false
+			}
+			str = specWordBytes[op-opWord]
+		case op >= opShortString || op == opString:
+			l := int(op - opShortString)
+			if op == opString {
+				v, w := binary.Uvarint(s[i:])
+				if w <= 0 || v > uint64(len(s)) {
+					return 0, false, false
+				}
+				l, i = int(v), i+w
+			}
+			if l > len(s)-i || !plainString(s[i:i+l]) {
+				return 0, false, false
+			}
+			str, i = s[i:i+l], i+l
+		case op == opUint:
+			v, w := binary.Uvarint(s[i:])
+			if w <= 0 {
+				return 0, false, false
+			}
+			for i, rendered = i+w, rendered+1; v >= 10; v /= 10 {
+				rendered++
+			}
+		case op == opObject || op == opArray:
+			if depth == maxSpecDepth {
+				return 0, false, false
+			}
+			stack[depth] = lvlFirst
+			if op == opObject {
+				stack[depth] |= lvlObject
+			}
+			depth++
+			rendered++
+		case op >= opEmptyObject && op <= opNull:
+			rendered += uint64(len(literals[op-opEmptyObject]))
+		default: // opNumber, or not a token
+			return 0, false, false
+		}
+		if str != nil {
+			rendered += uint64(len(str)) + 2
+		}
+		switch {
+		case inArray:
+			if str == nil {
+				return 0, false, false
+			}
+			n++
+			has = has || string(str) == want
+		case member:
+			member = false
+			switch op {
+			case opArray:
+				inArray, n, has = true, 0, false
+			case opEmptyArray, opNull:
+				n, has = 0, false
+			default:
+				return 0, false, false
+			}
+		case key && depth == 1:
+			member = bytes.EqualFold(str, nameBytes)
+		}
+	}
+	if !done || depth != 0 || rendered != size {
+		return 0, false, false
+	}
+	return n, has, true
+}
+
+// specWordBytes are specWords as the byte strings StringsMember compares.
+var specWordBytes = func() (w [len(specWords)][]byte) {
+	for i, s := range specWords {
+		w[i] = []byte(s)
+	}
+	return w
+}()
+
+// plainString reports whether a packed string's bytes are the contents of a
+// JSON string that decodes to exactly them: no quote, backslash or control
+// character, and valid UTF-8.
+func plainString(b []byte) bool {
+	ascii := true
+	for _, c := range b {
+		if c == '"' || c == '\\' || c < ' ' {
+			return false
+		}
+		ascii = ascii && c < utf8.RuneSelf
+	}
+	return ascii || utf8.Valid(b)
+}
 
 // scratch is a pooled buffer for packing, the render that checks it, and a
 // spec rendered for json.Unmarshal; and the writer json.Encoder marshals into.

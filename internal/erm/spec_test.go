@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -66,7 +67,101 @@ func FuzzSpecPack(f *testing.F) {
 		}
 		damaged.AppendJSON(nil)
 		_, _ = damaged.MarshalJSON()
+		checkBindingRead(t, s)
+		checkBindingRead(t, damaged)
 	})
+}
+
+// checkBindingRead holds StringsMember to the one-field decode it stands in
+// for: whenever it decides, the spec decodes, to as many bindings, with each
+// workspace among them or not alike. It reports whether it decided.
+func checkBindingRead(t *testing.T, s Spec) bool {
+	t.Helper()
+	decided := false
+	for _, ws := range []string{"", "ws-us", "ws-eu", "ws-ü"} {
+		n, has, ok := s.StringsMember("workspace_bindings", ws)
+		if !ok {
+			continue
+		}
+		decided = true
+		var one struct {
+			WorkspaceBindings []string `json:"workspace_bindings"`
+		}
+		err := (&Entity{Spec: s}).DecodeSpec(&one)
+		if err != nil || n != len(one.WorkspaceBindings) || has != slices.Contains(one.WorkspaceBindings, ws) {
+			t.Errorf("%x for %q: read in place %d bindings (has %v), decoded %q (%v)", s, ws, n, has, one.WorkspaceBindings, err)
+		}
+	}
+	return decided
+}
+
+// TestBindingReadMatchesDecode: reading a catalog's workspace bindings in
+// place gives the one-field decode's bound / unbound / refused decision, over
+// FuzzSpecPack's corpus and the shapes a bindings member can take; and it
+// decides, without decoding, on every packed spec of a plain shape.
+func TestBindingReadMatchesDecode(t *testing.T) {
+	for _, js := range specSeeds {
+		checkBindingRead(t, PackSpec([]byte(js)))
+		checkBindingRead(t, Spec(append([]byte{specMagic}, js...)))
+	}
+	bound := `{"kind":"REGULAR","workspace_bindings":["ws-us","ws-eu"],"share_name":"s"}`
+	cases := []struct {
+		js      string
+		decides bool
+	}{
+		{`{"kind":"REGULAR"}`, true},
+		{bound, true},
+		{`{"kind":1,"workspace_bindings":["ws-us"]}`, true},
+		{`{"workspace_bindings":[]}`, true},
+		{`{"workspace_bindings":null}`, true},
+		{`{}`, true},
+		{`{"x":{"workspace_bindings":["ws-us"]},"y":[{"a":null}]}`, true},
+		{`{"Workspace_Bindings":["ws-us"]}`, true},                                // a folded key
+		{"{\"wor\xe2\x84\xaaspace_bindings\":[\"ws-eu\"]}", true},                 // the Kelvin sign folds to k
+		{`{"workspace_bindings":["ws-us"],"workspace_bindings":["ws-eu"]}`, true}, // the last wins
+		{`{"workspace_bindings":["ws-us"],"WORKSPACE_BINDINGS":null}`, true},      // the last wins, folded
+		{`{"workspace_bindings":["ws-ü"]}`, true},
+		{`{"workspace_bindings":["ws\` + `u002dus"]}`, false},                // an escaped element
+		{`{"workspace_bindings":"ws-us"}`, false},                            // not an array
+		{`{"workspace_bindings":["ws-us",null]}`, false},                     // decodes to ["ws-us",""]
+		{`{"workspace_bindings":[1]}`, false},                                // does not decode
+		{`{"workspace_bindings":[1],"workspace_bindings":["ws-us"]}`, false}, // does not decode either
+		{`{"workspace_bindings":{"ws-us":true}}`, false},
+		{`{"a":1.5,"workspace_bindings":["ws-us"]}`, false},
+		{`["ws-us"]`, false},
+		{`null`, false},
+		{`{"workspace_bindings": ["ws-us"]}`, false}, // kept as JSON
+	}
+	for _, c := range cases {
+		s := PackSpec([]byte(c.js))
+		if got := checkBindingRead(t, s); got != c.decides {
+			t.Errorf("%s: decided in place: %v, want %v", c.js, got, c.decides)
+		}
+	}
+	// A damaged packed spec is refused by the decode; the walk must not
+	// decide it: every cut, and every byte flipped.
+	s := PackSpec([]byte(bound))
+	for i := 1; i < len(s); i++ {
+		checkBindingRead(t, s[:i])
+		for _, x := range []byte{0x01, 0x20, 0x80, 0xff} {
+			flipped := slices.Clone(s)
+			flipped[i] ^= x
+			checkBindingRead(t, flipped)
+		}
+	}
+	if n, has, ok := Spec(nil).StringsMember("workspace_bindings", "ws-us"); n != 0 || has || !ok {
+		t.Errorf("an empty spec: %d, %v, %v", n, has, ok)
+	}
+}
+
+// TestStringsMemberAllocs: the in-place read allocates nothing.
+func TestStringsMemberAllocs(t *testing.T) {
+	unbound, bound := PackSpec([]byte(`{"kind":"REGULAR"}`)), PackSpec([]byte(`{"kind":"REGULAR","workspace_bindings":["ws-us","ws-eu"]}`))
+	for _, s := range []Spec{unbound, bound} {
+		if a := testing.AllocsPerRun(100, func() { s.StringsMember("workspace_bindings", "ws-eu") }); a != 0 {
+			t.Errorf("%x: %v allocations", s, a)
+		}
+	}
 }
 
 // TestPackSpecLeavesWhatAResponseRewrites: a spec with whitespace outside its

@@ -292,6 +292,32 @@ func TestTraceConcurrentSpans(t *testing.T) {
 	}
 }
 
+// TestTraceIDAllocs: a trace that is started, asked for its ID twice and
+// finished unretained allocates one object, its ID string; a propagated one
+// allocates none.
+func TestTraceIDAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the tracer's pool drops traces under the race detector")
+	}
+	tr := NewTracer(0, 0)
+	run := func(start func() *Trace) float64 {
+		return testing.AllocsPerRun(100, func() {
+			trace := start()
+			if trace.ID() == "" || trace.ID() != trace.ID() {
+				t.Fatal("no stable trace ID")
+			}
+			tr.Finish(trace)
+		})
+	}
+	if a := run(tr.StartTrace); a != 1 {
+		t.Errorf("a local trace's ID costs %v allocations, want 1", a)
+	}
+	pc := PropagationContext{TraceID: "deadbeef00000001"}
+	if a := run(func() *Trace { return tr.StartRemote(pc) }); a != 0 {
+		t.Errorf("a propagated trace's ID costs %v allocations, want 0", a)
+	}
+}
+
 // TestCounterVecWithAllocs: the per-request lookup of an existing child
 // builds no key string, whatever the number of labels.
 func TestCounterVecWithAllocs(t *testing.T) {

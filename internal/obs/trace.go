@@ -91,15 +91,13 @@ type spanRec struct {
 // or recycled at Finish. All methods are safe for concurrent use by the
 // goroutines of one request.
 type Trace struct {
-	tracer *Tracer
-	begun  time.Time
+	begun time.Time
 
-	// Lazy ID: a random 64-bit prefix fixed at Tracer construction plus a
-	// per-trace sequence number, formatted only when something actually
-	// needs the string (response header, audit record, retention).
-	// Propagated traces adopt the origin's ID verbatim instead.
-	seq    uint64
-	id     atomic.Pointer[string]
+	// id is set when the trace starts: a random 64-bit prefix fixed at
+	// Tracer construction XOR a per-trace sequence number, as 16 hex chars,
+	// or the origin's ID verbatim for a propagated trace. Every HTTP request
+	// stamps it on its response, so it is built once, not on first use.
+	id     string
 	n      atomic.Int32 // spans used (may exceed maxSpans; clamp on read)
 	spans  [maxSpans]spanRec
 	capped atomic.Int64 // spans dropped past maxSpans
@@ -109,18 +107,13 @@ type Trace struct {
 	sampled bool
 }
 
-// ID formats and caches the trace ID (16 hex chars, stable per trace;
-// propagated traces return the adopted origin ID).
+// ID returns the trace ID (16 hex chars, stable per trace; propagated traces
+// return the adopted origin ID).
 func (t *Trace) ID() string {
 	if t == nil {
 		return ""
 	}
-	if p := t.id.Load(); p != nil {
-		return *p
-	}
-	s := hex16(t.tracer.idPrefix ^ t.seq)
-	t.id.CompareAndSwap(nil, &s)
-	return *t.id.Load()
+	return t.id
 }
 
 // Sampled reports the trace's retention decision (fixed at start).
@@ -246,27 +239,24 @@ func NewTracer(sampleEvery int, slowThreshold time.Duration) *Tracer {
 // StartTrace begins a new trace rooted at now. The sampling decision is
 // made here — not at Finish — so it can ride the propagation headers.
 func (tr *Tracer) StartTrace() *Trace {
-	t := tr.pool.Get().(*Trace)
-	t.tracer = tr
-	t.begun = time.Now()
-	t.seq = tr.seq.Add(1)
-	t.id.Store(nil)
-	t.n.Store(0)
-	t.capped.Store(0)
-	t.sampled = tr.SampleEvery > 0 && t.seq%uint64(tr.SampleEvery) == 0
-	return t
+	return tr.StartRemote(PropagationContext{})
 }
 
 // StartRemote begins a trace continuing one propagated by a caller: it
-// adopts the origin's trace ID and sampling decision.
+// adopts the origin's trace ID and sampling decision. With no trace ID it is
+// StartTrace.
 func (tr *Tracer) StartRemote(pc PropagationContext) *Trace {
-	t := tr.StartTrace()
-	if pc.TraceID == "" {
-		return t
+	t := tr.pool.Get().(*Trace)
+	t.begun = time.Now()
+	seq := tr.seq.Add(1)
+	t.n.Store(0)
+	t.capped.Store(0)
+	if pc.TraceID != "" {
+		t.id, t.sampled = pc.TraceID, pc.Sampled
+	} else {
+		t.id = hex16(tr.idPrefix ^ seq)
+		t.sampled = tr.SampleEvery > 0 && seq%uint64(tr.SampleEvery) == 0
 	}
-	id := pc.TraceID
-	t.id.Store(&id)
-	t.sampled = pc.Sampled
 	return t
 }
 

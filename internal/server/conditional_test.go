@@ -345,11 +345,12 @@ func TestAuthorizeBatchRoute(t *testing.T) {
 }
 
 // revalidationAllocs is what a 304 revalidation allocated when the request
-// path last changed on purpose (ISSUE 25: the fault injector's op string is
-// built only when an injector is installed, and the trace's op label only
-// when the trace is retained; it was 19). The reflection-encoded fresh path
-// costs several times more, so a regression that re-encodes on 304 trips it.
-const revalidationAllocs = 17
+// path last changed on purpose: the trace ID is built once at trace start (17
+// when it was boxed on first use; 19 when the fault injector's op string and
+// the trace's op label were built for every request). The reflection-encoded
+// fresh path costs several times more, so a regression that re-encodes on 304
+// trips it.
+const revalidationAllocs = 16
 
 // TestRevalidationAllocsGate pins the 304 fast path: it fails at 10 % over
 // revalidationAllocs; `make allocs` prints the figure.

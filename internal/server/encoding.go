@@ -66,7 +66,7 @@ func encodeFail(w http.ResponseWriter, err error) {
 	sendJSON(w, http.StatusInternalServerError, b)
 }
 
-func readJSON(r *http.Request, v any) error {
+func readJSON[T any](r *http.Request, v *T) error {
 	_, err := readJSONHash(r, v)
 	return err
 }
@@ -75,8 +75,9 @@ func readJSON(r *http.Request, v any) error {
 // like readJSON always has) and returns the FNV-1a hash of the raw bytes,
 // which conditional POST routes fold into their cache validator. The body is
 // staged through a pooled buffer so the read itself does not allocate in
-// steady state.
-func readJSONHash(r *http.Request, v any) (uint64, error) {
+// steady state. A flat request in canonical form is decoded by decodeFlat
+// (request.go); any other body by encoding/json.
+func readJSONHash[T any](r *http.Request, v *T) (uint64, error) {
 	buf := jsonenc.Get()
 	defer jsonenc.Put(buf)
 	b := buf.B
@@ -94,12 +95,27 @@ func readJSONHash(r *http.Request, v any) (uint64, error) {
 		}
 	}
 	buf.B = b
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return 0, fmt.Errorf("%w: bad request body: %v", catalog.ErrInvalidArgument, err)
+	orig := *v
+	if !decodeFlat(b, v) {
+		*v = orig
+		if err := decodeJSON(b, v); err != nil {
+			return 0, fmt.Errorf("%w: bad request body: %v", catalog.ErrInvalidArgument, err)
+		}
 	}
 	return fnv1a(b), nil
+}
+
+// decodeJSON decodes b into v with encoding/json through a copy on the heap,
+// so that v, which json.Decoder would take as an interface, stays where the
+// caller put it.
+func decodeJSON[T any](b []byte, v *T) error {
+	p := new(T)
+	*p = *v
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(p)
+	*v = *p
+	return err
 }
 
 // fnv1a is the 64-bit FNV-1a hash, inlined to stay allocation-free.

@@ -64,3 +64,28 @@ func TestPatchCannotStripFGACWithModify(t *testing.T) {
 		t.Fatalf("after the refused PATCH the table resolves to %+v", ra)
 	}
 }
+
+// TestCatalogSpecThatDoesNotDecodeIs400: a catalog spec that does not decode
+// into its type is refused with 400 on POST /assets and on PATCH, where it
+// used to be stored and to unbind its catalog from every workspace binding
+// it named.
+func TestCatalogSpecThatDoesNotDecodeIs400(t *testing.T) {
+	_, _, admin := testStack(t)
+	if _, err := admin.CreateCatalog("c", ""); err != nil {
+		t.Fatal(err)
+	}
+	bad := json.RawMessage(`{"kind":1,"workspace_bindings":["ws-us"]}`)
+	var apiErr *client.APIError
+	if _, err := admin.CreateAsset(server.CreateAssetRequest{Type: "CATALOG", Name: "hr", Spec: bad}); !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+		t.Fatalf("POST /assets of a catalog with spec %s: %v, want 400", bad, err)
+	}
+	if _, err := admin.GetAsset("hr"); !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
+		t.Fatalf("after the refused POST: %v, want 404", err)
+	}
+	if _, err := admin.UpdateAsset("c", server.UpdateAssetRequest{Spec: bad}); !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+		t.Fatalf("PATCH of a catalog with spec %s: %v, want 400", bad, err)
+	}
+	if _, err := admin.CreateAsset(server.CreateAssetRequest{Type: "CATALOG", Name: "hr", Spec: json.RawMessage(`{"kind":"REGULAR"}`)}); err != nil {
+		t.Fatalf("POST /assets of a catalog with a spec that decodes: %v", err)
+	}
+}

@@ -570,7 +570,7 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 // each of a list of securable IDs — the bulk authorization entry point used
 // by second-tier discovery services.
 type AuthorizeBatchRequest struct {
-	AssetIDs  []string `json:"asset_ids"`
+	AssetIDs  []ids.ID `json:"asset_ids"`
 	Privilege string   `json:"privilege"`
 }
 
@@ -584,11 +584,7 @@ func (s *Server) handleAuthorizeBatch(w http.ResponseWriter, r *http.Request) {
 	if s.conditional(w, r, bodyHash) {
 		return
 	}
-	assetIDs := make([]ids.ID, len(req.AssetIDs))
-	for i, a := range req.AssetIDs {
-		assetIDs[i] = ids.ID(a)
-	}
-	allowed, err := s.Service.AuthorizeBatch(s.ctx(r), assetIDs, privilege.Privilege(strings.ToUpper(req.Privilege)))
+	allowed, err := s.Service.AuthorizeBatch(s.ctx(r), req.AssetIDs, privilege.Privilege(strings.ToUpper(req.Privilege)))
 	if err != nil {
 		writeErr(w, err)
 		return
