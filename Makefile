@@ -112,10 +112,14 @@ heap:
 # (one allocation per string value kept, one per array), a trace's ID (one)
 # and a metric-family child lookup
 # (internal/obs, none) and a catalog and a txn event published and delivered
-# to a follower (internal/events, none). `make test` runs the same gates with
-# the rest of ./...
+# to a follower (internal/events, none); then the miss path of a full cache: a
+# point miss that inserts one object and evicts (recorded figure + 10 %) and a
+# cold batch that inserts nothing, the same at 10 keys as at 100
+# (internal/cache), and a bounded range scan that sizes its result once, an
+# empty one allocating nothing (internal/store). `make test` runs the same
+# gates with the rest of ./...
 allocs:
-	$(GO) test -count=1 -run 'Allocs' -v ./internal/erm/ ./internal/catalog/ ./internal/server/ ./internal/obs/ ./internal/events/
+	$(GO) test -count=1 -run 'Allocs' -v ./internal/erm/ ./internal/catalog/ ./internal/server/ ./internal/obs/ ./internal/events/ ./internal/cache/ ./internal/store/
 
 # The repository's benchmark (BENCHMARK.json, perf/README.md): all four
 # workloads, traced, with the per-layer table; about 4 minutes. Every

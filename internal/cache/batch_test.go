@@ -75,6 +75,60 @@ func TestGetBatchFillsMissesInOneRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGetBatchNeverEvicts: a batch fill takes only free room. With the cache
+// filled to its cap by point reads, cold batches naming three times the cap
+// are served right, evict nothing and leave every point-read record a hit;
+// a point miss still evicts as before.
+func TestGetBatchNeverEvicts(t *testing.T) {
+	const capacity = 64
+	db := newDB(t)
+	keys := putN(t, db, 4*capacity+1)
+	c := New(db, Options{MaxEntriesPerMetastore: capacity})
+	c.Own("m")
+	for _, key := range keys[:capacity] {
+		v, _ := c.NewView("m")
+		v.Get("t", key)
+		v.Close()
+	}
+	if n := c.EntryCount("m"); n != capacity {
+		t.Fatalf("point reads cached %d records, want the cap %d", n, capacity)
+	}
+	before := c.Metrics()
+
+	for lo := capacity; lo < 4*capacity; lo += 16 {
+		v, _ := c.NewView("m")
+		got := v.GetBatch("t", keys[lo:lo+16])
+		v.Close()
+		for j, b := range got {
+			if want := fmt.Sprintf("v%d", lo+j); string(b) != want {
+				t.Fatalf("batch value of %s = %q, want %q", keys[lo+j], b, want)
+			}
+		}
+	}
+	after := c.Metrics()
+	if after.Evictions != before.Evictions {
+		t.Fatalf("cold batches on a full cache evicted %d records", after.Evictions-before.Evictions)
+	}
+	if n := c.EntryCount("m"); n != capacity {
+		t.Fatalf("the cache holds %d records after the batches, want %d", n, capacity)
+	}
+	v, _ := c.NewView("m")
+	for _, key := range keys[:capacity] {
+		v.Get("t", key)
+	}
+	v.Close()
+	if m := c.Metrics(); m.Hits-after.Hits != capacity || m.Misses != after.Misses {
+		t.Fatalf("re-reading the point-read records: %d hits, %d misses; want %d hits", m.Hits-after.Hits, m.Misses-after.Misses, capacity)
+	}
+
+	v, _ = c.NewView("m")
+	v.Get("t", keys[4*capacity])
+	v.Close()
+	if m := c.Metrics(); m.Evictions != after.Evictions+1 {
+		t.Fatalf("a point miss on a full cache evicted %d records, want 1", m.Evictions-after.Evictions)
+	}
+}
+
 // TestGetBatchDoesNotCacheBehindKnownVersion: a view pinned before another
 // commit must read its own snapshot and leave the cache alone — an insert at
 // the old version could be served to a reader at the newer known version.

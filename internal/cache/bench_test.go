@@ -102,6 +102,33 @@ func BenchmarkSharedViewGetHitParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkEvictFullShard measures choosing and removing one victim in a shard
+// of 32k records, what every shard holds at the default cap of 1<<20 records
+// per metastore. Each round re-inserts the victim, as the miss it made room
+// for would insert a record, so the shard stays full.
+func BenchmarkEvictFullShard(b *testing.B) {
+	const perShard = 32 << 10
+	sh := &shard{records: make(map[cacheKey]*cachedRecord, perShard)}
+	for i := 0; i < perShard; i++ {
+		rk := cacheKey{"t", fmt.Sprintf("k%05d", i)}
+		rec := &cachedRecord{key: rk.key}
+		rec.lastUsed.Store(int64(i))
+		sh.records[rk] = rec
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		victim, ok := victimLocked(sh)
+		if !ok {
+			b.Fatal("no victim in a full shard")
+		}
+		rec := sh.records[victim]
+		delete(sh.records, victim)
+		rec.lastUsed.Store(int64(perShard + i))
+		sh.records[victim] = rec
+	}
+}
+
 // BenchmarkViewMixedParallel models the paper's production mix (§4.5,
 // 98.2% reads): one write per ~50 reads, all concurrent.
 func BenchmarkViewMixedParallel(b *testing.B) {

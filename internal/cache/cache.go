@@ -64,11 +64,14 @@
 //     name the same cold keys, and a flight per key would put the whole
 //     batch behind flightMu once per key. Each fetched record is inserted
 //     under its shard lock with the same "view still at the known version"
-//     guard as a single-key miss, and the batch runs the evictor once.
+//     guard as a single-key miss, but only into free room: a batch never
+//     runs the evictor, so a listing page cannot displace the working set
+//     its point reads built.
 //   - Eviction is per-shard with approximate global accounting: inserts
 //     bump an atomic entry count, and when it exceeds the cap the least
-//     recently used record of one shard (rotating across shards) is the
-//     victim, so eviction never stops the world.
+//     recently used of a bounded sample of one shard's records (rotating
+//     across shards) is the victim, so eviction never stops the world and
+//     costs the same whatever the cap.
 //
 // # Graceful degradation
 //
@@ -211,6 +214,10 @@ type cachedRecord struct {
 	versions []cachedVersion // ascending by version; guarded by the shard lock
 	// Eviction bookkeeping, updated lock-free on the hit path.
 	lastUsed atomic.Int64 // unix nanoseconds
+	// one holds versions while the record has a single one, so that caching a
+	// record is one allocation: a 128-byte object (a malloc size class), 48
+	// bytes of record and 80 of version.
+	one [1]cachedVersion
 }
 
 func (r *cachedRecord) touch() { r.lastUsed.Store(time.Now().UnixNano()) }
@@ -938,7 +945,7 @@ func (v *View) read(sh *shard, rk cacheKey) (cv cachedVersion, ok bool) {
 		// change while this shard lock is held (writers take all shards).
 		sh.mu.Lock()
 		if v.m.knownVersion.Load() == ver {
-			v.c.insertShardLocked(v.m, sh, rk, cachedVersion{version: ver, value: f.val, deleted: !f.found, cachedAt: time.Now()})
+			v.c.insertShardLocked(v.m, sh, rk, cachedVersion{version: ver, value: f.val, deleted: !f.found, cachedAt: v.c.now()})
 		}
 		sh.mu.Unlock()
 		v.c.maybeEvict(v.m)
@@ -1079,9 +1086,10 @@ func (v *View) ScanRange(table, start, end string, limit int) []store.KV {
 // GetBatch returns the values of keys as of the view's version, aligned with
 // keys (nil where absent). Hits are served from the cache key by key; all
 // misses are then filled from one database snapshot and one multi-get — one
-// round trip per batch — and cached under the same rule as a single-key
-// miss. The first miss of an unpinned view reconciles and pins it, exactly
-// as in Get. The returned bytes are shared and must not be mutated.
+// round trip per batch — and cached under the same guard as a single-key
+// miss, while the metastore has free room: a batch never evicts. The first
+// miss of an unpinned view reconciles and pins it, exactly as in Get. The
+// returned bytes are shared and must not be mutated.
 func (v *View) GetBatch(table string, keys []string) [][]byte {
 	if v.snap != nil { // cache disabled
 		return v.snap.GetBatch(table, keys)
@@ -1095,9 +1103,12 @@ func (v *View) GetBatch(table string, keys []string) [][]byte {
 		}
 		return ok
 	}
-	var missed []int // indexes into keys
+	var missed []int // indexes into keys, sized at the first miss
 	for i := range keys {
 		if !serve(i) {
+			if missed == nil {
+				missed = make([]int, 0, len(keys)-i)
+			}
 			missed = append(missed, i)
 		}
 	}
@@ -1118,7 +1129,7 @@ func (v *View) GetBatch(table string, keys []string) [][]byte {
 			return out
 		}
 	}
-	for j, val := range v.fill(table, keys, missed) {
+	for j, val := range v.fill(table, keys, missed, false) {
 		out[missed[j]] = val
 	}
 	return out
@@ -1173,7 +1184,7 @@ func (v *View) GetOneOf(table string, keys []string) (int, []byte) {
 			return -1, nil
 		}
 	}
-	for j, val := range v.fill(table, keys, missed) {
+	for j, val := range v.fill(table, keys, missed, true) {
 		if val != nil {
 			return missed[j], val
 		}
@@ -1184,12 +1195,15 @@ func (v *View) GetOneOf(table string, keys []string) (int, []byte) {
 // fill reads keys[i] for every i in missed from one database snapshot at the
 // view's version, in one multi-get, and returns their values aligned with
 // missed (nil where absent). What it finds is cached under the same guard as a
-// single-key miss. What it does not find is not cached at all: the multi-get
-// cannot tell "absent" from "live with a nil value", and a wrong tombstone
-// would outlive the request. Under an Unavailable fault each key takes the
-// degraded path on its own: served stale if cached, else nil with the error
-// recorded on the view.
-func (v *View) fill(table string, keys []string, missed []int) [][]byte {
+// single-key miss: for a point read (GetOneOf) as a single-key miss is, evicting
+// to make room; for a page (GetBatch) only while the metastore holds fewer
+// records than its cap, so that a listing fills spare room but never displaces
+// what point reads keep warm. What it does not find is not cached at all: the
+// multi-get cannot tell "absent" from "live with a nil value", and a wrong
+// tombstone would outlive the request. Under an Unavailable fault each key
+// takes the degraded path on its own: served stale if cached, else nil with
+// the error recorded on the view.
+func (v *View) fill(table string, keys []string, missed []int, point bool) [][]byte {
 	ver := v.Version()
 	_, missSpan := v.sc.StartDetail("cache.getmiss", table)
 	defer missSpan.End()
@@ -1218,10 +1232,13 @@ func (v *View) fill(table string, keys []string, missed []int) [][]byte {
 	vals := snap.GetBatch(table, missKeys)
 	snap.Close()
 	v.c.noteDBSuccess(v.m)
-	now := time.Now()
+	now := v.c.now()
 	for j, key := range missKeys {
 		if vals[j] == nil {
 			continue
+		}
+		if !point && v.m.entries.Load() >= int64(v.c.opts.MaxEntriesPerMetastore) {
+			return vals // no free room left
 		}
 		rk := cacheKey{table, key}
 		sh := v.m.shardFor(rk)
@@ -1233,7 +1250,9 @@ func (v *View) fill(table string, keys []string, missed []int) [][]byte {
 		}
 		sh.mu.Unlock()
 	}
-	v.c.maybeEvict(v.m)
+	if point {
+		v.c.maybeEvict(v.m)
+	}
 	return vals
 }
 
@@ -1319,11 +1338,13 @@ func (v *View) Close() {
 }
 
 // insertShardLocked adds a version to a record, pruning stale versions
-// lazily. Caller holds the shard's write lock (alone or via lockAll).
+// lazily. A new record is one allocation, its version held inline. Caller
+// holds the shard's write lock (alone or via lockAll).
 func (c *Cache) insertShardLocked(m *msCache, sh *shard, rk cacheKey, cv cachedVersion) {
 	rec, ok := sh.records[rk]
 	if !ok {
 		rec = &cachedRecord{key: rk.key}
+		rec.versions = rec.one[:0]
 		sh.records[rk] = rec
 		m.entries.Add(1)
 	}
@@ -1331,7 +1352,7 @@ func (c *Cache) insertShardLocked(m *msCache, sh *shard, rk cacheKey, cv cachedV
 	// happen, but reconciliation races are possible when disabled checks
 	// are off) and versions older than the retention horizon except the
 	// newest one below cv.
-	cutoff := time.Now().Add(-c.opts.VersionRetention)
+	cutoff := c.now().Add(-c.opts.VersionRetention)
 	kept := rec.versions[:0]
 	for _, old := range rec.versions {
 		if old.version >= cv.version {
@@ -1344,7 +1365,14 @@ func (c *Cache) insertShardLocked(m *msCache, sh *shard, rk cacheKey, cv cachedV
 	for len(kept) > 1 && kept[0].cachedAt.Before(cutoff) {
 		kept = kept[1:]
 	}
-	rec.versions = append(kept, cv)
+	if len(kept) == 0 {
+		kept = rec.one[:0]
+	}
+	if rec.versions = append(kept, cv); cap(rec.versions) > len(rec.one) {
+		// The versions moved out of the inline slot: it must not keep the
+		// bytes and decoded form of a version pruned later.
+		rec.one = [1]cachedVersion{}
+	}
 	rec.touch()
 }
 
@@ -1377,13 +1405,22 @@ func (c *Cache) evictOne(m *msCache) bool {
 	return false
 }
 
-// victimLocked picks the least recently used record of one shard. Caller
-// holds the shard's write lock.
+// evictSample is how many of a shard's records victimLocked compares.
+const evictSample = 16
+
+// victimLocked picks the least recently used of at most evictSample records
+// of one shard, taken in the map's randomized iteration order: exact for a
+// shard that small, and bounded work under the shard's write lock however
+// large the cap makes it. Caller holds the shard's write lock.
 func victimLocked(sh *shard) (victim cacheKey, ok bool) {
 	var least int64
+	n := 0
 	for k, r := range sh.records {
 		if used := r.lastUsed.Load(); !ok || used < least {
 			least, victim, ok = used, k, true
+		}
+		if n++; n == evictSample {
+			break
 		}
 	}
 	return victim, ok
@@ -1458,7 +1495,7 @@ func (c *Cache) UpdateT(sc obs.SpanContext, msID string, fn func(tx *store.Tx) e
 		// Write-through: install the new versions and advance known version.
 		m.lockAll()
 		if m.knownVersion.Load() == known {
-			now := time.Now()
+			now := c.now()
 			for _, w := range captured {
 				rk := cacheKey{w.Table, w.Key}
 				c.insertShardLocked(m, m.shardFor(rk), rk, cachedVersion{version: newV, value: w.Value, deleted: w.Deleted, cachedAt: now})

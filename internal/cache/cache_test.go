@@ -2,10 +2,12 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"unitycatalog/internal/clock"
 	"unitycatalog/internal/store"
 )
 
@@ -401,6 +403,49 @@ func TestVersionRetentionPruning(t *testing.T) {
 	sh.mu.RUnlock()
 	if n > 2 {
 		t.Fatalf("retained %d cached versions after retention window", n)
+	}
+}
+
+// TestVersionRetentionFollowsTheClock: retention is measured on
+// Options.Clock. A superseded version survives inserts until the clock passes
+// VersionRetention from when it was cached, and the next insert after that
+// prunes it.
+func TestVersionRetentionFollowsTheClock(t *testing.T) {
+	db := newDB(t)
+	fc := clock.NewFake(time.Unix(1000, 0))
+	c := New(db, Options{Clock: fc, VersionRetention: time.Minute})
+	c.Own("m")
+	write := func(val byte) uint64 {
+		v, err := c.Update("m", func(tx *store.Tx) error { tx.Put("t", "k", []byte{val}); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	versions := func() (out []uint64) {
+		m, _ := c.owner("m")
+		rk := cacheKey{"t", "k"}
+		sh := m.shardFor(rk)
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		for _, cv := range sh.records[rk].versions {
+			out = append(out, cv.version)
+		}
+		return out
+	}
+	v1, v2 := write(1), write(2)
+	fc.Advance(time.Minute - time.Second)
+	v3 := write(3)
+	if got := versions(); !slices.Equal(got, []uint64{v1, v2, v3}) {
+		t.Fatalf("inside retention the cache holds versions %v, want %v", got, []uint64{v1, v2, v3})
+	}
+	fc.Advance(2 * time.Second)
+	if got := versions(); !slices.Equal(got, []uint64{v1, v2, v3}) {
+		t.Fatalf("pruning ran before an insert: versions %v", got)
+	}
+	v4 := write(4)
+	if got := versions(); !slices.Equal(got, []uint64{v3, v4}) {
+		t.Fatalf("after retention passed, the next insert left versions %v, want %v", got, []uint64{v3, v4})
 	}
 }
 

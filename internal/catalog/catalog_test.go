@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"unitycatalog/internal/cloudsim"
 	"unitycatalog/internal/erm"
 	"unitycatalog/internal/events"
+	"unitycatalog/internal/obs"
 	"unitycatalog/internal/privilege"
 	"unitycatalog/internal/store"
 )
@@ -656,5 +658,86 @@ func TestWorkingSetAndTypeCounts(t *testing.T) {
 	n, err := svc.WorkingSetBytes("ms1")
 	if err != nil || n <= 0 {
 		t.Fatalf("working set = %d, %v", n, err)
+	}
+}
+
+// TestWholeTableReadsBypassTheScanCache: TypeCounts, RunGC and
+// WorkingSetBytes read whole tables as ranges of the store's ordered index.
+// They neither hit nor fill the scan cache, where a whole table would stay
+// pinned until a write touched it.
+func TestWholeTableReadsBypassTheScanCache(t *testing.T) {
+	svc, admin := testService(t)
+	seedNamespace(t, svc, admin)
+	before := svc.CacheMetrics()
+	for round := 0; round < 2; round++ {
+		if _, err := svc.TypeCounts("ms1"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.RunGC("ms1"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.WorkingSetBytes("ms1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := svc.CacheMetrics(); after.ScanHits != before.ScanHits || after.ScanMisses != before.ScanMisses {
+		t.Fatalf("whole-table reads went through the scan cache: %d hits, %d misses (a miss fills it)",
+			after.ScanHits-before.ScanHits, after.ScanMisses-before.ScanMisses)
+	}
+}
+
+// TestWorkingSetCountsEveryTable: the working set is every table of
+// erm.Tables, so a lineage edge adds exactly its rows' bytes.
+func TestWorkingSetCountsEveryTable(t *testing.T) {
+	svc, admin := testService(t)
+	up := seedNamespace(t, svc, admin)
+	down, err := svc.CreateTable(admin, "sales.raw", "totals", TableSpec{Columns: cols("id")}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := svc.WorkingSetBytes("ms1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.SubmitLineage(admin, []erm.Edge{{Upstream: up.ID, Downstream: down.ID, JobName: "nightly"}}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := svc.WorkingSetBytes("ms1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := svc.DB().Snapshot("ms1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	var edge int64
+	for _, table := range []string{erm.TableLineage, erm.TableLineageUp} {
+		for _, kv := range snap.Scan(table, "") {
+			edge += int64(len(kv.Key) + len(kv.Value))
+		}
+	}
+	if edge == 0 || after-before != edge {
+		t.Fatalf("a lineage edge of %d bytes moved the working set by %d", edge, after-before)
+	}
+}
+
+// TestIndexSizeGaugePerTable: /metrics has one uc_index_size_* gauge per
+// table of erm.Tables.
+func TestIndexSizeGaugePerTable(t *testing.T) {
+	svc, admin := testService(t)
+	seedNamespace(t, svc, admin)
+	r := obs.NewRegistry()
+	svc.RegisterMetrics(r)
+	var buf bytes.Buffer
+	r.WritePrometheus(&buf)
+	text := buf.String()
+	if n := strings.Count(text, "# TYPE uc_index_size_"); n != len(erm.Tables) {
+		t.Errorf("%d uc_index_size_* gauges, want one per table of erm.Tables (%d)", n, len(erm.Tables))
+	}
+	for _, table := range erm.Tables {
+		if !strings.Contains(text, "# TYPE uc_index_size_"+table+" gauge\n") {
+			t.Errorf("no uc_index_size_%s gauge", table)
+		}
 	}
 }

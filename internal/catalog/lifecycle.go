@@ -147,7 +147,7 @@ func (s *Service) RunGC(msID string) (GCResult, error) {
 	}
 	cutoff := s.clk.Now().Add(-s.gcRetention)
 	var victims []*erm.Entity
-	for _, e := range erm.DecodeEntityRows(v.Scan(erm.TableEntity, "")) {
+	for _, e := range erm.DecodeEntityRows(v.ScanRange(erm.TableEntity, "", "", 0)) {
 		if e == nil {
 			continue
 		}

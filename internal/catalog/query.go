@@ -82,9 +82,10 @@ func hasTag(r erm.Reader, id ids.ID, key, value string) bool {
 // (DB().Snapshot), not a cache view: commit hooks fire after the store's
 // version has advanced, so the snapshot is never older than the event in
 // hand, while this node's cache advances only when the publishing write
-// returns.
+// returns. The table is read as a range, which a cache view serves from the
+// store's ordered index without keeping the result.
 func LiveEntities(r erm.Reader) []*erm.Entity {
-	ents := erm.DecodeEntityRows(r.Scan(erm.TableEntity, ""))
+	ents := erm.DecodeEntityRows(r.ScanRange(erm.TableEntity, "", "", 0))
 	out := ents[:0]
 	for _, e := range ents {
 		if e != nil && e.State != erm.StateSoftDeleted {
@@ -118,8 +119,8 @@ func (s *Service) WorkingSetBytes(msID string) (int64, error) {
 	}
 	defer v.Close()
 	var total int64
-	for _, table := range []string{erm.TableEntity, erm.TableName, erm.TablePath, erm.TableChild, erm.TableGrant, erm.TableTag, erm.TableABAC} {
-		for _, kv := range v.Scan(table, "") {
+	for _, table := range erm.Tables {
+		for _, kv := range v.ScanRange(table, "", "", 0) {
 			total += int64(len(kv.Key) + len(kv.Value))
 		}
 	}

@@ -201,7 +201,7 @@ func (s *Service) RegisterMetrics(r *obs.Registry) {
 	s.cloud.RegisterMetrics(r)
 	// Per-table ordered-index sizes, summed across metastores. One gauge per
 	// catalog table so index growth is attributable on /metrics.
-	for _, table := range []string{erm.TableEntity, erm.TableName, erm.TableChild, erm.TableGrant, erm.TableTag, erm.TableTagIdx, erm.TablePath} {
+	for _, table := range erm.Tables {
 		table := table
 		r.RegisterGaugeFunc("uc_index_size_"+table, "Keys in the ordered index of the "+table+" table.", func() float64 {
 			return float64(s.db.IndexSize(table))

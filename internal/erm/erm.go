@@ -428,6 +428,13 @@ const (
 	TableLineageUp = "lineageup" // downstream\0upstream\0job -> nothing (lineage.go)
 )
 
+// Tables lists every store table the model writes, for whatever reads or
+// measures all of them.
+var Tables = []string{
+	TableEntity, TableName, TablePath, TableExtLoc, TableChild, TableGrant,
+	TableTag, TableTagIdx, TableABAC, TableLineage, TableLineageUp,
+}
+
 // pathTableFor returns the path index an entity type belongs to: external
 // locations are containers that legitimately enclose asset paths, so they
 // index separately from the one-asset-per-path table.

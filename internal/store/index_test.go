@@ -493,3 +493,43 @@ func TestScanRangeSemantics(t *testing.T) {
 		t.Fatalf("GetBatch: %q", got)
 	}
 }
+
+// TestScanRangeAllocs: a bounded range scan allocates its result once, at its
+// first row, with room for the limit or the whole index, whichever is
+// smaller; an empty range allocates nothing and returns nil.
+func TestScanRangeAllocs(t *testing.T) {
+	db, _ := Open(Options{})
+	defer db.Close()
+	if err := db.CreateMetastore("ms"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Update("ms", func(tx *Tx) error {
+		for i := 0; i < 1000; i++ {
+			tx.Put("t", fmt.Sprintf("k%04d", i), []byte("v"))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := db.Snapshot("ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var page, empty []KV
+	pageAllocs := testing.AllocsPerRun(100, func() { page = s.ScanRange("t", "k0100", "", 101) })
+	emptyAllocs := testing.AllocsPerRun(100, func() { empty = s.ScanRange("t", "x", "", 101) })
+	t.Logf("ScanRange with limit 101 over 1,000 keys: %.0f allocations; over an empty range: %.0f", pageAllocs, emptyAllocs)
+	if len(page) != 101 || cap(page) != 101 || page[0].Key != "k0100" {
+		t.Fatalf("page: %d rows, capacity %d", len(page), cap(page))
+	}
+	if pageAllocs != 1 {
+		t.Errorf("a 101-row page costs %.0f allocations, want 1", pageAllocs)
+	}
+	if empty != nil || emptyAllocs != 0 {
+		t.Errorf("an empty range returned %v and cost %.0f allocations, want nil and none", empty, emptyAllocs)
+	}
+	if small := s.ScanRange("t", "k0990", "", 101); len(small) != 10 || cap(small) != 101 {
+		t.Errorf("a 10-row tail with limit 101: %d rows, capacity %d", len(small), cap(small))
+	}
+}

@@ -648,13 +648,17 @@ func (s *Snapshot) Scan(table, prefix string) []KV {
 // in [start, end), in ascending key order, as of the snapshot version. An
 // empty end means unbounded; limit <= 0 means unlimited. With the keyset
 // convention — pass the last key seen plus "\x00" as the next start — it is
-// the store-level cursor primitive for paginated listings.
+// the store-level cursor primitive for paginated listings. A bounded scan
+// sizes its result once, at its first row; an empty one returns nil.
 func (s *Snapshot) ScanRange(table, start, end string, limit int) []KV {
 	s.db.simulateRead()
 	t0 := time.Now()
 	s.ms.stateMu.RLock()
 	var out []KV
 	s.db.scanLiveLocked(s.ms, table, start, end, s.Version, func(k string, v []byte) bool {
+		if out == nil && limit > 0 {
+			out = make([]KV, 0, min(limit, s.ms.indexes[table].size))
+		}
 		out = append(out, KV{Key: k, Value: v})
 		return limit <= 0 || len(out) < limit
 	})
