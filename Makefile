@@ -114,7 +114,8 @@ heap:
 # (internal/obs, none) and a catalog and a txn event published and delivered
 # to a follower (internal/events, none); then the miss path of a full cache: a
 # point miss that inserts one object and evicts (recorded figure + 10 %) and a
-# cold batch that inserts nothing, the same at 10 keys as at 100
+# cold batch that inserts nothing, the same at 10 keys as at 100, and a
+# view's prefix scan, which allocates its result and nothing else
 # (internal/cache), and a bounded range scan that sizes its result once, an
 # empty one allocating nothing (internal/store). `make test` runs the same
 # gates with the rest of ./...

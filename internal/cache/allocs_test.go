@@ -109,3 +109,49 @@ func TestMissPathAllocs(t *testing.T) {
 		t.Errorf("a cold batch on a full cache costs %.1f allocations at 10 keys and %.1f at 100: something is allocated per key", batch10, batch100)
 	}
 }
+
+// TestViewScanAllocs: a view's prefix scan is one read of the store's ordered
+// index at the view's version that keeps nothing: an empty prefix, or a table
+// never written, allocates nothing, and a k-row prefix only its result, grown
+// as append grows it.
+func TestViewScanAllocs(t *testing.T) {
+	const k = 20
+	db := newDB(t)
+	if _, err := db.Update("m", func(tx *store.Tx) error {
+		for i := 0; i < k; i++ {
+			tx.Put("t", fmt.Sprintf("a/%02d", i), []byte("v"))
+		}
+		tx.Put("t", "b", []byte("v"))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c := New(db, Options{})
+	c.Own("m")
+	v, _ := c.NewView("m")
+	defer v.Close()
+
+	var rows, grown []store.KV
+	empty := testing.AllocsPerRun(100, func() { rows = v.Scan("t", "c/") })
+	if rows != nil {
+		t.Fatalf("an empty prefix scanned %v", rows)
+	}
+	absent := testing.AllocsPerRun(100, func() { rows = v.Scan("u", "") })
+	prefix := testing.AllocsPerRun(100, func() { rows = v.Scan("t", "a/") })
+	if len(rows) != k {
+		t.Fatalf("a %d-row prefix scanned %d rows", k, len(rows))
+	}
+	result := testing.AllocsPerRun(100, func() {
+		grown = nil
+		for _, kv := range rows {
+			grown = append(grown, kv)
+		}
+	})
+	t.Logf("view scan: empty prefix %.0f allocations, unwritten table %.0f, %d-row prefix %.0f (its result grown by append: %.0f)", empty, absent, k, prefix, result)
+	if empty != 0 || absent != 0 {
+		t.Errorf("an empty scan costs %.0f allocations, of an unwritten table %.0f; want none", empty, absent)
+	}
+	if prefix != result {
+		t.Errorf("a %d-row prefix costs %.0f allocations, its result %.0f", k, prefix, result)
+	}
+}

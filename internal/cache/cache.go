@@ -39,12 +39,11 @@
 // The production traffic the paper reports is 98.2% metadata reads, so the
 // cached read path is built to be contention-free across cores:
 //
-//   - Each metastore's records and scans are split into numShards
-//     lock-striped shards keyed by a hash of the record key. A cache hit
-//     takes only its shard's RLock; hits on different assets touch
-//     different locks.
-//   - Hit bookkeeping (lastUsed) and all effectiveness counters are
-//     sync/atomic values, so a hit mutates nothing under a lock.
+//   - Each metastore's records are split into numShards lock-striped shards
+//     keyed by a hash of the record key. A cache hit takes only its shard's
+//     RLock; hits on different assets touch different locks.
+//   - Hit bookkeeping (lastUsed, on Options.Clock) and all effectiveness
+//     counters are sync/atomic values, so a hit mutates nothing under a lock.
 //   - The metastore's known version is an atomic. Operations that must
 //     change it together with cached state (reconciliation, write-through
 //     installation) acquire every shard lock in index order; the miss
@@ -54,10 +53,12 @@
 //   - A View's pin state is one atomic word (pin bit | version), so a view
 //     shared by many goroutines stays on a single consistent snapshot: the
 //     version changes only by the CAS that also sets the pin bit.
-//   - Cold single-key misses (Get, Scan) are coalesced by a per-metastore
-//     singleflight keyed by (version, record key): a thundering herd on one
-//     cold key issues one database read; latecomers wait for the leader's
-//     result.
+//   - Cold point misses are coalesced by a per-metastore singleflight keyed
+//     by (version, record key): a thundering herd on one cold key issues one
+//     database read; latecomers wait for the leader's result.
+//   - Scan and ScanRange cache nothing: they read the store's ordered index
+//     at the view's version (store.DB.ScanRangeAt), and during an outage they
+//     fail closed.
 //   - GetBatch serves its hits key by key, then fills every miss from one
 //     store snapshot and one multi-get — one database round trip per batch,
 //     outside the singleflight: the batches of concurrent list pages rarely
@@ -99,14 +100,12 @@
 //
 // Values returned by Get, GetBatch, GetDecoded and Scan are shared with the
 // cache and the store — the bytes and the decoded forms alike; callers must
-// treat them as immutable. Scan returns a fresh []store.KV slice, so
-// appending to or reordering the result is safe.
+// treat them as immutable.
 package cache
 
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -118,8 +117,7 @@ import (
 	"unitycatalog/internal/store"
 )
 
-// numShards is the lock-striping factor for each metastore's record and
-// scan maps. Power of two; sized so that at typical server core counts two
+// numShards is the lock-striping factor for each metastore's record map. Power of two; sized so that at typical server core counts two
 // concurrent hits rarely share a lock, while keeping the cost of
 // all-shard operations (reconcile, write-through) trivial.
 const numShards = 32
@@ -148,8 +146,7 @@ type Options struct {
 
 // Metrics is a point-in-time snapshot of the cache effectiveness counters.
 type Metrics struct {
-	Hits, Misses         int64
-	ScanHits, ScanMisses int64
+	Hits, Misses int64
 	// CoalescedMisses counts misses that piggybacked on another in-flight
 	// database read for the same (version, key) instead of issuing their own.
 	CoalescedMisses     int64
@@ -180,20 +177,19 @@ type Metrics struct {
 // add, so the hit path's cost is unchanged; the same values also feed the
 // /metrics registry via RegisterMetrics.
 type counters struct {
-	hits, misses         obs.Counter
-	scanHits, scanMisses obs.Counter
-	coalescedMisses      obs.Counter
-	fullReconciles       obs.Counter
-	selectiveReconciles  obs.Counter
-	evictions            obs.Counter
-	writeConflicts       obs.Counter
-	degradedReads        obs.Counter
-	degradedMisses       obs.Counter
-	degradedDenied       obs.Counter
-	outages              obs.Counter
-	recoveries           obs.Counter
-	decodedHits          obs.Counter
-	decodes              obs.Counter
+	hits, misses        obs.Counter
+	coalescedMisses     obs.Counter
+	fullReconciles      obs.Counter
+	selectiveReconciles obs.Counter
+	evictions           obs.Counter
+	writeConflicts      obs.Counter
+	degradedReads       obs.Counter
+	degradedMisses      obs.Counter
+	degradedDenied      obs.Counter
+	outages             obs.Counter
+	recoveries          obs.Counter
+	decodedHits         obs.Counter
+	decodes             obs.Counter
 }
 
 type cachedVersion struct {
@@ -213,14 +209,14 @@ type cachedRecord struct {
 	key      string
 	versions []cachedVersion // ascending by version; guarded by the shard lock
 	// Eviction bookkeeping, updated lock-free on the hit path.
-	lastUsed atomic.Int64 // unix nanoseconds
+	lastUsed atomic.Int64 // unix nanoseconds on Options.Clock
 	// one holds versions while the record has a single one, so that caching a
 	// record is one allocation: a 128-byte object (a malloc size class), 48
 	// bytes of record and 80 of version.
 	one [1]cachedVersion
 }
 
-func (r *cachedRecord) touch() { r.lastUsed.Store(time.Now().UnixNano()) }
+func (r *cachedRecord) touch(now time.Time) { r.lastUsed.Store(now.UnixNano()) }
 
 // live is cv unless it records a deletion.
 func (cv cachedVersion) live() (cachedVersion, bool) {
@@ -240,28 +236,17 @@ func (r *cachedRecord) at(v uint64) (cv cachedVersion, ok bool) {
 	return cachedVersion{}, false
 }
 
-type cachedScan struct {
-	// validFrom is the version the scan was read at. The entry is proven
-	// unchanged on [validFrom, known version]: every advance of the known
-	// version drops the scans a change touches (or all of them), so one that
-	// is still cached is current. A view pinned before validFrom must not be
-	// served it (the keys may not have existed yet at that version).
-	validFrom uint64
-	kvs       []store.KV
-}
-
 // shard is one lock stripe of a metastore's cached state.
 type shard struct {
 	mu sync.RWMutex
 	// records keyed by (table, key); these include the secondary-key index
 	// records (name→id, path→id), so the cache serves lookups by ID, name,
-	// or path, as the paper describes. scans are keyed by (table, prefix).
+	// or path, as the paper describes.
 	records map[cacheKey]*cachedRecord
-	scans   map[cacheKey]*cachedScan
 }
 
-// cacheKey names a cached record (table, key) or scan (table, prefix). A
-// struct key hashes both parts in place, so a lookup allocates nothing.
+// cacheKey names a cached record (table, key). A struct key hashes both
+// parts in place, so a lookup allocates nothing.
 type cacheKey struct{ table, key string }
 
 // flight is one in-progress database read shared by coalesced misses.
@@ -269,7 +254,6 @@ type flight struct {
 	done  chan struct{}
 	val   []byte
 	found bool
-	kvs   []store.KV
 	err   error
 }
 
@@ -297,31 +281,20 @@ type msCache struct {
 
 	flightMu sync.Mutex
 	flight   map[flightKey]*flight
-
-	// scanLens lists, per table, the prefix lengths scans have been cached
-	// under, so invalidating a key probes only those prefixes of it. A miss
-	// fill adds to it under scanLensMu while holding its shard lock;
-	// invalidation reads it holding every shard lock, which excludes fills.
-	// Only an evict-all removes lengths (a stale one costs a wasted probe).
-	scanLensMu sync.Mutex
-	scanLens   map[string][]int
 }
 
-// flightKey identifies one coalesced read: a point get ('g') or a prefix
-// scan ('s') of ck at a version.
+// flightKey identifies one coalesced point read: ck at a version.
 type flightKey struct {
-	kind    byte
 	version uint64
 	ck      cacheKey
 }
 
 func newMsCache(v uint64, now time.Time) *msCache {
-	m := &msCache{flight: map[flightKey]*flight{}, scanLens: map[string][]int{}}
+	m := &msCache{flight: map[flightKey]*flight{}}
 	m.knownVersion.Store(v)
 	m.lastSync.Store(now.UnixNano())
 	for i := range m.shards {
 		m.shards[i].records = map[cacheKey]*cachedRecord{}
-		m.shards[i].scans = map[cacheKey]*cachedScan{}
 	}
 	return m
 }
@@ -441,8 +414,6 @@ func (c *Cache) Metrics() Metrics {
 	return Metrics{
 		Hits:                c.metrics.hits.Load(),
 		Misses:              c.metrics.misses.Load(),
-		ScanHits:            c.metrics.scanHits.Load(),
-		ScanMisses:          c.metrics.scanMisses.Load(),
 		CoalescedMisses:     c.metrics.coalescedMisses.Load(),
 		FullReconciles:      c.metrics.fullReconciles.Load(),
 		SelectiveReconciles: c.metrics.selectiveReconciles.Load(),
@@ -463,8 +434,6 @@ func (c *Cache) Metrics() Metrics {
 func (c *Cache) RegisterMetrics(r *obs.Registry) {
 	r.RegisterCounter("uc_cache_hits_total", "Record reads served from cache.", &c.metrics.hits)
 	r.RegisterCounter("uc_cache_misses_total", "Record reads that fell through to the database.", &c.metrics.misses)
-	r.RegisterCounter("uc_cache_scan_hits_total", "Scans served from cache.", &c.metrics.scanHits)
-	r.RegisterCounter("uc_cache_scan_misses_total", "Scans that fell through to the database.", &c.metrics.scanMisses)
 	r.RegisterCounter("uc_cache_coalesced_misses_total", "Misses that piggybacked on an in-flight database read.", &c.metrics.coalescedMisses)
 	r.RegisterCounter("uc_cache_full_reconciles_total", "Full (evict-everything) reconciliations.", &c.metrics.fullReconciles)
 	r.RegisterCounter("uc_cache_selective_reconciles_total", "Change-log-driven selective reconciliations.", &c.metrics.selectiveReconciles)
@@ -594,10 +563,8 @@ func (c *Cache) reconcileAllLocked(msID string, m *msCache) error {
 	return nil
 }
 
-// invalidateChangesLocked drops exactly the cached records named by changes
-// plus any cached scan whose (table, prefix) covers a changed key; surviving
-// scans remain the latest as of the version the caller advances to. Caller
-// must hold every shard lock (lockAll).
+// invalidateChangesLocked drops exactly the cached records named by changes.
+// Caller must hold every shard lock (lockAll).
 func invalidateChangesLocked(m *msCache, changes []store.Change) {
 	for _, ch := range changes {
 		rk := cacheKey{ch.Table, ch.Key}
@@ -606,33 +573,15 @@ func invalidateChangesLocked(m *msCache, changes []store.Change) {
 			delete(sh.records, rk)
 			m.entries.Add(-1)
 		}
-		dropScansLocked(m, ch.Table, ch.Key)
 	}
 }
 
-// dropScansLocked drops every cached scan over table whose prefix covers
-// key. It probes the prefixes of key that scans of the table have been cached
-// under rather than walking the scan maps: a commit's cost must not grow with
-// the number of cached scans (one per securable for grants and tags alone).
-// Caller must hold every shard lock.
-func dropScansLocked(m *msCache, table, key string) {
-	for _, n := range m.scanLens[table] {
-		if n > len(key) {
-			continue
-		}
-		sk := cacheKey{table, key[:n]}
-		delete(m.shardFor(sk).scans, sk)
-	}
-}
-
-// evictAllLocked drops every cached record and scan and sets the known
-// version to newV. Caller must hold every shard lock (lockAll).
+// evictAllLocked drops every cached record and sets the known version to
+// newV. Caller must hold every shard lock (lockAll).
 func evictAllLocked(m *msCache, newV uint64) {
 	for i := range m.shards {
 		m.shards[i].records = map[cacheKey]*cachedRecord{}
-		m.shards[i].scans = map[cacheKey]*cachedScan{}
 	}
-	m.scanLens = map[string][]int{}
 	m.entries.Store(0)
 	m.knownVersion.Store(newV)
 }
@@ -700,8 +649,8 @@ type viewErr struct{ err error }
 
 func (v *View) setErr(err error) { v.verr.Store(&viewErr{err: err}) }
 
-// Err returns the last backend error absorbed by a Get or Scan on this
-// view, or nil. A non-nil Err means a recent "not found" result may really
+// Err returns the last backend error absorbed by a read on this view, or
+// nil. A non-nil Err means a recent "not found" result may really
 // be "could not read": callers should report the backend failure rather
 // than a spurious NotFound.
 func (v *View) Err() error {
@@ -812,7 +761,7 @@ func (v *View) tryHit(sh *shard, rk cacheKey) (cv cachedVersion, ok bool) {
 			// re-serve at the authoritative version.
 			continue
 		}
-		rec.touch()
+		rec.touch(v.c.now())
 		return cv, true
 	}
 }
@@ -931,7 +880,7 @@ func (v *View) read(sh *shard, rk cacheKey) (cv cachedVersion, ok bool) {
 	ver := v.Version()
 	_, missSpan := v.sc.StartDetail("cache.getmiss", rk.table)
 	defer missSpan.End()
-	f, leader := v.m.doFlight(flightKey{'g', ver, rk}, func(f *flight) {
+	f, leader := v.m.doFlight(flightKey{ver, rk}, func(f *flight) {
 		snap, err := v.c.db.SnapshotAt(v.msID, ver)
 		if err != nil {
 			f.err = err
@@ -990,95 +939,44 @@ func (v *View) degradedGet(sh *shard, rk cacheKey) (cv cachedVersion, served boo
 		v.c.metrics.degradedMisses.Add(1)
 		return cachedVersion{}, false
 	}
-	rec.touch()
+	rec.touch(v.c.now())
 	v.c.metrics.degradedReads.Add(1)
 	return cv, true
 }
 
-// Scan returns live pairs with the key prefix as of the view's version,
-// served from the scan cache when possible. The returned slice is the
-// caller's to keep; the values it contains are shared and must be treated
-// as immutable.
+// Scan returns live pairs with the key prefix as of the view's version: the
+// range ScanRange(table, prefix, store.PrefixEnd(prefix), 0) reads.
 func (v *View) Scan(table, prefix string) []store.KV {
 	if v.snap != nil { // cache disabled
 		return v.snap.Scan(table, prefix)
 	}
-	sk := cacheKey{table, prefix}
-	sh := v.m.shardFor(sk)
-	if kvs, ok := v.tryScanHit(sh, sk); ok {
-		v.c.metrics.scanHits.Add(1)
-		return kvs
-	}
-	v.c.metrics.scanMisses.Add(1)
-
-	if !v.pinned() {
-		v.pinOnMiss()
-		if kvs, ok := v.tryScanHit(sh, sk); ok {
-			v.c.metrics.scanHits.Add(1)
-			return kvs
-		}
-	}
-	ver := v.Version()
-	_, missSpan := v.sc.StartDetail("cache.scanmiss", table)
-	defer missSpan.End()
-	f, leader := v.m.doFlight(flightKey{'s', ver, sk}, func(f *flight) {
-		snap, err := v.c.db.SnapshotAt(v.msID, ver)
-		if err != nil {
-			f.err = err
-			return
-		}
-		f.kvs = snap.Scan(table, prefix)
-		snap.Close()
-		sh.mu.Lock()
-		if v.m.knownVersion.Load() == ver {
-			sh.scans[sk] = &cachedScan{validFrom: ver, kvs: f.kvs}
-			v.m.scanLensMu.Lock()
-			if !slices.Contains(v.m.scanLens[table], len(prefix)) {
-				v.m.scanLens[table] = append(v.m.scanLens[table], len(prefix))
-			}
-			v.m.scanLensMu.Unlock()
-		}
-		sh.mu.Unlock()
-	})
-	if f.err != nil {
-		v.c.noteDBError(v.m, f.err)
-		if faults.Is(f.err, faults.Unavailable) {
-			if kvs, served := v.degradedScan(sh, sk); served {
-				return kvs
-			}
-		}
-		v.setErr(f.err)
-		return nil
-	}
-	v.c.noteDBSuccess(v.m)
-	if !leader {
-		v.c.metrics.coalescedMisses.Add(1)
-	}
-	return copyKVs(f.kvs)
+	return v.scan(table, prefix, prefix, "", 0)
 }
 
 // ScanRange returns up to limit live pairs with start <= key < end (end ""
-// means unbounded, limit 0 means no limit) as of the view's version. Range
-// results are cursor-dependent and rarely repeat exactly, so they bypass the
-// scan cache and read from a DB snapshot pinned at the view's version — the
-// store serves them from its ordered index in O(log n + result).
+// means unbounded, limit 0 means no limit) as of the view's version.
 func (v *View) ScanRange(table, start, end string, limit int) []store.KV {
 	if v.snap != nil { // cache disabled
 		return v.snap.ScanRange(table, start, end, limit)
 	}
+	return v.scan(table, "", start, end, limit)
+}
+
+// scan is Scan and ScanRange: a read of the store's ordered index at the
+// view's version in O(log n + result), cached nowhere. During an outage it
+// returns nil with the backend error on Err.
+func (v *View) scan(table, prefix, start, end string, limit int) []store.KV {
 	if !v.pinned() {
 		v.pinOnMiss()
 	}
 	_, span := v.sc.StartDetail("cache.rangescan", table)
 	defer span.End()
-	snap, err := v.c.db.SnapshotAt(v.msID, v.Version())
+	kvs, err := v.c.db.ScanRangeAt(v.msID, v.Version(), table, prefix, start, end, limit)
 	if err != nil {
 		v.c.noteDBError(v.m, err)
 		v.setErr(err)
 		return nil
 	}
-	defer snap.Close()
-	kvs := snap.ScanRange(table, start, end, limit)
 	v.c.noteDBSuccess(v.m)
 	return kvs
 }
@@ -1267,68 +1165,6 @@ func (v *View) held(table, key string) (cv cachedVersion, ok bool) {
 	return cv, ok
 }
 
-// degradedScan is the outage fallback for Scan: serve the cached scan
-// result whatever its version, within the staleness bound.
-func (v *View) degradedScan(sh *shard, sk cacheKey) ([]store.KV, bool) {
-	if !v.c.staleAllowed(v.m) {
-		v.c.metrics.degradedDenied.Add(1)
-		return nil, false
-	}
-	sh.mu.RLock()
-	s := sh.scans[sk]
-	var kvs []store.KV
-	ok := s != nil
-	if ok {
-		kvs = s.kvs
-	}
-	sh.mu.RUnlock()
-	if !ok {
-		v.c.metrics.degradedMisses.Add(1)
-		return nil, false
-	}
-	v.c.metrics.degradedReads.Add(1)
-	return copyKVs(kvs), true
-}
-
-// tryScanHit serves (and pins) a cached scan valid at the view's version.
-func (v *View) tryScanHit(sh *shard, sk cacheKey) ([]store.KV, bool) {
-	for {
-		st := v.state.Load()
-		ver := st &^ pinnedBit
-		sh.mu.RLock()
-		s := sh.scans[sk]
-		var kvs []store.KV
-		found := false
-		if s != nil && s.validFrom <= ver {
-			// The entry was read at validFrom and is unchanged up to the
-			// known version, which no view is ahead of. A view pinned before
-			// the scan was ever read knows nothing about it and must re-read
-			// at its own version on the miss path.
-			kvs, found = s.kvs, true
-		}
-		sh.mu.RUnlock()
-		if !found {
-			return nil, false
-		}
-		if st&pinnedBit == 0 && !v.state.CompareAndSwap(st, ver|pinnedBit) {
-			continue
-		}
-		return copyKVs(kvs), true
-	}
-}
-
-// copyKVs returns a fresh slice over the same (immutable) values, so a
-// caller mutating the returned slice cannot corrupt the cache for other
-// views.
-func copyKVs(kvs []store.KV) []store.KV {
-	if kvs == nil {
-		return nil
-	}
-	out := make([]store.KV, len(kvs))
-	copy(out, kvs)
-	return out
-}
-
 // Close releases resources held by the view.
 func (v *View) Close() {
 	if v.snap != nil {
@@ -1352,7 +1188,8 @@ func (c *Cache) insertShardLocked(m *msCache, sh *shard, rk cacheKey, cv cachedV
 	// happen, but reconciliation races are possible when disabled checks
 	// are off) and versions older than the retention horizon except the
 	// newest one below cv.
-	cutoff := c.now().Add(-c.opts.VersionRetention)
+	now := c.now()
+	cutoff := now.Add(-c.opts.VersionRetention)
 	kept := rec.versions[:0]
 	for _, old := range rec.versions {
 		if old.version >= cv.version {
@@ -1373,7 +1210,7 @@ func (c *Cache) insertShardLocked(m *msCache, sh *shard, rk cacheKey, cv cachedV
 		// bytes and decoded form of a version pruned later.
 		rec.one = [1]cachedVersion{}
 	}
-	rec.touch()
+	rec.touch(now)
 }
 
 // maybeEvict evicts records while the approximate entry count exceeds the
@@ -1499,7 +1336,6 @@ func (c *Cache) UpdateT(sc obs.SpanContext, msID string, fn func(tx *store.Tx) e
 			for _, w := range captured {
 				rk := cacheKey{w.Table, w.Key}
 				c.insertShardLocked(m, m.shardFor(rk), rk, cachedVersion{version: newV, value: w.Value, deleted: w.Deleted, cachedAt: now})
-				dropScansLocked(m, w.Table, w.Key)
 			}
 			m.knownVersion.Store(newV)
 		}

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -275,69 +276,70 @@ func TestFullReconcileFallbackOnTrimmedLog(t *testing.T) {
 	}
 }
 
+// TestScanCaching: a view's Scan at V is the store's Scan at V. Writes
+// through the cache and past it (another node's), puts and deletes, and a
+// full evict interleave with fresh views, each compared at its own version,
+// and with one view pinned before the first write, which keeps reading its.
 func TestScanCaching(t *testing.T) {
-	db := newDB(t)
+	db, err := store.Open(store.Options{MaxVersionsPerRecord: 64}) // the pinned view's history stays readable
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.CreateMetastore("m")
 	c := New(db, Options{})
 	c.Own("m")
-	c.Update("m", func(tx *store.Tx) error {
-		tx.Put("t", "a/1", []byte("1"))
-		tx.Put("t", "a/2", []byte("2"))
-		tx.Put("t", "b/1", []byte("3"))
-		return nil
-	})
-	v, _ := c.NewView("m")
-	if kvs := v.Scan("t", "a/"); len(kvs) != 2 {
-		t.Fatalf("scan = %v", kvs)
-	}
-	v.Close()
-	v2, _ := c.NewView("m")
-	if kvs := v2.Scan("t", "a/"); len(kvs) != 2 {
-		t.Fatalf("scan2 = %v", kvs)
-	}
-	v2.Close()
-	if m := c.Metrics(); m.ScanHits != 1 || m.ScanMisses != 1 {
-		t.Fatalf("scan metrics: %+v", m)
-	}
-	// A write into the scanned prefix invalidates the cached scan.
-	c.Update("m", func(tx *store.Tx) error { tx.Put("t", "a/3", []byte("4")); return nil })
-	v3, _ := c.NewView("m")
-	if kvs := v3.Scan("t", "a/"); len(kvs) != 3 {
-		t.Fatalf("scan3 = %v", kvs)
-	}
-	v3.Close()
-	// A write outside the prefix leaves it cached.
-	c.Update("m", func(tx *store.Tx) error { tx.Put("t", "b/2", []byte("5")); return nil })
-	before := c.Metrics().ScanHits
-	v4, _ := c.NewView("m")
-	if kvs := v4.Scan("t", "a/"); len(kvs) != 3 {
-		t.Fatalf("scan4 = %v", kvs)
-	}
-	v4.Close()
-	if c.Metrics().ScanHits != before+1 {
-		t.Fatal("unrelated write should not invalidate cached scan")
-	}
-
-	// Invalidation probes the prefix lengths scans were cached under: one
-	// write must drop every cached prefix of its key, whatever its length,
-	// and nothing else — also after an evict-all has reset the lengths.
-	counts := func() (whole, a, b, other int) {
-		v, _ := c.NewView("m")
-		defer v.Close()
-		return len(v.Scan("t", "")), len(v.Scan("t", "a/")), len(v.Scan("t", "b/")), len(v.Scan("u", ""))
-	}
-	for round, key := range []string{"a/4", "a/5"} {
-		counts() // cache all four
-		c.Update("m", func(tx *store.Tx) error { tx.Put("t", key, []byte("x")); return nil })
-		hits, misses := c.Metrics().ScanHits, c.Metrics().ScanMisses
-		if whole, a, b, other := counts(); whole != 6+round || a != 4+round || b != 2 || other != 0 {
-			t.Fatalf("after writing %s: scans = %d %d %d %d", key, whole, a, b, other)
-		}
-		if m := c.Metrics(); m.ScanMisses != misses+2 || m.ScanHits != hits+2 {
-			t.Fatalf("writing %s should drop exactly the two covering scans: %+v", key, m)
-		}
-		if err := c.ReconcileFull("m"); err != nil {
+	check := func(step int, v *View) {
+		t.Helper()
+		snap, err := db.SnapshotAt("m", v.Version())
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer snap.Close()
+		for _, p := range []string{"", "a/", "a/1", "b/", "c/", "\xff"} {
+			if got, want := v.Scan("t", p), snap.Scan("t", p); !sameKVs(got, want) {
+				t.Fatalf("step %d, prefix %q at v%d: view scanned %v, store %v", step, p, v.Version(), got, want)
+			}
+		}
+		if got := v.Scan("u", ""); got != nil {
+			t.Fatalf("step %d: a table never written scanned %v", step, got)
+		}
+	}
+	pinned, _ := c.NewView("m")
+	defer pinned.Close()
+	pinned.Get("t", "a/1") // pins before any write
+	keys := []string{"a/1", "a/10", "a/2", "b/1", "b/2", "c", "\xff\xff"}
+	r := rand.New(rand.NewSource(1))
+	for step := 0; step < 60; step++ {
+		key := keys[r.Intn(len(keys))]
+		write := func(tx *store.Tx) error {
+			if r.Intn(4) == 0 {
+				tx.Delete("t", key)
+			} else {
+				tx.Put("t", key, []byte(fmt.Sprint(step)))
+			}
+			return nil
+		}
+		switch step % 3 {
+		case 0:
+			_, err = c.Update("m", write)
+		case 1:
+			_, err = db.Update("m", write)
+		default:
+			if step%15 == 2 {
+				err = c.ReconcileFull("m")
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, _ := c.NewView("m")
+		check(step, v)
+		v.Close()
+		check(step, pinned)
+	}
+	if pinned.Version() != 0 {
+		t.Fatalf("the pinned view moved to v%d", pinned.Version())
 	}
 }
 
@@ -361,6 +363,43 @@ func TestEvictionLRU(t *testing.T) {
 	}
 	if m := c.Metrics(); m.Evictions == 0 {
 		t.Fatal("no evictions recorded")
+	}
+}
+
+// TestVictimFollowsTheClock: recency is Options.Clock's. Two records of one
+// shard are read with the fake clock set back between the reads, so the one
+// read last on the wall clock was read first on the fake one, and eviction
+// picks it.
+func TestVictimFollowsTheClock(t *testing.T) {
+	db := newDB(t)
+	fc := clock.NewFake(time.Unix(1000, 0))
+	c := New(db, Options{Clock: fc})
+	c.Own("m")
+	m, _ := c.owner("m")
+	keys := []string{"k0"}
+	sh := m.shardFor(cacheKey{"t", keys[0]})
+	for i := 1; len(keys) < 2; i++ {
+		if k := fmt.Sprintf("k%d", i); m.shardFor(cacheKey{"t", k}) == sh {
+			keys = append(keys, k)
+		}
+	}
+	db.Update("m", func(tx *store.Tx) error {
+		for _, k := range keys {
+			tx.Put("t", k, []byte("v"))
+		}
+		return nil
+	})
+	v, _ := c.NewView("m")
+	defer v.Close()
+	v.Get("t", keys[0])
+	fc.Set(time.Unix(500, 0))
+	time.Sleep(time.Millisecond) // the wall clock's order is unambiguous
+	v.Get("t", keys[1])
+	sh.mu.Lock()
+	victim, ok := victimLocked(sh)
+	sh.mu.Unlock()
+	if !ok || victim.key != keys[1] {
+		t.Fatalf("victim %q, want %q: the record the fake clock read first", victim.key, keys[1])
 	}
 }
 

@@ -56,45 +56,6 @@ func TestMissCoalescing(t *testing.T) {
 	}
 }
 
-// TestMissCoalescingScan is the same herd test for the scan path.
-func TestMissCoalescingScan(t *testing.T) {
-	db, err := store.Open(store.Options{ReadLatency: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	db.CreateMetastore("m")
-	db.Update("m", func(tx *store.Tx) error {
-		tx.Put("t", "a/1", []byte("1"))
-		tx.Put("t", "a/2", []byte("2"))
-		return nil
-	})
-	c := New(db, Options{})
-	c.Own("m")
-
-	base := db.ReadCount()
-	const herd = 16
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < herd; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, _ := c.NewView("m")
-			defer v.Close()
-			<-start
-			if kvs := v.Scan("t", "a/"); len(kvs) != 2 {
-				t.Errorf("scan = %v", kvs)
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	if delta := db.ReadCount() - base; delta > 3 {
-		t.Fatalf("scan herd of %d caused %d DB reads, want ~1", herd, delta)
-	}
-}
-
 // TestSingleflightRespectsSnapshotVersions pins two views on opposite sides
 // of a foreign write and reads the same cold key through both concurrently:
 // the flights are keyed by version, so each view must observe its own

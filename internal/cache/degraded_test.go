@@ -163,8 +163,8 @@ func TestDegradedDisabledByNegativeStaleness(t *testing.T) {
 	}
 }
 
-// TestDegradedScanFailsWithError verifies a scan during an outage that has
-// no cached fallback surfaces the backend error through View.Err rather
+// TestDegradedScanFailsWithError verifies a scan during an outage, which has
+// no cached fallback, surfaces the backend error through View.Err rather
 // than quietly returning an empty result.
 func TestDegradedScanFailsWithError(t *testing.T) {
 	db := newDB(t)
@@ -181,7 +181,7 @@ func TestDegradedScanFailsWithError(t *testing.T) {
 	if err := a.Err(); !faults.Is(err, faults.Unavailable) {
 		t.Fatalf("view error = %v", err)
 	}
-	if m := c.Metrics(); m.DegradedMisses == 0 {
+	if m := c.Metrics(); m.Outages != 1 || m.DegradedReads != 0 {
 		t.Fatalf("metrics = %+v", m)
 	}
 }

@@ -251,7 +251,7 @@ func TestSelectiveVsFullDifferential(t *testing.T) {
 					t.Errorf("divergence at v%d %s/%s: cache=(%q,%v) db=(%q,%v)",
 						ver, tbl, k, got, ok, want, wantOK)
 				}
-				// Prefix scans must agree too (scan cache invalidation).
+				// Prefix scans must agree too.
 				if gotKVs, wantKVs := view.Scan(tbl, "k0"), snap.Scan(tbl, "k0"); !sameKVs(gotKVs, wantKVs) {
 					t.Errorf("scan divergence at v%d %s: cache=%v db=%v", ver, tbl, gotKVs, wantKVs)
 				}

@@ -139,3 +139,86 @@ func TestWorkspaceBindingFailsClosedInOutage(t *testing.T) {
 		t.Fatalf("wrong workspace after recovery: %v, want ErrWorkspaceBinding", err)
 	}
 }
+
+// TestABACPolicyFailsClosedInOutage: a table whose column an ABAC rule masks
+// keeps the mask when the store is unreachable. Every record the requests
+// read is cached and inside MaxStaleness and alice's authorization memo is
+// warm, but the ABAC rules and the table's tags are range reads of the store,
+// which the outage refuses: Resolve and an untrusted engine's credential must
+// fail with the backend's error, not go on with an empty policy — that would
+// hand a trusted engine the column unmasked and an untrusted one raw storage.
+func TestABACPolicyFailsClosedInOutage(t *testing.T) {
+	db, err := store.Open(store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	fc := clock.NewFake(time.Unix(1000, 0))
+	svc, err := New(Config{DB: db, CacheOpts: cache.Options{Clock: fc, MaxStaleness: time.Minute}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.CreateMetastore("ms1", "main", "us-east-1", "admin", "s3://metastore-root/ms1"); err != nil {
+		t.Fatal(err)
+	}
+	admin := Ctx{Principal: "admin", Metastore: "ms1", TrustedEngine: true}
+	seedNamespace(t, svc, admin)
+	for _, g := range []struct {
+		on   string
+		priv privilege.Privilege
+	}{{"sales", privilege.UseCatalog}, {"sales.raw", privilege.UseSchema}, {"sales.raw.orders", privilege.Select}} {
+		if err := svc.Grant(admin, g.on, "alice", g.priv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.SetTag(admin, "sales.raw.orders", "region", "classification", "pii"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.CreateABACRule(admin, "", privilege.ABACRule{
+		Name: "mask-pii", TagKey: "classification", TagValue: "pii",
+		Action: privilege.ABACColumnMask, Mask: &privilege.ColumnMask{Kind: privilege.MaskRedact, Replacement: "###"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	trusted := Ctx{Principal: "alice", Metastore: "ms1", TrustedEngine: true}
+	untrusted := Ctx{Principal: "alice", Metastore: "ms1"}
+	req := ResolveRequest{Names: []string{"sales.raw.orders"}}
+
+	// Healthy, and warming every record and the memo: the mask is vended to
+	// the trusted engine and keeps the untrusted one from raw storage.
+	resp, err := svc.Resolve(trusted, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fg := resp.Assets["sales.raw.orders"].FGAC; fg == nil || len(fg.ColumnMasks) != 1 || fg.ColumnMasks[0].Column != "region" {
+		t.Fatalf("healthy resolve: FGAC %+v, want the region mask", fg)
+	}
+	if _, err := svc.TempCredentialForAsset(untrusted, "sales.raw.orders", cloudsim.AccessRead); !errors.Is(err, ErrTrustedEngineRequired) {
+		t.Fatalf("healthy untrusted credential: %v, want ErrTrustedEngineRequired", err)
+	}
+	memo := svc.AuthzMetrics()
+
+	// The store goes away; the cached records are still fresh enough to serve.
+	db.SetFaults(faults.New(1).AddRule(faults.Rule{Class: faults.Unavailable, P: 1, RetryAfter: time.Second}))
+	fc.Advance(10 * time.Second)
+
+	if resp, err := svc.Resolve(trusted, req); !faults.Is(err, faults.Unavailable) {
+		t.Fatalf("resolve during the outage: %+v, %v; want the backend failure", resp, err)
+	}
+	if tc, err := svc.TempCredentialForAsset(untrusted, "sales.raw.orders", cloudsim.AccessRead); !faults.Is(err, faults.Unavailable) {
+		t.Fatalf("untrusted credential during the outage: %+v, %v; want the backend failure", tc, err)
+	}
+	if after := svc.AuthzMetrics(); after.Builds != memo.Builds {
+		t.Fatalf("authorization snapshots rebuilt during the outage (%d -> %d): the memo was not warm", memo.Builds, after.Builds)
+	}
+
+	// The store returns, and with it the mask.
+	db.SetFaults(nil)
+	resp, err = svc.Resolve(trusted, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fg := resp.Assets["sales.raw.orders"].FGAC; fg == nil || len(fg.ColumnMasks) != 1 {
+		t.Fatalf("resolve after recovery: FGAC %+v, want the region mask", fg)
+	}
+}

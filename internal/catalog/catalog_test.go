@@ -661,31 +661,6 @@ func TestWorkingSetAndTypeCounts(t *testing.T) {
 	}
 }
 
-// TestWholeTableReadsBypassTheScanCache: TypeCounts, RunGC and
-// WorkingSetBytes read whole tables as ranges of the store's ordered index.
-// They neither hit nor fill the scan cache, where a whole table would stay
-// pinned until a write touched it.
-func TestWholeTableReadsBypassTheScanCache(t *testing.T) {
-	svc, admin := testService(t)
-	seedNamespace(t, svc, admin)
-	before := svc.CacheMetrics()
-	for round := 0; round < 2; round++ {
-		if _, err := svc.TypeCounts("ms1"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := svc.RunGC("ms1"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := svc.WorkingSetBytes("ms1"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if after := svc.CacheMetrics(); after.ScanHits != before.ScanHits || after.ScanMisses != before.ScanMisses {
-		t.Fatalf("whole-table reads went through the scan cache: %d hits, %d misses (a miss fills it)",
-			after.ScanHits-before.ScanHits, after.ScanMisses-before.ScanMisses)
-	}
-}
-
 // TestWorkingSetCountsEveryTable: the working set is every table of
 // erm.Tables, so a lineage edge adds exactly its rows' bytes.
 func TestWorkingSetCountsEveryTable(t *testing.T) {

@@ -44,7 +44,7 @@ func (s *Service) TempCredentialForAsset(ctx Ctx, full string, level cloudsim.Ac
 	if err != nil {
 		return tc, err
 	}
-	return s.vend(ctx, v, chain, level)
+	return s.vend(ctx, v, &lazyABAC{}, chain, level)
 }
 
 // TempCredentialForPath resolves a raw storage path to its unique governing
@@ -73,7 +73,7 @@ func (s *Service) TempCredentialForPath(ctx Ctx, path string, level cloudsim.Acc
 	if err != nil {
 		return tc, err
 	}
-	return s.vend(ctx, v, chain, level)
+	return s.vend(ctx, v, &lazyABAC{}, chain, level)
 }
 
 // assetForPath maps an object path to the asset whose registered storage
@@ -93,8 +93,8 @@ func assetForPath(r erm.Reader, path string) (*erm.Entity, error) {
 }
 
 // vend authorizes and mints (or reuses) a credential for the entity chain
-// ends in.
-func (s *Service) vend(ctx Ctx, r versionedReader, chain []*erm.Entity, level cloudsim.AccessLevel) (TempCredential, error) {
+// ends in. abac holds r's rules.
+func (s *Service) vend(ctx Ctx, r versionedReader, abac *lazyABAC, chain []*erm.Entity, level cloudsim.AccessLevel) (TempCredential, error) {
 	var tc TempCredential
 	e := leaf(chain)
 	man, ok := s.reg.Manifest(e.Type)
@@ -105,7 +105,7 @@ func (s *Service) vend(ctx Ctx, r versionedReader, chain []*erm.Entity, level cl
 	if level == cloudsim.AccessReadWrite {
 		need = man.DataWritePrivilege
 	}
-	if err := s.check(ctx, r, need, chain, "TempCredential"); err != nil {
+	if err := s.check(ctx, r, abac, need, chain, "TempCredential"); err != nil {
 		return tc, err
 	}
 	// FGAC-protected tables must not leak raw storage to untrusted engines.
@@ -113,8 +113,11 @@ func (s *Service) vend(ctx Ctx, r versionedReader, chain []*erm.Entity, level cl
 		spec, err := TableSpecOf(e)
 		if err == nil {
 			eff := spec.FGAC.ForPrincipal(ctx.Principal, s.groups.GroupsOf(ctx.Principal))
-			abac := s.abacFGAC(ctx, r, e)
-			if !eff.Empty() || !abac.Empty() {
+			dyn, err := s.abacFGAC(ctx, r, abac, e)
+			if err != nil {
+				return tc, err
+			}
+			if !eff.Empty() || !dyn.Empty() {
 				return tc, ErrTrustedEngineRequired
 			}
 		}
@@ -192,20 +195,20 @@ func (s *Service) AuthorizeBatch(ctx Ctx, assetIDs []ids.ID, priv privilege.Priv
 		return nil, err
 	}
 	defer v.Close()
-	auth := s.authorizer(ctx, v)
+	auth, abac := s.authorizer(ctx, v), &lazyABAC{}
 	out := make([]bool, len(assetIDs))
 	if priv == "" {
 		// Visibility check: any privilege or ownership. The shared
 		// authorizer memoizes ancestor state across the whole batch.
 		for i, id := range assetIDs {
 			if e, ok := erm.GetEntity(v, id); ok {
-				out[i] = s.visible(ctx, auth, v, e)
+				out[i] = s.visible(ctx, auth, v, abac, e)
 			}
 		}
 		return out, nil
 	}
 	for i, d := range auth.CheckMany(priv, assetIDs) {
-		out[i] = d.Allowed || s.abacGrants(ctx, v, priv, assetIDs[i])
+		out[i] = d.Allowed || s.abacGrants(ctx, v, abac, priv, assetIDs[i])
 	}
 	return out, nil
 }

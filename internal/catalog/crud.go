@@ -69,7 +69,7 @@ func (s *Service) CreateAsset(ctx Ctx, req CreateRequest) (e *erm.Entity, err er
 	if !s.reg.ValidParent(req.Type, parent.Type) {
 		return nil, fmt.Errorf("%w: %s cannot contain %s", ErrInvalidArgument, parent.Type, req.Type)
 	}
-	if err := s.check(ctx, v, man.CreatePrivilege, parentChain, "Create"+string(req.Type)); err != nil {
+	if err := s.check(ctx, v, &lazyABAC{}, man.CreatePrivilege, parentChain, "Create"+string(req.Type)); err != nil {
 		return nil, err
 	}
 
@@ -211,13 +211,13 @@ func (s *Service) GetAsset(ctx Ctx, full string) (e *erm.Entity, err error) {
 // in, treating container types without gating (their own privilege is the
 // gate).
 func (s *Service) authorizeRead(ctx Ctx, r versionedReader, chain []*erm.Entity) error {
-	return s.authorizeReadWith(ctx, s.authorizer(ctx, r), r, chain)
+	return s.authorizeReadWith(ctx, s.authorizer(ctx, r), &lazyABAC{}, r, chain)
 }
 
-// authorizeReadWith is authorizeRead against an already-built authorizer, so
-// batched callers (Resolve's dependency closure) reuse one compiled snapshot
-// across the whole request.
-func (s *Service) authorizeReadWith(ctx Ctx, auth privilege.Authorizer, r versionedReader, chain []*erm.Entity) error {
+// authorizeReadWith is authorizeRead against an already-built authorizer and
+// ABAC rules, so batched callers (Resolve's dependency closure) reuse one
+// compiled snapshot and one rules read across the whole request.
+func (s *Service) authorizeReadWith(ctx Ctx, auth privilege.Authorizer, abac *lazyABAC, r versionedReader, chain []*erm.Entity) error {
 	e := leaf(chain)
 	man, ok := s.reg.Manifest(e.Type)
 	if !ok || man.ReadPrivilege == "" {
@@ -232,7 +232,7 @@ func (s *Service) authorizeReadWith(ctx Ctx, auth privilege.Authorizer, r versio
 		}
 		return nil
 	}
-	return s.check(ctx, r, man.ReadPrivilege, chain, "Get"+string(e.Type))
+	return s.check(ctx, r, abac, man.ReadPrivilege, chain, "Get"+string(e.Type))
 }
 
 // visMasks caches each type's visibility mask — the read privilege plus
@@ -259,9 +259,9 @@ func visMask(man *erm.TypeManifest) privilege.PrivSet {
 // inherited). One effective-set lookup and one bitset intersection replace
 // the per-privilege ancestor walks; siblings in a listing share the
 // authorizer's memoized ancestor state. e must have been read through r, the
-// reader auth is bound to: the authorizer is handed e's row and does not read
-// it again.
-func (s *Service) visible(ctx Ctx, auth privilege.Authorizer, r erm.Reader, e *erm.Entity) bool {
+// reader auth is bound to and abac holds the rules of: the authorizer is
+// handed e's row and does not read it again.
+func (s *Service) visible(ctx Ctx, auth privilege.Authorizer, r erm.Reader, abac *lazyABAC, e *erm.Entity) bool {
 	set, ok := auth.EffectiveSetOf(securableOf(e))
 	if ok && set.HasAdmin() {
 		return true
@@ -273,7 +273,7 @@ func (s *Service) visible(ctx Ctx, auth privilege.Authorizer, r erm.Reader, e *e
 	if ok && set.Intersects(visMask(man)) {
 		return true
 	}
-	return s.abacGrants(ctx, r, man.ReadPrivilege, e.ID)
+	return s.abacGrants(ctx, r, abac, man.ReadPrivilege, e.ID)
 }
 
 // UpdateRequest patches mutable asset fields. Nil pointers leave fields
@@ -323,7 +323,7 @@ func (s *Service) UpdateAsset(ctx Ctx, full string, req UpdateRequest) (e *erm.E
 			if err := s.checkOwner(ctx, v, e.ID, "UpdateAsset"); err != nil {
 				return nil, err
 			}
-		} else if err := s.check(ctx, v, wp, chain, "UpdateAsset"); err != nil {
+		} else if err := s.check(ctx, v, &lazyABAC{}, wp, chain, "UpdateAsset"); err != nil {
 			return nil, err
 		}
 	}
@@ -549,7 +549,7 @@ func (s *Service) CloneTable(ctx Ctx, srcFull, dstSchemaFull, dstName string) (e
 	}
 	chain, err := s.chainOf(ctx, v, src, "CloneTable")
 	if err == nil {
-		err = s.check(ctx, v, privilege.Select, chain, "CloneTable")
+		err = s.check(ctx, v, &lazyABAC{}, privilege.Select, chain, "CloneTable")
 	}
 	v.Close()
 	if err != nil {

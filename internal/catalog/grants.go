@@ -384,7 +384,7 @@ func (s *Service) ABACRules(ctx Ctx) (rules []privilege.ABACRule, err error) {
 }
 
 func abacRules(r erm.Reader) []privilege.ABACRule {
-	kvs := r.Scan(erm.TableABAC, "")
+	kvs := r.ScanRange(erm.TableABAC, "", "", 0)
 	out := make([]privilege.ABACRule, 0, len(kvs))
 	for _, kv := range kvs {
 		var rule privilege.ABACRule
@@ -410,10 +410,27 @@ func scopeChain(r erm.Reader, id ids.ID) []ids.ID {
 	return chain
 }
 
+// lazyABAC is the ABAC rules of one request's reader, read when a decision
+// first needs them and kept for the rest of the request: a listing, a batch,
+// a lineage walk or a resolve asks for every candidate it decides, and reads
+// the table at most once. The zero value has read nothing.
+type lazyABAC struct {
+	rules []privilege.ABACRule
+	read  bool
+}
+
+func (a *lazyABAC) get(r erm.Reader) []privilege.ABACRule {
+	if !a.read {
+		a.rules, a.read = abacRules(r), true
+	}
+	return a.rules
+}
+
 // abacGrants reports whether an ABAC GRANT rule dynamically confers priv on
-// securable id to ctx.Principal (and no DENY rule blocks it).
-func (s *Service) abacGrants(ctx Ctx, r erm.Reader, priv privilege.Privilege, id ids.ID) bool {
-	rules := abacRules(r)
+// securable id to ctx.Principal (and no DENY rule blocks it). abac holds r's
+// rules.
+func (s *Service) abacGrants(ctx Ctx, r erm.Reader, abac *lazyABAC, priv privilege.Privilege, id ids.ID) bool {
+	rules := abac.get(r)
 	if len(rules) == 0 {
 		return false
 	}
@@ -456,13 +473,19 @@ func (s *Service) abacGrants(ctx Ctx, r erm.Reader, priv privilege.Privilege, id
 }
 
 // abacFGAC collects ABAC-driven row filters and column masks applying to a
-// table for a principal, based on the table's and its columns' tags.
-func (s *Service) abacFGAC(ctx Ctx, r erm.Reader, e *erm.Entity) privilege.FGACPolicy {
-	rules := abacRules(r)
+// table for a principal, based on the table's and its columns' tags. abac
+// holds r's rules. Rules or tags r could not read are the backend's error,
+// not an empty policy: a policy with a filter or a mask left out would hand
+// an engine rows or raw storage the rules withhold.
+func (s *Service) abacFGAC(ctx Ctx, r erm.Reader, abac *lazyABAC, e *erm.Entity) (privilege.FGACPolicy, error) {
+	rules := abac.get(r)
 	if len(rules) == 0 {
-		return privilege.FGACPolicy{}
+		return privilege.FGACPolicy{}, backendErr(r)
 	}
 	tags, colTags := EntityTags(r, e.ID)
+	if err := backendErr(r); err != nil {
+		return privilege.FGACPolicy{}, err
+	}
 	chain := map[ids.ID]bool{}
 	for _, a := range scopeChain(r, e.ID) {
 		chain[a] = true
@@ -491,5 +514,5 @@ func (s *Service) abacFGAC(ctx Ctx, r erm.Reader, e *erm.Entity) privilege.FGACP
 			}
 		}
 	}
-	return out
+	return out, nil
 }

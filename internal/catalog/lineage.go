@@ -36,9 +36,9 @@ func (s *Service) SubmitLineage(ctx Ctx, edges []erm.Edge) (err error) {
 		return err
 	}
 	defer v.Close()
-	auth := s.authorizer(ctx, v)
+	auth, abac := s.authorizer(ctx, v), &lazyABAC{}
 	for _, e := range edges {
-		if err := cmp.Or(s.lineageEnd(ctx, auth, v, e.Upstream), s.lineageEnd(ctx, auth, v, e.Downstream)); err != nil {
+		if err := cmp.Or(s.lineageEnd(ctx, auth, abac, v, e.Upstream), s.lineageEnd(ctx, auth, abac, v, e.Downstream)); err != nil {
 			return err
 		}
 	}
@@ -62,9 +62,10 @@ func (s *Service) SubmitLineage(ctx Ctx, edges []erm.Edge) (err error) {
 // entity of ctx's metastore that ctx may see, as everything a walk returns is.
 // One ctx may not see is not found, as everywhere in the catalog; one of
 // another metastore is an invalid argument, since a walk reads ctx's only.
-func (s *Service) lineageEnd(ctx Ctx, auth privilege.Authorizer, r versionedReader, id ids.ID) error {
+// auth is bound to r and abac holds r's rules.
+func (s *Service) lineageEnd(ctx Ctx, auth privilege.Authorizer, abac *lazyABAC, r versionedReader, id ids.ID) error {
 	e, here := erm.GetEntity(r, id)
-	if here && e.State != erm.StateSoftDeleted && s.visible(ctx, auth, r, e) {
+	if here && e.State != erm.StateSoftDeleted && s.visible(ctx, auth, r, abac, e) {
 		return nil
 	} else if err := backendErr(r); !here && err != nil {
 		return err
@@ -98,8 +99,8 @@ func (s *Service) LineageWalk(ctx Ctx, id ids.ID, maxDepth int, downstream bool)
 		return nil, err
 	}
 	defer v.Close()
-	auth := s.authorizer(ctx, v)
-	if err := s.lineageEnd(ctx, auth, v, id); err != nil {
+	auth, abac := s.authorizer(ctx, v), &lazyABAC{}
+	if err := s.lineageEnd(ctx, auth, abac, v, id); err != nil {
 		return nil, err
 	}
 	seen := map[ids.ID]bool{id: true}
@@ -117,7 +118,7 @@ func (s *Service) LineageWalk(ctx Ctx, id ids.ID, maxDepth int, downstream bool)
 			}
 			seen[n.Asset] = true
 			queue = append(queue, n)
-			if ent, ok := erm.GetEntity(v, n.Asset); ok && ent.State != erm.StateSoftDeleted && s.visible(ctx, auth, v, ent) {
+			if ent, ok := erm.GetEntity(v, n.Asset); ok && ent.State != erm.StateSoftDeleted && s.visible(ctx, auth, v, abac, ent) {
 				out = append(out, n)
 			}
 		}

@@ -24,8 +24,8 @@ package catalog
 //     scan instead of materializing the full result first.
 //
 // An unpaged call is the same walk with no bound, on the one view it opened:
-// it reads each range whole, through the view's scan cache, and sorts what
-// the walk emitted (ListAssets by Name, QueryAssets by FullName).
+// it reads each range whole and sorts what the walk emitted (ListAssets by
+// Name, QueryAssets by FullName).
 //
 // Page order is index order — (type, id) for child listings, key order for
 // the other indexes; stable cursors require iterating exactly the way the
@@ -149,30 +149,41 @@ func decodeAligned(r pagedReader, keys []string) []*erm.Entity {
 }
 
 // rowEntities turns the rows of one index batch into the entities they name,
-// aligned with the batch; nil where there is nothing to admit. after is the
-// key the batch follows ("" at the start of a range).
-func rowEntities(r pagedReader, table string, rows []store.KV, after string) []*erm.Entity {
+// aligned with the batch; nil where there is nothing to admit.
+func (l *listing) rowEntities(table string, rows []store.KV) []*erm.Entity {
 	switch table {
 	case erm.TableEntity:
 		return erm.DecodeEntityRows(rows)
 	case erm.TableTagIdx:
-		// The inverted index repeats a securable once per tagged column;
-		// adjacent rows share the ID, so dedup needs only the previous one.
-		// Residual value checks run against the forward table (hasTag).
-		prev, _ := erm.TagIdxSecurable(after)
-		first := make([]int, len(rows)) // index into keys, -1 for a repeat
+		// The inverted index holds a securable once per tagged column, its
+		// entity-level row (column "") first, and a row's value is the tag's
+		// (SetTag writes both tables in one commit), so the rows decide the
+		// tag: the entity-level row alone, else the first column row whose
+		// value matches admits the securable. Only admitted ones are read.
+		at := make([]int, len(rows)) // index into keys, -1 for a row that admits nothing
 		keys := make([]string, 0, len(rows))
 		for i, kv := range rows {
-			first[i] = -1
-			if id, ok := erm.TagIdxSecurable(kv.Key); ok && id != prev {
-				prev = id
-				first[i] = len(keys)
+			at[i] = -1
+			id, column, ok := erm.TagIdxParts(kv.Key)
+			if !ok {
+				continue
+			}
+			if id != l.tagSec {
+				l.tagSec, l.tagDone = id, false
+			}
+			if l.tagDone {
+				continue
+			}
+			match := l.tagValue == "" || string(kv.Value) == l.tagValue
+			l.tagDone = match || column == ""
+			if match {
+				at[i] = len(keys)
 				keys = append(keys, string(id))
 			}
 		}
-		named := decodeAligned(r, keys)
+		named := decodeAligned(l.r, keys)
 		ents := make([]*erm.Entity, len(rows))
-		for i, k := range first {
+		for i, k := range at {
 			if k >= 0 {
 				ents[i] = named[k]
 			}
@@ -183,7 +194,7 @@ func rowEntities(r pagedReader, table string, rows []store.KV, after string) []*
 		for i, kv := range rows {
 			keys[i] = string(erm.IndexedID(kv))
 		}
-		return decodeAligned(r, keys)
+		return decodeAligned(l.r, keys)
 	}
 }
 
@@ -195,6 +206,7 @@ type listing struct {
 	ctx   Ctx
 	r     pagedReader
 	auth  privilege.Authorizer
+	abac  lazyABAC
 	f     Filter
 	emit  func(*erm.Entity)
 	limit int
@@ -203,6 +215,11 @@ type listing struct {
 	lastKey string // last index key consumed
 	stage   int    // catalog scope: 0 inside the schemas, 1 the schemas themselves
 	outer   string // catalog scope: child key of the schema being walked
+	// The tag plan's value to match ("" any), the securable whose index rows
+	// the walk is in, and whether they have decided its tag yet (rowEntities).
+	tagValue string
+	tagSec   ids.ID
+	tagDone  bool
 }
 
 // full reports a bounded page with no room left.
@@ -213,17 +230,8 @@ func (s *Service) newListing(ctx Ctx, r pagedReader, f Filter, limit int, emit f
 }
 
 // read returns up to n rows (0: all) of the keys of table under prefix, from
-// start on. An unbounded listing reading a range from its beginning reads the
-// whole prefix through Scan, which a cache view answers from its scan cache —
-// a warm unpaged listing costs the store nothing; every other read is a
-// ScanRange against the store's ordered index. The choice follows from the
-// request. Name ranges are never read through Scan: their prefix ends in the
-// caller's free text, and the scan cache keeps one entry, and checks one more
-// prefix length on every write, per distinct prefix.
+// start on: one range of the store's ordered index.
 func (l *listing) read(table, prefix, start string, n int) []store.KV {
-	if l.limit == 0 && start == prefix && table != erm.TableName {
-		return l.r.Scan(table, prefix)
-	}
 	return l.r.ScanRange(table, start, store.PrefixEnd(prefix), n)
 }
 
@@ -235,6 +243,11 @@ func (l *listing) read(table, prefix, start string, n int) []store.KV {
 // and no second read is needed to know whether a token is due. The caller
 // guarantees room on the page.
 func (l *listing) walk(table, prefix, after string) (more bool) {
+	if table == erm.TableTagIdx && after != "" {
+		// A page ends on a row that admitted its securable.
+		l.tagSec, _, _ = erm.TagIdxParts(after)
+		l.tagDone = true
+	}
 	start := prefix
 	for {
 		if after != "" {
@@ -249,10 +262,10 @@ func (l *listing) walk(table, prefix, after string) (more bool) {
 		if goesOn {
 			rows = rows[:ask-1]
 		}
-		ents := rowEntities(l.r, table, rows, after)
+		ents := l.rowEntities(table, rows)
 		for i, kv := range rows {
 			l.lastKey = kv.Key
-			if e := ents[i]; e != nil && matchesFilter(l.r, &l.f, e) && l.s.visible(l.ctx, l.auth, l.r, e) {
+			if e := ents[i]; e != nil && matchesFilter(l.r, &l.f, e) && l.s.visible(l.ctx, l.auth, l.r, &l.abac, e) {
 				l.n++
 				l.emit(e)
 				if l.full() {
@@ -510,6 +523,8 @@ func (s *Service) queryAssets(ctx Ctx, f Filter, limit int, emit func(*erm.Entit
 	case "cat", "catname":
 		more = l.walkCatalog(scope.ID, cur, plan == "catname")
 	case "tag":
+		// The index rows decide the tag, so it leaves the residual filter.
+		l.tagValue, l.f.TagKey, l.f.TagValue = f.TagValue, "", ""
 		more = l.walk(erm.TableTagIdx, erm.TagIdxPrefix(f.TagKey), cur.after())
 	default: // "scan"
 		more = l.walk(erm.TableEntity, "", cur.after())

@@ -69,11 +69,12 @@ func (s *Service) Resolve(ctx Ctx, req ResolveRequest) (resp *ResolveResponse, e
 	defer v.Close()
 
 	resp = &ResolveResponse{Assets: map[string]*ResolvedAsset{}, MetastoreVersion: v.Version()}
-	// One compiled authorizer covers the whole dependency closure: every
-	// asset in the batch shares the memoized ancestor evaluations.
-	auth := s.authorizer(ctx, v)
+	// One compiled authorizer and one read of the ABAC rules cover the whole
+	// dependency closure: every asset in the batch shares the memoized
+	// ancestor evaluations.
+	auth, abac := s.authorizer(ctx, v), &lazyABAC{}
 	for _, name := range req.Names {
-		if err := s.resolveOne(ctx, auth, v, ms, req, resp, name, false, 0); err != nil {
+		if err := s.resolveOne(ctx, auth, abac, v, ms, req, resp, name, false, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -83,7 +84,7 @@ func (s *Service) Resolve(ctx Ctx, req ResolveRequest) (resp *ResolveResponse, e
 // maxViewDepth bounds nested-view recursion.
 const maxViewDepth = 32
 
-func (s *Service) resolveOne(ctx Ctx, auth privilege.Authorizer, v versionedReader, ms *metaState, req ResolveRequest, resp *ResolveResponse, full string, viaView bool, depth int) error {
+func (s *Service) resolveOne(ctx Ctx, auth privilege.Authorizer, abac *lazyABAC, v versionedReader, ms *metaState, req ResolveRequest, resp *ResolveResponse, full string, viaView bool, depth int) error {
 	if depth > maxViewDepth {
 		return fmt.Errorf("%w: view nesting deeper than %d", ErrInvalidArgument, maxViewDepth)
 	}
@@ -100,7 +101,7 @@ func (s *Service) resolveOne(ctx Ctx, auth privilege.Authorizer, v versionedRead
 	man, _ := s.reg.Manifest(e.Type)
 	if !viaView {
 		// Directly referenced: the principal needs the read privilege.
-		if err := s.authorizeReadWith(ctx, auth, v, chain); err != nil {
+		if err := s.authorizeReadWith(ctx, auth, abac, v, chain); err != nil {
 			return err
 		}
 	}
@@ -114,9 +115,12 @@ func (s *Service) resolveOne(ctx Ctx, auth privilege.Authorizer, v versionedRead
 		ra.Table = spec
 		// Effective FGAC = static policy for this principal + ABAC rules.
 		eff := spec.FGAC.ForPrincipal(ctx.Principal, s.groups.GroupsOf(ctx.Principal))
-		abac := s.abacFGAC(ctx, v, e)
-		eff.RowFilters = append(eff.RowFilters, abac.RowFilters...)
-		eff.ColumnMasks = append(eff.ColumnMasks, abac.ColumnMasks...)
+		dyn, err := s.abacFGAC(ctx, v, abac, e)
+		if err != nil {
+			return err
+		}
+		eff.RowFilters = append(eff.RowFilters, dyn.RowFilters...)
+		eff.ColumnMasks = append(eff.ColumnMasks, dyn.ColumnMasks...)
 		if !eff.Empty() {
 			if !ctx.TrustedEngine {
 				return fmt.Errorf("%w: %s", ErrTrustedEngineRequired, full)
@@ -128,7 +132,7 @@ func (s *Service) resolveOne(ctx Ctx, auth privilege.Authorizer, v versionedRead
 			if viaView {
 				tc, err = s.vendUnchecked(ctx, e, req.Access)
 			} else {
-				tc, err = s.vend(ctx, v, chain, req.Access)
+				tc, err = s.vend(ctx, v, abac, chain, req.Access)
 			}
 			if err != nil {
 				return err
@@ -146,11 +150,11 @@ func (s *Service) resolveOne(ctx Ctx, auth privilege.Authorizer, v versionedRead
 					if err != nil {
 						return err
 					}
-					if err := s.authorizeReadWith(ctx, auth, v, baseChain); err != nil {
+					if err := s.authorizeReadWith(ctx, auth, abac, v, baseChain); err != nil {
 						return fmt.Errorf("%w: shallow clone %s", ErrTrustedEngineRequired, full)
 					}
 				}
-				if err := s.resolveOne(ctx, auth, v, ms, req, resp, base.FullName, true, depth+1); err != nil {
+				if err := s.resolveOne(ctx, auth, abac, v, ms, req, resp, base.FullName, true, depth+1); err != nil {
 					return err
 				}
 			}
@@ -169,11 +173,11 @@ func (s *Service) resolveOne(ctx Ctx, auth privilege.Authorizer, v versionedRead
 			if derr != nil {
 				return fmt.Errorf("view %s: %w", full, derr)
 			}
-			userCanRead := s.authorizeReadWith(ctx, auth, v, depChain) == nil
+			userCanRead := s.authorizeReadWith(ctx, auth, abac, v, depChain) == nil
 			if !userCanRead && !ctx.TrustedEngine {
 				return fmt.Errorf("%w: view %s over %s", ErrTrustedEngineRequired, full, dep)
 			}
-			if err := s.resolveOne(ctx, auth, v, ms, req, resp, dep, !userCanRead, depth+1); err != nil {
+			if err := s.resolveOne(ctx, auth, abac, v, ms, req, resp, dep, !userCanRead, depth+1); err != nil {
 				return err
 			}
 		}
@@ -190,17 +194,17 @@ func (s *Service) resolveOne(ctx Ctx, auth privilege.Authorizer, v versionedRead
 			if derr != nil {
 				return fmt.Errorf("function %s: %w", full, derr)
 			}
-			userCanRead := s.authorizeReadWith(ctx, auth, v, depChain) == nil
+			userCanRead := s.authorizeReadWith(ctx, auth, abac, v, depChain) == nil
 			if !userCanRead && !ctx.TrustedEngine {
 				return fmt.Errorf("%w: function %s over %s", ErrTrustedEngineRequired, full, dep)
 			}
-			if err := s.resolveOne(ctx, auth, v, ms, req, resp, dep, !userCanRead, depth+1); err != nil {
+			if err := s.resolveOne(ctx, auth, abac, v, ms, req, resp, dep, !userCanRead, depth+1); err != nil {
 				return err
 			}
 		}
 	case erm.TypeVolume, erm.TypeRegisteredModel, erm.TypeModelVersion:
 		if req.WithCredentials && e.StoragePath != "" && man != nil && man.DataReadPrivilege != "" {
-			tc, err := s.vend(ctx, v, chain, req.Access)
+			tc, err := s.vend(ctx, v, abac, chain, req.Access)
 			if err != nil {
 				return err
 			}

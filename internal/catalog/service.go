@@ -502,8 +502,9 @@ func (s *Service) chainOf(ctx Ctx, r erm.Reader, e *erm.Entity, op string) ([]*e
 
 // check authorizes priv on the last securable of chain (with container
 // gating) including dynamic ABAC grants, and records the decision in the
-// audit log. The chain is what the workspace bindings are checked on.
-func (s *Service) check(ctx Ctx, r versionedReader, priv privilege.Privilege, chain []*erm.Entity, op string) error {
+// audit log. The chain is what the workspace bindings are checked on; abac
+// holds r's rules.
+func (s *Service) check(ctx Ctx, r versionedReader, abac *lazyABAC, priv privilege.Privilege, chain []*erm.Entity, op string) error {
 	id := leaf(chain).ID
 	if err := checkWorkspaceBinding(ctx, chain); err != nil {
 		s.audit.Append(audit.Record{
@@ -515,7 +516,7 @@ func (s *Service) check(ctx Ctx, r versionedReader, priv privilege.Privilege, ch
 	}
 	d := s.authorizer(ctx, r).Check(priv, id)
 	if !d.Allowed {
-		if s.abacGrants(ctx, r, priv, id) {
+		if s.abacGrants(ctx, r, abac, priv, id) {
 			d.Allowed = true
 			d.Reason = "abac grant"
 		}

@@ -502,18 +502,19 @@ func TagIdxKey(key string, sec ids.ID, column string) string {
 // TagIdxPrefix is the scan prefix for all securables carrying tag key.
 func TagIdxPrefix(key string) string { return key + "\x00" }
 
-// TagIdxSecurable recovers the securable ID from an inverted-index key.
-func TagIdxSecurable(idxKey string) (ids.ID, bool) {
+// TagIdxParts recovers the securable ID and the column ("" for an
+// entity-level tag) from an inverted-index key.
+func TagIdxParts(idxKey string) (sec ids.ID, column string, ok bool) {
 	i := strings.IndexByte(idxKey, 0)
 	if i < 0 {
-		return "", false
+		return "", "", false
 	}
 	rest := idxKey[i+1:]
 	j := strings.IndexByte(rest, 0)
 	if j < 0 {
-		return "", false
+		return "", "", false
 	}
-	return ids.ID(rest[:j]), true
+	return ids.ID(rest[:j]), rest[j+1:], true
 }
 
 // PutEntity writes the entity record and its indexes inside tx.

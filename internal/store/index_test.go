@@ -337,6 +337,9 @@ func TestScanDifferential(t *testing.T) {
 						if got := snap.Count(table, pfx); got != len(want) {
 							t.Fatalf("v%d Count(%s,%q): %d vs %d", v, table, pfx, got, len(want))
 						}
+						if got, err := db.ScanRangeAt("ms", v, table, pfx, "", "", 0); err != nil || !reflect.DeepEqual(got, want) {
+							t.Fatalf("v%d ScanRangeAt(%s, prefix %q): %d rows, %v; naive %d rows", v, table, pfx, len(got), err, len(want))
+						}
 					}
 					for _, p := range probe {
 						for _, limit := range []int{0, 1, 3, 1000} {
@@ -346,6 +349,10 @@ func TestScanDifferential(t *testing.T) {
 								t.Fatalf("v%d ScanRange(%s,%q,%q,%d): indexed %d rows, naive %d rows",
 									v, table, p.start, p.end, limit, len(got), len(want))
 							}
+							if at, err := db.ScanRangeAt("ms", v, table, "", p.start, p.end, limit); err != nil || !reflect.DeepEqual(at, want) {
+								t.Fatalf("v%d ScanRangeAt(%s,%q,%q,%d): %d rows, %v; naive %d rows",
+									v, table, p.start, p.end, limit, len(at), err, len(want))
+							}
 						}
 					}
 				}
@@ -354,6 +361,9 @@ func TestScanDifferential(t *testing.T) {
 			// Probe the latest version plus a spread of historical ones.
 			last := versions[len(versions)-1]
 			checkAt(last)
+			if _, err := db.ScanRangeAt("ms", last+1, "entity", "", "", "", 0); err == nil {
+				t.Fatal("ScanRangeAt read past the current version")
+			}
 			for _, v := range []uint64{versions[10], versions[40], versions[80], versions[110]} {
 				checkAt(v)
 			}

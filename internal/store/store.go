@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -641,7 +642,8 @@ func (s *Snapshot) Get(table, key string) ([]byte, bool) {
 // Scan returns all live (key, value) pairs in table whose key starts with
 // prefix, in ascending key order, as of the snapshot version.
 func (s *Snapshot) Scan(table, prefix string) []KV {
-	return s.ScanRange(table, prefix, PrefixEnd(prefix), 0)
+	out, _ := s.db.scanRange(s.ms, s.Version, table, prefix, "", "", 0)
+	return out
 }
 
 // ScanRange returns up to limit live (key, value) pairs in table with keys
@@ -651,20 +653,48 @@ func (s *Snapshot) Scan(table, prefix string) []KV {
 // the store-level cursor primitive for paginated listings. A bounded scan
 // sizes its result once, at its first row; an empty one returns nil.
 func (s *Snapshot) ScanRange(table, start, end string, limit int) []KV {
-	s.db.simulateRead()
+	out, _ := s.db.scanRange(s.ms, s.Version, table, "", start, end, limit)
+	return out
+}
+
+// ScanRangeAt is Snapshot.ScanRange at version v of the metastore over the
+// keys with prefix: those in [start, end) that have it, so Scan(prefix) is
+// ScanRangeAt(prefix, "", "", 0). It opens no snapshot: the read runs under
+// one hold of the state lock, and no commit can prune a version while it is
+// held. v must be at or below the current version. It fails as SnapshotAt
+// would.
+func (db *DB) ScanRangeAt(msID string, v uint64, table, prefix, start, end string, limit int) ([]KV, error) {
+	if err := db.fault("db.snapshot", msID); err != nil {
+		return nil, err
+	}
+	ms, err := db.metastore(msID)
+	if err != nil {
+		return nil, err
+	}
+	return db.scanRange(ms, v, table, prefix, start, end, limit)
+}
+
+// scanRange is the one body of Snapshot.Scan/ScanRange and ScanRangeAt.
+func (db *DB) scanRange(ms *metastore, v uint64, table, prefix, start, end string, limit int) ([]KV, error) {
+	db.simulateRead()
 	t0 := time.Now()
-	s.ms.stateMu.RLock()
+	ms.stateMu.RLock()
+	if v > ms.version {
+		cur := ms.version
+		ms.stateMu.RUnlock()
+		return nil, fmt.Errorf("store: scan version %d beyond current %d", v, cur)
+	}
 	var out []KV
-	s.db.scanLiveLocked(s.ms, table, start, end, s.Version, func(k string, v []byte) bool {
+	db.scanLiveLocked(ms, table, prefix, start, end, v, func(k string, val []byte) bool {
 		if out == nil && limit > 0 {
-			out = make([]KV, 0, min(limit, s.ms.indexes[table].size))
+			out = make([]KV, 0, min(limit, ms.indexes[table].size))
 		}
-		out = append(out, KV{Key: k, Value: v})
+		out = append(out, KV{Key: k, Value: val})
 		return limit <= 0 || len(out) < limit
 	})
-	s.ms.stateMu.RUnlock()
-	s.db.scanNs.ObserveDuration(time.Since(t0))
-	return out
+	ms.stateMu.RUnlock()
+	db.scanNs.ObserveDuration(time.Since(t0))
+	return out, nil
 }
 
 // Count returns the number of live keys in table with the given prefix.
@@ -673,7 +703,7 @@ func (s *Snapshot) Count(table, prefix string) int {
 	s.ms.stateMu.RLock()
 	defer s.ms.stateMu.RUnlock()
 	n := 0
-	s.db.scanLiveLocked(s.ms, table, prefix, PrefixEnd(prefix), s.Version, func(string, []byte) bool {
+	s.db.scanLiveLocked(s.ms, table, prefix, "", "", s.Version, func(string, []byte) bool {
 		n++
 		return true
 	})
@@ -715,18 +745,20 @@ func PrefixEnd(prefix string) string {
 }
 
 // scanLiveLocked is the one scan implementation behind Snapshot.Scan/Count/
-// ScanRange and Tx.Scan/ScanRange: it walks live (key, value) pairs of
-// table at version v with keys in [start, end) in ascending order, calling
-// fn until it returns false. The table's ordered index serves it as a
-// descent plus bounded walk. Caller holds ms.stateMu.
-func (db *DB) scanLiveLocked(ms *metastore, table, start, end string, v uint64, fn func(k string, val []byte) bool) {
+// ScanRange, ScanRangeAt and Tx.Scan/ScanRange: it walks live (key, value)
+// pairs of table at version v with keys in [start, end) that have prefix, in
+// ascending order, calling fn until it returns false. A prefix bounds its
+// range without an end key: the keys ascend from it, and the first without it
+// ends them. The table's ordered index serves it as a descent plus bounded
+// walk. Caller holds ms.stateMu.
+func (db *DB) scanLiveLocked(ms *metastore, table, prefix, start, end string, v uint64, fn func(k string, val []byte) bool) {
 	idx := ms.indexes[table]
 	if idx == nil {
 		return
 	}
 	db.indexScans.Inc()
-	idx.ascend(start, func(k string, r *record) bool {
-		if end != "" && k >= end {
+	idx.ascend(max(start, prefix), func(k string, r *record) bool {
+		if !strings.HasPrefix(k, prefix) || end != "" && k >= end {
 			return false
 		}
 		if val, live := r.at(v); live {
@@ -961,7 +993,7 @@ func (tx *Tx) ScanRange(table, start, end string, limit int) []KV {
 	}
 	oi := 0
 	more := true
-	tx.db.scanLiveLocked(tx.ms, table, start, end, tx.base, func(k string, val []byte) bool {
+	tx.db.scanLiveLocked(tx.ms, table, "", start, end, tx.base, func(k string, val []byte) bool {
 		for oi < len(okeys) && okeys[oi] < k {
 			if w := overlay[okeys[oi]]; !w.deleted {
 				if !emit(okeys[oi], w.value) {
