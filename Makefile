@@ -18,10 +18,10 @@ test:
 # the cache, store, catalog, or audit concurrency machinery, the fault
 # injector, or the retry paths. The packages listed after internal/chaos
 # joined in PR 17, all passing already: they are a gate, not a bug hunt. The
-# last line repeats the cache's concurrent
-# differential test (local and foreign writers racing the version CAS) and
-# its sequenced-vs-applied regression test twenty times: that pair was a
-# 4-in-10 tier-1 flake until PR 14 and must not come back unnoticed. With
+# last line repeats the cache's concurrent differential test (local and
+# foreign writers racing each other's write-throughs), a write sequenced
+# behind an unapplied foreign commit, and two local write-throughs run out of
+# order twenty times: the first two were once a 4-in-10 tier-1 flake. With
 # them go the tag-search test (a 1-in-2 flake until PR 15: the event outran
 # the state it described) and the event log's Subscribe/Cancel-vs-Publish
 # stress (2 s a run; the fan-out before PR 15 panicked within milliseconds),
@@ -76,7 +76,7 @@ race:
 		./internal/clock/... \
 		./internal/ids/... \
 		./uc/...
-	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll|TestPackedRingMatchesReference|TestNoEdgeOutlivesItsAssets' \
+	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestLocalWritesInstallOutOfOrder|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll|TestPackedRingMatchesReference|TestNoEdgeOutlivesItsAssets' \
 		./internal/cache/ ./internal/search/ ./internal/events/ ./internal/catalog/ ./internal/privilege/ ./internal/obs/ ./internal/lineage/
 
 # Who holds the resident bytes: builds 2,000 tables through uc.Open with

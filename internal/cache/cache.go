@@ -7,8 +7,8 @@
 //
 //   - A cache node *owns* one or more metastores and caches only those.
 //     Ownership is best effort and not exclusive: two nodes may cache the
-//     same metastore and correctness is preserved by optimistic version
-//     checks against the database.
+//     same metastore. The database's serializable transaction is what makes
+//     a write correct; the cache only writes through.
 //   - Each owned metastore has an in-memory *known version*. The invariant
 //     is that every cached record's newest version is the latest as of the
 //     known version.
@@ -16,19 +16,20 @@
 //     misses fall through to the database; before caching the result, the
 //     node validates that its known version is still the database's current
 //     version, reconciling otherwise.
-//   - Writes go through UpdateCAS: commit conditioned on the known version.
-//     On success the written records are inserted into the cache at the new
-//     version (write-through); on a version mismatch — another node wrote —
-//     the node reconciles and retries.
-//   - A node hears of another node's commit in two ways, both synchronous:
-//     it asks — NewView compares the known version with the database's, and
-//     a view's first miss does so again — or a write of its own loses the
-//     version CAS. So a view opens at the database's current version, and a
+//   - A write commits once, at whatever version the database sequences it.
+//     Then the node reconciles up to the version before it and installs the
+//     written records at its version (write-through) — unless a reconcile
+//     already passed it, which invalidated those records.
+//   - A node hears of another node's commit by asking, synchronously:
+//     NewView compares the known version with the database's, a view's first
+//     miss does so again, and a write of its own reconciles up to its
+//     version. So a view opens at the database's current version, and a
 //     warm node does not go on serving hits at a version another node has
 //     replaced. Nothing is pushed to a node.
 //   - Reconciliation is selective: the node consults the store's change log
 //     and invalidates only the records that changed. It evicts everything
-//     for the metastore only when the log no longer covers its known version.
+//     for the metastore only when the log no longer covers its known version
+//     or cannot be read.
 //   - Two eviction mechanisms bound memory: an LRU policy evicts
 //     unpopular records with all their versions, and old versions of
 //     popular records are pruned lazily once past the API-timeout horizon,
@@ -153,7 +154,6 @@ type Metrics struct {
 	FullReconciles      int64
 	SelectiveReconciles int64
 	Evictions           int64
-	WriteConflicts      int64
 	// DegradedReads counts reads served from stale cached data while the
 	// database was unavailable; DegradedMisses counts degraded reads that
 	// found nothing cached; DegradedDenied counts reads refused because the
@@ -182,7 +182,6 @@ type counters struct {
 	fullReconciles      obs.Counter
 	selectiveReconciles obs.Counter
 	evictions           obs.Counter
-	writeConflicts      obs.Counter
 	degradedReads       obs.Counter
 	degradedMisses      obs.Counter
 	degradedDenied      obs.Counter
@@ -418,7 +417,6 @@ func (c *Cache) Metrics() Metrics {
 		FullReconciles:      c.metrics.fullReconciles.Load(),
 		SelectiveReconciles: c.metrics.selectiveReconciles.Load(),
 		Evictions:           c.metrics.evictions.Load(),
-		WriteConflicts:      c.metrics.writeConflicts.Load(),
 		DegradedReads:       c.metrics.degradedReads.Load(),
 		DegradedMisses:      c.metrics.degradedMisses.Load(),
 		DegradedDenied:      c.metrics.degradedDenied.Load(),
@@ -438,7 +436,6 @@ func (c *Cache) RegisterMetrics(r *obs.Registry) {
 	r.RegisterCounter("uc_cache_full_reconciles_total", "Full (evict-everything) reconciliations.", &c.metrics.fullReconciles)
 	r.RegisterCounter("uc_cache_selective_reconciles_total", "Change-log-driven selective reconciliations.", &c.metrics.selectiveReconciles)
 	r.RegisterCounter("uc_cache_evictions_total", "Records evicted by the cache policy.", &c.metrics.evictions)
-	r.RegisterCounter("uc_cache_write_conflicts_total", "Optimistic writes retried after a version conflict.", &c.metrics.writeConflicts)
 	r.RegisterCounter("uc_cache_degraded_reads_total", "Reads served from stale cache during a database outage.", &c.metrics.degradedReads)
 	r.RegisterCounter("uc_cache_degraded_misses_total", "Degraded reads that found nothing cached.", &c.metrics.degradedMisses)
 	r.RegisterCounter("uc_cache_degraded_denied_total", "Degraded reads refused past the staleness bound.", &c.metrics.degradedDenied)
@@ -533,40 +530,41 @@ func (c *Cache) owner(msID string) (*msCache, error) {
 	return m, nil
 }
 
-// reconcileAllLocked brings the metastore cache up to the database's current
-// version: it invalidates exactly what the change log names, and evicts
-// everything only when the log has been trimmed past the known version.
-// Caller must hold every shard lock (lockAll).
-func (c *Cache) reconcileAllLocked(msID string, m *msCache) error {
-	dbV, err := c.db.Version(msID)
-	if err != nil {
-		c.noteDBError(m, err)
-		return err
-	}
-	c.noteDBSuccess(m)
+// reconcileAllLocked brings the metastore cache up to version target, which
+// the database has applied: it invalidates exactly what the change log names
+// in (known, target] and sets the known version to target. A log trimmed past
+// the known version, or any error reading it, evicts everything instead. A
+// target at or below the known version changes nothing. Caller must hold
+// every shard lock (lockAll).
+func (c *Cache) reconcileAllLocked(msID string, m *msCache, target uint64) error {
 	known := m.knownVersion.Load()
-	if dbV == known {
+	if target <= known {
 		return nil
 	}
 	changes, err := c.db.ChangesSince(msID, known)
 	if err == nil {
-		invalidateChangesLocked(m, changes)
-		m.knownVersion.Store(dbV)
+		invalidateChangesLocked(m, changes, target)
+		m.knownVersion.Store(target)
 		c.metrics.selectiveReconciles.Add(1)
 		return nil
 	}
-	if !errors.Is(err, store.ErrChangeLogTrimmed) {
-		return err
-	}
-	evictAllLocked(m, dbV)
+	evictAllLocked(m, target)
 	c.metrics.fullReconciles.Add(1)
-	return nil
+	if errors.Is(err, store.ErrChangeLogTrimmed) {
+		return nil
+	}
+	c.noteDBError(m, err)
+	return err
 }
 
-// invalidateChangesLocked drops exactly the cached records named by changes.
-// Caller must hold every shard lock (lockAll).
-func invalidateChangesLocked(m *msCache, changes []store.Change) {
+// invalidateChangesLocked drops exactly the cached records named by the
+// changes at or below version target. Caller must hold every shard lock
+// (lockAll).
+func invalidateChangesLocked(m *msCache, changes []store.Change, target uint64) {
 	for _, ch := range changes {
+		if ch.Version > target {
+			return
+		}
 		rk := cacheKey{ch.Table, ch.Key}
 		sh := m.shardFor(rk)
 		if _, ok := sh.records[rk]; ok {
@@ -715,11 +713,12 @@ func (c *Cache) catchUp(sc obs.SpanContext, msID string, m *msCache) error {
 		c.noteDBSuccess(m)
 		return nil
 	}
+	c.noteDBSuccess(m)
 	_, span := sc.StartDetail("cache.reconcile", msID)
 	defer span.End()
 	m.lockAll()
 	defer m.unlockAll()
-	return c.reconcileAllLocked(msID, m)
+	return c.reconcileAllLocked(msID, m, dbV)
 }
 
 // pinOnMiss validates the known version against the database (reconciling
@@ -1184,6 +1183,13 @@ func (c *Cache) insertShardLocked(m *msCache, sh *shard, rk cacheKey, cv cachedV
 		sh.records[rk] = rec
 		m.entries.Add(1)
 	}
+	if n := len(rec.versions); n > 0 && rec.versions[n-1].version == cv.version {
+		// A second fill of the same version (a miss that began before the
+		// first one's flight closed) holds the same bytes; the cached slot
+		// may already hold their decoded form, which readers share.
+		rec.touch(c.now())
+		return
+	}
 	// Keep versions ascending; drop any version >= cv.version (shouldn't
 	// happen, but reconciliation races are possible when disabled checks
 	// are off) and versions older than the retention horizon except the
@@ -1263,25 +1269,21 @@ func victimLocked(sh *shard) (victim cacheKey, ok bool) {
 	return victim, ok
 }
 
-// maxWriteRetries bounds how many times one Update may lose its version CAS
-// to a commit that was already visible, that is, how often the node's known
-// version may prove stale. Losing to a commit that is sequenced but not yet
-// applied is not counted: the retry blocks until it applies, so such rounds
-// neither spin nor repeat. maxWriteRounds caps those too, so a writer facing
-// an endless stream of foreign commits fails rather than waiting forever.
-const (
-	maxWriteRetries = 16
-	maxWriteRounds  = 64 * maxWriteRetries
-)
-
 // Update runs fn in a serializable write transaction with write-through
-// caching. It retries on version conflicts caused by other cache nodes.
+// caching. Everything the write depends on, fn checks in the transaction.
 func (c *Cache) Update(msID string, fn func(tx *store.Tx) error) (uint64, error) {
 	return c.UpdateT(obs.SpanContext{}, msID, fn)
 }
 
 // UpdateT is Update with a trace context, propagated into the store so the
 // commit's sequence/wal/apply phases appear in the request's trace.
+//
+// The commit is the database's; the cache only follows it. The store applies
+// commits in version order, so when it returns newV every version up to newV
+// is applied. If the known version is behind newV, the node reconciles up to
+// newV-1 and installs the captured writes at newV. Otherwise a reconcile has
+// already passed newV and invalidated those records, and nothing is
+// installed.
 func (c *Cache) UpdateT(sc obs.SpanContext, msID string, fn func(tx *store.Tx) error) (uint64, error) {
 	if c.opts.Disabled {
 		return c.db.UpdateT(sc, msID, fn)
@@ -1292,58 +1294,37 @@ func (c *Cache) UpdateT(sc obs.SpanContext, msID string, fn func(tx *store.Tx) e
 	}
 	m.writers.Add(1)
 	defer m.writers.Add(-1)
-	for stale, rounds := 0, 0; stale < maxWriteRetries && rounds < maxWriteRounds; rounds++ {
-		known := m.knownVersion.Load()
-
-		var captured []store.Write
-		newV, err := c.db.UpdateCAST(sc, msID, known, func(tx *store.Tx) error {
-			if err := fn(tx); err != nil {
-				return err
-			}
-			captured = tx.Writes()
-			return nil
-		})
-		if errors.Is(err, store.ErrVersionMismatch) {
-			c.metrics.writeConflicts.Add(1)
-			// The CAS is checked against the sequenced version newV, the
-			// reconcile below reads the applied one. Until newV is applied
-			// the reconcile would be a no-op and the retry would lose to the
-			// same commit again, so wait for it to become visible first.
-			waited, werr := c.db.AwaitApplied(msID, newV)
-			if werr != nil {
-				return 0, werr
-			}
-			if !waited {
-				stale++
-			}
-			if rerr := c.catchUp(sc, msID, m); rerr != nil {
-				return 0, rerr
-			}
-			continue
+	var captured []store.Write
+	newV, err := c.db.UpdateT(sc, msID, func(tx *store.Tx) error {
+		if err := fn(tx); err != nil {
+			return err
 		}
-		if err != nil {
-			c.noteDBError(m, err)
-			return 0, err
-		}
-		c.noteDBSuccess(m)
-		if newV == known {
-			return newV, nil // read-only transaction
-		}
-		// Write-through: install the new versions and advance known version.
-		m.lockAll()
-		if m.knownVersion.Load() == known {
-			now := c.now()
-			for _, w := range captured {
-				rk := cacheKey{w.Table, w.Key}
-				c.insertShardLocked(m, m.shardFor(rk), rk, cachedVersion{version: newV, value: w.Value, deleted: w.Deleted, cachedAt: now})
-			}
-			m.knownVersion.Store(newV)
-		}
-		m.unlockAll()
-		c.maybeEvict(m)
-		return newV, nil
+		captured = tx.Writes()
+		return nil
+	})
+	if err != nil {
+		c.noteDBError(m, err)
+		return 0, err
 	}
-	return 0, fmt.Errorf("cache: update on %s kept losing its version check (bounds: %d visible commits, %d rounds)", msID, maxWriteRetries, maxWriteRounds)
+	c.noteDBSuccess(m)
+	if len(captured) == 0 {
+		return newV, nil // read-only transaction
+	}
+	m.lockAll()
+	if m.knownVersion.Load() < newV {
+		// An error here evicted everything up to newV-1 (and is noted);
+		// installing at newV is sound either way.
+		_ = c.reconcileAllLocked(msID, m, newV-1)
+		now := c.now()
+		for _, w := range captured {
+			rk := cacheKey{w.Table, w.Key}
+			c.insertShardLocked(m, m.shardFor(rk), rk, cachedVersion{version: newV, value: w.Value, deleted: w.Deleted, cachedAt: now})
+		}
+		m.knownVersion.Store(newV)
+	}
+	m.unlockAll()
+	c.maybeEvict(m)
+	return newV, nil
 }
 
 // Refresh forces the metastore cache to reconcile with the database. Used

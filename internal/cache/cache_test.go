@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -132,17 +133,14 @@ func TestTwoNodesConflictAndReconcile(t *testing.T) {
 	b.Own("m")
 
 	a.Update("m", func(tx *store.Tx) error { tx.Put("t", "k", []byte("a1")); return nil })
-	// b's known version (0) is stale; its write must still succeed after
-	// reconciliation and must not lose a's write.
+	// b's known version (0) is stale; its write must still succeed and must
+	// not lose a's write.
 	if _, err := b.Update("m", func(tx *store.Tx) error {
 		got, _ := tx.Get("t", "k")
 		tx.Put("t", "k2", append([]byte("saw:"), got...))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
-	}
-	if m := b.Metrics(); m.WriteConflicts == 0 {
-		t.Fatalf("expected a conflict, got %+v", m)
 	}
 	v, _ := b.NewView("m")
 	if got, _ := v.Get("t", "k2"); string(got) != "saw:a1" {
@@ -163,13 +161,11 @@ func TestTwoNodesConflictAndReconcile(t *testing.T) {
 	va.Close()
 }
 
-// TestUpdateAwaitsSequencedForeignCommit is the regression test for the
-// sequenced-vs-applied gap: the store checks a CAS against the sequenced
-// version, the cache reconciles against the applied one. A foreign commit
-// held between the two (here by CommitLatency, in production by the WAL
-// fsync) used to make every reconcile a no-op, so the sixteen retries burned
-// in microseconds and Update failed. It must instead wait for that commit to
-// become visible, reconcile once and win.
+// TestUpdateAwaitsSequencedForeignCommit: a write sequenced behind a foreign
+// commit that is not yet applied (held here by CommitLatency, in production
+// by the WAL fsync) reads it in its transaction, commits after it, and
+// returns only once both are applied. The node then reconciles the foreign
+// commit and installs its own write.
 func TestUpdateAwaitsSequencedForeignCommit(t *testing.T) {
 	db, err := store.Open(store.Options{CommitLatency: 30 * time.Millisecond})
 	if err != nil {
@@ -205,19 +201,95 @@ func TestUpdateAwaitsSequencedForeignCommit(t *testing.T) {
 	if v != 2 {
 		t.Fatalf("update committed at v%d, want 2", v)
 	}
-	if m := c.Metrics(); m.WriteConflicts != 1 {
-		t.Fatalf("lost the CAS %d times to one foreign commit, want 1", m.WriteConflicts)
-	}
 	if err := <-foreign; err != nil {
 		t.Fatal(err)
 	}
 	view, _ := c.NewView("m")
 	defer view.Close()
-	if got, _ := view.Get("t", "local"); string(got) != "saw:f" {
-		t.Fatalf("local = %q, want saw:f", got)
+	before := c.Metrics()
+	if got, _ := view.Get("t", "local"); view.Version() != 2 || string(got) != "saw:f" {
+		t.Fatalf("local at v%d = %q, want saw:f at v2", view.Version(), got)
+	}
+	if m := c.Metrics(); m.Hits != before.Hits+1 || m.Misses != before.Misses {
+		t.Fatalf("the write-through was not installed: %+v", m)
 	}
 	expectAtViewVersion(t, db, view, "t", "foreign")
 	expectAtViewVersion(t, db, view, "t", "local")
+}
+
+// gateClock runs the armed function at its first reading after arm.
+type gateClock struct {
+	clock.Clock
+	gate atomic.Pointer[func()]
+}
+
+func (c *gateClock) Now() time.Time {
+	if f := c.gate.Swap(nil); f != nil {
+		(*f)()
+	}
+	return c.Clock.Now()
+}
+
+func (c *gateClock) arm(f func()) { c.gate.Store(&f) }
+
+// TestLocalWritesInstallOutOfOrder: two local writes commit at v2 and v3,
+// and v3's write-through runs first. It must not leave v2's keys cached as
+// they were at v1: every view reads what the store has at its version, before
+// v2's write-through runs and after, which installs nothing.
+func TestLocalWritesInstallOutOfOrder(t *testing.T) {
+	db := newDB(t)
+	clk := &gateClock{Clock: clock.Real{}}
+	c := New(db, Options{Clock: clk})
+	c.Own("m")
+	put := func(k, val string) func(tx *store.Tx) error {
+		return func(tx *store.Tx) error { tx.Put("t", k, []byte(val)); return nil }
+	}
+	if _, err := c.Update("m", func(tx *store.Tx) error {
+		tx.Put("t", "k1", []byte("a0"))
+		tx.Put("t", "k2", []byte("b0"))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	old, _ := c.NewView("m")
+	defer old.Close()
+	expectAtViewVersion(t, db, old, "t", "k1")
+	expectAtViewVersion(t, db, old, "t", "k2")
+	check := func(wantV uint64) {
+		t.Helper()
+		v, _ := c.NewView("m")
+		defer v.Close()
+		for _, view := range []*View{old, v} {
+			expectAtViewVersion(t, db, view, "t", "k1")
+			expectAtViewVersion(t, db, view, "t", "k2")
+		}
+		if v.Version() != wantV {
+			t.Fatalf("view at v%d, want v%d", v.Version(), wantV)
+		}
+	}
+
+	// The first write reads the cache's clock first when its commit has
+	// returned: hold it there, committed at v2 and not installed.
+	held, release := make(chan struct{}), make(chan struct{})
+	clk.arm(func() { close(held); <-release })
+	first := make(chan error, 1)
+	go func() {
+		v, err := c.Update("m", put("k1", "a1"))
+		if err == nil && v != 2 {
+			err = fmt.Errorf("first write committed at v%d, want v2", v)
+		}
+		first <- err
+	}()
+	<-held
+	if v, err := c.Update("m", put("k2", "b2")); err != nil || v != 3 {
+		t.Fatalf("second write: v%d, %v; want v3", v, err)
+	}
+	check(3)
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	check(3)
 }
 
 func TestSelectiveReconcileKeepsUnchangedEntries(t *testing.T) {
@@ -579,8 +651,7 @@ func TestFreshViewSeesOtherNodesWrites(t *testing.T) {
 }
 
 // TestViewOpenedDuringLocalWriteDoesNotReconcile: between a local commit's
-// apply and its write-through the database is ahead of the known version, and
-// a foreign commit in that time would fail the next write's CAS anyway. A
+// apply and its write-through the database is ahead of the known version. A
 // view opened then (here from a commit hook, which runs exactly in that
 // window) must not reconcile: it would invalidate the records the write is
 // about to install and make the write-through skip them.

@@ -149,10 +149,11 @@ func sameKVs(a, b []store.KV) bool {
 // TestSelectiveVsFullDifferential checks the cache against its oracle, the
 // database's own snapshot at the view's pinned version: under a randomized
 // seeded write workload with concurrent local and foreign writers, while the
-// cache reconciles selectively (every conflict and first-miss validation) and
-// in full (a reader forces ReconcileFull, the evict-all a trimmed change log
-// causes), every read must equal db.SnapshotAt(view.Version()), mid-flight
-// and at quiescence. Run under -race and -count=20 by `make race`.
+// cache reconciles selectively (every write-through behind a foreign commit
+// and every first-miss validation) and in full (a reader forces
+// ReconcileFull, the evict-all a trimmed change log causes), every read must
+// equal db.SnapshotAt(view.Version()), mid-flight and at quiescence. Run
+// under -race and -count=20 by `make race`.
 func TestSelectiveVsFullDifferential(t *testing.T) {
 	db, err := store.Open(store.Options{
 		// Retain deep history so a view pinned a few versions back can
@@ -185,8 +186,8 @@ func TestSelectiveVsFullDifferential(t *testing.T) {
 			defer wwg.Done()
 			r := rand.New(rand.NewSource(int64(1000 + w)))
 			// Writers alternate between the cache's write-through path and
-			// the raw store, so the cache both loses CAS races to and must
-			// reconcile past foreign writes.
+			// the raw store, so the cache's writes both commit behind and
+			// must reconcile past foreign writes.
 			for i := 0; i < writesEach; i++ {
 				tbl, k := key(r)
 				val := []byte(fmt.Sprintf("w%d-i%d", w, i))

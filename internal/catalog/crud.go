@@ -51,9 +51,6 @@ func (s *Service) CreateAsset(ctx Ctx, req CreateRequest) (e *erm.Entity, err er
 		}
 	}
 
-	ms.writeMu.Lock()
-	defer ms.writeMu.Unlock()
-
 	v, err := s.view(ctx)
 	if err != nil {
 		return nil, err
@@ -127,6 +124,10 @@ func (s *Service) CreateAsset(ctx Ctx, req CreateRequest) (e *erm.Entity, err er
 
 	group := groupFor(s.reg, req.Type)
 	_, err = s.cache.UpdateT(ctx.Trace, ctx.Metastore, func(tx *store.Tx) error {
+		// The parent may have been deleted or renamed since v.
+		if !s.liveIn(tx, parent) {
+			return fmt.Errorf("%w: %s", ErrNotFound, parentLabel(parent))
+		}
 		// Name uniqueness within the group.
 		if _, exists := tx.Get(erm.TableName, erm.NameKey(group, parent.ID, req.Name)); exists {
 			return fmt.Errorf("%w: %s %q in %s", ErrAlreadyExists, req.Type, req.Name, parentLabel(parent))
@@ -287,16 +288,14 @@ type UpdateRequest struct {
 }
 
 // UpdateAsset applies an update after validating field rules from the
-// manifest and authorizing the write (owner changes require ownership).
+// manifest and authorizing the write (owner changes require ownership). The
+// patch applies to the entity as the transaction reads it.
 func (s *Service) UpdateAsset(ctx Ctx, full string, req UpdateRequest) (e *erm.Entity, err error) {
 	defer func() { s.apiAudit(ctx, "UpdateAsset", entityID(e), false, err) }()
 	ms, err := s.meta(ctx.Metastore)
 	if err != nil {
 		return nil, err
 	}
-	ms.writeMu.Lock()
-	defer ms.writeMu.Unlock()
-
 	v, err := s.view(ctx)
 	if err != nil {
 		return nil, err
@@ -336,53 +335,62 @@ func (s *Service) UpdateAsset(ctx Ctx, full string, req UpdateRequest) (e *erm.E
 			return nil, fmt.Errorf("%w: comment longer than %d", ErrInvalidArgument, fr.MaxLen)
 		}
 	}
+	// A table's row filters and column masks are policy, not metadata: the
+	// write privilege may change its columns, not what it hides. Whether the
+	// spec changes them is known only in the transaction.
+	mayChangeFGAC := req.Spec != nil && e.Type == erm.TypeTable && s.authorizer(ctx, v).IsOwner(e.ID)
+	fgacChanged := false
+	now := s.clk.Now()
 
-	updated := e.Clone()
-	if req.Comment != nil {
-		updated.Comment = *req.Comment
-	}
-	if req.Owner != nil {
-		updated.Owner = *req.Owner
-	}
-	if req.Properties != nil {
-		if updated.Properties == nil {
-			updated.Properties = map[string]string{}
-		}
-		for k, val := range req.Properties {
-			if val == "" {
-				delete(updated.Properties, k)
-			} else {
-				updated.Properties[k] = val
-			}
-		}
-	}
-	if req.Spec != nil {
-		if err := updated.EncodeSpec(req.Spec); err != nil {
-			return nil, err
-		}
-		if err := checkSpec(updated, req.Spec); err != nil {
-			return nil, err
-		}
-		// A table's row filters and column masks are policy, not metadata:
-		// the write privilege may change its columns, not what it hides.
-		if e.Type == erm.TypeTable && !sameFGAC(e, updated) {
-			if err := s.checkOwner(ctx, v, e.ID, "UpdateFGAC"); err != nil {
-				return nil, err
-			}
-		}
-	}
-	updated.UpdatedAt = s.clk.Now()
-
+	var updated *erm.Entity
 	_, err = s.cache.UpdateT(ctx.Trace, ctx.Metastore, func(tx *store.Tx) error {
-		if _, ok := erm.GetEntity(tx, e.ID); !ok {
+		cur, ok := erm.GetEntity(tx, e.ID)
+		if !ok || cur.State == erm.StateSoftDeleted {
 			return fmt.Errorf("%w: %s", ErrNotFound, full)
 		}
-		if err := erm.UpdateEntity(tx, updated); err != nil {
+		if req.Comment != nil {
+			cur.Comment = *req.Comment
+		}
+		if req.Owner != nil {
+			cur.Owner = *req.Owner
+		}
+		if req.Properties != nil {
+			if cur.Properties == nil {
+				cur.Properties = map[string]string{}
+			}
+			for k, val := range req.Properties {
+				if val == "" {
+					delete(cur.Properties, k)
+				} else {
+					cur.Properties[k] = val
+				}
+			}
+		}
+		if req.Spec != nil {
+			before := *cur
+			if err := cur.EncodeSpec(req.Spec); err != nil {
+				return err
+			}
+			if err := checkSpec(cur, req.Spec); err != nil {
+				return err
+			}
+			if cur.Type == erm.TypeTable && !sameFGAC(&before, cur) {
+				if fgacChanged = true; !mayChangeFGAC {
+					return errNotOwner
+				}
+			}
+		}
+		cur.UpdatedAt = now
+		if err := erm.UpdateEntity(tx, cur); err != nil {
 			return err
 		}
-		stageEvent(tx, ctx, events.OpUpdate, updated, "")
+		stageEvent(tx, ctx, events.OpUpdate, cur, "")
+		updated = cur
 		return nil
 	})
+	if fgacChanged {
+		s.auditOwner(ctx, e.ID, "UpdateFGAC", mayChangeFGAC)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -468,8 +476,6 @@ func (s *Service) RenameAsset(ctx Ctx, full, newName string) (e *erm.Entity, err
 	if err != nil {
 		return nil, err
 	}
-	ms.writeMu.Lock()
-	defer ms.writeMu.Unlock()
 	v, err := s.view(ctx)
 	if err != nil {
 		return nil, err
@@ -485,30 +491,34 @@ func (s *Service) RenameAsset(ctx Ctx, full, newName string) (e *erm.Entity, err
 	if err := s.checkOwner(ctx, v, cur.ID, "RenameAsset"); err != nil {
 		return nil, err
 	}
-	live := 0
-	for _, c := range erm.ListChildren(v, cur.ID, "") {
-		if c.State != erm.StateSoftDeleted {
-			live++
-		}
-	}
-	if live > 0 {
-		return nil, fmt.Errorf("%w: cannot rename %s with %d children", ErrNotEmpty, full, live)
-	}
 
 	group := groupFor(s.reg, cur.Type)
-	renamed := cur.Clone()
-	renamed.Name = newName
-	if i := strings.LastIndex(cur.FullName, "."); i >= 0 {
-		renamed.FullName = cur.FullName[:i+1] + newName
-	} else {
-		renamed.FullName = newName
-	}
-	renamed.UpdatedAt = s.clk.Now()
-
+	now := s.clk.Now()
+	var renamed *erm.Entity
 	_, err = s.cache.UpdateT(ctx.Trace, ctx.Metastore, func(tx *store.Tx) error {
+		var ok bool
+		if renamed, ok = erm.GetEntity(tx, cur.ID); !ok || renamed.State == erm.StateSoftDeleted || renamed.Name != cur.Name {
+			return fmt.Errorf("%w: %s", ErrNotFound, full)
+		}
+		live := 0
+		for _, c := range erm.ListChildren(tx, cur.ID, "") {
+			if c.State != erm.StateSoftDeleted {
+				live++
+			}
+		}
+		if live > 0 {
+			return fmt.Errorf("%w: cannot rename %s with %d children", ErrNotEmpty, full, live)
+		}
 		if _, taken := tx.Get(erm.TableName, erm.NameKey(group, cur.ParentID, newName)); taken {
 			return fmt.Errorf("%w: %s %q", ErrAlreadyExists, cur.Type, newName)
 		}
+		renamed.Name = newName
+		if i := strings.LastIndex(renamed.FullName, "."); i >= 0 {
+			renamed.FullName = renamed.FullName[:i+1] + newName
+		} else {
+			renamed.FullName = newName
+		}
+		renamed.UpdatedAt = now
 		tx.Delete(erm.TableName, erm.NameKey(group, cur.ParentID, cur.Name))
 		tx.Put(erm.TableName, erm.NameKey(group, cur.ParentID, newName), erm.IDValue(cur.ID))
 		if err := erm.UpdateEntity(tx, renamed); err != nil {
@@ -585,8 +595,6 @@ func (s *Service) SetWorkspaceBindings(ctx Ctx, catalogName string, workspaces [
 	if err != nil {
 		return err
 	}
-	ms.writeMu.Lock()
-	defer ms.writeMu.Unlock()
 	v, err := s.view(ctx)
 	if err != nil {
 		return err
@@ -602,17 +610,21 @@ func (s *Service) SetWorkspaceBindings(ctx Ctx, catalogName string, workspaces [
 	if err := s.checkOwner(ctx, v, e.ID, "SetWorkspaceBindings"); err != nil {
 		return err
 	}
-	var spec CatalogSpec
-	if err := e.DecodeSpec(&spec); err != nil {
-		return err
-	}
-	spec.WorkspaceBindings = workspaces
-	upd := e.Clone()
-	if err := upd.EncodeSpec(&spec); err != nil {
-		return err
-	}
-	upd.UpdatedAt = s.clk.Now()
+	now := s.clk.Now()
 	_, err = s.cache.UpdateT(ctx.Trace, ctx.Metastore, func(tx *store.Tx) error {
+		upd, ok := erm.GetEntity(tx, e.ID)
+		if !ok || upd.State == erm.StateSoftDeleted {
+			return fmt.Errorf("%w: %s", ErrNotFound, catalogName)
+		}
+		var spec CatalogSpec
+		if err := upd.DecodeSpec(&spec); err != nil {
+			return err
+		}
+		spec.WorkspaceBindings = workspaces
+		if err := upd.EncodeSpec(&spec); err != nil {
+			return err
+		}
+		upd.UpdatedAt = now
 		if err := erm.UpdateEntity(tx, upd); err != nil {
 			return err
 		}

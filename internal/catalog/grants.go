@@ -23,8 +23,6 @@ func (s *Service) Grant(ctx Ctx, full string, p privilege.Principal, priv privil
 	if !privilege.ValidPrivilege(string(priv)) {
 		return fmt.Errorf("%w: unknown privilege %q", ErrInvalidArgument, priv)
 	}
-	ms.writeMu.Lock()
-	defer ms.writeMu.Unlock()
 	v, err := s.view(ctx)
 	if err != nil {
 		return err
@@ -56,6 +54,9 @@ func (s *Service) Grant(ctx Ctx, full string, p privilege.Principal, priv privil
 		return err
 	}
 	_, err = s.cache.UpdateT(ctx.Trace, ctx.Metastore, func(tx *store.Tx) error {
+		if !s.liveIn(tx, e) {
+			return fmt.Errorf("%w: %s", ErrNotFound, full)
+		}
 		tx.Put(erm.TableGrant, erm.GrantKey(e.ID, p, priv), b)
 		stageEvent(tx, ctx, events.OpGrant, e, fmt.Sprintf("%s to %s", priv, p))
 		return nil
@@ -73,8 +74,6 @@ func (s *Service) Revoke(ctx Ctx, full string, p privilege.Principal, priv privi
 	if err != nil {
 		return err
 	}
-	ms.writeMu.Lock()
-	defer ms.writeMu.Unlock()
 	v, err := s.view(ctx)
 	if err != nil {
 		return err
@@ -89,6 +88,9 @@ func (s *Service) Revoke(ctx Ctx, full string, p privilege.Principal, priv privi
 		return err
 	}
 	_, err = s.cache.UpdateT(ctx.Trace, ctx.Metastore, func(tx *store.Tx) error {
+		if !s.liveIn(tx, e) {
+			return fmt.Errorf("%w: %s", ErrNotFound, full)
+		}
 		key := erm.GrantKey(e.ID, p, priv)
 		if _, ok := tx.Get(erm.TableGrant, key); !ok {
 			return fmt.Errorf("%w: no such grant", ErrNotFound)
@@ -161,8 +163,6 @@ func (s *Service) SetTag(ctx Ctx, full, column, key, value string) (err error) {
 	if err != nil {
 		return err
 	}
-	ms.writeMu.Lock()
-	defer ms.writeMu.Unlock()
 	v, err := s.view(ctx)
 	if err != nil {
 		return err
@@ -181,6 +181,9 @@ func (s *Service) SetTag(ctx Ctx, full, column, key, value string) (err error) {
 		tagKey = erm.ColumnTagKey(e.ID, column, key)
 	}
 	_, err = s.cache.UpdateT(ctx.Trace, ctx.Metastore, func(tx *store.Tx) error {
+		if !s.liveIn(tx, e) {
+			return fmt.Errorf("%w: %s", ErrNotFound, full)
+		}
 		tx.Put(erm.TableTag, tagKey, []byte(value))
 		tx.Put(erm.TableTagIdx, erm.TagIdxKey(key, e.ID, column), []byte(value))
 		stageEvent(tx, ctx, events.OpTag, e, key+"="+value)
@@ -197,8 +200,6 @@ func (s *Service) UnsetTag(ctx Ctx, full, column, key string) (err error) {
 	if err != nil {
 		return err
 	}
-	ms.writeMu.Lock()
-	defer ms.writeMu.Unlock()
 	v, err := s.view(ctx)
 	if err != nil {
 		return err
@@ -217,6 +218,9 @@ func (s *Service) UnsetTag(ctx Ctx, full, column, key string) (err error) {
 		tagKey = erm.ColumnTagKey(e.ID, column, key)
 	}
 	_, err = s.cache.UpdateT(ctx.Trace, ctx.Metastore, func(tx *store.Tx) error {
+		if !s.liveIn(tx, e) {
+			return fmt.Errorf("%w: %s", ErrNotFound, full)
+		}
 		if _, ok := tx.Get(erm.TableTag, tagKey); !ok {
 			return fmt.Errorf("%w: tag %s", ErrNotFound, key)
 		}
@@ -305,20 +309,18 @@ func (s *Service) CreateABACRule(ctx Ctx, scopeFull string, rule privilege.ABACR
 	default:
 		return rule, fmt.Errorf("%w: unknown ABAC action %q", ErrInvalidArgument, rule.Action)
 	}
-	ms.writeMu.Lock()
-	defer ms.writeMu.Unlock()
 	v, err := s.view(ctx)
 	if err != nil {
 		return rule, err
 	}
 	defer v.Close()
 	scope := ms.info.EntityID
+	var scopeEntity *erm.Entity
 	if scopeFull != "" {
-		e, err := s.resolveEntity(v, ms, scopeFull)
-		if err != nil {
+		if scopeEntity, err = s.resolveEntity(v, ms, scopeFull); err != nil {
 			return rule, err
 		}
-		scope = e.ID
+		scope = scopeEntity.ID
 	}
 	if err := s.checkOwner(ctx, v, scope, "CreateABACRule"); err != nil {
 		return rule, err
@@ -330,6 +332,9 @@ func (s *Service) CreateABACRule(ctx Ctx, scopeFull string, rule privilege.ABACR
 		return rule, err
 	}
 	_, err = s.cache.UpdateT(ctx.Trace, ctx.Metastore, func(tx *store.Tx) error {
+		if scopeEntity != nil && !s.liveIn(tx, scopeEntity) {
+			return fmt.Errorf("%w: %s", ErrNotFound, scopeFull)
+		}
 		tx.Put(erm.TableABAC, string(rule.ID), b)
 		stageEvent(tx, ctx, events.OpUpdate, nil, "abac rule "+rule.Name)
 		return nil
@@ -343,12 +348,9 @@ func (s *Service) CreateABACRule(ctx Ctx, scopeFull string, rule privilege.ABACR
 // DeleteABACRule removes a rule by ID.
 func (s *Service) DeleteABACRule(ctx Ctx, ruleID ids.ID) (err error) {
 	defer func() { s.apiAudit(ctx, "DeleteABACRule", ruleID, false, err) }()
-	ms, err := s.meta(ctx.Metastore)
-	if err != nil {
+	if _, err := s.meta(ctx.Metastore); err != nil {
 		return err
 	}
-	ms.writeMu.Lock()
-	defer ms.writeMu.Unlock()
 	v, err := s.view(ctx)
 	if err != nil {
 		return err
@@ -366,6 +368,9 @@ func (s *Service) DeleteABACRule(ctx Ctx, ruleID ids.ID) (err error) {
 		return err
 	}
 	_, err = s.cache.UpdateT(ctx.Trace, ctx.Metastore, func(tx *store.Tx) error {
+		if _, ok := tx.Get(erm.TableABAC, string(ruleID)); !ok {
+			return fmt.Errorf("%w: abac rule %s", ErrNotFound, ruleID.Short())
+		}
 		tx.Delete(erm.TableABAC, string(ruleID))
 		return nil
 	})

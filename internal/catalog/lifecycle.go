@@ -25,8 +25,6 @@ func (s *Service) DeleteAsset(ctx Ctx, full string, force bool) (err error) {
 	if err != nil {
 		return err
 	}
-	ms.writeMu.Lock()
-	defer ms.writeMu.Unlock()
 	v, err := s.view(ctx)
 	if err != nil {
 		return err
@@ -44,7 +42,6 @@ func (s *Service) DeleteAsset(ctx Ctx, full string, force bool) (err error) {
 	now := s.clk.Now()
 	var deleted []*erm.Entity
 	_, err = s.cache.UpdateT(ctx.Trace, ctx.Metastore, func(tx *store.Tx) error {
-		deleted = deleted[:0]
 		if err := s.softDeleteTree(tx, e.ID, force, now, &deleted); err != nil {
 			return err
 		}
@@ -96,12 +93,10 @@ func (s *Service) softDeleteTree(tx *store.Tx, id ids.ID, force bool, now time.T
 		}
 	}
 	group := groupFor(s.reg, e.Type)
-	upd := e.Clone()
-	upd.State = erm.StateSoftDeleted
-	t := now
-	upd.DeletedAt = &t
-	upd.UpdatedAt = now
-	if err := erm.UpdateEntity(tx, upd); err != nil {
+	e.State = erm.StateSoftDeleted
+	e.DeletedAt = &now
+	e.UpdatedAt = now
+	if err := erm.UpdateEntity(tx, e); err != nil {
 		return err
 	}
 	// Free the name and path for reuse; keep the child index so GC can
@@ -119,7 +114,7 @@ func (s *Service) softDeleteTree(tx *store.Tx, id ids.ID, force bool, now time.T
 		tx.Delete(erm.TableGrant, kv.Key)
 	}
 	erm.DeleteEdges(tx, e.ID)
-	*out = append(*out, upd)
+	*out = append(*out, e)
 	return nil
 }
 
@@ -131,44 +126,49 @@ type GCResult struct {
 
 // RunGC purges soft-deleted entities older than the retention period with
 // their tags, grants, lineage edges and — for managed assets — cloud storage,
-// and orphaned records whose parents vanished, with theirs.
+// and orphaned records whose parents vanished, with theirs. A view picks the
+// candidates; the transaction purges those it still finds doomed.
 func (s *Service) RunGC(msID string) (GCResult, error) {
 	var res GCResult
-	ms, err := s.meta(msID)
-	if err != nil {
+	if _, err := s.meta(msID); err != nil {
 		return res, err
 	}
-	ms.writeMu.Lock()
-	defer ms.writeMu.Unlock()
-
 	v, err := s.viewMS(msID)
 	if err != nil {
 		return res, err
 	}
 	cutoff := s.clk.Now().Add(-s.gcRetention)
-	var victims []*erm.Entity
-	for _, e := range erm.DecodeEntityRows(v.ScanRange(erm.TableEntity, "", "", 0)) {
-		if e == nil {
-			continue
-		}
+	doomed := func(r erm.Reader, e *erm.Entity) bool {
 		if e.State == erm.StateSoftDeleted && e.DeletedAt != nil && e.DeletedAt.Before(cutoff) {
-			victims = append(victims, e)
-			continue
+			return true
 		}
-		// Orphan check: a live entity whose parent record is gone.
-		if e.ParentID != ids.Nil {
-			if _, ok := erm.GetEntity(v, e.ParentID); !ok {
-				victims = append(victims, e)
-			}
+		// Orphan check: an entity whose parent record is gone.
+		if e.ParentID == ids.Nil {
+			return false
+		}
+		_, ok := erm.GetEntity(r, e.ParentID)
+		return !ok
+	}
+	var candidates []ids.ID
+	for _, e := range erm.DecodeEntityRows(v.ScanRange(erm.TableEntity, "", "", 0)) {
+		if e != nil && doomed(v, e) {
+			candidates = append(candidates, e.ID)
 		}
 	}
 	v.Close()
-	if len(victims) == 0 {
+	if len(candidates) == 0 {
 		return res, nil
 	}
 
+	var victims []*erm.Entity
 	_, err = s.cache.Update(msID, func(tx *store.Tx) error {
-		for _, e := range victims {
+		for _, id := range candidates {
+			// Another node may have restored it, or its parent, since v.
+			e, ok := erm.GetEntity(tx, id)
+			if !ok || !doomed(tx, e) {
+				continue
+			}
+			victims = append(victims, e)
 			group := groupFor(s.reg, e.Type)
 			erm.DeleteEntity(tx, e, group)
 			for _, kv := range tx.Scan(erm.TableTag, erm.TagPrefix(e.ID)) {
@@ -209,56 +209,51 @@ func (s *Service) RunGC(msID string) (GCResult, error) {
 // still free and its parent is alive.
 func (s *Service) Undelete(ctx Ctx, id ids.ID) (e *erm.Entity, err error) {
 	defer func() { s.apiAudit(ctx, "Undelete", id, false, err) }()
-	ms, err := s.meta(ctx.Metastore)
-	if err != nil {
+	if _, err := s.meta(ctx.Metastore); err != nil {
 		return nil, err
 	}
-	ms.writeMu.Lock()
-	defer ms.writeMu.Unlock()
 	v, err := s.view(ctx)
 	if err != nil {
 		return nil, err
 	}
+	defer v.Close()
 	cur, ok := erm.GetEntity(v, id)
-	v.Close()
 	if !ok {
 		return nil, fmt.Errorf("%w: entity %s", ErrNotFound, id.Short())
 	}
-	if cur.State != erm.StateSoftDeleted {
-		return nil, fmt.Errorf("%w: entity %s is not deleted", ErrInvalidArgument, id.Short())
-	}
-	vv, err := s.view(ctx)
-	if err != nil {
-		return nil, err
-	}
-	err = s.checkOwner(ctx, vv, cur.ParentID, "Undelete")
-	vv.Close()
-	if err != nil {
+	if err := s.checkOwner(ctx, v, cur.ParentID, "Undelete"); err != nil {
 		return nil, err
 	}
 
-	group := groupFor(s.reg, cur.Type)
-	restored := cur.Clone()
-	restored.State = erm.StateActive
-	restored.DeletedAt = nil
-	restored.UpdatedAt = s.clk.Now()
+	now := s.clk.Now()
+	var restored *erm.Entity
 	_, err = s.cache.UpdateT(ctx.Trace, ctx.Metastore, func(tx *store.Tx) error {
-		parent, ok := erm.GetEntity(tx, cur.ParentID)
+		if restored, ok = erm.GetEntity(tx, id); !ok {
+			return fmt.Errorf("%w: entity %s", ErrNotFound, id.Short())
+		}
+		if restored.State != erm.StateSoftDeleted {
+			return fmt.Errorf("%w: entity %s is not deleted", ErrInvalidArgument, id.Short())
+		}
+		parent, ok := erm.GetEntity(tx, restored.ParentID)
 		if !ok || parent.State == erm.StateSoftDeleted {
-			return fmt.Errorf("%w: parent of %s is gone", ErrNotFound, cur.FullName)
+			return fmt.Errorf("%w: parent of %s is gone", ErrNotFound, restored.FullName)
 		}
-		if _, taken := tx.Get(erm.TableName, erm.NameKey(group, cur.ParentID, cur.Name)); taken {
-			return fmt.Errorf("%w: name %s was reused", ErrAlreadyExists, cur.Name)
+		group := groupFor(s.reg, restored.Type)
+		if _, taken := tx.Get(erm.TableName, erm.NameKey(group, restored.ParentID, restored.Name)); taken {
+			return fmt.Errorf("%w: name %s was reused", ErrAlreadyExists, restored.Name)
 		}
-		if cur.StoragePath != "" {
-			if cur.Type == erm.TypeExternalLocation {
-				if err := checkExtLocFree(tx, cur.StoragePath); err != nil {
+		if restored.StoragePath != "" {
+			if restored.Type == erm.TypeExternalLocation {
+				if err := checkExtLocFree(tx, restored.StoragePath); err != nil {
 					return err
 				}
-			} else if err := checkPathFree(tx, cur.StoragePath); err != nil {
+			} else if err := checkPathFree(tx, restored.StoragePath); err != nil {
 				return err
 			}
 		}
+		restored.State = erm.StateActive
+		restored.DeletedAt = nil
+		restored.UpdatedAt = now
 		if err := erm.PutEntity(tx, restored, group); err != nil {
 			return err
 		}

@@ -25,12 +25,9 @@ type LineageNode struct {
 // written again, so a call that adds nothing commits nothing.
 func (s *Service) SubmitLineage(ctx Ctx, edges []erm.Edge) (err error) {
 	defer func() { s.apiAudit(ctx, "SubmitLineage", ids.Nil, false, err) }()
-	ms, err := s.meta(ctx.Metastore)
-	if err != nil {
+	if _, err := s.meta(ctx.Metastore); err != nil {
 		return err
 	}
-	ms.writeMu.Lock()
-	defer ms.writeMu.Unlock()
 	v, err := s.view(ctx)
 	if err != nil {
 		return err

@@ -84,12 +84,6 @@ type Service struct {
 // metaState is per-metastore in-memory state owned by this service node.
 type metaState struct {
 	info MetastoreInfo
-	// writeMu serializes this node's writes to the metastore, each held from
-	// the view it validates against through its commit, WAL wait included, so
-	// one node's writes to one metastore never share a WAL batch. Writes on
-	// other nodes do not take it: what a write must not race is checked again
-	// inside its transaction.
-	writeMu sync.Mutex
 }
 
 // New assembles a Service. Missing optional dependencies get defaults.
@@ -534,16 +528,32 @@ func (s *Service) check(ctx Ctx, r versionedReader, abac *lazyABAC, priv privile
 
 // checkOwner requires administrative rights over id.
 func (s *Service) checkOwner(ctx Ctx, r versionedReader, id ids.ID, op string) error {
-	ok := s.authorizer(ctx, r).IsOwner(id)
+	return s.auditOwner(ctx, id, op, s.authorizer(ctx, r).IsOwner(id))
+}
+
+// errNotOwner is an ownership check's denial.
+var errNotOwner = fmt.Errorf("%w: requires ownership or MANAGE", ErrPermissionDenied)
+
+// auditOwner records the ownership decision ok for op on id and returns its
+// denial, if it is one.
+func (s *Service) auditOwner(ctx Ctx, id ids.ID, op string, ok bool) error {
 	s.audit.Append(audit.Record{
 		Kind: audit.KindAuthz, Metastore: ctx.Metastore, Principal: string(ctx.Principal),
 		Operation: op, Securable: id, Allowed: ok, ReadOnly: true, Detail: "ownership",
 		TraceID: ctx.Trace.TraceID(),
 	})
 	if !ok {
-		return fmt.Errorf("%w: requires ownership or MANAGE", ErrPermissionDenied)
+		return errNotOwner
 	}
 	return nil
+}
+
+// liveIn reports whether e, resolved on a view, is still live in tx under the
+// name it was resolved by: its name row still names it. Deleting or renaming
+// e removes that row. It decodes nothing.
+func (s *Service) liveIn(tx *store.Tx, e *erm.Entity) bool {
+	id, ok := erm.LookupID(tx, erm.TableName, erm.NameKey(groupFor(s.reg, e.Type), e.ParentID, e.Name))
+	return ok && id == e.ID
 }
 
 // SetUsage attaches (or with nil detaches) the per-tenant usage meter.
@@ -572,8 +582,7 @@ func errDetail(err error) string {
 
 // stagedEvent is the note a catalog write attaches to its transaction. The
 // commit hook turns it into an events.Event if and only if the commit
-// applies — a retried CAS closure stages fresh notes, a failed commit
-// publishes nothing.
+// applies: a failed commit publishes nothing.
 type stagedEvent struct {
 	op        events.Op
 	entityID  ids.ID

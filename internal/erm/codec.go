@@ -121,10 +121,10 @@ package erm
 //   - shared: every request that reads that record at that version, on any
 //     goroutine, holds the same *Entity;
 //   - immutable: no field, no Properties entry and no byte of Spec may be
-//     written, exactly as the bytes View.Get returns may not. Clone is how a
-//     writer gets an entity of its own (UpdateAsset, RenameAsset,
-//     SetWorkspaceBindings, Undelete), and a transaction reads through its
-//     store.Tx, which keeps decoding privately (softDeleteTree);
+//     written, exactly as the bytes View.Get returns may not. A writer gets
+//     an entity of its own by reading it through its store.Tx, which keeps
+//     decoding privately (UpdateAsset, RenameAsset, softDeleteTree), or by
+//     Clone;
 //   - as long-lived as its cached version: eviction, reconciliation and
 //     version pruning drop the entity with the record, a commit installs the
 //     next version with nothing decoded, and a request still holding the

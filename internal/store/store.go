@@ -9,9 +9,8 @@
 //     the database as of a single metastore version;
 //   - serializable writes at metastore granularity: write transactions on a
 //     metastore execute one at a time and each successful commit increments
-//     the metastore version by one;
-//   - optimistic concurrency for cache owners: UpdateCAS commits only if the
-//     metastore version still equals the caller's expected version;
+//     the metastore version by one; whatever a write depends on, it checks
+//     inside its transaction;
 //   - a bounded change log per metastore so caches can reconcile selectively
 //     (ChangesSince) instead of evicting everything.
 //
@@ -41,7 +40,6 @@ import (
 var (
 	ErrNoMetastore      = errors.New("store: metastore does not exist")
 	ErrMetastoreExists  = errors.New("store: metastore already exists")
-	ErrVersionMismatch  = errors.New("store: metastore version mismatch")
 	ErrChangeLogTrimmed = errors.New("store: change log no longer covers requested version")
 	ErrClosed           = errors.New("store: database is closed")
 )
@@ -117,7 +115,7 @@ func (r *record) at(v uint64) ([]byte, bool) {
 }
 
 // pendingCommit is a commit that has been sequenced (assigned a version,
-// conflict-checked, enqueued to the WAL) but not yet applied to the
+// enqueued to the WAL) but not yet applied to the
 // in-memory state. Transactions sequencing after it read its writes through
 // the overlay in Tx.Get/Scan; snapshots never see it (durability before
 // visibility).
@@ -127,8 +125,8 @@ type pendingCommit struct {
 }
 
 type metastore struct {
-	// mu is the sequencing lock: it serializes conflict detection, the
-	// user's transaction function, version assignment, and WAL enqueue —
+	// mu is the sequencing lock: it serializes the user's transaction
+	// function, version assignment, and WAL enqueue —
 	// but not WAL I/O, simulated commit latency, or state application,
 	// which happen after it is released. That is the commit pipeline: while
 	// commit N awaits its batch ack, commit N+1 can already run its
@@ -161,9 +159,6 @@ type metastore struct {
 	applyMu   sync.Mutex
 	applyCond *sync.Cond
 	applied   uint64 // mirrors version; guarded by applyMu
-	// applyErr is set when a sequenced commit was dropped (WAL failure or
-	// close): applied will never reach nextV again. Guarded by applyMu.
-	applyErr error
 }
 
 // DB is the metadata database.
@@ -188,12 +183,11 @@ type DB struct {
 	// the cache layer's tests use it to verify miss coalescing.
 	reads atomic.Int64
 
-	// commits/conflicts count Update outcomes; commitNs distributes
-	// end-to-end commit latency (sequence through apply). Exposed on
-	// /metrics via RegisterMetrics.
-	commits   obs.Counter
-	conflicts obs.Counter
-	commitNs  *obs.Histogram
+	// commits counts applied commits; commitNs distributes end-to-end commit
+	// latency (sequence through apply). Exposed on /metrics via
+	// RegisterMetrics.
+	commits  obs.Counter
+	commitNs *obs.Histogram
 
 	// indexScans counts scans (all served by the ordered index); scanNs
 	// distributes scan latency.
@@ -345,7 +339,6 @@ func (db *DB) WALErr() error {
 // CommitStats is a point-in-time readout of the commit path.
 type CommitStats struct {
 	Commits   int64                 `json:"commits"`
-	Conflicts int64                 `json:"conflicts"`
 	LatencyNs obs.HistogramSnapshot `json:"latency_ns"`
 }
 
@@ -353,7 +346,6 @@ type CommitStats struct {
 func (db *DB) CommitStats() CommitStats {
 	return CommitStats{
 		Commits:   db.commits.Load(),
-		Conflicts: db.conflicts.Load(),
 		LatencyNs: db.commitNs.Snapshot(),
 	}
 }
@@ -362,7 +354,6 @@ func (db *DB) CommitStats() CommitStats {
 // once per registry per DB.
 func (db *DB) RegisterMetrics(r *obs.Registry) {
 	r.RegisterCounter("uc_store_commits_total", "Committed write transactions.", &db.commits)
-	r.RegisterCounter("uc_store_commit_conflicts_total", "Commits rejected by version CAS.", &db.conflicts)
 	r.RegisterHistogram("uc_store_commit_seconds", "End-to-end commit latency (sequence through apply).", db.commitNs)
 	r.RegisterCounterFunc("uc_store_reads_total", "Snapshot point reads and scans served.", db.ReadCount)
 	r.RegisterCounter("uc_store_index_scans_total", "Scans served by the ordered key index.", &db.indexScans)
@@ -841,8 +832,7 @@ type Tx struct {
 
 // Annotate attaches an opaque note to the transaction. If the transaction
 // commits, every registered CommitHook receives the notes in the order they
-// were added; on retry (e.g. a CAS conflict re-running the closure) the
-// fresh transaction starts with no notes. Callers use this to stage
+// were added. Callers use this to stage
 // higher-level event metadata inside the closure so it is published
 // if-and-only-if the commit applies.
 func (tx *Tx) Annotate(note any) { tx.notes = append(tx.notes, note) }
@@ -1032,33 +1022,21 @@ func (tx *Tx) ScanRange(table, start, end string, limit int) []KV {
 // On success it returns the new metastore version. If fn returns an error,
 // nothing is applied.
 func (db *DB) Update(msID string, fn func(tx *Tx) error) (uint64, error) {
-	return db.update(obs.SpanContext{}, msID, nil, fn)
+	return db.update(obs.SpanContext{}, msID, fn)
 }
 
 // UpdateT is Update with a trace context: the commit records a
 // "store.commit" span with sequence/wal/apply phase children.
 func (db *DB) UpdateT(sc obs.SpanContext, msID string, fn func(tx *Tx) error) (uint64, error) {
-	return db.update(sc, msID, nil, fn)
-}
-
-// UpdateCAS is Update conditioned on the metastore version still being
-// expected at commit time; otherwise it returns ErrVersionMismatch without
-// running fn. This implements the optimistic write protocol the cache uses.
-func (db *DB) UpdateCAS(msID string, expected uint64, fn func(tx *Tx) error) (uint64, error) {
-	return db.update(obs.SpanContext{}, msID, &expected, fn)
-}
-
-// UpdateCAST is UpdateCAS with a trace context.
-func (db *DB) UpdateCAST(sc obs.SpanContext, msID string, expected uint64, fn func(tx *Tx) error) (uint64, error) {
-	return db.update(sc, msID, &expected, fn)
+	return db.update(sc, msID, fn)
 }
 
 // update is the group-commit write path. It runs in four stages:
 //
-//  1. Sequence (under ms.mu): conflict-detect against the sequenced version
-//     nextV, run fn, assign newV = nextV+1, install the write set in the
-//     pending overlay, and enqueue the WAL request — O(write set) work with
-//     no I/O, no fsync, and no simulated latency under the lock.
+//  1. Sequence (under ms.mu): run fn against the sequenced version nextV,
+//     assign newV = nextV+1, install the write set in the pending overlay,
+//     and enqueue the WAL request — O(write set) work with no I/O, no
+//     fsync, and no simulated latency under the lock.
 //  2. Encode + await ack (no locks): encode the WAL entry's frame, then wait
 //     for the writer goroutine's batch ack. N concurrent commits share one
 //     flush, one fsync, and one simulated CommitLatency round trip. With no
@@ -1069,7 +1047,7 @@ func (db *DB) UpdateCAST(sc obs.SpanContext, msID string, expected uint64, fn fu
 //
 // A WAL failure fails this commit and poisons the write path (see wal.go);
 // the pending entry is dropped and the visible version never reaches newV.
-func (db *DB) update(sc obs.SpanContext, msID string, expected *uint64, fn func(tx *Tx) error) (uint64, error) {
+func (db *DB) update(sc obs.SpanContext, msID string, fn func(tx *Tx) error) (uint64, error) {
 	// Fault check before any transaction state exists, modeling a failed
 	// connection: a faulted commit never partially applies.
 	if err := db.fault("db.commit", msID); err != nil {
@@ -1093,12 +1071,6 @@ func (db *DB) update(sc obs.SpanContext, msID string, expected *uint64, fn func(
 	_, seqSpan := sc.Start("store.sequence")
 	ms.mu.Lock()
 	base := ms.nextV
-	if expected != nil && base != *expected {
-		ms.mu.Unlock()
-		seqSpan.End()
-		db.conflicts.Inc()
-		return base, fmt.Errorf("%w: have %d, expected %d", ErrVersionMismatch, base, *expected)
-	}
 	tx := &Tx{db: db, ms: ms, base: base, writes: map[string]map[string]*txWrite{}}
 	if err := fn(tx); err != nil {
 		ms.mu.Unlock()
@@ -1120,7 +1092,7 @@ func (db *DB) update(sc obs.SpanContext, msID string, expected *uint64, fn func(
 	if db.wal != nil {
 		req = newWALReq()
 		if err := db.wal.submit(req); err != nil {
-			ms.dropPending(newV, err)
+			ms.dropPending(newV)
 			ms.mu.Unlock()
 			seqSpan.End()
 			return base, err
@@ -1144,7 +1116,7 @@ func (db *DB) update(sc obs.SpanContext, msID string, expected *uint64, fn func(
 		<-req.done
 		walSpan.End()
 		if req.err != nil {
-			ms.dropPending(newV, req.err)
+			ms.dropPending(newV)
 			return base, req.err
 		}
 	} else {
@@ -1207,48 +1179,16 @@ func (db *DB) update(sc obs.SpanContext, msID string, expected *uint64, fn func(
 // dropPending removes the sequenced-but-unapplied commit v after its WAL
 // write failed or the database closed under it. Later sequenced commits are
 // guaranteed to fail too (the failure is sticky), so the applied version
-// simply never reaches v and no applier waits on it; AwaitApplied callers
-// are released with err.
-func (ms *metastore) dropPending(v uint64, err error) {
+// simply never reaches v and no applier waits on it.
+func (ms *metastore) dropPending(v uint64) {
 	ms.stateMu.Lock()
+	defer ms.stateMu.Unlock()
 	for i, pc := range ms.pending {
 		if pc.version == v {
 			ms.pending = append(ms.pending[:i], ms.pending[i+1:]...)
-			break
+			return
 		}
 	}
-	ms.stateMu.Unlock()
-	ms.applyMu.Lock()
-	if ms.applyErr == nil {
-		ms.applyErr = err
-	}
-	ms.applyCond.Broadcast()
-	ms.applyMu.Unlock()
-}
-
-// AwaitApplied blocks until the metastore's applied (visible) version has
-// reached v, and reports whether it had to wait. UpdateCAS checks its
-// expected version against the *sequenced* version, which runs ahead of the
-// applied one while a commit awaits its WAL ack or its turn to apply; a
-// caller that lost the CAS passes the version the failed call returned, so
-// that its next Version/ChangesSince read includes the commit it lost to.
-// It returns the commit pipeline's error if a sequenced commit was dropped
-// and v can no longer be reached.
-func (db *DB) AwaitApplied(msID string, v uint64) (waited bool, err error) {
-	ms, err := db.metastore(msID)
-	if err != nil {
-		return false, err
-	}
-	ms.applyMu.Lock()
-	defer ms.applyMu.Unlock()
-	for ms.applied < v && ms.applyErr == nil {
-		waited = true
-		ms.applyCond.Wait()
-	}
-	if ms.applied < v {
-		return waited, ms.applyErr
-	}
-	return waited, nil
 }
 
 // pruneLocked drops versions that are neither among the most recent

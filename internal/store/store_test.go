@@ -141,24 +141,6 @@ func TestReadOnlyTransactionDoesNotBumpVersion(t *testing.T) {
 	}
 }
 
-func TestUpdateCAS(t *testing.T) {
-	db := mustOpen(t, Options{})
-	db.CreateMetastore("m")
-	db.Update("m", func(tx *Tx) error { tx.Put("t", "k", []byte("1")); return nil })
-
-	// CAS at the right version succeeds.
-	v, err := db.UpdateCAS("m", 1, func(tx *Tx) error { tx.Put("t", "k", []byte("2")); return nil })
-	if err != nil || v != 2 {
-		t.Fatalf("cas: v=%d err=%v", v, err)
-	}
-	// CAS at a stale version fails without running fn.
-	ran := false
-	_, err = db.UpdateCAS("m", 1, func(tx *Tx) error { ran = true; return nil })
-	if !errors.Is(err, ErrVersionMismatch) || ran {
-		t.Fatalf("stale cas: err=%v ran=%v", err, ran)
-	}
-}
-
 func TestTxReadsOwnWrites(t *testing.T) {
 	db := mustOpen(t, Options{})
 	db.CreateMetastore("m")

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -11,16 +10,15 @@ import (
 )
 
 // TestConcurrentWritersStress is the -race gate for the commit pipeline: 64
-// writers spread across 4 metastores mix Update and UpdateCAS. It asserts
-// the pipeline's core invariants:
+// writers spread across 4 metastores. It asserts the pipeline's core
+// invariants:
 //
 //   - per-metastore versions are handed out contiguously — the sorted set of
 //     versions returned to successful committers is exactly 1..K, so no
 //     commit was lost and none was double-assigned;
 //   - read-modify-write increments are serializable (a shared counter equals
 //     the number of successful increments, i.e. pipelined commits observe
-//     their predecessors' writes);
-//   - CAS conflicts are retried and eventually succeed.
+//     their predecessors' writes).
 func TestConcurrentWritersStress(t *testing.T) {
 	db, err := Open(Options{WALPath: filepath.Join(t.TempDir(), "wal")})
 	if err != nil {
@@ -61,25 +59,7 @@ func TestConcurrentWritersStress(t *testing.T) {
 			defer wg.Done()
 			ms := msIDs[w%metastores]
 			for i := 0; i < iters; i++ {
-				var v uint64
-				var err error
-				if i%2 == 0 {
-					v, err = db.Update(ms, incr)
-				} else {
-					// CAS against the freshest version, retrying on true
-					// conflicts like a real optimistic committer.
-					for {
-						base, verr := db.Version(ms)
-						if verr != nil {
-							err = verr
-							break
-						}
-						v, err = db.UpdateCAS(ms, base, incr)
-						if !errors.Is(err, ErrVersionMismatch) {
-							break
-						}
-					}
-				}
+				v, err := db.Update(ms, incr)
 				if err != nil {
 					t.Errorf("writer %d ms %s: %v", w, ms, err)
 					return
@@ -122,34 +102,6 @@ func TestConcurrentWritersStress(t *testing.T) {
 		if n != increments[ms] {
 			t.Fatalf("ms %s: counter = %d, want %d (lost update)", ms, n, increments[ms])
 		}
-	}
-}
-
-// TestCASNoSpuriousConflicts: a single writer chaining UpdateCAS from each
-// returned version must never see ErrVersionMismatch — conflicts may only be
-// reported when another commit truly intervened.
-func TestCASNoSpuriousConflicts(t *testing.T) {
-	db, err := Open(Options{WALPath: filepath.Join(t.TempDir(), "wal")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.CreateMetastore("m"); err != nil {
-		t.Fatal(err)
-	}
-	var v uint64
-	for i := 0; i < 200; i++ {
-		nv, err := db.UpdateCAS("m", v, func(tx *Tx) error {
-			tx.Put("t", "k", []byte(fmt.Sprintf("%d", i)))
-			return nil
-		})
-		if errors.Is(err, ErrVersionMismatch) {
-			t.Fatalf("iteration %d: spurious version mismatch at expected=%d", i, v)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		v = nv
 	}
 }
 
