@@ -43,6 +43,9 @@ test:
 # And the event ring's packed slots against a plain []Event, delivered to a
 # follower that the log laps. And the store's lineage invariant at every
 # version, with submits racing deletes and restores on one node and on two.
+# And the store's write set against a plain map, each transaction read through
+# the pending overlay while a blocked WAL writer holds it unapplied, a new
+# seed each repetition.
 race:
 	$(GO) test -race -count=1 \
 		./internal/cache/... \
@@ -76,8 +79,8 @@ race:
 		./internal/clock/... \
 		./internal/ids/... \
 		./uc/...
-	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestLocalWritesInstallOutOfOrder|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll|TestPackedRingMatchesReference|TestNoEdgeOutlivesItsAssets' \
-		./internal/cache/ ./internal/search/ ./internal/events/ ./internal/catalog/ ./internal/privilege/ ./internal/obs/ ./internal/lineage/
+	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestLocalWritesInstallOutOfOrder|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll|TestPackedRingMatchesReference|TestNoEdgeOutlivesItsAssets|TestTxWriteSetMatchesReference' \
+		./internal/cache/ ./internal/search/ ./internal/events/ ./internal/catalog/ ./internal/privilege/ ./internal/obs/ ./internal/lineage/ ./internal/store/
 
 # Who holds the resident bytes: builds 2,000 tables through uc.Open with
 # every allocation profiled and prints in-use bytes per internal package,
@@ -114,11 +117,14 @@ heap:
 # (internal/obs, none) and a catalog and a txn event published and delivered
 # to a follower (internal/events, none); then the miss path of a full cache: a
 # point miss that inserts one object and evicts (recorded figure + 10 %) and a
-# cold batch that inserts nothing, the same at 10 keys as at 100, and a
-# view's prefix scan, which allocates its result and nothing else
-# (internal/cache), and a bounded range scan that sizes its result once, an
-# empty one allocating nothing (internal/store). `make test` runs the same
-# gates with the rest of ./...
+# cold batch that inserts nothing, the same at 10 keys as at 100, a view's
+# prefix scan, which allocates its result and nothing else, and a write
+# through a full cache, the store's commit plus one record per write
+# (internal/cache); then a bounded range scan that sizes its result once, an
+# empty one allocating nothing, and a commit of one and of three writes, WAL
+# on and off, at its recorded figure, and a 5,000-write one at most 2.1
+# allocations per write (internal/store). `make test` runs the same gates with
+# the rest of ./...
 allocs:
 	$(GO) test -count=1 -run 'Allocs' -v ./internal/erm/ ./internal/catalog/ ./internal/server/ ./internal/obs/ ./internal/events/ ./internal/cache/ ./internal/store/
 

@@ -155,3 +155,40 @@ func TestViewScanAllocs(t *testing.T) {
 		t.Errorf("a %d-row prefix costs %.0f allocations, its result %.0f", k, prefix, result)
 	}
 }
+
+// TestWriteThroughAllocs: on a full cache, a write through it costs what the
+// store's commit costs plus one object per installed write, the cache's
+// record; the eviction that makes room allocates nothing. The write set the
+// cache installs is the transaction's own, not a copy.
+func TestWriteThroughAllocs(t *testing.T) {
+	const runs, writes = 200, 3
+	c, _ := fullCache(t, 512, 512)
+	keys := make([]string, 2*(runs+1)*writes)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("w%05d", i)
+	}
+	value := []byte("v")
+	next := 0
+	commit := func(tx *store.Tx) error {
+		for i := 0; i < writes; i++ {
+			tx.Put("t", keys[next], value)
+			next++
+		}
+		return nil
+	}
+	// Fresh keys on both sides: the store inserts a record for each.
+	storeOnly := testing.AllocsPerRun(runs, func() {
+		if _, err := c.db.Update("m", commit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	through := testing.AllocsPerRun(runs, func() {
+		if _, err := c.Update("m", commit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("a %d-write commit: %.1f allocations in the store, %.1f through a full cache", writes, storeOnly, through)
+	if through > storeOnly+writes {
+		t.Errorf("a %d-write commit through a full cache costs %.1f allocations, want at most the store's %.1f + %d", writes, through, storeOnly, writes)
+	}
+}

@@ -1281,9 +1281,9 @@ func (c *Cache) Update(msID string, fn func(tx *store.Tx) error) (uint64, error)
 // The commit is the database's; the cache only follows it. The store applies
 // commits in version order, so when it returns newV every version up to newV
 // is applied. If the known version is behind newV, the node reconciles up to
-// newV-1 and installs the captured writes at newV. Otherwise a reconcile has
-// already passed newV and invalidated those records, and nothing is
-// installed.
+// newV-1 and installs the transaction's write set (Tx.Writes, its own slice)
+// at newV. Otherwise a reconcile has already passed newV and invalidated
+// those records, and nothing is installed.
 func (c *Cache) UpdateT(sc obs.SpanContext, msID string, fn func(tx *store.Tx) error) (uint64, error) {
 	if c.opts.Disabled {
 		return c.db.UpdateT(sc, msID, fn)

@@ -659,7 +659,7 @@ func TestViewOpenedDuringLocalWriteDoesNotReconcile(t *testing.T) {
 	db := newDB(t)
 	c := New(db, Options{})
 	c.Own("m")
-	db.AddCommitHook(func(string, uint64, []store.Change, []any) {
+	db.AddCommitHook(func(string, uint64, []any) {
 		v, _ := c.NewView("m")
 		defer v.Close()
 		if dbV, _ := db.Version("m"); dbV != 1 {

@@ -67,7 +67,7 @@ func TestEventOrderUnderConcurrentWriters(t *testing.T) {
 			received = append(received, rcv{version: e.Version, dbAtRcv: dbV})
 		}
 	}()
-	db.AddCommitHook(func(msID string, v uint64, _ []store.Change, notes []any) {
+	db.AddCommitHook(func(msID string, v uint64, notes []any) {
 		bus.Publish(events.Event{Metastore: msID, Version: v, Op: events.OpChange})
 	})
 

@@ -607,12 +607,11 @@ func stageEvent(tx *store.Tx, ctx Ctx, op events.Op, e *erm.Entity, detail strin
 // onCommit is the store commit hook: it publishes one event per staged
 // annotation (or a bare OpChange event for unannotated commits, e.g. raw
 // store writes or another subsystem's commits) onto this node's bus. An event
-// names the entity and the version; it does not carry the commit's change
-// set, which is the transaction's own slice (see store.CommitHook) and which
-// no follower reads — a node that wants the records a commit touched asks
-// the store's change log. It runs inside the store's apply turnstile:
-// publishes are per-metastore version-ordered and strictly after durability.
-func (s *Service) onCommit(msID string, version uint64, _ []store.Change, notes []any) {
+// names the entity and the version, not the records the commit touched: a
+// node that wants those asks the store's change log. It runs inside the
+// store's apply turnstile: publishes are per-metastore version-ordered and
+// strictly after durability.
+func (s *Service) onCommit(msID string, version uint64, notes []any) {
 	now := s.clk.Now()
 	published := false
 	for _, n := range notes {

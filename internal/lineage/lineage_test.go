@@ -281,7 +281,7 @@ func TestNoEdgeOutlivesItsAssets(t *testing.T) {
 			defer db.Close()
 			var commits atomic.Uint64
 			var failed atomic.Bool
-			db.AddCommitHook(func(msID string, v uint64, _ []store.Change, _ []any) {
+			db.AddCommitHook(func(msID string, v uint64, _ []any) {
 				commits.Add(1)
 				snap, err := db.SnapshotAt(msID, v)
 				if err == nil {

@@ -10,7 +10,8 @@ import (
 // TestCommitHookOrderAndContent proves the commit-hook contract under
 // concurrent writers: every applied commit fires exactly one hook call, in
 // strictly increasing version order per metastore, after the commit is
-// visible, with the transaction's ordered change set and notes attached.
+// visible, with the transaction's notes attached and its change already in the
+// change log.
 func TestCommitHookOrderAndContent(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.jsonl")
 	db, err := Open(Options{WALPath: path})
@@ -30,12 +31,15 @@ func TestCommitHookOrderAndContent(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var calls []seen
-	db.AddCommitHook(func(msID string, v uint64, changes []Change, notes []any) {
+	db.AddCommitHook(func(msID string, v uint64, notes []any) {
 		if msID != "ms1" {
 			t.Errorf("hook for unexpected metastore %q", msID)
 		}
-		if len(changes) != 1 {
-			t.Errorf("v%d: want 1 change, got %d", v, len(changes))
+		// The commit's change is in the change log by the time its hook runs.
+		changes, err := db.ChangesSince(msID, v-1)
+		if err != nil || len(changes) != 1 {
+			t.Errorf("v%d: want 1 change, got %d (%v)", v, len(changes), err)
+			return
 		}
 		if changes[0].Version != v || changes[0].Table != "tbl" || changes[0].Deleted {
 			t.Errorf("v%d: change %+v is not the commit's write stamped with its version", v, changes[0])
@@ -112,7 +116,7 @@ func TestCommitHookSkipsFailuresAndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fired int
-	db.AddCommitHook(func(string, uint64, []Change, []any) { fired++ })
+	db.AddCommitHook(func(string, uint64, []any) { fired++ })
 
 	if _, err := db.Update("ms1", func(tx *Tx) error {
 		tx.Put("tbl", "k", []byte("v"))
@@ -143,7 +147,7 @@ func TestCommitHookSkipsFailuresAndReplay(t *testing.T) {
 	}
 	defer db2.Close()
 	var replayFired int
-	db2.AddCommitHook(func(string, uint64, []Change, []any) { replayFired++ })
+	db2.AddCommitHook(func(string, uint64, []any) { replayFired++ })
 	if v, err := db2.Version("ms1"); err != nil || v != 1 {
 		t.Fatalf("replayed version = %d, %v", v, err)
 	}

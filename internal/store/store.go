@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -114,16 +115,6 @@ func (r *record) at(v uint64) ([]byte, bool) {
 	return nil, false
 }
 
-// pendingCommit is a commit that has been sequenced (assigned a version,
-// enqueued to the WAL) but not yet applied to the
-// in-memory state. Transactions sequencing after it read its writes through
-// the overlay in Tx.Get/Scan; snapshots never see it (durability before
-// visibility).
-type pendingCommit struct {
-	version uint64
-	writes  map[string]map[string]*txWrite
-}
-
 type metastore struct {
 	// mu is the sequencing lock: it serializes the user's transaction
 	// function, version assignment, and WAL enqueue —
@@ -150,8 +141,12 @@ type metastore struct {
 	minSnapV uint64
 	// tombs holds deletes that left the change log while a snapshot older
 	// than them was open (reclaimLocked); each later commit retries them.
-	tombs   []Change
-	pending []*pendingCommit // sequenced but unapplied, ascending version
+	tombs []Change
+	// pending holds the transactions sequenced (assigned a version, enqueued
+	// to the WAL) but not yet applied, in ascending version. Transactions
+	// sequencing after them read their writes through Tx.Get/Scan; snapshots
+	// never see them (durability before visibility).
+	pending []*Tx
 
 	// applyMu/applyCond sequence state application: a committer applies
 	// only after version newV-1 has been applied, so the state always
@@ -210,14 +205,13 @@ type DB struct {
 // fire strictly in version order and exactly once per applied commit.
 // Failed commits and WAL-replayed commits fire no hooks.
 //
-// changes is the transaction's own change list with Version filled in, valid
-// only for the duration of the call: a hook that keeps any of it copies what
-// it keeps. notes carries whatever the transaction attached via Tx.Annotate,
-// in order.
+// notes carries whatever the transaction attached via Tx.Annotate, in order.
+// A hook that wants the records the commit touched reads them from the
+// database: ChangesSince(msID, version-1) already holds them.
 // Hooks must not block: the metastore's commit pipeline stalls until every
 // hook returns. Calling back into the DB for reads is safe; committing to
 // the same metastore from a hook deadlocks.
-type CommitHook func(msID string, version uint64, changes []Change, notes []any)
+type CommitHook func(msID string, version uint64, notes []any)
 
 // AddCommitHook registers h for every subsequently applied commit on any
 // metastore. Hooks cannot be removed; register once per consumer.
@@ -417,8 +411,7 @@ func (db *DB) CreateMetastore(id string) error {
 	db.stores[id] = newMetastore(db.opts.ChangeLogSize)
 	db.mu.Unlock()
 	if req != nil {
-		<-req.done
-		return req.err
+		return req.wait()
 	}
 	return nil
 }
@@ -523,8 +516,7 @@ func (db *DB) DropMetastore(id string) error {
 	delete(db.stores, id)
 	db.mu.Unlock()
 	if req != nil {
-		<-req.done
-		return req.err
+		return req.wait()
 	}
 	return nil
 }
@@ -821,14 +813,37 @@ func (s *Snapshot) Close() {
 
 // Tx is a read-write transaction. Reads observe the transaction's snapshot
 // plus its own uncommitted writes. Tx is not safe for concurrent use.
+//
+// A transaction is one flat write set, and that set is everything its commit
+// needs: fn buffers into it, transactions sequenced after it read it as their
+// overlay until it applies (a sequenced Tx is its own pending entry), its WAL
+// frame is encoded from it, the apply installs it, and Writes hands it to the
+// cache. A Tx is never pooled or reused: the cache and the commit hooks read
+// its slices after it commits.
 type Tx struct {
 	db      *DB
 	ms      *metastore
 	base    uint64
-	writes  map[string]map[string]*txWrite // table -> key -> write
-	ordered []Change                       // write order for the change log/WAL
-	notes   []any                          // opaque annotations for commit hooks
+	version uint64  // assigned when the transaction is sequenced
+	writes  []Write // first-write order, each key's final value
+	// index finds a key's write once there are more than txScanMax of them;
+	// up to that, a lookup scans writes.
+	index map[txKey]int
+	notes []any  // opaque annotations for commit hooks
+	wal   walReq // the commit's slot in the WAL queue
+
+	// The first writes and the first note are stored in the Tx itself: a
+	// transaction with at most four writes and one note, as nearly every
+	// catalog write is, allocates neither slice.
+	firstWrites [4]Write
+	firstNote   [1]any
 }
+
+type txKey struct{ table, key string }
+
+// txScanMax is the write-set size up to which a lookup scans the slice:
+// nearly every transaction, and no map for any of them.
+const txScanMax = 8
 
 // Annotate attaches an opaque note to the transaction. If the transaction
 // commits, every registered CommitHook receives the notes in the order they
@@ -837,9 +852,20 @@ type Tx struct {
 // if-and-only-if the commit applies.
 func (tx *Tx) Annotate(note any) { tx.notes = append(tx.notes, note) }
 
-type txWrite struct {
-	value   []byte
-	deleted bool
+// find returns the position of (table, key) in the write set, or -1.
+func (tx *Tx) find(table, key string) int {
+	if tx.index != nil {
+		if i, ok := tx.index[txKey{table, key}]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range tx.writes {
+		if w := &tx.writes[i]; w.Key == key && w.Table == table {
+			return i
+		}
+	}
+	return -1
 }
 
 // Get returns the value of (table, key) as seen by the transaction: its own
@@ -848,28 +874,18 @@ type txWrite struct {
 // version. A commit moving from the overlay into the applied state keeps
 // the same visible value, so repeated reads are stable.
 func (tx *Tx) Get(table, key string) ([]byte, bool) {
-	if t, ok := tx.writes[table]; ok {
-		if w, ok := t[key]; ok {
-			if w.deleted {
-				return nil, false
-			}
-			return w.value, true
-		}
+	if i := tx.find(table, key); i >= 0 {
+		return tx.writes[i].live()
 	}
 	tx.ms.stateMu.RLock()
 	defer tx.ms.stateMu.RUnlock()
 	for i := len(tx.ms.pending) - 1; i >= 0; i-- {
-		pc := tx.ms.pending[i]
-		if pc.version > tx.base {
+		p := tx.ms.pending[i]
+		if p.version > tx.base {
 			continue
 		}
-		if t, ok := pc.writes[table]; ok {
-			if w, ok := t[key]; ok {
-				if w.deleted {
-					return nil, false
-				}
-				return w.value, true
-			}
+		if j := p.find(table, key); j >= 0 {
+			return p.writes[j].live()
 		}
 	}
 	t, ok := tx.ms.tables[table]
@@ -887,32 +903,29 @@ func (tx *Tx) Get(table, key string) ([]byte, bool) {
 func (tx *Tx) Put(table, key string, value []byte) {
 	cp := make([]byte, len(value))
 	copy(cp, value)
-	tx.write(table, key, &txWrite{value: cp})
+	tx.write(table, key, cp, false)
 }
 
 // Delete buffers a deletion of (table, key).
 func (tx *Tx) Delete(table, key string) {
-	tx.write(table, key, &txWrite{deleted: true})
+	tx.write(table, key, nil, true)
 }
 
-func (tx *Tx) write(table, key string, w *txWrite) {
-	t, ok := tx.writes[table]
-	if !ok {
-		t = map[string]*txWrite{}
-		tx.writes[table] = t
+func (tx *Tx) write(table, key string, value []byte, deleted bool) {
+	if i := tx.find(table, key); i >= 0 {
+		tx.writes[i].Value, tx.writes[i].Deleted = value, deleted
+		return
 	}
-	if _, staged := t[key]; !staged {
-		tx.ordered = append(tx.ordered, Change{Table: table, Key: key, Deleted: w.deleted})
-	} else {
-		// Keep the ordered entry's Deleted flag in sync with the final write.
-		for i := range tx.ordered {
-			if tx.ordered[i].Table == table && tx.ordered[i].Key == key {
-				tx.ordered[i].Deleted = w.deleted
-				break
-			}
+	tx.writes = append(tx.writes, Write{Table: table, Key: key, Value: value, Deleted: deleted})
+	switch n := len(tx.writes); {
+	case tx.index != nil:
+		tx.index[txKey{table, key}] = n - 1
+	case n > txScanMax:
+		tx.index = make(map[txKey]int, 2*n)
+		for i := range tx.writes {
+			tx.index[txKey{tx.writes[i].Table, tx.writes[i].Key}] = i
 		}
 	}
-	t[key] = w
 }
 
 // Write is a buffered mutation exposed by Writes.
@@ -923,17 +936,19 @@ type Write struct {
 	Deleted bool
 }
 
-// Writes returns the transaction's buffered mutations in first-write order,
-// with each key's final value. The cache layer uses this to install
-// committed values without re-reading the database.
-func (tx *Tx) Writes() []Write {
-	out := make([]Write, 0, len(tx.ordered))
-	for _, c := range tx.ordered {
-		w := tx.writes[c.Table][c.Key]
-		out = append(out, Write{Table: c.Table, Key: c.Key, Value: w.value, Deleted: w.deleted})
+func (w *Write) live() ([]byte, bool) {
+	if w.Deleted {
+		return nil, false
 	}
-	return out
+	return w.Value, true
 }
+
+// Writes returns the transaction's buffered mutations in first-write order,
+// with each key's final value. It is the transaction's own slice, not a copy:
+// the caller must not write to it. After the transaction function returns it
+// never changes again, so the cache layer installs committed values from it
+// without re-reading the database or copying.
+func (tx *Tx) Writes() []Write { return tx.writes }
 
 // Scan returns live pairs with the key prefix, merging buffered writes and
 // the pipeline overlay over the applied state at the base version.
@@ -943,38 +958,38 @@ func (tx *Tx) Scan(table, prefix string) []KV {
 
 // ScanRange is Snapshot.ScanRange semantics ([start, end), ascending, up to
 // limit) as seen by the transaction: buffered writes, then the pipeline
-// overlay, then the applied state at the base version. The overlay keys are
-// sorted once and merge-joined with the ordered base walk, so early
-// termination at limit does not visit the rest of the range.
+// overlay, then the applied state at the base version. The overlay's writes in
+// the range are sorted once and merge-joined with the ordered base walk, so
+// early termination at limit does not visit the rest of the range.
 func (tx *Tx) ScanRange(table, start, end string, limit int) []KV {
-	inRange := func(k string) bool { return k >= start && (end == "" || k < end) }
-
 	tx.ms.stateMu.RLock()
+	defer tx.ms.stateMu.RUnlock()
 	// Overlay: sequenced-but-unapplied commits at or below base, oldest to
-	// newest so later writes win, then the transaction's own writes.
-	overlay := map[string]*txWrite{}
-	for _, pc := range tx.ms.pending {
-		if pc.version > tx.base {
-			continue
-		}
-		if t, ok := pc.writes[table]; ok {
-			for k, w := range t {
-				if inRange(k) {
-					overlay[k] = w
-				}
+	// newest, then the transaction's own writes. The sort is stable, so of
+	// the writes to one key the last — the newest — ends its run and wins.
+	var overlay []*Write
+	collect := func(ws []Write) {
+		for i := range ws {
+			if w := &ws[i]; w.Table == table && w.Key >= start && (end == "" || w.Key < end) {
+				overlay = append(overlay, w)
 			}
 		}
 	}
-	for k, w := range tx.writes[table] {
-		if inRange(k) {
-			overlay[k] = w
+	for _, p := range tx.ms.pending {
+		if p.version <= tx.base {
+			collect(p.writes)
 		}
 	}
-	okeys := make([]string, 0, len(overlay))
-	for k := range overlay {
-		okeys = append(okeys, k)
+	collect(tx.writes)
+	slices.SortStableFunc(overlay, func(a, b *Write) int { return strings.Compare(a.Key, b.Key) })
+	n := 0
+	for i, w := range overlay {
+		if i+1 == len(overlay) || overlay[i+1].Key != w.Key {
+			overlay[n] = w
+			n++
+		}
 	}
-	sort.Strings(okeys)
+	overlay = overlay[:n]
 
 	var out []KV
 	emit := func(k string, v []byte) bool {
@@ -984,37 +999,36 @@ func (tx *Tx) ScanRange(table, start, end string, limit int) []KV {
 	oi := 0
 	more := true
 	tx.db.scanLiveLocked(tx.ms, table, "", start, end, tx.base, func(k string, val []byte) bool {
-		for oi < len(okeys) && okeys[oi] < k {
-			if w := overlay[okeys[oi]]; !w.deleted {
-				if !emit(okeys[oi], w.value) {
+		for oi < len(overlay) && overlay[oi].Key < k {
+			if w := overlay[oi]; !w.Deleted {
+				if !emit(w.Key, w.Value) {
 					more = false
 					return false
 				}
 			}
 			oi++
 		}
-		if oi < len(okeys) && okeys[oi] == k {
-			w := overlay[okeys[oi]]
+		if oi < len(overlay) && overlay[oi].Key == k {
+			w := overlay[oi]
 			oi++
-			if w.deleted {
+			if w.Deleted {
 				return true
 			}
-			more = emit(k, w.value)
+			more = emit(k, w.Value)
 			return more
 		}
 		more = emit(k, val)
 		return more
 	})
 	if more {
-		for ; oi < len(okeys); oi++ {
-			if w := overlay[okeys[oi]]; !w.deleted {
-				if !emit(okeys[oi], w.value) {
+		for ; oi < len(overlay); oi++ {
+			if w := overlay[oi]; !w.Deleted {
+				if !emit(w.Key, w.Value) {
 					break
 				}
 			}
 		}
 	}
-	tx.ms.stateMu.RUnlock()
 	return out
 }
 
@@ -1034,13 +1048,13 @@ func (db *DB) UpdateT(sc obs.SpanContext, msID string, fn func(tx *Tx) error) (u
 // update is the group-commit write path. It runs in four stages:
 //
 //  1. Sequence (under ms.mu): run fn against the sequenced version nextV,
-//     assign newV = nextV+1, install the write set in the pending overlay,
-//     and enqueue the WAL request — O(write set) work with no I/O, no
-//     fsync, and no simulated latency under the lock.
-//  2. Encode + await ack (no locks): encode the WAL entry's frame, then wait
-//     for the writer goroutine's batch ack. N concurrent commits share one
-//     flush, one fsync, and one simulated CommitLatency round trip. With no
-//     WAL, each commit pays its own round trip, concurrently.
+//     assign newV = nextV+1, append the transaction to the pending overlay,
+//     and enqueue its WAL slot — no I/O, no fsync, and no simulated latency
+//     under the lock.
+//  2. Encode + await ack (no locks): encode the frame from the write set,
+//     then wait for the writer goroutine's batch ack. N concurrent commits
+//     share one flush, one fsync, and one simulated CommitLatency round
+//     trip. With no WAL, each commit pays its own round trip, concurrently.
 //  3. Await turn (applyMu): state is applied strictly in sequence order.
 //  4. Apply (stateMu): install the writes, push the change log, bump the
 //     visible version — durability before visibility, as in the seed.
@@ -1071,27 +1085,26 @@ func (db *DB) update(sc obs.SpanContext, msID string, fn func(tx *Tx) error) (ui
 	_, seqSpan := sc.Start("store.sequence")
 	ms.mu.Lock()
 	base := ms.nextV
-	tx := &Tx{db: db, ms: ms, base: base, writes: map[string]map[string]*txWrite{}}
+	tx := &Tx{db: db, ms: ms, base: base}
+	tx.writes, tx.notes = tx.firstWrites[:0], tx.firstNote[:0]
 	if err := fn(tx); err != nil {
 		ms.mu.Unlock()
 		seqSpan.End()
 		return base, err
 	}
-	if len(tx.ordered) == 0 {
+	if len(tx.writes) == 0 {
 		ms.mu.Unlock()
 		seqSpan.End()
 		return base, nil // read-only transaction: no version bump
 	}
 	newV := base + 1
 	ms.nextV = newV
-	pc := &pendingCommit{version: newV, writes: tx.writes}
+	tx.version = newV
 	ms.stateMu.Lock()
-	ms.pending = append(ms.pending, pc)
+	ms.pending = append(ms.pending, tx)
 	ms.stateMu.Unlock()
-	var req *walReq
 	if db.wal != nil {
-		req = newWALReq()
-		if err := db.wal.submit(req); err != nil {
+		if err := db.wal.submit(&tx.wal); err != nil {
 			ms.dropPending(newV)
 			ms.mu.Unlock()
 			seqSpan.End()
@@ -1104,20 +1117,14 @@ func (db *DB) update(sc obs.SpanContext, msID string, fn func(tx *Tx) error) (ui
 	// Stage 2: encode off every lock, then await the batch ack. The
 	// "store.wal" span covers enqueue→fsync: it opened when the request
 	// entered the queue (sequencing) and closes at the batch ack.
-	if req != nil {
+	if db.wal != nil {
 		_, walSpan := sc.Start("store.wal")
-		entry := walEntry{Op: "commit", Metastore: msID, Version: newV}
-		entry.Writes = make([]walWrite, 0, len(tx.ordered))
-		for _, c := range tx.ordered {
-			w := tx.writes[c.Table][c.Key]
-			entry.Writes = append(entry.Writes, walWrite{Table: c.Table, Key: c.Key, Value: w.value, Deleted: w.deleted})
-		}
-		req.encode(&entry)
-		<-req.done
+		tx.wal.encode(&walEntry{Op: opCommit, Metastore: msID, Version: newV, Writes: tx.writes})
+		err := tx.wal.wait()
 		walSpan.End()
-		if req.err != nil {
+		if err != nil {
 			ms.dropPending(newV)
-			return base, req.err
+			return base, err
 		}
 	} else {
 		db.simulateCommit() // own round trip, overlapping with other commits
@@ -1138,16 +1145,14 @@ func (db *DB) update(sc obs.SpanContext, msID string, fn func(tx *Tx) error) (ui
 
 	// Stage 4: apply under stateMu — durability before visibility.
 	ms.stateMu.Lock()
-	if len(ms.pending) == 0 || ms.pending[0] != pc {
+	if len(ms.pending) == 0 || ms.pending[0] != tx {
 		ms.stateMu.Unlock()
 		panic("store: commit pipeline applied out of sequence")
 	}
-	for i := range tx.ordered {
-		c := &tx.ordered[i]
-		c.Version = newV
-		w := tx.writes[c.Table][c.Key]
-		db.pruneLocked(ms, ms.putLocked(c.Table, c.Key, newV, w.value, w.deleted))
-		ms.logLocked(*c)
+	for i := range tx.writes {
+		w := &tx.writes[i]
+		db.pruneLocked(ms, ms.putLocked(w.Table, w.Key, newV, w.Value, w.Deleted))
+		ms.logLocked(Change{Version: newV, Table: w.Table, Key: w.Key, Deleted: w.Deleted})
 	}
 	if waiting := ms.tombs; len(waiting) > 0 {
 		ms.tombs = waiting[:0] // refilled behind the read position
@@ -1155,7 +1160,10 @@ func (db *DB) update(sc obs.SpanContext, msID string, fn func(tx *Tx) error) (ui
 			ms.reclaimLocked(del)
 		}
 	}
-	ms.pending = ms.pending[1:]
+	// Copied down rather than resliced, so the backing array is reused.
+	n := copy(ms.pending, ms.pending[1:])
+	ms.pending[n] = nil
+	ms.pending = ms.pending[:n]
 	ms.version = newV
 	ms.stateMu.Unlock()
 
@@ -1163,7 +1171,7 @@ func (db *DB) update(sc obs.SpanContext, msID string, fn func(tx *Tx) error) (ui
 	// admits newV+1 — per-metastore hooks see strictly increasing versions.
 	if hp := db.hooks.Load(); hp != nil {
 		for _, h := range *hp {
-			h(msID, newV, tx.ordered, tx.notes)
+			h(msID, newV, tx.notes)
 		}
 	}
 
@@ -1183,9 +1191,9 @@ func (db *DB) update(sc obs.SpanContext, msID string, fn func(tx *Tx) error) (ui
 func (ms *metastore) dropPending(v uint64) {
 	ms.stateMu.Lock()
 	defer ms.stateMu.Unlock()
-	for i, pc := range ms.pending {
-		if pc.version == v {
-			ms.pending = append(ms.pending[:i], ms.pending[i+1:]...)
+	for i, tx := range ms.pending {
+		if tx.version == v {
+			ms.pending = slices.Delete(ms.pending, i, i+1)
 			return
 		}
 	}

@@ -47,9 +47,11 @@ package store
 // round trips, strictly one after another. This file replaces that with
 // MySQL-style group commit:
 //
-//   - Committers sequence themselves under their metastore's mu, enqueue a
-//     walReq (FIFO — enqueue order is durability order), release the lock,
-//     and encode their entry's frame outside every lock.
+//   - Committers sequence themselves under their metastore's mu, enqueue the
+//     walReq slot their Tx holds (FIFO — enqueue order is durability order),
+//     release the lock, and encode their frame straight from the
+//     transaction's write set outside every lock. Until it applies, the
+//     sequenced Tx is also the overlay later transactions read.
 //   - A single writer goroutine drains the queue, gathers all queued entries
 //     into one buffer, hands it to the file in one Write, fsyncs per
 //     SyncPolicy, pays the simulated CommitLatency round trip once for the
@@ -133,20 +135,29 @@ const maxWALBatch = 1024
 // file. An entry longer than this is never copied.
 const walBufMax = 1 << 20
 
-// walWrite and walEntry are an entry in memory. The JSON tags are the line
-// form's field names, for reading it.
-type walWrite struct {
+// walEntry is an entry in memory. A commit's writes are its transaction's
+// own write set, framed as they are.
+type walEntry struct {
+	Op        string
+	Metastore string
+	Version   uint64
+	Writes    []Write
+}
+
+// lineEntry and lineWrite are an entry in the line form, with its JSON field
+// names.
+type lineEntry struct {
+	Op        string      `json:"op"`
+	Metastore string      `json:"ms"`
+	Version   uint64      `json:"ver,omitempty"`
+	Writes    []lineWrite `json:"w,omitempty"`
+}
+
+type lineWrite struct {
 	Table   string `json:"t"`
 	Key     string `json:"k"`
 	Value   []byte `json:"v,omitempty"`
 	Deleted bool   `json:"d,omitempty"`
-}
-
-type walEntry struct {
-	Op        string     `json:"op"`
-	Metastore string     `json:"ms"`
-	Version   uint64     `json:"ver,omitempty"`
-	Writes    []walWrite `json:"w,omitempty"`
 }
 
 const (
@@ -275,7 +286,7 @@ func (d *walDecoder) decode(p []byte) error {
 		if len(p) == 0 || p[0] > 1 {
 			return bad("write")
 		}
-		w := walWrite{Deleted: p[0] == 1}
+		w := Write{Deleted: p[0] == 1}
 		p = p[1:]
 		table, ok := field()
 		if !ok {
@@ -306,26 +317,30 @@ func (d *walDecoder) decode(p []byte) error {
 	return nil
 }
 
-// walReq is one commit's slot in the group-commit queue. The committer
-// enqueues it while still holding the sequencing lock (FIFO order = version
-// order), then fills enc outside all locks and closes ready; the writer
-// goroutine awaits ready, writes the batch, and closes done with err set.
+// walReq is one entry's slot in the group-commit queue; a commit's lives
+// inside its Tx. The committer enqueues it while still holding the
+// sequencing lock (FIFO order = version order), then fills enc outside all
+// locks and marks ready; the writer goroutine awaits ready, writes the batch,
+// and marks done with err set. Both signals are wait groups armed by submit,
+// so a slot costs no allocation of its own.
 type walReq struct {
 	enc    []byte // the entry's frame
 	encErr error
-	ready  chan struct{}
+	ready  sync.WaitGroup
 	err    error
-	done   chan struct{}
+	done   sync.WaitGroup
 }
 
-func newWALReq() *walReq {
-	return &walReq{ready: make(chan struct{}), done: make(chan struct{})}
-}
-
-// encode fills enc with e's frame and closes ready.
+// encode fills enc with e's frame and marks the slot ready.
 func (r *walReq) encode(e *walEntry) {
 	r.enc, r.encErr = e.frame()
-	close(r.ready)
+	r.ready.Done()
+}
+
+// wait awaits the slot's batch and returns its error.
+func (r *walReq) wait() error {
+	r.done.Wait()
+	return r.err
 }
 
 // WALStats reports group-commit batching behavior since Open.
@@ -402,14 +417,17 @@ func (w *walWriter) fail(err error) {
 	w.sticky.CompareAndSwap(nil, &walFailure{err: fmt.Errorf("store: wal: %w", err)})
 }
 
-// submit enqueues a request. It must be called under the lock that assigned
-// the request's sequence number, so queue order matches version order.
+// submit arms r and enqueues it; the caller then encodes into it. It must be
+// called under the lock that assigned the request's sequence number, so queue
+// order matches version order.
 func (w *walWriter) submit(r *walReq) error {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	if w.closing {
 		return ErrClosed
 	}
+	r.ready.Add(1)
+	r.done.Add(1)
 	w.ch <- r
 	return nil
 }
@@ -463,7 +481,7 @@ func (w *walWriter) commitBatch(batch []*walReq) {
 	w.maxBatch.SetMax(int64(len(batch)))
 	for _, r := range batch {
 		r.err = err
-		close(r.done)
+		r.done.Done()
 	}
 }
 
@@ -478,7 +496,7 @@ func (w *walWriter) writeBatch(batch []*walReq) error {
 		return err
 	}
 	for _, r := range batch {
-		<-r.ready // committer encodes outside all locks
+		r.ready.Wait() // committer encodes outside all locks
 		if r.encErr != nil {
 			return r.encErr
 		}
@@ -573,11 +591,11 @@ func (db *DB) logMeta(e walEntry) (*walReq, error) {
 	if err := db.wal.err(); err != nil {
 		return nil, err
 	}
-	r := newWALReq()
-	r.encode(&e)
+	r := &walReq{}
 	if err := db.wal.submit(r); err != nil {
 		return nil, err
 	}
+	r.encode(&e)
 	return r, nil
 }
 
@@ -678,13 +696,17 @@ func (d *walDecoder) read(br *bufio.Reader, left int64) (n int64, e *walEntry, e
 
 // parseWALLine parses one line of the JSON form, nil if it is not one.
 func parseWALLine(line []byte) *walEntry {
-	var e walEntry
-	if json.Unmarshal(line, &e) != nil {
+	var l lineEntry
+	if json.Unmarshal(line, &l) != nil {
 		return nil
 	}
 	for _, op := range walOps[1:] {
-		if e.Op == op {
-			return &e
+		if l.Op == op {
+			e := &walEntry{Op: l.Op, Metastore: l.Metastore, Version: l.Version, Writes: make([]Write, len(l.Writes))}
+			for i, w := range l.Writes {
+				e.Writes[i] = Write(w)
+			}
+			return e
 		}
 	}
 	return nil

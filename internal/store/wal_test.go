@@ -225,7 +225,12 @@ func walLine(t testing.TB, frame []byte) []byte {
 	if err := d.decode(frame[walHeaderLen:]); err != nil {
 		t.Fatal(err)
 	}
-	line, err := json.Marshal(&d.entry)
+	e := &d.entry
+	l := lineEntry{Op: e.Op, Metastore: e.Metastore, Version: e.Version}
+	for _, w := range e.Writes {
+		l.Writes = append(l.Writes, lineWrite(w))
+	}
+	line, err := json.Marshal(&l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -819,9 +824,7 @@ func TestWALBatchPastBufMax(t *testing.T) {
 		var batch []*walReq
 		var want []byte
 		for i, size := range []int{10, walBufMax * 2 / 3, walBufMax * 2 / 3, 20, 2 * walBufMax, 30, walBufMax, walBufMax + 1, 40} {
-			r := newWALReq()
-			r.enc = append(bytes.Repeat([]byte{'a' + byte(i)}, size-1), '\n')
-			close(r.ready)
+			r := &walReq{enc: append(bytes.Repeat([]byte{'a' + byte(i)}, size-1), '\n')}
 			batch = append(batch, r)
 			want = append(want, r.enc...)
 		}
