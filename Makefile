@@ -45,7 +45,9 @@ test:
 # version, with submits racing deletes and restores on one node and on two.
 # And the store's write set against a plain map, each transaction read through
 # the pending overlay while a blocked WAL writer holds it unapplied, a new
-# seed each repetition.
+# seed each repetition. And eight HTTP clients on the hot routes, each response
+# holding its own request's trace ID, validator and header values: the
+# per-request envelope the response header map points into is never shared.
 race:
 	$(GO) test -race -count=1 \
 		./internal/cache/... \
@@ -79,8 +81,8 @@ race:
 		./internal/clock/... \
 		./internal/ids/... \
 		./uc/...
-	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestLocalWritesInstallOutOfOrder|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll|TestPackedRingMatchesReference|TestNoEdgeOutlivesItsAssets|TestTxWriteSetMatchesReference' \
-		./internal/cache/ ./internal/search/ ./internal/events/ ./internal/catalog/ ./internal/privilege/ ./internal/obs/ ./internal/lineage/ ./internal/store/
+	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestLocalWritesInstallOutOfOrder|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll|TestPackedRingMatchesReference|TestNoEdgeOutlivesItsAssets|TestTxWriteSetMatchesReference|TestEnvelopePerRequest' \
+		./internal/cache/ ./internal/search/ ./internal/events/ ./internal/catalog/ ./internal/privilege/ ./internal/obs/ ./internal/lineage/ ./internal/store/ ./internal/server/
 
 # Who holds the resident bytes: builds 2,000 tables through uc.Open with
 # every allocation profiled and prints in-use bytes per internal package,
@@ -109,9 +111,9 @@ heap:
 # object path on a warm cache, which must also decode nothing
 # (internal/catalog, recorded figures + 10 %), and the workspace-binding
 # check under an unbound and a bound catalog (the chain slice only),
-# printed; then a 304 revalidation and a resolve, a temporary-credentials and
-# an authorize-batch POST through the whole HTTP request path
-# (internal/server, recorded figures + 10 %) and a flat request body's decode
+# printed; then a 304 revalidation, a GET of an asset and a resolve, a
+# temporary-credentials and an authorize-batch POST through the whole HTTP
+# request path, one envelope each (internal/server, recorded figures + 10 %) and a flat request body's decode
 # (one allocation per string value kept, one per array), a trace's ID (one)
 # and a metric-family child lookup
 # (internal/obs, none) and a catalog and a txn event published and delivered

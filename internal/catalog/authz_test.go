@@ -146,7 +146,7 @@ func newOnceReaders(view erm.Reader) *onceReaders {
 func (o *onceReaders) Securable(id ids.ID) (privilege.Securable, bool) {
 	sec, ok := o.secs[id]
 	if !ok {
-		sec, _ = viewResolver{o.view}.Securable(id) // the zero Securable has no ID
+		sec, _ = viewReader{o.view}.Securable(id) // the zero Securable has no ID
 		o.secs[id] = sec
 	}
 	return sec, sec.ID != ids.Nil
@@ -155,7 +155,7 @@ func (o *onceReaders) Securable(id ids.ID) (privilege.Securable, bool) {
 func (o *onceReaders) GrantsOn(id ids.ID) []privilege.Grant {
 	gs, ok := o.grants[id]
 	if !ok {
-		gs = viewGrants{o.view}.GrantsOn(id)
+		gs = viewReader{o.view}.GrantsOn(id)
 		o.grants[id] = gs
 	}
 	return gs
@@ -303,8 +303,8 @@ func runAuthorizerOracle(t *testing.T, seed int64, opts store.Options, commits i
 			}
 			got := svc.authorizer(Ctx{Principal: pr.p, Metastore: "ms1"}, view)
 			requireSameDecisions(t, stage, pr.p, got, oracle.For(pr.p), once, over, privs)
-			fresh := privilege.NewSnapshot(pr.p, dir).Bind(view.Version(), viewResolver{view}, viewGrants{view})
-			requireSameDecisions(t, stage+", against a fresh snapshot", pr.p, got, fresh, once, over, privs)
+			fresh := privilege.NewSnapshot(pr.p, dir).Bind(view.Version(), viewReader{view}, viewReader{view})
+			requireSameDecisions(t, stage+", against a fresh snapshot", pr.p, got, &fresh, once, over, privs)
 		}
 	}
 	compare("granted")

@@ -127,7 +127,7 @@ func (s *Service) GrantsOn(ctx Ctx, full string) (gs []privilege.Grant, err erro
 	if err := s.checkOwner(ctx, v, e.ID, "GrantsOn"); err != nil {
 		return nil, err
 	}
-	return viewGrants{v}.GrantsOn(e.ID), nil
+	return viewReader{v}.GrantsOn(e.ID), nil
 }
 
 // EffectivePrivileges lists the privileges ctx.Principal holds on full,

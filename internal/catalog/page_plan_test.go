@@ -156,7 +156,7 @@ func childWalk(t *testing.T, svc *Service, ctx Ctx, scope string, depth int, f F
 	}
 	descend(leaf(chain).ID, 1)
 
-	auth := privilege.NewEngine(viewResolver{snap}, viewGrants{snap}, svc.groups).For(ctx.Principal)
+	auth := privilege.NewEngine(viewReader{snap}, viewReader{snap}, svc.groups).For(ctx.Principal)
 	lower := strings.ToLower
 	var out []*erm.Entity
 	for _, e := range all {

@@ -395,14 +395,14 @@ func TestHasTagMatchesEntityTags(t *testing.T) {
 // page and a 100-table unpaged ListAssets allocated on a cache-less service
 // when the read path last changed on purpose: one engine behind both, a
 // page's batch answering "is there more" itself, the catalog's workspace
-// bindings read in place, and the page's range scan sizing its result once
-// (45 while it grew it row by row; 51 and 52 with a decode of the catalog's
-// whole spec; the page was 60 with its probe read, and 456 before it decoded
-// into one slab). TestListPageAllocs fails at 10 % over; `make allocs` prints
-// the figures.
+// bindings read in place, the page's range scan sizing its result once and
+// its authorizer bound in one object (45 while the scan grew its result row
+// by row; 51 and 52 with a decode of the catalog's whole spec; the page was
+// 60 with its probe read, and 456 before it decoded into one slab).
+// TestListPageAllocs fails at 10 % over; `make allocs` prints the figures.
 const (
-	listPageAllocs = 38
-	listAllAllocs  = 46
+	listPageAllocs = 34 // 38 before
+	listAllAllocs  = 42 // 46 before
 )
 
 // pageWorld is sales.raw with 150 tables beside seedNamespace's one (a page

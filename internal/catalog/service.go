@@ -322,11 +322,12 @@ func (s *Service) MetastoreVersion(id string) (uint64, error) {
 
 // --- authorization plumbing ---
 
-// viewResolver adapts an erm.Reader to the privilege engine's interfaces.
-type viewResolver struct{ r erm.Reader }
+// viewReader adapts an erm.Reader to the privilege engine's hierarchy and
+// grant readers (privilege.HierarchyResolver and privilege.Store).
+type viewReader struct{ r erm.Reader }
 
 // Securable implements privilege.HierarchyResolver.
-func (v viewResolver) Securable(id ids.ID) (privilege.Securable, bool) {
+func (v viewReader) Securable(id ids.ID) (privilege.Securable, bool) {
 	e, ok := erm.GetEntity(v.r, id)
 	if !ok {
 		return privilege.Securable{}, false
@@ -341,11 +342,8 @@ func securableOf(e *erm.Entity) privilege.Securable {
 	return privilege.Securable{ID: e.ID, Type: string(e.Type), Parent: e.ParentID, Owner: e.Owner}
 }
 
-// viewGrants adapts stored grants to privilege.Store.
-type viewGrants struct{ r erm.Reader }
-
 // GrantsOn implements privilege.Store.
-func (v viewGrants) GrantsOn(id ids.ID) []privilege.Grant {
+func (v viewReader) GrantsOn(id ids.ID) []privilege.Grant {
 	kvs := v.r.Scan(erm.TableGrant, erm.GrantPrefix(id))
 	out := make([]privilege.Grant, 0, len(kvs))
 	for _, kv := range kvs {
@@ -355,6 +353,13 @@ func (v viewGrants) GrantsOn(id ids.ID) []privilege.Grant {
 		}
 	}
 	return out
+}
+
+// boundAuthz is a request's compiled engine and the readers it is bound to,
+// in one object: binding a snapshot to a request's view allocates this alone.
+type boundAuthz struct {
+	viewReader
+	c privilege.Compiled
 }
 
 // versionedReader is what authorization decisions are made against: a read
@@ -375,14 +380,16 @@ type versionedReader interface {
 func (s *Service) authorizer(ctx Ctx, r versionedReader) privilege.Authorizer {
 	v := r.Version()
 	snap := s.authz.SnapshotT(ctx.Trace, ctx.Metastore, ctx.Principal, v, s.groups)
-	return snap.Bind(v, viewResolver{r}, viewGrants{r})
+	b := &boundAuthz{viewReader: viewReader{r}}
+	b.c = snap.Bind(v, b, b)
+	return &b.c
 }
 
 // touchedSecurables implements privilege.Touched over the store's change
-// log. A snapshot memoizes what viewResolver and viewGrants read and no
-// more: a securable's entity row (key = id) and its direct grants (key
-// prefix = id). Names, children, paths, tags and ABAC rules (evaluated
-// outside the snapshot, see check) feed nothing it holds.
+// log. A snapshot memoizes what viewReader reads and no more: a securable's
+// entity row (key = id) and its direct grants (key prefix = id). Names,
+// children, paths, tags and ABAC rules (evaluated outside the snapshot, see
+// check) feed nothing it holds.
 func (s *Service) touchedSecurables(msID string, from, to uint64) ([]ids.ID, bool) {
 	changes, err := s.db.ChangesSince(msID, from)
 	if err != nil {

@@ -292,13 +292,14 @@ func sharedEntityDifferential(t *testing.T, seed int64, db *store.DB, svc *Servi
 // one-table Resolve allocated through the service on a warm cache, and
 // pathCredAllocs a credential request by object path from an untrusted engine,
 // resolved through the store's path table, when the point-read path last
-// changed on purpose: the catalog's workspace bindings read in place, where a
+// changed on purpose: a request's authorizer bound to its view in one object
+// (three before), the catalog's workspace bindings read in place, where a
 // decode of its whole spec cost each 6 more (19, 44 and 33).
 // TestPointReadAllocs fails at 10 % over; `make allocs` prints the figures.
 const (
-	getAssetAllocs = 13
-	resolveAllocs  = 38
-	pathCredAllocs = 27
+	getAssetAllocs = 9  // 13 before
+	resolveAllocs  = 34 // 38 before
+	pathCredAllocs = 25 // 27 before
 )
 
 // TestPointReadAllocs gates the point-read path end to end — view, name or

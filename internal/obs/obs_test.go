@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"strconv"
 	"strings"
 	"sync"
@@ -253,21 +252,6 @@ func TestZeroSpanContextIsNoOp(t *testing.T) {
 	}
 	s.End()
 	s.SetDetail("ignored")
-}
-
-func TestContextPlumbing(t *testing.T) {
-	tr := NewTracer(1, 0)
-	trace := tr.StartTrace()
-	root := tr.Root(trace)
-	ctx := ContextWithSpan(context.Background(), root)
-	got := SpanFromContext(ctx)
-	if !got.Active() || got.TraceID() != trace.ID() {
-		t.Fatalf("context round-trip lost span context")
-	}
-	if SpanFromContext(context.Background()).Active() {
-		t.Fatal("empty context returned active span")
-	}
-	tr.Finish(trace, "ctx")
 }
 
 func TestTraceConcurrentSpans(t *testing.T) {

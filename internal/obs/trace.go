@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -363,19 +362,4 @@ func (tr *Tracer) WriteRecentJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(tr.Recent())
-}
-
-// --- context.Context plumbing for the HTTP layer ---
-
-type ctxKey struct{}
-
-// ContextWithSpan attaches sc to ctx.
-func ContextWithSpan(ctx context.Context, sc SpanContext) context.Context {
-	return context.WithValue(ctx, ctxKey{}, sc)
-}
-
-// SpanFromContext extracts the SpanContext (zero value when absent).
-func SpanFromContext(ctx context.Context) SpanContext {
-	sc, _ := ctx.Value(ctxKey{}).(SpanContext)
-	return sc
 }

@@ -214,17 +214,20 @@ func (s *Snapshot) advance(scope string, to uint64, touched Touched) (advanced, 
 
 // Bind attaches the snapshot to a request's hierarchy and grant readers,
 // which present the hierarchy and grants at version, and returns the
-// compiled engine. The engine reads and extends the snapshot's memo for as
-// long as the snapshot describes that same version; from the moment it
-// describes another, the engine evaluates on a memo of its own, so no entry
-// computed at one version is ever read at another.
-func (s *Snapshot) Bind(version uint64, h HierarchyResolver, g Store) *Compiled {
-	return &Compiled{h: h, g: g, snap: s, version: version}
+// compiled engine by value, so a caller can hold it inside the object that
+// is also its readers and bind a request in one allocation. The engine reads
+// and extends the snapshot's memo for as long as the snapshot describes that
+// same version; from the moment it describes another, the engine evaluates
+// on a memo of its own, so no entry computed at one version is ever read at
+// another.
+func (s *Snapshot) Bind(version uint64, h HierarchyResolver, g Store) Compiled {
+	return Compiled{h: h, g: g, snap: s, version: version}
 }
 
 // NewCompiled builds a compiled engine with a fresh single-use snapshot.
 func NewCompiled(h HierarchyResolver, g Store, groups GroupResolver, p Principal) *Compiled {
-	return NewSnapshot(p, groups).Bind(0, h, g)
+	c := NewSnapshot(p, groups).Bind(0, h, g)
+	return &c
 }
 
 // Compiled is a Snapshot bound to concrete readers for one request.

@@ -291,7 +291,8 @@ func newFlipWorld() flipWorld {
 func (w flipWorld) check(t *testing.T, c *SnapshotCache, version uint64, eng *Compiled) {
 	t.Helper()
 	if eng == nil {
-		eng = c.Snapshot("ms", "alice", version, nil).Bind(version, w.at(version), w.at(version))
+		bound := c.Snapshot("ms", "alice", version, nil).Bind(version, w.at(version), w.at(version))
+		eng = &bound
 	}
 	if d := eng.CheckNoGate(Select, w.leaf); d.Allowed != (version%2 == 0) {
 		t.Errorf("view at version %d: %+v", version, d)
@@ -317,15 +318,15 @@ func TestSnapshotCacheConcurrentAdvance(t *testing.T) {
 	if c.Snapshot("ms", "alice", 3, nil) != shared {
 		t.Fatal("the advance replaced the snapshot")
 	}
-	w.check(t, c, 2, slow) // its own view's answer, computed aside
-	w.check(t, c, 3, nil)  // and not left behind for version 3
+	w.check(t, c, 2, &slow) // its own view's answer, computed aside
+	w.check(t, c, 3, nil)   // and not left behind for version 3
 	if shared.version != 3 {
 		t.Fatalf("snapshot at version %d after a slow reader, want 3", shared.version)
 	}
 	// The other order: bound before an advance, first evaluation after it.
 	fast := c.Snapshot("ms", "alice", 3, nil).Bind(3, w.at(3), w.at(3))
 	w.check(t, c, 4, nil)
-	w.check(t, c, 3, fast)
+	w.check(t, c, 3, &fast)
 	w.check(t, c, 4, nil)
 
 	var version atomic.Uint64
@@ -342,7 +343,7 @@ func TestSnapshotCacheConcurrentAdvance(t *testing.T) {
 					version.Add(1) // a commit between this request's bind and its decision
 				}
 				runtime.Gosched()
-				w.check(t, c, v, eng)
+				w.check(t, c, v, &eng)
 			}
 		}(r)
 	}

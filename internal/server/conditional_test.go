@@ -13,6 +13,7 @@ import (
 
 	"unitycatalog/internal/catalog"
 	"unitycatalog/internal/client"
+	"unitycatalog/internal/clock"
 	"unitycatalog/internal/erm"
 	"unitycatalog/internal/ids"
 	"unitycatalog/internal/privilege"
@@ -23,12 +24,18 @@ import (
 // condStack builds a stack with explicit server config.
 func condStack(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server) {
 	t.Helper()
+	return condStackOn(t, cfg, nil)
+}
+
+// condStackOn is condStack with the catalog on clk (nil: the real clock).
+func condStackOn(t *testing.T, cfg server.Config, clk clock.Clock) (*server.Server, *httptest.Server) {
+	t.Helper()
 	db, err := store.Open(store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	svc, err := catalog.New(catalog.Config{DB: db})
+	svc, err := catalog.New(catalog.Config{DB: db, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,13 +351,42 @@ func TestAuthorizeBatchRoute(t *testing.T) {
 	}
 }
 
+// TestETagBucketFollowsTheClock: a validator's time bucket is read from the
+// catalog's clock, so a revalidation within the bucket is a 304 and one
+// ETagMaxAge later is a 200 with a new validator — on a fake clock, with no
+// sleep.
+func TestETagBucketFollowsTheClock(t *testing.T) {
+	const maxAge = time.Hour
+	clk := clock.NewFake(time.Date(2024, 1, 1, 0, 30, 0, 0, time.UTC))
+	srv, hs := condStackOn(t, server.Config{ETagMaxAge: maxAge}, clk)
+	if _, err := srv.Service.CreateCatalog(catalog.Ctx{Principal: "admin", Metastore: "ms1"}, "sales", ""); err != nil {
+		t.Fatal(err)
+	}
+	const path = "/api/2.1/unity-catalog/assets/sales"
+	resp, _ := condGet(t, hs.URL, path, "")
+	tag := resp.Header.Get("ETag")
+	if resp.StatusCode != http.StatusOK || tag == "" {
+		t.Fatalf("first read: %d, etag %q", resp.StatusCode, tag)
+	}
+	if resp, _ = condGet(t, hs.URL, path, tag); resp.StatusCode != http.StatusNotModified {
+		t.Fatalf("revalidation within the bucket: %d, want 304", resp.StatusCode)
+	}
+	clk.Advance(maxAge)
+	resp, body := condGet(t, hs.URL, path, tag)
+	if resp.StatusCode != http.StatusOK || len(body) == 0 {
+		t.Fatalf("revalidation one ETagMaxAge later: %d with %d body bytes, want 200 with the asset", resp.StatusCode, len(body))
+	}
+	if next := resp.Header.Get("ETag"); next == "" || next == tag {
+		t.Fatalf("validator after the bucket rolled: %q, was %q", next, tag)
+	}
+}
+
 // revalidationAllocs is what a 304 revalidation allocated when the request
-// path last changed on purpose: the trace ID is built once at trace start (17
-// when it was boxed on first use; 19 when the fault injector's op string and
-// the trace's op label were built for every request). The reflection-encoded
-// fresh path costs several times more, so a regression that re-encodes on 304
-// trips it.
-const revalidationAllocs = 16
+// path last changed on purpose: one envelope, the trace ID and the validator
+// built once each, and no header value, context or route match of its own.
+// The reflection-encoded fresh path costs several times more, so a
+// regression that re-encodes on 304 trips it.
+const revalidationAllocs = 5 // 16 before
 
 // TestRevalidationAllocsGate pins the 304 fast path: it fails at 10 % over
 // revalidationAllocs; `make allocs` prints the figure.

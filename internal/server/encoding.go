@@ -29,8 +29,8 @@ import (
 // sendJSON writes a fully encoded JSON body with Content-Length.
 func sendJSON(w http.ResponseWriter, status int, body []byte) {
 	h := w.Header()
-	h.Set(hdrContentType, "application/json")
-	h.Set(hdrContentLength, strconv.Itoa(len(body)))
+	h[hdrContentType] = jsonContentType
+	h[hdrContentLength] = headerValue(w, valContentLength, strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	w.Write(body)
 }
@@ -56,10 +56,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // uc_http_encode_errors.
 func encodeFail(w http.ResponseWriter, err error) {
 	err = fmt.Errorf("response encoding failed: %w", err)
-	if sw, ok := w.(*statusWriter); ok {
-		sw.err = err
-		if sw.srv != nil {
-			sw.srv.encodeErrors.Inc()
+	if e, ok := w.(*envelope); ok {
+		e.err = err
+		if e.srv != nil {
+			e.srv.encodeErrors.Inc()
 		}
 	}
 	b, _ := json.Marshal(errorBody{Error: err.Error(), Code: http.StatusInternalServerError})

@@ -105,15 +105,15 @@ func TestAssetStreamMatchesJSON(t *testing.T) {
 func TestWriteJSONSurfacesEncodeErrors(t *testing.T) {
 	s := newTestServer(t)
 	rec := httptest.NewRecorder()
-	sw := &statusWriter{ResponseWriter: rec, srv: s, status: 200}
+	e := &envelope{ResponseWriter: rec, srv: s, status: 200}
 
-	writeJSON(sw, 200, math.NaN()) // json.Marshal rejects NaN
+	writeJSON(e, 200, math.NaN()) // json.Marshal rejects NaN
 
 	if rec.Code != 500 {
 		t.Fatalf("status = %d, want 500", rec.Code)
 	}
-	if sw.err == nil {
-		t.Fatal("statusWriter.err not set: access log would miss the failure")
+	if e.err == nil {
+		t.Fatal("envelope.err not set: access log would miss the failure")
 	}
 	var eb errorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Code != 500 {
@@ -124,7 +124,7 @@ func TestWriteJSONSurfacesEncodeErrors(t *testing.T) {
 	}
 
 	// The happy path must not touch the counter.
-	writeJSON(&statusWriter{ResponseWriter: httptest.NewRecorder(), srv: s, status: 200}, 200, map[string]int{"ok": 1})
+	writeJSON(&envelope{ResponseWriter: httptest.NewRecorder(), srv: s, status: 200}, 200, map[string]int{"ok": 1})
 	if n := s.encodeErrors.Load(); n != 1 {
 		t.Fatalf("counter moved on success: %d", n)
 	}

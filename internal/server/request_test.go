@@ -189,15 +189,16 @@ func FuzzRequestBody(f *testing.F) {
 	})
 }
 
-// The hot POST routes' allocations through Server.ServeHTTP on a warm cache,
-// when their request path last changed on purpose (request bodies decoded by
-// decodeFlat, catalog bindings read in place, the trace ID built once; 66, 50
-// and 35 before). TestHotRequestAllocs fails at 10 % over; `make allocs`
-// prints the figures.
+// The hot routes' allocations through Server.ServeHTTP on a warm cache, when
+// their request path last changed on purpose: one envelope per request, the
+// per-request header values held in it, the constant ones shared, one route
+// match and one object to bind the authorizer. TestHotRequestAllocs fails at
+// 10 % over; `make allocs` prints the figures.
 const (
-	resolveRequestAllocs    = 49
-	tempCredsRequestAllocs  = 34
-	authzBatchRequestAllocs = 22
+	getAssetRequestAllocs   = 14 // 30 before
+	resolveRequestAllocs    = 34 // 49 before
+	tempCredsRequestAllocs  = 24 // 34 before
+	authzBatchRequestAllocs = 9  // 22 before
 )
 
 // replayBody is a request body that can be read again after a rewind.
@@ -226,10 +227,11 @@ func (w *statusRW) Header() http.Header         { return w.hdr }
 func (w *statusRW) Write(p []byte) (int, error) { return len(p), nil }
 func (w *statusRW) WriteHeader(c int)           { w.status = c }
 
-// TestHotRequestAllocs gates what resolve, temporary-credentials and
-// authorize-batch allocate through the whole HTTP request path — trace,
-// routing, body decode, the catalog's read, authorization and audit, and the
-// response — for a reader on a warm cache.
+// TestHotRequestAllocs gates what a GET of an asset (trace_read's commonest
+// request), resolve, temporary-credentials and authorize-batch allocate
+// through the whole HTTP request path — trace, routing, body decode, the
+// catalog's read, authorization and audit, and the response — for a reader on
+// a warm cache.
 func TestHotRequestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("counts pooled allocations")
@@ -265,15 +267,16 @@ func TestHotRequestAllocs(t *testing.T) {
 		}
 	}
 	for _, c := range []struct {
-		route, body string
-		recorded    float64
+		method, route, body string
+		recorded            float64
 	}{
-		{"resolve", `{"Names":["sales.raw.orders"]}`, resolveRequestAllocs},
-		{"temporary-credentials", `{"asset":"sales.raw.orders","operation":"READ"}`, tempCredsRequestAllocs},
-		{"authorize-batch", `{"asset_ids":["` + string(tbl.ID) + `"],"privilege":"SELECT"}`, authzBatchRequestAllocs},
+		{"GET", "assets/sales.raw.orders", "", getAssetRequestAllocs},
+		{"POST", "resolve", `{"Names":["sales.raw.orders"]}`, resolveRequestAllocs},
+		{"POST", "temporary-credentials", `{"asset":"sales.raw.orders","operation":"READ"}`, tempCredsRequestAllocs},
+		{"POST", "authorize-batch", `{"asset_ids":["` + string(tbl.ID) + `"],"privilege":"SELECT"}`, authzBatchRequestAllocs},
 	} {
 		body := &replayBody{b: []byte(c.body)}
-		req := httptest.NewRequest("POST", apiPrefix+"/"+c.route, nil)
+		req := httptest.NewRequest(c.method, apiPrefix+"/"+c.route, nil)
 		req.Body = body
 		req.Header.Set(hdrAuthorization, "Bearer reader")
 		req.Header.Set(hdrMetastore, "ms1")

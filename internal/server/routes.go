@@ -90,11 +90,19 @@ func (s *Server) routes() []route {
 	}
 }
 
+// buildMux registers the table, each handler wrapped to record its pattern
+// in the request's envelope: the route label serveTraced counts under, with
+// no second match of the request.
 func (s *Server) buildMux() {
 	m := http.NewServeMux()
 	s.mux = m
 	for _, rt := range s.routes() {
-		m.HandleFunc(rt.pattern, rt.h)
+		m.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) {
+			if e, ok := w.(*envelope); ok {
+				e.route = rt.pattern
+			}
+			rt.h(w, r)
+		})
 	}
 	s.mountOps(m)
 }

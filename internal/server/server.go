@@ -109,16 +109,20 @@ func (s *Server) isTrusted(p privilege.Principal) bool {
 	return s.trusted[p]
 }
 
-// ctx extracts the request identity and the request's trace context.
-func (s *Server) ctx(r *http.Request) catalog.Ctx {
+// ctx extracts the request identity, and the request's root span from its
+// envelope (none when w is not one).
+func (s *Server) ctx(w http.ResponseWriter, r *http.Request) catalog.Ctx {
 	p := privilege.Principal(strings.TrimPrefix(r.Header.Get(hdrAuthorization), "Bearer "))
-	return catalog.Ctx{
+	ctx := catalog.Ctx{
 		Principal:     p,
 		Metastore:     r.Header.Get(hdrMetastore),
 		Workspace:     r.Header.Get(hdrWorkspace),
 		TrustedEngine: s.isTrusted(p),
-		Trace:         obs.SpanFromContext(r.Context()),
 	}
+	if e, ok := w.(*envelope); ok {
+		ctx.Trace = e.span
+	}
+	return ctx
 }
 
 // ServeHTTP implements http.Handler. Operational endpoints (/healthz,
@@ -184,8 +188,8 @@ type errorBody struct {
 func writeErr(w http.ResponseWriter, err error) {
 	// Hand the underlying error to the access log (telemetry.go) so 5xx
 	// lines can say what actually failed, not just the status code.
-	if sw, ok := w.(*statusWriter); ok {
-		sw.err = err
+	if e, ok := w.(*envelope); ok {
+		e.err = err
 	}
 	// Injected infrastructure faults map to the statuses a real overloaded
 	// or partitioned deployment would return, with Retry-After telling
@@ -254,7 +258,7 @@ func (s *Server) handleCreateAsset(w http.ResponseWriter, r *http.Request) {
 	if len(req.Spec) > 0 {
 		cr.Spec = req.Spec
 	}
-	e, err := s.Service.CreateAsset(s.ctx(r), cr)
+	e, err := s.Service.CreateAsset(s.ctx(w, r), cr)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -266,7 +270,7 @@ func (s *Server) handleGetAsset(w http.ResponseWriter, r *http.Request) {
 	if s.conditional(w, r, 0) {
 		return
 	}
-	e, err := s.Service.GetAsset(s.ctx(r), r.PathValue("full"))
+	e, err := s.Service.GetAsset(s.ctx(w, r), r.PathValue("full"))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -298,7 +302,7 @@ func (s *Server) handleUpdateAsset(w http.ResponseWriter, r *http.Request) {
 	if len(req.Spec) > 0 {
 		ur.Spec = req.Spec
 	}
-	e, err := s.Service.UpdateAsset(s.ctx(r), r.PathValue("full"), ur)
+	e, err := s.Service.UpdateAsset(s.ctx(w, r), r.PathValue("full"), ur)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -308,7 +312,7 @@ func (s *Server) handleUpdateAsset(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDeleteAsset(w http.ResponseWriter, r *http.Request) {
 	force := r.URL.Query().Get("force") == "true"
-	if err := s.Service.DeleteAsset(s.ctx(r), r.PathValue("full"), force); err != nil {
+	if err := s.Service.DeleteAsset(s.ctx(w, r), r.PathValue("full"), force); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -326,7 +330,7 @@ func (s *Server) handleListAssets(w http.ResponseWriter, r *http.Request) {
 	pageToken := q.Get("pageToken")
 	if maxResults <= 0 && pageToken == "" {
 		// Unpaged: the full, name-sorted listing.
-		out, err := s.Service.ListAssets(s.ctx(r), parent, typ)
+		out, err := s.Service.ListAssets(s.ctx(w, r), parent, typ)
 		if err != nil {
 			writeErr(w, err)
 			return
@@ -341,7 +345,7 @@ func (s *Server) handleListAssets(w http.ResponseWriter, r *http.Request) {
 	// Paged: entities are encoded into the response buffer as the keyset
 	// scan emits them; no page slice is ever materialized.
 	st := newAssetStream()
-	next, err := s.Service.ListAssetsPageFunc(s.ctx(r), parent, typ, maxResults, pageToken, st.emit)
+	next, err := s.Service.ListAssetsPageFunc(s.ctx(w, r), parent, typ, maxResults, pageToken, st.emit)
 	if err != nil {
 		st.close()
 		writeErr(w, err)
@@ -362,7 +366,7 @@ func (s *Server) handleCreateCatalog(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	e, err := s.Service.CreateCatalog(s.ctx(r), req.Name, req.Comment)
+	e, err := s.Service.CreateCatalog(s.ctx(w, r), req.Name, req.Comment)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -371,7 +375,7 @@ func (s *Server) handleCreateCatalog(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleListCatalogs(w http.ResponseWriter, r *http.Request) {
-	out, err := s.Service.ListAssets(s.ctx(r), "", erm.TypeCatalog)
+	out, err := s.Service.ListAssets(s.ctx(w, r), "", erm.TypeCatalog)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -389,7 +393,7 @@ func (s *Server) handleCreateSchema(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	e, err := s.Service.CreateSchema(s.ctx(r), req.CatalogName, req.Name, req.Comment)
+	e, err := s.Service.CreateSchema(s.ctx(w, r), req.CatalogName, req.Name, req.Comment)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -408,7 +412,7 @@ func (s *Server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	e, err := s.Service.CreateTable(s.ctx(r), req.SchemaFull, req.Name, req.Spec, req.StoragePath)
+	e, err := s.Service.CreateTable(s.ctx(w, r), req.SchemaFull, req.Name, req.Spec, req.StoragePath)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -431,7 +435,7 @@ func (s *Server) handleGrant(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	err := s.Service.Grant(s.ctx(r), req.Securable, privilege.Principal(req.Principal), privilege.Privilege(strings.ToUpper(req.Privilege)))
+	err := s.Service.Grant(s.ctx(w, r), req.Securable, privilege.Principal(req.Principal), privilege.Privilege(strings.ToUpper(req.Privilege)))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -445,7 +449,7 @@ func (s *Server) handleRevoke(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	err := s.Service.Revoke(s.ctx(r), req.Securable, privilege.Principal(req.Principal), privilege.Privilege(strings.ToUpper(req.Privilege)))
+	err := s.Service.Revoke(s.ctx(w, r), req.Securable, privilege.Principal(req.Principal), privilege.Privilege(strings.ToUpper(req.Privilege)))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -454,7 +458,7 @@ func (s *Server) handleRevoke(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGrantsOn(w http.ResponseWriter, r *http.Request) {
-	gs, err := s.Service.GrantsOn(s.ctx(r), r.PathValue("full"))
+	gs, err := s.Service.GrantsOn(s.ctx(w, r), r.PathValue("full"))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -463,7 +467,7 @@ func (s *Server) handleGrantsOn(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleEffective(w http.ResponseWriter, r *http.Request) {
-	ps, err := s.Service.EffectivePrivileges(s.ctx(r), r.PathValue("full"))
+	ps, err := s.Service.EffectivePrivileges(s.ctx(w, r), r.PathValue("full"))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -485,7 +489,7 @@ func (s *Server) handleSetTag(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	if err := s.Service.SetTag(s.ctx(r), req.Securable, req.Column, req.Key, req.Value); err != nil {
+	if err := s.Service.SetTag(s.ctx(w, r), req.Securable, req.Column, req.Key, req.Value); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -498,7 +502,7 @@ func (s *Server) handleUnsetTag(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	if err := s.Service.UnsetTag(s.ctx(r), req.Securable, req.Column, req.Key); err != nil {
+	if err := s.Service.UnsetTag(s.ctx(w, r), req.Securable, req.Column, req.Key); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -517,7 +521,7 @@ func (s *Server) handleCreateABAC(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	rule, err := s.Service.CreateABACRule(s.ctx(r), req.Scope, req.Rule)
+	rule, err := s.Service.CreateABACRule(s.ctx(w, r), req.Scope, req.Rule)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -526,7 +530,7 @@ func (s *Server) handleCreateABAC(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleListABAC(w http.ResponseWriter, r *http.Request) {
-	rules, err := s.Service.ABACRules(s.ctx(r))
+	rules, err := s.Service.ABACRules(s.ctx(w, r))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -535,7 +539,7 @@ func (s *Server) handleListABAC(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDeleteABAC(w http.ResponseWriter, r *http.Request) {
-	if err := s.Service.DeleteABACRule(s.ctx(r), ids.ID(r.PathValue("id"))); err != nil {
+	if err := s.Service.DeleteABACRule(s.ctx(w, r), ids.ID(r.PathValue("id"))); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -556,7 +560,7 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	if !req.WithCredentials && s.conditional(w, r, bodyHash) {
 		return
 	}
-	resp, err := s.Service.Resolve(s.ctx(r), req)
+	resp, err := s.Service.Resolve(s.ctx(w, r), req)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -584,7 +588,7 @@ func (s *Server) handleAuthorizeBatch(w http.ResponseWriter, r *http.Request) {
 	if s.conditional(w, r, bodyHash) {
 		return
 	}
-	allowed, err := s.Service.AuthorizeBatch(s.ctx(r), req.AssetIDs, privilege.Privilege(strings.ToUpper(req.Privilege)))
+	allowed, err := s.Service.AuthorizeBatch(s.ctx(w, r), req.AssetIDs, privilege.Privilege(strings.ToUpper(req.Privilege)))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -630,9 +634,9 @@ func (s *Server) handleTempCredentials(w http.ResponseWriter, r *http.Request) {
 	)
 	switch {
 	case req.Asset != "":
-		tc, err = s.Service.TempCredentialForAsset(s.ctx(r), req.Asset, level)
+		tc, err = s.Service.TempCredentialForAsset(s.ctx(w, r), req.Asset, level)
 	case req.Path != "":
-		tc, err = s.Service.TempCredentialForPath(s.ctx(r), req.Path, level)
+		tc, err = s.Service.TempCredentialForPath(s.ctx(w, r), req.Path, level)
 	default:
 		err = fmt.Errorf("%w: asset or path required", catalog.ErrInvalidArgument)
 	}
@@ -641,7 +645,7 @@ func (s *Server) handleTempCredentials(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Vended tokens must never be cached: they expire on their own clock.
-	w.Header().Set(hdrCacheControl, "no-store")
+	w.Header()[hdrCacheControl] = noStore
 	buf := jsonenc.Get()
 	buf.B = jsonenc.AppendTempCredential(buf.B, &tc)
 	sendPooled(w, http.StatusOK, buf)
@@ -685,7 +689,7 @@ func (s *Server) handleQueryAssets(w http.ResponseWriter, r *http.Request) {
 	}
 	if f.MaxResults > 0 || f.PageToken != "" {
 		st := newAssetStream()
-		next, qerr := s.Service.QueryAssetsPageFunc(s.ctx(r), f, st.emit)
+		next, qerr := s.Service.QueryAssetsPageFunc(s.ctx(w, r), f, st.emit)
 		if qerr != nil {
 			st.close()
 			writeErr(w, qerr)
@@ -695,7 +699,7 @@ func (s *Server) handleQueryAssets(w http.ResponseWriter, r *http.Request) {
 		st.close()
 		return
 	}
-	out, err := s.Service.QueryAssets(s.ctx(r), f)
+	out, err := s.Service.QueryAssets(s.ctx(w, r), f)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -709,7 +713,7 @@ func (s *Server) handleQueryAssets(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	limit, _ := strconv.Atoi(r.URL.Query().Get("limit"))
-	res, err := s.Search.Search(s.ctx(r), r.URL.Query().Get("q"), limit)
+	res, err := s.Search.Search(s.ctx(w, r), r.URL.Query().Get("q"), limit)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -725,7 +729,7 @@ func (s *Server) handleSubmitLineage(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	if err := s.Lineage.Submit(s.ctx(r), req.Edges); err != nil {
+	if err := s.Lineage.Submit(s.ctx(w, r), req.Edges); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -738,7 +742,7 @@ func (s *Server) handleQueryLineage(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("direction") == "upstream" {
 		walk = s.Lineage.Upstream
 	}
-	nodes, err := walk(s.ctx(r), ids.ID(r.PathValue("id")), depth)
+	nodes, err := walk(s.ctx(w, r), ids.ID(r.PathValue("id")), depth)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -758,7 +762,7 @@ func (s *Server) handleCreateModel(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	e, err := s.Registry.CreateRegisteredModel(s.ctx(r), req.SchemaFull, req.Name, req.Comment)
+	e, err := s.Registry.CreateRegisteredModel(s.ctx(w, r), req.SchemaFull, req.Name, req.Comment)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -775,7 +779,7 @@ func (s *Server) handleCreateModelVersion(w http.ResponseWriter, r *http.Request
 		writeErr(w, err)
 		return
 	}
-	mv, err := s.Registry.CreateModelVersion(s.ctx(r), r.PathValue("full"), req.RunID, req.Source)
+	mv, err := s.Registry.CreateModelVersion(s.ctx(w, r), r.PathValue("full"), req.RunID, req.Source)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -784,7 +788,7 @@ func (s *Server) handleCreateModelVersion(w http.ResponseWriter, r *http.Request
 }
 
 func (s *Server) handleListModelVersions(w http.ResponseWriter, r *http.Request) {
-	vs, err := s.Registry.ListModelVersions(s.ctx(r), r.PathValue("full"))
+	vs, err := s.Registry.ListModelVersions(s.ctx(w, r), r.PathValue("full"))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -805,7 +809,7 @@ func (s *Server) handleFinalizeModelVersion(w http.ResponseWriter, r *http.Reque
 		writeErr(w, fmt.Errorf("%w: bad version", catalog.ErrInvalidArgument))
 		return
 	}
-	if err := s.Registry.FinalizeModelVersion(s.ctx(r), r.PathValue("full"), v, req.Status); err != nil {
+	if err := s.Registry.FinalizeModelVersion(s.ctx(w, r), r.PathValue("full"), v, req.Status); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -859,7 +863,7 @@ func (s *Server) handleQueryShareTable(w http.ResponseWriter, r *http.Request) {
 // --- stats ---
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	ctx := s.ctx(r)
+	ctx := s.ctx(w, r)
 	counts, err := s.Service.TypeCounts(ctx.Metastore)
 	if err != nil {
 		writeErr(w, err)

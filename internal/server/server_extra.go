@@ -21,7 +21,7 @@ func (s *Server) handlePutVolumeFile(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("%w: %v", catalog.ErrInvalidArgument, err))
 		return
 	}
-	if err := s.Service.WriteVolumeFile(s.ctx(r), r.PathValue("full"), r.PathValue("name"), data); err != nil {
+	if err := s.Service.WriteVolumeFile(s.ctx(w, r), r.PathValue("full"), r.PathValue("name"), data); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -29,7 +29,7 @@ func (s *Server) handlePutVolumeFile(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGetVolumeFile(w http.ResponseWriter, r *http.Request) {
-	data, err := s.Service.ReadVolumeFile(s.ctx(r), r.PathValue("full"), r.PathValue("name"))
+	data, err := s.Service.ReadVolumeFile(s.ctx(w, r), r.PathValue("full"), r.PathValue("name"))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -39,7 +39,7 @@ func (s *Server) handleGetVolumeFile(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDeleteVolumeFile(w http.ResponseWriter, r *http.Request) {
-	if err := s.Service.DeleteVolumeFile(s.ctx(r), r.PathValue("full"), r.PathValue("name")); err != nil {
+	if err := s.Service.DeleteVolumeFile(s.ctx(w, r), r.PathValue("full"), r.PathValue("name")); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -47,7 +47,7 @@ func (s *Server) handleDeleteVolumeFile(w http.ResponseWriter, r *http.Request) 
 }
 
 func (s *Server) handleListVolumeFiles(w http.ResponseWriter, r *http.Request) {
-	files, err := s.Service.ListVolumeFiles(s.ctx(r), r.PathValue("full"))
+	files, err := s.Service.ListVolumeFiles(s.ctx(w, r), r.PathValue("full"))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -64,7 +64,7 @@ func (s *Server) handleCloneTable(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	e, err := s.Service.CloneTable(s.ctx(r), r.PathValue("full"), req.TargetSchema, req.TargetName)
+	e, err := s.Service.CloneTable(s.ctx(w, r), r.PathValue("full"), req.TargetSchema, req.TargetName)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -80,7 +80,7 @@ func (s *Server) handleRenameAsset(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	e, err := s.Service.RenameAsset(s.ctx(r), r.PathValue("full"), req.NewName)
+	e, err := s.Service.RenameAsset(s.ctx(w, r), r.PathValue("full"), req.NewName)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -90,7 +90,7 @@ func (s *Server) handleRenameAsset(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleOptimizeTable(w http.ResponseWriter, r *http.Request) {
 	opt := optimize.New(s.Service, optimize.Options{})
-	rep, err := opt.OptimizeTable(s.ctx(r), r.PathValue("full"))
+	rep, err := opt.OptimizeTable(s.ctx(w, r), r.PathValue("full"))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -106,7 +106,7 @@ func (s *Server) handleSetBindings(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	if err := s.Service.SetWorkspaceBindings(s.ctx(r), r.PathValue("name"), req.Workspaces); err != nil {
+	if err := s.Service.SetWorkspaceBindings(s.ctx(w, r), r.PathValue("name"), req.Workspaces); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -114,7 +114,7 @@ func (s *Server) handleSetBindings(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleUndelete(w http.ResponseWriter, r *http.Request) {
-	e, err := s.Service.Undelete(s.ctx(r), ids.ID(r.PathValue("id")))
+	e, err := s.Service.Undelete(s.ctx(w, r), ids.ID(r.PathValue("id")))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -123,7 +123,7 @@ func (s *Server) handleUndelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGC(w http.ResponseWriter, r *http.Request) {
-	ctx := s.ctx(r)
+	ctx := s.ctx(w, r)
 	// GC is an administrative sweep: require metastore admin rights.
 	info, err := s.Service.Metastore(ctx.Metastore)
 	if err != nil {

@@ -2,13 +2,13 @@
 // and the operational HTTP surface (/metrics, /debug/traces, /debug/pprof).
 //
 // Every API request runs inside a trace. The server stamps the trace ID
-// into the X-UC-Trace-Id response header and into the request context, so
-// the catalog layers underneath record their spans (store commit phases,
-// cache misses, authz snapshot builds, STS mints) against the same trace,
-// and audit records carry the same ID. Traces are retained by sampling
-// (every Nth) plus an always-on slow threshold, so /debug/traces shows
-// where a slow request actually spent its time without paying for span
-// retention on the fast path.
+// into the X-UC-Trace-Id response header and hands the root span to the
+// catalog through the request's envelope (s.ctx), so the layers underneath
+// record their spans (store commit phases, cache misses, authz snapshot
+// builds, STS mints) against the same trace, and audit records carry the
+// same ID. Traces are retained by sampling (every Nth) plus an always-on
+// slow threshold, so /debug/traces shows where a slow request actually spent
+// its time without paying for span retention on the fast path.
 package server
 
 import (
@@ -159,29 +159,65 @@ func opsPath(p string) bool {
 	return p == "/healthz" || p == "/metrics" || strings.HasPrefix(p, "/debug/")
 }
 
-// statusWriter captures the response status, the response-body byte count
-// (for per-tenant metering), and, via writeErr/encodeFail, the underlying
-// error, so the access log can report what a 5xx actually was. srv links
-// back to the owning server so encoding failures can bump its
+// envelope is all the state the server keeps for one API request, in one
+// object: it is the ResponseWriter handlers write through (capturing the
+// status, the body's byte count for per-tenant metering, and, via
+// writeErr/encodeFail, the underlying error the access log reports on a
+// 5xx), the request's root span (s.ctx), the route pattern the mux matched
+// (routes.go), and the values of the three per-request response headers.
+// The response's header map holds one-element slices of those slots, and the
+// header map outlives the handler, so an envelope is never pooled or reused.
+// srv links back to the owning server so encoding failures can bump its
 // uc_http_encode_errors counter from the package-level write helpers.
-type statusWriter struct {
+type envelope struct {
 	http.ResponseWriter
 	srv    *Server
+	span   obs.SpanContext
+	route  string
 	status int
 	bytes  int64
 	err    error
+	vals   [numVals]string // per-request header values, by slot
 }
 
-func (w *statusWriter) WriteHeader(code int) {
+// The envelope's per-request header value slots.
+const (
+	valTraceID = iota
+	valETag
+	valContentLength
+	numVals
+)
+
+func (w *envelope) WriteHeader(code int) {
 	w.status = code
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *statusWriter) Write(p []byte) (int, error) {
+func (w *envelope) Write(p []byte) (int, error) {
 	n, err := w.ResponseWriter.Write(p)
 	w.bytes += int64(n)
 	return n, err
 }
+
+// headerValue returns v as a one-element response header value: a slice of
+// slot i of w's envelope when w is one, a slice of its own otherwise (the
+// operational endpoints are served without an envelope).
+func headerValue(w http.ResponseWriter, i int, v string) []string {
+	if e, ok := w.(*envelope); ok {
+		e.vals[i] = v
+		return e.vals[i : i+1 : i+1]
+	}
+	return []string{v}
+}
+
+// Response header values that never change are shared read-only slices with
+// len == cap, so an Add to one of these headers copies instead of writing
+// into the array every response shares.
+var (
+	jsonContentType = []string{"application/json"}
+	revalidate      = []string{"private, must-revalidate"}
+	noStore         = []string{"no-store"}
+)
 
 // allocSampler measures heap allocations across a sampled subset of
 // requests (one in allocSampleEvery, one at a time) to feed the per-route
@@ -235,15 +271,8 @@ func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request) {
 	} else {
 		t = s.tracer.StartTrace()
 	}
-	sc := s.tracer.Root(t)
-	w.Header().Set(obs.TraceIDHeader, t.ID())
-	sw := &statusWriter{ResponseWriter: w, srv: s, status: http.StatusOK}
-	r = r.WithContext(obs.ContextWithSpan(r.Context(), sc))
-
-	_, route := s.mux.Handler(r)
-	if route == "" {
-		route = "unmatched"
-	}
+	e := &envelope{ResponseWriter: w, srv: s, span: s.tracer.Root(t), status: http.StatusOK}
+	w.Header()[obs.TraceIDHeader] = headerValue(e, valTraceID, t.ID())
 
 	allocsBefore, measure := s.allocs.begin()
 	start := time.Now()
@@ -252,16 +281,22 @@ func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request) {
 		injected = inj.Check("http."+r.Method, r.URL.Path)
 	}
 	if injected != nil {
-		writeErr(sw, injected)
+		// Nothing is dispatched, so no route handler records its pattern.
+		_, e.route = s.mux.Handler(r)
+		writeErr(e, injected)
 	} else {
-		s.mux.ServeHTTP(sw, r)
+		s.mux.ServeHTTP(e, r)
 	}
 	took := time.Since(start)
+	route := e.route
+	if route == "" {
+		route = "unmatched"
+	}
 	if measure {
 		s.httpAllocs.With(route).Set(int64(s.allocs.end(allocsBefore)))
 	}
 
-	s.httpReqs.With(route, strconv.Itoa(sw.status)).Inc()
+	s.httpReqs.With(route, statusLabel(e.status)).Inc()
 	// Sampled traces pin an exemplar on their latency bucket, linking the
 	// /metrics histogram to the concrete trace in /debug/traces. Unsampled
 	// requests pass "" and skip the exemplar store entirely.
@@ -272,26 +307,65 @@ func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request) {
 	s.httpSeconds.With(route).ObserveT(int64(took), exemplar)
 	if s.tenants != nil {
 		tenant := strings.TrimPrefix(r.Header.Get(hdrAuthorization), "Bearer ")
-		s.tenants.ObserveRequest(tenant, sw.bytes, took)
+		s.tenants.ObserveRequest(tenant, e.bytes, took)
 	}
 	if s.cfg.AccessLog {
-		s.writeAccessLog(r, sw, took, t.ID())
+		s.writeAccessLog(r, e, took, t.ID())
 	}
 	s.tracer.Finish(t, r.Method, r.URL.Path)
+}
+
+// statusLabel is code's uc_http_requests_total label, a constant for every
+// code the server's routes answer with, so counting a request allocates
+// nothing.
+func statusLabel(code int) string {
+	switch code {
+	case http.StatusOK:
+		return "200"
+	case http.StatusCreated:
+		return "201"
+	case http.StatusNoContent:
+		return "204"
+	case http.StatusMovedPermanently:
+		return "301"
+	case http.StatusNotModified:
+		return "304"
+	case http.StatusBadRequest:
+		return "400"
+	case http.StatusUnauthorized:
+		return "401"
+	case http.StatusForbidden:
+		return "403"
+	case http.StatusNotFound:
+		return "404"
+	case http.StatusMethodNotAllowed:
+		return "405"
+	case http.StatusConflict:
+		return "409"
+	case http.StatusTooManyRequests:
+		return "429"
+	case http.StatusInternalServerError:
+		return "500"
+	case http.StatusServiceUnavailable:
+		return "503"
+	case http.StatusGatewayTimeout:
+		return "504"
+	}
+	return strconv.Itoa(code)
 }
 
 // writeAccessLog emits one structured logfmt line for the request. Every
 // field a client chooses is quoted or escaped, so none can add a field: the
 // principal is quoted, the path is written escaped (a decoded "%20" would end
 // the field), and the trace ID is hex (obs.ParsePropagation).
-func (s *Server) writeAccessLog(r *http.Request, sw *statusWriter, took time.Duration, traceID string) {
+func (s *Server) writeAccessLog(r *http.Request, e *envelope, took time.Duration, traceID string) {
 	principal := strings.TrimPrefix(r.Header.Get(hdrAuthorization), "Bearer ")
 	var b strings.Builder
 	fmt.Fprintf(&b, "time=%s method=%s path=%s status=%d duration=%s principal=%q trace=%s",
 		time.Now().UTC().Format(time.RFC3339Nano), r.Method, r.URL.EscapedPath(),
-		sw.status, took, principal, traceID)
-	if sw.status >= 500 && sw.err != nil {
-		fmt.Fprintf(&b, " error=%q", sw.err.Error())
+		e.status, took, principal, traceID)
+	if e.status >= 500 && e.err != nil {
+		fmt.Fprintf(&b, " error=%q", e.err.Error())
 	}
 	b.WriteByte('\n')
 	s.logMu.Lock()

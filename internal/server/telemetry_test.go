@@ -412,3 +412,67 @@ func TestPprofGated(t *testing.T) {
 		t.Errorf("pprof with flag = %d", resp.StatusCode)
 	}
 }
+
+// TestRouteLabels holds uc_http_requests_total's {route, code} labels: a
+// matched request counts under its route's pattern, whatever its status; an
+// unknown path and a known path under a method it does not serve count as
+// "unmatched"; a request failed by an injected fault, which reaches no
+// handler, still counts under the pattern it would have reached; and the
+// operational endpoints are not counted at all.
+func TestRouteLabels(t *testing.T) {
+	srv, hs, _ := telemetryStack(t, nil)
+	if _, err := srv.Service.CreateCatalog(catalog.Ctx{Principal: "admin", Metastore: "ms1"}, "sales", ""); err != nil {
+		t.Fatal(err)
+	}
+	do := func(method, path string, want int) {
+		t.Helper()
+		req, err := http.NewRequest(method, hs.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", "Bearer admin")
+		req.Header.Set("X-UC-Metastore", "ms1")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("%s %s = %d, want %d", method, path, resp.StatusCode, want)
+		}
+	}
+	const api = "/api/2.1/unity-catalog"
+	do("GET", api+"/assets/sales", http.StatusOK)
+	do("GET", api+"/assets/sales", http.StatusOK)
+	do("GET", api+"/assets/nosuch", http.StatusNotFound)
+	do("GET", api+"/nosuch", http.StatusNotFound)
+	do("PUT", api+"/resolve", http.StatusMethodNotAllowed)
+	inj := faults.New(1)
+	inj.AddRule(faults.Rule{Op: "http.GET", Class: faults.Throttled, P: 1})
+	srv.SetFaults(inj)
+	do("GET", api+"/assets/sales", http.StatusTooManyRequests)
+	do("GET", api+"/nosuch", http.StatusTooManyRequests)
+	do("GET", "/healthz", http.StatusOK) // exempt from faults, and not counted
+	srv.SetFaults(nil)
+	do("GET", "/debug/traces", http.StatusOK)
+
+	_, body := mustGet(t, hs.URL+"/metrics")
+	var got []string
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "uc_http_requests_total{") {
+			got = append(got, line)
+		}
+	}
+	want := []string{
+		`uc_http_requests_total{route="GET /api/2.1/unity-catalog/assets/{full}",code="200"} 2`,
+		`uc_http_requests_total{route="GET /api/2.1/unity-catalog/assets/{full}",code="404"} 1`,
+		`uc_http_requests_total{route="GET /api/2.1/unity-catalog/assets/{full}",code="429"} 1`,
+		`uc_http_requests_total{route="unmatched",code="404"} 1`,
+		`uc_http_requests_total{route="unmatched",code="405"} 1`,
+		`uc_http_requests_total{route="unmatched",code="429"} 1`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("uc_http_requests_total:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
