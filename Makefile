@@ -13,41 +13,14 @@ test:
 	$(GO) vet ./...
 	$(GO) test ./...
 
-# Race gate: runs the stress, coalescing, and chaos tests (and everything
-# else in these packages) under the race detector. Must pass before touching
-# the cache, store, catalog, or audit concurrency machinery, the fault
-# injector, or the retry paths. The packages listed after internal/chaos
-# joined in PR 17, all passing already: they are a gate, not a bug hunt. The
-# last line repeats the cache's concurrent differential test (local and
-# foreign writers racing each other's write-throughs), a write sequenced
-# behind an unapplied foreign commit, and two local write-throughs run out of
-# order twenty times: the first two were once a 4-in-10 tier-1 flake. With
-# them go the tag-search test (a 1-in-2 flake until PR 15: the event outran
-# the state it described) and the event log's Subscribe/Cancel-vs-Publish
-# stress (2 s a run; the fan-out before PR 15 panicked within milliseconds),
-# and the two tests that hold authorization snapshots to their soundness rule
-# now that they outlive versions (PR 16): the interleaved-write oracle, a
-# different commit sequence each repetition, and the advance-vs-stale-reader
-# race, where a memo entry crossing versions is a wrong decision. Last, the
-# two that hold the one way a node hears of another's commit (PR 17): three
-# services on one database against the store's current snapshot, a different
-# sequence each repetition, and the foreign burst that must cost a warm node
-# exactly one reconcile. And the one that holds entities read through a cache
-# view to being shared and immutable (PR 20): seeded writers against readers
-# holding views across their commits, every read compared with a private
-# decode of the store's bytes at the view's version. And the one that holds an
-# unpaged listing to the one view it opened (PR 22): catalog-wide queries
-# against a writer whose commits no single version shows half of. And the
-# flight recorder's incident freezing the tracer's ring while requests
-# finish into it (PR 25: the ring it froze used to be its own).
-# And the event ring's packed slots against a plain []Event, delivered to a
-# follower that the log laps. And the store's lineage invariant at every
-# version, with submits racing deletes and restores on one node and on two.
-# And the store's write set against a plain map, each transaction read through
-# the pending overlay while a blocked WAL writer holds it unapplied, a new
-# seed each repetition. And eight HTTP clients on the hot routes, each response
-# holding its own request's trace ID, validator and header values: the
-# per-request envelope the response header map points into is never shared.
+# Race gate: every package but internal/bench and the commands, then twenty
+# runs each of the tests that once flaked or hold a cross-version rule:
+#   cache: local and foreign write-throughs, sequenced and out-of-order installs, one reconcile per foreign burst
+#   search: tag search; the index against its map-posting reference
+#   events: Subscribe/Cancel racing Publish; the packed ring against a []Event
+#   catalog: authorizer oracles, multi-node and shared-entity differentials, one version per unpaged listing
+#   privilege: snapshot cache advancing under stale readers
+#   obs, lineage, store, server: flight-recorder freeze; edges vs assets; write set vs a map; one envelope per request
 race:
 	$(GO) test -race -count=1 \
 		./internal/cache/... \
@@ -81,25 +54,14 @@ race:
 		./internal/clock/... \
 		./internal/ids/... \
 		./uc/...
-	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestLocalWritesInstallOutOfOrder|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll|TestPackedRingMatchesReference|TestNoEdgeOutlivesItsAssets|TestTxWriteSetMatchesReference|TestEnvelopePerRequest' \
+	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestLocalWritesInstallOutOfOrder|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll|TestPackedRingMatchesReference|TestNoEdgeOutlivesItsAssets|TestTxWriteSetMatchesReference|TestEnvelopePerRequest|TestIndexMatchesReference' \
 		./internal/cache/ ./internal/search/ ./internal/events/ ./internal/catalog/ ./internal/privilege/ ./internal/obs/ ./internal/lineage/ ./internal/store/ ./internal/server/
 
-# Who holds the resident bytes: builds 2,000 tables through uc.Open with
-# every allocation profiled and prints in-use bytes per internal package,
-# failing when search, catalog, events, the store's commit-built structure
-# or the durable values (erm: entity records and index rows) is 10 % over its
-# recorded figure, or the audit log over its figure per retained record
-# (uc/heap_test.go; DESIGN.md "Resident layout"). A
-# WAL-backed stack's writer is held to its largest batch
-# (TestWALBufferIsItsLargestBatch), and one lineage edge per table of 2,000
-# to its recorded bytes per edge (TestLineageEdgeBytes). Then what listing leaves behind: every table paged through by
-# four principals, the pages dropped, and the bytes still in use under the
-# cache, the authorization memos and the decode sites held to their recorded
-# figures (TestPageRetention). TestResidentBudget ends with the warm-cache
-# row: every table read once by name, and what that leaves in use under the
-# cache and the decoder per table read — the resident cost of the decoded
-# forms the cache keeps, which the benchmark's heap_bytes_per_asset (read on
-# an emptied cache) cannot see. `make race` runs both with ./uc/...
+# Who holds the resident bytes (uc/heap_test.go; DESIGN.md "Resident layout"):
+# in-use bytes per internal package for 2,000 tables, each holder held to its
+# recorded figure + 10 % (the audit log per retained record); the WAL writer
+# to its largest batch, a lineage edge to its bytes, what dropped list pages
+# leave behind, and a warm cache's bytes per table read. `make race` runs them too.
 heap:
 	$(GO) test -count=1 -run 'TestResidentBudget|TestLineageEdgeBytes|TestWALBufferIsItsLargestBatch|TestPageRetention' -v ./uc/
 

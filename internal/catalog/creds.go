@@ -212,3 +212,24 @@ func (s *Service) AuthorizeBatch(ctx Ctx, assetIDs []ids.ID, priv privilege.Priv
 	}
 	return out, nil
 }
+
+// VisibleEntities reads a batch of securables at one view and returns, in
+// order, the entity of each that is live there and that the principal may
+// see (AuthorizeBatch's visibility check), and nil for the rest. A discovery
+// service that keeps only IDs reads what it answers with here, as the asset
+// is when the query runs.
+func (s *Service) VisibleEntities(ctx Ctx, assetIDs []ids.ID) ([]*erm.Entity, error) {
+	v, err := s.view(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer v.Close()
+	auth, abac := s.authorizer(ctx, v), &lazyABAC{}
+	out := make([]*erm.Entity, len(assetIDs))
+	for i, id := range assetIDs {
+		if e, ok := erm.GetEntity(v, id); ok && e.State != erm.StateSoftDeleted && s.visible(ctx, auth, v, abac, e) {
+			out[i] = e
+		}
+	}
+	return out, nil
+}

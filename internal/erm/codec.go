@@ -99,9 +99,9 @@ package erm
 //     request — a map key or struct field of an index, a history, a memo, a
 //     follower's document — must strings.Clone it first, or it pins the
 //     record's backing (~5x the bytes it uses) or a page's (~500x). Today's
-//     holders: search (a document's FullName; and each distinct token,
-//     cloned once when the index first sees it, never kept as a substring of
-//     the lowered text it was cut from), the event history (stageEvent's
+//     holders: search (each distinct token, cloned once when the index
+//     first sees it, never kept as a substring of the lowered text it was
+//     cut from; a document keeps the ID only), the event history (stageEvent's
 //     FullName), the compiled authorization snapshots (Securable.Parent,
 //     copied where the memo files it: privilege's memo.remember). The two holders a listed page reaches — the
 //     metadata cache's miss-fill key and the authorization memo's keys — keep

@@ -15,38 +15,37 @@ import (
 	"unitycatalog/internal/erm"
 	"unitycatalog/internal/events"
 	"unitycatalog/internal/ids"
+	"unitycatalog/internal/obs"
 )
 
-// doc is one indexed asset. Its tokens are numbers (see index).
+// doc is one indexed asset: its ID and its tokens, as numbers (see index).
+// What a result answers with, the asset's full name and type, is read when
+// the query runs, from the entity record that already holds it.
 type doc struct {
-	id       ids.ID
-	fullName string
-	typ      string
-	toks     []uint32 // ascending
+	id   ids.ID
+	toks []uint32 // ascending
 }
 
 // parsed is a document before it is numbered, built from a snapshot with no
 // index lock held. Its tokens may be substrings of a longer lowered text: the
 // index clones the ones it has not seen before.
 type parsed struct {
-	id       ids.ID
-	fullName string
-	typ      string
-	tokens   []string // sorted, distinct
+	id     ids.ID
+	tokens []string // sorted, distinct
 }
 
 // token is one distinct index term and the documents that contain it.
 type token struct {
-	text string              // the tokID key
-	docs map[uint32]struct{} // document numbers; nil when the token number is free
+	text string   // the tokID key
+	docs []uint32 // ascending document numbers; nil when the token number is free
 }
 
 // index is the inverted index in numbered form: documents and tokens are
-// known by small integers, so a posting holds 4-byte document numbers rather
-// than 32-byte IDs, and a document lists its tokens as numbers rather than in
-// a map of strings. Numbers are recycled — a removed document's slot, and a
-// token whose last document left, go on a free list — so create/delete churn
-// does not grow the index.
+// known by small integers, so a posting is a sorted run of 4-byte document
+// numbers rather than a set of 32-byte IDs, and a document lists its tokens
+// as numbers rather than in a map of strings. Numbers are recycled — a
+// removed document's slot, and a token whose last document left, go on a
+// free list — so create/delete churn does not grow the index.
 type index struct {
 	docs     []doc // by document number; a free slot has id == ids.Nil
 	freeDocs []uint32
@@ -90,9 +89,12 @@ func (ix *index) add(p parsed) {
 			t = number(&ix.freeToks, &ix.toks)
 			text = strings.Clone(text)
 			ix.tokID[text] = t
-			ix.toks[t] = token{text: text, docs: map[uint32]struct{}{}}
+			ix.toks[t].text = text
 		}
-		ix.toks[t].docs[n] = struct{}{}
+		tok := &ix.toks[t]
+		if j, found := slices.BinarySearch(tok.docs, n); !found {
+			tok.docs = slices.Insert(tok.docs, j, n)
+		}
 		toks[i] = t
 	}
 	slices.Sort(toks)
@@ -101,7 +103,7 @@ func (ix *index) add(p parsed) {
 			ix.unpost(t, n)
 		}
 	}
-	ix.docs[n] = doc{id: p.id, fullName: p.fullName, typ: p.typ, toks: toks}
+	ix.docs[n] = doc{id: p.id, toks: toks}
 }
 
 // remove drops the document with the given ID.
@@ -123,7 +125,9 @@ func (ix *index) remove(id ids.ID) {
 // under its key is how table churn used to grow the index without bound.
 func (ix *index) unpost(t, n uint32) {
 	tok := &ix.toks[t]
-	delete(tok.docs, n)
+	if i, found := slices.BinarySearch(tok.docs, n); found {
+		tok.docs = slices.Delete(tok.docs, i, i+1)
+	}
 	if len(tok.docs) == 0 {
 		delete(ix.tokID, tok.text)
 		*tok = token{}
@@ -131,12 +135,58 @@ func (ix *index) unpost(t, n uint32) {
 	}
 }
 
-// posting returns the documents containing text; nil if none do.
-func (ix *index) posting(text string) map[uint32]struct{} {
-	if t, ok := ix.tokID[text]; ok {
-		return ix.toks[t].docs
+// find returns the IDs of the documents that contain every term, in document
+// number order. It walks the shortest posting and looks each of its numbers
+// up in the others by galloping on from where the last one was found, so a
+// query costs about the rarest term's length times the log of the gaps.
+func (ix *index) find(terms []string) []ids.ID {
+	postings := make([][]uint32, len(terms))
+	for i, text := range terms {
+		t, ok := ix.tokID[text]
+		if !ok {
+			return nil
+		}
+		postings[i] = ix.toks[t].docs
 	}
-	return nil
+	slices.SortFunc(postings, func(a, b []uint32) int { return len(a) - len(b) })
+	at := make([]int, len(postings)-1)
+	var out []ids.ID
+next:
+	for _, n := range postings[0] {
+		for i, p := range postings[1:] {
+			j := seek(p, at[i], n)
+			if j == len(p) {
+				break next
+			}
+			if at[i] = j; p[j] != n {
+				continue next
+			}
+		}
+		out = append(out, ix.docs[n].id)
+	}
+	return out
+}
+
+// seek returns the first position at or after i where ascending p holds a
+// number ≥ n, or len(p); every number before i must be < n. It doubles its
+// step until it passes n, then binary-searches the last step.
+func seek(p []uint32, i int, n uint32) int {
+	step := 1
+	for i+step < len(p) && p[i+step] < n {
+		i += step
+		step *= 2
+	}
+	j, _ := slices.BinarySearch(p[i:min(i+step, len(p))], n)
+	return i + j
+}
+
+// size counts the index's documents, distinct tokens and posting entries
+// (one per token a document holds).
+func (ix *index) size() (docs, tokens, postings int) {
+	for _, d := range ix.docs {
+		postings += len(d.toks)
+	}
+	return len(ix.byID), len(ix.tokID), postings
 }
 
 // Service is the search index.
@@ -235,9 +285,9 @@ func parse(r erm.Reader, e *erm.Entity) parsed {
 	for _, ct := range colTags {
 		tagTokens(ct)
 	}
-	// The document outlives the decoded entity: copy what it keeps of it (see
-	// the ownership rule in erm/codec.go; e.ID and e.Type pin nothing).
-	return parsed{id: e.ID, fullName: strings.Clone(e.FullName), typ: string(e.Type), tokens: distinct(tokens)}
+	// e.ID pins nothing (erm/codec.go's ownership rule); the tokens the index
+	// keeps are cloned there.
+	return parsed{id: e.ID, tokens: distinct(tokens)}
 }
 
 func (s *Service) remove(id ids.ID) {
@@ -278,7 +328,9 @@ type Result struct {
 
 // Search finds assets matching all query terms (AND semantics; a term also
 // matches tag key:value pairs), filtered to assets the principal may see,
-// returning up to limit results (0 = 50).
+// returning up to limit results (0 = 50) sorted by full name. A result's full
+// name and type are read at one view when the query runs, and an asset that
+// is no longer live there is not returned.
 func (s *Service) Search(ctx catalog.Ctx, query string, limit int) ([]Result, error) {
 	if limit <= 0 {
 		limit = 50
@@ -288,41 +340,18 @@ func (s *Service) Search(ctx catalog.Ctx, query string, limit int) ([]Result, er
 		return nil, nil
 	}
 	s.mu.RLock()
-	ix := s.ix
-	// Intersect postings, starting from the rarest term.
-	postings := make([]map[uint32]struct{}, len(terms))
-	for i, t := range terms {
-		postings[i] = ix.posting(t)
-	}
-	sort.Slice(postings, func(i, j int) bool { return len(postings[i]) < len(postings[j]) })
-	results := make([]Result, 0, len(postings[0]))
-	for n := range postings[0] {
-		match := true
-		for _, p := range postings[1:] {
-			if _, match = p[n]; !match {
-				break
-			}
-		}
-		if match {
-			d := &ix.docs[n]
-			results = append(results, Result{ID: d.id, FullName: d.fullName, Type: d.typ, Score: len(terms)})
-		}
-	}
+	found := s.ix.find(terms)
 	s.mu.RUnlock()
 
-	// Authorization filtering via the core's batch API.
-	idList := make([]ids.ID, len(results))
-	for i, r := range results {
-		idList[i] = r.ID
-	}
-	allowed, err := s.core.AuthorizeBatch(ctx, idList, "")
+	// One batched read through the core's authorization filter.
+	ents, err := s.core.VisibleEntities(ctx, found)
 	if err != nil {
 		return nil, err
 	}
-	out := results[:0]
-	for i, r := range results {
-		if allowed[i] {
-			out = append(out, r)
+	out := make([]Result, 0, len(ents))
+	for _, e := range ents {
+		if e != nil {
+			out = append(out, Result{ID: e.ID, FullName: e.FullName, Type: string(e.Type), Score: len(terms)})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].FullName < out[j].FullName })
@@ -337,4 +366,17 @@ func (s *Service) DocCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.ix.byID)
+}
+
+// RegisterMetrics exposes what the index holds on r: documents, distinct
+// tokens and posting entries. Call once per registry.
+func (s *Service) RegisterMetrics(r *obs.Registry) {
+	size := func() (docs, tokens, postings int) {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		return s.ix.size()
+	}
+	r.RegisterGaugeFunc("uc_search_documents", "Assets in the search index.", func() float64 { d, _, _ := size(); return float64(d) })
+	r.RegisterGaugeFunc("uc_search_tokens", "Distinct terms in the search index.", func() float64 { _, t, _ := size(); return float64(t) })
+	r.RegisterGaugeFunc("uc_search_postings", "Search posting entries: one per term an indexed asset holds.", func() float64 { _, _, p := size(); return float64(p) })
 }

@@ -85,6 +85,7 @@ func (s *Server) initTelemetry(cfg Config) {
 	s.tracer = obs.NewTracer(cfg.SampleEvery, cfg.SlowThreshold)
 	s.metrics = obs.NewRegistry()
 	s.Service.RegisterMetrics(s.metrics)
+	s.Search.RegisterMetrics(s.metrics)
 	s.httpReqs = obs.NewCounterVec("route", "code")
 	s.httpSeconds = obs.NewHistogramVec(obs.LatencyBuckets(), 1e-9, "route")
 	s.httpAllocs = obs.NewGaugeVec("route")

@@ -82,8 +82,9 @@ func seedAssets(t *testing.T, c *client.Client) {
 // store commits and WAL batching, cache traffic, the event log and its
 // followers, authz snapshots, audit aggregates, and per-route HTTP latency.
 func TestMetricsEndpoint(t *testing.T) {
-	_, hs, c := telemetryStack(t, nil)
+	srv, hs, c := telemetryStack(t, nil)
 	seedAssets(t, c)
+	srv.Search.Sync()
 
 	resp, body := mustGet(t, hs.URL+"/metrics")
 	if resp.StatusCode != http.StatusOK {
@@ -122,6 +123,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"uc_cloud_puts_total",
 		"uc_http_requests_total",
 		"uc_http_request_seconds_bucket",
+		fmt.Sprintf("uc_search_documents %d\n", srv.Search.DocCount()),
+		"uc_search_tokens",
+		"uc_search_postings",
 	} {
 		if !strings.Contains(body, family) {
 			t.Errorf("/metrics missing %s", family)
@@ -139,7 +143,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Error("the admin's snapshot memoized nothing, or did not follow the seed's commits")
 	}
 	// Each re-laid structure says what it holds.
-	for _, gauge := range []string{"uc_audit_retained_records", "uc_audit_retained_bytes", "uc_store_index_leaf_fill"} {
+	for _, gauge := range []string{"uc_audit_retained_records", "uc_audit_retained_bytes", "uc_store_index_leaf_fill", "uc_search_documents", "uc_search_tokens", "uc_search_postings"} {
 		if strings.Contains(body, gauge+" 0\n") {
 			t.Errorf("%s is zero after the seed's writes", gauge)
 		}
