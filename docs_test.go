@@ -1,0 +1,80 @@
+package unitycatalog_test
+
+import (
+	"bufio"
+	"os"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// The documents a newcomer reads in one sitting are held where they stand.
+// A change that grows DESIGN.md or EXPERIMENTS.md must raise its ceiling
+// here, in its own diff; one that shrinks a document lowers the ceiling to
+// the new size, so the room it made is not spent unnoticed.
+const (
+	designMaxBytes      = 98120
+	experimentsMaxBytes = 152650
+	// Every CHANGES.md entry from PR changesRatchetFrom on is at most
+	// changesMaxLines lines: a summary, not a second copy of the diff.
+	changesRatchetFrom = 37
+	changesMaxLines    = 5
+)
+
+func TestDocumentSizes(t *testing.T) {
+	for _, doc := range []struct {
+		name string
+		max  int64
+	}{{"DESIGN.md", designMaxBytes}, {"EXPERIMENTS.md", experimentsMaxBytes}} {
+		fi, err := os.Stat(doc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() > doc.max {
+			t.Errorf("%s is %d bytes, over its ceiling of %d (docs_test.go): shorten it, or raise the ceiling in the same change", doc.name, fi.Size(), doc.max)
+		}
+	}
+}
+
+// TestChangesEntryLength reads CHANGES.md as entries: a line "- PR <n>…" and
+// the indented lines under it.
+func TestChangesEntryLength(t *testing.T) {
+	f, err := os.Open("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	lines := map[int]int{} // PR number → lines in its entry
+	pr := 0
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "- PR "):
+			digits := strings.TrimPrefix(line, "- PR ")
+			if i := strings.IndexFunc(digits, func(r rune) bool { return r < '0' || r > '9' }); i >= 0 {
+				digits = digits[:i]
+			}
+			if pr, err = strconv.Atoi(digits); err != nil {
+				t.Fatalf("CHANGES.md: entry %q has no PR number", line)
+			}
+			lines[pr]++
+		case pr != 0 && strings.HasPrefix(line, " "):
+			lines[pr]++
+		default:
+			pr = 0
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(lines) == 0 {
+		t.Fatal("CHANGES.md: no entry read")
+	}
+	for n, count := range lines {
+		if n >= changesRatchetFrom && count > changesMaxLines {
+			t.Errorf("CHANGES.md: the PR %d entry is %d lines, over %d", n, count, changesMaxLines)
+		}
+	}
+}

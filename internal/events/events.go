@@ -3,12 +3,13 @@
 // (paper §4.4), and that the cache layer uses for selective reconciliation
 // (paper §4.5).
 //
-// The stream is one fixed ring indexed by publish sequence number. Publish
+// The stream is a log indexed by publish sequence number, held in chunks of
+// packed slots that are dropped once no follower can read them. Publish
 // writes one slot; readers are Followers that pull by cursor on their own
 // goroutines, so a slow reader costs the publisher nothing. Loss has one
-// definition: a follower whose cursor has been overwritten has a gap, and
-// rebuilds from the source of truth once (see Follow). Events are ordered
-// per metastore by the metastore version that produced them.
+// definition: a follower more than historyMax behind has a gap, and rebuilds
+// from the source of truth once (see Follow). Events are ordered per
+// metastore by the metastore version that produced them.
 package events
 
 import (
@@ -60,22 +61,34 @@ type Event struct {
 	Changes []Change `json:"changes,omitempty"`
 }
 
+// chunkLen is the number of events in a chunk: 64 packed slots, 6 KiB.
+const chunkLen = 64
+
+// chunk holds events c·chunkLen to c·chunkLen + chunkLen − 1 for some chunk
+// number c. It is allocated whole and dropped whole.
+type chunk [chunkLen]slot
+
 // Bus is the event log. The zero value is not usable; call NewBus.
 type Bus struct {
 	mu        sync.Mutex
 	published *sync.Cond // followers wait here for the next event
 	handled   *sync.Cond // Sync waits here for a follower's progress
-	ring      []slot     // event n is packed in ring[n%len(ring)] (pack.go)
+	chunks    []*chunk   // oldest first, the last one open; events packed as in pack.go
+	head      uint64     // chunk number of chunks[0]
+	spare     *chunk     // a dropped chunk, zeroed, for the next one to open in
+	history   uint64     // how far a follower may trail before it has a gap
 	names     []string   // metastore, op and type names, by slot number
 	nameNo    map[string]uint16
-	next      uint64 // events published so far = the next sequence number
-	spilled   int64  // events published whole behind slot.rest
-	buf       int    // channel depth of a Subscription
-	followers []*Follower
+	next      uint64      // events published so far = the next sequence number
+	spilled   int64       // events published whole behind slot.rest
+	buf       int         // channel depth of a Subscription
+	followers []*Follower // listed from Follow or Subscribe until their goroutine exits
 }
 
-// NewBus returns a Bus that retains the last historyMax events (0 means
-// 8192) and whose Subscriptions buffer up to buf more (0 means 1024).
+// NewBus returns a Bus that lets a follower trail by at most historyMax
+// events (0 means 8192) before it has a gap, and whose Subscriptions buffer
+// up to buf more (0 means 1024). The log holds only what a follower may
+// still read.
 func NewBus(buf, historyMax int) *Bus {
 	if buf <= 0 {
 		buf = 1024
@@ -83,23 +96,77 @@ func NewBus(buf, historyMax int) *Bus {
 	if historyMax <= 0 {
 		historyMax = 8192
 	}
-	b := &Bus{ring: make([]slot, historyMax), nameNo: map[string]uint16{}, buf: buf}
+	b := &Bus{history: uint64(historyMax), nameNo: map[string]uint16{}, buf: buf}
 	b.published, b.handled = sync.NewCond(&b.mu), sync.NewCond(&b.mu)
 	return b
 }
 
 // Publish appends e to the log. It never blocks on a reader and, unless e
-// spills (see slot), allocates nothing: it runs inside the store's commit
-// turnstile.
+// spills (see slot) or a lagging follower keeps more chunks held than
+// before, allocates nothing: it runs inside the store's commit turnstile.
 func (b *Bus) Publish(e Event) {
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}
 	b.mu.Lock()
-	b.ring[b.next%uint64(len(b.ring))] = b.pack(&e)
+	if b.next%chunkLen == 0 {
+		b.open()
+	}
+	b.chunks[len(b.chunks)-1][b.next%chunkLen] = b.pack(&e)
 	b.next++
 	b.mu.Unlock()
 	b.published.Broadcast()
+}
+
+// open appends the chunk that event b.next starts, in the spare if there is
+// one. Caller holds b.mu.
+func (b *Bus) open() {
+	b.trim()
+	c := b.spare
+	if c == nil {
+		c = new(chunk)
+	}
+	b.spare = nil
+	b.chunks = append(b.chunks, c)
+}
+
+// trim drops every chunk that lies wholly before the slowest listed
+// follower's cursor or wholly more than b.history behind b.next: no follower
+// can read those. It runs when a chunk opens and when a follower's cursor
+// enters a new chunk, so that a caught-up log holds its open chunk and at
+// most the spare. The first chunk dropped, zeroed so that it keeps no strings alive,
+// becomes the spare if there is none. Caller holds b.mu.
+func (b *Bus) trim() {
+	keep := b.next // the first event a follower may still read
+	for _, f := range b.followers {
+		keep = min(keep, f.cursor)
+	}
+	if b.next > b.history {
+		keep = max(keep, b.next-b.history)
+	}
+	drop := 0
+	for drop < len(b.chunks) && (b.head+uint64(drop)+1)*chunkLen <= keep {
+		drop++
+	}
+	if drop == 0 {
+		return
+	}
+	if b.spare == nil {
+		b.spare = b.chunks[0]
+		*b.spare = chunk{}
+	}
+	b.chunks = slices.Delete(b.chunks, 0, drop)
+	b.head += uint64(drop)
+}
+
+// at returns event n's slot; n must still be held. Caller holds b.mu.
+func (b *Bus) at(n uint64) *slot { return &b.chunks[n/chunkLen-b.head][n%chunkLen] }
+
+// retained returns how many events the log holds.
+func (b *Bus) retained() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return int64(b.next - b.head*chunkLen)
 }
 
 // Published returns the total number of events published.
@@ -138,7 +205,7 @@ type Follower struct {
 // resync rebuilds the follower's state from the source of truth. Follow
 // calls it once before returning, after fixing the cursor (a new follower
 // has seen nothing, which is what a gap leaves behind); the follower calls it
-// once each time its cursor falls off the ring and continues from the
+// once each time it falls more than historyMax behind and continues from the
 // sequence number observed before that call began. Events published while
 // resync runs are thus handled after it, on state that already includes
 // them: handle must be idempotent against current state.
@@ -168,7 +235,7 @@ func (f *Follower) run() {
 		case behind == 0:
 			b.published.Wait()
 			continue
-		case behind > uint64(len(b.ring)):
+		case behind > b.history:
 			resume := b.next
 			f.lost.Add(int64(behind))
 			f.resyncs.Add(1)
@@ -176,15 +243,22 @@ func (f *Follower) run() {
 			f.resync()
 			b.mu.Lock()
 			f.cursor = resume
+			b.trim()
 		default:
-			e := b.unpack(&b.ring[f.cursor%uint64(len(b.ring))])
+			e := b.unpack(b.at(f.cursor))
 			b.mu.Unlock()
 			f.handle(e)
 			b.mu.Lock()
 			f.cursor++
+			if f.cursor%chunkLen == 0 { // it enters a new chunk
+				b.trim()
+			}
 		}
 		b.handled.Broadcast()
 	}
+	// Listed until here, not until Close: its cursor keeps what it has yet
+	// to drain from being dropped.
+	b.followers = slices.DeleteFunc(b.followers, func(g *Follower) bool { return g == f })
 	b.mu.Unlock()
 	b.handled.Broadcast()
 	close(f.done)
@@ -208,7 +282,6 @@ func (f *Follower) Close() {
 	b := f.bus
 	b.mu.Lock()
 	f.end = min(f.end, b.next)
-	b.followers = slices.DeleteFunc(b.followers, func(g *Follower) bool { return g == f })
 	b.mu.Unlock()
 	b.published.Broadcast()
 	<-f.done
@@ -224,11 +297,13 @@ func (f *Follower) Lag() int64 {
 // Resyncs reports how many gaps the follower has recovered from.
 func (f *Follower) Resyncs() int64 { return f.resyncs.Load() }
 
-// RegisterMetrics exposes the log's publish and spill counts and, for every named
-// follower alive at scrape time, its lag and resync count.
+// RegisterMetrics exposes the log's publish and spill counts, how many events
+// it holds and, for every named follower alive at scrape time, its lag and
+// resync count.
 func (b *Bus) RegisterMetrics(r *obs.Registry) {
 	r.RegisterCounterFunc("uc_events_published_total", "Change events published.", b.Published)
-	r.RegisterCounterFunc("uc_events_spilled_total", "Change events the ring kept whole, having no packed form.", b.Spilled)
+	r.RegisterCounterFunc("uc_events_spilled_total", "Change events the log kept whole, having no packed form.", b.Spilled)
+	r.RegisterGaugeFunc("uc_events_retained", "Change events the log holds for followers yet to read them.", func() float64 { return float64(b.retained()) })
 	perFollower := func(name, help, kind string, value func(*Follower) int64) {
 		r.RegisterCustom(name, help, kind, func(w io.Writer, name string) {
 			b.mu.Lock()
@@ -242,13 +317,13 @@ func (b *Bus) RegisterMetrics(r *obs.Registry) {
 	}
 	perFollower("uc_events_follower_lag", "Published events the follower has yet to handle.", "gauge",
 		func(f *Follower) int64 { return int64(b.next - f.cursor) })
-	perFollower("uc_events_follower_resyncs_total", "Times the follower fell off the ring and rebuilt its state.", "counter",
+	perFollower("uc_events_follower_resyncs_total", "Times the follower fell more than the log's bound behind and rebuilt its state.", "counter",
 		func(f *Follower) int64 { return f.resyncs.Load() })
 }
 
 // Subscription is the channel view of a follower. A subscriber that stops
-// reading C holds its follower, which then falls off the ring like any
-// other; Dropped counts what it missed.
+// reading C holds its follower, which then falls more than historyMax
+// behind like any other; Dropped counts what it missed.
 type Subscription struct {
 	// C delivers events in publish order. It is closed after Cancel, once
 	// the events published before Cancel have been delivered.

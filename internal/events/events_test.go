@@ -41,7 +41,7 @@ func TestMultipleSubscribers(t *testing.T) {
 }
 
 // A subscriber that never reads holds its pump; the publisher must not
-// notice, and the loss must be reported once the pump falls off the ring.
+// notice, and the loss must be reported once the pump has a gap.
 func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 	b := NewBus(4, 8)
 	sub := b.Subscribe()
@@ -58,9 +58,9 @@ func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("publisher blocked on slow subscriber")
 	}
-	// Nobody read while 100 events went through a ring of 8 and a channel of
-	// 4: once a reader makes room the pump moves on, finds its cursor
-	// overwritten, and counts what it skipped.
+	// Nobody read while 100 events went through a log with a historyMax of 8
+	// and a channel of 4: once a reader makes room the pump moves on, finds
+	// itself more than 8 behind, and counts what it skipped.
 	go func() {
 		for range sub.C {
 		}
@@ -191,7 +191,7 @@ func TestPublishCostFlat(t *testing.T) {
 		b.Publish(ev)
 	}
 	early := perPublish()
-	for b.Published() < 10000 { // the default ring holds 8,192
+	for b.Published() < 10000 { // past the default historyMax, 8,192
 		ev.Version++
 		b.Publish(ev)
 	}

@@ -8,7 +8,7 @@ import (
 	"unitycatalog/internal/ids"
 )
 
-// slot is an Event as the ring retains it, in 96 bytes. The four strings the
+// slot is an Event as the log holds it, in 96 bytes. The four strings the
 // publisher already holds are kept as they came; metastore, op and type are
 // numbers in the bus's name table; the time is Unix nanoseconds and a flag.
 // An event with anything that has no such form — a non-nil Changes, a time

@@ -230,7 +230,7 @@ func TestPublishDeliverAllocs(t *testing.T) {
 	f := b.Follow("", func(e Event) { last = e }, func() {})
 	defer f.Close()
 	cat, tx := catalogEvent(), txnEvent()
-	for b.Published() < 10000 { // the default ring holds 8,192
+	for b.Published() < 10000 { // past the default historyMax, 8,192
 		cat.Version++
 		b.Publish(cat)
 		b.Publish(tx)

@@ -109,6 +109,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"uc_cache_degraded",
 		"uc_events_published_total",
 		`uc_events_follower_lag{follower="search"}`,
+		"uc_events_retained",
 		`uc_events_follower_resyncs_total{follower="search"} 0`,
 		"uc_authz_snapshot_hits_total",
 		"uc_authz_snapshot_builds_total",
@@ -138,6 +139,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if strings.Contains(body, "uc_events_published_total 0\n") {
 		t.Error("uc_events_published_total still zero after writes")
+	}
+	// The search follower has caught up, so the event log holds no more than
+	// its open chunk of 64 events.
+	var retained int64 = -1
+	if i := strings.Index(body, "\nuc_events_retained "); i >= 0 {
+		fmt.Sscan(body[i+len("\nuc_events_retained "):], &retained)
+	}
+	if published := srv.Service.Bus().Published(); retained < 0 || retained > min(published, 64) {
+		t.Errorf("uc_events_retained = %d with %d published and the follower caught up, want at most one chunk", retained, published)
 	}
 	if strings.Contains(body, "uc_authz_snapshot_memo_entries 0\n") || strings.Contains(body, "uc_authz_snapshot_patches_total 0\n") {
 		t.Error("the admin's snapshot memoized nothing, or did not follow the seed's commits")

@@ -24,20 +24,21 @@ import (
 // Tx.Put — and was 680 before record format 2 and 487 before the spec was
 // packed (record format 3). The catalog row is
 // strings a create makes and others keep — a managed table's storage path,
-// which the store keeps as the path row's key (68), and the full name an
-// event keeps (20) — and no per-node state: the URL trie the catalog kept
-// beside the store's path table (103) is gone, and per-path state that came
-// back would show here. The events row is the event ring, 8,192 slots of 96
-// bytes, and the store structure row holds the change ring, 8,192 slots of 32
-// bytes: 689 and 820 when the rings held whole 168-byte Events and 48-byte
-// Changes, the latter with append's slack past the ring's capacity. The
+// which the store keeps as the path row's key (68) — and no per-node state:
+// the URL trie the catalog kept beside the store's path table (103) is gone,
+// and per-path state that came back would show here; 97 while the event log
+// kept 8,192 events' full names. The events row is the log's open chunk of
+// 64 slots and at most one spare (6 KiB each) and its name table: 394 when
+// it was a fixed ring of 8,192 slots of 96 bytes, 689 when those held whole
+// 168-byte Events. The store structure row holds the change ring, 8,192 slots
+// of 32 bytes: 820 when it held 48-byte Changes with append's slack. The
 // search row is a document's ID and token numbers and its entries in sorted
 // postings: 264 while postings were maps and a document kept its full name
 // and type.
 var residentBudget = map[string]float64{
 	"search":          151,
-	"catalog":         97,
-	"events":          394,
+	"catalog":         74,
+	"events":          7,
 	"store structure": 726,
 	"erm":             343,
 }
