@@ -20,7 +20,7 @@ test:
 #   events: Subscribe/Cancel racing Publish and draining; the packed log and its retention against a []Event
 #   catalog: authorizer oracles, multi-node and shared-entity differentials, one version per unpaged listing
 #   privilege: snapshot cache advancing under stale readers
-#   obs, lineage, store, server: flight-recorder freeze; edges vs assets; write set vs a map; one envelope per request
+#   obs, lineage, store, server: flight-recorder freeze; edges vs assets; write set and key table vs a map; one envelope per request
 race:
 	$(GO) test -race -count=1 \
 		./internal/cache/... \
@@ -54,7 +54,7 @@ race:
 		./internal/clock/... \
 		./internal/ids/... \
 		./uc/...
-	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestLocalWritesInstallOutOfOrder|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll|TestPackedRingMatchesReference|TestRetentionMatchesReference|TestCancelDrainsWhatItHolds|TestNoEdgeOutlivesItsAssets|TestTxWriteSetMatchesReference|TestEnvelopePerRequest|TestIndexMatchesReference' \
+	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestLocalWritesInstallOutOfOrder|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll|TestPackedRingMatchesReference|TestRetentionMatchesReference|TestCancelDrainsWhatItHolds|TestNoEdgeOutlivesItsAssets|TestTxWriteSetMatchesReference|TestKeyTableMatchesMap|TestEnvelopePerRequest|TestIndexMatchesReference' \
 		./internal/cache/ ./internal/search/ ./internal/events/ ./internal/catalog/ ./internal/privilege/ ./internal/obs/ ./internal/lineage/ ./internal/store/ ./internal/server/
 
 # Who holds the resident bytes (uc/heap_test.go; DESIGN.md "Resident layout"):

@@ -14,7 +14,7 @@ import (
 // the new size, so the room it made is not spent unnoticed.
 const (
 	designMaxBytes      = 98120
-	experimentsMaxBytes = 152650
+	experimentsMaxBytes = 152630
 	// Every CHANGES.md entry from PR changesRatchetFrom on is at most
 	// changesMaxLines lines: a summary, not a second copy of the diff.
 	changesRatchetFrom = 37

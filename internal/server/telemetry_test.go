@@ -121,6 +121,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"uc_audit_retained_records",
 		"uc_audit_retained_bytes",
 		"uc_store_index_leaf_fill",
+		"uc_store_key_fill",
 		"uc_cloud_puts_total",
 		"uc_http_requests_total",
 		"uc_http_request_seconds_bucket",
@@ -153,7 +154,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Error("the admin's snapshot memoized nothing, or did not follow the seed's commits")
 	}
 	// Each re-laid structure says what it holds.
-	for _, gauge := range []string{"uc_audit_retained_records", "uc_audit_retained_bytes", "uc_store_index_leaf_fill", "uc_search_documents", "uc_search_tokens", "uc_search_postings"} {
+	for _, gauge := range []string{"uc_audit_retained_records", "uc_audit_retained_bytes", "uc_store_index_leaf_fill", "uc_store_key_fill", "uc_search_documents", "uc_search_tokens", "uc_search_postings"} {
 		if strings.Contains(body, gauge+" 0\n") {
 			t.Errorf("%s is zero after the seed's writes", gauge)
 		}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -58,3 +59,59 @@ func BenchmarkCommitThroughput(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPointGet measures a random point read, Snapshot.Get's work: find
+// the key's record and read its newest version. It runs at the benchmark's
+// store size (31k keys) and at 1M, over keys of 40 bytes sharing a 28-byte
+// prefix as a metastore's rows do, looked up by copies, as a request's key
+// is, so every hit compares the bytes. The map arm is the reference: the
+// map[string]*record the key table replaced. Reads are independent, so the
+// processor overlaps one read's cache misses with the next one's, or
+// dependent: each read's key is chosen by the value the last one read, as a
+// request's next step waits for its read, which times a read's latency.
+func BenchmarkPointGet(b *testing.B) {
+	key := func(i int) string { return fmt.Sprintf("metastore/0001/entity/table/%012d", i) }
+	for _, n := range []int{31_000, 1_000_000} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			kt, ref := newKeyTable(), make(map[string]*record, n)
+			for i := 0; i < n; i++ {
+				r := &record{key: key(i), commit: 1}
+				r.setValue([]byte{byte(i)})
+				kt.insert(r)
+				ref[r.key] = r
+			}
+			rng := rand.New(rand.NewSource(1))
+			probes := make([]string, 1<<16)
+			for i := range probes {
+				probes[i] = key(rng.Intn(n))
+			}
+			const mask = 1<<16 - 1
+			b.Run("keytable/independent", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					pointGetSink, _ = kt.get(probes[i&mask]).at(1)
+				}
+			})
+			b.Run("map/independent", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					pointGetSink, _ = ref[probes[i&mask]].at(1)
+				}
+			})
+			b.Run("keytable/dependent", func(b *testing.B) {
+				j := 0
+				for i := 0; i < b.N; i++ {
+					v, _ := kt.get(probes[(i+j)&mask]).at(1)
+					j = int(v[0] & 1)
+				}
+			})
+			b.Run("map/dependent", func(b *testing.B) {
+				j := 0
+				for i := 0; i < b.N; i++ {
+					v, _ := ref[probes[(i+j)&mask]].at(1)
+					j = int(v[0] & 1)
+				}
+			})
+		})
+	}
+}
+
+var pointGetSink []byte

@@ -8,25 +8,25 @@ package store
 //
 // Design notes:
 //
-//   - The tree indexes *membership* in the table map, not liveness: a key is
+//   - The tree indexes *membership* in the key table, not liveness: a key is
 //     inserted when its record is created and removed only when the record
-//     is dropped from the map (fully dead and unpinned — the same rule the
-//     apply path already uses). MVCC consistency therefore costs nothing
+//     is dropped from the key table (fully dead and unpinned — the same rule
+//     the apply path already uses). MVCC consistency therefore costs nothing
 //     extra: the tree always holds a superset of the keys live at any
 //     readable version, and scans filter each record through record.at(v)
 //     exactly as the map walk did.
-//   - Values are *record pointers, shared with the table map, so an index
-//     hit needs no second map lookup. Records are mutated in place (a new
+//   - Values are *record pointers, shared with the key table, so an index
+//     hit needs no second lookup. Records are mutated in place (a new
 //     version moves in, the old one moves behind it) and their pointers are
 //     stable for the life of the key.
 //   - No internal locking: the tree is written only at commit-apply time and
 //     WAL replay under the metastore's stateMu write lock, and read under
 //     its read lock, inheriting the store's existing synchronization.
 //   - Deletes are lazy: the key is removed from its leaf but nodes are never
-//     merged and a leaf's arrays never shrink. Record removal from the map is
-//     rare (a record must be fully dead with no snapshot pinning its history),
-//     so sparse decay is bounded and the simplicity keeps the write path
-//     O(log n) with no rebalancing.
+//     merged and a leaf's arrays never shrink. Record removal from the key
+//     table is rare (a record must be fully dead with no snapshot pinning its
+//     history), so sparse decay is bounded and the simplicity keeps the write
+//     path O(log n) with no rebalancing.
 //   - A leaf costs what it holds. Its two arrays grow leafStep slots at a
 //     time, a split copies each half into arrays of its own size, and a leaf
 //     that overflows on the second of two inserts at its end keeps everything

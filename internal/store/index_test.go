@@ -272,24 +272,23 @@ func applyRandomWorkload(t *testing.T, seed int64, dbs ...*DB) []uint64 {
 }
 
 // naiveScan is the scan oracle: it ignores the ordered index, filtering the
-// table's record map to [start, end), sorting the keys and reading each
-// record at version v — the seed's full-scan implementation, kept here so
+// table's key-table records to [start, end), sorting them by key and reading
+// each at version v — the seed's full-scan implementation, kept here so
 // the index-backed path always has something independent to agree with.
 func naiveScan(ms *metastore, table, start, end string, v uint64, limit int) []KV {
 	ms.stateMu.RLock()
 	defer ms.stateMu.RUnlock()
-	t := ms.tables[table]
-	var keys []string
-	for k := range t {
-		if k >= start && (end == "" || k < end) {
-			keys = append(keys, k)
+	var recs []*record
+	for _, r := range keyTableRecords(ms.tables[table]) {
+		if r.key >= start && (end == "" || r.key < end) {
+			recs = append(recs, r)
 		}
 	}
-	sort.Strings(keys)
+	sort.Slice(recs, func(i, j int) bool { return recs[i].key < recs[j].key })
 	var out []KV
-	for _, k := range keys {
-		if val, live := t[k].at(v); live {
-			out = append(out, KV{Key: k, Value: val})
+	for _, r := range recs {
+		if val, live := r.at(v); live {
+			out = append(out, KV{Key: r.key, Value: val})
 			if limit > 0 && len(out) == limit {
 				break
 			}

@@ -25,6 +25,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"sort"
@@ -32,6 +33,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"unitycatalog/internal/faults"
 	"unitycatalog/internal/obs"
@@ -94,14 +96,31 @@ type Change struct {
 
 // record is a key's newest version, and through prev its older ones in
 // descending commit order. The newest version lives in the record itself —
-// the object the table map and the ordered index point at — so a key written
-// once, which is nearly every key, costs one 48-byte object and no slice.
+// the object the key table and the ordered index point at — so a key written
+// once, which is nearly every key, costs one 48-byte object, its key
+// included, and no slice. TestRecordSize holds it to 48 bytes.
 type record struct {
-	commit  uint64
-	value   []byte
+	commit uint64
+	key    string
+	// The value is its data pointer and length, not a slice: a record has
+	// no use for its capacity. Tx.Put copies every value into an exact-size
+	// slice, so the pointer owns its bytes.
+	data    *byte
+	n       uint32
 	deleted bool
 	prev    *record
 }
+
+// value returns the version's bytes: nil for a nil value, empty for an empty
+// one.
+func (r *record) value() []byte { return unsafe.Slice(r.data, r.n) }
+
+// setValue makes v the version's bytes; commit refuses a value whose length
+// does not fit n (valueFits).
+func (r *record) setValue(v []byte) { r.data, r.n = unsafe.SliceData(v), uint32(len(v)) }
+
+// valueFits reports whether a value of n bytes fits a record's length field.
+func valueFits(n int) bool { return uint64(n) <= math.MaxUint32 }
 
 func (r *record) at(v uint64) ([]byte, bool) {
 	for ; r != nil; r = r.prev {
@@ -109,7 +128,7 @@ func (r *record) at(v uint64) ([]byte, bool) {
 			if r.deleted {
 				return nil, false
 			}
-			return r.value, true
+			return r.value(), true
 		}
 	}
 	return nil, false
@@ -130,10 +149,10 @@ type metastore struct {
 	// Lock order: mu before stateMu; applyMu is taken with stateMu released.
 	stateMu sync.RWMutex
 	version uint64 // applied (visible) version
-	tables  map[string]map[string]*record
+	tables  map[string]*keyTable
 	// indexes mirrors each table's key set in an ordered B+ tree so scans
-	// are a descent plus bounded walk instead of full-map iteration.
-	// Membership tracks the table map exactly (records, not liveness): every
+	// are a descent plus bounded walk.
+	// Membership tracks the key table exactly (records, not liveness): every
 	// mutation goes through putLocked/removeRecordLocked.
 	indexes  map[string]*btree
 	changes  changeRing
@@ -356,6 +375,7 @@ func (db *DB) RegisterMetrics(r *obs.Registry) {
 		return float64(db.IndexKeyCount())
 	})
 	r.RegisterGaugeFunc("uc_store_index_leaf_fill", "Fraction of the ordered indexes' allocated leaf slots that hold a key.", db.IndexLeafFill)
+	r.RegisterGaugeFunc("uc_store_key_fill", "Fraction of the key tables' slots that hold a record.", db.KeyFill)
 	if db.wal == nil {
 		return
 	}
@@ -418,7 +438,7 @@ func (db *DB) CreateMetastore(id string) error {
 
 func newMetastore(changeLogSize int) *metastore {
 	m := &metastore{
-		tables:  map[string]map[string]*record{},
+		tables:  map[string]*keyTable{},
 		indexes: map[string]*btree{},
 		snaps:   map[uint64]int{},
 		changes: newChangeRing(changeLogSize),
@@ -428,25 +448,25 @@ func newMetastore(changeLogSize int) *metastore {
 }
 
 // putLocked makes (commit, value, deleted) the newest version of (table, key)
-// and returns the record, creating the table map, the record and its
+// and returns the record, creating the key table, the record and its
 // ordered-index entry as needed. Every record creation funnels through here
-// so the index cannot drift from the table map. Caller holds stateMu (or has
+// so the index cannot drift from the key table. Caller holds stateMu (or has
 // exclusive access, as in WAL replay before the DB is shared).
 func (m *metastore) putLocked(table, key string, commit uint64, value []byte, deleted bool) *record {
 	t, ok := m.tables[table]
 	if !ok {
-		t = map[string]*record{}
+		t = newKeyTable()
 		m.tables[table] = t
 	}
-	r, ok := t[key]
-	if ok {
-		// The record's address is what the map and the index hold: the
-		// version it carried moves out, the new one moves in.
+	r := t.get(key)
+	if r != nil {
+		// The record's address is what the key table and the index hold:
+		// the version it carried moves out, the new one moves in.
 		older := *r
 		r.prev = &older
 	} else {
-		r = &record{}
-		t[key] = r
+		r = &record{key: key}
+		t.insert(r)
 		idx, ok := m.indexes[table]
 		if !ok {
 			idx = newBtree()
@@ -454,14 +474,15 @@ func (m *metastore) putLocked(table, key string, commit uint64, value []byte, de
 		}
 		idx.insert(key, r)
 	}
-	r.commit, r.value, r.deleted = commit, value, deleted
+	r.commit, r.deleted = commit, deleted
+	r.setValue(value)
 	return r
 }
 
-// removeRecordLocked drops a fully-dead record from the table map and the
+// removeRecordLocked drops a fully-dead record from the key table and the
 // ordered index together. Caller holds stateMu.
 func (m *metastore) removeRecordLocked(table, key string) {
-	delete(m.tables[table], key)
+	m.tables[table].remove(key)
 	if idx := m.indexes[table]; idx != nil {
 		idx.delete(key)
 	}
@@ -478,7 +499,7 @@ func (m *metastore) logLocked(c Change) {
 // reclaimLocked is given a delete that has left the change log. If the
 // record is still that tombstone — nothing has written the key since — it is
 // removed, with the history it kept behind the tombstone: a deleted key would
-// otherwise hold its record, map entry and tree slot for ever. The change
+// otherwise hold its record, key-table slot and tree slot for ever. The change
 // log is the horizon because it is the store's own: a reader at a version
 // the log no longer covers cannot follow it forward either
 // (ErrChangeLogTrimmed), and inside it readers at unpinned versions (cache
@@ -486,7 +507,7 @@ func (m *metastore) logLocked(c Change) {
 // A snapshot opened before the delete still reads that history, so the
 // delete waits in m.tombs until it has closed. Caller holds stateMu.
 func (m *metastore) reclaimLocked(del Change) {
-	r := m.tables[del.Table][del.Key]
+	r := m.tables[del.Table].get(del.Key)
 	if r == nil || !r.deleted || r.commit != del.Version {
 		return
 	}
@@ -611,15 +632,7 @@ func (s *Snapshot) Get(table, key string) ([]byte, bool) {
 	s.db.simulateRead()
 	s.ms.stateMu.RLock()
 	defer s.ms.stateMu.RUnlock()
-	t, ok := s.ms.tables[table]
-	if !ok {
-		return nil, false
-	}
-	r, ok := t[key]
-	if !ok {
-		return nil, false
-	}
-	return r.at(s.Version)
+	return s.ms.tables[table].get(key).at(s.Version)
 }
 
 // Scan returns all live (key, value) pairs in table whose key starts with
@@ -701,15 +714,10 @@ func (s *Snapshot) GetBatch(table string, keys []string) [][]byte {
 	s.ms.stateMu.RLock()
 	defer s.ms.stateMu.RUnlock()
 	out := make([][]byte, len(keys))
-	t, ok := s.ms.tables[table]
-	if !ok {
-		return out
-	}
+	t := s.ms.tables[table]
 	for i, k := range keys {
-		if r, ok := t[k]; ok {
-			if v, live := r.at(s.Version); live {
-				out[i] = v
-			}
+		if v, live := t.get(k).at(s.Version); live {
+			out[i] = v
 		}
 	}
 	return out
@@ -768,14 +776,43 @@ func (db *DB) IndexSize(table string) int {
 // IndexLeafFill returns the fraction of the ordered indexes' allocated leaf
 // slots that hold a key (1 when there are none).
 func (db *DB) IndexLeafFill() float64 {
-	keys, slots := db.indexSize(func(string) bool { return true })
+	return fill(db.indexSize(func(string) bool { return true }))
+}
+
+// KeyFill returns the fraction of the key tables' slots that hold a record
+// (1 when there are none).
+func (db *DB) KeyFill() float64 {
+	records, slots := 0, 0
+	db.eachMetastore(func(ms *metastore) {
+		for _, t := range ms.tables {
+			records += t.n
+			slots += t.slots
+		}
+	})
+	return fill(records, slots)
+}
+
+func fill(held, slots int) float64 {
 	if slots == 0 {
 		return 1
 	}
-	return float64(keys) / float64(slots)
+	return float64(held) / float64(slots)
 }
 
 func (db *DB) indexSize(want func(table string) bool) (keys, slots int) {
+	db.eachMetastore(func(ms *metastore) {
+		for t, idx := range ms.indexes {
+			if want(t) {
+				keys += idx.size
+				slots += idx.slots
+			}
+		}
+	})
+	return keys, slots
+}
+
+// eachMetastore calls fn on every metastore under its state read lock.
+func (db *DB) eachMetastore(fn func(ms *metastore)) {
 	db.mu.RLock()
 	stores := make([]*metastore, 0, len(db.stores))
 	for _, ms := range db.stores {
@@ -784,15 +821,9 @@ func (db *DB) indexSize(want func(table string) bool) (keys, slots int) {
 	db.mu.RUnlock()
 	for _, ms := range stores {
 		ms.stateMu.RLock()
-		for t, idx := range ms.indexes {
-			if want(t) {
-				keys += idx.size
-				slots += idx.slots
-			}
-		}
+		fn(ms)
 		ms.stateMu.RUnlock()
 	}
-	return keys, slots
 }
 
 // Close releases the snapshot's version pin. Safe to call multiple times.
@@ -888,15 +919,7 @@ func (tx *Tx) Get(table, key string) ([]byte, bool) {
 			return p.writes[j].live()
 		}
 	}
-	t, ok := tx.ms.tables[table]
-	if !ok {
-		return nil, false
-	}
-	r, ok := t[key]
-	if !ok {
-		return nil, false
-	}
-	return r.at(tx.base)
+	return tx.ms.tables[table].get(key).at(tx.base)
 }
 
 // Put buffers a write of (table, key) = value.
@@ -1087,7 +1110,13 @@ func (db *DB) update(sc obs.SpanContext, msID string, fn func(tx *Tx) error) (ui
 	base := ms.nextV
 	tx := &Tx{db: db, ms: ms, base: base}
 	tx.writes, tx.notes = tx.firstWrites[:0], tx.firstNote[:0]
-	if err := fn(tx); err != nil {
+	err = fn(tx)
+	for i := 0; err == nil && i < len(tx.writes); i++ {
+		if w := &tx.writes[i]; !valueFits(len(w.Value)) {
+			err = fmt.Errorf("store: %s/%s: a value of %d bytes is longer than a record holds", w.Table, w.Key, len(w.Value))
+		}
+	}
+	if err != nil {
 		ms.mu.Unlock()
 		seqSpan.End()
 		return base, err

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func mustOpen(t *testing.T, opts Options) *DB {
@@ -20,6 +23,26 @@ func mustOpen(t *testing.T, opts Options) *DB {
 	}
 	t.Cleanup(func() { db.Close() })
 	return db
+}
+
+// TestRecordSize holds a version to the 48-byte malloc class: one field more
+// would move every key into the 64-byte one. The value's length is a uint32,
+// so a commit refuses a longer value rather than truncate it; and a value
+// reads back as it was put, nil as nil and empty as empty.
+func TestRecordSize(t *testing.T) {
+	if size := unsafe.Sizeof(record{}); size > 48 {
+		t.Fatalf("a record is %d bytes, over 48", size)
+	}
+	if n := uint64(math.MaxUint32); strconv.IntSize == 64 && (!valueFits(int(n)) || valueFits(int(n+1))) {
+		t.Fatalf("valueFits: %d bytes fit %v, %d bytes fit %v", n, valueFits(int(n)), n+1, valueFits(int(n+1)))
+	}
+	var r record
+	for _, v := range [][]byte{nil, {}, []byte("value")} {
+		r.setValue(v)
+		if got := r.value(); (got == nil) != (v == nil) || !bytes.Equal(got, v) || len(v) > 0 && &got[0] != &v[0] {
+			t.Fatalf("setValue(%q) reads back %q", v, got)
+		}
+	}
 }
 
 func TestCreateDropMetastore(t *testing.T) {
@@ -306,7 +329,7 @@ func TestVersionPruning(t *testing.T) {
 	ms, _ := db.metastore("m")
 	ms.stateMu.RLock()
 	n := 0
-	for r := ms.tables["t"]["k"]; r != nil; r = r.prev {
+	for r := ms.tables["t"].get("k"); r != nil; r = r.prev {
 		n++
 	}
 	ms.stateMu.RUnlock()
@@ -353,7 +376,7 @@ func TestDeletedRecordsReclaimed(t *testing.T) {
 	sizes := func() (records, slots int) {
 		ms.stateMu.RLock()
 		defer ms.stateMu.RUnlock()
-		return len(ms.tables["t"]), ms.indexes["t"].size
+		return ms.tables["t"].n, ms.indexes["t"].size
 	}
 	wantRecords, wantSlots := sizes()
 
@@ -503,7 +526,7 @@ func TestPrunedChainMatchesSliceChain(t *testing.T) {
 					pin = ms.minSnapV
 				}
 				ref = append(ref, w).pruned(max, pin)
-				r, n := ms.tables["t"]["k"], 0
+				r, n := ms.tables["t"].get("k"), 0
 				for p := r; p != nil; p = p.prev {
 					n++
 				}

@@ -770,7 +770,7 @@ func (db *DB) applyWALEntry(e *walEntry) error {
 				w.Value = []byte{} // the line form drops an empty value; nil says absent
 			}
 			// putLocked also rebuilds the ordered index as replay
-			// repopulates the table maps.
+			// repopulates the key tables.
 			ms.putLocked(w.Table, w.Key, e.Version, w.Value, w.Deleted)
 		}
 		ms.version = e.Version

@@ -30,8 +30,10 @@ import (
 // kept 8,192 events' full names. The events row is the log's open chunk of
 // 64 slots and at most one spare (6 KiB each) and its name table: 394 when
 // it was a fixed ring of 8,192 slots of 96 bytes, 689 when those held whole
-// 168-byte Events. The store structure row holds the change ring, 8,192 slots
-// of 32 bytes: 820 when it held 48-byte Changes with append's slack. The
+// 168-byte Events. The store structure row holds, per key, a 48-byte record
+// that holds its key, a key-table slot and a B+tree leaf slot, and the change
+// ring, 8,192 slots of 32 bytes: 726 while a Go map held every key's header
+// beside its pointer, 820 when the ring held 48-byte Changes. The
 // search row is a document's ID and token numbers and its entries in sorted
 // postings: 264 while postings were maps and a document kept its full name
 // and type.
@@ -39,7 +41,7 @@ var residentBudget = map[string]float64{
 	"search":          151,
 	"catalog":         74,
 	"events":          7,
-	"store structure": 726,
+	"store structure": 565,
 	"erm":             343,
 }
 
@@ -242,10 +244,11 @@ func TestResidentBudget(t *testing.T) {
 // lineageEdgeBudget is what one lineage edge leaves in use once committed,
 // in bytes under the holders of durable rows (store structure, store values,
 // erm, catalog): 240 under erm — its two keys and its value, 80 bytes each
-// for this test's edge — and 262 under the store's structure — two 48-byte
-// records and their share of two maps and two trees. TestLineageEdgeBytes
-// fails at 10 % over.
-const lineageEdgeBudget = 502
+// for this test's edge — and 191 under the store's structure — two 48-byte
+// records that hold their keys, and their share of two key tables and two
+// trees (262, 502 in all, while two Go maps held the keys' headers).
+// TestLineageEdgeBytes fails at 10 % over.
+const lineageEdgeBudget = 431
 
 // TestLineageEdgeBytes submits one edge per table of a 2,000-table
 // population, each its own commit, and holds what the edges leave in use to
