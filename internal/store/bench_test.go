@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -115,3 +116,69 @@ func BenchmarkPointGet(b *testing.B) {
 }
 
 var pointGetSink []byte
+
+// treeRecords returns n records keyed as a metastore's child rows are: a
+// 28-byte prefix shared by all, then parents in random order, the 80
+// children of each in name order, which is the order such rows arrive in.
+func treeRecords(n int) []*record {
+	const prefix = "metastore/0001/child/schema/"
+	rng := rand.New(rand.NewSource(1))
+	recs := make([]*record, 0, n)
+	for _, p := range rng.Perm((n + 79) / 80) {
+		for c := 0; c < 80 && len(recs) < n; c++ {
+			recs = append(recs, &record{key: fmt.Sprintf("%s%08d/c%03d", prefix, p, c)})
+		}
+	}
+	return recs
+}
+
+// BenchmarkTreeLoad measures the ordered index's insert: each iteration
+// loads n catalog-shaped keys into an empty tree, and ns/insert is the time
+// per key.
+func BenchmarkTreeLoad(b *testing.B) {
+	for _, n := range []int{31_000, 1_000_000} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			recs := treeRecords(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tree := newBtree()
+				for _, r := range recs {
+					tree.insert(r)
+				}
+				treeSink = tree
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/insert")
+		})
+	}
+}
+
+// BenchmarkTreeSeek measures a range scan's descent: find the first record
+// at or after a random indexed key, looked up by a copy, as a request's key
+// is, so every comparison reads the bytes.
+func BenchmarkTreeSeek(b *testing.B) {
+	for _, n := range []int{31_000, 1_000_000} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			recs := treeRecords(n)
+			tree := newBtree()
+			for _, r := range recs {
+				tree.insert(r)
+			}
+			rng := rand.New(rand.NewSource(2))
+			probes := make([]string, 1<<16)
+			for i := range probes {
+				probes[i] = strings.Clone(recs[rng.Intn(n)].key)
+			}
+			const mask = 1<<16 - 1
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tree.ascend(probes[i&mask], func(r *record) bool { treeSeekSink = r; return false })
+			}
+		})
+	}
+}
+
+var (
+	treeSink     *btree
+	treeSeekSink *record
+)

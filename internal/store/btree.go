@@ -15,20 +15,23 @@ package store
 //     extra: the tree always holds a superset of the keys live at any
 //     readable version, and scans filter each record through record.at(v)
 //     exactly as the map walk did.
-//   - Values are *record pointers, shared with the key table, so an index
-//     hit needs no second lookup. Records are mutated in place (a new
-//     version moves in, the old one moves behind it) and their pointers are
-//     stable for the life of the key.
+//   - A leaf holds *record pointers and nothing else: each record carries
+//     its key, so a leaf searches r.key, as the key table probes do, and an
+//     index hit needs no second lookup. Records are mutated in place (a new
+//     version moves in, the old one moves behind it), their pointers are
+//     stable for the life of the key, and their key never changes, so a
+//     leaf's order holds. Interior separators are strings: a separator
+//     that pointed at a record would pin it past its reclamation.
 //   - No internal locking: the tree is written only at commit-apply time and
 //     WAL replay under the metastore's stateMu write lock, and read under
 //     its read lock, inheriting the store's existing synchronization.
 //   - Deletes are lazy: the key is removed from its leaf but nodes are never
-//     merged and a leaf's arrays never shrink. Record removal from the key
+//     merged and a leaf's array never shrinks. Record removal from the key
 //     table is rare (a record must be fully dead with no snapshot pinning its
 //     history), so sparse decay is bounded and the simplicity keeps the write
 //     path O(log n) with no rebalancing.
-//   - A leaf costs what it holds. Its two arrays grow leafStep slots at a
-//     time, a split copies each half into arrays of its own size, and a leaf
+//   - A leaf costs what it holds. Its array grows leafStep slots at a time,
+//     a split copies each half into an array of its own size, and a leaf
 //     that overflows on the second of two inserts at its end keeps everything
 //     but that key: an ascending run of inserts — the children of one parent,
 //     which is how name, child and path rows arrive — leaves full leaves
@@ -37,20 +40,16 @@ package store
 //     counts the allocated leaf slots, so size/slots is the fill
 //     (uc_store_index_leaf_fill).
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 const (
 	// btreeMaxKeys is the split threshold per node: a leaf holds at most 127
-	// keys (2 KiB of string headers and 1 KiB of record pointers when full),
-	// which keeps tree height at 4 for ten million keys.
+	// records (1 KiB of record pointers when full), which keeps tree height
+	// at 4 for ten million keys.
 	btreeMaxKeys = 127
-	// leafStep is the number of slots a leaf's arrays grow by. Sixteen keeps
+	// leafStep is the number of slots a leaf's array grows by. Sixteen keeps
 	// a leaf's empty slots under 16 and makes every array size a malloc size
-	// class: 256 B of key headers and 128 B of pointers per step, up to
-	// btreeMaxKeys+1 = 8 steps.
+	// class: 128 B of pointers per step, up to btreeMaxKeys+1 = 8 steps.
 	leafStep = 16
 )
 
@@ -60,8 +59,9 @@ type bnode struct {
 	// split it: the leaf is, as far as it can tell, the head of an ascending
 	// run.
 	tail bool
+	// keys are an interior node's separators; a leaf has none.
 	keys []string
-	// vals holds the leaf's records, aligned with keys.
+	// vals holds a leaf's records in ascending order of their keys.
 	vals []*record
 	// children of an interior node; len(children) == len(keys)+1 and
 	// keys[i] is the smallest key reachable under children[i+1].
@@ -73,7 +73,7 @@ type bnode struct {
 type btree struct {
 	root *bnode
 	size int
-	// slots is the capacity of every leaf's key array, summed.
+	// slots is the capacity of every leaf's array, summed.
 	slots int
 }
 
@@ -97,39 +97,61 @@ func (n *bnode) childIdx(k string) int {
 	return lo
 }
 
-// insert adds or replaces the record for k.
-func (t *btree) insert(k string, v *record) {
-	promoted, right := t.insertInto(t.root, k, v)
+// leafIdx returns the index of the first record in leaf n whose key is >= k.
+func (n *bnode) leafIdx(k string) int {
+	lo, hi := 0, len(n.vals)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if n.vals[mid].key < k {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// leafFor descends to the leaf covering k.
+func (t *btree) leafFor(k string) *bnode {
+	n := t.root
+	for !n.leaf {
+		n = n.children[n.childIdx(k)]
+	}
+	return n
+}
+
+// insert adds r under its key, replacing any record already there.
+func (t *btree) insert(r *record) {
+	promoted, right := t.insertInto(t.root, r)
 	if right != nil {
 		t.root = &bnode{keys: []string{promoted}, children: []*bnode{t.root, right}}
 	}
 }
 
-// insertInto descends to the leaf for k and inserts; a node that grows past
-// btreeMaxKeys splits, returning the separator and new right sibling for the
-// parent to absorb.
-func (t *btree) insertInto(n *bnode, k string, v *record) (string, *bnode) {
+// insertInto descends to the leaf for r's key and inserts; a node that grows
+// past btreeMaxKeys splits, returning the separator and new right sibling for
+// the parent to absorb.
+func (t *btree) insertInto(n *bnode, r *record) (string, *bnode) {
 	if n.leaf {
-		i := sort.SearchStrings(n.keys, k)
-		if i < len(n.keys) && n.keys[i] == k {
-			n.vals[i] = v
+		i := n.leafIdx(r.key)
+		if i < len(n.vals) && n.vals[i].key == r.key {
+			n.vals[i] = r
 			return "", nil
 		}
-		if len(n.keys) == cap(n.keys) {
-			t.resizeLeaf(n, cap(n.keys)+leafStep)
+		if len(n.vals) == cap(n.vals) {
+			t.resizeLeaf(n, cap(n.vals)+leafStep)
 		}
-		n.keys = slices.Insert(n.keys, i, k)
-		n.vals = slices.Insert(n.vals, i, v)
+		n.vals = slices.Insert(n.vals, i, r)
 		t.size++
-		atEnd := i == len(n.keys)-1
-		if len(n.keys) > btreeMaxKeys {
+		atEnd := i == len(n.vals)-1
+		if len(n.vals) > btreeMaxKeys {
 			return t.splitLeaf(n, atEnd && n.tail)
 		}
 		n.tail = atEnd
 		return "", nil
 	}
-	ci := n.childIdx(k)
-	promoted, right := t.insertInto(n.children[ci], k, v)
+	ci := n.childIdx(r.key)
+	promoted, right := t.insertInto(n.children[ci], r)
 	if right == nil {
 		return "", nil
 	}
@@ -145,40 +167,37 @@ func (t *btree) insertInto(n *bnode, k string, v *record) (string, *bnode) {
 	return "", nil
 }
 
-// resizeLeaf moves a leaf's keys and records into arrays of c slots.
+// resizeLeaf moves a leaf's records into an array of c slots.
 func (t *btree) resizeLeaf(n *bnode, c int) {
-	t.slots += c - cap(n.keys)
-	n.keys = append(make([]string, 0, c), n.keys...)
+	t.slots += c - cap(n.vals)
 	n.vals = append(make([]*record, 0, c), n.vals...)
 }
 
 // splitLeaf moves the upper part of an overflowing leaf into a new right
 // sibling and promotes the sibling's first key (keys >= separator go right).
-// With run set, the key that overflowed it continues an ascending run: the
-// sibling starts with that key alone and the leaf stays full. The leaf's tail
-// is cleared, so a key that later lands at its end — below the sibling's,
-// hence not of that run — splits it in half rather than shedding one more
-// one-key leaf. Otherwise the leaf splits in half now. Either way each part
-// gets arrays of its own size: a left part sliced out of the old arrays would
-// keep all their slots alive.
+// With run set, the record that overflowed it continues an ascending run: the
+// sibling starts with that record alone and the leaf stays full. The leaf's
+// tail is cleared, so a key that later lands at its end — below the
+// sibling's, hence not of that run — splits it in half rather than shedding
+// one more one-key leaf. Otherwise the leaf splits in half now. Either way
+// each part gets an array of its own size: a left part sliced out of the old
+// array would keep all its slots alive.
 func (t *btree) splitLeaf(n *bnode, run bool) (string, *bnode) {
-	mid := len(n.keys) / 2
+	mid := len(n.vals) / 2
 	if run {
-		mid = len(n.keys) - 1
+		mid = len(n.vals) - 1
 	}
 	right := &bnode{leaf: true, tail: run, next: n.next}
-	t.resizeLeaf(right, leafSlots(len(n.keys)-mid))
-	right.keys = append(right.keys, n.keys[mid:]...)
+	t.resizeLeaf(right, leafSlots(len(n.vals)-mid))
 	right.vals = append(right.vals, n.vals[mid:]...)
-	clear(n.keys[mid:])
 	clear(n.vals[mid:])
-	n.keys, n.vals = n.keys[:mid], n.vals[:mid]
-	if c := leafSlots(mid); c < cap(n.keys) {
+	n.vals = n.vals[:mid]
+	if c := leafSlots(mid); c < cap(n.vals) {
 		t.resizeLeaf(n, c)
 	}
 	n.tail = false
 	n.next = right
-	return right.keys[0], right
+	return right.vals[0].key, right
 }
 
 // leafSlots rounds n keys up to whole steps.
@@ -200,48 +219,24 @@ func (n *bnode) splitInterior() (string, *bnode) {
 
 // delete removes k if present. Nodes are never merged (see package comment).
 func (t *btree) delete(k string) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[n.childIdx(k)]
-	}
-	i := sort.SearchStrings(n.keys, k)
-	if i < len(n.keys) && n.keys[i] == k {
+	n := t.leafFor(k)
+	if i := n.leafIdx(k); i < len(n.vals) && n.vals[i].key == k {
 		// slices.Delete zeroes the vacated slot: a leaf must not keep a
-		// deleted key's bytes or its record alive past its length.
-		n.keys = slices.Delete(n.keys, i, i+1)
+		// deleted record alive past its length.
 		n.vals = slices.Delete(n.vals, i, i+1)
 		t.size--
 	}
 }
 
-// get returns the record for k, if indexed.
-func (t *btree) get(k string) (*record, bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[n.childIdx(k)]
-	}
-	i := sort.SearchStrings(n.keys, k)
-	if i < len(n.keys) && n.keys[i] == k {
-		return n.vals[i], true
-	}
-	return nil, false
-}
-
-// ascend calls fn for every indexed (key, record) with key >= start in
-// ascending key order until fn returns false.
-func (t *btree) ascend(start string, fn func(k string, r *record) bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[n.childIdx(start)]
-	}
-	i := sort.SearchStrings(n.keys, start)
-	for n != nil {
-		for ; i < len(n.keys); i++ {
-			if !fn(n.keys[i], n.vals[i]) {
+// ascend calls fn for every indexed record with key >= start in ascending
+// key order until fn returns false.
+func (t *btree) ascend(start string, fn func(r *record) bool) {
+	n := t.leafFor(start)
+	for i := n.leafIdx(start); n != nil; n, i = n.next, 0 {
+		for ; i < len(n.vals); i++ {
+			if !fn(n.vals[i]) {
 				return
 			}
 		}
-		n = n.next
-		i = 0
 	}
 }

@@ -9,11 +9,13 @@ import (
 	"testing"
 )
 
-// checkBtree holds a tree to its reference: ascend and get agree with the
-// sorted map, the leaf chain is complete (every leaf the descent reaches, in
-// order, and nothing else), separators bound their subtrees, size and slots
-// are what the leaves hold, and no leaf keeps a key or a record in a slot
-// past its length. It returns the number of leaves.
+// checkBtree holds a tree to its reference: ascend agrees with the sorted
+// map, from the start and from every reference key, the leaf chain is
+// complete (every leaf the descent reaches, in order, and nothing else),
+// separators bound their subtrees, a leaf keeps no key array and its records
+// ascend by key inside its bounds, size and slots are what the leaves hold,
+// and no leaf keeps a record in a slot past its length. It returns the
+// number of leaves.
 func checkBtree(t *testing.T, tree *btree, ref map[string]*record) int {
 	t.Helper()
 	want := make([]string, 0, len(ref))
@@ -22,11 +24,11 @@ func checkBtree(t *testing.T, tree *btree, ref map[string]*record) int {
 	}
 	sort.Strings(want)
 	var got []string
-	tree.ascend("", func(k string, r *record) bool {
-		if r != ref[k] {
-			t.Fatalf("ascend: key %q has the wrong record", k)
+	tree.ascend("", func(r *record) bool {
+		if r != ref[r.key] {
+			t.Fatalf("ascend: key %q has the wrong record", r.key)
 		}
-		got = append(got, k)
+		got = append(got, r.key)
 		return true
 	})
 	if !slices.Equal(got, want) {
@@ -36,16 +38,28 @@ func checkBtree(t *testing.T, tree *btree, ref map[string]*record) int {
 		t.Fatalf("size %d, want %d", tree.size, len(ref))
 	}
 	for _, k := range want {
-		if r, ok := tree.get(k); !ok || r != ref[k] {
-			t.Fatalf("get(%q) = %v, %v", k, r, ok)
+		var first *record
+		tree.ascend(k, func(r *record) bool { first = r; return false })
+		if first != ref[k] {
+			t.Fatalf("ascend(%q) starts at %v, not at its record", k, first)
 		}
 	}
 
 	var leaves []*bnode
 	var walk func(n *bnode, lo, hi string)
 	walk = func(n *bnode, lo, hi string) {
-		for i, k := range n.keys {
-			if k < lo || (hi != "" && k >= hi) || (i > 0 && k <= n.keys[i-1]) {
+		keys := n.keys
+		if n.leaf {
+			if n.keys != nil || n.children != nil {
+				t.Fatalf("leaf with %d keys and %d children", cap(n.keys), len(n.children))
+			}
+			keys = nil
+			for _, r := range n.vals {
+				keys = append(keys, r.key)
+			}
+		}
+		for i, k := range keys {
+			if k < lo || (hi != "" && k >= hi) || (i > 0 && k <= keys[i-1]) {
 				t.Fatalf("key %q out of place in a node bounded by [%q, %q)", k, lo, hi)
 			}
 		}
@@ -53,8 +67,8 @@ func checkBtree(t *testing.T, tree *btree, ref map[string]*record) int {
 			leaves = append(leaves, n)
 			return
 		}
-		if len(n.children) != len(n.keys)+1 {
-			t.Fatalf("interior node with %d keys and %d children", len(n.keys), len(n.children))
+		if len(n.children) != len(n.keys)+1 || n.vals != nil {
+			t.Fatalf("interior node with %d keys, %d children and %d records", len(n.keys), len(n.children), cap(n.vals))
 		}
 		for i, c := range n.children {
 			clo, chi := lo, hi
@@ -73,21 +87,64 @@ func checkBtree(t *testing.T, tree *btree, ref map[string]*record) int {
 		if next := n.next; (i+1 < len(leaves) && next != leaves[i+1]) || (i+1 == len(leaves) && next != nil) {
 			t.Fatalf("leaf %d of %d does not chain to the next leaf of the tree", i, len(leaves))
 		}
-		if cap(n.keys) != cap(n.vals) || cap(n.keys)%leafStep != 0 || cap(n.keys) > btreeMaxKeys+1 || len(n.keys) > btreeMaxKeys {
-			t.Fatalf("leaf %d: %d keys in arrays of %d and %d slots", i, len(n.keys), cap(n.keys), cap(n.vals))
+		if cap(n.vals)%leafStep != 0 || cap(n.vals) > btreeMaxKeys+1 || len(n.vals) > btreeMaxKeys {
+			t.Fatalf("leaf %d: %d records in an array of %d slots", i, len(n.vals), cap(n.vals))
 		}
-		for j := len(n.keys); j < cap(n.keys); j++ {
-			if n.keys[:cap(n.keys)][j] != "" || n.vals[:cap(n.vals)][j] != nil {
-				t.Fatalf("leaf %d keeps a key or a record in slot %d, past its %d keys", i, j, len(n.keys))
+		for j := len(n.vals); j < cap(n.vals); j++ {
+			if n.vals[:cap(n.vals)][j] != nil {
+				t.Fatalf("leaf %d keeps a record in slot %d, past its %d records", i, j, len(n.vals))
 			}
 		}
-		slots += cap(n.keys)
-		keys += len(n.keys)
+		slots += cap(n.vals)
+		keys += len(n.vals)
 	}
 	if keys != len(ref) || slots != tree.slots {
 		t.Fatalf("the leaves hold %d keys in %d slots; the tree says %d in %d, the reference %d", keys, slots, tree.size, tree.slots, len(ref))
 	}
 	return len(leaves)
+}
+
+// checkIndexTracksKeyTable holds every table's ordered index to its key
+// table: each record the key table holds is in the tree exactly once, at its
+// key, as the same pointer, and the tree holds nothing else. A leaf orders
+// its records by r.key, so this also catches a record whose key changed
+// after it was indexed.
+func checkIndexTracksKeyTable(t *testing.T, ms *metastore) {
+	t.Helper()
+	ms.stateMu.RLock()
+	defer ms.stateMu.RUnlock()
+	for table, idx := range ms.indexes {
+		if ms.tables[table] == nil && idx.size != 0 {
+			t.Fatalf("table %q: the index holds %d records and there is no key table", table, idx.size)
+		}
+	}
+	for table, kt := range ms.tables {
+		idx := ms.indexes[table]
+		if idx == nil {
+			idx = newBtree()
+		}
+		seen := map[*record]bool{}
+		idx.ascend("", func(r *record) bool {
+			if seen[r] {
+				t.Fatalf("table %q: the index holds %q twice", table, r.key)
+			}
+			seen[r] = true
+			if kt.get(r.key) != r {
+				t.Fatalf("table %q: the index holds a record for %q that the key table does not", table, r.key)
+			}
+			return true
+		})
+		for _, r := range keyTableRecords(kt) {
+			var at *record
+			idx.ascend(r.key, func(x *record) bool { at = x; return false })
+			if at != r {
+				t.Fatalf("table %q: the key table's record for %q is not in the index at its key", table, r.key)
+			}
+		}
+		if len(seen) != kt.n || idx.size != kt.n {
+			t.Fatalf("table %q: the index holds %d records (size %d), the key table %d", table, len(seen), idx.size, kt.n)
+		}
+	}
 }
 
 // TestBtreeAgainstReference drives the B+ tree with ascending, descending,
@@ -137,8 +194,8 @@ func TestBtreeAgainstReference(t *testing.T) {
 			var keys []string
 			for i := 0; i < n; i++ {
 				k := load.key(rng, i)
-				r := &record{}
-				tree.insert(k, r)
+				r := &record{key: k}
+				tree.insert(r)
 				ref[k] = r
 				keys = append(keys, k)
 				if i%(n/4) == 0 {
@@ -160,8 +217,8 @@ func TestBtreeAgainstReference(t *testing.T) {
 					tree.delete(k)
 					delete(ref, k)
 				} else {
-					r := &record{}
-					tree.insert(k, r)
+					r := &record{key: k}
+					tree.insert(r)
 					ref[k] = r
 				}
 				if tree.size != len(ref) {
@@ -182,13 +239,13 @@ func TestBtreeAgainstReference(t *testing.T) {
 					}
 				}
 				sort.Strings(want)
-				tree.ascend(start, func(k string, _ *record) bool { got = append(got, k); return true })
+				tree.ascend(start, func(r *record) bool { got = append(got, r.key); return true })
 				if !slices.Equal(got, want) {
 					t.Fatalf("ascend(%q): %s", start, firstDiff(got, want))
 				}
 			}
 			visited := 0
-			tree.ascend("", func(string, *record) bool { visited++; return visited < 7 })
+			tree.ascend("", func(*record) bool { visited++; return visited < 7 })
 			if visited != 7 {
 				t.Fatalf("ascend stop: visited %d keys", visited)
 			}
@@ -312,6 +369,11 @@ func TestScanDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			versions := applyRandomWorkload(t, seed, db)
+			ms, err := db.metastore("ms")
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkIndexTracksKeyTable(t, ms)
 
 			probe := []struct{ start, end string }{
 				{"", ""},
@@ -366,6 +428,7 @@ func TestScanDifferential(t *testing.T) {
 			for _, v := range []uint64{versions[10], versions[40], versions[80], versions[110]} {
 				checkAt(v)
 			}
+			checkIndexTracksKeyTable(t, ms)
 		})
 	}
 }

@@ -472,7 +472,7 @@ func (m *metastore) putLocked(table, key string, commit uint64, value []byte, de
 			idx = newBtree()
 			m.indexes[table] = idx
 		}
-		idx.insert(key, r)
+		idx.insert(r)
 	}
 	r.commit, r.deleted = commit, deleted
 	r.setValue(value)
@@ -748,12 +748,12 @@ func (db *DB) scanLiveLocked(ms *metastore, table, prefix, start, end string, v 
 		return
 	}
 	db.indexScans.Inc()
-	idx.ascend(max(start, prefix), func(k string, r *record) bool {
-		if !strings.HasPrefix(k, prefix) || end != "" && k >= end {
+	idx.ascend(max(start, prefix), func(r *record) bool {
+		if !strings.HasPrefix(r.key, prefix) || end != "" && r.key >= end {
 			return false
 		}
 		if val, live := r.at(v); live {
-			return fn(k, val)
+			return fn(r.key, val)
 		}
 		return true
 	})

@@ -344,9 +344,10 @@ func TestVersionPruning(t *testing.T) {
 }
 
 // TestDeletedRecordsReclaimed: a key created and deleted gives its record,
-// map entry and tree slot back once the delete has left the change log, so
-// churn leaves the table the size it started at; a snapshot opened before a
-// delete keeps reading what it pinned, and holds the record until it closes.
+// key-table slot and tree slot back once the delete has left the change log,
+// so churn leaves the table the size it started at; a snapshot opened before
+// a delete keeps reading what it pinned, and holds the record until it
+// closes. After every round the tree holds exactly the key table's records.
 func TestDeletedRecordsReclaimed(t *testing.T) {
 	const ring = 8
 	db := mustOpen(t, Options{ChangeLogSize: ring})
@@ -373,6 +374,7 @@ func TestDeletedRecordsReclaimed(t *testing.T) {
 		put(fmt.Sprintf("seed%02d", i), "seed")
 	}
 	ms, _ := db.metastore("m")
+	checkIndexTracksKeyTable(t, ms)
 	sizes := func() (records, slots int) {
 		ms.stateMu.RLock()
 		defer ms.stateMu.RUnlock()
@@ -390,12 +392,14 @@ func TestDeletedRecordsReclaimed(t *testing.T) {
 		if i%7 == 0 {
 			del(k) // a tombstone over a tombstone
 		}
+		checkIndexTracksKeyTable(t, ms)
 	}
 	del("never-existed")
 	flush()
 	if records, slots := sizes(); records != wantRecords || slots != wantSlots {
 		t.Fatalf("after 1,000 create/delete rounds: %d records, %d tree slots; started with %d, %d", records, slots, wantRecords, wantSlots)
 	}
+	checkIndexTracksKeyTable(t, ms)
 
 	// A key written again after its delete is not the tombstone any more.
 	put("back", "v1")
@@ -415,6 +419,7 @@ func TestDeletedRecordsReclaimed(t *testing.T) {
 	if records, _ := sizes(); records != wantRecords+2 {
 		t.Fatalf("%d records with a snapshot holding one deleted key and one key rewritten, want %d", records, wantRecords+2)
 	}
+	checkIndexTracksKeyTable(t, ms)
 	snap.Close()
 	put("seed00", "retry") // the next commit retries what the snapshot held
 	now, err := db.Snapshot("m")
@@ -431,6 +436,7 @@ func TestDeletedRecordsReclaimed(t *testing.T) {
 	if records, slots := sizes(); records != wantRecords+1 || slots != wantSlots+1 {
 		t.Fatalf("after the snapshot closed: %d records, %d slots, want %d, %d", records, slots, wantRecords+1, wantSlots+1)
 	}
+	checkIndexTracksKeyTable(t, ms)
 }
 
 // sliceChain is the version chain as the store kept it before a record became

@@ -369,6 +369,8 @@ func TestWALTornBatchReplayEveryByte(t *testing.T) {
 			if got := dumpTables(t, rdb, "m", "t", "u"); !reflect.DeepEqual(got, expect[commits]) {
 				t.Fatalf("%s: truncate at %d (prefix of %d commits): state = %v, want %v", form, l, commits, got, expect[commits])
 			}
+			ms, _ := rdb.metastore("m")
+			checkIndexTracksKeyTable(t, ms)
 			if commits >= 4 {
 				// The empty value is live: nil would say absent to a batch read.
 				snap, _ := rdb.Snapshot("m")
@@ -398,6 +400,8 @@ func TestWALTornBatchReplayEveryByte(t *testing.T) {
 			if got := dumpTables(t, rdb, "m", "t", "u"); !reflect.DeepEqual(got, want) || got["t/after1"] != "1" || got["u/after2"] != "2" {
 				t.Fatalf("%s: truncate at %d: state after restart = %v, want %v", form, l, got, want)
 			}
+			ms, _ = rdb.metastore("m")
+			checkIndexTracksKeyTable(t, ms)
 			rdb.Close()
 		}
 	}

@@ -31,17 +31,17 @@ import (
 // 64 slots and at most one spare (6 KiB each) and its name table: 394 when
 // it was a fixed ring of 8,192 slots of 96 bytes, 689 when those held whole
 // 168-byte Events. The store structure row holds, per key, a 48-byte record
-// that holds its key, a key-table slot and a B+tree leaf slot, and the change
-// ring, 8,192 slots of 32 bytes: 726 while a Go map held every key's header
-// beside its pointer, 820 when the ring held 48-byte Changes. The
-// search row is a document's ID and token numbers and its entries in sorted
-// postings: 264 while postings were maps and a document kept its full name
-// and type.
+// that holds its key and a pointer to it in a key-table slot and in a B+tree
+// leaf slot, and the change ring, 8,192 slots of 32 bytes: 565 while a leaf
+// kept every key's header beside its pointer, 726 while a Go map did too, 820
+// when the ring held 48-byte Changes. The search row is a document's ID and
+// token numbers and its entries in sorted postings: 264 while postings were
+// maps and a document kept its full name and type.
 var residentBudget = map[string]float64{
 	"search":          151,
 	"catalog":         74,
 	"events":          7,
-	"store structure": 565,
+	"store structure": 482,
 	"erm":             343,
 }
 
@@ -72,7 +72,7 @@ const internalPrefix = "unitycatalog/internal/"
 
 // holderOf names who answers for an allocation: the package of the innermost
 // unitycatalog/internal frame on its stack. The store's share under update is
-// "store structure" — records, map and tree growth, the change ring — apart
+// "store structure" — records, key-table and tree growth, the change ring — apart
 // from the value copies Tx.Put makes, which are the on-disk format's bytes:
 // those are "store values" where Put is called, and its caller's (erm,
 // catalog) where the compiler inlined it, which is nearly everywhere.
@@ -244,11 +244,12 @@ func TestResidentBudget(t *testing.T) {
 // lineageEdgeBudget is what one lineage edge leaves in use once committed,
 // in bytes under the holders of durable rows (store structure, store values,
 // erm, catalog): 240 under erm — its two keys and its value, 80 bytes each
-// for this test's edge — and 191 under the store's structure — two 48-byte
-// records that hold their keys, and their share of two key tables and two
-// trees (262, 502 in all, while two Go maps held the keys' headers).
-// TestLineageEdgeBytes fails at 10 % over.
-const lineageEdgeBudget = 431
+// for this test's edge — and 154 under the store's structure — two 48-byte
+// records that hold their keys, and their pointers' share of two key tables
+// and two trees (191, 431 in all, while the trees' leaves held the keys'
+// headers; 262, 502 while two Go maps did). TestLineageEdgeBytes fails at
+// 10 % over.
+const lineageEdgeBudget = 394
 
 // TestLineageEdgeBytes submits one edge per table of a 2,000-table
 // population, each its own commit, and holds what the edges leave in use to
