@@ -13,12 +13,15 @@ import (
 // here, in its own diff; one that shrinks a document lowers the ceiling to
 // the new size, so the room it made is not spent unnoticed.
 const (
-	designMaxBytes      = 98117
-	experimentsMaxBytes = 148143
+	designMaxBytes      = 97858
+	experimentsMaxBytes = 147789
 	// Every CHANGES.md entry from PR changesRatchetFrom on is at most
-	// changesMaxLines lines: a summary, not a second copy of the diff.
+	// changesMaxLines lines, and from PR changesBytesFrom on at most
+	// changesMaxBytes bytes: a summary, not a second copy of the diff.
 	changesRatchetFrom = 37
 	changesMaxLines    = 5
+	changesBytesFrom   = 40
+	changesMaxBytes    = 1600
 )
 
 func TestDocumentSizes(t *testing.T) {
@@ -37,7 +40,7 @@ func TestDocumentSizes(t *testing.T) {
 }
 
 // TestChangesEntryLength reads CHANGES.md as entries: a line "- PR <n>…" and
-// the indented lines under it.
+// the indented lines under it, each counted with its newline.
 func TestChangesEntryLength(t *testing.T) {
 	f, err := os.Open("CHANGES.md")
 	if err != nil {
@@ -45,6 +48,7 @@ func TestChangesEntryLength(t *testing.T) {
 	}
 	defer f.Close()
 	lines := map[int]int{} // PR number → lines in its entry
+	size := map[int]int{}  // PR number → bytes in its entry
 	pr := 0
 	sc := bufio.NewScanner(f)
 	sc.Buffer(nil, 1<<20)
@@ -60,8 +64,10 @@ func TestChangesEntryLength(t *testing.T) {
 				t.Fatalf("CHANGES.md: entry %q has no PR number", line)
 			}
 			lines[pr]++
+			size[pr] += len(line) + 1
 		case pr != 0 && strings.HasPrefix(line, " "):
 			lines[pr]++
+			size[pr] += len(line) + 1
 		default:
 			pr = 0
 		}
@@ -75,6 +81,9 @@ func TestChangesEntryLength(t *testing.T) {
 	for n, count := range lines {
 		if n >= changesRatchetFrom && count > changesMaxLines {
 			t.Errorf("CHANGES.md: the PR %d entry is %d lines, over %d", n, count, changesMaxLines)
+		}
+		if n >= changesBytesFrom && size[n] > changesMaxBytes {
+			t.Errorf("CHANGES.md: the PR %d entry is %d bytes, over %d", n, size[n], changesMaxBytes)
 		}
 	}
 }

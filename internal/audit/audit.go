@@ -23,6 +23,7 @@ package audit
 import (
 	"cmp"
 	"encoding/json"
+	"hash/maphash"
 	"io"
 	"math"
 	"slices"
@@ -64,22 +65,37 @@ type Record struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// chunk is a run of one shard's records in sequence order. Its array is
-// allocated once at the log's chunk length and never regrown, and slots below
-// len(recs) are never written again: a reader may keep the slice header it
-// copied under the shard's mutex and read it with the mutex released.
+// chunk is a run of one shard's records in sequence order and the strings
+// they name. Its records sit in a block allocated once and never regrown; its
+// table starts in the same block and moves to a larger array when it outgrows
+// it. Slots below the length of recs, strs and side are never written again:
+// a reader may keep the headers it copied under the shard's mutex and read
+// them with the mutex released.
 type chunk struct {
 	base uint64 // sequence number of recs[0]; packed.dseq counts from it
 	recs []packed
+	strs []string // the strings recs name, numbered by position
+	side []side
+}
+
+// bytes is what c holds: its block, the array its table moved to if it
+// outgrew the block, and its side entries.
+func (c *chunk) bytes() int64 {
+	n := blockBytes + uintptr(cap(c.side))*unsafe.Sizeof(side{})
+	if cap(c.strs) > blockStrs {
+		n += uintptr(cap(c.strs)) * unsafe.Sizeof("")
+	}
+	return int64(n)
 }
 
 // logShard is one stripe of the retained records: chunks oldest first, only
-// the last one open for appends.
+// the last one open for appends, and the lookup that numbers its strings.
 type logShard struct {
-	mu     sync.Mutex
-	chunks []chunk
-	n      int      // records in chunks
-	_      [24]byte // pad to keep neighboring shard mutexes off one cache line
+	mu      sync.Mutex
+	chunks  []chunk
+	n       int // records in chunks
+	numbers lookup
+	_       [56]byte // pad to keep neighboring shard mutexes off one cache line
 }
 
 // sinkBox holds the optional JSON-lines sink; swapped atomically so the
@@ -91,11 +107,9 @@ type sinkBox struct {
 
 type clockBox struct{ c clock.Clock }
 
-// opCount is one operation's name and how often it was appended. A packed
-// record points at it instead of holding the name.
+// opCount is how often one operation was appended.
 type opCount struct {
-	name string
-	n    atomic.Int64
+	n atomic.Int64
 }
 
 // Log is the audit trail. The zero value is not usable; call NewLog.
@@ -107,12 +121,6 @@ type Log struct {
 	seq      atomic.Uint64
 	clk      atomic.Pointer[clockBox]
 	sink     atomic.Pointer[sinkBox]
-
-	// metastores numbers the metastore names seen, so that a packed record
-	// holds two bytes instead of a string header. Copied on write: a node
-	// serves few metastores and learns of them once.
-	metastores atomic.Pointer[nameTable]
-	internMu   sync.Mutex
 
 	// aggregate counters survive retention trimming
 	total, reads, writes, denied atomic.Int64
@@ -129,11 +137,6 @@ func logShards(max int) int {
 	return 8
 }
 
-// maxChunkLen fills an 8 KiB allocation, a malloc size class, with packed
-// records. Retention is trimmed a chunk at a time, so small logs use shorter
-// chunks: an eighth of the shard's bound.
-const maxChunkLen = 8192 / int(unsafe.Sizeof(packed{}))
-
 // NewLog returns a Log retaining up to max records (0 means 100000). Once
 // it has retained max records it holds between max less one chunk per shard
 // and max.
@@ -143,12 +146,16 @@ func NewLog(max int) *Log {
 	}
 	n := logShards(max)
 	l := &Log{max: max, perMax: max / n, shards: make([]logShard, n)}
-	l.chunkLen = min(maxChunkLen, l.perMax/8)
+	// Retention is trimmed a chunk at a time, so small logs use shorter
+	// chunks: an eighth of the shard's bound.
+	l.chunkLen = min(blockRecs, l.perMax/8)
 	if l.chunkLen < 1 {
 		l.chunkLen = 1
 	}
+	for i := range l.shards {
+		l.shards[i].numbers.seed = maphash.MakeSeed()
+	}
 	l.clk.Store(&clockBox{c: clock.Real{}})
-	l.metastores.Store(&nameTable{idx: map[string]uint16{"": 0}, names: []string{""}})
 	return l
 }
 
@@ -171,22 +178,19 @@ func (l *Log) Append(r Record) {
 	if r.Time.IsZero() {
 		r.Time = l.clk.Load().c.Now()
 	}
-	var op *opCount
 	if r.Operation != "" {
 		c, ok := l.byOperation.Load(r.Operation)
 		if !ok {
-			c, _ = l.byOperation.LoadOrStore(r.Operation, &opCount{name: r.Operation})
+			c, _ = l.byOperation.LoadOrStore(r.Operation, &opCount{})
 		}
-		op = c.(*opCount)
-		op.n.Add(1)
+		c.(*opCount).n.Add(1)
 	}
-	p := l.pack(&r, op)
 
 	// The running total deals records round the shards; the sequence number
 	// is taken under the shard's mutex so that a shard is in sequence order.
 	sh := &l.shards[uint64(l.total.Add(1))%uint64(len(l.shards))]
 	sh.mu.Lock()
-	sh.push(l, l.seq.Add(1), p)
+	sh.push(l, l.seq.Add(1), &r)
 	sh.mu.Unlock()
 
 	if r.ReadOnly {
@@ -206,16 +210,19 @@ func (l *Log) Append(r Record) {
 	}
 }
 
-// push appends p with sequence number seq, opening a chunk when the last one
+// push appends r with sequence number seq, opening a chunk when the last one
 // is full and dropping the oldest when the shard is over its bound. Nothing
 // is copied either way. Caller holds sh.mu.
-func (sh *logShard) push(l *Log, seq uint64, p packed) {
+func (sh *logShard) push(l *Log, seq uint64, r *Record) {
 	last := len(sh.chunks) - 1
 	if last < 0 || len(sh.chunks[last].recs) == l.chunkLen || seq-sh.chunks[last].base > math.MaxUint32 {
-		sh.chunks = append(sh.chunks, chunk{base: seq, recs: make([]packed, 0, l.chunkLen)})
+		b := new(block)
+		sh.chunks = append(sh.chunks, chunk{base: seq, recs: b.recs[:0:l.chunkLen], strs: b.strs[:0]})
+		clear(sh.numbers.slots)
 		last++
 	}
 	c := &sh.chunks[last]
+	p := sh.numbers.pack(c, r)
 	p.dseq = uint32(seq - c.base)
 	c.recs = append(c.recs, p)
 	sh.n++
@@ -236,29 +243,36 @@ func (l *Log) RegisterMetrics(r *obs.Registry) {
 		n, _ := l.Retained()
 		return float64(n)
 	})
-	r.RegisterGaugeFunc("uc_audit_retained_bytes", "Bytes of the record chunks the audit log holds, filled or not.", func() float64 {
+	r.RegisterGaugeFunc("uc_audit_retained_bytes", "Bytes of the record chunks and string tables the audit log holds, filled or not.", func() float64 {
 		_, b := l.Retained()
 		return float64(b)
 	})
 }
 
-// Retained returns how many records the log holds and the bytes of the
-// chunks they sit in (the strings a record points at are not counted).
+// Retained returns how many records the log holds and the bytes it holds
+// them in: each chunk's block, table and side entries, and each shard's chunk
+// headers and lookup. The strings' own bytes are shared with whoever made
+// them and are not counted.
 func (l *Log) Retained() (records int, bytes int64) {
 	for i := range l.shards {
 		sh := &l.shards[i]
 		sh.mu.Lock()
 		records += sh.n
-		bytes += int64(len(sh.chunks)) * int64(l.chunkLen) * int64(unsafe.Sizeof(packed{}))
+		for j := range sh.chunks {
+			bytes += sh.chunks[j].bytes()
+		}
+		bytes += int64(cap(sh.chunks))*int64(unsafe.Sizeof(chunk{})) + int64(len(sh.numbers.slots))*int64(unsafe.Sizeof(uint16(0)))
 		sh.mu.Unlock()
 	}
 	return records, bytes
 }
 
-// retained is one retained record and its sequence number.
+// retained is one retained record, its sequence number and a copy of its
+// chunk's header.
 type retained struct {
 	seq uint64
 	p   *packed
+	c   *chunk
 }
 
 // collect returns every retained record in sequence order (append order,
@@ -271,9 +285,10 @@ func (l *Log) collect() []retained {
 		sh.mu.Lock()
 		chunks := slices.Clone(sh.chunks)
 		sh.mu.Unlock()
-		for _, c := range chunks {
+		for k := range chunks {
+			c := &chunks[k]
 			for j := range c.recs {
-				all = append(all, retained{seq: c.base + uint64(c.recs[j].dseq), p: &c.recs[j]})
+				all = append(all, retained{seq: c.base + uint64(c.recs[j].dseq), p: &c.recs[j], c: c})
 			}
 		}
 	}
@@ -289,7 +304,7 @@ func (l *Log) Recent(n int) []Record {
 	}
 	out := make([]Record, n)
 	for i, h := range all[len(all)-n:] {
-		out[i] = l.unpack(h.p)
+		out[i] = unpack(h.c, h.p)
 	}
 	return out
 }
@@ -298,7 +313,7 @@ func (l *Log) Recent(n int) []Record {
 func (l *Log) Filter(pred func(Record) bool) []Record {
 	var out []Record
 	for _, h := range l.collect() {
-		if r := l.unpack(h.p); pred(r) {
+		if r := unpack(h.c, h.p); pred(r) {
 			out = append(out, r)
 		}
 	}

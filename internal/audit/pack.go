@@ -3,27 +3,28 @@ package audit
 import (
 	"encoding/binary"
 	"encoding/hex"
-	"math"
+	"hash/maphash"
 	"time"
 
 	"unitycatalog/internal/ids"
 )
 
-// packed is a Record as the log retains it, in 88 bytes. The strings a request already holds (principal, securable, detail) are
-// kept as they came; everything with a smaller exact form takes it, and the
-// rare value without one goes behind rest.
+// packed is a Record as the log retains it, in 48 bytes. The time, a trace ID
+// of the form obs mints and the securable keep forms of their own; every other
+// string is a number into its chunk's table, strs, and what has no such form
+// is in the chunk's side entries.
 type packed struct {
-	dseq      uint32 // sequence number, counted from the chunk's base
-	metastore uint16 // number in Log.metastores, or inRest
-	kind      uint8  // index into kinds, or inRest
-	flags     uint8
-	when      int64    // Unix nanoseconds, unless rest holds the time
-	op        *opCount // the operation's counter entry; nil for none
-	trace     uint64   // the trace ID's 16 hex digits, with flagTraceHex
-	principal string
+	when      int64  // Unix nanoseconds, unless flagTimeInSide
+	trace     uint64 // the trace ID's 16 hex digits with flagTraceHex, its number with flagTraceStr
 	securable ids.ID
-	detail    string
-	rest      *spill
+	dseq      uint32 // sequence number, counted from the chunk's base
+	metastore uint16
+	principal uint16
+	operation uint16
+	detail    uint16
+	kind      uint16
+	flags     uint8
+	side      uint8 // index into the chunk's side, with flagSide
 }
 
 const (
@@ -31,148 +32,151 @@ const (
 	flagReadOnly
 	flagUTC      // when is read back in UTC, not in time.Local
 	flagTraceHex // the trace ID is trace, formatted as obs mints them
-	flagTimeInRest
+	flagTraceStr // the trace ID is strs[trace]
+	flagSide     // side[p.side] holds Extra, and the time with flagTimeInSide
+	flagTimeInSide
 )
 
-// inRest in packed.kind or packed.metastore says the value is in rest.
-const inRest = math.MaxUint8
-
-const metastoreInRest = math.MaxUint16
-
-// kinds are the record kinds with a one-byte form.
-var kinds = [...]Kind{"", KindAPIRequest, KindLifecycle, KindAuthz, KindCredential}
-
-// spill holds what has no packed form: Extra, a trace ID that is not 16
-// lower-case hex digits, a kind this package does not define, a time outside
-// int64 nanoseconds or in a zone other than Local and UTC, a metastore name
-// past the 65,535th distinct one. A record with any of these gets a copy of
-// all five fields; the markers in packed say which are read back from here.
-type spill struct {
-	kind      Kind
-	metastore string
-	traceID   string
-	when      time.Time
-	extra     map[string]string
+// side holds what a record has no packed form for: Extra, and a time outside
+// int64 nanoseconds or in a zone other than Local and UTC.
+type side struct {
+	when  time.Time
+	extra map[string]string
 }
 
-// nameTable numbers strings in the order they were first seen.
-type nameTable struct {
-	idx   map[string]uint16
-	names []string
+// block is a chunk's one allocation: its record slots and its first string
+// slots. A chunk whose records name more strings moves its table to an array
+// of its own.
+type block struct {
+	recs [blockRecs]packed
+	strs [blockStrs]string
 }
 
-// metastoreNumber returns name's number, giving it the next one if it is
-// new; ok is false when the numbers have run out.
-func (l *Log) metastoreNumber(name string) (n uint16, ok bool) {
-	if n, ok := l.metastores.Load().idx[name]; ok {
-		return n, true
-	}
-	l.internMu.Lock()
-	defer l.internMu.Unlock()
-	t := l.metastores.Load()
-	if n, ok := t.idx[name]; ok {
-		return n, true
-	}
-	if len(t.names) == metastoreInRest {
-		return 0, false
-	}
-	next := &nameTable{idx: make(map[string]uint16, len(t.idx)+1), names: append(t.names[:len(t.names):len(t.names)], name)}
-	for k, v := range t.idx {
-		next.idx[k] = v
-	}
-	n = uint16(len(t.names))
-	next.idx[name] = n
-	l.metastores.Store(next)
-	return n, true
+const (
+	blockRecs = 160
+	blockStrs = 31
+	// blockBytes is the malloc size class a block is allocated in: 8,176
+	// bytes and the 8-byte header the allocator puts before an object over
+	// 512 bytes that holds pointers. One more string slot would take the
+	// next class, 9,472.
+	blockBytes = 8192
+)
+
+// lookup finds a string's number in the open chunk's table: open addressing
+// over slots that hold a number plus one (0 is empty), cleared when a chunk
+// opens. A record names at most six strings, so a chunk's numbers fit in 16
+// bits with room to spare.
+type lookup struct {
+	seed  maphash.Seed
+	slots []uint16
 }
 
-// pack returns r's retained form. op is r.Operation's counter entry.
-func (l *Log) pack(r *Record, op *opCount) packed {
-	p := packed{op: op, principal: r.Principal, securable: r.Securable, detail: r.Detail}
+// number returns s's number in c's table, adding s if it is new.
+func (t *lookup) number(c *chunk, s string) uint16 {
+	if 2*(len(c.strs)+1) > len(t.slots) {
+		t.grow(c)
+	}
+	mask := len(t.slots) - 1
+	for i := int(maphash.String(t.seed, s)) & mask; ; i = (i + 1) & mask {
+		n := t.slots[i]
+		if n == 0 {
+			c.strs = append(c.strs, s)
+			t.slots[i] = uint16(len(c.strs))
+			return uint16(len(c.strs) - 1)
+		}
+		if c.strs[n-1] == s {
+			return n - 1
+		}
+	}
+}
+
+// grow doubles the slots, at least 64, and renumbers c's table into them.
+func (t *lookup) grow(c *chunk) {
+	t.slots = make([]uint16, max(64, 2*len(t.slots)))
+	mask := len(t.slots) - 1
+	for n, s := range c.strs {
+		i := int(maphash.String(t.seed, s)) & mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = uint16(n + 1)
+	}
+}
+
+// pack returns r's retained form, numbering its strings in c's table. Caller
+// holds the shard's mutex and c is its open chunk.
+func (t *lookup) pack(c *chunk, r *Record) packed {
+	p := packed{
+		securable: r.Securable,
+		metastore: t.number(c, r.Metastore),
+		principal: t.number(c, r.Principal),
+		operation: t.number(c, r.Operation),
+		detail:    t.number(c, r.Detail),
+		kind:      t.number(c, string(r.Kind)),
+	}
 	if r.Allowed {
 		p.flags |= flagAllowed
 	}
 	if r.ReadOnly {
 		p.flags |= flagReadOnly
 	}
-	spilled := r.Extra != nil
-
-	p.kind = inRest
-	for i, k := range kinds {
-		if r.Kind == k {
-			p.kind = uint8(i)
-			break
-		}
-	}
-	spilled = spilled || p.kind == inRest
 
 	p.when = r.Time.UnixNano()
 	switch loc := r.Time.Location(); {
 	case !time.Unix(0, p.when).Equal(r.Time), loc != time.Local && loc != time.UTC:
-		p.flags |= flagTimeInRest
-		spilled = true
+		p.flags |= flagTimeInSide
 	case loc == time.UTC:
 		p.flags |= flagUTC
 	}
 
 	var ok bool
-	if p.metastore, ok = l.metastoreNumber(r.Metastore); !ok {
-		p.metastore = metastoreInRest
-		spilled = true
-	}
-
 	if p.trace, ok = parseHex16(r.TraceID); ok {
 		p.flags |= flagTraceHex
 	} else if r.TraceID != "" {
-		spilled = true
+		p.trace = uint64(t.number(c, r.TraceID))
+		p.flags |= flagTraceStr
 	}
 
-	if spilled {
-		// Each field is read back only when its marker says it is here.
-		p.rest = &spill{kind: r.Kind, metastore: r.Metastore, traceID: r.TraceID, when: r.Time, extra: r.Extra}
+	if r.Extra != nil || p.flags&flagTimeInSide != 0 {
+		// A chunk holds fewer than 256 records, so the index fits a byte.
+		p.flags |= flagSide
+		p.side = uint8(len(c.side))
+		c.side = append(c.side, side{when: r.Time, extra: r.Extra})
 	}
 	return p
 }
 
-// unpack returns the Record p was packed from.
-func (l *Log) unpack(p *packed) Record {
+// unpack returns the Record p was packed from. c is p's chunk, or a copy of
+// its header taken after p was appended.
+func unpack(c *chunk, p *packed) Record {
 	r := Record{
-		Principal: p.principal,
+		Kind:      Kind(c.strs[p.kind]),
+		Metastore: c.strs[p.metastore],
+		Principal: c.strs[p.principal],
+		Operation: c.strs[p.operation],
 		Securable: p.securable,
 		Allowed:   p.flags&flagAllowed != 0,
 		ReadOnly:  p.flags&flagReadOnly != 0,
-		Detail:    p.detail,
-	}
-	if p.op != nil {
-		r.Operation = p.op.name
+		Detail:    c.strs[p.detail],
 	}
 	switch {
-	case p.flags&flagTimeInRest != 0:
-		r.Time = p.rest.when
+	case p.flags&flagTimeInSide != 0:
+		r.Time = c.side[p.side].when
 	case p.flags&flagUTC != 0:
 		r.Time = time.Unix(0, p.when).UTC()
 	default:
 		r.Time = time.Unix(0, p.when)
 	}
-	if p.kind == inRest {
-		r.Kind = p.rest.kind
-	} else {
-		r.Kind = kinds[p.kind]
-	}
-	if p.metastore == metastoreInRest {
-		r.Metastore = p.rest.metastore
-	} else {
-		r.Metastore = l.metastores.Load().names[p.metastore]
-	}
-	if p.flags&flagTraceHex != 0 {
+	switch {
+	case p.flags&flagTraceHex != 0:
 		var b [8]byte
 		binary.BigEndian.PutUint64(b[:], p.trace)
 		r.TraceID = hex.EncodeToString(b[:])
-	} else if p.rest != nil {
-		r.TraceID = p.rest.traceID
+	case p.flags&flagTraceStr != 0:
+		r.TraceID = c.strs[p.trace]
 	}
-	if p.rest != nil {
-		r.Extra = p.rest.extra
+	if p.flags&flagSide != 0 {
+		r.Extra = c.side[p.side].extra
 	}
 	return r
 }
