@@ -20,7 +20,7 @@ test:
 #   events: Subscribe/Cancel racing Publish and draining; the packed log and its retention against a []Event
 #   catalog: authorizer oracles, multi-node and shared-entity differentials, one version per unpaged listing
 #   privilege: snapshot cache advancing under stale readers
-#   obs, lineage, store, server: flight-recorder freeze; edges vs assets; write set and key table vs a map; one envelope per request
+#   obs, lineage, store, server: flight-recorder freeze; edges vs assets; write set and key table vs a map, the derived child rows vs stored ones; one envelope per request
 #   audit: the packed log against a []Record; readers unpacking open chunks while appenders add to their string tables
 race:
 	$(GO) test -race -count=1 \
@@ -55,7 +55,7 @@ race:
 		./internal/clock/... \
 		./internal/ids/... \
 		./uc/...
-	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestLocalWritesInstallOutOfOrder|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll|TestPackedRingMatchesReference|TestRetentionMatchesReference|TestCancelDrainsWhatItHolds|TestNoEdgeOutlivesItsAssets|TestTxWriteSetMatchesReference|TestKeyTableMatchesMap|TestEnvelopePerRequest|TestIndexMatchesReference|TestPackedLogMatchesReference|TestConcurrentAppendersKeepEveryOrder' \
+	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestLocalWritesInstallOutOfOrder|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll|TestPackedRingMatchesReference|TestRetentionMatchesReference|TestCancelDrainsWhatItHolds|TestNoEdgeOutlivesItsAssets|TestTxWriteSetMatchesReference|TestKeyTableMatchesMap|TestDerivedChildIndexMatchesRows|TestEnvelopePerRequest|TestIndexMatchesReference|TestPackedLogMatchesReference|TestConcurrentAppendersKeepEveryOrder' \
 		./internal/cache/ ./internal/search/ ./internal/events/ ./internal/catalog/ ./internal/privilege/ ./internal/obs/ ./internal/lineage/ ./internal/store/ ./internal/server/ ./internal/audit/
 
 # Who holds the resident bytes (uc/heap_test.go; DESIGN.md "Resident layout"):
@@ -80,7 +80,7 @@ heap:
 # (one allocation per string value kept, one per array), a trace's ID (one)
 # and a metric-family child lookup
 # (internal/obs, none) and a catalog and a txn event published and delivered
-# to a follower, and a chunk of 64 (internal/events, none); then the miss path of a full cache: a
+# to a follower, and a chunk of 63 (internal/events, none); then the miss path of a full cache: a
 # point miss that inserts one object and evicts (recorded figure + 10 %) and a
 # cold batch that inserts nothing, the same at 10 keys as at 100, a view's
 # prefix scan, which allocates its result and nothing else, and a write

@@ -965,19 +965,42 @@ func (v *View) ScanRange(table, start, end string, limit int) []store.KV {
 // view's version in O(log n + result), cached nowhere. During an outage it
 // returns nil with the backend error on Err.
 func (v *View) scan(table, prefix, start, end string, limit int) []store.KV {
+	var kvs []store.KV
+	v.rangeRead(table, func(at uint64) (err error) {
+		kvs, err = v.c.db.ScanRangeAt(v.msID, at, table, prefix, start, end, limit)
+		return err
+	})
+	return kvs
+}
+
+// GroupRows is store.Snapshot.GroupRows at the view's version: a derived
+// table's rows in its source's terms, read as ScanRange reads, cached nowhere.
+func (v *View) GroupRows(table, start, end string, limit int) []store.GroupRow {
+	if v.snap != nil { // cache disabled
+		return v.snap.GroupRows(table, start, end, limit)
+	}
+	var rows []store.GroupRow
+	v.rangeRead(table, func(at uint64) (err error) {
+		rows, err = v.c.db.GroupRowsAt(v.msID, at, table, start, end, limit)
+		return err
+	})
+	return rows
+}
+
+// rangeRead runs one range read of the store at the view's version, pinning
+// the view first; a failure enters degraded mode and is left on Err.
+func (v *View) rangeRead(table string, read func(at uint64) error) {
 	if !v.pinned() {
 		v.pinOnMiss()
 	}
 	_, span := v.sc.StartDetail("cache.rangescan", table)
 	defer span.End()
-	kvs, err := v.c.db.ScanRangeAt(v.msID, v.Version(), table, prefix, start, end, limit)
-	if err != nil {
+	if err := read(v.Version()); err != nil {
 		v.c.noteDBError(v.m, err)
 		v.setErr(err)
-		return nil
+		return
 	}
 	v.c.noteDBSuccess(v.m)
-	return kvs
 }
 
 // GetBatch returns the values of keys as of the view's version, aligned with
@@ -1173,9 +1196,13 @@ func (v *View) Close() {
 }
 
 // insertShardLocked adds a version to a record, pruning stale versions
-// lazily. A new record is one allocation, its version held inline. Caller
-// holds the shard's write lock (alone or via lockAll).
+// lazily. A new record is one allocation, its version held inline. A derived
+// table's row is never cached: no change names it, so nothing would
+// invalidate it. Caller holds the shard's write lock (alone or via lockAll).
 func (c *Cache) insertShardLocked(m *msCache, sh *shard, rk cacheKey, cv cachedVersion) {
+	if store.Derived(rk.table) {
+		return
+	}
 	rec, ok := sh.records[rk]
 	if !ok {
 		rec = &cachedRecord{key: rk.key}

@@ -5,12 +5,13 @@ package catalog
 // QueryAssetsPage(Func) — is a plan walked by one loop.
 //
 // A plan is one or more ordered index ranges (a table and a key prefix) whose
-// rows name entities: the child and name indexes hold entity IDs, the entity
-// table holds the entities, the inverted tag index holds a securable's ID in
-// its key once per tagged column. listing.walk is the loop: read rows, turn
-// them into entities, admit those that pass the filter and the principal's
-// visibility, remember the last key consumed, stop when the page is full or a
-// short batch says the range has ended.
+// rows name entities: a row of the child table, which the store derives from
+// the entity records, comes with its entity's record, the name index holds
+// entity IDs, the entity table holds the entities, the inverted tag index
+// holds a securable's ID in its key once per tagged column. listing.walk is
+// the loop: read rows, turn them into entities, admit those that pass the
+// filter and the principal's visibility, remember the last key consumed, stop
+// when the page is full or a short batch says the range has ended.
 //
 // A paged call bounds the walk and returns a token that pins the snapshot
 // version and the last key consumed; a continuation reopens a store snapshot
@@ -148,8 +149,9 @@ func decodeAligned(r pagedReader, keys []string) []*erm.Entity {
 	return erm.DecodeEntities(len(keys), func(i int) (ids.ID, []byte) { return ids.ID(keys[i]), recs[i] })
 }
 
-// rowEntities turns the rows of one index batch into the entities they name,
-// aligned with the batch; nil where there is nothing to admit.
+// rowEntities turns the rows of one index batch of any table but the child
+// table into the entities they name, aligned with the batch; nil where there
+// is nothing to admit.
 func (l *listing) rowEntities(table string, rows []store.KV) []*erm.Entity {
 	switch table {
 	case erm.TableEntity:
@@ -189,7 +191,7 @@ func (l *listing) rowEntities(table string, rows []store.KV) []*erm.Entity {
 			}
 		}
 		return ents
-	default: // child and name indexes: the row points at an entity ID
+	default: // the name index: the row points at an entity ID
 		keys := make([]string, len(rows))
 		for i, kv := range rows {
 			keys[i] = string(erm.IndexedID(kv))
@@ -211,10 +213,14 @@ type listing struct {
 	emit  func(*erm.Entity)
 	limit int
 
-	n       int
-	lastKey string // last index key consumed
-	stage   int    // catalog scope: 0 inside the schemas, 1 the schemas themselves
-	outer   string // catalog scope: child key of the schema being walked
+	n int
+	// The last index key consumed is lastGroup+lastKey: a child row is its
+	// group and its entity's ID (store.GroupRow), joined only when a cursor
+	// or the next batch needs the key; any other row has no group.
+	lastGroup, lastKey string
+	stage              int // catalog scope: 0 inside the schemas, 1 the schemas themselves
+	// catalog scope: the child key of the schema being walked, outerGroup+outer.
+	outerGroup, outer string
 	// The tag plan's value to match ("" any), the securable whose index rows
 	// the walk is in, and whether they have decided its tag yet (rowEntities).
 	tagValue string
@@ -234,6 +240,15 @@ func (s *Service) newListing(ctx Ctx, r pagedReader, f Filter, limit int, emit f
 func (l *listing) read(table, prefix, start string, n int) []store.KV {
 	return l.r.ScanRange(table, start, store.PrefixEnd(prefix), n)
 }
+
+// readChildren is read for the child table: its rows with their entities'
+// records.
+func (l *listing) readChildren(prefix, start string, n int) []store.GroupRow {
+	return l.r.GroupRows(erm.TableChild, start, store.PrefixEnd(prefix), n)
+}
+
+// last is the last index key consumed.
+func (l *listing) last() string { return l.lastGroup + l.lastKey }
 
 // walk is the engine's page loop, the only one: it runs the keys of table
 // under prefix that follow after ("" for all of them) through the filter and
@@ -257,26 +272,49 @@ func (l *listing) walk(table, prefix, after string) (more bool) {
 		if l.limit > 0 {
 			ask = l.limit - l.n + 1
 		}
-		rows := l.read(table, prefix, start, ask)
-		goesOn := ask > 0 && len(rows) == ask
-		if goesOn {
-			rows = rows[:ask-1]
+		// A child row is its group and its entity's ID and record; any other
+		// row is a key that rowEntities turns into an entity.
+		child := table == erm.TableChild
+		var (
+			rows     []store.KV
+			children []store.GroupRow
+			ents     []*erm.Entity
+			n        int
+		)
+		if child {
+			children = l.readChildren(prefix, start, ask)
+			n = len(children)
+		} else {
+			rows = l.read(table, prefix, start, ask)
+			n = len(rows)
 		}
-		ents := l.rowEntities(table, rows)
-		for i, kv := range rows {
-			l.lastKey = kv.Key
-			if e := ents[i]; e != nil && matchesFilter(l.r, &l.f, e) && l.s.visible(l.ctx, l.auth, l.r, &l.abac, e) {
+		goesOn := ask > 0 && n == ask
+		if goesOn {
+			n--
+		}
+		if child {
+			ents = erm.DecodeEntities(n, func(i int) (ids.ID, []byte) { return ids.ID(children[i].Key), children[i].Value })
+		} else {
+			ents = l.rowEntities(table, rows[:n])
+		}
+		for i, e := range ents {
+			if child {
+				l.lastGroup, l.lastKey = children[i].Group, children[i].Key
+			} else {
+				l.lastGroup, l.lastKey = "", rows[i].Key
+			}
+			if e != nil && matchesFilter(l.r, &l.f, e) && l.s.visible(l.ctx, l.auth, l.r, &l.abac, e) {
 				l.n++
 				l.emit(e)
 				if l.full() {
-					return goesOn || i < len(rows)-1
+					return goesOn || i < n-1
 				}
 			}
 		}
 		if !goesOn {
 			return false
 		}
-		after = l.lastKey
+		after = l.last()
 	}
 }
 
@@ -301,10 +339,10 @@ func (l *listing) walkCatalog(cat ids.ID, cur *pageCursor, byName bool) (more bo
 		if l.outer != "" {
 			outerStart = l.outer // resume at the same schema
 		}
-		schemas := l.read(erm.TableChild, schemaPrefix, outerStart, 0)
-		for i, skv := range schemas {
-			l.outer = skv.Key
-			table, prefix := l.s.schemaRange(l.f, erm.IndexedID(skv), byName)
+		schemas := l.readChildren(schemaPrefix, outerStart, 0)
+		for i, schema := range schemas {
+			l.outerGroup, l.outer = schema.Group, schema.Key
+			table, prefix := l.s.schemaRange(l.f, ids.ID(schema.Key), byName)
 			if l.walk(table, prefix, inner) {
 				return true
 			}
@@ -319,17 +357,18 @@ func (l *listing) walkCatalog(cat ids.ID, cur *pageCursor, byName bool) (more bo
 			return false
 		}
 		// Fall through to the schema stage with a fresh inner cursor.
-		l.stage, l.lastKey = 1, ""
+		l.stage, l.lastGroup, l.lastKey = 1, "", ""
 	}
 	return l.walk(erm.TableChild, schemaPrefix, inner)
 }
 
 // token is the continuation of a walk that left more behind.
 func (l *listing) token(plan string, more bool) string {
-	if !more || l.lastKey == "" {
+	last := l.last()
+	if !more || last == "" {
 		return ""
 	}
-	return encodeCursor(pageCursor{V: l.r.Version(), S: plan, K: l.lastKey, K2: l.outer, G: l.stage})
+	return encodeCursor(pageCursor{V: l.r.Version(), S: plan, K: last, K2: l.outerGroup + l.outer, G: l.stage})
 }
 
 // ListAssets lists the children of parentFull having the given type that the

@@ -396,13 +396,14 @@ func TestHasTagMatchesEntityTags(t *testing.T) {
 // when the read path last changed on purpose: one engine behind both, a
 // page's batch answering "is there more" itself, the catalog's workspace
 // bindings read in place, the page's range scan sizing its result once and
-// its authorizer bound in one object (45 while the scan grew its result row
-// by row; 51 and 52 with a decode of the catalog's whole spec; the page was
-// 60 with its probe read, and 456 before it decoded into one slab).
+// its authorizer bound in one object, the child rows carrying their entities'
+// records (34 and 42 with a batch read of them; 45 while the scan grew its
+// result row by row; 51 and 52 with a decode of the catalog's whole spec; the
+// page was 60 with its probe read, and 456 before it decoded into one slab).
 // TestListPageAllocs fails at 10 % over; `make allocs` prints the figures.
 const (
-	listPageAllocs = 34 // 38 before
-	listAllAllocs  = 42 // 46 before
+	listPageAllocs = 33
+	listAllAllocs  = 41
 )
 
 // pageWorld is sales.raw with 150 tables beside seedNamespace's one (a page

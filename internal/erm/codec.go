@@ -51,8 +51,8 @@ package erm
 // decode also accepts the JSON values the seed wrote. No store migration is
 // needed: records converge to version 3 as they are rewritten. The index rows
 // beside a record changed with version 2 (IDValue, IndexedID in erm.go): a
-// child row stores nothing, a name or path row the ID's 16 bytes; both used
-// to store the ID's 32 hex digits.
+// name or path row holds the ID's 16 bytes, not its 32 hex digits. No child
+// row is stored: the store derives it from the record (childGroup).
 //
 // Because a record of version 2 or 3 leaves out its key, it is decoded with it:
 // DecodeEntityAt and DecodeEntities take the key and every reader of the
@@ -81,9 +81,9 @@ package erm
 //     a record or a slab.
 //   - ID is the key the record was read by, handed in by the caller: an
 //     exactly-sized string (a point read by name or path, an ID the API was
-//     given), or a substring of a key the store itself keeps for as long as
-//     the entity exists (IndexedID: the child key a listing scanned; the
-//     entity-table key of a scan). Never a substring of the slab.
+//     given), or the entity-table key the store itself keeps for as long as
+//     the entity exists (a child row's, a scan's). Never a substring of the
+//     slab.
 //   - Name, ParentID, FullName, Comment and StoragePath are substrings of the
 //     record's or the page's backing string; Spec of the page's spec buffer.
 //   - Spec is in the form the record stores it, in every provenance, the
@@ -144,6 +144,7 @@ package erm
 // entity's ID. Batch reads never see a shared entity and never make one.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
@@ -589,6 +590,76 @@ func DecodeEntities(n int, rec func(i int) (ids.ID, []byte)) []*Entity {
 		base += n
 	}
 	return out
+}
+
+// childGroup is the child table's derivation (store.DeriveIndex): it appends
+// to dst the group an entity record's value names, parent\0TYPE\0 — the
+// prefix ChildKey gives its children of that type — reading the parent and
+// the type of every record format and of the seed's JSON. A value that does
+// not read, or whose parent or type holds a 0 byte, names none.
+func childGroup(dst, value []byte) ([]byte, bool) {
+	var (
+		parent, typ []byte
+		coded       SecurableType // the type, when the record has its code
+		rawParent   bool
+	)
+	switch {
+	case len(value) == 0:
+		return dst, false
+	case value[0] == '{':
+		var j struct {
+			Type     string `json:"type"`
+			ParentID string `json:"parent_id"`
+		}
+		if json.Unmarshal(value, &j) != nil {
+			return dst, false
+		}
+		parent, typ = []byte(j.ParentID), []byte(j.Type)
+	case value[0] != codecMagic || len(value) < 3:
+		return dst, false
+	case value[1] == codecV1:
+		d := decoder{b: value, off: 3}
+		d.bytes() // the ID
+		typ = d.bytes()
+		d.bytes() // the name
+		parent = d.bytes()
+		if d.err != nil {
+			return dst, false
+		}
+	case value[1] == codecV2 || value[1] == codecV3:
+		d := decoder{b: value, off: 3}
+		if c := d.byte(); c == 0 {
+			typ = d.bytes()
+		} else if int(c) < len(typeCodes) {
+			coded = typeCodes[c]
+		} else {
+			return dst, false
+		}
+		if d.byte() == 0 {
+			d.bytes() // the state
+		}
+		d.bytes() // the owner
+		if rawParent = value[2]&flagParentRaw != 0; rawParent {
+			parent = d.skip(ids.RawLen)
+		} else {
+			parent = d.bytes()
+		}
+		if d.err != nil {
+			return dst, false
+		}
+	default:
+		return dst, false
+	}
+	if bytes.IndexByte(typ, 0) >= 0 || !rawParent && bytes.IndexByte(parent, 0) >= 0 {
+		return dst, false
+	}
+	if rawParent {
+		dst = hex.AppendEncode(dst, parent)
+	} else {
+		dst = append(dst, parent...)
+	}
+	dst = append(append(append(dst, 0), typ...), coded...)
+	return append(dst, 0), true
 }
 
 // DecodeEntityRows decodes the pairs of an entity-table scan (key = ID) into

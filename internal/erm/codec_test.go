@@ -237,6 +237,50 @@ func TestRecordSizes(t *testing.T) {
 	}
 }
 
+// TestChildGroupReadsEveryForm: the child table's group, parent\0TYPE\0, is
+// read from a record of every format and from the seed's JSON, whatever the
+// parent (an ID's 16 bytes, a string, none) and the type (coded, or a string
+// a registry added), and is ChildPrefix of what the record decodes to. A
+// value that does not read, or whose parent holds a 0 byte, names none.
+func TestChildGroupReadsEveryForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 300; i++ {
+		e := sampleEntity(rng)
+		js, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for format, encode := range map[string]func(*Entity) ([]byte, error){
+			"v1": encodeEntityV1, "v2": encodeEntityV2, "v3": EncodeEntity,
+			"json": func(*Entity) ([]byte, error) { return js, nil },
+		} {
+			rec, err := encode(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ChildPrefix(e.ParentID, e.Type)
+			dst := []byte("kept")
+			got, ok := childGroup(dst, rec)
+			if !ok || string(got) != "kept"+want {
+				t.Fatalf("%s record of %+v: group %q (%v), want %q", format, e, got, ok, want)
+			}
+			if d, err := DecodeEntityAt(e.ID, rec); err != nil || ChildPrefix(d.ParentID, d.Type) != want {
+				t.Fatalf("%s record decodes to parent %q type %q (%v), its group is %q", format, d.ParentID, d.Type, err, want)
+			}
+		}
+	}
+	bad := &Entity{ID: "x", Type: TypeTable, ParentID: "p\x00q", State: StateActive}
+	rec, _ := EncodeEntity(bad)
+	for what, v := range map[string][]byte{
+		"empty": {}, "nil": nil, "a parent with a 0 byte": rec, "not JSON": []byte("{"),
+		"another magic": {0xE2, 3, 0}, "version 4": {codecMagic, 4, 0}, "cut short": rec[:5], "unknown type code": {codecMagic, 3, 0, 99, 2, 0, 0},
+	} {
+		if g, ok := childGroup(nil, v); ok {
+			t.Errorf("%s: group %q", what, g)
+		}
+	}
+}
+
 // TestIndexedIDReadsEveryForm: an index value is empty (a child row), the
 // ID's 16 bytes, or its string; before record format 2 it was always the
 // string. Any ID comes back from any of them.

@@ -418,7 +418,7 @@ const (
 	TableName   = "name"   // nameKey -> id (IDValue)
 	TablePath   = "path"   // storage path -> id (data assets; one-asset-per-path)
 	TableExtLoc = "extloc" // storage path -> id (external locations: containers of asset paths)
-	TableChild  = "child"  // childKey -> nothing: the key ends in the id
+	TableChild  = "child"  // childKey -> nothing, derived from the entity records (childGroup)
 	TableGrant  = "grant"  // grantKey -> Grant JSON
 	TableTag    = "tag"    // tagKey -> value
 	TableTagIdx = "tagidx" // tagIdxKey -> value (inverted: tag key -> tagged securables)
@@ -434,6 +434,10 @@ var Tables = []string{
 	TableEntity, TableName, TablePath, TableExtLoc, TableChild, TableGrant,
 	TableTag, TableTagIdx, TableABAC, TableLineage, TableLineageUp,
 }
+
+// The child table is not written: the store derives a row from every entity
+// record (store.DeriveIndex), the ChildKey of its parent, type and ID.
+func init() { store.DeriveIndex(TableChild, TableEntity, childGroup) }
 
 // pathTableFor returns the path index an entity type belongs to: external
 // locations are containers that legitimately enclose asset paths, so they
@@ -451,8 +455,8 @@ func NameKey(group string, parent ids.ID, name string) string {
 	return group + "\x00" + string(parent) + "\x00" + strings.ToLower(name)
 }
 
-// ChildKey builds the parent-child listing key. Keys for one parent share a
-// prefix so a scan lists all children.
+// ChildKey builds the parent-child listing key, the child table's row of the
+// entity. Keys for one parent share a prefix so a scan lists all children.
 func ChildKey(parent ids.ID, t SecurableType, id ids.ID) string {
 	return string(parent) + "\x00" + string(t) + "\x00" + string(id)
 }
@@ -526,7 +530,6 @@ func PutEntity(tx *store.Tx, e *Entity, group string) error {
 	idv := IDValue(e.ID)
 	tx.Put(TableEntity, string(e.ID), b)
 	tx.Put(TableName, NameKey(group, e.ParentID, e.Name), idv)
-	tx.Put(TableChild, ChildKey(e.ParentID, e.Type, e.ID), nil)
 	if e.StoragePath != "" {
 		tx.Put(pathTableFor(e.Type), e.StoragePath, idv)
 	}
@@ -547,7 +550,6 @@ func UpdateEntity(tx *store.Tx, e *Entity) error {
 func DeleteEntity(tx *store.Tx, e *Entity, group string) {
 	tx.Delete(TableEntity, string(e.ID))
 	tx.Delete(TableName, NameKey(group, e.ParentID, e.Name))
-	tx.Delete(TableChild, ChildKey(e.ParentID, e.Type, e.ID))
 	if e.StoragePath != "" {
 		tx.Delete(pathTableFor(e.Type), e.StoragePath)
 	}
@@ -556,11 +558,15 @@ func DeleteEntity(tx *store.Tx, e *Entity, group string) {
 // Reader is the read interface shared by store snapshots, transactions and
 // cache views: point reads, whole-prefix scans, and bounded, ordered
 // [start, end) range scans (end "" unbounded, limit 0 unlimited) — the
-// primitive listings are built on.
+// primitive listings are built on. GroupRows is ScanRange for a derived
+// table in its source's terms: a child row comes back as its group,
+// parent\0TYPE\0, and its entity's ID and record, so a listing decodes what
+// it lists with no second read and no key per row.
 type Reader interface {
 	Get(table, key string) ([]byte, bool)
 	Scan(table, prefix string) []store.KV
 	ScanRange(table, start, end string, limit int) []store.KV
+	GroupRows(table, start, end string, limit int) []store.GroupRow
 }
 
 // BatchReader is implemented by readers with aligned multi-get support.
@@ -600,34 +606,6 @@ func GetEntity(r Reader, id ids.ID) (*Entity, bool) {
 	return e, true
 }
 
-// GetEntities resolves a batch of IDs to entities, preserving order and
-// skipping missing or undecodable records. When the reader supports batch
-// point reads, the whole batch costs one store round trip; either way it is
-// decoded into one slab (DecodeEntities).
-func GetEntities(r Reader, list []ids.ID) []*Entity {
-	var recs [][]byte
-	if br, ok := r.(BatchReader); ok {
-		keys := make([]string, len(list))
-		for i, id := range list {
-			keys[i] = string(id)
-		}
-		recs = br.GetBatch(TableEntity, keys)
-	} else {
-		recs = make([][]byte, len(list))
-		for i, id := range list {
-			recs[i], _ = r.Get(TableEntity, string(id))
-		}
-	}
-	ents := DecodeEntities(len(list), func(i int) (ids.ID, []byte) { return list[i], recs[i] })
-	out := ents[:0]
-	for _, e := range ents {
-		if e != nil {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // idLiteral opens an index value that holds an ID as its string because the
 // string alone could be taken for another form: it is 16 bytes long, or empty,
 // or starts with this byte itself.
@@ -635,8 +613,7 @@ const idLiteral = 0xff
 
 // IDValue is the value an index row that maps a key to an entity stores (the
 // name, path and external-location tables): the ID's 16 bytes, or for an ID
-// that is not 32 hex digits its string. A child row stores nothing — its key
-// ends in the ID. IndexedID reads all of them back.
+// that is not 32 hex digits its string. IndexedID reads all of them back.
 func IDValue(id ids.ID) []byte {
 	if raw, ok := id.AppendRaw(make([]byte, 0, ids.RawLen)); ok {
 		return raw
@@ -649,11 +626,11 @@ func IDValue(id ids.ID) []byte {
 
 // IndexedID returns the entity ID an index pair points at (the child, name,
 // path and external-location tables all map a key to an ID), whichever form
-// the row was written in: an empty value (a child row: the ID is the key's
-// last part), the ID's 16 bytes, or its string — the only form before record
+// the row has: an empty value (a child row, derived: the ID is the key's last
+// part), the ID's 16 bytes, or its string — the only form before record
 // format 2, 32 hex digits then. For a child row the ID is a substring of the
-// key — a string the store itself keeps for as long as the entity exists — and
-// costs no allocation; for any other it is a string of its own, exactly sized.
+// key and costs no allocation; for any other it is a string of its own,
+// exactly sized.
 func IndexedID(kv store.KV) ids.ID {
 	k, v := kv.Key, kv.Value
 	switch n := len(v); {
@@ -762,12 +739,17 @@ func RegisteredPrefix(r Reader, table, path string) (prefix string, id ids.ID, o
 	return "", ids.Nil, false
 }
 
-// ListChildren lists entities under parent, optionally filtered by type.
+// ListChildren lists entities under parent, optionally filtered by type: the
+// child rows carry their records, decoded at once.
 func ListChildren(r Reader, parent ids.ID, t SecurableType) []*Entity {
-	kvs := r.Scan(TableChild, ChildPrefix(parent, t))
-	list := make([]ids.ID, len(kvs))
-	for i, kv := range kvs {
-		list[i] = IndexedID(kv)
+	prefix := ChildPrefix(parent, t)
+	rows := r.GroupRows(TableChild, prefix, store.PrefixEnd(prefix), 0)
+	ents := DecodeEntities(len(rows), func(i int) (ids.ID, []byte) { return ids.ID(rows[i].Key), rows[i].Value })
+	out := ents[:0]
+	for _, e := range ents {
+		if e != nil {
+			out = append(out, e)
+		}
 	}
-	return GetEntities(r, list)
+	return out
 }

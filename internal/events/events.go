@@ -61,8 +61,10 @@ type Event struct {
 	Changes []Change `json:"changes,omitempty"`
 }
 
-// chunkLen is the number of events in a chunk: 64 packed slots, 6 KiB.
-const chunkLen = 64
+// chunkLen is the number of events in a chunk: 63 packed slots of 96 bytes
+// and the 8-byte header Go gives an object of pointers fill the 6 KiB malloc
+// class, where 64 would take the 6,528-byte one (TestChunkFillsItsClass).
+const chunkLen = 63
 
 // chunk holds events c·chunkLen to c·chunkLen + chunkLen − 1 for some chunk
 // number c. It is allocated whole and dropped whole.

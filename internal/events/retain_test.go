@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -51,8 +52,9 @@ func followStepped(b *Bus) *stepped {
 // plain []Event. After every publish: every delivered event is the one
 // published at its sequence number; a follower resyncs exactly when it is more
 // than historyMax behind; and the log holds exactly what the retention rule
-// leaves, which is at most the slowest follower's lag (historyMax for one
-// that has a gap) plus one chunk. `make race` runs it twenty times.
+// leaves, which is at most the slowest follower's lag plus one chunk, or for
+// one that has a gap historyMax plus two chunks less two events. `make race`
+// runs it twenty times.
 func TestRetentionMatchesReference(t *testing.T) {
 	const historyMax = 64
 	rng := rand.New(rand.NewSource(37))
@@ -132,7 +134,7 @@ func TestRetentionMatchesReference(t *testing.T) {
 		b.Publish(e)
 		ref = append(ref, e)
 
-		slowest := uint64(0)
+		slowest, gapped := uint64(0), false
 		for _, s := range fs {
 			if s.pending == nil {
 				settle(s) // it was caught up and now holds the new event
@@ -141,6 +143,7 @@ func TestRetentionMatchesReference(t *testing.T) {
 				advance(s)
 			}
 			slowest = max(slowest, min(next()-s.cursor, historyMax))
+			gapped = gapped || next()-s.cursor > historyMax
 			if lag := s.f.Lag(); lag != int64(next()-s.cursor) {
 				t.Fatalf("after event %d: Lag() = %d, the model's %d", n, lag, next()-s.cursor)
 			}
@@ -149,7 +152,15 @@ func TestRetentionMatchesReference(t *testing.T) {
 		if held != int64(next()-head*chunkLen) {
 			t.Fatalf("after event %d: the log holds %d events, the rule %d", n, held, next()-head*chunkLen)
 		}
-		if held > int64(slowest)+chunkLen {
+		// A follower more than historyMax behind is held to the horizon, which
+		// chunkLen does not divide: the chunk it falls in keeps up to
+		// chunkLen-1 events before it, and up to chunkLen-1 more arrive
+		// before the next chunk opens and trim moves it.
+		bound := int64(slowest) + chunkLen
+		if gapped {
+			bound = historyMax + 2*chunkLen - 2
+		}
+		if held > bound {
 			t.Fatalf("after event %d: the log holds %d events, the slowest follower lags %d", n, held, slowest)
 		}
 		b.mu.Lock()
@@ -246,5 +257,23 @@ func TestChunkReuseAllocs(t *testing.T) {
 	f.Sync()
 	if allocs := testing.AllocsPerRun(20, func() { publishChunk(); f.Sync() }); allocs != 0 {
 		t.Fatalf("%d publishes delivered to a follower allocate %.0f times, want 0", chunkLen, allocs)
+	}
+}
+
+// TestChunkFillsItsClass: a chunk's slots and the 8-byte header Go gives an
+// object of pointers fill the 6 KiB malloc class (runtime.MemStats.TotalAlloc
+// counts the class); a 64th slot would take the 6,528-byte one.
+func TestChunkFillsItsClass(t *testing.T) {
+	const n = 200
+	keep := make([]*chunk, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = new(chunk)
+	}
+	runtime.ReadMemStats(&after)
+	// Another goroutine's allocations may add a few bytes a chunk.
+	if got := (after.TotalAlloc - before.TotalAlloc) / n; got < 6144 || got >= 6144+64 {
+		t.Fatalf("a chunk of %d slots takes %d bytes, want 6,144", chunkLen, got)
 	}
 }

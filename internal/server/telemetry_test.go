@@ -142,12 +142,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Error("uc_events_published_total still zero after writes")
 	}
 	// The search follower has caught up, so the event log holds no more than
-	// its open chunk of 64 events.
+	// its open chunk of 63 events.
 	var retained int64 = -1
 	if i := strings.Index(body, "\nuc_events_retained "); i >= 0 {
 		fmt.Sscan(body[i+len("\nuc_events_retained "):], &retained)
 	}
-	if published := srv.Service.Bus().Published(); retained < 0 || retained > min(published, 64) {
+	if published := srv.Service.Bus().Published(); retained < 0 || retained > min(published, 63) {
 		t.Errorf("uc_events_retained = %d with %d published and the follower caught up, want at most one chunk", retained, published)
 	}
 	if strings.Contains(body, "uc_authz_snapshot_memo_entries 0\n") || strings.Contains(body, "uc_authz_snapshot_patches_total 0\n") {

@@ -30,28 +30,31 @@ package store
 //     table is rare (a record must be fully dead with no snapshot pinning its
 //     history), so sparse decay is bounded and the simplicity keeps the write
 //     path O(log n) with no rebalancing.
-//   - A leaf costs what it holds. Its array grows leafStep slots at a time,
-//     a split copies each half into an array of its own size, and a leaf
-//     that overflows on the second of two inserts at its end keeps everything
-//     but that key: an ascending run of inserts — the children of one parent,
-//     which is how name, child and path rows arrive — leaves full leaves
-//     behind it instead of half-empty ones. Any other overflow splits the
-//     leaf in half, so no load leaves leaves under half full. btree.slots
-//     counts the allocated leaf slots, so size/slots is the fill
+//   - A leaf costs what it holds. Its array grows through leafCaps, each a
+//     size an array fills its malloc class at, a split copies each half into
+//     an array of its own size, and a full leaf that is handed a second
+//     insert at its end keeps everything and gives that key a leaf of its
+//     own: an ascending run of inserts — the children of one parent, which is
+//     how name and path rows and a group's records arrive — leaves full
+//     leaves behind it instead of half-empty ones. Any other insert into a
+//     full leaf splits it in half, so no load leaves leaves under half full.
+//     btree.slots counts the allocated leaf slots, so size/slots is the fill
 //     (uc_store_index_leaf_fill).
 
 import "slices"
 
-const (
-	// btreeMaxKeys is the split threshold per node: a leaf holds at most 127
-	// records (1 KiB of record pointers when full), which keeps tree height
-	// at 4 for ten million keys.
-	btreeMaxKeys = 127
-	// leafStep is the number of slots a leaf's array grows by. Sixteen keeps
-	// a leaf's empty slots under 16 and makes every array size a malloc size
-	// class: 128 B of pointers per step, up to btreeMaxKeys+1 = 8 steps.
-	leafStep = 16
-)
+// btreeMaxKeys is the split threshold per node: a leaf holds at most 127
+// records (1 KiB with its header when full), which keeps tree height at 4 for
+// ten million keys.
+const btreeMaxKeys = 127
+
+// leafCaps are the sizes a leaf's array takes, smallest first: 16 slots at a
+// time up to 64, whose 128 to 512 bytes are malloc size classes, then the
+// slot counts that fill each class from 576 to 1,024 bytes with the 8-byte
+// header Go gives an object of pointers over 512 bytes. A leaf never has more
+// than btreeMaxKeys slots: a full one splits before the insert that would
+// need the 128th (TestLeafArraysFillTheirClass).
+var leafCaps = [...]int{16, 32, 48, 64, 71, 79, 87, 95, 111, btreeMaxKeys}
 
 type bnode struct {
 	leaf bool
@@ -138,15 +141,15 @@ func (t *btree) insertInto(n *bnode, r *record) (string, *bnode) {
 			n.vals[i] = r
 			return "", nil
 		}
+		t.size++
+		atEnd := i == len(n.vals)
+		if len(n.vals) == btreeMaxKeys {
+			return t.splitLeaf(n, i, r, atEnd && n.tail)
+		}
 		if len(n.vals) == cap(n.vals) {
-			t.resizeLeaf(n, cap(n.vals)+leafStep)
+			t.resizeLeaf(n, leafSlots(len(n.vals)+1))
 		}
 		n.vals = slices.Insert(n.vals, i, r)
-		t.size++
-		atEnd := i == len(n.vals)-1
-		if len(n.vals) > btreeMaxKeys {
-			return t.splitLeaf(n, atEnd && n.tail)
-		}
 		n.tail = atEnd
 		return "", nil
 	}
@@ -168,40 +171,62 @@ func (t *btree) insertInto(n *bnode, r *record) (string, *bnode) {
 }
 
 // resizeLeaf moves a leaf's records into an array of c slots.
-func (t *btree) resizeLeaf(n *bnode, c int) {
-	t.slots += c - cap(n.vals)
-	n.vals = append(make([]*record, 0, c), n.vals...)
+func (t *btree) resizeLeaf(n *bnode, c int) { t.setLeaf(n, append(make([]*record, 0, c), n.vals...)) }
+
+// setLeaf makes vals the leaf's array, counting its slots for the old one's.
+func (t *btree) setLeaf(n *bnode, vals []*record) {
+	t.slots += cap(vals) - cap(n.vals)
+	n.vals = vals
 }
 
-// splitLeaf moves the upper part of an overflowing leaf into a new right
-// sibling and promotes the sibling's first key (keys >= separator go right).
-// With run set, the record that overflowed it continues an ascending run: the
-// sibling starts with that record alone and the leaf stays full. The leaf's
-// tail is cleared, so a key that later lands at its end — below the
-// sibling's, hence not of that run — splits it in half rather than shedding
-// one more one-key leaf. Otherwise the leaf splits in half now. Either way
-// each part gets an array of its own size: a left part sliced out of the old
-// array would keep all its slots alive.
-func (t *btree) splitLeaf(n *bnode, run bool) (string, *bnode) {
-	mid := len(n.vals) / 2
-	if run {
-		mid = len(n.vals) - 1
-	}
+// splitLeaf puts r, which belongs at i, beside the records of full leaf n
+// by moving some of them into a new right sibling, and promotes the
+// sibling's first key (keys >= separator go right). With run set, r continues
+// an ascending run: the sibling starts with r alone and the leaf stays full.
+// The leaf's tail is cleared, so a key that later lands at its end — below
+// the sibling's, hence not of that run — splits it in half rather than
+// shedding one more one-key leaf. Otherwise the leaf and r split in half
+// now, each half copied into an array of its own size: a left half sliced
+// out of the old array would keep all its slots alive.
+func (t *btree) splitLeaf(n *bnode, i int, r *record, run bool) (string, *bnode) {
 	right := &bnode{leaf: true, tail: run, next: n.next}
-	t.resizeLeaf(right, leafSlots(len(n.vals)-mid))
-	right.vals = append(right.vals, n.vals[mid:]...)
-	clear(n.vals[mid:])
-	n.vals = n.vals[:mid]
-	if c := leafSlots(mid); c < cap(n.vals) {
-		t.resizeLeaf(n, c)
+	all := n.vals
+	join := func(parts ...[]*record) []*record {
+		size := 0
+		for _, p := range parts {
+			size += len(p)
+		}
+		out := make([]*record, 0, leafSlots(size))
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	one := []*record{r}
+	switch mid := (len(all) + 1) / 2; {
+	case run:
+		t.setLeaf(right, join(one))
+	case i < mid:
+		t.setLeaf(right, join(all[mid-1:]))
+		t.setLeaf(n, join(all[:i], one, all[i:mid-1]))
+	default:
+		t.setLeaf(right, join(all[mid:i], one, all[i:]))
+		t.setLeaf(n, join(all[:mid]))
 	}
 	n.tail = false
 	n.next = right
 	return right.vals[0].key, right
 }
 
-// leafSlots rounds n keys up to whole steps.
-func leafSlots(n int) int { return (n + leafStep - 1) / leafStep * leafStep }
+// leafSlots returns the smallest of leafCaps that holds n keys.
+func leafSlots(n int) int {
+	for _, c := range leafCaps {
+		if c >= n {
+			return c
+		}
+	}
+	panic("store: a leaf of more than btreeMaxKeys keys")
+}
 
 // splitInterior moves the upper half of an interior node right, promoting
 // the middle separator (which belongs to neither half).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -87,7 +88,7 @@ func checkBtree(t *testing.T, tree *btree, ref map[string]*record) int {
 		if next := n.next; (i+1 < len(leaves) && next != leaves[i+1]) || (i+1 == len(leaves) && next != nil) {
 			t.Fatalf("leaf %d of %d does not chain to the next leaf of the tree", i, len(leaves))
 		}
-		if cap(n.vals)%leafStep != 0 || cap(n.vals) > btreeMaxKeys+1 || len(n.vals) > btreeMaxKeys {
+		if cap(n.vals) != 0 && !slices.Contains(leafCaps[:], cap(n.vals)) || len(n.vals) > btreeMaxKeys {
 			t.Fatalf("leaf %d: %d records in an array of %d slots", i, len(n.vals), cap(n.vals))
 		}
 		for j := len(n.vals); j < cap(n.vals); j++ {
@@ -143,6 +144,57 @@ func checkIndexTracksKeyTable(t *testing.T, ms *metastore) {
 		}
 		if len(seen) != kt.n || idx.size != kt.n {
 			t.Fatalf("table %q: the index holds %d records (size %d), the key table %d", table, len(seen), idx.size, kt.n)
+		}
+	}
+	checkGroupsTrackKeyTable(t, ms)
+}
+
+// checkGroupsTrackKeyTable holds each derived table's groups to its source's
+// key table: the derived table has no records of its own, every source record
+// whose value (a tombstone's: the one it deleted) derives a group sits in that
+// group and in no other, as the same pointer, nothing else sits in a group,
+// the groups ascend with none empty, and the count is their sizes' sum.
+// Caller holds ms.stateMu.
+func checkGroupsTrackKeyTable(t *testing.T, ms *metastore) {
+	t.Helper()
+	for _, gi := range ms.derived {
+		if ms.tables[gi.d.table] != nil || ms.indexes[gi.d.table] != nil {
+			t.Fatalf("derived table %q holds records of its own", gi.d.table)
+		}
+		in := map[*record]string{}
+		n := 0
+		for i, g := range gi.groups {
+			if g.recs.size == 0 || i > 0 && gi.groups[i-1].key >= g.key {
+				t.Fatalf("table %q: group %d %q is empty or out of order", gi.d.table, i, g.key)
+			}
+			g.recs.ascend("", func(r *record) bool {
+				if at, twice := in[r]; twice {
+					t.Fatalf("table %q: record %q is in groups %q and %q", gi.d.table, r.key, at, g.key)
+				}
+				in[r] = g.key
+				n++
+				return true
+			})
+		}
+		if n != gi.n {
+			t.Fatalf("table %q: the groups hold %d records and count %d", gi.d.table, n, gi.n)
+		}
+		var src []*record
+		if kt := ms.tables[gi.d.source]; kt != nil {
+			src = keyTableRecords(kt)
+		}
+		for _, r := range src {
+			want, ok := gi.d.group(nil, r.value())
+			if r.data == nil || !ok {
+				want = nil
+			}
+			if got, isIn := in[r]; isIn != (want != nil) || got != string(want) {
+				t.Fatalf("table %q: record %q is in group %q (%v), its value derives %q", gi.d.table, r.key, got, isIn, want)
+			}
+			delete(in, r)
+		}
+		for r, g := range in {
+			t.Fatalf("table %q: group %q holds record %q that table %q does not", gi.d.table, g, r.key, gi.d.source)
 		}
 	}
 }
@@ -603,5 +655,34 @@ func TestScanRangeAllocs(t *testing.T) {
 	}
 	if small := s.ScanRange("t", "k0990", "", 101); len(small) != 10 || cap(small) != 101 {
 		t.Errorf("a 10-row tail with limit 101: %d rows, capacity %d", len(small), cap(small))
+	}
+}
+
+// TestLeafArraysFillTheirClass allocates each leaf array size the tree can
+// ask for and holds it to its malloc size class: the slots, and past 512
+// bytes the 8-byte header Go gives an object of pointers, fill the class
+// (runtime.MemStats.TotalAlloc counts the class).
+func TestLeafArraysFillTheirClass(t *testing.T) {
+	const n = 1000
+	keep := make([][]*record, n)
+	for _, c := range leafCaps {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range keep {
+			keep[i] = make([]*record, 0, c)
+		}
+		runtime.ReadMemStats(&after)
+		want := 8 * uint64(c)
+		if want > 512 {
+			want += 8
+		}
+		// Another goroutine's allocations may add a byte or two a leaf; the
+		// next class is 64 bytes up.
+		if got := (after.TotalAlloc - before.TotalAlloc) / n; got < want || got >= want+16 {
+			t.Errorf("a leaf of %d slots takes %d bytes, want %d: its slots and header do not fill a class", c, got, want)
+		}
+	}
+	if leafCaps[len(leafCaps)-1] != btreeMaxKeys || leafSlots(btreeMaxKeys) != btreeMaxKeys {
+		t.Errorf("the largest leaf has %d slots, a full one holds %d", leafCaps[len(leafCaps)-1], btreeMaxKeys)
 	}
 }

@@ -154,7 +154,12 @@ type metastore struct {
 	// are a descent plus bounded walk.
 	// Membership tracks the key table exactly (records, not liveness): every
 	// mutation goes through putLocked/removeRecordLocked.
-	indexes  map[string]*btree
+	indexes map[string]*btree
+	// derived holds the groups of each derived table (derived.go), and
+	// scratch is where a group is derived; it is guarded by the stateMu write
+	// lock.
+	derived  []*groupIndex
+	scratch  []byte
 	changes  changeRing
 	snaps    map[uint64]int
 	minSnapV uint64
@@ -440,6 +445,7 @@ func newMetastore(changeLogSize int) *metastore {
 	m := &metastore{
 		tables:  map[string]*keyTable{},
 		indexes: map[string]*btree{},
+		derived: newGroupIndexes(),
 		snaps:   map[uint64]int{},
 		changes: newChangeRing(changeLogSize),
 	}
@@ -449,9 +455,10 @@ func newMetastore(changeLogSize int) *metastore {
 
 // putLocked makes (commit, value, deleted) the newest version of (table, key)
 // and returns the record, creating the key table, the record and its
-// ordered-index entry as needed. Every record creation funnels through here
-// so the index cannot drift from the key table. Caller holds stateMu (or has
-// exclusive access, as in WAL replay before the DB is shared).
+// ordered-index entry as needed, and putting a derived table's source record
+// in its group when it first holds a value. Every record creation funnels
+// through here so the indexes cannot drift from the key table. Caller holds
+// stateMu (or has exclusive access, as in WAL replay before the DB is shared).
 func (m *metastore) putLocked(table, key string, commit uint64, value []byte, deleted bool) *record {
 	t, ok := m.tables[table]
 	if !ok {
@@ -459,9 +466,11 @@ func (m *metastore) putLocked(table, key string, commit uint64, value []byte, de
 		m.tables[table] = t
 	}
 	r := t.get(key)
+	held := false
 	if r != nil {
 		// The record's address is what the key table and the index hold:
 		// the version it carried moves out, the new one moves in.
+		held = r.data != nil
 		older := *r
 		r.prev = &older
 	} else {
@@ -475,13 +484,33 @@ func (m *metastore) putLocked(table, key string, commit uint64, value []byte, de
 		idx.insert(r)
 	}
 	r.commit, r.deleted = commit, deleted
-	r.setValue(value)
+	gi := m.derivedFrom(table)
+	switch {
+	case gi == nil || !deleted:
+		r.setValue(value)
+	case !held:
+		r.setValue(nil)
+	}
+	// Else the tombstone keeps the value it deletes, which names its group.
+	// checkDerivedLocked has held a value that follows one to its group.
+	if gi != nil && !deleted && !held {
+		if g, ok := m.groupOf(gi, value); ok {
+			gi.add(g, r)
+		}
+	}
 	return r
 }
 
-// removeRecordLocked drops a fully-dead record from the key table and the
-// ordered index together. Caller holds stateMu.
+// removeRecordLocked drops a fully-dead record from the key table, the
+// ordered index and its derived group together. Caller holds stateMu.
 func (m *metastore) removeRecordLocked(table, key string) {
+	if gi := m.derivedFrom(table); gi != nil {
+		if r := m.tables[table].get(key); r != nil && r.data != nil {
+			if g, ok := m.groupOf(gi, r.value()); ok {
+				gi.remove(g, r)
+			}
+		}
+	}
 	m.tables[table].remove(key)
 	if idx := m.indexes[table]; idx != nil {
 		idx.delete(key)
@@ -632,7 +661,19 @@ func (s *Snapshot) Get(table, key string) ([]byte, bool) {
 	s.db.simulateRead()
 	s.ms.stateMu.RLock()
 	defer s.ms.stateMu.RUnlock()
-	return s.ms.tables[table].get(key).at(s.Version)
+	return s.ms.getLocked(table, key, s.Version)
+}
+
+// getLocked reads (table, key) at version v: a derived table's row is
+// live, and empty, while its record is. Caller holds stateMu.
+func (m *metastore) getLocked(table, key string, v uint64) ([]byte, bool) {
+	if gi := m.derivedTable(table); gi != nil {
+		if _, live := gi.lookup(key).at(v); live {
+			return []byte{}, true
+		}
+		return nil, false
+	}
+	return m.tables[table].get(key).at(v)
 }
 
 // Scan returns all live (key, value) pairs in table whose key starts with
@@ -670,27 +711,83 @@ func (db *DB) ScanRangeAt(msID string, v uint64, table, prefix, start, end strin
 	return db.scanRange(ms, v, table, prefix, start, end, limit)
 }
 
+// GroupRows returns up to limit live rows of derived table table in
+// [start, end), in ascending order, as of the snapshot version, each in its
+// source's terms (GroupRow): a listing decodes the records its rows name
+// with no second read and no key built per row. ScanRange's conventions;
+// nil for a table that is not derived.
+func (s *Snapshot) GroupRows(table, start, end string, limit int) []GroupRow {
+	var out []GroupRow
+	s.db.scanAt(s.ms, s.Version, func() { out = s.ms.groupRowsLocked(table, start, end, s.Version, limit) })
+	return out
+}
+
+// GroupRowsAt is Snapshot.GroupRows at version v of the metastore, opening no
+// snapshot, as ScanRangeAt is ScanRange.
+func (db *DB) GroupRowsAt(msID string, v uint64, table, start, end string, limit int) ([]GroupRow, error) {
+	if err := db.fault("db.snapshot", msID); err != nil {
+		return nil, err
+	}
+	ms, err := db.metastore(msID)
+	if err != nil {
+		return nil, err
+	}
+	var out []GroupRow
+	err = db.scanAt(ms, v, func() { out = ms.groupRowsLocked(table, start, end, v, limit) })
+	return out, err
+}
+
+func (m *metastore) groupRowsLocked(table, start, end string, v uint64, limit int) []GroupRow {
+	gi := m.derivedTable(table)
+	if gi == nil {
+		return nil
+	}
+	var out []GroupRow
+	gi.walkLocked("", start, end, v, func(g *group, r *record, val []byte) bool {
+		if out == nil && limit > 0 {
+			out = make([]GroupRow, 0, min(limit, gi.n))
+		}
+		out = append(out, GroupRow{Group: g.key, KV: KV{Key: r.key, Value: val}})
+		return limit <= 0 || len(out) < limit
+	})
+	return out
+}
+
 // scanRange is the one body of Snapshot.Scan/ScanRange and ScanRangeAt.
 func (db *DB) scanRange(ms *metastore, v uint64, table, prefix, start, end string, limit int) ([]KV, error) {
+	var out []KV
+	err := db.scanAt(ms, v, func() {
+		if gi := ms.derivedTable(table); gi != nil {
+			db.indexScans.Inc()
+			out = gi.rowsLocked(prefix, start, end, v, limit)
+			return
+		}
+		db.scanLiveLocked(ms, table, prefix, start, end, v, func(k string, val []byte) bool {
+			if out == nil && limit > 0 {
+				out = make([]KV, 0, min(limit, ms.indexes[table].size))
+			}
+			out = append(out, KV{Key: k, Value: val})
+			return limit <= 0 || len(out) < limit
+		})
+	})
+	return out, err
+}
+
+// scanAt runs read under the state read lock as one simulated, timed scan at
+// version v of ms, which must not be beyond the current version.
+func (db *DB) scanAt(ms *metastore, v uint64, read func()) error {
 	db.simulateRead()
 	t0 := time.Now()
 	ms.stateMu.RLock()
 	if v > ms.version {
 		cur := ms.version
 		ms.stateMu.RUnlock()
-		return nil, fmt.Errorf("store: scan version %d beyond current %d", v, cur)
+		return fmt.Errorf("store: scan version %d beyond current %d", v, cur)
 	}
-	var out []KV
-	db.scanLiveLocked(ms, table, prefix, start, end, v, func(k string, val []byte) bool {
-		if out == nil && limit > 0 {
-			out = make([]KV, 0, min(limit, ms.indexes[table].size))
-		}
-		out = append(out, KV{Key: k, Value: val})
-		return limit <= 0 || len(out) < limit
-	})
+	read()
 	ms.stateMu.RUnlock()
 	db.scanNs.ObserveDuration(time.Since(t0))
-	return out, nil
+	return nil
 }
 
 // Count returns the number of live keys in table with the given prefix.
@@ -714,9 +811,8 @@ func (s *Snapshot) GetBatch(table string, keys []string) [][]byte {
 	s.ms.stateMu.RLock()
 	defer s.ms.stateMu.RUnlock()
 	out := make([][]byte, len(keys))
-	t := s.ms.tables[table]
 	for i, k := range keys {
-		if v, live := t.get(k).at(s.Version); live {
+		if v, live := s.ms.getLocked(table, k, s.Version); live {
 			out[i] = v
 		}
 	}
@@ -743,6 +839,13 @@ func PrefixEnd(prefix string) string {
 // ends them. The table's ordered index serves it as a descent plus bounded
 // walk. Caller holds ms.stateMu.
 func (db *DB) scanLiveLocked(ms *metastore, table, prefix, start, end string, v uint64, fn func(k string, val []byte) bool) {
+	if gi := ms.derivedTable(table); gi != nil {
+		db.indexScans.Inc()
+		gi.walkLocked(prefix, start, end, v, func(g *group, r *record, _ []byte) bool {
+			return fn(g.key+r.key, []byte{})
+		})
+		return
+	}
 	idx := ms.indexes[table]
 	if idx == nil {
 		return
@@ -805,6 +908,14 @@ func (db *DB) indexSize(want func(table string) bool) (keys, slots int) {
 			if want(t) {
 				keys += idx.size
 				slots += idx.slots
+			}
+		}
+		for _, gi := range ms.derived {
+			if want(gi.d.table) {
+				keys += gi.n
+				for _, g := range gi.groups {
+					slots += g.recs.slots
+				}
 			}
 		}
 	})
@@ -905,6 +1016,10 @@ func (tx *Tx) find(table, key string) int {
 // version. A commit moving from the overlay into the applied state keeps
 // the same visible value, so repeated reads are stable.
 func (tx *Tx) Get(table, key string) ([]byte, bool) {
+	if tx.ms.derivedTable(table) != nil {
+		kvs := tx.ScanRange(table, key, key+"\x00", 1)
+		return []byte{}, len(kvs) == 1
+	}
 	if i := tx.find(table, key); i >= 0 {
 		return tx.writes[i].live()
 	}
@@ -981,20 +1096,165 @@ func (tx *Tx) Scan(table, prefix string) []KV {
 
 // ScanRange is Snapshot.ScanRange semantics ([start, end), ascending, up to
 // limit) as seen by the transaction: buffered writes, then the pipeline
-// overlay, then the applied state at the base version. The overlay's writes in
-// the range are sorted once and merge-joined with the ordered base walk, so
-// early termination at limit does not visit the rest of the range.
+// overlay, then the applied state at the base version.
 func (tx *Tx) ScanRange(table, start, end string, limit int) []KV {
+	var out []KV
+	derived := tx.ms.derivedTable(table) != nil
+	tx.scan(table, start, end, func(group, key string, val []byte) bool {
+		if derived {
+			key, val = group+key, []byte{}
+		}
+		out = append(out, KV{Key: key, Value: val})
+		return limit <= 0 || len(out) < limit
+	})
+	return out
+}
+
+// GroupRows is Snapshot.GroupRows as seen by the transaction, as ScanRange is
+// Snapshot.ScanRange: its own writes and the pending commits' to the source
+// table are the rows they make or remove.
+func (tx *Tx) GroupRows(table, start, end string, limit int) []GroupRow {
+	if tx.ms.derivedTable(table) == nil {
+		return nil
+	}
+	var out []GroupRow
+	tx.scan(table, start, end, func(group, key string, val []byte) bool {
+		out = append(out, GroupRow{Group: group, KV: KV{Key: key, Value: val}})
+		return limit <= 0 || len(out) < limit
+	})
+	return out
+}
+
+// rowWrite is a write as it changes a table's rows: to the row key, or to
+// row group+w.Key of a derived table.
+type rowWrite struct {
+	group string
+	w     *Write
+}
+
+func compareRows(g1, k1, g2, k2 string) int {
+	if c := strings.Compare(g1, g2); c != 0 {
+		return c
+	}
+	return strings.Compare(k1, k2)
+}
+
+// scan is Tx.ScanRange and Tx.GroupRows: it calls emit for each live row of
+// table in [start, end) as the transaction sees it, in ascending order, until
+// emit returns false. A row of a table that is not derived has group "". The
+// overlay's writes in the range are sorted once and merge-joined with the
+// ordered base walk, so early termination does not visit the rest of the
+// range.
+func (tx *Tx) scan(table, start, end string, emit func(group, key string, val []byte) bool) {
 	tx.ms.stateMu.RLock()
 	defer tx.ms.stateMu.RUnlock()
-	// Overlay: sequenced-but-unapplied commits at or below base, oldest to
-	// newest, then the transaction's own writes. The sort is stable, so of
-	// the writes to one key the last — the newest — ends its run and wins.
-	var overlay []*Write
+	overlay := tx.overlayLocked(table, start, end)
+	oi := 0
+	more := true
+	base := func(group, key string, val []byte) bool {
+		for oi < len(overlay) && compareRows(overlay[oi].group, overlay[oi].w.Key, group, key) < 0 {
+			if o := overlay[oi]; !o.w.Deleted {
+				if !emit(o.group, o.w.Key, o.w.Value) {
+					more = false
+					return false
+				}
+			}
+			oi++
+		}
+		if oi < len(overlay) && overlay[oi].group == group && overlay[oi].w.Key == key {
+			o := overlay[oi]
+			oi++
+			if o.w.Deleted {
+				return true
+			}
+			more = emit(o.group, o.w.Key, o.w.Value)
+			return more
+		}
+		more = emit(group, key, val)
+		return more
+	}
+	if gi := tx.ms.derivedTable(table); gi != nil {
+		gi.walkLocked("", start, end, tx.base, func(g *group, r *record, val []byte) bool { return base(g.key, r.key, val) })
+	} else {
+		tx.db.scanLiveLocked(tx.ms, table, "", start, end, tx.base, func(k string, val []byte) bool { return base("", k, val) })
+	}
+	if more {
+		for ; oi < len(overlay); oi++ {
+			if o := overlay[oi]; !o.w.Deleted {
+				if !emit(o.group, o.w.Key, o.w.Value) {
+					break
+				}
+			}
+		}
+	}
+}
+
+// overlayLocked returns the rows of table in [start, end) that the
+// sequenced-but-unapplied commits at or below base, oldest to newest, and
+// then the transaction's own writes change, in row order, one per row: the
+// sort is stable, so of the writes to one row the last — the newest — ends
+// its run and wins. A derived table's rows are its source's writes: a value
+// makes its group's row, and a delete, or a value of another group, removes
+// the row the record held until then. Caller holds stateMu.
+func (tx *Tx) overlayLocked(table, start, end string) []rowWrite {
+	gi := tx.ms.derivedTable(table)
+	source := table
+	if gi != nil {
+		source = gi.d.source
+	}
+	var (
+		overlay []rowWrite
+		buf     []byte
+		held    map[string]string // a derived source key's group after the writes so far
+	)
+	groupOf := func(val []byte) string {
+		b, ok := gi.d.group(buf[:0], val)
+		if buf = b; !ok {
+			return ""
+		}
+		return string(b)
+	}
+	add := func(group string, w *Write) {
+		if compareJoined(group, w.Key, start) >= 0 && (end == "" || compareJoined(group, w.Key, end) < 0) {
+			overlay = append(overlay, rowWrite{group, w})
+		}
+	}
 	collect := func(ws []Write) {
 		for i := range ws {
-			if w := &ws[i]; w.Table == table && w.Key >= start && (end == "" || w.Key < end) {
-				overlay = append(overlay, w)
+			w := &ws[i]
+			if w.Table != source {
+				continue
+			}
+			if gi == nil {
+				add("", w)
+				continue
+			}
+			was, ok := held[w.Key]
+			if !ok {
+				if r := tx.ms.tables[source].get(w.Key); r != nil && r.data != nil {
+					was = groupOf(r.value())
+				}
+			}
+			now := was
+			if !w.Deleted {
+				now = groupOf(w.Value)
+			}
+			if held == nil {
+				held = map[string]string{}
+			}
+			held[w.Key] = now
+			switch {
+			case w.Deleted:
+				if was != "" {
+					add(was, w)
+				}
+			default:
+				if was != "" && was != now {
+					add(was, &Write{Table: source, Key: w.Key, Deleted: true})
+				}
+				if now != "" {
+					add(now, w)
+				}
 			}
 		}
 	}
@@ -1004,55 +1264,15 @@ func (tx *Tx) ScanRange(table, start, end string, limit int) []KV {
 		}
 	}
 	collect(tx.writes)
-	slices.SortStableFunc(overlay, func(a, b *Write) int { return strings.Compare(a.Key, b.Key) })
+	slices.SortStableFunc(overlay, func(a, b rowWrite) int { return compareRows(a.group, a.w.Key, b.group, b.w.Key) })
 	n := 0
-	for i, w := range overlay {
-		if i+1 == len(overlay) || overlay[i+1].Key != w.Key {
-			overlay[n] = w
+	for i, o := range overlay {
+		if i+1 == len(overlay) || overlay[i+1].group != o.group || overlay[i+1].w.Key != o.w.Key {
+			overlay[n] = o
 			n++
 		}
 	}
-	overlay = overlay[:n]
-
-	var out []KV
-	emit := func(k string, v []byte) bool {
-		out = append(out, KV{Key: k, Value: v})
-		return limit <= 0 || len(out) < limit
-	}
-	oi := 0
-	more := true
-	tx.db.scanLiveLocked(tx.ms, table, "", start, end, tx.base, func(k string, val []byte) bool {
-		for oi < len(overlay) && overlay[oi].Key < k {
-			if w := overlay[oi]; !w.Deleted {
-				if !emit(w.Key, w.Value) {
-					more = false
-					return false
-				}
-			}
-			oi++
-		}
-		if oi < len(overlay) && overlay[oi].Key == k {
-			w := overlay[oi]
-			oi++
-			if w.Deleted {
-				return true
-			}
-			more = emit(k, w.Value)
-			return more
-		}
-		more = emit(k, val)
-		return more
-	})
-	if more {
-		for ; oi < len(overlay); oi++ {
-			if w := overlay[oi]; !w.Deleted {
-				if !emit(w.Key, w.Value) {
-					break
-				}
-			}
-		}
-	}
-	return out
+	return overlay[:n]
 }
 
 // Update runs fn inside a serializable write transaction on the metastore.
@@ -1126,10 +1346,16 @@ func (db *DB) update(sc obs.SpanContext, msID string, fn func(tx *Tx) error) (ui
 		seqSpan.End()
 		return base, nil // read-only transaction: no version bump
 	}
+	ms.stateMu.Lock()
+	if err := ms.checkDerivedLocked(tx.writes, false); err != nil {
+		ms.stateMu.Unlock()
+		ms.mu.Unlock()
+		seqSpan.End()
+		return base, err
+	}
 	newV := base + 1
 	ms.nextV = newV
 	tx.version = newV
-	ms.stateMu.Lock()
 	ms.pending = append(ms.pending, tx)
 	ms.stateMu.Unlock()
 	if db.wal != nil {

@@ -765,7 +765,13 @@ func (db *DB) applyWALEntry(e *walEntry) error {
 			return fmt.Errorf("store: wal replay: metastore %s commit version %d after %d (reordered or damaged log)",
 				e.Metastore, e.Version, ms.version)
 		}
+		if err := ms.checkDerivedLocked(e.Writes, true); err != nil {
+			return fmt.Errorf("store: wal replay: metastore %s version %d: %w", e.Metastore, e.Version, err)
+		}
 		for _, w := range e.Writes {
+			if ms.derivedTable(w.Table) != nil {
+				continue // a derived row, stored before its table was derived
+			}
 			if !w.Deleted && w.Value == nil {
 				w.Value = []byte{} // the line form drops an empty value; nil says absent
 			}
@@ -774,8 +780,14 @@ func (db *DB) applyWALEntry(e *walEntry) error {
 			ms.putLocked(w.Table, w.Key, e.Version, w.Value, w.Deleted)
 		}
 		ms.version = e.Version
+		// Checked before logLocked can reclaim a record the rows name.
+		if err := ms.checkReplayedRowsLocked(e.Writes, e.Version); err != nil {
+			return fmt.Errorf("store: wal replay: metastore %s: %w", e.Metastore, err)
+		}
 		for _, w := range e.Writes {
-			ms.logLocked(Change{Version: e.Version, Table: w.Table, Key: w.Key, Deleted: w.Deleted})
+			if ms.derivedTable(w.Table) == nil {
+				ms.logLocked(Change{Version: e.Version, Table: w.Table, Key: w.Key, Deleted: w.Deleted})
+			}
 		}
 	}
 	return nil

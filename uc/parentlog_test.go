@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 
 	"unitycatalog/internal/catalog"
 	"unitycatalog/internal/erm"
+	"unitycatalog/internal/store"
 	"unitycatalog/uc"
 )
 
@@ -255,4 +257,184 @@ func mustJSON(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// framedState is internal/store/testdata/framed_state.json: what the last
+// commit that stored child rows listed from the framed log it wrote beside it
+// (mkframed.go.txt there is the program; it ran at a3f8c53).
+type framedState struct {
+	Listings map[string][]string `json:"listings"`
+	Version  uint64              `json:"version"`
+}
+
+// framedListings makes the calls framed_state.json records, as mkframed does:
+// every parent's listing unpaged and two at a time, of all types, of tables
+// and of schemas, and four queries, each one whole and two at a time. A page
+// that is not the last is followed by "next " and its token.
+func framedListings(t *testing.T, svc *catalog.Service, ctx catalog.Ctx) map[string][]string {
+	t.Helper()
+	out := map[string][]string{}
+	names := func(es []*erm.Entity) []string {
+		s := []string{}
+		for _, e := range es {
+			s = append(s, e.FullName)
+		}
+		return s
+	}
+	for _, parent := range []string{"", "sales", "hr", "sales.raw", "sales.curated", "hr.people"} {
+		for _, typ := range []erm.SecurableType{"", erm.TypeTable, erm.TypeSchema} {
+			all, err := svc.ListAssets(ctx, parent, typ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[fmt.Sprintf("list %q %s", parent, typ)] = names(all)
+			var paged []string
+			for token := ""; ; {
+				pg, err := svc.ListAssetsPage(ctx, parent, typ, 2, token)
+				if err != nil {
+					t.Fatal(err)
+				}
+				paged = append(paged, names(pg.Assets)...)
+				if token = pg.NextPageToken; token == "" {
+					break
+				}
+				paged = append(paged, "next "+token)
+			}
+			out[fmt.Sprintf("page %q %s", parent, typ)] = paged
+		}
+	}
+	for _, f := range []catalog.Filter{
+		{CatalogName: "sales", IncludeSoft: true},
+		{CatalogName: "sales"},
+		{CatalogName: "sales", SchemaName: "raw", IncludeSoft: true},
+		{CatalogName: "hr", Type: erm.TypeTable, IncludeSoft: true},
+	} {
+		all, err := svc.QueryAssets(ctx, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := fmt.Sprintf("query %s.%s %s soft=%v", f.CatalogName, f.SchemaName, f.Type, f.IncludeSoft)
+		out[key] = names(all)
+		var paged []string
+		f.MaxResults = 2
+		for {
+			pg, err := svc.QueryAssetsPage(ctx, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			paged = append(paged, names(pg.Assets)...)
+			if f.PageToken = pg.NextPageToken; f.PageToken == "" {
+				break
+			}
+			paged = append(paged, "next "+f.PageToken)
+		}
+		out["paged "+key] = paged
+	}
+	return out
+}
+
+// TestFramedParentLogStillOpens: a framed log in record format 3 written
+// while child rows were stored beside the entities — creates, a rename, soft
+// deletes, an undelete, a GC that purged two assets — opens, its child rows
+// checked and dropped, and every listing, unpaged, paged and queried, returns
+// what the code that wrote the log returned, page tokens included. New
+// commits write no child row, and the log opens again listing the same.
+func TestFramedParentLogStillOpens(t *testing.T) {
+	log, err := os.ReadFile("../internal/store/testdata/framed.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateJSON, err := os.ReadFile("../internal/store/testdata/framed_state.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want framedState
+	if err := json.Unmarshal(stateJSON, &want); err != nil {
+		t.Fatal(err)
+	}
+	if log[0] != 0xF7 || bytes.Count(log, []byte("\x05child")) < 15 {
+		t.Fatalf("the fixture starts with %#x and writes %d child rows", log[0], bytes.Count(log, []byte("\x05child")))
+	}
+	path := filepath.Join(t.TempDir(), "uc.wal")
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx := catalog.Ctx{Principal: "admin", Metastore: "ms1"}
+	open := func() (*store.DB, *catalog.Service) {
+		t.Helper()
+		db, err := store.Open(store.Options{WALPath: path})
+		if err != nil {
+			t.Fatalf("open the log: %v", err)
+		}
+		svc, err := catalog.New(catalog.Config{DB: db})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.OpenMetastore("ms1"); err != nil {
+			t.Fatal(err)
+		}
+		return db, svc
+	}
+	compare := func(stage string, got, want map[string][]string) {
+		t.Helper()
+		for call, w := range want {
+			if g := got[call]; !reflect.DeepEqual(g, w) {
+				t.Errorf("%s: %s returns\n  %q\nwant\n  %q", stage, call, g, w)
+			}
+		}
+		if len(got) != len(want) {
+			t.Errorf("%s: %d calls, want %d", stage, len(got), len(want))
+		}
+	}
+
+	db, svc := open()
+	if v, _ := svc.MetastoreVersion("ms1"); v != want.Version {
+		t.Fatalf("replayed to version %d, the log was written to %d", v, want.Version)
+	}
+	compare("replayed", framedListings(t, svc, ctx), want.Listings)
+	changes, err := db.ChangesSince("ms1", 0)
+	if err != nil || len(changes) == 0 {
+		t.Fatalf("changes since 0: %d, %v", len(changes), err)
+	}
+	for _, c := range changes {
+		if c.Table == erm.TableChild {
+			t.Fatalf("the change log names child row %q at version %d", c.Key, c.Version)
+		}
+	}
+
+	// New commits: a create, a rename, a soft delete, a GC of nothing.
+	cols := []catalog.ColumnInfo{{Name: "id", Type: "BIGINT"}}
+	if _, err := svc.CreateTable(ctx, "sales.raw", "after", catalog.TableSpec{Columns: cols}, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.RenameAsset(ctx, "hr.people.late", "later"); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.DeleteAsset(ctx, "sales.curated.v_orders", false); err != nil {
+		t.Fatal(err)
+	}
+	after := framedListings(t, svc, ctx)
+	if got := after[`list "hr.people" `]; !reflect.DeepEqual(got, []string{"hr.people.later", "hr.people.staff"}) {
+		t.Errorf("hr.people lists %q after the rename", got)
+	}
+	if got := after[`list "sales.curated" `]; !reflect.DeepEqual(got, []string{"sales.curated.orders_eu"}) {
+		t.Errorf("sales.curated lists %q after the soft delete", got)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	grown, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(grown, log) || len(grown) == len(log) {
+		t.Fatalf("the log is %d bytes after the new commits (%d before) and no longer starts with what was there", len(grown), len(log))
+	}
+	if bytes.Contains(grown[len(log):], []byte("\x05child")) {
+		t.Fatal("a frame written now carries a child row")
+	}
+
+	db, svc = open()
+	defer db.Close()
+	compare("reopened", framedListings(t, svc, ctx), after)
 }
