@@ -17,7 +17,7 @@ test:
 # runs each of the tests that once flaked or hold a cross-version rule:
 #   cache: local and foreign write-throughs, sequenced and out-of-order installs, one reconcile per foreign burst
 #   search: tag search; the index against its map-posting reference
-#   events: Subscribe/Cancel racing Publish and draining; the packed log and its retention against a []Event
+#   events: Subscribe/Cancel racing Publish and draining; the log and its retention against a []Event
 #   catalog: authorizer oracles, multi-node and shared-entity differentials, one version per unpaged listing
 #   privilege: snapshot cache advancing under stale readers
 #   obs, lineage, store, server: flight-recorder freeze; edges vs assets; write set and key table vs a map, the derived child rows vs stored ones; one envelope per request
@@ -80,7 +80,7 @@ heap:
 # (one allocation per string value kept, one per array), a trace's ID (one)
 # and a metric-family child lookup
 # (internal/obs, none) and a catalog and a txn event published and delivered
-# to a follower, and a chunk of 63 (internal/events, none); then the miss path of a full cache: a
+# to a follower, and a chunk of 36 (internal/events, none); then the miss path of a full cache: a
 # point miss that inserts one object and evicts (recorded figure + 10 %) and a
 # cold batch that inserts nothing, the same at 10 keys as at 100, a view's
 # prefix scan, which allocates its result and nothing else, and a write

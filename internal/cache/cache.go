@@ -513,13 +513,6 @@ func (c *Cache) Own(msID string) error {
 	return nil
 }
 
-// Disown forgets a metastore and all its cached state.
-func (c *Cache) Disown(msID string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.owned, msID)
-}
-
 func (c *Cache) owner(msID string) (*msCache, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -157,14 +157,13 @@ type ConnectionSpec struct {
 	Options        map[string]string `json:"options,omitempty"`
 }
 
-// CatalogKind distinguishes regular, federated and shared catalogs.
+// CatalogKind distinguishes regular and federated catalogs.
 type CatalogKind string
 
 // Catalog kinds.
 const (
 	CatalogRegular   CatalogKind = "REGULAR"
 	CatalogFederated CatalogKind = "FOREIGN"
-	CatalogShared    CatalogKind = "DELTA_SHARING"
 )
 
 // CatalogSpec is the type-specific metadata of a CATALOG entity.

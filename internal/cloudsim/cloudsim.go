@@ -40,7 +40,6 @@ import (
 var (
 	ErrNotFound      = errors.New("cloudsim: object not found")
 	ErrExists        = errors.New("cloudsim: object already exists")
-	ErrAccessDenied  = errors.New("cloudsim: access denied")
 	ErrTokenExpired  = errors.New("cloudsim: token expired")
 	ErrTokenInvalid  = errors.New("cloudsim: token invalid")
 	ErrTokenScope    = errors.New("cloudsim: token scope does not cover path")

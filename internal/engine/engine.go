@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"unitycatalog/internal/catalog"
@@ -480,17 +479,4 @@ func (e *Engine) executeDelete(ctx catalog.Ctx, st *Statement) (*Result, error) 
 	res.Count = deleted
 	res.RowsReturned = int(deleted)
 	return res, nil
-}
-
-// ExpandName qualifies a possibly-partial relation name against defaults.
-func ExpandName(name, defaultCatalog, defaultSchema string) string {
-	parts := strings.Split(name, ".")
-	switch len(parts) {
-	case 1:
-		return defaultCatalog + "." + defaultSchema + "." + name
-	case 2:
-		return defaultCatalog + "." + name
-	default:
-		return name
-	}
 }

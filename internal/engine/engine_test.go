@@ -346,18 +346,6 @@ func TestInsertSelectReportsLineage(t *testing.T) {
 	}
 }
 
-func TestExpandName(t *testing.T) {
-	if got := ExpandName("t", "c", "s"); got != "c.s.t" {
-		t.Fatal(got)
-	}
-	if got := ExpandName("s.t", "c", "x"); got != "c.s.t" {
-		t.Fatal(got)
-	}
-	if got := ExpandName("a.b.c", "x", "y"); got != "a.b.c" {
-		t.Fatal(got)
-	}
-}
-
 func TestApplyColumnMasksKinds(t *testing.T) {
 	schema := delta.Schema{Fields: []delta.SchemaField{
 		{Name: "ssn", Type: delta.TypeString}, {Name: "email", Type: delta.TypeString},

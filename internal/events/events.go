@@ -4,8 +4,8 @@
 // (paper §4.5).
 //
 // The stream is a log indexed by publish sequence number, held in chunks of
-// packed slots that are dropped once no follower can read them. Publish
-// writes one slot; readers are Followers that pull by cursor on their own
+// events that are dropped once no follower can read them. Publish writes
+// one event; readers are Followers that pull by cursor on their own
 // goroutines, so a slow reader costs the publisher nothing. Loss has one
 // definition: a follower more than historyMax behind has a gap, and rebuilds
 // from the source of truth once (see Follow). Events are ordered per
@@ -56,33 +56,29 @@ type Event struct {
 	Detail    string    `json:"detail,omitempty"`
 	Time      time.Time `json:"time"`
 	// Changes is not filled by the catalog service and has no reader; it
-	// stays declared because the benchmark's trace probe constructs it. An
-	// event that sets it has no packed form and spills (see slot).
+	// stays declared because the benchmark's trace probe constructs it.
 	Changes []Change `json:"changes,omitempty"`
 }
 
-// chunkLen is the number of events in a chunk: 63 packed slots of 96 bytes
-// and the 8-byte header Go gives an object of pointers fill the 6 KiB malloc
-// class, where 64 would take the 6,528-byte one (TestChunkFillsItsClass).
-const chunkLen = 63
+// chunkLen is the number of events in a chunk: 36 Events of 168 bytes and
+// the 8-byte header Go gives an object of pointers fill the 6 KiB malloc
+// class, where 37 would take the 6,528-byte one (TestChunkFillsItsClass).
+const chunkLen = 36
 
 // chunk holds events c·chunkLen to c·chunkLen + chunkLen − 1 for some chunk
 // number c. It is allocated whole and dropped whole.
-type chunk [chunkLen]slot
+type chunk [chunkLen]Event
 
 // Bus is the event log. The zero value is not usable; call NewBus.
 type Bus struct {
 	mu        sync.Mutex
-	published *sync.Cond // followers wait here for the next event
-	handled   *sync.Cond // Sync waits here for a follower's progress
-	chunks    []*chunk   // oldest first, the last one open; events packed as in pack.go
-	head      uint64     // chunk number of chunks[0]
-	spare     *chunk     // a dropped chunk, zeroed, for the next one to open in
-	history   uint64     // how far a follower may trail before it has a gap
-	names     []string   // metastore, op and type names, by slot number
-	nameNo    map[string]uint16
+	published *sync.Cond  // followers wait here for the next event
+	handled   *sync.Cond  // Sync waits here for a follower's progress
+	chunks    []*chunk    // oldest first, the last one open
+	head      uint64      // chunk number of chunks[0]
+	spare     *chunk      // a dropped chunk, zeroed, for the next one to open in
+	history   uint64      // how far a follower may trail before it has a gap
 	next      uint64      // events published so far = the next sequence number
-	spilled   int64       // events published whole behind slot.rest
 	buf       int         // channel depth of a Subscription
 	followers []*Follower // listed from Follow or Subscribe until their goroutine exits
 }
@@ -98,23 +94,26 @@ func NewBus(buf, historyMax int) *Bus {
 	if historyMax <= 0 {
 		historyMax = 8192
 	}
-	b := &Bus{history: uint64(historyMax), nameNo: map[string]uint16{}, buf: buf}
+	b := &Bus{history: uint64(historyMax), buf: buf}
 	b.published, b.handled = sync.NewCond(&b.mu), sync.NewCond(&b.mu)
 	return b
 }
 
-// Publish appends e to the log. It never blocks on a reader and, unless e
-// spills (see slot) or a lagging follower keeps more chunks held than
-// before, allocates nothing: it runs inside the store's commit turnstile.
+// Publish appends e to the log, stamping a zero Time with the current one;
+// followers receive e with its time's monotonic reading stripped. It never
+// blocks on a reader and, unless a lagging follower keeps more chunks held
+// than before, allocates nothing: it runs inside the store's commit
+// turnstile.
 func (b *Bus) Publish(e Event) {
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}
+	e.Time = e.Time.Round(0)
 	b.mu.Lock()
 	if b.next%chunkLen == 0 {
 		b.open()
 	}
-	b.chunks[len(b.chunks)-1][b.next%chunkLen] = b.pack(&e)
+	b.chunks[len(b.chunks)-1][b.next%chunkLen] = e
 	b.next++
 	b.mu.Unlock()
 	b.published.Broadcast()
@@ -161,8 +160,8 @@ func (b *Bus) trim() {
 	b.head += uint64(drop)
 }
 
-// at returns event n's slot; n must still be held. Caller holds b.mu.
-func (b *Bus) at(n uint64) *slot { return &b.chunks[n/chunkLen-b.head][n%chunkLen] }
+// at returns event n; n must still be held. Caller holds b.mu.
+func (b *Bus) at(n uint64) *Event { return &b.chunks[n/chunkLen-b.head][n%chunkLen] }
 
 // retained returns how many events the log holds.
 func (b *Bus) retained() int64 {
@@ -176,13 +175,6 @@ func (b *Bus) Published() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return int64(b.next)
-}
-
-// Spilled returns how many published events had no packed form.
-func (b *Bus) Spilled() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.spilled
 }
 
 // Follower reads the log by cursor on a goroutine of its own.
@@ -247,7 +239,7 @@ func (f *Follower) run() {
 			f.cursor = resume
 			b.trim()
 		default:
-			e := b.unpack(b.at(f.cursor))
+			e := *b.at(f.cursor)
 			b.mu.Unlock()
 			f.handle(e)
 			b.mu.Lock()
@@ -299,12 +291,11 @@ func (f *Follower) Lag() int64 {
 // Resyncs reports how many gaps the follower has recovered from.
 func (f *Follower) Resyncs() int64 { return f.resyncs.Load() }
 
-// RegisterMetrics exposes the log's publish and spill counts, how many events
-// it holds and, for every named follower alive at scrape time, its lag and
-// resync count.
+// RegisterMetrics exposes the log's publish count, how many events it holds
+// and, for every named follower alive at scrape time, its lag and resync
+// count.
 func (b *Bus) RegisterMetrics(r *obs.Registry) {
 	r.RegisterCounterFunc("uc_events_published_total", "Change events published.", b.Published)
-	r.RegisterCounterFunc("uc_events_spilled_total", "Change events the log kept whole, having no packed form.", b.Spilled)
 	r.RegisterGaugeFunc("uc_events_retained", "Change events the log holds for followers yet to read them.", func() float64 { return float64(b.retained()) })
 	perFollower := func(name, help, kind string, value func(*Follower) int64) {
 		r.RegisterCustom(name, help, kind, func(w io.Writer, name string) {

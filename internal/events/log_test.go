@@ -2,13 +2,11 @@ package events
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
-	"unsafe"
 
 	"unitycatalog/internal/erm"
 	"unitycatalog/internal/ids"
@@ -101,9 +99,9 @@ func sameEvent(t *testing.T, what string, got, want Event) {
 }
 
 // TestPackedRingMatchesReference publishes a seeded mix of events through a
-// 64-slot ring and a plain []Event, to a follower that the test holds while
-// the log laps it, and holds every event delivered to the one published at
-// its sequence number. `make race` runs it twenty times.
+// log with a 64-event historyMax and a plain []Event, to a follower that the
+// test holds while the log laps it, and holds every event delivered to the
+// one published at its sequence number. `make race` runs it twenty times.
 func TestPackedRingMatchesReference(t *testing.T) {
 	const ring = 64
 	rng := rand.New(rand.NewSource(28))
@@ -174,57 +172,56 @@ func TestPackedRingMatchesReference(t *testing.T) {
 	if last := got[len(got)-1].seq; last != uint64(len(ref)-1) {
 		t.Fatalf("last delivered is event %d of %d", last, len(ref))
 	}
-	if b.Spilled() == 0 || b.Spilled() == int64(len(ref)) {
-		t.Fatalf("%d of %d events spilled: the mix must exercise both forms", b.Spilled(), len(ref))
+	withChanges, thirdZone := 0, 0
+	for _, e := range ref {
+		if e.Changes != nil {
+			withChanges++
+		}
+		if loc := e.Time.Location(); loc != time.Local && loc != time.UTC {
+			thirdZone++
+		}
+	}
+	if withChanges == 0 || thirdZone == 0 {
+		t.Fatalf("%d events with Changes and %d in a third zone of %d: the mix must hold both", withChanges, thirdZone, len(ref))
 	}
 }
 
 // TestSpilledEventsDeliveredIntact: an event with Changes, a time in a third
-// zone or outside int64 nanoseconds, or a name past the name table's
-// 65,535th reaches a follower as it was published, and Spilled counts it.
+// zone, in UTC or outside int64 nanoseconds, or names no earlier event used
+// reaches a follower exactly as it was published.
 func TestSpilledEventsDeliveredIntact(t *testing.T) {
 	b := NewBus(0, 16)
-	b.Publish(catalogEvent()) // its names are numbered before the table fills
-	for i := 0; len(b.names) < math.MaxUint16; i++ {
-		b.Publish(Event{Metastore: "ms1", Op: OpChange, Type: fmt.Sprint("T", i)})
-	}
-	before := b.Spilled()
+	b.Publish(catalogEvent())
 	var got []Event
 	f := b.Follow("", func(e Event) { got = append(got, e) }, func() {})
 
 	base := catalogEvent()
 	with := func(edit func(*Event)) Event { e := base; edit(&e); return e }
-	spills := []Event{
+	sent := []Event{
 		with(func(e *Event) { e.Changes = []Change{{Version: 1, Table: "entity", Key: "k"}} }),
 		with(func(e *Event) { e.Time = e.Time.In(time.FixedZone("CET", 3600)) }),
 		with(func(e *Event) { e.Time = time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC) }),
 		with(func(e *Event) { e.Type = "NEW_TYPE" }),
 		with(func(e *Event) { e.Metastore = "ms-new" }),
 		with(func(e *Event) { e.Op = "NEW_OP" }),
-	}
-	packs := []Event{
-		with(func(e *Event) { e.Type = "T7" }), // numbered before the table filled
 		with(func(e *Event) { e.Time = e.Time.UTC() }),
 	}
-	for _, e := range append(spills, packs...) {
+	for _, e := range sent {
 		b.Publish(e)
 	}
 	f.Close()
-	for i, want := range append(spills, packs...) {
-		sameEvent(t, fmt.Sprint("event ", i), got[i], want)
+	if len(got) != len(sent) {
+		t.Fatalf("%d events delivered, want %d", len(got), len(sent))
 	}
-	if n := b.Spilled() - before; n != int64(len(spills)) {
-		t.Fatalf("%d events spilled, want %d", n, len(spills))
+	for i, want := range sent {
+		sameEvent(t, fmt.Sprint("event ", i), got[i], want)
 	}
 }
 
-// TestPublishDeliverAllocs: a slot is 96 bytes, and publishing the events the
-// catalog and internal/txn publish, and delivering them to a follower,
-// allocates nothing once their names are numbered. `make allocs` runs it.
+// TestPublishDeliverAllocs: publishing the events the catalog and
+// internal/txn publish, and delivering them to a follower, allocates
+// nothing. `make allocs` runs it.
 func TestPublishDeliverAllocs(t *testing.T) {
-	if n := unsafe.Sizeof(slot{}); n != 96 {
-		t.Fatalf("a slot is %d bytes, want 96", n)
-	}
 	b := NewBus(0, 0)
 	var last Event
 	f := b.Follow("", func(e Event) { last = e }, func() {})
@@ -251,7 +248,4 @@ func TestPublishDeliverAllocs(t *testing.T) {
 	b.Publish(cat)
 	f.Sync()
 	sameEvent(t, "last delivered", last, cat)
-	if b.Spilled() != 0 {
-		t.Fatalf("%d catalog or txn events spilled", b.Spilled())
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -164,7 +165,7 @@ func TestRetentionMatchesReference(t *testing.T) {
 			t.Fatalf("after event %d: the log holds %d events, the slowest follower lags %d", n, held, slowest)
 		}
 		b.mu.Lock()
-		pinned := b.spare != nil && *b.spare != (chunk{})
+		pinned := b.spare != nil && !reflect.ValueOf(*b.spare).IsZero()
 		b.mu.Unlock()
 		if pinned {
 			t.Fatalf("after event %d: the spare chunk still holds events", n)
@@ -260,9 +261,9 @@ func TestChunkReuseAllocs(t *testing.T) {
 	}
 }
 
-// TestChunkFillsItsClass: a chunk's slots and the 8-byte header Go gives an
+// TestChunkFillsItsClass: a chunk's Events and the 8-byte header Go gives an
 // object of pointers fill the 6 KiB malloc class (runtime.MemStats.TotalAlloc
-// counts the class); a 64th slot would take the 6,528-byte one.
+// counts the class); a 37th Event would take the 6,528-byte one.
 func TestChunkFillsItsClass(t *testing.T) {
 	const n = 200
 	keep := make([]*chunk, n)
@@ -274,6 +275,6 @@ func TestChunkFillsItsClass(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	// Another goroutine's allocations may add a few bytes a chunk.
 	if got := (after.TotalAlloc - before.TotalAlloc) / n; got < 6144 || got >= 6144+64 {
-		t.Fatalf("a chunk of %d slots takes %d bytes, want 6,144", chunkLen, got)
+		t.Fatalf("a chunk of %d Events takes %d bytes, want 6,144", chunkLen, got)
 	}
 }

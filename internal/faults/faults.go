@@ -204,14 +204,6 @@ func (i *Injector) Schedule(w Window) *Injector {
 	return i
 }
 
-// Clear removes all rules and windows but keeps the sequence counter and
-// random stream, so a cleared injector stays deterministic.
-func (i *Injector) Clear() {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	i.rules, i.windows = nil, nil
-}
-
 // SetEnabled turns injection on or off without clearing the schedule. The
 // sequence counter and random stream still advance while disabled, so
 // enabling later does not shift subsequent decisions.

@@ -14,7 +14,6 @@
 package mlregistry
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 
@@ -227,6 +226,3 @@ func (a *ArtifactRepository) ListArtifacts(ctx catalog.Ctx, modelFull string, ve
 	}
 	return out, nil
 }
-
-// IsNotFound reports whether err is a not-found error from the registry.
-func IsNotFound(err error) bool { return errors.Is(err, catalog.ErrNotFound) }

@@ -78,7 +78,7 @@ func TestAliases(t *testing.T) {
 	if err != nil || v != 2 {
 		t.Fatalf("alias = %d, %v", v, err)
 	}
-	if _, err := reg.ResolveAlias(admin, "ml.prod.ranker", "missing"); !IsNotFound(err) {
+	if _, err := reg.ResolveAlias(admin, "ml.prod.ranker", "missing"); !errors.Is(err, catalog.ErrNotFound) {
 		t.Fatalf("missing alias: %v", err)
 	}
 }

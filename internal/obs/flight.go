@@ -203,8 +203,9 @@ func (fr *FlightRecorder) WriteJSON(w io.Writer) error {
 // --- windowed quantiles for the SLO watchdog ---
 
 // quantileOf estimates the p-th quantile from bucket counts over the given
-// bounds (same interpolation as Histogram.Quantile, but over a plain count
-// snapshot so it works on windowed deltas).
+// bounds by linear interpolation within the bucket that contains it. It
+// takes a plain count snapshot, so it serves Histogram.Quantile and the
+// windowed deltas alike.
 func quantileOf(bounds []int64, counts []int64, p float64) float64 {
 	var total int64
 	for _, n := range counts {

@@ -174,35 +174,7 @@ func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
 // Quantile estimates the p-th quantile (0 < p < 1) in native units by
 // linear interpolation within the bucket that contains it.
-func (h *Histogram) Quantile(p float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := p * float64(total)
-	var cum int64
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			cum += n
-			continue
-		}
-		if float64(cum+n) >= rank {
-			lo := int64(0)
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := lo * 2
-			if i < len(h.bounds) {
-				hi = h.bounds[i]
-			}
-			frac := (rank - float64(cum)) / float64(n)
-			return float64(lo) + frac*float64(hi-lo)
-		}
-		cum += n
-	}
-	return float64(h.bounds[len(h.bounds)-1])
-}
+func (h *Histogram) Quantile(p float64) float64 { return quantileOf(h.bounds, h.Counts(), p) }
 
 // HistogramSnapshot is a point-in-time readout used by health surfaces.
 type HistogramSnapshot struct {
@@ -247,11 +219,10 @@ func overflowKey(labels []string) string {
 }
 
 // appendChildKey appends the children-map key of a label-value combination —
-// the values joined by NUL — to buf. CounterVec.With, called with two labels
-// on every request, looks its child up by a key built in a buffer on its
-// stack (a map index by string(bytes) copies nothing), so the hit path builds
-// no string; only a child's first use does. (A one-label With joins nothing:
-// strings.Join of one value is that value.)
+// the values joined by NUL — to buf. Vec.With, called with two labels on
+// every request, looks its child up by a key built in a buffer on its stack
+// (a map index by string(bytes) copies nothing), so the hit path builds no
+// string; only a child's first use does.
 func appendChildKey(buf []byte, values []string) []byte {
 	for i, v := range values {
 		if i > 0 {
@@ -262,26 +233,50 @@ func appendChildKey(buf []byte, values []string) []byte {
 	return buf
 }
 
-// CounterVec is a family of counters distinguished by label values.
-type CounterVec struct {
+// Vec is a family of metrics of one kind distinguished by label values.
+type Vec[T any] struct {
 	labels   []string
+	newChild func() *T
 	mu       sync.RWMutex
-	children map[string]*Counter
+	children map[string]*T
 	folds    atomic.Int64 // With calls folded into the overflow child
 }
 
+// CounterVec, GaugeVec and HistogramVec are the families the registry
+// exposes.
+type (
+	CounterVec   = Vec[Counter]
+	GaugeVec     = Vec[Gauge]
+	HistogramVec = Vec[Histogram]
+)
+
 // NewCounterVec builds an unregistered counter family.
 func NewCounterVec(labels ...string) *CounterVec {
-	return &CounterVec{labels: labels, children: map[string]*Counter{}}
+	return newVec(labels, func() *Counter { return new(Counter) })
+}
+
+// NewGaugeVec builds an unregistered gauge family.
+func NewGaugeVec(labels ...string) *GaugeVec {
+	return newVec(labels, func() *Gauge { return new(Gauge) })
+}
+
+// NewHistogramVec builds an unregistered histogram family.
+func NewHistogramVec(bounds []int64, scale float64, labels ...string) *HistogramVec {
+	return newVec(labels, func() *Histogram { return NewHistogram(bounds, scale) })
+}
+
+// newVec builds an unregistered family whose children newChild makes.
+func newVec[T any](labels []string, newChild func() *T) *Vec[T] {
+	return &Vec[T]{labels: labels, newChild: newChild, children: map[string]*T{}}
 }
 
 // Folds reports how many With calls were folded into the overflow child.
-func (v *CounterVec) Folds() int64 { return v.folds.Load() }
+func (v *Vec[T]) Folds() int64 { return v.folds.Load() }
 
-// With returns the child counter for the label values, creating it on first
-// use. values must match the family's label names positionally. Past the
+// With returns the child for the label values, creating it on first use.
+// values must match the family's label names positionally. Past the
 // cardinality bound, new combinations share the "other" overflow child.
-func (v *CounterVec) With(values ...string) *Counter {
+func (v *Vec[T]) With(values ...string) *T {
 	var buf [64]byte
 	kb := appendChildKey(buf[:0], values)
 	v.mu.RLock()
@@ -303,111 +298,33 @@ func (v *CounterVec) With(values ...string) *Counter {
 			return c
 		}
 	}
-	c = &Counter{}
+	c = v.newChild()
 	v.children[k] = c
 	return c
 }
 
-// HistogramVec is a family of histograms distinguished by label values.
-type HistogramVec struct {
-	labels   []string
-	bounds   []int64
-	scale    float64
-	mu       sync.RWMutex
-	children map[string]*Histogram
-	folds    atomic.Int64 // With calls folded into the overflow child
-}
-
-// NewHistogramVec builds an unregistered histogram family.
-func NewHistogramVec(bounds []int64, scale float64, labels ...string) *HistogramVec {
-	return &HistogramVec{labels: labels, bounds: bounds, scale: scale, children: map[string]*Histogram{}}
-}
-
-// Folds reports how many With calls were folded into the overflow child.
-func (v *HistogramVec) Folds() int64 { return v.folds.Load() }
-
-// With returns the child histogram for the label values. Past the
-// cardinality bound, new combinations share the "other" overflow child.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	k := strings.Join(values, "\x00")
-	v.mu.RLock()
-	h, ok := v.children[k]
-	v.mu.RUnlock()
-	if ok {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h, ok = v.children[k]; ok {
-		return h
-	}
-	if len(v.children) >= DefaultMaxChildren {
-		v.folds.Add(1)
-		k = overflowKey(v.labels)
-		if h, ok = v.children[k]; ok {
-			return h
-		}
-	}
-	h = NewHistogram(v.bounds, v.scale)
-	v.children[k] = h
-	return h
-}
-
 // Each calls fn for every child with its label values, in sorted key order.
-// Used by the flight-recorder watchdog to poll per-route latency windows.
-func (v *HistogramVec) Each(fn func(values []string, h *Histogram)) {
+// The flight-recorder watchdog uses it to poll per-route latency windows.
+func (v *Vec[T]) Each(fn func(values []string, child *T)) {
 	for _, k := range v.sortedKeys() {
 		v.mu.RLock()
-		h := v.children[k]
+		c := v.children[k]
 		v.mu.RUnlock()
-		if h != nil {
-			fn(strings.Split(k, "\x00"), h)
+		if c != nil {
+			fn(strings.Split(k, "\x00"), c)
 		}
 	}
 }
 
-// GaugeVec is a family of gauges distinguished by label values.
-type GaugeVec struct {
-	labels   []string
-	mu       sync.RWMutex
-	children map[string]*Gauge
-	folds    atomic.Int64 // With calls folded into the overflow child
-}
-
-// NewGaugeVec builds an unregistered gauge family.
-func NewGaugeVec(labels ...string) *GaugeVec {
-	return &GaugeVec{labels: labels, children: map[string]*Gauge{}}
-}
-
-// Folds reports how many With calls were folded into the overflow child.
-func (v *GaugeVec) Folds() int64 { return v.folds.Load() }
-
-// With returns the child gauge for the label values, creating it on first
-// use. values must match the family's label names positionally. Past the
-// cardinality bound, new combinations share the "other" overflow child.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	k := strings.Join(values, "\x00")
+func (v *Vec[T]) sortedKeys() []string {
 	v.mu.RLock()
-	g, ok := v.children[k]
+	keys := make([]string, 0, len(v.children))
+	for k := range v.children {
+		keys = append(keys, k)
+	}
 	v.mu.RUnlock()
-	if ok {
-		return g
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g, ok = v.children[k]; ok {
-		return g
-	}
-	if len(v.children) >= DefaultMaxChildren {
-		v.folds.Add(1)
-		k = overflowKey(v.labels)
-		if g, ok = v.children[k]; ok {
-			return g
-		}
-	}
-	g = &Gauge{}
-	v.children[k] = g
-	return g
+	sort.Strings(keys)
+	return keys
 }
 
 // --- registry ---
@@ -477,76 +394,33 @@ func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {
 
 // RegisterCounterVec exposes a labeled counter family.
 func (r *Registry) RegisterCounterVec(name, help string, v *CounterVec) {
-	r.add(name, help, "counter", func(w io.Writer, n string) {
-		for _, k := range v.sortedKeys() {
-			v.mu.RLock()
-			c := v.children[k]
-			v.mu.RUnlock()
-			fmt.Fprintf(w, "%s{%s} %d\n", n, labelPairs(v.labels, k), c.Load())
-		}
+	registerVec(r, name, help, "counter", v, func(w io.Writer, n, labels string, c *Counter) {
+		fmt.Fprintf(w, "%s{%s} %d\n", n, labels, c.Load())
 	})
 }
 
 // RegisterGaugeVec exposes a labeled gauge family.
 func (r *Registry) RegisterGaugeVec(name, help string, v *GaugeVec) {
-	r.add(name, help, "gauge", func(w io.Writer, n string) {
-		for _, k := range v.sortedKeys() {
-			v.mu.RLock()
-			g := v.children[k]
-			v.mu.RUnlock()
-			fmt.Fprintf(w, "%s{%s} %d\n", n, labelPairs(v.labels, k), g.Load())
-		}
+	registerVec(r, name, help, "gauge", v, func(w io.Writer, n, labels string, g *Gauge) {
+		fmt.Fprintf(w, "%s{%s} %d\n", n, labels, g.Load())
 	})
 }
 
 // RegisterHistogramVec exposes a labeled histogram family.
 func (r *Registry) RegisterHistogramVec(name, help string, v *HistogramVec) {
-	r.add(name, help, "histogram", func(w io.Writer, n string) {
-		for _, k := range v.sortedKeys() {
-			v.mu.RLock()
-			h := v.children[k]
-			v.mu.RUnlock()
-			writeHistogram(w, n, labelPairs(v.labels, k), h)
-		}
+	registerVec(r, name, help, "histogram", v, writeHistogram)
+}
+
+// registerVec exposes v's children in sorted key order, each written by
+// write with its rendered label pairs.
+func registerVec[T any](r *Registry, name, help, kind string, v *Vec[T], write func(w io.Writer, name, labels string, child *T)) {
+	r.add(name, help, kind, func(w io.Writer, n string) {
+		v.Each(func(values []string, c *T) { write(w, n, labelPairs(v.labels, values), c) })
 	})
 }
 
-func (v *CounterVec) sortedKeys() []string {
-	v.mu.RLock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	v.mu.RUnlock()
-	sort.Strings(keys)
-	return keys
-}
-
-func (v *GaugeVec) sortedKeys() []string {
-	v.mu.RLock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	v.mu.RUnlock()
-	sort.Strings(keys)
-	return keys
-}
-
-func (v *HistogramVec) sortedKeys() []string {
-	v.mu.RLock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	v.mu.RUnlock()
-	sort.Strings(keys)
-	return keys
-}
-
-// labelPairs renders label="value" pairs from a joined key.
-func labelPairs(labels []string, key string) string {
-	values := strings.Split(key, "\x00")
+// labelPairs renders label="value" pairs from a child's label values.
+func labelPairs(labels []string, values []string) string {
 	var sb strings.Builder
 	for i, l := range labels {
 		if i > 0 {

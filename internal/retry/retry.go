@@ -99,17 +99,10 @@ func RetryAfter(err error) (time.Duration, bool) {
 }
 
 // Retryable is the default classifier: injected faults of every class are
-// retryable (callers with non-idempotent operations must use a stricter
-// classifier), anything else is not.
+// retryable, anything else is not. A Timeout's outcome is unknown, so a
+// caller whose operation is not idempotent passes a classifier of its own.
 func Retryable(err error) bool {
 	return faults.IsFault(err)
-}
-
-// RetryableIdempotentOnly classifies faults as retryable except Timeout,
-// whose outcome is unknown — the classifier for non-idempotent operations.
-func RetryableIdempotentOnly(err error) bool {
-	c, ok := faults.ClassOf(err)
-	return ok && c != faults.Timeout
 }
 
 // Do runs fn up to p.MaxAttempts times, sleeping a jittered capped

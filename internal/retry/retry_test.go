@@ -97,18 +97,6 @@ func TestRetryAfterHintExtendsDelay(t *testing.T) {
 	}
 }
 
-func TestIdempotentOnlyClassifier(t *testing.T) {
-	if RetryableIdempotentOnly(&faults.Error{Class: faults.Timeout}) {
-		t.Fatal("timeout must not be retryable for non-idempotent ops")
-	}
-	if !RetryableIdempotentOnly(&faults.Error{Class: faults.Throttled}) {
-		t.Fatal("throttled is always retryable")
-	}
-	if RetryableIdempotentOnly(errors.New("other")) {
-		t.Fatal("unclassified errors are not retryable")
-	}
-}
-
 func TestDoValueReturnsValue(t *testing.T) {
 	calls := 0
 	v, err := DoValue(Policy{Sleep: func(time.Duration) {}}, Retryable, func() (int, error) {

@@ -28,9 +28,9 @@ import (
 // the URL trie the catalog kept beside the store's path table (103) is gone,
 // and per-path state that came back would show here; 97 while the event log
 // kept 8,192 events' full names. The events row is the log's open chunk of
-// 64 slots and at most one spare (6 KiB each) and its name table: 394 when
-// it was a fixed ring of 8,192 slots of 96 bytes, 689 when those held whole
-// 168-byte Events. The store structure row holds, per key, a 48-byte record
+// 36 Events and at most one spare (6 KiB each); there is no name table: 394
+// when it was a fixed ring of 8,192 packed 96-byte slots, 689 when a fixed
+// ring held whole 168-byte Events. The store structure row holds, per key, a 48-byte record
 // that holds its key and a pointer to it in a key-table slot and in a B+tree
 // leaf slot, per entity a pointer in its derived child group's leaf, and the
 // change ring, 8,192 slots of 32 bytes: 482 while each entity had a stored
