@@ -1189,11 +1189,13 @@ func (v *View) Close() {
 }
 
 // insertShardLocked adds a version to a record, pruning stale versions
-// lazily. A new record is one allocation, its version held inline. A derived
-// table's row is never cached: no change names it, so nothing would
-// invalidate it. Caller holds the shard's write lock (alone or via lockAll).
+// lazily. A new record is one allocation, its version held inline. The row
+// of a derived table keyed by its records (the child table) is never cached:
+// no change names it, so nothing would invalidate it; a name row is, as the
+// change log names it (store.ChangesNamed). Caller holds the shard's write
+// lock (alone or via lockAll).
 func (c *Cache) insertShardLocked(m *msCache, sh *shard, rk cacheKey, cv cachedVersion) {
-	if store.Derived(rk.table) {
+	if !store.ChangesNamed(rk.table) {
 		return
 	}
 	rec, ok := sh.records[rk]
@@ -1302,7 +1304,7 @@ func (c *Cache) Update(msID string, fn func(tx *store.Tx) error) (uint64, error)
 // commits in version order, so when it returns newV every version up to newV
 // is applied. If the known version is behind newV, the node reconciles up to
 // newV-1 and installs the transaction's write set (Tx.Writes, its own slice)
-// at newV. Otherwise a reconcile has already passed newV and invalidated
+// and the derived rows it made live or dead (Tx.Rows) at newV. Otherwise a reconcile has already passed newV and invalidated
 // those records, and nothing is installed.
 func (c *Cache) UpdateT(sc obs.SpanContext, msID string, fn func(tx *store.Tx) error) (uint64, error) {
 	if c.opts.Disabled {
@@ -1314,12 +1316,12 @@ func (c *Cache) UpdateT(sc obs.SpanContext, msID string, fn func(tx *store.Tx) e
 	}
 	m.writers.Add(1)
 	defer m.writers.Add(-1)
-	var captured []store.Write
+	var committed *store.Tx
 	newV, err := c.db.UpdateT(sc, msID, func(tx *store.Tx) error {
 		if err := fn(tx); err != nil {
 			return err
 		}
-		captured = tx.Writes()
+		committed = tx
 		return nil
 	})
 	if err != nil {
@@ -1327,7 +1329,7 @@ func (c *Cache) UpdateT(sc obs.SpanContext, msID string, fn func(tx *store.Tx) e
 		return 0, err
 	}
 	c.noteDBSuccess(m)
-	if len(captured) == 0 {
+	if committed == nil || len(committed.Writes()) == 0 {
 		return newV, nil // read-only transaction
 	}
 	m.lockAll()
@@ -1336,9 +1338,11 @@ func (c *Cache) UpdateT(sc obs.SpanContext, msID string, fn func(tx *store.Tx) e
 		// installing at newV is sound either way.
 		_ = c.reconcileAllLocked(msID, m, newV-1)
 		now := c.now()
-		for _, w := range captured {
-			rk := cacheKey{w.Table, w.Key}
-			c.insertShardLocked(m, m.shardFor(rk), rk, cachedVersion{version: newV, value: w.Value, deleted: w.Deleted, cachedAt: now})
+		for _, ws := range [2][]store.Write{committed.Writes(), committed.Rows()} {
+			for _, w := range ws {
+				rk := cacheKey{w.Table, w.Key}
+				c.insertShardLocked(m, m.shardFor(rk), rk, cachedVersion{version: newV, value: w.Value, deleted: w.Deleted, cachedAt: now})
+			}
 		}
 		m.knownVersion.Store(newV)
 	}

@@ -10,15 +10,16 @@ import (
 
 // TestDerivedRowsAreNotCached: a child row read by key through a view is the
 // store's answer at the view's version, before and after its entity is
-// deleted, and never a cached one: no change names a derived row, so none
-// could invalidate it. GroupRows reads the groups at the view's version.
+// deleted, and never a cached one: no change names a child row, so none
+// could invalidate it (a name row, which changes name, is cached).
+// GroupRows reads the groups at the view's version.
 func TestDerivedRowsAreNotCached(t *testing.T) {
 	db := newDB(t)
 	c := New(db, Options{})
 	c.Own("m")
 	e := &erm.Entity{ID: ids.New(), Type: erm.TypeTable, Name: "t", ParentID: ids.New(), State: erm.StateActive}
 	key := erm.ChildKey(e.ParentID, e.Type, e.ID)
-	if _, err := c.Update("m", func(tx *store.Tx) error { return erm.PutEntity(tx, e, "RELATION") }); err != nil {
+	if _, err := c.Update("m", func(tx *store.Tx) error { return erm.PutEntity(tx, e) }); err != nil {
 		t.Fatal(err)
 	}
 	read := func(want bool) {
@@ -38,7 +39,7 @@ func TestDerivedRowsAreNotCached(t *testing.T) {
 		}
 	}
 	read(true)
-	if _, err := c.Update("m", func(tx *store.Tx) error { erm.DeleteEntity(tx, e, "RELATION"); return nil }); err != nil {
+	if _, err := c.Update("m", func(tx *store.Tx) error { erm.DeleteEntity(tx, e); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	read(false)

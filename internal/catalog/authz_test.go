@@ -464,7 +464,7 @@ func runAuthorizerOracle(t *testing.T, seed int64, opts store.Options, commits i
 				Owner: "steward", State: erm.StateActive, CreatedAt: clk.Now(), UpdatedAt: clk.Now(),
 			}
 			if _, err := svc.cache.Update("ms1", func(tx *store.Tx) error {
-				return erm.PutEntity(tx, e, groupFor(svc.reg, erm.TypeTable))
+				return erm.PutEntity(tx, e)
 			}); err != nil {
 				t.Fatal(err)
 			}

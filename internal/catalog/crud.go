@@ -3,6 +3,7 @@ package catalog
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -122,34 +123,25 @@ func (s *Service) CreateAsset(ctx Ctx, req CreateRequest) (e *erm.Entity, err er
 		return nil, fmt.Errorf("%w: type %s has no storage", ErrInvalidArgument, req.Type)
 	}
 
-	group := groupFor(s.reg, req.Type)
 	_, err = s.cache.UpdateT(ctx.Trace, ctx.Metastore, func(tx *store.Tx) error {
 		// The parent may have been deleted or renamed since v.
 		if !s.liveIn(tx, parent) {
 			return fmt.Errorf("%w: %s", ErrNotFound, parentLabel(parent))
 		}
-		// Name uniqueness within the group.
-		if _, exists := tx.Get(erm.TableName, erm.NameKey(group, parent.ID, req.Name)); exists {
-			return fmt.Errorf("%w: %s %q in %s", ErrAlreadyExists, req.Type, req.Name, parentLabel(parent))
+		if err := checkStorageFree(tx, e); err != nil {
+			return err
 		}
-		// One-asset-per-path, checked authoritatively inside the transaction.
-		// External locations check against their own index (they contain
-		// asset paths but may not overlap each other).
-		if e.StoragePath != "" {
-			if req.Type == erm.TypeExternalLocation {
-				if err := checkExtLocFree(tx, e.StoragePath); err != nil {
-					return err
-				}
-			} else if err := checkPathFree(tx, e.StoragePath); err != nil {
-				return err
-			}
-		}
-		if err := erm.PutEntity(tx, e, group); err != nil {
+		// The name is unique within its group: the store refuses the
+		// commit when another live entity has it.
+		if err := erm.PutEntity(tx, e); err != nil {
 			return err
 		}
 		stageEvent(tx, ctx, events.OpCreate, e, "")
 		return nil
 	})
+	if errors.Is(err, store.ErrRowTaken) {
+		return nil, fmt.Errorf("%w: %s %q in %s", ErrAlreadyExists, req.Type, req.Name, parentLabel(parent))
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -168,6 +160,29 @@ func entityID(e *erm.Entity) ids.ID {
 		return ids.Nil
 	}
 	return e.ID
+}
+
+// checkStorageFree is the one-asset-per-path check of entity e, about to go
+// live, inside a write transaction. External locations check against their
+// own index (they contain asset paths but may not overlap each other). A name
+// clash, which the commit would refuse, is reported before a path clash: an
+// entity that has both fails with store.ErrRowTaken.
+func checkStorageFree(tx *store.Tx, e *erm.Entity) error {
+	var err error
+	switch {
+	case e.StoragePath == "":
+		return nil
+	case e.Type == erm.TypeExternalLocation:
+		err = checkExtLocFree(tx, e.StoragePath)
+	default:
+		err = checkPathFree(tx, e.StoragePath)
+	}
+	if err != nil {
+		if _, taken := tx.Get(erm.TableName, erm.NameKey(erm.NameGroupOf(e.Type), e.ParentID, e.Name)); taken {
+			return store.ErrRowTaken
+		}
+	}
+	return err
 }
 
 // checkPathFree enforces the one-asset-per-path invariant inside a write
@@ -492,7 +507,6 @@ func (s *Service) RenameAsset(ctx Ctx, full, newName string) (e *erm.Entity, err
 		return nil, err
 	}
 
-	group := groupFor(s.reg, cur.Type)
 	now := s.clk.Now()
 	var renamed *erm.Entity
 	_, err = s.cache.UpdateT(ctx.Trace, ctx.Metastore, func(tx *store.Tx) error {
@@ -509,9 +523,6 @@ func (s *Service) RenameAsset(ctx Ctx, full, newName string) (e *erm.Entity, err
 		if live > 0 {
 			return fmt.Errorf("%w: cannot rename %s with %d children", ErrNotEmpty, full, live)
 		}
-		if _, taken := tx.Get(erm.TableName, erm.NameKey(group, cur.ParentID, newName)); taken {
-			return fmt.Errorf("%w: %s %q", ErrAlreadyExists, cur.Type, newName)
-		}
 		renamed.Name = newName
 		if i := strings.LastIndex(renamed.FullName, "."); i >= 0 {
 			renamed.FullName = renamed.FullName[:i+1] + newName
@@ -519,14 +530,18 @@ func (s *Service) RenameAsset(ctx Ctx, full, newName string) (e *erm.Entity, err
 			renamed.FullName = newName
 		}
 		renamed.UpdatedAt = now
-		tx.Delete(erm.TableName, erm.NameKey(group, cur.ParentID, cur.Name))
-		tx.Put(erm.TableName, erm.NameKey(group, cur.ParentID, newName), erm.IDValue(cur.ID))
+		// The store moves the name row with the record, and refuses the
+		// commit when another live entity has the new name; the entity's
+		// own name, in any case, is no other's.
 		if err := erm.UpdateEntity(tx, renamed); err != nil {
 			return err
 		}
 		stageEvent(tx, ctx, events.OpUpdate, renamed, "renamed from "+cur.Name)
 		return nil
 	})
+	if errors.Is(err, store.ErrRowTaken) {
+		return nil, fmt.Errorf("%w: %s %q", ErrAlreadyExists, cur.Type, newName)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -64,8 +65,10 @@ func (s *Service) DeleteAsset(ctx Ctx, full string, force bool) (err error) {
 }
 
 // softDeleteTree marks the entity (and, with force, its subtree) soft
-// deleted inside tx, removing name and path indexes so names and paths
-// become immediately reusable while the records linger for recovery.
+// deleted inside tx, so that its name row, which the store derives from an
+// entity that is not soft deleted, goes with that write, and removing its
+// path row: names and paths become immediately reusable while the records
+// linger for recovery.
 func (s *Service) softDeleteTree(tx *store.Tx, id ids.ID, force bool, now time.Time, out *[]*erm.Entity) error {
 	e, ok := erm.GetEntity(tx, id)
 	if !ok {
@@ -92,16 +95,14 @@ func (s *Service) softDeleteTree(tx *store.Tx, id ids.ID, force bool, now time.T
 			return err
 		}
 	}
-	group := groupFor(s.reg, e.Type)
 	e.State = erm.StateSoftDeleted
 	e.DeletedAt = &now
 	e.UpdatedAt = now
 	if err := erm.UpdateEntity(tx, e); err != nil {
 		return err
 	}
-	// Free the name and path for reuse; keep the child index so GC can
-	// find the record via its parent.
-	tx.Delete(erm.TableName, erm.NameKey(group, e.ParentID, e.Name))
+	// Free the path for reuse; the child row stays so GC can find the
+	// record via its parent.
 	if e.StoragePath != "" {
 		if e.Type == erm.TypeExternalLocation {
 			tx.Delete(erm.TableExtLoc, e.StoragePath)
@@ -169,8 +170,7 @@ func (s *Service) RunGC(msID string) (GCResult, error) {
 				continue
 			}
 			victims = append(victims, e)
-			group := groupFor(s.reg, e.Type)
-			erm.DeleteEntity(tx, e, group)
+			erm.DeleteEntity(tx, e)
 			for _, kv := range tx.Scan(erm.TableTag, erm.TagPrefix(e.ID)) {
 				tx.Delete(erm.TableTag, kv.Key)
 				// Mirror the delete into the inverted index, whose keys
@@ -238,28 +238,22 @@ func (s *Service) Undelete(ctx Ctx, id ids.ID) (e *erm.Entity, err error) {
 		if !ok || parent.State == erm.StateSoftDeleted {
 			return fmt.Errorf("%w: parent of %s is gone", ErrNotFound, restored.FullName)
 		}
-		group := groupFor(s.reg, restored.Type)
-		if _, taken := tx.Get(erm.TableName, erm.NameKey(group, restored.ParentID, restored.Name)); taken {
-			return fmt.Errorf("%w: name %s was reused", ErrAlreadyExists, restored.Name)
-		}
-		if restored.StoragePath != "" {
-			if restored.Type == erm.TypeExternalLocation {
-				if err := checkExtLocFree(tx, restored.StoragePath); err != nil {
-					return err
-				}
-			} else if err := checkPathFree(tx, restored.StoragePath); err != nil {
-				return err
-			}
+		if err := checkStorageFree(tx, restored); err != nil {
+			return err
 		}
 		restored.State = erm.StateActive
 		restored.DeletedAt = nil
 		restored.UpdatedAt = now
-		if err := erm.PutEntity(tx, restored, group); err != nil {
+		// The store refuses the commit when the name was reused.
+		if err := erm.PutEntity(tx, restored); err != nil {
 			return err
 		}
 		stageEvent(tx, ctx, events.OpCreate, restored, "undelete")
 		return nil
 	})
+	if errors.Is(err, store.ErrRowTaken) {
+		return nil, fmt.Errorf("%w: name %s was reused", ErrAlreadyExists, restored.Name)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -5,10 +5,10 @@ package catalog
 // QueryAssetsPage(Func) — is a plan walked by one loop.
 //
 // A plan is one or more ordered index ranges (a table and a key prefix) whose
-// rows name entities: a row of the child table, which the store derives from
-// the entity records, comes with its entity's record, the name index holds
-// entity IDs, the entity table holds the entities, the inverted tag index
-// holds a securable's ID in its key once per tagged column. listing.walk is
+// rows name entities: a row of the child or the name table, which the store
+// derives from the entity records, comes with its entity's record, the entity
+// table holds the entities, the inverted tag index holds a securable's ID in
+// its key once per tagged column. listing.walk is
 // the loop: read rows, turn them into entities, admit those that pass the
 // filter and the principal's visibility, remember the last key consumed, stop
 // when the page is full or a short batch says the range has ended.
@@ -149,55 +149,47 @@ func decodeAligned(r pagedReader, keys []string) []*erm.Entity {
 	return erm.DecodeEntities(len(keys), func(i int) (ids.ID, []byte) { return ids.ID(keys[i]), recs[i] })
 }
 
-// rowEntities turns the rows of one index batch of any table but the child
-// table into the entities they name, aligned with the batch; nil where there
-// is nothing to admit.
+// rowEntities turns the rows of one index batch of the entity table or the
+// inverted tag index into the entities they name, aligned with the batch; nil
+// where there is nothing to admit.
 func (l *listing) rowEntities(table string, rows []store.KV) []*erm.Entity {
-	switch table {
-	case erm.TableEntity:
+	if table == erm.TableEntity {
 		return erm.DecodeEntityRows(rows)
-	case erm.TableTagIdx:
-		// The inverted index holds a securable once per tagged column, its
-		// entity-level row (column "") first, and a row's value is the tag's
-		// (SetTag writes both tables in one commit), so the rows decide the
-		// tag: the entity-level row alone, else the first column row whose
-		// value matches admits the securable. Only admitted ones are read.
-		at := make([]int, len(rows)) // index into keys, -1 for a row that admits nothing
-		keys := make([]string, 0, len(rows))
-		for i, kv := range rows {
-			at[i] = -1
-			id, column, ok := erm.TagIdxParts(kv.Key)
-			if !ok {
-				continue
-			}
-			if id != l.tagSec {
-				l.tagSec, l.tagDone = id, false
-			}
-			if l.tagDone {
-				continue
-			}
-			match := l.tagValue == "" || string(kv.Value) == l.tagValue
-			l.tagDone = match || column == ""
-			if match {
-				at[i] = len(keys)
-				keys = append(keys, string(id))
-			}
-		}
-		named := decodeAligned(l.r, keys)
-		ents := make([]*erm.Entity, len(rows))
-		for i, k := range at {
-			if k >= 0 {
-				ents[i] = named[k]
-			}
-		}
-		return ents
-	default: // the name index: the row points at an entity ID
-		keys := make([]string, len(rows))
-		for i, kv := range rows {
-			keys[i] = string(erm.IndexedID(kv))
-		}
-		return decodeAligned(l.r, keys)
 	}
+	// The inverted index holds a securable once per tagged column, its
+	// entity-level row (column "") first, and a row's value is the tag's
+	// (SetTag writes both tables in one commit), so the rows decide the
+	// tag: the entity-level row alone, else the first column row whose
+	// value matches admits the securable. Only admitted ones are read.
+	at := make([]int, len(rows)) // index into keys, -1 for a row that admits nothing
+	keys := make([]string, 0, len(rows))
+	for i, kv := range rows {
+		at[i] = -1
+		id, column, ok := erm.TagIdxParts(kv.Key)
+		if !ok {
+			continue
+		}
+		if id != l.tagSec {
+			l.tagSec, l.tagDone = id, false
+		}
+		if l.tagDone {
+			continue
+		}
+		match := l.tagValue == "" || string(kv.Value) == l.tagValue
+		l.tagDone = match || column == ""
+		if match {
+			at[i] = len(keys)
+			keys = append(keys, string(id))
+		}
+	}
+	named := decodeAligned(l.r, keys)
+	ents := make([]*erm.Entity, len(rows))
+	for i, k := range at {
+		if k >= 0 {
+			ents[i] = named[k]
+		}
+	}
+	return ents
 }
 
 // listing is one run of the engine: the reader and authorizer of the call,
@@ -215,8 +207,9 @@ type listing struct {
 
 	n int
 	// The last index key consumed is lastGroup+lastKey: a child row is its
-	// group and its entity's ID (store.GroupRow), joined only when a cursor
-	// or the next batch needs the key; any other row has no group.
+	// group and its entity's ID, a name row its group and the entity's
+	// lowered name (store.GroupRow), joined only when a cursor or the next
+	// batch needs the key; any other row has no group.
 	lastGroup, lastKey string
 	stage              int // catalog scope: 0 inside the schemas, 1 the schemas themselves
 	// catalog scope: the child key of the schema being walked, outerGroup+outer.
@@ -241,10 +234,10 @@ func (l *listing) read(table, prefix, start string, n int) []store.KV {
 	return l.r.ScanRange(table, start, store.PrefixEnd(prefix), n)
 }
 
-// readChildren is read for the child table: its rows with their entities'
+// readGroupRows is read for a derived table: its rows with their entities'
 // records.
-func (l *listing) readChildren(prefix, start string, n int) []store.GroupRow {
-	return l.r.GroupRows(erm.TableChild, start, store.PrefixEnd(prefix), n)
+func (l *listing) readGroupRows(table, prefix, start string, n int) []store.GroupRow {
+	return l.r.GroupRows(table, start, store.PrefixEnd(prefix), n)
 }
 
 // last is the last index key consumed.
@@ -272,18 +265,18 @@ func (l *listing) walk(table, prefix, after string) (more bool) {
 		if l.limit > 0 {
 			ask = l.limit - l.n + 1
 		}
-		// A child row is its group and its entity's ID and record; any other
-		// row is a key that rowEntities turns into an entity.
-		child := table == erm.TableChild
+		// A child or name row is its group and its entity's ID and record;
+		// any other row is a key that rowEntities turns into an entity.
+		grouped := table == erm.TableChild || table == erm.TableName
 		var (
-			rows     []store.KV
-			children []store.GroupRow
-			ents     []*erm.Entity
-			n        int
+			rows    []store.KV
+			derived []store.GroupRow
+			ents    []*erm.Entity
+			n       int
 		)
-		if child {
-			children = l.readChildren(prefix, start, ask)
-			n = len(children)
+		if grouped {
+			derived = l.readGroupRows(table, prefix, start, ask)
+			n = len(derived)
 		} else {
 			rows = l.read(table, prefix, start, ask)
 			n = len(rows)
@@ -292,14 +285,14 @@ func (l *listing) walk(table, prefix, after string) (more bool) {
 		if goesOn {
 			n--
 		}
-		if child {
-			ents = erm.DecodeEntities(n, func(i int) (ids.ID, []byte) { return ids.ID(children[i].Key), children[i].Value })
+		if grouped {
+			ents = erm.DecodeEntities(n, func(i int) (ids.ID, []byte) { return ids.ID(derived[i].Key), derived[i].Value })
 		} else {
 			ents = l.rowEntities(table, rows[:n])
 		}
 		for i, e := range ents {
-			if child {
-				l.lastGroup, l.lastKey = children[i].Group, children[i].Key
+			if grouped {
+				l.lastGroup, l.lastKey = derived[i].Group, derived[i].Sort
 			} else {
 				l.lastGroup, l.lastKey = "", rows[i].Key
 			}
@@ -339,7 +332,7 @@ func (l *listing) walkCatalog(cat ids.ID, cur *pageCursor, byName bool) (more bo
 		if l.outer != "" {
 			outerStart = l.outer // resume at the same schema
 		}
-		schemas := l.readChildren(schemaPrefix, outerStart, 0)
+		schemas := l.readGroupRows(erm.TableChild, schemaPrefix, outerStart, 0)
 		for i, schema := range schemas {
 			l.outerGroup, l.outer = schema.Group, schema.Key
 			table, prefix := l.s.schemaRange(l.f, ids.ID(schema.Key), byName)
@@ -444,7 +437,7 @@ func (s *Service) listAssets(ctx Ctx, parentFull string, t erm.SecurableType, li
 // nameIndexed reports whether f's candidates inside a schema can come from
 // the schema's name-index range instead of its whole child range. The name
 // index is keyed by name-uniqueness group, so it needs a type, and schemas
-// are not children of schemas; soft deletion frees an entity's name key
+// are not children of schemas; a soft-deleted entity derives no name row
 // (softDeleteTree), so a query that includes soft-deleted assets must walk
 // the child index, which keeps them.
 func nameIndexed(f Filter) bool {
@@ -474,10 +467,11 @@ func queryPlan(f Filter) string {
 
 // schemaRange returns the index range holding a schema's candidates for f:
 // the names starting with f.NamePrefix in the type's name group when byName,
-// else the schema's children of f.Type. Values are entity IDs either way.
+// else the schema's children of f.Type. Either table's rows come with their
+// entities' records (GroupRows).
 func (s *Service) schemaRange(f Filter, schema ids.ID, byName bool) (table, prefix string) {
 	if byName {
-		return erm.TableName, erm.NameKey(groupFor(s.reg, f.Type), schema, f.NamePrefix)
+		return erm.TableName, erm.NameKey(erm.NameGroupOf(f.Type), schema, f.NamePrefix)
 	}
 	return erm.TableChild, erm.ChildPrefix(schema, f.Type)
 }

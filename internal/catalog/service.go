@@ -239,7 +239,7 @@ func (s *Service) CreateMetastore(id, name, region string, owner privilege.Princ
 	}
 	info := MetastoreInfo{ID: id, Name: name, Region: region, Owner: owner, RootPath: strings.TrimSuffix(rootPath, "/"), EntityID: entity.ID}
 	_, err := s.cache.Update(id, func(tx *store.Tx) error {
-		if err := erm.PutEntity(tx, entity, string(erm.TypeMetastore)); err != nil {
+		if err := erm.PutEntity(tx, entity); err != nil {
 			return err
 		}
 		b, err := encodeJSON(info)
@@ -559,7 +559,7 @@ func (s *Service) auditOwner(ctx Ctx, id ids.ID, op string, ok bool) error {
 // name it was resolved by: its name row still names it. Deleting or renaming
 // e removes that row. It decodes nothing.
 func (s *Service) liveIn(tx *store.Tx, e *erm.Entity) bool {
-	id, ok := erm.LookupID(tx, erm.TableName, erm.NameKey(groupFor(s.reg, e.Type), e.ParentID, e.Name))
+	id, ok := erm.LookupID(tx, erm.TableName, erm.NameKey(erm.NameGroupOf(e.Type), e.ParentID, e.Name))
 	return ok && id == e.ID
 }
 

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strings"
 
-	"unitycatalog/internal/erm"
 	"unitycatalog/internal/ids"
 	"unitycatalog/internal/obs"
 	"unitycatalog/internal/privilege"
@@ -211,12 +210,3 @@ func SplitFullName(full string, min, max int) ([]string, error) {
 
 // relationGroup is the shared TABLE/VIEW name-uniqueness group.
 const relationGroup = "RELATION"
-
-// groupFor returns the name-uniqueness group for a type given a registry
-// manifest, defaulting to the type itself.
-func groupFor(reg *erm.Registry, t erm.SecurableType) string {
-	if m, ok := reg.Manifest(t); ok && m.NameGroup != "" {
-		return m.NameGroup
-	}
-	return string(t)
-}

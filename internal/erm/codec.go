@@ -51,8 +51,9 @@ package erm
 // decode also accepts the JSON values the seed wrote. No store migration is
 // needed: records converge to version 3 as they are rewritten. The index rows
 // beside a record changed with version 2 (IDValue, IndexedID in erm.go): a
-// name or path row holds the ID's 16 bytes, not its 32 hex digits. No child
-// row is stored: the store derives it from the record (childGroup).
+// path row holds the ID's 16 bytes, not its 32 hex digits. No child or name
+// row is stored: the store derives them from the record (childGroup,
+// nameGroup and nameSort, which read its head: readHead).
 //
 // Because a record of version 2 or 3 leaves out its key, it is decoded with it:
 // DecodeEntityAt and DecodeEntities take the key and every reader of the
@@ -154,6 +155,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"unitycatalog/internal/ids"
 	"unitycatalog/internal/privilege"
@@ -592,74 +594,134 @@ func DecodeEntities(n int, rec func(i int) (ids.ID, []byte)) []*Entity {
 	return out
 }
 
-// childGroup is the child table's derivation (store.DeriveIndex): it appends
-// to dst the group an entity record's value names, parent\0TYPE\0 — the
-// prefix ChildKey gives its children of that type — reading the parent and
-// the type of every record format and of the seed's JSON. A value that does
-// not read, or whose parent or type holds a 0 byte, names none.
-func childGroup(dst, value []byte) ([]byte, bool) {
-	var (
-		parent, typ []byte
-		coded       SecurableType // the type, when the record has its code
-		rawParent   bool
-	)
+// recordHead is what the derived tables read of an entity record: its type
+// (coded, or its string), state, parent and name.
+type recordHead struct {
+	typ, parent, name []byte
+	coded             SecurableType // the type, when the record has its code
+	rawParent         bool          // parent is an ID's 16 bytes
+	softDeleted       bool
+}
+
+// readHead reads the head of an entity record of every format and of the
+// seed's JSON. A value that does not read, or whose parent, type or name
+// holds a 0 byte, has none.
+func readHead(value []byte) (h recordHead, ok bool) {
 	switch {
 	case len(value) == 0:
-		return dst, false
+		return h, false
 	case value[0] == '{':
 		var j struct {
 			Type     string `json:"type"`
 			ParentID string `json:"parent_id"`
+			Name     string `json:"name"`
+			State    State  `json:"state"`
 		}
 		if json.Unmarshal(value, &j) != nil {
-			return dst, false
+			return h, false
 		}
-		parent, typ = []byte(j.ParentID), []byte(j.Type)
+		h.parent, h.typ, h.name, h.softDeleted = []byte(j.ParentID), []byte(j.Type), []byte(j.Name), j.State == StateSoftDeleted
 	case value[0] != codecMagic || len(value) < 3:
-		return dst, false
+		return h, false
 	case value[1] == codecV1:
 		d := decoder{b: value, off: 3}
 		d.bytes() // the ID
-		typ = d.bytes()
-		d.bytes() // the name
-		parent = d.bytes()
+		h.typ = d.bytes()
+		h.name = d.bytes()
+		h.parent = d.bytes()
 		if d.err != nil {
-			return dst, false
+			return h, false
 		}
+		for range 4 {
+			d.bytes() // the full name, owner, comment and path
+		}
+		h.softDeleted = State(d.bytes()) == StateSoftDeleted && d.err == nil
 	case value[1] == codecV2 || value[1] == codecV3:
 		d := decoder{b: value, off: 3}
 		if c := d.byte(); c == 0 {
-			typ = d.bytes()
+			h.typ = d.bytes()
 		} else if int(c) < len(typeCodes) {
-			coded = typeCodes[c]
+			h.coded = typeCodes[c]
 		} else {
-			return dst, false
+			return h, false
 		}
-		if d.byte() == 0 {
-			d.bytes() // the state
+		if c := d.byte(); c == 0 {
+			h.softDeleted = State(d.bytes()) == StateSoftDeleted
+		} else if int(c) < len(stateCodes) {
+			h.softDeleted = stateCodes[c] == StateSoftDeleted
 		}
 		d.bytes() // the owner
-		if rawParent = value[2]&flagParentRaw != 0; rawParent {
-			parent = d.skip(ids.RawLen)
+		if h.rawParent = value[2]&flagParentRaw != 0; h.rawParent {
+			h.parent = d.skip(ids.RawLen)
 		} else {
-			parent = d.bytes()
+			h.parent = d.bytes()
 		}
+		h.name = d.bytes()
 		if d.err != nil {
-			return dst, false
+			return h, false
 		}
 	default:
+		return h, false
+	}
+	if bytes.IndexByte(h.typ, 0) >= 0 || bytes.IndexByte(h.name, 0) >= 0 || !h.rawParent && bytes.IndexByte(h.parent, 0) >= 0 {
+		return h, false
+	}
+	return h, true
+}
+
+// appendParent appends the head's parent as an ID's string.
+func (h *recordHead) appendParent(dst []byte) []byte {
+	if h.rawParent {
+		return hex.AppendEncode(dst, h.parent)
+	}
+	return append(dst, h.parent...)
+}
+
+// childGroup is the child table's derivation (store.DeriveIndex): it appends
+// to dst the group an entity record's value names, parent\0TYPE\0 — the
+// prefix ChildKey gives its children of that type. A value without a head
+// (readHead) names none.
+func childGroup(dst, value []byte) ([]byte, bool) {
+	h, ok := readHead(value)
+	if !ok {
 		return dst, false
 	}
-	if bytes.IndexByte(typ, 0) >= 0 || !rawParent && bytes.IndexByte(parent, 0) >= 0 {
+	dst = append(h.appendParent(dst), 0)
+	dst = append(append(append(dst, h.typ...), h.coded...), 0)
+	return dst, true
+}
+
+// nameGroup is the group of the name table's derivation: it appends to dst
+// NameGroupOf(type)\0parent\0 of an entity that is not soft deleted — the prefix
+// NameKey gives the names of its group under its parent — and names none for
+// a soft-deleted one or a value without a head.
+func nameGroup(dst, value []byte) ([]byte, bool) {
+	h, ok := readHead(value)
+	if !ok || h.softDeleted {
 		return dst, false
 	}
-	if rawParent {
-		dst = hex.AppendEncode(dst, parent)
-	} else {
-		dst = append(dst, parent...)
+	t := h.coded
+	if t == "" {
+		t = SecurableType(h.typ)
 	}
-	dst = append(append(append(dst, 0), typ...), coded...)
-	return append(dst, 0), true
+	dst = append(append(dst, NameGroupOf(t)...), 0)
+	return append(h.appendParent(dst), 0), true
+}
+
+// nameSort is the sort key of the name table's derivation: the entity's name,
+// lowered as NameKey lowers it.
+func nameSort(dst, value []byte) []byte {
+	h, _ := readHead(value)
+	for i, c := range h.name {
+		if c >= utf8.RuneSelf {
+			return append(dst, strings.ToLower(string(h.name[i:]))...)
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }
 
 // DecodeEntityRows decodes the pairs of an entity-table scan (key = ID) into

@@ -224,12 +224,12 @@ func TestRecordSizes(t *testing.T) {
 	}
 	defer db.Close()
 	db.CreateMetastore("m")
-	if _, err := db.Update("m", func(tx *store.Tx) error { return PutEntity(tx, e, "RELATION") }); err != nil {
+	if _, err := db.Update("m", func(tx *store.Tx) error { return PutEntity(tx, e) }); err != nil {
 		t.Fatal(err)
 	}
 	snap, _ := db.Snapshot("m")
 	defer snap.Close()
-	for table, want := range map[string]int{TableChild: 0, TableName: ids.RawLen, TablePath: ids.RawLen} {
+	for table, want := range map[string]int{TableChild: 0, TableName: len(id), TablePath: ids.RawLen} {
 		kvs := snap.Scan(table, "")
 		if len(kvs) != 1 || len(kvs[0].Value) != want || IndexedID(kvs[0]) != id {
 			t.Errorf("%s rows %v: want one row with a %d-byte value that reads back as %s", table, kvs, want, id)

@@ -22,6 +22,7 @@ import (
 	"regexp"
 	"strings"
 	"time"
+	"unsafe"
 
 	"unitycatalog/internal/ids"
 	"unitycatalog/internal/privilege"
@@ -118,9 +119,6 @@ type TypeManifest struct {
 	Type SecurableType
 	// ParentTypes lists the securable types that may contain this type.
 	ParentTypes []SecurableType
-	// NameGroup is the namespace-uniqueness group within a parent; types
-	// sharing a group (TABLE and VIEW) cannot reuse each other's names.
-	NameGroup string
 	// HasStorage marks types with backing cloud storage, enabling by-path
 	// lookup and the one-asset-per-path extension point.
 	HasStorage bool
@@ -165,13 +163,11 @@ func NewRegistry() *Registry {
 }
 
 // Register adds or replaces an asset-type manifest. It returns an error if
-// the manifest is malformed.
+// the manifest is malformed. A type's names are unique within its name group
+// (NameGroupOf), which no manifest chooses.
 func (r *Registry) Register(m TypeManifest) error {
 	if m.Type == "" {
 		return errors.New("erm: manifest missing type")
-	}
-	if m.NameGroup == "" {
-		m.NameGroup = string(m.Type)
 	}
 	if m.NameMaxLen == 0 {
 		m.NameMaxLen = 255
@@ -261,7 +257,6 @@ func builtinManifests() []TypeManifest {
 		{
 			Type:                TypeTable,
 			ParentTypes:         []SecurableType{TypeSchema},
-			NameGroup:           "RELATION",
 			HasStorage:          true,
 			SupportsManaged:     true,
 			CreatePrivilege:     privilege.CreateTable,
@@ -280,7 +275,6 @@ func builtinManifests() []TypeManifest {
 		{
 			Type:                TypeView,
 			ParentTypes:         []SecurableType{TypeSchema},
-			NameGroup:           "RELATION",
 			CreatePrivilege:     privilege.CreateTable,
 			ReadPrivilege:       privilege.Select,
 			WritePrivilege:      privilege.Modify,
@@ -415,7 +409,7 @@ func builtinManifests() []TypeManifest {
 // Store table names used by the model.
 const (
 	TableEntity = "entity" // id -> Entity (codec.go; older forms accepted on read)
-	TableName   = "name"   // nameKey -> id (IDValue)
+	TableName   = "name"   // nameKey -> id (the entity's key), derived from the entity records (nameGroup)
 	TablePath   = "path"   // storage path -> id (data assets; one-asset-per-path)
 	TableExtLoc = "extloc" // storage path -> id (external locations: containers of asset paths)
 	TableChild  = "child"  // childKey -> nothing, derived from the entity records (childGroup)
@@ -435,9 +429,29 @@ var Tables = []string{
 	TableTag, TableTagIdx, TableABAC, TableLineage, TableLineageUp,
 }
 
-// The child table is not written: the store derives a row from every entity
-// record (store.DeriveIndex), the ChildKey of its parent, type and ID.
-func init() { store.DeriveIndex(TableChild, TableEntity, childGroup) }
+// The child and name tables are not written: the store derives them from the
+// entity records (store.DeriveIndex). A record's child row is the ChildKey of
+// its parent, type and ID; an entity that is not soft deleted has the name
+// row NameKey(NameGroupOf(type), parent, name), one live entity at most.
+func init() {
+	store.DeriveIndex(TableChild, TableEntity, store.Derivation{Group: childGroup})
+	store.DeriveIndex(TableName, TableEntity, store.Derivation{Group: nameGroup, Sort: nameSort, Names: namesID})
+}
+
+// namesID reports whether a name row a log holds names entity id: its value
+// is IDValue(id), or the ID's string a log of JSON lines wrote.
+func namesID(value []byte, id string) bool { return IndexedID(store.KV{Value: value}) == ids.ID(id) }
+
+// NameGroupOf is the name-uniqueness group of a type within a parent: TABLE
+// and VIEW share RELATION, so neither can reuse the other's names, and every
+// other type is a group of its own. The name table derives it from a record's
+// type.
+func NameGroupOf(t SecurableType) string {
+	if t == TypeTable || t == TypeView {
+		return "RELATION"
+	}
+	return string(t)
+}
 
 // pathTableFor returns the path index an entity type belongs to: external
 // locations are containers that legitimately enclose asset paths, so they
@@ -521,17 +535,17 @@ func TagIdxParts(idxKey string) (sec ids.ID, column string, ok bool) {
 	return ids.ID(rest[:j]), rest[j+1:], true
 }
 
-// PutEntity writes the entity record and its indexes inside tx.
-func PutEntity(tx *store.Tx, e *Entity, group string) error {
+// PutEntity writes the entity record and its path row inside tx; the store
+// derives its child and name rows, and refuses the commit (store.ErrRowTaken)
+// when another live entity of its group and parent has its name.
+func PutEntity(tx *store.Tx, e *Entity) error {
 	b, err := EncodeEntity(e)
 	if err != nil {
 		return fmt.Errorf("erm: encode entity: %w", err)
 	}
-	idv := IDValue(e.ID)
 	tx.Put(TableEntity, string(e.ID), b)
-	tx.Put(TableName, NameKey(group, e.ParentID, e.Name), idv)
 	if e.StoragePath != "" {
-		tx.Put(pathTableFor(e.Type), e.StoragePath, idv)
+		tx.Put(pathTableFor(e.Type), e.StoragePath, IDValue(e.ID))
 	}
 	return nil
 }
@@ -546,10 +560,10 @@ func UpdateEntity(tx *store.Tx, e *Entity) error {
 	return nil
 }
 
-// DeleteEntity removes the entity record and its indexes inside tx.
-func DeleteEntity(tx *store.Tx, e *Entity, group string) {
+// DeleteEntity removes the entity record, and with it its derived rows, and
+// its path row inside tx.
+func DeleteEntity(tx *store.Tx, e *Entity) {
 	tx.Delete(TableEntity, string(e.ID))
-	tx.Delete(TableName, NameKey(group, e.ParentID, e.Name))
 	if e.StoragePath != "" {
 		tx.Delete(pathTableFor(e.Type), e.StoragePath)
 	}
@@ -612,8 +626,9 @@ func GetEntity(r Reader, id ids.ID) (*Entity, bool) {
 const idLiteral = 0xff
 
 // IDValue is the value an index row that maps a key to an entity stores (the
-// name, path and external-location tables): the ID's 16 bytes, or for an ID
-// that is not 32 hex digits its string. IndexedID reads all of them back.
+// path and external-location tables, and the name table before it was
+// derived): the ID's 16 bytes, or for an ID that is not 32 hex digits its
+// string. IndexedID reads all of them back.
 func IDValue(id ids.ID) []byte {
 	if raw, ok := id.AppendRaw(make([]byte, 0, ids.RawLen)); ok {
 		return raw
@@ -624,13 +639,14 @@ func IDValue(id ids.ID) []byte {
 	return []byte(id)
 }
 
-// IndexedID returns the entity ID an index pair points at (the child, name,
-// path and external-location tables all map a key to an ID), whichever form
-// the row has: an empty value (a child row, derived: the ID is the key's last
-// part), the ID's 16 bytes, or its string — the only form before record
-// format 2, 32 hex digits then. For a child row the ID is a substring of the
-// key and costs no allocation; for any other it is a string of its own,
-// exactly sized.
+// IndexedID returns the entity ID a stored index pair points at (the path
+// and external-location tables map a key to an ID, as the name table did),
+// whichever form the row has: an empty value (a child row, derived: the ID is
+// the key's last part), the ID's 16 bytes, or its string — the only form
+// before record format 2, 32 hex digits then. For a child row the ID is a
+// substring of the key and costs no allocation; for any other it is a string
+// of its own, exactly sized. A derived name row's value is its entity's key
+// as it is, which LookupID reads.
 func IndexedID(kv store.KV) ids.ID {
 	k, v := kv.Key, kv.Value
 	switch n := len(v); {
@@ -651,6 +667,9 @@ func IndexedID(kv store.KV) ids.ID {
 // DecodedReader the ID is copied out of the record once per cached version,
 // not once per lookup.
 func LookupID(r Reader, table, key string) (ids.ID, bool) {
+	if table == TableName {
+		return nameID(r, key)
+	}
 	if dr, ok := r.(DecodedReader); ok {
 		d, ok := dr.GetDecoded(table, key, sharedID)
 		if !ok {
@@ -665,9 +684,32 @@ func LookupID(r Reader, table, key string) (ids.ID, bool) {
 	return IndexedID(store.KV{Key: key, Value: idb}), true
 }
 
-// sharedEntity and sharedID are the decode functions of the entity table and
-// of the index tables for a DecodedReader: package-level, so passing one
-// allocates nothing.
+// nameID is LookupID of the name table, whose derived value is the entity's
+// key itself.
+func nameID(r Reader, key string) (ids.ID, bool) {
+	if dr, ok := r.(DecodedReader); ok {
+		d, ok := dr.GetDecoded(TableName, key, sharedKeyID)
+		if !ok {
+			return ids.Nil, false
+		}
+		return d.(ids.ID), true
+	}
+	idb, ok := r.Get(TableName, key)
+	if !ok {
+		return ids.Nil, false
+	}
+	return ids.ID(idb), true
+}
+
+// sharedKeyID reads a name row's value, which the store hands out as its
+// entity record's own key string: the ID is that string, not a copy.
+func sharedKeyID(_ string, rec []byte) (any, error) {
+	return ids.ID(unsafe.String(unsafe.SliceData(rec), len(rec))), nil
+}
+
+// sharedEntity, sharedID and sharedKeyID are the decode functions of the
+// entity table, of the stored index tables and of the name table for a
+// DecodedReader: package-level, so passing one allocates nothing.
 func sharedEntity(key string, rec []byte) (any, error) {
 	e, err := decodeEntity(rec, ids.ID(key), true)
 	if err != nil {

@@ -17,10 +17,8 @@ func TestRegistryBuiltins(t *testing.T) {
 		}
 	}
 	// Tables and views share a name group.
-	tm, _ := r.Manifest(TypeTable)
-	vm, _ := r.Manifest(TypeView)
-	if tm.NameGroup != "RELATION" || vm.NameGroup != "RELATION" {
-		t.Fatalf("relation groups: %q, %q", tm.NameGroup, vm.NameGroup)
+	if tg, vg := NameGroupOf(TypeTable), NameGroupOf(TypeView); tg != "RELATION" || vg != "RELATION" {
+		t.Fatalf("relation groups: %q, %q", tg, vg)
 	}
 }
 
@@ -57,7 +55,7 @@ func TestRegisterCustomType(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, ok := r.Manifest("DASHBOARD")
-	if !ok || m.NameGroup != "DASHBOARD" || m.NameMaxLen != 255 {
+	if !ok || NameGroupOf(m.Type) != "DASHBOARD" || m.NameMaxLen != 255 {
 		t.Fatalf("manifest = %+v, %v", m, ok)
 	}
 	if err := r.Register(TypeManifest{}); err == nil {
@@ -132,7 +130,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		StoragePath: "s3://b/wh/orders",
 	}
 	if _, err := db.Update("m", func(tx *store.Tx) error {
-		return PutEntity(tx, e, "RELATION")
+		return PutEntity(tx, e)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +169,8 @@ func TestDeleteEntityRemovesIndexes(t *testing.T) {
 	db.CreateMetastore("m")
 	parent := ids.New()
 	e := &Entity{ID: ids.New(), Type: TypeVolume, Name: "v1", ParentID: parent, StoragePath: "s3://b/v1"}
-	db.Update("m", func(tx *store.Tx) error { return PutEntity(tx, e, string(TypeVolume)) })
-	db.Update("m", func(tx *store.Tx) error { DeleteEntity(tx, e, string(TypeVolume)); return nil })
+	db.Update("m", func(tx *store.Tx) error { return PutEntity(tx, e) })
+	db.Update("m", func(tx *store.Tx) error { DeleteEntity(tx, e); return nil })
 
 	snap, _ := db.Snapshot("m")
 	defer snap.Close()
@@ -204,5 +202,58 @@ func TestKeyBuilders(t *testing.T) {
 	}
 	if TagKey(sec, "k") == ColumnTagKey(sec, "c", "k") {
 		t.Fatal("column tags must not collide with entity tags")
+	}
+}
+
+// TestNoNameRowIsWritten: creating, renaming, soft-deleting, undeleting and
+// purging an entity writes no name row — the store derives it, refuses a
+// write to it, and a WAL frame therefore carries none — and a reopened log
+// finds the entity by name again.
+func TestNoNameRowIsWritten(t *testing.T) {
+	path := t.TempDir() + "/wal"
+	db, err := store.Open(store.Options{WALPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.CreateMetastore("m")
+	parent := ids.New()
+	e := &Entity{ID: ids.New(), Type: TypeTable, Name: "Orders", ParentID: parent, State: StateActive}
+	steps := []func(tx *store.Tx) error{
+		func(tx *store.Tx) error { return PutEntity(tx, e) },
+		func(tx *store.Tx) error { e.Name = "orders"; return UpdateEntity(tx, e) },
+		func(tx *store.Tx) error { e.State = StateSoftDeleted; return UpdateEntity(tx, e) },
+		func(tx *store.Tx) error { e.State = StateActive; return PutEntity(tx, e) },
+	}
+	for i, step := range steps {
+		if _, err := db.Update("m", func(tx *store.Tx) error {
+			if err := step(tx); err != nil {
+				return err
+			}
+			for _, w := range tx.Writes() {
+				if w.Table == TableName || w.Table == TableChild {
+					t.Errorf("step %d writes %s row %q", i, w.Table, w.Key)
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Update("m", func(tx *store.Tx) error {
+		tx.Put(TableName, NameKey("RELATION", parent, "x"), IDValue(e.ID))
+		return nil
+	}); err == nil {
+		t.Error("the store took a name row")
+	}
+	db.Close()
+	db, err = store.Open(store.Options{WALPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	snap, _ := db.Snapshot("m")
+	defer snap.Close()
+	if got, ok := GetByName(snap, "RELATION", parent, "ORDERS"); !ok || got.ID != e.ID {
+		t.Fatalf("after replay, ORDERS names %v (%v)", got, ok)
 	}
 }

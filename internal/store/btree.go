@@ -35,8 +35,8 @@ package store
 //     an array of its own size, and a full leaf that is handed a second
 //     insert at its end keeps everything and gives that key a leaf of its
 //     own: an ascending run of inserts — the children of one parent, which is
-//     how name and path rows and a group's records arrive — leaves full
-//     leaves behind it instead of half-empty ones. Any other insert into a
+//     how path rows arrive — leaves full leaves behind it instead of
+//     half-empty ones. Any other insert into a
 //     full leaf splits it in half, so no load leaves leaves under half full.
 //     btree.slots counts the allocated leaf slots, so size/slots is the fill
 //     (uc_store_index_leaf_fill).

@@ -4,38 +4,61 @@ package store
 //
 // A derived table stores nothing: its rows are a function of another table's
 // records. DeriveIndex declares one. A record of the source table whose value
-// derives a group — a key prefix — is the row group+key of the derived table,
-// live at exactly the versions at which the record is. erm declares the child
-// table so: an entity's group is parent\0TYPE\0, so its row is the
-// parent\0TYPE\0id that ChildKey builds, and a parent's children are a walk of
-// the entity records of its groups.
+// derives a group — a key prefix — and a sort key within it is the row
+// group+sort of the derived table, live at exactly the versions at which the
+// record is and its value there derives that row. erm declares two:
+//
+//   - the child table, keyed by its records: an entity's group is
+//     parent\0TYPE\0 and its sort key is its own ID, so its row is the
+//     parent\0TYPE\0id that ChildKey builds, and a parent's children are a
+//     walk of the entity records of its groups;
+//   - the name table: an active entity's group is group\0parent\0, its type's
+//     name group (erm.NameGroupOf) and its parent, and its sort key its
+//     lowered name, the NameKey it is found by; a soft-deleted one derives
+//     none.
 //
 // A metastore keeps, per derived table, its groups in ascending order of
-// their key, each a B+tree of the source's records ordered by their own key.
-// Membership follows the source's key table, as the source's own tree does: a
-// record joins its group when it first holds a value (putLocked) and leaves it
-// when it is removed (removeRecordLocked). Readers filter every record through
-// record.at(v), so snapshots, cache views, page cursors and transactions see
-// the rows that a record and its row written and deleted in the same commits
+// their key, each a slice of entries ordered by the row each derives, then by
+// the record's key: an entry is the record itself, under the row its newest
+// value (a tombstone's: the one it deleted) derives, or a shadow, under a row
+// only older versions still derive. Membership follows the source's key table
+// and its versions: a record joins its group when it first holds a value
+// (putLocked), a version that moves it to another row leaves a shadow behind
+// (putLocked), the shadow goes when pruneLocked drops the last version that
+// derives its row, and every entry goes when the record is removed
+// (removeRecordLocked). Readers filter every entry through record.at(v), and
+// an entry of a table that is not keyed also through the row the value at v
+// derives, so snapshots, cache views, page cursors and transactions see the
+// rows that rows written and deleted beside their records in the same commits
 // would show. What keeps that true:
 //
-//   - a record's group never changes: a commit that would give a record a
-//     value of another group, or of none after one of a group, is refused,
-//     and a replay that meets one fails (checkDerivedLocked);
+//   - a keyed record's group never changes: a commit that would give a record
+//     a value of another group, or of none after one of a group, is refused,
+//     and a replay that meets one fails (checkDerivedLocked). So a keyed
+//     record has one entry, never a shadow, and its row is live whenever it
+//     is;
+//   - a table that is not keyed is unique: a commit that would leave two live
+//     records deriving one row is refused (ErrRowTaken);
 //   - a source record's tombstone keeps the value it deletes, so a record
-//     reclaimed long after its delete still names its group. It costs
-//     nothing: the version behind the tombstone holds the same bytes;
+//     reclaimed long after its delete still names its rows. It costs nothing:
+//     the version behind the tombstone holds the same bytes;
 //   - a derived table takes no writes. A log written while the rows were
 //     stored holds them: replay checks each against what the records derive,
-//     then drops it.
+//     then drops it;
+//   - a row keyed apart from its record has no change of its record's to
+//     name it, so a commit names each such row it makes live or dead in the
+//     change log (Tx.Rows): caches keep those rows, as they keep stored ones.
 //
-// No group key may be a prefix of another: rows then sort by group, then by
-// the record's key, which is the order of the row keys themselves.
+// No group key may be a prefix of another, and no sort key holds a 0 byte:
+// rows then sort by group, then by sort key, which is the order of the row
+// keys themselves.
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"unsafe"
 )
 
@@ -43,43 +66,81 @@ import (
 // reports whether it derives one. It keeps neither slice.
 type GroupFunc func(dst, value []byte) ([]byte, bool)
 
+// SortFunc appends to dst the sort key a source record's value derives within
+// the group GroupFunc derives from it, which must hold no 0 byte. It keeps
+// neither slice.
+type SortFunc func(dst, value []byte) []byte
+
+// Derivation is what a derived table's rows are made of (see the file
+// comment).
+type Derivation struct {
+	Group GroupFunc
+	// Sort derives a row's sort key, and makes the table unique: a commit
+	// that would leave two live records deriving one row is refused. Nil
+	// keys every row by its record: the sort key is the record's own key.
+	Sort SortFunc
+	// Names reports whether value, held by a row of the table in a log
+	// written while the rows were stored, names the record whose key is key.
+	// Nil accepts an empty value and the key itself.
+	Names func(value []byte, key string) bool
+}
+
+// ErrRowTaken is what a commit that would leave two live records deriving one
+// row of a table with a Sort fails with, wrapped with the row and both
+// records' keys.
+var ErrRowTaken = errors.New("store: row already derived by a live record")
+
 type derivation struct {
 	table, source string
-	group         GroupFunc
+	Derivation
 }
+
+// keyed reports whether every row's sort key is its record's key.
+func (d *derivation) keyed() bool { return d.Sort == nil }
 
 // derivations is written only by DeriveIndex, before any DB opens.
 var derivations []*derivation
 
 // DeriveIndex declares table a derived table of source (see the file
 // comment): every database in the process serves it, and every log is
-// replayed with it. Call it from an init function. It panics when either
-// table already takes part in a derivation.
-func DeriveIndex(table, source string, group GroupFunc) {
-	for _, d := range derivations {
-		if d.table == table || d.source == table || d.table == source || d.source == source {
-			panic(fmt.Sprintf("store: DeriveIndex(%q, %q): %q is derived from %q already", table, source, d.table, d.source))
+// replayed with it. Call it from an init function. A source may have several
+// derived tables; it panics when table is already a table or a source of
+// one, or source is a derived table.
+func DeriveIndex(table, source string, d Derivation) {
+	for _, o := range derivations {
+		if o.table == table || o.source == table || o.table == source {
+			panic(fmt.Sprintf("store: DeriveIndex(%q, %q): %q is derived from %q already", table, source, o.table, o.source))
 		}
 	}
-	derivations = append(derivations, &derivation{table: table, source: source, group: group})
+	derivations = append(derivations, &derivation{table: table, source: source, Derivation: d})
 }
 
-// Derived reports whether table is a derived table.
-func Derived(table string) bool {
+// ChangesNamed reports whether the change log names every key of table that
+// a commit changes: true for a stored table and for a derived one whose rows
+// are not keyed by their records, false for a keyed one, whose rows change
+// with their records under the records' own keys.
+func ChangesNamed(table string) bool {
+	d := derivationOf(table)
+	return d == nil || !d.keyed()
+}
+
+func derivationOf(table string) *derivation {
 	for _, d := range derivations {
 		if d.table == table {
-			return true
+			return d
 		}
 	}
-	return false
+	return nil
 }
 
 // GroupRow is a row of a derived table in its source's terms: Group is the
-// key prefix the row shares with its group (the group's own string), Key and
-// Value the source record's key and value at the reader's version. The row's
-// key in the derived table is Group+Key; its value there is empty.
+// key prefix the row shares with its group (the group's own string), Sort the
+// row's sort key (Key itself in a table keyed by its records), Key and Value
+// the source record's key and value at the reader's version. The row's key in
+// the derived table is Group+Sort; its value there is rowValue's.
 type GroupRow struct {
 	Group string
+	Sort  string
 	KV
 }
 
@@ -87,12 +148,24 @@ type GroupRow struct {
 type groupIndex struct {
 	d      *derivation
 	groups []*group // ascending by key
-	n      int      // records across the groups
+	n      int      // entries across the groups
 }
 
 type group struct {
 	key  string
-	recs btree
+	rows []*record // entries, by row, then key
+}
+
+// shadowCommit marks a shadow: an entry for a row that only older versions of
+// its record, prev, derive; its value is one of theirs.
+const shadowCommit = ^uint64(0)
+
+// owner returns the record an entry stands for.
+func (e *record) owner() *record {
+	if e.commit == shadowCommit {
+		return e.prev
+	}
+	return e
 }
 
 func newGroupIndexes() []*groupIndex {
@@ -113,26 +186,84 @@ func (m *metastore) derivedTable(table string) *groupIndex {
 	return nil
 }
 
-// derivedFrom returns the derived table whose source is table, or nil.
-func (m *metastore) derivedFrom(table string) *groupIndex {
+// sources reports whether table is the source of any derived table.
+func (m *metastore) sources(table string) bool {
 	for _, gi := range m.derived {
 		if gi.d.source == table {
-			return gi
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
-// groupOf derives the group of value into the metastore's scratch buffer: the
-// result is valid until the next call. Caller holds stateMu for writing.
-func (m *metastore) groupOf(gi *groupIndex, value []byte) (string, bool) {
-	b, ok := gi.d.group(m.scratch[:0], value)
-	m.scratch = b[:0]
-	if !ok {
-		return "", false
+// rowBufs hold the rows readers derive, one buffer a read.
+var rowBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readBuf returns a buffer for a read of gi to derive rows in, to be handed
+// back with putReadBuf; nil for a keyed table, whose readers derive nothing
+// (sortOf, holds).
+func (gi *groupIndex) readBuf() *[]byte {
+	if gi.d.keyed() {
+		return nil
 	}
-	return unsafe.String(unsafe.SliceData(b), len(b)), true
+	return rowBufs.Get().(*[]byte)
 }
+
+func putReadBuf(buf *[]byte) {
+	if buf != nil {
+		rowBufs.Put(buf)
+	}
+}
+
+// rowOf appends to dst the row that record key's value derives, group then
+// sort key, and returns it with the group's length; ok is false when it
+// derives none.
+func (gi *groupIndex) rowOf(dst []byte, key string, value []byte) (row []byte, group int, ok bool) {
+	n := len(dst)
+	b, ok := gi.d.Group(dst, value)
+	if !ok {
+		return b[:n], 0, false
+	}
+	group = len(b) - n
+	if gi.d.keyed() {
+		return append(b, key...), group, true
+	}
+	return gi.d.Sort(b, value), group, true
+}
+
+// sortOf returns the sort key of entry e: its record's key in a keyed table,
+// else derived into *buf.
+func (gi *groupIndex) sortOf(buf *[]byte, e *record) []byte {
+	if gi.d.keyed() {
+		return keyBytes(e.key)
+	}
+	*buf = gi.d.Sort((*buf)[:0], e.value())
+	return *buf
+}
+
+// rowValue is the value of record key's row: empty in a table keyed by its
+// records, else the record's key.
+func (gi *groupIndex) rowValue(key string) []byte {
+	if gi.d.keyed() {
+		return []byte{}
+	}
+	return keyBytes(key)
+}
+
+// keepSort returns sort, the sort key of record r's row during a walk, as a
+// string that outlives the walk.
+func (gi *groupIndex) keepSort(r *record, sort []byte) string {
+	if gi.d.keyed() {
+		return r.key
+	}
+	return string(sort)
+}
+
+func str(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// keyBytes is a record's key as a row value: the store's own string, which no
+// one writes to.
+func keyBytes(key string) []byte { return unsafe.Slice(unsafe.StringData(key), len(key)) }
 
 // find returns the position of the first group whose key is >= k, and
 // whether that group's key is k.
@@ -152,113 +283,215 @@ func (gi *groupIndex) holding(k string) *group {
 	return nil
 }
 
-// add puts r in group key, making the group if it is new; key may be scratch.
-func (gi *groupIndex) add(key string, r *record) {
-	i, found := gi.find(key)
-	if !found {
-		gi.groups = slices.Insert(gi.groups, i, &group{key: strings.Clone(key), recs: btree{root: &bnode{leaf: true}}})
+// search returns the position in g.rows of the first entry at or after
+// (sort, key).
+func (gi *groupIndex) search(g *group, buf *[]byte, sort, key string) int {
+	lo, hi := 0, len(g.rows)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		e := g.rows[mid]
+		c := strings.Compare(str(gi.sortOf(buf, e)), sort)
+		if c < 0 || c == 0 && e.key < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	g := gi.groups[i]
-	size := g.recs.size
-	g.recs.insert(r)
-	gi.n += g.recs.size - size
+	return lo
 }
 
-// remove takes r out of group key, and drops the group once it is empty.
-func (gi *groupIndex) remove(key string, r *record) {
+// add puts entry e in group key (making the group if it is new) under sort:
+// an entry of the same record already there gives way to it. key and sort
+// may be scratch, but not buf, where the search derives.
+func (gi *groupIndex) add(key, sort string, e *record, buf *[]byte) {
+	i, found := gi.find(key)
+	if !found {
+		gi.groups = slices.Insert(gi.groups, i, &group{key: strings.Clone(key)})
+	}
+	g := gi.groups[i]
+	j := gi.search(g, buf, sort, e.key)
+	if j < len(g.rows) && g.rows[j].key == e.key && str(gi.sortOf(buf, g.rows[j])) == sort {
+		g.rows[j] = e
+		return
+	}
+	g.rows = slices.Insert(g.rows, j, e)
+	gi.n++
+}
+
+// remove takes record r's entry under (key, sort) out of its group, and
+// drops the group once it is empty. With shadowOnly, an entry that is r
+// itself stays. As for add, key and sort are not in buf.
+func (gi *groupIndex) remove(key, sort string, r *record, buf *[]byte, shadowOnly bool) {
 	i, found := gi.find(key)
 	if !found {
 		return
 	}
 	g := gi.groups[i]
-	size := g.recs.size
-	g.recs.delete(r.key)
-	gi.n -= size - g.recs.size
-	if g.recs.size == 0 {
+	j := gi.search(g, buf, sort, r.key)
+	if j == len(g.rows) || g.rows[j].owner() != r || shadowOnly && g.rows[j] == r || str(gi.sortOf(buf, g.rows[j])) != sort {
+		return
+	}
+	g.rows = slices.Delete(g.rows, j, j+1)
+	gi.n--
+	if len(g.rows) == 0 {
 		gi.groups = slices.Delete(gi.groups, i, i+1)
 	}
 }
 
-// lookup returns the record of row key k, or nil.
-func (gi *groupIndex) lookup(k string) *record {
+// holds reports whether entry e, under row group+sort, stands for its record
+// r's value val at a reader's version: a keyed record's row never changes,
+// and any other's value holds the row if it is the entry's own or derives
+// it. buf's contents up to its length are kept.
+func (gi *groupIndex) holds(buf *[]byte, e, r *record, val []byte, group string, sort []byte) bool {
+	if gi.d.keyed() || unsafe.SliceData(val) == e.data {
+		return true
+	}
+	n := len(*buf)
+	b, g, ok := gi.rowOf(*buf, r.key, val)
+	match := ok && str(b[n:n+g]) == group && str(b[n+g:]) == str(sort)
+	*buf = b[:n]
+	return match
+}
+
+// lookupLocked returns the record whose row is k at version v and its value
+// there, or nil. Caller holds ms.stateMu.
+func (gi *groupIndex) lookupLocked(k string, v uint64) (*record, []byte) {
 	g := gi.holding(k)
 	if g == nil {
-		return nil
+		return nil, nil
 	}
-	var r *record
-	id := k[len(g.key):]
-	g.recs.ascend(id, func(x *record) bool {
-		if x.key == id {
-			r = x
+	sort := k[len(g.key):]
+	buf := gi.readBuf()
+	defer putReadBuf(buf)
+	for i := gi.search(g, buf, sort, ""); i < len(g.rows); i++ {
+		e := g.rows[i]
+		s := gi.sortOf(buf, e)
+		if str(s) != sort {
+			break
 		}
-		return false
-	})
-	return r
+		r := e.owner()
+		if val, live := r.at(v); live && gi.holds(buf, e, r, val, g.key, s) {
+			return r, val
+		}
+	}
+	return nil, nil
 }
 
 // walkLocked calls fn for each record whose row has prefix and lies in
 // [start, end) (end "" unbounded) and that is live at v, in row order, until
-// fn returns false. Caller holds ms.stateMu.
-func (gi *groupIndex) walkLocked(prefix, start, end string, v uint64, fn func(g *group, r *record, val []byte) bool) {
+// fn returns false: with the row's group, the record, the row's sort key
+// (valid during the call; keepSort keeps it) and the record's value at v.
+// Caller holds ms.stateMu.
+func (gi *groupIndex) walkLocked(prefix, start, end string, v uint64, fn func(g *group, r *record, sort, val []byte) bool) {
 	lo := max(start, prefix)
 	i, found := gi.find(lo)
 	if !found && i > 0 && strings.HasPrefix(lo, gi.groups[i-1].key) {
 		i--
 	}
+	buf := gi.readBuf()
+	defer putReadBuf(buf)
 	for ; i < len(gi.groups); i++ {
 		g := gi.groups[i]
-		from, more := "", true
+		from := ""
 		if strings.HasPrefix(lo, g.key) {
 			from = lo[len(g.key):]
 		}
-		g.recs.ascend(from, func(r *record) bool {
-			if !joinedHasPrefix(g.key, r.key, prefix) || end != "" && compareJoined(g.key, r.key, end) >= 0 {
-				more = false
-				return false
+		for j := gi.search(g, buf, from, ""); j < len(g.rows); j++ {
+			e := g.rows[j]
+			s := gi.sortOf(buf, e)
+			if !joinedHasPrefix(g.key, str(s), prefix) || end != "" && compareJoined(g.key, str(s), end) >= 0 {
+				return
 			}
-			if val, live := r.at(v); live && !fn(g, r, val) {
-				more = false
-				return false
+			r := e.owner()
+			if val, live := r.at(v); live && gi.holds(buf, e, r, val, g.key, s) && !fn(g, r, s, val) {
+				return
 			}
-			return true
-		})
-		if !more {
-			return
 		}
 	}
 }
 
 // rowsLocked returns up to limit (<= 0: all) rows whose keys have prefix and
 // lie in [start, end), live at v, as the derived table's rows: each key is
-// group+key, their values empty. The keys share one string, built once.
+// group+sort, its value rowValue's. The keys share one string, built once.
 // Caller holds ms.stateMu.
 func (gi *groupIndex) rowsLocked(prefix, start, end string, v uint64, limit int) []KV {
 	var (
 		out    []KV
 		groups []string // the group of each row
+		sorts  sortKeys
 		size   int
 	)
-	gi.walkLocked(prefix, start, end, v, func(g *group, r *record, _ []byte) bool {
+	gi.walkLocked(prefix, start, end, v, func(g *group, r *record, sort, _ []byte) bool {
 		if out == nil && limit > 0 {
 			n := min(limit, gi.n)
 			out, groups = make([]KV, 0, n), make([]string, 0, n)
 		}
-		out, groups = append(out, KV{Key: r.key, Value: []byte{}}), append(groups, g.key)
-		size += len(g.key) + len(r.key)
+		sorts.add(sort)
+		out = append(out, KV{Value: gi.rowValue(r.key)})
+		groups = append(groups, g.key)
+		size += len(g.key) + len(sort)
 		return limit <= 0 || len(out) < limit
 	})
 	var b strings.Builder
 	b.Grow(size)
 	for i := range out {
 		b.WriteString(groups[i])
-		b.WriteString(out[i].Key)
+		b.Write(sorts.at(i))
 	}
 	keys := b.String()
 	for i := range out {
-		n := len(groups[i]) + len(out[i].Key)
+		n := len(groups[i]) + len(sorts.at(i))
 		out[i].Key, keys = keys[:n], keys[n:]
 	}
 	return out
+}
+
+// groupRowsLocked is rowsLocked in the source's terms (GroupRow): the sort
+// keys a table not keyed by its records derives share one string.
+func (gi *groupIndex) groupRowsLocked(start, end string, v uint64, limit int) []GroupRow {
+	var (
+		out   []GroupRow
+		sorts sortKeys
+	)
+	keyed := gi.d.keyed()
+	gi.walkLocked("", start, end, v, func(g *group, r *record, sort, val []byte) bool {
+		if out == nil && limit > 0 {
+			out = make([]GroupRow, 0, min(limit, gi.n))
+		}
+		out = append(out, GroupRow{Group: g.key, Sort: r.key, KV: KV{Key: r.key, Value: val}})
+		if !keyed {
+			sorts.add(sort)
+		}
+		return limit <= 0 || len(out) < limit
+	})
+	if !keyed {
+		all := string(sorts.b)
+		for i := range out {
+			n := len(sorts.at(i))
+			out[i].Sort, all = all[:n], all[n:]
+		}
+	}
+	return out
+}
+
+// sortKeys collects the sort keys of a walk's rows, one after another.
+type sortKeys struct {
+	b    []byte
+	ends []int
+}
+
+func (s *sortKeys) add(sort []byte) {
+	s.b = append(s.b, sort...)
+	s.ends = append(s.ends, len(s.b))
+}
+
+// at returns the i-th sort key added.
+func (s *sortKeys) at(i int) []byte {
+	from := 0
+	if i > 0 {
+		from = s.ends[i-1]
+	}
+	return s.b[from:s.ends[i]]
 }
 
 // compareJoined compares a+b with s without joining them.
@@ -283,67 +516,331 @@ func joinedHasPrefix(a, b, p string) bool {
 	return strings.HasPrefix(p, a) && strings.HasPrefix(b, p[len(a):])
 }
 
+// entered is what putLocked does to a derived table of a record it changes.
+type entered struct {
+	gi    *groupIndex
+	enter bool // put the record's new value under the row it derives
+}
+
+// leaveLocked is putLocked's first half for the derived tables of table: the
+// newest version of record r, which holds a value, is about to give way to
+// value (a delete: keeps its own). A table not keyed by its records whose row
+// the new version changes gets a shadow of the old one in the record's place,
+// and is returned to enterLocked, which puts the record under its new row
+// once it holds it. Caller holds stateMu for writing.
+func (m *metastore) leaveLocked(table string, r *record, value []byte, deleted bool, out []entered) []entered {
+	for _, gi := range m.derived {
+		if gi.d.source != table || gi.d.keyed() || deleted {
+			continue
+		}
+		b, g, wasOK := gi.rowOf(m.scratch[:0], r.key, r.value())
+		n := len(b)
+		b, _, nowOK := gi.rowOf(b, r.key, value)
+		m.scratch = b[:0]
+		if wasOK == nowOK && string(b[:n]) == string(b[n:]) {
+			continue
+		}
+		if wasOK {
+			sh := &record{key: r.key, commit: shadowCommit, data: r.data, n: r.n, prev: r}
+			gi.add(str(b[:g]), str(b[g:n]), sh, &m.search)
+		}
+		out = append(out, entered{gi: gi, enter: nowOK})
+	}
+	return out
+}
+
+// enterLocked is putLocked's second half: record r, now holding its new
+// version, joins the rows it derives — every derived table's when held is
+// false (it held no value before), else those leaveLocked returned. Caller
+// holds stateMu for writing.
+func (m *metastore) enterLocked(table string, r *record, held bool, moved []entered) {
+	if !held {
+		if r.deleted {
+			return
+		}
+		for _, gi := range m.derived {
+			if gi.d.source == table {
+				moved = append(moved, entered{gi: gi, enter: true})
+			}
+		}
+	}
+	for _, mv := range moved {
+		if !mv.enter {
+			continue
+		}
+		b, g, ok := mv.gi.rowOf(m.scratch[:0], r.key, r.value())
+		m.scratch = b[:0]
+		if ok {
+			mv.gi.add(str(b[:g]), str(b[g:]), r, &m.search)
+		}
+	}
+}
+
+// unshadowLocked drops the shadows of record r that only the versions in
+// gone — cut off r's history by pruneLocked — still derived: a row that a
+// version r keeps derives stays. Caller holds stateMu for writing.
+func (m *metastore) unshadowLocked(table string, r, gone *record) {
+	for _, gi := range m.derived {
+		if gi.d.source != table || gi.d.keyed() {
+			continue
+		}
+		for d := gone; d != nil; d = d.prev {
+			if d.data == nil {
+				continue
+			}
+			b, g, ok := gi.rowOf(m.scratch[:0], r.key, d.value())
+			m.scratch = b[:0]
+			if ok && !m.keptRowLocked(gi, r, b) {
+				gi.remove(str(b[:g]), str(b[g:]), r, &m.search, true)
+			}
+		}
+	}
+}
+
+// keptRowLocked reports whether a version in r's history derives row, which
+// is at the start of m.scratch's array and stays there.
+func (m *metastore) keptRowLocked(gi *groupIndex, r *record, row []byte) bool {
+	for x := r; x != nil; x = x.prev {
+		if x.data == nil {
+			continue
+		}
+		b, _, ok := gi.rowOf(row, r.key, x.value())
+		same := ok && string(b[len(row):]) == string(row)
+		row = b[:len(row)]
+		if same {
+			m.scratch = row[:0]
+			return true
+		}
+	}
+	m.scratch = row[:0]
+	return false
+}
+
+// leaveAllLocked takes record r out of every row of table's derived tables
+// that any version of it derives. Caller holds stateMu for writing.
+func (m *metastore) leaveAllLocked(table string, r *record) {
+	for _, gi := range m.derived {
+		if gi.d.source != table {
+			continue
+		}
+		for x := r; x != nil; x = x.prev {
+			if x.data == nil {
+				continue
+			}
+			b, g, ok := gi.rowOf(m.scratch[:0], r.key, x.value())
+			m.scratch = b[:0]
+			if ok {
+				gi.remove(str(b[:g]), str(b[g:]), r, &m.search, false)
+			}
+			if gi.d.keyed() {
+				break // a keyed record's group never changes
+			}
+		}
+	}
+}
+
 // carriedLocked returns the value record key of table would carry after the
 // pending commits: the newest value written to it, a delete keeping the one
-// before it. ok is false when it never held one. Caller holds stateMu.
-func (m *metastore) carriedLocked(table, key string) (val []byte, ok bool) {
+// before it. ok is false when it never held one; live says whether the newest
+// version is not a delete. Caller holds stateMu.
+func (m *metastore) carriedLocked(table, key string) (val []byte, ok, live bool) {
+	live = true
 	for i := len(m.pending) - 1; i >= 0; i-- {
 		p := m.pending[i]
-		if j := p.find(table, key); j >= 0 && !p.writes[j].Deleted {
-			return p.writes[j].Value, true
+		if j := p.find(table, key); j >= 0 {
+			if !p.writes[j].Deleted {
+				return p.writes[j].Value, true, live
+			}
+			live = false
 		}
 	}
 	if r := m.tables[table].get(key); r != nil && r.data != nil {
-		return r.value(), true
+		return r.value(), true, live && !r.deleted
 	}
-	return nil, false
+	return nil, false, false
 }
 
-// checkDerivedLocked refuses writes a derived table cannot take: a write to a
-// derived table itself, unless replay is set (replay checks those rows
-// itself), and a value that would move its record to another group, or out
-// of its group or into one after it held a value of none. Caller holds
-// stateMu for writing.
-func (m *metastore) checkDerivedLocked(writes []Write, replay bool) error {
+// checkDerivedLocked refuses writes a derived table cannot take: a value
+// that would move its record to another group of a keyed table, or out of its
+// group or into one after it held a value of none; and, unless the writes are
+// a replay's (tx nil: replay checks the derived rows a log holds itself), a
+// write to a derived table, and rows a table not keyed by its records would
+// have two live records under once transaction tx, whose writes they are, is
+// in (checkTakenLocked). It appends to rows the rows of tables not keyed by
+// their records that the writes make live or dead, and returns them. Caller
+// holds stateMu for writing.
+func (m *metastore) checkDerivedLocked(writes []Write, tx *Tx, rows []Write) ([]Write, error) {
+	from := len(rows)
 	for i := range writes {
 		w := &writes[i]
 		if gi := m.derivedTable(w.Table); gi != nil {
-			if replay {
+			if tx == nil {
 				continue
 			}
-			return fmt.Errorf("store: table %s is derived from table %s and takes no writes", w.Table, gi.d.source)
+			return rows, fmt.Errorf("store: table %s is derived from table %s and takes no writes", w.Table, gi.d.source)
 		}
-		gi := m.derivedFrom(w.Table)
-		if gi == nil || w.Deleted {
+		if !m.sources(w.Table) {
 			continue
 		}
-		old, held := m.carriedLocked(w.Table, w.Key)
-		if !held {
+		old, held, wasLive := m.carriedLocked(w.Table, w.Key)
+		for _, gi := range m.derived {
+			if gi.d.source != w.Table {
+				continue
+			}
+			if !gi.d.keyed() {
+				rows = m.rowChangeLocked(gi, w, old, held && wasLive, rows)
+			} else if err := m.checkGroupLocked(gi, w, old, held); err != nil {
+				return rows, err
+			}
+		}
+	}
+	if tx == nil {
+		return rows, nil
+	}
+	return rows, m.checkTakenLocked(tx, rows[from:])
+}
+
+// checkGroupLocked refuses a write that would move a keyed table's record
+// to another group, out of its group, or into one after it held a value of
+// none; old is the value it carries, if held.
+func (m *metastore) checkGroupLocked(gi *groupIndex, w *Write, old []byte, held bool) error {
+	if w.Deleted || !held {
+		return nil
+	}
+	// Both groups go to the scratch buffer, one behind the other.
+	b, wasOK := gi.d.Group(m.scratch[:0], old)
+	if !wasOK {
+		b = b[:0]
+	}
+	n := len(b)
+	b, nowOK := gi.d.Group(b, w.Value)
+	if !nowOK {
+		b = b[:n]
+	}
+	m.scratch = b[:0]
+	if wasOK != nowOK || string(b[:n]) != string(b[n:]) {
+		return fmt.Errorf("store: %s/%s: the value would move the record from group %q to %q of table %s", w.Table, w.Key, b[:n], b[n:], gi.d.table)
+	}
+	return nil
+}
+
+// rowChangeLocked appends to rows the row of gi, a table not keyed by its
+// records, that write w makes dead and the one it makes live, if it changes
+// the row its record is live under (old, if wasLive).
+func (m *metastore) rowChangeLocked(gi *groupIndex, w *Write, old []byte, wasLive bool, rows []Write) []Write {
+	b := m.scratch[:0]
+	n, wasOK := 0, false
+	if wasLive {
+		b, _, wasOK = gi.rowOf(m.scratch[:0], w.Key, old)
+		n = len(b)
+	}
+	nowOK := false
+	if !w.Deleted {
+		b, _, nowOK = gi.rowOf(b[:n], w.Key, w.Value)
+	}
+	m.scratch = b[:0]
+	if wasOK == nowOK && (!wasOK || string(b[:n]) == string(b[n:])) {
+		return rows
+	}
+	if wasOK {
+		rows = append(rows, Write{Table: gi.d.table, Key: string(b[:n]), Deleted: true})
+	}
+	if nowOK {
+		rows = append(rows, Write{Table: gi.d.table, Key: string(b[n:]), Value: keyBytes(w.Key)})
+	}
+	return rows
+}
+
+// checkTakenLocked fails with ErrRowTaken when a row that rows, the rows tx
+// changes, make live has another record live under it once tx is in: one the
+// store holds or a pending commit writes (holderLocked), or another of tx's
+// writes. Caller holds stateMu for writing.
+func (m *metastore) checkTakenLocked(tx *Tx, rows []Write) error {
+	live := 0
+	for i := range rows {
+		if !rows[i].Deleted {
+			live++
+		}
+	}
+	var made map[[2]string]string // with several live rows: each one's record
+	if live > 1 {
+		made = make(map[[2]string]string, live)
+	}
+	for i := range rows {
+		rw := &rows[i]
+		if rw.Deleted {
 			continue
 		}
-		// Both groups go to the scratch buffer, one behind the other.
-		b, wasOK := gi.d.group(m.scratch[:0], old)
-		if !wasOK {
-			b = b[:0]
+		gi, key := m.derivedTable(rw.Table), str(rw.Value)
+		holder, taken := m.holderLocked(gi, tx, rw.Key, key)
+		if made != nil && !taken {
+			k := [2]string{rw.Table, rw.Key}
+			holder, taken = made[k]
+			made[k] = key
 		}
-		n := len(b)
-		b, nowOK := gi.d.group(b, w.Value)
-		if !nowOK {
-			b = b[:n]
-		}
-		m.scratch = b[:0]
-		if wasOK != nowOK || string(b[:n]) != string(b[n:]) {
-			return fmt.Errorf("store: %s/%s: the value would move the record from group %q to %q of table %s", w.Table, w.Key, b[:n], b[n:], gi.d.table)
+		if taken {
+			return fmt.Errorf("%w: %s row %q: record %s/%s is live under it, %s/%s would be", ErrRowTaken, rw.Table, rw.Key, gi.d.source, holder, gi.d.source, key)
 		}
 	}
 	return nil
 }
 
+// holderLocked returns a record other than key that the store holds or a
+// pending commit writes and that is live under row once tx is in. Caller
+// holds stateMu for writing.
+func (m *metastore) holderLocked(gi *groupIndex, tx *Tx, row, key string) (string, bool) {
+	// liveUnder reports whether record k, carrying val (live), derives row
+	// once tx is in.
+	liveUnder := func(k string, val []byte, live bool) bool {
+		if i := tx.find(gi.d.source, k); i >= 0 {
+			val, live = tx.writes[i].Value, !tx.writes[i].Deleted
+		}
+		if !live {
+			return false
+		}
+		b, _, ok := gi.rowOf(m.scratch[:0], k, val)
+		m.scratch = b[:0]
+		return ok && string(b) == row
+	}
+	// The applied records under row, at their newest versions.
+	if g := gi.holding(row); g != nil {
+		sort := row[len(g.key):]
+		for i := gi.search(g, &m.scratch, sort, ""); i < len(g.rows); i++ {
+			e := g.rows[i]
+			if str(gi.sortOf(&m.scratch, e)) != sort {
+				break
+			}
+			r := e.owner()
+			if r.key == key {
+				continue
+			}
+			val, _, live := m.carriedLocked(gi.d.source, r.key)
+			if liveUnder(r.key, val, live) {
+				return r.key, true
+			}
+		}
+	}
+	// The records the pending commits give a value.
+	for _, p := range m.pending {
+		for i := range p.writes {
+			w := &p.writes[i]
+			if w.Table != gi.d.source || w.Key == key || w.Deleted {
+				continue
+			}
+			if val, _, live := m.carriedLocked(gi.d.source, w.Key); liveUnder(w.Key, val, live) {
+				return w.Key, true
+			}
+		}
+	}
+	return "", false
+}
+
 // checkReplayedRowsLocked checks the derived rows a replayed commit at
 // version v wrote against what its records derive once the commit's other
-// writes are in: a row put must be live, a row deleted must not be, and a
-// row's value is empty or, as the seed wrote it, its record's key. Caller has
-// the metastore to itself.
+// writes are in: a row put must be live and name its record (an empty value
+// or, as the seed wrote it, its record's key, or what the table's Names
+// accepts), and a row deleted must not be live. Caller has the metastore to
+// itself.
 func (m *metastore) checkReplayedRowsLocked(writes []Write, v uint64) error {
 	for i := range writes {
 		w := &writes[i]
@@ -351,8 +848,10 @@ func (m *metastore) checkReplayedRowsLocked(writes []Write, v uint64) error {
 		if gi == nil {
 			continue
 		}
-		r := gi.lookup(w.Key)
-		if _, live := r.at(v); live == w.Deleted || len(w.Value) != 0 && (r == nil || string(w.Value) != r.key) {
+		r, _ := gi.lookupLocked(w.Key, v)
+		live := r != nil
+		named := r != nil && (len(w.Value) == 0 || string(w.Value) == r.key || gi.d.Names != nil && gi.d.Names(w.Value, r.key))
+		if live == w.Deleted || !w.Deleted && !named {
 			return fmt.Errorf("version %d writes %s row %q (deleted %v, value %q), and the %s records derive it live: %v",
 				v, w.Table, w.Key, w.Deleted, w.Value, gi.d.source, live)
 		}

@@ -23,7 +23,7 @@ const (
 	entTable, kidTable, kidRef = "ent", "kid", "kidref"
 )
 
-func init() { DeriveIndex(kidTable, entTable, testGroup) }
+func init() { DeriveIndex(kidTable, entTable, Derivation{Group: testGroup}) }
 
 // testGroup derives parent\0TYPE\0 from "parent/TYPE/...", and nothing from a
 // value without two slashes.
@@ -387,10 +387,10 @@ func TestReplayChecksDerivedRows(t *testing.T) {
 	del := func(table, key string) Write { return Write{Table: table, Key: key, Deleted: true} }
 	good := []walEntry{
 		create,
-		commit(1, put(entTable, "a", "p/TABLE/a/A"), put(kidTable, kidKey("p", "TABLE", "a"), "")),
-		commit(2, put(entTable, "b", "p/VIEW/b/A"), put(kidTable, kidKey("p", "VIEW", "b"), "b")), // the seed's value: the ID
-		commit(3, put(entTable, "a", "p/TABLE/a/S")),
-		commit(4, del(entTable, "b"), del(kidTable, kidKey("p", "VIEW", "b"))),
+		commit(1, put(entTable, "a", "p/TABLE/a/A"), put(kidTable, kidKey("p", "TABLE", "a"), ""), put(nmTable, nmKey("TABLE", "p", "a"), "a")),
+		commit(2, put(entTable, "b", "p/VIEW/b/A"), put(kidTable, kidKey("p", "VIEW", "b"), "b"), put(nmTable, nmKey("VIEW", "p", "b"), "b")), // the seed's value: the ID
+		commit(3, put(entTable, "a", "p/TABLE/a/S"), del(nmTable, nmKey("TABLE", "p", "a"))),
+		commit(4, del(entTable, "b"), del(kidTable, kidKey("p", "VIEW", "b")), del(nmTable, nmKey("VIEW", "p", "b"))),
 	}
 	write := func(entries []walEntry) string {
 		t.Helper()
@@ -419,11 +419,23 @@ func TestReplayChecksDerivedRows(t *testing.T) {
 		t.Errorf("replayed rows %q", got)
 	}
 	snap.Close()
+	if got := kvKeys(snap.Scan(nmTable, "")); len(got) != 0 {
+		t.Errorf("replayed name rows %q", got)
+	}
+	// The change log names the name rows the records made live and dead,
+	// and no child row.
 	changes, _ := db.ChangesSince("ms", 0)
+	named := 0
 	for _, c := range changes {
-		if c.Table == kidTable {
+		switch c.Table {
+		case kidTable:
 			t.Errorf("the change log names derived row %q", c.Key)
+		case nmTable:
+			named++
 		}
+	}
+	if named != 4 {
+		t.Errorf("the change log names %d name rows, want 4: %v", named, changes)
 	}
 	db.Close()
 
@@ -433,6 +445,10 @@ func TestReplayChecksDerivedRows(t *testing.T) {
 		"a row of another type":            put(kidTable, kidKey("p", "VIEW", "a"), ""),
 		"a deleted row of a live record":   del(kidTable, kidKey("p", "TABLE", "a")),
 		"a row whose value is not its key": put(kidTable, kidKey("p", "TABLE", "a"), "zz"),
+		"a name row of another record":     put(nmTable, nmKey("TABLE", "r", "c"), "zz"),
+		"a name row where none is derived": put(nmTable, nmKey("TABLE", "p", "a"), "a"),
+		"a name row of no record":          put(nmTable, nmKey("TABLE", "r", "d"), "d"),
+		"a deleted name row of a live one": del(nmTable, nmKey("TABLE", "r", "c")),
 	} {
 		entries := append(append([]walEntry(nil), good...), commit(5, put(entTable, "c", "r/TABLE/c/A"), bad))
 		if db, err := Open(Options{WALPath: write(entries)}); err == nil || !strings.Contains(err.Error(), "derive") {

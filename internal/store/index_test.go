@@ -150,31 +150,52 @@ func checkIndexTracksKeyTable(t *testing.T, ms *metastore) {
 }
 
 // checkGroupsTrackKeyTable holds each derived table's groups to its source's
-// key table: the derived table has no records of its own, every source record
-// whose value (a tombstone's: the one it deleted) derives a group sits in that
-// group and in no other, as the same pointer, nothing else sits in a group,
-// the groups ascend with none empty, and the count is their sizes' sum.
-// Caller holds ms.stateMu.
+// key table: the derived table has no records of its own; a keyed table's
+// source record whose value (a tombstone's: the one it deleted) derives a
+// group sits in that group under its own key and in no other, as the same
+// pointer, and no keyed table holds a shadow; any other table's record sits,
+// as itself, under the row its newest value derives, and as a shadow of
+// itself under each other row an older version it keeps derives, and under
+// nothing else; nothing else sits in a group, the groups ascend with none
+// empty, a group's entries ascend by row, then key, and the count is their
+// sizes' sum. Caller holds ms.stateMu.
 func checkGroupsTrackKeyTable(t *testing.T, ms *metastore) {
 	t.Helper()
 	for _, gi := range ms.derived {
 		if ms.tables[gi.d.table] != nil || ms.indexes[gi.d.table] != nil {
 			t.Fatalf("derived table %q holds records of its own", gi.d.table)
 		}
-		in := map[*record]string{}
+		type entry struct {
+			owner *record
+			row   string
+		}
+		in := map[entry]bool{}
 		n := 0
+		var buf []byte
+		sortOf := func(e *record) string { return string(gi.sortOf(&buf, e)) }
 		for i, g := range gi.groups {
-			if g.recs.size == 0 || i > 0 && gi.groups[i-1].key >= g.key {
+			if len(g.rows) == 0 || i > 0 && gi.groups[i-1].key >= g.key {
 				t.Fatalf("table %q: group %d %q is empty or out of order", gi.d.table, i, g.key)
 			}
-			g.recs.ascend("", func(r *record) bool {
-				if at, twice := in[r]; twice {
-					t.Fatalf("table %q: record %q is in groups %q and %q", gi.d.table, r.key, at, g.key)
+			for j, e := range g.rows {
+				if e.owner() != e && (gi.d.keyed() || e.prev == nil || e.prev.commit == shadowCommit) {
+					t.Fatalf("table %q: shadow %q names no record, or the table is keyed", gi.d.table, e.key)
 				}
-				in[r] = g.key
+				row := g.key + sortOf(e)
+				k := entry{e.owner(), row}
+				if in[k] {
+					t.Fatalf("table %q: record %q is under row %q twice", gi.d.table, e.key, row)
+				}
+				in[k] = true
 				n++
-				return true
-			})
+				if j > 0 {
+					p := g.rows[j-1]
+					ps, es := sortOf(p), sortOf(e)
+					if ps > es || ps == es && p.key >= e.key {
+						t.Fatalf("table %q: group %q entries %q/%q and %q/%q out of order", gi.d.table, g.key, ps, p.key, es, e.key)
+					}
+				}
+			}
 		}
 		if n != gi.n {
 			t.Fatalf("table %q: the groups hold %d records and count %d", gi.d.table, n, gi.n)
@@ -184,17 +205,28 @@ func checkGroupsTrackKeyTable(t *testing.T, ms *metastore) {
 			src = keyTableRecords(kt)
 		}
 		for _, r := range src {
-			want, ok := gi.d.group(nil, r.value())
-			if r.data == nil || !ok {
-				want = nil
+			want := map[string]bool{}
+			for x := r; x != nil; x = x.prev {
+				if x.data == nil {
+					continue
+				}
+				if b, _, ok := gi.rowOf(nil, r.key, x.value()); ok {
+					want[string(b)] = true
+					if gi.d.keyed() {
+						want = map[string]bool{string(b): true}
+						break
+					}
+				}
 			}
-			if got, isIn := in[r]; isIn != (want != nil) || got != string(want) {
-				t.Fatalf("table %q: record %q is in group %q (%v), its value derives %q", gi.d.table, r.key, got, isIn, want)
+			for row := range want {
+				if !in[entry{r, row}] {
+					t.Fatalf("table %q: record %q derives row %q and is not under it", gi.d.table, r.key, row)
+				}
+				delete(in, entry{r, row})
 			}
-			delete(in, r)
 		}
-		for r, g := range in {
-			t.Fatalf("table %q: group %q holds record %q that table %q does not", gi.d.table, g, r.key, gi.d.source)
+		for e := range in {
+			t.Fatalf("table %q: row %q holds record %q, whose versions do not derive it, or that table %q does not hold", gi.d.table, e.row, e.owner.key, gi.d.source)
 		}
 	}
 }

@@ -160,6 +160,8 @@ type metastore struct {
 	// lock.
 	derived  []*groupIndex
 	scratch  []byte
+	search   []byte    // where a write's group search derives, beside scratch
+	moved    []entered // putLocked's, kept for its array
 	changes  changeRing
 	snaps    map[uint64]int
 	minSnapV uint64
@@ -455,8 +457,8 @@ func newMetastore(changeLogSize int) *metastore {
 
 // putLocked makes (commit, value, deleted) the newest version of (table, key)
 // and returns the record, creating the key table, the record and its
-// ordered-index entry as needed, and putting a derived table's source record
-// in its group when it first holds a value. Every record creation funnels
+// ordered-index entry as needed, and moving a derived table's source record
+// to the rows its new version derives (derived.go). Every record creation funnels
 // through here so the indexes cannot drift from the key table. Caller holds
 // stateMu (or has exclusive access, as in WAL replay before the DB is shared).
 func (m *metastore) putLocked(table, key string, commit uint64, value []byte, deleted bool) *record {
@@ -467,10 +469,13 @@ func (m *metastore) putLocked(table, key string, commit uint64, value []byte, de
 	}
 	r := t.get(key)
 	held := false
+	moved := m.moved[:0]
 	if r != nil {
 		// The record's address is what the key table and the index hold:
 		// the version it carried moves out, the new one moves in.
-		held = r.data != nil
+		if held = r.data != nil; held && m.sources(table) {
+			moved = m.leaveLocked(table, r, value, deleted, moved)
+		}
 		older := *r
 		r.prev = &older
 	} else {
@@ -484,32 +489,26 @@ func (m *metastore) putLocked(table, key string, commit uint64, value []byte, de
 		idx.insert(r)
 	}
 	r.commit, r.deleted = commit, deleted
-	gi := m.derivedFrom(table)
+	source := m.sources(table)
 	switch {
-	case gi == nil || !deleted:
+	case !source || !deleted:
 		r.setValue(value)
 	case !held:
 		r.setValue(nil)
 	}
-	// Else the tombstone keeps the value it deletes, which names its group.
-	// checkDerivedLocked has held a value that follows one to its group.
-	if gi != nil && !deleted && !held {
-		if g, ok := m.groupOf(gi, value); ok {
-			gi.add(g, r)
-		}
+	// Else the tombstone keeps the value it deletes, which names its rows.
+	if source {
+		m.enterLocked(table, r, held, moved)
+		m.moved = moved[:0]
 	}
 	return r
 }
 
 // removeRecordLocked drops a fully-dead record from the key table, the
-// ordered index and its derived group together. Caller holds stateMu.
+// ordered index and its derived rows together. Caller holds stateMu.
 func (m *metastore) removeRecordLocked(table, key string) {
-	if gi := m.derivedFrom(table); gi != nil {
-		if r := m.tables[table].get(key); r != nil && r.data != nil {
-			if g, ok := m.groupOf(gi, r.value()); ok {
-				gi.remove(g, r)
-			}
-		}
+	if r := m.tables[table].get(key); r != nil && m.sources(table) {
+		m.leaveAllLocked(table, r)
 	}
 	m.tables[table].remove(key)
 	if idx := m.indexes[table]; idx != nil {
@@ -664,12 +663,13 @@ func (s *Snapshot) Get(table, key string) ([]byte, bool) {
 	return s.ms.getLocked(table, key, s.Version)
 }
 
-// getLocked reads (table, key) at version v: a derived table's row is
-// live, and empty, while its record is. Caller holds stateMu.
+// getLocked reads (table, key) at version v: a derived table's row is live
+// while its record is live under it, and its value is rowValue's. Caller
+// holds stateMu.
 func (m *metastore) getLocked(table, key string, v uint64) ([]byte, bool) {
 	if gi := m.derivedTable(table); gi != nil {
-		if _, live := gi.lookup(key).at(v); live {
-			return []byte{}, true
+		if r, _ := gi.lookupLocked(key, v); r != nil {
+			return gi.rowValue(r.key), true
 		}
 		return nil, false
 	}
@@ -742,15 +742,7 @@ func (m *metastore) groupRowsLocked(table, start, end string, v uint64, limit in
 	if gi == nil {
 		return nil
 	}
-	var out []GroupRow
-	gi.walkLocked("", start, end, v, func(g *group, r *record, val []byte) bool {
-		if out == nil && limit > 0 {
-			out = make([]GroupRow, 0, min(limit, gi.n))
-		}
-		out = append(out, GroupRow{Group: g.key, KV: KV{Key: r.key, Value: val}})
-		return limit <= 0 || len(out) < limit
-	})
-	return out
+	return gi.groupRowsLocked(start, end, v, limit)
 }
 
 // scanRange is the one body of Snapshot.Scan/ScanRange and ScanRangeAt.
@@ -841,8 +833,8 @@ func PrefixEnd(prefix string) string {
 func (db *DB) scanLiveLocked(ms *metastore, table, prefix, start, end string, v uint64, fn func(k string, val []byte) bool) {
 	if gi := ms.derivedTable(table); gi != nil {
 		db.indexScans.Inc()
-		gi.walkLocked(prefix, start, end, v, func(g *group, r *record, _ []byte) bool {
-			return fn(g.key+r.key, []byte{})
+		gi.walkLocked(prefix, start, end, v, func(g *group, r *record, sort, _ []byte) bool {
+			return fn(g.key+string(sort), gi.rowValue(r.key))
 		})
 		return
 	}
@@ -914,7 +906,7 @@ func (db *DB) indexSize(want func(table string) bool) (keys, slots int) {
 			if want(gi.d.table) {
 				keys += gi.n
 				for _, g := range gi.groups {
-					slots += g.recs.slots
+					slots += cap(g.rows)
 				}
 			}
 		}
@@ -971,13 +963,17 @@ type Tx struct {
 	// index finds a key's write once there are more than txScanMax of them;
 	// up to that, a lookup scans writes.
 	index map[txKey]int
+	// rows are the rows of derived tables the change log names (ChangesNamed)
+	// that the writes make live or dead, found when the commit is sequenced.
+	rows  []Write
 	notes []any  // opaque annotations for commit hooks
 	wal   walReq // the commit's slot in the WAL queue
 
-	// The first writes and the first note are stored in the Tx itself: a
-	// transaction with at most four writes and one note, as nearly every
-	// catalog write is, allocates neither slice.
+	// The first writes, derived rows and note are stored in the Tx itself: a
+	// transaction with at most four writes, two rows and one note, as nearly
+	// every catalog write is, allocates none of those slices.
 	firstWrites [4]Write
+	firstRows   [2]Write
 	firstNote   [1]any
 }
 
@@ -1016,9 +1012,8 @@ func (tx *Tx) find(table, key string) int {
 // version. A commit moving from the overlay into the applied state keeps
 // the same visible value, so repeated reads are stable.
 func (tx *Tx) Get(table, key string) ([]byte, bool) {
-	if tx.ms.derivedTable(table) != nil {
-		kvs := tx.ScanRange(table, key, key+"\x00", 1)
-		return []byte{}, len(kvs) == 1
+	if gi := tx.ms.derivedTable(table); gi != nil {
+		return tx.getDerived(gi, key)
 	}
 	if i := tx.find(table, key); i >= 0 {
 		return tx.writes[i].live()
@@ -1035,6 +1030,62 @@ func (tx *Tx) Get(table, key string) ([]byte, bool) {
 		}
 	}
 	return tx.ms.tables[table].get(key).at(tx.base)
+}
+
+// getDerived is Get of a derived table's row: the row is live when the
+// newest write to a record, of the transaction's own or of a pending commit,
+// or else the record at the base version, is live under it. The value is
+// rowValue's.
+func (tx *Tx) getDerived(gi *groupIndex, key string) ([]byte, bool) {
+	tx.ms.stateMu.RLock()
+	defer tx.ms.stateMu.RUnlock()
+	buf := rowBufs.Get().(*[]byte)
+	defer rowBufs.Put(buf)
+	source := gi.d.source
+	// newest returns the newest write to record k at or below the base.
+	newest := func(k string) *Write {
+		if i := tx.find(source, k); i >= 0 {
+			return &tx.writes[i]
+		}
+		for i := len(tx.ms.pending) - 1; i >= 0; i-- {
+			if p := tx.ms.pending[i]; p.version <= tx.base {
+				if j := p.find(source, k); j >= 0 {
+					return &p.writes[j]
+				}
+			}
+		}
+		return nil
+	}
+	under := func(w *Write) bool {
+		if w.Deleted {
+			return false
+		}
+		b, _, ok := gi.rowOf((*buf)[:0], w.Key, w.Value)
+		*buf = b[:0]
+		return ok && str(b) == key
+	}
+	check := func(ws []Write) ([]byte, bool) {
+		for i := range ws {
+			if w := &ws[i]; w.Table == source && newest(w.Key) == w && under(w) {
+				return gi.rowValue(w.Key), true
+			}
+		}
+		return nil, false
+	}
+	if v, ok := check(tx.writes); ok {
+		return v, ok
+	}
+	for _, p := range tx.ms.pending {
+		if p.version <= tx.base {
+			if v, ok := check(p.writes); ok {
+				return v, ok
+			}
+		}
+	}
+	if r, _ := gi.lookupLocked(key, tx.base); r != nil && newest(r.key) == nil {
+		return gi.rowValue(r.key), true
+	}
+	return nil, false
 }
 
 // Put buffers a write of (table, key) = value.
@@ -1088,6 +1139,13 @@ func (w *Write) live() ([]byte, bool) {
 // without re-reading the database or copying.
 func (tx *Tx) Writes() []Write { return tx.writes }
 
+// Rows returns the rows of derived tables that the committed transaction made
+// live (its record's key as the value) or dead, each a change the change log
+// names beside its writes: what a cache that installs Writes installs too.
+// Like Writes it is the transaction's own slice, and empty until the
+// transaction is sequenced.
+func (tx *Tx) Rows() []Write { return tx.rows }
+
 // Scan returns live pairs with the key prefix, merging buffered writes and
 // the pipeline overlay over the applied state at the base version.
 func (tx *Tx) Scan(table, prefix string) []KV {
@@ -1099,12 +1157,13 @@ func (tx *Tx) Scan(table, prefix string) []KV {
 // overlay, then the applied state at the base version.
 func (tx *Tx) ScanRange(table, start, end string, limit int) []KV {
 	var out []KV
-	derived := tx.ms.derivedTable(table) != nil
-	tx.scan(table, start, end, func(group, key string, val []byte) bool {
-		if derived {
-			key, val = group+key, []byte{}
+	gi := tx.ms.derivedTable(table)
+	tx.scan(table, start, end, func(rw rowWrite, val []byte) bool {
+		if gi == nil {
+			out = append(out, KV{Key: rw.key, Value: val})
+		} else {
+			out = append(out, KV{Key: rw.group + rw.sort, Value: gi.rowValue(rw.key)})
 		}
-		out = append(out, KV{Key: key, Value: val})
 		return limit <= 0 || len(out) < limit
 	})
 	return out
@@ -1118,70 +1177,75 @@ func (tx *Tx) GroupRows(table, start, end string, limit int) []GroupRow {
 		return nil
 	}
 	var out []GroupRow
-	tx.scan(table, start, end, func(group, key string, val []byte) bool {
-		out = append(out, GroupRow{Group: group, KV: KV{Key: key, Value: val}})
+	tx.scan(table, start, end, func(rw rowWrite, val []byte) bool {
+		out = append(out, GroupRow{Group: rw.group, Sort: rw.sort, KV: KV{Key: rw.key, Value: val}})
 		return limit <= 0 || len(out) < limit
 	})
 	return out
 }
 
-// rowWrite is a write as it changes a table's rows: to the row key, or to
-// row group+w.Key of a derived table.
+// rowWrite is a row of a table as a transaction sees it: a stored table's
+// row key, or a derived table's row group+sort, and the record's key, which orders the records of one row.
+// w is the write that makes or removes it, nil for a row of the base walk.
 type rowWrite struct {
-	group string
-	w     *Write
+	group, sort, key string
+	w                *Write
 }
 
-func compareRows(g1, k1, g2, k2 string) int {
-	if c := strings.Compare(g1, g2); c != 0 {
+func compareRows(a, b *rowWrite) int {
+	if c := strings.Compare(a.group, b.group); c != 0 {
 		return c
 	}
-	return strings.Compare(k1, k2)
+	if c := strings.Compare(a.sort, b.sort); c != 0 {
+		return c
+	}
+	return strings.Compare(a.key, b.key)
 }
 
 // scan is Tx.ScanRange and Tx.GroupRows: it calls emit for each live row of
 // table in [start, end) as the transaction sees it, in ascending order, until
-// emit returns false. A row of a table that is not derived has group "". The
-// overlay's writes in the range are sorted once and merge-joined with the
-// ordered base walk, so early termination does not visit the rest of the
-// range.
-func (tx *Tx) scan(table, start, end string, emit func(group, key string, val []byte) bool) {
+// emit returns false. The overlay's writes in the range are sorted once and
+// merge-joined with the ordered base walk, so early termination does not
+// visit the rest of the range.
+func (tx *Tx) scan(table, start, end string, emit func(rw rowWrite, val []byte) bool) {
 	tx.ms.stateMu.RLock()
 	defer tx.ms.stateMu.RUnlock()
 	overlay := tx.overlayLocked(table, start, end)
 	oi := 0
 	more := true
-	base := func(group, key string, val []byte) bool {
-		for oi < len(overlay) && compareRows(overlay[oi].group, overlay[oi].w.Key, group, key) < 0 {
+	base := func(rw rowWrite, val []byte) bool {
+		for oi < len(overlay) && compareRows(&overlay[oi], &rw) < 0 {
 			if o := overlay[oi]; !o.w.Deleted {
-				if !emit(o.group, o.w.Key, o.w.Value) {
+				if !emit(o, o.w.Value) {
 					more = false
 					return false
 				}
 			}
 			oi++
 		}
-		if oi < len(overlay) && overlay[oi].group == group && overlay[oi].w.Key == key {
+		if oi < len(overlay) && compareRows(&overlay[oi], &rw) == 0 {
 			o := overlay[oi]
 			oi++
 			if o.w.Deleted {
 				return true
 			}
-			more = emit(o.group, o.w.Key, o.w.Value)
+			more = emit(o, o.w.Value)
 			return more
 		}
-		more = emit(group, key, val)
+		more = emit(rw, val)
 		return more
 	}
 	if gi := tx.ms.derivedTable(table); gi != nil {
-		gi.walkLocked("", start, end, tx.base, func(g *group, r *record, val []byte) bool { return base(g.key, r.key, val) })
+		gi.walkLocked("", start, end, tx.base, func(g *group, r *record, sort, val []byte) bool {
+			return base(rowWrite{group: g.key, sort: gi.keepSort(r, sort), key: r.key}, val)
+		})
 	} else {
-		tx.db.scanLiveLocked(tx.ms, table, "", start, end, tx.base, func(k string, val []byte) bool { return base("", k, val) })
+		tx.db.scanLiveLocked(tx.ms, table, "", start, end, tx.base, func(k string, val []byte) bool { return base(rowWrite{key: k}, val) })
 	}
 	if more {
 		for ; oi < len(overlay); oi++ {
 			if o := overlay[oi]; !o.w.Deleted {
-				if !emit(o.group, o.w.Key, o.w.Value) {
+				if !emit(o, o.w.Value) {
 					break
 				}
 			}
@@ -1194,7 +1258,7 @@ func (tx *Tx) scan(table, start, end string, emit func(group, key string, val []
 // then the transaction's own writes change, in row order, one per row: the
 // sort is stable, so of the writes to one row the last — the newest — ends
 // its run and wins. A derived table's rows are its source's writes: a value
-// makes its group's row, and a delete, or a value of another group, removes
+// makes the row it derives, and a delete, or a value of another row, removes
 // the row the record held until then. Caller holds stateMu.
 func (tx *Tx) overlayLocked(table, start, end string) []rowWrite {
 	gi := tx.ms.derivedTable(table)
@@ -1202,21 +1266,30 @@ func (tx *Tx) overlayLocked(table, start, end string) []rowWrite {
 	if gi != nil {
 		source = gi.d.source
 	}
+	type derived struct {
+		group, sort string
+		ok          bool
+	}
 	var (
 		overlay []rowWrite
 		buf     []byte
-		held    map[string]string // a derived source key's group after the writes so far
+		held    map[string]derived // a derived source key's row after the writes so far
 	)
-	groupOf := func(val []byte) string {
-		b, ok := gi.d.group(buf[:0], val)
+	rowOf := func(key string, val []byte) derived {
+		b, g, ok := gi.rowOf(buf[:0], key, val)
 		if buf = b; !ok {
-			return ""
+			return derived{}
 		}
-		return string(b)
+		return derived{string(b[:g]), string(b[g:]), true}
 	}
-	add := func(group string, w *Write) {
-		if compareJoined(group, w.Key, start) >= 0 && (end == "" || compareJoined(group, w.Key, end) < 0) {
-			overlay = append(overlay, rowWrite{group, w})
+	add := func(d derived, w *Write) {
+		rw := rowWrite{group: d.group, sort: d.sort, key: w.Key, w: w}
+		row := d.sort
+		if gi == nil {
+			row = w.Key
+		}
+		if compareJoined(d.group, row, start) >= 0 && (end == "" || compareJoined(d.group, row, end) < 0) {
+			overlay = append(overlay, rw)
 		}
 	}
 	collect := func(ws []Write) {
@@ -1226,33 +1299,33 @@ func (tx *Tx) overlayLocked(table, start, end string) []rowWrite {
 				continue
 			}
 			if gi == nil {
-				add("", w)
+				add(derived{}, w)
 				continue
 			}
 			was, ok := held[w.Key]
 			if !ok {
 				if r := tx.ms.tables[source].get(w.Key); r != nil && r.data != nil {
-					was = groupOf(r.value())
+					was = rowOf(w.Key, r.value())
 				}
 			}
 			now := was
 			if !w.Deleted {
-				now = groupOf(w.Value)
+				now = rowOf(w.Key, w.Value)
 			}
 			if held == nil {
-				held = map[string]string{}
+				held = map[string]derived{}
 			}
 			held[w.Key] = now
 			switch {
 			case w.Deleted:
-				if was != "" {
+				if was.ok {
 					add(was, w)
 				}
 			default:
-				if was != "" && was != now {
+				if was.ok && was != now {
 					add(was, &Write{Table: source, Key: w.Key, Deleted: true})
 				}
-				if now != "" {
+				if now.ok {
 					add(now, w)
 				}
 			}
@@ -1264,11 +1337,11 @@ func (tx *Tx) overlayLocked(table, start, end string) []rowWrite {
 		}
 	}
 	collect(tx.writes)
-	slices.SortStableFunc(overlay, func(a, b rowWrite) int { return compareRows(a.group, a.w.Key, b.group, b.w.Key) })
+	slices.SortStableFunc(overlay, func(a, b rowWrite) int { return compareRows(&a, &b) })
 	n := 0
-	for i, o := range overlay {
-		if i+1 == len(overlay) || overlay[i+1].group != o.group || overlay[i+1].w.Key != o.w.Key {
-			overlay[n] = o
+	for i := range overlay {
+		if i+1 == len(overlay) || compareRows(&overlay[i+1], &overlay[i]) != 0 {
+			overlay[n] = overlay[i]
 			n++
 		}
 	}
@@ -1347,7 +1420,7 @@ func (db *DB) update(sc obs.SpanContext, msID string, fn func(tx *Tx) error) (ui
 		return base, nil // read-only transaction: no version bump
 	}
 	ms.stateMu.Lock()
-	if err := ms.checkDerivedLocked(tx.writes, false); err != nil {
+	if tx.rows, err = ms.checkDerivedLocked(tx.writes, tx, tx.firstRows[:0]); err != nil {
 		ms.stateMu.Unlock()
 		ms.mu.Unlock()
 		seqSpan.End()
@@ -1406,7 +1479,10 @@ func (db *DB) update(sc obs.SpanContext, msID string, fn func(tx *Tx) error) (ui
 	}
 	for i := range tx.writes {
 		w := &tx.writes[i]
-		db.pruneLocked(ms, ms.putLocked(w.Table, w.Key, newV, w.Value, w.Deleted))
+		db.pruneLocked(ms, w.Table, ms.putLocked(w.Table, w.Key, newV, w.Value, w.Deleted))
+		ms.logLocked(Change{Version: newV, Table: w.Table, Key: w.Key, Deleted: w.Deleted})
+	}
+	for _, w := range tx.rows {
 		ms.logLocked(Change{Version: newV, Table: w.Table, Key: w.Key, Deleted: w.Deleted})
 	}
 	if waiting := ms.tombs; len(waiting) > 0 {
@@ -1454,9 +1530,11 @@ func (ms *metastore) dropPending(v uint64) {
 	}
 }
 
-// pruneLocked drops versions that are neither among the most recent
-// MaxVersionsPerRecord nor visible to any active snapshot.
-func (db *DB) pruneLocked(ms *metastore, r *record) {
+// pruneLocked drops versions of record r of table that are neither among the
+// most recent MaxVersionsPerRecord nor visible to any active snapshot, and
+// the shadows of rows only those versions derived.
+func (db *DB) pruneLocked(ms *metastore, table string, r *record) {
+	head := r
 	// pin is the oldest version any active snapshot may still read;
 	// with no snapshots every historical version is unreachable.
 	pin := ^uint64(0)
@@ -1476,7 +1554,11 @@ func (db *DB) pruneLocked(ms *metastore, r *record) {
 	for ; kept < db.opts.MaxVersionsPerRecord && r.prev != nil; r = r.prev {
 		kept++
 	}
+	gone := r.prev
 	r.prev = nil
+	if gone != nil && ms.sources(table) {
+		ms.unshadowLocked(table, head, gone)
+	}
 }
 
 // ChangesSince returns the changes applied after version v, in commit order.

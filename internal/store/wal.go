@@ -765,7 +765,8 @@ func (db *DB) applyWALEntry(e *walEntry) error {
 			return fmt.Errorf("store: wal replay: metastore %s commit version %d after %d (reordered or damaged log)",
 				e.Metastore, e.Version, ms.version)
 		}
-		if err := ms.checkDerivedLocked(e.Writes, true); err != nil {
+		rows, err := ms.checkDerivedLocked(e.Writes, nil, nil)
+		if err != nil {
 			return fmt.Errorf("store: wal replay: metastore %s version %d: %w", e.Metastore, e.Version, err)
 		}
 		for _, w := range e.Writes {
@@ -788,6 +789,9 @@ func (db *DB) applyWALEntry(e *walEntry) error {
 			if ms.derivedTable(w.Table) == nil {
 				ms.logLocked(Change{Version: e.Version, Table: w.Table, Key: w.Key, Deleted: w.Deleted})
 			}
+		}
+		for _, w := range rows {
+			ms.logLocked(Change{Version: e.Version, Table: w.Table, Key: w.Key, Deleted: w.Deleted})
 		}
 	}
 	return nil
