@@ -18,7 +18,7 @@ test:
 #   cache: local and foreign write-throughs, sequenced and out-of-order installs, one reconcile per foreign burst
 #   search: tag search; the index against its map-posting reference
 #   events: Subscribe/Cancel racing Publish and draining; the log and its retention against a []Event
-#   catalog: authorizer oracles, multi-node and shared-entity differentials, one version per unpaged listing
+#   catalog: authorizer oracles, multi-node and shared-entity differentials, one version per unpaged listing, the derived path rows vs the stored rule, two nodes racing to claim overlapping paths
 #   privilege: snapshot cache advancing under stale readers
 #   obs, lineage, store, server: flight-recorder freeze; edges vs assets; write set and key table vs a map, the derived child and name rows vs stored ones; one envelope per request
 #   audit: the packed log against a []Record; readers unpacking open chunks while appenders add to their string tables
@@ -55,7 +55,7 @@ race:
 		./internal/clock/... \
 		./internal/ids/... \
 		./uc/...
-	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestLocalWritesInstallOutOfOrder|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll|TestPackedRingMatchesReference|TestRetentionMatchesReference|TestCancelDrainsWhatItHolds|TestNoEdgeOutlivesItsAssets|TestTxWriteSetMatchesReference|TestKeyTableMatchesMap|TestDerivedChildIndexMatchesRows|TestDerivedNameIndexMatchesRows|TestEnvelopePerRequest|TestIndexMatchesReference|TestPackedLogMatchesReference|TestConcurrentAppendersKeepEveryOrder' \
+	$(GO) test -race -count=20 -run 'TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestLocalWritesInstallOutOfOrder|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll|TestPackedRingMatchesReference|TestRetentionMatchesReference|TestCancelDrainsWhatItHolds|TestNoEdgeOutlivesItsAssets|TestTxWriteSetMatchesReference|TestKeyTableMatchesMap|TestDerivedChildIndexMatchesRows|TestDerivedNameIndexMatchesRows|TestEnvelopePerRequest|TestIndexMatchesReference|TestPackedLogMatchesReference|TestConcurrentAppendersKeepEveryOrder|TestDerivedPathIndexMatchesRows|TestConcurrentOverlappingClaims' \
 		./internal/cache/ ./internal/search/ ./internal/events/ ./internal/catalog/ ./internal/privilege/ ./internal/obs/ ./internal/lineage/ ./internal/store/ ./internal/server/ ./internal/audit/
 
 # Who holds the resident bytes (uc/heap_test.go; DESIGN.md "Resident layout"):

@@ -213,11 +213,14 @@ func AblationPathIndex(o Options) (*Table, error) {
 
 	var probes []string
 	var assets []ids.ID
-	node.Update("m", func(tx *store.Tx) error {
+	if _, err := node.Update("m", func(tx *store.Tx) error {
 		for i := 0; i < paths; i++ {
 			p := fmt.Sprintf("s3://deep/bucket/wh/area%02d/db%02d/t%04d", i%10, i%25, i)
 			id := ids.ID(fmt.Sprintf("asset%04d", i))
-			tx.Put(erm.TablePath, p, erm.IDValue(id))
+			e := &erm.Entity{ID: id, Type: erm.TypeTable, Name: fmt.Sprintf("t%04d", i), ParentID: "schema", StoragePath: p, State: erm.StateActive}
+			if err := erm.PutEntity(tx, e); err != nil {
+				return err
+			}
 			if err := trie.Insert(p, id); err != nil {
 				return err
 			}
@@ -225,7 +228,9 @@ func AblationPathIndex(o Options) (*Table, error) {
 			probes = append(probes, p+"/year=2024/part-00000.dpf")
 		}
 		return nil
-	})
+	}); err != nil {
+		return nil, err
+	}
 
 	iters := 20
 	// Trie resolution: longest-prefix match in memory.

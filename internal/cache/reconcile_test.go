@@ -172,8 +172,9 @@ func TestSelectiveVsFullDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Stored tables: the name table is derived and takes no writes.
-	tables := []string{"entity", "path", "grant"}
+	// Stored tables: the name and path tables are derived and take no
+	// writes.
+	tables := []string{"entity", "tag", "grant"}
 	key := func(r *rand.Rand) (string, string) {
 		return tables[r.Intn(len(tables))], fmt.Sprintf("k%02d", r.Intn(48))
 	}

@@ -119,6 +119,9 @@ func (s *Service) CreateAsset(ctx Ctx, req CreateRequest) (e *erm.Entity, err er
 			e.StoragePath = fmt.Sprintf("%s/%s/%s", ms.info.RootPath, strings.ToLower(string(req.Type)), e.ID)
 			e.Managed = true
 		}
+		if err := checkStoragePath(e.StoragePath); err != nil {
+			return nil, err
+		}
 	} else if req.StoragePath != "" {
 		return nil, fmt.Errorf("%w: type %s has no storage", ErrInvalidArgument, req.Type)
 	}
@@ -131,21 +134,38 @@ func (s *Service) CreateAsset(ctx Ctx, req CreateRequest) (e *erm.Entity, err er
 		if err := checkStorageFree(tx, e); err != nil {
 			return err
 		}
-		// The name is unique within its group: the store refuses the
-		// commit when another live entity has it.
+		// The name is unique within its group, and the path: the store
+		// refuses the commit when another live entity has either.
 		if err := erm.PutEntity(tx, e); err != nil {
 			return err
 		}
 		stageEvent(tx, ctx, events.OpCreate, e, "")
 		return nil
 	})
-	if errors.Is(err, store.ErrRowTaken) {
-		return nil, fmt.Errorf("%w: %s %q in %s", ErrAlreadyExists, req.Type, req.Name, parentLabel(parent))
-	}
 	if err != nil {
-		return nil, err
+		return nil, rowTaken(err, fmt.Errorf("%w: %s %q in %s", ErrAlreadyExists, req.Type, req.Name, parentLabel(parent)))
 	}
 	return e, nil
+}
+
+// errNameTaken is what checkStorageFree fails with when another live entity
+// has the entity's name.
+var errNameTaken = errors.New("catalog: name taken")
+
+// rowTaken is the API's error for err, a commit's: when the name is taken
+// (errNameTaken, or the store refused the name row) nameErr, when the store
+// refused a storage path's row ErrPathOverlap, any other err as it is.
+func rowTaken(err, nameErr error) error {
+	var taken *store.RowTakenError
+	switch {
+	case errors.Is(err, errNameTaken):
+		return nameErr
+	case !errors.As(err, &taken):
+		return err
+	case taken.Table == erm.TableName:
+		return nameErr
+	}
+	return fmt.Errorf("%w: %s is registered to asset %s", ErrPathOverlap, taken.Row, ids.ID(taken.Holder).Short())
 }
 
 func parentLabel(p *erm.Entity) string {
@@ -166,7 +186,7 @@ func entityID(e *erm.Entity) ids.ID {
 // live, inside a write transaction. External locations check against their
 // own index (they contain asset paths but may not overlap each other). A name
 // clash, which the commit would refuse, is reported before a path clash: an
-// entity that has both fails with store.ErrRowTaken.
+// entity that has both fails with errNameTaken.
 func checkStorageFree(tx *store.Tx, e *erm.Entity) error {
 	var err error
 	switch {
@@ -179,7 +199,7 @@ func checkStorageFree(tx *store.Tx, e *erm.Entity) error {
 	}
 	if err != nil {
 		if _, taken := tx.Get(erm.TableName, erm.NameKey(erm.NameGroupOf(e.Type), e.ParentID, e.Name)); taken {
-			return store.ErrRowTaken
+			return errNameTaken
 		}
 	}
 	return err
@@ -193,9 +213,27 @@ func checkPathFree(tx *store.Tx, path string) error {
 	if prefix, id, ok := erm.RegisteredPrefix(tx, erm.TablePath, path); ok {
 		return fmt.Errorf("%w: %s conflicts with asset %s at %s", ErrPathOverlap, path, id.Short(), prefix)
 	}
-	// Any registered descendant?
-	if kvs := tx.Scan(erm.TablePath, path+"/"); len(kvs) > 0 {
-		return fmt.Errorf("%w: %s contains asset path %s", ErrPathOverlap, path, kvs[0].Key)
+	if under, ok := firstUnder(tx, erm.TablePath, path); ok {
+		return fmt.Errorf("%w: %s contains asset path %s", ErrPathOverlap, path, under)
+	}
+	return nil
+}
+
+// firstUnder returns the first path, in key order, that table registers under
+// path, reading that one row only.
+func firstUnder(tx *store.Tx, table, path string) (string, bool) {
+	under := path + "/"
+	if kvs := tx.ScanRange(table, under, store.PrefixEnd(under), 1); len(kvs) > 0 {
+		return kvs[0].Key, true
+	}
+	return "", false
+}
+
+// checkStoragePath refuses a storage path that no path row could name: one
+// holding a 0 byte, which no derived row's key may hold.
+func checkStoragePath(path string) error {
+	if strings.IndexByte(path, 0) >= 0 {
+		return fmt.Errorf("%w: storage path %q holds a 0 byte", ErrInvalidArgument, path)
 	}
 	return nil
 }
@@ -396,7 +434,7 @@ func (s *Service) UpdateAsset(ctx Ctx, full string, req UpdateRequest) (e *erm.E
 			}
 		}
 		cur.UpdatedAt = now
-		if err := erm.UpdateEntity(tx, cur); err != nil {
+		if err := erm.PutEntity(tx, cur); err != nil {
 			return err
 		}
 		stageEvent(tx, ctx, events.OpUpdate, cur, "")
@@ -533,17 +571,14 @@ func (s *Service) RenameAsset(ctx Ctx, full, newName string) (e *erm.Entity, err
 		// The store moves the name row with the record, and refuses the
 		// commit when another live entity has the new name; the entity's
 		// own name, in any case, is no other's.
-		if err := erm.UpdateEntity(tx, renamed); err != nil {
+		if err := erm.PutEntity(tx, renamed); err != nil {
 			return err
 		}
 		stageEvent(tx, ctx, events.OpUpdate, renamed, "renamed from "+cur.Name)
 		return nil
 	})
-	if errors.Is(err, store.ErrRowTaken) {
-		return nil, fmt.Errorf("%w: %s %q", ErrAlreadyExists, cur.Type, newName)
-	}
 	if err != nil {
-		return nil, err
+		return nil, rowTaken(err, fmt.Errorf("%w: %s %q", ErrAlreadyExists, cur.Type, newName))
 	}
 	return renamed, nil
 }
@@ -640,7 +675,7 @@ func (s *Service) SetWorkspaceBindings(ctx Ctx, catalogName string, workspaces [
 			return err
 		}
 		upd.UpdatedAt = now
-		if err := erm.UpdateEntity(tx, upd); err != nil {
+		if err := erm.PutEntity(tx, upd); err != nil {
 			return err
 		}
 		stageEvent(tx, ctx, events.OpUpdate, upd, "workspace bindings")

@@ -174,7 +174,7 @@ func TestCatalogSpecThatDoesNotDecodeFailsClosed(t *testing.T) {
 	} {
 		upd := cat.Clone()
 		upd.Spec = c.spec
-		if _, err := svc.cache.Update("ms1", func(tx *store.Tx) error { return erm.UpdateEntity(tx, upd) }); err != nil {
+		if _, err := svc.cache.Update("ms1", func(tx *store.Tx) error { return erm.PutEntity(tx, upd) }); err != nil {
 			t.Fatal(err)
 		}
 		for ws, want := range map[string]bool{"ws-us": c.us, "ws-eu": c.eu} {

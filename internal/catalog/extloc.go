@@ -81,8 +81,8 @@ func checkExtLocFree(tx *store.Tx, path string) error {
 	if _, id, ok := erm.RegisteredPrefix(tx, erm.TableExtLoc, path); ok {
 		return fmt.Errorf("%w: %s is inside external location %s", ErrPathOverlap, path, id.Short())
 	}
-	if kvs := tx.Scan(erm.TableExtLoc, path+"/"); len(kvs) > 0 {
-		return fmt.Errorf("%w: %s contains external location at %s", ErrPathOverlap, path, kvs[0].Key)
+	if under, ok := firstUnder(tx, erm.TableExtLoc, path); ok {
+		return fmt.Errorf("%w: %s contains external location at %s", ErrPathOverlap, path, under)
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -65,10 +64,9 @@ func (s *Service) DeleteAsset(ctx Ctx, full string, force bool) (err error) {
 }
 
 // softDeleteTree marks the entity (and, with force, its subtree) soft
-// deleted inside tx, so that its name row, which the store derives from an
-// entity that is not soft deleted, goes with that write, and removing its
-// path row: names and paths become immediately reusable while the records
-// linger for recovery.
+// deleted inside tx, so that its name and path rows, which the store derives
+// from an entity that is not soft deleted, go with that write: names and
+// paths become immediately reusable while the records linger for recovery.
 func (s *Service) softDeleteTree(tx *store.Tx, id ids.ID, force bool, now time.Time, out *[]*erm.Entity) error {
 	e, ok := erm.GetEntity(tx, id)
 	if !ok {
@@ -98,17 +96,8 @@ func (s *Service) softDeleteTree(tx *store.Tx, id ids.ID, force bool, now time.T
 	e.State = erm.StateSoftDeleted
 	e.DeletedAt = &now
 	e.UpdatedAt = now
-	if err := erm.UpdateEntity(tx, e); err != nil {
+	if err := erm.PutEntity(tx, e); err != nil {
 		return err
-	}
-	// Free the path for reuse; the child row stays so GC can find the
-	// record via its parent.
-	if e.StoragePath != "" {
-		if e.Type == erm.TypeExternalLocation {
-			tx.Delete(erm.TableExtLoc, e.StoragePath)
-		} else {
-			tx.Delete(erm.TablePath, e.StoragePath)
-		}
 	}
 	// Grants on a deleted securable and its lineage edges go immediately.
 	for _, kv := range tx.Scan(erm.TableGrant, erm.GrantPrefix(e.ID)) {
@@ -238,6 +227,9 @@ func (s *Service) Undelete(ctx Ctx, id ids.ID) (e *erm.Entity, err error) {
 		if !ok || parent.State == erm.StateSoftDeleted {
 			return fmt.Errorf("%w: parent of %s is gone", ErrNotFound, restored.FullName)
 		}
+		if err := checkStoragePath(restored.StoragePath); err != nil {
+			return err
+		}
 		if err := checkStorageFree(tx, restored); err != nil {
 			return err
 		}
@@ -251,11 +243,8 @@ func (s *Service) Undelete(ctx Ctx, id ids.ID) (e *erm.Entity, err error) {
 		stageEvent(tx, ctx, events.OpCreate, restored, "undelete")
 		return nil
 	})
-	if errors.Is(err, store.ErrRowTaken) {
-		return nil, fmt.Errorf("%w: name %s was reused", ErrAlreadyExists, restored.Name)
-	}
 	if err != nil {
-		return nil, err
+		return nil, rowTaken(err, fmt.Errorf("%w: name %s was reused", ErrAlreadyExists, cur.Name))
 	}
 	return restored, nil
 }

@@ -220,6 +220,9 @@ func (s *Service) CreateMetastore(id, name, region string, owner privilege.Princ
 	if id == "" || name == "" || owner == "" {
 		return MetastoreInfo{}, fmt.Errorf("%w: metastore id, name and owner are required", ErrInvalidArgument)
 	}
+	if err := checkStoragePath(rootPath); err != nil {
+		return MetastoreInfo{}, err
+	}
 	if err := s.db.CreateMetastore(id); err != nil {
 		return MetastoreInfo{}, fmt.Errorf("%w: metastore %s", ErrAlreadyExists, id)
 	}

@@ -294,12 +294,15 @@ func sharedEntityDifferential(t *testing.T, seed int64, db *store.DB, svc *Servi
 // resolved through the store's path table, when the point-read path last
 // changed on purpose: a request's authorizer bound to its view in one object
 // (three before), the catalog's workspace bindings read in place, where a
-// decode of its whole spec cost each 6 more (19, 44 and 33).
-// TestPointReadAllocs fails at 10 % over; `make allocs` prints the figures.
+// decode of its whole spec cost each 6 more (19, 44 and 33). A derived path
+// row's value is its entity's ID as the store keeps it, which the cache
+// shares: the path read no longer copies the ID out of it (25 while rows held
+// its 16 bytes). TestPointReadAllocs fails at 10 % over; `make allocs` prints
+// the figures.
 const (
 	getAssetAllocs = 9  // 13 before
 	resolveAllocs  = 34 // 38 before
-	pathCredAllocs = 25 // 27 before
+	pathCredAllocs = 24 // 27 before the authorizer was bound to its view
 )
 
 // TestPointReadAllocs gates the point-read path end to end — view, name or

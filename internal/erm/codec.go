@@ -50,10 +50,11 @@ package erm
 // Both are read for ever. The first byte (0xE1) is disjoint from '{', so a
 // decode also accepts the JSON values the seed wrote. No store migration is
 // needed: records converge to version 3 as they are rewritten. The index rows
-// beside a record changed with version 2 (IDValue, IndexedID in erm.go): a
-// path row holds the ID's 16 bytes, not its 32 hex digits. No child or name
-// row is stored: the store derives them from the record (childGroup,
-// nameGroup and nameSort, which read its head: readHead).
+// stored beside a record changed with version 2 (IndexedID in erm.go): a path
+// or name row held the ID's 16 bytes, not its 32 hex digits. No child, name or
+// path row is stored now: the store derives them from the record (childGroup,
+// nameGroup and nameSort, pathGroup, extLocGroup and pathSort, which read its
+// head: readHead).
 //
 // Because a record of version 2 or 3 leaves out its key, it is decoded with it:
 // DecodeEntityAt and DecodeEntities take the key and every reader of the
@@ -595,32 +596,39 @@ func DecodeEntities(n int, rec func(i int) (ids.ID, []byte)) []*Entity {
 }
 
 // recordHead is what the derived tables read of an entity record: its type
-// (coded, or its string), state, parent and name.
+// (coded, or its string), state, parent and name, and with them, when asked
+// for, its storage path.
 type recordHead struct {
 	typ, parent, name []byte
 	coded             SecurableType // the type, when the record has its code
 	rawParent         bool          // parent is an ID's 16 bytes
 	softDeleted       bool
+	// path is the storage path as the record holds it: without the record's
+	// key when pathID says the path ends in it.
+	path   []byte
+	pathID bool
 }
 
 // readHead reads the head of an entity record of every format and of the
-// seed's JSON. A value that does not read, or whose parent, type or name
-// holds a 0 byte, has none.
-func readHead(value []byte) (h recordHead, ok bool) {
+// seed's JSON, the storage path too if withPath. A value that does not read,
+// or whose parent, type or name holds a 0 byte, has none.
+func readHead(value []byte, withPath bool) (h recordHead, ok bool) {
 	switch {
 	case len(value) == 0:
 		return h, false
 	case value[0] == '{':
 		var j struct {
-			Type     string `json:"type"`
-			ParentID string `json:"parent_id"`
-			Name     string `json:"name"`
-			State    State  `json:"state"`
+			Type        string `json:"type"`
+			ParentID    string `json:"parent_id"`
+			Name        string `json:"name"`
+			State       State  `json:"state"`
+			StoragePath string `json:"storage_path"`
 		}
 		if json.Unmarshal(value, &j) != nil {
 			return h, false
 		}
 		h.parent, h.typ, h.name, h.softDeleted = []byte(j.ParentID), []byte(j.Type), []byte(j.Name), j.State == StateSoftDeleted
+		h.path = []byte(j.StoragePath)
 	case value[0] != codecMagic || len(value) < 3:
 		return h, false
 	case value[1] == codecV1:
@@ -632,9 +640,10 @@ func readHead(value []byte) (h recordHead, ok bool) {
 		if d.err != nil {
 			return h, false
 		}
-		for range 4 {
-			d.bytes() // the full name, owner, comment and path
+		for range 3 {
+			d.bytes() // the full name, owner and comment
 		}
+		h.path = d.bytes()
 		h.softDeleted = State(d.bytes()) == StateSoftDeleted && d.err == nil
 	case value[1] == codecV2 || value[1] == codecV3:
 		d := decoder{b: value, off: 3}
@@ -657,6 +666,11 @@ func readHead(value []byte) (h recordHead, ok bool) {
 			h.parent = d.bytes()
 		}
 		h.name = d.bytes()
+		if withPath {
+			d.bytes() // the full name
+			d.bytes() // the comment
+			h.path, h.pathID = d.bytes(), value[2]&flagPathID != 0
+		}
 		if d.err != nil {
 			return h, false
 		}
@@ -682,7 +696,7 @@ func (h *recordHead) appendParent(dst []byte) []byte {
 // prefix ChildKey gives its children of that type. A value without a head
 // (readHead) names none.
 func childGroup(dst, value []byte) ([]byte, bool) {
-	h, ok := readHead(value)
+	h, ok := readHead(value, false)
 	if !ok {
 		return dst, false
 	}
@@ -696,7 +710,7 @@ func childGroup(dst, value []byte) ([]byte, bool) {
 // NameKey gives the names of its group under its parent — and names none for
 // a soft-deleted one or a value without a head.
 func nameGroup(dst, value []byte) ([]byte, bool) {
-	h, ok := readHead(value)
+	h, ok := readHead(value, false)
 	if !ok || h.softDeleted {
 		return dst, false
 	}
@@ -710,8 +724,8 @@ func nameGroup(dst, value []byte) ([]byte, bool) {
 
 // nameSort is the sort key of the name table's derivation: the entity's name,
 // lowered as NameKey lowers it.
-func nameSort(dst, value []byte) []byte {
-	h, _ := readHead(value)
+func nameSort(dst []byte, _ string, value []byte) []byte {
+	h, _ := readHead(value, false)
 	for i, c := range h.name {
 		if c >= utf8.RuneSelf {
 			return append(dst, strings.ToLower(string(h.name[i:]))...)
@@ -720,6 +734,34 @@ func nameSort(dst, value []byte) []byte {
 			c += 'a' - 'A'
 		}
 		dst = append(dst, c)
+	}
+	return dst
+}
+
+// pathGroup and extLocGroup are the groups of the path tables' derivations:
+// each table is one group, "", its rows sorted by path (pathSort). An entity
+// that is not soft deleted and has a storage path holding no 0 byte has the
+// row of its path in the external-location table if it is one, else in the
+// path table; any other has none.
+func pathGroup(dst, value []byte) ([]byte, bool)   { return dst, hasPathRow(value, false) }
+func extLocGroup(dst, value []byte) ([]byte, bool) { return dst, hasPathRow(value, true) }
+
+func hasPathRow(value []byte, extLoc bool) bool {
+	h, ok := readHead(value, true)
+	if !ok || h.softDeleted || len(h.path) == 0 && !h.pathID || bytes.IndexByte(h.path, 0) >= 0 {
+		return false
+	}
+	return (h.coded == TypeExternalLocation || string(h.typ) == string(TypeExternalLocation)) == extLoc
+}
+
+// pathSort is the sort key of the path tables' derivations: the storage path
+// of the entity record stored under key, which ends in that key when the
+// record leaves it out (flagPathID).
+func pathSort(dst []byte, key string, value []byte) []byte {
+	h, _ := readHead(value, true)
+	dst = append(dst, h.path...)
+	if h.pathID {
+		dst = append(dst, key...)
 	}
 	return dst
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"unitycatalog/internal/ids"
 )
 
 // encodeEntityV1 is the record encoder as it was before format version 2,
@@ -70,4 +72,18 @@ func specJSON(s Spec) Spec {
 		return s
 	}
 	return Spec(s.AppendJSON(nil))
+}
+
+// idValue is the value a stored name or path row held from format version 2
+// until the store derived the table: the ID's 16 bytes, or for an ID that is
+// not 32 hex digits its string, after idLiteral when it could be taken for
+// another form. IndexedID reads it, and replay checks a logged row by it.
+func idValue(id ids.ID) []byte {
+	if raw, ok := id.AppendRaw(make([]byte, 0, ids.RawLen)); ok {
+		return raw
+	}
+	if len(id) == ids.RawLen || id == "" || id[0] == idLiteral {
+		return append([]byte{idLiteral}, id...)
+	}
+	return []byte(id)
 }

@@ -163,9 +163,9 @@ func TestEntityCodecZeroValues(t *testing.T) {
 // managed table of the benchmark's population was 506 bytes in version 1 (the
 // 512 class) and 403 in version 2 (416); in version 3, its spec packed, it
 // must stay at or under 176, and a table with a row filter (the benchmark's
-// fine-grained tables) at or under 208. Its child row must store nothing and
-// its name and path rows the ID's 16 bytes. One more byte in a field is one
-// byte here and 64 resident.
+// fine-grained tables) at or under 208. Its rows are derived: its child row
+// must read as nothing and its name and path rows as its ID, the store's own
+// key string. One more byte in a field is one byte here and 64 resident.
 func TestRecordSizes(t *testing.T) {
 	now := time.Now()
 	id, parent := ids.New(), ids.New()
@@ -229,7 +229,7 @@ func TestRecordSizes(t *testing.T) {
 	}
 	snap, _ := db.Snapshot("m")
 	defer snap.Close()
-	for table, want := range map[string]int{TableChild: 0, TableName: len(id), TablePath: ids.RawLen} {
+	for table, want := range map[string]int{TableChild: 0, TableName: len(id), TablePath: len(id)} {
 		kvs := snap.Scan(table, "")
 		if len(kvs) != 1 || len(kvs[0].Value) != want || IndexedID(kvs[0]) != id {
 			t.Errorf("%s rows %v: want one row with a %d-byte value that reads back as %s", table, kvs, want, id)
@@ -281,6 +281,92 @@ func TestChildGroupReadsEveryForm(t *testing.T) {
 	}
 }
 
+// TestPathRowReadsEveryForm: the path tables' derivation reads an entity's
+// storage path from a record of every format and from the seed's JSON —
+// whether or not the record leaves out the key the path ends in — and puts an
+// active entity with a path in exactly one of the two tables, an external
+// location in the external-location table, under the path it decodes to. A
+// soft-deleted entity, one without a path and one whose path holds a 0 byte
+// derive none. Revived, any record has the name and path rows of its value
+// made active.
+func TestPathRowReadsEveryForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	rows := 0
+	for i := 0; i < 400; i++ {
+		e := sampleEntity(rng)
+		switch rng.Intn(5) {
+		case 0:
+			e.Type = TypeExternalLocation
+		case 1:
+			e.State = StateSoftDeleted
+		case 2:
+			e.StoragePath = "s3://lake/" + string(e.ID)
+		}
+		js, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for format, encode := range map[string]func(*Entity) ([]byte, error){
+			"v1": encodeEntityV1, "v2": encodeEntityV2, "v3": EncodeEntity,
+			"json": func(*Entity) ([]byte, error) { return js, nil },
+		} {
+			rec, err := encode(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := DecodeEntityAt(e.ID, rec)
+			if err != nil || d.StoragePath != e.StoragePath {
+				t.Fatalf("%s record of %+v decodes to path %q (%v)", format, e, d.StoragePath, err)
+			}
+			live := e.State != StateSoftDeleted && e.StoragePath != ""
+			inPath, gotOK := pathGroup([]byte("kept"), rec)
+			inExtLoc, gotExtOK := extLocGroup([]byte("kept"), rec)
+			if string(inPath) != "kept" || string(inExtLoc) != "kept" {
+				t.Fatalf("%s record: the groups are %q and %q, want the empty group", format, inPath, inExtLoc)
+			}
+			if gotOK != (live && e.Type != TypeExternalLocation) || gotExtOK != (live && e.Type == TypeExternalLocation) {
+				t.Fatalf("%s record of a %s, %s, at %q: path row %v, external-location row %v", format, e.Type, e.State, e.StoragePath, gotOK, gotExtOK)
+			}
+			// A purged record's rows, while they were stored, were those of
+			// its value made active (revived), whatever its state.
+			active := *e
+			active.State, active.DeletedAt = StateActive, nil
+			want, _ := EncodeEntity(&active)
+			for what, group := range map[string]func(dst, value []byte) ([]byte, bool){"name": nameGroup, "path": pathGroup, "extloc": extLocGroup} {
+				sort := pathSort
+				if what == "name" {
+					sort = nameSort
+				}
+				row := func(value []byte) string {
+					b, ok := group(nil, value)
+					if !ok {
+						return "none"
+					}
+					return string(sort(b, string(e.ID), value))
+				}
+				if got, want := row(revived(string(e.ID), rec)), row(want); got != want {
+					t.Fatalf("%s record of a %s, %s, at %q: revived, its %s row is %q, active %q", format, e.Type, e.State, e.StoragePath, what, got, want)
+				}
+			}
+			if !live {
+				continue
+			}
+			rows++
+			if got := pathSort([]byte("kept"), string(e.ID), rec); string(got) != "kept"+e.StoragePath {
+				t.Fatalf("%s record at %q: sort key %q", format, e.StoragePath, got)
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatal("no sample derived a row")
+	}
+	zero := &Entity{ID: "x", Type: TypeTable, Name: "t", ParentID: "p", StoragePath: "s3://b/\x00", State: StateActive}
+	rec, _ := EncodeEntity(zero)
+	if _, ok := pathGroup(nil, rec); ok {
+		t.Error("a path with a 0 byte derives a row")
+	}
+}
+
 // TestIndexedIDReadsEveryForm: an index value is empty (a child row), the
 // ID's 16 bytes, or its string; before record format 2 it was always the
 // string. Any ID comes back from any of them.
@@ -290,7 +376,7 @@ func TestIndexedIDReadsEveryForm(t *testing.T) {
 		for what, kv := range map[string]store.KV{
 			"child row":                 {Key: child},
 			"child row, written before": {Key: child, Value: []byte(id)},
-			"name row":                  {Key: "RELATION\x00p\x00t", Value: IDValue(id)},
+			"name row":                  {Key: "RELATION\x00p\x00t", Value: idValue(id)},
 		} {
 			if what == "child row, written before" && len(id) != 32 {
 				continue // the only IDs there were
@@ -301,8 +387,8 @@ func TestIndexedIDReadsEveryForm(t *testing.T) {
 		}
 	}
 	id := ids.New()
-	if v := IDValue(id); len(v) != ids.RawLen {
-		t.Errorf("IDValue(%s) is %d bytes, want %d", id, len(v), ids.RawLen)
+	if v := idValue(id); len(v) != ids.RawLen {
+		t.Errorf("idValue(%s) is %d bytes, want %d", id, len(v), ids.RawLen)
 	}
 	if got := IndexedID(store.KV{Key: "s3://b/t", Value: []byte(id)}); got != id {
 		t.Errorf("a path row written before: %q, want %q", got, id)

@@ -410,8 +410,8 @@ func builtinManifests() []TypeManifest {
 const (
 	TableEntity = "entity" // id -> Entity (codec.go; older forms accepted on read)
 	TableName   = "name"   // nameKey -> id (the entity's key), derived from the entity records (nameGroup)
-	TablePath   = "path"   // storage path -> id (data assets; one-asset-per-path)
-	TableExtLoc = "extloc" // storage path -> id (external locations: containers of asset paths)
+	TablePath   = "path"   // storage path -> id (data assets; one-asset-per-path), derived from the entity records (pathGroup)
+	TableExtLoc = "extloc" // storage path -> id (external locations: containers of asset paths), derived (extLocGroup)
 	TableChild  = "child"  // childKey -> nothing, derived from the entity records (childGroup)
 	TableGrant  = "grant"  // grantKey -> Grant JSON
 	TableTag    = "tag"    // tagKey -> value
@@ -429,17 +429,37 @@ var Tables = []string{
 	TableTag, TableTagIdx, TableABAC, TableLineage, TableLineageUp,
 }
 
-// The child and name tables are not written: the store derives them from the
-// entity records (store.DeriveIndex). A record's child row is the ChildKey of
-// its parent, type and ID; an entity that is not soft deleted has the name
-// row NameKey(NameGroupOf(type), parent, name), one live entity at most.
+// The child, name and path tables are not written: the store derives them
+// from the entity records (store.DeriveIndex). A record's child row is the
+// ChildKey of its parent, type and ID; an entity that is not soft deleted has
+// the name row NameKey(NameGroupOf(type), parent, name) and, if it has a
+// storage path, the row of its path in TableExtLoc if it is an external
+// location, else in TablePath: one live entity at most under each. Every row
+// but a child row has the entity's ID as its value.
 func init() {
 	store.DeriveIndex(TableChild, TableEntity, store.Derivation{Group: childGroup})
-	store.DeriveIndex(TableName, TableEntity, store.Derivation{Group: nameGroup, Sort: nameSort, Names: namesID})
+	store.DeriveIndex(TableName, TableEntity, store.Derivation{Group: nameGroup, Sort: nameSort, Names: namesID, Revived: revived})
+	store.DeriveIndex(TablePath, TableEntity, store.Derivation{Group: pathGroup, Sort: pathSort, Names: namesID, Revived: revived})
+	store.DeriveIndex(TableExtLoc, TableEntity, store.Derivation{Group: extLocGroup, Sort: pathSort, Names: namesID, Revived: revived})
 }
 
-// namesID reports whether a name row a log holds names entity id: its value
-// is IDValue(id), or the ID's string a log of JSON lines wrote.
+// revived is entity record value, stored under id, made active: a purge that
+// a log wrote while name and path rows were stored deleted the rows of that
+// form, soft deleted or not, beside the record (store.Derivation.Revived).
+func revived(id string, value []byte) []byte {
+	e, err := decodeEntity(value, ids.ID(id), false)
+	if err != nil {
+		return nil
+	}
+	e.State, e.DeletedAt = StateActive, nil
+	b, _ := EncodeEntity(e)
+	return b
+}
+
+// namesID reports whether a name or path row a log holds names entity id:
+// its value is the ID's 16 bytes (or, for an ID of another form, its string
+// after the idLiteral byte when it could be taken for those), or the ID's
+// string a log of JSON lines wrote.
 func namesID(value []byte, id string) bool { return IndexedID(store.KV{Value: value}) == ids.ID(id) }
 
 // NameGroupOf is the name-uniqueness group of a type within a parent: TABLE
@@ -451,16 +471,6 @@ func NameGroupOf(t SecurableType) string {
 		return "RELATION"
 	}
 	return string(t)
-}
-
-// pathTableFor returns the path index an entity type belongs to: external
-// locations are containers that legitimately enclose asset paths, so they
-// index separately from the one-asset-per-path table.
-func pathTableFor(t SecurableType) string {
-	if t == TypeExternalLocation {
-		return TableExtLoc
-	}
-	return TablePath
 }
 
 // NameKey builds the unique-name index key for (group, parent, name).
@@ -535,38 +545,23 @@ func TagIdxParts(idxKey string) (sec ids.ID, column string, ok bool) {
 	return ids.ID(rest[:j]), rest[j+1:], true
 }
 
-// PutEntity writes the entity record and its path row inside tx; the store
-// derives its child and name rows, and refuses the commit (store.ErrRowTaken)
-// when another live entity of its group and parent has its name.
+// PutEntity writes the entity record inside tx, new or rewritten; the store
+// derives its child, name and path rows, and refuses the commit (a
+// store.RowTakenError naming the table) when another live entity of its group
+// and parent has its name, or another live entity its storage path.
 func PutEntity(tx *store.Tx, e *Entity) error {
 	b, err := EncodeEntity(e)
 	if err != nil {
 		return fmt.Errorf("erm: encode entity: %w", err)
 	}
 	tx.Put(TableEntity, string(e.ID), b)
-	if e.StoragePath != "" {
-		tx.Put(pathTableFor(e.Type), e.StoragePath, IDValue(e.ID))
-	}
 	return nil
 }
 
-// UpdateEntity rewrites just the entity record (indexes unchanged).
-func UpdateEntity(tx *store.Tx, e *Entity) error {
-	b, err := EncodeEntity(e)
-	if err != nil {
-		return fmt.Errorf("erm: encode entity: %w", err)
-	}
-	tx.Put(TableEntity, string(e.ID), b)
-	return nil
-}
-
-// DeleteEntity removes the entity record, and with it its derived rows, and
-// its path row inside tx.
+// DeleteEntity removes the entity record, and with it its derived rows,
+// inside tx.
 func DeleteEntity(tx *store.Tx, e *Entity) {
 	tx.Delete(TableEntity, string(e.ID))
-	if e.StoragePath != "" {
-		tx.Delete(pathTableFor(e.Type), e.StoragePath)
-	}
 }
 
 // Reader is the read interface shared by store snapshots, transactions and
@@ -620,33 +615,19 @@ func GetEntity(r Reader, id ids.ID) (*Entity, bool) {
 	return e, true
 }
 
-// idLiteral opens an index value that holds an ID as its string because the
+// idLiteral opens an index value that held an ID as its string because the
 // string alone could be taken for another form: it is 16 bytes long, or empty,
 // or starts with this byte itself.
 const idLiteral = 0xff
 
-// IDValue is the value an index row that maps a key to an entity stores (the
-// path and external-location tables, and the name table before it was
-// derived): the ID's 16 bytes, or for an ID that is not 32 hex digits its
-// string. IndexedID reads all of them back.
-func IDValue(id ids.ID) []byte {
-	if raw, ok := id.AppendRaw(make([]byte, 0, ids.RawLen)); ok {
-		return raw
-	}
-	if len(id) == ids.RawLen || id == "" || id[0] == idLiteral {
-		return append([]byte{idLiteral}, id...)
-	}
-	return []byte(id)
-}
-
-// IndexedID returns the entity ID a stored index pair points at (the path
-// and external-location tables map a key to an ID, as the name table did),
-// whichever form the row has: an empty value (a child row, derived: the ID is
-// the key's last part), the ID's 16 bytes, or its string — the only form
-// before record format 2, 32 hex digits then. For a child row the ID is a
+// IndexedID returns the entity ID an index pair points at, whichever form the
+// row has: an empty value (a child row: the ID is the key's last part), the
+// ID's 16 bytes or, after idLiteral, its string (what name and path rows held
+// while they were stored, from record format 2), or its string — the only
+// form before format 2, 32 hex digits then, and the value of a derived name
+// or path row, which LookupID reads as it is. For a child row the ID is a
 // substring of the key and costs no allocation; for any other it is a string
-// of its own, exactly sized. A derived name row's value is its entity's key
-// as it is, which LookupID reads.
+// of its own, exactly sized.
 func IndexedID(kv store.KV) ids.ID {
 	k, v := kv.Key, kv.Value
 	switch n := len(v); {
@@ -662,16 +643,12 @@ func IndexedID(kv store.KV) ids.ID {
 	return ids.ID(v)
 }
 
-// LookupID reads the entity ID that index record (table, key) holds — the
-// name, path and external-location tables map a key to an ID. Through a
-// DecodedReader the ID is copied out of the record once per cached version,
-// not once per lookup.
+// LookupID reads the entity ID that index row (table, key) names: the name,
+// path and external-location tables map a key to an ID, and a row's value is
+// its entity's key as it is.
 func LookupID(r Reader, table, key string) (ids.ID, bool) {
-	if table == TableName {
-		return nameID(r, key)
-	}
 	if dr, ok := r.(DecodedReader); ok {
-		d, ok := dr.GetDecoded(table, key, sharedID)
+		d, ok := dr.GetDecoded(table, key, sharedKeyID)
 		if !ok {
 			return ids.Nil, false
 		}
@@ -681,45 +658,25 @@ func LookupID(r Reader, table, key string) (ids.ID, bool) {
 	if !ok {
 		return ids.Nil, false
 	}
-	return IndexedID(store.KV{Key: key, Value: idb}), true
-}
-
-// nameID is LookupID of the name table, whose derived value is the entity's
-// key itself.
-func nameID(r Reader, key string) (ids.ID, bool) {
-	if dr, ok := r.(DecodedReader); ok {
-		d, ok := dr.GetDecoded(TableName, key, sharedKeyID)
-		if !ok {
-			return ids.Nil, false
-		}
-		return d.(ids.ID), true
-	}
-	idb, ok := r.Get(TableName, key)
-	if !ok {
-		return ids.Nil, false
-	}
 	return ids.ID(idb), true
 }
 
-// sharedKeyID reads a name row's value, which the store hands out as its
-// entity record's own key string: the ID is that string, not a copy.
-func sharedKeyID(_ string, rec []byte) (any, error) {
-	return ids.ID(unsafe.String(unsafe.SliceData(rec), len(rec))), nil
-}
+// sharedKeyID reads an index row's value, which the store hands out as its
+// entity record's own key string, and a cache as the bytes it was handed: the
+// ID is that string, not a copy.
+func sharedKeyID(_ string, rec []byte) (any, error) { return sharedID(rec), nil }
 
-// sharedEntity, sharedID and sharedKeyID are the decode functions of the
-// entity table, of the stored index tables and of the name table for a
-// DecodedReader: package-level, so passing one allocates nothing.
+func sharedID(val []byte) ids.ID { return ids.ID(unsafe.String(unsafe.SliceData(val), len(val))) }
+
+// sharedEntity and sharedKeyID are the decode functions of the entity table
+// and of the index tables for a DecodedReader: package-level, so passing one
+// allocates nothing.
 func sharedEntity(key string, rec []byte) (any, error) {
 	e, err := decodeEntity(rec, ids.ID(key), true)
 	if err != nil {
 		return nil, err
 	}
 	return e, nil
-}
-
-func sharedID(key string, rec []byte) (any, error) {
-	return IndexedID(store.KV{Key: key, Value: rec}), nil
 }
 
 // GetByName resolves (group, parent, name) to an entity.
@@ -759,11 +716,12 @@ type OneOfReader interface {
 
 // RegisteredPrefix answers which segment prefix of path (pathPrefixes, path
 // itself included) table registers at r's version, and the ID of the entity
-// it maps to. table is TablePath or TableExtLoc. Every write to either checks
-// in its transaction that no path registered there is a prefix of another, so
-// at most one prefix of any path is registered at any version: through a
-// OneOfReader a cached registration is the answer, and otherwise all the
-// prefixes are read in one round trip.
+// it maps to. table is TablePath or TableExtLoc. Every write that registers a
+// path checks in its transaction that no path registered there is a prefix of
+// another, so at most one prefix of any path is registered at any version:
+// through a OneOfReader a cached registration is the answer, its ID the
+// bytes the reader shares, and otherwise all the prefixes are read in one
+// round trip.
 func RegisteredPrefix(r Reader, table, path string) (prefix string, id ids.ID, ok bool) {
 	keys := pathPrefixes(path)
 	if or, isOneOf := r.(OneOfReader); isOneOf {
@@ -771,11 +729,11 @@ func RegisteredPrefix(r Reader, table, path string) (prefix string, id ids.ID, o
 		if i < 0 {
 			return "", ids.Nil, false
 		}
-		return keys[i], IndexedID(store.KV{Key: keys[i], Value: val}), true
+		return keys[i], sharedID(val), true
 	}
 	for _, k := range keys {
 		if val, found := r.Get(table, k); found {
-			return k, IndexedID(store.KV{Key: k, Value: val}), true
+			return k, ids.ID(val), true
 		}
 	}
 	return "", ids.Nil, false

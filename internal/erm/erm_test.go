@@ -220,8 +220,8 @@ func TestNoNameRowIsWritten(t *testing.T) {
 	e := &Entity{ID: ids.New(), Type: TypeTable, Name: "Orders", ParentID: parent, State: StateActive}
 	steps := []func(tx *store.Tx) error{
 		func(tx *store.Tx) error { return PutEntity(tx, e) },
-		func(tx *store.Tx) error { e.Name = "orders"; return UpdateEntity(tx, e) },
-		func(tx *store.Tx) error { e.State = StateSoftDeleted; return UpdateEntity(tx, e) },
+		func(tx *store.Tx) error { e.Name = "orders"; return PutEntity(tx, e) },
+		func(tx *store.Tx) error { e.State = StateSoftDeleted; return PutEntity(tx, e) },
 		func(tx *store.Tx) error { e.State = StateActive; return PutEntity(tx, e) },
 	}
 	for i, step := range steps {
@@ -240,7 +240,7 @@ func TestNoNameRowIsWritten(t *testing.T) {
 		}
 	}
 	if _, err := db.Update("m", func(tx *store.Tx) error {
-		tx.Put(TableName, NameKey("RELATION", parent, "x"), IDValue(e.ID))
+		tx.Put(TableName, NameKey("RELATION", parent, "x"), idValue(e.ID))
 		return nil
 	}); err == nil {
 		t.Error("the store took a name row")

@@ -6,7 +6,7 @@ package store
 // records. DeriveIndex declares one. A record of the source table whose value
 // derives a group — a key prefix — and a sort key within it is the row
 // group+sort of the derived table, live at exactly the versions at which the
-// record is and its value there derives that row. erm declares two:
+// record is and its value there derives that row. erm declares four:
 //
 //   - the child table, keyed by its records: an entity's group is
 //     parent\0TYPE\0 and its sort key is its own ID, so its row is the
@@ -15,7 +15,12 @@ package store
 //   - the name table: an active entity's group is group\0parent\0, its type's
 //     name group (erm.NameGroupOf) and its parent, and its sort key its
 //     lowered name, the NameKey it is found by; a soft-deleted one derives
-//     none.
+//     none;
+//   - the path and external-location tables: each is one group, "", and an
+//     active entity's sort key is its storage path, so its row is the path
+//     itself — one table for external locations, the other for every other
+//     type. No other grouping would do: a group that is a prefix of one path
+//     is a prefix of every path under it.
 //
 // A metastore keeps, per derived table, its groups in ascending order of
 // their key, each a slice of entries ordered by the row each derives, then by
@@ -44,7 +49,7 @@ package store
 //     the version behind the tombstone holds the same bytes;
 //   - a derived table takes no writes. A log written while the rows were
 //     stored holds them: replay checks each against what the records derive,
-//     then drops it;
+//     or a purged record derived (Derivation.Revived), then drops it;
 //   - a row keyed apart from its record has no change of its record's to
 //     name it, so a commit names each such row it makes live or dead in the
 //     change log (Tx.Rows): caches keep those rows, as they keep stored ones.
@@ -66,10 +71,10 @@ import (
 // reports whether it derives one. It keeps neither slice.
 type GroupFunc func(dst, value []byte) ([]byte, bool)
 
-// SortFunc appends to dst the sort key a source record's value derives within
-// the group GroupFunc derives from it, which must hold no 0 byte. It keeps
-// neither slice.
-type SortFunc func(dst, value []byte) []byte
+// SortFunc appends to dst the sort key that source record key's value derives
+// within the group GroupFunc derives from it, which must hold no 0 byte. It
+// keeps neither slice.
+type SortFunc func(dst []byte, key string, value []byte) []byte
 
 // Derivation is what a derived table's rows are made of (see the file
 // comment).
@@ -83,12 +88,30 @@ type Derivation struct {
 	// written while the rows were stored, names the record whose key is key.
 	// Nil accepts an empty value and the key itself.
 	Names func(value []byte, key string) bool
+	// Revived, if set, returns the value of a source record stored under key
+	// as it would be were the record live: a log written while the rows were
+	// stored deletes the rows that form had beside the record it purges,
+	// although another record may have come to derive one since, and replay
+	// drops such a delete (checkReplayedRowsLocked).
+	Revived func(key string, value []byte) []byte
 }
 
 // ErrRowTaken is what a commit that would leave two live records deriving one
-// row of a table with a Sort fails with, wrapped with the row and both
-// records' keys.
+// row of a table with a Sort fails with, wrapped in a RowTakenError.
 var ErrRowTaken = errors.New("store: row already derived by a live record")
+
+// RowTakenError says which row a refused commit would have put a second live
+// record under: Table's row Row, which record Holder of the source table is
+// live under and Record would be. It wraps ErrRowTaken.
+type RowTakenError struct {
+	Table, Row, Source, Holder, Record string
+}
+
+func (e *RowTakenError) Error() string {
+	return fmt.Sprintf("%v: %s row %q: record %s/%s is live under it, %s/%s would be", ErrRowTaken, e.Table, e.Row, e.Source, e.Holder, e.Source, e.Record)
+}
+
+func (e *RowTakenError) Unwrap() error { return ErrRowTaken }
 
 type derivation struct {
 	table, source string
@@ -153,7 +176,30 @@ type groupIndex struct {
 
 type group struct {
 	key  string
-	rows []*record // entries, by row, then key
+	rows []*record // entries, by row, then key; grown through rowCaps
+}
+
+// rowCaps are the sizes a group's array takes up to 511 entries, smallest
+// first: each fills its malloc size class (past 512 bytes with the 8-byte
+// header Go gives an object of pointers) and is at most about a third over
+// the one before, so a group holds few empty slots — append, which doubles a
+// small slice, left a 76-entry group 143 slots. Past the last, append grows
+// a group by about a quarter.
+var rowCaps = [...]int{1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 24, 28, 32, 40, 48, 56, 64,
+	79, 95, 111, 127, 159, 191, 223, 255, 335, 399, 511}
+
+// withRoom returns rows with room for one more entry: in an array of the
+// next of rowCaps' sizes when it is full and smaller than the last.
+func withRoom(rows []*record) []*record {
+	if len(rows) < cap(rows) {
+		return rows
+	}
+	for _, c := range rowCaps {
+		if c > len(rows) {
+			return append(make([]*record, 0, c), rows...)
+		}
+	}
+	return rows
 }
 
 // shadowCommit marks a shadow: an entry for a row that only older versions of
@@ -228,7 +274,7 @@ func (gi *groupIndex) rowOf(dst []byte, key string, value []byte) (row []byte, g
 	if gi.d.keyed() {
 		return append(b, key...), group, true
 	}
-	return gi.d.Sort(b, value), group, true
+	return gi.d.Sort(b, key, value), group, true
 }
 
 // sortOf returns the sort key of entry e: its record's key in a keyed table,
@@ -237,7 +283,7 @@ func (gi *groupIndex) sortOf(buf *[]byte, e *record) []byte {
 	if gi.d.keyed() {
 		return keyBytes(e.key)
 	}
-	*buf = gi.d.Sort((*buf)[:0], e.value())
+	*buf = gi.d.Sort((*buf)[:0], e.key, e.value())
 	return *buf
 }
 
@@ -284,14 +330,25 @@ func (gi *groupIndex) holding(k string) *group {
 }
 
 // search returns the position in g.rows of the first entry at or after
-// (sort, key).
+// (sort, key). A row past the group's last entry or before its first — a
+// managed path, which ends in a time-ordered ID, and its prefixes — costs one
+// or two derivations, not a search's.
 func (gi *groupIndex) search(g *group, buf *[]byte, sort, key string) int {
-	lo, hi := 0, len(g.rows)
+	before := func(e *record) bool {
+		c := strings.Compare(str(gi.sortOf(buf, e)), sort)
+		return c < 0 || c == 0 && e.key < key
+	}
+	n := len(g.rows)
+	if n == 0 || before(g.rows[n-1]) {
+		return n
+	}
+	if !before(g.rows[0]) {
+		return 0
+	}
+	lo, hi := 1, n-1
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		e := g.rows[mid]
-		c := strings.Compare(str(gi.sortOf(buf, e)), sort)
-		if c < 0 || c == 0 && e.key < key {
+		if before(g.rows[mid]) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -314,7 +371,7 @@ func (gi *groupIndex) add(key, sort string, e *record, buf *[]byte) {
 		g.rows[j] = e
 		return
 	}
-	g.rows = slices.Insert(g.rows, j, e)
+	g.rows = slices.Insert(withRoom(g.rows), j, e)
 	gi.n++
 }
 
@@ -751,7 +808,7 @@ func (m *metastore) rowChangeLocked(gi *groupIndex, w *Write, old []byte, wasLiv
 	return rows
 }
 
-// checkTakenLocked fails with ErrRowTaken when a row that rows, the rows tx
+// checkTakenLocked fails with a RowTakenError when a row that rows, the rows tx
 // changes, make live has another record live under it once tx is in: one the
 // store holds or a pending commit writes (holderLocked), or another of tx's
 // writes. Caller holds stateMu for writing.
@@ -779,7 +836,7 @@ func (m *metastore) checkTakenLocked(tx *Tx, rows []Write) error {
 			made[k] = key
 		}
 		if taken {
-			return fmt.Errorf("%w: %s row %q: record %s/%s is live under it, %s/%s would be", ErrRowTaken, rw.Table, rw.Key, gi.d.source, holder, gi.d.source, key)
+			return &RowTakenError{Table: rw.Table, Row: rw.Key, Source: gi.d.source, Holder: holder, Record: key}
 		}
 	}
 	return nil
@@ -839,8 +896,9 @@ func (m *metastore) holderLocked(gi *groupIndex, tx *Tx, row, key string) (strin
 // version v wrote against what its records derive once the commit's other
 // writes are in: a row put must be live and name its record (an empty value
 // or, as the seed wrote it, its record's key, or what the table's Names
-// accepts), and a row deleted must not be live. Caller has the metastore to
-// itself.
+// accepts), and a row deleted must not be live unless the commit deletes a
+// record whose revived value derives it (purgedLocked). Caller has the
+// metastore to itself.
 func (m *metastore) checkReplayedRowsLocked(writes []Write, v uint64) error {
 	for i := range writes {
 		w := &writes[i]
@@ -850,6 +908,9 @@ func (m *metastore) checkReplayedRowsLocked(writes []Write, v uint64) error {
 		}
 		r, _ := gi.lookupLocked(w.Key, v)
 		live := r != nil
+		if live && w.Deleted && m.purgedLocked(gi, writes, w.Key) {
+			continue
+		}
 		named := r != nil && (len(w.Value) == 0 || string(w.Value) == r.key || gi.d.Names != nil && gi.d.Names(w.Value, r.key))
 		if live == w.Deleted || !w.Deleted && !named {
 			return fmt.Errorf("version %d writes %s row %q (deleted %v, value %q), and the %s records derive it live: %v",
@@ -857,4 +918,31 @@ func (m *metastore) checkReplayedRowsLocked(writes []Write, v uint64) error {
 		}
 	}
 	return nil
+}
+
+// purgedLocked reports whether writes, a replayed commit's, delete a record of
+// gi's source whose value, revived (Derivation.Revived), derives row: the
+// record's row while rows were stored, which a log of then deletes beside it.
+// The tombstone keeps the value it deletes. Caller has the metastore to
+// itself.
+func (m *metastore) purgedLocked(gi *groupIndex, writes []Write, row string) bool {
+	if gi.d.Revived == nil {
+		return false
+	}
+	for i := range writes {
+		w := &writes[i]
+		if w.Table != gi.d.source || !w.Deleted {
+			continue
+		}
+		r := m.tables[w.Table].get(w.Key)
+		if r == nil || !r.deleted {
+			continue
+		}
+		b, _, ok := gi.rowOf(m.scratch[:0], w.Key, gi.d.Revived(w.Key, r.value()))
+		m.scratch = b[:0]
+		if ok && string(b) == row {
+			return true
+		}
+	}
+	return false
 }

@@ -377,7 +377,9 @@ func TestDerivedTableRefusesWrites(t *testing.T) {
 // TestReplayChecksDerivedRows: a log written while the derived rows were
 // stored holds them beside their records. Replay drops each after checking
 // it against what the records derive — neither the key table, the index nor
-// the change log keeps one — and stops at a row that disagrees.
+// the change log keeps one — and stops at a row that disagrees. A purge
+// then deleted the rows of its record's value made active, which another
+// record may hold by then: replay drops that delete, and no other.
 func TestReplayChecksDerivedRows(t *testing.T) {
 	create := walEntry{Op: opCreateMetastore, Metastore: "ms"}
 	commit := func(v uint64, ws ...Write) walEntry {
@@ -387,11 +389,25 @@ func TestReplayChecksDerivedRows(t *testing.T) {
 	del := func(table, key string) Write { return Write{Table: table, Key: key, Deleted: true} }
 	good := []walEntry{
 		create,
-		commit(1, put(entTable, "a", "p/TABLE/a/A"), put(kidTable, kidKey("p", "TABLE", "a"), ""), put(nmTable, nmKey("TABLE", "p", "a"), "a")),
+		commit(1, put(entTable, "a", "p/TABLE/a/A"), put(kidTable, kidKey("p", "TABLE", "a"), ""), put(nmTable, nmKey("TABLE", "p", "a"), "a"),
+			put(locTable, "l", "A|s3://b/l"), put(pthTable, "s3://b/l", "l")),
 		commit(2, put(entTable, "b", "p/VIEW/b/A"), put(kidTable, kidKey("p", "VIEW", "b"), "b"), put(nmTable, nmKey("VIEW", "p", "b"), "b")), // the seed's value: the ID
 		commit(3, put(entTable, "a", "p/TABLE/a/S"), del(nmTable, nmKey("TABLE", "p", "a"))),
 		commit(4, del(entTable, "b"), del(kidTable, kidKey("p", "VIEW", "b")), del(nmTable, nmKey("VIEW", "p", "b"))),
+		// l is soft deleted, m takes its path, n is soft deleted elsewhere,
+		// and the purge of l deletes the path row m now holds, as a purge
+		// did while path rows were stored: replay drops that delete.
+		commit(5, put(locTable, "l", "S|s3://b/l"), del(pthTable, "s3://b/l")),
+		commit(6, put(locTable, "m", "A|s3://b/l"), put(pthTable, "s3://b/l", "m")),
+		commit(7, put(locTable, "n", "S|s3://b/n")),
+		commit(8, del(locTable, "l"), del(pthTable, "s3://b/l")),
+		// The same for a name: d, soft deleted, is purged after e took
+		// its name.
+		commit(9, put(entTable, "d", "q/TABLE/x/S")),
+		commit(10, put(entTable, "e", "q/TABLE/x/A"), put(nmTable, nmKey("TABLE", "q", "x"), "e")),
+		commit(11, del(entTable, "d"), del(kidTable, kidKey("q", "TABLE", "d")), del(nmTable, nmKey("TABLE", "q", "x"))),
 	}
+	next := uint64(len(good)) // the version after good's last commit
 	write := func(entries []walEntry) string {
 		t.Helper()
 		var log []byte
@@ -415,12 +431,18 @@ func TestReplayChecksDerivedRows(t *testing.T) {
 	ms := db.stores["ms"]
 	checkIndexTracksKeyTable(t, ms)
 	snap, _ := db.Snapshot("ms")
-	if got := kvKeys(snap.Scan(kidTable, "")); !reflect.DeepEqual(got, []string{kidKey("p", "TABLE", "a")}) {
+	if got := kvKeys(snap.Scan(kidTable, "")); !reflect.DeepEqual(got, []string{kidKey("p", "TABLE", "a"), kidKey("q", "TABLE", "e")}) {
 		t.Errorf("replayed rows %q", got)
 	}
 	snap.Close()
-	if got := kvKeys(snap.Scan(nmTable, "")); len(got) != 0 {
+	if got := kvKeys(snap.Scan(nmTable, "")); !reflect.DeepEqual(got, []string{"value:" + nmKey("TABLE", "q", "x")}) {
 		t.Errorf("replayed name rows %q", got)
+	}
+	if got := kvKeys(snap.Scan(pthTable, "")); !reflect.DeepEqual(got, []string{"value:s3://b/l"}) {
+		t.Errorf("replayed path rows %q", got)
+	}
+	if id, _ := snap.Get(pthTable, "s3://b/l"); string(id) != "m" {
+		t.Errorf("the path row after l's purge names %q, want m", id)
 	}
 	// The change log names the name rows the records made live and dead,
 	// and no child row.
@@ -434,8 +456,8 @@ func TestReplayChecksDerivedRows(t *testing.T) {
 			named++
 		}
 	}
-	if named != 4 {
-		t.Errorf("the change log names %d name rows, want 4: %v", named, changes)
+	if named != 5 {
+		t.Errorf("the change log names %d name rows, want 5: %v", named, changes)
 	}
 	db.Close()
 
@@ -449,8 +471,11 @@ func TestReplayChecksDerivedRows(t *testing.T) {
 		"a name row where none is derived": put(nmTable, nmKey("TABLE", "p", "a"), "a"),
 		"a name row of no record":          put(nmTable, nmKey("TABLE", "r", "d"), "d"),
 		"a deleted name row of a live one": del(nmTable, nmKey("TABLE", "r", "c")),
+		"a path row naming another record": put(pthTable, "s3://b/l", "c"),
+		"a path row where none is derived": put(pthTable, "s3://b/none", "l"),
+		"a deleted path row of a live one": del(pthTable, "s3://b/l"),
 	} {
-		entries := append(append([]walEntry(nil), good...), commit(5, put(entTable, "c", "r/TABLE/c/A"), bad))
+		entries := append(append([]walEntry(nil), good...), commit(next, put(entTable, "c", "r/TABLE/c/A"), bad))
 		if db, err := Open(Options{WALPath: write(entries)}); err == nil || !strings.Contains(err.Error(), "derive") {
 			if db != nil {
 				db.Close()
@@ -458,8 +483,16 @@ func TestReplayChecksDerivedRows(t *testing.T) {
 			t.Errorf("%s: replay says %v", what, err)
 		}
 	}
+	// A purge deletes the rows its record had, not another's.
+	entries := append(append([]walEntry(nil), good...), commit(next, del(locTable, "n"), del(pthTable, "s3://b/l")))
+	if db, err := Open(Options{WALPath: write(entries)}); err == nil || !strings.Contains(err.Error(), "derive") {
+		if db != nil {
+			db.Close()
+		}
+		t.Errorf("a purge deleting another record's path row: replay says %v", err)
+	}
 	// A record whose group changes in the log stops replay too.
-	entries := append(append([]walEntry(nil), good...), commit(5, put(entTable, "a", "q/TABLE/a/A")))
+	entries = append(append([]walEntry(nil), good...), commit(next, put(entTable, "a", "q/TABLE/a/A")))
 	if _, err := Open(Options{WALPath: write(entries)}); err == nil || errors.Is(err, ErrClosed) {
 		t.Errorf("a group change replays: %v", err)
 	}

@@ -177,6 +177,9 @@ func checkGroupsTrackKeyTable(t *testing.T, ms *metastore) {
 			if len(g.rows) == 0 || i > 0 && gi.groups[i-1].key >= g.key {
 				t.Fatalf("table %q: group %d %q is empty or out of order", gi.d.table, i, g.key)
 			}
+			if c := cap(g.rows); c <= rowCaps[len(rowCaps)-1] && !slices.Contains(rowCaps[:], c) {
+				t.Fatalf("table %q: group %q has %d slots, none of rowCaps", gi.d.table, g.key, c)
+			}
 			for j, e := range g.rows {
 				if e.owner() != e && (gi.d.keyed() || e.prev == nil || e.prev.commit == shadowCommit) {
 					t.Fatalf("table %q: shadow %q names no record, or the table is keyed", gi.d.table, e.key)
@@ -691,13 +694,14 @@ func TestScanRangeAllocs(t *testing.T) {
 }
 
 // TestLeafArraysFillTheirClass allocates each leaf array size the tree can
-// ask for and holds it to its malloc size class: the slots, and past 512
-// bytes the 8-byte header Go gives an object of pointers, fill the class
-// (runtime.MemStats.TotalAlloc counts the class).
+// ask for, and each array size a derived group takes, and holds it to its
+// malloc size class: the slots, and past 512 bytes the 8-byte header Go gives
+// an object of pointers, fill the class (runtime.MemStats.TotalAlloc counts
+// the class).
 func TestLeafArraysFillTheirClass(t *testing.T) {
 	const n = 1000
 	keep := make([][]*record, n)
-	for _, c := range leafCaps {
+	for _, c := range append(leafCaps[:], rowCaps[:]...) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := range keep {

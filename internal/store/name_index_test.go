@@ -23,7 +23,7 @@ const (
 )
 
 func init() {
-	DeriveIndex(nmTable, entTable, Derivation{Group: nmGroup, Sort: nmSort})
+	DeriveIndex(nmTable, entTable, Derivation{Group: nmGroup, Sort: nmSort, Revived: nmRevived})
 }
 
 // nmParts reads "parent/TYPE/name/state".
@@ -53,7 +53,13 @@ func nmGroup(dst, value []byte) ([]byte, bool) {
 	return append(append(append(append(dst, nmGroupOf(string(typ))...), 0), parent...), 0), true
 }
 
-func nmSort(dst, value []byte) []byte {
+// nmRevived is value made active.
+func nmRevived(_ string, value []byte) []byte {
+	parent, typ, name, _, _ := nmParts(value)
+	return bytes.Join([][]byte{parent, typ, name, []byte("A")}, []byte("/"))
+}
+
+func nmSort(dst []byte, _ string, value []byte) []byte {
 	_, _, name, _, _ := nmParts(value)
 	return append(dst, strings.ToLower(string(name))...)
 }

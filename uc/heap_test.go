@@ -19,34 +19,35 @@ import (
 // residentBudget is what each holder measures, in bytes per table of
 // TestResidentBudget's population. The test fails at 10 % over; a deliberate
 // layout change regenerates the table with `make heap`. The erm row is the
-// durable format as the store holds it — an entity record and its path row,
-// each an exact-size copy made by Tx.Put, and their keys — and was 680 before
-// record format 2, 487 before the spec was packed (record format 3), 343
-// while a child row's key was stored beside each entity and 262 while a name
-// row's key and value were. The catalog row is
-// strings a create makes and others keep — a managed table's storage path,
-// which the store keeps as the path row's key (68) — and no per-node state:
-// the URL trie the catalog kept beside the store's path table (103) is gone,
-// and per-path state that came back would show here; 97 while the event log
-// kept 8,192 events' full names. The events row is the log's open chunk of
-// 36 Events and at most one spare (6 KiB each); there is no name table: 394
-// when it was a fixed ring of 8,192 packed 96-byte slots, 689 when a fixed
-// ring held whole 168-byte Events. The store structure row holds, per key, a 48-byte record
-// that holds its key and a pointer to it in a key-table slot and in a B+tree
-// leaf slot, per entity a pointer in its derived child group's slice and one
-// in its name group's, and the change ring, 8,192 slots of 32 bytes and
-// the name keys its name changes hold (this population's all fit in it):
-// 413 while each entity had a stored name row, 482 while it had a stored
-// child row, 565 while a leaf kept every key's header beside its pointer, 726
-// while a Go map did too, 820 when the ring held 48-byte Changes. The search row is a document's ID and
-// token numbers and its entries in sorted postings: 264 while postings were
-// maps and a document kept its full name and type.
+// durable format as the store holds it — an entity record, an exact-size copy
+// made by Tx.Put, and its key — and was 680 before record format 2, 487 before
+// the spec was packed (record format 3), 343 while a child row's key was
+// stored beside each entity, 262 while a name row's key and value were and 197
+// while a path row's value was. The catalog row is strings a create makes and
+// others keep, and no per-node state: 74 while the store kept a managed
+// table's storage path as its path row's key (68), 103 more while the catalog
+// kept a URL trie beside the store's path table, and 97 while the event log
+// kept 8,192 events' full names; per-path state that came back would show
+// here. The events row is the log's open chunk of 36 Events and at most one
+// spare (6 KiB each); there is no name table: 394 when it was a fixed ring of
+// 8,192 packed 96-byte slots, 689 when a fixed ring held whole 168-byte
+// Events. The store structure row holds, per key, a 48-byte record that holds
+// its key and a pointer to it in a key-table slot and in a B+tree leaf slot,
+// per entity a pointer in its derived child group's slice, one in its name
+// group's and one in the path table's single group's, and the change ring,
+// 8,192 slots of 32 bytes and the name and path keys its row changes hold
+// (this population's all fit in it): 401 while each table had a stored path
+// row, 413 while it had a stored name row, 482 while it had a stored child
+// row, 565 while a leaf kept every key's header beside its pointer, 726 while
+// a Go map did too, 820 when the ring held 48-byte Changes. The search row is
+// a document's ID and token numbers and its entries in sorted postings: 264
+// while postings were maps and a document kept its full name and type.
 var residentBudget = map[string]float64{
 	"search":          151,
-	"catalog":         74,
+	"catalog":         9.5,
 	"events":          7,
-	"store structure": 401,
-	"erm":             197,
+	"store structure": 391,
+	"erm":             181,
 }
 
 // auditRecordBudget is what the audit log holds per retained record, in

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"unitycatalog/internal/catalog"
+	"unitycatalog/internal/cloudsim"
 	"unitycatalog/internal/erm"
 	"unitycatalog/internal/store"
 	"unitycatalog/uc"
@@ -81,6 +82,11 @@ func TestParentLogStillOpens(t *testing.T) {
 			}
 			if got, _ := json.Marshal(e); !changed[full] && !bytes.Equal(got, wantJSON) {
 				t.Errorf("%s: %s reads back as\n  %s\nthe code that wrote it read\n  %s", stage, full, got, wantJSON)
+			}
+			if e.StoragePath != "" {
+				if tc, err := admin.CredentialForPath(e.StoragePath+"/part-0", uc.AccessRead); err != nil || tc.AssetName != full {
+					t.Errorf("%s: %s's path %s is governed by %q (%v)", stage, full, e.StoragePath, tc.AssetName, err)
+				}
 			}
 			gs, err := cat.Service.GrantsOn(admin.Ctx(), full)
 			if err != nil {
@@ -392,6 +398,7 @@ func TestFramedParentLogStillOpens(t *testing.T) {
 		t.Fatalf("replayed to version %d, the log was written to %d", v, want.Version)
 	}
 	compare("replayed", framedListings(t, svc, ctx), want.Listings)
+	vendByPath(t, "replayed", svc, ctx)
 	changes, err := db.ChangesSince("ms1", 0)
 	if err != nil || len(changes) == 0 {
 		t.Fatalf("changes since 0: %d, %v", len(changes), err)
@@ -437,4 +444,32 @@ func TestFramedParentLogStillOpens(t *testing.T) {
 	db, svc = open()
 	defer db.Close()
 	compare("reopened", framedListings(t, svc, ctx), after)
+	vendByPath(t, "reopened", svc, ctx)
+}
+
+// vendByPath holds every live asset of the fixture's catalogs that has a
+// storage path to governing that path: a credential for an object under it
+// is the asset's.
+func vendByPath(t *testing.T, stage string, svc *catalog.Service, ctx catalog.Ctx) {
+	t.Helper()
+	ctx.TrustedEngine = true
+	vended := 0
+	for _, cat := range []string{"sales", "hr"} {
+		es, err := svc.QueryAssets(ctx, catalog.Filter{CatalogName: cat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range es {
+			if e.StoragePath == "" {
+				continue
+			}
+			if tc, err := svc.TempCredentialForPath(ctx, e.StoragePath+"/part-0", cloudsim.AccessRead); err != nil || tc.Asset != e.ID {
+				t.Errorf("%s: %s's path %s is governed by %q (%v)", stage, e.FullName, e.StoragePath, tc.AssetName, err)
+			}
+			vended++
+		}
+	}
+	if vended == 0 {
+		t.Errorf("%s: no asset with a storage path to vend for", stage)
+	}
 }
