@@ -1190,9 +1190,9 @@ func (v *View) Close() {
 
 // insertShardLocked adds a version to a record, pruning stale versions
 // lazily. A new record is one allocation, its version held inline. The row
-// of a derived table keyed by its records (the child table) is never cached:
-// no change names it, so nothing would invalidate it; a name row is, as the
-// change log names it (store.ChangesNamed). Caller holds the shard's write
+// of a derived table that is not unique (child, tag index, upstream lineage)
+// is never cached: no change names it, so nothing would invalidate it; a name
+// or path row is, as the change log names it (store.ChangesNamed). Caller holds the shard's write
 // lock (alone or via lockAll).
 func (c *Cache) insertShardLocked(m *msCache, sh *shard, rk cacheKey, cv cachedVersion) {
 	if !store.ChangesNamed(rk.table) {

@@ -159,6 +159,10 @@ func (s *Service) SetTag(ctx Ctx, full, column, key, value string) (err error) {
 	if key == "" {
 		return fmt.Errorf("%w: empty tag key", ErrInvalidArgument)
 	}
+	if strings.IndexByte(key, 0) >= 0 || strings.IndexByte(column, 0) >= 0 {
+		// A tag's key reads back by its 0 bytes (erm.TagParts).
+		return fmt.Errorf("%w: a tag key or column holds a 0 byte", ErrInvalidArgument)
+	}
 	ms, err := s.meta(ctx.Metastore)
 	if err != nil {
 		return err
@@ -185,7 +189,6 @@ func (s *Service) SetTag(ctx Ctx, full, column, key, value string) (err error) {
 			return fmt.Errorf("%w: %s", ErrNotFound, full)
 		}
 		tx.Put(erm.TableTag, tagKey, []byte(value))
-		tx.Put(erm.TableTagIdx, erm.TagIdxKey(key, e.ID, column), []byte(value))
 		stageEvent(tx, ctx, events.OpTag, e, key+"="+value)
 		return nil
 	})
@@ -225,7 +228,6 @@ func (s *Service) UnsetTag(ctx Ctx, full, column, key string) (err error) {
 			return fmt.Errorf("%w: tag %s", ErrNotFound, key)
 		}
 		tx.Delete(erm.TableTag, tagKey)
-		tx.Delete(erm.TableTagIdx, erm.TagIdxKey(key, e.ID, column))
 		stageEvent(tx, ctx, events.OpTag, e, "unset "+key)
 		return nil
 	})
@@ -263,19 +265,17 @@ func EntityTags(r erm.Reader, id ids.ID) (entity map[string]string, columns map[
 	entity = map[string]string{}
 	columns = map[string]map[string]string{}
 	for _, kv := range r.Scan(erm.TableTag, erm.TagPrefix(id)) {
-		rest := strings.TrimPrefix(kv.Key, string(id)+"\x00")
-		if col, ok := strings.CutPrefix(rest, "col\x00"); ok {
-			colName, tagKey, found := strings.Cut(col, "\x00")
-			if !found {
-				continue
+		_, column, key, ok := erm.TagParts(kv.Key)
+		switch {
+		case !ok:
+		case column == "":
+			entity[key] = string(kv.Value)
+		default:
+			if columns[column] == nil {
+				columns[column] = map[string]string{}
 			}
-			if columns[colName] == nil {
-				columns[colName] = map[string]string{}
-			}
-			columns[colName][tagKey] = string(kv.Value)
-			continue
+			columns[column][key] = string(kv.Value)
 		}
-		entity[rest] = string(kv.Value)
 	}
 	return entity, columns
 }

@@ -2,7 +2,6 @@ package catalog
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"unitycatalog/internal/erm"
@@ -100,10 +99,7 @@ func (s *Service) softDeleteTree(tx *store.Tx, id ids.ID, force bool, now time.T
 		return err
 	}
 	// Grants on a deleted securable and its lineage edges go immediately.
-	for _, kv := range tx.Scan(erm.TableGrant, erm.GrantPrefix(e.ID)) {
-		tx.Delete(erm.TableGrant, kv.Key)
-	}
-	erm.DeleteEdges(tx, e.ID)
+	erm.DeleteOwned(tx, e.ID, false)
 	*out = append(*out, e)
 	return nil
 }
@@ -159,26 +155,7 @@ func (s *Service) RunGC(msID string) (GCResult, error) {
 				continue
 			}
 			victims = append(victims, e)
-			erm.DeleteEntity(tx, e)
-			for _, kv := range tx.Scan(erm.TableTag, erm.TagPrefix(e.ID)) {
-				tx.Delete(erm.TableTag, kv.Key)
-				// Mirror the delete into the inverted index, whose keys
-				// lead with the tag key rather than the securable.
-				rest := strings.TrimPrefix(kv.Key, string(e.ID)+"\x00")
-				column := ""
-				if col, ok := strings.CutPrefix(rest, "col\x00"); ok {
-					colName, tagKey, found := strings.Cut(col, "\x00")
-					if !found {
-						continue
-					}
-					column, rest = colName, tagKey
-				}
-				tx.Delete(erm.TableTagIdx, erm.TagIdxKey(rest, e.ID, column))
-			}
-			for _, kv := range tx.Scan(erm.TableGrant, erm.GrantPrefix(e.ID)) {
-				tx.Delete(erm.TableGrant, kv.Key)
-			}
-			erm.DeleteEdges(tx, e.ID)
+			erm.DeleteEntity(tx, e) // and its tags, grants and edges
 		}
 		return nil
 	})

@@ -7,8 +7,9 @@ package catalog
 // A plan is one or more ordered index ranges (a table and a key prefix) whose
 // rows name entities: a row of the child or the name table, which the store
 // derives from the entity records, comes with its entity's record, the entity
-// table holds the entities, the inverted tag index holds a securable's ID in
-// its key once per tagged column. listing.walk is
+// table holds the entities, and a row of the inverted tag index, derived from
+// the tag records, holds a securable's ID in its key once per tagged column
+// and comes with its tag's record. listing.walk is
 // the loop: read rows, turn them into entities, admit those that pass the
 // filter and the principal's visibility, remember the last key consumed, stop
 // when the page is full or a short batch says the range has ended.
@@ -42,6 +43,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 
 	"unitycatalog/internal/erm"
 	"unitycatalog/internal/ids"
@@ -149,37 +151,29 @@ func decodeAligned(r pagedReader, keys []string) []*erm.Entity {
 	return erm.DecodeEntities(len(keys), func(i int) (ids.ID, []byte) { return ids.ID(keys[i]), recs[i] })
 }
 
-// rowEntities turns the rows of one index batch of the entity table or the
-// inverted tag index into the entities they name, aligned with the batch; nil
-// where there is nothing to admit.
-func (l *listing) rowEntities(table string, rows []store.KV) []*erm.Entity {
-	if table == erm.TableEntity {
-		return erm.DecodeEntityRows(rows)
-	}
-	// The inverted index holds a securable once per tagged column, its
-	// entity-level row (column "") first, and a row's value is the tag's
-	// (SetTag writes both tables in one commit), so the rows decide the
-	// tag: the entity-level row alone, else the first column row whose
-	// value matches admits the securable. Only admitted ones are read.
+// tagEntities turns the rows of one batch of the tag index into the entities
+// they name, aligned with the batch; nil where there is nothing to admit. The
+// index holds a securable once per tagged column, its entity-level row
+// (column "") first, and a row carries its tag's record, so the rows decide
+// the tag: the entity-level row alone, else the first column row whose value
+// matches admits the securable. Only admitted ones are read.
+func (l *listing) tagEntities(rows []store.GroupRow) []*erm.Entity {
 	at := make([]int, len(rows)) // index into keys, -1 for a row that admits nothing
 	keys := make([]string, 0, len(rows))
-	for i, kv := range rows {
+	for i, row := range rows {
 		at[i] = -1
-		id, column, ok := erm.TagIdxParts(kv.Key)
-		if !ok {
-			continue
-		}
-		if id != l.tagSec {
+		sec, column, _ := strings.Cut(row.Sort, "\x00")
+		if id := ids.ID(sec); id != l.tagSec {
 			l.tagSec, l.tagDone = id, false
 		}
 		if l.tagDone {
 			continue
 		}
-		match := l.tagValue == "" || string(kv.Value) == l.tagValue
+		match := l.tagValue == "" || string(row.Value) == l.tagValue
 		l.tagDone = match || column == ""
 		if match {
 			at[i] = len(keys)
-			keys = append(keys, string(id))
+			keys = append(keys, sec)
 		}
 	}
 	named := decodeAligned(l.r, keys)
@@ -215,7 +209,7 @@ type listing struct {
 	// catalog scope: the child key of the schema being walked, outerGroup+outer.
 	outerGroup, outer string
 	// The tag plan's value to match ("" any), the securable whose index rows
-	// the walk is in, and whether they have decided its tag yet (rowEntities).
+	// the walk is in, and whether they have decided its tag yet (tagEntities).
 	tagValue string
 	tagSec   ids.ID
 	tagDone  bool
@@ -253,8 +247,8 @@ func (l *listing) last() string { return l.lastGroup + l.lastKey }
 func (l *listing) walk(table, prefix, after string) (more bool) {
 	if table == erm.TableTagIdx && after != "" {
 		// A page ends on a row that admitted its securable.
-		l.tagSec, _, _ = erm.TagIdxParts(after)
-		l.tagDone = true
+		sec, _, _ := strings.Cut(strings.TrimPrefix(after, prefix), "\x00")
+		l.tagSec, l.tagDone = ids.ID(sec), true
 	}
 	start := prefix
 	for {
@@ -265,9 +259,10 @@ func (l *listing) walk(table, prefix, after string) (more bool) {
 		if l.limit > 0 {
 			ask = l.limit - l.n + 1
 		}
-		// A child or name row is its group and its entity's ID and record;
-		// any other row is a key that rowEntities turns into an entity.
-		grouped := table == erm.TableChild || table == erm.TableName
+		// A child or name row is its group and its entity's ID and record, a
+		// tag-index row its group and its tag's record, and an entity-table
+		// row the entity's.
+		grouped := table != erm.TableEntity
 		var (
 			rows    []store.KV
 			derived []store.GroupRow
@@ -285,10 +280,13 @@ func (l *listing) walk(table, prefix, after string) (more bool) {
 		if goesOn {
 			n--
 		}
-		if grouped {
+		switch table {
+		case erm.TableEntity:
+			ents = erm.DecodeEntityRows(rows[:n])
+		case erm.TableTagIdx:
+			ents = l.tagEntities(derived[:n])
+		default:
 			ents = erm.DecodeEntities(n, func(i int) (ids.ID, []byte) { return ids.ID(derived[i].Key), derived[i].Value })
-		} else {
-			ents = l.rowEntities(table, rows[:n])
 		}
 		for i, e := range ents {
 			if grouped {

@@ -63,15 +63,15 @@ func matchesFilter(r erm.Reader, f *Filter, e *erm.Entity) bool {
 func hasTag(r erm.Reader, id ids.ID, key, value string) bool {
 	onColumn := false
 	for _, kv := range r.Scan(erm.TableTag, erm.TagPrefix(id)) {
-		rest := kv.Key[len(id)+1:]
-		match := value == "" || string(kv.Value) == value
-		if col, ok := strings.CutPrefix(rest, "col\x00"); !ok {
-			if rest == key {
-				return match
-			}
-		} else if _, k, found := strings.Cut(col, "\x00"); found && k == key && match {
-			onColumn = true
+		_, column, k, ok := erm.TagParts(kv.Key)
+		if !ok || k != key {
+			continue
 		}
+		match := value == "" || string(kv.Value) == value
+		if column == "" {
+			return match
+		}
+		onColumn = onColumn || match
 	}
 	return onColumn
 }

@@ -695,7 +695,7 @@ func (h *recordHead) appendParent(dst []byte) []byte {
 // to dst the group an entity record's value names, parent\0TYPE\0 — the
 // prefix ChildKey gives its children of that type. A value without a head
 // (readHead) names none.
-func childGroup(dst, value []byte) ([]byte, bool) {
+func childGroup(dst []byte, _ string, value []byte) ([]byte, bool) {
 	h, ok := readHead(value, false)
 	if !ok {
 		return dst, false
@@ -709,7 +709,7 @@ func childGroup(dst, value []byte) ([]byte, bool) {
 // NameGroupOf(type)\0parent\0 of an entity that is not soft deleted — the prefix
 // NameKey gives the names of its group under its parent — and names none for
 // a soft-deleted one or a value without a head.
-func nameGroup(dst, value []byte) ([]byte, bool) {
+func nameGroup(dst []byte, _ string, value []byte) ([]byte, bool) {
 	h, ok := readHead(value, false)
 	if !ok || h.softDeleted {
 		return dst, false
@@ -743,8 +743,12 @@ func nameSort(dst []byte, _ string, value []byte) []byte {
 // that is not soft deleted and has a storage path holding no 0 byte has the
 // row of its path in the external-location table if it is one, else in the
 // path table; any other has none.
-func pathGroup(dst, value []byte) ([]byte, bool)   { return dst, hasPathRow(value, false) }
-func extLocGroup(dst, value []byte) ([]byte, bool) { return dst, hasPathRow(value, true) }
+func pathGroup(dst []byte, _ string, value []byte) ([]byte, bool) {
+	return dst, hasPathRow(value, false)
+}
+func extLocGroup(dst []byte, _ string, value []byte) ([]byte, bool) {
+	return dst, hasPathRow(value, true)
+}
 
 func hasPathRow(value []byte, extLoc bool) bool {
 	h, ok := readHead(value, true)

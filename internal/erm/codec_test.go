@@ -260,7 +260,7 @@ func TestChildGroupReadsEveryForm(t *testing.T) {
 			}
 			want := ChildPrefix(e.ParentID, e.Type)
 			dst := []byte("kept")
-			got, ok := childGroup(dst, rec)
+			got, ok := childGroup(dst, "", rec)
 			if !ok || string(got) != "kept"+want {
 				t.Fatalf("%s record of %+v: group %q (%v), want %q", format, e, got, ok, want)
 			}
@@ -275,7 +275,7 @@ func TestChildGroupReadsEveryForm(t *testing.T) {
 		"empty": {}, "nil": nil, "a parent with a 0 byte": rec, "not JSON": []byte("{"),
 		"another magic": {0xE2, 3, 0}, "version 4": {codecMagic, 4, 0}, "cut short": rec[:5], "unknown type code": {codecMagic, 3, 0, 99, 2, 0, 0},
 	} {
-		if g, ok := childGroup(nil, v); ok {
+		if g, ok := childGroup(nil, "", v); ok {
 			t.Errorf("%s: group %q", what, g)
 		}
 	}
@@ -319,8 +319,8 @@ func TestPathRowReadsEveryForm(t *testing.T) {
 				t.Fatalf("%s record of %+v decodes to path %q (%v)", format, e, d.StoragePath, err)
 			}
 			live := e.State != StateSoftDeleted && e.StoragePath != ""
-			inPath, gotOK := pathGroup([]byte("kept"), rec)
-			inExtLoc, gotExtOK := extLocGroup([]byte("kept"), rec)
+			inPath, gotOK := pathGroup([]byte("kept"), "", rec)
+			inExtLoc, gotExtOK := extLocGroup([]byte("kept"), "", rec)
 			if string(inPath) != "kept" || string(inExtLoc) != "kept" {
 				t.Fatalf("%s record: the groups are %q and %q, want the empty group", format, inPath, inExtLoc)
 			}
@@ -332,13 +332,13 @@ func TestPathRowReadsEveryForm(t *testing.T) {
 			active := *e
 			active.State, active.DeletedAt = StateActive, nil
 			want, _ := EncodeEntity(&active)
-			for what, group := range map[string]func(dst, value []byte) ([]byte, bool){"name": nameGroup, "path": pathGroup, "extloc": extLocGroup} {
+			for what, group := range map[string]store.GroupFunc{"name": nameGroup, "path": pathGroup, "extloc": extLocGroup} {
 				sort := pathSort
 				if what == "name" {
 					sort = nameSort
 				}
 				row := func(value []byte) string {
-					b, ok := group(nil, value)
+					b, ok := group(nil, string(e.ID), value)
 					if !ok {
 						return "none"
 					}
@@ -362,7 +362,7 @@ func TestPathRowReadsEveryForm(t *testing.T) {
 	}
 	zero := &Entity{ID: "x", Type: TypeTable, Name: "t", ParentID: "p", StoragePath: "s3://b/\x00", State: StateActive}
 	rec, _ := EncodeEntity(zero)
-	if _, ok := pathGroup(nil, rec); ok {
+	if _, ok := pathGroup(nil, "x", rec); ok {
 		t.Error("a path with a 0 byte derives a row")
 	}
 }

@@ -17,6 +17,7 @@
 package erm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"regexp"
@@ -415,32 +416,37 @@ const (
 	TableChild  = "child"  // childKey -> nothing, derived from the entity records (childGroup)
 	TableGrant  = "grant"  // grantKey -> Grant JSON
 	TableTag    = "tag"    // tagKey -> value
-	TableTagIdx = "tagidx" // tagIdxKey -> value (inverted: tag key -> tagged securables)
+	TableTagIdx = "tagidx" // key\0securable\0column -> nothing, derived from the tag records (tagGroup): which securables carry a tag
 	TableABAC   = "abac"   // rule id -> ABACRule JSON
 
 	TableLineage   = "lineage"   // upstream\0downstream\0job -> job, query text, principal, time
-	TableLineageUp = "lineageup" // downstream\0upstream\0job -> nothing (lineage.go)
+	TableLineageUp = "lineageup" // downstream\0upstream\0job -> nothing, derived from the lineage records (lineage.go)
 )
 
-// Tables lists every store table the model writes, for whatever reads or
-// measures all of them.
+// Tables lists every store table the model writes or derives, for whatever
+// reads or measures all of them.
 var Tables = []string{
 	TableEntity, TableName, TablePath, TableExtLoc, TableChild, TableGrant,
 	TableTag, TableTagIdx, TableABAC, TableLineage, TableLineageUp,
 }
 
-// The child, name and path tables are not written: the store derives them
-// from the entity records (store.DeriveIndex). A record's child row is the
-// ChildKey of its parent, type and ID; an entity that is not soft deleted has
-// the name row NameKey(NameGroupOf(type), parent, name) and, if it has a
-// storage path, the row of its path in TableExtLoc if it is an external
-// location, else in TablePath: one live entity at most under each. Every row
-// but a child row has the entity's ID as its value.
+// The child, name, path, tag-index and upstream lineage tables are not
+// written: the store derives them (store.DeriveIndex). From the entity
+// records: a record's child row is the ChildKey of its parent, type and ID;
+// an entity that is not soft deleted has the name row NameKey(NameGroupOf(type),
+// parent, name) and, if it has a storage path, the row of its path in
+// TableExtLoc if it is an external location, else in TablePath: one live
+// entity at most under each, and each such row has the entity's ID as its
+// value. From the tag records, a tag's row in TableTagIdx (tagGroup); from
+// the lineage records, an edge's row in TableLineageUp (edgeGroup). Those
+// rows read only their record's key, so a record keeps its row for life.
 func init() {
 	store.DeriveIndex(TableChild, TableEntity, store.Derivation{Group: childGroup})
-	store.DeriveIndex(TableName, TableEntity, store.Derivation{Group: nameGroup, Sort: nameSort, Names: namesID, Revived: revived})
-	store.DeriveIndex(TablePath, TableEntity, store.Derivation{Group: pathGroup, Sort: pathSort, Names: namesID, Revived: revived})
-	store.DeriveIndex(TableExtLoc, TableEntity, store.Derivation{Group: extLocGroup, Sort: pathSort, Names: namesID, Revived: revived})
+	store.DeriveIndex(TableName, TableEntity, store.Derivation{Group: nameGroup, Sort: nameSort, Unique: true, Names: namesID, Revived: revived})
+	store.DeriveIndex(TablePath, TableEntity, store.Derivation{Group: pathGroup, Sort: pathSort, Unique: true, Names: namesID, Revived: revived})
+	store.DeriveIndex(TableExtLoc, TableEntity, store.Derivation{Group: extLocGroup, Sort: pathSort, Unique: true, Names: namesID, Revived: revived})
+	store.DeriveIndex(TableTagIdx, TableTag, store.Derivation{Group: tagGroup, Sort: tagSort, Names: tagValue, Stray: tagStray})
+	store.DeriveIndex(TableLineageUp, TableLineage, store.Derivation{Group: edgeGroup, Sort: edgeSort, Names: emptyRow})
 }
 
 // revived is entity record value, stored under id, made active: a purge that
@@ -457,10 +463,19 @@ func revived(id string, value []byte) []byte {
 }
 
 // namesID reports whether a name or path row a log holds names entity id:
-// its value is the ID's 16 bytes (or, for an ID of another form, its string
-// after the idLiteral byte when it could be taken for those), or the ID's
-// string a log of JSON lines wrote.
-func namesID(value []byte, id string) bool { return IndexedID(store.KV{Value: value}) == ids.ID(id) }
+// its value is empty, the ID's 16 bytes (or, for an ID of another form, its
+// string after the idLiteral byte when it could be taken for those), or the
+// ID's string a log of JSON lines wrote.
+func namesID(row []byte, id string, _ []byte) bool {
+	return len(row) == 0 || IndexedID(store.KV{Value: row}) == ids.ID(id)
+}
+
+// tagValue reports whether a tag-index row a log holds carries its tag's
+// value, as SetTag wrote both; emptyRow whether an upstream lineage row is
+// empty, as PutEdge wrote it.
+func tagValue(row []byte, _ string, value []byte) bool { return bytes.Equal(row, value) }
+
+func emptyRow(row []byte, _ string, _ []byte) bool { return len(row) == 0 }
 
 // NameGroupOf is the name-uniqueness group of a type within a parent: TABLE
 // and VIEW share RELATION, so neither can reuse the other's names, and every
@@ -519,31 +534,48 @@ func ColumnTagKey(sec ids.ID, column, key string) string {
 // TagPrefix is the scan prefix for all tags on a securable.
 func TagPrefix(sec ids.ID) string { return string(sec) + "\x00" }
 
-// TagIdxKey builds the inverted tag index key (tag key → tagged securable).
-// Column is empty for entity-level tags. The forward table answers "what
-// tags does this asset carry"; the inverted table answers "which assets
-// carry this tag" with a single prefix scan instead of a full tag-table walk.
-func TagIdxKey(key string, sec ids.ID, column string) string {
-	return key + "\x00" + string(sec) + "\x00" + column
+// TagParts reads a tag record's key: the securable, the column ("" for an
+// entity-level tag) and the tag key. A key after "col\x00" is a column's
+// tag, and ok is false when it names no tag key after its column.
+func TagParts(key string) (sec ids.ID, column, tag string, ok bool) {
+	s, rest, _ := strings.Cut(key, "\x00")
+	if col, isColumn := strings.CutPrefix(rest, "col\x00"); isColumn {
+		column, tag, ok = strings.Cut(col, "\x00")
+		return ids.ID(s), column, tag, ok
+	}
+	return ids.ID(s), "", rest, true
 }
 
-// TagIdxPrefix is the scan prefix for all securables carrying tag key.
+// TagIdxPrefix is the scan prefix for all securables carrying tag key: its
+// group of TableTagIdx.
 func TagIdxPrefix(key string) string { return key + "\x00" }
 
-// TagIdxParts recovers the securable ID and the column ("" for an
-// entity-level tag) from an inverted-index key.
-func TagIdxParts(idxKey string) (sec ids.ID, column string, ok bool) {
-	i := strings.IndexByte(idxKey, 0)
-	if i < 0 {
-		return "", "", false
+// tagGroup and tagSort are the tag index's derivation: the tag record
+// TagParts reads as (securable, column, key) has the row
+// key\0securable\0column, in group key\0, so a tag's securables are one
+// prefix scan instead of a walk of the tag table. The row's value is empty;
+// its group row carries the tag's record and value. SetTag refuses a 0 byte
+// in a tag key or column. A tag of an older log whose key held one derives
+// the row of what TagParts reads it as when that key holds none (an entity
+// tag "col\x00amount\x00pii" is column amount's tag pii, as EntityTags has
+// always read it), else none; either way the row that log stored beside it
+// has more than two 0 bytes, and replay drops it (tagStray).
+func tagGroup(dst []byte, key string, _ []byte) ([]byte, bool) {
+	_, _, tag, ok := TagParts(key)
+	if !ok || strings.IndexByte(tag, 0) >= 0 {
+		return dst, false
 	}
-	rest := idxKey[i+1:]
-	j := strings.IndexByte(rest, 0)
-	if j < 0 {
-		return "", "", false
-	}
-	return ids.ID(rest[:j]), rest[j+1:], true
+	return append(append(dst, tag...), 0), true
 }
+
+func tagSort(dst []byte, key string, _ []byte) []byte {
+	sec, column, _, _ := TagParts(key)
+	return append(append(append(dst, sec...), 0), column...)
+}
+
+// tagStray reports a tag-index row no tag derives: one of a tag whose key or
+// column held a 0 byte.
+func tagStray(row string) bool { return strings.Count(row, "\x00") != 2 }
 
 // PutEntity writes the entity record inside tx, new or rewritten; the store
 // derives its child, name and path rows, and refuses the commit (a
@@ -558,10 +590,45 @@ func PutEntity(tx *store.Tx, e *Entity) error {
 	return nil
 }
 
-// DeleteEntity removes the entity record, and with it its derived rows,
-// inside tx.
+// DeleteEntity purges the entity inside tx: its record, and with it its
+// derived rows, and every row it owns (DeleteOwned).
 func DeleteEntity(tx *store.Tx, e *Entity) {
 	tx.Delete(TableEntity, string(e.ID))
+	DeleteOwned(tx, e.ID, true)
+}
+
+// owned declares the rows an entity owns — those of the tables whose keys
+// lead with its ID and a 0 byte — and when they go with it: its grants and
+// the lineage edges it is an end of when it is soft deleted, and those and
+// its tags when it is purged. A derived table's rows go as their records
+// in its source. A table added here cannot miss a cascade.
+var owned = [...]struct {
+	table, source string // source: the table a derived table's rows are records of
+	softDelete    bool   // the rows go at a soft delete, not only at a purge
+}{
+	{table: TableGrant, softDelete: true},
+	{table: TableLineage, softDelete: true},                         // edges it is the upstream of
+	{table: TableLineageUp, source: TableLineage, softDelete: true}, // edges it is the downstream of
+	{table: TableTag},
+}
+
+// DeleteOwned deletes inside tx the rows entity id owns (owned) that go when
+// it is soft deleted, or, with purge, when it is purged.
+func DeleteOwned(tx *store.Tx, id ids.ID, purge bool) {
+	p := string(id) + "\x00"
+	for _, o := range owned {
+		switch {
+		case !o.softDelete && !purge:
+		case o.source != "":
+			for _, r := range tx.GroupRows(o.table, p, store.PrefixEnd(p), 0) {
+				tx.Delete(o.source, r.Key)
+			}
+		default:
+			for _, kv := range tx.Scan(o.table, p) {
+				tx.Delete(o.table, kv.Key)
+			}
+		}
+	}
 }
 
 // Reader is the read interface shared by store snapshots, transactions and

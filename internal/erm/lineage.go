@@ -10,9 +10,10 @@ import (
 )
 
 // Edge is one lineage relationship (paper §4.4): downstream was produced from
-// upstream. It is two rows of the metastore that holds both ends, TableLineage
-// keyed upstream first with the rest of it and TableLineageUp keyed downstream
-// first with nothing, so a walk either way is one prefix scan per asset.
+// upstream. It is one record of the metastore that holds both ends, in
+// TableLineage keyed upstream first; the store derives its TableLineageUp row,
+// keyed downstream first (edgeGroup), so a walk either way is one prefix scan
+// per asset.
 type Edge struct {
 	Upstream   ids.ID `json:"upstream"`
 	Downstream ids.ID `json:"downstream"`
@@ -23,13 +24,31 @@ type Edge struct {
 	Time      time.Time `json:"time"`
 }
 
-// edgeKey is an edge's key in either lineage table: from is its upstream in
-// TableLineage and its downstream in TableLineageUp.
-func edgeKey(from, to ids.ID, job string) string {
-	return string(from) + "\x00" + string(to) + "\x00" + job
+// edgeKey is an edge's key in TableLineage.
+func edgeKey(up, down ids.ID, job string) string {
+	return string(up) + "\x00" + string(down) + "\x00" + job
 }
 
-// PutEdge writes e's two rows inside tx, unless tx already holds an edge with
+// edgeGroup and edgeSort are the upstream table's derivation: the edge
+// record upstream\0downstream\0job has the row downstream\0upstream\0job, in
+// group downstream\0. The row's value is empty; its group row carries the
+// edge's record.
+func edgeGroup(dst []byte, key string, _ []byte) ([]byte, bool) {
+	_, rest, ok := strings.Cut(key, "\x00")
+	down, _, ok2 := strings.Cut(rest, "\x00")
+	if !ok || !ok2 {
+		return dst, false
+	}
+	return append(append(dst, down...), 0), true
+}
+
+func edgeSort(dst []byte, key string, _ []byte) []byte {
+	up, rest, _ := strings.Cut(key, "\x00")
+	_, job, _ := strings.Cut(rest, "\x00")
+	return append(append(append(dst, up...), 0), job...)
+}
+
+// PutEdge writes e's record inside tx, unless tx already holds an edge with
 // e's upstream, downstream and job: an edge is recorded once.
 func PutEdge(tx *store.Tx, e *Edge) {
 	key := edgeKey(e.Upstream, e.Downstream, e.JobName)
@@ -38,42 +57,36 @@ func PutEdge(tx *store.Tx, e *Edge) {
 	}
 	b := appendStr(appendStr(appendStr(nil, e.JobName), e.QueryText), e.Principal)
 	tx.Put(TableLineage, key, binary.LittleEndian.AppendUint64(b, uint64(e.Time.UnixNano())))
-	tx.Put(TableLineageUp, edgeKey(e.Downstream, e.Upstream, e.JobName), nil)
-}
-
-// DeleteEdges deletes inside tx both rows of every edge id is an end of.
-func DeleteEdges(tx *store.Tx, id ids.ID) {
-	p := string(id) + "\x00"
-	for _, t := range [2][2]string{{TableLineage, TableLineageUp}, {TableLineageUp, TableLineage}} {
-		for _, kv := range tx.Scan(t[0], p) { // a row of t[0] and its mirror in t[1]
-			other, job, _ := strings.Cut(kv.Key[len(p):], "\x00")
-			tx.Delete(t[0], kv.Key)
-			tx.Delete(t[1], edgeKey(ids.ID(other), id, job))
-		}
-	}
 }
 
 // Edges reads id's edges at r's version, in key order: those id is the
-// upstream of when down is set, else those it is the downstream of.
+// upstream of when down is set, else those it is the downstream of, whose
+// upstream rows carry their records.
 func Edges(r Reader, id ids.ID, down bool) []Edge {
-	p, table := string(id)+"\x00", TableLineageUp
-	if down {
-		table = TableLineage
-	}
+	p := string(id) + "\x00"
 	var out []Edge
-	for _, kv := range r.Scan(table, p) {
-		other, job, _ := strings.Cut(kv.Key[len(p):], "\x00")
-		e, rec, ok := Edge{Upstream: id, Downstream: ids.ID(other)}, kv.Value, true
+	add := func(other ids.ID, rec []byte) {
+		e := Edge{Upstream: id, Downstream: other}
 		if !down {
-			e.Upstream, e.Downstream = e.Downstream, id
-			rec, ok = r.Get(TableLineage, edgeKey(e.Upstream, id, job))
+			e.Upstream, e.Downstream = other, id
 		}
 		d := decoder{b: rec}
 		e.JobName, e.QueryText, e.Principal = d.str(), d.str(), d.str()
-		if t := d.skip(8); ok && d.err == nil {
+		if t := d.skip(8); d.err == nil {
 			e.Time = time.Unix(0, int64(binary.LittleEndian.Uint64(t))).UTC()
 			out = append(out, e)
 		}
+	}
+	if down {
+		for _, kv := range r.Scan(TableLineage, p) {
+			other, _, _ := strings.Cut(kv.Key[len(p):], "\x00")
+			add(ids.ID(other), kv.Value)
+		}
+		return out
+	}
+	for _, row := range r.GroupRows(TableLineageUp, p, store.PrefixEnd(p), 0) {
+		up, _, _ := strings.Cut(row.Sort, "\x00")
+		add(ids.ID(up), row.Value)
 	}
 	return out
 }

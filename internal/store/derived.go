@@ -3,24 +3,30 @@ package store
 // Derived tables.
 //
 // A derived table stores nothing: its rows are a function of another table's
-// records. DeriveIndex declares one. A record of the source table whose value
-// derives a group — a key prefix — and a sort key within it is the row
-// group+sort of the derived table, live at exactly the versions at which the
-// record is and its value there derives that row. erm declares four:
+// records. DeriveIndex declares one. A record of the source table whose key
+// and value derive a group — a key prefix — and a sort key within it is the
+// row group+sort of the derived table, live at exactly the versions at which
+// the record is and its value there derives that row. erm declares six:
 //
 //   - the child table, keyed by its records: an entity's group is
 //     parent\0TYPE\0 and its sort key is its own ID, so its row is the
 //     parent\0TYPE\0id that ChildKey builds, and a parent's children are a
 //     walk of the entity records of its groups;
-//   - the name table: an active entity's group is group\0parent\0, its type's
-//     name group (erm.NameGroupOf) and its parent, and its sort key its
-//     lowered name, the NameKey it is found by; a soft-deleted one derives
+//   - the name table, unique: an active entity's group is group\0parent\0,
+//     its type's name group (erm.NameGroupOf) and its parent, and its sort key
+//     its lowered name, the NameKey it is found by; a soft-deleted one derives
 //     none;
-//   - the path and external-location tables: each is one group, "", and an
-//     active entity's sort key is its storage path, so its row is the path
-//     itself — one table for external locations, the other for every other
-//     type. No other grouping would do: a group that is a prefix of one path
-//     is a prefix of every path under it.
+//   - the path and external-location tables, unique: each is one group, "",
+//     and an active entity's sort key is its storage path, so its row is the
+//     path itself — one table for external locations, the other for every
+//     other type. No other grouping would do: a group that is a prefix of one
+//     path is a prefix of every path under it;
+//   - the inverted tag index, from the tag records: a tag's group is its tag
+//     key and a 0 byte, its sort key securable\0column, both read from the
+//     record's key, so its row is tagkey\0securable\0column;
+//   - the upstream lineage table, from the edge records: an edge's group is
+//     its downstream ID and a 0 byte, its sort key upstream\0job, so its row
+//     is downstream\0upstream\0job.
 //
 // A metastore keeps, per derived table, its groups in ascending order of
 // their key, each a slice of entries ordered by the row each derives, then by
@@ -32,31 +38,37 @@ package store
 // (putLocked), the shadow goes when pruneLocked drops the last version that
 // derives its row, and every entry goes when the record is removed
 // (removeRecordLocked). Readers filter every entry through record.at(v), and
-// an entry of a table that is not keyed also through the row the value at v
-// derives, so snapshots, cache views, page cursors and transactions see the
-// rows that rows written and deleted beside their records in the same commits
-// would show. What keeps that true:
+// an entry of a unique table also through the row the value at v derives, so
+// snapshots, cache views, page cursors and transactions see the rows that
+// rows written and deleted beside their records in the same commits would
+// show. What keeps that true:
 //
-//   - a keyed record's group never changes: a commit that would give a record
-//     a value of another group, or of none after one of a group, is refused,
-//     and a replay that meets one fails (checkDerivedLocked). So a keyed
-//     record has one entry, never a shadow, and its row is live whenever it
-//     is;
-//   - a table that is not keyed is unique: a commit that would leave two live
-//     records deriving one row is refused (ErrRowTaken);
+//   - a record's row in a table that is not unique never changes: a commit
+//     that would give a record a value of another row, or of none after one
+//     of a row, is refused, and a replay that meets one fails
+//     (checkDerivedLocked). So such a record has one entry, never a shadow,
+//     and its row is live whenever it is;
+//   - in a unique table, a commit that would leave two live records deriving
+//     one row is refused (ErrRowTaken);
 //   - a source record's tombstone keeps the value it deletes, so a record
 //     reclaimed long after its delete still names its rows. It costs nothing:
 //     the version behind the tombstone holds the same bytes;
 //   - a derived table takes no writes. A log written while the rows were
 //     stored holds them: replay checks each against what the records derive,
 //     or a purged record derived (Derivation.Revived), then drops it;
-//   - a row keyed apart from its record has no change of its record's to
-//     name it, so a commit names each such row it makes live or dead in the
-//     change log (Tx.Rows): caches keep those rows, as they keep stored ones.
+//   - a unique table's row is keyed apart from its record and may move with
+//     its value, so no change of its record's names it: a commit names each
+//     such row it makes live or dead in the change log (Tx.Rows), and caches
+//     keep those rows as they keep stored ones. A row of any other table
+//     changes only with its record, under the record's own key, and no cache
+//     keeps it.
 //
-// No group key may be a prefix of another, and no sort key holds a 0 byte:
-// rows then sort by group, then by sort key, which is the order of the row
-// keys themselves.
+// No group key may be a prefix of another. Rows then sort by group, then by
+// sort key, which is the order of the row keys themselves whatever bytes a
+// sort key holds: two rows of different groups first differ inside the
+// shorter group's key. A group that ends in the only 0 byte it holds, as the
+// tag index's and the lineage table's do, is prefix-free of every other such
+// group; a sort key may hold 0 bytes.
 
 import (
 	"errors"
@@ -67,27 +79,33 @@ import (
 	"unsafe"
 )
 
-// GroupFunc appends to dst the group a source record's value derives and
-// reports whether it derives one. It keeps neither slice.
-type GroupFunc func(dst, value []byte) ([]byte, bool)
+// GroupFunc appends to dst the group that source record key's value derives
+// and reports whether it derives one. It keeps neither slice.
+type GroupFunc func(dst []byte, key string, value []byte) ([]byte, bool)
 
 // SortFunc appends to dst the sort key that source record key's value derives
-// within the group GroupFunc derives from it, which must hold no 0 byte. It
-// keeps neither slice.
+// within the group GroupFunc derives from it. It keeps neither slice.
 type SortFunc func(dst []byte, key string, value []byte) []byte
 
 // Derivation is what a derived table's rows are made of (see the file
 // comment).
 type Derivation struct {
 	Group GroupFunc
-	// Sort derives a row's sort key, and makes the table unique: a commit
-	// that would leave two live records deriving one row is refused. Nil
-	// keys every row by its record: the sort key is the record's own key.
+	// Sort derives a row's sort key. Nil keys every row by its record: the
+	// sort key is the record's own key.
 	Sort SortFunc
-	// Names reports whether value, held by a row of the table in a log
-	// written while the rows were stored, names the record whose key is key.
-	// Nil accepts an empty value and the key itself.
-	Names func(value []byte, key string) bool
+	// Unique lets a record's row move with its value and refuses a commit
+	// that would leave two live records deriving one row. A table that is not
+	// unique refuses a value that moves its record to another row.
+	Unique bool
+	// Names reports whether row, the value a row of the table held in a log
+	// written while the rows were stored, names the record whose key is key
+	// and whose value is value. Nil accepts an empty row and the key itself.
+	Names func(row []byte, key string, value []byte) bool
+	// Stray, if set, reports whether a row such a log put is one that no
+	// record derives by rule (a tag whose key held a 0 byte): replay drops it
+	// unchecked.
+	Stray func(row string) bool
 	// Revived, if set, returns the value of a source record stored under key
 	// as it would be were the record live: a log written while the rows were
 	// stored deletes the rows that form had beside the record it purges,
@@ -97,7 +115,7 @@ type Derivation struct {
 }
 
 // ErrRowTaken is what a commit that would leave two live records deriving one
-// row of a table with a Sort fails with, wrapped in a RowTakenError.
+// row of a unique table fails with, wrapped in a RowTakenError.
 var ErrRowTaken = errors.New("store: row already derived by a live record")
 
 // RowTakenError says which row a refused commit would have put a second live
@@ -139,12 +157,12 @@ func DeriveIndex(table, source string, d Derivation) {
 }
 
 // ChangesNamed reports whether the change log names every key of table that
-// a commit changes: true for a stored table and for a derived one whose rows
-// are not keyed by their records, false for a keyed one, whose rows change
-// with their records under the records' own keys.
+// a commit changes: true for a stored table and for a unique derived one,
+// false for any other derived one, whose rows change with their records under
+// the records' own keys.
 func ChangesNamed(table string) bool {
 	d := derivationOf(table)
-	return d == nil || !d.keyed()
+	return d == nil || d.Unique
 }
 
 func derivationOf(table string) *derivation {
@@ -266,7 +284,7 @@ func putReadBuf(buf *[]byte) {
 // derives none.
 func (gi *groupIndex) rowOf(dst []byte, key string, value []byte) (row []byte, group int, ok bool) {
 	n := len(dst)
-	b, ok := gi.d.Group(dst, value)
+	b, ok := gi.d.Group(dst, key, value)
 	if !ok {
 		return b[:n], 0, false
 	}
@@ -287,10 +305,10 @@ func (gi *groupIndex) sortOf(buf *[]byte, e *record) []byte {
 	return *buf
 }
 
-// rowValue is the value of record key's row: empty in a table keyed by its
-// records, else the record's key.
+// rowValue is the value of record key's row: the record's key in a unique
+// table, else empty.
 func (gi *groupIndex) rowValue(key string) []byte {
-	if gi.d.keyed() {
+	if !gi.d.Unique {
 		return []byte{}
 	}
 	return keyBytes(key)
@@ -396,11 +414,11 @@ func (gi *groupIndex) remove(key, sort string, r *record, buf *[]byte, shadowOnl
 }
 
 // holds reports whether entry e, under row group+sort, stands for its record
-// r's value val at a reader's version: a keyed record's row never changes,
-// and any other's value holds the row if it is the entry's own or derives
-// it. buf's contents up to its length are kept.
+// r's value val at a reader's version: a record's row in a table that is not
+// unique never changes, and any other's value holds the row if it is the
+// entry's own or derives it. buf's contents up to its length are kept.
 func (gi *groupIndex) holds(buf *[]byte, e, r *record, val []byte, group string, sort []byte) bool {
-	if gi.d.keyed() || unsafe.SliceData(val) == e.data {
+	if !gi.d.Unique || unsafe.SliceData(val) == e.data {
 		return true
 	}
 	n := len(*buf)
@@ -513,7 +531,11 @@ func (gi *groupIndex) groupRowsLocked(start, end string, v uint64, limit int) []
 	keyed := gi.d.keyed()
 	gi.walkLocked("", start, end, v, func(g *group, r *record, sort, val []byte) bool {
 		if out == nil && limit > 0 {
-			out = make([]GroupRow, 0, min(limit, gi.n))
+			n := min(limit, gi.n)
+			out = make([]GroupRow, 0, n)
+			if !keyed { // sized for n sort keys of the first one's length
+				sorts.b, sorts.ends = make([]byte, 0, n*len(sort)), make([]int, 0, n)
+			}
 		}
 		out = append(out, GroupRow{Group: g.key, Sort: r.key, KV: KV{Key: r.key, Value: val}})
 		if !keyed {
@@ -522,7 +544,7 @@ func (gi *groupIndex) groupRowsLocked(start, end string, v uint64, limit int) []
 		return limit <= 0 || len(out) < limit
 	})
 	if !keyed {
-		all := string(sorts.b)
+		all := str(sorts.b) // no one writes to sorts.b again
 		for i := range out {
 			n := len(sorts.at(i))
 			out[i].Sort, all = all[:n], all[n:]
@@ -581,13 +603,13 @@ type entered struct {
 
 // leaveLocked is putLocked's first half for the derived tables of table: the
 // newest version of record r, which holds a value, is about to give way to
-// value (a delete: keeps its own). A table not keyed by its records whose row
-// the new version changes gets a shadow of the old one in the record's place,
-// and is returned to enterLocked, which puts the record under its new row
-// once it holds it. Caller holds stateMu for writing.
+// value (a delete: keeps its own). A unique table whose row the new version
+// changes gets a shadow of the old one in the record's place, and is returned
+// to enterLocked, which puts the record under its new row once it holds it.
+// Caller holds stateMu for writing.
 func (m *metastore) leaveLocked(table string, r *record, value []byte, deleted bool, out []entered) []entered {
 	for _, gi := range m.derived {
-		if gi.d.source != table || gi.d.keyed() || deleted {
+		if gi.d.source != table || !gi.d.Unique || deleted {
 			continue
 		}
 		b, g, wasOK := gi.rowOf(m.scratch[:0], r.key, r.value())
@@ -638,7 +660,7 @@ func (m *metastore) enterLocked(table string, r *record, held bool, moved []ente
 // version r keeps derives stays. Caller holds stateMu for writing.
 func (m *metastore) unshadowLocked(table string, r, gone *record) {
 	for _, gi := range m.derived {
-		if gi.d.source != table || gi.d.keyed() {
+		if gi.d.source != table || !gi.d.Unique {
 			continue
 		}
 		for d := gone; d != nil; d = d.prev {
@@ -689,8 +711,8 @@ func (m *metastore) leaveAllLocked(table string, r *record) {
 			if ok {
 				gi.remove(str(b[:g]), str(b[g:]), r, &m.search, false)
 			}
-			if gi.d.keyed() {
-				break // a keyed record's group never changes
+			if !gi.d.Unique {
+				break // the record's row never changes
 			}
 		}
 	}
@@ -718,14 +740,14 @@ func (m *metastore) carriedLocked(table, key string) (val []byte, ok, live bool)
 }
 
 // checkDerivedLocked refuses writes a derived table cannot take: a value
-// that would move its record to another group of a keyed table, or out of its
-// group or into one after it held a value of none; and, unless the writes are
-// a replay's (tx nil: replay checks the derived rows a log holds itself), a
-// write to a derived table, and rows a table not keyed by its records would
+// that would move its record to another row of a table that is not unique,
+// or out of its row or into one after it held a value of none; and, unless
+// the writes are a replay's (tx nil: replay checks the derived rows a log
+// holds itself), a write to a derived table, and rows a unique table would
 // have two live records under once transaction tx, whose writes they are, is
-// in (checkTakenLocked). It appends to rows the rows of tables not keyed by
-// their records that the writes make live or dead, and returns them. Caller
-// holds stateMu for writing.
+// in (checkTakenLocked). It appends to rows the rows of unique tables that
+// the writes make live or dead, and returns them. Caller holds stateMu for
+// writing.
 func (m *metastore) checkDerivedLocked(writes []Write, tx *Tx, rows []Write) ([]Write, error) {
 	from := len(rows)
 	for i := range writes {
@@ -744,9 +766,9 @@ func (m *metastore) checkDerivedLocked(writes []Write, tx *Tx, rows []Write) ([]
 			if gi.d.source != w.Table {
 				continue
 			}
-			if !gi.d.keyed() {
+			if gi.d.Unique {
 				rows = m.rowChangeLocked(gi, w, old, held && wasLive, rows)
-			} else if err := m.checkGroupLocked(gi, w, old, held); err != nil {
+			} else if err := m.checkFixedLocked(gi, w, old, held); err != nil {
 				return rows, err
 			}
 		}
@@ -757,32 +779,26 @@ func (m *metastore) checkDerivedLocked(writes []Write, tx *Tx, rows []Write) ([]
 	return rows, m.checkTakenLocked(tx, rows[from:])
 }
 
-// checkGroupLocked refuses a write that would move a keyed table's record
-// to another group, out of its group, or into one after it held a value of
-// none; old is the value it carries, if held.
-func (m *metastore) checkGroupLocked(gi *groupIndex, w *Write, old []byte, held bool) error {
+// checkFixedLocked refuses a write that would move a record of a table that
+// is not unique to another row, out of its row, or into one after it held a
+// value of none; old is the value it carries, if held.
+func (m *metastore) checkFixedLocked(gi *groupIndex, w *Write, old []byte, held bool) error {
 	if w.Deleted || !held {
 		return nil
 	}
-	// Both groups go to the scratch buffer, one behind the other.
-	b, wasOK := gi.d.Group(m.scratch[:0], old)
-	if !wasOK {
-		b = b[:0]
-	}
+	// Both rows go to the scratch buffer, one behind the other.
+	b, _, wasOK := gi.rowOf(m.scratch[:0], w.Key, old)
 	n := len(b)
-	b, nowOK := gi.d.Group(b, w.Value)
-	if !nowOK {
-		b = b[:n]
-	}
+	b, _, nowOK := gi.rowOf(b, w.Key, w.Value)
 	m.scratch = b[:0]
 	if wasOK != nowOK || string(b[:n]) != string(b[n:]) {
-		return fmt.Errorf("store: %s/%s: the value would move the record from group %q to %q of table %s", w.Table, w.Key, b[:n], b[n:], gi.d.table)
+		return fmt.Errorf("store: %s/%s: the value would move the record from row %q to %q of table %s", w.Table, w.Key, b[:n], b[n:], gi.d.table)
 	}
 	return nil
 }
 
-// rowChangeLocked appends to rows the row of gi, a table not keyed by its
-// records, that write w makes dead and the one it makes live, if it changes
+// rowChangeLocked appends to rows the row of gi, a unique table, that write w
+// makes dead and the one it makes live, if it changes
 // the row its record is live under (old, if wasLive).
 func (m *metastore) rowChangeLocked(gi *groupIndex, w *Write, old []byte, wasLive bool, rows []Write) []Write {
 	b := m.scratch[:0]
@@ -894,11 +910,11 @@ func (m *metastore) holderLocked(gi *groupIndex, tx *Tx, row, key string) (strin
 
 // checkReplayedRowsLocked checks the derived rows a replayed commit at
 // version v wrote against what its records derive once the commit's other
-// writes are in: a row put must be live and name its record (an empty value
-// or, as the seed wrote it, its record's key, or what the table's Names
-// accepts), and a row deleted must not be live unless the commit deletes a
-// record whose revived value derives it (purgedLocked). Caller has the
-// metastore to itself.
+// writes are in: a row put must be live and name its record (Names, by
+// default an empty value or, as the seed wrote it, its record's key) unless
+// the table's Stray drops it, and a row deleted must not be live unless the
+// commit deletes a record whose revived value derives it (purgedLocked).
+// Caller has the metastore to itself.
 func (m *metastore) checkReplayedRowsLocked(writes []Write, v uint64) error {
 	for i := range writes {
 		w := &writes[i]
@@ -906,12 +922,19 @@ func (m *metastore) checkReplayedRowsLocked(writes []Write, v uint64) error {
 		if gi == nil {
 			continue
 		}
-		r, _ := gi.lookupLocked(w.Key, v)
+		r, val := gi.lookupLocked(w.Key, v)
 		live := r != nil
-		if live && w.Deleted && m.purgedLocked(gi, writes, w.Key) {
+		if live && w.Deleted && m.purgedLocked(gi, writes, w.Key) || !live && !w.Deleted && gi.d.Stray != nil && gi.d.Stray(w.Key) {
 			continue
 		}
-		named := r != nil && (len(w.Value) == 0 || string(w.Value) == r.key || gi.d.Names != nil && gi.d.Names(w.Value, r.key))
+		named := false
+		switch {
+		case r == nil:
+		case gi.d.Names != nil:
+			named = gi.d.Names(w.Value, r.key, val)
+		default:
+			named = len(w.Value) == 0 || string(w.Value) == r.key
+		}
 		if live == w.Deleted || !w.Deleted && !named {
 			return fmt.Errorf("version %d writes %s row %q (deleted %v, value %q), and the %s records derive it live: %v",
 				v, w.Table, w.Key, w.Deleted, w.Value, gi.d.source, live)

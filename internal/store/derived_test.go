@@ -27,7 +27,7 @@ func init() { DeriveIndex(kidTable, entTable, Derivation{Group: testGroup}) }
 
 // testGroup derives parent\0TYPE\0 from "parent/TYPE/...", and nothing from a
 // value without two slashes.
-func testGroup(dst, value []byte) ([]byte, bool) {
+func testGroup(dst []byte, _ string, value []byte) ([]byte, bool) {
 	parent, rest, ok := bytes.Cut(value, []byte("/"))
 	typ, _, ok2 := bytes.Cut(rest, []byte("/"))
 	if !ok || !ok2 {
@@ -495,5 +495,102 @@ func TestReplayChecksDerivedRows(t *testing.T) {
 	entries = append(append([]walEntry(nil), good...), commit(next, put(entTable, "a", "q/TABLE/a/A")))
 	if _, err := Open(Options{WALPath: write(entries)}); err == nil || errors.Is(err, ErrClosed) {
 		t.Errorf("a group change replays: %v", err)
+	}
+}
+
+// The table "inv" is derived from "src" by key alone, as erm derives the tag
+// index from the tags: a record x\0y has the row y\0x, in group y\0. A log of
+// the stored rows held the record's value in the row; a row with another
+// number of 0 bytes is one no record derives.
+const srcTable, invTable = "src", "inv"
+
+func init() {
+	DeriveIndex(invTable, srcTable, Derivation{
+		Group: func(dst []byte, key string, _ []byte) ([]byte, bool) {
+			_, y, ok := strings.Cut(key, "\x00")
+			if !ok || strings.IndexByte(y, 0) >= 0 {
+				return dst, false
+			}
+			return append(append(dst, y...), 0), true
+		},
+		Sort: func(dst []byte, key string, _ []byte) []byte {
+			x, _, _ := strings.Cut(key, "\x00")
+			return append(dst, x...)
+		},
+		Names: func(row []byte, _ string, value []byte) bool { return bytes.Equal(row, value) },
+		Stray: func(row string) bool { return strings.Count(row, "\x00") != 1 },
+	})
+}
+
+// TestReplayChecksRowsOfAKeyDerivation: replay of a log that stored a table
+// now derived from its records' keys checks each row's value against its
+// record's (Derivation.Names), drops a row no record derives by rule
+// (Derivation.Stray) and stops at any other row no record derives. The rows
+// read back with their records; a rewrite of a record keeps its row, and no
+// change names one.
+func TestReplayChecksRowsOfAKeyDerivation(t *testing.T) {
+	put := func(table, key, value string) Write { return Write{Table: table, Key: key, Value: []byte(value)} }
+	del := func(table, key string) Write { return Write{Table: table, Key: key, Deleted: true} }
+	log := func(ws ...[]Write) string {
+		entries := []walEntry{{Op: opCreateMetastore, Metastore: "ms"}}
+		for i, w := range ws {
+			entries = append(entries, walEntry{Op: opCommit, Metastore: "ms", Version: uint64(i + 1), Writes: w})
+		}
+		var b []byte
+		for i := range entries {
+			f, err := entries[i].frame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b = append(b, f...)
+		}
+		path := filepath.Join(t.TempDir(), "wal")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	good := [][]Write{
+		{put(srcTable, "a\x00t", "1"), put(invTable, "t\x00a", "1"), put(srcTable, "b\x00t", "2"), put(invTable, "t\x00b", "2")},
+		{put(srcTable, "a\x00t", "3"), put(invTable, "t\x00a", "3")},
+		{put(srcTable, "c\x00t\x00u", "4"), put(invTable, "t\x00u\x00c", "4")}, // a key with a 0 byte too many
+		{del(srcTable, "b\x00t"), del(invTable, "t\x00b")},
+	}
+	db, err := Open(Options{WALPath: log(good...)})
+	if err != nil {
+		t.Fatalf("a log whose rows agree: %v", err)
+	}
+	snap, _ := db.Snapshot("ms")
+	rows := snap.GroupRows(invTable, "", "", 0)
+	if len(rows) != 1 || rows[0].Group+rows[0].Sort != "t\x00a" || rows[0].Key != "a\x00t" || string(rows[0].Value) != "3" {
+		t.Errorf("replayed rows %+v", rows)
+	}
+	snap.Close()
+	if _, err := db.Update("ms", func(tx *Tx) error { tx.Put(srcTable, "a\x00t", []byte("5")); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	snap, _ = db.Snapshot("ms")
+	if got := kvKeys(snap.Scan(invTable, "t\x00")); !reflect.DeepEqual(got, []string{"t\x00a"}) {
+		t.Errorf("after a rewrite, rows %q", got)
+	}
+	snap.Close()
+	changes, _ := db.ChangesSince("ms", 0)
+	for _, c := range changes {
+		if c.Table == invTable {
+			t.Errorf("the change log names derived row %q", c.Key)
+		}
+	}
+	db.Close()
+	for what, bad := range map[string]Write{
+		"a row whose value is not its record's": put(invTable, "t\x00a", "1"),
+		"a row of no record":                    put(invTable, "t\x00z", "3"),
+		"a deleted row of a live record":        del(invTable, "t\x00a"),
+	} {
+		if db, err := Open(Options{WALPath: log(append(good, []Write{bad})...)}); err == nil || !strings.Contains(err.Error(), "derive") {
+			if db != nil {
+				db.Close()
+			}
+			t.Errorf("%s: replay says %v", what, err)
+		}
 	}
 }

@@ -181,8 +181,8 @@ func checkGroupsTrackKeyTable(t *testing.T, ms *metastore) {
 				t.Fatalf("table %q: group %q has %d slots, none of rowCaps", gi.d.table, g.key, c)
 			}
 			for j, e := range g.rows {
-				if e.owner() != e && (gi.d.keyed() || e.prev == nil || e.prev.commit == shadowCommit) {
-					t.Fatalf("table %q: shadow %q names no record, or the table is keyed", gi.d.table, e.key)
+				if e.owner() != e && (!gi.d.Unique || e.prev == nil || e.prev.commit == shadowCommit) {
+					t.Fatalf("table %q: shadow %q names no record, or the table is not unique", gi.d.table, e.key)
 				}
 				row := g.key + sortOf(e)
 				k := entry{e.owner(), row}
@@ -215,7 +215,7 @@ func checkGroupsTrackKeyTable(t *testing.T, ms *metastore) {
 				}
 				if b, _, ok := gi.rowOf(nil, r.key, x.value()); ok {
 					want[string(b)] = true
-					if gi.d.keyed() {
+					if !gi.d.Unique {
 						want = map[string]bool{string(b): true}
 						break
 					}

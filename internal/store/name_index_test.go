@@ -23,7 +23,7 @@ const (
 )
 
 func init() {
-	DeriveIndex(nmTable, entTable, Derivation{Group: nmGroup, Sort: nmSort, Revived: nmRevived})
+	DeriveIndex(nmTable, entTable, Derivation{Group: nmGroup, Sort: nmSort, Unique: true, Revived: nmRevived})
 }
 
 // nmParts reads "parent/TYPE/name/state".
@@ -45,7 +45,7 @@ func nmGroupOf(typ string) string {
 	return typ
 }
 
-func nmGroup(dst, value []byte) ([]byte, bool) {
+func nmGroup(dst []byte, _ string, value []byte) ([]byte, bool) {
 	parent, typ, _, state, ok := nmParts(value)
 	if !ok || string(state) == "S" {
 		return dst, false

@@ -18,7 +18,7 @@ const (
 )
 
 func init() {
-	DeriveIndex(pthTable, locTable, Derivation{Group: pthGroup, Sort: pthSort, Revived: pthRevived})
+	DeriveIndex(pthTable, locTable, Derivation{Group: pthGroup, Sort: pthSort, Unique: true, Revived: pthRevived})
 }
 
 func pthParts(value []byte) (state, path []byte) {
@@ -26,7 +26,7 @@ func pthParts(value []byte) (state, path []byte) {
 	return state, path
 }
 
-func pthGroup(dst, value []byte) ([]byte, bool) {
+func pthGroup(dst []byte, _ string, value []byte) ([]byte, bool) {
 	state, path := pthParts(value)
 	return dst, string(state) == "A" && len(path) > 0
 }

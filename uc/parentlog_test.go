@@ -9,12 +9,15 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"unitycatalog/internal/catalog"
 	"unitycatalog/internal/cloudsim"
 	"unitycatalog/internal/erm"
+	"unitycatalog/internal/ids"
 	"unitycatalog/internal/store"
 	"unitycatalog/uc"
 )
@@ -156,6 +159,38 @@ func TestParentLogStillOpens(t *testing.T) {
 		for _, full := range want.Deleted {
 			if _, err := admin.Get(full); !errors.Is(err, uc.ErrNotFound) {
 				t.Errorf("%s: %s was deleted or renamed away, Get says %v", stage, full, err)
+			}
+		}
+		// Queries by tag read the tag index, whose rows the log stores
+		// beside the tags and the store derives from them since: the
+		// entity-level tier tags and column amount's pii tag of orders.
+		tier := []string{}
+		for full, tags := range want.Tags {
+			if _, ok := tags["tier"]; ok {
+				tier = append(tier, full)
+			}
+		}
+		if changed["sales.curated.v_orders"] {
+			tier = append(tier, "sales.curated.v_orders")
+		}
+		sort.Strings(tier)
+		for _, q := range []struct {
+			f    catalog.Filter
+			want []string
+		}{
+			{catalog.Filter{TagKey: "tier"}, tier},
+			{catalog.Filter{TagKey: "tier", TagValue: "gold"}, []string{"sales.raw.orders"}},
+			{catalog.Filter{TagKey: "pii"}, []string{"sales.raw.orders"}},
+			{catalog.Filter{TagKey: "pii", TagValue: "false"}, []string{"sales.raw.orders"}},
+			{catalog.Filter{TagKey: "pii", TagValue: "true"}, []string{}},
+		} {
+			es, err := cat.Service.QueryAssets(admin.Ctx(), q.f)
+			got := []string{}
+			for _, e := range es {
+				got = append(got, e.FullName)
+			}
+			if err != nil || !reflect.DeepEqual(got, q.want) {
+				t.Errorf("%s: assets tagged %s=%q: %v (%v), want %v", stage, q.f.TagKey, q.f.TagValue, got, err, q.want)
 			}
 		}
 	}
@@ -472,4 +507,256 @@ func vendByPath(t *testing.T, stage string, svc *catalog.Service, ctx catalog.Ct
 	if vended == 0 {
 		t.Errorf("%s: no asset with a storage path to vend for", stage)
 	}
+}
+
+// mirrorsState is internal/store/testdata/mirrors_state.json: what the last
+// commit that stored the tag index and the upstream lineage rows beside the
+// tags and edges read from the framed log it wrote (mkmirrors.go.txt there is
+// the program; it ran at ce4a041).
+type mirrorsState struct {
+	Queries map[string][]string `json:"queries"`
+	Tags    map[string][]string `json:"tags"`
+	Edges   map[string][]string `json:"edges"`
+	Version uint64              `json:"version"`
+}
+
+// mirrorReads makes the reads mirrors_state.json records, as mkmirrors does,
+// of the tags and edges of tables: six tag queries, each whole and one asset
+// at a time (a page that is not the last followed by "next " and its token),
+// each table's entity and column tags, and its lineage walks both ways.
+func mirrorReads(t *testing.T, svc *catalog.Service, db *store.DB, ctx catalog.Ctx, tables []string) mirrorsState {
+	t.Helper()
+	st := mirrorsState{Queries: map[string][]string{}, Tags: map[string][]string{}, Edges: map[string][]string{}}
+	for _, f := range []catalog.Filter{
+		{TagKey: "tier"},
+		{TagKey: "tier", TagValue: "gold"},
+		{TagKey: "pii"},
+		{TagKey: "pii", TagValue: "yes"},
+		{TagKey: "owner_team"},
+		{TagKey: "absent"},
+	} {
+		all, err := svc.QueryAssets(ctx, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := fmt.Sprintf("query %s=%s", f.TagKey, f.TagValue)
+		names := []string{}
+		for _, e := range all {
+			names = append(names, e.FullName)
+		}
+		st.Queries[key] = names
+		paged := []string{}
+		f.MaxResults = 1
+		for {
+			pg, err := svc.QueryAssetsPage(ctx, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range pg.Assets {
+				paged = append(paged, e.FullName)
+			}
+			if f.PageToken = pg.NextPageToken; f.PageToken == "" {
+				break
+			}
+			paged = append(paged, "next "+f.PageToken)
+		}
+		st.Queries["paged "+key] = paged
+	}
+	snap, err := db.Snapshot("ms1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	name := map[ids.ID]string{}
+	for _, e := range catalog.LiveEntities(snap) {
+		name[e.ID] = e.FullName
+	}
+	for _, full := range tables {
+		e, err := svc.GetAsset(ctx, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entity, columns := catalog.EntityTags(snap, e.ID)
+		tags := []string{}
+		for k, v := range entity {
+			tags = append(tags, k+"="+v)
+		}
+		for c, kv := range columns {
+			for k, v := range kv {
+				tags = append(tags, c+"."+k+"="+v)
+			}
+		}
+		sort.Strings(tags)
+		st.Tags[full] = tags
+		for _, down := range []bool{true, false} {
+			way, edges := "up", []string{}
+			if down {
+				way = "down"
+			}
+			for _, ed := range erm.Edges(snap, e.ID, down) {
+				other := ed.Upstream
+				if down {
+					other = ed.Downstream
+				}
+				edges = append(edges, name[other]+"|"+ed.JobName)
+			}
+			st.Edges[way+" "+full] = edges
+		}
+	}
+	st.Version = snap.Version
+	return st
+}
+
+// TestMirrorsLogStillOpens: a framed log written while the tag index and the
+// upstream lineage rows were stored beside the tags and edges — entity and
+// column tags, a tag overwritten and one unset, edges both ways, two tables
+// soft deleted and purged with their tags and edges, two tags whose key holds
+// a 0 byte — opens, those rows checked against what the records derive and
+// dropped, and every query by tag, page tokens included, every table's tags
+// and every lineage walk return what the code that wrote the log returned.
+// The entity tag written as "col\x00region\x00zone", which that code read
+// back as column region's tag zone but filed under the key as written, is now
+// found by zone. New commits write neither row, and the log opens again
+// reading the same.
+func TestMirrorsLogStillOpens(t *testing.T) {
+	log, err := os.ReadFile("../internal/store/testdata/mirrors.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateJSON, err := os.ReadFile("../internal/store/testdata/mirrors_state.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want mirrorsState
+	if err := json.Unmarshal(stateJSON, &want); err != nil {
+		t.Fatal(err)
+	}
+	tagRows, edgeRows := []byte("\x06tagidx"), []byte("\x09lineageup")
+	if log[0] != 0xF7 || bytes.Count(log, tagRows) < 10 || bytes.Count(log, edgeRows) < 10 {
+		t.Fatalf("the fixture starts with %#x and writes %d tag-index and %d upstream rows", log[0], bytes.Count(log, tagRows), bytes.Count(log, edgeRows))
+	}
+	path := filepath.Join(t.TempDir(), "uc.wal")
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx := catalog.Ctx{Principal: "admin", Metastore: "ms1"}
+	open := func() (*store.DB, *catalog.Service) {
+		t.Helper()
+		db, err := store.Open(store.Options{WALPath: path})
+		if err != nil {
+			t.Fatalf("open the log: %v", err)
+		}
+		svc, err := catalog.New(catalog.Config{DB: db, SoftDeleteRetention: -time.Nanosecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.OpenMetastore("ms1"); err != nil {
+			t.Fatal(err)
+		}
+		return db, svc
+	}
+	tables := make([]string, 0, len(want.Tags))
+	for full := range want.Tags {
+		tables = append(tables, full)
+	}
+	sort.Strings(tables)
+	compare := func(stage string, got, want mirrorsState) {
+		t.Helper()
+		for what, pair := range map[string][2]any{"queries": {got.Queries, want.Queries}, "tags": {got.Tags, want.Tags}, "edges": {got.Edges, want.Edges}} {
+			if !reflect.DeepEqual(pair[0], pair[1]) {
+				t.Errorf("%s: the %s read\n  %q\nwant\n  %q", stage, what, pair[0], pair[1])
+			}
+		}
+	}
+	zone := func(stage string, svc *catalog.Service) {
+		t.Helper()
+		for key, want := range map[string]int{"zone": 1, "col\x00region\x00zone": 0, "a\x00b": 0, "a": 0} {
+			es, err := svc.QueryAssets(ctx, catalog.Filter{TagKey: key})
+			if err != nil || len(es) != want || want == 1 && es[0].FullName != "sales.raw.customers" {
+				t.Errorf("%s: assets tagged %q: %d (%v), want %d", stage, key, len(es), err, want)
+			}
+		}
+	}
+
+	db, svc := open()
+	got := mirrorReads(t, svc, db, ctx, tables)
+	if got.Version != want.Version {
+		t.Fatalf("replayed to version %d, the log was written to %d", got.Version, want.Version)
+	}
+	compare("replayed", got, want)
+	zone("replayed", svc)
+	changes, err := db.ChangesSince("ms1", 0)
+	if err != nil || len(changes) == 0 {
+		t.Fatalf("changes since 0: %d, %v", len(changes), err)
+	}
+	for _, c := range changes {
+		if c.Table == erm.TableTagIdx || c.Table == erm.TableLineageUp {
+			t.Fatalf("the change log names %s row %q at version %d", c.Table, c.Key, c.Version)
+		}
+	}
+
+	// New commits: a column tag, an unset, an edge, and a table soft deleted
+	// (its edges go) and purged (its tags go).
+	events, err := svc.GetAsset(ctx, "sales.raw.events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eu, err := svc.GetAsset(ctx, "sales.curated.eu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.SetTag(ctx, "sales.raw.events", "amount", "pii", "yes"); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.UnsetTag(ctx, "sales.raw.orders", "", "tier"); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.SubmitLineage(ctx, []erm.Edge{{Upstream: events.ID, Downstream: eu.ID, JobName: "after"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.DeleteAsset(ctx, "sales.curated.back", false); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := svc.RunGC("ms1"); err != nil || res.PurgedEntities != 1 {
+		t.Fatalf("GC: %+v, %v", res, err)
+	}
+	tables = slices.DeleteFunc(tables, func(full string) bool { return full == "sales.curated.back" })
+	after := mirrorReads(t, svc, db, ctx, tables)
+	for what, pair := range map[string][2][]string{
+		"pii=yes":        {after.Queries["query pii=yes"], {"sales.raw.customers", "sales.raw.events"}},
+		"tier=gold":      {after.Queries["query tier=gold"], {"sales.curated.daily"}},
+		"down events":    {after.Edges["down sales.raw.events"], {"sales.curated.daily|etl", "sales.curated.eu|after"}},
+		"down eu":        {after.Edges["down sales.curated.eu"], {}},
+		"up eu":          {after.Edges["up sales.curated.eu"], {"sales.raw.customers|enrich", "sales.curated.daily|publish", "sales.raw.events|after"}},
+		"tags of events": {after.Tags["sales.raw.events"], {"amount.pii=yes", "tier=bronze"}},
+	} {
+		got, want := slices.Clone(pair[0]), slices.Clone(pair[1])
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("after the new commits, %s reads %q, want %q", what, got, want)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	grown, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(grown, log) || len(grown) == len(log) {
+		t.Fatalf("the log is %d bytes after the new commits (%d before) and no longer starts with what was there", len(grown), len(log))
+	}
+	if bytes.Contains(grown[len(log):], tagRows) || bytes.Contains(grown[len(log):], edgeRows) {
+		t.Fatal("a frame written now carries a tag-index or upstream row")
+	}
+
+	db, svc = open()
+	defer db.Close()
+	reopened := mirrorReads(t, svc, db, ctx, tables)
+	if reopened.Version != after.Version {
+		t.Errorf("reopened at version %d, closed at %d", reopened.Version, after.Version)
+	}
+	compare("reopened", reopened, after)
+	zone("reopened", svc)
 }
