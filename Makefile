@@ -18,14 +18,14 @@ test:
 # (RACE_TWENTY), internal/catalog's on an invocation of their own whose
 # -timeout is 1.5 times a measured run: beside the other packages its twenty
 # runs passed go test's default of ten minutes, and alone they take nine:
-#   cache: local and foreign write-throughs, sequenced and out-of-order installs, one reconcile per foreign burst
+#   cache: local and foreign write-throughs, sequenced and out-of-order installs, one reconcile per foreign burst, a lagging reader's change log vs what each commit wrote
 #   search: tag search; the index against its map-posting reference
 #   events: Subscribe/Cancel racing Publish and draining; the log and its retention against a []Event
 #   catalog: authorizer oracles, multi-node and shared-entity differentials, one version per unpaged listing, the derived path, tag-index and upstream lineage rows vs the stored rule, two nodes racing to claim overlapping paths
 #   privilege: snapshot cache advancing under stale readers
 #   obs, lineage, store, server: flight-recorder freeze; edges vs assets; write set and key table vs a map, the derived child and name rows vs stored ones; one envelope per request
 #   audit: the packed log against a []Record; readers unpacking open chunks while appenders add to their string tables
-RACE_TWENTY = TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestLocalWritesInstallOutOfOrder|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll|TestPackedRingMatchesReference|TestRetentionMatchesReference|TestCancelDrainsWhatItHolds|TestNoEdgeOutlivesItsAssets|TestTxWriteSetMatchesReference|TestKeyTableMatchesMap|TestDerivedChildIndexMatchesRows|TestDerivedNameIndexMatchesRows|TestEnvelopePerRequest|TestIndexMatchesReference|TestPackedLogMatchesReference|TestConcurrentAppendersKeepEveryOrder|TestDerivedPathIndexMatchesRows|TestConcurrentOverlappingClaims|TestDerivedMirrorRowsMatchStoredRule
+RACE_TWENTY = TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestLocalWritesInstallOutOfOrder|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll|TestPackedRingMatchesReference|TestRetentionMatchesReference|TestCancelDrainsWhatItHolds|TestNoEdgeOutlivesItsAssets|TestTxWriteSetMatchesReference|TestKeyTableMatchesMap|TestDerivedChildIndexMatchesRows|TestDerivedNameIndexMatchesRows|TestEnvelopePerRequest|TestIndexMatchesReference|TestPackedLogMatchesReference|TestConcurrentAppendersKeepEveryOrder|TestDerivedPathIndexMatchesRows|TestConcurrentOverlappingClaims|TestDerivedMirrorRowsMatchStoredRule|TestLaggingReaderDerivesRows
 
 race:
 	$(GO) test -race -count=1 \

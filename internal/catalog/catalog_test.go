@@ -424,6 +424,54 @@ func TestDeleteCascadeAndGC(t *testing.T) {
 	}
 }
 
+// TestGCPurgesScopedABACRules: collecting a securable deletes the ABAC rules
+// scoped to it, whose rows are keyed by the rule's ID, and keeps the others.
+func TestGCPurgesScopedABACRules(t *testing.T) {
+	db, _ := store.Open(store.Options{})
+	defer db.Close()
+	fake := clock.NewFake(time.Unix(1_700_000_000, 0))
+	svc, _ := New(Config{DB: db, Clock: fake, SoftDeleteRetention: time.Hour})
+	svc.CreateMetastore("ms1", "main", "r", "admin", "s3://root/ms1")
+	admin := Ctx{Principal: "admin", Metastore: "ms1", TrustedEngine: true}
+	seedNamespace(t, svc, admin)
+	rule := func(scope, name string) privilege.ABACRule {
+		r, err := svc.CreateABACRule(admin, scope, privilege.ABACRule{
+			Name: name, TagKey: "tier", TagValue: "gold",
+			Action: privilege.ABACGrant, Privilege: privilege.Select, Principals: []privilege.Principal{"alice"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	onTable, onCatalog := rule("sales.raw.orders", "on-table"), rule("sales", "on-catalog")
+	if err := svc.DeleteAsset(admin, "sales.raw.orders", false); err != nil {
+		t.Fatal(err)
+	}
+	fake.Advance(2 * time.Hour)
+	if res, err := svc.RunGC("ms1"); err != nil || res.PurgedEntities != 1 {
+		t.Fatalf("gc = %+v, %v", res, err)
+	}
+	snap, err := db.Snapshot("ms1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	if _, ok := snap.Get(erm.TableABAC, string(onTable.ID)); ok {
+		t.Errorf("the rule scoped to the collected table keeps its row")
+	}
+	if _, ok := snap.Get(erm.TableABAC, string(onCatalog.ID)); !ok {
+		t.Errorf("the rule scoped to the live catalog lost its row")
+	}
+	rules, err := svc.ABACRules(admin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rules) != 1 || rules[0].ID != onCatalog.ID {
+		t.Errorf("ABACRules after GC = %+v, want only %q", rules, onCatalog.Name)
+	}
+}
+
 func TestUndelete(t *testing.T) {
 	svc, admin := testService(t)
 	tbl := seedNamespace(t, svc, admin)

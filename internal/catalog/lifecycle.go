@@ -111,7 +111,8 @@ type GCResult struct {
 }
 
 // RunGC purges soft-deleted entities older than the retention period with
-// their tags, grants, lineage edges and — for managed assets — cloud storage,
+// their tags, grants, lineage edges, the ABAC rules scoped to them and — for
+// managed assets — cloud storage,
 // and orphaned records whose parents vanished, with theirs. A view picks the
 // candidates; the transaction purges those it still finds doomed.
 func (s *Service) RunGC(msID string) (GCResult, error) {
@@ -148,6 +149,7 @@ func (s *Service) RunGC(msID string) (GCResult, error) {
 
 	var victims []*erm.Entity
 	_, err = s.cache.Update(msID, func(tx *store.Tx) error {
+		purged := map[ids.ID]bool{}
 		for _, id := range candidates {
 			// Another node may have restored it, or its parent, since v.
 			e, ok := erm.GetEntity(tx, id)
@@ -155,7 +157,11 @@ func (s *Service) RunGC(msID string) (GCResult, error) {
 				continue
 			}
 			victims = append(victims, e)
+			purged[e.ID] = true
 			erm.DeleteEntity(tx, e) // and its tags, grants and edges
+		}
+		if len(purged) > 0 {
+			deleteScopedRules(tx, purged)
 		}
 		return nil
 	})
@@ -224,4 +230,15 @@ func (s *Service) Undelete(ctx Ctx, id ids.ID) (e *erm.Entity, err error) {
 		return nil, rowTaken(err, fmt.Errorf("%w: name %s was reused", ErrAlreadyExists, cur.Name))
 	}
 	return restored, nil
+}
+
+// deleteScopedRules deletes, inside tx, the ABAC rules whose scope is one of
+// purged, with one scan of the rules: a rule's row is keyed by its own ID, so
+// erm.DeleteOwned cannot name it beside its scope's other rows.
+func deleteScopedRules(tx *store.Tx, purged map[ids.ID]bool) {
+	for _, rule := range abacRules(tx) {
+		if purged[rule.Scope] {
+			tx.Delete(erm.TableABAC, string(rule.ID))
+		}
+	}
 }

@@ -57,11 +57,13 @@ package store
 //     stored holds them: replay checks each against what the records derive,
 //     or a purged record derived (Derivation.Revived), then drops it;
 //   - a unique table's row is keyed apart from its record and may move with
-//     its value, so no change of its record's names it: a commit names each
-//     such row it makes live or dead in the change log (Tx.Rows), and caches
-//     keep those rows as they keep stored ones. A row of any other table
-//     changes only with its record, under the record's own key, and no cache
-//     keeps it.
+//     its value, so no change of its record's names it: a commit finds each
+//     such row it makes live or dead (Tx.Rows) and logs it as the table and
+//     the source record, with no key; ChangesSince derives the row from the
+//     record's version at the change (changedRow), or fails with
+//     ErrChangeLogTrimmed once that version is pruned, and caches keep those
+//     rows as they keep stored ones. A row of any other table changes only
+//     with its record, under the record's own key, and no cache keeps it.
 //
 // No group key may be a prefix of another. Rows then sort by group, then by
 // sort key, which is the order of the row keys themselves whatever bytes a
@@ -798,8 +800,8 @@ func (m *metastore) checkFixedLocked(gi *groupIndex, w *Write, old []byte, held 
 }
 
 // rowChangeLocked appends to rows the row of gi, a unique table, that write w
-// makes dead and the one it makes live, if it changes
-// the row its record is live under (old, if wasLive).
+// makes dead and the one it makes live, if it changes the row its record is
+// live under (old, if wasLive), each with the record's key as its value.
 func (m *metastore) rowChangeLocked(gi *groupIndex, w *Write, old []byte, wasLive bool, rows []Write) []Write {
 	b := m.scratch[:0]
 	n, wasOK := 0, false
@@ -816,12 +818,36 @@ func (m *metastore) rowChangeLocked(gi *groupIndex, w *Write, old []byte, wasLiv
 		return rows
 	}
 	if wasOK {
-		rows = append(rows, Write{Table: gi.d.table, Key: string(b[:n]), Deleted: true})
+		rows = append(rows, Write{Table: gi.d.table, Key: string(b[:n]), Value: keyBytes(w.Key), Deleted: true})
 	}
 	if nowOK {
 		rows = append(rows, Write{Table: gi.d.table, Key: string(b[n:]), Value: keyBytes(w.Key)})
 	}
 	return rows
+}
+
+// changedRow appends to dst the row of gi, a unique table, that change s
+// names (logCommitLocked): the row its source record's version at s.version
+// derives or, when the change is the row's death, the row the version before
+// it derived, which a tombstone keeps itself. ok is false when that version
+// is no longer in the record's history (pruneLocked). Caller holds
+// ms.stateMu.
+func (gi *groupIndex) changedRow(dst []byte, s changeSlot) (row []byte, ok bool) {
+	x := s.rec
+	for x != nil && x.commit > s.version {
+		x = x.prev
+	}
+	if x == nil || x.commit != s.version {
+		return dst, false
+	}
+	if s.deleted && !x.deleted {
+		x = x.prev // the version the write replaced, which was live
+	}
+	if x == nil || x.deleted != (s.deleted && x.commit == s.version) || x.data == nil {
+		return dst, false
+	}
+	row, _, ok = gi.rowOf(dst, s.rec.key, x.value())
+	return row, ok
 }
 
 // checkTakenLocked fails with a RowTakenError when a row that rows, the rows tx

@@ -86,7 +86,11 @@ type KV struct {
 	Value []byte
 }
 
-// Change describes one mutation applied by a committed transaction.
+// Change describes one mutation applied by a committed transaction: a write
+// to a stored table, or a row of a unique derived table that a write made
+// live or dead. The log keeps neither key: a write's is its record's own
+// string, and a row's is derived from its source record's version when the
+// log is read (ChangesSince).
 type Change struct {
 	Version uint64 `json:"version"` // metastore version that applied this change
 	Table   string `json:"table"`
@@ -167,7 +171,7 @@ type metastore struct {
 	minSnapV uint64
 	// tombs holds deletes that left the change log while a snapshot older
 	// than them was open (reclaimLocked); each later commit retries them.
-	tombs []Change
+	tombs []changeSlot
 	// pending holds the transactions sequenced (assigned a version, enqueued
 	// to the WAL) but not yet applied, in ascending version. Transactions
 	// sequencing after them read their writes through Tx.Get/Scan; snapshots
@@ -516,10 +520,41 @@ func (m *metastore) removeRecordLocked(table, key string) {
 	}
 }
 
-// logLocked appends c to the change log and reclaims the record of the
+// logCommitLocked appends commit v's changes to the change log: first the
+// rows of unique derived tables that rows, the commit's, make live or dead,
+// each as its table and the source record whose value derives it, then the
+// writes, each as its record. A delete is thus the last change of its commit
+// to leave the log, and the record it reclaims is named by none still there.
+// A write to a derived table, which a log written while the rows were stored
+// holds, is not a change: rows names it. Caller holds stateMu for writing.
+func (m *metastore) logCommitLocked(v uint64, writes, rows []Write) {
+	for i := range rows {
+		rw := &rows[i]
+		n := m.tableNoLocked(rw.Table)
+		rec := m.tables[m.changes.tables[n].gi.d.source].get(str(rw.Value))
+		m.logLocked(changeSlot{version: v, rec: rec, table: n, deleted: rw.Deleted})
+	}
+	for i := range writes {
+		w := &writes[i]
+		if n := m.tableNoLocked(w.Table); m.changes.tables[n].gi == nil {
+			m.logLocked(changeSlot{version: v, rec: m.tables[w.Table].get(w.Key), table: n, deleted: w.Deleted})
+		}
+	}
+}
+
+// tableNoLocked returns table's number in the change log. Caller holds
+// stateMu for writing.
+func (m *metastore) tableNoLocked(table string) uint32 {
+	if n, ok := m.changes.tableNo[table]; ok {
+		return n
+	}
+	return m.changes.add(table, m.derivedTable(table))
+}
+
+// logLocked appends s to the change log and reclaims the record of the
 // delete that push evicts, if it evicts one. Caller holds stateMu.
-func (m *metastore) logLocked(c Change) {
-	if old, evicted := m.changes.push(c); evicted && old.Deleted {
+func (m *metastore) logLocked(s changeSlot) {
+	if old, evicted := m.changes.push(s); evicted && old.deleted && m.changes.tables[old.table].gi == nil {
 		m.reclaimLocked(old)
 	}
 }
@@ -534,16 +569,16 @@ func (m *metastore) logLocked(c Change) {
 // views, page cursors) keep finding what MaxVersionsPerRecord promises them.
 // A snapshot opened before the delete still reads that history, so the
 // delete waits in m.tombs until it has closed. Caller holds stateMu.
-func (m *metastore) reclaimLocked(del Change) {
-	r := m.tables[del.Table].get(del.Key)
-	if r == nil || !r.deleted || r.commit != del.Version {
+func (m *metastore) reclaimLocked(del changeSlot) {
+	r, table := del.rec, m.changes.tables[del.table].name
+	if !r.deleted || r.commit != del.version || m.tables[table].get(r.key) != r {
 		return
 	}
-	if len(m.snaps) > 0 && m.minSnapV < del.Version {
+	if len(m.snaps) > 0 && m.minSnapV < del.version {
 		m.tombs = append(m.tombs, del)
 		return
 	}
-	m.removeRecordLocked(del.Table, del.Key)
+	m.removeRecordLocked(table, r.key)
 }
 
 // DropMetastore removes a metastore and all its data.
@@ -1140,8 +1175,9 @@ func (w *Write) live() ([]byte, bool) {
 func (tx *Tx) Writes() []Write { return tx.writes }
 
 // Rows returns the rows of derived tables that the committed transaction made
-// live (its record's key as the value) or dead, each a change the change log
-// names beside its writes: what a cache that installs Writes installs too.
+// live or dead, each with its source record's key as the value, each a change
+// the change log names beside its writes: what a cache that installs Writes
+// installs too.
 // Like Writes it is the transaction's own slice, and empty until the
 // transaction is sequenced.
 func (tx *Tx) Rows() []Write { return tx.rows }
@@ -1480,11 +1516,8 @@ func (db *DB) update(sc obs.SpanContext, msID string, fn func(tx *Tx) error) (ui
 	for i := range tx.writes {
 		w := &tx.writes[i]
 		db.pruneLocked(ms, w.Table, ms.putLocked(w.Table, w.Key, newV, w.Value, w.Deleted))
-		ms.logLocked(Change{Version: newV, Table: w.Table, Key: w.Key, Deleted: w.Deleted})
 	}
-	for _, w := range tx.rows {
-		ms.logLocked(Change{Version: newV, Table: w.Table, Key: w.Key, Deleted: w.Deleted})
-	}
+	ms.logCommitLocked(newV, tx.writes, tx.rows)
 	if waiting := ms.tombs; len(waiting) > 0 {
 		ms.tombs = waiting[:0] // refilled behind the read position
 		for _, del := range waiting {
@@ -1561,9 +1594,13 @@ func (db *DB) pruneLocked(ms *metastore, table string, r *record) {
 	}
 }
 
-// ChangesSince returns the changes applied after version v, in commit order.
-// If the change log no longer covers v, it returns ErrChangeLogTrimmed and
-// the caller must fall back to full reconciliation.
+// ChangesSince returns the changes applied after version v, in commit order:
+// within a commit, the derived rows it made live or dead, then its writes. The
+// keys of the derived rows are derived now, from the versions of their source
+// records, and share one string. If the change log no longer covers v, or a
+// row's source version has since been pruned (MaxVersionsPerRecord), it
+// returns ErrChangeLogTrimmed and the caller must fall back to full
+// reconciliation.
 func (db *DB) ChangesSince(msID string, v uint64) ([]Change, error) {
 	if err := db.fault("db.changes", msID); err != nil {
 		return nil, err
@@ -1584,19 +1621,48 @@ func (db *DB) ChangesSince(msID string, v uint64) ([]Change, error) {
 	// retained change at or below v shows that all of v+1 is still there.
 	first := ^uint64(0)
 	if n > 0 {
-		first = ms.changes.at(0).Version
+		first = ms.changes.at(0).version
 	}
 	if v+1 < first || (v < first && ms.changes.full()) {
 		return nil, ErrChangeLogTrimmed
 	}
 	// Versions ascend through the ring, so binary-search the cut point.
-	i := sort.Search(n, func(i int) bool { return ms.changes.at(i).Version > v })
+	i := sort.Search(n, func(i int) bool { return ms.changes.at(i).version > v })
 	if i == n {
 		return nil, nil
 	}
 	out := make([]Change, 0, n-i)
-	for ; i < n; i++ {
-		out = append(out, ms.changes.at(i))
+	var rows *[]byte // the derived rows' keys, one after another
+	for j := i; j < n; j++ {
+		s := ms.changes.at(j)
+		t := &ms.changes.tables[s.table]
+		c := Change{Version: s.version, Table: t.name, Key: s.rec.key, Deleted: s.deleted}
+		if t.gi != nil {
+			if rows == nil {
+				rows = rowBufs.Get().(*[]byte)
+				*rows = (*rows)[:0]
+			}
+			b, ok := t.gi.changedRow(*rows, s)
+			if !ok {
+				rowBufs.Put(rows)
+				return nil, ErrChangeLogTrimmed
+			}
+			// The row's bytes, until they are copied out with the others
+			// below: a buffer that grows leaves them where they were.
+			c.Key = str(b[len(*rows):])
+			*rows = b
+		}
+		out = append(out, c)
+	}
+	if rows != nil {
+		keys := string(*rows)
+		for j := range out {
+			if s := ms.changes.at(i + j); ms.changes.tables[s.table].gi != nil {
+				n := len(out[j].Key)
+				out[j].Key, keys = keys[:n], keys[n:]
+			}
+		}
+		rowBufs.Put(rows)
 	}
 	return out, nil
 }

@@ -781,18 +781,11 @@ func (db *DB) applyWALEntry(e *walEntry) error {
 			ms.putLocked(w.Table, w.Key, e.Version, w.Value, w.Deleted)
 		}
 		ms.version = e.Version
-		// Checked before logLocked can reclaim a record the rows name.
+		// Checked before logCommitLocked can reclaim a record the rows name.
 		if err := ms.checkReplayedRowsLocked(e.Writes, e.Version); err != nil {
 			return fmt.Errorf("store: wal replay: metastore %s: %w", e.Metastore, err)
 		}
-		for _, w := range e.Writes {
-			if ms.derivedTable(w.Table) == nil {
-				ms.logLocked(Change{Version: e.Version, Table: w.Table, Key: w.Key, Deleted: w.Deleted})
-			}
-		}
-		for _, w := range rows {
-			ms.logLocked(Change{Version: e.Version, Table: w.Table, Key: w.Key, Deleted: w.Deleted})
-		}
+		ms.logCommitLocked(e.Version, e.Writes, rows)
 	}
 	return nil
 }

@@ -37,8 +37,9 @@ import (
 // leaf slot, per entity a pointer in its derived child group's slice, one in
 // its name group's and one in the path table's single group's, per tag one in
 // its tag key's group of the tag index, and the change ring, 8,192 slots of
-// 32 bytes and the name and path keys its row changes hold (this
-// population's all fit in it): 391 while each tag had a stored tag-index row,
+// 24 bytes that name records and hold no key (this population's changes all
+// fit in it): 374 while a slot was 32 bytes and held a copy of each name and
+// path row's key, 391 while each tag had a stored tag-index row,
 // 401 while each table had a stored path row, 413 while it had a stored name
 // row, 482 while it had a stored child row, 565 while a leaf kept every key's
 // header beside its pointer, 726 while a Go map did too, 820 when the ring
@@ -49,7 +50,7 @@ var residentBudget = map[string]float64{
 	"search":          151,
 	"catalog":         9.5,
 	"events":          7,
-	"store structure": 374,
+	"store structure": 229,
 	"erm":             169,
 }
 
