@@ -21,11 +21,12 @@ test:
 #   cache: local and foreign write-throughs, sequenced and out-of-order installs, one reconcile per foreign burst, a lagging reader's change log vs what each commit wrote
 #   search: tag search; the index against its map-posting reference
 #   events: Subscribe/Cancel racing Publish and draining; the log and its retention against a []Event
-#   catalog: authorizer oracles, multi-node and shared-entity differentials, one version per unpaged listing, the derived path, tag-index and upstream lineage rows vs the stored rule, two nodes racing to claim overlapping paths
+#   catalog: authorizer oracles, multi-node and shared-entity differentials, one version per unpaged listing, the derived path, tag-index and upstream lineage rows vs the stored rule, two nodes racing to claim overlapping paths, a name walked in place vs its split, a table's rules read in place vs its decoded spec
+#   erm: a name key built in a buffer vs NameKey's strings
 #   privilege: snapshot cache advancing under stale readers
 #   obs, lineage, store, server: flight-recorder freeze; edges vs assets; write set and key table vs a map, the derived child and name rows vs stored ones; one envelope per request
 #   audit: the packed log against a []Record; readers unpacking open chunks while appenders add to their string tables
-RACE_TWENTY = TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestLocalWritesInstallOutOfOrder|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll|TestPackedRingMatchesReference|TestRetentionMatchesReference|TestCancelDrainsWhatItHolds|TestNoEdgeOutlivesItsAssets|TestTxWriteSetMatchesReference|TestKeyTableMatchesMap|TestDerivedChildIndexMatchesRows|TestDerivedNameIndexMatchesRows|TestEnvelopePerRequest|TestIndexMatchesReference|TestPackedLogMatchesReference|TestConcurrentAppendersKeepEveryOrder|TestDerivedPathIndexMatchesRows|TestConcurrentOverlappingClaims|TestDerivedMirrorRowsMatchStoredRule|TestLaggingReaderDerivesRows
+RACE_TWENTY = TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestLocalWritesInstallOutOfOrder|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll|TestPackedRingMatchesReference|TestRetentionMatchesReference|TestCancelDrainsWhatItHolds|TestNoEdgeOutlivesItsAssets|TestTxWriteSetMatchesReference|TestKeyTableMatchesMap|TestDerivedChildIndexMatchesRows|TestDerivedNameIndexMatchesRows|TestEnvelopePerRequest|TestIndexMatchesReference|TestPackedLogMatchesReference|TestConcurrentAppendersKeepEveryOrder|TestDerivedPathIndexMatchesRows|TestConcurrentOverlappingClaims|TestDerivedMirrorRowsMatchStoredRule|TestLaggingReaderDerivesRows|TestNameKeyMatchesReference|TestResolveChainMatchesSplit|TestStaticFGACMatchesDecode
 
 race:
 	$(GO) test -race -count=1 \
@@ -61,23 +62,25 @@ race:
 		./internal/ids/... \
 		./uc/...
 	$(GO) test -race -count=20 -run '$(RACE_TWENTY)' \
-		./internal/cache/ ./internal/search/ ./internal/events/ ./internal/privilege/ ./internal/obs/ ./internal/lineage/ ./internal/store/ ./internal/server/ ./internal/audit/
+		./internal/cache/ ./internal/search/ ./internal/events/ ./internal/privilege/ ./internal/obs/ ./internal/lineage/ ./internal/store/ ./internal/server/ ./internal/audit/ ./internal/erm/
 	$(GO) test -race -count=20 -timeout 810s -run '$(RACE_TWENTY)' ./internal/catalog/
 
 # Who holds the resident bytes (uc/heap_test.go; DESIGN.md "Resident layout"):
 # in-use bytes per internal package for 2,000 tables, each holder held to its
 # recorded figure + 10 % (the audit log per retained record); the WAL writer
 # to its largest batch, a lineage edge to its bytes, what dropped list pages
-# leave behind, and a warm cache's bytes per table read. `make race` runs them too.
+# leave behind, and what a warm cache's reads leave under every internal package
+# per table read. `make race` runs them too.
 heap:
 	$(GO) test -count=1 -run 'TestResidentBudget|TestLineageEdgeBytes|TestWALBufferIsItsLargestBatch|TestPageRetention' -v ./uc/
 
 # What the read path allocates: a 100-record batch decode (internal/erm, at
-# most 5 whatever the size) and an in-place read of a catalog's bindings
-# (none), a whole 100-table list page and a 100-table
+# most 5 whatever the size), an in-place read of a catalog's bindings and a
+# name key built into a buffer (none), a whole 100-table list page and a 100-table
 # unpaged listing on a cache-less service (the two shells of the listing
 # engine), and a GetAsset by name, a one-table Resolve and a credential by
-# object path on a warm cache, which must also decode nothing
+# object path and by name on a warm cache, which must also decode nothing, and
+# a three-level name resolved on a warm view (at most one)
 # (internal/catalog, recorded figures + 10 %), and the workspace-binding
 # check under an unbound and a bound catalog (the chain slice only),
 # printed; then a 304 revalidation, a GET of an asset and a resolve, a

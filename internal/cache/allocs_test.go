@@ -61,7 +61,7 @@ func TestMissPathAllocs(t *testing.T) {
 		i++
 		sh := m.shardFor(rk)
 		sh.mu.Lock()
-		c.insertShardLocked(m, sh, rk, cachedVersion{version: 1})
+		c.insertShardLocked(m, sh, rk, cachedVersion{version: 1}, false)
 		delete(sh.records, rk)
 		m.entries.Add(-1)
 		sh.mu.Unlock()

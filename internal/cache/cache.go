@@ -108,6 +108,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -886,7 +887,7 @@ func (v *View) read(sh *shard, rk cacheKey) (cv cachedVersion, ok bool) {
 		// change while this shard lock is held (writers take all shards).
 		sh.mu.Lock()
 		if v.m.knownVersion.Load() == ver {
-			v.c.insertShardLocked(v.m, sh, rk, cachedVersion{version: ver, value: f.val, deleted: !f.found, cachedAt: v.c.now()})
+			v.c.insertShardLocked(v.m, sh, rk, cachedVersion{version: ver, value: f.val, deleted: !f.found, cachedAt: v.c.now()}, store.Derived(rk.table))
 		}
 		sh.mu.Unlock()
 		v.c.maybeEvict(v.m)
@@ -1159,7 +1160,7 @@ func (v *View) fill(table string, keys []string, missed []int, point bool) [][]b
 		// version, which cannot move while a shard lock is held.
 		sh.mu.Lock()
 		if v.m.knownVersion.Load() == ver {
-			v.c.insertShardLocked(v.m, sh, rk, cachedVersion{version: ver, value: vals[j], cachedAt: now})
+			v.c.insertShardLocked(v.m, sh, rk, cachedVersion{version: ver, value: vals[j], cachedAt: now}, store.Derived(table))
 		}
 		sh.mu.Unlock()
 	}
@@ -1192,14 +1193,23 @@ func (v *View) Close() {
 // lazily. A new record is one allocation, its version held inline. The row
 // of a derived table that is not unique (child, tag index, upstream lineage)
 // is never cached: no change names it, so nothing would invalidate it; a name
-// or path row is, as the change log names it (store.ChangesNamed). Caller holds the shard's write
-// lock (alone or via lockAll).
-func (c *Cache) insertShardLocked(m *msCache, sh *shard, rk cacheKey, cv cachedVersion) {
+// or path row is, as the change log names it (store.ChangesNamed). A new
+// record keeps its key as handed unless the key is lent: a fill's key of a
+// derived row (store.Derived) is built by its reader for the read — a name key
+// in a resolution's buffer, a prefix of the path it was asked about — so the
+// record keeps a copy made at its length, and pins neither the buffer nor the
+// path. A stored record's key (an ID the store handed out, a grant key) and a
+// write-through's are kept as handed: an entity read gains no copy. Caller
+// holds the shard's write lock (alone or via lockAll).
+func (c *Cache) insertShardLocked(m *msCache, sh *shard, rk cacheKey, cv cachedVersion, lent bool) {
 	if !store.ChangesNamed(rk.table) {
 		return
 	}
 	rec, ok := sh.records[rk]
 	if !ok {
+		if lent {
+			rk.key = strings.Clone(rk.key)
+		}
 		rec = &cachedRecord{key: rk.key}
 		rec.versions = rec.one[:0]
 		sh.records[rk] = rec
@@ -1341,7 +1351,7 @@ func (c *Cache) UpdateT(sc obs.SpanContext, msID string, fn func(tx *store.Tx) e
 		for _, ws := range [2][]store.Write{committed.Writes(), committed.Rows()} {
 			for _, w := range ws {
 				rk := cacheKey{w.Table, w.Key}
-				c.insertShardLocked(m, m.shardFor(rk), rk, cachedVersion{version: newV, value: w.Value, deleted: w.Deleted, cachedAt: now})
+				c.insertShardLocked(m, m.shardFor(rk), rk, cachedVersion{version: newV, value: w.Value, deleted: w.Deleted, cachedAt: now}, false)
 			}
 		}
 		m.knownVersion.Store(newV)

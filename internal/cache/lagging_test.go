@@ -147,7 +147,7 @@ func TestLaggingReaderDerivesRows(t *testing.T) {
 			for _, typ := range types {
 				for _, p := range parents {
 					for _, n := range append(pool, "renamed", "renamed again") {
-						e, ok := erm.GetByName(r, erm.NameGroupOf(typ), p, n)
+						e, ok := erm.GetByName(r, erm.AppendNameKey(nil, erm.NameGroupOf(typ), p, n))
 						if ok {
 							out = append(out, fmt.Sprintf("%s %s %s: %s", typ, p.Short(), n, e.ID))
 						}

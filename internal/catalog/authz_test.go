@@ -595,3 +595,61 @@ func TestAuthzConcurrentStress(t *testing.T) {
 		t.Fatalf("stress produced no snapshot churn: %+v", m)
 	}
 }
+
+// TestPatchPassesPrunedNameRow: a reader's snapshot behind a window that holds
+// a name row's change, whose source version has since been pruned, is patched
+// along the window's entity and grant changes, not rebuilt. The snapshot holds
+// nothing a name row feeds, so the authorizer neither derives that row nor
+// fails on it.
+func TestPatchPassesPrunedNameRow(t *testing.T) {
+	db, err := store.Open(store.Options{MaxVersionsPerRecord: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	svc, err := New(Config{DB: db, AuthzSnapshotTTL: 24 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.CreateMetastore("ms1", "main", "us-east-1", "admin", "s3://metastore-root/ms1"); err != nil {
+		t.Fatal(err)
+	}
+	admin := Ctx{Principal: "admin", Metastore: "ms1", TrustedEngine: true}
+	seedNamespace(t, svc, admin)
+	for on, priv := range map[string]privilege.Privilege{"sales": privilege.UseCatalog, "sales.raw": privilege.UseSchema, "sales.raw.orders": privilege.Select} {
+		if err := svc.Grant(admin, on, "reader", priv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reader := Ctx{Principal: "reader", Metastore: "ms1"}
+	if _, err := svc.GetAsset(reader, "sales.raw.orders"); err != nil {
+		t.Fatal(err)
+	}
+	behind, err := svc.MetastoreVersion("ms1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A create puts a name row live; two updates of its record prune the
+	// version that row's change names.
+	if _, err := svc.CreateTable(admin, "sales.raw", "late", TableSpec{Columns: cols("id")}, ""); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		comment := fmt.Sprint("update ", i)
+		if _, err := svc.UpdateAsset(admin, "sales.raw.late", UpdateRequest{Comment: &comment}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.ChangesSince("ms1", behind); err != store.ErrChangeLogTrimmed {
+		t.Fatalf("the whole window reads with %v, want ErrChangeLogTrimmed: the name row's source version was not pruned", err)
+	}
+	before := svc.AuthzMetrics()
+	if _, err := svc.GetAsset(reader, "sales.raw.orders"); err != nil {
+		t.Fatal(err)
+	}
+	after := svc.AuthzMetrics()
+	if after.Patches != before.Patches+1 || after.Invalidations != before.Invalidations || after.Builds != before.Builds {
+		t.Fatalf("the reader's snapshot was not patched across the window: patches +%d, invalidations +%d, builds +%d",
+			after.Patches-before.Patches, after.Invalidations-before.Invalidations, after.Builds-before.Builds)
+	}
+}

@@ -44,7 +44,7 @@ func (s *Service) TempCredentialForAsset(ctx Ctx, full string, level cloudsim.Ac
 	if err != nil {
 		return tc, err
 	}
-	return s.vend(ctx, v, &lazyABAC{}, chain, level)
+	return s.vend(ctx, s.authorizer(ctx, v), v, &lazyABAC{}, chain, level)
 }
 
 // TempCredentialForPath resolves a raw storage path to its unique governing
@@ -73,7 +73,7 @@ func (s *Service) TempCredentialForPath(ctx Ctx, path string, level cloudsim.Acc
 	if err != nil {
 		return tc, err
 	}
-	return s.vend(ctx, v, &lazyABAC{}, chain, level)
+	return s.vend(ctx, s.authorizer(ctx, v), v, &lazyABAC{}, chain, level)
 }
 
 // assetForPath maps an object path to the asset whose registered storage
@@ -93,8 +93,9 @@ func assetForPath(r erm.Reader, path string) (*erm.Entity, error) {
 }
 
 // vend authorizes and mints (or reuses) a credential for the entity chain
-// ends in. abac holds r's rules.
-func (s *Service) vend(ctx Ctx, r versionedReader, abac *lazyABAC, chain []*erm.Entity, level cloudsim.AccessLevel) (TempCredential, error) {
+// ends in. auth is the request's authorizer, bound to r, and abac holds r's
+// rules.
+func (s *Service) vend(ctx Ctx, auth privilege.Authorizer, r versionedReader, abac *lazyABAC, chain []*erm.Entity, level cloudsim.AccessLevel) (TempCredential, error) {
 	var tc TempCredential
 	e := leaf(chain)
 	man, ok := s.reg.Manifest(e.Type)
@@ -105,14 +106,12 @@ func (s *Service) vend(ctx Ctx, r versionedReader, abac *lazyABAC, chain []*erm.
 	if level == cloudsim.AccessReadWrite {
 		need = man.DataWritePrivilege
 	}
-	if err := s.check(ctx, r, abac, need, chain, "TempCredential"); err != nil {
+	if err := s.check(ctx, auth, r, abac, need, chain, "TempCredential"); err != nil {
 		return tc, err
 	}
 	// FGAC-protected tables must not leak raw storage to untrusted engines.
 	if e.Type == erm.TypeTable && !ctx.TrustedEngine {
-		spec, err := TableSpecOf(e)
-		if err == nil {
-			eff := spec.FGAC.ForPrincipal(ctx.Principal, s.groups.GroupsOf(ctx.Principal))
+		if eff, ok := s.staticFGAC(ctx, e); ok {
 			dyn, err := s.abacFGAC(ctx, r, abac, e)
 			if err != nil {
 				return tc, err
@@ -143,6 +142,23 @@ func (s *Service) vend(ctx Ctx, r versionedReader, abac *lazyABAC, chain []*erm.
 		Principal: string(ctx.Principal), Operation: "TempCredential", Securable: e.ID,
 		Allowed: true, ReadOnly: true, Detail: "minted", TraceID: ctx.Trace.TraceID()})
 	return TempCredential{Asset: e.ID, AssetName: e.FullName, Credential: cred, Level: level}, nil
+}
+
+// staticFGAC is the part of table e's own policy (TableSpec.FGAC) that applies
+// to the request's principal. ok is false when the spec does not decode, and
+// vend then holds the table to no policy, as it always has. A spec whose fgac
+// member holds no rule, read in place (erm.Spec.EmptyLists), as
+// bindingAdmits reads a catalog's bindings, is not decoded: a spec whose
+// other members would not decode is held to its fgac member.
+func (s *Service) staticFGAC(ctx Ctx, e *erm.Entity) (eff privilege.FGACPolicy, ok bool) {
+	if e.Spec.EmptyLists("fgac", "row_filters", "column_masks") {
+		return eff, true
+	}
+	spec, err := TableSpecOf(e)
+	if err != nil {
+		return eff, false
+	}
+	return spec.FGAC.ForPrincipal(ctx.Principal, s.groups.GroupsOf(ctx.Principal)), true
 }
 
 // vendUnchecked mints a credential for an entity without a privilege check;

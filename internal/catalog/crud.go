@@ -67,7 +67,7 @@ func (s *Service) CreateAsset(ctx Ctx, req CreateRequest) (e *erm.Entity, err er
 	if !s.reg.ValidParent(req.Type, parent.Type) {
 		return nil, fmt.Errorf("%w: %s cannot contain %s", ErrInvalidArgument, parent.Type, req.Type)
 	}
-	if err := s.check(ctx, v, &lazyABAC{}, man.CreatePrivilege, parentChain, "Create"+string(req.Type)); err != nil {
+	if err := s.check(ctx, s.authorizer(ctx, v), v, &lazyABAC{}, man.CreatePrivilege, parentChain, "Create"+string(req.Type)); err != nil {
 		return nil, err
 	}
 
@@ -286,7 +286,7 @@ func (s *Service) authorizeReadWith(ctx Ctx, auth privilege.Authorizer, abac *la
 		}
 		return nil
 	}
-	return s.check(ctx, r, abac, man.ReadPrivilege, chain, "Get"+string(e.Type))
+	return s.check(ctx, auth, r, abac, man.ReadPrivilege, chain, "Get"+string(e.Type))
 }
 
 // visMasks caches each type's visibility mask — the read privilege plus
@@ -375,7 +375,7 @@ func (s *Service) UpdateAsset(ctx Ctx, full string, req UpdateRequest) (e *erm.E
 			if err := s.checkOwner(ctx, v, e.ID, "UpdateAsset"); err != nil {
 				return nil, err
 			}
-		} else if err := s.check(ctx, v, &lazyABAC{}, wp, chain, "UpdateAsset"); err != nil {
+		} else if err := s.check(ctx, s.authorizer(ctx, v), v, &lazyABAC{}, wp, chain, "UpdateAsset"); err != nil {
 			return nil, err
 		}
 	}
@@ -609,7 +609,7 @@ func (s *Service) CloneTable(ctx Ctx, srcFull, dstSchemaFull, dstName string) (e
 	}
 	chain, err := s.chainOf(ctx, v, src, "CloneTable")
 	if err == nil {
-		err = s.check(ctx, v, &lazyABAC{}, privilege.Select, chain, "CloneTable")
+		err = s.check(ctx, s.authorizer(ctx, v), v, &lazyABAC{}, privilege.Select, chain, "CloneTable")
 	}
 	v.Close()
 	if err != nil {

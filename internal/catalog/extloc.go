@@ -104,7 +104,7 @@ func (s *Service) extLocPathCredential(ctx Ctx, r versionedReader, path string, 
 	if err != nil {
 		return tc, err
 	}
-	if err := s.check(ctx, r, &lazyABAC{}, need, chain, "TempCredentialForPath"); err != nil {
+	if err := s.check(ctx, s.authorizer(ctx, r), r, &lazyABAC{}, need, chain, "TempCredentialForPath"); err != nil {
 		return tc, err
 	}
 	// Down-scope to the requested path, not the whole location.

@@ -96,8 +96,8 @@ func TestWarmNameEntryFollowsNameChanges(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, name := range names {
-					got, ok := erm.GetByName(v, relationGroup, sch.ID, name)
-					want, wantOK := erm.GetByName(snap, relationGroup, sch.ID, name)
+					got, ok := erm.GetByName(v, erm.AppendNameKey(nil, relationGroup, sch.ID, name))
+					want, wantOK := erm.GetByName(snap, erm.AppendNameKey(nil, relationGroup, sch.ID, name))
 					if ok != wantOK || ok && got.ID != want.ID {
 						t.Fatalf("after %s: node %d reads %q as %v (%v), the store as %v (%v)", what, i, name, entityIDOf(got), ok, entityIDOf(want), wantOK)
 					}

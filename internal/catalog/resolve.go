@@ -132,7 +132,7 @@ func (s *Service) resolveOne(ctx Ctx, auth privilege.Authorizer, abac *lazyABAC,
 			if viaView {
 				tc, err = s.vendUnchecked(ctx, e, req.Access)
 			} else {
-				tc, err = s.vend(ctx, v, abac, chain, req.Access)
+				tc, err = s.vend(ctx, auth, v, abac, chain, req.Access)
 			}
 			if err != nil {
 				return err
@@ -204,7 +204,7 @@ func (s *Service) resolveOne(ctx Ctx, auth privilege.Authorizer, abac *lazyABAC,
 		}
 	case erm.TypeVolume, erm.TypeRegisteredModel, erm.TypeModelVersion:
 		if req.WithCredentials && e.StoragePath != "" && man != nil && man.DataReadPrivilege != "" {
-			tc, err := s.vend(ctx, v, abac, chain, req.Access)
+			tc, err := s.vend(ctx, auth, v, abac, chain, req.Access)
 			if err != nil {
 				return err
 			}

@@ -392,9 +392,11 @@ func (s *Service) authorizer(ctx Ctx, r versionedReader) privilege.Authorizer {
 // log. A snapshot memoizes what viewReader reads and no more: a securable's
 // entity row (key = id) and its direct grants (key prefix = id). Names,
 // children, paths, tags and ABAC rules (evaluated outside the snapshot, see
-// check) feed nothing it holds.
+// check) feed nothing it holds, so it reads the changes of the entity and
+// grant tables alone: a name or path row's change is not derived for it, and
+// one whose source version was pruned cannot make it start over.
 func (s *Service) touchedSecurables(msID string, from, to uint64) ([]ids.ID, bool) {
-	changes, err := s.db.ChangesSince(msID, from)
+	changes, err := s.db.ChangesSince(msID, from, erm.TableEntity, erm.TableGrant)
 	if err != nil {
 		return nil, false // trimmed, or the store is failing: start over
 	}
@@ -429,7 +431,7 @@ func (s *Service) viewMS(msID string) (*cache.View, error) {
 }
 
 // checkWorkspaceBinding enforces catalog workspace bindings (paper §3.2) on
-// a securable's chain — the securable and its ancestors, as resolvePathParts
+// a securable's chain — the securable and its ancestors, as resolveName
 // or chainOf returns them: a catalog bound to specific workspaces is
 // unreachable from any other workspace, regardless of grants. It reads
 // nothing: the chain is what the caller resolved, at the caller's version.
@@ -475,7 +477,7 @@ func backendErr(r erm.Reader) error {
 }
 
 // chainOf returns e's chain — its ancestors from the metastore entity down,
-// e last, the shape resolvePathParts returns — for a securable reached by ID
+// e last, the shape resolveName returns — for a securable reached by ID
 // or by path rather than by name. An ancestor that cannot be read because the
 // backend is failing is refused, and audited as the denial it is: going on
 // without it would skip the binding of a catalog the request never saw, and
@@ -506,9 +508,9 @@ func (s *Service) chainOf(ctx Ctx, r erm.Reader, e *erm.Entity, op string) ([]*e
 
 // check authorizes priv on the last securable of chain (with container
 // gating) including dynamic ABAC grants, and records the decision in the
-// audit log. The chain is what the workspace bindings are checked on; abac
-// holds r's rules.
-func (s *Service) check(ctx Ctx, r versionedReader, abac *lazyABAC, priv privilege.Privilege, chain []*erm.Entity, op string) error {
+// audit log. The chain is what the workspace bindings are checked on; auth is
+// the request's authorizer, bound to r (authorizer), and abac holds r's rules.
+func (s *Service) check(ctx Ctx, auth privilege.Authorizer, r versionedReader, abac *lazyABAC, priv privilege.Privilege, chain []*erm.Entity, op string) error {
 	id := leaf(chain).ID
 	if err := checkWorkspaceBinding(ctx, chain); err != nil {
 		s.audit.Append(audit.Record{
@@ -518,7 +520,7 @@ func (s *Service) check(ctx Ctx, r versionedReader, abac *lazyABAC, priv privile
 		})
 		return err
 	}
-	d := s.authorizer(ctx, r).Check(priv, id)
+	d := auth.Check(priv, id)
 	if !d.Allowed {
 		if s.abacGrants(ctx, r, abac, priv, id) {
 			d.Allowed = true
@@ -643,14 +645,39 @@ func (s *Service) onCommit(msID string, version uint64, notes []any) {
 
 // --- name resolution helpers ---
 
-// resolvePathParts walks catalog[.schema[.asset[.sub]]] name parts to an
-// entity, returning its chain: its ancestors (metastore entity first) and the
-// entity itself last. Read through a cache view the entities are the cache's
-// own, shared with every request at that version: callers must not write to
-// them (Clone first). A name that cannot be read because the backend is
-// failing is that failure, not a "not found".
-func (s *Service) resolvePathParts(r erm.Reader, ms *metaState, parts []string) ([]*erm.Entity, error) {
-	chain := make([]*erm.Entity, 0, len(parts)+1)
+// levelGroups are the name groups each level of a full name is looked up in,
+// in order: metastore-level securables (catalogs plus configuration assets:
+// external locations, credentials, connections, shares, recipients), then
+// schemas, then leaf assets, then sub-assets (model versions) under a leaf.
+var levelGroups = [maxNameParts][]string{
+	{string(erm.TypeCatalog), string(erm.TypeExternalLocation), string(erm.TypeStorageCredential),
+		string(erm.TypeConnection), string(erm.TypeShare), string(erm.TypeRecipient)},
+	{string(erm.TypeSchema)},
+	{relationGroup, string(erm.TypeVolume), string(erm.TypeFunction), string(erm.TypeRegisteredModel)},
+	{string(erm.TypeModelVersion)},
+}
+
+// maxNameParts is the depth of the deepest full name, catalog.schema.asset.sub.
+const maxNameParts = 4
+
+// resolution is one name resolution's scratch, made in one allocation: the
+// chain it returns and the buffer each level's name key is built in, one key
+// after another. A caller that keeps the chain keeps the buffer with it, and
+// no reader keeps a key (erm.GetByName): 256 B, one size class.
+type resolution struct {
+	chain [maxNameParts + 1]*erm.Entity
+	key   [216]byte
+}
+
+// resolveName walks a full name that checkFullName admits, or "" for the
+// metastore itself, to an entity, returning its chain: its ancestors
+// (metastore entity first) and the entity itself last. Read through a cache
+// view the entities are the cache's own, shared with every request at that
+// version: callers must not write to them (Clone first). A name that cannot be
+// read because the backend is failing is that failure, not a "not found". It
+// allocates one resolution, whatever the depth of the name.
+func (s *Service) resolveName(r erm.Reader, ms *metaState, full string) ([]*erm.Entity, error) {
+	res := new(resolution)
 	root, ok := erm.GetEntity(r, ms.info.EntityID)
 	if !ok {
 		if err := backendErr(r); err != nil {
@@ -658,38 +685,22 @@ func (s *Service) resolvePathParts(r erm.Reader, ms *metaState, parts []string) 
 		}
 		return nil, fmt.Errorf("%w: metastore entity", ErrNotFound)
 	}
-	chain = append(chain, root)
+	chain, key := append(res.chain[:0], root), res.key[:0]
 	parent := root
-	// Expected types level by level: catalog, schema, asset(any leaf), sub-asset.
-	for i, part := range parts {
+	for i, start := 0, 0; start < len(full); i++ {
+		end := strings.IndexByte(full[start:], '.')
+		if end < 0 {
+			end = len(full)
+		} else {
+			end += start
+		}
 		var e *erm.Entity
 		var found bool
-		switch i {
-		case 0:
-			// Metastore-level securables: catalogs plus configuration
-			// assets (external locations, credentials, connections,
-			// shares, recipients).
-			for _, g := range []string{
-				string(erm.TypeCatalog), string(erm.TypeExternalLocation),
-				string(erm.TypeStorageCredential), string(erm.TypeConnection),
-				string(erm.TypeShare), string(erm.TypeRecipient),
-			} {
-				if e, found = erm.GetByName(r, g, parent.ID, part); found {
-					break
-				}
+		for _, g := range levelGroups[i] {
+			key = erm.AppendNameKey(key[:0], g, parent.ID, full[start:end])
+			if e, found = erm.GetByName(r, key); found {
+				break
 			}
-		case 1:
-			e, found = erm.GetByName(r, string(erm.TypeSchema), parent.ID, part)
-		case 2:
-			// Leaf assets: try each name group under the schema.
-			for _, g := range []string{relationGroup, string(erm.TypeVolume), string(erm.TypeFunction), string(erm.TypeRegisteredModel)} {
-				if e, found = erm.GetByName(r, g, parent.ID, part); found {
-					break
-				}
-			}
-		default:
-			// Sub-assets (e.g. model versions) under the leaf.
-			e, found = erm.GetByName(r, string(erm.TypeModelVersion), parent.ID, part)
 		}
 		if !found {
 			if err := backendErr(r); err != nil {
@@ -697,23 +708,35 @@ func (s *Service) resolvePathParts(r erm.Reader, ms *metaState, parts []string) 
 			}
 		}
 		if !found || e.State == erm.StateSoftDeleted {
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, FullName(parts[:i+1]...))
+			return nil, fmt.Errorf("%w: %s", ErrNotFound, full[:end])
 		}
 		chain = append(chain, e)
 		parent = e
+		start = end + 1
 	}
 	return chain, nil
 }
 
-// resolveChain resolves a full name to its entity's chain (resolvePathParts).
+// checkFullName admits a dotted full name of one to maxNameParts parts, none
+// of them empty.
+func checkFullName(full string) error {
+	if n := strings.Count(full, ".") + 1; n > maxNameParts {
+		return fmt.Errorf("%w: bad name %q (want %d-%d parts)", ErrInvalidArgument, full, 1, maxNameParts)
+	}
+	if full == "" || full[0] == '.' || full[len(full)-1] == '.' || strings.Contains(full, "..") {
+		return fmt.Errorf("%w: bad name %q", ErrInvalidArgument, full)
+	}
+	return nil
+}
+
+// resolveChain resolves a full name to its entity's chain (resolveName).
 // The caller is responsible for authorization, and hands the chain to check,
 // authorizeRead or vend so that the bindings are checked on what was resolved.
 func (s *Service) resolveChain(r erm.Reader, ms *metaState, full string) ([]*erm.Entity, error) {
-	parts, err := SplitFullName(full, 1, 4)
-	if err != nil {
+	if err := checkFullName(full); err != nil {
 		return nil, err
 	}
-	return s.resolvePathParts(r, ms, parts)
+	return s.resolveName(r, ms, full)
 }
 
 // resolveParentChain is resolveChain for the container a request names as a
@@ -721,7 +744,7 @@ func (s *Service) resolveChain(r erm.Reader, ms *metaState, full string) ([]*erm
 // entity alone.
 func (s *Service) resolveParentChain(r erm.Reader, ms *metaState, parentFull string) ([]*erm.Entity, error) {
 	if parentFull == "" {
-		return s.resolvePathParts(r, ms, nil)
+		return s.resolveName(r, ms, "")
 	}
 	return s.resolveChain(r, ms, parentFull)
 }

@@ -290,19 +290,25 @@ func sharedEntityDifferential(t *testing.T, seed int64, db *store.DB, svc *Servi
 
 // getAssetAllocs and resolveAllocs are what a GetAsset by name and a
 // one-table Resolve allocated through the service on a warm cache, and
-// pathCredAllocs a credential request by object path from an untrusted engine,
-// resolved through the store's path table, when the point-read path last
-// changed on purpose: a request's authorizer bound to its view in one object
-// (three before), the catalog's workspace bindings read in place, where a
-// decode of its whole spec cost each 6 more (19, 44 and 33). A derived path
-// row's value is its entity's ID as the store keeps it, which the cache
-// shares: the path read no longer copies the ID out of it (25 while rows held
-// its 16 bytes). TestPointReadAllocs fails at 10 % over; `make allocs` prints
-// the figures.
+// pathCredAllocs and nameCredAllocs a credential request by object path and
+// by name from an untrusted engine for a table without row filters or masks,
+// when the point-read path last changed on purpose: a name resolved in one
+// buffer, its keys built there (one key string per level, the split name and
+// the chain's slice before), one authorizer bound per request (two before),
+// and the table's fgac member read in place, not its spec decoded (about 14
+// objects before). Earlier, a request's authorizer was bound to its view in
+// one object (three before), the catalog's workspace bindings were read in
+// place, where a decode of its whole spec cost each 6 more (19, 44 and 33),
+// and a derived path row's value became its entity's ID as the store keeps it
+// (25 while rows held its 16 bytes). resolveChainAllocs is a three-level name
+// resolved on a warm view: its one buffer. TestPointReadAllocs fails at 10 %
+// over; `make allocs` prints the figures.
 const (
-	getAssetAllocs = 9  // 13 before
-	resolveAllocs  = 34 // 38 before
-	pathCredAllocs = 24 // 27 before the authorizer was bound to its view
+	getAssetAllocs     = 4  // 9 before, 13 before that
+	resolveAllocs      = 29 // 34, 38
+	pathCredAllocs     = 5  // 24, 27
+	nameCredAllocs     = 3  // 26
+	resolveChainAllocs = 1  // 5
 )
 
 // TestPointReadAllocs gates the point-read path end to end — view, name or
@@ -334,13 +340,34 @@ func TestPointReadAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	byName := func() {
+		if _, err := svc.TempCredentialForAsset(reader, "sales.raw.orders", cloudsim.AccessRead); err != nil {
+			t.Fatal(err)
+		}
+	}
 	get() // fills the cache, decodes each record once, compiles the snapshot
 	resolve()
 	byPath()
+	byName()
 	warm := svc.CacheMetrics()
 	gotGet := testing.AllocsPerRun(100, get)
 	gotResolve := testing.AllocsPerRun(100, resolve)
 	gotPath := testing.AllocsPerRun(100, byPath)
+	gotName := testing.AllocsPerRun(100, byName)
+	ms, err := svc.meta("ms1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := svc.view(reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	gotChain := testing.AllocsPerRun(100, func() {
+		if chain, err := svc.resolveChain(v, ms, "sales.raw.orders"); err != nil || len(chain) != 4 {
+			t.Fatalf("resolveChain: %d entities, %v", len(chain), err)
+		}
+	})
 	after := svc.CacheMetrics()
 	if after.Decodes != warm.Decodes || after.Misses != warm.Misses {
 		t.Fatalf("reads on a warm cache decoded %d records over %d misses, want none", after.Decodes-warm.Decodes, after.Misses-warm.Misses)
@@ -348,8 +375,8 @@ func TestPointReadAllocs(t *testing.T) {
 	if after.DecodedHits == warm.DecodedHits {
 		t.Fatal("no read was served a decoded form: the path under test did not run")
 	}
-	t.Logf("GetAsset by name: %.0f allocations (recorded %d); one-table Resolve: %.0f (recorded %d); credential by path: %.0f (recorded %d)",
-		gotGet, getAssetAllocs, gotResolve, resolveAllocs, gotPath, pathCredAllocs)
+	t.Logf("GetAsset by name: %.0f allocations (recorded %d); one-table Resolve: %.0f (recorded %d); credential by path: %.0f (recorded %d), by name: %.0f (recorded %d); a three-level resolveChain: %.0f (at most %d)",
+		gotGet, getAssetAllocs, gotResolve, resolveAllocs, gotPath, pathCredAllocs, gotName, nameCredAllocs, gotChain, resolveChainAllocs)
 	if gotGet > 1.10*getAssetAllocs {
 		t.Errorf("GetAsset by name: %.0f allocations, more than 10 %% over the recorded %d", gotGet, getAssetAllocs)
 	}
@@ -358,5 +385,11 @@ func TestPointReadAllocs(t *testing.T) {
 	}
 	if gotPath > 1.10*pathCredAllocs {
 		t.Errorf("credential by path: %.0f allocations, more than 10 %% over the recorded %d", gotPath, pathCredAllocs)
+	}
+	if gotName > 1.10*nameCredAllocs {
+		t.Errorf("credential by name: %.0f allocations, more than 10 %% over the recorded %d", gotName, nameCredAllocs)
+	}
+	if gotChain > resolveChainAllocs {
+		t.Errorf("a three-level resolveChain on a warm view: %.0f allocations, want at most %d", gotChain, resolveChainAllocs)
 	}
 }

@@ -8,7 +8,6 @@ package catalog
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 
 	"unitycatalog/internal/ids"
@@ -192,21 +191,6 @@ type MetastoreInfo struct {
 
 // FullName joins name parts with dots: "catalog.schema.table".
 func FullName(parts ...string) string { return strings.Join(parts, ".") }
-
-// SplitFullName splits a dotted full name into its parts, validating depth
-// between min and max.
-func SplitFullName(full string, min, max int) ([]string, error) {
-	parts := strings.Split(full, ".")
-	if len(parts) < min || len(parts) > max {
-		return nil, fmt.Errorf("%w: bad name %q (want %d-%d parts)", ErrInvalidArgument, full, min, max)
-	}
-	for _, p := range parts {
-		if p == "" {
-			return nil, fmt.Errorf("%w: bad name %q", ErrInvalidArgument, full)
-		}
-	}
-	return parts, nil
-}
 
 // relationGroup is the shared TABLE/VIEW name-uniqueness group.
 const relationGroup = "RELATION"

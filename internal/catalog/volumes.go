@@ -40,7 +40,7 @@ func (s *Service) volumeCred(ctx Ctx, volumeFull string, level cloudsim.AccessLe
 	if e.Type != erm.TypeVolume {
 		return TempCredential{}, nil, fmt.Errorf("%w: %s is not a volume", ErrInvalidArgument, volumeFull)
 	}
-	tc, err := s.vend(ctx, v, &lazyABAC{}, chain, level)
+	tc, err := s.vend(ctx, s.authorizer(ctx, v), v, &lazyABAC{}, chain, level)
 	return tc, e, err
 }
 

@@ -156,7 +156,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode/utf8"
+	"unsafe"
 
 	"unitycatalog/internal/ids"
 	"unitycatalog/internal/privilege"
@@ -726,16 +726,7 @@ func nameGroup(dst []byte, _ string, value []byte) ([]byte, bool) {
 // lowered as NameKey lowers it.
 func nameSort(dst []byte, _ string, value []byte) []byte {
 	h, _ := readHead(value, false)
-	for i, c := range h.name {
-		if c >= utf8.RuneSelf {
-			return append(dst, strings.ToLower(string(h.name[i:]))...)
-		}
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		dst = append(dst, c)
-	}
-	return dst
+	return appendLower(dst, unsafe.String(unsafe.SliceData(h.name), len(h.name)))
 }
 
 // pathGroup and extLocGroup are the groups of the path tables' derivations:

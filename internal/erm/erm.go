@@ -23,6 +23,8 @@ import (
 	"regexp"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 	"unsafe"
 
 	"unitycatalog/internal/ids"
@@ -488,10 +490,40 @@ func NameGroupOf(t SecurableType) string {
 	return string(t)
 }
 
-// NameKey builds the unique-name index key for (group, parent, name).
-// Names are case-insensitive, as in SQL catalogs.
+// NameKey builds the unique-name index key for (group, parent, name):
+// group\0parent\0name, the name lowered as strings.ToLower lowers it. Names
+// are case-insensitive, as in SQL catalogs.
 func NameKey(group string, parent ids.ID, name string) string {
-	return group + "\x00" + string(parent) + "\x00" + strings.ToLower(name)
+	b := AppendNameKey(make([]byte, 0, len(group)+len(parent)+len(name)+2), group, parent, name)
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// AppendNameKey appends NameKey(group, parent, name) to dst, allocating
+// nothing when dst has room: a resolution builds each level's key in one
+// buffer of its own.
+func AppendNameKey(dst []byte, group string, parent ids.ID, name string) []byte {
+	dst = append(append(append(dst, group...), 0), parent...)
+	return appendLower(append(dst, 0), name)
+}
+
+// appendLower appends s lowered to dst, byte for byte what strings.ToLower(s)
+// returns: ASCII letters lowered in place, and from the first byte that is not
+// ASCII on, each rune as unicode.ToLower maps it, an invalid byte as U+FFFD.
+func appendLower(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			for _, r := range s[i:] {
+				dst = utf8.AppendRune(dst, unicode.ToLower(r))
+			}
+			return dst
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }
 
 // ChildKey builds the parent-child listing key, the child table's row of the
@@ -746,9 +778,11 @@ func sharedEntity(key string, rec []byte) (any, error) {
 	return e, nil
 }
 
-// GetByName resolves (group, parent, name) to an entity.
-func GetByName(r Reader, group string, parent ids.ID, name string) (*Entity, bool) {
-	id, ok := LookupID(r, TableName, NameKey(group, parent, name))
+// GetByName resolves a name row's key — NameKey's, as AppendNameKey builds
+// it — to its entity. The key is lent for the read: no reader keeps it (a
+// cache.View copies a name key it caches), so it may be a caller's scratch.
+func GetByName(r Reader, key []byte) (*Entity, bool) {
+	id, ok := LookupID(r, TableName, unsafe.String(unsafe.SliceData(key), len(key)))
 	if !ok {
 		return nil, false
 	}

@@ -142,7 +142,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("GetEntity = %+v, %v", got, ok)
 	}
 	// Name lookup is case-insensitive.
-	if got, ok := GetByName(snap, "RELATION", parent, "orders"); !ok || got.ID != e.ID {
+	if got, ok := GetByName(snap, AppendNameKey(nil, "RELATION", parent, "orders")); !ok || got.ID != e.ID {
 		t.Fatalf("GetByName = %+v, %v", got, ok)
 	}
 	// The registered path governs itself and every path under it, and nothing
@@ -177,7 +177,7 @@ func TestDeleteEntityRemovesIndexes(t *testing.T) {
 	if _, ok := GetEntity(snap, e.ID); ok {
 		t.Fatal("entity still present")
 	}
-	if _, ok := GetByName(snap, string(TypeVolume), parent, "v1"); ok {
+	if _, ok := GetByName(snap, AppendNameKey(nil, string(TypeVolume), parent, "v1")); ok {
 		t.Fatal("name index still present")
 	}
 	if _, _, ok := RegisteredPrefix(snap, TablePath, "s3://b/v1"); ok {
@@ -253,7 +253,7 @@ func TestNoNameRowIsWritten(t *testing.T) {
 	defer db.Close()
 	snap, _ := db.Snapshot("m")
 	defer snap.Close()
-	if got, ok := GetByName(snap, "RELATION", parent, "ORDERS"); !ok || got.ID != e.ID {
+	if got, ok := GetByName(snap, AppendNameKey(nil, "RELATION", parent, "ORDERS")); !ok || got.ID != e.ID {
 		t.Fatalf("after replay, ORDERS names %v (%v)", got, ok)
 	}
 }

@@ -42,6 +42,7 @@ import (
 	"strconv"
 	"sync"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // Spec is an entity's type-specific metadata (table columns, a view's
@@ -426,43 +427,147 @@ var (
 // field names (bytes.EqualFold), the last of repeated members wins, and null
 // or no member at all is no strings. It returns how many strings the member
 // holds and whether want is one of them, and allocates nothing. An empty spec
-// holds no strings. ok is false when the walk
-// cannot decide exactly, and the caller then decodes the spec: the spec is
-// JSON, is not an object, or does not render (the walk makes renderSpec's
-// checks), or it holds an escape, invalid UTF-8 or a number that is not an
-// unsigned integer, or the member is not an array of strings or null.
+// holds no strings. ok is false when the walk cannot decide exactly
+// (walkPacked), and the caller then decodes the spec, or when the member is
+// not an array of strings or null.
 func (s Spec) StringsMember(name, want string) (n int, has, ok bool) {
 	if len(s) == 0 {
 		return 0, false, true
 	}
-	if !s.Packed() {
+	member, inArray := false, false // the next token is the member's value; one of its strings
+	ok = s.walkPacked(func(t packedToken) bool {
+		switch {
+		case t.op == opClose:
+			inArray = false
+		case inArray:
+			if t.str == nil {
+				return false
+			}
+			n++
+			has = has || string(t.str) == want
+		case member:
+			member = false
+			switch t.op {
+			case opArray:
+				inArray, n, has = true, 0, false
+			case opEmptyArray, opNull:
+				n, has = 0, false
+			default:
+				return false
+			}
+		case t.key && t.depth == 1:
+			member = foldEqual(t.str, name)
+		}
+		return true
+	})
+	if !ok {
 		return 0, false, false
+	}
+	return n, has, true
+}
+
+// EmptyLists reports whether a packed spec's top-level member name is read,
+// in place, as holding no elements in any of its members lists: whether
+// json.Unmarshal of the rendered spec into a struct whose field of that JSON
+// name is a struct with a slice field for each of lists would succeed on that
+// field and leave every one of those slices empty. Names match as
+// encoding/json matches field names (bytes.EqualFold), so every member whose
+// name folds to name, and every list of it whose name folds to one of lists,
+// must be null, or the member {} or an object, and the list []. It allocates
+// nothing. An empty spec holds no member. False says the caller must decode
+// the spec to know: a list holds elements, the member or a list is of another
+// kind (which json.Unmarshal refuses), or the walk cannot decide exactly
+// (walkPacked). The other members are read only as far as the walk checks them.
+func (s Spec) EmptyLists(name string, lists ...string) bool {
+	if len(s) == 0 {
+		return true
+	}
+	const (
+		outside = iota // not in a member of that name
+		value          // the next token is the member's value
+		inside         // in the member's object
+		list           // the next token is a list's value
+	)
+	state := outside
+	return s.walkPacked(func(t packedToken) bool {
+		switch {
+		case state == value:
+			switch t.op {
+			case opNull, opEmptyObject:
+				state = outside
+			case opObject:
+				state = inside
+			default:
+				return false
+			}
+		case state == list:
+			if t.op != opNull && t.op != opEmptyArray {
+				return false
+			}
+			state = inside
+		case state == inside && t.depth == 2:
+			if t.op == opClose {
+				state = outside
+			} else if t.key && slices.ContainsFunc(lists, func(l string) bool { return foldEqual(t.str, l) }) {
+				state = list
+			}
+		case state == outside && t.key && t.depth == 1 && foldEqual(t.str, name):
+			state = value
+		}
+		return true
+	})
+}
+
+// foldEqual reports whether b and s are equal under simple Unicode case
+// folding, as encoding/json matches a member's name to a field's.
+func foldEqual(b []byte, s string) bool {
+	return bytes.EqualFold(b, unsafe.Slice(unsafe.StringData(s), len(s)))
+}
+
+// packedToken is one token of a packed spec as walkPacked hands it on: its
+// op; how many containers are open around it (1 for the top-level object's
+// members, a closer counted inside what it closes); whether it is an object
+// member's name; and a string's bytes, nil for any other token.
+type packedToken struct {
+	op    byte
+	depth int
+	key   bool
+	str   []byte
+}
+
+// walkPacked walks a packed spec token by token, making renderSpec's checks,
+// and hands each token to visit. It reports whether the spec is a packed
+// object that renders and every visit returned true. It is false — it cannot
+// decide exactly what json.Unmarshal of the rendered spec reads — when the
+// spec is JSON, is not an object, or does not render, or when it holds an
+// escape, invalid UTF-8 or a number that is not an unsigned integer.
+func (s Spec) walkPacked(visit func(packedToken) bool) bool {
+	if !s.Packed() {
+		return false
 	}
 	size, k := binary.Uvarint(s[1:])
 	if k <= 0 || size > uint64(maxSpecExpansion*len(s)) || 1+k >= len(s) || s[1+k] != opObject && s[1+k] != opEmptyObject {
-		return 0, false, false
+		return false
 	}
-	nameBytes := []byte(name)
 	var stack [maxSpecDepth]byte
 	depth, done := 0, false
-	var rendered uint64             // the length renderSpec would render
-	member, inArray := false, false // the next token is the member's value; one of its strings
+	var rendered uint64 // the length renderSpec would render
 	for i := 1 + k; i < len(s); {
 		op := s[i]
 		i++
+		t := packedToken{op: op, depth: depth}
 		if op == opClose {
-			if depth == 0 || stack[depth-1]&lvlValue != 0 {
-				return 0, false, false
+			if depth == 0 || stack[depth-1]&lvlValue != 0 || !visit(t) {
+				return false
 			}
 			depth--
 			rendered++
-			done, inArray = depth == 0, false
+			done = depth == 0
 			continue
 		}
-		key := false
 		if depth == 0 {
 			if done {
-				return 0, false, false
+				return false
 			}
 			done = op != opObject && op != opArray
 		} else if st := stack[depth-1]; st&lvlValue != 0 {
@@ -471,47 +576,46 @@ func (s Spec) StringsMember(name, want string) (n int, has, ok bool) {
 		} else {
 			if st&lvlObject != 0 {
 				if op < opShortString && op != opString {
-					return 0, false, false
+					return false
 				}
 				st |= lvlValue
-				key = true
+				t.key = true
 			}
 			if st&lvlFirst == 0 {
 				rendered++ // ','
 			}
 			stack[depth-1] = st &^ lvlFirst
 		}
-		var str []byte // a string token's bytes
 		switch {
 		case op >= opWord:
 			if int(op-opWord) >= len(specWords) {
-				return 0, false, false
+				return false
 			}
-			str = specWordBytes[op-opWord]
+			t.str = specWordBytes[op-opWord]
 		case op >= opShortString || op == opString:
 			l := int(op - opShortString)
 			if op == opString {
 				v, w := binary.Uvarint(s[i:])
 				if w <= 0 || v > uint64(len(s)) {
-					return 0, false, false
+					return false
 				}
 				l, i = int(v), i+w
 			}
 			if l > len(s)-i || !plainString(s[i:i+l]) {
-				return 0, false, false
+				return false
 			}
-			str, i = s[i:i+l], i+l
+			t.str, i = s[i:i+l], i+l
 		case op == opUint:
 			v, w := binary.Uvarint(s[i:])
 			if w <= 0 {
-				return 0, false, false
+				return false
 			}
 			for i, rendered = i+w, rendered+1; v >= 10; v /= 10 {
 				rendered++
 			}
 		case op == opObject || op == opArray:
 			if depth == maxSpecDepth {
-				return 0, false, false
+				return false
 			}
 			stack[depth] = lvlFirst
 			if op == opObject {
@@ -522,36 +626,16 @@ func (s Spec) StringsMember(name, want string) (n int, has, ok bool) {
 		case op >= opEmptyObject && op <= opNull:
 			rendered += uint64(len(literals[op-opEmptyObject]))
 		default: // opNumber, or not a token
-			return 0, false, false
+			return false
 		}
-		if str != nil {
-			rendered += uint64(len(str)) + 2
+		if t.str != nil {
+			rendered += uint64(len(t.str)) + 2
 		}
-		switch {
-		case inArray:
-			if str == nil {
-				return 0, false, false
-			}
-			n++
-			has = has || string(str) == want
-		case member:
-			member = false
-			switch op {
-			case opArray:
-				inArray, n, has = true, 0, false
-			case opEmptyArray, opNull:
-				n, has = 0, false
-			default:
-				return 0, false, false
-			}
-		case key && depth == 1:
-			member = bytes.EqualFold(str, nameBytes)
+		if !visit(t) {
+			return false
 		}
 	}
-	if !done || depth != 0 || rendered != size {
-		return 0, false, false
-	}
-	return n, has, true
+	return done && depth == 0 && rendered == size
 }
 
 // specWordBytes are specWords as the byte strings StringsMember compares.

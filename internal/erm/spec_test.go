@@ -154,13 +154,21 @@ func TestBindingReadMatchesDecode(t *testing.T) {
 	}
 }
 
-// TestStringsMemberAllocs: the in-place read allocates nothing.
+// TestStringsMemberAllocs: the in-place reads allocate nothing.
 func TestStringsMemberAllocs(t *testing.T) {
 	unbound, bound := PackSpec([]byte(`{"kind":"REGULAR"}`)), PackSpec([]byte(`{"kind":"REGULAR","workspace_bindings":["ws-us","ws-eu"]}`))
 	for _, s := range []Spec{unbound, bound} {
 		if a := testing.AllocsPerRun(100, func() { s.StringsMember("workspace_bindings", "ws-eu") }); a != 0 {
 			t.Errorf("%x: %v allocations", s, a)
 		}
+	}
+	table := PackSpec([]byte(`{"columns":[{"name":"id","type":"BIGINT"}],"fgac":{"row_filters":[],"column_masks":null}}`))
+	if a := testing.AllocsPerRun(100, func() {
+		if !table.EmptyLists("fgac", "row_filters", "column_masks") {
+			t.Fatal("a table without rules read as holding some")
+		}
+	}); a != 0 {
+		t.Errorf("EmptyLists: %v allocations", a)
 	}
 }
 

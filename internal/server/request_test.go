@@ -192,12 +192,13 @@ func FuzzRequestBody(f *testing.F) {
 // The hot routes' allocations through Server.ServeHTTP on a warm cache, when
 // their request path last changed on purpose: one envelope per request, the
 // per-request header values held in it, the constant ones shared, one route
-// match and one object to bind the authorizer. TestHotRequestAllocs fails at
-// 10 % over; `make allocs` prints the figures.
+// match and one object to bind the authorizer, a name resolved in one
+// buffer whatever its depth, and a credential's table read for rules in place.
+// TestHotRequestAllocs fails at 10 % over; `make allocs` prints the figures.
 const (
-	getAssetRequestAllocs   = 14 // 30 before
-	resolveRequestAllocs    = 34 // 49 before
-	tempCredsRequestAllocs  = 24 // 34 before
+	getAssetRequestAllocs   = 9  // 14 before one buffer and one authorizer, 30 before that
+	resolveRequestAllocs    = 29 // 34, 49
+	tempCredsRequestAllocs  = 7  // 24 before the in-place rules read too, 34
 	authzBatchRequestAllocs = 9  // 22 before
 )
 

@@ -167,6 +167,10 @@ func ChangesNamed(table string) bool {
 	return d == nil || d.Unique
 }
 
+// Derived reports whether table is a derived table: its rows have no key
+// stored anywhere, and a reader of one builds the key it asks for.
+func Derived(table string) bool { return derivationOf(table) != nil }
+
 func derivationOf(table string) *derivation {
 	for _, d := range derivations {
 		if d.table == table {

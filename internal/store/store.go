@@ -1595,13 +1595,14 @@ func (db *DB) pruneLocked(ms *metastore, table string, r *record) {
 }
 
 // ChangesSince returns the changes applied after version v, in commit order:
-// within a commit, the derived rows it made live or dead, then its writes. The
-// keys of the derived rows are derived now, from the versions of their source
-// records, and share one string. If the change log no longer covers v, or a
-// row's source version has since been pruned (MaxVersionsPerRecord), it
-// returns ErrChangeLogTrimmed and the caller must fall back to full
-// reconciliation.
-func (db *DB) ChangesSince(msID string, v uint64) ([]Change, error) {
+// within a commit, the derived rows it made live or dead, then its writes;
+// only those of tables, when any are given. The keys of the derived rows are
+// derived now, from the versions of their source records, and share one
+// string. If the change log no longer covers v, or a returned row's source
+// version has since been pruned (MaxVersionsPerRecord), it returns
+// ErrChangeLogTrimmed and the caller must fall back to full reconciliation. A
+// row of a table not asked for is neither derived nor can fail the call.
+func (db *DB) ChangesSince(msID string, v uint64, tables ...string) ([]Change, error) {
 	if err := db.fault("db.changes", msID); err != nil {
 		return nil, err
 	}
@@ -1636,6 +1637,9 @@ func (db *DB) ChangesSince(msID string, v uint64) ([]Change, error) {
 	for j := i; j < n; j++ {
 		s := ms.changes.at(j)
 		t := &ms.changes.tables[s.table]
+		if len(tables) > 0 && !slices.Contains(tables, t.name) {
+			continue
+		}
 		c := Change{Version: s.version, Table: t.name, Key: s.rec.key, Deleted: s.deleted}
 		if t.gi != nil {
 			if rows == nil {
@@ -1657,7 +1661,7 @@ func (db *DB) ChangesSince(msID string, v uint64) ([]Change, error) {
 	if rows != nil {
 		keys := string(*rows)
 		for j := range out {
-			if s := ms.changes.at(i + j); ms.changes.tables[s.table].gi != nil {
+			if ms.derivedTable(out[j].Table) != nil {
 				n := len(out[j].Key)
 				out[j].Key, keys = keys[:n], keys[n:]
 			}

@@ -696,3 +696,55 @@ func TestWALMidLogCorruptionFatal(t *testing.T) {
 		t.Fatal("mid-log corruption should be fatal")
 	}
 }
+
+// TestReplayPrunesVersions: a reopened store holds the versions of each record
+// that the store it replays held, not one per write in the log, and the
+// derived rows of the versions pruned go with them.
+func TestReplayPrunesVersions(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.jsonl")
+	db, err := Open(Options{WALPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.CreateMetastore("m")
+	for i := 0; i < 100; i++ {
+		db.Update("m", func(tx *Tx) error {
+			tx.Put("t", "k", []byte{byte(i)})
+			// The entity moves between parents, so that its derived child
+			// row changes group and pruned versions leave shadows behind.
+			tx.Put(entTable, "e1", []byte(fmt.Sprintf("p%d/TABLE/name/active", i%3)))
+			return nil
+		})
+	}
+	// versions counts the versions each record holds.
+	versions := func(db *DB) (n [2]int) {
+		ms, _ := db.metastore("m")
+		ms.stateMu.RLock()
+		defer ms.stateMu.RUnlock()
+		for i, r := range []*record{ms.tables["t"].get("k"), ms.tables[entTable].get("e1")} {
+			for ; r != nil; r = r.prev {
+				n[i]++
+			}
+		}
+		return n
+	}
+	live := versions(db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Open(Options{WALPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if got := versions(db2); got != live {
+		t.Fatalf("versions per record after a reopen: %v, want the live store's %v", got, live)
+	}
+	ms, _ := db2.metastore("m")
+	checkGroupsTrackKeyTable(t, ms)
+	snap, _ := db2.Snapshot("m")
+	defer snap.Close()
+	if rows := snap.GroupRows(kidTable, "p0\x00", "p0\x01", 0); len(rows) != 1 {
+		t.Fatalf("p0's child rows after a reopen: %d, want 1", len(rows))
+	}
+}

@@ -777,8 +777,9 @@ func (db *DB) applyWALEntry(e *walEntry) error {
 				w.Value = []byte{} // the line form drops an empty value; nil says absent
 			}
 			// putLocked also rebuilds the ordered index as replay
-			// repopulates the key tables.
-			ms.putLocked(w.Table, w.Key, e.Version, w.Value, w.Deleted)
+			// repopulates the key tables; the versions past
+			// MaxVersionsPerRecord go as a live commit's do.
+			db.pruneLocked(ms, w.Table, ms.putLocked(w.Table, w.Key, e.Version, w.Value, w.Deleted))
 		}
 		ms.version = e.Version
 		// Checked before logCommitLocked can reclaim a record the rows name.
