@@ -24,9 +24,9 @@ test:
 #   catalog: authorizer oracles, multi-node and shared-entity differentials, one version per unpaged listing, the derived path, tag-index and upstream lineage rows vs the stored rule, two nodes racing to claim overlapping paths, a name walked in place vs its split, a table's rules read in place vs its decoded spec
 #   erm: a name key built in a buffer vs NameKey's strings
 #   privilege: snapshot cache advancing under stale readers
-#   obs, lineage, store, server: flight-recorder freeze; edges vs assets; write set and key table vs a map, the derived child and name rows vs stored ones; one envelope per request
+#   obs, lineage, store, server: flight-recorder freeze; edges vs assets; write set and key table vs a map, the derived child and name rows vs stored ones; one envelope per request, and the header strings over it vs what the access log, the audit log, a retained trace and an exemplar name
 #   audit: the packed log against a []Record; readers unpacking open chunks while appenders add to their string tables
-RACE_TWENTY = TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestLocalWritesInstallOutOfOrder|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll|TestPackedRingMatchesReference|TestRetentionMatchesReference|TestCancelDrainsWhatItHolds|TestNoEdgeOutlivesItsAssets|TestTxWriteSetMatchesReference|TestKeyTableMatchesMap|TestDerivedChildIndexMatchesRows|TestDerivedNameIndexMatchesRows|TestEnvelopePerRequest|TestIndexMatchesReference|TestPackedLogMatchesReference|TestConcurrentAppendersKeepEveryOrder|TestDerivedPathIndexMatchesRows|TestConcurrentOverlappingClaims|TestDerivedMirrorRowsMatchStoredRule|TestLaggingReaderDerivesRows|TestNameKeyMatchesReference|TestResolveChainMatchesSplit|TestStaticFGACMatchesDecode
+RACE_TWENTY = TestSelectiveVsFullDifferential|TestUpdateAwaitsSequencedForeignCommit|TestLocalWritesInstallOutOfOrder|TestTagSearch|TestSubscribeCancelRacesPublish|TestAuthorizerMatchesReferenceEngine|TestAuthorizerOracleTrimmedChangeLog|TestSnapshotCacheConcurrentAdvance|TestMultiNodeDifferential|TestForeignBurstReconcilesOnce|TestSharedEntityDifferential|TestUnpagedReadsOneVersion|TestFlightRecorderConcurrentFinishPoll|TestPackedRingMatchesReference|TestRetentionMatchesReference|TestCancelDrainsWhatItHolds|TestNoEdgeOutlivesItsAssets|TestTxWriteSetMatchesReference|TestKeyTableMatchesMap|TestDerivedChildIndexMatchesRows|TestDerivedNameIndexMatchesRows|TestEnvelopePerRequest|TestHeaderStringsMatchTheirRequest|TestIndexMatchesReference|TestPackedLogMatchesReference|TestConcurrentAppendersKeepEveryOrder|TestDerivedPathIndexMatchesRows|TestConcurrentOverlappingClaims|TestDerivedMirrorRowsMatchStoredRule|TestLaggingReaderDerivesRows|TestNameKeyMatchesReference|TestResolveChainMatchesSplit|TestStaticFGACMatchesDecode
 
 race:
 	$(GO) test -race -count=1 \
@@ -80,13 +80,17 @@ heap:
 # unpaged listing on a cache-less service (the two shells of the listing
 # engine), and a GetAsset by name, a one-table Resolve and a credential by
 # object path and by name on a warm cache, which must also decode nothing, and
-# a three-level name resolved on a warm view (at most one)
+# a three-level name resolved on a warm view (at most one), and an authz
+# snapshot's advance over the change log (its change slice and its result)
 # (internal/catalog, recorded figures + 10 %), and the workspace-binding
 # check under an unbound and a bound catalog (the chain slice only),
 # printed; then a 304 revalidation, a GET of an asset and a resolve, a
 # temporary-credentials and an authorize-batch POST through the whole HTTP
-# request path, one envelope each (internal/server, recorded figures + 10 %) and a flat request body's decode
-# (one allocation per string value kept, one per array), a trace's ID (one)
+# request path, one envelope and one catalog request state each, and a GET by
+# name, a credential POST and a 304 resolve served by an http.Server over
+# loopback to a raw keep-alive client, counted for the whole process, net/http's
+# own included (internal/server, recorded figures + 10 %) and a flat request body's decode
+# (one allocation per string value kept, one per array), a trace's ID (none)
 # and a metric-family child lookup
 # (internal/obs, none) and a catalog and a txn event published and delivered
 # to a follower, and a chunk of 36 (internal/events, none); then the miss path of a full cache: a

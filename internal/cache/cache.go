@@ -652,29 +652,37 @@ func (v *View) Err() error {
 	return nil
 }
 
-// NewView opens a read view of the metastore. When the cache is disabled,
-// views read straight from a DB snapshot.
+// NewView opens a read view of the metastore (OpenView) in a View of its
+// own.
 func (c *Cache) NewView(msID string) (*View, error) {
-	return c.NewViewT(obs.SpanContext{}, msID)
+	v := new(View)
+	if err := c.OpenView(v, obs.SpanContext{}, msID); err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
-// NewViewT is NewView with a trace context: the view's cache misses and
-// reconciliations record spans under sc. It first brings the node up to the
-// database's current version, which is the one consistency statement every
-// node makes: a view opens at the version the database had when it was asked.
-func (c *Cache) NewViewT(sc obs.SpanContext, msID string) (*View, error) {
+// OpenView opens a read view of the metastore in v, a zero View its caller
+// owns (a request keeps its view beside the rest of its state, one object),
+// with a trace context: the view's cache misses and reconciliations record
+// spans under sc. When the cache is disabled, the view reads straight from a
+// DB snapshot. It first brings the node up to the database's current version,
+// which is the one consistency statement every node makes: a view opens at
+// the version the database had when it was asked.
+func (c *Cache) OpenView(v *View, sc obs.SpanContext, msID string) error {
+	v.c, v.msID, v.sc = c, msID, sc
 	if c.opts.Disabled {
 		snap, err := c.db.Snapshot(msID)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		v := &View{c: c, msID: msID, snap: snap, sc: sc}
+		v.snap = snap
 		v.state.Store(snap.Version | pinnedBit)
-		return v, nil
+		return nil
 	}
 	m, err := c.owner(msID)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if m.writers.Load() == 0 {
 		// Nothing tells this node of another writer's commit — another node's,
@@ -685,9 +693,9 @@ func (c *Cache) NewViewT(sc obs.SpanContext, msID string) (*View, error) {
 		// version.
 		_ = c.catchUp(sc, msID, m)
 	}
-	v := &View{c: c, msID: msID, m: m, sc: sc}
+	v.m = m
 	v.state.Store(m.knownVersion.Load())
-	return v, nil
+	return nil
 }
 
 // Version returns the snapshot version the view reads at.

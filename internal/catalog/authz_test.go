@@ -653,3 +653,51 @@ func TestPatchPassesPrunedNameRow(t *testing.T) {
 			after.Patches-before.Patches, after.Invalidations-before.Invalidations, after.Builds-before.Builds)
 	}
 }
+
+// TestTouchedSecurablesAllocs: a snapshot's advance over k changes reads the
+// change log once and sizes its result once — two objects, whatever k — and
+// names each securable a change wrote, a grant's by its securable.
+func TestTouchedSecurablesAllocs(t *testing.T) {
+	svc, admin := testService(t)
+	tbl := seedNamespace(t, svc, admin)
+	from, err := svc.db.Version("ms1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[ids.ID]bool{tbl.ID: true}
+	for i := 0; i < 8; i++ {
+		e, err := svc.CreateTable(admin, "sales.raw", fmt.Sprint("t", i), TableSpec{Columns: cols("id")}, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[e.ID] = true
+	}
+	if err := svc.Grant(admin, "sales.raw.orders", "reader", privilege.Select); err != nil {
+		t.Fatal(err)
+	}
+	to, err := svc.db.Version("ms1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	touched, ok := svc.touchedSecurables("ms1", from, to)
+	if !ok {
+		t.Fatal("the change log was trimmed")
+	}
+	got := map[ids.ID]bool{}
+	for _, id := range touched {
+		got[id] = true
+	}
+	for id := range want {
+		if !got[id] {
+			t.Fatalf("touched %v, missing %s", touched, id)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() { svc.touchedSecurables("ms1", from, to) })
+	t.Logf("an authz snapshot's advance over %d changes: %.0f allocations (at most 2)", len(touched), allocs)
+	if allocs > 2 {
+		t.Errorf("an advance over %d changes: %.0f allocations, want at most 2: the change slice and the result", len(touched), allocs)
+	}
+	if a := testing.AllocsPerRun(100, func() { svc.touchedSecurables("ms1", to, to) }); a != 0 {
+		t.Errorf("an advance over no change: %.0f allocations, want none", a)
+	}
+}

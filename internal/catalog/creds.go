@@ -109,16 +109,20 @@ func (s *Service) vend(ctx Ctx, auth privilege.Authorizer, r versionedReader, ab
 	if err := s.check(ctx, auth, r, abac, need, chain, "TempCredential"); err != nil {
 		return tc, err
 	}
-	// FGAC-protected tables must not leak raw storage to untrusted engines.
+	// FGAC-protected tables must not leak raw storage to untrusted engines,
+	// nor tables whose policy does not read: a rule that cannot be read
+	// cannot be shown absent, and the ABAC rules are checked all the same.
 	if e.Type == erm.TypeTable && !ctx.TrustedEngine {
-		if eff, ok := s.staticFGAC(ctx, e); ok {
-			dyn, err := s.abacFGAC(ctx, r, abac, e)
-			if err != nil {
-				return tc, err
-			}
-			if !eff.Empty() || !dyn.Empty() {
-				return tc, ErrTrustedEngineRequired
-			}
+		eff, ok := s.staticFGAC(ctx, e)
+		if !ok {
+			return tc, fmt.Errorf("%w: %s (its policy does not read)", ErrTrustedEngineRequired, e.FullName)
+		}
+		dyn, err := s.abacFGAC(ctx, r, abac, e)
+		if err != nil {
+			return tc, err
+		}
+		if !eff.Empty() || !dyn.Empty() {
+			return tc, ErrTrustedEngineRequired
 		}
 	}
 
@@ -145,17 +149,20 @@ func (s *Service) vend(ctx Ctx, auth privilege.Authorizer, r versionedReader, ab
 }
 
 // staticFGAC is the part of table e's own policy (TableSpec.FGAC) that applies
-// to the request's principal. ok is false when the spec does not decode, and
-// vend then holds the table to no policy, as it always has. A spec whose fgac
-// member holds no rule, read in place (erm.Spec.EmptyLists), as
-// bindingAdmits reads a catalog's bindings, is not decoded: a spec whose
-// other members would not decode is held to its fgac member.
+// to the request's principal. Only the spec's fgac member is read — in place
+// when the spec is packed and the member holds no rule (erm.Spec.EmptyLists),
+// else through a decode of that member alone, as bindingAdmits reads a
+// catalog's bindings — so a spec whose other members do not decode is held to
+// its fgac member. ok is false when that member does not decode: a rule that
+// cannot be read, which vend refuses an untrusted engine.
 func (s *Service) staticFGAC(ctx Ctx, e *erm.Entity) (eff privilege.FGACPolicy, ok bool) {
 	if e.Spec.EmptyLists("fgac", "row_filters", "column_masks") {
 		return eff, true
 	}
-	spec, err := TableSpecOf(e)
-	if err != nil {
+	var spec struct {
+		FGAC privilege.FGACPolicy `json:"fgac"` // TableSpec's
+	}
+	if err := e.DecodeSpec(&spec); err != nil {
 		return eff, false
 	}
 	return spec.FGAC.ForPrincipal(ctx.Principal, s.groups.GroupsOf(ctx.Principal)), true

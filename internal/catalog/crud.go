@@ -286,7 +286,7 @@ func (s *Service) authorizeReadWith(ctx Ctx, auth privilege.Authorizer, abac *la
 		}
 		return nil
 	}
-	return s.check(ctx, auth, r, abac, man.ReadPrivilege, chain, "Get"+string(e.Type))
+	return s.check(ctx, auth, r, abac, man.ReadPrivilege, chain, man.ReadOp)
 }
 
 // visMasks caches each type's visibility mask — the read privilege plus

@@ -9,8 +9,10 @@ import (
 	"strings"
 	"testing"
 
+	"unitycatalog/internal/cloudsim"
 	"unitycatalog/internal/erm"
 	"unitycatalog/internal/privilege"
+	"unitycatalog/internal/store"
 )
 
 // splitFullName is how a full name was split before resolution walked it in
@@ -152,9 +154,9 @@ var fgacMembers = []string{
 // place (staticFGAC, erm.Spec.EmptyLists) to the decode it skips: over seeded
 // table specs, packed and JSON, the in-place read says "no rule" only where
 // the fgac member decodes to an empty policy — and where the whole spec
-// decodes, that TableSpecOf's FGAC is empty — and staticFGAC returns what the
-// decode does wherever the whole spec decodes or the in-place read cannot
-// tell.
+// decodes, that TableSpecOf's FGAC is empty — and wherever the in-place read
+// cannot tell, staticFGAC returns what a decode of the fgac member does, and
+// fails where it fails.
 func TestStaticFGACMatchesDecode(t *testing.T) {
 	svc, _ := testService(t)
 	ctx := Ctx{Principal: "reader", Metastore: "ms1"}
@@ -185,15 +187,83 @@ func TestStaticFGACMatchesDecode(t *testing.T) {
 			}
 			got, ok := svc.staticFGAC(ctx, e)
 			var want privilege.FGACPolicy
-			if wholeErr == nil {
-				want = whole.FGAC.ForPrincipal(ctx.Principal, nil)
+			if memberErr == nil {
+				want = member.FGAC.ForPrincipal(ctx.Principal, nil)
 			}
-			if ok != (wholeErr == nil) || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s (packed %v): staticFGAC %+v, %v; the decode %+v, %v", js, spec.Packed(), got, ok, want, wholeErr)
+			if ok != (memberErr == nil) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s (packed %v): staticFGAC %+v, %v; the member's decode %+v, %v", js, spec.Packed(), got, ok, want, memberErr)
+			}
+			if wholeErr == nil && !reflect.DeepEqual(whole.FGAC, member.FGAC) {
+				t.Fatalf("%s: TableSpecOf's policy %+v, the member's %+v", js, whole.FGAC, member.FGAC)
 			}
 		}
 	}
 	if decided < 1000 || packed < 1000 {
 		t.Fatalf("%d specs read in place, %d packed: the seeded specs do not exercise the in-place read", decided, packed)
 	}
+}
+
+// TestVendRefusesUnreadablePolicy: a table whose stored fgac member does not
+// decode (a record written before specs were checked, or a damaged one) holds
+// row filters and column masks that cannot be read, so an untrusted engine
+// gets no raw storage for it, by name or by path; a trusted engine, which
+// reads the policy itself, still does. A spec whose other members do not
+// decode is held to its fgac member and to the ABAC rules, packed or not. A
+// spec that did not decode used to be held to no policy at all, its ABAC
+// rules skipped too.
+func TestVendRefusesUnreadablePolicy(t *testing.T) {
+	svc, admin := testService(t)
+	tbl := seedNamespace(t, svc, admin)
+	untrusted := admin
+	untrusted.TrustedEngine = false
+	vends := []struct {
+		by  string
+		get func(Ctx) (TempCredential, error)
+	}{
+		{"name", func(ctx Ctx) (TempCredential, error) {
+			return svc.TempCredentialForAsset(ctx, "sales.raw.orders", cloudsim.AccessRead)
+		}},
+		{"path", func(ctx Ctx) (TempCredential, error) {
+			return svc.TempCredentialForPath(ctx, tbl.StoragePath+"/part-0", cloudsim.AccessRead)
+		}},
+	}
+	check := func(what string, spec erm.Spec, vended bool) {
+		t.Helper()
+		upd := tbl.Clone()
+		upd.Spec = spec
+		if _, err := svc.cache.Update("ms1", func(tx *store.Tx) error { return erm.PutEntity(tx, upd) }); err != nil {
+			t.Fatal(err)
+		}
+		for _, vend := range vends {
+			_, err := vend.get(untrusted)
+			if vended && err != nil || !vended && !errors.Is(err, ErrTrustedEngineRequired) {
+				t.Errorf("%s: an untrusted engine's credential by %s: %v, want vended %v", what, vend.by, err, vended)
+			}
+			if _, err := vend.get(admin); err != nil {
+				t.Errorf("%s: a trusted engine's credential by %s: %v", what, vend.by, err)
+			}
+		}
+	}
+	check("no rule, packed", erm.PackSpec([]byte(`{"columns":[{"name":"id","type":"STRING"}],"fgac":{}}`)), true)
+	check("no spec", nil, true)
+	check("an fgac member that is an array, packed", erm.PackSpec([]byte(`{"fgac":[]}`)), false)
+	check("an fgac member that is an array, as JSON", erm.Spec(`{"fgac": []}`), false)
+	check("a rule that does not decode, packed", erm.PackSpec([]byte(`{"fgac":{"row_filters":[1]}}`)), false)
+	check("a JSON spec that is not JSON", erm.Spec(`{"fgac":{}`), false)
+	check("a flag that is a string and no rule, packed", erm.PackSpec([]byte(`{"uniform_enabled":"yes"}`)), true)
+	check("a flag that is a string and no rule, as JSON", erm.Spec(`{"uniform_enabled": "yes"}`), true)
+
+	// An ABAC mask on a tagged column is checked whatever the rest of the
+	// spec holds.
+	if err := svc.SetTag(admin, "sales.raw.orders", "region", "classification", "pii"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.CreateABACRule(admin, "", privilege.ABACRule{
+		Name: "mask-pii", TagKey: "classification", TagValue: "pii",
+		Action: privilege.ABACColumnMask, Mask: &privilege.ColumnMask{Kind: privilege.MaskRedact, Replacement: "###"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("a flag that is a string under an ABAC mask, packed", erm.PackSpec([]byte(`{"uniform_enabled":"yes"}`)), false)
+	check("a flag that is a string under an ABAC mask, as JSON", erm.Spec(`{"uniform_enabled": "yes"}`), false)
 }

@@ -391,19 +391,20 @@ func TestHasTagMatchesEntityTags(t *testing.T) {
 	}
 }
 
-// listPageAllocs and listAllAllocs are what a 100-table ListAssetsPageFunc
-// page and a 100-table unpaged ListAssets allocated on a cache-less service
-// when the read path last changed on purpose: one engine behind both, a
-// page's batch answering "is there more" itself, the catalog's workspace
-// bindings read in place, the page's range scan sizing its result once and
-// its authorizer bound in one object, the child rows carrying their entities'
-// records (34 and 42 with a batch read of them; 45 while the scan grew its
-// result row by row; 51 and 52 with a decode of the catalog's whole spec; the
-// page was 60 with its probe read, and 456 before it decoded into one slab).
+// listPageAllocs and listAllAllocs are what a 100-table ListAssetsPageFunc page
+// and a 100-table unpaged ListAssets allocated on a cache-less service when the
+// read path last changed on purpose: one engine behind both, a page's batch
+// answering "is there more" itself, the catalog's workspace bindings read in
+// place, the page's range scan sizing its result once, its view and authorizer
+// in one object with the request's resolution (28 and 36 as three objects, 33
+// and 41 recorded before that), the child rows carrying their entities' records
+// (34 and 42 with a batch read of them; 45 while the scan grew its result row
+// by row; 51 and 52 with a decode of the catalog's whole spec; the page was 60
+// with its probe read, and 456 before it decoded into one slab).
 // TestListPageAllocs fails at 10 % over; `make allocs` prints the figures.
 const (
-	listPageAllocs = 33
-	listAllAllocs  = 41
+	listPageAllocs = 26
+	listAllAllocs  = 34
 )
 
 // pageWorld is sales.raw with 150 tables beside seedNamespace's one (a page

@@ -379,11 +379,19 @@ type versionedReader interface {
 // version of the request's view and bound to that view. The snapshot gets
 // there along the store's change log (touchedSecurables), the source the
 // metadata cache reconciles from, so a commit costs it the memo entries of
-// the securables it wrote and a commit that wrote none costs it nothing.
+// the securables it wrote and a commit that wrote none costs it nothing. The
+// first authorizer of a request's view is bound in the request (request); any
+// other is an object of its own.
 func (s *Service) authorizer(ctx Ctx, r versionedReader) privilege.Authorizer {
 	v := r.Version()
 	snap := s.authz.SnapshotT(ctx.Trace, ctx.Metastore, ctx.Principal, v, s.groups)
-	b := &boundAuthz{viewReader: viewReader{r}}
+	var b *boundAuthz
+	if q, ok := r.(*request); ok && !q.bound {
+		b, q.bound = &q.authz, true
+	} else {
+		b = new(boundAuthz)
+	}
+	b.viewReader = viewReader{r}
 	b.c = snap.Bind(v, b, b)
 	return &b.c
 }
@@ -394,17 +402,19 @@ func (s *Service) authorizer(ctx Ctx, r versionedReader) privilege.Authorizer {
 // children, paths, tags and ABAC rules (evaluated outside the snapshot, see
 // check) feed nothing it holds, so it reads the changes of the entity and
 // grant tables alone: a name or path row's change is not derived for it, and
-// one whose source version was pruned cannot make it start over.
+// one whose source version was pruned cannot make it start over. It allocates
+// the change slice and its result, sized once.
 func (s *Service) touchedSecurables(msID string, from, to uint64) ([]ids.ID, bool) {
 	changes, err := s.db.ChangesSince(msID, from, erm.TableEntity, erm.TableGrant)
 	if err != nil {
 		return nil, false // trimmed, or the store is failing: start over
 	}
-	var touched []ids.ID
-	for _, ch := range changes {
-		if ch.Version > to {
-			break
-		}
+	n := 0
+	for n < len(changes) && changes[n].Version <= to {
+		n++
+	}
+	touched := make([]ids.ID, 0, n)
+	for _, ch := range changes[:n] {
 		switch ch.Table {
 		case erm.TableEntity:
 			touched = append(touched, ids.ID(ch.Key))
@@ -418,16 +428,33 @@ func (s *Service) touchedSecurables(msID string, from, to uint64) ([]ids.ID, boo
 // AuthzMetrics returns the authorization snapshot-cache counters.
 func (s *Service) AuthzMetrics() privilege.SnapshotCacheMetrics { return s.authz.Metrics() }
 
+// request is what one request reads through, in one allocation: its cache
+// view, the authorizer bound to that view and the scratch of its name
+// resolution. The first authorizer (authorizer) and the first resolution
+// (resolveName) on the view take their places here; a later one, while a
+// caller may still hold the first, is an object of its own.
+type request struct {
+	cache.View
+	authz    boundAuthz
+	res      resolution
+	bound    bool // authz is taken
+	resolved bool // res is taken
+}
+
 // view opens a cached read view for the request's metastore, scoped to its
 // trace: the view's cache misses and reconciliations appear as spans.
-func (s *Service) view(ctx Ctx) (*cache.View, error) {
-	return s.cache.NewViewT(ctx.Trace, ctx.Metastore)
+func (s *Service) view(ctx Ctx) (*request, error) {
+	q := new(request)
+	if err := s.cache.OpenView(&q.View, ctx.Trace, ctx.Metastore); err != nil {
+		return nil, err
+	}
+	return q, nil
 }
 
 // viewMS opens an untraced read view by metastore ID, for internal callers
 // that have no request context (background sweeps, trusted lookups).
-func (s *Service) viewMS(msID string) (*cache.View, error) {
-	return s.cache.NewView(msID)
+func (s *Service) viewMS(msID string) (*request, error) {
+	return s.view(Ctx{Metastore: msID})
 }
 
 // checkWorkspaceBinding enforces catalog workspace bindings (paper §3.2) on
@@ -660,10 +687,10 @@ var levelGroups = [maxNameParts][]string{
 // maxNameParts is the depth of the deepest full name, catalog.schema.asset.sub.
 const maxNameParts = 4
 
-// resolution is one name resolution's scratch, made in one allocation: the
-// chain it returns and the buffer each level's name key is built in, one key
-// after another. A caller that keeps the chain keeps the buffer with it, and
-// no reader keeps a key (erm.GetByName): 256 B, one size class.
+// resolution is one name resolution's scratch: the chain it returns and the
+// buffer each level's name key is built in, one key after another. A caller
+// that keeps the chain keeps the buffer with it, and no reader keeps a key
+// (erm.GetByName): 256 B, one size class.
 type resolution struct {
 	chain [maxNameParts + 1]*erm.Entity
 	key   [216]byte
@@ -675,9 +702,15 @@ type resolution struct {
 // view the entities are the cache's own, shared with every request at that
 // version: callers must not write to them (Clone first). A name that cannot be
 // read because the backend is failing is that failure, not a "not found". It
-// allocates one resolution, whatever the depth of the name.
+// takes the resolution of r's request, or allocates one, whatever the depth
+// of the name.
 func (s *Service) resolveName(r erm.Reader, ms *metaState, full string) ([]*erm.Entity, error) {
-	res := new(resolution)
+	var res *resolution
+	if q, ok := r.(*request); ok && !q.resolved {
+		res, q.resolved = &q.res, true
+	} else {
+		res = new(resolution)
+	}
 	root, ok := erm.GetEntity(r, ms.info.EntityID)
 	if !ok {
 		if err := backendErr(r); err != nil {

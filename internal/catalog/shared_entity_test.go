@@ -292,22 +292,26 @@ func sharedEntityDifferential(t *testing.T, seed int64, db *store.DB, svc *Servi
 // one-table Resolve allocated through the service on a warm cache, and
 // pathCredAllocs and nameCredAllocs a credential request by object path and
 // by name from an untrusted engine for a table without row filters or masks,
-// when the point-read path last changed on purpose: a name resolved in one
-// buffer, its keys built there (one key string per level, the split name and
-// the chain's slice before), one authorizer bound per request (two before),
-// and the table's fgac member read in place, not its spec decoded (about 14
-// objects before). Earlier, a request's authorizer was bound to its view in
+// when the point-read path last changed on purpose: the request's view, its
+// authorizer and its name's resolution in one object (three before), and a
+// read's audit operation named by its type's manifest (built per read before).
+// Earlier, a name was resolved in one buffer, its keys built there (one key
+// string per level, the split name and the chain's slice before), one
+// authorizer bound per request (two before), and the table's fgac member read
+// in place, not its spec decoded (about 14 objects before); and a request's
+// authorizer was bound to its view in
 // one object (three before), the catalog's workspace bindings were read in
 // place, where a decode of its whole spec cost each 6 more (19, 44 and 33),
 // and a derived path row's value became its entity's ID as the store keeps it
 // (25 while rows held its 16 bytes). resolveChainAllocs is a three-level name
-// resolved on a warm view: its one buffer. TestPointReadAllocs fails at 10 %
+// resolved on a warm view whose request has resolved a name already: its one
+// buffer. TestPointReadAllocs fails at 10 %
 // over; `make allocs` prints the figures.
 const (
-	getAssetAllocs     = 4  // 9 before, 13 before that
-	resolveAllocs      = 29 // 34, 38
-	pathCredAllocs     = 5  // 24, 27
-	nameCredAllocs     = 3  // 26
+	getAssetAllocs     = 1  // 4 before, 9, 13
+	resolveAllocs      = 26 // 29, 34, 38
+	pathCredAllocs     = 4  // 5, 24, 27
+	nameCredAllocs     = 1  // 3, 26
 	resolveChainAllocs = 1  // 5
 )
 

@@ -147,6 +147,9 @@ type TypeManifest struct {
 	// SoftDeleteRetention is how long soft-deleted entities linger before
 	// the garbage collector purges them. Zero means the registry default.
 	SoftDeleteRetention time.Duration
+	// ReadOp is the audit operation of a read of an instance, "Get" and the
+	// type; the registry sets it.
+	ReadOp string
 }
 
 // Registry holds the asset-type manifests (the "asset types registry" of
@@ -159,10 +162,15 @@ type Registry struct {
 func NewRegistry() *Registry {
 	r := &Registry{types: map[SecurableType]*TypeManifest{}}
 	for _, m := range builtinManifests() {
-		m := m
-		r.types[m.Type] = &m
+		r.add(m)
 	}
 	return r
+}
+
+// add files m under its type, naming its read's audit operation.
+func (r *Registry) add(m TypeManifest) {
+	m.ReadOp = "Get" + string(m.Type)
+	r.types[m.Type] = &m
 }
 
 // Register adds or replaces an asset-type manifest. It returns an error if
@@ -175,7 +183,7 @@ func (r *Registry) Register(m TypeManifest) error {
 	if m.NameMaxLen == 0 {
 		m.NameMaxLen = 255
 	}
-	r.types[m.Type] = &m
+	r.add(m)
 	return nil
 }
 

@@ -49,12 +49,12 @@ func BenchmarkSpanStartEndDisabled(b *testing.B) {
 func BenchmarkSpanStartEndEnabled(b *testing.B) {
 	tr := NewTracer(0, 0) // enabled but never retained
 	b.ReportAllocs()
-	trace := tr.StartTrace()
+	trace := startTrace(tr)
 	sc := tr.Root(trace)
 	for i := 0; i < b.N; i++ {
 		if i%32 == 0 { // recycle before the span buffer caps
 			tr.Finish(trace, "bench")
-			trace = tr.StartTrace()
+			trace = startTrace(tr)
 			sc = tr.Root(trace)
 		}
 		_, s := sc.Start("op")
@@ -67,7 +67,7 @@ func BenchmarkTraceLifecycleUnsampled(b *testing.B) {
 	tr := NewTracer(0, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t := tr.StartTrace()
+		t := startTrace(tr)
 		sc := tr.Root(t)
 		_, s := sc.Start("req")
 		s.End()
@@ -79,7 +79,7 @@ func BenchmarkTraceLifecycleSlowRetained(b *testing.B) {
 	tr := NewTracer(0, time.Nanosecond) // everything counts as slow
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t := tr.StartTrace()
+		t := startTrace(tr)
 		sc := tr.Root(t)
 		_, s := sc.Start("req")
 		s.End()

@@ -14,7 +14,7 @@ import (
 
 func TestPropagationRoundTrip(t *testing.T) {
 	tr := NewTracer(1, 0) // sample everything
-	trace := tr.StartTrace()
+	trace := startTrace(tr)
 	root := tr.Root(trace)
 	sc, sp := root.Start("server")
 	pc, ok := sc.Propagation()
@@ -51,7 +51,7 @@ func TestPropagationRoundTrip(t *testing.T) {
 func TestRemoteTraceAdoptsIdentity(t *testing.T) {
 	remote := NewTracer(0, 0) // never samples on its own
 	pc := PropagationContext{TraceID: "cafe0000cafe0000", Sampled: true}
-	rt := remote.StartRemote(pc)
+	rt := remote.Start(pc, nil)
 	if rt.ID() != pc.TraceID {
 		t.Fatalf("remote trace ID = %s, want adopted %s", rt.ID(), pc.TraceID)
 	}
@@ -294,7 +294,7 @@ func TestFlightRecorderTripFreezesWindow(t *testing.T) {
 	})
 
 	for i := 0; i < 3; i++ {
-		tt := tr.StartTrace()
+		tt := startTrace(tr)
 		_, sp := tr.Root(tt).Start("work")
 		sp.End()
 		tr.Finish(tt, fmt.Sprintf("op-%d", i))
@@ -332,7 +332,7 @@ func TestFlightRecorderTripFreezesWindow(t *testing.T) {
 
 	// Frozen: later frames and traces must not mutate the incident.
 	lag = 100
-	tr.Finish(tr.StartTrace(), "after")
+	tr.Finish(startTrace(tr), "after")
 	fr.Poll()
 	if got := fr.Incident(); len(got.Frames) != 2 || len(got.Traces) != 3 {
 		t.Fatalf("incident mutated after freeze: %d frames, %d traces", len(got.Frames), len(got.Traces))
@@ -378,7 +378,7 @@ func TestFlightRecorderRings(t *testing.T) {
 		fr.Poll()
 	}
 	for i := 0; i < keepTraces+5; i++ {
-		tr.Finish(tr.StartTrace(), fmt.Sprintf("op-%d", i))
+		tr.Finish(startTrace(tr), fmt.Sprintf("op-%d", i))
 	}
 	fr.AddCheck("always", func() (bool, string) { return true, "boom" })
 	fr.Poll()
@@ -429,7 +429,7 @@ func TestFlightRecorderConcurrentFinishPoll(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				tt := tr.StartTrace()
+				tt := startTrace(tr)
 				_, sp := tr.Root(tt).Start("w")
 				sp.End()
 				tr.Finish(tt, "concurrent")

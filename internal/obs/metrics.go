@@ -136,8 +136,10 @@ func (h *Histogram) Observe(v int64) {
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
 // ObserveT records one value and, when traceID is non-empty (a sampled
-// trace), pins it as the bucket's exemplar. The traceID=="" path is
-// identical to Observe, keeping the unsampled hot path allocation-free.
+// trace), pins a copy of it as the bucket's exemplar: the ID may read bytes
+// its request lent (Tracer.Start), which the bucket must not keep alive. The
+// traceID=="" path is identical to Observe, keeping the unsampled hot path
+// allocation-free.
 func (h *Histogram) ObserveT(v int64, traceID string) {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
@@ -147,7 +149,7 @@ func (h *Histogram) ObserveT(v int64, traceID string) {
 	h.sum.Add(v)
 	h.count.Add(1)
 	if traceID != "" {
-		h.exemplars[i].Store(&exemplar{traceID: traceID, value: v})
+		h.exemplars[i].Store(&exemplar{traceID: strings.Clone(traceID), value: v})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -141,7 +142,7 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 
 func TestTraceSpanTree(t *testing.T) {
 	tr := NewTracer(1, 0) // retain everything
-	trace := tr.StartTrace()
+	trace := startTrace(tr)
 	root := tr.Root(trace)
 
 	sc, s1 := root.Start("catalog.get")
@@ -184,12 +185,12 @@ func TestTraceSpanTree(t *testing.T) {
 
 func TestTraceSamplingAndSlowRetention(t *testing.T) {
 	tr := NewTracer(0, 5*time.Millisecond) // slow-only retention
-	fast := tr.StartTrace()
+	fast := startTrace(tr)
 	tr.Finish(fast, "fast")
 	if got := len(tr.Recent()); got != 0 {
 		t.Fatalf("fast trace retained: %d", got)
 	}
-	slow := tr.StartTrace()
+	slow := startTrace(tr)
 	slow.begun = time.Now().Add(-10 * time.Millisecond)
 	tr.Finish(slow, "slow")
 	recent := tr.Recent()
@@ -204,7 +205,7 @@ func TestTracerRingBuffer(t *testing.T) {
 		t.Fatalf("empty ring = %#v, want an empty non-nil slice (/debug/traces writes [])", got)
 	}
 	for i := 0; i < keepTraces+10; i++ {
-		tr.Finish(tr.StartTrace(), "op", strconv.Itoa(i))
+		tr.Finish(startTrace(tr), "op", strconv.Itoa(i))
 	}
 	recent := tr.Recent()
 	if len(recent) != keepTraces {
@@ -219,7 +220,7 @@ func TestTracerRingBuffer(t *testing.T) {
 
 func TestSpanOverflowIsSafe(t *testing.T) {
 	tr := NewTracer(1, 0)
-	trace := tr.StartTrace()
+	trace := startTrace(tr)
 	root := tr.Root(trace)
 	for i := 0; i < maxSpans+20; i++ {
 		_, s := root.Start("span")
@@ -256,7 +257,7 @@ func TestZeroSpanContextIsNoOp(t *testing.T) {
 
 func TestTraceConcurrentSpans(t *testing.T) {
 	tr := NewTracer(1, 0)
-	trace := tr.StartTrace()
+	trace := startTrace(tr)
 	root := tr.Root(trace)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -277,30 +278,42 @@ func TestTraceConcurrentSpans(t *testing.T) {
 }
 
 // TestTraceIDAllocs: a trace that is started, asked for its ID twice and
-// finished unretained allocates one object, its ID string; a propagated one
-// allocates none.
+// finished unretained allocates nothing: a local one mints its ID into the
+// bytes its starter lends, a propagated one adopts the caller's string. The
+// ID reads the lent bytes, and a pooled trace lets go of them.
 func TestTraceIDAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the tracer's pool drops traces under the race detector")
 	}
 	tr := NewTracer(0, 0)
-	run := func(start func() *Trace) float64 {
+	var id [TraceIDLen]byte
+	run := func(pc PropagationContext) float64 {
 		return testing.AllocsPerRun(100, func() {
-			trace := start()
+			trace := tr.Start(pc, &id)
 			if trace.ID() == "" || trace.ID() != trace.ID() {
 				t.Fatal("no stable trace ID")
 			}
 			tr.Finish(trace)
 		})
 	}
-	if a := run(tr.StartTrace); a != 1 {
-		t.Errorf("a local trace's ID costs %v allocations, want 1", a)
+	if a := run(PropagationContext{}); a != 0 {
+		t.Errorf("a local trace's ID costs %v allocations, want 0", a)
 	}
-	pc := PropagationContext{TraceID: "deadbeef00000001"}
-	if a := run(func() *Trace { return tr.StartRemote(pc) }); a != 0 {
+	if a := run(PropagationContext{TraceID: "deadbeef00000001"}); a != 0 {
 		t.Errorf("a propagated trace's ID costs %v allocations, want 0", a)
 	}
+	trace := tr.Start(PropagationContext{}, &id)
+	if got := trace.ID(); got != string(id[:]) || len(got) != TraceIDLen || unsafe.StringData(got) != &id[0] {
+		t.Fatalf("trace ID %q does not read the lent bytes %q", got, id[:])
+	}
+	tr.Finish(trace)
+	if trace.id != "" {
+		t.Fatal("a trace back in the pool still reads its starter's bytes")
+	}
 }
+
+// startTrace starts a local trace whose ID has bytes of its own.
+func startTrace(tr *Tracer) *Trace { return tr.Start(PropagationContext{}, new([TraceIDLen]byte)) }
 
 // TestCounterVecWithAllocs: the per-request lookup of an existing child
 // builds no key string, whatever the number of labels.

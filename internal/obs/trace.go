@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // maxSpans bounds the per-trace span buffer. Requests deeper than this keep
@@ -44,17 +45,20 @@ const maxWireTraceID = 32
 // keepTraces is the size of a tracer's ring of retained traces.
 const keepTraces = 32
 
-// hex16 formats v as 16 lowercase hex chars. Hand-rolled because trace-ID
-// materialization sits on the audited hot path: one string allocation, no
-// fmt machinery.
-func hex16(v uint64) string {
+// TraceIDLen is the length of a minted trace ID: 16 lowercase hex digits.
+const TraceIDLen = 16
+
+// hex16 writes v into b as 16 lowercase hex digits and returns them as a
+// string over b, which must not be written again while the string is read.
+// Hand-rolled because trace-ID materialization sits on the audited hot path:
+// no allocation, no fmt machinery.
+func hex16(b *[TraceIDLen]byte, v uint64) string {
 	const digits = "0123456789abcdef"
-	var b [16]byte
-	for i := 15; i >= 0; i-- {
+	for i := TraceIDLen - 1; i >= 0; i-- {
 		b[i] = digits[v&0xf]
 		v >>= 4
 	}
-	return string(b[:])
+	return unsafe.String(&b[0], TraceIDLen)
 }
 
 // ParsePropagation assembles a PropagationContext from header values; ok is
@@ -93,9 +97,10 @@ type Trace struct {
 	begun time.Time
 
 	// id is set when the trace starts: a random 64-bit prefix fixed at
-	// Tracer construction XOR a per-trace sequence number, as 16 hex chars,
-	// or the origin's ID verbatim for a propagated trace. Every HTTP request
-	// stamps it on its response, so it is built once, not on first use.
+	// Tracer construction XOR a per-trace sequence number, as 16 hex chars
+	// in the bytes its starter lent (Start), or the origin's ID verbatim for
+	// a propagated trace. Every HTTP request stamps it on its response, so it
+	// is built once, not on first use.
 	id     string
 	n      atomic.Int32 // spans used (may exceed maxSpans; clamp on read)
 	spans  [maxSpans]spanRec
@@ -235,16 +240,14 @@ func NewTracer(sampleEvery int, slowThreshold time.Duration) *Tracer {
 	return t
 }
 
-// StartTrace begins a new trace rooted at now. The sampling decision is
-// made here — not at Finish — so it can ride the propagation headers.
-func (tr *Tracer) StartTrace() *Trace {
-	return tr.StartRemote(PropagationContext{})
-}
-
-// StartRemote begins a trace continuing one propagated by a caller: it
-// adopts the origin's trace ID and sampling decision. With no trace ID it is
-// StartTrace.
-func (tr *Tracer) StartRemote(pc PropagationContext) *Trace {
+// Start begins a trace rooted at now. A trace that continues one propagated
+// by a caller (pc.TraceID set) adopts the origin's trace ID and sampling
+// decision; any other mints its ID into id, which the trace's ID string reads
+// from then on, so the caller writes id nowhere else and keeps it as long as
+// the ID is read (the server lends the request's envelope: one object). The
+// sampling decision is made here — not at Finish — so it can ride the
+// propagation headers.
+func (tr *Tracer) Start(pc PropagationContext, id *[TraceIDLen]byte) *Trace {
 	t := tr.pool.Get().(*Trace)
 	t.begun = time.Now()
 	seq := tr.seq.Add(1)
@@ -253,7 +256,7 @@ func (tr *Tracer) StartRemote(pc PropagationContext) *Trace {
 	if pc.TraceID != "" {
 		t.id, t.sampled = pc.TraceID, pc.Sampled
 	} else {
-		t.id = hex16(tr.idPrefix ^ seq)
+		t.id = hex16(id, tr.idPrefix^seq)
 		t.sampled = tr.SampleEvery > 0 && seq%uint64(tr.SampleEvery) == 0
 	}
 	return t
@@ -291,11 +294,12 @@ func (tr *Tracer) Finish(t *Trace, op ...string) {
 	took := time.Since(t.begun)
 	slow := tr.SlowThreshold > 0 && took >= tr.SlowThreshold
 	if !slow && !t.sampled {
+		t.id = "" // the pooled trace must not keep its starter's bytes
 		tr.pool.Put(t)
 		return
 	}
 	sum := &TraceSummary{
-		ID:       t.ID(),
+		ID:       strings.Clone(t.ID()), // the ring outlives the bytes the ID was lent
 		Began:    t.begun,
 		Duration: float64(took) / 1e6,
 		Slow:     slow,

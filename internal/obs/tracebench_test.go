@@ -13,7 +13,7 @@ func BenchmarkTraceLifecycle(b *testing.B) {
 	tr := NewTracer(0, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t := tr.StartTrace()
+		t := startTrace(tr)
 		tr.Finish(t, "bench")
 	}
 }
@@ -22,7 +22,7 @@ func BenchmarkTraceLifecycleWithID(b *testing.B) {
 	tr := NewTracer(0, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t := tr.StartTrace()
+		t := startTrace(tr)
 		_ = t.ID()
 		tr.Finish(t, "bench")
 	}
@@ -30,7 +30,7 @@ func BenchmarkTraceLifecycleWithID(b *testing.B) {
 
 func BenchmarkSpanStartEnd(b *testing.B) {
 	tr := NewTracer(0, 0)
-	t := tr.StartTrace()
+	t := startTrace(tr)
 	defer tr.Finish(t, "bench")
 	sc := tr.Root(t)
 	b.ReportAllocs()

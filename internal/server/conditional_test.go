@@ -382,11 +382,11 @@ func TestETagBucketFollowsTheClock(t *testing.T) {
 }
 
 // revalidationAllocs is what a 304 revalidation allocated when the request
-// path last changed on purpose: one envelope, the trace ID and the validator
-// built once each, and no header value, context or route match of its own.
-// The reflection-encoded fresh path costs several times more, so a
-// regression that re-encodes on 304 trips it.
-const revalidationAllocs = 5 // 16 before
+// path last changed on purpose: one envelope, which holds the bytes of the
+// trace ID and the validator, one route match, and no header value or context
+// of its own. The reflection-encoded fresh path costs several times more, so
+// a regression that re-encodes on 304 trips it.
+const revalidationAllocs = 3 // 5 before one object per layer, 16 before that
 
 // TestRevalidationAllocsGate pins the 304 fast path: it fails at 10 % over
 // revalidationAllocs; `make allocs` prints the figure.

@@ -30,7 +30,8 @@ import (
 func sendJSON(w http.ResponseWriter, status int, body []byte) {
 	h := w.Header()
 	h[hdrContentType] = jsonContentType
-	h[hdrContentLength] = headerValue(w, valContentLength, strconv.Itoa(len(body)))
+	var n [maxContentLength]byte
+	h[hdrContentLength] = headerValue(w, valContentLength, strconv.AppendInt(n[:0], int64(len(body)), 10))
 	w.WriteHeader(status)
 	w.Write(body)
 }
@@ -75,8 +76,10 @@ func readJSON[T any](r *http.Request, v *T) error {
 // like readJSON always has) and returns the FNV-1a hash of the raw bytes,
 // which conditional POST routes fold into their cache validator. The body is
 // staged through a pooled buffer so the read itself does not allocate in
-// steady state. A flat request in canonical form is decoded by decodeFlat
-// (request.go); any other body by encoding/json.
+// steady state, and a body read to its end is closed, which tells net/http
+// that nothing is left to discard after the handler. A flat request in
+// canonical form is decoded by decodeFlat (request.go); any other body by
+// encoding/json.
 func readJSONHash[T any](r *http.Request, v *T) (uint64, error) {
 	buf := jsonenc.Get()
 	defer jsonenc.Put(buf)
@@ -88,6 +91,7 @@ func readJSONHash[T any](r *http.Request, v *T) (uint64, error) {
 		n, err := r.Body.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]
 		if err == io.EOF {
+			r.Body.Close()
 			break
 		}
 		if err != nil {

@@ -25,12 +25,12 @@ import (
 	"strings"
 )
 
-// etagFor computes the validator for the current request: the metastore
+// appendETag computes the validator for the current request: the metastore
 // version in the clear (useful when debugging with curl), then an FNV-1a
 // fold of the request identity (principal, metastore, workspace, method,
 // path, query, body hash), then the ETagMaxAge time bucket of the catalog's
-// clock. The tag is assembled in a stack buffer and costs one allocation.
-func (s *Server) etagFor(version uint64, r *http.Request, bodyHash uint64) string {
+// clock. It appends the tag, at most maxETag bytes, to dst.
+func (s *Server) appendETag(dst []byte, version uint64, r *http.Request, bodyHash uint64) []byte {
 	h := uint64(14695981039346656037)
 	mix := func(s string) {
 		for i := 0; i < len(s); i++ {
@@ -49,15 +49,13 @@ func (s *Server) etagFor(version uint64, r *http.Request, bodyHash uint64) strin
 	h ^= bodyHash
 	h *= 1099511628211
 	bucket := uint64(s.Service.Clock().Now().UnixNano()) / uint64(s.cfg.ETagMaxAge)
-	var buf [64]byte
-	b := append(buf[:0], `"v`...)
+	b := append(dst, `"v`...)
 	b = strconv.AppendUint(b, version, 10)
 	b = append(b, '-')
 	b = strconv.AppendUint(b, h, 36)
 	b = append(b, '-')
 	b = strconv.AppendUint(b, bucket, 36)
-	b = append(b, '"')
-	return string(b)
+	return append(b, '"')
 }
 
 // conditional stamps the current validator onto the response and, when the
@@ -74,9 +72,11 @@ func (s *Server) conditional(w http.ResponseWriter, r *http.Request, bodyHash ui
 	if err != nil {
 		return false
 	}
-	tag := s.etagFor(v, r, bodyHash)
+	var buf [maxETag]byte
+	etag := headerValue(w, valETag, s.appendETag(buf[:0], v, r, bodyHash))
+	tag := etag[0]
 	h := w.Header()
-	h[hdrETag] = headerValue(w, valETag, tag)
+	h[hdrETag] = etag
 	h[hdrCacheControl] = revalidate
 	if inm := r.Header.Get(hdrIfNoneMatch); inm != "" && etagMatch(inm, tag) {
 		w.WriteHeader(http.StatusNotModified)

@@ -436,7 +436,7 @@ func TestClientPropagatesTrace(t *testing.T) {
 	seedAssets(t, c)
 
 	origin := obs.NewTracer(1, 0)
-	ot := origin.StartTrace()
+	ot := origin.Start(obs.PropagationContext{}, new([obs.TraceIDLen]byte))
 	sc, call := origin.Root(ot).Start("engine.resolve")
 	c2 := client.New(hs.URL, "admin", "ms1")
 	c2.Trace = sc

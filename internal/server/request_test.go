@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"unitycatalog/internal/catalog"
+	"unitycatalog/internal/erm"
 	"unitycatalog/internal/privilege"
 	"unitycatalog/internal/store"
 )
@@ -190,16 +191,17 @@ func FuzzRequestBody(f *testing.F) {
 }
 
 // The hot routes' allocations through Server.ServeHTTP on a warm cache, when
-// their request path last changed on purpose: one envelope per request, the
-// per-request header values held in it, the constant ones shared, one route
-// match and one object to bind the authorizer, a name resolved in one
-// buffer whatever its depth, and a credential's table read for rules in place.
+// their request path last changed on purpose: one envelope per request that
+// holds the bytes of its header values (a minted trace ID, the ETag, the
+// Content-Length), the constant ones shared, one route match, one catalog
+// request state that holds the view, the authorizer and a name's resolution,
+// a body's decoded strings, and a credential's table read for rules in place.
 // TestHotRequestAllocs fails at 10 % over; `make allocs` prints the figures.
 const (
-	getAssetRequestAllocs   = 9  // 14 before one buffer and one authorizer, 30 before that
-	resolveRequestAllocs    = 29 // 34, 49
-	tempCredsRequestAllocs  = 7  // 24 before the in-place rules read too, 34
-	authzBatchRequestAllocs = 9  // 22 before
+	getAssetRequestAllocs   = 3  // 9 before one object per layer, 14 before one buffer and one authorizer, 30 before that
+	resolveRequestAllocs    = 23 // 29, 34, 49
+	tempCredsRequestAllocs  = 3  // 7, 24 before the in-place rules read too, 34
+	authzBatchRequestAllocs = 6  // 9, 22 before
 )
 
 // replayBody is a request body that can be read again after a rewind.
@@ -237,36 +239,7 @@ func TestHotRequestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("counts pooled allocations")
 	}
-	db, err := store.Open(store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	svc, err := catalog.New(catalog.Config{DB: db})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.CreateMetastore("ms1", "main", "r", "admin", "s3://lake/ms1"); err != nil {
-		t.Fatal(err)
-	}
-	srv := NewWithConfig(svc, Config{SampleEvery: -1})
-	t.Cleanup(func() { srv.Lineage.Close(); srv.Search.Close() })
-	admin := catalog.Ctx{Principal: "admin", Metastore: "ms1"}
-	if _, err := svc.CreateCatalog(admin, "sales", ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.CreateSchema(admin, "sales", "raw", ""); err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := svc.CreateTable(admin, "sales.raw", "orders", catalog.TableSpec{Columns: []catalog.ColumnInfo{{Name: "id", Type: "BIGINT"}}}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for on, priv := range map[string]privilege.Privilege{"sales": privilege.UseCatalog, "sales.raw": privilege.UseSchema, "sales.raw.orders": privilege.Select} {
-		if err := svc.Grant(admin, on, "reader", priv); err != nil {
-			t.Fatal(err)
-		}
-	}
+	srv, tbl := readerStack(t, Config{SampleEvery: -1})
 	for _, c := range []struct {
 		method, route, body string
 		recorded            float64
@@ -298,6 +271,42 @@ func TestHotRequestAllocs(t *testing.T) {
 			t.Errorf("%s: %.0f allocations, more than 10 %% over the recorded %.0f", c.route, got, c.recorded)
 		}
 	}
+}
+
+// readerStack is a server with sales.raw.orders, readable by "reader".
+func readerStack(t *testing.T, cfg Config) (*Server, *erm.Entity) {
+	t.Helper()
+	db, err := store.Open(store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	svc, err := catalog.New(catalog.Config{DB: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.CreateMetastore("ms1", "main", "r", "admin", "s3://lake/ms1"); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewWithConfig(svc, cfg)
+	t.Cleanup(func() { srv.Lineage.Close(); srv.Search.Close() })
+	admin := catalog.Ctx{Principal: "admin", Metastore: "ms1"}
+	if _, err := svc.CreateCatalog(admin, "sales", ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.CreateSchema(admin, "sales", "raw", ""); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := svc.CreateTable(admin, "sales.raw", "orders", catalog.TableSpec{Columns: []catalog.ColumnInfo{{Name: "id", Type: "BIGINT"}}}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for on, priv := range map[string]privilege.Privilege{"sales": privilege.UseCatalog, "sales.raw": privilege.UseSchema, "sales.raw.orders": privilege.Select} {
+		if err := svc.Grant(admin, on, "reader", priv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return srv, tbl
 }
 
 // TestRequestDecodeAllocs: decodeFlat allocates one object per string value

@@ -22,6 +22,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"unitycatalog/internal/obs"
 )
@@ -165,20 +166,27 @@ func opsPath(p string) bool {
 // status, the body's byte count for per-tenant metering, and, via
 // writeErr/encodeFail, the underlying error the access log reports on a
 // 5xx), the request's root span (s.ctx), the route pattern the mux matched
-// (routes.go), and the values of the three per-request response headers.
-// The response's header map holds one-element slices of those slots, and the
-// header map outlives the handler, so an envelope is never pooled or reused.
-// srv links back to the owning server so encoding failures can bump its
-// uc_http_encode_errors counter from the package-level write helpers.
+// (routes.go), and the values of the three per-request response headers with
+// their bytes: a minted trace ID is written into traceID (obs.Tracer.Start),
+// the ETag and the Content-Length into text (keep), each once, and the value
+// strings read those bytes. The response's header map holds one-element
+// slices of the value slots, and the header map outlives the handler, so an
+// envelope is never pooled or reused; what outlives the request (a histogram
+// exemplar, a retained trace) keeps a copy. srv links back to the owning
+// server so encoding failures can bump its uc_http_encode_errors counter from
+// the package-level write helpers.
 type envelope struct {
 	http.ResponseWriter
-	srv    *Server
-	span   obs.SpanContext
-	route  string
-	status int
-	bytes  int64
-	err    error
-	vals   [numVals]string // per-request header values, by slot
+	srv     *Server
+	span    obs.SpanContext
+	route   string
+	status  int
+	bytes   int64
+	err     error
+	vals    [numVals]string // per-request header values, by slot
+	traceID [obs.TraceIDLen]byte
+	text    [maxETag + maxContentLength]byte
+	used    uint8 // bytes of text written
 }
 
 // The envelope's per-request header value slots.
@@ -187,6 +195,12 @@ const (
 	valETag
 	valContentLength
 	numVals
+)
+
+// The longest ETag (appendETag) and Content-Length values.
+const (
+	maxETag          = len(`"v`) + 20 + 2*len(`-`) + 2*13 + len(`"`) // a uint64 in decimal, then two in base 36
+	maxContentLength = 20
 )
 
 func (w *envelope) WriteHeader(code int) {
@@ -200,15 +214,35 @@ func (w *envelope) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// headerValue returns v as a one-element response header value: a slice of
-// slot i of w's envelope when w is one, a slice of its own otherwise (the
-// operational endpoints are served without an envelope).
-func headerValue(w http.ResponseWriter, i int, v string) []string {
-	if e, ok := w.(*envelope); ok {
-		e.vals[i] = v
-		return e.vals[i : i+1 : i+1]
+// keep returns b as a string over the envelope's text, which b is copied to
+// and which is never written there again; one that does not fit is a string
+// of its own.
+func (w *envelope) keep(b []byte) string {
+	if len(b) == 0 || len(b) > len(w.text)-int(w.used) {
+		return string(b)
 	}
-	return []string{v}
+	dst := w.text[w.used : int(w.used)+len(b)]
+	copy(dst, b)
+	w.used += uint8(len(b))
+	return unsafe.String(&dst[0], len(dst))
+}
+
+// value sets slot i to v and returns it as a one-element response header
+// value that an Add to the header copies instead of appending in place.
+func (w *envelope) value(i int, v string) []string {
+	w.vals[i] = v
+	return w.vals[i : i+1 : i+1]
+}
+
+// headerValue returns text as a one-element response header value: slot i of
+// w's envelope, over the envelope's own bytes, when w is one, a slice and a
+// string of their own otherwise (the operational endpoints are served
+// without an envelope).
+func headerValue(w http.ResponseWriter, i int, text []byte) []string {
+	if e, ok := w.(*envelope); ok {
+		return e.value(i, e.keep(text))
+	}
+	return []string{string(text)}
 }
 
 // Response header values that never change are shared read-only slices with
@@ -265,15 +299,13 @@ func (a *allocSampler) end(before uint64) uint64 {
 func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request) {
 	// A request carrying a valid trace ID continues a trace its caller
 	// began: adopt the ID, so the response and the audit records name the
-	// caller's trace, and its sampling decision.
-	var t *obs.Trace
-	if pc, ok := obs.ParsePropagation(r.Header.Get(obs.TraceIDHeader), r.Header.Get(obs.SampledHeader)); ok {
-		t = s.tracer.StartRemote(pc)
-	} else {
-		t = s.tracer.StartTrace()
-	}
-	e := &envelope{ResponseWriter: w, srv: s, span: s.tracer.Root(t), status: http.StatusOK}
-	w.Header()[obs.TraceIDHeader] = headerValue(e, valTraceID, t.ID())
+	// caller's trace, and its sampling decision. Any other trace mints its ID
+	// into the envelope.
+	pc, _ := obs.ParsePropagation(r.Header.Get(obs.TraceIDHeader), r.Header.Get(obs.SampledHeader))
+	e := &envelope{ResponseWriter: w, srv: s, status: http.StatusOK}
+	t := s.tracer.Start(pc, &e.traceID)
+	e.span = s.tracer.Root(t)
+	w.Header()[obs.TraceIDHeader] = e.value(valTraceID, t.ID())
 
 	allocsBefore, measure := s.allocs.begin()
 	start := time.Now()

@@ -196,6 +196,17 @@ type groupIndex struct {
 	d      *derivation
 	groups []*group // ascending by key
 	n      int      // entries across the groups
+	gen    uint64   // bumped by every change to groups or their entries
+	// found is where the last check of a row that is to be made live
+	// (holderLocked) found its first entry, at generation gen: add, putting
+	// that row's record in, starts there instead of searching the group again
+	// unless the index has changed since.
+	found struct {
+		row string
+		g   *group
+		j   int
+		gen uint64
+	}
 }
 
 type group struct {
@@ -385,18 +396,39 @@ func (gi *groupIndex) search(g *group, buf *[]byte, sort, key string) int {
 // an entry of the same record already there gives way to it. key and sort
 // may be scratch, but not buf, where the search derives.
 func (gi *groupIndex) add(key, sort string, e *record, buf *[]byte) {
-	i, found := gi.find(key)
-	if !found {
-		gi.groups = slices.Insert(gi.groups, i, &group{key: strings.Clone(key)})
+	g, j := gi.foundAt(key, sort, buf, e.key)
+	if g == nil {
+		i, found := gi.find(key)
+		if !found {
+			gi.groups = slices.Insert(gi.groups, i, &group{key: strings.Clone(key)})
+		}
+		g = gi.groups[i]
+		j = gi.search(g, buf, sort, e.key)
 	}
-	g := gi.groups[i]
-	j := gi.search(g, buf, sort, e.key)
+	gi.gen++
 	if j < len(g.rows) && g.rows[j].key == e.key && str(gi.sortOf(buf, g.rows[j])) == sort {
 		g.rows[j] = e
 		return
 	}
 	g.rows = slices.Insert(withRoom(g.rows), j, e)
 	gi.n++
+}
+
+// foundAt returns the group of row key+sort and the position of the first
+// entry at or after (sort, rec) in it, as search would, from where the last
+// check found the row (holderLocked) if the index has not changed since;
+// else nil. The walk from there passes the row's entries of records before
+// rec: shadows and dead records, seldom more than one.
+func (gi *groupIndex) foundAt(key, sort string, buf *[]byte, rec string) (*group, int) {
+	f := &gi.found
+	if f.g == nil || f.gen != gi.gen || f.g.key != key || len(f.row) != len(key)+len(sort) || f.row[len(key):] != sort {
+		return nil, 0
+	}
+	j := f.j
+	for j < len(f.g.rows) && f.g.rows[j].key < rec && str(gi.sortOf(buf, f.g.rows[j])) == sort {
+		j++
+	}
+	return f.g, j
 }
 
 // remove takes record r's entry under (key, sort) out of its group, and
@@ -412,6 +444,7 @@ func (gi *groupIndex) remove(key, sort string, r *record, buf *[]byte, shadowOnl
 	if j == len(g.rows) || g.rows[j].owner() != r || shadowOnly && g.rows[j] == r || str(gi.sortOf(buf, g.rows[j])) != sort {
 		return
 	}
+	gi.gen++
 	g.rows = slices.Delete(g.rows, j, j+1)
 	gi.n--
 	if len(g.rows) == 0 {
@@ -905,10 +938,13 @@ func (m *metastore) holderLocked(gi *groupIndex, tx *Tx, row, key string) (strin
 		m.scratch = b[:0]
 		return ok && string(b) == row
 	}
-	// The applied records under row, at their newest versions.
+	// The applied records under row, at their newest versions; where the
+	// row's entries start is kept for the commit's add.
 	if g := gi.holding(row); g != nil {
 		sort := row[len(g.key):]
-		for i := gi.search(g, &m.scratch, sort, ""); i < len(g.rows); i++ {
+		i := gi.search(g, &m.scratch, sort, "")
+		gi.found.row, gi.found.g, gi.found.j, gi.found.gen = row, g, i, gi.gen
+		for ; i < len(g.rows); i++ {
 			e := g.rows[i]
 			if str(gi.sortOf(&m.scratch, e)) != sort {
 				break
