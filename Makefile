@@ -17,7 +17,8 @@ test:
 # runs each of the tests that once flaked or hold a cross-version rule
 # (RACE_TWENTY), internal/catalog's on an invocation of their own whose
 # -timeout is 1.5 times a measured run: beside the other packages its twenty
-# runs passed go test's default of ten minutes, and alone they take nine:
+# runs passed go test's default of ten minutes, and alone they take nine.
+# Each of the two lines ends with its tests' times per run. RACE_TWENTY:
 #   cache: local and foreign write-throughs, sequenced and out-of-order installs, one reconcile per foreign burst, a lagging reader's change log vs what each commit wrote
 #   search: tag search; the index against its map-posting reference
 #   events: Subscribe/Cancel racing Publish and draining; the log and its retention against a []Event
@@ -61,9 +62,13 @@ race:
 		./internal/clock/... \
 		./internal/ids/... \
 		./uc/...
-	$(GO) test -race -count=20 -run '$(RACE_TWENTY)' \
-		./internal/cache/ ./internal/search/ ./internal/events/ ./internal/privilege/ ./internal/obs/ ./internal/lineage/ ./internal/store/ ./internal/server/ ./internal/audit/ ./internal/erm/
-	$(GO) test -race -count=20 -timeout 810s -run '$(RACE_TWENTY)' ./internal/catalog/
+	$(call race_twenty,./internal/cache/ ./internal/search/ ./internal/events/ ./internal/privilege/ ./internal/obs/ ./internal/lineage/ ./internal/store/ ./internal/server/ ./internal/audit/ ./internal/erm/)
+	$(call race_twenty,-timeout 810s ./internal/catalog/)
+
+# race_twenty runs RACE_TWENTY twenty times under the race detector with $(1)
+# (flags and packages), prints go test's lines and then each test's time per
+# run (racetimes.go), and exits with go test's status.
+race_twenty = st=$$(mktemp); { $(GO) test -race -count=20 -json -run '$(RACE_TWENTY)' $(1); echo $$? > $$st; } | $(GO) run racetimes.go; s=$$(cat $$st); rm -f $$st; exit $$s
 
 # Who holds the resident bytes (uc/heap_test.go; DESIGN.md "Resident layout"):
 # in-use bytes per internal package for 2,000 tables, each holder held to its
@@ -81,12 +86,14 @@ heap:
 # engine), and a GetAsset by name, a one-table Resolve and a credential by
 # object path and by name on a warm cache, which must also decode nothing, and
 # a three-level name resolved on a warm view (at most one), and an authz
-# snapshot's advance over the change log (its change slice and its result)
-# (internal/catalog, recorded figures + 10 %), and the workspace-binding
+# snapshot's advance over the change log (its change slice and its result),
+# a memo miss over a table's grants (nothing per grant) and a page token
+# minted and read (internal/catalog, recorded figures + 10 %), and the workspace-binding
 # check under an unbound and a bound catalog (the chain slice only),
 # printed; then a 304 revalidation, a GET of an asset and a resolve, a
 # temporary-credentials and an authorize-batch POST through the whole HTTP
-# request path, one envelope and one catalog request state each, and a GET by
+# request path, one envelope and one catalog request state each, ddl_write's
+# create-table, PATCH, grant, revoke and set-tag the same way, and a GET by
 # name, a credential POST and a 304 resolve served by an http.Server over
 # loopback to a raw keep-alive client, counted for the whole process, net/http's
 # own included (internal/server, recorded figures + 10 %) and a flat request body's decode

@@ -3,6 +3,7 @@ package catalog
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -112,8 +113,8 @@ func requireSameDecisions(t *testing.T, stage string, p privilege.Principal, got
 		if g, w := got.IsOwner(sec), want.IsOwner(sec); g != w {
 			t.Fatalf("%s: IsOwner(%s, %s): got %v, reference %v", stage, p, sec.Short(), g, w)
 		}
-		if g, w := fmt.Sprint(got.EffectivePrivileges(sec)), fmt.Sprint(want.EffectivePrivileges(sec)); g != w {
-			t.Fatalf("%s: EffectivePrivileges(%s, %s): got %s, reference %s", stage, p, sec.Short(), g, w)
+		if g, w := got.EffectivePrivileges(sec), want.EffectivePrivileges(sec); !slices.Equal(g, w) {
+			t.Fatalf("%s: EffectivePrivileges(%s, %s): got %v, reference %v", stage, p, sec.Short(), g, w)
 		}
 		gs, gok := got.EffectiveSet(sec)
 		if ws, wok := want.EffectiveSet(sec); gs != ws || gok != wok {

@@ -7,6 +7,7 @@ import (
 	"unitycatalog/internal/erm"
 	"unitycatalog/internal/events"
 	"unitycatalog/internal/ids"
+	"unitycatalog/internal/jsonstr"
 	"unitycatalog/internal/privilege"
 	"unitycatalog/internal/store"
 )
@@ -48,20 +49,35 @@ func (s *Service) Grant(ctx Ctx, full string, p privilege.Principal, priv privil
 			return fmt.Errorf("%w: %s is not grantable on %s", ErrInvalidArgument, priv, e.Type)
 		}
 	}
-	g := privilege.Grant{Securable: e.ID, Principal: p, Privilege: priv, GrantedBy: ctx.Principal}
-	b, err := encodeJSON(g)
-	if err != nil {
-		return err
-	}
+	b := grantValue(privilege.Grant{Securable: e.ID, Principal: p, Privilege: priv, GrantedBy: ctx.Principal})
 	_, err = s.cache.UpdateT(ctx.Trace, ctx.Metastore, func(tx *store.Tx) error {
 		if !s.liveIn(tx, e) {
 			return fmt.Errorf("%w: %s", ErrNotFound, full)
 		}
 		tx.Put(erm.TableGrant, erm.GrantKey(e.ID, p, priv), b)
-		stageEvent(tx, ctx, events.OpGrant, e, fmt.Sprintf("%s to %s", priv, p))
+		stageEvent(tx, ctx, events.OpGrant, e, string(priv)+" to "+string(p))
 		return nil
 	})
 	return err
+}
+
+// grantValue is a grant's stored value: json.Marshal's bytes for g, built by
+// hand. The WAL holds it, so it stays byte-identical to what json.Marshal
+// wrote (grants_test.go holds the two together).
+func grantValue(g privilege.Grant) []byte {
+	b := make([]byte, 0, len(`{"securable_id":"","principal":"","privilege":"","granted_by":""}`)+
+		len(g.Securable)+len(g.Principal)+len(g.Privilege)+len(g.GrantedBy))
+	b = append(b, `{"securable_id":`...)
+	b = jsonstr.Append(b, string(g.Securable))
+	b = append(b, `,"principal":`...)
+	b = jsonstr.Append(b, string(g.Principal))
+	b = append(b, `,"privilege":`...)
+	b = jsonstr.Append(b, string(g.Privilege))
+	if g.GrantedBy != "" {
+		b = append(b, `,"granted_by":`...)
+		b = jsonstr.Append(b, string(g.GrantedBy))
+	}
+	return append(b, '}')
 }
 
 // Revoke removes a grant. Revocation does not invalidate already-vended
@@ -96,7 +112,7 @@ func (s *Service) Revoke(ctx Ctx, full string, p privilege.Principal, priv privi
 			return fmt.Errorf("%w: no such grant", ErrNotFound)
 		}
 		tx.Delete(erm.TableGrant, key)
-		stageEvent(tx, ctx, events.OpRevoke, e, fmt.Sprintf("%s from %s", priv, p))
+		stageEvent(tx, ctx, events.OpRevoke, e, string(priv)+" from "+string(p))
 		return nil
 	})
 	if err != nil {

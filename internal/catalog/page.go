@@ -39,14 +39,17 @@ package catalog
 // long-lived database cursor.
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"unitycatalog/internal/erm"
 	"unitycatalog/internal/ids"
+	"unitycatalog/internal/jsonstr"
 	"unitycatalog/internal/privilege"
 	"unitycatalog/internal/store"
 )
@@ -79,13 +82,34 @@ func (c *pageCursor) after() string {
 	return c.K
 }
 
+// encodeCursor mints c's token: base64 over json.Marshal's bytes for c,
+// appended by hand (cursor_test.go holds the two together), so a token minted
+// by a node that still marshals decodes here and one minted here there.
 func encodeCursor(c pageCursor) string {
-	b, _ := json.Marshal(c)
-	return base64.RawURLEncoding.EncodeToString(b)
+	var js [256]byte
+	b := append(js[:0], `{"v":`...)
+	b = strconv.AppendUint(b, c.V, 10)
+	b = append(b, `,"s":`...)
+	b = jsonstr.Append(b, c.S)
+	b = append(b, `,"k":`...)
+	b = jsonstr.Append(b, c.K)
+	if c.K2 != "" {
+		b = append(b, `,"k2":`...)
+		b = jsonstr.Append(b, c.K2)
+	}
+	if c.G != 0 {
+		b = append(b, `,"g":`...)
+		b = strconv.AppendInt(b, int64(c.G), 10)
+	}
+	b = append(b, '}')
+	var tok [512]byte
+	return string(base64.RawURLEncoding.AppendEncode(tok[:0], b))
 }
 
 // decodeCursor decodes the token of a request that selected plan; "" (a
-// first page, or an unpaged call) is no cursor.
+// first page, or an unpaged call) is no cursor. A token as encodeCursor
+// writes it is read by hand (parse); any other is json.Unmarshal's to take or
+// refuse.
 func decodeCursor(tok, plan string) (*pageCursor, error) {
 	if tok == "" {
 		return nil, nil
@@ -94,14 +118,91 @@ func decodeCursor(tok, plan string) (*pageCursor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: malformed page token", ErrInvalidArgument)
 	}
-	var c pageCursor
-	if err := json.Unmarshal(b, &c); err != nil {
-		return nil, fmt.Errorf("%w: malformed page token", ErrInvalidArgument)
+	c := new(pageCursor)
+	if !c.parse(b, plan) {
+		*c = pageCursor{}
+		if err := json.Unmarshal(b, c); err != nil {
+			return nil, fmt.Errorf("%w: malformed page token", ErrInvalidArgument)
+		}
 	}
 	if c.S != plan {
 		return nil, fmt.Errorf("%w: page token from a different request", ErrInvalidArgument)
 	}
-	return &c, nil
+	return c, nil
+}
+
+// parse reads b into c when it is what encodeCursor writes: every member in
+// its order, no space, integers as strconv writes them. S reads as plan when
+// it spells it, so a continuation allocates its keys alone. On false c may
+// hold part of b.
+func (c *pageCursor) parse(b []byte, plan string) bool {
+	var sc [256]byte
+	var v []byte
+	b, ok := bytes.CutPrefix(b, []byte(`{"v":`))
+	if !ok {
+		return false
+	}
+	n, b, ok := leadingInt(b, 19)
+	if !ok || n < 0 {
+		return false
+	}
+	c.V = uint64(n)
+	if b, ok = bytes.CutPrefix(b, []byte(`,"s":`)); !ok {
+		return false
+	}
+	if v, b, ok = jsonstr.AppendUnquoted(sc[:0], b); !ok {
+		return false
+	}
+	if c.S = plan; string(v) != plan {
+		c.S = string(v)
+	}
+	if b, ok = bytes.CutPrefix(b, []byte(`,"k":`)); !ok {
+		return false
+	}
+	if v, b, ok = jsonstr.AppendUnquoted(sc[:0], b); !ok {
+		return false
+	}
+	c.K = string(v)
+	if rest, found := bytes.CutPrefix(b, []byte(`,"k2":`)); found {
+		if v, b, ok = jsonstr.AppendUnquoted(sc[:0], rest); !ok {
+			return false
+		}
+		c.K2 = string(v)
+	}
+	if rest, found := bytes.CutPrefix(b, []byte(`,"g":`)); found {
+		if n, b, ok = leadingInt(rest, 18); !ok {
+			return false
+		}
+		c.G = int(n)
+	}
+	return string(b) == "}"
+}
+
+// leadingInt reads the integer b starts with, written as strconv writes one
+// (an optional minus, then no leading zero), of at most maxDigits digits.
+func leadingInt(b []byte, maxDigits int) (n int64, rest []byte, ok bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	i := 0
+	if neg {
+		i = 1
+	}
+	start := i
+	var u uint64
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		u = u*10 + uint64(b[i]-'0')
+		i++
+	}
+	digits := i - start
+	if digits == 0 || digits > maxDigits || b[start] == '0' && digits > 1 || neg && u == 0 {
+		return 0, b, false
+	}
+	if u > 1<<63-1 {
+		return 0, b, false
+	}
+	if n = int64(u); neg {
+		n = -n
+	}
+	return n, b[i:], true
 }
 
 // pagedReader is what a listing executes against: versioned (to key the

@@ -326,7 +326,9 @@ func (s *Service) MetastoreVersion(id string) (uint64, error) {
 // --- authorization plumbing ---
 
 // viewReader adapts an erm.Reader to the privilege engine's hierarchy and
-// grant readers (privilege.HierarchyResolver and privilege.Store).
+// grant readers: privilege.HierarchyResolver, privilege.GrantScanner for the
+// compiled engine and privilege.Store for the grant listing and the
+// reference engine.
 type viewReader struct{ r erm.Reader }
 
 // Securable implements privilege.HierarchyResolver.
@@ -356,6 +358,16 @@ func (v viewReader) GrantsOn(id ids.ID) []privilege.Grant {
 		}
 	}
 	return out
+}
+
+// ScanGrants implements privilege.GrantScanner: it reads each grant's
+// principal and privilege from its row key and decodes no value.
+func (v viewReader) ScanGrants(id ids.ID, visit privilege.GrantVisitor) {
+	for _, kv := range v.r.Scan(erm.TableGrant, erm.GrantPrefix(id)) {
+		if p, priv, ok := erm.GrantOf(kv.Key); ok {
+			visit.VisitGrant(p, priv)
+		}
+	}
 }
 
 // boundAuthz is a request's compiled engine and the readers it is bound to,

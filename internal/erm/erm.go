@@ -557,6 +557,18 @@ func GrantKey(sec ids.ID, p privilege.Principal, priv privilege.Privilege) strin
 // GrantPrefix is the scan prefix for all grants on a securable.
 func GrantPrefix(sec ids.ID) string { return string(sec) + "\x00" }
 
+// GrantOf reads the principal and privilege a grant record key names. The
+// securable's ID runs to the key's first 0 byte and the privilege from its
+// last, so a principal holding a 0 byte reads whole. Both results are
+// substrings of key.
+func GrantOf(key string) (p privilege.Principal, priv privilege.Privilege, ok bool) {
+	first, last := strings.IndexByte(key, 0), strings.LastIndexByte(key, 0)
+	if first == last {
+		return "", "", false
+	}
+	return privilege.Principal(key[first+1 : last]), privilege.Privilege(key[last+1:]), true
+}
+
 // GrantSecurable returns the securable a grant record key belongs to.
 func GrantSecurable(grantKey string) ids.ID {
 	sec, _, _ := strings.Cut(grantKey, "\x00")

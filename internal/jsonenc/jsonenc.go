@@ -25,7 +25,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
-	"unicode/utf8"
+
+	"unitycatalog/internal/jsonstr"
 )
 
 // Buffer is a pooled append target. Grab one with Get, append via the
@@ -56,66 +57,9 @@ func Put(b *Buffer) {
 
 const hexDigits = "0123456789abcdef"
 
-// htmlSafe mirrors encoding/json's htmlSafeSet for ASCII: bytes that pass
-// through a JSON string unescaped under the default HTML-escaping encoder.
-func htmlSafe(c byte) bool {
-	return c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
-}
-
 // AppendString appends s as a quoted JSON string, matching
-// encoding/json.Marshal byte-for-byte (HTML escaping on, invalid UTF-8
-// replaced by the escaped replacement character, U+2028/U+2029 escaped).
-func AppendString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if htmlSafe(c) {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch c {
-			case '\\', '"':
-				dst = append(dst, '\\', c)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				// Control characters and the HTML-sensitive <, >, &.
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
-			i++
-			start = i
-			continue
-		}
-		if r == '\u2028' || r == '\u2029' {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
-}
+// encoding/json.Marshal byte-for-byte (jsonstr.Append).
+func AppendString(dst []byte, s string) []byte { return jsonstr.Append(dst, s) }
 
 // AppendInt appends a base-10 signed integer.
 func AppendInt(dst []byte, v int64) []byte { return strconv.AppendInt(dst, v, 10) }

@@ -220,23 +220,52 @@ func (s *Snapshot) advance(scope string, to uint64, touched Touched) (advanced, 
 // same version; from the moment it describes another, the engine evaluates
 // on a memo of its own, so no entry computed at one version is ever read at
 // another.
-func (s *Snapshot) Bind(version uint64, h HierarchyResolver, g Store) Compiled {
+func (s *Snapshot) Bind(version uint64, h HierarchyResolver, g GrantScanner) Compiled {
 	return Compiled{h: h, g: g, snap: s, version: version}
 }
 
 // NewCompiled builds a compiled engine with a fresh single-use snapshot.
-func NewCompiled(h HierarchyResolver, g Store, groups GroupResolver, p Principal) *Compiled {
+func NewCompiled(h HierarchyResolver, g GrantScanner, groups GroupResolver, p Principal) *Compiled {
 	c := NewSnapshot(p, groups).Bind(0, h, g)
 	return &c
+}
+
+// GrantScanner is the compiled engine's grant reader. ScanGrants passes each
+// grant on a securable to visit as its principal and privilege, which visit
+// must not keep: a reader may hand out substrings of its own storage, and
+// builds no Grant and no slice.
+type GrantScanner interface {
+	ScanGrants(id ids.ID, visit GrantVisitor)
+}
+
+// GrantVisitor receives the grants a GrantScanner reads.
+type GrantVisitor interface {
+	VisitGrant(p Principal, priv Privilege)
 }
 
 // Compiled is a Snapshot bound to concrete readers for one request.
 type Compiled struct {
 	h       HierarchyResolver
-	g       Store
+	g       GrantScanner
 	snap    *Snapshot
-	version uint64 // what h and g are pinned at
-	own     *memo  // used once snap has left version; guarded by snap.mu
+	version uint64    // what h and g are pinned at
+	own     *memo     // used once snap has left version; guarded by snap.mu
+	fold    grantFold // direct's accumulator, inside the engine so that visiting allocates nothing; guarded by snap.mu
+}
+
+// grantFold folds the grants held by a principal in who into privilege sets.
+type grantFold struct {
+	who map[Principal]struct{}
+	m   effMemo
+}
+
+// VisitGrant implements GrantVisitor.
+func (f *grantFold) VisitGrant(p Principal, priv Privilege) {
+	if _, mine := f.who[p]; mine {
+		ch, rep := grantSets(priv)
+		f.m.check |= ch
+		f.m.report |= rep
+	}
 }
 
 var _ Authorizer = (*Compiled)(nil)
@@ -274,21 +303,13 @@ func (c *Compiled) securable(m *memo, id ids.ID) (Securable, bool) {
 // direct compiles the securable's own grants and ownership into privilege
 // sets.
 func (c *Compiled) direct(sec Securable) effMemo {
-	var m effMemo
-	if _, mine := c.snap.who[sec.Owner]; mine {
-		ch, rep := ownerSets()
-		m.check |= ch
-		m.report |= rep
+	f := &c.fold
+	f.who, f.m = c.snap.who, effMemo{}
+	if _, mine := f.who[sec.Owner]; mine {
+		f.m.check, f.m.report = ownerSets()
 	}
-	for _, g := range c.g.GrantsOn(sec.ID) {
-		if _, mine := c.snap.who[g.Principal]; !mine {
-			continue
-		}
-		ch, rep := grantSets(g.Privilege)
-		m.check |= ch
-		m.report |= rep
-	}
-	return m
+	c.g.ScanGrants(sec.ID, f)
+	return f.m
 }
 
 // effective returns the memoized inherited privilege sets for id: the

@@ -132,6 +132,13 @@ func (m *MemStore) Remove(sec ids.ID, p Principal, priv Privilege) bool {
 // GrantsOn returns grants on the securable.
 func (m *MemStore) GrantsOn(id ids.ID) []Grant { return m.grants[id] }
 
+// ScanGrants implements GrantScanner.
+func (m *MemStore) ScanGrants(id ids.ID, visit GrantVisitor) {
+	for _, g := range m.grants[id] {
+		visit.VisitGrant(g.Principal, g.Privilege)
+	}
+}
+
 // Engine makes access-control decisions.
 type Engine struct {
 	Hierarchy HierarchyResolver

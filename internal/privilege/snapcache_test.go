@@ -269,11 +269,10 @@ type flipReaders struct {
 
 func (r flipReaders) Securable(id ids.ID) (Securable, bool) { return r.h.Securable(id) }
 
-func (r flipReaders) GrantsOn(id ids.ID) []Grant {
+func (r flipReaders) ScanGrants(id ids.ID, visit GrantVisitor) {
 	if id == r.leaf && r.version%2 == 0 {
-		return []Grant{{Securable: id, Principal: "alice", Privilege: Select}}
+		visit.VisitGrant("alice", Select)
 	}
-	return nil
 }
 
 func newFlipWorld() flipWorld {

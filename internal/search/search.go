@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"unitycatalog/internal/catalog"
 	"unitycatalog/internal/erm"
@@ -197,6 +198,7 @@ type Service struct {
 	ix *index
 
 	follower *events.Follower
+	tk       tokenizer // the follower's: indexAsset runs on its goroutine alone
 }
 
 // New starts a search service following the core's change events; the
@@ -229,13 +231,14 @@ func (s *Service) handle(e events.Event) {
 // index: handle and Reindex both belong to the follower's one goroutine.
 func (s *Service) Reindex() {
 	ix := newIndex()
+	var tk tokenizer
 	for _, msID := range s.core.Metastores() {
 		snap, err := s.core.DB().Snapshot(msID)
 		if err != nil {
 			continue
 		}
 		for _, e := range catalog.LiveEntities(snap) {
-			ix.add(parse(snap, e))
+			ix.add(tk.parse(snap, e))
 		}
 		snap.Close()
 	}
@@ -256,38 +259,82 @@ func (s *Service) indexAsset(msID string, id ids.ID) {
 		return
 	}
 	defer snap.Close()
-	if e, ok := erm.GetEntity(snap, id); ok {
-		s.indexEntity(snap, e)
-	}
-}
-
-func (s *Service) indexEntity(r erm.Reader, e *erm.Entity) {
-	if e.State == erm.StateSoftDeleted {
+	e, ok := erm.GetEntity(snap, id)
+	switch {
+	case !ok:
+	case e.State == erm.StateSoftDeleted:
 		s.remove(e.ID)
-		return
+	default:
+		p := s.tk.parse(snap, e)
+		s.mu.Lock()
+		s.ix.add(p)
+		s.mu.Unlock()
 	}
-	p := parse(r, e)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ix.add(p)
 }
 
-// parse tokenizes e and its tags, read through r, and touches no index.
-func parse(r erm.Reader, e *erm.Entity) parsed {
-	tokens := split(e.Name + " " + e.FullName + " " + e.Comment)
-	tagTokens := func(tags map[string]string) {
-		for k, v := range tags {
-			tokens = append(tokens, strings.ToLower(k), strings.ToLower(v), strings.ToLower(k+":"+v))
+// tokenizer cuts documents into tokens, reusing its buffers from one
+// document to the next: a document's text (its name, full name and comment,
+// then each tag's key, value and key:value) is lowered into one buffer and
+// made one string, and its tokens are substrings of that string.
+type tokenizer struct {
+	text   []byte
+	spans  [][2]int // the tag tokens' [start, end) in text
+	tokens []string
+}
+
+// parse tokenizes e and its tags, read in place through r, and touches no
+// index. What it returns is valid until the next parse: the index clones the
+// tokens it keeps, and e.ID pins nothing (erm/codec.go's ownership rule).
+// The tokens are Tokenize's of the name, full name and comment, and each
+// tag's lowered key, value and key:value, sorted and distinct.
+func (t *tokenizer) parse(r erm.Reader, e *erm.Entity) parsed {
+	b := appendLower(t.text[:0], e.Name)
+	b = append(b, ' ')
+	b = appendLower(b, e.FullName)
+	b = append(b, ' ')
+	b = appendLower(b, e.Comment)
+	words := len(b)
+	spans := t.spans[:0]
+	for _, kv := range r.Scan(erm.TableTag, erm.TagPrefix(e.ID)) {
+		_, _, key, ok := erm.TagParts(kv.Key)
+		if !ok {
+			continue
+		}
+		k := len(b)
+		b = appendLower(b, key)
+		v := len(b)
+		b = appendLower(b, kv.Value)
+		end := len(b)
+		b = append(b, b[k:v]...)
+		b = append(b, ':')
+		b = append(b, b[v:end]...)
+		spans = append(spans, [2]int{k, v}, [2]int{v, end}, [2]int{end, len(b)})
+	}
+	text := string(b)
+	tokens := splitInto(t.tokens[:0], text[:words])
+	for _, sp := range spans {
+		tokens = append(tokens, text[sp[0]:sp[1]])
+	}
+	t.text, t.spans, t.tokens = b, spans, tokens
+	return parsed{id: e.ID, tokens: distinct(tokens)}
+}
+
+// appendLower appends strings.ToLower(s): lowering the parts of a text one by
+// one lowers the text, as a part ends and starts no multi-byte rune.
+func appendLower[S string | []byte](dst []byte, s S) []byte {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return append(dst, strings.ToLower(string(s))...)
 		}
 	}
-	tags, colTags := catalog.EntityTags(r, e.ID)
-	tagTokens(tags)
-	for _, ct := range colTags {
-		tagTokens(ct)
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
 	}
-	// e.ID pins nothing (erm/codec.go's ownership rule); the tokens the index
-	// keeps are cloned there.
-	return parsed{id: e.ID, tokens: distinct(tokens)}
+	return dst
 }
 
 func (s *Service) remove(id ids.ID) {
@@ -296,16 +343,27 @@ func (s *Service) remove(id ids.ID) {
 	s.ix.remove(id)
 }
 
-// split lowercases text and cuts it into index tokens, including dotted name
-// components; a token may repeat.
-func split(text string) []string {
-	return strings.FieldsFunc(strings.ToLower(text), func(r rune) bool {
-		switch r {
-		case ' ', '\t', '\n', '.', '/', '-', '_', ',', '(', ')':
-			return true
+// splitInto appends the index tokens of lowered text to dst: its runs
+// between separators, including dotted name components; a token may repeat.
+// Every separator is ASCII, so no byte of a multi-byte rune is one.
+func splitInto(dst []string, text string) []string {
+	start := -1
+	for i := 0; i <= len(text); i++ {
+		sep := i == len(text)
+		if !sep {
+			switch text[i] {
+			case ' ', '\t', '\n', '.', '/', '-', '_', ',', '(', ')':
+				sep = true
+			}
 		}
-		return false
-	})
+		switch {
+		case sep && start >= 0:
+			dst, start = append(dst, text[start:i]), -1
+		case !sep && start < 0:
+			start = i
+		}
+	}
+	return dst
 }
 
 // distinct sorts tokens and drops repeats, in place.
@@ -316,7 +374,7 @@ func distinct(tokens []string) []string {
 
 // Tokenize lowercases and splits text into its distinct index tokens,
 // including dotted name components.
-func Tokenize(text string) []string { return distinct(split(text)) }
+func Tokenize(text string) []string { return distinct(splitInto(nil, strings.ToLower(text))) }
 
 // Result is one search hit.
 type Result struct {

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -784,5 +785,72 @@ func TestSearchDuringReindexIsNeverPartial(t *testing.T) {
 	}
 	if n := empty.Load(); n != 0 {
 		t.Fatalf("%d of %d searches for an unchanged asset did not find it while the index was being rebuilt", n, searches.Load())
+	}
+}
+
+// refParse is parse as it was before tokens were cut from one buffer: the
+// text lowered and split whole, and the tags read through
+// catalog.EntityTags' maps.
+func refParse(r erm.Reader, e *erm.Entity) []string {
+	tokens := strings.FieldsFunc(strings.ToLower(e.Name+" "+e.FullName+" "+e.Comment), func(r rune) bool {
+		switch r {
+		case ' ', '\t', '\n', '.', '/', '-', '_', ',', '(', ')':
+			return true
+		}
+		return false
+	})
+	tagTokens := func(tags map[string]string) {
+		for k, v := range tags {
+			tokens = append(tokens, strings.ToLower(k), strings.ToLower(v), strings.ToLower(k+":"+v))
+		}
+	}
+	tags, colTags := catalog.EntityTags(r, e.ID)
+	tagTokens(tags)
+	for _, ct := range colTags {
+		tagTokens(ct)
+	}
+	return distinct(tokens)
+}
+
+// TestParseMatchesReference: over seeded comments and tags — upper case,
+// non-ASCII text that lowers to other bytes, invalid UTF-8, separators, empty
+// values, entity and column tags — one tokenizer, reused from document to
+// document, cuts what the reference cuts.
+func TestParseMatchesReference(t *testing.T) {
+	svc, admin := newCore(t)
+	texts := []string{"", "Plain", "UPPER_case-Mixed.dots", "Ünïcödé ÀÉÎ", "İstanbul ΣΊΣΥΦΟΣ", "bad\xffutf8 \xc3", "a,b(c)d/e\tf\ng",
+		"  lead and trail  ", "x:y", "K€Y", "ß𝄞"}
+	rng := rand.New(rand.NewSource(13))
+	pick := func() string { return texts[rng.Intn(len(texts))] }
+	fulls := []string{"sales", "sales.raw", "sales.raw.orders", "sales.raw.customers"}
+	for i := 0; i < 60; i++ {
+		full := fulls[rng.Intn(len(fulls))]
+		comment := pick() + " " + pick()
+		if _, err := svc.UpdateAsset(admin, full, catalog.UpdateRequest{Comment: &comment}); err != nil {
+			t.Fatal(err)
+		}
+		column := ""
+		if full == "sales.raw.orders" && rng.Intn(2) == 0 {
+			column = [...]string{"id", "ssn"}[rng.Intn(2)]
+		}
+		if key := pick(); key != "" {
+			if err := svc.SetTag(admin, full, column, key, pick()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	snap, err := svc.DB().Snapshot("ms1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	var tk tokenizer
+	for round := 0; round < 2; round++ {
+		for _, e := range catalog.LiveEntities(snap) {
+			got, want := tk.parse(snap, e).tokens, refParse(snap, e)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: parse cuts %q, the reference %q", e.FullName, got, want)
+			}
+		}
 	}
 }

@@ -191,9 +191,9 @@ func TestClientConditionalAgainstServer(t *testing.T) {
 
 // TestPooledMatchesNaiveBodies holds the pooled encoders to their oracle on
 // the wire: for each hot route the expected body is built here, with
-// encoding/json, from what the catalog service returns for the same request,
-// and the server's body must match it byte for byte, including the
-// empty/null edge cases.
+// encoding/json, from what the catalog service returns for the same request
+// (for a create or a PATCH, the entity it wrote, read back), and the server's
+// body must match it byte for byte, including the empty/null edge cases.
 func TestPooledMatchesNaiveBodies(t *testing.T) {
 	db, err := store.Open(store.Options{})
 	if err != nil {
@@ -247,6 +247,9 @@ func TestPooledMatchesNaiveBodies(t *testing.T) {
 	}
 
 	const p = "/api/2.1/unity-catalog"
+	entity := func(full string) func() (any, error) {
+		return func() (any, error) { return svc.GetAsset(admin, full) }
+	}
 	cases := []struct {
 		name, method, path, body string
 		// want is nil for healthz, whose body carries wall-clock fields.
@@ -285,6 +288,14 @@ func TestPooledMatchesNaiveBodies(t *testing.T) {
 		{"authorize_empty", "POST", p + "/authorize-batch", `{"privilege":"SELECT"}`,
 			func() (any, error) { return allowed(svc.AuthorizeBatch(admin, []ids.ID{}, privilege.Select)) }},
 		{"healthz_status", "GET", "/healthz", "", nil},
+		{"create_table", "POST", p + "/tables", `{"schema_full":"sales.raw","name":"created","spec":{"table_type":"","format":"",` +
+			`"columns":[{"name":"id","type":"BIGINT","nullable":false,"position":0},{"name":"ts","type":"TIMESTAMP","nullable":true,"position":1}],"fgac":{}}}`,
+			entity("sales.raw.created")},
+		{"create_table_escaped", "POST", p + "/tables", `{"schema_full":"sales.raw","name":"escaped","spec":` +
+			`{"columns":[{"name":"id","type":"BIGINT","comment":"quoted \"id\" <&> \u2028"}],"fgac":{"row_filters":[{"columns":["id"],"predicate":"id > 0"}]}}}`,
+			entity("sales.raw.escaped")},
+		{"patch_comment", "PATCH", p + "/assets/sales.raw.t1", `{"comment":"patched"}`, entity("sales.raw.t1")},
+		{"patch_escaped", "PATCH", p + "/assets/sales.raw.t2", `{"comment":"<b>x</b> & \"y\"","properties":{"k":"v"}}`, entity("sales.raw.t2")},
 	}
 	for _, tc := range cases {
 		var rdr io.Reader
@@ -297,7 +308,11 @@ func TestPooledMatchesNaiveBodies(t *testing.T) {
 		rec := httptest.NewRecorder()
 		pooled.ServeHTTP(rec, req)
 		got := rec.Body.Bytes()
-		if rec.Code != http.StatusOK {
+		code := http.StatusOK
+		if tc.method == "POST" && strings.HasSuffix(tc.path, "/tables") {
+			code = http.StatusCreated
+		}
+		if rec.Code != code {
 			t.Fatalf("%s: code %d, body %s", tc.name, rec.Code, got)
 		}
 		if tc.want == nil {

@@ -1,7 +1,8 @@
 package server
 
 // Response encoding for the HTTP front end. Hot routes (resolve,
-// authorize-batch, temp-credentials, get-asset, list/query pages, healthz)
+// authorize-batch, temp-credentials, get-asset, create-table, PATCH of an
+// asset, list/query pages, healthz)
 // encode through internal/jsonenc's pooled append-style encoders — zero
 // allocations in steady state, byte-identical to encoding/json — while the
 // long tail keeps the generic reflection path. encoding/json is also the
@@ -40,6 +41,14 @@ func sendJSON(w http.ResponseWriter, status int, body []byte) {
 func sendPooled(w http.ResponseWriter, status int, buf *jsonenc.Buffer) {
 	sendJSON(w, status, buf.B)
 	jsonenc.Put(buf)
+}
+
+// sendEntity answers with one entity through jsonenc: a GET of an asset, a
+// create-table and a PATCH.
+func sendEntity(w http.ResponseWriter, status int, e *erm.Entity) {
+	buf := jsonenc.Get()
+	buf.B = jsonenc.AppendEntity(buf.B, e)
+	sendPooled(w, status, buf)
 }
 
 // writeJSON is the generic response writer for the non-hot routes.

@@ -1,13 +1,18 @@
 package server
 
-// Request decoding for the hot POST routes. Their bodies are flat: every
-// field of ResolveRequest, TempCredentialRequest, AuthorizeBatchRequest,
-// QueryAssetsRequest, GrantRequest and TagRequest is a string, a boolean, an
-// integer or an array of strings. decodeFlat reads such a body straight into
-// the request struct when it is in canonical form:
+// Request decoding for the hot POST and PATCH routes. Their bodies are flat:
+// every field of ResolveRequest, TempCredentialRequest,
+// AuthorizeBatchRequest, QueryAssetsRequest, GrantRequest and TagRequest is a
+// string, a boolean, an integer or an array of strings, and a PATCH's
+// UpdateAssetRequest is read when it sets only the comment and the owner. A
+// CreateTableRequest nests one level deeper: its spec is an object whose
+// columns are an array of flat objects and whose fgac is read only when
+// empty. decodeFlat reads such a body straight into the request struct when
+// it is in canonical form:
 //
 //   - one object, nothing after it but whitespace;
-//   - each key spelled exactly as its field's JSON name, none repeated;
+//   - each key spelled exactly as its field's JSON name, none repeated in
+//     its object;
 //   - strings with no escape and no control character, in valid UTF-8;
 //   - integers with no fraction or exponent, at most 18 digits;
 //   - no null.
@@ -29,10 +34,24 @@ import (
 	"unitycatalog/internal/privilege"
 )
 
+// sqlTypes are the column types a table spec commonly names.
+var sqlTypes = []string{"BIGINT", "INT", "SMALLINT", "TINYINT", "STRING", "DOUBLE", "FLOAT", "DECIMAL", "BOOLEAN",
+	"DATE", "TIMESTAMP", "TIMESTAMP_NTZ", "BINARY", "ARRAY", "MAP", "STRUCT"}
+
 // enumValues are the constant spellings of the enum fields (Access,
-// operation, privilege, type): decoding one returns the constant.
+// operation, privilege, type, a table's type and format, a column's SQL
+// type): decoding one returns the constant.
 var enumValues = func() map[string]string {
 	m := map[string]string{}
+	for _, s := range sqlTypes {
+		m[s] = s
+	}
+	for _, t := range []catalog.TableType{catalog.TableManaged, catalog.TableExternal, catalog.TableForeign, catalog.TableShallowClone} {
+		m[string(t)] = string(t)
+	}
+	for _, f := range []catalog.DataFormat{catalog.FormatDelta, catalog.FormatIceberg, catalog.FormatParquet, catalog.FormatCSV, catalog.FormatJSON, catalog.FormatAvro} {
+		m[string(f)] = string(f)
+	}
 	for _, s := range []string{string(cloudsim.AccessRead), string(cloudsim.AccessReadWrite)} {
 		m[s] = s
 	}
@@ -117,6 +136,30 @@ func decodeFlat[T any](b []byte, v *T) bool {
 			}
 			return false
 		})
+	case *CreateTableRequest:
+		return d.object(func(key []byte) bool {
+			switch string(key) {
+			case "schema_full":
+				return d.str(&req.SchemaFull)
+			case "name":
+				return d.str(&req.Name)
+			case "storage_path":
+				return d.str(&req.StoragePath)
+			case "spec":
+				return d.tableSpec(&req.Spec)
+			}
+			return false
+		})
+	case *UpdateAssetRequest:
+		return d.object(func(key []byte) bool {
+			switch string(key) {
+			case "comment":
+				return d.strPtr(&req.Comment)
+			case "owner":
+				return d.strPtr(&req.Owner)
+			}
+			return false
+		})
 	case *QueryAssetsRequest:
 		return d.object(func(key []byte) bool {
 			switch string(key) {
@@ -155,19 +198,25 @@ type reqDecoder struct {
 	i int
 }
 
-// maxMembers bounds the members of a body decodeFlat reads: more than any
-// flat request type has fields, so a longer body repeats or adds a key.
+// maxMembers bounds the members of an object decodeFlat reads: more than
+// any request type has fields, so a longer object repeats or adds a key.
 const maxMembers = 16
 
-// object reads the whole body as one object with no key repeated, calling
-// member with each key to read its value; member reports false for a key that
-// is not a field's. The key aliases the body.
+// object reads the whole body as one object (members) with nothing after
+// it.
 func (d *reqDecoder) object(member func(key []byte) bool) bool {
+	return d.members(member) && d.end()
+}
+
+// members reads an object with no key repeated, calling member with each key
+// to read its value; member reports false for a key that is not a field's.
+// The key aliases the body.
+func (d *reqDecoder) members(member func(key []byte) bool) bool {
 	if !d.consume('{') {
 		return false
 	}
 	if d.consume('}') {
-		return d.end()
+		return true
 	}
 	var keys [maxMembers][]byte
 	for n := 0; ; n++ {
@@ -185,12 +234,87 @@ func (d *reqDecoder) object(member func(key []byte) bool) bool {
 			return false
 		}
 		if d.consume('}') {
-			return d.end()
+			return true
 		}
 		if !d.consume(',') {
 			return false
 		}
 	}
+}
+
+// tableSpec reads a table's spec. Its fgac is read only as {}: a policy
+// with rules is left to encoding/json.
+func (d *reqDecoder) tableSpec(s *catalog.TableSpec) bool {
+	return d.members(func(key []byte) bool {
+		switch string(key) {
+		case "table_type":
+			return d.enum((*string)(&s.TableType))
+		case "format":
+			return d.enum((*string)(&s.Format))
+		case "columns":
+			return d.columns(&s.Columns)
+		case "fgac":
+			return d.consume('{') && d.consume('}')
+		case "base_table":
+			return d.str((*string)(&s.BaseTable))
+		case "foreign_connection":
+			return d.str(&s.ForeignConnection)
+		case "foreign_source_type":
+			return d.str(&s.ForeignSourceType)
+		case "uniform_enabled":
+			return d.boolean(&s.UniformEnabled)
+		}
+		return false
+	})
+}
+
+// maxColumns is how many columns a spec's array reads on the stack before it
+// is copied to the one slice the request keeps; a longer array grows.
+const maxColumns = 8
+
+// columns reads an array of column objects into *p, sized exactly, as a
+// non-nil slice when empty as encoding/json makes it.
+func (d *reqDecoder) columns(p *[]catalog.ColumnInfo) bool {
+	if !d.consume('[') {
+		return false
+	}
+	var stack [maxColumns]catalog.ColumnInfo
+	cols := stack[:0]
+	if !d.consume(']') {
+		for {
+			var c catalog.ColumnInfo
+			if !d.column(&c) {
+				return false
+			}
+			cols = append(cols, c)
+			if d.consume(']') {
+				break
+			}
+			if !d.consume(',') {
+				return false
+			}
+		}
+	}
+	*p = append(make([]catalog.ColumnInfo, 0, len(cols)), cols...)
+	return true
+}
+
+func (d *reqDecoder) column(c *catalog.ColumnInfo) bool {
+	return d.members(func(key []byte) bool {
+		switch string(key) {
+		case "name":
+			return d.str(&c.Name)
+		case "type":
+			return d.enum(&c.Type)
+		case "nullable":
+			return d.boolean(&c.Nullable)
+		case "position":
+			return d.integer(&c.Position)
+		case "comment":
+			return d.str(&c.Comment)
+		}
+		return false
+	})
 }
 
 // end reports whether only whitespace is left.
@@ -246,6 +370,17 @@ func (d *reqDecoder) str(p *string) bool {
 	s, ok := d.raw()
 	if ok {
 		*p = string(s)
+	}
+	return ok
+}
+
+// strPtr reads a string into a new *string, as encoding/json fills a nil
+// pointer field.
+func (d *reqDecoder) strPtr(p **string) bool {
+	s, ok := d.raw()
+	if ok {
+		v := string(s)
+		*p = &v
 	}
 	return ok
 }

@@ -28,6 +28,27 @@ var flatTypes = []struct {
 	{"query", checkFlatDecode[QueryAssetsRequest]},
 	{"grant", checkFlatDecode[GrantRequest]},
 	{"tag", checkFlatDecode[TagRequest]},
+	{"create", checkFlatDecode[CreateTableRequest]},
+	{"patch", checkFlatDecode[UpdateAssetRequest]},
+}
+
+// perfSpec is the spec perf/exec.go sends with every create-table: four
+// columns and an empty fgac, as json.Marshal writes a catalog.TableSpec.
+var perfSpec = mustMarshal(catalog.TableSpec{Columns: []catalog.ColumnInfo{
+	{Name: "id", Type: "BIGINT"}, {Name: "region", Type: "STRING", Nullable: true, Position: 1},
+	{Name: "amount", Type: "DOUBLE", Nullable: true, Position: 2}, {Name: "ts", Type: "TIMESTAMP", Nullable: true, Position: 3},
+}})
+
+// perfCreateBody is perf/exec.go's create-table body.
+var perfCreateBody = `{"schema_full":"c0.s1","name":"w1_000001","spec":` + perfSpec + `}`
+
+// manyColumns is a spec with more columns than decodeFlat reads on its stack.
+func manyColumns() string {
+	var spec catalog.TableSpec
+	for i := 0; i < 11; i++ {
+		spec.Columns = append(spec.Columns, catalog.ColumnInfo{Name: fmt.Sprintf("c%d", i), Type: "INT", Position: i, Comment: "x"})
+	}
+	return mustMarshal(spec)
 }
 
 // mustMarshal is what internal/client sends: json.Marshal of the request.
@@ -52,6 +73,8 @@ var requestBodies = []struct{ body, fast string }{
 	{`{"asset_ids":["0123456789abcdef","fedcba9876543210"],"privilege":"SELECT"}`, "authz"},
 	{`{"securable":"c0.s1.t2","principal":"org3","privilege":"SELECT"}`, "grant"},
 	{`{"securable":"c0.s1.t2","key":"pii","value":"high"}`, "tag"},
+	{perfCreateBody, "create"},
+	{`{"comment":"c-000042"}`, "patch"},
 	// internal/client's bodies (json.Marshal escapes <, > and &, which falls back).
 	{mustMarshal(catalog.ResolveRequest{Names: []string{"c.s.t"}}), "resolve"},
 	{mustMarshal(catalog.ResolveRequest{Names: []string{"c.s.t"}, WithCredentials: true, Access: "READ_WRITE"}), "resolve"},
@@ -61,6 +84,59 @@ var requestBodies = []struct{ body, fast string }{
 	{mustMarshal(GrantRequest{Securable: "c.s.t", Principal: "bob", Privilege: "MODIFY"}), "grant"},
 	{mustMarshal(TagRequest{Securable: "c.s.t", Column: "id", Key: "k"}), "tag"},
 	{mustMarshal(TagRequest{Securable: "c<s>t", Key: "a&b"}), ""},
+	{mustMarshal(map[string]any{"schema_full": "c.s", "name": "t", "spec": catalog.TableSpec{
+		Columns: []catalog.ColumnInfo{{Name: "id", Type: "BIGINT"}}}, "storage_path": ""}), "create"},
+	{mustMarshal(UpdateAssetRequest{Comment: new(string), Owner: new(string)}), "patch"},
+	{mustMarshal(UpdateAssetRequest{Properties: map[string]string{"k": "v"}}), ""},
+	// A create-table body: every spec member, an empty spec, an empty column
+	// list, more columns than the stack holds, and insignificant space.
+	{`{"schema_full":"c.s","name":"t","storage_path":"s3://b/t","spec":{"table_type":"FOREIGN","format":"ICEBERG",` +
+		`"columns":[{"name":"a","type":"struct<x:int>","nullable":true,"position":-1,"comment":"ü"}],"fgac":{},` +
+		`"base_table":"0123","foreign_connection":"pg","foreign_source_type":"postgres","uniform_enabled":true}}`, "create"},
+	{`{"spec":{}}`, "create"},
+	{`{"spec":{"columns":[]}}`, "create"},
+	{`{"name":"t","spec":` + manyColumns() + `}`, "create"},
+	{` { "spec" : { "fgac" : { } , "columns" : [ { "name" : "a" } , { } ] } } `, "create"},
+	// The same key in two objects is no repeat.
+	{`{"name":"t","spec":{"columns":[{"name":"a"},{"name":"b"}]}}`, "create"},
+	// A PATCH: an absent comment, an empty one, an owner.
+	{`{"comment":""}`, "patch"},
+	{`{"owner":"bob","comment":"x"}`, "patch"},
+	// A create-table or PATCH body decodeFlat leaves to encoding/json: an
+	// unknown field at any depth, a non-empty fgac, a spec or properties in
+	// a PATCH, null, an escape, a repeated key, a value of the wrong kind.
+	{`{"name":"t","bogus":1}`, ""},
+	{`{"spec":{"bogus":1}}`, ""},
+	{`{"spec":{"columns":[{"name":"a","bogus":1}]}}`, ""},
+	{`{"spec":{"fgac":{"row_filters":[]}}}`, ""},
+	{`{"spec":{"fgac":{"column_masks":[{"column":"a","function":"f"}]}}}`, ""},
+	{`{"comment":"x","spec":{}}`, ""},
+	{`{"comment":"x","properties":{"k":"v"}}`, ""},
+	{`{"spec":null}`, ""},
+	{`{"spec":{"columns":null}}`, ""},
+	{`{"spec":{"columns":[null]}}`, ""},
+	{`{"spec":{"fgac":null}}`, ""},
+	{`{"spec":{"table_type":null}}`, ""},
+	{`{"comment":null}`, ""},
+	{`{"owner":null,"comment":"x"}`, ""},
+	{`{"name":"a\"b"}`, ""},
+	{`{"comment":"line\nbreak"}`, ""},
+	{`{"spec":{"columns":[{"name":"\` + `u0061"}]}}`, ""},
+	{`{"name":"a","name":"b"}`, ""},
+	{`{"comment":"a","comment":"b"}`, ""},
+	{`{"spec":{"format":"DELTA","format":"ICEBERG"}}`, ""},
+	{`{"spec":{"columns":[{"name":"a","name":"b"}]}}`, ""},
+	{`{"spec":{"columns":[{"position":1.5}]}}`, ""},
+	{`{"spec":{"columns":[{"nullable":"yes"}]}}`, ""},
+	{`{"spec":{"columns":[1]}}`, ""},
+	{`{"spec":{"columns":{}}}`, ""},
+	{`{"spec":[]}`, ""},
+	{`{"spec":{"columns":[{"name":"a"},]}}`, ""},
+	{`{"spec":{"columns":[{"name":"a"}}`, ""},
+	{`{"spec":{"uniform_enabled":1}}`, ""},
+	{`{"comment":7}`, ""},
+	{`{"Comment":"x"}`, ""},
+	{`{"spec":{"Columns":[]}}`, ""},
 	// Canonical forms of every value kind.
 	{`{}`, "*"},
 	{" \t\r\n{ \"Names\" : [ \"a\" , \"bc\" ] , \"WithCredentials\" : false , \"Access\" : \"\" } \n", "resolve"},
@@ -330,6 +406,13 @@ func TestRequestDecodeAllocs(t *testing.T) {
 			func(b []byte) bool { var r GrantRequest; return decodeFlat(b, &r) }, 2},
 		{`{"Names":[]}`,
 			func(b []byte) bool { var r catalog.ResolveRequest; return decodeFlat(b, &r) }, 0},
+		// The schema, the name and the four column names kept, the column
+		// slice; the table type, the format and the column types are enums.
+		{perfCreateBody,
+			func(b []byte) bool { var r CreateTableRequest; return decodeFlat(b, &r) }, 2 + 4 + 1},
+		// The comment and the pointer to it.
+		{`{"comment":"c-000042"}`,
+			func(b []byte) bool { var r UpdateAssetRequest; return decodeFlat(b, &r) }, 2},
 	}
 	for _, c := range cases {
 		body := []byte(c.body)

@@ -275,9 +275,7 @@ func (s *Server) handleGetAsset(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	buf := jsonenc.Get()
-	buf.B = jsonenc.AppendEntity(buf.B, e)
-	sendPooled(w, http.StatusOK, buf)
+	sendEntity(w, http.StatusOK, e)
 }
 
 // UpdateAssetRequest is the PATCH body.
@@ -307,7 +305,7 @@ func (s *Server) handleUpdateAsset(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, e)
+	sendEntity(w, http.StatusOK, e)
 }
 
 func (s *Server) handleDeleteAsset(w http.ResponseWriter, r *http.Request) {
@@ -401,13 +399,16 @@ func (s *Server) handleCreateSchema(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, e)
 }
 
+// CreateTableRequest is the create-table body.
+type CreateTableRequest struct {
+	SchemaFull  string            `json:"schema_full"`
+	Name        string            `json:"name"`
+	StoragePath string            `json:"storage_path,omitempty"`
+	Spec        catalog.TableSpec `json:"spec"`
+}
+
 func (s *Server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		SchemaFull  string            `json:"schema_full"`
-		Name        string            `json:"name"`
-		StoragePath string            `json:"storage_path,omitempty"`
-		Spec        catalog.TableSpec `json:"spec"`
-	}
+	var req CreateTableRequest
 	if err := readJSON(r, &req); err != nil {
 		writeErr(w, err)
 		return
@@ -417,7 +418,7 @@ func (s *Server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, e)
+	sendEntity(w, http.StatusCreated, e)
 }
 
 // --- governance ---
