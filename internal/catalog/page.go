@@ -41,8 +41,8 @@ package catalog
 import (
 	"bytes"
 	"encoding/base64"
-	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -107,9 +107,8 @@ func encodeCursor(c pageCursor) string {
 }
 
 // decodeCursor decodes the token of a request that selected plan; "" (a
-// first page, or an unpaged call) is no cursor. A token as encodeCursor
-// writes it is read by hand (parse); any other is json.Unmarshal's to take or
-// refuse.
+// first page, or an unpaged call) is no cursor. Only the server mints tokens,
+// so one that is not what encodeCursor writes is malformed.
 func decodeCursor(tok, plan string) (*pageCursor, error) {
 	if tok == "" {
 		return nil, nil
@@ -120,10 +119,7 @@ func decodeCursor(tok, plan string) (*pageCursor, error) {
 	}
 	c := new(pageCursor)
 	if !c.parse(b, plan) {
-		*c = pageCursor{}
-		if err := json.Unmarshal(b, c); err != nil {
-			return nil, fmt.Errorf("%w: malformed page token", ErrInvalidArgument)
-		}
+		return nil, fmt.Errorf("%w: malformed page token", ErrInvalidArgument)
 	}
 	if c.S != plan {
 		return nil, fmt.Errorf("%w: page token from a different request", ErrInvalidArgument)
@@ -142,11 +138,9 @@ func (c *pageCursor) parse(b []byte, plan string) bool {
 	if !ok {
 		return false
 	}
-	n, b, ok := leadingInt(b, 19)
-	if !ok || n < 0 {
+	if c.V, b, ok = leadingUint(b); !ok {
 		return false
 	}
-	c.V = uint64(n)
 	if b, ok = bytes.CutPrefix(b, []byte(`,"s":`)); !ok {
 		return false
 	}
@@ -170,39 +164,36 @@ func (c *pageCursor) parse(b []byte, plan string) bool {
 		c.K2 = string(v)
 	}
 	if rest, found := bytes.CutPrefix(b, []byte(`,"g":`)); found {
-		if n, b, ok = leadingInt(rest, 18); !ok {
+		neg := len(rest) > 0 && rest[0] == '-'
+		if neg {
+			rest = rest[1:]
+		}
+		var u uint64
+		if u, b, ok = leadingUint(rest); !ok || u > math.MaxInt {
 			return false
 		}
-		c.G = int(n)
+		if c.G = int(u); neg {
+			c.G = -c.G
+		}
 	}
 	return string(b) == "}"
 }
 
-// leadingInt reads the integer b starts with, written as strconv writes one
-// (an optional minus, then no leading zero), of at most maxDigits digits.
-func leadingInt(b []byte, maxDigits int) (n int64, rest []byte, ok bool) {
-	neg := len(b) > 0 && b[0] == '-'
+// leadingUint reads the unsigned integer b starts with, written as strconv
+// writes one (no leading zero), refusing one past math.MaxUint64.
+func leadingUint(b []byte) (u uint64, rest []byte, ok bool) {
 	i := 0
-	if neg {
-		i = 1
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		d := uint64(b[i] - '0')
+		if u > (math.MaxUint64-d)/10 {
+			return 0, b, false
+		}
+		u = u*10 + d
 	}
-	start := i
-	var u uint64
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		u = u*10 + uint64(b[i]-'0')
-		i++
-	}
-	digits := i - start
-	if digits == 0 || digits > maxDigits || b[start] == '0' && digits > 1 || neg && u == 0 {
+	if i == 0 || b[0] == '0' && i > 1 {
 		return 0, b, false
 	}
-	if u > 1<<63-1 {
-		return 0, b, false
-	}
-	if n = int64(u); neg {
-		n = -n
-	}
-	return n, b[i:], true
+	return u, b[i:], true
 }
 
 // pagedReader is what a listing executes against: versioned (to key the

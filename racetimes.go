@@ -1,10 +1,11 @@
 //go:build ignore
 
 // Racetimes reads `go test -json` on stdin and writes what `go test` would:
-// each package's result line as it finishes, and the output of every test and
-// package that failed. At the end it writes each test's mean time per run,
-// slowest first, so that `make race`'s RACE_TWENTY lines show what each of
-// their tests costs. It leaves the exit status to go test:
+// each package's result line as it finishes, the output of every test and
+// package that failed, and at the end whatever a test that never finished
+// wrote. Then it writes each test's mean time per run, slowest first, so that
+// `make race`'s RACE_TWENTY lines show what each of their tests costs. It
+// leaves the exit status to go test:
 //
 //	go test -race -count=20 -json -run '...' ./internal/catalog/ | go run racetimes.go
 package main
@@ -13,6 +14,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -70,6 +72,22 @@ func main() {
 				t.secs += e.Elapsed
 			}
 		}
+	}
+	if err := sc.Err(); err != nil { // a line past the buffer: pass the rest through
+		fmt.Fprintln(os.Stderr, "racetimes:", err)
+		io.Copy(os.Stdout, os.Stdin)
+	}
+	// A test that never finished (a -timeout panic, say) got no action to
+	// print its output on.
+	left := make([]key, 0, len(output))
+	for k := range output {
+		left = append(left, k)
+	}
+	sort.Slice(left, func(i, j int) bool {
+		return left[i].pkg < left[j].pkg || left[i].pkg == left[j].pkg && left[i].test < left[j].test
+	})
+	for _, k := range left {
+		fmt.Print(strings.Join(output[k], ""))
 	}
 	keys := make([]key, 0, len(times))
 	for k := range times {
