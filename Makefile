@@ -86,8 +86,8 @@ heap:
 # engine), and a GetAsset by name, a one-table Resolve and a credential by
 # object path and by name on a warm cache, which must also decode nothing, and
 # a three-level name resolved on a warm view (at most one), and an authz
-# snapshot's advance over the change log (its change slice and its result),
-# a memo miss over a table's grants (nothing per grant) and a page token
+# snapshot's advance over the change log (none), a memo miss over a table's
+# grants and its grant scan (nothing per grant) and a page token
 # minted and read (internal/catalog, recorded figures + 10 %), and the workspace-binding
 # check under an unbound and a bound catalog (the chain slice only),
 # printed; then a 304 revalidation, a GET of an asset and a resolve, a
@@ -103,15 +103,18 @@ heap:
 # to a follower, and a chunk of 36 (internal/events, none); then the miss path of a full cache: a
 # point miss that inserts one object and evicts (recorded figure + 10 %) and a
 # cold batch that inserts nothing, the same at 10 keys as at 100, a view's
-# prefix scan, which allocates its result and nothing else, and a write
+# prefix scan, which allocates its result, sized once, and nothing else, and a write
 # through a full cache, the store's commit plus one record per write
 # (internal/cache); then a bounded range scan that sizes its result once, an
 # empty one allocating nothing, and a commit of one and of three writes, WAL
 # on and off, at its recorded figure, and a 5,000-write one at most 2.1
-# allocations per write (internal/store). `make test` runs the same gates with
-# the rest of ./...
+# allocations per write (internal/store); then the search follower indexing
+# a PATCH, a tag and a create on a warm index (internal/search, recorded
+# figures + 10 %: nothing for the first two) and an authz snapshot advancing
+# over k commits (internal/privilege, none). `make test` runs the same gates
+# with the rest of ./...
 allocs:
-	$(GO) test -count=1 -run 'Allocs' -v ./internal/erm/ ./internal/catalog/ ./internal/server/ ./internal/obs/ ./internal/events/ ./internal/cache/ ./internal/store/
+	$(GO) test -count=1 -run 'Allocs' -v ./internal/erm/ ./internal/catalog/ ./internal/server/ ./internal/obs/ ./internal/events/ ./internal/cache/ ./internal/store/ ./internal/search/ ./internal/privilege/
 
 # The repository's benchmark (BENCHMARK.json, perf/README.md): all four
 # workloads, traced, with the per-layer table; about 4 minutes. Every

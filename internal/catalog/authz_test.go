@@ -655,9 +655,9 @@ func TestPatchPassesPrunedNameRow(t *testing.T) {
 	}
 }
 
-// TestTouchedSecurablesAllocs: a snapshot's advance over k changes reads the
-// change log once and sizes its result once — two objects, whatever k — and
-// names each securable a change wrote, a grant's by its securable.
+// TestTouchedSecurablesAllocs: a snapshot's advance over k changes hands its
+// memo each securable a change wrote, a grant's by its securable, in one walk
+// of the change log that allocates nothing, whatever k.
 func TestTouchedSecurablesAllocs(t *testing.T) {
 	svc, admin := testService(t)
 	tbl := seedNamespace(t, svc, admin)
@@ -680,25 +680,26 @@ func TestTouchedSecurablesAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	touched, ok := svc.touchedSecurables("ms1", from, to)
-	if !ok {
+	got := dropSet{}
+	if !svc.touchedSecurables("ms1", from, to, got) {
 		t.Fatal("the change log was trimmed")
-	}
-	got := map[ids.ID]bool{}
-	for _, id := range touched {
-		got[id] = true
 	}
 	for id := range want {
 		if !got[id] {
-			t.Fatalf("touched %v, missing %s", touched, id)
+			t.Fatalf("touched %v, missing %s", got, id)
 		}
 	}
-	allocs := testing.AllocsPerRun(100, func() { svc.touchedSecurables("ms1", from, to) })
-	t.Logf("an authz snapshot's advance over %d changes: %.0f allocations (at most 2)", len(touched), allocs)
-	if allocs > 2 {
-		t.Errorf("an advance over %d changes: %.0f allocations, want at most 2: the change slice and the result", len(touched), allocs)
+	allocs := testing.AllocsPerRun(100, func() { svc.touchedSecurables("ms1", from, to, got) })
+	t.Logf("an authz snapshot's advance over %d securables: %.0f allocations", len(got), allocs)
+	if allocs != 0 {
+		t.Errorf("an advance over %d securables: %.0f allocations, want none", len(got), allocs)
 	}
-	if a := testing.AllocsPerRun(100, func() { svc.touchedSecurables("ms1", to, to) }); a != 0 {
-		t.Errorf("an advance over no change: %.0f allocations, want none", a)
+	if !svc.touchedSecurables("ms1", to, to, dropSet{}) {
+		t.Error("an advance over no change failed")
 	}
 }
+
+// dropSet is a privilege.Dropper that records what it is handed.
+type dropSet map[ids.ID]bool
+
+func (d dropSet) Drop(id ids.ID) bool { d[id] = true; return true }

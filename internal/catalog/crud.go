@@ -116,7 +116,7 @@ func (s *Service) CreateAsset(ctx Ctx, req CreateRequest) (e *erm.Entity, err er
 			if ms.info.RootPath == "" {
 				return nil, fmt.Errorf("%w: metastore has no root path for managed storage", ErrInvalidArgument)
 			}
-			e.StoragePath = fmt.Sprintf("%s/%s/%s", ms.info.RootPath, strings.ToLower(string(req.Type)), e.ID)
+			e.StoragePath = ms.info.RootPath + "/" + req.Type.Lower() + "/" + string(e.ID)
 			e.Managed = true
 		}
 		if err := checkStoragePath(e.StoragePath); err != nil {
@@ -222,8 +222,10 @@ func checkPathFree(tx *store.Tx, path string) error {
 // firstUnder returns the first path, in key order, that table registers under
 // path, reading that one row only.
 func firstUnder(tx *store.Tx, table, path string) (string, bool) {
-	under := path + "/"
-	if kvs := tx.ScanRange(table, under, store.PrefixEnd(under), 1); len(kvs) > 0 {
+	// The range [path/, store.PrefixEnd(path/)), its two ends in one string.
+	ends := path + "/" + path + "0"
+	under, end := ends[:len(path)+1], ends[len(path)+1:]
+	if kvs := tx.ScanRange(table, under, end, 1); len(kvs) > 0 {
 		return kvs[0].Key, true
 	}
 	return "", false

@@ -47,12 +47,39 @@ func pathOracle(t *testing.T, what string, r erm.Reader) map[string]map[string]i
 	return rows
 }
 
+// pathProbe is a path comparePaths reads the path tables at, with what the
+// path alone decides, made once for the whole run: the range of its
+// descendants and its segment-boundary prefixes, every p[:i] at a '/' past
+// the scheme and then p itself.
+type pathProbe struct {
+	path       string
+	under, end string // [path/, store.PrefixEnd(path/))
+	prefixes   []string
+}
+
+func newPathProbes(paths []string) []pathProbe {
+	out := make([]pathProbe, len(paths))
+	for k, p := range paths {
+		under := p + "/"
+		out[k] = pathProbe{path: p, under: under, end: store.PrefixEnd(under)}
+		for i := range p {
+			if p[i] == '/' && i > len("s3://") {
+				out[k].prefixes = append(out[k].prefixes, p[:i])
+			}
+		}
+		out[k].prefixes = append(out[k].prefixes, p)
+	}
+	return out
+}
+
 // comparePaths holds every read of the path tables through r to the oracle
 // of r's own entity records: whole scans, point reads of every row and of
 // probes beside them, a multi-get of each probe's prefixes where r has one,
 // RegisteredPrefix (the one-of read through a cache view) and the ranges
-// over each probe's descendants, whole and one row at a time.
-func comparePaths(t *testing.T, what string, r erm.Reader, probes []string) {
+// over each probe's descendants, whole and one row at a time. What the
+// oracle expects of a probe is read from the oracle's sorted rows and its
+// map, not found by a walk of all of them.
+func comparePaths(t *testing.T, what string, r erm.Reader, probes []pathProbe) {
 	t.Helper()
 	oracle := pathOracle(t, what, r)
 	for _, table := range []string{erm.TablePath, erm.TableExtLoc} {
@@ -73,47 +100,44 @@ func comparePaths(t *testing.T, what string, r erm.Reader, probes []string) {
 			t.Fatalf("%s: %s rows %q, the records derive %q", what, table, got, keys)
 		}
 		for _, p := range probes {
-			if val, ok := r.Get(table, p); ok != (want[p] != "") || ok && ids.ID(val) != want[p] {
-				t.Fatalf("%s: Get(%s, %q) = %q, %v; the records say %q", what, table, p, val, ok, want[p])
+			if val, ok := r.Get(table, p.path); ok != (want[p.path] != "") || ok && ids.ID(val) != want[p.path] {
+				t.Fatalf("%s: Get(%s, %q) = %q, %v; the records say %q", what, table, p.path, val, ok, want[p.path])
 			}
+			// The row that governs p: the one at p or at a prefix of it that
+			// ends a segment. No two live paths of one table nest.
 			wantPrefix, wantID := "", ids.ID("")
-			for prefix, id := range want {
-				if p == prefix || strings.HasPrefix(p, prefix+"/") {
+			for _, prefix := range p.prefixes {
+				if id, ok := want[prefix]; ok {
+					if wantID != "" {
+						t.Fatalf("%s: the records have %s rows at %q and %q, which nest", what, table, wantPrefix, prefix)
+					}
 					wantPrefix, wantID = prefix, id
 				}
 			}
-			if prefix, id, ok := erm.RegisteredPrefix(r, table, p); ok != (wantID != "") || prefix != wantPrefix || id != wantID {
-				t.Fatalf("%s: RegisteredPrefix(%s, %q) = %q, %q, %v; the records say %q, %q", what, table, p, prefix, id, ok, wantPrefix, wantID)
+			if prefix, id, ok := erm.RegisteredPrefix(r, table, p.path); ok != (wantID != "") || prefix != wantPrefix || id != wantID {
+				t.Fatalf("%s: RegisteredPrefix(%s, %q) = %q, %q, %v; the records say %q, %q", what, table, p.path, prefix, id, ok, wantPrefix, wantID)
 			}
 			if br, ok := r.(erm.BatchReader); ok {
-				var prefixes []string
-				for i := range p {
-					if p[i] == '/' && i > len("s3://") {
-						prefixes = append(prefixes, p[:i])
-					}
-				}
-				prefixes = append(prefixes, p)
-				for i, val := range br.GetBatch(table, prefixes) {
-					if (val != nil) != (want[prefixes[i]] != "") || val != nil && ids.ID(val) != want[prefixes[i]] {
-						t.Fatalf("%s: GetBatch(%s) of %q = %q; the records say %q", what, table, prefixes[i], val, want[prefixes[i]])
+				for i, val := range br.GetBatch(table, p.prefixes) {
+					if (val != nil) != (want[p.prefixes[i]] != "") || val != nil && ids.ID(val) != want[p.prefixes[i]] {
+						t.Fatalf("%s: GetBatch(%s) of %q = %q; the records say %q", what, table, p.prefixes[i], val, want[p.prefixes[i]])
 					}
 				}
 			}
-			under := p + "/"
-			var wantUnder []string
-			for _, k := range keys {
-				if strings.HasPrefix(k, under) {
-					wantUnder = append(wantUnder, k)
-				}
+			from := sort.SearchStrings(keys, p.under)
+			to := from
+			for to < len(keys) && strings.HasPrefix(keys[to], p.under) {
+				to++
 			}
-			if got := rowKeys(r.ScanRange(table, under, store.PrefixEnd(under), 0)); !slices.Equal(got, wantUnder) {
-				t.Fatalf("%s: %s rows under %q: %q, the records derive %q", what, table, p, got, wantUnder)
+			wantUnder := keys[from:to]
+			if got := rowKeys(r.ScanRange(table, p.under, p.end, 0)); !slices.Equal(got, wantUnder) {
+				t.Fatalf("%s: %s rows under %q: %q, the records derive %q", what, table, p.path, got, wantUnder)
 			}
-			if got := rowKeys(r.Scan(table, under)); !slices.Equal(got, wantUnder) {
-				t.Fatalf("%s: Scan(%s, %q): %q, the records derive %q", what, table, under, got, wantUnder)
+			if got := rowKeys(r.Scan(table, p.under)); !slices.Equal(got, wantUnder) {
+				t.Fatalf("%s: Scan(%s, %q): %q, the records derive %q", what, table, p.under, got, wantUnder)
 			}
-			if got := rowKeys(r.ScanRange(table, under, store.PrefixEnd(under), 1)); len(wantUnder) > 0 && !slices.Equal(got, wantUnder[:1]) || len(wantUnder) == 0 && len(got) > 0 {
-				t.Fatalf("%s: the first %s row under %q: %q, the records derive %q", what, table, p, got, wantUnder)
+			if got := rowKeys(r.ScanRange(table, p.under, p.end, 1)); len(wantUnder) > 0 && !slices.Equal(got, wantUnder[:1]) || len(wantUnder) == 0 && len(got) > 0 {
+				t.Fatalf("%s: the first %s row under %q: %q, the records derive %q", what, table, p.path, got, wantUnder)
 			}
 		}
 	}
@@ -175,10 +199,11 @@ func TestDerivedPathIndexMatchesRows(t *testing.T) {
 			universe = append(universe, "s3://lake/"+a+"/"+b, "s3://lake/"+a+"/"+b+"/z")
 		}
 	}
-	probes := append([]string{"s3://root/ms1/table", "s3://other"}, universe...)
+	paths := append([]string{"s3://root/ms1/table", "s3://other"}, universe...)
 	for _, p := range universe {
-		probes = append(probes, p+"/part-0")
+		paths = append(paths, p+"/part-0")
 	}
+	probes := newPathProbes(paths)
 
 	rng := rand.New(rand.NewSource(45))
 	type asset struct {
@@ -335,7 +360,7 @@ func TestDerivedPathIndexMatchesRows(t *testing.T) {
 		}
 		comparePaths(t, what+": cache view", v, probes)
 		v.Close()
-		for _, p := range probes {
+		for _, p := range paths {
 			got, err := svc.OverlappingPaths(admin, p)
 			var want []string
 			if prefix, _, ok := erm.RegisteredPrefix(snap, erm.TablePath, p); ok {

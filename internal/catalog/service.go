@@ -363,7 +363,11 @@ func (v viewReader) GrantsOn(id ids.ID) []privilege.Grant {
 // ScanGrants implements privilege.GrantScanner: it reads each grant's
 // principal and privilege from its row key and decodes no value.
 func (v viewReader) ScanGrants(id ids.ID, visit privilege.GrantVisitor) {
-	for _, kv := range v.r.Scan(erm.TableGrant, erm.GrantPrefix(id)) {
+	prefix := keyBufs.Get().(*[]byte)
+	*prefix = erm.AppendPrefix((*prefix)[:0], id)
+	kvs := v.r.Scan(erm.TableGrant, lent(*prefix))
+	keyBufs.Put(prefix)
+	for _, kv := range kvs {
 		if p, priv, ok := erm.GrantOf(kv.Key); ok {
 			visit.VisitGrant(p, priv)
 		}
@@ -412,29 +416,24 @@ func (s *Service) authorizer(ctx Ctx, r versionedReader) privilege.Authorizer {
 // log. A snapshot memoizes what viewReader reads and no more: a securable's
 // entity row (key = id) and its direct grants (key prefix = id). Names,
 // children, paths, tags and ABAC rules (evaluated outside the snapshot, see
-// check) feed nothing it holds, so it reads the changes of the entity and
+// check) feed nothing it holds, so it visits the changes of the entity and
 // grant tables alone: a name or path row's change is not derived for it, and
-// one whose source version was pruned cannot make it start over. It allocates
-// the change slice and its result, sized once.
-func (s *Service) touchedSecurables(msID string, from, to uint64) ([]ids.ID, bool) {
-	changes, err := s.db.ChangesSince(msID, from, erm.TableEntity, erm.TableGrant)
-	if err != nil {
-		return nil, false // trimmed, or the store is failing: start over
-	}
-	n := 0
-	for n < len(changes) && changes[n].Version <= to {
-		n++
-	}
-	touched := make([]ids.ID, 0, n)
-	for _, ch := range changes[:n] {
-		switch ch.Table {
-		case erm.TableEntity:
-			touched = append(touched, ids.ID(ch.Key))
-		case erm.TableGrant:
-			touched = append(touched, erm.GrantSecurable(ch.Key))
+// one whose source version was pruned cannot make it start over. It hands m
+// each securable as the log holds it and allocates nothing.
+func (s *Service) touchedSecurables(msID string, from, to uint64, m privilege.Dropper) bool {
+	dropped := true
+	err := s.db.VisitChanges(msID, from, func(ch store.Change) bool {
+		if ch.Version > to {
+			return false
 		}
-	}
-	return touched, true
+		id := ids.ID(ch.Key)
+		if ch.Table == erm.TableGrant {
+			id = erm.GrantSecurable(ch.Key)
+		}
+		dropped = m.Drop(id)
+		return dropped
+	}, erm.TableEntity, erm.TableGrant)
+	return err == nil && dropped // an error: trimmed, or the store is failing; start over
 }
 
 // AuthzMetrics returns the authorization snapshot-cache counters.
@@ -601,10 +600,14 @@ func (s *Service) auditOwner(ctx Ctx, id ids.ID, op string, ok bool) error {
 
 // liveIn reports whether e, resolved on a view, is still live in tx under the
 // name it was resolved by: its name row still names it. Deleting or renaming
-// e removes that row. It decodes nothing.
+// e removes that row. It decodes nothing and builds the row's key in a lent
+// buffer (keyBufs).
 func (s *Service) liveIn(tx *store.Tx, e *erm.Entity) bool {
-	id, ok := erm.LookupID(tx, erm.TableName, erm.NameKey(erm.NameGroupOf(e.Type), e.ParentID, e.Name))
-	return ok && id == e.ID
+	key := keyBufs.Get().(*[]byte)
+	defer keyBufs.Put(key)
+	*key = erm.AppendNameKey((*key)[:0], erm.NameGroupOf(e.Type), e.ParentID, e.Name)
+	id, ok := tx.Get(erm.TableName, lent(*key))
+	return ok && string(id) == string(e.ID)
 }
 
 // SetUsage attaches (or with nil detaches) the per-tenant usage meter.

@@ -6,12 +6,24 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"unitycatalog/internal/clock"
 	"unitycatalog/internal/cloudsim"
 	"unitycatalog/internal/ids"
 	"unitycatalog/internal/privilege"
 )
+
+// keyBufs lend a read the key or scan prefix it builds. No reader keeps a
+// key it is lent (a cache.View copies a name key it caches; a scan's result
+// holds the store's own keys), so a buffer goes back once the read returns
+// and nothing a result references is ever in the pool. A buffer on the stack
+// would not do: the store's derived tables hand a key to their derivation
+// functions, so the compiler moves every key buffer to the heap.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// lent is b as a string for a read that keeps no key (keyBufs).
+func lent(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 func encodeJSON(v any) ([]byte, error) {
 	b, err := json.Marshal(v)

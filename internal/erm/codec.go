@@ -190,6 +190,25 @@ var (
 	stateCodes = [...]State{1: StateProvisioning, StateActive, StateSoftDeleted}
 )
 
+// lowerTypes holds each coded type's name lowered, at its code.
+var lowerTypes = func() (l [len(typeCodes)]string) {
+	for i, t := range typeCodes {
+		l[i] = strings.ToLower(string(t))
+	}
+	return l
+}()
+
+// Lower returns strings.ToLower of the type's name, which a managed storage
+// path holds, allocating nothing for a built-in type.
+func (t SecurableType) Lower() string {
+	for i := 1; i < len(typeCodes); i++ {
+		if typeCodes[i] == t {
+			return lowerTypes[i]
+		}
+	}
+	return strings.ToLower(string(t))
+}
+
 // appendCoded appends v as its position in table, or as 0 and the string.
 func appendCoded[T ~string](b []byte, table []T, v T) []byte {
 	for i := 1; i < len(table); i++ {
@@ -298,6 +317,44 @@ func DecodeEntity(b []byte) (*Entity, error) { return decodeEntity(b, "", false)
 // (GetEntity) decode through here; multi-entity reads use DecodeEntities.
 func DecodeEntityAt(id ids.ID, b []byte) (*Entity, error) { return decodeEntity(b, id, false) }
 
+// Text is what the search index cuts an entity's tokens from.
+type Text struct {
+	Name, FullName, Comment string
+	SoftDeleted             bool
+}
+
+// ReadText reads an entity record's Text in place: the strings are its own
+// bytes, what DecodeEntityAt would decode them to, and a holder that keeps
+// one past the read clones it. It reads the record up to its storage path and
+// no further, and allocates nothing; a record in the seed's JSON is decoded.
+// ok is false for a record whose strings do not read.
+func ReadText(rec []byte) (t Text, ok bool) {
+	switch {
+	case len(rec) == 0:
+		return t, false
+	case rec[0] == '{':
+		e, err := DecodeEntity(rec)
+		if err != nil {
+			return t, false
+		}
+		return Text{Name: e.Name, FullName: e.FullName, Comment: e.Comment, SoftDeleted: e.State == StateSoftDeleted}, true
+	case rec[0] != codecMagic:
+		return t, false
+	}
+	var l layout
+	if _, err := walk(rec, nil, &l, false); err != nil {
+		return t, false
+	}
+	str := func(i int) string { return sharedString(rec[l.str[i][0]:l.str[i][1]]) }
+	t = Text{Name: str(fName), FullName: str(fFullName), Comment: str(fComment)}
+	if l.state != 0 {
+		t.SoftDeleted = stateCodes[l.state] == StateSoftDeleted
+	} else {
+		t.SoftDeleted = State(str(fState)) == StateSoftDeleted
+	}
+	return t, true
+}
+
 // The parts of a record that decode to strings, as indexes into layout.str.
 const (
 	fID   = iota // version 1 only
@@ -374,6 +431,7 @@ func (l *layout) specBytes() []byte { return l.rec[l.spec[0]:l.spec[1]] }
 // every fixed-size field of e (flags, times) is set, l says where the strings
 // and the spec lie, and properties are decoded only if withProps — otherwise
 // a record that has any is reported through hasProps and left to the caller.
+// With e nil it stops once l says where the strings lie (ReadText).
 // It is the one field walk, of every version; decodeEntity and DecodeEntities
 // differ only in where they put the bytes it locates.
 func walk(b []byte, e *Entity, l *layout, withProps bool) (hasProps bool, err error) {
@@ -417,6 +475,12 @@ func walk(b []byte, e *Entity, l *layout, withProps bool) (hasProps bool, err er
 		if int(l.typ) >= len(typeCodes) || int(l.state) >= len(stateCodes) {
 			return false, fmt.Errorf("erm: decode entity: unknown type code %d or state code %d", l.typ, l.state)
 		}
+	}
+	if e == nil {
+		if d.err != nil {
+			return false, fmt.Errorf("erm: decode entity: %w", d.err)
+		}
+		return false, nil
 	}
 	e.Managed = l.flags&flagManaged != 0
 	e.CreatedAt = d.time(l.flags)

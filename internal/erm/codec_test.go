@@ -694,3 +694,45 @@ func TestDecodeEntitiesAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestReadTextMatchesDecode: what ReadText reads of a record in place is what
+// DecodeEntityAt decodes, in every record version and the seed's JSON, and a
+// compact record's read allocates nothing.
+func TestReadTextMatchesDecode(t *testing.T) {
+	forms := append(encoders[:len(encoders):len(encoders)], struct {
+		name   string
+		encode func(*Entity) ([]byte, error)
+		stored func(Spec) Spec
+	}{"json", func(e *Entity) ([]byte, error) { return json.Marshal(e) }, nil})
+	for _, form := range forms {
+		rng := rand.New(rand.NewSource(17))
+		for i := 0; i < 400; i++ {
+			e := sampleEntity(rng)
+			if rng.Intn(3) == 0 {
+				e.Comment = "Ünïcödé ΣΊΣΥΦΟΣ bad\xffutf8"
+			}
+			b, err := form.encode(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := DecodeEntityAt(e.ID, b)
+			if err != nil {
+				t.Fatalf("%s: decode: %v", form.name, err)
+			}
+			got, ok := ReadText(b)
+			if !ok || got != (Text{Name: want.Name, FullName: want.FullName, Comment: want.Comment, SoftDeleted: want.State == StateSoftDeleted}) {
+				t.Fatalf("%s: ReadText = %+v, %v; the decode has %q, %q, %q in state %s", form.name, got, ok, want.Name, want.FullName, want.Comment, want.State)
+			}
+			if form.name == "v3" {
+				if a := testing.AllocsPerRun(10, func() { ReadText(b) }); a != 0 {
+					t.Fatalf("ReadText of a version 3 record: %.0f allocations, want none", a)
+				}
+			}
+		}
+	}
+	for _, b := range [][]byte{nil, {codecMagic}, {codecMagic, 9, 0}, []byte("{"), {'x'}} {
+		if _, ok := ReadText(b); ok {
+			t.Fatalf("ReadText(%q) reads", b)
+		}
+	}
+}

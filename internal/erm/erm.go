@@ -557,6 +557,10 @@ func GrantKey(sec ids.ID, p privilege.Principal, priv privilege.Privilege) strin
 // GrantPrefix is the scan prefix for all grants on a securable.
 func GrantPrefix(sec ids.ID) string { return string(sec) + "\x00" }
 
+// AppendPrefix appends sec's scan prefix in the grant and tag tables,
+// GrantPrefix(sec) and TagPrefix(sec), to dst: a scan builds it in a buffer.
+func AppendPrefix(dst []byte, sec ids.ID) []byte { return append(append(dst, sec...), 0) }
+
 // GrantOf reads the principal and privilege a grant record key names. The
 // securable's ID runs to the key's first 0 byte and the privilege from its
 // last, so a principal holding a 0 byte reads whole. Both results are
@@ -667,16 +671,19 @@ var owned = [...]struct {
 // DeleteOwned deletes inside tx the rows entity id owns (owned) that go when
 // it is soft deleted, or, with purge, when it is purged.
 func DeleteOwned(tx *store.Tx, id ids.ID, purge bool) {
-	p := string(id) + "\x00"
+	// The rows under id's prefix, [id\0, store.PrefixEnd(id\0)), both ends
+	// in one string.
+	ends := string(id) + "\x00" + string(id) + "\x01"
+	start, end := ends[:len(id)+1], ends[len(id)+1:]
 	for _, o := range owned {
 		switch {
 		case !o.softDelete && !purge:
 		case o.source != "":
-			for _, r := range tx.GroupRows(o.table, p, store.PrefixEnd(p), 0) {
+			for _, r := range tx.GroupRows(o.table, start, end, 0) {
 				tx.Delete(o.source, r.Key)
 			}
 		default:
-			for _, kv := range tx.Scan(o.table, p) {
+			for _, kv := range tx.ScanRange(o.table, start, end, 0) {
 				tx.Delete(o.table, kv.Key)
 			}
 		}
@@ -785,7 +792,11 @@ func LookupID(r Reader, table, key string) (ids.ID, bool) {
 // ID is that string, not a copy.
 func sharedKeyID(_ string, rec []byte) (any, error) { return sharedID(rec), nil }
 
-func sharedID(val []byte) ids.ID { return ids.ID(unsafe.String(unsafe.SliceData(val), len(val))) }
+func sharedID(val []byte) ids.ID { return ids.ID(sharedString(val)) }
+
+// sharedString is b's bytes as a string, not a copy: b must not change while
+// the string is in use.
+func sharedString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // sharedEntity and sharedKeyID are the decode functions of the entity table
 // and of the index tables for a DecodedReader: package-level, so passing one

@@ -34,7 +34,9 @@ func New() ID {
 		// counter-derived bytes so New never returns a duplicate.
 		binary.BigEndian.PutUint64(b[8:], counter.Add(1))
 	}
-	return ID(hex.EncodeToString(b[:]))
+	var h [2 * RawLen]byte
+	hex.Encode(h[:], b[:])
+	return ID(h[:])
 }
 
 // Valid reports whether id looks like an ID produced by New.

@@ -112,19 +112,17 @@ func (m *memo) remember(sec Securable) Securable {
 	return sec
 }
 
-// drop forgets what the memo holds about each id in changed, securables
-// whose row or direct grants were written. It reports false when a memoized
-// securable inherits from one of them: no set of keys short of the whole
-// memo covers that change, and the caller must discard it.
-func (m *memo) drop(changed []ids.ID) bool {
-	for _, id := range changed {
-		if _, inherited := m.parents[id]; inherited {
-			return false
-		}
-		delete(m.secs, id)
-		delete(m.effs, id)
-		delete(m.gates, id)
+// Drop forgets what the memo holds about id, a securable whose row or direct
+// grants were written. It reports false when a memoized securable inherits
+// from id: no set of keys short of the whole memo covers that change, and
+// the caller must discard it.
+func (m *memo) Drop(id ids.ID) bool {
+	if _, inherited := m.parents[id]; inherited {
+		return false
 	}
+	delete(m.secs, id)
+	delete(m.effs, id)
+	delete(m.gates, id)
 	return true
 }
 
@@ -165,10 +163,17 @@ func NewSnapshot(p Principal, groups GroupResolver) *Snapshot {
 // Principal returns the principal the snapshot was compiled for.
 func (s *Snapshot) Principal() Principal { return s.principal }
 
-// Touched reports the securables whose own row or direct grants were
-// written by scope's commits in (from, to]; repeats are allowed. ok is false
-// when the change log no longer covers the range.
-type Touched func(scope string, from, to uint64) (touched []ids.ID, ok bool)
+// Touched hands m each securable whose own row or direct grants scope's
+// commits in (from, to] wrote, repeats allowed, until m.Drop returns false.
+// It reports whether m dropped them all: false when one did not drop or when
+// the change log no longer covers the range.
+type Touched func(scope string, from, to uint64, m Dropper) bool
+
+// Dropper is what Touched hands the securables it finds to: a snapshot's
+// memo, which forgets each one it is handed.
+type Dropper interface {
+	Drop(id ids.ID) bool
+}
 
 // advanced says what advance did to the snapshot's memo.
 type advanced int
@@ -204,7 +209,7 @@ func (s *Snapshot) advance(scope string, to uint64, touched Touched) (advanced, 
 	if touched != nil && to-from <= uint64(size) {
 		// The log is read under s.mu, as the hierarchy and grant readers
 		// are: the lock is this principal's alone.
-		if changed, ok := touched(scope, from, to); ok && s.memo.drop(changed) {
+		if touched(scope, from, to, &s.memo) {
 			return advancedPatched, size - s.memo.size()
 		}
 	}

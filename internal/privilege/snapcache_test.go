@@ -14,12 +14,15 @@ import (
 // everyCommit is a change log in which every commit wrote the grants of
 // the securables in touched.
 func everyCommit(touched ...ids.ID) Touched {
-	return func(_ string, from, to uint64) ([]ids.ID, bool) {
-		var out []ids.ID
+	return func(_ string, from, to uint64, m Dropper) bool {
 		for v := from; v < to; v++ {
-			out = append(out, touched...)
+			for _, id := range touched {
+				if !m.Drop(id) {
+					return false
+				}
+			}
 		}
-		return out, true
+		return true
 	}
 }
 
@@ -83,9 +86,17 @@ func TestSnapshotFollowsChangeLog(t *testing.T) {
 		trimmed bool
 		reads   int
 	}
-	c := NewSnapshotCache(SnapshotCacheOptions{}, func(_ string, from, to uint64) ([]ids.ID, bool) {
+	c := NewSnapshotCache(SnapshotCacheOptions{}, func(_ string, from, to uint64, m Dropper) bool {
 		log.reads++
-		return log.touched, !log.trimmed
+		if log.trimmed {
+			return false
+		}
+		for _, id := range log.touched {
+			if !m.Drop(id) {
+				return false
+			}
+		}
+		return true
 	})
 	version := uint64(1)
 	look := func(stage string) *Snapshot {
@@ -349,5 +360,39 @@ func TestSnapshotCacheConcurrentAdvance(t *testing.T) {
 	wg.Wait()
 	if m := c.Metrics(); m.Patches < 1000 {
 		t.Fatalf("the race hardly ever advanced the cached snapshot along the log: %+v", m)
+	}
+}
+
+// TestSnapshotAdvanceAllocs: a cached snapshot moved forward over k commits
+// along the change log allocates nothing, whatever k: the log hands the memo
+// each securable it names (Touched) and the memo drops it where it is.
+func TestSnapshotAdvanceAllocs(t *testing.T) {
+	h, g, groups, leaf := deepFixture(4)
+	// Each commit writes three securables that no memoized one inherits from.
+	c := NewSnapshotCache(SnapshotCacheOptions{}, everyCommit(ids.New(), ids.New(), ids.New()))
+	version := uint64(1)
+	snap := c.Snapshot("ms", "alice", version, groups)
+	eng := snap.Bind(version, h, g)
+	if !eng.Check(Select, leaf).Allowed {
+		t.Fatal("alice cannot read the leaf")
+	}
+	size := snap.memo.size()
+	for _, k := range []int{1, size} {
+		before := c.Metrics()
+		allocs := testing.AllocsPerRun(100, func() {
+			version += uint64(k)
+			if c.Snapshot("ms", "alice", version, groups) != snap {
+				t.Fatal("the cached snapshot was replaced")
+			}
+		})
+		m := c.Metrics()
+		if m.Patches-before.Patches != 101 || m.Builds != before.Builds || snap.memo.size() != size {
+			t.Fatalf("over %d commits: %d patches, %d builds, memo %d of %d: the snapshot was not patched", k,
+				m.Patches-before.Patches, m.Builds-before.Builds, snap.memo.size(), size)
+		}
+		t.Logf("a snapshot advancing over %d commits (%d securables): %.0f allocations", k, 3*k, allocs)
+		if allocs != 0 {
+			t.Errorf("a snapshot advancing over %d commits: %.0f allocations, want none", k, allocs)
+		}
 	}
 }

@@ -11,12 +11,14 @@ import (
 	"strings"
 	"sync"
 	"unicode/utf8"
+	"unsafe"
 
 	"unitycatalog/internal/catalog"
 	"unitycatalog/internal/erm"
 	"unitycatalog/internal/events"
 	"unitycatalog/internal/ids"
 	"unitycatalog/internal/obs"
+	"unitycatalog/internal/store"
 )
 
 // doc is one indexed asset: its ID and its tokens, as numbers (see index).
@@ -55,6 +57,8 @@ type index struct {
 	toks     []token // by token number
 	freeToks []uint32
 	tokID    map[string]uint32 // keys are cloned once, on first sight
+
+	scratch []uint32 // add's token numbers before they are a document's
 }
 
 func newIndex() *index {
@@ -83,7 +87,8 @@ func (ix *index) add(p parsed) {
 		n = number(&ix.freeDocs, &ix.docs)
 		ix.byID[p.id] = n
 	}
-	toks := make([]uint32, len(p.tokens))
+	toks := slices.Grow(ix.scratch[:0], len(p.tokens))[:len(p.tokens)]
+	ix.scratch = toks
 	for i, text := range p.tokens {
 		t, ok := ix.tokID[text]
 		if !ok {
@@ -99,12 +104,19 @@ func (ix *index) add(p parsed) {
 		toks[i] = t
 	}
 	slices.Sort(toks)
-	for _, t := range ix.docs[n].toks {
+	old := ix.docs[n].toks
+	for _, t := range old {
 		if _, kept := slices.BinarySearch(toks, t); !kept {
 			ix.unpost(t, n)
 		}
 	}
-	ix.docs[n] = doc{id: p.id, toks: toks}
+	// A document's list is exactly sized: a re-index with as many tokens as
+	// before, as an edited comment or tag value mostly is, writes over it.
+	if len(old) != len(toks) {
+		old = make([]uint32, len(toks))
+	}
+	copy(old, toks)
+	ix.docs[n] = doc{id: p.id, toks: old}
 }
 
 // remove drops the document with the given ID.
@@ -198,7 +210,9 @@ type Service struct {
 	ix *index
 
 	follower *events.Follower
-	tk       tokenizer // the follower's: indexAsset runs on its goroutine alone
+	// The follower's: indexAsset runs on its goroutine alone.
+	tk   tokenizer
+	snap store.Snapshot
 }
 
 // New starts a search service following the core's change events; the
@@ -238,7 +252,7 @@ func (s *Service) Reindex() {
 			continue
 		}
 		for _, e := range catalog.LiveEntities(snap) {
-			ix.add(tk.parse(snap, e))
+			ix.add(tk.parse(snap, e.ID, erm.Text{Name: e.Name, FullName: e.FullName, Comment: e.Comment}))
 		}
 		snap.Close()
 	}
@@ -249,23 +263,28 @@ func (s *Service) Reindex() {
 
 // indexAsset indexes the asset as it is now, which is never older than the
 // event that named it (see catalog.LiveEntities): one snapshot serves the
-// entity and its tags.
+// entity and its tags. It reads the entity's record and its tag rows where
+// the store holds them, and allocates what the index keeps.
 func (s *Service) indexAsset(msID string, id ids.ID) {
 	if id == ids.Nil {
 		return
 	}
-	snap, err := s.core.DB().Snapshot(msID)
-	if err != nil {
+	snap := &s.snap
+	if err := s.core.DB().OpenSnapshot(snap, msID); err != nil {
 		return
 	}
 	defer snap.Close()
-	e, ok := erm.GetEntity(snap, id)
+	rec, ok := snap.Get(erm.TableEntity, string(id))
+	if !ok {
+		return
+	}
+	text, ok := erm.ReadText(rec)
 	switch {
 	case !ok:
-	case e.State == erm.StateSoftDeleted:
-		s.remove(e.ID)
+	case text.SoftDeleted:
+		s.remove(id)
 	default:
-		p := s.tk.parse(snap, e)
+		p := s.tk.parse(snap, id, text)
 		s.mu.Lock()
 		s.ix.add(p)
 		s.mu.Unlock()
@@ -274,49 +293,51 @@ func (s *Service) indexAsset(msID string, id ids.ID) {
 
 // tokenizer cuts documents into tokens, reusing its buffers from one
 // document to the next: a document's text (its name, full name and comment,
-// then each tag's key, value and key:value) is lowered into one buffer and
-// made one string, and its tokens are substrings of that string.
+// then each tag's key, value and key:value) is lowered into one buffer, and
+// its tokens are substrings of that buffer.
 type tokenizer struct {
 	text   []byte
 	spans  [][2]int // the tag tokens' [start, end) in text
 	tokens []string
+	key    []byte // the tag rows' prefix
 }
 
-// parse tokenizes e and its tags, read in place through r, and touches no
-// index. What it returns is valid until the next parse: the index clones the
-// tokens it keeps, and e.ID pins nothing (erm/codec.go's ownership rule).
-// The tokens are Tokenize's of the name, full name and comment, and each
-// tag's lowered key, value and key:value, sorted and distinct.
-func (t *tokenizer) parse(r erm.Reader, e *erm.Entity) parsed {
-	b := appendLower(t.text[:0], e.Name)
+// parse tokenizes the document of entity id, whose text is txt, and its
+// tags, read in place through snap, and touches no index. What it returns is
+// valid until the next parse, whose text overwrites its tokens' bytes: the
+// index clones the tokens it keeps. The tokens are Tokenize's of the name,
+// full name and comment, and each tag's lowered key, value and key:value,
+// sorted and distinct.
+func (t *tokenizer) parse(snap *store.Snapshot, id ids.ID, txt erm.Text) parsed {
+	b := appendLower(t.text[:0], txt.Name)
 	b = append(b, ' ')
-	b = appendLower(b, e.FullName)
+	b = appendLower(b, txt.FullName)
 	b = append(b, ' ')
-	b = appendLower(b, e.Comment)
+	b = appendLower(b, txt.Comment)
 	words := len(b)
 	spans := t.spans[:0]
-	for _, kv := range r.Scan(erm.TableTag, erm.TagPrefix(e.ID)) {
-		_, _, key, ok := erm.TagParts(kv.Key)
-		if !ok {
-			continue
+	t.key = erm.AppendPrefix(t.key[:0], id)
+	snap.Each(erm.TableTag, unsafe.String(unsafe.SliceData(t.key), len(t.key)), func(row string, val []byte) bool {
+		if _, _, key, ok := erm.TagParts(row); ok {
+			k := len(b)
+			b = appendLower(b, key)
+			v := len(b)
+			b = appendLower(b, val)
+			end := len(b)
+			b = append(b, b[k:v]...)
+			b = append(b, ':')
+			b = append(b, b[v:end]...)
+			spans = append(spans, [2]int{k, v}, [2]int{v, end}, [2]int{end, len(b)})
 		}
-		k := len(b)
-		b = appendLower(b, key)
-		v := len(b)
-		b = appendLower(b, kv.Value)
-		end := len(b)
-		b = append(b, b[k:v]...)
-		b = append(b, ':')
-		b = append(b, b[v:end]...)
-		spans = append(spans, [2]int{k, v}, [2]int{v, end}, [2]int{end, len(b)})
-	}
-	text := string(b)
+		return true
+	})
+	text := unsafe.String(unsafe.SliceData(b), len(b))
 	tokens := splitInto(t.tokens[:0], text[:words])
 	for _, sp := range spans {
 		tokens = append(tokens, text[sp[0]:sp[1]])
 	}
 	t.text, t.spans, t.tokens = b, spans, tokens
-	return parsed{id: e.ID, tokens: distinct(tokens)}
+	return parsed{id: id, tokens: distinct(tokens)}
 }
 
 // appendLower appends strings.ToLower(s): lowering the parts of a text one by

@@ -815,7 +815,8 @@ func refParse(r erm.Reader, e *erm.Entity) []string {
 // TestParseMatchesReference: over seeded comments and tags — upper case,
 // non-ASCII text that lowers to other bytes, invalid UTF-8, separators, empty
 // values, entity and column tags — one tokenizer, reused from document to
-// document, cuts what the reference cuts.
+// document, cuts from a record read in place what the reference cuts from the
+// decoded entity.
 func TestParseMatchesReference(t *testing.T) {
 	svc, admin := newCore(t)
 	texts := []string{"", "Plain", "UPPER_case-Mixed.dots", "Ünïcödé ÀÉÎ", "İstanbul ΣΊΣΥΦΟΣ", "bad\xffutf8 \xc3", "a,b(c)d/e\tf\ng",
@@ -847,10 +848,111 @@ func TestParseMatchesReference(t *testing.T) {
 	var tk tokenizer
 	for round := 0; round < 2; round++ {
 		for _, e := range catalog.LiveEntities(snap) {
-			got, want := tk.parse(snap, e).tokens, refParse(snap, e)
+			rec, _ := snap.Get(erm.TableEntity, string(e.ID))
+			txt, ok := erm.ReadText(rec)
+			if !ok {
+				t.Fatalf("%s: its record does not read", e.FullName)
+			}
+			got, want := tk.parse(snap, e.ID, txt).tokens, refParse(snap, e)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s: parse cuts %q, the reference %q", e.FullName, got, want)
 			}
 		}
+	}
+}
+
+// Follower allocations per indexed event on a warm index, when they last
+// changed on purpose; TestFollowerIndexAllocs fails at 10 % over. A PATCH or a
+// tag that brings no token the index lacks allocates nothing: the follower
+// reads the record and its tag rows where the store holds them. A create
+// allocates what the index keeps for a new document: its token list, the
+// clone and posting of the one token its name brings, and its share of the
+// index's growth. Before the record was read in place, each of the three made
+// about nine objects more.
+const (
+	patchIndexAllocs  = 0
+	tagIndexAllocs    = 0
+	createIndexAllocs = 3.4
+)
+
+// TestFollowerIndexAllocs gates what the search follower allocates to index
+// a PATCH of a comment, a set-tag and a create-table, each write made first
+// and not counted.
+func TestFollowerIndexAllocs(t *testing.T) {
+	svc, admin := newCore(t)
+	s := &Service{core: svc, ix: newIndex()}
+	// Another table holds every token the PATCHes and tags bring.
+	both := "alpha beta"
+	if _, err := svc.UpdateAsset(admin, "sales.raw.customers", catalog.UpdateRequest{Comment: &both}); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"v1", "v2"} {
+		if err := svc.SetTag(admin, "sales.raw.customers", "", "k"+v, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for full, v := range map[string]string{"sales.raw.customers": "v1", "sales": "v2"} {
+		if err := svc.SetTag(admin, full, "", "k", v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Reindex()
+	orders, err := svc.GetAsset(admin, "sales.raw.orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 100
+	// perIndex is the mean allocations of indexing what write(i) wrote.
+	perIndex := func(write func(i int) ids.ID) float64 {
+		var ms runtime.MemStats
+		var total uint64
+		const warm = 2 // each value once: the tokenizer's buffers and the postings grow
+		for i := 0; i < warm+runs; i++ {
+			id := write(i)
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			s.indexAsset("ms1", id)
+			runtime.ReadMemStats(&ms)
+			if i >= warm {
+				total += ms.Mallocs - before
+			}
+		}
+		return float64(total) / runs
+	}
+	for _, c := range []struct {
+		name     string
+		write    func(i int) ids.ID
+		recorded float64
+	}{
+		{"patch", func(i int) ids.ID {
+			comment := [...]string{"alpha", "beta"}[i%2]
+			if _, err := svc.UpdateAsset(admin, "sales.raw.orders", catalog.UpdateRequest{Comment: &comment}); err != nil {
+				t.Fatal(err)
+			}
+			return orders.ID
+		}, patchIndexAllocs},
+		{"tag", func(i int) ids.ID {
+			if err := svc.SetTag(admin, "sales.raw.orders", "", "k", fmt.Sprint("v", 1+i%2)); err != nil {
+				t.Fatal(err)
+			}
+			return orders.ID
+		}, tagIndexAllocs},
+		{"create", func(i int) ids.ID {
+			e, err := svc.CreateTable(admin, "sales.raw", fmt.Sprint("w_", i), catalog.TableSpec{Columns: []catalog.ColumnInfo{{Name: "id", Type: "BIGINT"}}}, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e.ID
+		}, createIndexAllocs},
+	} {
+		got := perIndex(c.write)
+		t.Logf("indexing a %s: %.2f allocations (recorded %.1f)", c.name, got, c.recorded)
+		if got > 1.10*c.recorded {
+			t.Errorf("indexing a %s: %.2f allocations, more than 10 %% over the recorded %.1f", c.name, got, c.recorded)
+		}
+	}
+	if res, err := s.Search(admin, "w_101", 0); err != nil || len(res) != 1 {
+		t.Fatalf("search for the last create: %v, %v", res, err)
 	}
 }

@@ -15,17 +15,19 @@ import (
 // when their request path last changed on purpose: the envelope, the body's
 // decoded strings, the catalog's view, authorization and commit, the change
 // event, the audit records and the response. TestWriteRequestAllocs fails at
-// 10 % over; `make allocs` prints the figures. Beside each is its figure
+// 10 % over; `make allocs` prints the figures. Beside each are its figures
 // before write bodies were decoded in place, created and updated entities
-// answered through jsonenc, and grants read from their keys: a revoke then
-// decoded every grant left on its table (about a hundred here) when its own
-// commit dropped the table's memo entry.
+// answered through jsonenc, and grants read from their keys (a revoke then
+// decoded every grant left on its table, about a hundred here, when its own
+// commit dropped the table's memo entry), and then before the writer's authz
+// snapshot advanced over its commit in place and write keys were built in
+// buffers.
 const (
-	createTableRequestAllocs = 44 // 68 before
-	patchRequestAllocs       = 20 // 42
-	grantRequestAllocs       = 19 // 41
-	revokeRequestAllocs      = 23 // 931
-	setTagRequestAllocs      = 15 // 15
+	createTableRequestAllocs = 34 // 68, 44
+	patchRequestAllocs       = 17 // 42, 20
+	grantRequestAllocs       = 13 // 41, 19
+	revokeRequestAllocs      = 12 // 931, 23
+	setTagRequestAllocs      = 12 // 15, 15
 )
 
 // TestWriteRequestAllocs gates what the writes of ddl_write allocate: a

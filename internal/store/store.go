@@ -634,19 +634,30 @@ func (db *DB) Version(msID string) (uint64, error) {
 // Snapshot opens a read-only view of the metastore at its current version.
 // The caller must Close the snapshot to release version pins.
 func (db *DB) Snapshot(msID string) (*Snapshot, error) {
-	if err := db.fault("db.snapshot", msID); err != nil {
+	s := new(Snapshot)
+	if err := db.OpenSnapshot(s, msID); err != nil {
 		return nil, err
+	}
+	return s, nil
+}
+
+// OpenSnapshot is Snapshot opened in s, which must be closed or never
+// opened: a reader that holds one snapshot at a time reuses one.
+func (db *DB) OpenSnapshot(s *Snapshot, msID string) error {
+	if err := db.fault("db.snapshot", msID); err != nil {
+		return err
 	}
 	ms, err := db.metastore(msID)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ms.stateMu.Lock()
 	v := ms.version
 	ms.snaps[v]++
 	ms.updateMinSnapLocked()
 	ms.stateMu.Unlock()
-	return &Snapshot{db: db, ms: ms, Version: v}, nil
+	*s = Snapshot{db: db, ms: ms, Version: v}
+	return nil
 }
 
 // SnapshotAt opens a read-only view at an explicit version, which must be at
@@ -712,10 +723,19 @@ func (m *metastore) getLocked(table, key string, v uint64) ([]byte, bool) {
 }
 
 // Scan returns all live (key, value) pairs in table whose key starts with
-// prefix, in ascending key order, as of the snapshot version.
+// prefix, in ascending key order, as of the snapshot version. A stored
+// table's result is sized once, to the rows it holds.
 func (s *Snapshot) Scan(table, prefix string) []KV {
 	out, _ := s.db.scanRange(s.ms, s.Version, table, prefix, "", "", 0)
 	return out
+}
+
+// Each calls fn for each pair Scan would return, in the same order, until fn
+// returns false, and allocates nothing: key and val are the store's own and
+// must not be written. fn runs under the metastore's read lock and must not
+// call the store.
+func (s *Snapshot) Each(table, prefix string, fn func(key string, val []byte) bool) {
+	s.db.scanAt(s.ms, s.Version, func() { s.db.scanLiveLocked(s.ms, table, prefix, "", "", s.Version, fn) })
 }
 
 // ScanRange returns up to limit live (key, value) pairs in table with keys
@@ -789,12 +809,25 @@ func (db *DB) scanRange(ms *metastore, v uint64, table, prefix, start, end strin
 			out = gi.rowsLocked(prefix, start, end, v, limit)
 			return
 		}
-		db.scanLiveLocked(ms, table, prefix, start, end, v, func(k string, val []byte) bool {
-			if out == nil && limit > 0 {
-				out = make([]KV, 0, min(limit, ms.indexes[table].size))
+		idx := ms.indexes[table]
+		if idx == nil {
+			return
+		}
+		db.indexScans.Inc()
+		n := limit
+		if n <= 0 { // unbounded: count the rows, then size the result to them
+			n = 0
+			ascendLive(idx, prefix, start, end, v, func(string, []byte) bool { n++; return true })
+			if n == 0 {
+				return
+			}
+		}
+		ascendLive(idx, prefix, start, end, v, func(k string, val []byte) bool {
+			if out == nil {
+				out = make([]KV, 0, min(n, idx.size))
 			}
 			out = append(out, KV{Key: k, Value: val})
-			return limit <= 0 || len(out) < limit
+			return len(out) < n
 		})
 	})
 	return out, err
@@ -878,6 +911,11 @@ func (db *DB) scanLiveLocked(ms *metastore, table, prefix, start, end string, v 
 		return
 	}
 	db.indexScans.Inc()
+	ascendLive(idx, prefix, start, end, v, fn)
+}
+
+// ascendLive is scanLiveLocked's walk of a stored table's ordered index idx.
+func ascendLive(idx *btree, prefix, start, end string, v uint64, fn func(k string, val []byte) bool) {
 	idx.ascend(max(start, prefix), func(r *record) bool {
 		if !strings.HasPrefix(r.key, prefix) || end != "" && r.key >= end {
 			return false
@@ -1602,20 +1640,83 @@ func (db *DB) pruneLocked(ms *metastore, table string, r *record) {
 // version has since been pruned (MaxVersionsPerRecord), it returns
 // ErrChangeLogTrimmed and the caller must fall back to full reconciliation. A
 // row of a table not asked for is neither derived nor can fail the call.
+// It collects what VisitChanges visits.
 func (db *DB) ChangesSince(msID string, v uint64, tables ...string) ([]Change, error) {
-	if err := db.fault("db.changes", msID); err != nil {
-		return nil, err
-	}
-	ms, err := db.metastore(msID)
+	ms, err := db.changeLog(msID)
 	if err != nil {
 		return nil, err
 	}
 	ms.stateMu.RLock()
 	defer ms.stateMu.RUnlock()
-	if v >= ms.version {
-		return nil, nil
+	i, n, err := ms.changesAfterLocked(v)
+	if err != nil || i == n {
+		return nil, err
 	}
-	n := ms.changes.len()
+	out := make([]Change, 0, n-i)
+	rows, err := ms.eachChangeLocked(i, n, tables, func(c Change) bool {
+		out = append(out, c)
+		return true
+	})
+	if rows == nil {
+		return out, err
+	}
+	defer rowBufs.Put(rows)
+	if err != nil {
+		return nil, err
+	}
+	// The derived rows' keys lie one after another in rows: copy them out
+	// together.
+	keys := string(*rows)
+	for j := range out {
+		if ms.derivedTable(out[j].Table) != nil {
+			n := len(out[j].Key)
+			out[j].Key, keys = keys[:n], keys[n:]
+		}
+	}
+	return out, nil
+}
+
+// VisitChanges calls visit for each change ChangesSince(msID, v, tables...)
+// would return, in the same order, until visit returns false, and allocates
+// nothing for a stored table's change. A derived row's key is valid only for
+// its visit. It fails as ChangesSince does: before the first visit, or, when
+// a derived row's source version has been pruned, at that row, after the
+// visits before it. visit runs under the metastore's read lock and must not
+// call the store.
+func (db *DB) VisitChanges(msID string, v uint64, visit func(c Change) bool, tables ...string) error {
+	ms, err := db.changeLog(msID)
+	if err != nil {
+		return err
+	}
+	ms.stateMu.RLock()
+	defer ms.stateMu.RUnlock()
+	i, n, err := ms.changesAfterLocked(v)
+	if err != nil || i == n {
+		return err
+	}
+	rows, err := ms.eachChangeLocked(i, n, tables, visit)
+	if rows != nil {
+		rowBufs.Put(rows)
+	}
+	return err
+}
+
+// changeLog returns the metastore whose change log ChangesSince and
+// VisitChanges read, after their fault check.
+func (db *DB) changeLog(msID string) (*metastore, error) {
+	if err := db.fault("db.changes", msID); err != nil {
+		return nil, err
+	}
+	return db.metastore(msID)
+}
+
+// changesAfterLocked returns where the changes after version v lie in the
+// change ring, positions [i, n), or ErrChangeLogTrimmed. Caller holds stateMu.
+func (ms *metastore) changesAfterLocked(v uint64) (i, n int, err error) {
+	if v >= ms.version {
+		return 0, 0, nil
+	}
+	n = ms.changes.len()
 	// The log must contain every change in (v, current]. The ring evicts
 	// change by change, not commit by commit, so once it has wrapped the
 	// oldest retained version may be missing its first changes: only a
@@ -1625,15 +1726,18 @@ func (db *DB) ChangesSince(msID string, v uint64, tables ...string) ([]Change, e
 		first = ms.changes.at(0).version
 	}
 	if v+1 < first || (v < first && ms.changes.full()) {
-		return nil, ErrChangeLogTrimmed
+		return 0, 0, ErrChangeLogTrimmed
 	}
 	// Versions ascend through the ring, so binary-search the cut point.
-	i := sort.Search(n, func(i int) bool { return ms.changes.at(i).version > v })
-	if i == n {
-		return nil, nil
-	}
-	out := make([]Change, 0, n-i)
-	var rows *[]byte // the derived rows' keys, one after another
+	return sort.Search(n, func(i int) bool { return ms.changes.at(i).version > v }), n, nil
+}
+
+// eachChangeLocked is the one walk of the change ring: it calls visit for the
+// changes at positions [i, n) of tables (all when none are given) until visit
+// returns false. It derives a derived row's key now and appends it to rows, a
+// buffer of rowBufs it gets at the first such row and returns, and the key
+// visit sees is those bytes. Caller holds stateMu.
+func (ms *metastore) eachChangeLocked(i, n int, tables []string, visit func(c Change) bool) (rows *[]byte, err error) {
 	for j := i; j < n; j++ {
 		s := ms.changes.at(j)
 		t := &ms.changes.tables[s.table]
@@ -1648,27 +1752,18 @@ func (db *DB) ChangesSince(msID string, v uint64, tables ...string) ([]Change, e
 			}
 			b, ok := t.gi.changedRow(*rows, s)
 			if !ok {
-				rowBufs.Put(rows)
-				return nil, ErrChangeLogTrimmed
+				return rows, ErrChangeLogTrimmed
 			}
-			// The row's bytes, until they are copied out with the others
-			// below: a buffer that grows leaves them where they were.
+			// A buffer that grows leaves the bytes of the rows before this
+			// one where they were.
 			c.Key = str(b[len(*rows):])
 			*rows = b
 		}
-		out = append(out, c)
-	}
-	if rows != nil {
-		keys := string(*rows)
-		for j := range out {
-			if ms.derivedTable(out[j].Table) != nil {
-				n := len(out[j].Key)
-				out[j].Key, keys = keys[:n], keys[n:]
-			}
+		if !visit(c) {
+			break
 		}
-		rowBufs.Put(rows)
 	}
-	return out, nil
+	return rows, nil
 }
 
 func (db *DB) simulateRead() {
